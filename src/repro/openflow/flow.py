@@ -35,7 +35,10 @@ class FlowStats:
     ``last_touched``).  Timestamps are virtual-clock ticks, never wall
     time.  ``swept_packets`` is lifecycle-sweeper bookkeeping — the
     packet count as of the entry's last expiry sweep — kept here so it
-    survives the sweeper's per-table lane rebuilds.
+    survives the sweeper's per-table lane rebuilds.  The sweeper
+    maintains ``last_touched`` / ``swept_packets`` only for entries
+    with an idle timeout; on any other entry ``last_touched`` stays at
+    the install stamp.
     """
 
     packet_count: int = 0
@@ -120,7 +123,11 @@ class FlowEntry:
         """Virtual-clock tick of the entry's last credited packet, as of
         the most recent lifecycle sweep (the sweeper detects touches
         from packet-count deltas, so this lags live traffic by at most
-        one sweep; :data:`UNSTAMPED` before the first sweep)."""
+        one sweep; :data:`UNSTAMPED` before the first sweep).
+
+        The sweeper maintains it only for entries with an
+        ``idle_timeout`` — the only entries whose expiry reads it;
+        permanent and hard-only entries keep their install stamp."""
         return self.stats.last_touched
 
     def touch_packet(self, byte_count: int = 0, now: int = 0) -> None:

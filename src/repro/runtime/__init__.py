@@ -162,11 +162,13 @@ kill/hang/delay faults at named worker-loop steps for chaos testing.
 ``("advance", dt)`` workload events — never wall time (the
 ``wall-clock-ban`` lint rule keeps the whole runtime clock-free), so
 every runner path observes the identical tick sequence and lifecycle
-behaviour replays bit-for-bit.  ``advance_clock`` runs a *vectorized*
-expiry sweep (:class:`~repro.runtime.lifecycle.LifecycleSweeper`):
-per-table numpy deadline lanes, idle touches detected from packet-count
-deltas (no hot-path stamping — credit sites are untouched, which is
-what keeps aggregated and per-packet crediting bitwise-identical), POX
+behaviour replays bit-for-bit.  ``advance_clock`` runs an expiry sweep
+(:class:`~repro.runtime.lifecycle.LifecycleSweeper`) whose cost follows
+the entries that *can* expire — O(1) for a table of permanent rules:
+per-table numpy deadline lanes over the timed entries only, idle
+touches detected from packet-count deltas (no hot-path stamping —
+credit sites are untouched, which is what keeps aggregated and
+per-packet crediting bitwise-identical), POX
 ``flow_table.py`` expiry semantics (strict ``>``, hard-before-idle
 precedence), and a parent-side ledger of
 :class:`~repro.runtime.lifecycle.FlowRemoved` events carrying final

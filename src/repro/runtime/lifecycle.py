@@ -22,17 +22,30 @@ two sweeps was installed at the previous sweep's tick, so the sweep
 stamps :data:`~repro.openflow.flow.UNSTAMPED` entries with exactly that
 tick when it first sees them.
 
-The sweep itself is vectorized: per-table numpy lanes (idle/hard
-timeouts, ``installed_at``, ``last_touched``, packets-at-last-sweep)
-are rebuilt only when the table's ``version`` moved, and each sweep is
-one fused packet-count gather plus pure-lane compares — touched mask,
-idle/hard deadline tests — with Python-level work only for the entries
-actually expiring (which leave the table anyway).  Expired entries are
-removed through a caller-supplied callback, so the single-process
-runner removes directly (bumping the table version exactly like an
-explicit uninstall — microflow/megaflow tiers revalidate through the
-machinery they already have) while the sharded runner routes removals
-through its mutation log; workers never consult a clock.
+The sweep costs what *can expire*, not what is installed.  Per-table
+numpy lanes hold only the timed entries (a non-zero idle or hard
+timeout — entries are frozen, so membership is fixed at install) and
+are rebuilt only when the table's ``version`` moved: one O(entries)
+pass per version bump that stamps new entries and collects the timed
+subset in snapshot order.  Hard deadlines (``installed + hard``) are
+settled at rebuild with their minimum kept as a scalar, so until
+something is due they cost one integer compare per sweep; the
+packet-count gather, touch detection and idle deadline test run over
+the idle-timed subset only — O(timed) per sweep — with Python-level
+work only for the entries actually expiring (which leave the table
+anyway).  A table with no timed entries and an unmoved version costs
+O(1) per advance: no snapshot call, no numpy.  The narrowing this buys
+is stated, not hidden: ``last_touched`` / ``swept_packets`` are
+maintained only for entries with an idle timeout — the only entries
+any decision reads them for; permanent and hard-only entries keep
+their install stamp.
+
+Expired entries are removed through a caller-supplied callback, so the
+single-process runner removes directly (bumping the table version
+exactly like an explicit uninstall — microflow/megaflow tiers
+revalidate through the machinery they already have) while the sharded
+runner routes removals through its mutation log; workers never consult
+a clock.
 
 Expiry semantics are POX ``flow_table.py`` parity: strict ``>``
 deadline comparisons, hard timeout measured from install, idle from the
@@ -45,7 +58,7 @@ consumes) into the sweeper's ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import Any, Protocol
 
@@ -139,117 +152,140 @@ class FlowRemoved:
 class _TableLanes:
     """One table's lifecycle lanes, cached against its ``version``.
 
-    The lanes buffer ``last_touched`` / packets-at-last-sweep between
-    sweeps; they are flushed back to the entries'
-    :class:`~repro.openflow.flow.FlowStats` before every rebuild (and on
-    :meth:`LifecycleSweeper.sync`), so lane rebuilds triggered by
-    unrelated mutations never lose idle-timer state.
+    Lanes exist only for *timed* entries — a non-zero idle or hard
+    timeout; :class:`~repro.openflow.flow.FlowEntry` is frozen, so
+    membership is fixed at install.  Hard deadlines are settled once per
+    rebuild; the idle lanes buffer ``last_touched`` /
+    packets-at-last-sweep between sweeps and are flushed back to the
+    entries' :class:`~repro.openflow.flow.FlowStats` before every
+    rebuild (and on :meth:`LifecycleSweeper.sync`), so lane rebuilds
+    triggered by unrelated mutations never lose idle-timer state.
     """
 
     def __init__(self) -> None:
         self.version = -1
-        self.entries: tuple[FlowEntry, ...] = ()
+        #: Entries that can expire, in snapshot (= ledger) order.
+        self.timed: tuple[FlowEntry, ...] = ()
+        #: ``installed + hard`` per timed entry (``_NEVER`` without a
+        #: hard timeout) and its minimum: no hard expiry is possible
+        #: until ``now`` passes ``hard_due``.
+        self.hard_deadline = np.zeros(0, dtype=np.int64)
+        self.hard_due = _NEVER
+        #: The idle-timed subset and its positions within ``timed``.
+        self.idle_entries: tuple[FlowEntry, ...] = ()
+        self.idle_pos = np.zeros(0, dtype=np.intp)
         self.idle = np.zeros(0, dtype=np.int64)
-        self.hard = np.zeros(0, dtype=np.int64)
-        self.installed = np.zeros(0, dtype=np.int64)
         self.last_touched = np.zeros(0, dtype=np.int64)
         self.swept = np.zeros(0, dtype=np.int64)
 
     def flush(self) -> None:
-        """Write buffered lifecycle state back to the entry objects."""
-        last = self.last_touched
-        swept = self.swept
-        for i, entry in enumerate(self.entries):
-            entry.stats.last_touched = int(last[i])
-            entry.stats.swept_packets = int(swept[i])
+        """Write buffered idle-timer state back to the entry objects."""
+        last = self.last_touched.tolist()
+        swept = self.swept.tolist()
+        for i, entry in enumerate(self.idle_entries):
+            entry.stats.last_touched = last[i]
+            entry.stats.swept_packets = swept[i]
 
     def _rebuild(self, table: SweptTable, prev: int) -> None:
         self.flush()
-        snapshot: tuple[FlowEntry, ...] = table.entries_snapshot()
         self.version = table.version
-        self.entries = snapshot
-        count = len(snapshot)
-        # Lazy stamping: anything installed since the last sweep was
+        # The one O(entries) pass, paid per version bump.  Lazy
+        # stamping: anything installed since the last sweep was
         # installed while the clock sat at ``prev``, so that tick is the
         # exact install time (and initial touch) for unstamped entries.
-        for entry in snapshot:
-            if entry.stats.installed_at == UNSTAMPED:
-                entry.stats.installed_at = prev
-                entry.stats.last_touched = prev
+        timed_entries: list[FlowEntry] = []
+        for entry in table.entries_snapshot():
+            stats = entry.stats
+            if stats.installed_at == UNSTAMPED:
+                stats.installed_at = prev
+                stats.last_touched = prev
+            if entry.idle_timeout > 0 or entry.hard_timeout > 0:
+                timed_entries.append(entry)
+        timed = self.timed = tuple(timed_entries)
+        count = len(timed)
+        hard = np.fromiter(
+            (e.hard_timeout for e in timed), dtype=np.int64, count=count
+        )
+        installed = np.fromiter(
+            (e.stats.installed_at for e in timed), dtype=np.int64, count=count
+        )
+        self.hard_deadline = np.where(hard > 0, installed + hard, _NEVER)
+        self.hard_due = int(self.hard_deadline.min()) if count else _NEVER
+        idle_pos = [i for i, e in enumerate(timed) if e.idle_timeout > 0]
+        idle_entries = self.idle_entries = tuple(timed[i] for i in idle_pos)
+        count = len(idle_entries)
+        self.idle_pos = np.array(idle_pos, dtype=np.intp)
         self.idle = np.fromiter(
-            (e.idle_timeout for e in snapshot), dtype=np.int64, count=count
-        )
-        self.hard = np.fromiter(
-            (e.hard_timeout for e in snapshot), dtype=np.int64, count=count
-        )
-        self.installed = np.fromiter(
-            (e.stats.installed_at for e in snapshot),
-            dtype=np.int64,
-            count=count,
+            (e.idle_timeout for e in idle_entries), dtype=np.int64, count=count
         )
         self.last_touched = np.fromiter(
-            (e.stats.last_touched for e in snapshot),
+            (e.stats.last_touched for e in idle_entries),
             dtype=np.int64,
             count=count,
         )
         self.swept = np.fromiter(
-            (e.stats.swept_packets for e in snapshot),
+            (e.stats.swept_packets for e in idle_entries),
             dtype=np.int64,
             count=count,
         )
 
     def sweep(
         self, table: SweptTable, prev: int, now: int, remove: RemoveCallback
-    ) -> list[FlowRemoved]:
+    ) -> tuple[list[FlowRemoved], int]:
+        """Expire what is due at ``now``; returns the events and the
+        number of entry lanes the sweep examined."""
         if table.version != self.version:
             self._rebuild(table, prev)
-        entries = self.entries
-        if not entries:
-            return []
-        # Count-delta touch detection: every credit since the last sweep
-        # happened at tick ``prev`` (the clock never moved in between).
-        counts = np.fromiter(
-            (e.stats.packet_count for e in entries),
-            dtype=np.int64,
-            count=len(entries),
-        )
-        touched = counts > self.swept
-        if touched.any():
-            self.last_touched[touched] = prev
-        self.swept = counts
-        idle_deadline = np.where(
-            self.idle > 0, self.last_touched + self.idle, _NEVER
-        )
-        hard_deadline = np.where(
-            self.hard > 0, self.installed + self.hard, _NEVER
-        )
-        hard_hit = now > hard_deadline
-        expired = hard_hit | (now > idle_deadline)
-        if not expired.any():
-            return []
+        timed = self.timed
+        if not timed:
+            return [], 0
+        examined = 0
+        # position in ``timed`` -> removal reason; hard is settled
+        # first, so it wins when both deadlines have passed.
+        due: dict[int, str] = {}
+        if now > self.hard_due:
+            examined += len(timed)
+            due = dict.fromkeys(
+                np.nonzero(now > self.hard_deadline)[0].tolist(), "hard"
+            )
+        idle_entries = self.idle_entries
+        if idle_entries:
+            examined += len(idle_entries)
+            # Count-delta touch detection: every credit since the last
+            # sweep happened at tick ``prev`` (the clock never moved in
+            # between).
+            counts = np.fromiter(
+                (e.stats.packet_count for e in idle_entries),
+                dtype=np.int64,
+                count=len(idle_entries),
+            )
+            touched = counts > self.swept
+            if touched.any():
+                self.last_touched[touched] = prev
+            self.swept = counts
+            idle_hit = now > self.last_touched + self.idle
+            for i in self.idle_pos[idle_hit].tolist():
+                due.setdefault(i, "idle")
         events: list[FlowRemoved] = []
-        last = self.last_touched
-        for i in np.nonzero(expired)[0].tolist():
-            entry = entries[i]
-            entry.stats.last_touched = int(last[i])
-            entry.stats.swept_packets = int(counts[i])
+        for i in sorted(due):
+            entry = timed[i]
             events.append(
                 FlowRemoved(
                     table_id=table.table_id,
                     match=entry.match,
                     priority=entry.priority,
                     cookie=entry.cookie,
-                    reason="hard" if hard_hit[i] else "idle",
+                    reason=due[i],
                     idle_timeout=entry.idle_timeout,
                     hard_timeout=entry.hard_timeout,
-                    installed_at=int(self.installed[i]),
+                    installed_at=entry.stats.installed_at,
                     removed_at=now,
                     packet_count=entry.stats.packet_count,
                     byte_count=entry.stats.byte_count,
                 )
             )
             remove(table.table_id, entry.match, entry.priority)
-        return events
+        return events, examined
 
 
 @dataclass
@@ -309,8 +345,9 @@ class LifecycleSweeper:
             if lanes is None:
                 lanes = self._lanes[table.table_id] = _TableLanes()
             self.stats.sweeps += 1
-            self.stats.entries_scanned += len(table.entries_snapshot())
-            removed.extend(lanes.sweep(table, prev, now, expire))
+            events, examined = lanes.sweep(table, prev, now, expire)
+            self.stats.entries_scanned += examined
+            removed.extend(events)
         for event in removed:
             if event.reason == "hard":
                 self.stats.expired_hard += 1
@@ -320,8 +357,9 @@ class LifecycleSweeper:
         return removed
 
     def sync(self) -> None:
-        """Flush buffered ``last_touched`` / swept counters back to the
-        entry objects (tests read :attr:`FlowEntry.last_touched` through
-        this; the hot path never needs it)."""
+        """Flush the idle-timed entries' buffered ``last_touched`` /
+        swept counters back to the entry objects (tests read
+        :attr:`FlowEntry.last_touched` through this; the hot path never
+        needs it)."""
         for lanes in self._lanes.values():
             lanes.flush()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.filters.paper_data import MacFilterStats, RoutingFilterStats
 from repro.filters.rule import Application, Rule, RuleSet
@@ -14,6 +15,15 @@ from repro.filters.synthetic import (
 )
 from repro.openflow.match import ExactMatch, PrefixMatch, RangeMatch
 from repro.packet.generator import PacketGenerator, TraceConfig
+
+# The suite's outcome must not depend on host load or on what an earlier
+# run happened to find: no wall-clock deadline, examples derived from the
+# test body instead of a random seed, no example database.  Per-test
+# ``@settings`` still choose their own ``max_examples``.
+settings.register_profile(
+    "repro", deadline=None, derandomize=True, database=None
+)
+settings.load_profile("repro")
 
 #: A small synthetic stats row so fixtures build fast (bbrb-scale).
 SMALL_MAC_STATS = MacFilterStats("testmac", 151, 16, 26, 38, 55)

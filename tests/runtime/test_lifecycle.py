@@ -19,6 +19,8 @@ lifecycle coverage cannot silently rot out of the pipeline.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.lookup_table import OpenFlowLookupTable
@@ -180,6 +182,187 @@ class TestSweeper:
         assert [(e.reason, e.packet_count, e.byte_count) for e in removed] == [
             ("idle", 2, 2 * FRAME)
         ]
+
+
+class TestTimedLanes:
+    """The sweep's cost model: lanes exist only for entries that can
+    expire, so permanent rules cost nothing and hard-only rules cost one
+    scalar compare until a deadline is due."""
+
+    def test_permanent_table_is_never_rescanned(self, monkeypatch):
+        pipeline = _pipeline()
+        table = pipeline.table(0)
+        for port in range(8):
+            table.add(_entry(port))
+        sweeper = LifecycleSweeper()
+        sweeper.advance(pipeline, 1)  # the one pass for this version
+        calls = []
+        snapshot = table.entries_snapshot
+        monkeypatch.setattr(
+            table,
+            "entries_snapshot",
+            lambda: calls.append(None) or snapshot(),
+        )
+        for _ in range(50):
+            assert sweeper.advance(pipeline, 1) == []
+        assert calls == []
+        assert sweeper.stats.advances == sweeper.stats.sweeps == 51
+        assert sweeper.stats.entries_scanned == 0
+        assert len(table) == 8
+
+    def test_permanent_entry_is_still_stamped_lazily(self):
+        pipeline = _pipeline()
+        sweeper = LifecycleSweeper()
+        pipeline.table(0).add(_entry(0))
+        sweeper.advance(pipeline, 3)  # clock at 3
+        late = _entry(1)
+        pipeline.table(0).add(late)
+        assert late.installed_at == UNSTAMPED
+        sweeper.advance(pipeline, 2)  # stamped at prev=3
+        assert late.installed_at == 3
+        assert late.last_touched == 3
+        assert sweeper.stats.entries_scanned == 0
+
+    def test_hard_only_entry_expires_after_early_out_sweeps(self):
+        pipeline = _pipeline()
+        pipeline.table(0).add(_entry(0))
+        entry = _entry(1, hard=5)
+        pipeline.table(0).add(entry)
+        sweeper = LifecycleSweeper()
+        for tick in range(1, 6):  # now = 1..5, deadline 0 + 5 not passed
+            entry.stats.record(FRAME)  # traffic cannot postpone hard
+            assert sweeper.advance(pipeline, 1) == [], tick
+        # Nothing was due, so no lane was examined: one compare each.
+        assert sweeper.stats.entries_scanned == 0
+        removed = sweeper.advance(pipeline, 1)  # now = 6 = 0 + 5 + 1
+        assert [(e.reason, e.installed_at, e.removed_at) for e in removed] == [
+            ("hard", 0, 6)
+        ]
+        assert removed[0].packet_count == 5
+        assert sweeper.stats.entries_scanned == 1
+        assert len(pipeline.table(0)) == 1
+
+    def test_ledger_keeps_snapshot_order_across_reasons(self):
+        """Hard hits are settled before idle ones, but the ledger stays
+        in snapshot order whichever lane found the expiry."""
+        pipeline = _pipeline()
+        for port, idle, hard in [(0, 1, 0), (1, 0, 1), (2, 0, 0), (3, 1, 0)]:
+            pipeline.table(0).add(_entry(port, idle=idle, hard=hard))
+        sweeper = LifecycleSweeper()
+        removed = sweeper.advance(pipeline, 2)
+        assert [(e.match["in_port"].value, e.reason) for e in removed] == [
+            (0, "idle"),
+            (1, "hard"),
+            (3, "idle"),
+        ]
+
+    def test_scanned_lanes_count_the_idle_subset(self):
+        pipeline = _pipeline()
+        for port in range(4):
+            pipeline.table(0).add(_entry(port))
+        pipeline.table(0).add(_entry(4, idle=9))
+        pipeline.table(0).add(_entry(5, idle=9, hard=9))
+        pipeline.table(0).add(_entry(6, hard=9))
+        sweeper = LifecycleSweeper()
+        for _ in range(3):
+            sweeper.advance(pipeline, 1)
+        assert sweeper.stats.entries_scanned == 3 * 2
+
+
+_timeouts = st.integers(min_value=0, max_value=3)
+_ports = st.integers(min_value=0, max_value=4)
+_lifecycle_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), _ports, _timeouts, _timeouts),
+        st.tuples(st.just("uninstall"), _ports),
+        st.tuples(st.just("credit"), _ports, st.integers(1, 3)),
+        st.tuples(st.just("advance"), st.integers(0, 4)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200)
+@given(ops=_lifecycle_ops)
+def test_sweeper_matches_scalar_reference_model(ops):
+    """Random mixes of permanent / idle / hard / both entries under
+    random credits, installs, uninstalls and advances (``dt == 0``
+    included): the sweeper's ledger and survivors must equal a model
+    that stamps eagerly, touches through ``FlowEntry.touch_packet`` and
+    expires through ``FlowEntry.is_expired`` — none of the lanes, lazy
+    stamps or count deltas."""
+    pipeline = _pipeline()
+    table = pipeline.table(0)
+    sweeper = LifecycleSweeper()
+    live: dict[int, FlowEntry] = {}  # port -> entry in the real table
+    model: dict[int, FlowEntry] = {}  # port -> eagerly stamped twin
+    expected: list[tuple] = []
+    now = 0
+    for op in ops:
+        if op[0] == "install":
+            _, port, idle, hard = op
+            live[port] = _entry(port, idle=idle, hard=hard)
+            table.add(live[port])
+            model[port] = _entry(port, idle=idle, hard=hard)
+            model[port].stats.installed_at = now
+            model[port].stats.last_touched = now
+        elif op[0] == "uninstall":
+            if op[1] in live:
+                entry = live.pop(op[1])
+                assert table.remove(entry.match, entry.priority)
+                del model[op[1]]
+        elif op[0] == "credit":
+            if op[1] in live:
+                for _ in range(op[2]):
+                    live[op[1]].stats.record(FRAME)
+                    model[op[1]].touch_packet(FRAME, now=now)
+        else:
+            now += op[1]
+            for entry in table.entries_snapshot():
+                port = entry.match["in_port"].value
+                twin = model[port]
+                if not twin.is_expired(now):
+                    continue
+                hard_due = twin.hard_timeout > 0 and (
+                    now > twin.installed_at + twin.hard_timeout
+                )
+                expected.append(
+                    (
+                        port,
+                        "hard" if hard_due else "idle",
+                        twin.installed_at,
+                        now,
+                        twin.stats.packet_count,
+                        twin.stats.byte_count,
+                    )
+                )
+                del model[port], live[port]
+            sweeper.advance(pipeline, op[1])
+            assert sweeper.clock.now == now
+    assert [
+        (
+            e.match["in_port"].value,
+            e.reason,
+            e.installed_at,
+            e.removed_at,
+            e.packet_count,
+            e.byte_count,
+        )
+        for e in sweeper.ledger
+    ] == expected
+    assert sweeper.stats.expired == len(expected)
+    assert sorted(map(id, table.entries_snapshot())) == sorted(
+        map(id, live.values())
+    )
+    sweeper.advance(pipeline, 0)  # stamp anything installed since
+    sweeper.sync()
+    for port, entry in live.items():
+        twin = model[port]
+        assert not twin.is_expired(now)
+        assert entry.stats.packet_count == twin.stats.packet_count
+        assert entry.installed_at == twin.installed_at
+        if entry.idle_timeout > 0:
+            assert entry.last_touched == twin.last_touched
 
 
 # ----------------------------------------------------------------------
