@@ -19,12 +19,10 @@ traffic, classified six ways —
   skipped when nobody keeps results);
 - **sharded**: ``ShardedBatchPipeline`` fanning large batches across
   worker processes;
-- **sharded-shm**: the shared-memory transport against the pickling
-  transport on *small* batches, where per-batch serialisation overhead
-  dominates the workers' useful work;
 - **sharded-shm-pipelined**: the double-buffered dispatch/collect loop
   (``process_batches``, ring depth >= 2) against the lockstep shm
-  round-trip on the same small batches;
+  round-trip on *small* batches, where per-batch IPC overhead
+  dominates the workers' useful work;
 - **timeout-churn**: the two-tier pipeline replaying the mice/elephant
   timeout scenario — idle/hard expiries driven by virtual-clock
   ``advance`` events and vectorized sweeps — against byte-identical
@@ -39,12 +37,11 @@ traffic, classified six ways —
 
 Traces carry IMIX frame lengths, so every mode also reports bits/sec
 next to pkts/sec (the ``bits_per_sec`` record section).  Scenarios come
-from :mod:`repro.runtime.scenarios`.  Four speedup claims are asserted
+from :mod:`repro.runtime.scenarios`.  Three speedup claims are asserted
 (outside smoke mode): cached batch >= 5x per-packet decomposition on
 zipf, the megaflow path >= 3x the plain batched path on uniform-wide,
-and — on multi-core hosts — the shm transport at least matching the
-pickle transport, and the pipelined loop strictly beating the lockstep
-one, on small-batch sharded wall clock (single-core hosts only
+and — on multi-core hosts — the pipelined loop strictly beating the
+lockstep one on small-batch sharded wall clock (single-core hosts only
 no-regression-guard the pipelined loop: overlap needs a second core to
 buy wall clock).  Every measured pkts/sec lands in
 ``BENCH_throughput.json`` at the repo root so the perf trajectory is
@@ -692,74 +689,6 @@ def test_sharded_large_batches(
         )
 
 
-def test_sharded_shm_small_batches(
-    routing_bbra, zipf_trace, zipf_trace_bytes, smoke, bench_record
-):
-    """The ``sharded-shm`` mode: shared-memory vs pickle transport on
-    small batches (where the PR-2 runner was IPC-bound).  Results must
-    be bitwise-identical across both transports and the single-process
-    runner; on multi-core hosts the shm transport must not lose to
-    pickling (assertion skipped on single-core machines, where worker
-    fan-out measures scheduler noise, not transport cost)."""
-    small_batches = _batches(zipf_trace, size=64)
-    single = BatchPipeline(
-        MultiTableLookupArchitecture([build_lookup_table(routing_bbra)]),
-        cache_capacity=None,
-    )
-    expected = [r for batch in small_batches for r in single.process_batch(batch)]
-
-    elapsed = {}
-    for transport in ("pickle", "shm"):
-        with ShardedBatchPipeline(
-            MultiTableLookupArchitecture([build_lookup_table(routing_bbra)]),
-            workers=4,
-            cache_capacity=None,
-            transport=transport,
-        ) as sharded:
-            sharded.process_batch(small_batches[0])  # warm the workers up
-            warmed_flow_packets = sharded.flow_packets
-            start = time.perf_counter()
-            got = [
-                r
-                for batch in small_batches
-                for r in sharded.process_batch(batch)
-            ]
-            elapsed[transport] = time.perf_counter() - start
-            _assert_equivalent(got, expected[: len(got)])
-            # Worker flow hits must land on the parent's entries.
-            assert sharded.flow_packets - warmed_flow_packets == sum(
-                len(r.matched_entries) for r in got
-            )
-
-    pickle_pps = len(zipf_trace) / elapsed["pickle"]
-    shm_pps = len(zipf_trace) / elapsed["shm"]
-    speedup = elapsed["pickle"] / max(elapsed["shm"], 1e-9)
-    _record_rates(
-        bench_record,
-        "sharded_pickle_small_batch",
-        len(zipf_trace),
-        elapsed["pickle"],
-        zipf_trace_bytes,
-    )
-    _record_rates(
-        bench_record,
-        "sharded_shm_small_batch",
-        len(zipf_trace),
-        elapsed["shm"],
-        zipf_trace_bytes,
-    )
-    _record_speedup(bench_record, "shm_vs_pickle_small_batch", speedup)
-    print(
-        f"\npickle {pickle_pps:,.0f} pkts/s, shm {shm_pps:,.0f} pkts/s "
-        f"({speedup:.2f}x) at batch=64 on {os.cpu_count()} cpu(s)"
-    )
-    if not smoke and (os.cpu_count() or 1) >= 2:
-        assert shm_pps >= pickle_pps, (
-            f"shm transport {shm_pps:,.0f} pkts/s lost to pickle "
-            f"{pickle_pps:,.0f} pkts/s on small batches"
-        )
-
-
 def test_sharded_shm_pipelined_small_batches(
     routing_bbra, zipf_trace, zipf_trace_bytes, smoke, bench_record
 ):
@@ -806,7 +735,6 @@ def test_sharded_shm_pipelined_small_batches(
             MultiTableLookupArchitecture([build_lookup_table(routing_bbra)]),
             workers=4,
             cache_capacity=None,
-            transport="shm",
             depth=depth,
         )
         sharded.process_batch(small_batches[0])  # warm the workers up

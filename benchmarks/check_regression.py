@@ -44,7 +44,6 @@ TOLERANCES = {
     "cached_batch_vs_decomposition": 0.25,
     "megaflow_vs_batch_uniform_wide": 0.25,
     "sharded_vs_single": 0.3,
-    "shm_vs_pickle_small_batch": 0.5,
     "pipelined_vs_serial_shm_small_batch": 0.5,
     # Columnar-vs-dict ratios collapse hardest in smoke mode: the tiny
     # traces are cold-cache dominated, and the cold path (table
@@ -65,13 +64,6 @@ DEFAULT_TOLERANCE = 0.3
 #: set below the observed smoke-mode values with margin for CI-runner
 #: noise.
 ABSOLUTE_FLOORS = {
-    # Re-floored when Match.__reduce__ stopped pickling the field
-    # registry per match: pickled replies shrank ~14x, so the pickle
-    # transport's small-batch baseline sped up and parity (not 1.2x)
-    # is now the honest expectation — smoke-mode observations sit at
-    # 0.6-1.1x on one core.  0.5 still catches shm becoming a real
-    # slowdown.
-    "shm_vs_pickle_small_batch": 0.5,
     "pipelined_vs_serial_shm_small_batch": 0.8,
     "columnar_vs_dict_cached_batch": 0.6,
     "columnar_vs_dict_megaflow_uniform_wide": 0.6,
@@ -92,7 +84,6 @@ ABSOLUTE_FLOORS = {
 CPU_SENSITIVE_KEYS = frozenset(
     {
         "sharded_vs_single",
-        "shm_vs_pickle_small_batch",
         "pipelined_vs_serial_shm_small_batch",
     }
 )

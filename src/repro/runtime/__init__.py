@@ -48,20 +48,19 @@ one table state and results are bitwise-identical to the single-process
 runner.
 
 **Shared-memory transport and stats return.**  Batches cross to the
-workers through :mod:`repro.runtime.transport` (the default
-``transport="shm"``): the parent encodes each batch *once* into a
-columnar :class:`~repro.runtime.transport.PacketBlockCodec`
-shared-memory block (one ``uint64`` lane per 64 field bits, presence
-bytes, identical packet dicts encoded once), workers read their member
-rows in place and write :class:`~repro.openflow.pipeline.PipelineResult`
-columns into worker-owned blocks; only mutation suffixes, block names
-and layouts cross the pipes.  Replies carry per-entry
+workers through :mod:`repro.runtime.transport`, the one sharded wire
+path: the parent encodes each batch *once* into a columnar
+:class:`~repro.runtime.transport.PacketBlockCodec` shared-memory block
+(one ``uint64`` lane per 64 field bits, presence bytes, identical
+packet dicts encoded once), workers read their member rows in place
+and write :class:`~repro.openflow.pipeline.PipelineResult` columns into
+worker-owned blocks; only mutation suffixes, block names and layouts
+cross the pipes.  Replies carry per-entry
 :class:`~repro.runtime.transport.FlowStatsDelta` packet/byte counts
 keyed by ``(table_id, position)`` entry refs
 (:class:`~repro.runtime.transport.EntryIndex`), which the parent folds
 back into its authoritative flow entries — flow stats under sharding
-match the single-process run exactly.  ``transport="pickle"`` keeps the
-whole-payload pickling path for comparison benchmarks.
+match the single-process run exactly.
 
 **Pipelined dispatch/collect.**  The transport is double-buffered: each
 direction keeps a ring of ``depth`` shared blocks, so
@@ -109,10 +108,10 @@ return value — built as packet fields + recorded rewrite overrides,
 bitwise-identical to the dict path, which the differential property
 harness proves across the whole scenario catalog).
 
-**Decode-free worker protocol.**  With a columnar submission
-(``PacketBatch`` through the shm transport) the control message carries
-a ``columnar`` flag; the worker *attaches* to the request block's
-columns in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
+**Decode-free worker protocol.**  Dict and ``PacketBatch`` submissions
+differ only parent-side (a dict sequence is columnarised as it is
+encoded); the worker always *attaches* to the request block's columns
+in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and
 encodes its reply straight from the megaflow templates
@@ -121,8 +120,8 @@ matched-entry refs and action vocabularies come from the cached
 aggregate, rewrite overrides from the entry's recorded override dict,
 frame lengths from the ``frame_len`` lane — so the shm decode step
 disappears from the common (cache-hit) case and only miss rows are
-ever materialised worker-side.  The parent's collect path is unchanged
-and resolves replies against its own pinned tables.
+ever materialised worker-side.  The parent's collect path resolves
+replies against its own pinned tables.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch` takes

@@ -28,14 +28,15 @@ batch instead of splitting one batch across two table states — and
 replicas stay sequentially consistent with the single-process runner,
 results bitwise-identical.
 
-**Transport** is shared-memory by default (``transport="shm"``): the
-parent encodes each batch once into a columnar
-:class:`~repro.runtime.transport.PacketBlockCodec` block, workers read
-their member rows in place and write results into worker-owned blocks,
-and only tiny control messages (mutation suffixes, block names, layouts)
-cross the pipes.  ``transport="pickle"`` keeps the PR-2 whole-payload
-pickling path for comparison benchmarks.  Either way, every reply
-carries a :class:`~repro.runtime.transport.FlowStatsDelta` — per-entry
+**Transport** is shared memory, and there is one path: the parent
+encodes each batch once into a columnar
+:class:`~repro.runtime.transport.PacketBlockCodec` block (a dict
+sequence is columnarised there; a
+:class:`~repro.packet.batch.PacketBatch` is written as-is), workers
+read their member rows in place and write results into worker-owned
+blocks, and only tiny control messages (mutation suffixes, block names,
+layouts) cross the pipes.  Every reply carries a
+:class:`~repro.runtime.transport.FlowStatsDelta` — per-entry
 packet/byte counts the parent folds back into its authoritative
 :class:`~repro.openflow.flow.FlowEntry` counters — so flow stats match
 the single-process run exactly instead of being stranded in replicas.
@@ -62,16 +63,15 @@ while waiting are parked in a ``(seq, worker)`` buffer and handed out
 at their own collect.  Ring-slot safety is preserved: submitting onto a
 slot still held by an uncollected batch raises.
 
-**Columnar submissions** (a :class:`~repro.packet.batch.PacketBatch`
-through the shm transport) make the workers *decode-free*: the control
-message carries a ``columnar`` flag, the worker attaches to the request
-block's columns in place and classifies through
+**Workers are decode-free** for every submission: the worker attaches
+to the request block's columns in place and classifies through
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, encoding
 its reply straight from the megaflow templates
 (:func:`~repro.runtime.transport.encode_outcomes`) — only rows that
-miss both cache tiers are ever materialised as dicts worker-side.
-Worker assignment hashes the shard fields' lanes in one vectorized
-pass per batch.
+miss both cache tiers are ever materialised as dicts worker-side.  Dict
+and :class:`~repro.packet.batch.PacketBatch` submissions differ only
+parent-side: a columnar batch skips the columnarisation and assigns
+workers by hashing the shard fields' lanes in one vectorized pass.
 
 **Fault tolerance.**  Workers are supervised
 (:mod:`repro.runtime.supervise`): every collect-side wait is
@@ -129,14 +129,12 @@ from repro.runtime.lifecycle import (
 )
 from repro.runtime.protocol import (
     AddMutation,
-    BatchRequest,
     BlockAnnounce,
     ByeReply,
     CloseRequest,
     ExpireMutation,
     InlineReply,
     Mutation,
-    PickleReply,
     RemoveMutation,
     ShmReply,
     ShmRequest,
@@ -163,13 +161,9 @@ from repro.runtime.transport import (
     SharedBlock,
     decode_results,
     encode_outcomes,
-    encode_results,
     ensure_resource_tracker,
     unlink_segment,
 )
-
-TRANSPORTS = ("shm", "pickle")
-
 
 # ----------------------------------------------------------------------
 # picklable pipeline snapshots
@@ -382,33 +376,6 @@ def _apply_mutations(
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
 
 
-def _serve_pickle(
-    runner: BatchPipeline,
-    index: EntryIndex,
-    message: BatchRequest,
-    faults: FaultPlan,
-    worker_id: int,
-) -> PickleReply:
-    _, seq, mutations, packets, bypass = message
-    faults.fire(worker_id, seq, "after-receive")
-    _apply_mutations(runner.pipeline, mutations)
-    faults.fire(worker_id, seq, "mid-classify")
-    runner.megaflow_bypass = bypass
-    results = runner.process_batch(packets)
-    runner.megaflow_bypass = False
-    delta = FlowStatsDelta.from_results(results, index)
-    faults.fire(worker_id, seq, "after-stats")
-    reply = PickleReply(
-        "ok",
-        results,
-        _mask_fields(runner),
-        runner.stats_snapshot(),
-        delta,
-    )
-    faults.fire(worker_id, seq, "before-reply")
-    return reply
-
-
 def _serve_shm(
     runner: BatchPipeline,
     index: EntryIndex,
@@ -424,29 +391,20 @@ def _serve_shm(
     # (codec.attach gathers copies): they must be garbage before close()
     # can unmap the segments.
     _, seq, slot, mutations, block_name, segments, layout, members_key, (
-        columnar
-    ), bypass = message
+        bypass
+    ) = message
     faults.fire(worker_id, seq, "after-receive")
     _apply_mutations(runner.pipeline, mutations)
     faults.fire(worker_id, seq, "mid-classify")
     runner.megaflow_bypass = bypass
     reader = BlockReader(request_blocks.buf(block_name), segments)
     writer = BlockWriter()
-    if columnar:
-        # Decode-free: classify straight off the block's columns; only
-        # rows that miss both cache tiers are ever materialised as
-        # dicts, and megaflow hits are encoded from their templates.
-        batch = codec.attach(reader, layout, reader.get(members_key))
-        outcomes = runner.classify_columnar(batch)
-        result_layout, vocabulary, delta = encode_outcomes(
-            writer, outcomes, index
-        )
-    else:
-        packets = codec.decode(reader, layout, reader.get(members_key))
-        results = runner.process_batch(packets)
-        result_layout, vocabulary, delta = encode_results(
-            writer, results, index, codec, inputs=packets
-        )
+    # Decode-free: classify straight off the block's columns; only rows
+    # that miss both cache tiers are ever materialised as dicts, and
+    # megaflow hits are encoded from their templates.
+    batch = codec.attach(reader, layout, reader.get(members_key))
+    outcomes = runner.classify_columnar(batch)
+    result_layout, vocabulary, delta = encode_outcomes(writer, outcomes, index)
     runner.megaflow_bypass = False
     faults.fire(worker_id, seq, "after-stats")
     # Announce-before-create: the parent's crash registry must know the
@@ -463,7 +421,7 @@ def _serve_shm(
         response_segments,
         result_layout,
         vocabulary,
-        _mask_fields(runner),
+        runner.megaflow.mask_fields() if runner.megaflow is not None else (),
         runner.stats_snapshot(),
         delta,
     )
@@ -489,10 +447,11 @@ def _worker_main(
 ) -> None:
     """Worker loop: apply log suffix, classify sub-batch, reply.
 
-    Speaks both transports (the message tag selects): ``("batch", ...)``
-    is the pickle path, ``("shm", seq, slot, ...)`` the shared-memory
-    path.  Either reply carries the worker's megaflow mask fields, its
-    stats snapshot and the batch's flow-stats delta.
+    A ``("shm", seq, slot, ...)`` request is the only work item; its
+    reply carries the worker's megaflow mask fields, its stats snapshot
+    and the batch's flow-stats delta.  An unknown tag raises: the
+    worker dies, its sentinel fires and supervision classifies a crash
+    — the parent never waits on a reply that will not come.
 
     The worker owns a ring of ``depth`` response blocks, indexed by the
     ``slot`` each shm message names.  The parent never keeps more than
@@ -540,11 +499,7 @@ def _worker_main(
                     return
             message = conn.recv()
             kind = message[0]
-            if kind == "batch":
-                conn.send(
-                    _serve_pickle(runner, index, message, faults, worker_id)
-                )
-            elif kind == "shm":
+            if kind == "shm":
                 conn.send(
                     _serve_shm(
                         runner,
@@ -562,15 +517,14 @@ def _worker_main(
                 shutdown()
                 conn.send(ByeReply("bye"))
                 return
+            else:
+                # No shutdown(): like any crash, the parent's announce
+                # registry unlinks the response ring — after attaching
+                # the replies already delivered out of it.
+                raise ValueError(f"unknown request tag {kind!r}")
     except (EOFError, KeyboardInterrupt):  # parent went away
         shutdown()
         return
-
-
-def _mask_fields(runner: BatchPipeline) -> tuple[str, ...]:
-    return (
-        runner.megaflow.mask_fields() if runner.megaflow is not None else ()
-    )
 
 
 def _stable_hash(items: tuple) -> int:
@@ -601,11 +555,11 @@ class _InFlight:
     """
 
     seq: int
-    batch: Sequence[Mapping[str, int]]
+    batch: Sequence[Mapping[str, int]] | PacketBatch
     groups: dict[int, list[int]]
     pinned: Mapping[int, tuple]
     log_len: int
-    sends: dict[int, BatchRequest | ShmRequest] = field(default_factory=dict)
+    sends: dict[int, ShmRequest] = field(default_factory=dict)
     #: Megaflow-bypass flag the batch was submitted with; the degraded
     #: inline path reads it here (live workers read it off the wire).
     bypass: bool = False
@@ -640,8 +594,8 @@ class ShardedBatchPipeline:
             omitted, sharding starts on the full field tuple and
             converges onto the megaflow-consulted union the workers
             report.
-        transport: ``"shm"`` (columnar shared-memory blocks, the
-            default) or ``"pickle"`` (whole payloads through the pipe).
+        transport: only ``"shm"`` (columnar shared-memory blocks) is
+            accepted; the whole-payload pickle transport was removed.
         depth: maximum batches in flight (submitted, not yet collected).
             ``depth >= 2`` double-buffers the transport: the parent
             encodes and dispatches batch N+1 while the workers are still
@@ -653,15 +607,9 @@ class ShardedBatchPipeline:
             :func:`~repro.runtime.batch.run_workload`, which calls it)
             exploit the ring.
 
-            Pipelining is an shm-transport feature: with
-            ``transport="pickle"`` the depth is clamped to 1, because
-            whole payloads cross the pipes — a request and a reply each
-            larger than the pipe buffer would leave the parent blocked
-            sending batch N+1 while the worker blocks sending batch N's
-            reply, a deadlock the lockstep recv-before-send round-trip
-            makes impossible.  Shm control messages (block names,
-            layouts, member keys) are small by construction; the one
-            unbounded rider — the mutation-log suffix — is bounded by
+            Control messages (block names, layouts, member keys) are
+            small by construction; the one unbounded rider — the
+            mutation-log suffix — is bounded by
             :data:`MAX_PIPELINED_MUTATION_BACKLOG`: past it, the stream
             drains in flight before submitting (and
             :meth:`submit_batch` raises), so a big suffix is only ever
@@ -694,18 +642,15 @@ class ShardedBatchPipeline:
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if transport not in TRANSPORTS:
+        if transport != "shm":
             raise ValueError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
+                f"transport {transport!r} is not available: the pickle "
+                'transport was removed and "shm" is the only path'
             )
         if depth < 1:
             raise ValueError(f"pipeline depth must be positive, got {depth}")
         self.workers = workers or max(1, os.cpu_count() or 1)
-        self.transport = transport
-        # See the depth docstring: whole-payload pickling can fill both
-        # pipe directions at once, so the pickle transport stays
-        # lockstep.
-        self.depth = depth if transport == "shm" else 1
+        self.depth = depth
         self._authoritative = pipeline
         self._log: list[Mutation] = []
         self._mutation_lock = threading.Lock()
@@ -1064,7 +1009,7 @@ class ShardedBatchPipeline:
         return self.process_batch([packet_fields])[0]
 
     def process_batch(
-        self, batch: Sequence[Mapping[str, int]]
+        self, batch: Sequence[Mapping[str, int]] | PacketBatch
     ) -> list[PipelineResult]:
         """Classify a batch across the workers; results in input order,
         bitwise-identical to the single-process :class:`BatchPipeline`.
@@ -1092,7 +1037,7 @@ class ShardedBatchPipeline:
             )
 
     def process_batches(
-        self, batches: Iterable[Sequence[Mapping[str, int]]]
+        self, batches: Iterable[Sequence[Mapping[str, int]] | PacketBatch]
     ) -> Iterator[list[PipelineResult]]:
         """Pipelined classification of a stream of batches.
 
@@ -1137,7 +1082,7 @@ class ShardedBatchPipeline:
         return log_len - min(live, default=log_len)
 
     def _stream(
-        self, batches: Iterable[Sequence[Mapping[str, int]]]
+        self, batches: Iterable[Sequence[Mapping[str, int]] | PacketBatch]
     ) -> Iterator[list[PipelineResult]]:
         try:
             for batch in batches:
@@ -1167,7 +1112,7 @@ class ShardedBatchPipeline:
 
     def submit_batch(
         self,
-        batch: Sequence[Mapping[str, int]],
+        batch: Sequence[Mapping[str, int]] | PacketBatch,
         *,
         megaflow_bypass: bool = False,
     ) -> int:
@@ -1312,7 +1257,9 @@ class ShardedBatchPipeline:
     # -- dispatch/collect internals ------------------------------------
 
     def _submit(
-        self, batch: Sequence[Mapping[str, int]], bypass: bool = False
+        self,
+        batch: Sequence[Mapping[str, int]] | PacketBatch,
+        bypass: bool = False,
     ) -> bool:
         """Encode, dispatch and register one batch; False when empty.
 
@@ -1348,10 +1295,7 @@ class ShardedBatchPipeline:
             pinned = self._entry_index.pin()
         seq = self._seq
         groups = self._shard_groups(batch)
-        if self.transport == "shm":
-            sends = self._encode_shm(seq, batch, groups, bypass)
-        else:
-            sends = self._encode_pickle(seq, batch, groups, bypass)
+        sends = self._encode_shm(seq, batch, groups, bypass)
         # Registered before dispatch: a send that trips over a corpse
         # recovers mid-submit, and recovery reads the in-flight record.
         self._inflight[seq] = _InFlight(
@@ -1372,29 +1316,13 @@ class ShardedBatchPipeline:
                 self._dispatch_or_recover(seq, worker)
         return True
 
-    def _encode_pickle(
-        self,
-        seq: int,
-        batch: Sequence[Mapping[str, int]] | PacketBatch,
-        groups: Mapping[int, list[int]],
-        bypass: bool = False,
-    ) -> dict[int, BatchRequest | ShmRequest]:
-        """Request templates (empty mutation suffix) per live worker."""
-        return {
-            worker: BatchRequest(
-                "batch", seq, (), [batch[i] for i in members], bypass
-            )
-            for worker, members in groups.items()
-            if worker not in self._supervisor.disabled
-        }
-
     def _encode_shm(
         self,
         seq: int,
         batch: Sequence[Mapping[str, int]] | PacketBatch,
         groups: Mapping[int, list[int]],
         bypass: bool = False,
-    ) -> dict[int, BatchRequest | ShmRequest]:
+    ) -> dict[int, ShmRequest]:
         """Encode the batch once into its ring slot; request templates
         (empty mutation suffix) per live worker."""
         live = [
@@ -1415,10 +1343,6 @@ class ShardedBatchPipeline:
             )
         request.ensure(writer.nbytes)
         segments = writer.write_to(request.buf)
-        # A batch submitted columnar is classified columnar: the worker
-        # attaches to the block's columns in place (decode-free) instead
-        # of materialising every member row up front.
-        columnar = isinstance(batch, PacketBatch)
         return {
             worker: ShmRequest(
                 "shm",
@@ -1429,7 +1353,6 @@ class ShardedBatchPipeline:
                 segments,
                 layout,
                 f"members/{worker}",
-                columnar,
                 bypass,
             )
             for worker in live
@@ -1466,7 +1389,7 @@ class ShardedBatchPipeline:
 
     def _take_reply(
         self, seq: int, worker: int
-    ) -> PickleReply | ShmReply | InlineReply:
+    ) -> ShmReply | InlineReply:
         """The reply ``worker`` sent for batch ``seq``.
 
         A worker's pipe delivers replies in the order its batches were
@@ -1515,7 +1438,7 @@ class ShardedBatchPipeline:
         if message[0] == "block":
             self._supervisor.register_block(worker, message[2])
             return False
-        if message[0] == "ok" and self.transport == "shm":
+        if message[0] == "ok":
             self._supervisor.register_block(worker, message[1])
         arrived = self._worker_pending[worker].popleft()
         self._reply_buffer[(arrived, worker)] = message
@@ -1534,16 +1457,12 @@ class ShardedBatchPipeline:
             assert reply[0] in ("ok", "inline")
             if reply[0] == "inline":
                 _, worker_results, stats, delta = reply
-            elif self.transport == "shm":
-                worker_results, mask_fields, stats, delta = (
-                    self._decode_reply(
-                        reply, pinned, [batch[i] for i in members]
-                    )
-                )
-                self._learned_fields.update(mask_fields)
             else:
-                _, worker_results, mask_fields, stats, delta = reply
-                self._learned_fields.update(mask_fields)
+                worker_results = self._decode_reply(
+                    reply, pinned, [batch[i] for i in members]
+                )
+                stats, delta = reply.stats, reply.delta
+                self._learned_fields.update(reply.mask_fields)
             for i, result in zip(members, worker_results):
                 results[i] = result
             self._worker_stats[worker] = stats
@@ -1582,13 +1501,12 @@ class ShardedBatchPipeline:
         proc.join(timeout=self.CLOSE_TIMEOUT)
         self._drain_dead_pipe(worker)
         self._conns[worker].close()
-        if self.transport == "shm":
-            # Replies parked before death still point into the dead
-            # worker's blocks: attach them now so the views survive the
-            # unlink below until their batches are decoded.
-            for (_, w), reply in self._reply_buffer.items():
-                if w == worker and reply[0] == "ok":
-                    self._responses.buf(reply[1])
+        # Replies parked before death still point into the dead
+        # worker's blocks: attach them now so the views survive the
+        # unlink below until their batches are decoded.
+        for (_, w), reply in self._reply_buffer.items():
+            if w == worker and reply[0] == "ok":
+                self._responses.buf(reply[1])
         for name in sup.drain_blocks(worker):
             unlink_segment(name)
         lost = list(self._worker_pending[worker])
@@ -1657,8 +1575,7 @@ class ShardedBatchPipeline:
             if message[0] == "block":
                 self._supervisor.register_block(worker, message[2])
             elif message[0] == "ok" and self._worker_pending[worker]:
-                if self.transport == "shm":
-                    self._supervisor.register_block(worker, message[1])
+                self._supervisor.register_block(worker, message[1])
                 arrived = self._worker_pending[worker].popleft()
                 self._reply_buffer[(arrived, worker)] = message
 
@@ -1713,28 +1630,17 @@ class ShardedBatchPipeline:
         reply: ShmReply,
         pinned: Mapping[int, tuple[FlowEntry, ...]],
         inputs: Sequence[Mapping[str, int]],
-    ) -> tuple[
-        list[PipelineResult], tuple[str, ...], BatchStats, FlowStatsDelta
-    ]:
-        (
-            _,
-            block_name,
-            segments,
-            result_layout,
-            vocabulary,
-            mask_fields,
-            stats,
-            delta,
-        ) = reply
-        reader = BlockReader(self._responses.buf(block_name), segments)
-        worker_results = decode_results(
+    ) -> list[PipelineResult]:
+        reader = BlockReader(
+            self._responses.buf(reply.block_name), reply.segments
+        )
+        return decode_results(
             reader,
-            result_layout,
-            vocabulary,
+            reply.result_layout,
+            reply.vocabulary,
             lambda table_id, position: pinned[table_id][position],
             inputs=inputs,
         )
-        return worker_results, mask_fields, stats, delta
 
     def _maybe_prune_log(self, log_len: int) -> None:
         """Bound the mutation log under long churn.

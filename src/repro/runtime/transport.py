@@ -18,14 +18,15 @@ The parent encodes the whole batch **once** into one parent-owned block;
 each worker reads only its member rows (its member-index array lives in
 the same block), so fan-out cost no longer scales with worker count.
 
-**Result blocks.**  Workers encode their
-:class:`~repro.openflow.pipeline.PipelineResult` lists columnar into a
-worker-owned block: fixed-width columns for flags/metadata, offset+value
-columns for the variable-length lists, the final-fields dicts through
-the packet codec, applied actions as indices into a tiny per-batch
-action vocabulary (pickled in the control reply — distinct actions per
-batch are few), and matched entries as ``(table_id, position)``
-**entry refs** resolved against each side's own tables.
+**Result blocks.**  Workers encode their classification outcomes
+(:func:`encode_outcomes`) columnar into a worker-owned block:
+fixed-width columns for flags/metadata, offset+value columns for the
+variable-length lists, final fields as per-packet rewrite overrides
+against the input packets the parent already holds, applied actions as
+indices into a tiny per-batch action vocabulary (pickled in the control
+reply — distinct actions per batch are few), and matched entries as
+``(table_id, position)`` **entry refs** resolved against each side's
+own tables.
 
 **Entry refs and the stats return path.**  :class:`EntryIndex` maps
 entries to positions in a table's deterministic
@@ -541,7 +542,8 @@ class FlowStatsDelta:
     ) -> FlowStatsDelta:
         """Aggregate ``(entry ref, frame bytes)`` pairs (one per
         packet-match pair) into per-entry counts — the single definition
-        of the delta semantics, shared by both transports.
+        of the delta semantics, shared by worker replies and the
+        parent's inline fallback.
         """
         counts: dict[tuple[int, int], tuple[int, int]] = {}
         for key, frame_len in refs:
@@ -598,60 +600,18 @@ class FlowStatsDelta:
 class ResultBlockLayout:
     """Decode recipe for one worker's encoded result list.
 
-    ``fields`` is only present when the results were encoded without
-    their input packets; with inputs, final fields travel as
-    ``overrides`` — per-packet rewrite dicts (usually all empty, so
-    effectively free) — and the decoder rebuilds each ``final_fields``
-    from the input dict it already holds, exactly like megaflow replay.
+    Final fields travel as ``overrides`` — per-packet rewrite dicts
+    (usually all empty, so effectively free) — and the decoder rebuilds
+    each ``final_fields`` from the input dict it already holds, exactly
+    like megaflow replay.
     """
 
     count: int
-    fields: PacketBlockLayout | None
     overrides: tuple[dict[str, int] | None, ...] = ()
 
 
 _RESULT_SENT = 1
 _RESULT_DROPPED = 2
-
-
-def encode_results(
-    writer: BlockWriter,
-    results: Sequence[PipelineResult],
-    index: EntryIndex,
-    codec: PacketBlockCodec,
-    inputs: Sequence[Mapping[str, int]] | None = None,
-) -> tuple[ResultBlockLayout, list, FlowStatsDelta]:
-    """Encode a worker's results columnar; returns the layout, the
-    per-batch action vocabulary (for the control reply) and the
-    flow-stats delta (computed here because the matched-entry refs are
-    already in hand).
-
-    ``inputs``, when given, must be the packets the results came from
-    (aligned): final fields are then shipped as rewrite overrides
-    against them instead of full columns — processing never deletes a
-    header field, so ``final_fields`` is always the input plus zero or
-    more rewritten/added keys.
-    """
-    n = len(results)
-    frame_lens = [frame_length(result.final_fields) for result in results]
-    vocabulary, delta = _encode_core(writer, results, frame_lens, index)
-    if inputs is None:
-        layout = ResultBlockLayout(
-            count=n,
-            fields=codec.encode(
-                writer, [result.final_fields for result in results], "res/fields"
-            ),
-        )
-    else:
-        layout = ResultBlockLayout(
-            count=n,
-            fields=None,
-            overrides=tuple(
-                _overrides(result.final_fields, packet)
-                for result, packet in zip(results, inputs)
-            ),
-        )
-    return layout, vocabulary, delta
 
 
 def encode_outcomes(
@@ -673,32 +633,15 @@ def encode_outcomes(
     results: list[PipelineResult] = []
     overrides: list[dict[str, int] | None] = []
     batch = outcomes.batch
-    for i, entry in enumerate(outcomes.entries):
-        if entry is None:
+    for i, hit in enumerate(outcomes.entries):
+        if hit is None:
             result = outcomes.wave_results[i]
             results.append(result)
             overrides.append(_overrides(result.final_fields, batch[i]))
         else:
-            results.append(entry.template)
-            overrides.append(entry.overrides if entry.overrides else None)
-    vocabulary, delta = _encode_core(
-        writer, results, outcomes.frame.tolist(), index
-    )
-    layout = ResultBlockLayout(
-        count=len(results), fields=None, overrides=tuple(overrides)
-    )
-    return layout, vocabulary, delta
+            results.append(hit.template)
+            overrides.append(hit.overrides if hit.overrides else None)
 
-
-def _encode_core(
-    writer: BlockWriter,
-    results: Sequence[PipelineResult],
-    frame_lens: Sequence[int],
-    index: EntryIndex,
-) -> tuple[list, FlowStatsDelta]:
-    """The final-fields-free part of a result encoding: flags, metadata,
-    visited tables, ports, matched-entry refs (with the per-packet frame
-    lengths feeding the stats delta) and the action vocabulary."""
     n = len(results)
     flags = np.zeros(n, dtype=np.uint8)
     metadata = np.zeros(n, dtype=np.uint64)
@@ -726,7 +669,7 @@ def _encode_core(
 
     refs: list[tuple[tuple[int, int], int]] = []
     matched_rows: list[list[int]] = []
-    for result, frame_len in zip(results, frame_lens):
+    for result, frame_len in zip(results, outcomes.frame.tolist()):
         row: list[int] = []
         for table_id, entry in zip(
             result.tables_visited, result.matched_entries
@@ -748,7 +691,8 @@ def _encode_core(
             row.append(action_id)
         action_rows.append(row)
     _put_ragged(writer, "res/actions", action_rows, np.int32)
-    return list(vocabulary), FlowStatsDelta.from_refs(refs)
+    layout = ResultBlockLayout(count=n, overrides=tuple(overrides))
+    return layout, list(vocabulary), FlowStatsDelta.from_refs(refs)
 
 
 def _overrides(
@@ -769,16 +713,15 @@ def decode_results(
     layout: ResultBlockLayout,
     vocabulary: Sequence,
     entry_at: Callable[[int, int], FlowEntry],
-    inputs: Sequence[Mapping[str, int]] | None = None,
+    inputs: Sequence[Mapping[str, int]],
 ) -> list[PipelineResult]:
     """Rebuild the results, resolving matched-entry refs through
     ``entry_at`` — on the parent, against the batch-pinned authoritative
     tables, so results reference the parent's own entries.
 
-    ``inputs`` must mirror the encode call: when results were encoded
-    against their input packets, pass the same packets (the parent's
-    own batch members) and ``final_fields`` is rebuilt as input dict +
-    overrides.
+    ``inputs`` must be the packets the outcomes were encoded from (the
+    parent's own batch members): ``final_fields`` is rebuilt as input
+    dict + overrides.
     """
     n = layout.count
     flags = reader.get("res/flags")
@@ -787,19 +730,16 @@ def decode_results(
     ports = _get_ragged(reader, "res/ports", n)
     matched = _get_ragged(reader, "res/matched", n)
     actions = _get_ragged(reader, "res/actions", n)
-    if layout.fields is not None:
-        final_fields = PacketBlockCodec().decode(reader, layout.fields)
-    else:
-        assert inputs is not None and len(inputs) == n, (
-            "results were encoded against their inputs; decoding needs "
-            "the same packets"
-        )
-        final_fields = []
-        for packet, overrides in zip(inputs, layout.overrides):
-            fields = dict(packet)
-            if overrides:
-                fields.update(overrides)
-            final_fields.append(fields)
+    assert len(inputs) == n, (
+        "results are encoded against their inputs; decoding needs the "
+        "same packets"
+    )
+    final_fields = []
+    for packet, overrides in zip(inputs, layout.overrides):
+        fields = dict(packet)
+        if overrides:
+            fields.update(overrides)
+        final_fields.append(fields)
 
     results: list[PipelineResult] = []
     for i in range(n):

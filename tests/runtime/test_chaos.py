@@ -238,6 +238,28 @@ class TestCrashRecovery:
         leaked = _shm_segments() - before
         assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
 
+    def test_unknown_request_tag_is_a_crash_not_a_hang(
+        self, small_routing_set
+    ):
+        """A frame whose tag the worker does not know (here the retired
+        pickle transport's ``"batch"``) must kill the worker so the
+        sentinel fires: silently ignoring it left the parent waiting
+        for a reply that never came — forever, with no wedge deadline."""
+        run = _FaultRun(small_routing_set, (20,) * 3, FaultPlan(), workers=1)
+        with run.sharded as sharded:
+            for i, (batch, expected) in enumerate(
+                zip(run.batches, run.expected)
+            ):
+                if i == 1:
+                    sharded._conns[0].send(("batch", 0, (), [], False))
+                got = sharded.process_batch(batch)
+                for a, b in zip(got, expected):
+                    assert_same_result(a, b)
+            snapshot = sharded.supervision_snapshot()
+        assert _entry_counts(run.entries) == _entry_counts(run.ref_entries)
+        assert snapshot["crashes"] == 1
+        assert snapshot["restarts"] == 1
+
     def test_close_after_kill_without_collect(self, small_routing_set):
         """close() with a corpse holding an uncollected batch must still
         unlink the dead worker's announced blocks (the terminate

@@ -44,14 +44,12 @@ def build_runner(rule_set, entries, kind):
         return BatchPipeline(arch, cache_capacity=256)
     if kind == "megaflow":
         return BatchPipeline(arch, cache_capacity=256, megaflow_capacity=512)
-    kind, _, suffix = kind.removeprefix("sharded-").partition("-")
     return ShardedBatchPipeline(
         arch,
         workers=3,
         cache_capacity=256,
         megaflow_capacity=512,
-        transport=kind,
-        depth=4 if suffix == "pipelined" else 1,
+        depth=4 if kind.endswith("-pipelined") else 1,
     )
 
 
@@ -82,7 +80,6 @@ ALL_KINDS = (
     "megaflow",
     "sharded-shm",
     "sharded-shm-pipelined",
-    "sharded-pickle",
 )
 
 
@@ -125,9 +122,7 @@ def test_byte_conservation_under_churn(small_routing_set, kind):
     assert stats.flow_bytes == per_entry_bytes
 
 
-@pytest.mark.parametrize(
-    "kind", ("sharded-shm", "sharded-shm-pipelined", "sharded-pickle")
-)
+@pytest.mark.parametrize("kind", ("sharded-shm", "sharded-shm-pipelined"))
 def test_sharded_flow_stats_match_single_process_exactly(
     small_routing_set, kind
 ):

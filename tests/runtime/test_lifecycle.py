@@ -404,15 +404,7 @@ def _runners():
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
-            transport="shm",
             depth=3,
-        ),
-        "sharded-pickle": lambda: ShardedBatchPipeline(
-            _pipeline(),
-            workers=2,
-            cache_capacity=16,
-            megaflow_capacity=32,
-            transport="pickle",
         ),
     }
 

@@ -8,11 +8,13 @@ import pytest
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import OutputAction, SetFieldAction
 from repro.openflow.flow import FlowEntry
-from repro.openflow.instructions import WriteActions
+from repro.openflow.instructions import WriteActions, WriteMetadata
 from repro.openflow.match import Match
-from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline
 from repro.openflow.table import FlowTable
-from repro.packet.headers import transport_schema
+from repro.packet.batch import PacketBatch
+from repro.packet.headers import FRAME_LEN_FIELD, transport_schema
+from repro.runtime.batch import BatchPipeline
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
@@ -22,7 +24,7 @@ from repro.runtime.transport import (
     PacketBlockCodec,
     SharedBlock,
     decode_results,
-    encode_results,
+    encode_outcomes,
 )
 
 
@@ -178,111 +180,56 @@ class TestSharedBlock:
             block.close()
 
 
-def _result(entry_tables, entries, ports, fields, actions=()):
-    result = PipelineResult(final_fields=dict(fields))
-    result.tables_visited = list(entry_tables)
-    result.matched_entries = list(entries)
-    result.output_ports = list(ports)
-    result.applied_actions = list(actions)
-    return result
-
-
 class TestResultBlocks:
-    def make_table(self):
+    """The worker reply path in-process: ``classify_columnar`` →
+    ``encode_outcomes`` → ``decode_results``, the replica standing in
+    for a worker and a second, identically built pipeline for the
+    parent whose pinned entries the refs must resolve to."""
+
+    FRAME = 100
+
+    def make_pipeline(self):
         table = FlowTable(table_id=0)
         entries = [
             FlowEntry.build(
-                match=Match.exact(in_port=port),
-                priority=port,
-                instructions=[WriteActions([OutputAction(100 + port)])],
-            )
-            for port in (1, 2, 3)
+                match=Match.exact(in_port=1),
+                priority=1,
+                instructions=[WriteActions([OutputAction(101)])],
+            ),
+            FlowEntry.build(
+                match=Match.exact(in_port=2),
+                priority=2,
+                instructions=[
+                    WriteActions(
+                        [SetFieldAction("vlan_vid", 42), OutputAction(102)]
+                    ),
+                    WriteMetadata(9),
+                ],
+            ),
         ]
         for entry in entries:
             table.add(entry)
-        return table, entries
+        return OpenFlowPipeline([table]), entries
 
-    def test_results_roundtrip_via_entry_refs(self):
-        table, entries = self.make_table()
-        pipeline = OpenFlowPipeline([table])
-        index = EntryIndex(pipeline)
-        out = OutputAction(101)
-        rewrite = SetFieldAction("vlan_vid", 42)
-        results = [
-            _result([0], [entries[0]], [101], {"in_port": 1}, [rewrite, out]),
-            _result([0], [], [0xFFFFFFFD], {"in_port": 9}),
-            _result([0], [entries[2]], [103], {"in_port": 3}, [out]),
+    def packets(self):
+        return [
+            {"in_port": 1, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
+            {"in_port": 2, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
+            {"in_port": 9, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
+            {"in_port": 1, "vlan_vid": 8, FRAME_LEN_FIELD: self.FRAME},
         ]
-        results[1].sent_to_controller = True
-        results[2].metadata = (1 << 64) - 1
-        results[2].final_fields["metadata"] = results[2].metadata
 
-        codec = PacketBlockCodec()
+    def reply(self, runner, index, packets, pinned):
+        """One worker round: classify, encode into a block, decode
+        against ``pinned``; returns what the parent would see plus the
+        outcomes the worker encoded from."""
+        outcomes = runner.classify_columnar(PacketBatch.from_dicts(packets))
         writer = BlockWriter()
-        layout, vocabulary, delta = encode_results(
-            writer, results, index, codec
-        )
-        assert delta.counts == {(0, 0): (1, 0), (0, 2): (1, 0)}
+        layout, vocabulary, delta = encode_outcomes(writer, outcomes, index)
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)
             reader = BlockReader(block.buf, writer.write_to(block.buf))
-            pinned = index.pin()
-            decoded = decode_results(
-                reader,
-                layout,
-                vocabulary,
-                lambda table_id, position: pinned[table_id][position],
-            )
-            del reader
-        finally:
-            block.close()
-        for original, rebuilt in zip(results, decoded):
-            assert rebuilt.output_ports == original.output_ports
-            assert rebuilt.sent_to_controller == original.sent_to_controller
-            assert rebuilt.dropped == original.dropped
-            assert rebuilt.metadata == original.metadata
-            assert rebuilt.tables_visited == original.tables_visited
-            assert rebuilt.final_fields == original.final_fields
-            assert rebuilt.applied_actions == original.applied_actions
-        # Matched entries resolved to the *pinned* (parent) objects.
-        assert decoded[0].matched_entries == [entries[0]]
-        assert decoded[0].matched_entries[0] is entries[0]
-
-    def test_results_against_inputs_ship_only_overrides(self):
-        """With the input packets in hand, final fields travel as
-        rewrite overrides (mostly None) and the decoder rebuilds them
-        from its own copies of the packets."""
-        table, entries = self.make_table()
-        pipeline = OpenFlowPipeline([table])
-        index = EntryIndex(pipeline)
-        packets = [
-            {"in_port": 1, "vlan_vid": 7},
-            {"in_port": 2, "vlan_vid": 7},
-        ]
-        untouched = _result([0], [entries[0]], [101], packets[0])
-        rewritten = _result(
-            [0],
-            [entries[1]],
-            [102],
-            dict(packets[1], vlan_vid=42, metadata=9),
-        )
-        codec = PacketBlockCodec()
-        writer = BlockWriter()
-        layout, vocabulary, _ = encode_results(
-            writer,
-            [untouched, rewritten],
-            index,
-            codec,
-            inputs=packets,
-        )
-        assert layout.fields is None
-        assert layout.overrides == (None, {"vlan_vid": 42, "metadata": 9})
-        block = SharedBlock()
-        try:
-            block.ensure(writer.nbytes)
-            reader = BlockReader(block.buf, writer.write_to(block.buf))
-            pinned = index.pin()
             decoded = decode_results(
                 reader,
                 layout,
@@ -290,12 +237,85 @@ class TestResultBlocks:
                 lambda table_id, position: pinned[table_id][position],
                 inputs=packets,
             )
-            del reader
+            del reader  # release numpy views before unmapping
         finally:
             block.close()
-        assert decoded[0].final_fields == untouched.final_fields
-        assert decoded[0].final_fields is not packets[0]  # fresh dict
-        assert decoded[1].final_fields == rewritten.final_fields
+        return outcomes, layout, delta, decoded
+
+    def test_results_roundtrip_via_entry_refs(self):
+        """Wave-classified rows (cold caches) and megaflow-hit rows (the
+        same batch again) both round-trip, refs resolve to the parent's
+        own entries through an order pinned *before* a mutation, and
+        each reply's delta is exactly what the replica's entries
+        accrued."""
+        replica, replica_entries = self.make_pipeline()
+        parent, parent_entries = self.make_pipeline()
+        runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
+        index = EntryIndex(replica)
+        pinned = EntryIndex(parent).pin()
+        # Re-sorts the parent's table; the pinned order must not care.
+        parent.table(0).add(
+            FlowEntry.build(match=Match.exact(in_port=5), priority=99)
+        )
+        packets = self.packets()
+        credited = [(0, 0)] * len(replica_entries)
+        for expect_hits in (False, True):
+            outcomes, _, delta, decoded = self.reply(
+                runner, index, packets, pinned
+            )
+            assert [e is not None for e in outcomes.entries] == [
+                expect_hits
+            ] * len(packets)
+            for original, rebuilt in zip(outcomes.results(), decoded):
+                assert rebuilt.output_ports == original.output_ports
+                assert (
+                    rebuilt.sent_to_controller == original.sent_to_controller
+                )
+                assert rebuilt.dropped == original.dropped
+                assert rebuilt.metadata == original.metadata
+                assert rebuilt.tables_visited == original.tables_visited
+                assert rebuilt.final_fields == original.final_fields
+                assert rebuilt.applied_actions == original.applied_actions
+            # Matched entries resolved to the *pinned* (parent) objects.
+            assert decoded[0].matched_entries[0] is parent_entries[0]
+            assert decoded[1].matched_entries[0] is parent_entries[1]
+            assert decoded[2].matched_entries == []
+            assert decoded[2].sent_to_controller
+            assert decoded[3].matched_entries[0] is parent_entries[0]
+            # The delta is the replica entries' packet/byte growth.
+            after = [
+                (e.stats.packet_count, e.stats.byte_count)
+                for e in replica_entries
+            ]
+            growth = {
+                index.ref(0, entry): (now[0] - was[0], now[1] - was[1])
+                for entry, was, now in zip(replica_entries, credited, after)
+            }
+            assert delta.counts == growth
+            assert sorted(growth.values()) == [
+                (1, self.FRAME),
+                (2, 2 * self.FRAME),
+            ]
+            credited = after
+
+    def test_results_against_inputs_ship_only_overrides(self):
+        """Final fields travel as rewrite overrides (mostly None) and
+        the decoder rebuilds them from its own copies of the packets —
+        from the wave results on a miss, from the megaflow entry's
+        recorded overrides on a hit."""
+        replica, _ = self.make_pipeline()
+        runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
+        index = EntryIndex(replica)
+        pinned = index.pin()
+        packets = self.packets()[:2]
+        for _ in ("waves", "megaflow hits"):
+            _, layout, _, decoded = self.reply(runner, index, packets, pinned)
+            assert layout.overrides == (None, {"vlan_vid": 42, "metadata": 9})
+            assert decoded[0].final_fields == packets[0]
+            assert decoded[0].final_fields is not packets[0]  # fresh dict
+            assert decoded[1].final_fields == dict(
+                packets[1], vlan_vid=42, metadata=9
+            )
 
 
 class TestEntryIndex:
