@@ -85,6 +85,17 @@ class MultibitTrie(FieldSearchAlgorithm):
         self._levels: list[dict[int, _Record]] = [{} for _ in strides]
         self._entries: dict[tuple[int, int], int] = {}
         self._default_label = NO_LABEL
+        self._key_mask = mask_of(key_bits)
+        #: ``prefix_mask(length, key_bits)`` per length, computed once.
+        self._length_masks: tuple[int, ...] = tuple(
+            prefix_mask(length, key_bits) for length in range(key_bits + 1)
+        )
+        #: Stored prefixes per length (``/0``, the default entry, is not
+        #: counted), kept by insert/remove, and the non-empty lengths
+        #: they imply, longest first: :meth:`lookup_all` probes only
+        #: lengths that hold an entry.
+        self._length_counts = [0] * (key_bits + 1)
+        self._lengths: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # insertion / removal
@@ -131,6 +142,9 @@ class MultibitTrie(FieldSearchAlgorithm):
                 record.label = label
                 record.label_plen = length
         self._entries[(value, length)] = label
+        self._length_counts[length] += 1
+        if self._length_counts[length] == 1:
+            self._refresh_lengths()
 
     def remove(self, value: int, length: int) -> bool:
         """Delete a stored prefix; returns True if it was present.
@@ -146,6 +160,9 @@ class MultibitTrie(FieldSearchAlgorithm):
         if length == 0:
             self._default_label = NO_LABEL
             return True
+        self._length_counts[length] -= 1
+        if not self._length_counts[length]:
+            self._refresh_lengths()
 
         level = self._level_of(length)
         boundary = self.boundaries[level]
@@ -174,7 +191,7 @@ class MultibitTrie(FieldSearchAlgorithm):
 
     def lookup(self, value: int) -> int:
         """Label of the longest stored prefix covering ``value``."""
-        if not 0 <= value <= mask_of(self.key_bits):
+        if not 0 <= value <= self._key_mask:
             raise ValueError(f"key {value:#x} wider than {self.key_bits} bits")
         best = self._default_label
         for level, boundary in enumerate(self.boundaries):
@@ -198,17 +215,7 @@ class MultibitTrie(FieldSearchAlgorithm):
         never probed (its outcome is key-independent), so a trie holding
         only the default ``/0`` entry consults zero bits.
         """
-        if not 0 <= value <= mask_of(self.key_bits):
-            raise ValueError(f"key {value:#x} wider than {self.key_bits} bits")
-        consulted = 0
-        for level, boundary in enumerate(self.boundaries):
-            if not self._levels[level]:
-                break
-            consulted = boundary
-            record = self._levels[level].get(value >> (self.key_bits - boundary))
-            if record is None or not record.has_child:
-                break
-        return consulted
+        return self.descend(value)[1]
 
     def lookup_all(self, value: int) -> tuple[int, ...]:
         """Labels of every stored prefix covering ``value``, longest first.
@@ -218,17 +225,54 @@ class MultibitTrie(FieldSearchAlgorithm):
         to its containment ancestors; unrolled, that is exactly the set of
         covering stored prefixes.
         """
-        if not 0 <= value <= mask_of(self.key_bits):
+        if not 0 <= value <= self._key_mask:
             raise ValueError(f"key {value:#x} wider than {self.key_bits} bits")
-        labels = []
-        for length in range(self.key_bits, 0, -1):
-            candidate = value & prefix_mask(length, self.key_bits)
-            label = self._entries.get((candidate, length))
-            if label is not None:
-                labels.append(label)
+        entries = self._entries
+        masks = self._length_masks
+        labels = [
+            label
+            for length in self._lengths
+            if (label := entries.get((value & masks[length], length))) is not None
+        ]
         if self._default_label != NO_LABEL:
             labels.append(self._default_label)
         return tuple(labels)
+
+    def descend(self, value: int) -> tuple[tuple[int, ...], int]:
+        """One walk down the levels: ``(lookup_all, consulted_bits)``.
+
+        Every record carries the labels of the expanded prefixes that
+        cover it (``owners``, by length), and a prefix of level *k*
+        always has path records at every level above it — so the
+        records the consulted-bits walk visits hold exactly the labels
+        :meth:`lookup_all` collects, and the walk stops where no deeper
+        prefix can cover the key.  Mask-capturing searches use this
+        instead of walking the trie once per answer.
+        """
+        if not 0 <= value <= self._key_mask:
+            raise ValueError(f"key {value:#x} wider than {self.key_bits} bits")
+        key_bits = self.key_bits
+        found: list[int] = []  # shortest first; reversed on the way out
+        consulted = 0
+        for records, boundary in zip(self._levels, self.boundaries):
+            if not records:
+                break
+            consulted = boundary
+            record = records.get(value >> (key_bits - boundary))
+            if record is None:
+                break
+            owners = record.owners
+            if owners:
+                if len(owners) == 1:
+                    found.extend(owners.values())
+                else:
+                    found.extend(owners[length] for length in sorted(owners))
+            if not record.child_count:
+                break
+        found.reverse()
+        if self._default_label != NO_LABEL:
+            found.append(self._default_label)
+        return tuple(found), consulted
 
     # ------------------------------------------------------------------
     # introspection
@@ -306,12 +350,18 @@ class MultibitTrie(FieldSearchAlgorithm):
     # internals
     # ------------------------------------------------------------------
 
+    def _refresh_lengths(self) -> None:
+        counts = self._length_counts
+        self._lengths = tuple(
+            length for length in range(self.key_bits, 0, -1) if counts[length]
+        )
+
     def _check_prefix(self, value: int, length: int) -> None:
         if not 0 <= length <= self.key_bits:
             raise ValueError(f"prefix length {length} outside [0, {self.key_bits}]")
-        if not 0 <= value <= mask_of(self.key_bits):
+        if not 0 <= value <= self._key_mask:
             raise ValueError(f"value {value:#x} wider than {self.key_bits} bits")
-        if value & ~prefix_mask(length, self.key_bits):
+        if value & ~self._length_masks[length]:
             raise ValueError(
                 f"prefix {value:#x}/{length} is not canonical (host bits set)"
             )

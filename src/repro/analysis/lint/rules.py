@@ -312,25 +312,54 @@ class FrameLenExclusionRule(Rule):
                     )
 
 
-#: Hot functions that must never materialise row dicts *or* construct
-#: per-row PipelineResults: the probe/credit tiers, whose whole point is
-#: replaying without touching a dict.
-_DICT_FREE_HOT = frozenset(
+#: Hot functions that never leave the lanes at all: the columnar
+#: classify entry point, the miss-path walk's wave functions, the keyed
+#: table/cache lookups under it and the bulk megaflow install.  A
+#: megaflow miss costs per *distinct key*, so here even one lazily
+#: materialised row (``fields_at`` / ``row_fields``) is a finding.
+_LANE_ONLY_HOT = frozenset(
     {
-        "lookup_batch_columnar",
-        "probe_rows",
-        "credit_rows",
-        "probe_batch",
-        "probe_credit",
+        "classify_columnar",
+        "_walk_misses",
+        "_wave",
+        "_keys",
+        "_values",
+        "_extend_paths",
+        "_extend_captures",
+        "_advance",
+        "lookup_keys",
+        "search_keys",
+        "install_batch",
+        "masked_keys",
     }
 )
 
-#: Hot functions whose *miss* path may materialise individual rows
-#: (lazily, aliased) but must never bulk-decode the batch.
-_DECODE_FREE_HOT = frozenset({"classify_columnar", "encode_outcomes"})
+#: Hot functions that must never bulk-materialise row dicts *or*
+#: construct per-row PipelineResults: the probe/credit tiers, whose
+#: whole point is replaying without touching a dict, plus everything
+#: lane-only.
+_DICT_FREE_HOT = (
+    frozenset(
+        {
+            "lookup_batch_columnar",
+            "probe_rows",
+            "credit_rows",
+            "probe_batch",
+            "probe_credit",
+        }
+    )
+    | _LANE_ONLY_HOT
+)
+
+#: Hot functions that may build results but must never bulk-decode the
+#: batch.
+_DECODE_FREE_HOT = frozenset({"encode_outcomes"})
 
 #: Attribute calls that materialise every row of a batch as dicts.
 _BULK_MATERIALISERS = frozenset({"dicts", "decode"})
+
+#: Attribute calls that materialise one row as a dict.
+_ROW_MATERIALISERS = frozenset({"fields_at", "row_fields"})
 
 
 @register
@@ -342,12 +371,15 @@ class HotPathPurityRule(Rule):
         "columnar hot-tier functions (lookup_batch_columnar, probe_rows, "
         "classify_columnar, ...) must not bulk-materialise dicts "
         "(.dicts()/.decode()) nor, in the probe/credit tiers, construct "
-        "per-row PipelineResults"
+        "per-row PipelineResults; the classify entry point, the miss-path "
+        "wave functions and install_batch must not materialise even a "
+        "single row (.fields_at()/.row_fields())"
     )
     hint = (
         "stay on the uint64 lanes: aggregate stats from the frame_len "
-        "lane, replay megaflow templates, and materialise only miss rows "
-        "via fields_at()/row_fields() (lazy, aliased)"
+        "lane, replay megaflow templates, key waves off the lanes plus "
+        "override lanes; row dicts belong to results() and the scalar "
+        "fallback for schema-less tables"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -374,6 +406,17 @@ class HotPathPurityRule(Rule):
                     node,
                     f"{hot}() bulk-materialises dicts via .{callee}() — "
                     f"the columnar fast path must stay on the lanes",
+                )
+            elif (
+                hot in _LANE_ONLY_HOT
+                and callee in _ROW_MATERIALISERS
+                and isinstance(node.func, ast.Attribute)
+            ):
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"{hot}() materialises a row dict via .{callee}() — "
+                    f"the columnar miss path keys waves off the lanes",
                 )
             elif (
                 hot in _DICT_FREE_HOT

@@ -77,6 +77,14 @@ class PartitionEngine:
             return 0
         return mask_of(self.partition.bits)
 
+    def probe(self, key: int | None) -> tuple[tuple[int, ...], int]:
+        """``(search(key), consulted_mask(key))`` — one distinct key's
+        labels and the bits that pinned them, for mask-capturing
+        searches.  This generic form serves every structure, sealed
+        twins included; the trie engine answers both from one descent.
+        """
+        return self.search(key), self.consulted_mask(key)
+
     def _storage_empty(self) -> bool:
         """True when search outcomes cannot depend on the key."""
         raise NotImplementedError
@@ -127,6 +135,11 @@ class TriePartitionEngine(PartitionEngine):
     def __init__(self, partition: FieldPartition, strides: tuple[int, ...]):
         super().__init__(partition)
         self.trie = MultibitTrie(key_bits=partition.bits, strides=strides)
+        #: ``prefix_mask(depth, bits)`` per consulted depth.
+        self._depth_masks = tuple(
+            prefix_mask(depth, partition.bits)
+            for depth in range(partition.bits + 1)
+        )
 
     def insert_entry(self, entry: tuple[int, int]) -> int:
         """Insert one canonical (value, length) partition entry."""
@@ -151,8 +164,15 @@ class TriePartitionEngine(PartitionEngine):
         if self._storage_empty():
             return 0
         if key is None:
-            return mask_of(self.partition.bits)
-        return prefix_mask(self.trie.consulted_bits(key), self.partition.bits)
+            return self._depth_masks[-1]
+        return self._depth_masks[self.trie.consulted_bits(key)]
+
+    def probe(self, key: int | None) -> tuple[tuple[int, ...], int]:
+        if key is None:
+            return (), self.consulted_mask(None)
+        # An empty trie descends to ((), 0): no labels, nothing consulted.
+        labels, depth = self.trie.descend(key)
+        return labels, self._depth_masks[depth]
 
 
 class RangePartitionEngine(PartitionEngine):
@@ -272,9 +292,9 @@ class FieldEngine:
         in skewed traffic — reuse the memoized labels.  Pass a shared
         ``memo`` to extend the memoization across several fields' engines.
 
-        ``OpenFlowLookupTable.search_batch`` implements the same
-        memoization inline over its flattened engine list (positional
-        keys, plus a whole-tuple memo layer); keep the two in sync.
+        ``OpenFlowLookupTable.search_keys`` is the table-level twin:
+        one probe per distinct key over its flattened engine list, plus
+        a whole-tuple memo layer.
         """
         if memo is None:
             memo = {}

@@ -31,7 +31,7 @@ from repro.core.index import IndexCalculator
 from repro.core.partition import HeaderPartitioner
 from repro.openflow.fields import REGISTRY
 from repro.openflow.flow import FlowEntry
-from repro.openflow.match import FieldMaskSink, Match
+from repro.openflow.match import Match
 from repro.packet.headers import frame_length
 
 
@@ -94,6 +94,23 @@ class OpenFlowLookupTable:
             tuple(e.name for e in self._flat_engines)
             == self.partitioner.partition_names
         )
+        #: Per flat engine, ``(field name, left shift)`` aligning its
+        #: partition mask inside the field: partitions are MSB-first
+        #: slices, so a mask shifts left by the bits to its right — the
+        #: arithmetic :class:`HeaderPartitioner` slices keys out with.
+        self._mask_shifts = tuple(
+            (
+                engine.partition.field_name,
+                REGISTRY[engine.partition.field_name].bits
+                - engine.partition.offset
+                - engine.partition.bits,
+            )
+            for engine in self._flat_engines
+        )
+        #: Field-aligned consulted masks by per-partition consulted bits
+        #: — one shared dict per distinct combination (a handful: each
+        #: partition consults nothing, a trie depth, or everything).
+        self._consulted_masks: dict[tuple[int, ...], dict[str, int]] = {}
         self.lookup_count = 0
         self.matched_count = 0
         #: Mutation counter; bumped on every add/remove so lookup caches
@@ -218,20 +235,31 @@ class OpenFlowLookupTable:
         """Full decomposition lookup, exposing the per-partition labels.
 
         With a ``mask`` sink the per-partition consulted bits are folded
-        into it (see :meth:`lookup`).
+        into it (see :meth:`lookup`); each engine then answers labels
+        and consulted bits from one :meth:`PartitionEngine.probe`.
         """
         self.lookup_count += 1
         keys = self.partitioner.extract(packet_fields)
-        if mask is not None:
-            self._accumulate_mask(keys, mask)
-        label_sets: list[tuple[int, ...]] = []
-        for name in self.field_names:
-            label_sets.extend(self.engines[name].search(keys))
-        index = self.index.lookup(tuple(label_sets))
+        if mask is None:
+            label_sets = tuple(
+                engine.search(keys.get(engine.name))
+                for engine in self._flat_engines
+            )
+        else:
+            found = []
+            for engine, (field_name, shift) in zip(
+                self._flat_engines, self._mask_shifts
+            ):
+                labels, bits = engine.probe(keys.get(engine.name))
+                found.append(labels)
+                if bits:
+                    mask.consult(field_name, bits << shift)
+            label_sets = tuple(found)
+        index = self.index.lookup(label_sets)
         if index is None:
-            return LookupResult(entry=None, label_sets=tuple(label_sets))
+            return LookupResult(entry=None, label_sets=label_sets)
         self.matched_count += 1
-        return LookupResult(entry=self.actions[index], label_sets=tuple(label_sets))
+        return LookupResult(entry=self.actions[index], label_sets=label_sets)
 
     def consulted_mask(self, packet_fields: Mapping[str, int]) -> dict[str, int]:
         """The consulted-bits masks a :meth:`search` of this packet would
@@ -240,26 +268,77 @@ class OpenFlowLookupTable:
         Used by caches to backfill masks for entries resolved before any
         mask sink was attached.
         """
-        sink = FieldMaskSink()
-        self._accumulate_mask(self.partitioner.extract(packet_fields), sink)
-        return sink.fields
-
-    def _accumulate_mask(self, keys: Mapping[str, int | None], mask) -> None:
-        """Report each partition's consulted bits, field-aligned.
-
-        Partitions are MSB-first slices of their field, so a partition
-        mask shifts left by the bits to its right — the same arithmetic
-        :meth:`HeaderPartitioner.extract` uses to slice keys out.
-        """
-        for engine in self._flat_engines:
-            part = engine.partition
-            part_mask = engine.consulted_mask(keys.get(part.name))
-            if part_mask:
-                field_bits = REGISTRY[part.field_name].bits
-                mask.consult(
-                    part.field_name,
-                    part_mask << (field_bits - part.offset - part.bits),
+        keys = self.partitioner.extract(packet_fields)
+        return dict(
+            self._field_mask(
+                tuple(
+                    engine.consulted_mask(keys.get(engine.name))
+                    for engine in self._flat_engines
                 )
+            )
+        )
+
+    def _field_mask(self, consulted: tuple[int, ...]) -> dict[str, int]:
+        """The field-aligned mask for per-partition consulted bits
+        (flat-engine order), interned: equal bits share one dict."""
+        mask = self._consulted_masks.get(consulted)
+        if mask is None:
+            mask = self._consulted_masks[consulted] = {}
+            for bits, (field_name, shift) in zip(consulted, self._mask_shifts):
+                if bits:
+                    mask[field_name] = mask.get(field_name, 0) | (bits << shift)
+        return mask
+
+    def search_keys(
+        self,
+        key_rows: Sequence[tuple[int | None, ...]],
+        capture: bool = False,
+    ) -> list[tuple[ActionTableEntry | None, tuple[tuple[int, ...], ...], dict[str, int] | None]]:
+        """Decomposition lookup over partition-key rows.
+
+        One ``(action entry, label sets, consulted mask)`` triple per
+        row, keys in :attr:`HeaderPartitioner.partition_names` order.
+        Every engine is probed once per *distinct* key of its partition
+        across the whole call (with ``capture``, labels and consulted
+        bits come from the same :meth:`PartitionEngine.probe`), and
+        rows sharing a full key tuple share one index calculation and
+        one triple.  The consulted mask is ``None`` without ``capture``;
+        keys that consulted the same bits share one mask dict (interned
+        on the table, so callers comparing masks mostly compare
+        identities).
+        """
+        self.lookup_count += len(key_rows)
+        probes: list[dict[int | None, tuple[tuple[int, ...], int]]] = []
+        for engine, column in zip(self._flat_engines, zip(*key_rows)):
+            if capture:
+                probe = engine.probe
+                probes.append({key: probe(key) for key in dict.fromkeys(column)})
+            else:
+                search = engine.search
+                probes.append(
+                    {key: (search(key), 0) for key in dict.fromkeys(column)}
+                )
+        lookup = self.index.lookup
+        actions = self.actions
+        row_memo: dict[tuple[int | None, ...], tuple] = {}
+        found = []
+        for row in key_rows:
+            cached = row_memo.get(row)
+            if cached is None:
+                hits = [probe[key] for probe, key in zip(probes, row)]
+                label_sets = tuple([labels for labels, _ in hits])
+                index = lookup(label_sets)
+                cached = row_memo[row] = (
+                    None if index is None else actions[index],
+                    label_sets,
+                    self._field_mask(tuple([bits for _, bits in hits]))
+                    if capture
+                    else None,
+                )
+            if cached[0] is not None:
+                self.matched_count += 1
+            found.append(cached)
+        return found
 
     def search_batch(
         self, batch_fields: Sequence[Mapping[str, int]]
@@ -267,39 +346,22 @@ class OpenFlowLookupTable:
         """Decomposition lookup for a batch of packets.
 
         Field/partition extraction is vectorized
-        (:meth:`HeaderPartitioner.extract_batch`) and label searches are
-        memoized per batch at two grains: packets sharing a full
-        partition-key tuple resolve the index calculation once, and
-        packets sharing a single partition key resolve that engine's
-        label search once (the positional-key twin of
-        :meth:`FieldEngine.search_batch`; keep the two in sync).
+        (:meth:`HeaderPartitioner.extract_batch`); the label searches
+        and index calculations are shared across duplicate keys by
+        :meth:`search_keys`.
         """
-        key_rows = self.partitioner.extract_batch(batch_fields)
-        self.lookup_count += len(key_rows)
-        label_memo: dict[tuple[int, int | None], tuple[int, ...]] = {}
-        row_memo: dict[tuple[int | None, ...], LookupResult] = {}
-        results: list[LookupResult] = []
-        for row in key_rows:
-            cached = row_memo.get(row)
-            if cached is None:
-                label_sets: list[tuple[int, ...]] = []
-                for position, key in enumerate(row):
-                    memo_key = (position, key)
-                    labels = label_memo.get(memo_key)
-                    if labels is None:
-                        labels = self._flat_engines[position].search(key)
-                        label_memo[memo_key] = labels
-                    label_sets.append(labels)
-                index = self.index.lookup(tuple(label_sets))
-                cached = LookupResult(
-                    entry=None if index is None else self.actions[index],
-                    label_sets=tuple(label_sets),
+        results: dict[int, LookupResult] = {}
+        out: list[LookupResult] = []
+        for found in self.search_keys(
+            self.partitioner.extract_batch(batch_fields)
+        ):
+            result = results.get(id(found))
+            if result is None:
+                result = results[id(found)] = LookupResult(
+                    entry=found[0], label_sets=found[1]
                 )
-                row_memo[row] = cached
-            if cached.entry is not None:
-                self.matched_count += 1
-            results.append(cached)
-        return results
+            out.append(result)
+        return out
 
     def lookup_batch(
         self, batch_fields: Sequence[Mapping[str, int]]
@@ -313,6 +375,29 @@ class OpenFlowLookupTable:
                 result.entry.flow_entry.stats.record(frame_length(fields))
                 hits.append(result.entry.flow_entry)
         return hits
+
+    def lookup_keys(
+        self,
+        field_keys: Sequence[tuple[int | None, ...]],
+        capture: bool = False,
+    ) -> tuple[list[FlowEntry | None], list[dict[str, int] | None]]:
+        """The matched entry and the consulted mask per table key, as
+        two aligned lists.
+
+        ``field_keys`` are value tuples in :attr:`field_names` order
+        (``None`` = the packet lacks the field) — the microflow key —
+        so the columnar miss path resolves a wave's residual keys in
+        one call without a field dict per packet.  Unlike
+        :meth:`lookup` this credits **no** flow stats: the caller knows
+        how many packets share each key and credits them per entry.
+        """
+        found = self.search_keys(
+            self.partitioner.split_keys(field_keys), capture
+        )
+        return (
+            [None if entry is None else entry.flow_entry for entry, _, _ in found],
+            [mask for _, _, mask in found],
+        )
 
     def partition_engines(self):
         """Iterate every partition engine (for memory accounting)."""

@@ -34,6 +34,18 @@ class HeaderPartitioner:
                 )
             else:
                 self._schemes[name] = partition_scheme(name, definition.bits, definition.bits)
+        #: Per field, its partitions' ``(shift, mask)`` slicing constants
+        #: (partitions are MSB-first slices of the field).
+        self._slices: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple(
+                (
+                    REGISTRY[name].bits - part.offset - part.bits,
+                    (1 << part.bits) - 1,
+                )
+                for part in self._schemes[name]
+            )
+            for name in field_names
+        )
 
     @property
     def partition_names(self) -> tuple[str, ...]:
@@ -54,16 +66,34 @@ class HeaderPartitioner:
         match".
         """
         keys: dict[str, int | None] = {}
-        for name in self.field_names:
+        for name, slices in zip(self.field_names, self._slices):
             value = packet_fields.get(name)
-            for part in self._schemes[name]:
-                if value is None:
-                    keys[part.name] = None
-                else:
-                    field_bits = REGISTRY[name].bits
-                    shift = field_bits - part.offset - part.bits
-                    keys[part.name] = (value >> shift) & ((1 << part.bits) - 1)
+            for part, (shift, mask) in zip(self._schemes[name], slices):
+                keys[part.name] = (
+                    None if value is None else (value >> shift) & mask
+                )
         return keys
+
+    def split_keys(
+        self, field_keys: Sequence[tuple[int | None, ...]]
+    ) -> list[tuple[int | None, ...]]:
+        """Slice field-value tuples (schema order, ``None`` = the packet
+        lacks the field) into partition-key tuples in
+        :attr:`partition_names` order — :meth:`extract` for callers that
+        already hold the table key instead of a field dict."""
+        rows: list[tuple[int | None, ...]] = []
+        slices = self._slices
+        for key in field_keys:
+            row: list[int | None] = []
+            for value, parts in zip(key, slices):
+                if value is None:
+                    row.extend([None] * len(parts))
+                else:
+                    row.extend(
+                        [(value >> shift) & mask for shift, mask in parts]
+                    )
+            rows.append(tuple(row))
+        return rows
 
     def extract_batch(
         self, batch: Sequence[Mapping[str, int]]

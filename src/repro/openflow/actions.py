@@ -147,4 +147,6 @@ def action_set_order(actions: tuple[Action, ...]) -> tuple[Action, ...]:
         else:
             latest[type(action)] = action
     merged = list(latest.values()) + list(set_fields.values())
+    if len(merged) < 2:  # nothing to order (the common one-output set)
+        return tuple(merged)
     return tuple(sorted(merged, key=lambda a: (a.set_order, a.describe())))

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, SetFieldAction
 from repro.openflow.errors import PipelineError
 from repro.util.bits import mask_of
 
@@ -107,6 +108,36 @@ class Meter(Instruction):
         return f"meter:{self.meter_id}"
 
 
+class CompiledStep(NamedTuple):
+    """One entry's instructions flattened for execution, fields in
+    OpenFlow v1.3 §5.9 order (Meter is a no-op tag and has no field).
+
+    The single executable form of an :class:`InstructionSet`: the scalar
+    pipeline, the dict wave loop and the columnar miss path all advance
+    a packet by reading these fields top to bottom, so the type order
+    is decided once, in :attr:`InstructionSet.compiled`.
+    """
+
+    #: Apply-Actions, executed immediately and in order.
+    apply: tuple[Action, ...]
+    #: Clear-Actions empties the action set *before* ``write`` merges.
+    clear: bool
+    #: Write-Actions, merged into the action set.
+    write: tuple[Action, ...]
+    #: Write-Metadata as ``register = register & keep | value``
+    #: (``None`` when the entry leaves the register alone).
+    metadata: tuple[int, int] | None
+    #: Goto-Table target, or ``None`` when processing ends here.
+    goto: int | None
+    #: Header fields the immediately executed part overwrites before
+    #: the next table's lookup: Apply-Actions set-fields, then
+    #: ``metadata`` when Write-Metadata is present.  Write-Actions
+    #: set-fields run at pipeline end and are **not** listed — marking
+    #: them early would make megaflow masks unsound by suppressing
+    #: consults of still-original values.
+    written: tuple[str, ...]
+
+
 class InstructionSet:
     """The validated, ordered instruction list of one flow entry.
 
@@ -124,10 +155,11 @@ class InstructionSet:
         GotoTable,
     )
 
-    __slots__ = ("_by_type",)
+    __slots__ = ("_by_type", "_compiled")
 
     def __init__(self, instructions: Iterable[Instruction] = ()) -> None:
         self._by_type: dict[type, Instruction] = {}
+        self._compiled: CompiledStep | None = None
         for instruction in instructions:
             kind = type(instruction)
             if kind not in self._ORDER:
@@ -158,6 +190,59 @@ class InstructionSet:
     def get(self, kind: type) -> Instruction | None:
         """Return the instruction of the given type, if present."""
         return self._by_type.get(kind)
+
+    def __getstate__(self) -> tuple[None, dict[str, dict[type, Instruction]]]:
+        # The compiled step is a per-process cache; snapshots, sealed
+        # entry blobs and mutation-log submits ship the instructions
+        # alone, byte-for-byte what they shipped before it existed.
+        return (None, {"_by_type": self._by_type})
+
+    def __setstate__(
+        self, state: tuple[None, dict[str, dict[type, Instruction]]]
+    ) -> None:
+        self._by_type = state[1]["_by_type"]
+        self._compiled = None
+
+    @property
+    def compiled(self) -> CompiledStep:
+        """The executable form, built on first use and kept: a set is
+        immutable once validated, so entries that are never matched
+        never pay for one."""
+        step = self._compiled
+        if step is None:
+            by_type = self._by_type
+            apply = by_type.get(ApplyActions)
+            write = by_type.get(WriteActions)
+            metadata = by_type.get(WriteMetadata)
+            goto = by_type.get(GotoTable)
+            assert apply is None or isinstance(apply, ApplyActions)
+            assert write is None or isinstance(write, WriteActions)
+            assert metadata is None or isinstance(metadata, WriteMetadata)
+            assert goto is None or isinstance(goto, GotoTable)
+            applied = apply.actions if apply is not None else ()
+            written = [
+                action.field_name
+                for action in applied
+                if isinstance(action, SetFieldAction)
+            ]
+            if metadata is not None:
+                written.append("metadata")
+            step = self._compiled = CompiledStep(
+                apply=applied,
+                clear=ClearActions in by_type,
+                write=write.actions if write is not None else (),
+                metadata=(
+                    None
+                    if metadata is None
+                    else (
+                        ~metadata.mask & mask_of(METADATA_BITS),
+                        metadata.value,
+                    )
+                ),
+                goto=goto.table_id if goto is not None else None,
+                written=tuple(written),
+            )
+        return step
 
     @property
     def goto_table(self) -> GotoTable | None:

@@ -29,12 +29,6 @@ from repro.openflow.actions import (
 )
 from repro.openflow.errors import PipelineError
 from repro.openflow.flow import FlowEntry
-from repro.openflow.instructions import (
-    ApplyActions,
-    ClearActions,
-    WriteActions,
-    WriteMetadata,
-)
 from repro.openflow.match import ConsultSink
 from repro.openflow.table import FlowTable
 
@@ -50,27 +44,10 @@ class MaskSink(ConsultSink, Protocol):
     def mark_rewritten(self, field_name: str) -> None: ...
 
 
-def written_fields(entry: FlowEntry) -> list[str]:
-    """Fields an entry's *immediately executed* instructions overwrite.
-
-    Apply-Actions set-fields and Write-Metadata rewrite the packet's
-    working header before the next table's lookup; Write-Actions
-    set-fields do **not** execute until pipeline end and must not be
-    reported here (a premature mark would make megaflow masks unsound by
-    suppressing consults of still-original values).
-    """
-    names: list[str] = []
-    apply = entry.instructions.get(ApplyActions)
-    if apply is not None:
-        assert isinstance(apply, ApplyActions)
-        names.extend(
-            action.field_name
-            for action in apply.actions
-            if isinstance(action, SetFieldAction)
-        )
-    if entry.instructions.get(WriteMetadata) is not None:
-        names.append("metadata")
-    return names
+def written_fields(entry: FlowEntry) -> tuple[str, ...]:
+    """Fields an entry's *immediately executed* instructions overwrite
+    (see :attr:`~repro.openflow.instructions.CompiledStep.written`)."""
+    return entry.instructions.compiled.written
 
 
 class MissPolicy(enum.Enum):
@@ -225,27 +202,20 @@ class OpenFlowPipeline:
         particular, Clear-Actions always empties the action set *before*
         this entry's Write-Actions merges into it.
         """
-        # FlowEntry.__post_init__ guarantees a validated InstructionSet.
-        instructions = entry.instructions
-        # Meter is modelled as a no-op tag.
-        apply = instructions.get(ApplyActions)
-        if apply is not None:
-            assert isinstance(apply, ApplyActions)
-            for action in apply.actions:
-                self._execute_action(action, result)
-        if instructions.get(ClearActions) is not None:
+        # FlowEntry.__post_init__ guarantees a validated InstructionSet;
+        # its compiled step lists the parts in §5.9 order.
+        apply, clear, write, metadata, goto, _ = entry.instructions.compiled
+        for action in apply:
+            self._execute_action(action, result)
+        if clear:
             action_set.clear()
-        write = instructions.get(WriteActions)
-        if write is not None:
-            assert isinstance(write, WriteActions)
-            action_set.extend(write.actions)
-        metadata = instructions.get(WriteMetadata)
+        if write:
+            action_set.extend(write)
         if metadata is not None:
-            assert isinstance(metadata, WriteMetadata)
-            result.metadata = metadata.apply(result.metadata)
+            keep, value = metadata
+            result.metadata = (result.metadata & keep) | value
             result.final_fields["metadata"] = result.metadata
-        goto = instructions.goto_table
-        return goto.table_id if goto is not None else None
+        return goto
 
     def _execute_action_set(
         self, action_set: list[Action], result: PipelineResult

@@ -393,6 +393,51 @@ class PacketBatch:
         return _pack_rows(stack, rows)
 
 
+    def masked_keys(
+        self, mask: Sequence[tuple[str, int]], rows: IndexArray
+    ) -> list[tuple[int | None, ...]]:
+        """The ``value & mask`` tuple key of each given row under a
+        megaflow mask (``None`` where the row lacks the field) — the
+        lanes' twin of :func:`repro.runtime.megaflow.masked_key`, one
+        vectorized pass per mask field instead of a dict per packet.
+        Not memoized: callers ask for the few rows they install.
+        """
+        columns: list[Sequence[int | None]] = []
+        for name, bits in mask:
+            column = self._store.columns.get(name)
+            if column is None:
+                columns.append([None] * len(rows))
+                continue
+            values: list[int] = (
+                column.lanes[0][rows] & np.uint64(bits & _LANE_MASK)
+            ).tolist()
+            for lane_index in range(
+                1, min(len(column.lanes), _lanes_for(bits.bit_length()))
+            ):
+                shift = 64 * lane_index
+                lane = column.lanes[lane_index][rows] & np.uint64(
+                    (bits >> shift) & _LANE_MASK
+                )
+                values = [
+                    low | (high << shift)
+                    for low, high in zip(values, lane.tolist())
+                ]
+            if column.present is None:
+                columns.append(values)
+            else:
+                columns.append(
+                    [
+                        value if present else None
+                        for value, present in zip(
+                            values, column.present[rows].tolist()
+                        )
+                    ]
+                )
+        if not columns:
+            return [()] * len(rows)
+        return list(zip(*columns))
+
+
 def packed_masked_key(
     mask: Sequence[tuple[str, int]], fields: Mapping[str, int]
 ) -> bytes:

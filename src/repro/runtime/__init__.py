@@ -98,15 +98,20 @@ cached wildcard mask as vectorized ``lanes & mask`` compares.  Hits
 replay without dict materialisation — matched-entry stats are credited
 in aggregate from the ``frame_len`` lane, and a replaying
 ``run_workload`` with ``keep_results=False`` never builds
-``PipelineResult`` objects at all.  **Dict materialisation still
-happens** for: packets that miss both cache tiers (their rows
-materialise lazily, one distinct row at a time, aliased across
-duplicates, and walk the unchanged wave machinery), megaflow-miss
-traversals installing new aggregates, and any caller that asks for
-materialised results (``keep_results=True`` or ``process_batch``'s
-return value — built as packet fields + recorded rewrite overrides,
-bitwise-identical to the dict path, which the differential property
-harness proves across the whole scenario catalog).
+``PipelineResult`` objects at all.  Packets that miss the megaflow
+tier stay columnar too: :class:`~repro.runtime.walk.ColumnarWalk`
+carries them through the waves as index arrays — table keys read off
+the lanes (plus an override lane for rewritten fields), one microflow
+probe and one decomposition search per *distinct* key per table, one
+result template per distinct entry path, one bulk
+:meth:`~repro.runtime.megaflow.MegaflowCache.install_batch`.  **Dict
+materialisation still happens** for: tables without a keyed lookup
+(the behavioural ``FlowTable`` scan falls back to one scalar lookup
+per member), and any caller that asks for materialised results
+(``keep_results=True`` or ``process_batch``'s return value — built as
+packet fields + the traversal's rewrite overrides, bitwise-identical
+to the dict path, which the differential property harness proves
+across the whole scenario catalog).
 
 **Decode-free worker protocol.**  Dict and ``PacketBatch`` submissions
 differ only parent-side (a dict sequence is columnarised as it is
@@ -114,14 +119,14 @@ encoded); the worker always *attaches* to the request block's columns
 in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and
-encodes its reply straight from the megaflow templates
+encodes its reply straight from the traversal templates
 (:func:`~repro.runtime.transport.encode_outcomes`): flags, ports,
-matched-entry refs and action vocabularies come from the cached
-aggregate, rewrite overrides from the entry's recorded override dict,
-frame lengths from the ``frame_len`` lane — so the shm decode step
-disappears from the common (cache-hit) case and only miss rows are
-ever materialised worker-side.  The parent's collect path resolves
-replies against its own pinned tables.
+matched-entry refs and action vocabularies come from the template every
+position carries — the aggregate it hit, or the one the miss path built
+for it — rewrite overrides from the traversal's override dict, frame
+lengths from the ``frame_len`` lane — so no row is materialised
+worker-side at all.  The parent's collect path resolves replies against
+its own pinned tables.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch` takes

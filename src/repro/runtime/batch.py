@@ -14,13 +14,15 @@ one packet at a time, behind a two-tier cache hierarchy:
 Megaflow misses advance through the pipeline in waves: all packets
 currently at the same table are looked up together — through the table's
 microflow cache when one is attached, then through the table's batched
-search path — and only the cheap per-packet instruction execution runs
-individually.  Because Goto-Table is forward-only, each table is visited
-at most once per batch.  During the waves each packet carries a
+search path.  Because Goto-Table is forward-only, each table is visited
+at most once per batch.  Dict batches run the waves packet by packet
+(:meth:`BatchPipeline._run_waves`): each packet carries a
 :class:`~repro.runtime.megaflow.MegaflowRecorder` accumulating the
-consulted-bits mask, visited-table version tags and header rewrites;
-the finished traversal installs one megaflow entry covering its whole
-aggregate.
+consulted-bits mask, visited-table version tags and header rewrites,
+and its finished traversal installs one megaflow entry covering the
+whole aggregate.  Columnar batches run them over index arrays
+(:class:`~repro.runtime.walk.ColumnarWalk`): one probe per distinct key
+per table, one template per distinct entry path, one bulk install.
 
 The semantics are exactly those of ``OpenFlowPipeline.process``: the
 per-entry instruction execution, action-set ordering and miss handling
@@ -53,10 +55,11 @@ from repro.runtime.lifecycle import (
 )
 from repro.runtime.megaflow import (
     MegaflowCache,
-    MegaflowEntry,
     MegaflowRecorder,
+    Traversal,
     replay_template,
 )
+from repro.runtime.walk import ColumnarWalk
 
 
 @dataclass
@@ -222,10 +225,9 @@ class BatchPipeline:
         return results
 
     def _credit_result(self, result: PipelineResult, frame_len: int) -> None:
-        """Fold one packet's outcome into the runner counters — the
-        single definition shared by the dict path's tail and the
-        columnar miss loop (the columnar hit side runs the same
-        arithmetic aggregated per megaflow bucket)."""
+        """Fold one packet's outcome into the runner counters (the
+        columnar path runs the same arithmetic aggregated per
+        traversal, :meth:`_credit_traversal`)."""
         matched_entries = len(result.matched_entries)
         self.matched += bool(matched_entries)
         self.flow_packets += matched_entries
@@ -238,82 +240,121 @@ class BatchPipeline:
         """Classify a columnar batch without leaving the columns.
 
         The megaflow tier is probed with vectorized masked-key compares
-        (:meth:`~repro.runtime.megaflow.MegaflowCache.probe_batch`);
-        residual misses materialise their row dicts lazily — one row at
-        a time, aliased across duplicates — and walk the existing wave
-        machinery (through the first table's vectorized microflow probe
-        when no mask capture is active).  The returned
-        :class:`ColumnarOutcomes` defers replay materialisation: local
-        callers build :class:`PipelineResult` lists from it
-        (:meth:`ColumnarOutcomes.results`, bitwise-identical to the dict
-        path), the decode-free sharded worker encodes the cached
-        templates directly.
+        (:meth:`~repro.runtime.megaflow.MegaflowCache.probe_credit`); an
+        all-hit batch is done right there.  Residual misses go through
+        the columnar miss path (:class:`~repro.runtime.walk.ColumnarWalk`:
+        index arrays through every wave, one probe per distinct key per
+        table, one template per distinct entry path) and are installed
+        in bulk, in position order — probe first, install after, so a
+        miss never sees an aggregate an earlier position of the same
+        batch installed.  With the megaflow tier off or bypassed the
+        same walk runs without capture and without install.
+
+        The returned :class:`ColumnarOutcomes` defers replay
+        materialisation: local callers build :class:`PipelineResult`
+        lists from it (:meth:`ColumnarOutcomes.results`,
+        bitwise-identical to the dict path), the decode-free sharded
+        worker encodes the templates directly.
         """
         self.packets += len(batch)
         self.batches += 1
         frame = batch.frame_lengths()
         megaflow = None if self.megaflow_bypass else self.megaflow
+        replays: list[Traversal | None]
+        missed: Sequence[int] | np.ndarray = ()
         if megaflow is not None:
-            entries: list[MegaflowEntry | None]
-            entries, buckets = megaflow.probe_credit(batch)
+            replays, buckets = megaflow.probe_credit(batch)
             # Hit counters aggregated per entry — one pass over the few
             # distinct aggregates instead of every packet.
             for entry, count, byte_count in buckets:
-                template = entry.template
-                matched_entries = len(template.matched_entries)
-                if matched_entries:
-                    self.matched += count
-                    self.flow_packets += matched_entries * count
-                    self.flow_bytes += matched_entries * byte_count
-                self.sent_to_controller += template.sent_to_controller * count
-                self.dropped += template.dropped * count
-            missed = [i for i, entry in enumerate(entries) if entry is None]
-            recorders: dict[int, MegaflowRecorder] | None = {
-                i: MegaflowRecorder() for i in missed
-            }
-        else:
-            entries = [None] * len(batch)
-            missed = list(range(len(batch)))
-            recorders = None
-        wave_results: dict[int, PipelineResult] = {
-            i: PipelineResult(final_fields=dict(batch.fields_at(i)))
-            for i in missed
-        }
-        if missed:
-            self._run_waves(
-                wave_results,
-                missed,
-                recorders,
-                columnar_first=batch if recorders is None else None,
-            )
-            if megaflow is not None and recorders is not None:
-                for i in missed:
-                    megaflow.install(
-                        batch.fields_at(i), recorders[i], wave_results[i]
+                self._credit_traversal(entry, count, byte_count)
+            if None in replays:
+                missed = np.flatnonzero(
+                    np.fromiter(
+                        (replay is None for replay in replays),
+                        dtype=np.bool_,
+                        count=len(replays),
                     )
-            frame_list = frame.tolist()
-            for i in missed:
-                self._credit_result(wave_results[i], frame_list[i])
-        return ColumnarOutcomes(
-            batch=batch, entries=entries, wave_results=wave_results, frame=frame
+                )
+        else:
+            replays = [None] * len(batch)
+            missed = np.arange(len(batch), dtype=np.int64)
+        if len(missed):
+            self._walk_misses(batch, frame, missed, megaflow, replays)
+        return ColumnarOutcomes(batch=batch, replays=replays, frame=frame)
+
+    def _walk_misses(
+        self,
+        batch: PacketBatch,
+        frame: np.ndarray,
+        missed: np.ndarray,
+        megaflow: MegaflowCache | None,
+        replays: list[Traversal | None],
+    ) -> None:
+        """Walk the ``missed`` positions through the tables, credit the
+        runner counters, install the traversals (when a megaflow tier is
+        capturing) and fill their slots of ``replays``."""
+        walk = ColumnarWalk(
+            self.pipeline, self.caches, batch, frame, capture=megaflow is not None
         )
+        walk.run(missed)
+        self.waves += walk.waves
+        # Per-entry flow stats were credited wave by wave; the runner's
+        # own totals fold in per distinct traversal (bincount's float64
+        # byte sums are exact below 2**53).
+        counts = np.bincount(walk.traversal_codes, minlength=len(walk.traversals))
+        byte_sums = np.bincount(
+            walk.traversal_codes,
+            weights=frame[missed],
+            minlength=len(walk.traversals),
+        )
+        for traversal, count, byte_count in zip(
+            walk.traversals, counts.tolist(), byte_sums.tolist()
+        ):
+            self._credit_traversal(traversal, count, int(byte_count))
+        taken: Sequence[Traversal]
+        if megaflow is not None:
+            taken = megaflow.install_batch(
+                batch,
+                missed,
+                walk.masks,
+                walk.mask_codes,
+                walk.traversals,
+                walk.traversal_codes,
+            )
+        else:
+            taken = [walk.traversals[code] for code in walk.traversal_codes.tolist()]
+        for position, traversal in zip(missed.tolist(), taken):
+            replays[position] = traversal
+
+    def _credit_traversal(
+        self, traversal: Traversal, count: int, byte_count: int
+    ) -> None:
+        """Fold ``count`` packets (``byte_count`` frame bytes in all)
+        that took one traversal into the runner counters — the
+        aggregated twin of :meth:`_credit_result`."""
+        template = traversal.template
+        matched_entries = len(template.matched_entries)
+        if matched_entries:
+            self.matched += count
+            self.flow_packets += matched_entries * count
+            self.flow_bytes += matched_entries * byte_count
+        self.sent_to_controller += template.sent_to_controller * count
+        self.dropped += template.dropped * count
 
     def _run_waves(
         self,
         results: list[PipelineResult | None],
         missed: Sequence[int],
         recorders: dict[int, MegaflowRecorder] | None,
-        columnar_first: PacketBatch | None = None,
     ) -> None:
-        """The shared wave machinery: advance the megaflow-missed packets
-        table by table until every one completes.
+        """The dict path's wave machinery: advance the megaflow-missed
+        packets table by table until every one completes.
 
-        ``results`` maps packet position to its in-flight
-        :class:`PipelineResult` (a list on the dict path, a dict on the
-        columnar path).  ``columnar_first``, when given, must cover
-        exactly the first wave's members in position order; the first
-        table's microflow cache is then probed columnar (only valid
-        without mask capture, where miss resolution is batched anyway).
+        ``results`` holds each packet's in-flight
+        :class:`PipelineResult` by position.  Columnar batches take
+        :class:`~repro.runtime.walk.ColumnarWalk` instead, which is
+        differentially tested against this loop.
         """
         pipeline = self.pipeline
         action_sets: dict[int, list] = {i: [] for i in missed}
@@ -335,25 +376,13 @@ class BatchPipeline:
             if recorders is not None:
                 for i in members:
                     recorders[i].note_table(table_id, table.version)
-            cache = self.caches.get(table_id)
-            if (
-                columnar_first is not None
-                and recorders is None
-                and cache is not None
-                and len(columnar_first) == len(members)
-            ):
-                entries = cache.lookup_batch_columnar(columnar_first)
-            else:
-                fields_batch = [results[i].final_fields for i in members]
-                masks = (
-                    [recorders[i] for i in members]
-                    if recorders is not None
-                    else None
-                )
-                entries = self._lookup_batch(
-                    table_id, table, fields_batch, masks
-                )
-            columnar_first = None  # only ever valid for the first wave
+            fields_batch = [results[i].final_fields for i in members]
+            masks = (
+                [recorders[i] for i in members]
+                if recorders is not None
+                else None
+            )
+            entries = self._lookup_batch(table_id, table, fields_batch, masks)
             for i, entry in zip(members, entries):
                 result = results[i]
                 result.tables_visited.append(table_id)
@@ -434,38 +463,35 @@ class BatchPipeline:
 class ColumnarOutcomes:
     """One columnar batch's classification, replay not yet materialised.
 
-    ``entries[i]`` is the megaflow aggregate position ``i`` hit (its
-    template already carries everything but ``final_fields``), or
-    ``None`` for positions classified by the wave machinery (whose full
-    :class:`PipelineResult` sits in ``wave_results``).  ``frame`` is the
-    per-position ``frame_len`` lane.  The split is what makes the
-    sharded worker decode-free: :func:`~repro.runtime.transport.encode_outcomes`
-    ships hits straight from the templates, so their rows are never
-    materialised as dicts.
+    ``replays[i]`` is the :class:`~repro.runtime.megaflow.Traversal`
+    position ``i`` took — the megaflow aggregate it hit, or the one the
+    miss path built (and, with the megaflow tier on, installed) for it.
+    Either way it is a ``(template, overrides)`` pair carrying
+    everything but the packet's own fields, so hits and misses
+    materialise the same way; ``frame`` is the per-position
+    ``frame_len`` lane.  This is what makes the sharded worker
+    decode-free: :func:`~repro.runtime.transport.encode_outcomes` ships
+    every position straight from its template, so no row is ever
+    materialised as a dict.
     """
 
     batch: PacketBatch
-    entries: list[MegaflowEntry | None]
-    wave_results: dict[int, PipelineResult]
+    replays: list[Traversal]
     frame: np.ndarray
 
     def results(self) -> list[PipelineResult]:
         """Materialise the per-packet results, in position order —
-        bitwise-identical to the dict path (megaflow hits rebuild
-        ``final_fields`` as packet fields plus the recorded rewrite
-        overrides, exactly like
-        :meth:`~repro.runtime.megaflow.MegaflowCache` replay; stats were
-        already credited at probe time)."""
+        bitwise-identical to the dict path: ``final_fields`` is the
+        packet's fields plus the traversal's rewrite overrides, exactly
+        like :meth:`~repro.runtime.megaflow.MegaflowCache` replay (stats
+        were already credited at classification time)."""
         out: list[PipelineResult] = []
-        batch = self.batch
-        for i, entry in enumerate(self.entries):
-            if entry is None:
-                out.append(self.wave_results[i])
-                continue
-            final_fields = dict(batch.fields_at(i))
-            if entry.overrides:
-                final_fields.update(entry.overrides)
-            out.append(replay_template(entry.template, final_fields))
+        row_fields = self.batch.row_fields
+        for row, replay in zip(self.batch.pick.tolist(), self.replays):
+            final_fields = dict(row_fields(row))
+            if replay.overrides:
+                final_fields.update(replay.overrides)
+            out.append(replay_template(replay.template, final_fields))
         return out
 
 

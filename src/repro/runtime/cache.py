@@ -367,6 +367,67 @@ class MicroflowCache:
             return [outcome_of[local] for local in inverse_list]
         return [outcome_of[local] for local in inverse.tolist()]
 
+    def lookup_keys(
+        self,
+        keys: Sequence[tuple[int | None, ...]],
+        counts: Sequence[int],
+        capture: bool,
+    ) -> tuple[list[FlowEntry | None], list[dict[str, int] | None]]:
+        """Cached lookup of one wave's *distinct* table keys — the
+        columnar miss path's probe.
+
+        ``keys`` are this cache's own microflow keys (:meth:`key`
+        tuples), each standing for ``counts[i]`` packets; every key is
+        probed once and the residual goes to the table's
+        ``lookup_keys`` in **one** call.  Returns two aligned lists:
+        the matched entry per key and, with ``capture``, its consulted
+        mask (captured at resolution, replayed from the record on a
+        hit).  Hit and miss counters move per packet, exactly as
+        :meth:`lookup_batch` moves them; flow stats are **not** credited
+        here — the caller groups packets by matched entry and credits
+        each entry once.
+        """
+        version = self.table.version
+        entries = self._entries
+        move_to_end = entries.move_to_end
+        outcomes: list[FlowEntry | None] = []
+        masks: list[dict[str, int] | None] = []
+        residual: list[int] = []
+        hits = 0
+        for i, key in enumerate(keys):
+            record = entries.get(key)
+            if record is not None and record.version == version:
+                hits += counts[i]
+                move_to_end(key)
+                if capture and record.mask is None:
+                    record.mask = self._capture_mask(
+                        {
+                            name: value
+                            for name, value in zip(self.field_names, key)
+                            if value is not None
+                        }
+                    )
+                outcome = record.outcome
+                outcomes.append(outcome if isinstance(outcome, FlowEntry) else None)
+                masks.append(record.mask)
+            else:
+                if record is not None:
+                    self.revalidations += counts[i]
+                residual.append(i)
+                outcomes.append(None)
+                masks.append(None)
+        self.hits += hits
+        if residual:
+            self.misses += sum(counts[i] for i in residual)
+            resolved, captured = self.table.lookup_keys(
+                [keys[i] for i in residual], capture
+            )
+            for i, entry, mask in zip(residual, resolved, captured):
+                self._insert(keys[i], entry, version, mask)
+                outcomes[i] = entry
+                masks[i] = mask
+        return outcomes, masks
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

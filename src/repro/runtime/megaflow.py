@@ -49,7 +49,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
-from repro.packet.batch import PacketBatch, packed_masked_key
+from repro.packet.batch import IndexArray, PacketBatch, packed_masked_key
 from repro.packet.headers import frame_length
 
 #: Mask signature: ``((field_name, bitmask), ...)`` sorted by field.
@@ -89,19 +89,36 @@ class MegaflowRecorder:
         return tuple(sorted(self.fields.items()))
 
 
-class MegaflowEntry:
-    """One cached aggregate: mask, masked key, and the result template."""
+class Traversal:
+    """One entry path's complete outcome, detached from any packet.
 
-    __slots__ = (
-        "mask",
-        "key",
-        "packed",
-        "template",
-        "overrides",
-        "table_versions",
-        "version_checks",
-        "hits",
-    )
+    ``template`` carries everything a :class:`PipelineResult` holds but
+    the packet's own fields; ``overrides`` are the final values of the
+    fields the traversal rewrote, so ``final_fields`` for any packet of
+    the path is ``packet fields + overrides`` (:func:`replay_template`).
+    ``table_versions`` tags each visited table with its mutation
+    counter at lookup time.  The columnar miss path builds one per
+    *distinct* path and shares it across the positions that took it;
+    a :class:`MegaflowEntry` is a traversal plus its wildcard key.
+    """
+
+    __slots__ = ("template", "overrides", "table_versions")
+
+    def __init__(
+        self,
+        template: PipelineResult,
+        overrides: dict[str, int],
+        table_versions: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.template = template
+        self.overrides = overrides
+        self.table_versions = table_versions
+
+
+class MegaflowEntry(Traversal):
+    """One cached aggregate: mask, masked key, and the traversal."""
+
+    __slots__ = ("mask", "key", "packed", "version_checks", "hits")
 
     def __init__(
         self,
@@ -328,39 +345,46 @@ class MegaflowCache:
 
     def credit_rows(
         self,
-        row_entry: Mapping[int, MegaflowEntry],
-        counts: Mapping[int, int],
-        byte_sums: Mapping[int, float],
-        total_positions: int,
+        entries: Sequence[MegaflowEntry | None],
+        counts: Sequence[int],
+        byte_sums: Sequence[float],
+        recency: Sequence[int],
     ) -> list[list]:
         """Fold one batch's hit bookkeeping in, aggregated per entry.
 
-        ``counts`` / ``byte_sums`` map each distinct row to its position
-        count and frame-byte sum within the view.  Updates
-        hit/miss counters, per-entry hit counts, LRU recency and the
-        matched flow entries' packet/byte stats — identical totals to
-        the dict path's per-packet ``_replay`` bumps.  Returns the
-        ``[entry, positions, bytes]`` buckets so callers can aggregate
-        their own counters without another per-packet pass.
+        ``entries`` / ``counts`` / ``byte_sums`` are aligned per
+        distinct row of the view: the aggregate the row hit (``None`` on
+        a miss), its position count and its frame-byte sum.  Updates
+        hit/miss counters, per-entry hit counts and the matched flow
+        entries' packet/byte stats — identical totals to the dict
+        path's per-packet ``_replay`` bumps — and touches LRU recency
+        in the order the dict path would leave it: ``recency`` lists the
+        row indices most recently *positioned* first, so each entry is
+        moved to the end in the order of its last hit packet.  Returns
+        the ``[entry, positions, bytes]`` buckets so callers can
+        aggregate their own counters without another per-packet pass.
         """
         hits = 0
         agg: dict[int, list] = {}
-        for row, entry in row_entry.items():
-            count = counts[row]
-            if not count:
-                continue  # row exists in the store but not in this view
+        for local in recency:
+            entry = entries[local]
+            if entry is None:
+                continue
+            count = counts[local]
             hits += count
             bucket = agg.get(id(entry))
             if bucket is None:
-                agg[id(entry)] = [entry, count, int(byte_sums[row])]
+                agg[id(entry)] = [entry, count, int(byte_sums[local])]
             else:
                 bucket[1] += count
-                bucket[2] += int(byte_sums[row])
+                bucket[2] += int(byte_sums[local])
         self.hits += hits
-        self.misses += total_positions - hits
+        self.misses += sum(counts) - hits
         lru = self._lru
         buckets = list(agg.values())
-        for entry, count, byte_count in buckets:
+        # Buckets were opened most-recent-first; touching them in
+        # reverse leaves the most recently hit aggregate last.
+        for entry, count, byte_count in reversed(buckets):
             entry.hits += count
             lru.move_to_end((entry.mask, entry.key))
             for matched in entry.template.matched_entries:
@@ -394,13 +418,13 @@ class MegaflowCache:
         byte_sums = np.bincount(
             inverse, weights=batch.frame_lengths(), minlength=len(rows)
         ).tolist()
-        buckets = self.credit_rows(
-            row_entry,
-            dict(zip(rows, counts)),
-            dict(zip(rows, byte_sums)),
-            len(pick),
-        )
+        # The last position each row appears at orders the LRU touches.
+        last = np.zeros(len(rows), dtype=np.int64)
+        np.maximum.at(last, inverse, np.arange(len(pick), dtype=np.int64))
         entry_of = [row_entry.get(row) for row in rows]
+        buckets = self.credit_rows(
+            entry_of, counts, byte_sums, np.argsort(-last).tolist()
+        )
         return [entry_of[local] for local in inverse.tolist()], buckets
 
     def install(
@@ -440,26 +464,74 @@ class MegaflowCache:
             template=template,
             overrides=overrides,
             table_versions=table_versions,
-            version_checks=tuple(
-                (self.pipeline.table(table_id), version)
-                for table_id, version in table_versions
-            ),
+            version_checks=self._version_checks(table_versions),
         )
-        entries = self._by_mask.get(mask)
-        if entries is None:
-            entries = self._by_mask[mask] = {}
-            self._probe = tuple(self._by_mask.items())
-        entries[key] = entry
         entry.packed = packed_masked_key(mask, packet_fields)
-        self._packed.setdefault(mask, {})[entry.packed] = entry
-        self._lru[(mask, key)] = entry
-        self._lru.move_to_end((mask, key))
-        self.installs += 1
-        while len(self._lru) > self.capacity:
-            (old_mask, old_key), _ = self._lru.popitem(last=False)
-            self._drop(old_mask, old_key, lru=False)
-            self.evicted += 1
+        self._store(entry)
         return entry
+
+    def install_batch(
+        self,
+        batch: PacketBatch,
+        positions: IndexArray,
+        masks: Sequence[MaskSig],
+        mask_codes: IndexArray,
+        traversals: Sequence[Traversal],
+        traversal_codes: IndexArray,
+    ) -> list[MegaflowEntry]:
+        """Cache the captured traversals of one columnar batch's misses.
+
+        Position ``positions[j]`` of ``batch`` consulted mask
+        ``masks[mask_codes[j]]`` and took ``traversals[traversal_codes[j]]``
+        (both shared across positions — one template per distinct entry
+        path, never one per packet).  Keys come off the lanes: per
+        distinct mask the packed byte keys are the batch's memoized
+        :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`, the
+        tuple keys one vectorized ``lanes & mask`` over the mask's
+        positions.  Entries are then stored one per position, **in
+        position order** — so installs, same-batch overwrites, LRU
+        order and evictions land exactly as per-packet :meth:`install`
+        calls would.  Returns the entries, aligned with ``positions``.
+        """
+        rows = batch.pick[positions]
+        keys: list[tuple] = [()] * len(rows)
+        packed: list[bytes] = [b""] * len(rows)
+        for code, mask in enumerate(masks):
+            members = np.flatnonzero(mask_codes == code)
+            if not members.size:
+                continue
+            member_rows = rows[members]
+            packed_rows = batch.masked_packed_keys(mask)
+            for j, key, row in zip(
+                members.tolist(),
+                batch.masked_keys(mask, member_rows),
+                member_rows.tolist(),
+            ):
+                keys[j] = key
+                packed[j] = packed_rows[row]
+        # Traversals along one table sequence share their version tags.
+        checks_of = {
+            versions: self._version_checks(versions)
+            for versions in {t.table_versions for t in traversals}
+        }
+        checks = [checks_of[t.table_versions] for t in traversals]
+        installed: list[MegaflowEntry] = []
+        for key, packed_key, mask_code, code in zip(
+            keys, packed, mask_codes.tolist(), traversal_codes.tolist()
+        ):
+            traversal = traversals[code]
+            entry = MegaflowEntry(
+                masks[mask_code],
+                key,
+                traversal.template,
+                traversal.overrides,
+                traversal.table_versions,
+                checks[code],
+            )
+            entry.packed = packed_key
+            self._store(entry)
+            installed.append(entry)
+        return installed
 
     def flush(self) -> None:
         """Drop every cached aggregate (explicit only; never automatic)."""
@@ -471,6 +543,35 @@ class MegaflowCache:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _version_checks(
+        self, table_versions: tuple[tuple[int, int], ...]
+    ) -> tuple:
+        return tuple(
+            (self.pipeline.table(table_id), version)
+            for table_id, version in table_versions
+        )
+
+    def _store(self, entry: MegaflowEntry) -> None:
+        """Index a built entry (replacing any same-aggregate one), count
+        the install and evict least-recently-used entries beyond
+        capacity — the tail every install shares."""
+        mask, key = entry.mask, entry.key
+        entries = self._by_mask.get(mask)
+        if entries is None:
+            entries = self._by_mask[mask] = {}
+            self._probe = tuple(self._by_mask.items())
+        entries[key] = entry
+        self._packed.setdefault(mask, {})[entry.packed] = entry
+        lru = self._lru
+        slot = (mask, key)
+        lru[slot] = entry
+        lru.move_to_end(slot)
+        self.installs += 1
+        while len(lru) > self.capacity:
+            (old_mask, old_key), _ = lru.popitem(last=False)
+            self._drop(old_mask, old_key, lru=False)
+            self.evicted += 1
 
     def _drop(self, mask: MaskSig, key: tuple, lru: bool = True) -> None:
         entries = self._by_mask.get(mask)

@@ -191,22 +191,32 @@ class FrozenTrie:
             _readonly(reader, f"{key}/trie/lvl{level}/child")
             for level in range(len(boundaries))
         )
+        self._key_mask = mask_of(key_bits)
+        #: ``(prefix mask, values, labels)`` for the lengths that hold
+        #: an entry, longest first — the masks are computed once and
+        #: empty lengths are never probed.
+        self._tables = tuple(
+            (
+                prefix_mask(length, key_bits),
+                self._values[length - 1],
+                self._labels[length - 1],
+            )
+            for length in range(key_bits, 0, -1)
+            if self._values[length - 1].size
+        )
 
     def _check_key(self, value: int) -> None:
-        if not 0 <= value <= mask_of(self.key_bits):
+        if not 0 <= value <= self._key_mask:
             raise ValueError(f"key {value:#x} wider than {self.key_bits} bits")
 
     def lookup_all(self, value: int) -> tuple[int, ...]:
         self._check_key(value)
         labels = []
-        for length in range(self.key_bits, 0, -1):
-            values = self._values[length - 1]
-            if not values.size:
-                continue
-            candidate = value & prefix_mask(length, self.key_bits)
+        for mask, values, table_labels in self._tables:
+            candidate = value & mask
             slot = int(np.searchsorted(values, np.uint64(candidate)))
             if slot < values.size and int(values[slot]) == candidate:
-                labels.append(int(self._labels[length - 1][slot]))
+                labels.append(int(table_labels[slot]))
         if self._default_label != NO_LABEL:
             labels.append(self._default_label)
         return tuple(labels)
@@ -230,6 +240,11 @@ class FrozenTrie:
             if not int(self._level_child[level][slot]):
                 break
         return consulted
+
+    def descend(self, value: int) -> tuple[tuple[int, ...], int]:
+        """``(lookup_all, consulted_bits)`` in one call — the surface
+        mask-capturing searches use on live and frozen tries alike."""
+        return self.lookup_all(value), self.consulted_bits(value)
 
     def __len__(self) -> int:
         return self._entry_count

@@ -66,9 +66,10 @@ slot still held by an uncollected batch raises.
 **Workers are decode-free** for every submission: the worker attaches
 to the request block's columns in place and classifies through
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, encoding
-its reply straight from the megaflow templates
-(:func:`~repro.runtime.transport.encode_outcomes`) — only rows that
-miss both cache tiers are ever materialised as dicts worker-side.  Dict
+its reply straight from the traversal templates
+(:func:`~repro.runtime.transport.encode_outcomes`) — cache misses walk
+the tables as index arrays, so no row is materialised as a dict
+worker-side.  Dict
 and :class:`~repro.packet.batch.PacketBatch` submissions differ only
 parent-side: a columnar batch skips the columnarisation and assigns
 workers by hashing the shard fields' lanes in one vectorized pass.
@@ -399,9 +400,8 @@ def _serve_shm(
     runner.megaflow_bypass = bypass
     reader = BlockReader(request_blocks.buf(block_name), segments)
     writer = BlockWriter()
-    # Decode-free: classify straight off the block's columns; only rows
-    # that miss both cache tiers are ever materialised as dicts, and
-    # megaflow hits are encoded from their templates.
+    # Decode-free: classify straight off the block's columns; hits and
+    # misses alike are encoded from their traversal templates.
     batch = codec.attach(reader, layout, reader.get(members_key))
     outcomes = runner.classify_columnar(batch)
     result_layout, vocabulary, delta = encode_outcomes(writer, outcomes, index)

@@ -622,25 +622,14 @@ def encode_outcomes(
     """Encode a :class:`~repro.runtime.batch.ColumnarOutcomes` columnar —
     the decode-free worker's reply path.
 
-    Megaflow-hit positions are encoded straight from the cached
-    template (flags, ports, matched refs, actions) with the entry's
-    recorded rewrite ``overrides``; only wave-classified positions
-    (cache misses, whose rows were materialised anyway) diff their
-    ``final_fields`` against the input dict.  Frame lengths come from
-    the batch's ``frame_len`` lane, so a hit never touches a dict at
-    all.
+    Every position — megaflow hit or miss-path walk alike — is encoded
+    straight from its traversal's template (flags, ports, matched refs,
+    actions) with the traversal's rewrite ``overrides``.  Frame lengths
+    come from the batch's ``frame_len`` lane, so no position ever
+    touches a dict.
     """
-    results: list[PipelineResult] = []
-    overrides: list[dict[str, int] | None] = []
-    batch = outcomes.batch
-    for i, hit in enumerate(outcomes.entries):
-        if hit is None:
-            result = outcomes.wave_results[i]
-            results.append(result)
-            overrides.append(_overrides(result.final_fields, batch[i]))
-        else:
-            results.append(hit.template)
-            overrides.append(hit.overrides if hit.overrides else None)
+    results = [replay.template for replay in outcomes.replays]
+    overrides = [replay.overrides or None for replay in outcomes.replays]
 
     n = len(results)
     flags = np.zeros(n, dtype=np.uint8)
@@ -693,19 +682,6 @@ def encode_outcomes(
     _put_ragged(writer, "res/actions", action_rows, np.int32)
     layout = ResultBlockLayout(count=n, overrides=tuple(overrides))
     return layout, list(vocabulary), FlowStatsDelta.from_refs(refs)
-
-
-def _overrides(
-    final_fields: Mapping[str, int], packet: Mapping[str, int]
-) -> dict[str, int] | None:
-    if final_fields == packet:  # the common, rewrite-free case
-        return None
-    get = packet.get
-    return {
-        name: value
-        for name, value in final_fields.items()
-        if get(name) != value
-    }
 
 
 def decode_results(

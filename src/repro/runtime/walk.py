@@ -1,0 +1,492 @@
+"""The columnar miss path: megaflow misses walk the tables as arrays.
+
+:class:`~repro.runtime.batch.BatchPipeline.classify_columnar` hands the
+positions of a :class:`~repro.packet.batch.PacketBatch` that missed the
+megaflow tier to a :class:`ColumnarWalk`.  The positions advance through
+the pipeline in the same forward-only waves as the dict path, but they
+stay **index arrays** throughout; what a wave costs is set by how many
+*distinct* things it meets, not by how many packets:
+
+- a wave's table key is read off the batch's uint64 lanes, with a
+  per-position **override lane** standing in for fields an earlier
+  entry rewrote (``metadata``, Apply-Actions set-fields);
+- each distinct key is probed once — in the table's
+  :class:`~repro.runtime.cache.MicroflowCache` when it has one, the
+  residual in one mask-capturing ``lookup_keys`` call on the table;
+- members are grouped by matched entry: flow stats are credited per
+  group from the ``frame_len`` lane, and the entry's
+  :class:`~repro.openflow.instructions.CompiledStep` moves the group
+  (metadata register, override lanes, next table);
+- every position carries two small integer codes — its *entry path* and
+  its *capture state* (consulted bits so far, fields rewritten so far)
+  — extended per wave over the distinct ``(code, outcome)`` pairs.
+
+When the waves drain, each distinct entry path is replayed **once**
+through the pipeline's own instruction executor into a
+:class:`~repro.runtime.megaflow.Traversal` (so the OpenFlow §5.9
+semantics have a single definition), each distinct capture state
+becomes a mask signature, and the caller installs / materialises from
+the per-position codes.
+
+Tables that expose no keyed lookup (the behavioural
+:class:`~repro.openflow.table.FlowTable` scan, schema-only stand-ins)
+fall back to one scalar ``lookup`` per member on a materialised row —
+they are the oracle, not the fast path.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
+from typing import Any
+
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.openflow.actions import Action, SetFieldAction
+from repro.openflow.flow import FlowEntry
+from repro.openflow.instructions import CompiledStep
+from repro.openflow.match import FieldMaskSink
+from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.packet.batch import IndexArray, PacketBatch, UIntLane
+from repro.runtime.cache import MicroflowCache
+from repro.runtime.megaflow import MaskSig, Traversal
+
+_LANE_MASK = 0xFFFFFFFFFFFFFFFF
+
+class _OverrideLane:
+    """The rewritten values of one header field, per batch position."""
+
+    __slots__ = ("lanes", "written")
+
+    def __init__(self, size: int) -> None:
+        self.lanes: list[UIntLane] = [np.zeros(size, dtype=np.uint64)]
+        self.written: NDArray[np.bool_] = np.zeros(size, dtype=np.bool_)
+
+    def assign(self, positions: IndexArray, value: int | UIntLane) -> None:
+        """Overwrite the field at ``positions`` — a constant (set-field)
+        or one 64-bit value per position (the metadata register)."""
+        if isinstance(value, int):
+            words = [
+                (value >> (64 * k)) & _LANE_MASK
+                for k in range(max(1, (value.bit_length() + 63) // 64))
+            ]
+            while len(self.lanes) < len(words):
+                self.lanes.append(np.zeros_like(self.lanes[0]))
+            for k, lane in enumerate(self.lanes):
+                lane[positions] = np.uint64(words[k] if k < len(words) else 0)
+        else:
+            self.lanes[0][positions] = value
+            for lane in self.lanes[1:]:
+                lane[positions] = np.uint64(0)
+        self.written[positions] = True
+
+
+class ColumnarWalk:
+    """One batch's megaflow misses, walked table by table as arrays.
+
+    After :meth:`run`, position ``missed[j]`` took
+    ``traversals[traversal_codes[j]]`` and — with ``capture`` —
+    consulted ``masks[mask_codes[j]]``; :attr:`waves` counts the
+    table visits the walk made.
+    """
+
+    def __init__(
+        self,
+        pipeline: OpenFlowPipeline,
+        caches: Mapping[int, MicroflowCache],
+        batch: PacketBatch,
+        frame: NDArray[np.int64],
+        capture: bool,
+    ) -> None:
+        self.pipeline = pipeline
+        self.caches = caches
+        self.batch = batch
+        self.frame = frame
+        self.capture = capture
+        size = len(batch)
+        #: Entry-path code per position: an index into ``_paths``, whose
+        #: items are ``(parent code, matched entry)`` — ``None`` marks
+        #: the root (code 0) and a terminal table miss.
+        self._path: IndexArray = np.zeros(size, dtype=np.int64)
+        self._paths: list[tuple[int, FlowEntry | None]] = [(-1, None)]
+        #: Capture-state code per position: an index into ``_captures``,
+        #: whose items are ``(consulted bits per original field, fields
+        #: rewritten so far)``.
+        self._capture: IndexArray = np.zeros(size, dtype=np.int64)
+        self._captures: list[tuple[dict[str, int], frozenset[str]]] = [
+            ({}, frozenset())
+        ]
+        #: The metadata *register* (starts at 0 whatever the packet's
+        #: own ``metadata`` field says, as in ``OpenFlowPipeline.process``).
+        self._register: UIntLane = np.zeros(size, dtype=np.uint64)
+        self._overrides: dict[str, _OverrideLane] = {}
+        self._first_table = pipeline.tables[0].table_id
+        #: Mutation counter of each visited table, read at its wave, and
+        #: the ``table_versions`` tuple of each distinct table sequence
+        #: (shared by every traversal along it).
+        self._versions: dict[int, int] = {}
+        self._route_versions: dict[
+            tuple[int, ...], tuple[tuple[int, int], ...]
+        ] = {}
+        self.waves = 0
+        self.traversals: list[Traversal] = []
+        self.traversal_codes: IndexArray = self._path[:0]
+        self.masks: list[MaskSig] = []
+        self.mask_codes: IndexArray = self._path[:0]
+
+    def run(self, missed: IndexArray) -> None:
+        """Walk ``missed`` (batch positions, ascending) to completion."""
+        #: Positions still in flight, grouped by the table they sit at,
+        #: in arrival order (the dict path's member order).
+        pending: dict[int, list[IndexArray]] = {self._first_table: [missed]}
+        while pending:
+            # Goto-Table is forward-only, so the smallest pending table
+            # id is never re-entered once drained.
+            table_id = min(pending)
+            parts = pending.pop(table_id)
+            self._wave(
+                table_id,
+                parts[0] if len(parts) == 1 else np.concatenate(parts),
+                pending,
+            )
+        finished, self.traversal_codes = np.unique(
+            self._path[missed], return_inverse=True
+        )
+        self.traversals = [self._traversal(code) for code in finished.tolist()]
+        if self.capture:
+            states, codes = np.unique(self._capture[missed], return_inverse=True)
+            signature_code: dict[MaskSig, int] = {}
+            remap = [
+                signature_code.setdefault(
+                    tuple(sorted(self._captures[state][0].items())),
+                    len(signature_code),
+                )
+                for state in states.tolist()
+            ]
+            self.masks = list(signature_code)
+            self.mask_codes = np.asarray(remap, dtype=np.int64)[codes]
+
+    # ------------------------------------------------------------------
+    # one wave
+    # ------------------------------------------------------------------
+
+    def _wave(
+        self,
+        table_id: int,
+        members: IndexArray,
+        pending: dict[int, list[IndexArray]],
+    ) -> None:
+        self.waves += 1
+        table: Any = self.pipeline.table(table_id)
+        self._versions[table_id] = table.version
+        cache = self.caches.get(table_id)
+        keyed = hasattr(table, "lookup_keys")
+        outcomes: Sequence[FlowEntry | None]
+        masks: Sequence[Mapping[str, int] | None]
+        if keyed:
+            keys, key_codes = self._keys(table.field_names, members)
+            if cache is not None:
+                counts = np.bincount(key_codes, minlength=len(keys)).tolist()
+                outcomes, masks = cache.lookup_keys(keys, counts, self.capture)
+            else:
+                outcomes, masks = table.lookup_keys(keys, self.capture)
+        else:
+            outcomes, masks = self._scan_wave(table, cache, members)
+            key_codes = np.arange(len(members), dtype=np.int64)
+
+        # Group the distinct keys — and through them the members — by
+        # matched entry; a table miss takes the code one past the last.
+        entry_code: dict[int, int] = {}
+        entries: list[FlowEntry] = []
+        codes_by_key: list[int] = []
+        for entry in outcomes:
+            if entry is None:
+                codes_by_key.append(-1)
+                continue
+            code = entry_code.get(id(entry))
+            if code is None:
+                code = entry_code[id(entry)] = len(entries)
+                entries.append(entry)
+            codes_by_key.append(code)
+        miss_code = len(entries)
+        entry_codes: IndexArray = np.asarray(codes_by_key, dtype=np.int64)
+        entry_codes[entry_codes < 0] = miss_code
+        entry_codes = entry_codes[key_codes]
+
+        if keyed:  # the fallback's scalar lookups credit their entries
+            packets = np.bincount(entry_codes, minlength=miss_code + 1)
+            # Frame-byte sums per entry; bincount's float64 sums are
+            # exact below 2**53 bytes.
+            octets = np.bincount(
+                entry_codes, weights=self.frame[members], minlength=miss_code + 1
+            )
+            for entry, count, byte_count in zip(
+                entries, packets.tolist(), octets.tolist()
+            ):
+                entry.stats.add(count, int(byte_count))
+
+        steps = [entry.instructions.compiled for entry in entries]
+        self._extend_paths(members, entry_codes, entries, miss_code)
+        if self.capture:
+            self._extend_captures(members, masks, key_codes, steps, entry_codes)
+        self._advance(members, entry_codes, steps, pending)
+
+    def _keys(
+        self, field_names: Sequence[str], members: IndexArray
+    ) -> tuple[list[tuple[int | None, ...]], IndexArray]:
+        """The wave's distinct table keys (first-seen order — the order
+        the dict path resolves and caches them in) and each member's
+        index into them."""
+        rows = self.batch.pick[members]
+        columns = [self._values(name, members, rows) for name in field_names]
+        code_of: dict[tuple[int | None, ...], int] = {}
+        codes = [code_of.setdefault(key, len(code_of)) for key in zip(*columns)]
+        return list(code_of), np.asarray(codes, dtype=np.int64)
+
+    def _values(
+        self, name: str, members: IndexArray, rows: IndexArray
+    ) -> Sequence[int | None]:
+        """One field's current value per member: the batch lane, or the
+        override lane where an earlier entry rewrote the field."""
+        column = self.batch.column(name)
+        override = self._overrides.get(name)
+        if column is None and override is None:
+            return [None] * len(members)
+        lanes: list[UIntLane] = (
+            [] if column is None else [lane[rows] for lane in column.lanes]
+        )
+        present: NDArray[np.bool_] | None = None
+        if column is None:
+            present = np.zeros(len(members), dtype=np.bool_)
+        elif column.present is not None:
+            present = column.present[rows].astype(np.bool_)
+        if override is not None:
+            written = override.written[members]
+            zeros = np.zeros(len(members), dtype=np.uint64)
+            lanes = [
+                np.where(
+                    written,
+                    override.lanes[k][members] if k < len(override.lanes) else zeros,
+                    lanes[k] if k < len(lanes) else zeros,
+                )
+                for k in range(max(len(lanes), len(override.lanes)))
+            ]
+            if present is not None:
+                present = present | written
+        values: list[int] = lanes[0].tolist()
+        for k in range(1, len(lanes)):
+            values = [
+                low | (high << (64 * k))
+                for low, high in zip(values, lanes[k].tolist())
+            ]
+        if present is None or present.all():
+            return values
+        return [
+            value if there else None
+            for value, there in zip(values, present.tolist())
+        ]
+
+    def _scan_wave(
+        self, table: Any, cache: MicroflowCache | None, members: IndexArray
+    ) -> tuple[list[FlowEntry | None], list[Mapping[str, int] | None]]:
+        """The fallback for tables without a keyed lookup: one scalar
+        ``lookup`` per member on its materialised row (plus overrides).
+        The lookup credits the matched entry's flow stats itself."""
+        lookup = table.lookup if cache is None else cache.lookup
+        batch = self.batch
+        outcomes: list[FlowEntry | None] = []
+        masks: list[Mapping[str, int] | None] = []
+        for position, row in zip(members.tolist(), batch.pick[members].tolist()):
+            fields = batch.row_fields(row)
+            rewritten = {
+                name: sum(
+                    int(lane[position]) << (64 * k)
+                    for k, lane in enumerate(override.lanes)
+                )
+                for name, override in self._overrides.items()
+                if override.written[position]
+            }
+            if rewritten:
+                fields = {**fields, **rewritten}
+            if self.capture:
+                sink = FieldMaskSink()
+                outcomes.append(lookup(fields, mask=sink))
+                masks.append(sink.fields)
+            else:
+                outcomes.append(lookup(fields))
+                masks.append(None)
+        return outcomes, masks
+
+    def _extend_paths(
+        self,
+        members: IndexArray,
+        entry_codes: IndexArray,
+        entries: Sequence[FlowEntry],
+        miss_code: int,
+    ) -> None:
+        """Give every distinct ``(path so far, outcome)`` pair of the
+        wave a new path code and move the members onto it."""
+        width = miss_code + 1
+        pairs, inverse = np.unique(
+            self._path[members] * width + entry_codes, return_inverse=True
+        )
+        base = len(self._paths)
+        for pair in pairs.tolist():
+            parent, code = divmod(pair, width)
+            self._paths.append(
+                (parent, entries[code] if code < miss_code else None)
+            )
+        self._path[members] = base + inverse
+
+    def _extend_captures(
+        self,
+        members: IndexArray,
+        key_masks: Sequence[Mapping[str, int] | None],
+        key_codes: IndexArray,
+        steps: Sequence[CompiledStep],
+        entry_codes: IndexArray,
+    ) -> None:
+        """Fold the wave's consulted masks into the members' capture
+        states: bits of fields rewritten *before* this lookup describe
+        derived values and add nothing over the original packet; the
+        matched entry's own rewrites count from the next table on."""
+        # Intern the masks by content; keys resolved together share mask
+        # objects, so most are recognised by identity first.
+        mask_code: dict[tuple[tuple[str, int], ...], int] = {}
+        code_by_id: dict[int, int] = {}
+        mask_codes: list[int] = []
+        for mask in key_masks:
+            code = code_by_id.get(id(mask))
+            if code is None:
+                code = code_by_id[id(mask)] = mask_code.setdefault(
+                    tuple((mask or {}).items()), len(mask_code)
+                )
+            mask_codes.append(code)
+        masks = list(mask_code)
+        # Likewise the rewrite sets, one per matched entry; table-miss
+        # members (the trailing code) rewrite nothing.
+        written_code: dict[tuple[str, ...], int] = {}
+        written_codes = [
+            written_code.setdefault(step.written, len(written_code))
+            for step in steps
+        ]
+        written_codes.append(written_code.setdefault((), len(written_code)))
+        rewrites = list(written_code)
+        triples, inverse = np.unique(
+            (
+                self._capture[members] * len(masks)
+                + np.asarray(mask_codes, dtype=np.int64)[key_codes]
+            )
+            * len(rewrites)
+            + np.asarray(written_codes, dtype=np.int64)[entry_codes],
+            return_inverse=True,
+        )
+        base = len(self._captures)
+        for triple in triples.tolist():
+            rest, rewrite = divmod(triple, len(rewrites))
+            state, mask = divmod(rest, len(masks))
+            consulted, rewritten = self._captures[state]
+            merged = dict(consulted)
+            for name, bits in masks[mask]:
+                if bits and name not in rewritten:
+                    merged[name] = merged.get(name, 0) | bits
+            self._captures.append((merged, rewritten.union(rewrites[rewrite])))
+        self._capture[members] = base + inverse
+
+    def _advance(
+        self,
+        members: IndexArray,
+        entry_codes: IndexArray,
+        steps: Sequence[CompiledStep],
+        pending: dict[int, list[IndexArray]],
+    ) -> None:
+        """Apply each matched entry's compiled step to its members, in
+        §5.9 order: Apply-Actions set-fields, Write-Metadata, Goto."""
+        # One row per matched entry plus a trailing identity row that
+        # table-miss members index: nothing written, no next table.
+        goto = [-1] * (len(steps) + 1)
+        writers: list[tuple[int, tuple[int, int]]] = []
+        for code, step in enumerate(steps):
+            for action in step.apply:
+                if isinstance(action, SetFieldAction):
+                    self._override(action.field_name).assign(
+                        members[entry_codes == code], action.value
+                    )
+            if step.metadata is not None:
+                writers.append((code, step.metadata))
+            if step.goto is not None:
+                goto[code] = step.goto
+        if writers:
+            keep = np.full(len(steps) + 1, _LANE_MASK, dtype=np.uint64)
+            value = np.zeros(len(steps) + 1, dtype=np.uint64)
+            writes = np.zeros(len(steps) + 1, dtype=np.bool_)
+            for code, (kept, written) in writers:
+                keep[code], value[code], writes[code] = kept, written, True
+            writing = writes[entry_codes]
+            positions, codes = members[writing], entry_codes[writing]
+            register = (self._register[positions] & keep[codes]) | value[codes]
+            self._register[positions] = register
+            self._override("metadata").assign(positions, register)
+        onward = np.asarray(goto, dtype=np.int64)[entry_codes]
+        for table_id in sorted(set(goto) - {-1}):
+            pending.setdefault(table_id, []).append(members[onward == table_id])
+
+    def _override(self, name: str) -> _OverrideLane:
+        lane = self._overrides.get(name)
+        if lane is None:
+            lane = self._overrides[name] = _OverrideLane(len(self.batch))
+        return lane
+
+    # ------------------------------------------------------------------
+    # after the waves
+    # ------------------------------------------------------------------
+
+    def _traversal(self, code: int) -> Traversal:
+        """Replay one distinct entry path through the pipeline's own
+        executor.  The template starts from *empty* fields, so what the
+        replay leaves in ``final_fields`` is exactly the rewrites —
+        the traversal's overrides."""
+        pipeline = self.pipeline
+        parent, entry = self._paths[code]
+        missed = entry is None
+        if missed:
+            code = parent
+        matched: list[FlowEntry] = []
+        while code:
+            code, entry = self._paths[code]
+            assert entry is not None
+            matched.append(entry)
+        matched.reverse()
+        # Direct construction, as in ``replay_template``: one of these
+        # per distinct path is the walk's hottest allocation.
+        template = PipelineResult.__new__(PipelineResult)
+        template.matched_entries = matched
+        template.applied_actions = []
+        template.output_ports = []
+        template.sent_to_controller = False
+        template.dropped = False
+        template.metadata = 0
+        visited: list[int] = []
+        template.tables_visited = visited
+        template.final_fields = {}
+        action_set: list[Action] = []
+        table_id: int | None = self._first_table
+        for entry in matched:
+            assert table_id is not None
+            visited.append(table_id)
+            table_id = pipeline._execute_instructions(entry, action_set, template)
+        if missed:
+            assert table_id is not None
+            visited.append(table_id)
+            pipeline._handle_miss(template)
+        else:
+            pipeline._execute_action_set(action_set, template)
+            if not template.output_ports and not template.sent_to_controller:
+                template.dropped = True
+        route = tuple(visited)
+        versions = self._route_versions.get(route)
+        if versions is None:
+            versions = self._route_versions[route] = tuple(
+                (stop, self._versions[stop]) for stop in route
+            )
+        return Traversal(template, template.final_fields, versions)

@@ -193,6 +193,35 @@ class TestMultibitVsBinary:
             s.records for s in reference.level_stats()
         ]
 
+    @settings(max_examples=150)
+    @given(prefix_lists, st.data())
+    def test_descend_is_lookup_all_plus_consulted_bits(self, entries, data):
+        """One walk down the levels answers both questions — across
+        churn, so the per-length bookkeeping ``lookup_all`` skips empty
+        lengths by is exercised through removals and re-inserts."""
+        binary, multibit = build_both(entries)
+        for doomed in data.draw(
+            st.lists(st.sampled_from(entries), max_size=8, unique=True)
+            if entries
+            else st.just([])
+        ):
+            assert multibit.remove(*doomed)
+            binary = BinaryTrie(key_bits=16)
+            for (value, length), label in multibit._entries.items():
+                binary.insert(value, length, label)
+        stored = sorted({length for _, length in multibit._entries if length})
+        assert sorted(multibit._lengths) == stored
+        for key in data.draw(st.lists(keys, min_size=1, max_size=8)):
+            labels, consulted = multibit.descend(key)
+            assert labels == multibit.lookup_all(key) == binary.lookup_all(key)
+            assert consulted == multibit.consulted_bits(key)
+            # The consulted-bits contract: agreeing on the consulted
+            # top bits pins the whole answer.
+            twin = key ^ data.draw(
+                st.integers(0, mask_of(16 - consulted))
+            )
+            assert multibit.descend(twin) == (labels, consulted)
+
     def test_remove_missing_returns_false(self):
         assert not MultibitTrie().remove(0x0A00, 8)
 

@@ -12,13 +12,36 @@ def probe_rows(self, lanes, present, hits):
 
 
 def classify_columnar(pipeline, batch, misses):
-    # The miss path may materialise *individual* rows...
-    for row in misses:
-        pipeline.resolve(batch.fields_at(row))
-    return misses
+    # Megaflow misses stay index arrays: keys come off the lanes.
+    lanes, _ = batch.column("in_port")
+    return pipeline.walk(lanes[0][batch.pick[misses]])
+
+
+def install_batch(self, batch, positions, mask):
+    packed = batch.masked_packed_keys(mask)
+    return [packed[row] for row in batch.pick[positions].tolist()]
+
+
+def _scan_wave(self, table, members):
+    # The scalar fallback for schema-less tables is not a hot tier: it
+    # may materialise the rows it hands to ``table.lookup``.
+    return [table.lookup(self.batch.row_fields(row)) for row in members]
+
+
+def results(self):
+    # Materialising results is the caller's choice, made after the walk.
+    return [
+        PipelineResult(final_fields=dict(self.batch.fields_at(i)))
+        for i in range(len(self.batch))
+    ]
 
 
 def cold_path_report(codec, payload, batch):
     # ...and outside the hot tiers, decode/dicts are fair game.
     decoded = codec.decode(payload)
     return decoded, batch.dicts()
+
+
+class PipelineResult:
+    def __init__(self, final_fields):
+        self.final_fields = final_fields

@@ -15,9 +15,23 @@ def probe_rows(self, batch, rows, results):
     return results
 
 
-def classify_columnar(pipeline, codec, payload):
+def classify_columnar(pipeline, codec, payload, misses):
     batch = codec.decode(payload)  # bulk decode on the fast path
+    for position in misses:
+        pipeline.resolve(batch.fields_at(position))  # a dict per miss
     return pipeline.run(batch)
+
+
+def _wave(self, table, members):
+    # The miss path walks index arrays: no row dict, no result per row.
+    return [
+        PipelineResult(final_fields=self.batch.row_fields(row))
+        for row in members
+    ]
+
+
+def install_batch(self, batch, positions):
+    return [self.install(batch.fields_at(i)) for i in positions]
 
 
 class PipelineResult:

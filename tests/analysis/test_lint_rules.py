@@ -139,3 +139,24 @@ class TestRuleDetails:
             "cold.py",
         )
         assert not findings
+
+    def test_single_rows_fire_only_in_the_lane_only_tier(self):
+        """``fields_at`` / ``row_fields`` are what the probe tier's miss
+        branch may still use, and what the columnar classify entry
+        point, the wave functions and ``install_batch`` may not."""
+        template = (
+            "def {name}(self, batch, rows):\n"
+            "    return [batch.row_fields(row) for row in rows]\n"
+        )
+        for name, fires in (
+            ("lookup_batch_columnar", False),
+            ("encode_outcomes", False),
+            ("_scan_wave", False),
+            ("classify_columnar", True),
+            ("_wave", True),
+            ("_advance", True),
+            ("install_batch", True),
+        ):
+            findings = check_source(template.format(name=name), f"{name}.py")
+            assert bool(findings) is fires, name
+            assert all(f.rule == "hot-path-purity" for f in findings)

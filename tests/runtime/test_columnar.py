@@ -6,28 +6,46 @@ of every key (value 0 != field absent), ``frame_len`` can never enter a
 key or mask, and both vectorized tiers stay bitwise-identical to their
 dict paths — plus a small microbenchmark pinning the vectorized hash
 against the per-packet tuple build.
+
+``TestMissPathCostShape`` pins what a megaflow *miss* may cost on the
+columnar path with call-counting spies (no timing): no scalar table
+lookups, no row dicts, no per-packet installs, at most one engine probe
+per distinct ``(partition, key)`` pair per wave, and nothing at all for
+a batch the wildcard tier answers whole.
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.builder import build_lookup_table
+from repro.core.builder import build_lookup_table, build_prototype
 from repro.core.architecture import MultiTableLookupArchitecture
+from repro.core.field_engine import PartitionEngine, TriePartitionEngine
+from repro.core.lookup_table import OpenFlowLookupTable
+from repro.openflow.actions import OutputAction
+from repro.openflow.flow import FlowEntry
+from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
+from repro.openflow.match import ExactMatch, Match, PrefixMatch
 from repro.packet.batch import PacketBatch
+from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime import (
     BatchPipeline,
     MicroflowCache,
+    PipelineSpec,
     run_workload,
     uniform_wide_workload,
     widen_rule_set,
     zipf_workload,
 )
+from repro.runtime.megaflow import MegaflowCache
+from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 from repro.runtime.scenarios import columnar_workload
+from repro.runtime.walk import ColumnarWalk
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +458,327 @@ class TestColumnarMegaflow:
         table.add(entry)
         runner.process_batch(PacketBatch.from_dicts(trace[200:]))
         assert runner.megaflow.invalidated > invalidated_before
+
+
+# ----------------------------------------------------------------------
+# the columnar miss path: cost shape, by spies
+# ----------------------------------------------------------------------
+
+
+def _prototype(seed=11):
+    """A small instance of the paper's four-table prototype plus a
+    seeded trace of (MAC rule x Routing rule) flows over it."""
+    from repro.filters.paper_data import MacFilterStats, RoutingFilterStats
+    from repro.filters.synthetic import generate_mac_set, generate_routing_set
+
+    macs = generate_mac_set(MacFilterStats("shape", 40, 3, 4, 20, 40), seed=seed)
+    routes = generate_routing_set(
+        RoutingFilterStats("shape", 120, 8, 24, 60), seed=seed
+    )
+    arch = build_prototype(macs, routes)
+    generator = PacketGenerator(TraceConfig(seed=seed))
+    mac_pool = generator.flow_pool(
+        [rule.to_match() for rule in macs.rules], macs.field_names
+    )
+    route_pool = generator.flow_pool(
+        [rule.to_match() for rule in routes.rules], routes.field_names
+    )
+    rng = np.random.default_rng(seed)
+    flows = [
+        {
+            **mac_pool[int(m)],
+            **route_pool[int(r)],
+            FRAME_LEN_FIELD: 64 + int(m),
+        }
+        for m, r in zip(
+            rng.integers(0, len(mac_pool), 96),
+            rng.integers(0, len(route_pool), 96),
+        )
+    ]
+    trace = [flows[int(i)] for i in rng.integers(0, len(flows), 600)]
+    return arch, trace
+
+
+class _Spy:
+    """Count calls to ``owner.name`` while the patch is active."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+class TestMissPathCostShape:
+    def test_misses_stay_on_the_lanes(self, monkeypatch):
+        """A seeded four-table trace through ``classify_columnar``:
+        zero scalar table lookups, zero materialised rows, zero
+        per-packet installs — and every miss is still installed."""
+        arch, trace = _prototype()
+        runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=48)
+        batch = PacketBatch.from_columns(
+            *_columns_only(PacketBatch.from_dicts(trace))
+        )
+        spies = {
+            name: _Spy(monkeypatch, owner, name)
+            for owner, name in (
+                (OpenFlowLookupTable, "lookup"),
+                (OpenFlowLookupTable, "search"),
+                (OpenFlowLookupTable, "lookup_batch"),
+                (PacketBatch, "fields_at"),
+                (PacketBatch, "row_fields"),
+                (MegaflowCache, "install"),
+            )
+        }
+        for start in range(0, len(batch), 100):
+            runner.classify_columnar(batch[start : start + 100])
+        assert {name: spy.calls for name, spy in spies.items()} == dict.fromkeys(
+            spies, 0
+        )
+        stats = runner.stats_snapshot()
+        assert stats.megaflow_misses > 100  # the walk really ran
+        assert runner.megaflow.installs == stats.megaflow_misses
+        assert stats.waves == 4 * stats.batches
+
+    def test_engine_probes_bounded_by_distinct_partition_keys(self, monkeypatch):
+        """Per wave, no engine is asked about the same key twice: probes
+        never exceed the distinct ``(partition, key)`` pairs of the one
+        ``search_keys`` call the wave makes."""
+        arch, trace = _prototype()
+        runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=48)
+        probes = [0]
+        for engine_class in (PartitionEngine, TriePartitionEngine):
+            original = engine_class.probe
+
+            def counted(self, key, _original=original):
+                probes[0] += 1
+                return _original(self, key)
+
+            monkeypatch.setattr(engine_class, "probe", counted)
+        waves: list[tuple[int, int]] = []
+        search_keys = OpenFlowLookupTable.search_keys
+
+        def audited(self, key_rows, capture=False):
+            before = probes[0]
+            found = search_keys(self, key_rows, capture)
+            distinct = sum(len(set(column)) for column in zip(*key_rows))
+            waves.append((probes[0] - before, distinct))
+            return found
+
+        monkeypatch.setattr(OpenFlowLookupTable, "search_keys", audited)
+        batch = PacketBatch.from_dicts(trace)
+        for start in range(0, len(batch), 100):
+            runner.classify_columnar(batch[start : start + 100])
+        assert waves and all(made <= distinct for made, distinct in waves)
+        assert sum(made for made, _ in waves) > 0
+        # One search per (batch, table) at most: the residual of a wave
+        # goes to the table in a single call.
+        assert len(waves) <= runner.stats_snapshot().waves
+
+    def test_all_hit_batch_never_enters_the_miss_path(self, monkeypatch):
+        """``hot``'s floor: a batch the megaflow tier answers whole
+        returns before any miss-path state exists."""
+        arch, trace = _prototype()
+        runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=4096)
+        batch = PacketBatch.from_dicts(trace)
+        runner.classify_columnar(batch)  # installs every aggregate
+        built = _Spy(monkeypatch, ColumnarWalk, "__init__")
+        installs = runner.megaflow.installs
+        outcomes = runner.classify_columnar(batch)
+        assert built.calls == 0
+        assert runner.megaflow.installs == installs
+        assert runner.megaflow.misses == installs  # only the first pass missed
+        assert len(outcomes.results()) == len(batch)
+
+    def test_bypass_runs_the_same_walk_without_capture(self, monkeypatch):
+        """Megaflow off or bypassed: the same path, no capture, no
+        install — and the same answers."""
+        arch, trace = _prototype()
+        expected = BatchPipeline(arch, cache_capacity=None).process_batch(trace)
+        captures: list[bool] = []
+        run = ColumnarWalk.run
+
+        def audited(self, missed):
+            captures.append(self.capture)
+            return run(self, missed)
+
+        monkeypatch.setattr(ColumnarWalk, "run", audited)
+        for megaflow_capacity in (None, 48):
+            runner = BatchPipeline(
+                arch, cache_capacity=64, megaflow_capacity=megaflow_capacity
+            )
+            runner.megaflow_bypass = True
+            captures.clear()
+            got = runner.process_batch(PacketBatch.from_dicts(trace))
+            assert got == expected
+            assert captures == [False]
+            if runner.megaflow is not None:
+                assert runner.megaflow.installs == 0
+                assert runner.megaflow.hits + runner.megaflow.misses == 0
+
+    def test_metadata_register_feeds_later_keys(self):
+        """The override lane carries the *register* — partial-mask
+        Write-Metadata composes across tables, and a packet's own
+        ``metadata`` field is only what table 0 matches on."""
+        tables = [
+            OpenFlowLookupTable(("metadata", "in_port"), table_id=0),
+            OpenFlowLookupTable(("metadata",), table_id=1),
+            OpenFlowLookupTable(("metadata",), table_id=2),
+        ]
+
+        def entry(match, priority, *instructions):
+            return FlowEntry.build(
+                match=Match(match), priority=priority, instructions=instructions
+            )
+
+        label = lambda value: ExactMatch(value=value, bits=64)  # noqa: E731
+        tables[0].add(
+            entry({"metadata": label(5)}, 2, WriteMetadata(2, mask=3), GotoTable(1))
+        )
+        tables[0].add(entry({}, 0, GotoTable(1)))
+        tables[1].add(
+            entry({"metadata": label(2)}, 1, WriteMetadata(1, mask=1), GotoTable(2))
+        )
+        tables[1].add(entry({"metadata": label(7)}, 1, GotoTable(2)))
+        tables[2].add(
+            entry({"metadata": label(3)}, 1, WriteActions([OutputAction(33)]))
+        )
+        tables[2].add(
+            entry({"metadata": label(7)}, 1, WriteActions([OutputAction(77)]))
+        )
+        arch = MultiTableLookupArchitecture(tables)
+        packets = [
+            {"metadata": 5, "in_port": 1, FRAME_LEN_FIELD: 64},  # 5 -> 2 -> 3
+            {"metadata": 7, "in_port": 1, FRAME_LEN_FIELD: 64},  # rides along
+            {"in_port": 1, FRAME_LEN_FIELD: 64},  # no metadata: misses table 1
+            {"metadata": 5, "in_port": 2, FRAME_LEN_FIELD: 64},
+        ]
+        runner = BatchPipeline(arch, cache_capacity=8, megaflow_capacity=8)
+        got = runner.process_batch(PacketBatch.from_dicts(packets))
+        assert [result.output_ports for result in got] == [
+            [33],
+            [77],
+            [0xFFFFFFFD],
+            [33],
+        ]
+        assert [result.metadata for result in got] == [3, 0, 0, 3]
+        assert got == [arch.process(fields) for fields in packets]
+
+
+def _columns_only(batch: PacketBatch):
+    """The batch's raw columns — as the shm attach path builds it, with
+    no row-dict cache behind it."""
+    return (
+        batch.rows,
+        {name: batch.column(name) for name in batch.field_names()},
+        batch.pick,
+    )
+
+
+class TestBatchedCapture:
+    """``lookup_keys(capture=True)`` against the scalar definitions, on
+    a live table and its sealed twin."""
+
+    SCHEMA = ("in_port", "ipv4_dst", "ipv4_src", "tcp_dst")
+
+    def tables(self):
+        live = OpenFlowLookupTable(self.SCHEMA, table_id=0)
+        for index, (length, port) in enumerate(
+            [(8, 1), (16, 1), (24, 2), (32, 3), (12, 2), (20, 1)]
+        ):
+            value = (0x0A0B0C0D >> (32 - length)) << (32 - length)
+            live.add(
+                FlowEntry.build(
+                    match=Match(
+                        {
+                            "in_port": ExactMatch(value=port, bits=32),
+                            "ipv4_dst": PrefixMatch(value=value, length=length, bits=32),
+                            # a default-route-only trie pair: /0 canonicalises
+                            # away, so ipv4_src's tries stay completely empty
+                            # while its schema slot is still probed
+                            "ipv4_src": PrefixMatch(value=0, length=0, bits=32),
+                        }
+                    ),
+                    priority=index,
+                    instructions=[WriteActions([OutputAction(index)])],
+                )
+            )
+        # tcp_dst: in the schema, matched by no rule — an empty engine.
+        arch = MultiTableLookupArchitecture([live])
+        state = SharedRuleState.seal(arch, PipelineSpec.snapshot(arch))
+        frozen = state.spec.build().tables[0]
+        assert isinstance(frozen, FrozenLookupTable)
+        return live, frozen, state
+
+    def keys(self):
+        rng = np.random.default_rng(5)
+        keys = [
+            (1, 0x0A0B0C0D, 7, 80),
+            (1, 0x0A0B0C0D, None, 80),
+            (None, 0x0A0B0000, 7, None),
+            (2, None, None, None),
+            (None, None, None, None),
+        ]
+        for _ in range(200):
+            key = [
+                int(rng.integers(0, 4)),
+                int(rng.integers(0, 1 << 32))
+                if rng.random() < 0.5
+                else 0x0A0B0C0D ^ int(rng.integers(0, 1 << int(rng.integers(1, 24)))),
+                int(rng.integers(0, 1 << 32)),
+                int(rng.integers(0, 1 << 16)),
+            ]
+            for slot in range(4):
+                if rng.random() < 0.15:
+                    key[slot] = None
+            keys.append(tuple(key))
+        return keys
+
+    @pytest.mark.skipif(
+        not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
+    )
+    def test_capture_equals_scalar_consulted_mask(self):
+        live, frozen, state = self.tables()
+        try:
+            keys = self.keys() * 2  # duplicates share one resolution
+            for table in (live, frozen):
+                entries, masks = table.lookup_keys(keys, capture=True)
+                bare, no_masks = table.lookup_keys(keys)
+                assert bare == entries and no_masks == [None] * len(keys)
+                for key, entry, mask in zip(keys, entries, masks):
+                    fields = {
+                        name: value
+                        for name, value in zip(self.SCHEMA, key)
+                        if value is not None
+                    }
+                    assert mask == table.consulted_mask(fields), key
+                    found = table.search(fields).entry
+                    assert entry is (None if found is None else found.flow_entry)
+            # and the twin agrees with the table it was sealed from
+            live_entries, live_masks = live.lookup_keys(keys, capture=True)
+            frozen_entries, frozen_masks = frozen.lookup_keys(keys, capture=True)
+            assert live_masks == frozen_masks
+            assert [e and (e.match, e.priority) for e in live_entries] == [
+                e and (e.match, e.priority) for e in frozen_entries
+            ]
+        finally:
+            del frozen
+            state.close()
+
+    def test_default_route_only_trie_consults_nothing(self):
+        table = OpenFlowLookupTable(("ipv4_dst",), table_id=0)
+        engine = table._flat_engines[0]
+        assert isinstance(engine, TriePartitionEngine)
+        engine.insert_entry((0, 0))  # the /0 entry, and nothing else
+        for key in (0, 0xFFFF, None):
+            labels, bits = engine.probe(key)
+            assert labels == engine.search(key)
+            assert bits == engine.consulted_mask(key)
+        assert engine.probe(0x1234) == ((1,), 0)
 
 
 # ----------------------------------------------------------------------

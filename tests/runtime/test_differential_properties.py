@@ -53,16 +53,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.architecture import MultiTableLookupArchitecture
-from repro.core.builder import build_lookup_table
+from repro.core.builder import build_lookup_table, build_prototype
 from repro.core.lookup_table import OpenFlowLookupTable
-from repro.filters.paper_data import RoutingFilterStats
-from repro.filters.synthetic import generate_routing_set
+from repro.filters.paper_data import MacFilterStats, RoutingFilterStats
+from repro.filters.synthetic import generate_mac_set, generate_routing_set
 from repro.openflow.actions import OutputAction, SetFieldAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import (
     ApplyActions,
+    ClearActions,
     GotoTable,
     WriteActions,
+    WriteMetadata,
 )
 from repro.openflow.match import ExactMatch, Match, PrefixMatch, RangeMatch
 from repro.openflow.pipeline import OpenFlowPipeline
@@ -226,9 +228,13 @@ class Replayer:
     comparable afterwards.
     """
 
+    #: Rule spec -> ``(table_id, FlowEntry)``; subclasses swap the rule
+    #: vocabulary without touching the event machinery.
+    build_entry = staticmethod(_build_entry)
+
     def __init__(self, example, make_tables, runner_factory=None, columnar=False):
         self.columnar = columnar
-        self.entries = [_build_entry(spec) for spec in example["rules"]]
+        self.entries = [self.build_entry(spec) for spec in example["rules"]]
         tables = make_tables()
         self.tables = {t.table_id: t for t in tables}
         for pick in example["initial"]:
@@ -515,6 +521,435 @@ def test_all_paths_equivalent(example):
     finally:
         for replayer in replayers.values():
             replayer.close()
+
+
+# ----------------------------------------------------------------------
+# The columnar miss path: multi-table misses, three ways
+# ----------------------------------------------------------------------
+#
+# ``PacketBatch`` input walks megaflow misses as index arrays
+# (``repro.runtime.walk``); dict input walks them packet by packet
+# (``BatchPipeline._run_waves``); the ``FlowTable`` scan is the spec.
+# The rule vocabulary here is the one the single-schema harness above
+# cannot reach: three tables with *different* schemas chained by
+# forward Goto-Table, a ``metadata`` register written by one table and
+# matched by the next (with partial masks), Apply-Actions set-fields on
+# a field a later table matches (the override lane), Clear-Actions
+# ahead of Write-Actions, Write-Actions set-fields (rewrites that must
+# *not* reach a later lookup), and table-miss entries.
+
+_MISS_SCHEMAS = {
+    0: ("in_port", "vlan_vid"),
+    1: ("metadata", "eth_type", "ipv4_dst"),
+    2: ("metadata", "vlan_vid", "tcp_dst"),
+}
+#: Header fields a trace packet may carry (``metadata`` rides along only
+#: when the example says so: the register still starts at zero).
+_MISS_FIELDS = ("in_port", "vlan_vid", "eth_type", "ipv4_dst", "tcp_dst")
+
+_miss_field_spec = {
+    "in_port": st.tuples(st.just("exact"), _ports),
+    "vlan_vid": st.tuples(st.just("vlan"), st.integers(1, 3)),
+    "metadata": st.tuples(st.just("label"), st.integers(1, 3)),
+    "eth_type": _field_spec["eth_type"],
+    "ipv4_dst": _prefix_spec(),
+    "tcp_dst": _field_spec["tcp_dst"],
+}
+
+
+def _miss_rule_spec(table_id):
+    schema = _MISS_SCHEMAS[table_id]
+    later = [t for t in _MISS_SCHEMAS if t > table_id]
+    return st.tuples(
+        st.just(table_id),
+        st.lists(
+            st.sampled_from(schema), unique=True, min_size=0, max_size=2
+        ).flatmap(
+            lambda names: st.tuples(
+                *[
+                    st.tuples(st.just(name), _miss_field_spec[name])
+                    for name in names
+                ]
+            )
+        ),
+        st.integers(0, 2),  # priority; 0 + empty match = table-miss entry
+        st.sampled_from((None, "vlan_vid", "eth_type")),  # apply set-field
+        st.booleans(),  # clear-actions
+        st.sampled_from((None, "output", "set-vlan", "both")),  # write-actions
+        st.sampled_from((None, (1, 3), (2, 3), (3, 1), (0, 2))),  # metadata
+        st.sampled_from([None, *later]),  # goto
+        st.integers(1, 200),  # output port
+        st.integers(0, 3),  # idle timeout
+        st.integers(0, 3),  # hard timeout
+    )
+
+
+_miss_example = st.fixed_dictionaries(
+    {
+        "rules": st.lists(
+            st.one_of(*[_miss_rule_spec(t) for t in _MISS_SCHEMAS]),
+            min_size=2,
+            max_size=10,
+        ),
+        "initial": st.lists(st.integers(0, 9), min_size=2, max_size=10),
+        "events": st.lists(
+            st.one_of(
+                st.tuples(st.just("burst"), st.integers(1, 3)),
+                st.tuples(st.just("add"), st.integers(0, 9)),
+                st.tuples(st.just("remove"), st.integers(0, 9)),
+                st.tuples(st.just("advance"), st.integers(1, 3)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        "packets": st.lists(
+            st.tuples(
+                st.sampled_from(("rule", "random")),
+                st.integers(0, 9),  # rule index (mod len) / drop-field pick
+                st.booleans(),  # drop one field from the packet
+                st.sampled_from((None, None, 1, 2)),  # packet-borne metadata
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        "dup_picks": st.lists(st.integers(0, 11), min_size=4, max_size=30),
+        "megaflow_capacity": st.sampled_from((3, 8, 64)),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+def _build_miss_predicate(spec):
+    if spec[0] == "vlan":
+        return ExactMatch(value=spec[1], bits=13)
+    if spec[0] == "label":
+        return ExactMatch(value=spec[1], bits=64)
+    return _build_predicate(spec)
+
+
+def _build_miss_entry(rule_spec) -> tuple[int, FlowEntry]:
+    (table_id, field_specs, priority, applied, clear, written, metadata,
+     goto, port, idle, hard) = rule_spec
+    instructions = []
+    if applied == "vlan_vid":
+        instructions.append(ApplyActions([SetFieldAction("vlan_vid", 2)]))
+    elif applied == "eth_type":
+        instructions.append(
+            ApplyActions([SetFieldAction("eth_type", 0x0806), OutputAction(port + 1)])
+        )
+    if clear:
+        instructions.append(ClearActions())
+    actions = []
+    if written in ("set-vlan", "both"):
+        actions.append(SetFieldAction("vlan_vid", 3))
+    if written in ("output", "both"):
+        actions.append(OutputAction(port))
+    if actions:
+        instructions.append(WriteActions(actions))
+    if metadata is not None:
+        instructions.append(WriteMetadata(value=metadata[0] & metadata[1], mask=metadata[1]))
+    if goto is not None:
+        instructions.append(GotoTable(goto))
+    return table_id, FlowEntry.build(
+        match=Match(
+            {name: _build_miss_predicate(spec) for name, spec in field_specs}
+        ),
+        priority=priority,
+        instructions=instructions,
+        idle_timeout=idle,
+        hard_timeout=hard,
+    )
+
+
+class MissReplayer(Replayer):
+    build_entry = staticmethod(_build_miss_entry)
+
+
+def _build_miss_trace(example) -> list[dict[str, int]]:
+    generator = PacketGenerator(TraceConfig(seed=example["seed"]))
+    pool: list[dict[str, int]] = []
+    rules = example["rules"]
+    for index, (kind, pick, drop, metadata) in enumerate(example["packets"]):
+        if kind == "rule":
+            match = _build_miss_entry(rules[pick % len(rules)])[1].match
+            fields = generator.fields_matching(
+                {n: p for n, p in match.items() if n != "metadata"},
+                fill_fields=_MISS_FIELDS,
+            )
+        else:
+            fields = generator.random_fields(_MISS_FIELDS)
+        fields["vlan_vid"] &= 3  # keep the tiny VLAN space hit-prone
+        if drop:
+            fields.pop(_MISS_FIELDS[pick % len(_MISS_FIELDS)], None)
+        if metadata is not None:
+            fields["metadata"] = metadata
+        fields[FRAME_LEN_FIELD] = 64 + 97 * index
+        pool.append(fields)
+    return [pool[pick % len(pool)] for pick in example["dup_picks"]]
+
+
+def _miss_lookup_tables():
+    return [
+        OpenFlowLookupTable(schema, table_id=table_id)
+        for table_id, schema in _MISS_SCHEMAS.items()
+    ]
+
+
+def _miss_flow_tables():
+    return [FlowTable(table_id=table_id) for table_id in _MISS_SCHEMAS]
+
+
+def _megaflow_state(runner):
+    """Everything observable about the wildcard tier: the aggregates,
+    their recency order, and the counters."""
+    cache = runner.megaflow
+    aggregates = {
+        (
+            entry.mask,
+            entry.key,
+            tuple(sorted(entry.overrides.items())),
+            entry.table_versions,
+        )
+        for entry in cache._lru.values()
+    }
+    assert len(aggregates) == len(cache)
+    counters = {
+        name: getattr(cache, name)
+        for name in ("hits", "misses", "installs", "evicted", "invalidated")
+    }
+    return aggregates, list(cache._lru), counters
+
+
+def _assert_miss_paths_agree(replayers, trace_len):
+    reference = replayers["scan"]
+    assert len(reference.results) == trace_len
+    for name, replayer in replayers.items():
+        if name == "scan":
+            continue
+        assert len(replayer.results) == trace_len
+        for i, (got, expected) in enumerate(
+            zip(replayer.results, reference.results)
+        ):
+            assert_same_result(got, expected, f"{name} packet {i}")
+        assert replayer.flow_counts() == reference.flow_counts(), (
+            f"{name}: per-entry flow stats diverge from the scan path"
+        )
+        assert replayer.removed_events() == reference.removed_events(), (
+            f"{name}: flow-removed ledger diverges from the scan path"
+        )
+    # The dict wave loop is the columnar walk's in-repo reference: the
+    # wildcard tier must end in the *same state*, not merely a sound one.
+    dict_state = _megaflow_state(replayers["dict"].runner)
+    for name in ("columnar", "columnar-scan"):
+        if name not in replayers:
+            continue
+        against = (
+            dict_state
+            if name == "columnar"
+            else _megaflow_state(replayers["dict-scan"].runner)
+        )
+        aggregates, recency, counters = _megaflow_state(replayers[name].runner)
+        assert counters == against[2], f"{name}: megaflow counters diverge"
+        assert aggregates == against[0], f"{name}: megaflow contents diverge"
+        assert recency == against[1], f"{name}: megaflow LRU order diverges"
+    # Every position that reaches a table probes its microflow cache
+    # exactly once, whichever path carried it there.
+    for table_id, cache in replayers["dict"].runner.caches.items():
+        twin = replayers["columnar"].runner.caches[table_id]
+        assert cache.hits + cache.misses == twin.hits + twin.misses, (
+            f"table {table_id}: microflow probes diverge"
+        )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(example=_miss_example)
+def test_columnar_miss_path_equivalent(example):
+    """Hand-built three-table pipelines: the columnar miss path, the
+    dict wave loop and the scan agree on results, per-entry counters
+    and the flow-removed ledger; columnar and dict additionally leave
+    the megaflow tier in the identical state (aggregates, overrides,
+    version tags, counters, LRU order) — on decomposition tables and,
+    through the walk's scalar fallback, on ``FlowTable`` s."""
+    trace = _build_miss_trace(example)
+    capacity = example["megaflow_capacity"]
+
+    def two_tier(pipeline):
+        return BatchPipeline(
+            pipeline, cache_capacity=16, megaflow_capacity=capacity
+        )
+
+    runners = {
+        "scan": (_miss_flow_tables, None, False),
+        "dict": (_miss_lookup_tables, two_tier, False),
+        "columnar": (_miss_lookup_tables, two_tier, True),
+        "columnar-uncached": (
+            _miss_lookup_tables,
+            lambda pipeline: BatchPipeline(pipeline, cache_capacity=None),
+            True,
+        ),
+        "dict-scan": (_miss_flow_tables, two_tier, False),
+        "columnar-scan": (_miss_flow_tables, two_tier, True),
+    }
+    replayers = {}
+    for name, (make_tables, factory, columnar) in runners.items():
+        replayers[name] = MissReplayer(
+            example, make_tables, factory, columnar=columnar
+        )
+        replayers[name].replay(example, trace)
+    _assert_miss_paths_agree(replayers, len(trace))
+
+
+_prototype_example = st.fixed_dictionaries(
+    {
+        "rules_seed": st.integers(0, 2**16),
+        "mac_rules": st.integers(4, 24),
+        "route_rules": st.integers(20, 60),
+        "flows": st.integers(2, 24),
+        "picks": st.lists(st.integers(0, 23), min_size=8, max_size=60),
+        "events": st.lists(
+            st.one_of(
+                st.tuples(st.just("burst"), st.integers(1, 3)),
+                st.tuples(st.just("remove"), st.integers(0, 3), st.integers(0, 80)),
+                st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 80)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        "megaflow_capacity": st.sampled_from((4, 16, 256)),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+class PrototypeReplayer(Replayer):
+    """The paper's four-table prototype (VLAN LUT -> Ethernet tries ->
+    in-port LUT -> IPv4 tries) over small generated rule sets; flow-mods
+    remove and re-add entries the builder installed."""
+
+    def __init__(self, example, scan, runner_factory=None, columnar=False):
+        seed = example["rules_seed"]
+        macs = example["mac_rules"]
+        arch = build_prototype(
+            generate_mac_set(
+                MacFilterStats("proto", macs, min(3, macs), min(3, macs), macs, macs),
+                seed=seed,
+            ),
+            generate_routing_set(
+                RoutingFilterStats("proto", example["route_rules"], 4, 8, 16),
+                seed=seed,
+            ),
+        )
+        self.columnar = columnar
+        # Fresh twins of the built entries, so counters are per-replayer.
+        self.by_table = {
+            table.table_id: [_fresh(entry) for entry in table]
+            for table in arch.tables
+        }
+        self.entries = [
+            (table_id, entry)
+            for table_id, entries in self.by_table.items()
+            for entry in entries
+        ]
+        if scan:
+            tables = [FlowTable(table_id=t.table_id) for t in arch.tables]
+            self.pipeline = OpenFlowPipeline(tables, miss_policy=arch.miss_policy)
+        else:
+            tables = [
+                OpenFlowLookupTable(t.field_names, table_id=t.table_id)
+                for t in arch.tables
+            ]
+            self.pipeline = MultiTableLookupArchitecture(tables)
+        self.tables = {t.table_id: t for t in tables}
+        for table_id, entry in self.entries:
+            self.tables[table_id].add(entry)
+        self.runner = runner_factory(self.pipeline) if runner_factory else None
+        self.sweeper = LifecycleSweeper() if self.runner is None else None
+        self.flow_removed = []
+        self.results = []
+        self.matches = {t.table_id: t.field_names for t in arch.tables}
+        self.arch = arch
+
+    def replay(self, example, trace):
+        cursor = 0
+        for event in example["events"]:
+            if event[0] == "burst":
+                take = min(event[1] * BATCH_SIZE, len(trace) - cursor)
+                self.classify(trace[cursor : cursor + take])
+                cursor += take
+            else:
+                entries = self.by_table[event[1]]
+                entry = entries[event[2] % len(entries)]
+                surface = self.runner.pipeline if self.runner else self.pipeline
+                if event[0] == "add":
+                    surface.table(event[1]).add(entry)
+                else:
+                    surface.table(event[1]).remove(entry.match, entry.priority)
+        if cursor < len(trace):
+            self.classify(trace[cursor:])
+
+
+def _fresh(entry: FlowEntry) -> FlowEntry:
+    return FlowEntry(
+        match=entry.match,
+        priority=entry.priority,
+        instructions=entry.instructions,
+    )
+
+
+def _prototype_trace(example, arch) -> list[dict[str, int]]:
+    generator = PacketGenerator(TraceConfig(seed=example["seed"]))
+    mac_matches = [e.match for e in arch.table(1) if "eth_dst" in e.match]
+    route_matches = [e.match for e in arch.table(3) if "ipv4_dst" in e.match]
+    vlans = [e.match for e in arch.table(0) if "vlan_vid" in e.match]
+    ports = [e.match for e in arch.table(2) if "in_port" in e.match]
+    pool = []
+    for index in range(example["flows"]):
+        fields: dict[str, int] = {}
+        for matches in (vlans, mac_matches, ports, route_matches):
+            match = matches[(index * 7 + len(fields)) % len(matches)]
+            fields.update(
+                generator.fields_matching(
+                    {n: p for n, p in match.items() if n != "metadata"}
+                )
+            )
+        if index % 5 == 4:
+            fields.pop(("vlan_vid", "eth_dst", "ipv4_dst")[index % 3], None)
+        fields[FRAME_LEN_FIELD] = 64 + 97 * index
+        pool.append(fields)
+    return [pool[pick % len(pool)] for pick in example["picks"]]
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(example=_prototype_example)
+def test_columnar_miss_path_prototype(example):
+    """The ``cold`` benchmark's shape in miniature: small
+    ``build_prototype`` pipelines, duplicate-heavy traces and mid-trace
+    flow-mods — columnar walk, dict wave loop and scan agree, and the
+    two runners end with identical megaflow state."""
+    capacity = example["megaflow_capacity"]
+
+    def two_tier(pipeline):
+        return BatchPipeline(
+            pipeline, cache_capacity=8, megaflow_capacity=capacity
+        )
+
+    replayers = {
+        "scan": PrototypeReplayer(example, scan=True),
+        "dict": PrototypeReplayer(example, False, two_tier),
+        "columnar": PrototypeReplayer(example, False, two_tier, columnar=True),
+    }
+    trace = _prototype_trace(example, replayers["scan"].arch)
+    for replayer in replayers.values():
+        replayer.replay(example, trace)
+    _assert_miss_paths_agree(replayers, len(trace))
 
 
 # ----------------------------------------------------------------------
