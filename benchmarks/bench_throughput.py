@@ -1,17 +1,13 @@
 """Throughput bench — packets/sec across the runtime's lookup paths.
 
 The workload axis the paper leaves open: the same rule set and the same
-traffic, classified six ways —
+traffic, classified every way the runtime offers —
 
 - **scan**: the behavioural ``FlowTable`` linear scan, per packet;
 - **decomposition**: ``OpenFlowLookupTable.lookup``, per packet;
 - **batch**: ``OpenFlowLookupTable.lookup_batch`` (vectorized extraction
   + per-batch memoization), no cache;
 - **cached batch**: a ``MicroflowCache`` in front of the batch path;
-- **columnar cached batch**: the same cache probed through the columnar
-  fast path (``PacketBatch`` views, vectorized key hashing) — the
-  ``columnar_*`` record keys; the committed record must show it at
-  least 2x the dict-path ``cached_batch`` on the zipf trace;
 - **megaflow**: the two-tier (microflow + megaflow) ``BatchPipeline`` on
   the ``uniform-wide`` scenario, where exact-match caching collapses;
 - **columnar megaflow**: the same two-tier runner replaying a columnar
@@ -62,7 +58,6 @@ from repro.core.builder import build_lookup_table
 from repro.experiments.throughput import steady_state_sweep_us
 from repro.filters.synthetic import large_rule_set
 from repro.openflow.table import FlowTable
-from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime import (
     BatchPipeline,
@@ -328,95 +323,6 @@ def test_throughput_cached_batch(
     )
     with profile_mode("cached_batch"):
         classify()
-
-
-def test_throughput_columnar_cached_batch(
-    benchmark, routing_bbra, zipf_trace, zipf_trace_bytes, bench_record,
-    profile_mode,
-):
-    """The columnar fast path over the same cache shape: one
-    ``PacketBatch`` per trace, sliced into batch-size views (what
-    ``columnar_workload`` emits), probed via vectorized key hashing."""
-    table = build_lookup_table(routing_bbra)
-    cache = MicroflowCache(table)
-    columnar = PacketBatch.from_dicts(zipf_trace)
-    batches = [
-        columnar[i : i + BATCH_SIZE]
-        for i in range(0, len(columnar), BATCH_SIZE)
-    ]
-
-    def classify():
-        return sum(
-            1
-            for batch in batches
-            for hit in cache.lookup_batch_columnar(batch)
-            if hit is not None
-        )
-
-    hits = benchmark(classify)
-    assert hits > len(zipf_trace) // 2
-    benchmark.extra_info["cache_hit_rate"] = round(cache.hit_rate, 3)
-    _report_pps(
-        benchmark,
-        len(zipf_trace),
-        bench_record,
-        "columnar_cached_batch",
-        zipf_trace_bytes,
-    )
-    with profile_mode("columnar_cached_batch"):
-        classify()
-
-
-def test_columnar_cached_batch_speedup(
-    routing_bbra, zipf_trace, smoke, bench_record
-):
-    """Acceptance claim: the columnar cached path is >= 2x the dict
-    cached path on the zipf trace, outcomes and per-entry flow stats
-    bitwise-identical.
-
-    Timing asserts only outside smoke mode (see
-    :func:`test_cached_batch_speedup`); equivalence always.
-    """
-    dict_table = build_lookup_table(routing_bbra)
-    dict_cache = MicroflowCache(dict_table)
-    start = time.perf_counter()
-    dict_hits: list = []
-    for batch in _batches(zipf_trace):
-        dict_hits.extend(dict_cache.lookup_batch(batch))
-    dict_elapsed = time.perf_counter() - start
-
-    columnar_table = build_lookup_table(routing_bbra)
-    columnar_cache = MicroflowCache(columnar_table)
-    columnar = PacketBatch.from_dicts(zipf_trace)
-    start = time.perf_counter()
-    columnar_hits: list = []
-    for i in range(0, len(columnar), BATCH_SIZE):
-        columnar_hits.extend(
-            columnar_cache.lookup_batch_columnar(columnar[i : i + BATCH_SIZE])
-        )
-    columnar_elapsed = time.perf_counter() - start
-
-    for a, b in zip(dict_hits, columnar_hits):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.match == b.match and a.priority == b.priority
-    assert sorted(
-        (e.stats.packet_count, e.stats.byte_count) for e in dict_table
-    ) == sorted(
-        (e.stats.packet_count, e.stats.byte_count) for e in columnar_table
-    ), "columnar path skewed per-entry flow stats"
-
-    speedup = dict_elapsed / max(columnar_elapsed, 1e-9)
-    _record_speedup(bench_record, "columnar_vs_dict_cached_batch", speedup)
-    print(
-        f"\ndict cache {len(zipf_trace) / dict_elapsed:,.0f} pkts/s, "
-        f"columnar {len(zipf_trace) / columnar_elapsed:,.0f} pkts/s "
-        f"({speedup:.2f}x, hit rate {columnar_cache.hit_rate:.2f})"
-    )
-    if not smoke:
-        assert speedup >= 2.0, (
-            f"columnar cached path only {speedup:.2f}x the dict path"
-        )
 
 
 def test_throughput_pipeline_churn(

@@ -45,10 +45,9 @@ TOLERANCES = {
     "megaflow_vs_batch_uniform_wide": 0.25,
     "sharded_vs_single": 0.3,
     "pipelined_vs_serial_shm_small_batch": 0.5,
-    # Columnar-vs-dict ratios collapse hardest in smoke mode: the tiny
-    # traces are cold-cache dominated, and the cold path (table
+    # The columnar-vs-dict ratio collapses hardest in smoke mode: the
+    # tiny traces are cold-cache dominated, and the cold path (table
     # resolution) is shared by both sides.
-    "columnar_vs_dict_cached_batch": 0.2,
     "columnar_vs_dict_megaflow_uniform_wide": 0.3,
     # Swept-vs-frozen hovers near 1.0 (the lifecycle tax is a few
     # percent), so the absolute floor below does the real gating.
@@ -65,7 +64,6 @@ DEFAULT_TOLERANCE = 0.3
 #: noise.
 ABSOLUTE_FLOORS = {
     "pipelined_vs_serial_shm_small_batch": 0.8,
-    "columnar_vs_dict_cached_batch": 0.6,
     "columnar_vs_dict_megaflow_uniform_wide": 0.6,
     # Baseline ~1.0: sweeps ride along nearly for free.  The floor is
     # what catches "the expiry sweep fell off the vectorized path and

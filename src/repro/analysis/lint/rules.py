@@ -256,9 +256,8 @@ class FinalizeNoSelfRule(Rule):
 _KEY_CALLEES = frozenset(
     {
         "key_hashes",
-        "packed_keys",
-        "probe_keys",
         "masked_packed_keys",
+        "masked_keys",
         "packed_masked_key",
         "masked_key",
         "mask_signature",

@@ -13,13 +13,12 @@ of positions.
 The point of the container is that the hot lookup tiers never leave it:
 
 - :meth:`key_hashes` folds a field subset's lanes (and presence bytes)
-  into one ``uint64`` hash per row with numpy — the microflow probe and
-  the sharded runtime's worker assignment both key on it;
-- :meth:`packed_keys` / :meth:`masked_packed_keys` produce exact packed
-  byte keys per row (full-tuple for the microflow tier, ``value & mask``
-  under a megaflow wildcard mask), so a hash hit is *verified* against
-  the real key and collisions degrade to cache misses, never to wrong
-  results;
+  into one ``uint64`` hash per row with numpy — the sharded runtime's
+  worker assignment keys on it;
+- :meth:`masked_packed_keys` / :meth:`masked_keys` produce the exact
+  ``value & mask`` key per row under a megaflow wildcard mask (packed
+  bytes for the probe, value tuples for install and the microflow
+  tier), so cache keys are compared exactly, never by hash;
 - :meth:`row_fields` / :meth:`fields_at` materialise plain dicts lazily,
   one distinct row at a time, only for packets that actually need the
   dict path (cache misses walking the full pipeline).
@@ -82,8 +81,8 @@ class _ColumnStore:
     """Shared row storage behind one or more :class:`PacketBatch` views.
 
     Holds the distinct rows' columns plus every lazy per-row memo (dict
-    materialisation, key hashes, packed keys, masked keys), so sliced
-    views of one batch amortise each computation across all of them.
+    materialisation, key hashes, masked keys), so sliced views of one
+    batch amortise each computation across all of them.
     """
 
     __slots__ = (
@@ -99,8 +98,8 @@ class _ColumnStore:
         self.columns = columns
         #: row index -> materialised field dict (aliased across picks).
         self.row_cache: dict[int, dict[str, int]] = {}
-        #: field-name tuple -> (layout sig, hashes, packed byte keys).
-        self.key_memo: dict[tuple[str, ...], tuple] = {}
+        #: field-name tuple -> uint64 key hash per row.
+        self.key_memo: dict[tuple[str, ...], NDArray[np.uint64]] = {}
         #: mask signature -> packed masked byte keys per row.
         self.mask_memo: dict[tuple, list[bytes]] = {}
 
@@ -278,50 +277,24 @@ class PacketBatch:
 
     # -- vectorized keys ------------------------------------------------
 
-    def key_hashes(self, field_names: Sequence[str]) -> np.ndarray:
+    def key_hashes(self, field_names: Sequence[str]) -> NDArray[np.uint64]:
         """One ``uint64`` hash per *row* over the named fields.
 
         The combine folds every lane and the presence byte per field, so
         a field carrying value 0 and a missing field hash differently,
         and only the named fields participate — hashing a schema that
-        excludes ``frame_len`` provably cannot see it.
+        excludes ``frame_len`` provably cannot see it.  Memoized on the
+        store, so chunked views of one workload event hash once.
         """
-        return self._keys(tuple(field_names))[0]
-
-    def packed_keys(
-        self, field_names: Sequence[str]
-    ) -> tuple[tuple, list[bytes]]:
-        """Exact packed key per row over the named fields.
-
-        Returns ``(layout signature, keys)``: the signature names the
-        field/lane layout the bytes were packed under, so keys from
-        batches that happened to widen a field differently can never
-        be confused (a mismatch reads as a cache miss).
-        """
-        _, _, sig, packed = self._keys(tuple(field_names))
-        return sig, packed
-
-    def probe_keys(
-        self, field_names: Sequence[str]
-    ) -> tuple[tuple, list[int], list[bytes]]:
-        """``(signature, hashes, packed keys)`` per row as plain Python
-        objects — the microflow probe's working set, memoized on the
-        store so chunked views of one workload event convert exactly
-        once."""
-        _, hashes, sig, packed = self._keys(tuple(field_names))
-        return sig, hashes, packed
-
-    def _keys(self, names: tuple[str, ...]) -> tuple:
+        names = tuple(field_names)
         memo = self._store.key_memo.get(names)
         if memo is None:
-            memo = self._store.key_memo[names] = self._compute_keys(names)
+            memo = self._store.key_memo[names] = self._compute_hashes(names)
         return memo
 
-    def _compute_keys(self, names: tuple[str, ...]) -> tuple:
+    def _compute_hashes(self, names: tuple[str, ...]) -> NDArray[np.uint64]:
         rows = self._store.rows
         hashes = np.full(rows, _HASH_SEED, dtype=np.uint64)
-        stack: list[np.ndarray] = []
-        sig: list[tuple[str, int]] = []
         zeros = ones = None
         for name in names:
             column = self._store.columns.get(name)
@@ -340,12 +313,8 @@ class PacketBatch:
                     present = column.present.astype(np.uint64)
             for lane in lanes:
                 hashes = (hashes ^ lane) * _HASH_PRIME
-                stack.append(lane)
             hashes = (hashes ^ (present + _HASH_MISSING)) * _HASH_PRIME
-            stack.append(present)
-            sig.append((name, len(lanes)))
-        packed = _pack_rows(stack, rows)
-        return hashes, hashes.tolist(), tuple(sig), packed
+        return hashes
 
     def masked_packed_keys(self, mask: Sequence[tuple[str, int]]) -> list[bytes]:
         """Packed ``value & mask`` key per row under a megaflow mask.

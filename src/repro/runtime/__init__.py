@@ -88,14 +88,14 @@ row through a ``pick`` indirection); scenario builders emit it directly
 (``columnar=True`` /
 :func:`~repro.runtime.scenarios.columnar_workload`), and
 :func:`~repro.runtime.batch.run_workload` slices events into views that
-share each event's vectorized key memos.  The microflow tier
-(:meth:`~repro.runtime.cache.MicroflowCache.lookup_batch_columnar`)
-hashes all schema lanes per row in one numpy pass and verifies each
-hash hit against exact packed key bytes (collisions degrade to misses,
-never wrong results); the megaflow tier
+share each event's vectorized key memos.  The megaflow tier
 (:meth:`~repro.runtime.megaflow.MegaflowCache.probe_rows`) applies each
-cached wildcard mask as vectorized ``lanes & mask`` compares.  Hits
-replay without dict materialisation — matched-entry stats are credited
+cached wildcard mask as vectorized ``lanes & mask`` compares; the
+microflow tier has one index and one batch probe
+(:meth:`~repro.runtime.cache.MicroflowCache.lookup_keys`: each distinct
+exact key once, the residual in one table call), whatever shape the
+batch arrived in.  Hits replay without dict materialisation —
+matched-entry stats are credited
 in aggregate from the ``frame_len`` lane, and a replaying
 ``run_workload`` with ``keep_results=False`` never builds
 ``PipelineResult`` objects at all.  Packets that miss the megaflow

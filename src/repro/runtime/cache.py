@@ -30,7 +30,8 @@ microflow tier still produces a sound wildcard mask.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -47,16 +48,9 @@ DEFAULT_CAPACITY = 4096
 
 
 class _Record:
-    """One cached microflow: outcome, version stamp, consulted bits.
+    """One cached microflow: outcome, version stamp, consulted bits."""
 
-    ``key`` is the canonical tuple key; ``chash`` / ``sig`` / ``packed``
-    are populated when the record entered (or was touched by) the
-    columnar fast path — the vectorized probe keys on the uint64 hash
-    and verifies against the exact packed bytes, so hash collisions
-    degrade to misses instead of wrong hits.
-    """
-
-    __slots__ = ("outcome", "version", "mask", "key", "chash", "sig", "packed")
+    __slots__ = ("outcome", "version", "mask")
 
     def __init__(
         self,
@@ -67,10 +61,6 @@ class _Record:
         self.outcome = outcome
         self.version = version
         self.mask = mask
-        self.key: tuple = ()
-        self.chash: int | None = None
-        self.sig = None
-        self.packed: bytes | None = None
 
 
 class MicroflowCache:
@@ -78,8 +68,8 @@ class MicroflowCache:
 
     Args:
         table: the backing table; must expose ``lookup`` and a
-            ``version`` mutation counter.  ``lookup_batch`` is used for
-            miss resolution when available.
+            ``version`` mutation counter.  With a keyed ``lookup_keys``
+            the batch probes resolve all their misses in one call.
         capacity: maximum cached microflows; least recently used entries
             are evicted beyond it.
         field_names: the match schema the cache keys on; defaults to the
@@ -110,9 +100,6 @@ class MicroflowCache:
         self.capacity = capacity
         self.field_names = tuple(names)
         self._entries: OrderedDict[tuple, _Record] = OrderedDict()
-        #: Columnar sidecar index: uint64 key hash -> record (verified
-        #: against the record's packed key bytes on every probe).
-        self._columnar: dict[int, _Record] = {}
         self.hits = 0
         self.misses = 0
         self.flushes = 0
@@ -137,7 +124,6 @@ class MicroflowCache:
         if self._entries:
             self.flushes += 1
         self._entries.clear()
-        self._columnar.clear()
 
     def lookup(
         self,
@@ -175,197 +161,80 @@ class MicroflowCache:
         batch_fields: Sequence[Mapping[str, int]],
         masks: Sequence[ConsultSink] | None = None,
     ) -> list[FlowEntry | None]:
-        """Cached batch lookup: hits resolve from the cache, the misses go
-        to the table's batch path in one call.
+        """Cached batch lookup over field dicts: :meth:`lookup_keys` on
+        the batch's distinct keys, then one flow-stats record per packet.
 
         ``masks``, when given, is one consulted-bits sink per packet,
-        aligned with ``batch_fields``; miss resolution then runs
-        per-packet through the table's mask-threading scalar path.
+        aligned with ``batch_fields``; each receives its key's consulted
+        bits.  A table without a keyed lookup is probed packet by packet
+        through :meth:`lookup`.
         """
-        version = self.table.version
-        results: list[FlowEntry | None] = [None] * len(batch_fields)
-        miss_positions: list[int] = []
-        miss_fields: list[Mapping[str, int]] = []
-        for i, fields in enumerate(batch_fields):
-            key = self.key(fields)
-            record = self._entries.get(key)
-            if record is not None and record.version == version:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                if masks is not None:
-                    if record.mask is None:
-                        record.mask = self._capture_mask(fields)
-                    _replay_mask(record.mask, masks[i])
-                results[i] = self._outcome(record, fields)
-            else:
-                if record is not None:
-                    self.revalidations += 1
-                self.misses += 1
-                miss_positions.append(i)
-                miss_fields.append(fields)
-        if miss_fields:
-            if masks is not None:
-                # Mask capture forces the scalar resolution path, but
-                # duplicate keys — the common case in skewed traffic —
-                # still resolve once per batch and replay their captured
-                # mask (with a stats record per packet, matching the
-                # scalar path).
-                resolved = []
-                memo: dict[tuple, tuple] = {}
-                for position, fields in zip(miss_positions, miss_fields):
-                    key = self.key(fields)
-                    cached = memo.get(key)
-                    if cached is None:
-                        cached = self._resolve(fields, True)
-                        memo[key] = cached
-                        self._insert(key, cached[0], version, cached[1])
-                    else:
-                        if cached[0] is not None:
-                            cached[0].stats.record(frame_length(fields))
-                    outcome, captured = cached
-                    assert captured is not None
-                    _replay_mask(captured, masks[position])
-                    resolved.append(outcome)
-            elif hasattr(self.table, "lookup_batch"):
-                resolved = self.table.lookup_batch(miss_fields)
-                for fields, outcome in zip(miss_fields, resolved):
-                    self._insert(self.key(fields), outcome, version, None)
-            else:
-                resolved = []
-                for fields in miss_fields:
-                    outcome = self.table.lookup(fields)
-                    self._insert(self.key(fields), outcome, version, None)
-                    resolved.append(outcome)
-            for position, outcome in zip(miss_positions, resolved):
-                results[position] = outcome
+        if not hasattr(self.table, "lookup_keys"):
+            sinks: Iterable[ConsultSink | None] = (
+                masks if masks is not None else repeat(None)
+            )
+            return [
+                self.lookup(fields, sink)
+                for fields, sink in zip(batch_fields, sinks)
+            ]
+        codes, _, outcomes, captured = self._lookup_distinct(
+            [self.key(fields) for fields in batch_fields], masks is not None
+        )
+        results = [outcomes[code] for code in codes]
+        for fields, entry in zip(batch_fields, results):
+            if entry is not None:
+                entry.stats.record(frame_length(fields))
+        if masks is not None:
+            for code, sink in zip(codes, masks):
+                consulted = captured[code]
+                assert consulted is not None
+                _replay_mask(consulted, sink)
         return results
 
     def lookup_batch_columnar(
         self, batch: PacketBatch
     ) -> list[FlowEntry | None]:
-        """Vectorized batch lookup over a columnar
-        :class:`~repro.packet.batch.PacketBatch` — the fast path.
-
-        One numpy pass computes a uint64 key hash per distinct *row*
-        (lanes and presence bytes of the schema fields, so ``frame_len``
-        and other non-match metadata never enter the key); each row is
-        then a single hash probe verified against the exact packed key
-        bytes.  Hits replay without materialising a dict anywhere: the
-        matched entries' stats are credited from the ``frame_len`` lane,
-        aggregated per row.  Only rows that miss are materialised (once,
-        aliased across duplicates) and resolved through the table's
-        batch path, exactly like :meth:`lookup_batch` — so results and
-        per-entry flow stats are bitwise-identical to the dict path.
+        """:meth:`lookup_batch` over a columnar
+        :class:`~repro.packet.batch.PacketBatch`: the keys are read off
+        the lanes and each key's packets are credited together from the
+        ``frame_len`` lane, so no dict is built.  A table without a
+        keyed lookup gets each materialised row through :meth:`lookup`.
         """
-        version = self.table.version
-        sig, hashes, packed = batch.probe_keys(self.field_names)
-        pick = batch.pick
-        probe = self._columnar.get
-        move_to_end = self._entries.move_to_end
+        if not hasattr(self.table, "lookup_keys"):
+            return [self.lookup(fields) for fields in batch]
+        codes, counts, outcomes, _ = self._lookup_distinct(
+            _lane_keys(batch, self.field_names), False
+        )
+        # Frame-byte sums per key; bincount's float64 sums are exact
+        # below 2**53 bytes.
+        octets = np.bincount(
+            np.asarray(codes, dtype=np.int64),
+            weights=batch.frame_lengths(),
+            minlength=len(counts),
+        )
+        for entry, count, byte_count in zip(outcomes, counts, octets.tolist()):
+            if entry is not None:
+                entry.stats.add(count, int(byte_count))
+        return [outcomes[code] for code in codes]
 
-        # Everything below works in *local* row codes (0..distinct rows
-        # of this view), so chunked views of a large store never touch
-        # arrays sized by the whole event.
-        uniq, inverse = np.unique(pick, return_inverse=True)
-        rows = uniq.tolist()
-        outcome_of: list = [None] * len(rows)
-        hit_records: list[tuple[int, _Record]] = []
-        miss_locals: list[int] = []
-        for local, row in enumerate(rows):
-            record = probe(hashes[row])
-            if (
-                record is not None
-                and record.version == version
-                and record.packed == packed[row]
-                and (record.sig is sig or record.sig == sig)
-            ):
-                hit_records.append((local, record))
-                if record.outcome is not _MISS:
-                    outcome_of[local] = record.outcome
-                move_to_end(record.key)
-            else:
-                miss_locals.append(local)
-
-        if miss_locals:
-            # Rescue rows the *dict* path cached (they have no sidecar
-            # entry): the tuple key is cheap here because a genuine miss
-            # would materialise the row for table resolution anyway.
-            # Found records are promoted into the sidecar, so a cache
-            # warmed by dict batches serves columnar traffic at full
-            # speed after this one touch instead of re-resolving a whole
-            # working-set pass through the table.
-            still_missing: list[int] = []
-            for local in miss_locals:
-                row = rows[local]
-                key = self.key(batch.row_fields(row))
-                record = self._entries.get(key)
-                if record is not None and record.version == version:
-                    # Drop any previous sidecar slot first (a layout
-                    # change re-hashes the same key), so eviction can
-                    # always unindex the record it finds.
-                    self._unindex(record)
-                    record.chash = hashes[row]
-                    record.sig = sig
-                    record.packed = packed[row]
-                    self._columnar[hashes[row]] = record
-                    hit_records.append((local, record))
-                    if record.outcome is not _MISS:
-                        outcome_of[local] = record.outcome
-                    move_to_end(key)
-                else:
-                    if record is not None:
-                        # Same semantics as the dict path: a stale stamp
-                        # on an existing key re-resolves in place.
-                        self.revalidations += 1
-                    still_missing.append(local)
-            miss_locals = still_missing
-
-        if hit_records:
-            # Hit replay without dicts: per-row stats aggregated from the
-            # frame_len lane (bincount sums are exact below 2**53 bytes),
-            # counters credited per position.
-            counts = np.bincount(inverse, minlength=len(rows)).tolist()
-            byte_sums = np.bincount(
-                inverse, weights=batch.frame_lengths(), minlength=len(rows)
-            ).tolist()
-            for local, record in hit_records:
-                count = counts[local]
-                self.hits += count
-                if record.outcome is not _MISS:
-                    record.outcome.stats.add(count, int(byte_sums[local]))
-
-        if miss_locals:
-            local_is_miss = np.zeros(len(rows), dtype=bool)
-            local_is_miss[miss_locals] = True
-            miss_positions = np.nonzero(local_is_miss[inverse])[0].tolist()
-            miss_fields = [batch.fields_at(i) for i in miss_positions]
-            self.misses += len(miss_positions)
-            if hasattr(self.table, "lookup_batch"):
-                resolved = self.table.lookup_batch(miss_fields)
-            else:
-                resolved = [self.table.lookup(fields) for fields in miss_fields]
-            inverse_list = inverse.tolist()
-            inserted: set[int] = set()
-            for position, fields, outcome in zip(
-                miss_positions, miss_fields, resolved
-            ):
-                local = inverse_list[position]
-                if local in inserted:
-                    continue  # duplicates of one row share the outcome
-                inserted.add(local)
-                outcome_of[local] = outcome
-                row = rows[local]
-                self._insert(
-                    self.key(fields),
-                    outcome,
-                    version,
-                    None,
-                    chash=hashes[row],
-                    sig=sig,
-                    packed=packed[row],
-                )
-            return [outcome_of[local] for local in inverse_list]
-        return [outcome_of[local] for local in inverse.tolist()]
+    def _lookup_distinct(
+        self, keys: Sequence[tuple[int | None, ...]], capture: bool
+    ) -> tuple[
+        list[int],
+        list[int],
+        list[FlowEntry | None],
+        list[dict[str, int] | None],
+    ]:
+        """One :meth:`lookup_keys` call over the distinct ``keys`` in
+        first-seen order.  Returns each input key's code, then packet
+        count, matched entry and consulted mask per code."""
+        code_of: dict[tuple[int | None, ...], int] = {}
+        codes = [code_of.setdefault(key, len(code_of)) for key in keys]
+        counts = [0] * len(code_of)
+        for code in codes:
+            counts[code] += 1
+        outcomes, masks = self.lookup_keys(list(code_of), counts, capture)
+        return codes, counts, outcomes, masks
 
     def lookup_keys(
         self,
@@ -373,8 +242,9 @@ class MicroflowCache:
         counts: Sequence[int],
         capture: bool,
     ) -> tuple[list[FlowEntry | None], list[dict[str, int] | None]]:
-        """Cached lookup of one wave's *distinct* table keys — the
-        columnar miss path's probe.
+        """Cached lookup of *distinct* table keys — the one batch probe:
+        the columnar miss path calls it per wave, :meth:`lookup_batch`
+        and :meth:`lookup_batch_columnar` per batch.
 
         ``keys`` are this cache's own microflow keys (:meth:`key`
         tuples), each standing for ``counts[i]`` packets; every key is
@@ -382,10 +252,10 @@ class MicroflowCache:
         ``lookup_keys`` in **one** call.  Returns two aligned lists:
         the matched entry per key and, with ``capture``, its consulted
         mask (captured at resolution, replayed from the record on a
-        hit).  Hit and miss counters move per packet, exactly as
-        :meth:`lookup_batch` moves them; flow stats are **not** credited
-        here — the caller groups packets by matched entry and credits
-        each entry once.
+        hit).  Hit, miss and revalidation counters move per packet;
+        recency moves per key, hits before residual, each in ``keys``
+        order.  Flow stats are **not** credited here — the caller knows
+        each packet's frame length and credits the matched entries.
         """
         version = self.table.version
         entries = self._entries
@@ -475,34 +345,29 @@ class MicroflowCache:
         entry: FlowEntry | None,
         version: int,
         mask: dict[str, int] | None,
-        chash: int | None = None,
-        sig: object = None,
-        packed: bytes | None = None,
     ) -> None:
-        previous = self._entries.get(key)
-        if previous is not None:
-            self._unindex(previous)
-        record = _Record(_MISS if entry is None else entry, version, mask)
-        record.key = key
-        self._entries[key] = record
+        self._entries[key] = _Record(
+            _MISS if entry is None else entry, version, mask
+        )
         self._entries.move_to_end(key)
-        if chash is not None:
-            record.chash = chash
-            record.sig = sig
-            record.packed = packed
-            self._columnar[chash] = record
         while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            self._unindex(evicted)
-
-    def _unindex(self, record: _Record) -> None:
-        if (
-            record.chash is not None
-            and self._columnar.get(record.chash) is record
-        ):
-            del self._columnar[record.chash]
+            self._entries.popitem(last=False)
 
 
 def _replay_mask(captured: dict[str, int], mask: ConsultSink) -> None:
     for name, bits in captured.items():
         mask.consult(name, bits)
+
+
+def _lane_keys(
+    batch: PacketBatch, field_names: Sequence[str]
+) -> list[tuple[int | None, ...]]:
+    """The exact microflow key of every batch position, read off the
+    lanes: ``masked_keys`` under an all-ones mask as wide as each
+    field's column."""
+    mask: list[tuple[str, int]] = []
+    for name in field_names:
+        column = batch.column(name)
+        lanes = 0 if column is None else len(column.lanes)
+        mask.append((name, (1 << (64 * lanes)) - 1))
+    return batch.masked_keys(mask, batch.pick)

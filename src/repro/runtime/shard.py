@@ -601,8 +601,8 @@ class ShardedBatchPipeline:
             encodes and dispatches batch N+1 while the workers are still
             classifying batch N (each direction keeps a ring of
             ``depth`` shared blocks, so an in-flight batch's columns are
-            never overwritten).  ``depth=1`` is the lockstep PR-3
-            behaviour.  :meth:`process_batch` is always lockstep;
+            never overwritten).  :meth:`process_batch` is lockstep at
+            any depth;
             :meth:`process_batches` (and
             :func:`~repro.runtime.batch.run_workload`, which calls it)
             exploit the ring.

@@ -63,7 +63,6 @@ import numpy as np
 
 from repro.filters.rule import RuleSet
 from repro.openflow.pipeline import PipelineResult
-from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
 from repro.runtime.lifecycle import FlowRemoved, VirtualClock
 from repro.runtime.scenarios import (
@@ -418,7 +417,6 @@ class StreamConfig:
     window: int = 4
     policy: str = "tail"
     deadline: int | None = None
-    columnar: bool = False
     service_rate: float | None = None
     degrade_after: int = 4
     high_watermark: float = 0.75
@@ -530,24 +528,14 @@ class StreamableRunner(Protocol):
     def process_batch(self, batch: Any) -> list[PipelineResult]: ...
 
 
-def _materialize(
-    entries: Sequence[_Queued], columnar: bool
-) -> list[Mapping[str, int]] | PacketBatch:
-    fields = [entry.fields for entry in entries]
-    if columnar:
-        return PacketBatch.from_dicts(fields)
-    return fields
-
-
 class _InlineTransport:
     """Synchronous facade: a submitted batch is classified on the spot,
     but its completion is *buffered* until the next drain point — the
     identical points where the pipelined transport retires work — so
     latency stamps are transport-independent by construction."""
 
-    def __init__(self, runner: Any, columnar: bool) -> None:
+    def __init__(self, runner: Any) -> None:
         self._runner = runner
-        self._columnar = columnar
         # Flushed at every drain point (each clock advance), so this
         # holds at most one inter-advance interval's batches.
         self._done: list[_Completion] = []
@@ -557,7 +545,7 @@ class _InlineTransport:
         self._runner.megaflow_bypass = bypass
         try:
             results = self._runner.process_batch(
-                _materialize(entries, self._columnar)
+                [entry.fields for entry in entries]
             )
         finally:
             self._runner.megaflow_bypass = False
@@ -582,9 +570,8 @@ class _PipelinedTransport:
     always belong to our oldest pending seq.
     """
 
-    def __init__(self, runner: Any, columnar: bool, window: int) -> None:
+    def __init__(self, runner: Any, window: int) -> None:
         self._runner = runner
-        self._columnar = columnar
         self.window = max(1, min(window, runner.depth))
         self._pending: dict[int, list[_Queued]] = {}
         # Bounded by the window: a forced collect frees one slot.
@@ -598,7 +585,7 @@ class _PipelinedTransport:
             results = self._runner.collect_batch()
             self._done.append((self._pending.pop(oldest), results))
         seq = self._runner.submit_batch(
-            _materialize(entries, self._columnar), megaflow_bypass=bypass
+            [entry.fields for entry in entries], megaflow_bypass=bypass
         )
         self._pending[int(seq)] = entries
 
@@ -717,8 +704,7 @@ def run_stream(
     """Drive ``runner`` with ``schedule`` through bounded admission.
 
     ``runner`` is a single-process
-    :class:`~repro.runtime.batch.BatchPipeline` (dict or columnar
-    batches per ``config.columnar``) or a
+    :class:`~repro.runtime.batch.BatchPipeline` or a
     :class:`~repro.runtime.shard.ShardedBatchPipeline`, whose pipelined
     ``submit_batch``/``collect_any`` transport is used with the
     bounded in-flight window.  Packets left in the queue at end of
@@ -730,9 +716,9 @@ def run_stream(
     queue = AdmissionQueue(cfg.capacity, policy=cfg.policy, deadline=cfg.deadline)
     transport: _InlineTransport | _PipelinedTransport
     if hasattr(runner, "submit_batch"):
-        transport = _PipelinedTransport(runner, cfg.columnar, cfg.window)
+        transport = _PipelinedTransport(runner, cfg.window)
     else:
-        transport = _InlineTransport(runner, cfg.columnar)
+        transport = _InlineTransport(runner)
     ladder = _Ladder(cfg)
 
     tick = runner.clock.now

@@ -9,9 +9,9 @@ def keyed_without_length(batch, fields):
     return batch.key_hashes(keep)
 
 
-def filtered_inline(batch, fields):
-    return batch.packed_keys(
-        tuple(name for name in fields if name != "frame_len")
+def filtered_inline(batch, fields, rows):
+    return batch.masked_keys(
+        tuple((name, 0xFF) for name in fields if name != "frame_len"), rows
     )
 
 

@@ -9,8 +9,8 @@ def keyed_by_length(batch, fields):
     return batch.key_hashes((*fields, FRAME_LEN_FIELD))
 
 
-def literal_in_key(batch):
-    return batch.packed_keys(("eth_dst", "frame_len"))
+def literal_in_key(batch, rows):
+    return batch.masked_keys((("eth_dst", 0xFF), ("frame_len", 0xFF)), rows)
 
 
 def schema_with_length(cache_cls, table):

@@ -2,7 +2,8 @@
 
 
 def lookup_batch_columnar(self, batch, rows):
-    # Lazy, aliased per-row views on the miss path are allowed.
+    # The fallback for tables without a keyed lookup may materialise
+    # rows one at a time (lazy, aliased across duplicates).
     return [self.lookup(batch.row_fields(row)) for row in rows]
 
 

@@ -3,8 +3,8 @@
 
 
 def lookup_batch_columnar(self, batch):
-    rows = batch.dicts()  # bulk-materialises every row
-    return [self.lookup(row) for row in rows]
+    rows = batch.dicts()  # bulk-materialises every row to key it
+    return self.lookup_batch(rows)
 
 
 def probe_rows(self, batch, rows, results):

@@ -6,11 +6,12 @@ rule flags) and a ``clean.py`` (legitimate code it must not flag) under
 registering a rule without fixtures fails the suite.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import REGISTRY, check_source
+from repro.analysis.lint import REGISTRY, check_source, rules
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -160,3 +161,21 @@ class TestRuleDetails:
             findings = check_source(template.format(name=name), f"{name}.py")
             assert bool(findings) is fires, name
             assert all(f.rule == "hot-path-purity" for f in findings)
+
+    def test_every_guarded_name_is_defined_in_src(self):
+        """The hot-function and key-callee lists match by bare name, so
+        a deleted function would leave its rule guarding nothing."""
+        guarded = (
+            rules._LANE_ONLY_HOT
+            | rules._DICT_FREE_HOT
+            | rules._DECODE_FREE_HOT
+            | rules._KEY_CALLEES
+        )
+        src = Path(rules.__file__).resolve().parents[2]
+        defined = {
+            node.name
+            for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert guarded <= defined, sorted(guarded - defined)

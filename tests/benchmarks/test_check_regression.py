@@ -167,6 +167,19 @@ class TestCli:
         checks = check_regression.run_checks(baseline, baseline)
         assert checks and all(check.ok for check in checks)
 
+    def test_every_gated_key_is_in_the_committed_record(self):
+        """A bench mode deleted with its record row must take its
+        tolerance / floor / cpu-sensitivity rows along."""
+        baseline = check_regression.load_speedups(
+            check_regression.BASELINE_PATH
+        )
+        gated = (
+            set(check_regression.TOLERANCES)
+            | set(check_regression.ABSOLUTE_FLOORS)
+            | check_regression.CPU_SENSITIVE_KEYS
+        )
+        assert gated <= set(baseline), sorted(gated - set(baseline))
+
 
 class TestStreamingGate:
     def test_identical_sections_pass(self):

@@ -1,11 +1,16 @@
 """Microflow-cache behaviour: LRU bounds, invalidation, negative hits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.flow import FlowEntry
-from repro.openflow.match import Match
+from repro.openflow.match import ExactMatch, FieldMaskSink, Match, PrefixMatch
 from repro.openflow.table import FlowTable
+from repro.packet.batch import PacketBatch
+from repro.packet.generator import IMIX_FRAME_LENGTHS
+from repro.packet.headers import FRAME_LEN_FIELD, frame_length
 from repro.runtime.cache import MicroflowCache
 
 
@@ -125,3 +130,108 @@ class TestBatch:
         )
         assert [r is not None for r in results] == [True, True, True, False]
         assert cache.hits >= 2  # the two {"in_port": 0} repeats
+
+
+# ----------------------------------------------------------------------
+# one probe, three input shapes
+# ----------------------------------------------------------------------
+
+#: Ports 0-5 match on port + an IPv4 prefix, 6-7 on the port alone, 8-9
+#: nothing (negative records); every fourth flow lacks ``ipv4_dst``.
+_SHAPE_FLOWS = [
+    {"in_port": i % 10, **({} if i % 4 == 3 else {"ipv4_dst": 0x0A000000 + i})}
+    for i in range(20)
+]
+
+
+def _shape_table() -> OpenFlowLookupTable:
+    table = OpenFlowLookupTable(("in_port", "ipv4_dst"))
+    for port in range(8):
+        fields = {"in_port": ExactMatch(port, 32)}
+        if port < 6:
+            fields["ipv4_dst"] = PrefixMatch(0x0A000000, 8, 32)
+        table.add(FlowEntry.build(match=Match(fields), priority=port + 1))
+    return table
+
+
+def _drive(shape, trace, chunk, capacity, mod_chunk, mod_port, capture):
+    """Replay ``trace`` in ``chunk``-sized batches through a fresh cache
+    via one input shape; everything observable afterwards."""
+    table = _shape_table()
+    cache = MicroflowCache(table, capacity=capacity)
+    columnar = PacketBatch.from_dicts(trace)
+    outcomes, consulted = [], []
+    for number, start in enumerate(range(0, len(trace), chunk)):
+        if number == mod_chunk:
+            victim = next(e for e in table if e.priority == mod_port + 1)
+            assert table.remove(victim.match, victim.priority)
+            table.add(victim)
+        batch = trace[start : start + chunk]
+        if shape == "dicts":
+            sinks = [FieldMaskSink() for _ in batch] if capture else None
+            found = cache.lookup_batch(batch, masks=sinks)
+            if sinks is not None:
+                consulted += [sink.fields for sink in sinks]
+        elif shape == "columnar":
+            found = cache.lookup_batch_columnar(columnar[start : start + chunk])
+        else:
+            code_of = {}
+            codes = [
+                code_of.setdefault(cache.key(fields), len(code_of))
+                for fields in batch
+            ]
+            by_key, masks = cache.lookup_keys(
+                list(code_of), [codes.count(c) for c in range(len(code_of))], capture
+            )
+            found = [by_key[code] for code in codes]
+            for fields, entry in zip(batch, found):
+                if entry is not None:
+                    entry.stats.record(frame_length(fields))
+            if capture:
+                consulted += [masks[code] for code in codes]
+        outcomes += [None if e is None else e.priority for e in found]
+    return {
+        "outcomes": outcomes,
+        "consulted": consulted,
+        "flow stats": sorted(
+            (e.priority, e.stats.packet_count, e.stats.byte_count) for e in table
+        ),
+        "counters": (cache.hits, cache.misses, cache.revalidations),
+        "lru order": list(cache._entries),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(_SHAPE_FLOWS) - 1), min_size=8, max_size=80),
+    lengths=st.lists(st.sampled_from(IMIX_FRAME_LENGTHS), min_size=80, max_size=80),
+    chunk=st.integers(1, 16),
+    capacity=st.integers(2, 6),
+    mod_chunk=st.integers(1, 4),
+    mod_port=st.integers(0, 7),
+    capture=st.booleans(),
+)
+def test_three_input_shapes_share_one_probe(
+    picks, lengths, chunk, capacity, mod_chunk, mod_port, capture
+):
+    """``lookup_batch``, ``lookup_batch_columnar`` and ``lookup_keys``
+    (the caller crediting flow stats) are one probe behind three input
+    shapes: over a trace that evicts, revalidates across a flow-mod and
+    carries IMIX frame lengths they leave identical outcomes, per-entry
+    packet/byte stats, hit/miss/revalidation counters and LRU order."""
+    packets = {}
+    trace = [
+        packets.setdefault(
+            (pick, length), {**_SHAPE_FLOWS[pick], FRAME_LEN_FIELD: length}
+        )
+        for pick, length in zip(picks, lengths)
+    ]
+    args = (trace, chunk, capacity, mod_chunk, mod_port, capture)
+    dicts = _drive("dicts", *args)
+    columnar = _drive("columnar", *args)
+    keys = _drive("keys", *args)
+    for name, expected in dicts.items():
+        assert keys[name] == expected, f"lookup_keys {name} diverges"
+        if name != "consulted":  # the columnar shape takes no mask sinks
+            assert columnar[name] == expected, f"columnar {name} diverges"
+    assert sum(dicts["counters"][:2]) == len(trace)

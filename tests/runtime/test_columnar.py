@@ -1,11 +1,10 @@
 """The columnar fast path: batch key hashing, vectorized cache tiers.
 
-Covers the satellite guarantees of the columnar PR: hash collisions
-degrade to cache misses (never wrong results), presence bytes are part
-of every key (value 0 != field absent), ``frame_len`` can never enter a
-key or mask, and both vectorized tiers stay bitwise-identical to their
-dict paths — plus a small microbenchmark pinning the vectorized hash
-against the per-packet tuple build.
+Covers the satellite guarantees of the columnar PR: presence bytes are
+part of every key hash (value 0 != field absent), ``frame_len`` can
+never enter a key or mask, and both cache tiers stay bitwise-identical
+to their dict paths — plus a small microbenchmark pinning the
+vectorized hash against the per-packet tuple build.
 
 ``TestMissPathCostShape`` pins what a megaflow *miss* may cost on the
 columnar path with call-counting spies (no timing): no scalar table
@@ -88,8 +87,6 @@ class TestKeyHashes:
         )
         hashes = batch.key_hashes(("ipv4_src", "ipv4_dst"))
         assert hashes[0] != hashes[1]
-        _, packed = batch.packed_keys(("ipv4_src", "ipv4_dst"))
-        assert packed[0] != packed[1]
 
     def test_frame_len_excluded_from_keys(self):
         """Two packets differing only in frame_len share key and hash —
@@ -102,8 +99,6 @@ class TestKeyHashes:
         )
         hashes = batch.key_hashes(self.FIELDS)
         assert hashes[0] == hashes[1]
-        _, packed = batch.packed_keys(self.FIELDS)
-        assert packed[0] == packed[1]
         # ... but the lengths still flow into byte accounting.
         assert batch.frame_lengths().tolist() == [64, 1500]
 
@@ -124,55 +119,6 @@ class TestKeyHashes:
         batch = PacketBatch.from_dicts([low, high])
         hashes = batch.key_hashes(("ipv6_src",))
         assert hashes[0] != hashes[1]
-
-
-class TestCollisionSafety:
-    def test_forced_hash_collision_still_correct(self, rule_set):
-        """With every hash forced equal, the packed-key verification must
-        turn collisions into misses — outcomes stay correct."""
-        trace = zipf_workload(
-            rule_set, packet_count=512, flow_count=32
-        ).events[0][1]
-        batch = PacketBatch.from_dicts(trace)
-        table = build_lookup_table(rule_set)
-        cache = MicroflowCache(table)
-        schema = cache.field_names
-        sig, hashes, packed = batch.probe_keys(schema)
-        batch._store.key_memo[tuple(schema)] = (
-            np.zeros(batch.rows, dtype=np.uint64),
-            [0] * batch.rows,
-            sig,
-            packed,
-        )
-        got = []
-        for start in range(0, len(batch), 64):
-            got.extend(cache.lookup_batch_columnar(batch[start : start + 64]))
-        reference_table = build_lookup_table(rule_set)
-        expected = [reference_table.lookup(fields) for fields in trace]
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.match == b.match and a.priority == b.priority
-
-    def test_sig_mismatch_reads_as_miss(self, rule_set):
-        """A record stored under a different lane layout (signature) is
-        never returned for a colliding hash."""
-        table = build_lookup_table(rule_set)
-        cache = MicroflowCache(table)
-        trace = zipf_workload(
-            rule_set, packet_count=64, flow_count=8
-        ).events[0][1]
-        batch = PacketBatch.from_dicts(trace)
-        cache.lookup_batch_columnar(batch)
-        # Corrupt every cached record's signature; next columnar pass
-        # must treat all rows as misses and still classify correctly.
-        for record in cache._entries.values():
-            record.sig = (("bogus", 1),)
-        got = cache.lookup_batch_columnar(batch)
-        expected = [build_lookup_table(rule_set).lookup(f) for f in trace]
-        for a, b in zip(got, expected):
-            assert (a is None) == (b is None)
 
 
 # ----------------------------------------------------------------------
@@ -231,31 +177,6 @@ class TestColumnarMicroflow:
         for a, b in zip(first, again):
             assert (a is None) == (b is None)
 
-    def test_rescue_restamp_drops_stale_sidecar_slot(self):
-        """A layout change re-hashes a cached key; promoting the record
-        under its new hash must drop the old sidecar slot, or eviction
-        could never unindex it (dangling mapping pinning dead records)."""
-
-        class _StubTable:
-            field_names = ("a", "b")
-            version = 0
-
-            def lookup_batch(self, batch):
-                return [None] * len(batch)
-
-        cache = MicroflowCache(_StubTable())
-        narrow = {"a": 1, "b": 2}
-        cache.lookup_batch_columnar(PacketBatch.from_dicts([narrow]))
-        assert len(cache._columnar) == 1
-        # Same logical key in a batch whose "a" column widened to two
-        # lanes: different signature, different hash, rescue path.
-        wide_batch = PacketBatch.from_dicts([narrow, {"a": 2**70, "b": 0}])
-        cache.lookup_batch_columnar(wide_batch)
-        for chash, record in cache._columnar.items():
-            assert record.chash == chash
-            assert cache._entries[record.key] is record
-        assert len(cache._columnar) <= len(cache._entries)
-
     def test_columnar_counts_revalidations(self, rule_set):
         table = build_lookup_table(rule_set)
         cache = MicroflowCache(table)
@@ -278,8 +199,8 @@ class TestColumnarMicroflow:
             field_names = ("a",)
             version = 0
 
-            def lookup_batch(self, batch):
-                return [None] * len(batch)
+            def lookup_keys(self, keys, capture):
+                return [None] * len(keys), [None] * len(keys)
 
         cache = MicroflowCache(_CountingTable())
         original = cache._insert
@@ -295,28 +216,12 @@ class TestColumnarMicroflow:
         assert cache.misses == 33  # per-position, dict-path parity
         assert sorted(inserts) == [(7,), (9,)]  # per distinct row
 
-    def test_eviction_keeps_sidecar_consistent(self, rule_set):
-        table = build_lookup_table(rule_set)
-        cache = MicroflowCache(table, capacity=4)
-        trace = [
-            dict(fields)
-            for fields in zipf_workload(
-                rule_set, packet_count=64, flow_count=32
-            ).events[0][1]
-        ]
-        batch = PacketBatch.from_dicts(trace)
-        cache.lookup_batch_columnar(batch)
-        assert len(cache) <= 4
-        assert len(cache._columnar) <= len(cache._entries)
-        for record in cache._columnar.values():
-            assert cache._entries[record.key] is record
-
 
 class TestMixedPaths:
     def test_dict_warmed_cache_serves_columnar_without_table(self, rule_set):
         """A cache warmed by dict batches must serve columnar traffic
-        from its records (promoted into the sidecar on first columnar
-        touch), not re-resolve the working set through the table."""
+        from the same records, not re-resolve the working set through
+        the table."""
         table = build_lookup_table(rule_set)
         cache = MicroflowCache(table)
         trace = zipf_workload(
@@ -332,7 +237,7 @@ class TestMixedPaths:
         expected = [build_lookup_table(rule_set).lookup(f) for f in trace]
         for a, b in zip(outcomes, expected):
             assert (a is None) == (b is None)
-        # Second columnar pass hits the promoted sidecar entries.
+        # A second columnar pass hits too.
         misses_before = cache.misses
         cache.lookup_batch_columnar(batch)
         assert cache.misses == misses_before
@@ -803,11 +708,11 @@ def test_key_hash_microbench(rule_set):
     tuple_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    _, hashes, packed = batch.probe_keys(names)
+    hashes = batch.key_hashes(names)
     vector_elapsed = time.perf_counter() - start
 
     assert len(tuple_keys) == len(trace)
-    assert len(hashes) == batch.rows and len(packed) == batch.rows
+    assert len(hashes) == batch.rows
     ratio = tuple_elapsed / max(vector_elapsed, 1e-9)
     print(
         f"\nkey build: tuples {len(trace) / tuple_elapsed:,.0f}/s, "

@@ -15,8 +15,8 @@ classification paths —
 7. sharded with shared sealed rule state (``shared_rules=True`` —
    workers attach read-only :mod:`repro.runtime.rulestate` snapshots
    instead of rebuilding replicas, mutations replay from the log),
-8. columnar microflow-cached batch (``PacketBatch`` input, vectorized
-   key hashing),
+8. columnar microflow-cached batch (``PacketBatch`` input, keys read
+   off the lanes),
 9. columnar two-tier megaflow batch (vectorized masked-key probes),
 10. columnar sharded shared-memory pipelined (decode-free workers
     classifying straight off the request block's columns) —
@@ -752,12 +752,17 @@ def _assert_miss_paths_agree(replayers, trace_len):
         assert counters == against[2], f"{name}: megaflow counters diverge"
         assert aggregates == against[0], f"{name}: megaflow contents diverge"
         assert recency == against[1], f"{name}: megaflow LRU order diverges"
-    # Every position that reaches a table probes its microflow cache
-    # exactly once, whichever path carried it there.
+    # Both wave loops put a wave's distinct keys through the same
+    # microflow probe in the same order, so the exact-match tier ends in
+    # the same state too.
     for table_id, cache in replayers["dict"].runner.caches.items():
         twin = replayers["columnar"].runner.caches[table_id]
-        assert cache.hits + cache.misses == twin.hits + twin.misses, (
-            f"table {table_id}: microflow probes diverge"
+        for name in ("hits", "misses", "revalidations"):
+            assert getattr(cache, name) == getattr(twin, name), (
+                f"table {table_id}: microflow {name} diverge"
+            )
+        assert list(cache._entries) == list(twin._entries), (
+            f"table {table_id}: microflow LRU order diverges"
         )
 
 
@@ -978,7 +983,6 @@ _stream_example = st.fixed_dictionaries(
         "deadline": st.one_of(
             st.none(), st.integers(min_value=1, max_value=48)
         ),
-        "columnar": st.booleans(),
         "degrade_after": st.integers(min_value=1, max_value=4),
     }
 )
@@ -1008,7 +1012,6 @@ def test_stream_conservation_and_determinism(example):
         window=example["window"],
         policy="tail" if example["deadline"] is None else "deadline",
         deadline=example["deadline"],
-        columnar=example["columnar"],
         service_rate=example["service_rate"],
         degrade_after=example["degrade_after"],
     )
