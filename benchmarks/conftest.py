@@ -4,15 +4,13 @@ Heavy inputs (the calibrated filter sets, built tries) are session-scoped
 and cached inside :mod:`repro.experiments.common`, so each benchmark
 measures the operation of interest, not set generation.
 
-Smoke mode (``--smoke`` flag or ``REPRO_BENCH_SMOKE=1``) swaps the
-calibrated filter sets for tiny synthetic ones and shrinks trace sizes,
-so the benchmark entry points can run under the tier-1 test suite
-(typically together with ``--benchmark-disable``) in seconds.
+Smoke mode (the ``--smoke`` flag) swaps the calibrated filter sets for
+tiny synthetic ones, so the benchmark entry points can run under the
+tier-1 test suite (typically together with ``--benchmark-disable``) in
+seconds.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -34,81 +32,12 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="shrink benchmark inputs to smoke-test the entry points",
     )
-    parser.addoption(
-        "--profile",
-        action="store_true",
-        default=False,
-        help=(
-            "cProfile one extra invocation of each bench mode and write "
-            "the top-20 cumulative report to bench_profiles/<mode>.txt "
-            "(measured timings are untouched)"
-        ),
-    )
-
-
-def _smoke(config: pytest.Config) -> bool:
-    env = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower()
-    return bool(
-        config.getoption("--smoke", default=False)
-        or env not in ("", "0", "false", "no")
-    )
 
 
 @pytest.fixture(scope="session")
 def smoke(request: pytest.FixtureRequest) -> bool:
     """True when running in smoke mode (tiny inputs, entry-point check)."""
-    return _smoke(request.config)
-
-
-@pytest.fixture(scope="session")
-def bench_scale(smoke: bool) -> float:
-    """Multiplier applied to trace lengths and round counts."""
-    return 0.05 if smoke else 1.0
-
-
-@pytest.fixture(scope="session")
-def profile_mode(request: pytest.FixtureRequest):
-    """Context manager profiling one *extra* run of a bench mode.
-
-    ``with profile_mode("cached_batch"): classify()`` writes a cProfile
-    top-20 cumulative report to ``bench_profiles/cached_batch.txt`` when
-    ``--profile`` (or ``REPRO_BENCH_PROFILE=1``) is set, and is a no-op
-    otherwise.  Profiling always wraps a separate invocation *after* the
-    measured rounds, so the recorded timings (and the CI perf gate fed
-    from them) never include profiler overhead.
-    """
-    import contextlib
-    import cProfile
-    import io
-    import pstats
-    from pathlib import Path
-
-    env = os.environ.get("REPRO_BENCH_PROFILE", "").strip().lower()
-    enabled = bool(
-        request.config.getoption("--profile", default=False)
-        or env not in ("", "0", "false", "no")
-    )
-    out_dir = Path(__file__).resolve().parents[1] / "bench_profiles"
-
-    @contextlib.contextmanager
-    def _profile(mode: str):
-        if not enabled:
-            yield
-            return
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            yield
-        finally:
-            profiler.disable()
-            out_dir.mkdir(exist_ok=True)
-            stream = io.StringIO()
-            pstats.Stats(profiler, stream=stream).sort_stats(
-                "cumulative"
-            ).print_stats(20)
-            (out_dir / f"{mode}.txt").write_text(stream.getvalue())
-
-    return _profile
+    return request.config.getoption("--smoke", default=False)
 
 
 @pytest.fixture(scope="session")

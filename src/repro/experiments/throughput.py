@@ -1,19 +1,18 @@
 """Throughput experiment: cache/batch counters next to the memory claims.
 
 The paper's tables cost the architecture's *memory*; this experiment
-reports what the runtime layer gets out of it — packets/sec, microflow
-and megaflow hit rates, megaflow occupancy, waves per batch and
-per-entry flow-stats totals for every scenario in the catalog — then a
-sharded (shared-memory transport) replay whose parent-side flow stats
-must agree with the single-process counters, and finally the post-churn
-memory breakdown (action-table free-list high-water mark and flow
-counters included) so the throughput, monitoring and memory sides of
-the story land in one report.
+reports what the runtime layer does with it — microflow and megaflow hit
+rates, megaflow occupancy, waves per batch and per-entry flow-stats
+totals for every scenario in the catalog — then a sharded (shared-memory
+transport) replay whose parent-side flow stats must agree with the
+single-process counters, and finally the post-churn memory breakdown
+(action-table free-list high-water mark and flow counters included) so
+the caching, monitoring and memory sides of the story land in one
+report.  Every column is a count, so two runs agree exactly; wall-clock
+rates come from the repo benchmark (``benchmarks/e2e/``) alone.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.builder import build_lookup_table
@@ -40,23 +39,6 @@ _PACKETS = 4000
 _FLOWS = 64
 
 
-def steady_state_sweep_us(runner: BatchPipeline, reps: int) -> float:
-    """Wall cost of one expiry sweep over ``runner``'s live tables, in
-    microseconds, priced with ``dt=0`` advances: sweeps that move no
-    time, so nothing expires and no table version bumps.  The first,
-    untimed advance pays any lane rebuild earlier expiries left pending;
-    a sweep is ~1 us, so one scheduler pause would swamp a single timed
-    run — the fastest of five rounds of ``reps`` is reported."""
-    runner.advance_clock(0)
-    rounds = []
-    for _ in range(5):
-        started = time.perf_counter()
-        for _ in range(reps):
-            runner.advance_clock(0)
-        rounds.append(time.perf_counter() - started)
-    return min(rounds) / reps * 1e6
-
-
 @experiment("throughput")
 def run() -> ExperimentResult:
     result = ExperimentResult(experiment_id="throughput")
@@ -68,8 +50,6 @@ def run() -> ExperimentResult:
         headers=[
             "scenario",
             "packets",
-            "pkts/sec",
-            "Mbit/s",
             "microflow hit%",
             "megaflow hit%",
             "megaflow entries",
@@ -89,18 +69,12 @@ def run() -> ExperimentResult:
         )
         arch = MultiTableLookupArchitecture([build_lookup_table(rule_set)])
         runner = BatchPipeline(arch, cache_capacity=4096, megaflow_capacity=4096)
-        started = time.perf_counter()
         stats = run_workload(runner, workload, batch_size=256)
-        elapsed = time.perf_counter() - started
-        pps = stats.packets / elapsed if elapsed > 0 else 0.0
-        mbps = 8 * workload.byte_count / elapsed / 1e6 if elapsed > 0 else 0.0
         megaflow = runner.megaflow
         table.add_row(
             [
                 name,
                 stats.packets,
-                f"{pps:,.0f}",
-                f"{mbps:,.1f}",
                 f"{100 * stats.cache_hit_rate:.1f}",
                 f"{100 * stats.megaflow_hit_rate:.1f}",
                 len(megaflow),
@@ -112,29 +86,21 @@ def run() -> ExperimentResult:
                 runner.lifecycle.stats.entries_scanned,
             ]
         )
-        result.headline[f"{name.replace('-', '_')}_pkts_per_sec"] = round(pps)
-        result.headline[f"{name.replace('-', '_')}_mbit_per_sec"] = round(
-            mbps, 1
-        )
         if name == "timeout-churn":
-            # Lifecycle cost next to the throughput it taxes: entries
-            # removed by the sweeps, timed-entry lanes the sweeps
+            # Lifecycle work next to the hit rates it taxes: entries
+            # removed by the sweeps and timed-entry lanes the sweeps
             # examined (permanent rules have no lane, so this counts
-            # the mice, not the table), and the marginal wall cost of
-            # one steady-state sweep over the live table.
+            # the mice, not the table).
             result.headline["timeout_churn_expired_entries"] = stats.expired
             result.headline["timeout_churn_sweep_entry_lanes"] = (
                 runner.lifecycle.stats.entries_scanned
             )
-            sweep_us = steady_state_sweep_us(runner, reps=50)
-            result.headline["timeout_churn_sweep_us"] = round(sweep_us, 1)
             result.notes.append(
                 f"timeout-churn: {stats.expired} entries expired over "
                 f"{stats.advances} sweeps "
                 f"({runner.lifecycle.stats.entries_scanned} timed-entry "
                 f"lanes examined; permanent rules cost the sweep "
-                f"nothing); a steady-state sweep of the live table costs "
-                f"~{sweep_us:.1f} us"
+                f"nothing)"
             )
         if name == "uniform-wide":
             result.headline["uniform_wide_megaflow_hit_rate"] = round(
@@ -264,7 +230,7 @@ def run() -> ExperimentResult:
         0
     ].actions.free_high_water
     result.notes.append(
-        "throughput measured on the batched two-tier (microflow+megaflow) "
+        "counters taken on the batched two-tier (microflow+megaflow) "
         "path; 'actions (free hwm)' is the churn compaction headroom "
         "(excluded from TOTAL)"
     )

@@ -212,10 +212,10 @@ schema field: microflow-adversarial, megaflow-friendly), ``zipf``,
 under elephant traffic via clock sweeps), each with ``frame_len``
 distribution and ``advance=`` clock-cadence knobs — replayed by
 :func:`~repro.runtime.batch.run_workload`.
-``benchmarks/bench_throughput.py`` reports packets/sec and bits/sec per
-lookup path over these scenarios and records them in
-``BENCH_throughput.json``; ``benchmarks/check_regression.py`` gates CI
-on the recorded speedup ratios.
+The repo benchmark (``benchmarks/e2e/``, contract in ``BENCHMARK.json``)
+replays them for packets/sec next to bits of memory per rule and
+records one set in ``BENCH_throughput.json``; CI gates a change against
+its parent with ``python -m benchmarks.e2e compare``.
 """
 
 from repro.packet.batch import PacketBatch

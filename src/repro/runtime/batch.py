@@ -433,10 +433,6 @@ class BatchPipeline:
             return table.lookup_batch(fields_batch)
         return [table.lookup(fields) for fields in fields_batch]
 
-    def cache_stats(self) -> dict[int, MicroflowCache]:
-        """The per-table caches, keyed by table id (empty when disabled)."""
-        return dict(self.caches)
-
     def stats_snapshot(self) -> BatchStats:
         stats = BatchStats(
             packets=self.packets,

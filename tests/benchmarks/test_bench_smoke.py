@@ -1,11 +1,12 @@
-"""Tier-1 smoke of the benchmark entry points.
+"""Tier-1 smoke of the paper-table benchmark entry points.
 
-Runs the throughput bench plus one paper benchmark (the update path,
-whose incremental install/remove claims this repo's churn fixes serve)
-under pytest with ``--smoke`` (tiny synthetic inputs) and
-``--benchmark-disable`` (each benchmark body executes exactly once), so
-regressions in the benchmark harness itself surface in the fast suite
-rather than on the next manual benchmark run.
+Runs one paper benchmark (the update path, whose incremental
+install/remove claims this repo's churn fixes serve) under pytest with
+``--smoke`` (tiny synthetic inputs) and ``--benchmark-disable`` (each
+benchmark body executes exactly once), so regressions in the benchmark
+fixtures surface in the fast suite rather than on the next manual
+benchmark run.  The perf harness has its own tier-1 smoke,
+``benchmarks/e2e/test_e2e_quick.py``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-SMOKE_TARGETS = [
-    "benchmarks/bench_throughput.py",
-    "benchmarks/bench_update.py",
-]
 
 
 def test_benchmarks_smoke_mode():
@@ -34,7 +30,7 @@ def test_benchmarks_smoke_mode():
             sys.executable,
             "-m",
             "pytest",
-            *SMOKE_TARGETS,
+            "benchmarks/bench_update.py",
             "--smoke",
             "--benchmark-disable",
             "-q",
@@ -52,34 +48,3 @@ def test_benchmarks_smoke_mode():
         f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
     )
     assert " passed" in completed.stdout
-
-
-def test_smoke_env_knob_matches_flag():
-    """REPRO_BENCH_SMOKE=1 must enable smoke mode without the flag."""
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    )
-    env["REPRO_BENCH_SMOKE"] = "1"
-    completed = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            "benchmarks/bench_throughput.py::test_cached_batch_speedup",
-            "--benchmark-disable",
-            "-q",
-            "-p",
-            "no:cacheprovider",
-        ],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert completed.returncode == 0, (
-        "env-knob smoke run failed\n"
-        f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
-    )

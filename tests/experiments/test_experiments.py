@@ -133,6 +133,18 @@ class TestThroughput:
             result.headline["stream_offered_load_pkts_per_tick"] > 0.5
         )  # the declared service rate the bursts overwhelm
 
+    def test_headline_repeats_exactly(self):
+        """Every headline value is a count on the virtual clock: wall
+        rates belong to the repo benchmark, so the experiment holds no
+        stopwatch and two runs agree to the last digit."""
+        from repro.experiments import throughput
+
+        assert not hasattr(throughput, "time")
+        first = run_experiment("throughput", write_csv=False)
+        second = run_experiment("throughput", write_csv=False)
+        assert first.headline == second.headline
+        assert not any("per_sec" in key for key in first.headline)
+
 
 class TestRunnerCli:
     def test_list(self, capsys):
