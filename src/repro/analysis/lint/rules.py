@@ -313,12 +313,18 @@ class FrameLenExclusionRule(Rule):
 
 #: Hot functions that never leave the lanes at all: the columnar
 #: classify entry point, the miss-path walk's wave functions, the keyed
-#: table/cache lookups under it and the bulk megaflow install.  A
-#: megaflow miss costs per *distinct key*, so here even one lazily
-#: materialised row (``fields_at`` / ``row_fields``) is a finding.
+#: table/cache lookups under it, the bulk megaflow install, and the
+#: sharded reply path — the worker's per-traversal encode, the parent's
+#: decode and the collect that merges it.  A megaflow miss costs per
+#: *distinct key* and a sharded reply per *distinct traversal*, so here
+#: even one lazily materialised row (``fields_at`` / ``row_fields``) is
+#: a finding.
 _LANE_ONLY_HOT = frozenset(
     {
         "classify_columnar",
+        "encode_outcomes",
+        "decode_outcomes",
+        "_collect",
         "_walk_misses",
         "_wave",
         "_keys",
@@ -350,10 +356,6 @@ _DICT_FREE_HOT = (
     | _LANE_ONLY_HOT
 )
 
-#: Hot functions that may build results but must never bulk-decode the
-#: batch.
-_DECODE_FREE_HOT = frozenset({"encode_outcomes"})
-
 #: Attribute calls that materialise every row of a batch as dicts.
 _BULK_MATERIALISERS = frozenset({"dicts", "decode"})
 
@@ -371,14 +373,16 @@ class HotPathPurityRule(Rule):
         "classify_columnar, ...) must not bulk-materialise dicts "
         "(.dicts()/.decode()) nor, in the probe/credit tiers, construct "
         "per-row PipelineResults; the classify entry point, the miss-path "
-        "wave functions and install_batch must not materialise even a "
-        "single row (.fields_at()/.row_fields())"
+        "wave functions, install_batch and the sharded reply path "
+        "(encode_outcomes, decode_outcomes, _collect) must not materialise "
+        "even a single row (.fields_at()/.row_fields())"
     )
     hint = (
         "stay on the uint64 lanes: aggregate stats from the frame_len "
         "lane, replay megaflow templates, key waves off the lanes plus "
-        "override lanes; row dicts belong to results() and the scalar "
-        "fallback for schema-less tables"
+        "override lanes, reply once per distinct traversal; row dicts and "
+        "per-packet results belong to whoever reads a ColumnarOutcomes, "
+        "and to the scalar fallback for schema-less tables"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -390,7 +394,7 @@ class HotPathPurityRule(Rule):
                     f.name
                     for f in reversed(funcs)
                     if isinstance(f, _FuncDef)
-                    and f.name in (_DICT_FREE_HOT | _DECODE_FREE_HOT)
+                    and f.name in _DICT_FREE_HOT
                 ),
                 None,
             )

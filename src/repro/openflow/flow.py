@@ -52,8 +52,8 @@ class FlowStats:
         self.byte_count += byte_count
 
     def add(self, packets: int, byte_count: int = 0) -> None:
-        """Fold an aggregated delta in (e.g. a sharded worker's
-        :class:`~repro.runtime.transport.FlowStatsDelta` report)."""
+        """Fold an aggregated delta in (e.g. the per-traversal
+        packet/byte lanes of a sharded worker's reply)."""
         self.packet_count += packets
         self.byte_count += byte_count
 

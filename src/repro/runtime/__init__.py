@@ -53,14 +53,17 @@ path: the parent encodes each batch *once* into a columnar
 :class:`~repro.runtime.transport.PacketBlockCodec` shared-memory block
 (one ``uint64`` lane per 64 field bits, presence bytes, identical
 packet dicts encoded once), workers read their member rows in place
-and write :class:`~repro.openflow.pipeline.PipelineResult` columns into
-worker-owned blocks; only mutation suffixes, block names and layouts
-cross the pipes.  Replies carry per-entry
-:class:`~repro.runtime.transport.FlowStatsDelta` packet/byte counts
-keyed by ``(table_id, position)`` entry refs
-(:class:`~repro.runtime.transport.EntryIndex`), which the parent folds
-back into its authoritative flow entries — flow stats under sharding
-match the single-process run exactly.
+and write their reply into worker-owned blocks — **once per distinct
+traversal** of the sub-batch, plus one ``int32`` code per position;
+only mutation suffixes, block names and layouts cross the pipes.  The
+flow-stats delta rides in the reply block as two per-traversal lanes
+(packets, frame bytes); matched entries travel as
+``(table_id, position)`` entry refs
+(:class:`~repro.runtime.transport.EntryIndex`) that the parent resolves
+against the order it pinned at submission, folding the delta into its
+authoritative flow entries — flow stats under sharding match the
+single-process run exactly.  A reply that does not fit its batch fails
+closed (:class:`~repro.runtime.transport.ReplyDecodeError`).
 
 **Pipelined dispatch/collect.**  The transport is double-buffered: each
 direction keeps a ring of ``depth`` shared blocks, so
@@ -70,7 +73,11 @@ dispatches batch N+1 while the workers still classify batch N.  Every
 submitted batch snapshots the mutation-log length and pinned entry
 order at submission, so pipelined streams replay the exact serial
 sequence of table states — results and flow stats stay
-bitwise-identical to the lockstep and single-process runners.
+bitwise-identical to the lockstep and single-process runners.  The
+stream yields :class:`~repro.runtime.batch.ColumnarOutcomes` — the
+in-process runner's own outcome type, a ``Sequence[PipelineResult]``
+that materialises on access — so counters and flow stats are merged on
+arrival while per-packet results exist only for callers that read them.
 
 **Frame lengths and byte accounting.**  Packets carry an on-wire
 ``frame_len`` (:data:`repro.packet.headers.FRAME_LEN_FIELD`): switch
@@ -120,13 +127,16 @@ in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and
 encodes its reply straight from the traversal templates
-(:func:`~repro.runtime.transport.encode_outcomes`): flags, ports,
-matched-entry refs and action vocabularies come from the template every
-position carries — the aggregate it hit, or the one the miss path built
-for it — rewrite overrides from the traversal's override dict, frame
-lengths from the ``frame_len`` lane — so no row is materialised
-worker-side at all.  The parent's collect path resolves replies against
-its own pinned tables.
+(:func:`~repro.runtime.transport.encode_outcomes`): each *distinct*
+traversal of the sub-batch — the aggregate a position hit, or the one
+the miss path built for it — is written once (flags, ports,
+matched-entry refs, action ids, its rewrite overrides), every position
+adds one code, and per-traversal packet/byte sums come off the
+``frame_len`` lane — so no row is materialised worker-side at all.
+The parent's collect path
+(:func:`~repro.runtime.transport.decode_outcomes`) rebuilds one
+template per traversal against its own pinned tables and materialises
+nothing per packet.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch` takes
@@ -278,7 +288,6 @@ from repro.runtime.supervise import (
 )
 from repro.runtime.transport import (
     EntryIndex,
-    FlowStatsDelta,
     PacketBlockCodec,
 )
 
@@ -295,7 +304,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FlowRemoved",
-    "FlowStatsDelta",
     "LifecycleSweeper",
     "MegaflowCache",
     "MegaflowRecorder",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Mapping, Sequence
-from typing import Any, Protocol
+from typing import Any, Protocol, overload
 
 import numpy as np
 
@@ -227,7 +227,7 @@ class BatchPipeline:
     def _credit_result(self, result: PipelineResult, frame_len: int) -> None:
         """Fold one packet's outcome into the runner counters (the
         columnar path runs the same arithmetic aggregated per
-        traversal, :meth:`_credit_traversal`)."""
+        traversal, :func:`credit_traversal`)."""
         matched_entries = len(result.matched_entries)
         self.matched += bool(matched_entries)
         self.flow_packets += matched_entries
@@ -251,10 +251,10 @@ class BatchPipeline:
         same walk runs without capture and without install.
 
         The returned :class:`ColumnarOutcomes` defers replay
-        materialisation: local callers build :class:`PipelineResult`
-        lists from it (:meth:`ColumnarOutcomes.results`,
-        bitwise-identical to the dict path), the decode-free sharded
-        worker encodes the templates directly.
+        materialisation: local callers index or iterate it for
+        :class:`PipelineResult` s (bitwise-identical to the dict path),
+        the decode-free sharded worker encodes its distinct templates
+        directly.
         """
         self.packets += len(batch)
         self.batches += 1
@@ -267,7 +267,7 @@ class BatchPipeline:
             # Hit counters aggregated per entry — one pass over the few
             # distinct aggregates instead of every packet.
             for entry, count, byte_count in buckets:
-                self._credit_traversal(entry, count, byte_count)
+                credit_traversal(self, entry, count, byte_count)
             if None in replays:
                 missed = np.flatnonzero(
                     np.fromiter(
@@ -311,7 +311,7 @@ class BatchPipeline:
         for traversal, count, byte_count in zip(
             walk.traversals, counts.tolist(), byte_sums.tolist()
         ):
-            self._credit_traversal(traversal, count, int(byte_count))
+            credit_traversal(self, traversal, count, int(byte_count))
         taken: Sequence[Traversal]
         if megaflow is not None:
             taken = megaflow.install_batch(
@@ -326,21 +326,6 @@ class BatchPipeline:
             taken = [walk.traversals[code] for code in walk.traversal_codes.tolist()]
         for position, traversal in zip(missed.tolist(), taken):
             replays[position] = traversal
-
-    def _credit_traversal(
-        self, traversal: Traversal, count: int, byte_count: int
-    ) -> None:
-        """Fold ``count`` packets (``byte_count`` frame bytes in all)
-        that took one traversal into the runner counters — the
-        aggregated twin of :meth:`_credit_result`."""
-        template = traversal.template
-        matched_entries = len(template.matched_entries)
-        if matched_entries:
-            self.matched += count
-            self.flow_packets += matched_entries * count
-            self.flow_bytes += matched_entries * byte_count
-        self.sent_to_controller += template.sent_to_controller * count
-        self.dropped += template.dropped * count
 
     def _run_waves(
         self,
@@ -455,9 +440,28 @@ class BatchPipeline:
         return stats
 
 
-@dataclass
-class ColumnarOutcomes:
-    """One columnar batch's classification, replay not yet materialised.
+def credit_traversal(
+    runner: Any, traversal: Traversal, count: int, byte_count: int
+) -> None:
+    """Fold ``count`` packets (``byte_count`` frame bytes in all) that
+    took one traversal into ``runner``'s traffic counters — the
+    aggregated twin of :meth:`BatchPipeline._credit_result`, shared by
+    the in-process runner and the sharded parent (which credits from
+    its workers' per-traversal delta lanes)."""
+    template = traversal.template
+    matched_entries = len(template.matched_entries)
+    if matched_entries:
+        runner.matched += count
+        runner.flow_packets += matched_entries * count
+        runner.flow_bytes += matched_entries * byte_count
+    runner.sent_to_controller += template.sent_to_controller * count
+    runner.dropped += template.dropped * count
+
+
+@dataclass(eq=False)
+class ColumnarOutcomes(Sequence[PipelineResult]):
+    """One columnar batch's classification: a sequence of per-packet
+    results that materialises on access.
 
     ``replays[i]`` is the :class:`~repro.runtime.megaflow.Traversal`
     position ``i`` took — the megaflow aggregate it hit, or the one the
@@ -465,30 +469,78 @@ class ColumnarOutcomes:
     Either way it is a ``(template, overrides)`` pair carrying
     everything but the packet's own fields, so hits and misses
     materialise the same way; ``frame`` is the per-position
-    ``frame_len`` lane.  This is what makes the sharded worker
-    decode-free: :func:`~repro.runtime.transport.encode_outcomes` ships
-    every position straight from its template, so no row is ever
-    materialised as a dict.
+    ``frame_len`` lane.  Positions that took the same path share one
+    traversal object, so an outcome nobody reads costs one template per
+    *distinct* path and nothing per packet.
+
+    Both runners hand this type back: :meth:`BatchPipeline.classify_columnar`
+    in-process, and the sharded parent from the templates its workers
+    reply with (:func:`~repro.runtime.transport.encode_outcomes` ships
+    each distinct traversal once plus one code per position, see
+    :meth:`distinct`), so no row is materialised as a dict on either
+    side until somebody indexes or iterates the outcome.
     """
 
     batch: PacketBatch
     replays: list[Traversal]
     frame: np.ndarray
 
-    def results(self) -> list[PipelineResult]:
+    def __len__(self) -> int:
+        return len(self.replays)
+
+    def __iter__(self) -> Iterator[PipelineResult]:
         """Materialise the per-packet results, in position order —
         bitwise-identical to the dict path: ``final_fields`` is the
         packet's fields plus the traversal's rewrite overrides, exactly
         like :meth:`~repro.runtime.megaflow.MegaflowCache` replay (stats
         were already credited at classification time)."""
-        out: list[PipelineResult] = []
         row_fields = self.batch.row_fields
         for row, replay in zip(self.batch.pick.tolist(), self.replays):
-            final_fields = dict(row_fields(row))
-            if replay.overrides:
-                final_fields.update(replay.overrides)
-            out.append(replay_template(replay.template, final_fields))
-        return out
+            yield _materialise(replay, row_fields(row))
+
+    @overload
+    def __getitem__(self, index: int) -> PipelineResult: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[PipelineResult]: ...
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> PipelineResult | list[PipelineResult]:
+        if isinstance(index, slice):
+            return list(
+                ColumnarOutcomes(
+                    self.batch[index], self.replays[index], self.frame[index]
+                )
+            )
+        return _materialise(self.replays[index], self.batch.fields_at(index))
+
+    def results(self) -> list[PipelineResult]:
+        """Every position materialised, as a plain list."""
+        return list(self)
+
+    def distinct(self) -> tuple[list[Traversal], np.ndarray]:
+        """The batch's distinct traversals, in first-seen order, and one
+        ``int32`` code per position indexing them — the shape the
+        sharded reply ships.  Distinct means *one template object*: the
+        miss path shares a template across the positions that took its
+        path even where each position installed its own aggregate."""
+        keys = [id(replay.template) for replay in self.replays]
+        first = dict(zip(keys, self.replays))
+        code_of = dict(zip(first, range(len(first))))
+        codes = np.fromiter(
+            map(code_of.__getitem__, keys), dtype=np.int32, count=len(keys)
+        )
+        return list(first.values()), codes
+
+
+def _materialise(
+    replay: Traversal, packet_fields: Mapping[str, int]
+) -> PipelineResult:
+    final_fields = dict(packet_fields)
+    if replay.overrides:
+        final_fields.update(replay.overrides)
+    return replay_template(replay.template, final_fields)
 
 
 @dataclass(frozen=True)
@@ -588,7 +640,9 @@ def run_workload(
     loop) get each packet event's chunks as one pipelined stream, so the
     double-buffered transport overlap is exercised by workload replay;
     mutation events still land between streams, preserving the serial
-    event order.
+    event order.  The stream yields lazily materialised
+    :class:`ColumnarOutcomes`, so with ``keep_results=False`` the
+    sharded runner, too, builds no per-packet object.
 
     Columnar workloads (packet events carrying a
     :class:`~repro.packet.batch.PacketBatch`, see

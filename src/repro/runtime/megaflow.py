@@ -160,8 +160,8 @@ def replay_template(
 
     The single definition of replay materialisation, shared by the
     dict-path hit (:meth:`MegaflowCache._replay`) and the deferred
-    columnar hit (:meth:`repro.runtime.batch.ColumnarOutcomes.results`)
-    — direct construction (no ``__init__`` dispatch, no default
+    columnar outcome (:class:`repro.runtime.batch.ColumnarOutcomes`,
+    in-process and sharded alike) — direct construction (no ``__init__`` dispatch, no default
     factories): this is the hottest allocation in the runtime.
     """
     result = PipelineResult.__new__(PipelineResult)
@@ -395,8 +395,8 @@ class MegaflowCache:
         """Probe + credit in one call: the valid aggregate per batch
         *position* (``None`` on miss), bookkeeping done.  Replay
         materialisation is deferred to the caller (see
-        :meth:`repro.runtime.batch.ColumnarOutcomes.results`); the
-        decode-free sharded worker encodes the templates directly.
+        :class:`repro.runtime.batch.ColumnarOutcomes`); the decode-free
+        sharded worker encodes the templates directly.
         """
         return self.probe_credit(batch)[0]
 

@@ -48,10 +48,8 @@ from typing import Literal, NamedTuple
 from repro.openflow.actions import Action
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
-from repro.openflow.pipeline import PipelineResult
 from repro.runtime.batch import BatchStats
 from repro.runtime.transport import (
-    FlowStatsDelta,
     PacketBlockLayout,
     ResultBlockLayout,
     Segment,
@@ -120,9 +118,10 @@ class CloseRequest(NamedTuple):
 
 
 class ShmReply(NamedTuple):
-    """Shared-memory reply: results stay columnar in the worker's
-    response block; the parent decodes them against its own pinned
-    tables via the layout + action vocabulary."""
+    """Shared-memory reply: the sub-batch's distinct traversals, one
+    code per position and the flow-stats delta lanes stay columnar in
+    the worker's response block; the parent decodes them against its
+    own pinned tables via the layout + action vocabulary."""
 
     kind: Literal["ok"]
     block_name: str
@@ -131,7 +130,6 @@ class ShmReply(NamedTuple):
     vocabulary: list[Action]
     mask_fields: tuple[str, ...]
     stats: BatchStats
-    delta: FlowStatsDelta
 
 
 class BlockAnnounce(NamedTuple):
@@ -154,13 +152,16 @@ class InlineReply(NamedTuple):
 
     Never crosses a pipe: the parent parks it straight into its reply
     buffer so the collect path handles degraded shards through the
-    same ``(seq, worker)`` machinery as live ones.  Results are already
-    materialised, so no mask-fields/columnar payload rides along."""
+    same ``(seq, worker)`` machinery as live ones — and through the
+    same codec: ``block`` is a private buffer holding exactly the
+    reply block a worker would have written."""
 
     kind: Literal["inline"]
-    results: list[PipelineResult]
+    block: bytearray
+    segments: tuple[Segment, ...]
+    result_layout: ResultBlockLayout
+    vocabulary: list[Action]
     stats: BatchStats
-    delta: FlowStatsDelta
 
 
 class ByeReply(NamedTuple):

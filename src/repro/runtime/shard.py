@@ -31,15 +31,25 @@ results bitwise-identical.
 **Transport** is shared memory, and there is one path: the parent
 encodes each batch once into a columnar
 :class:`~repro.runtime.transport.PacketBlockCodec` block (a dict
-sequence is columnarised there; a
+sequence is columnarised first; a
 :class:`~repro.packet.batch.PacketBatch` is written as-is), workers
-read their member rows in place and write results into worker-owned
-blocks, and only tiny control messages (mutation suffixes, block names,
-layouts) cross the pipes.  Every reply carries a
-:class:`~repro.runtime.transport.FlowStatsDelta` — per-entry
-packet/byte counts the parent folds back into its authoritative
-:class:`~repro.openflow.flow.FlowEntry` counters — so flow stats match
-the single-process run exactly instead of being stranded in replicas.
+read their member rows in place and write their reply into
+worker-owned blocks, and only tiny control messages (mutation suffixes,
+block names, layouts) cross the pipes.  A worker **replies once per
+traversal**: each *distinct* traversal of its sub-batch is encoded once,
+every position costs one ``int32`` code, and the flow-stats delta rides
+in the same block as two per-traversal lanes (packets, frame bytes).
+The parent decodes the templates against the entry order it pinned at
+submission, credits its counters and its authoritative
+:class:`~repro.openflow.flow.FlowEntry` stats per traversal — so flow
+stats match the single-process run exactly instead of being stranded in
+replicas — and hands back the same lazily materialised
+:class:`~repro.runtime.batch.ColumnarOutcomes` the in-process runner
+returns: :meth:`ShardedBatchPipeline.process_batches` yields it as is
+(a stream nobody reads builds no per-packet object),
+:meth:`~ShardedBatchPipeline.process_batch` /
+:meth:`~ShardedBatchPipeline.collect_batch` /
+:meth:`~ShardedBatchPipeline.collect_any` return it as a plain list.
 
 **Pipelining** removes the lockstep round-trip: each direction keeps a
 ring of ``depth`` shared blocks (request slot ``seq % depth`` parent-
@@ -51,8 +61,9 @@ the overlap; every submitted batch snapshots the mutation-log length
 and the pinned entry order *at submission*, so pipelined batches see
 exactly the serial sequence of table states a lockstep runner would
 have produced.  A slot is reused only after its batch's replies are
-decoded, which bounds worker memory at ``depth`` response blocks and
-keeps in-flight columns immutable.
+decoded (decoding copies everything out, so a collected outcome never
+aliases a slot), which bounds worker memory at ``depth`` response
+blocks and keeps in-flight columns immutable.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`collect_batch` accepts ``seq=`` and :meth:`collect_any` completes
@@ -66,13 +77,15 @@ slot still held by an uncollected batch raises.
 **Workers are decode-free** for every submission: the worker attaches
 to the request block's columns in place and classifies through
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, encoding
-its reply straight from the traversal templates
+its reply straight from the distinct traversal templates
 (:func:`~repro.runtime.transport.encode_outcomes`) — cache misses walk
 the tables as index arrays, so no row is materialised as a dict
 worker-side.  Dict
 and :class:`~repro.packet.batch.PacketBatch` submissions differ only
-parent-side: a columnar batch skips the columnarisation and assigns
-workers by hashing the shard fields' lanes in one vectorized pass.
+parent-side: a dict batch is columnarised once at submit (workers are
+assigned by :meth:`ShardedBatchPipeline.shard_of`), a columnar batch
+skips that and assigns workers by hashing the shard fields' lanes in
+one vectorized pass.
 
 **Fault tolerance.**  Workers are supervised
 (:mod:`repro.runtime.supervise`): every collect-side wait is
@@ -85,8 +98,10 @@ log prefix plus the immutable parent-owned request block make the
 replay bitwise-identical, a re-send rather than a re-encode), a batch
 that kills its worker twice is *poison* and classified in-process, and
 once a worker's restart budget runs out its traffic degrades to the
-surviving workers or to an in-process replica — results and flow-stats
-deltas identical either way.  A parent-side block registry (fed by
+surviving workers or to an in-process replica — which replies through
+the same codec into a private buffer, so a live, a replayed and an
+inline shard merge into the same outcomes, results and flow-stats
+deltas identical.  A parent-side block registry (fed by
 pre-creation announcements) unlinks crashed workers' response rings,
 and each worker watches its parent's pid so an orphaned fleet exits
 instead of idling forever.  :mod:`repro.runtime.faults` injects
@@ -120,7 +135,12 @@ from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline, PipelineResult
 from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD
-from repro.runtime.batch import BatchPipeline, BatchStats
+from repro.runtime.batch import (
+    BatchPipeline,
+    BatchStats,
+    ColumnarOutcomes,
+    credit_traversal,
+)
 from repro.runtime.cache import DEFAULT_CAPACITY
 from repro.runtime.faults import FaultPlan
 from repro.runtime.lifecycle import (
@@ -128,6 +148,7 @@ from repro.runtime.lifecycle import (
     LifecycleSweeper,
     VirtualClock,
 )
+from repro.runtime.megaflow import Traversal
 from repro.runtime.protocol import (
     AddMutation,
     BlockAnnounce,
@@ -156,11 +177,12 @@ from repro.runtime.transport import (
     BlockAttachments,
     BlockReader,
     BlockWriter,
+    DecodedReply,
     EntryIndex,
-    FlowStatsDelta,
     PacketBlockCodec,
+    ReplyDecodeError,
     SharedBlock,
-    decode_results,
+    decode_outcomes,
     encode_outcomes,
     ensure_resource_tracker,
     unlink_segment,
@@ -401,10 +423,11 @@ def _serve_shm(
     reader = BlockReader(request_blocks.buf(block_name), segments)
     writer = BlockWriter()
     # Decode-free: classify straight off the block's columns; hits and
-    # misses alike are encoded from their traversal templates.
+    # misses alike are encoded from their traversal templates, once per
+    # distinct traversal.
     batch = codec.attach(reader, layout, reader.get(members_key))
     outcomes = runner.classify_columnar(batch)
-    result_layout, vocabulary, delta = encode_outcomes(writer, outcomes, index)
+    result_layout, vocabulary = encode_outcomes(writer, outcomes, index)
     runner.megaflow_bypass = False
     faults.fire(worker_id, seq, "after-stats")
     # Announce-before-create: the parent's crash registry must know the
@@ -423,7 +446,6 @@ def _serve_shm(
         vocabulary,
         runner.megaflow.mask_fields() if runner.megaflow is not None else (),
         runner.stats_snapshot(),
-        delta,
     )
     faults.fire(worker_id, seq, "before-reply")
     return reply
@@ -448,8 +470,9 @@ def _worker_main(
     """Worker loop: apply log suffix, classify sub-batch, reply.
 
     A ``("shm", seq, slot, ...)`` request is the only work item; its
-    reply carries the worker's megaflow mask fields, its stats snapshot
-    and the batch's flow-stats delta.  An unknown tag raises: the
+    reply names the response block (templates, codes, flow-stats delta
+    lanes) and carries the worker's megaflow mask fields and its stats
+    snapshot.  An unknown tag raises: the
     worker dies, its sentinel fires and supervision classifies a crash
     — the parent never waits on a reply that will not come.
 
@@ -555,8 +578,12 @@ class _InFlight:
     """
 
     seq: int
-    batch: Sequence[Mapping[str, int]] | PacketBatch
-    groups: dict[int, list[int]]
+    #: Always columnar: a dict submission is columnarised once at
+    #: submit, and that batch feeds the request block, the inline
+    #: fallback and the outcomes' lazy materialisation alike.
+    batch: PacketBatch
+    #: Worker -> its member positions, ascending.
+    groups: dict[int, np.ndarray]
     pinned: Mapping[int, tuple]
     log_len: int
     sends: dict[int, ShmRequest] = field(default_factory=dict)
@@ -910,17 +937,20 @@ class ShardedBatchPipeline:
 
     def _shard_groups(
         self, batch: Sequence[Mapping[str, int]] | PacketBatch
-    ) -> dict[int, list[int]]:
-        """Positions per worker for one batch.
+    ) -> dict[int, np.ndarray]:
+        """Member positions per worker for one batch, as ascending
+        index arrays.
 
         Columnar batches assign workers with one vectorized hash pass
         over the shard fields' lanes (per distinct row, fanned out by
         ``pick``); the hash differs from the dict path's — sharding
         steers only cache locality, never results — but is equally
         stable per key, so an aggregate's packets still converge on one
-        worker.
+        worker.  A single-worker fleet has nothing to steer and skips
+        the hash.
         """
-        groups: dict[int, list[int]] = {}
+        if self.workers == 1:
+            return {0: np.arange(len(batch), dtype=np.int64)}
         if isinstance(batch, PacketBatch):
             names = self._shard_fields
             if names is None and self._learned_fields:
@@ -937,39 +967,39 @@ class ShardedBatchPipeline:
                     )
                 )
             hashes = batch.key_hashes(names)
-            workers = (hashes % np.uint64(self.workers)).astype(np.int64)
-            for i, worker in enumerate(workers[batch.pick].tolist()):
-                groups.setdefault(worker, []).append(i)
+            assigned = (hashes % np.uint64(self.workers)).astype(np.int64)[
+                batch.pick
+            ]
         else:
-            for i, fields in enumerate(batch):
-                groups.setdefault(self.shard_of(fields), []).append(i)
+            assigned = np.fromiter(
+                map(self.shard_of, batch), dtype=np.int64, count=len(batch)
+            )
         if self._supervisor.disabled:
-            groups = self._reroute(groups)
-        return groups
+            assigned = self._reroute(assigned)
+        return {
+            worker: np.flatnonzero(assigned == worker)
+            for worker in np.unique(assigned).tolist()
+        }
 
-    def _reroute(self, groups: dict[int, list[int]]) -> dict[int, list[int]]:
+    def _reroute(self, assigned: np.ndarray) -> np.ndarray:
         """Degraded routing: a permanently-disabled shard's members go
-        to the survivors (``fallback="redistribute"``) or stay grouped
-        under the dead worker for in-process classification at submit
+        to the survivors (``fallback="redistribute"``) or stay assigned
+        to the dead worker for in-process classification at submit
         (``fallback="inline"``, or no survivors left).  Either way the
         members classify at the same pinned log position, so results
         stay identical — routing only moves cache locality."""
         if self._supervisor.config.fallback != "redistribute":
-            return groups
+            return assigned
         survivors = [
             w for w in range(self.workers)
             if w not in self._supervisor.disabled
         ]
         if not survivors:
-            return groups
-        rerouted: dict[int, list[int]] = {}
-        for worker, members in groups.items():
-            if worker in self._supervisor.disabled:
-                worker = survivors[worker % len(survivors)]
-            rerouted.setdefault(worker, []).extend(members)
-        for members in rerouted.values():
-            members.sort()
-        return rerouted
+            return assigned
+        route = np.arange(self.workers, dtype=np.int64)
+        for worker in self._supervisor.disabled:
+            route[worker] = survivors[worker % len(survivors)]
+        return route[assigned]
 
     # -- classification ------------------------------------------------
 
@@ -1022,7 +1052,7 @@ class ShardedBatchPipeline:
         self._guard_idle("process_batch")
         if not self._submit(batch):
             return []
-        return self._collect()
+        return self._collect().results()
 
     def _guard_idle(self, caller: str) -> None:
         if self._streaming:
@@ -1038,7 +1068,7 @@ class ShardedBatchPipeline:
 
     def process_batches(
         self, batches: Iterable[Sequence[Mapping[str, int]] | PacketBatch]
-    ) -> Iterator[list[PipelineResult]]:
+    ) -> Iterator[Sequence[PipelineResult]]:
         """Pipelined classification of a stream of batches.
 
         Keeps up to :attr:`depth` batches in flight: batch N+1 is
@@ -1046,11 +1076,20 @@ class ShardedBatchPipeline:
         are still classifying batch N, then replies are collected in
         submission order — the encode/classify overlap the lockstep
         :meth:`process_batch` round-trip serialises away.  A generator:
-        yields one result list per input batch, in order, each
+        yields one result sequence per input batch, in order, each
         bitwise-identical to the single-process runner's, as soon as it
-        lands — memory stays O(depth x batch), never O(stream), so
-        million-packet events replay without materialising their
-        results.
+        lands.  The sequences are
+        :class:`~repro.runtime.batch.ColumnarOutcomes` — the type
+        :meth:`BatchPipeline.classify_columnar
+        <repro.runtime.batch.BatchPipeline.classify_columnar>` returns —
+        so a per-packet :class:`PipelineResult` exists only once a
+        caller indexes or iterates one: counters and flow stats are
+        already merged when it is yielded, a stream nobody reads builds
+        one template per distinct traversal per batch, and memory stays
+        O(depth x batch), never O(stream).  An outcome stays readable
+        after any number of later batches (nothing in it aliases a ring
+        slot) and is resolved against the entry order pinned when its
+        batch was submitted, whatever has mutated since.
 
         Like :meth:`process_batch`, refuses to start while
         :meth:`submit_batch` batches are outstanding (their results
@@ -1083,7 +1122,7 @@ class ShardedBatchPipeline:
 
     def _stream(
         self, batches: Iterable[Sequence[Mapping[str, int]] | PacketBatch]
-    ) -> Iterator[list[PipelineResult]]:
+    ) -> Iterator[Sequence[PipelineResult]]:
         try:
             for batch in batches:
                 # The backlog is re-read on every loop pass: the
@@ -1179,7 +1218,7 @@ class ShardedBatchPipeline:
             seq = self._order[0]
         elif seq not in self._inflight:
             raise RuntimeError(f"batch seq {seq} is not in flight")
-        return self._collect(seq)
+        return self._collect(seq).results()
 
     def collect_any(self) -> tuple[int, list[PipelineResult]]:
         """``(seq, results)`` of the first in-flight batch able to
@@ -1207,7 +1246,7 @@ class ShardedBatchPipeline:
                 if all(
                     (seq, worker) in self._reply_buffer for worker in groups
                 ):
-                    return seq, self._collect(seq)
+                    return seq, self._collect(seq).results()
             waitables: dict[Any, int] = {}
             for worker in range(self.workers):
                 if self._worker_pending[worker]:
@@ -1295,6 +1334,8 @@ class ShardedBatchPipeline:
             pinned = self._entry_index.pin()
         seq = self._seq
         groups = self._shard_groups(batch)
+        if not isinstance(batch, PacketBatch):
+            batch = PacketBatch.from_dicts(batch, self._codec.field_bits)
         sends = self._encode_shm(seq, batch, groups, bypass)
         # Registered before dispatch: a send that trips over a corpse
         # recovers mid-submit, and recovery reads the in-flight record.
@@ -1319,8 +1360,8 @@ class ShardedBatchPipeline:
     def _encode_shm(
         self,
         seq: int,
-        batch: Sequence[Mapping[str, int]] | PacketBatch,
-        groups: Mapping[int, list[int]],
+        batch: PacketBatch,
+        groups: Mapping[int, np.ndarray],
         bypass: bool = False,
     ) -> dict[int, ShmRequest]:
         """Encode the batch once into its ring slot; request templates
@@ -1335,12 +1376,9 @@ class ShardedBatchPipeline:
         slot = seq % self.depth
         request = self._requests[slot]
         writer = BlockWriter()
-        layout = self._codec.encode(writer, batch, "pkt")
+        layout = self._codec.encode_batch(writer, batch, "pkt")
         for worker in live:
-            writer.put(
-                f"members/{worker}",
-                np.asarray(groups[worker], dtype=np.int64),
-            )
+            writer.put(f"members/{worker}", groups[worker])
         request.ensure(writer.nbytes)
         segments = writer.write_to(request.buf)
         return {
@@ -1444,41 +1482,65 @@ class ShardedBatchPipeline:
         self._reply_buffer[(arrived, worker)] = message
         return True
 
-    def _collect(self, seq: int | None = None) -> list[PipelineResult]:
+    def _collect(self, seq: int | None = None) -> ColumnarOutcomes:
         """Receive, decode and merge one in-flight batch (oldest by
-        default)."""
+        default).
+
+        Each shard's reply is decoded once per distinct traversal
+        against the batch's pinned entry order; runner counters and the
+        pinned entries' flow stats are credited per traversal from the
+        reply's delta lanes.  What comes back is unmaterialised: no
+        per-packet object exists until the caller reads the outcome.
+        """
         if seq is None:
             seq = self._order[0]
         inflight = self._inflight[seq]
-        batch, groups, pinned = inflight.batch, inflight.groups, inflight.pinned
-        results: list[PipelineResult] = [None] * len(batch)  # type: ignore[list-item]
-        for worker, members in groups.items():
-            reply = self._take_reply(seq, worker)
-            assert reply[0] in ("ok", "inline")
-            if reply[0] == "inline":
-                _, worker_results, stats, delta = reply
-            else:
-                worker_results = self._decode_reply(
-                    reply, pinned, [batch[i] for i in members]
+        batch, pinned = inflight.batch, inflight.pinned
+        decoded: list[DecodedReply] = []
+        try:
+            for worker, members in inflight.groups.items():
+                reply = self._take_reply(seq, worker)
+                assert reply[0] in ("ok", "inline")
+                if reply[0] == "inline":
+                    block = memoryview(reply.block)
+                else:
+                    block = self._responses.buf(reply.block_name)
+                    self._learned_fields.update(reply.mask_fields)
+                decoded.append(
+                    decode_outcomes(
+                        BlockReader(block, reply.segments),
+                        reply.result_layout,
+                        reply.vocabulary,
+                        pinned,
+                        len(members),
+                    )
                 )
-                stats, delta = reply.stats, reply.delta
-                self._learned_fields.update(reply.mask_fields)
-            for i, result in zip(members, worker_results):
-                results[i] = result
-            self._worker_stats[worker] = stats
-            merged_packets, merged_bytes = delta.apply(pinned)
-            self.flow_packets += merged_packets
-            self.flow_bytes += merged_bytes
+                self._worker_stats[worker] = reply.stats
+        except ReplyDecodeError:
+            # Fail closed, and stay closable: the batch is unanswerable
+            # and some of its replies are already consumed, so forget it
+            # (nothing of it was credited) rather than leave a record
+            # close() would wait on forever.
+            del self._inflight[seq]
+            self._order.remove(seq)
+            raise
         # Popped only after every reply landed: recovery during the
         # waits above re-reads this in-flight record to replay it.
         del self._inflight[seq]
         self._order.remove(seq)
-        for result in results:
-            self.matched += bool(result.matched_entries)
-            self.sent_to_controller += result.sent_to_controller
-            self.dropped += result.dropped
+        replays: list[Traversal] = [None] * len(batch)  # type: ignore[list-item]
+        for members, shard in zip(inflight.groups.values(), decoded):
+            traversals = shard.traversals
+            for traversal, packets, byte_count in zip(
+                traversals, shard.packets, shard.byte_sums
+            ):
+                credit_traversal(self, traversal, packets, byte_count)
+                for entry in traversal.template.matched_entries:
+                    entry.stats.add(packets, byte_count)
+            for position, code in zip(members.tolist(), shard.codes):
+                replays[position] = traversals[code]
         self._maybe_prune_log(inflight.log_len)
-        return results
+        return ColumnarOutcomes(batch, replays, batch.frame_lengths())
 
     # -- failure recovery ----------------------------------------------
 
@@ -1599,7 +1661,7 @@ class ShardedBatchPipeline:
             # would: the spec (and the log) reference the parent's
             # *authoritative* FlowEntry objects, and classifying on
             # those would record flow stats directly into them — which
-            # the delta apply below would then double-count.
+            # the collect-side credit would then double-count.
             spec: PipelineSpec = pickle.loads(pickle.dumps(self._spec))
             runner = BatchPipeline(
                 spec.build(),
@@ -1614,33 +1676,26 @@ class ShardedBatchPipeline:
         )
         _apply_mutations(runner.pipeline, suffix)
         self._inline_cursor = inflight.log_len
-        packets = [inflight.batch[i] for i in members]
         runner.megaflow_bypass = inflight.bypass
-        results = runner.process_batch(packets)
+        outcomes = runner.classify_columnar(inflight.batch.select(members))
         runner.megaflow_bypass = False
+        # Through the codec, into a private buffer: the collect path
+        # then decodes a degraded shard exactly like a live one.
         assert self._inline_index is not None
-        delta = FlowStatsDelta.from_results(results, self._inline_index)
+        writer = BlockWriter()
+        layout, vocabulary = encode_outcomes(
+            writer, outcomes, self._inline_index
+        )
+        block = bytearray(writer.nbytes)
         self._reply_buffer[(seq, worker)] = InlineReply(
-            "inline", results, runner.stats_snapshot(), delta
+            "inline",
+            block,
+            writer.write_to(memoryview(block)),
+            layout,
+            vocabulary,
+            runner.stats_snapshot(),
         )
-        self._supervisor.stats.inline_packets += len(packets)
-
-    def _decode_reply(
-        self,
-        reply: ShmReply,
-        pinned: Mapping[int, tuple[FlowEntry, ...]],
-        inputs: Sequence[Mapping[str, int]],
-    ) -> list[PipelineResult]:
-        reader = BlockReader(
-            self._responses.buf(reply.block_name), reply.segments
-        )
-        return decode_results(
-            reader,
-            reply.result_layout,
-            reply.vocabulary,
-            lambda table_id, position: pinned[table_id][position],
-            inputs=inputs,
-        )
+        self._supervisor.stats.inline_packets += len(members)
 
     def _maybe_prune_log(self, log_len: int) -> None:
         """Bound the mutation log under long churn.

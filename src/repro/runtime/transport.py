@@ -19,14 +19,17 @@ each worker reads only its member rows (its member-index array lives in
 the same block), so fan-out cost no longer scales with worker count.
 
 **Result blocks.**  Workers encode their classification outcomes
-(:func:`encode_outcomes`) columnar into a worker-owned block:
-fixed-width columns for flags/metadata, offset+value columns for the
-variable-length lists, final fields as per-packet rewrite overrides
-against the input packets the parent already holds, applied actions as
-indices into a tiny per-batch action vocabulary (pickled in the control
-reply — distinct actions per batch are few), and matched entries as
+(:func:`encode_outcomes`) columnar into a worker-owned block, **once
+per distinct traversal** of the sub-batch, not once per packet: per
+template, fixed-width lanes for flags/metadata, offset+value lanes for
+the variable-length lists, rewrite overrides against the input packets
+the parent already holds, applied actions as indices into a tiny
+per-batch action vocabulary (pickled in the control reply — distinct
+actions per batch are few), and matched entries as
 ``(table_id, position)`` **entry refs** resolved against each side's
-own tables.
+own tables; per position, one ``int32`` code naming its template.
+:func:`decode_outcomes` is the parent's half and fails closed
+(:class:`ReplyDecodeError`) on a block that does not fit its batch.
 
 **Entry refs and the stats return path.**  :class:`EntryIndex` maps
 entries to positions in a table's deterministic
@@ -34,12 +37,12 @@ entries to positions in a table's deterministic
 position as the parent agrees on that order (snapshots pickle entries
 with their sort keys and replay mutations in program order), so a ref is
 a process-independent name for a flow entry.  That makes two things
-cheap: the parent rebuilds results whose ``matched_entries`` are its
+cheap: the parent rebuilds templates whose ``matched_entries`` are its
 *own* authoritative :class:`~repro.openflow.flow.FlowEntry` objects, and
-each reply carries a :class:`FlowStatsDelta` — per-entry packet/byte
-counts the parent folds back into those entries' counters, so flow
-stats (the substrate for monitoring) are exact under sharding instead
-of marooned in worker replicas.
+each reply block carries the flow-stats delta as two more per-template
+lanes — packets and frame bytes — which the parent folds into those
+entries' counters, so flow stats (the substrate for monitoring) are
+exact under sharding instead of marooned in worker replicas.
 
 **Blocks.**  :class:`SharedBlock` wraps one growable
 ``multiprocessing.shared_memory`` segment owned by its creating process
@@ -51,12 +54,11 @@ of marooned in worker replicas.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Iterable,
     Mapping,
     NamedTuple,
@@ -65,10 +67,12 @@ from typing import (
 
 import numpy as np
 
+from repro.openflow.actions import Action
 from repro.openflow.flow import FlowEntry
 from repro.openflow.pipeline import PipelineResult
 from repro.packet.batch import FieldLanes, PacketBatch
-from repro.packet.headers import frame_length, transport_schema
+from repro.packet.headers import transport_schema
+from repro.runtime.megaflow import Traversal
 
 if TYPE_CHECKING:  # runtime.batch imports nothing from here, but the
     # hint stays lazy so module import order never matters
@@ -456,7 +460,7 @@ class PacketBlockCodec:
 
 
 # ----------------------------------------------------------------------
-# entry refs and flow-stats deltas
+# entry refs
 # ----------------------------------------------------------------------
 
 
@@ -527,87 +531,41 @@ def _entries_snapshot(table: Any) -> tuple[FlowEntry, ...]:
     return tuple(table)
 
 
-@dataclass
-class FlowStatsDelta:
-    """Per-entry packet/byte counts one worker accrued over one batch,
-    keyed by ``(table_id, position)`` entry ref."""
-
-    counts: dict[tuple[int, int], tuple[int, int]] = field(
-        default_factory=dict
-    )
-
-    @classmethod
-    def from_refs(
-        cls, refs: Iterable[tuple[tuple[int, int], int]]
-    ) -> FlowStatsDelta:
-        """Aggregate ``(entry ref, frame bytes)`` pairs (one per
-        packet-match pair) into per-entry counts — the single definition
-        of the delta semantics, shared by worker replies and the
-        parent's inline fallback.
-        """
-        counts: dict[tuple[int, int], tuple[int, int]] = {}
-        for key, frame_len in refs:
-            packets, byte_count = counts.get(key, (0, 0))
-            counts[key] = (packets + 1, byte_count + frame_len)
-        return cls(counts=counts)
-
-    @classmethod
-    def from_results(
-        cls, results: Sequence[PipelineResult], index: EntryIndex
-    ) -> FlowStatsDelta:
-        """Aggregate one batch's matched entries into a delta.
-
-        Every runtime lookup path records exactly one
-        ``FlowStats.record(frame_len)`` per ``(packet, matched entry)``
-        pair — the scalar scan, the decomposition, batch memoization,
-        microflow hits and megaflow replay all preserve it — so
-        occurrence counts over ``matched_entries``, weighted by each
-        packet's frame length (``frame_len`` is never rewritten, so
-        ``final_fields`` still carries it), *are* the per-entry stats
-        delta.
-        """
-        return cls.from_refs(
-            (
-                index.ref(table_id, entry),
-                frame_length(result.final_fields),
-            )
-            for result in results
-            for table_id, entry in zip(
-                result.tables_visited, result.matched_entries
-            )
-        )
-
-    def apply(
-        self, pinned: Mapping[int, tuple[FlowEntry, ...]]
-    ) -> tuple[int, int]:
-        """Fold the delta into the pinned (parent) entries' counters;
-        returns the ``(packets, bytes)`` totals merged."""
-        total_packets = 0
-        total_bytes = 0
-        for (table_id, position), (packets, byte_count) in self.counts.items():
-            pinned[table_id][position].stats.add(packets, byte_count)
-            total_packets += packets
-            total_bytes += byte_count
-        return total_packets, total_bytes
-
-
 # ----------------------------------------------------------------------
 # result blocks
 # ----------------------------------------------------------------------
 
 
+class ReplyDecodeError(ValueError):
+    """A reply block does not describe the sub-batch it answers: a code
+    lane of the wrong length, a code naming no template, a ragged lane
+    that does not cover its templates, or a matched ref or action id
+    outside what the parent pinned for the batch."""
+
+
 @dataclass(frozen=True)
 class ResultBlockLayout:
-    """Decode recipe for one worker's encoded result list.
+    """Decode recipe for one worker's encoded reply.
 
-    Final fields travel as ``overrides`` — per-packet rewrite dicts
-    (usually all empty, so effectively free) — and the decoder rebuilds
-    each ``final_fields`` from the input dict it already holds, exactly
-    like megaflow replay.
+    ``count`` is the sub-batch's position count (the code lane's
+    length); ``overrides`` holds one rewrite dict per *template*
+    (usually ``None``) — final fields are rebuilt parent-side as input
+    packet + overrides, exactly like megaflow replay.
     """
 
     count: int
     overrides: tuple[dict[str, int] | None, ...] = ()
+
+
+class DecodedReply(NamedTuple):
+    """One reply, decoded: the sub-batch's distinct traversals (matched
+    entries already the parent's own), the traversal each position
+    took, and per traversal the packets and frame bytes it carried."""
+
+    traversals: list[Traversal]
+    codes: list[int]
+    packets: list[int]
+    byte_sums: list[int]
 
 
 _RESULT_SENT = 1
@@ -618,124 +576,207 @@ def encode_outcomes(
     writer: BlockWriter,
     outcomes: ColumnarOutcomes,
     index: EntryIndex,
-) -> tuple[ResultBlockLayout, list, FlowStatsDelta]:
+) -> tuple[ResultBlockLayout, list[Action]]:
     """Encode a :class:`~repro.runtime.batch.ColumnarOutcomes` columnar —
     the decode-free worker's reply path.
 
-    Every position — megaflow hit or miss-path walk alike — is encoded
-    straight from its traversal's template (flags, ports, matched refs,
-    actions) with the traversal's rewrite ``overrides``.  Frame lengths
-    come from the batch's ``frame_len`` lane, so no position ever
-    touches a dict.
+    Each *distinct* traversal of the sub-batch is encoded once from its
+    template (flags, metadata, tables, ports, matched refs, action ids,
+    plus its rewrite ``overrides`` in the layout); every position then
+    costs one ``int32`` code.  The flow-stats delta rides in the same
+    block as two per-template lanes — packets and frame bytes, summed
+    off the batch's ``frame_len`` lane — so no position ever touches a
+    dict and nothing per packet is pickled.
     """
-    results = [replay.template for replay in outcomes.replays]
-    overrides = [replay.overrides or None for replay in outcomes.replays]
-
-    n = len(results)
-    flags = np.zeros(n, dtype=np.uint8)
-    metadata = np.zeros(n, dtype=np.uint64)
-    for i, result in enumerate(results):
-        if result.sent_to_controller:
-            flags[i] |= _RESULT_SENT
-        if result.dropped:
-            flags[i] |= _RESULT_DROPPED
-        metadata[i] = result.metadata
-    writer.put("res/flags", flags)
-    writer.put("res/metadata", metadata)
-
+    traversals, codes = outcomes.distinct()
+    templates = [traversal.template for traversal in traversals]
+    count = len(templates)
+    writer.put("res/codes", codes)
+    writer.put(
+        "res/flags",
+        np.fromiter(
+            (
+                template.sent_to_controller * _RESULT_SENT
+                | template.dropped * _RESULT_DROPPED
+                for template in templates
+            ),
+            dtype=np.uint8,
+            count=count,
+        ),
+    )
+    writer.put(
+        "res/metadata",
+        np.fromiter(
+            (template.metadata for template in templates),
+            dtype=np.uint64,
+            count=count,
+        ),
+    )
     _put_ragged(
         writer,
         "res/tables",
-        [result.tables_visited for result in results],
+        [template.tables_visited for template in templates],
         np.int32,
     )
     _put_ragged(
         writer,
         "res/ports",
-        [result.output_ports for result in results],
+        [template.output_ports for template in templates],
         np.uint64,
     )
+    _put_ragged(
+        writer,
+        "res/matched",
+        [
+            [
+                part
+                for table_id, entry in zip(
+                    template.tables_visited, template.matched_entries
+                )
+                for part in index.ref(table_id, entry)
+            ]
+            for template in templates
+        ],
+        np.int32,
+    )
+    vocabulary: dict[Action, int] = {}
+    _put_ragged(
+        writer,
+        "res/actions",
+        [
+            [
+                vocabulary.setdefault(action, len(vocabulary))
+                for action in template.applied_actions
+            ]
+            for template in templates
+        ],
+        np.int32,
+    )
+    writer.put(
+        "res/packets",
+        np.bincount(codes, minlength=count).astype(np.int64, copy=False),
+    )
+    # bincount sums in float64: exact below 2**53 frame bytes a batch.
+    writer.put(
+        "res/bytes",
+        np.bincount(codes, weights=outcomes.frame, minlength=count).astype(
+            np.int64
+        ),
+    )
+    layout = ResultBlockLayout(
+        count=len(codes),
+        overrides=tuple(
+            traversal.overrides or None for traversal in traversals
+        ),
+    )
+    return layout, list(vocabulary)
 
-    refs: list[tuple[tuple[int, int], int]] = []
-    matched_rows: list[list[int]] = []
-    for result, frame_len in zip(results, outcomes.frame.tolist()):
-        row: list[int] = []
-        for table_id, entry in zip(
-            result.tables_visited, result.matched_entries
-        ):
-            ref = index.ref(table_id, entry)
-            row.extend(ref)
-            refs.append((ref, frame_len))
-        matched_rows.append(row)
-    _put_ragged(writer, "res/matched", matched_rows, np.int32)
 
-    vocabulary: dict = {}
-    action_rows: list[list[int]] = []
-    for result in results:
-        row = []
-        for action in result.applied_actions:
-            action_id = vocabulary.get(action)
-            if action_id is None:
-                action_id = vocabulary[action] = len(vocabulary)
-            row.append(action_id)
-        action_rows.append(row)
-    _put_ragged(writer, "res/actions", action_rows, np.int32)
-    layout = ResultBlockLayout(count=n, overrides=tuple(overrides))
-    return layout, list(vocabulary), FlowStatsDelta.from_refs(refs)
-
-
-def decode_results(
+def decode_outcomes(
     reader: BlockReader,
     layout: ResultBlockLayout,
-    vocabulary: Sequence,
-    entry_at: Callable[[int, int], FlowEntry],
-    inputs: Sequence[Mapping[str, int]],
-) -> list[PipelineResult]:
-    """Rebuild the results, resolving matched-entry refs through
-    ``entry_at`` — on the parent, against the batch-pinned authoritative
-    tables, so results reference the parent's own entries.
+    vocabulary: Sequence[Action],
+    pinned: Mapping[int, tuple[FlowEntry, ...]],
+    expected: int,
+) -> DecodedReply:
+    """Rebuild one reply's traversals against ``pinned`` — the entry
+    order the parent froze when it submitted the batch — so every
+    template references the parent's own authoritative entries.
 
-    ``inputs`` must be the packets the outcomes were encoded from (the
-    parent's own batch members): ``final_fields`` is rebuilt as input
-    dict + overrides.
+    ``expected`` is the member count the parent sent.  Fails closed: a
+    reply that does not fit it, its own templates or the pinned
+    snapshot raises :class:`ReplyDecodeError` here rather than
+    mis-resolving a template (or an ``IndexError``) at first read.
+    Everything returned is copied out of the block, so the response
+    ring slot is free for reuse as soon as this returns.
     """
-    n = layout.count
-    flags = reader.get("res/flags")
-    metadata = reader.get("res/metadata").tolist()
-    tables = _get_ragged(reader, "res/tables", n)
-    ports = _get_ragged(reader, "res/ports", n)
-    matched = _get_ragged(reader, "res/matched", n)
-    actions = _get_ragged(reader, "res/actions", n)
-    assert len(inputs) == n, (
-        "results are encoded against their inputs; decoding needs the "
-        "same packets"
+    count = len(layout.overrides)
+    codes = reader.get("res/codes")
+    if not len(codes) == layout.count == expected:
+        raise ReplyDecodeError(
+            f"code lane holds {len(codes)} positions (layout says "
+            f"{layout.count}) for a sub-batch of {expected}"
+        )
+    _require_range(codes, count, "codes")
+    _require_range(
+        reader.get("res/actions/values"), len(vocabulary), "action ids"
     )
-    final_fields = []
-    for packet, overrides in zip(inputs, layout.overrides):
-        fields = dict(packet)
-        if overrides:
-            fields.update(overrides)
-        final_fields.append(fields)
+    traversals: list[Traversal] = []
+    for refs, action_ids, ports, flags, metadata, tables, overrides in zip(
+        _get_ragged(reader, "res/matched", count),
+        _get_ragged(reader, "res/actions", count),
+        _get_ragged(reader, "res/ports", count),
+        _get_lane(reader, "res/flags", count),
+        _get_lane(reader, "res/metadata", count),
+        _get_ragged(reader, "res/tables", count),
+        layout.overrides,
+    ):
+        if len(refs) % 2:
+            raise ReplyDecodeError(
+                f"matched refs {refs} are not (table_id, position) pairs"
+            )
+        traversals.append(
+            _traversal(
+                [
+                    _pinned_entry(pinned, refs[j], refs[j + 1])
+                    for j in range(0, len(refs), 2)
+                ],
+                [vocabulary[action_id] for action_id in action_ids],
+                ports,
+                flags,
+                metadata,
+                tables,
+                overrides,
+            )
+        )
+    return DecodedReply(
+        traversals,
+        codes.tolist(),
+        _get_lane(reader, "res/packets", count),
+        _get_lane(reader, "res/bytes", count),
+    )
 
-    results: list[PipelineResult] = []
-    for i in range(n):
-        refs = matched[i]
-        # Direct construction, mirroring the megaflow replay hot path.
-        result = PipelineResult.__new__(PipelineResult)
-        result.matched_entries = [
-            entry_at(refs[j], refs[j + 1]) for j in range(0, len(refs), 2)
-        ]
-        result.applied_actions = [
-            vocabulary[action_id] for action_id in actions[i]
-        ]
-        result.output_ports = ports[i]
-        result.sent_to_controller = bool(flags[i] & _RESULT_SENT)
-        result.dropped = bool(flags[i] & _RESULT_DROPPED)
-        result.metadata = metadata[i]
-        result.tables_visited = tables[i]
-        result.final_fields = final_fields[i]
-        results.append(result)
-    return results
+
+def _require_range(lane: np.ndarray, bound: int, what: str) -> None:
+    if len(lane) and not 0 <= lane.min() <= lane.max() < bound:
+        raise ReplyDecodeError(
+            f"{what} span [{lane.min()}, {lane.max()}], outside [0, {bound})"
+        )
+
+
+def _pinned_entry(
+    pinned: Mapping[int, tuple[FlowEntry, ...]], table_id: int, position: int
+) -> FlowEntry:
+    entries = pinned.get(table_id)
+    if entries is None or not 0 <= position < len(entries):
+        raise ReplyDecodeError(
+            f"matched ref ({table_id}, {position}) is outside the "
+            f"pinned snapshot"
+        )
+    return entries[position]
+
+
+def _traversal(
+    entries: list[FlowEntry],
+    applied: list[Action],
+    ports: list[int],
+    flags: int,
+    metadata: int,
+    tables: list[int],
+    overrides: dict[str, int] | None,
+) -> Traversal:
+    """One decoded template — built once per distinct traversal, never
+    per position (positions clone it through ``replay_template``)."""
+    template = PipelineResult(
+        matched_entries=entries,
+        applied_actions=applied,
+        output_ports=ports,
+        sent_to_controller=bool(flags & _RESULT_SENT),
+        dropped=bool(flags & _RESULT_DROPPED),
+        metadata=metadata,
+        tables_visited=tables,
+    )
+    return Traversal(template, overrides or {}, ())
 
 
 def _put_ragged(
@@ -757,9 +798,20 @@ def _put_ragged(
     )
 
 
+def _get_lane(reader: BlockReader, key: str, count: int) -> list[int]:
+    lane = reader.get(key)
+    if len(lane) != count:
+        raise ReplyDecodeError(
+            f"{key} holds {len(lane)} values, its layout needs {count}"
+        )
+    return lane.tolist()
+
+
 def _get_ragged(reader: BlockReader, key: str, count: int) -> list[list[int]]:
-    offsets = reader.get(f"{key}/offsets")
+    offsets = _get_lane(reader, f"{key}/offsets", count + 1)
     values = reader.get(f"{key}/values").tolist()
-    return [
-        values[offsets[i] : offsets[i + 1]] for i in range(count)
-    ]
+    if offsets != sorted(offsets) or offsets[0] != 0 or offsets[-1] != len(values):
+        raise ReplyDecodeError(
+            f"{key} offsets do not partition its {len(values)} values"
+        )
+    return [values[offsets[i] : offsets[i + 1]] for i in range(count)]

@@ -29,6 +29,25 @@ def _scan_wave(self, table, members):
     return [table.lookup(self.batch.row_fields(row)) for row in members]
 
 
+def decode_outcomes(reader, layout, pinned):
+    # One template per *distinct traversal*, built by a helper; every
+    # position costs one code.
+    templates = [
+        _template(pinned, refs) for refs in reader.get("res/matched")
+    ]
+    return templates, reader.get("res/codes").tolist()
+
+
+def _collect(self, inflight, decoded):
+    # Merging stays on the codes: nothing per packet is materialised.
+    replays = [decoded.traversals[code] for code in decoded.codes]
+    return inflight.batch, replays
+
+
+def _template(pinned, refs):
+    return PipelineResult(final_fields={})
+
+
 def results(self):
     # Materialising results is the caller's choice, made after the walk.
     return [

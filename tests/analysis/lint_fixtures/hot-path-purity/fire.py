@@ -34,6 +34,20 @@ def install_batch(self, batch, positions):
     return [self.install(batch.fields_at(i)) for i in positions]
 
 
+def decode_outcomes(reader, layout, inputs):
+    # The sharded reply is per traversal: a result per position is the
+    # per-packet rebuild the codec exists to avoid.
+    return [PipelineResult(final_fields=dict(packet)) for packet in inputs]
+
+
+def _collect(self, inflight, decoded):
+    results = []
+    for position, code in enumerate(decoded.codes):
+        fields = inflight.batch.fields_at(position)  # a dict per packet
+        results.append((decoded.traversals[code], fields))
+    return results
+
+
 class PipelineResult:
     def __init__(self, final_fields):
         self.final_fields = final_fields

@@ -144,23 +144,46 @@ class TestRuleDetails:
     def test_single_rows_fire_only_in_the_lane_only_tier(self):
         """``fields_at`` / ``row_fields`` are what the probe tier's miss
         branch may still use, and what the columnar classify entry
-        point, the wave functions and ``install_batch`` may not."""
+        point, the wave functions, ``install_batch`` and the sharded
+        reply path (encode, decode, collect) may not."""
         template = (
             "def {name}(self, batch, rows):\n"
             "    return [batch.row_fields(row) for row in rows]\n"
         )
         for name, fires in (
             ("lookup_batch_columnar", False),
-            ("encode_outcomes", False),
             ("_scan_wave", False),
+            ("results", False),
             ("classify_columnar", True),
             ("_wave", True),
             ("_advance", True),
             ("install_batch", True),
+            ("encode_outcomes", True),
+            ("decode_outcomes", True),
+            ("_collect", True),
         ):
             findings = check_source(template.format(name=name), f"{name}.py")
             assert bool(findings) is fires, name
             assert all(f.rule == "hot-path-purity" for f in findings)
+
+    def test_reply_path_may_not_build_results_per_position(self):
+        """The sharded reply is per traversal: a ``PipelineResult(...)``
+        built inside the decode or the collect loop is per position by
+        construction, and so is a bulk ``.dicts()`` / ``.decode()``."""
+        for name in ("encode_outcomes", "decode_outcomes", "_collect"):
+            for body in (
+                "[PipelineResult(final_fields=f) for f in batch]",
+                "batch.dicts()",
+                "codec.decode(batch)",
+            ):
+                findings = check_source(
+                    f"def {name}(self, codec, batch):\n    return {body}\n",
+                    f"{name}.py",
+                )
+                assert [f.rule for f in findings] == ["hot-path-purity"], (
+                    name,
+                    body,
+                )
 
     def test_every_guarded_name_is_defined_in_src(self):
         """The hot-function and key-callee lists match by bare name, so
@@ -168,7 +191,6 @@ class TestRuleDetails:
         guarded = (
             rules._LANE_ONLY_HOT
             | rules._DICT_FREE_HOT
-            | rules._DECODE_FREE_HOT
             | rules._KEY_CALLEES
         )
         src = Path(rules.__file__).resolve().parents[2]

@@ -10,7 +10,10 @@ vectorized hash against the per-packet tuple build.
 columnar path with call-counting spies (no timing): no scalar table
 lookups, no row dicts, no per-packet installs, at most one engine probe
 per distinct ``(partition, key)`` pair per wave, and nothing at all for
-a batch the wildcard tier answers whole.
+a batch the wildcard tier answers whole.  ``TestShardedReplyCostShape``
+does the same for the sharded parent: an unread ``process_batches``
+stream builds one ``PipelineResult`` per distinct traversal per batch
+and no row dict.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
+from repro.openflow.pipeline import PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
@@ -36,11 +40,13 @@ from repro.runtime import (
     BatchPipeline,
     MicroflowCache,
     PipelineSpec,
+    ShardedBatchPipeline,
     run_workload,
     uniform_wide_workload,
     widen_rule_set,
     zipf_workload,
 )
+from repro.runtime import batch as batch_module
 from repro.runtime.megaflow import MegaflowCache
 from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 from repro.runtime.scenarios import columnar_workload
@@ -572,6 +578,68 @@ class TestMissPathCostShape:
         ]
         assert [result.metadata for result in got] == [3, 0, 0, 3]
         assert got == [arch.process(fields) for fields in packets]
+
+
+class TestShardedReplyCostShape:
+    """What the sharded parent may build for a stream nobody reads:
+    one template per distinct traversal per batch — the reply is
+    per-traversal and the yielded outcomes materialise lazily — and
+    never a row dict."""
+
+    def test_unread_stream_builds_one_result_per_distinct_traversal(
+        self, monkeypatch, rule_set
+    ):
+        size = 256
+        event = zipf_workload(
+            rule_set, packet_count=6 * size, flow_count=200, seed=3, columnar=True
+        ).events[0][1]
+        views = [event[i : i + size] for i in range(0, len(event), size)]
+
+        def make_arch():
+            return MultiTableLookupArchitecture([build_lookup_table(rule_set)])
+
+        # An in-process twin with the worker's cache sizes sees the same
+        # batches in the same order, so its distinct-traversal count per
+        # batch is the lone worker's.
+        twin = BatchPipeline(make_arch(), cache_capacity=64, megaflow_capacity=512)
+        distinct = [
+            len(twin.classify_columnar(view).distinct()[0]) for view in views
+        ]
+        assert all(1 < count < size for count in distinct)
+
+        with ShardedBatchPipeline(
+            make_arch(),
+            workers=1,
+            cache_capacity=64,
+            megaflow_capacity=512,
+            depth=3,
+        ) as sharded:
+            # Every PipelineResult is born one of two ways: constructed
+            # (a template) or cloned from one by ``replay_template`` (a
+            # per-packet result).  Patched before the fork, so the
+            # worker counts too — in its own copy; these are the
+            # parent's alone.
+            templates = _Spy(monkeypatch, PipelineResult, "__init__")
+            replayed = _Spy(monkeypatch, batch_module, "replay_template")
+            rows = [
+                _Spy(monkeypatch, PacketBatch, name)
+                for name in ("row_fields", "fields_at", "dicts")
+            ]
+            per_batch = []
+            outcomes = []
+            for outcome in sharded.process_batches(views):
+                per_batch.append(templates.calls - sum(per_batch))
+                outcomes.append(outcome)
+            assert per_batch == distinct
+            assert replayed.calls == 0
+            assert [spy.calls for spy in rows] == [0, 0, 0]
+            assert sharded.stats_snapshot().packets == len(event)
+            # Reading one outcome costs exactly its packets.
+            results = list(outcomes[2])
+            assert replayed.calls == len(results) == len(views[2])
+            assert templates.calls == sum(distinct)
+        reference = BatchPipeline(make_arch(), cache_capacity=None)
+        assert results == reference.process_batch(views[2])
 
 
 def _columns_only(batch: PacketBatch):

@@ -38,6 +38,15 @@ in content.  The scan path anchors correctness (it is the spec);
 everything else is an optimisation that must be observationally
 invisible.
 
+The sharded runner's ``process_batches`` yields *lazy* outcomes (one
+template per distinct traversal, per-packet results built on read), so
+its paths are additionally replayed two ways the eager harness cannot
+see (``test_sharded_lazy_outcomes_equivalent``, W in {1, 2, 3}, and the
+chaos example): drained **without reading** a single result — runner
+counters, per-entry stats and ledgers must already be complete — and
+read only **after** the whole script, later mutations included, has
+run — results must still be the ones pinned at submission.
+
 CI runs this file explicitly and fails if it was skipped (e.g. a
 missing ``hypothesis``), so the property coverage cannot silently rot
 out of the pipeline.
@@ -79,6 +88,7 @@ from repro.runtime import (
     LifecycleSweeper,
     ShardedBatchPipeline,
     StreamConfig,
+    SupervisionConfig,
     run_stream,
 )
 from repro.runtime.streaming import SHED_REASONS
@@ -273,19 +283,7 @@ class Replayer:
         if self.runner is None:
             self.results.extend(self.pipeline.process(p) for p in burst)
             return
-        if self.columnar:
-            # One columnar batch per burst, sliced into views — the
-            # shape scenario builders emit through columnar_workload.
-            batch = PacketBatch.from_dicts(burst)
-            chunks = [
-                batch[start : start + BATCH_SIZE]
-                for start in range(0, len(burst), BATCH_SIZE)
-            ]
-        else:
-            chunks = [
-                burst[start : start + BATCH_SIZE]
-                for start in range(0, len(burst), BATCH_SIZE)
-            ]
+        chunks = self.chunks(burst)
         process_batches = getattr(self.runner, "process_batches", None)
         if process_batches is not None:
             # The pipelined dispatch/collect loop: multi-chunk bursts
@@ -295,6 +293,16 @@ class Replayer:
         else:
             for chunk in chunks:
                 self.results.extend(self.runner.process_batch(chunk))
+
+    def chunks(self, burst):
+        """The burst in BATCH_SIZE chunks; columnar replayers build one
+        columnar batch per burst and slice it into views — the shape
+        scenario builders emit through columnar_workload."""
+        packets = PacketBatch.from_dicts(burst) if self.columnar else burst
+        return [
+            packets[start : start + BATCH_SIZE]
+            for start in range(0, len(burst), BATCH_SIZE)
+        ]
 
     def replay(self, example, trace):
         cursor = 0
@@ -331,6 +339,26 @@ class Replayer:
     def close(self):
         if isinstance(self.runner, ShardedBatchPipeline):
             self.runner.close()
+
+
+class LazyReplayer(Replayer):
+    """A sharded replayer that collects every ``process_batches``
+    outcome *unread*: nothing is materialised while the script runs.
+    :meth:`read` materialises them all afterwards — after every later
+    burst has reused the response ring and every later mutation has
+    landed — or is never called at all."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.outcomes = []
+
+    def classify(self, burst):
+        self.outcomes.extend(self.runner.process_batches(self.chunks(burst)))
+
+    def read(self):
+        self.results = [
+            result for outcome in self.outcomes for result in outcome
+        ]
 
 
 def _flow_tables():
@@ -446,44 +474,62 @@ def test_sharded_equivalent_under_chaos(example):
     """Chaos mode: the pipelined sharded path with a seeded fault plan
     SIGKILLing workers at random serve steps must stay observationally
     identical to the scan path — results and per-entry flow counters —
-    across random rule sets, churn scripts and traces."""
+    across random rule sets, churn scripts and traces.  Three runners
+    take the same plan: one reads results as they land and recovers by
+    respawn + replay; one recovers the same way but reads every outcome
+    only after the script has finished; one has no restart budget, so a
+    crashed shard's batches are classified inline — a replayed shard
+    and an inline shard must merge into the same lazy outcomes."""
     trace = _build_trace(example)
     reference = Replayer(example, _flow_tables)
     reference.replay(example, trace)
     seqs = range(max(1, _batch_count(example, len(trace))))
     plan = FaultPlan.seeded(example["seed"], workers=2, seqs=seqs, faults=2)
-    chaotic = Replayer(
-        example,
-        _lookup_tables,
-        lambda pipeline: ShardedBatchPipeline(
+
+    def sharded(supervision=None):
+        return lambda pipeline: ShardedBatchPipeline(
             pipeline,
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
             depth=3,
             fault_plan=plan,
-        ),
-    )
-    try:
-        chaotic.replay(example, trace)
-        snapshot = chaotic.runner.supervision_snapshot()
-        assert len(chaotic.results) == len(reference.results)
-        for i, (got, expected) in enumerate(
-            zip(chaotic.results, reference.results)
-        ):
-            assert_same_result(got, expected, f"chaos packet {i}")
-        assert chaotic.flow_counts() == reference.flow_counts(), (
-            "chaos: per-entry flow stats diverge from the scan path"
+            supervision=supervision,
         )
-        assert chaotic.removed_events() == reference.removed_events(), (
-            "chaos: flow-removed ledger diverges from the scan path"
-        )
-        # Crashes (if the schedule hit a live (worker, seq) pair) must
-        # all have been absorbed by respawn + replay, never a wedge.
-        assert snapshot["restarts"] == snapshot["crashes"]
-        assert snapshot["wedges"] == 0
-    finally:
-        chaotic.close()
+
+    inline = SupervisionConfig(restart_budget=0, fallback="inline")
+    for name, chaotic in (
+        ("eager", Replayer(example, _lookup_tables, sharded())),
+        ("late", LazyReplayer(example, _lookup_tables, sharded())),
+        ("inline", LazyReplayer(example, _lookup_tables, sharded(inline))),
+    ):
+        try:
+            chaotic.replay(example, trace)
+            if name != "eager":
+                chaotic.read()
+            snapshot = chaotic.runner.supervision_snapshot()
+            assert len(chaotic.results) == len(reference.results)
+            for i, (got, expected) in enumerate(
+                zip(chaotic.results, reference.results)
+            ):
+                assert_same_result(got, expected, f"chaos/{name} packet {i}")
+            assert chaotic.flow_counts() == reference.flow_counts(), (
+                f"chaos/{name}: per-entry flow stats diverge from the scan path"
+            )
+            assert chaotic.removed_events() == reference.removed_events(), (
+                f"chaos/{name}: flow-removed ledger diverges from the scan path"
+            )
+            # Crashes (if the schedule hit a live (worker, seq) pair)
+            # must all have been absorbed — by respawn + replay, or with
+            # no budget by the inline fallback — never a wedge.
+            assert snapshot["wedges"] == 0
+            if name == "inline":
+                assert snapshot["restarts"] == 0
+                assert bool(snapshot["inline_packets"]) == bool(snapshot["crashes"])
+            else:
+                assert snapshot["restarts"] == snapshot["crashes"]
+        finally:
+            chaotic.close()
 
 
 @settings(
@@ -521,6 +567,73 @@ def test_all_paths_equivalent(example):
     finally:
         for replayer in replayers.values():
             replayer.close()
+
+
+_COUNTERS = (
+    "packets",
+    "batches",
+    "matched",
+    "sent_to_controller",
+    "dropped",
+    "flow_packets",
+    "flow_bytes",
+    "advances",
+    "expired",
+)
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    example=_example,
+    workers=st.sampled_from((1, 2, 3)),
+    columnar=st.booleans(),
+)
+def test_sharded_lazy_outcomes_equivalent(example, workers, columnar):
+    """``process_batches`` outcomes are lazy; laziness must be
+    unobservable.  Against the single-process two-tier runner: a stream
+    drained *without reading a result* has already merged every runner
+    counter, per-entry packet/byte count and flow-removed event; and
+    outcomes read only after the whole script ran — later bursts
+    through the same ring slots, later flow-mods and expiries on the
+    same tables — still materialise the results pinned at submission."""
+    trace = _build_trace(example)
+
+    def two_tier(pipeline):
+        return BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
+
+    def sharded(pipeline):
+        return ShardedBatchPipeline(
+            pipeline,
+            workers=workers,
+            cache_capacity=16,
+            megaflow_capacity=32,
+            depth=3,
+        )
+
+    single = Replayer(example, _lookup_tables, two_tier, columnar=columnar)
+    single.replay(example, trace)
+    expected = single.runner.stats_snapshot()
+    for read in (False, True):
+        lazy = LazyReplayer(example, _lookup_tables, sharded, columnar=columnar)
+        try:
+            lazy.replay(example, trace)
+            got = lazy.runner.stats_snapshot()
+            assert {n: getattr(got, n) for n in _COUNTERS} == {
+                n: getattr(expected, n) for n in _COUNTERS
+            }, "runner counters diverge from single-process"
+            assert lazy.flow_counts() == single.flow_counts()
+            assert lazy.removed_events() == single.removed_events()
+            assert sum(map(len, lazy.outcomes)) == len(trace)
+            if read:
+                lazy.read()
+                for i, (a, b) in enumerate(zip(lazy.results, single.results)):
+                    assert_same_result(a, b, f"late-read packet {i}")
+        finally:
+            lazy.close()
 
 
 # ----------------------------------------------------------------------

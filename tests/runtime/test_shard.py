@@ -544,6 +544,62 @@ class TestPipelined:
             for a, b in zip(got_chunk, expected_chunk):
                 assert_same_result(a, b)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outcome_outlives_its_ring_slot(self, small_routing_set, workers):
+        """A yielded outcome aliases no response ring slot: held unread
+        while ``depth`` and more further batches reuse every slot, then
+        read after the runner — and with it every shared block — is
+        closed, it still materialises its own batch's results."""
+        depth = 2
+        batches = self.batches(small_routing_set, count=3 * depth + 1)
+        single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
+        expected = [single.process_batch(batch) for batch in batches]
+        with ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=workers,
+            depth=depth,
+            cache_capacity=64,
+        ) as sharded:
+            stream = sharded.process_batches(batches)
+            held = next(stream)
+            rest = list(stream)
+            assert len(rest) == len(batches) - 1
+        assert len(held) == len(expected[0])
+        for a, b in zip(held, expected[0]):
+            assert_same_result(a, b)
+        for a, b in zip(rest[-1], expected[-1]):
+            assert_same_result(a, b)
+
+    def test_undecodable_reply_fails_closed_and_stays_closable(
+        self, small_routing_set, monkeypatch
+    ):
+        """A reply that does not decode raises its classified error at
+        collect, credits nothing, and leaves no in-flight record for
+        ``close()`` to wait on — the runner even keeps working."""
+        from repro.runtime import shard
+        from repro.runtime.transport import ReplyDecodeError
+
+        batches = self.batches(small_routing_set, count=2)
+        decode = shard.decode_outcomes
+        calls = []
+
+        def corrupt_second_shard(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ReplyDecodeError("codes span [0, 9] over 3 templates")
+            return decode(*args)
+
+        arch = make_arch(small_routing_set)
+        with ShardedBatchPipeline(arch, workers=2, depth=2) as sharded:
+            monkeypatch.setattr(shard, "decode_outcomes", corrupt_second_shard)
+            with pytest.raises(ReplyDecodeError, match="codes span"):
+                sharded.process_batch(batches[0])
+            assert len(calls) == 2, "the batch must straddle both workers"
+            assert sharded.in_flight == 0
+            assert sharded.flow_packets == sharded.matched == 0
+            assert all(entry.stats.packet_count == 0 for entry in arch.tables[0])
+            assert len(sharded.process_batch(batches[1])) == len(batches[1])
+
     def test_depth_validated(self, small_routing_set):
         with pytest.raises(ValueError):
             ShardedBatchPipeline(
@@ -754,6 +810,89 @@ class TestOutOfOrderCollect:
             for expected_chunk in expected:
                 for a, b in zip(sharded.collect_batch(), expected_chunk):
                     assert_same_result(a, b)
+
+
+class TestShardGroups:
+    """``_shard_groups``: member positions per worker as ascending
+    index arrays, computed in one pass (no worker is spawned here)."""
+
+    def trace(self, rule_set, count=96):
+        return SCENARIOS["zipf"](
+            rule_set, packet_count=count, flow_count=16
+        ).events[0][1]
+
+    @staticmethod
+    def assert_partition(groups, size):
+        import numpy as np
+
+        members = np.concatenate(list(groups.values()))
+        assert sorted(members.tolist()) == list(range(size))
+        for positions in groups.values():
+            assert positions.dtype == np.int64
+            assert positions.tolist() == sorted(positions.tolist())
+
+    def test_dict_batch_follows_shard_of(self, small_routing_set):
+        trace = self.trace(small_routing_set)
+        sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=3)
+        groups = sharded._shard_groups(trace)
+        self.assert_partition(groups, len(trace))
+        assert len(groups) > 1
+        for worker, positions in groups.items():
+            assert {sharded.shard_of(trace[i]) for i in positions.tolist()} == {
+                worker
+            }
+
+    def test_columnar_batch_keeps_a_flow_on_one_worker(self, small_routing_set):
+        from repro.packet.batch import PacketBatch
+
+        trace = self.trace(small_routing_set)
+        batch = PacketBatch.from_dicts(trace)
+        sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=3)
+        groups = sharded._shard_groups(batch)
+        self.assert_partition(groups, len(trace))
+        assert len(groups) > 1
+        worker_of_row = {}
+        for worker, positions in groups.items():
+            for row in batch.pick[positions].tolist():
+                assert worker_of_row.setdefault(row, worker) == worker
+
+    def test_single_worker_skips_the_hash(self, small_routing_set, monkeypatch):
+        from repro.packet.batch import PacketBatch
+
+        def no_hash(*args, **kwargs):
+            raise AssertionError("one worker: nothing to hash for")
+
+        monkeypatch.setattr(PacketBatch, "key_hashes", no_hash)
+        monkeypatch.setattr(ShardedBatchPipeline, "shard_of", no_hash)
+        trace = self.trace(small_routing_set)
+        sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=1)
+        for batch in (trace, PacketBatch.from_dicts(trace)):
+            groups = sharded._shard_groups(batch)
+            assert list(groups) == [0]
+            assert groups[0].tolist() == list(range(len(trace)))
+
+    def test_redistribute_merges_a_disabled_shard_in_order(
+        self, small_routing_set
+    ):
+        from repro.runtime import SupervisionConfig
+
+        trace = self.trace(small_routing_set)
+        sharded = ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=3,
+            supervision=SupervisionConfig(fallback="redistribute"),
+        )
+        healthy = sharded._shard_groups(trace)
+        assert set(healthy) == {0, 1, 2}
+        sharded._supervisor.disable(1)
+        degraded = sharded._shard_groups(trace)
+        self.assert_partition(degraded, len(trace))
+        # Survivors are [0, 2]; shard 1 lands on survivors[1 % 2].
+        assert set(degraded) == {0, 2}
+        assert degraded[2].tolist() == sorted(
+            healthy[2].tolist() + healthy[1].tolist()
+        )
+        assert degraded[0].tolist() == healthy[0].tolist()
 
 
 class TestColumnarSharded:

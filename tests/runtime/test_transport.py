@@ -14,16 +14,17 @@ from repro.openflow.pipeline import OpenFlowPipeline
 from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD, transport_schema
-from repro.runtime.batch import BatchPipeline
+from repro.runtime.batch import BatchPipeline, ColumnarOutcomes
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
     EntryIndex,
-    FlowStatsDelta,
     MIN_BLOCK_BYTES,
     PacketBlockCodec,
+    ReplyDecodeError,
+    ResultBlockLayout,
     SharedBlock,
-    decode_results,
+    decode_outcomes,
     encode_outcomes,
 )
 
@@ -182,7 +183,7 @@ class TestSharedBlock:
 
 class TestResultBlocks:
     """The worker reply path in-process: ``classify_columnar`` →
-    ``encode_outcomes`` → ``decode_results``, the replica standing in
+    ``encode_outcomes`` → ``decode_outcomes``, the replica standing in
     for a worker and a second, identically built pipeline for the
     parent whose pinned entries the refs must resolve to."""
 
@@ -206,6 +207,9 @@ class TestResultBlocks:
                     WriteMetadata(9),
                 ],
             ),
+            # Matches, executes nothing: an empty action list and no
+            # output port (dropped) must survive the ragged lanes.
+            FlowEntry.build(match=Match.exact(in_port=3), priority=3),
         ]
         for entry in entries:
             table.add(entry)
@@ -216,38 +220,43 @@ class TestResultBlocks:
             {"in_port": 1, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
             {"in_port": 2, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
             {"in_port": 9, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
-            {"in_port": 1, "vlan_vid": 8, FRAME_LEN_FIELD: self.FRAME},
+            {"in_port": 1, "vlan_vid": 8, FRAME_LEN_FIELD: 3 * self.FRAME},
+            {"in_port": 3, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
         ]
 
     def reply(self, runner, index, packets, pinned):
         """One worker round: classify, encode into a block, decode
-        against ``pinned``; returns what the parent would see plus the
-        outcomes the worker encoded from."""
-        outcomes = runner.classify_columnar(PacketBatch.from_dicts(packets))
+        against ``pinned``; returns the outcomes the worker encoded
+        from, the layout, the decoded reply, and the outcomes the
+        parent would hand back."""
+        batch = PacketBatch.from_dicts(packets)
+        outcomes = runner.classify_columnar(batch)
         writer = BlockWriter()
-        layout, vocabulary, delta = encode_outcomes(writer, outcomes, index)
+        layout, vocabulary = encode_outcomes(writer, outcomes, index)
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)
             reader = BlockReader(block.buf, writer.write_to(block.buf))
-            decoded = decode_results(
-                reader,
-                layout,
-                vocabulary,
-                lambda table_id, position: pinned[table_id][position],
-                inputs=packets,
+            decoded = decode_outcomes(
+                reader, layout, vocabulary, pinned, len(packets)
             )
             del reader  # release numpy views before unmapping
         finally:
             block.close()
-        return outcomes, layout, delta, decoded
+        rebuilt = ColumnarOutcomes(
+            batch,
+            [decoded.traversals[code] for code in decoded.codes],
+            batch.frame_lengths(),
+        )
+        return outcomes, layout, decoded, rebuilt
 
     def test_results_roundtrip_via_entry_refs(self):
         """Wave-classified rows (cold caches) and megaflow-hit rows (the
-        same batch again) both round-trip, refs resolve to the parent's
-        own entries through an order pinned *before* a mutation, and
-        each reply's delta is exactly what the replica's entries
-        accrued."""
+        same batch again) both round-trip bitwise, refs resolve to the
+        parent's own entries through an order pinned *before* a
+        mutation, positions sharing a traversal decode to one shared
+        object, and each reply's delta lanes are exactly what the
+        replica's entries accrued."""
         replica, replica_entries = self.make_pipeline()
         parent, parent_entries = self.make_pipeline()
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
@@ -261,7 +270,7 @@ class TestResultBlocks:
         credited = [(0, 0)] * len(replica_entries)
         for expect_hits in (False, True):
             hits_before = runner.megaflow.hits
-            outcomes, _, delta, decoded = self.reply(
+            outcomes, layout, decoded, rebuilt = self.reply(
                 runner, index, packets, pinned
             )
             # Hits and misses share one outcome shape; the tier's own
@@ -269,56 +278,210 @@ class TestResultBlocks:
             assert runner.megaflow.hits - hits_before == (
                 len(packets) if expect_hits else 0
             )
-            for original, rebuilt in zip(outcomes.results(), decoded):
-                assert rebuilt.output_ports == original.output_ports
+            originals = outcomes.results()
+            assert len(rebuilt) == len(originals) == layout.count
+            for original, got in zip(originals, rebuilt.results()):
+                # Bitwise but for whose entries they are: compare every
+                # field, then the matched entries by rule identity.
                 assert (
-                    rebuilt.sent_to_controller == original.sent_to_controller
+                    [(e.match, e.priority) for e in got.matched_entries]
+                    == [(e.match, e.priority) for e in original.matched_entries]
                 )
-                assert rebuilt.dropped == original.dropped
-                assert rebuilt.metadata == original.metadata
-                assert rebuilt.tables_visited == original.tables_visited
-                assert rebuilt.final_fields == original.final_fields
-                assert rebuilt.applied_actions == original.applied_actions
+                got.matched_entries = original.matched_entries
+                assert got == original
+            # Four distinct traversals over five positions: positions 0
+            # and 3 took the same path and decode to ONE shared object.
+            assert len(decoded.traversals) == 4
+            assert decoded.codes == [0, 1, 2, 0, 3]
+            assert rebuilt.replays[0] is rebuilt.replays[3]
             # Matched entries resolved to the *pinned* (parent) objects.
-            assert decoded[0].matched_entries[0] is parent_entries[0]
-            assert decoded[1].matched_entries[0] is parent_entries[1]
-            assert decoded[2].matched_entries == []
-            assert decoded[2].sent_to_controller
-            assert decoded[3].matched_entries[0] is parent_entries[0]
-            # The delta is the replica entries' packet/byte growth.
+            assert rebuilt[0].matched_entries[0] is parent_entries[0]
+            assert rebuilt[1].matched_entries[0] is parent_entries[1]
+            assert rebuilt[3].matched_entries[0] is parent_entries[0]
+            assert rebuilt[4].matched_entries[0] is parent_entries[2]
+            # A table miss: no matched entry (an empty ragged row).
+            assert rebuilt[2].matched_entries == []
+            assert rebuilt[2].sent_to_controller
+            # A match that executes nothing: empty action and port
+            # lists, dropped.
+            assert rebuilt[4].applied_actions == []
+            assert rebuilt[4].output_ports == []
+            assert rebuilt[4].dropped
+            # The delta lanes are the replica entries' packet/byte
+            # growth, summed per traversal off the frame_len lane.
             after = [
                 (e.stats.packet_count, e.stats.byte_count)
                 for e in replica_entries
             ]
-            growth = {
-                index.ref(0, entry): (now[0] - was[0], now[1] - was[1])
-                for entry, was, now in zip(replica_entries, credited, after)
-            }
-            assert delta.counts == growth
-            assert sorted(growth.values()) == [
+            growth = [
+                (now[0] - was[0], now[1] - was[1])
+                for was, now in zip(credited, after)
+            ]
+            assert growth == [
+                (2, 4 * self.FRAME),
                 (1, self.FRAME),
-                (2, 2 * self.FRAME),
+                (1, self.FRAME),
+            ]
+            assert decoded.packets == [2, 1, 1, 1]
+            assert decoded.byte_sums == [
+                4 * self.FRAME, self.FRAME, self.FRAME, self.FRAME
             ]
             credited = after
 
     def test_results_against_inputs_ship_only_overrides(self):
-        """Final fields travel as rewrite overrides (mostly None) and
-        the decoder rebuilds them from its own copies of the packets —
-        from the wave results on a miss, from the megaflow entry's
-        recorded overrides on a hit."""
+        """Final fields travel as one rewrite-override dict per
+        *template* (mostly None) and materialisation rebuilds them from
+        the parent's own copies of the packets — from the wave results
+        on a miss, from the megaflow entry's recorded overrides on a
+        hit."""
         replica, _ = self.make_pipeline()
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
         index = EntryIndex(replica)
         pinned = index.pin()
-        packets = self.packets()[:2]
+        packets = self.packets()[:2] * 2
         for _ in ("waves", "megaflow hits"):
-            _, layout, _, decoded = self.reply(runner, index, packets, pinned)
+            _, layout, _, rebuilt = self.reply(runner, index, packets, pinned)
+            assert layout.count == 4
             assert layout.overrides == (None, {"vlan_vid": 42, "metadata": 9})
-            assert decoded[0].final_fields == packets[0]
-            assert decoded[0].final_fields is not packets[0]  # fresh dict
-            assert decoded[1].final_fields == dict(
+            assert rebuilt[0].final_fields == packets[0]
+            assert rebuilt[0].final_fields is not packets[0]  # fresh dict
+            assert rebuilt[3].final_fields == dict(
                 packets[1], vlan_vid=42, metadata=9
             )
+
+    def test_all_distinct_batch_roundtrips(self):
+        """The codec's worst case — every position its own traversal —
+        is just T == n: codes are the identity and nothing is shared."""
+        table = FlowTable(table_id=0)
+        for port in range(1, 9):
+            table.add(
+                FlowEntry.build(
+                    match=Match.exact(in_port=port),
+                    priority=port,
+                    instructions=[WriteActions([OutputAction(100 + port)])],
+                )
+            )
+        pipeline = OpenFlowPipeline([table])
+        runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
+        index = EntryIndex(pipeline)
+        packets = [
+            {"in_port": port, FRAME_LEN_FIELD: 60 + port}
+            for port in range(1, 9)
+        ]
+        outcomes, layout, decoded, rebuilt = self.reply(
+            runner, index, packets, index.pin()
+        )
+        assert decoded.codes == list(range(8))
+        assert len(layout.overrides) == len(decoded.traversals) == 8
+        assert decoded.packets == [1] * 8
+        assert decoded.byte_sums == [61 + i for i in range(8)]
+        assert rebuilt.results() == outcomes.results()
+
+
+class TestReplyFailsClosed:
+    """A reply block that does not fit its batch raises one classified
+    error at decode — never an ``IndexError`` at first read, never a
+    silently wrong template."""
+
+    def encoded(self):
+        table = FlowTable(table_id=0)
+        table.add(
+            FlowEntry.build(
+                match=Match.exact(in_port=1),
+                priority=1,
+                instructions=[WriteActions([OutputAction(101)])],
+            )
+        )
+        pipeline = OpenFlowPipeline([table])
+        runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
+        index = EntryIndex(pipeline)
+        packets = [{"in_port": 1}, {"in_port": 7}, {"in_port": 1}]
+        outcomes = runner.classify_columnar(PacketBatch.from_dicts(packets))
+        writer = BlockWriter()
+        layout, vocabulary = encode_outcomes(writer, outcomes, index)
+        block = bytearray(writer.nbytes)
+        segments = writer.write_to(memoryview(block))
+        return block, segments, layout, vocabulary, index.pin()
+
+    def decode(self, block, segments, layout, vocabulary, pinned, expected=3):
+        return decode_outcomes(
+            BlockReader(memoryview(block), segments),
+            layout,
+            vocabulary,
+            pinned,
+            expected,
+        )
+
+    def lane(self, block, segments, key):
+        return BlockReader(memoryview(block), segments).get(key)
+
+    def test_intact_block_decodes(self):
+        decoded = self.decode(*self.encoded())
+        assert decoded.codes == [0, 1, 0]
+
+    @pytest.mark.parametrize("bad", [-1, 2, 1 << 20])
+    def test_code_outside_the_templates(self, bad):
+        block, segments, *rest = self.encoded()
+        self.lane(block, segments, "res/codes")[1] = bad
+        with pytest.raises(ReplyDecodeError, match="codes span"):
+            self.decode(block, segments, *rest)
+
+    @pytest.mark.parametrize("expected", [2, 4])
+    def test_code_lane_length_differs_from_member_count(self, expected):
+        with pytest.raises(ReplyDecodeError, match="code lane"):
+            self.decode(*self.encoded(), expected=expected)
+
+    def test_truncated_code_lane(self):
+        """The lane itself shorter than the layout announces (a stale
+        or clipped segment), member count notwithstanding."""
+        block, segments, *rest = self.encoded()
+        clipped = tuple(
+            segment._replace(count=2) if segment.key == "res/codes" else segment
+            for segment in segments
+        )
+        with pytest.raises(ReplyDecodeError, match="code lane"):
+            self.decode(block, clipped, *rest)
+
+    @pytest.mark.parametrize("ref", [(0, 1), (0, -1), (3, 0)])
+    def test_matched_ref_outside_the_pinned_snapshot(self, ref):
+        block, segments, *rest = self.encoded()
+        self.lane(block, segments, "res/matched/values")[:2] = ref
+        with pytest.raises(ReplyDecodeError, match="pinned snapshot"):
+            self.decode(block, segments, *rest)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_action_id_outside_the_vocabulary(self, bad):
+        block, segments, *rest = self.encoded()
+        self.lane(block, segments, "res/actions/values")[0] = bad
+        with pytest.raises(ReplyDecodeError, match="action ids span"):
+            self.decode(block, segments, *rest)
+
+    def test_matched_refs_that_are_not_pairs(self):
+        """One value shaved off the ref lane (and the offsets with it):
+        a lone table id must not resolve to anything."""
+        block, segments, *rest = self.encoded()
+        offsets = self.lane(block, segments, "res/matched/offsets")
+        offsets[1:] -= 1
+        clipped = tuple(
+            segment._replace(count=segment.count - 1)
+            if segment.key == "res/matched/values"
+            else segment
+            for segment in segments
+        )
+        with pytest.raises(ReplyDecodeError, match="pairs"):
+            self.decode(block, clipped, *rest)
+
+    def test_template_lane_of_the_wrong_length(self):
+        block, segments, layout, *rest = self.encoded()
+        widened = ResultBlockLayout(layout.count, layout.overrides + (None,))
+        with pytest.raises(ReplyDecodeError, match="its layout needs"):
+            self.decode(block, segments, widened, *rest)
+
+    def test_ragged_offsets_that_do_not_partition(self):
+        block, segments, *rest = self.encoded()
+        self.lane(block, segments, "res/ports/offsets")[1] = 9
+        with pytest.raises(ReplyDecodeError, match="res/ports"):
+            self.decode(block, segments, *rest)
 
 
 class TestEntryIndex:
@@ -346,14 +509,29 @@ class TestEntryIndex:
         table.add(FlowEntry.build(match=Match.exact(in_port=2), priority=99))
         assert pinned[0][0] is entry
 
+
     def test_delta_apply_updates_pinned_entries(self):
+        """A reply's delta lanes (packets, frame bytes per traversal)
+        fold into the pinned — authoritative — entries the traversals
+        matched, and into the parent runner's own flow counters.  The
+        shard is degraded, so the reply is the inline one: the same
+        block a worker would write, in a private buffer."""
+        from repro.runtime.shard import ShardedBatchPipeline
+
         table = FlowTable(table_id=0)
         pipeline = OpenFlowPipeline([table])
-        index = EntryIndex(pipeline)
         entry = FlowEntry.build(match=Match.exact(in_port=1), priority=1)
         table.add(entry)
-        pinned = index.pin()
-        delta = FlowStatsDelta(counts={(0, 0): (5, 700)})
-        assert delta.apply(pinned) == (5, 700)
-        assert entry.stats.packet_count == 5
-        assert entry.stats.byte_count == 700
+        packets = [
+            {"in_port": 1, FRAME_LEN_FIELD: 100},
+            {"in_port": 2, FRAME_LEN_FIELD: 150},
+            {"in_port": 1, FRAME_LEN_FIELD: 600},
+        ]
+        with ShardedBatchPipeline(pipeline, workers=1) as parent:
+            parent._supervisor.disable(0)
+            results = parent.process_batch(packets)
+            assert parent.supervision_snapshot()["inline_packets"] == 3
+            assert results[0].matched_entries[0] is entry
+            assert (entry.stats.packet_count, entry.stats.byte_count) == (2, 700)
+            assert (parent.flow_packets, parent.flow_bytes) == (2, 700)
+            assert (parent.matched, parent.sent_to_controller) == (2, 1)
