@@ -265,8 +265,8 @@ _KEY_CALLEES = frozenset(
     }
 )
 
-#: Keyword arguments that define match/shard schemas at construction.
-_SCHEMA_KEYWORDS = frozenset({"field_names", "shard_fields"})
+#: Keyword arguments that define match schemas at construction.
+_SCHEMA_KEYWORDS = frozenset({"field_names"})
 
 
 @register
@@ -307,7 +307,7 @@ class FrameLenExclusionRule(Rule):
                         self,
                         keyword.value,
                         f"frame_len appears in the {keyword.arg}= schema — "
-                        f"match/shard schemas must exclude it",
+                        f"match schemas must exclude it",
                     )
 
 
@@ -584,8 +584,9 @@ class DtypeDisciplineRule(Rule):
 
 #: Readiness-guard callees: any call whose name contains one of these
 #: marks the enclosing function as wait-aware.  ``wait`` also matches
-#: wrappers like ``await_readable``; ``poll`` covers the worker-side
-#: ``conn.poll(interval)`` watch loops.
+#: wrappers around ``connection.wait``; ``poll`` covers the worker-side
+#: ``conn.poll(interval)`` watch loops and the parent's
+#: poll-then-recv frame sorter.
 _READINESS_GUARDS = re.compile(r"wait|poll|select", re.IGNORECASE)
 
 #: Receivers whose ``wait()`` is the multiprocessing readiness wait
@@ -608,9 +609,10 @@ class BlockingRecvTimeoutRule(Rule):
     )
     hint = (
         "wait on [conn, proc.sentinel] with a timeout before recv() "
-        "(see repro.runtime.supervise.await_readable), or guard the "
-        "recv with conn.poll(interval) in a loop that can notice the "
-        "peer dying"
+        "(see ShardedBatchPipeline._await in repro.runtime.shard — the "
+        "one collect-side wait; add to it rather than beside it), or "
+        "guard the recv with conn.poll(interval) in a loop that can "
+        "notice the peer dying"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

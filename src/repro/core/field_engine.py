@@ -17,7 +17,7 @@ only, and both rules and packets are reduced to per-partition labels.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator
 
 from repro.algorithms.base import NO_LABEL
 from repro.algorithms.exact_lut import ExactMatchLut
@@ -271,46 +271,6 @@ class FieldEngine:
                 )
             return tuple(labels)
         return tuple(engine.rule_label(predicate) for engine in self.engines)
-
-    def search(
-        self, partition_keys: Mapping[str, int | None]
-    ) -> tuple[tuple[int, ...], ...]:
-        """Per-partition matching label sets for one packet."""
-        return tuple(
-            engine.search(partition_keys.get(engine.name)) for engine in self.engines
-        )
-
-    def search_batch(
-        self,
-        keys_batch: Sequence[Mapping[str, int | None]],
-        memo: dict[tuple[str, int | None], tuple[int, ...]] | None = None,
-    ) -> list[tuple[tuple[int, ...], ...]]:
-        """Per-packet label sets for a batch of partition-key mappings.
-
-        Each unique ``(partition, key)`` pair is resolved against its
-        search structure once per batch; duplicate keys — the common case
-        in skewed traffic — reuse the memoized labels.  Pass a shared
-        ``memo`` to extend the memoization across several fields' engines.
-
-        ``OpenFlowLookupTable.search_keys`` is the table-level twin:
-        one probe per distinct key over its flattened engine list, plus
-        a whole-tuple memo layer.
-        """
-        if memo is None:
-            memo = {}
-        out: list[tuple[tuple[int, ...], ...]] = []
-        for keys in keys_batch:
-            sets: list[tuple[int, ...]] = []
-            for engine in self.engines:
-                key = keys.get(engine.name)
-                memo_key = (engine.name, key)
-                labels = memo.get(memo_key)
-                if labels is None:
-                    labels = engine.search(key)
-                    memo[memo_key] = labels
-                sets.append(labels)
-            out.append(tuple(sets))
-        return out
 
     def structures(self) -> Iterator[PartitionEngine]:
         return iter(self.engines)

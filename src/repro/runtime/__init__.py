@@ -53,9 +53,11 @@ path: the parent encodes each batch *once* into a columnar
 :class:`~repro.runtime.transport.PacketBlockCodec` shared-memory block
 (one ``uint64`` lane per 64 field bits, presence bytes, identical
 packet dicts encoded once), workers read their member rows in place
-and write their reply into worker-owned blocks — **once per distinct
-traversal** of the sub-batch, plus one ``int32`` code per position;
-only mutation suffixes, block names and layouts cross the pipes.  The
+and write their reply into the parent-owned response slot the request
+names — **once per distinct traversal** of the sub-batch, plus one
+``int32`` code per position; only mutation suffixes, block names and
+layouts cross the pipes (and a reply too big for its slot, once: the
+parent then grows the slots).  The
 flow-stats delta rides in the reply block as two per-traversal lanes
 (packets, frame bytes); matched entries travel as
 ``(table_id, position)`` entry refs
@@ -140,17 +142,20 @@ nothing per packet.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch` takes
-``seq=`` to complete any submitted batch (replies from other batches
-park in a buffer; per-worker pipes deliver in submission order), and
+``seq=`` to complete any submitted batch (one wait listens for every
+owed reply and parks each until its batch is collected; per-worker
+pipes deliver in submission order), and
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_any` completes
 whichever batch lands first — a stalled shard delays only the batches
 actually assigned to it.  Ring slots still guard reuse: a submission
 whose slot is held by an uncollected batch raises.
 
-**Fault tolerance.**  Workers are mortal; results are not.  Every
-parent-side wait is process-sentinel-aware and (optionally)
+**Fault tolerance.**  Workers are mortal; results are not.  The one
+collect-side wait is process-sentinel-aware and (optionally)
 deadline-bounded, classifying failures as *crash* (the process died —
-sentinel fired or the pipe broke), *wedge* (alive but silent past the
+sentinel fired or the pipe broke — or sent a frame other than the
+reply it owed), *wedge* (alive, but the awaited replies made no
+progress within the
 :class:`~repro.runtime.supervise.SupervisionConfig` deadline —
 escalated to a kill), or *poison batch* (the same batch killed a
 worker twice — classified in-process instead of replayed a third
@@ -161,12 +166,11 @@ current :class:`~repro.runtime.shard.PipelineSpec` *replays* every
 lost seq (a re-send, never a re-encode) and produces bitwise-identical
 results, stats and flow deltas.  Each worker carries a restart budget;
 past it the shard degrades per ``fallback`` — in-process
-classification on a parent-side replica (``"inline"``), rerouting to
-survivors (``"redistribute"``), or
+classification on a parent-side replica (``"inline"``) or
 :class:`~repro.runtime.supervise.WorkerCrashError` (``"raise"``).
-Worker-owned shm blocks are announced to a parent-side registry
-*before* creation, so a corpse's segments are always unlinkable;
-orphaned workers notice the parent's death themselves and exit.
+Every shared segment — request ring, response ring, sealed rules — is
+the parent's, so a corpse strands nothing; orphaned workers notice the
+parent's death themselves and exit.
 :mod:`repro.runtime.faults` injects deterministic, seeded
 kill/hang/delay faults at named worker-loop steps for chaos testing.
 

@@ -19,13 +19,10 @@ Tag conventions:
   shared-memory block), ``"close"`` (orderly shutdown); a worker raises
   on any other tag, so a stale frame surfaces as a crash instead of a
   reply that never comes;
-- replies (worker → parent): ``"ok"`` naming the response block the
-  results were written to, ``"block"`` announcing a response-ring
-  segment the worker is about to create (the parent's crash registry),
-  ``"bye"`` acknowledging close;
-- parent-internal: ``"inline"`` — a reply shape for sub-batches the
-  parent classified in-process (degraded mode); it never crosses a
-  pipe but shares the reply buffer with real worker replies.
+- replies (worker → parent): ``"ok"`` — exactly one per request, the
+  results written to the response slot the request named (or riding
+  in the frame when they outgrew it) — and ``"bye"`` acknowledging
+  close; the parent treats any other frame as that worker's crash.
 
 Work requests carry their batch ``seq`` explicitly: a respawned worker
 replays lost batches from the same request messages (re-sent, not
@@ -93,7 +90,8 @@ Mutation = AddMutation | RemoveMutation | ExpireMutation
 class ShmRequest(NamedTuple):
     """Shared-memory work item: the batch travels as a block the worker
     attaches to; ``members_key`` names this worker's position array
-    inside it, ``slot`` the response-ring slot to reply through.
+    inside it, ``reply_block`` the parent-owned response slot to write
+    the reply into.
 
     ``bypass`` asks the worker to skip its megaflow tier for this batch
     (the streaming ladder's rung 2); it rides in the request template,
@@ -101,66 +99,42 @@ class ShmRequest(NamedTuple):
 
     kind: Literal["shm"]
     seq: int
-    slot: int
     mutations: tuple[Mutation, ...]
     block_name: str
     segments: tuple[Segment, ...]
     layout: PacketBlockLayout
     members_key: str
     bypass: bool
+    reply_block: str
 
 
 class CloseRequest(NamedTuple):
-    """Orderly shutdown; the worker unmaps its blocks and replies
+    """Orderly shutdown; the worker unmaps its attachments and replies
     :class:`ByeReply`."""
 
     kind: Literal["close"]
 
 
 class ShmReply(NamedTuple):
-    """Shared-memory reply: the sub-batch's distinct traversals, one
-    code per position and the flow-stats delta lanes stay columnar in
-    the worker's response block; the parent decodes them against its
-    own pinned tables via the layout + action vocabulary."""
+    """One sub-batch's reply: its distinct traversals, one code per
+    position and the flow-stats delta lanes, columnar; the parent
+    decodes them against its own pinned tables via the layout + action
+    vocabulary.
+
+    ``block`` is ``None`` when the lanes sit in the response slot the
+    request named — the steady state — and the encoded bytes themselves
+    when they did not fit it (the parent grows the slot before its next
+    use) or when the parent classified the sub-batch in-process and
+    parked the reply without a pipe.  ``seq`` echoes the request's, so a
+    reply can only ever answer the batch its worker owes next."""
 
     kind: Literal["ok"]
-    block_name: str
+    seq: int
+    block: bytearray | None
     segments: tuple[Segment, ...]
     result_layout: ResultBlockLayout
     vocabulary: list[Action]
     mask_fields: tuple[str, ...]
-    stats: BatchStats
-
-
-class BlockAnnounce(NamedTuple):
-    """Worker → parent: the response ring is about to (re)create a
-    segment under this name.
-
-    Sent *before* the creation, so the parent's crash-recovery block
-    registry covers even a worker that dies mid-create — unlinking a
-    name that was never created is a no-op, while the reverse gap (a
-    segment created but never announced) would strand it."""
-
-    kind: Literal["block"]
-    slot: int
-    name: str
-
-
-class InlineReply(NamedTuple):
-    """Parent-internal reply for a sub-batch classified in-process
-    (degraded mode or a poison-batch replay).
-
-    Never crosses a pipe: the parent parks it straight into its reply
-    buffer so the collect path handles degraded shards through the
-    same ``(seq, worker)`` machinery as live ones — and through the
-    same codec: ``block`` is a private buffer holding exactly the
-    reply block a worker would have written."""
-
-    kind: Literal["inline"]
-    block: bytearray
-    segments: tuple[Segment, ...]
-    result_layout: ResultBlockLayout
-    vocabulary: list[Action]
     stats: BatchStats
 
 
@@ -171,4 +145,4 @@ class ByeReply(NamedTuple):
 
 
 Request = ShmRequest | CloseRequest
-Reply = ShmReply | BlockAnnounce | ByeReply
+Reply = ShmReply | ByeReply

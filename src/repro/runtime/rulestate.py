@@ -47,8 +47,6 @@ paper's cost model).
 
 from __future__ import annotations
 
-import itertools
-import os
 import pickle
 from dataclasses import dataclass, replace
 from typing import Any
@@ -79,10 +77,6 @@ _FNV_PRIME = 0x100000001B3
 #: the FNV fold (an odd multiplier is bijective mod 2^64, so distinct
 #: labels stay distinct going into the mix).
 _LABEL_SPREAD = 0x9E3779B97F4A7C15
-
-
-#: Per-process seal sequence; see the naming note in ``seal``.
-_SEAL_IDS = itertools.count(1)
 
 
 def _extend_hash(h: int, label: int) -> int:
@@ -671,14 +665,7 @@ class SharedRuleState:
                 continue
             table = pipeline.table(table_spec.table_id)
             layouts.append(_seal_table(writer, table, table_spec.entries))
-        # The recognisable name is for /dev/shm forensics; the per-seal
-        # counter keeps concurrent states (several runners, or the old
-        # and new generation during a re-seal) from ever sharing a name
-        # — SharedBlock reclaims same-name leftovers on FileExistsError,
-        # which must only ever hit truly stale segments.
-        block = SharedBlock(
-            name_prefix=f"reprorules{os.getpid()}x{next(_SEAL_IDS)}"
-        )
+        block = SharedBlock()
         block.ensure(writer.nbytes)
         segments = writer.write_to(block.buf)
         layout = SharedRuleLayout(

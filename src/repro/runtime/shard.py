@@ -33,12 +33,18 @@ encodes each batch once into a columnar
 :class:`~repro.runtime.transport.PacketBlockCodec` block (a dict
 sequence is columnarised first; a
 :class:`~repro.packet.batch.PacketBatch` is written as-is), workers
-read their member rows in place and write their reply into
-worker-owned blocks, and only tiny control messages (mutation suffixes,
-block names, layouts) cross the pipes.  A worker **replies once per
-traversal**: each *distinct* traversal of its sub-batch is encoded once,
-every position costs one ``int32`` code, and the flow-stats delta rides
-in the same block as two per-traversal lanes (packets, frame bytes).
+read their member rows in place and write their reply into the
+response slot the request names, and only tiny control messages
+(mutation suffixes, block names, layouts) cross the pipes.  **The
+parent owns every segment** — request ring, response ring, sealed
+rules — and a worker only ever attaches, so a SIGKILLed worker strands
+nothing by construction.  A reply that outgrows its slot rides in the
+control reply as bytes instead (nothing is truncated or classified
+twice) and the parent grows the slots before their next use.  A worker
+**replies once per traversal**: each *distinct* traversal of its
+sub-batch is encoded once, every position costs one ``int32`` code, and
+the flow-stats delta rides in the same block as two per-traversal lanes
+(packets, frame bytes).
 The parent decodes the templates against the entry order it pinned at
 submission, credits its counters and its authoritative
 :class:`~repro.openflow.flow.FlowEntry` stats per traversal — so flow
@@ -52,8 +58,8 @@ returns: :meth:`ShardedBatchPipeline.process_batches` yields it as is
 :meth:`~ShardedBatchPipeline.collect_any` return it as a plain list.
 
 **Pipelining** removes the lockstep round-trip: each direction keeps a
-ring of ``depth`` shared blocks (request slot ``seq % depth`` parent-
-side, one response slot per worker per ring index), so the parent
+ring of ``depth`` shared blocks (request slot ``seq % depth``, and per
+worker one response slot per ring index), so the parent
 encodes and dispatches batch N+1 while the workers are still
 classifying batch N.  :meth:`ShardedBatchPipeline.process_batches` (or
 the explicit :meth:`submit_batch` / :meth:`collect_batch` pair) drives
@@ -62,17 +68,18 @@ and the pinned entry order *at submission*, so pipelined batches see
 exactly the serial sequence of table states a lockstep runner would
 have produced.  A slot is reused only after its batch's replies are
 decoded (decoding copies everything out, so a collected outcome never
-aliases a slot), which bounds worker memory at ``depth`` response
-blocks and keeps in-flight columns immutable.
+aliases a slot), which bounds the response ring at ``depth`` blocks
+per worker and keeps in-flight columns immutable.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`collect_batch` accepts ``seq=`` and :meth:`collect_any` completes
 whichever batch's replies land first, so a stalled shard delays only
-the batches actually assigned to it.  Per-worker pipes deliver replies
-in submission order; replies for other in-flight batches that arrive
-while waiting are parked in a ``(seq, worker)`` buffer and handed out
-at their own collect.  Ring-slot safety is preserved: submitting onto a
-slot still held by an uncollected batch raises.
+the batches actually assigned to it.  Every worker message is exactly
+one reply, delivered in submission order; one wait
+(``ShardedBatchPipeline._await``) listens for all of them and parks
+each in a ``(seq, worker)`` buffer until its own batch is collected.
+Ring-slot safety is preserved: submitting onto a slot still held by an
+uncollected batch raises.
 
 **Workers are decode-free** for every submission: the worker attaches
 to the request block's columns in place and classifies through
@@ -88,24 +95,27 @@ skips that and assigns workers by hashing the shard fields' lanes in
 one vectorized pass.
 
 **Fault tolerance.**  Workers are supervised
-(:mod:`repro.runtime.supervise`): every collect-side wait is
+(:mod:`repro.runtime.supervise`): the one collect-side wait is
 process-sentinel-aware and deadline-bounded, so a dead worker raises a
 *crash* immediately and a silent one becomes a *wedge* when the
 configured deadline lapses (the parent kills it) — never an indefinite
-block.  Recovery leans on the snapshot-at-submission protocol: lost
+block.  The deadline has one definition, whichever collect call is
+waiting: time since the workers owing the awaited replies last
+delivered one; the suspect is the worker owing the oldest.  Reply
+frames fail closed — anything but the reply a worker owes next is that
+worker's crash, never parked.  Recovery leans on the
+snapshot-at-submission protocol: lost
 in-flight batches are *replayed* on a respawned replica (the pinned
 log prefix plus the immutable parent-owned request block make the
 replay bitwise-identical, a re-send rather than a re-encode), a batch
 that kills its worker twice is *poison* and classified in-process, and
-once a worker's restart budget runs out its traffic degrades to the
-surviving workers or to an in-process replica — which replies through
-the same codec into a private buffer, so a live, a replayed and an
-inline shard merge into the same outcomes, results and flow-stats
-deltas identical.  A parent-side block registry (fed by
-pre-creation announcements) unlinks crashed workers' response rings,
-and each worker watches its parent's pid so an orphaned fleet exits
-instead of idling forever.  :mod:`repro.runtime.faults` injects
-deterministic crashes/hangs into all of this for chaos tests.
+once a worker's restart budget runs out its traffic degrades to an
+in-process replica — which replies through the same codec into a
+private buffer, so a live, a replayed and an inline shard merge into
+the same outcomes, results and flow-stats deltas identical.  Each
+worker watches its parent's pid so an orphaned fleet exits instead of
+idling forever.  :mod:`repro.runtime.faults` injects deterministic
+crashes/hangs into all of this for chaos tests.
 
 Workers are spawned lazily on the first batch (``fork`` start method
 when available) and torn down via :meth:`close` / context-manager exit.
@@ -151,11 +161,9 @@ from repro.runtime.lifecycle import (
 from repro.runtime.megaflow import Traversal
 from repro.runtime.protocol import (
     AddMutation,
-    BlockAnnounce,
     ByeReply,
     CloseRequest,
     ExpireMutation,
-    InlineReply,
     Mutation,
     RemoveMutation,
     ShmReply,
@@ -167,11 +175,11 @@ from repro.runtime.rulestate import (
     attach_shared_tables,
 )
 from repro.runtime.supervise import (
+    FailureKind,
     PoisonBatchError,
     SupervisionConfig,
     WorkerCrashError,
     WorkerSupervisor,
-    await_readable,
 )
 from repro.runtime.transport import (
     BlockAttachments,
@@ -181,11 +189,11 @@ from repro.runtime.transport import (
     EntryIndex,
     PacketBlockCodec,
     ReplyDecodeError,
+    Segment,
     SharedBlock,
     decode_outcomes,
     encode_outcomes,
     ensure_resource_tracker,
-    unlink_segment,
 )
 
 # ----------------------------------------------------------------------
@@ -399,28 +407,38 @@ def _apply_mutations(
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
 
 
+def _place_reply(
+    writer: BlockWriter, slot: memoryview | None
+) -> tuple[bytearray | None, tuple[Segment, ...]]:
+    """Lay an encoded reply out in its response slot — or, when it does
+    not fit (or there is no slot: the parent classifying in-process),
+    in bytes of its own that ride in the reply frame."""
+    if slot is not None and writer.nbytes <= slot.nbytes:
+        return None, writer.write_to(slot)
+    block = bytearray(writer.nbytes)
+    return block, writer.write_to(memoryview(block))
+
+
 def _serve_shm(
     runner: BatchPipeline,
     index: EntryIndex,
     codec: PacketBlockCodec,
-    request_blocks: BlockAttachments,
-    response: SharedBlock,
+    blocks: BlockAttachments,
     message: ShmRequest,
-    conn: mp_connection.Connection,
     faults: FaultPlan,
     worker_id: int,
 ) -> ShmReply:
     # All numpy views over the shared blocks are confined to this frame
     # (codec.attach gathers copies): they must be garbage before close()
     # can unmap the segments.
-    _, seq, slot, mutations, block_name, segments, layout, members_key, (
-        bypass
+    _, seq, mutations, block_name, segments, layout, members_key, bypass, (
+        reply_block
     ) = message
     faults.fire(worker_id, seq, "after-receive")
     _apply_mutations(runner.pipeline, mutations)
     faults.fire(worker_id, seq, "mid-classify")
     runner.megaflow_bypass = bypass
-    reader = BlockReader(request_blocks.buf(block_name), segments)
+    reader = BlockReader(blocks.buf(block_name), segments)
     writer = BlockWriter()
     # Decode-free: classify straight off the block's columns; hits and
     # misses alike are encoded from their traversal templates, once per
@@ -430,17 +448,11 @@ def _serve_shm(
     result_layout, vocabulary = encode_outcomes(writer, outcomes, index)
     runner.megaflow_bypass = False
     faults.fire(worker_id, seq, "after-stats")
-    # Announce-before-create: the parent's crash registry must know the
-    # segment name before the segment can exist, so a death at any
-    # point leaves nothing unlinked-but-unknown.
-    planned = response.plan(writer.nbytes)
-    if planned is not None:
-        conn.send(BlockAnnounce("block", slot, planned))
-    response.ensure(writer.nbytes)
-    response_segments = writer.write_to(response.buf)
+    block, response_segments = _place_reply(writer, blocks.buf(reply_block))
     reply = ShmReply(
         "ok",
-        response.name,
+        seq,
+        block,
         response_segments,
         result_layout,
         vocabulary,
@@ -463,30 +475,26 @@ def _worker_main(
     spec: PipelineSpec,
     cache_capacity: int | None,
     megaflow_capacity: int | None,
-    depth: int,
     worker_id: int = 0,
     fault_plan: FaultPlan | None = None,
 ) -> None:
     """Worker loop: apply log suffix, classify sub-batch, reply.
 
-    A ``("shm", seq, slot, ...)`` request is the only work item; its
-    reply names the response block (templates, codes, flow-stats delta
-    lanes) and carries the worker's megaflow mask fields and its stats
-    snapshot.  An unknown tag raises: the
-    worker dies, its sentinel fires and supervision classifies a crash
-    — the parent never waits on a reply that will not come.
+    A ``("shm", seq, ...)`` request is the only work item, and every
+    request gets exactly one ``"ok"`` reply: templates, codes and
+    flow-stats delta lanes written into the response slot the request
+    names (or riding in the reply when they outgrew it), plus the
+    worker's megaflow mask fields and its stats snapshot.  An unknown
+    tag raises: the worker dies, its sentinel fires and supervision
+    classifies a crash — the parent never waits on a reply that will
+    not come.
 
-    The worker owns a ring of ``depth`` response blocks, indexed by the
-    ``slot`` each shm message names.  The parent never keeps more than
-    ``depth`` batches in flight and decodes a reply before reusing its
-    slot, so writing response ``slot`` here cannot race a parent-side
-    read of the reply ``depth`` batches ago that last used it.
-
-    Response blocks use announced deterministic names
-    (``reproshard<pid>s<slot>``): each creation is preceded by a
-    :class:`BlockAnnounce` on the pipe, so the parent can unlink this
-    worker's segments even after a SIGKILL (the in-process finalize
-    guards die with the worker).
+    The worker owns no shared segment.  It attaches to the request block
+    and the response slot each message names (a cached dict hit after
+    the first use), so there is nothing for a SIGKILL to strand.  The
+    parent never keeps more than ``depth`` batches in flight and decodes
+    a reply before reusing its slot, so writing the named slot cannot
+    race a parent-side read of the reply that last used it.
 
     The receive loop polls rather than blocks so it can watch the
     parent's pid between messages: under ``fork``, sibling workers keep
@@ -502,52 +510,30 @@ def _worker_main(
     )
     index = EntryIndex(runner.pipeline)
     codec = PacketBlockCodec()
-    request_blocks = BlockAttachments()
-    responses = [
-        SharedBlock(name_prefix=f"reproshard{os.getpid()}s{slot}")
-        for slot in range(depth)
-    ]
+    blocks = BlockAttachments()
     parent_pid = os.getppid()
-
-    def shutdown() -> None:
-        request_blocks.close()
-        for response in responses:
-            response.close()
-
     try:
         while True:
             while not conn.poll(_PARENT_POLL_INTERVAL):
                 if os.getppid() != parent_pid:  # orphaned: parent died
-                    shutdown()
                     return
             message = conn.recv()
             kind = message[0]
             if kind == "shm":
                 conn.send(
                     _serve_shm(
-                        runner,
-                        index,
-                        codec,
-                        request_blocks,
-                        responses[message[2]],
-                        message,
-                        conn,
-                        faults,
-                        worker_id,
+                        runner, index, codec, blocks, message, faults, worker_id
                     )
                 )
             elif kind == "close":
-                shutdown()
                 conn.send(ByeReply("bye"))
                 return
             else:
-                # No shutdown(): like any crash, the parent's announce
-                # registry unlinks the response ring — after attaching
-                # the replies already delivered out of it.
                 raise ValueError(f"unknown request tag {kind!r}")
-    except (EOFError, KeyboardInterrupt):  # parent went away
-        shutdown()
-        return
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        return  # parent went away
+    finally:
+        blocks.close()
 
 
 def _stable_hash(items: tuple) -> int:
@@ -592,21 +578,6 @@ class _InFlight:
     bypass: bool = False
 
 
-class _WorkerDied(Exception):
-    """Internal signal: a worker failed while the parent waited on it.
-
-    ``kind`` carries the taxonomy bucket — ``"crash"`` (sentinel fired
-    or the pipe broke) or ``"wedge"`` (the supervision deadline lapsed
-    without progress).  Always caught by the recovery layer; never
-    escapes the runner.
-    """
-
-    def __init__(self, worker: int, kind: str) -> None:
-        super().__init__(f"worker {worker} {kind}")
-        self.worker = worker
-        self.kind = kind
-
-
 class ShardedBatchPipeline:
     """Drop-in ``process_batch`` runner fanning batches across workers.
 
@@ -617,10 +588,6 @@ class ShardedBatchPipeline:
         workers: process count (default: ``os.cpu_count()``).
         cache_capacity / megaflow_capacity: per-worker cache stack, as
             in :class:`BatchPipeline`.
-        shard_fields: optional explicit field names to hash on; when
-            omitted, sharding starts on the full field tuple and
-            converges onto the megaflow-consulted union the workers
-            report.
         transport: only ``"shm"`` (columnar shared-memory blocks) is
             accepted; the whole-payload pickle transport was removed.
         depth: maximum batches in flight (submitted, not yet collected).
@@ -641,13 +608,17 @@ class ShardedBatchPipeline:
             drains in flight before submitting (and
             :meth:`submit_batch` raises), so a big suffix is only ever
             written into empty pipes with the workers parked in recv.
+            (The other direction may carry a big frame — an oversize
+            reply — but a worker blocked sending one is released by the
+            next collect, and the parent's own sends stay small enough
+            never to block behind it.)
         supervision: failure policy (see
             :class:`~repro.runtime.supervise.SupervisionConfig`): wedge
             deadline, restart budget per worker, and the degraded mode
-            (``inline`` / ``redistribute`` / ``raise``) once the budget
-            is spent.  The default supervises crashes with two respawns
-            per worker and inline fallback; wedge detection arms when a
-            ``deadline`` is set.
+            (``inline`` / ``raise``) once the budget is spent.  The
+            default supervises crashes with two respawns per worker and
+            inline fallback; wedge detection arms when a ``deadline``
+            is set.
         fault_plan: deterministic fault injection for chaos tests (see
             :mod:`repro.runtime.faults`); threaded through worker spawn
             and pruned on respawn so a non-sticky fault fires exactly
@@ -660,7 +631,6 @@ class ShardedBatchPipeline:
         workers: int | None = None,
         cache_capacity: int | None = DEFAULT_CAPACITY,
         megaflow_capacity: int | None = None,
-        shard_fields: Sequence[str] | None = None,
         transport: str = "shm",
         depth: int = 2,
         supervision: SupervisionConfig | None = None,
@@ -695,7 +665,6 @@ class ShardedBatchPipeline:
         self._rule_state: SharedRuleState | None = None
         self._cache_capacity = cache_capacity
         self._megaflow_capacity = megaflow_capacity
-        self._shard_fields = tuple(shard_fields) if shard_fields else None
         self._learned_fields: set[str] = set()
         self._cursors = [0] * self.workers
         self._worker_stats = [BatchStats() for _ in range(self.workers)]
@@ -706,19 +675,29 @@ class ShardedBatchPipeline:
         #: Request-block ring: slot ``seq % depth`` carries batch
         #: ``seq``'s columns, reused only after that batch is collected.
         self._requests = [SharedBlock() for _ in range(depth)]
-        self._responses = BlockAttachments()
+        #: Response ring, parent-owned like everything shared: worker
+        #: ``w`` writes batch ``seq``'s reply into slot
+        #: ``_responses[w][seq % depth]``, which its request names.
+        self._responses = [
+            [SharedBlock() for _ in range(depth)]
+            for _ in range(self.workers)
+        ]
+        #: Bytes a response slot is grown to before its next use: the
+        #: largest reply that has had to travel as bytes so far.
+        self._reply_bytes = 1
         #: In-flight batches by seq, plus their submission order (the
         #: default FIFO collect cadence) — a dict, not a queue, so
         #: :meth:`collect_batch` can complete any seq out of order.
         self._inflight: dict[int, _InFlight] = {}
         self._order: deque[int] = deque()
         #: Per worker, the seqs whose replies will arrive on its pipe,
-        #: in arrival order; replies drained while waiting for another
-        #: seq park in ``_reply_buffer`` keyed ``(seq, worker)``.
+        #: in arrival order; a received (or in-process) reply parks in
+        #: ``_reply_buffer`` keyed ``(seq, worker)`` until its batch is
+        #: collected.
         self._worker_pending: list[deque[int]] = [
             deque() for _ in range(self.workers)
         ]
-        self._reply_buffer: dict[tuple[int, int], tuple] = {}
+        self._reply_buffer: dict[tuple[int, int], ShmReply] = {}
         self._seq = 0
         self._supervisor = WorkerSupervisor(
             workers=self.workers,
@@ -763,7 +742,6 @@ class ShardedBatchPipeline:
                 self._spec,
                 self._cache_capacity,
                 self._megaflow_capacity,
-                self.depth,
                 worker,
                 self._fault_plan,
             ),
@@ -824,35 +802,21 @@ class ShardedBatchPipeline:
     CLOSE_TIMEOUT = 5.0
 
     def _shutdown_worker(self, worker: int) -> None:
-        """Orderly close of one worker, escalating to a kill.
-
-        The Bye wait is sentinel-aware and deadline-bounded like every
-        other parent-side wait: a worker that died (or wedged) during
-        shutdown cannot park ``close()``.
-        """
+        """Orderly close of one worker: one bounded, sentinel-aware
+        wait for its Bye, then a kill if it did not come.  A kill is
+        always safe — the worker owns nothing."""
         conn, proc = self._conns[worker], self._procs[worker]
+        acknowledged = False
         try:
             conn.send(CloseRequest("close"))
-            deadline = time.monotonic() + self.CLOSE_TIMEOUT  # repro-lint: disable=wall-clock-ban
-            while True:
-                remaining = deadline - time.monotonic()  # repro-lint: disable=wall-clock-ban
-                if remaining <= 0:
-                    break
-                ready = mp_connection.wait([conn, proc.sentinel], remaining)
-                if conn not in ready and not conn.poll(0):
-                    break  # timeout, or sentinel fired with a dry pipe
-                message = conn.recv()
-                if message[0] == "block":
-                    self._supervisor.register_block(worker, message[2])
-                elif message[0] == "bye":
-                    break
-        except (BrokenPipeError, EOFError, ConnectionResetError, OSError):
+            mp_connection.wait([conn, proc.sentinel], self.CLOSE_TIMEOUT)
+            acknowledged = self._take_frame(worker, closing=True)
+        except OSError:  # already dead, or retired with its pipe closed
             pass
         conn.close()
-        proc.join(timeout=self.CLOSE_TIMEOUT)
-        if proc.is_alive():  # pragma: no cover - defensive
+        if not acknowledged:
             proc.kill()
-            proc.join(timeout=self.CLOSE_TIMEOUT)
+        proc.join(timeout=self.CLOSE_TIMEOUT)
 
     def close(self) -> None:
         """Shut every worker down (idempotent).
@@ -866,9 +830,11 @@ class ShardedBatchPipeline:
         """
         while self._inflight:  # drain replies before tearing blocks down
             try:
-                self._collect()
-            except (EOFError, OSError, AssertionError, WorkerCrashError):
-                self._inflight.clear()
+                self._collect_oldest()
+            except ReplyDecodeError:
+                pass  # that batch is already forgotten; drain the rest
+            except (OSError, WorkerCrashError):
+                self._inflight.clear()  # unanswerable: recovery is off
                 self._order.clear()
         for worker in range(len(self._procs)):
             self._shutdown_worker(worker)
@@ -878,16 +844,8 @@ class ShardedBatchPipeline:
         self._worker_stats = [BatchStats() for _ in range(self.workers)]
         self._worker_pending = [deque() for _ in range(self.workers)]
         self._reply_buffer.clear()
-        self._responses.close()
-        for request in self._requests:
-            request.close()
-        # A worker that exited cleanly already unlinked its response
-        # ring (these unlink as no-ops); one that was killed on the
-        # defensive path above did not — the announce registry is the
-        # only record of its segments.
-        for worker in range(self.workers):
-            for name in self._supervisor.drain_blocks(worker):
-                unlink_segment(name)
+        for block in self._requests + sum(self._responses, []):
+            block.close()
         self._supervisor.reset()
         self._inline_runner = None
         self._inline_index = None
@@ -918,11 +876,11 @@ class ShardedBatchPipeline:
 
     def shard_of(self, packet_fields: Mapping[str, int]) -> int:
         """Worker index for a packet, by megaflow-key hash."""
-        names = self._shard_fields
-        if names is None and self._learned_fields:
-            names = tuple(sorted(self._learned_fields))
-        if names:
-            key = tuple((n, packet_fields.get(n)) for n in names)
+        if self._learned_fields:
+            key = tuple(
+                (n, packet_fields.get(n))
+                for n in sorted(self._learned_fields)
+            )
         else:
             # frame_len is switch metadata: per-packet length
             # distributions must not scatter a flow across workers.
@@ -952,9 +910,7 @@ class ShardedBatchPipeline:
         if self.workers == 1:
             return {0: np.arange(len(batch), dtype=np.int64)}
         if isinstance(batch, PacketBatch):
-            names = self._shard_fields
-            if names is None and self._learned_fields:
-                names = tuple(sorted(self._learned_fields))
+            names = tuple(sorted(self._learned_fields))
             if not names:
                 # Cold-start fallback: all columns except frame_len —
                 # per-packet length distributions (imix/pareto) would
@@ -974,32 +930,10 @@ class ShardedBatchPipeline:
             assigned = np.fromiter(
                 map(self.shard_of, batch), dtype=np.int64, count=len(batch)
             )
-        if self._supervisor.disabled:
-            assigned = self._reroute(assigned)
         return {
             worker: np.flatnonzero(assigned == worker)
             for worker in np.unique(assigned).tolist()
         }
-
-    def _reroute(self, assigned: np.ndarray) -> np.ndarray:
-        """Degraded routing: a permanently-disabled shard's members go
-        to the survivors (``fallback="redistribute"``) or stay assigned
-        to the dead worker for in-process classification at submit
-        (``fallback="inline"``, or no survivors left).  Either way the
-        members classify at the same pinned log position, so results
-        stay identical — routing only moves cache locality."""
-        if self._supervisor.config.fallback != "redistribute":
-            return assigned
-        survivors = [
-            w for w in range(self.workers)
-            if w not in self._supervisor.disabled
-        ]
-        if not survivors:
-            return assigned
-        route = np.arange(self.workers, dtype=np.int64)
-        for worker in self._supervisor.disabled:
-            route[worker] = survivors[worker % len(survivors)]
-        return route[assigned]
 
     # -- classification ------------------------------------------------
 
@@ -1052,7 +986,7 @@ class ShardedBatchPipeline:
         self._guard_idle("process_batch")
         if not self._submit(batch):
             return []
-        return self._collect().results()
+        return self._collect_oldest().results()
 
     def _guard_idle(self, caller: str) -> None:
         if self._streaming:
@@ -1135,17 +1069,17 @@ class ShardedBatchPipeline:
                     or self._mutation_backlog()
                     > self.MAX_PIPELINED_MUTATION_BACKLOG
                 ):
-                    yield self._collect()
+                    yield self._collect_oldest()
                 if not self._submit(batch):
                     # Empty batches produce empty results but occupy no
                     # ring slot (there is nothing for a worker to do);
                     # splice the placeholder in once the preceding
                     # batches land.
                     while self._inflight:
-                        yield self._collect()
+                        yield self._collect_oldest()
                     yield []
             while self._inflight:
-                yield self._collect()
+                yield self._collect_oldest()
         finally:
             self._streaming = False
 
@@ -1218,75 +1152,22 @@ class ShardedBatchPipeline:
             seq = self._order[0]
         elif seq not in self._inflight:
             raise RuntimeError(f"batch seq {seq} is not in flight")
-        return self._collect(seq).results()
+        return self._collect(self._await(seq)).results()
 
     def collect_any(self) -> tuple[int, list[PipelineResult]]:
         """``(seq, results)`` of the first in-flight batch able to
         complete, regardless of submission order.
 
-        Waits on every worker pipe carrying outstanding replies *plus*
-        each worker's process sentinel
-        (``multiprocessing.connection.wait``), parking each arrival
-        until some batch has all of its shards' replies — so a stalled
-        shard delays only its own batches while faster shards' batches
-        keep completing.  A dead worker is recovered on the spot
-        (respawn + replay, or degraded fallback); with a supervision
-        deadline configured, a wait that makes no progress past it
-        declares the laggiest worker wedged and escalates, so this
-        never blocks indefinitely.
+        Waits on every worker owing a reply at once, parking each
+        arrival until some batch has all of its shards' replies — so a
+        stalled shard delays only its own batches while faster shards'
+        batches keep completing.  Crash recovery and the wedge deadline
+        are :meth:`collect_batch`'s: both calls share one wait.
         """
         if not self._inflight:
             raise RuntimeError("no batch in flight")
-        config = self._supervisor.config
-        started = time.monotonic()  # repro-lint: disable=wall-clock-ban
-        interval = config.initial_interval
-        while True:
-            for seq in self._order:
-                groups = self._inflight[seq].groups
-                if all(
-                    (seq, worker) in self._reply_buffer for worker in groups
-                ):
-                    return seq, self._collect(seq).results()
-            waitables: dict[Any, int] = {}
-            for worker in range(self.workers):
-                if self._worker_pending[worker]:
-                    waitables[self._conns[worker]] = worker
-                    waitables[self._procs[worker].sentinel] = worker
-            assert waitables, "incomplete batches but no replies pending"
-            timeout: float | None = None
-            if config.deadline is not None:
-                elapsed = time.monotonic() - started  # repro-lint: disable=wall-clock-ban
-                if elapsed >= config.deadline:
-                    self._handle_failure(
-                        self._oldest_pending_worker(), "wedge"
-                    )
-                    started = time.monotonic()  # repro-lint: disable=wall-clock-ban
-                    interval = config.initial_interval
-                    continue
-                timeout = min(interval, config.deadline - elapsed)
-                interval = min(interval * 2, config.max_interval)
-            ready = mp_connection.wait(list(waitables), timeout)
-            progressed = False
-            for worker in dict.fromkeys(waitables[obj] for obj in ready):
-                try:
-                    if not self._conns[worker].poll(0):
-                        # Sentinel fired with a dry pipe: a real death.
-                        raise _WorkerDied(worker, "crash")
-                    progressed |= self._absorb_one(worker)
-                except _WorkerDied as died:
-                    self._handle_failure(worker, died.kind)
-                    progressed = True
-            if progressed:
-                started = time.monotonic()  # repro-lint: disable=wall-clock-ban
-                interval = config.initial_interval
-
-    def _oldest_pending_worker(self) -> int:
-        """The wedge suspect: the worker owing the oldest-submitted
-        outstanding reply (replies arrive in submission order, so its
-        pending head is the globally most overdue one)."""
-        owing = [w for w in range(self.workers) if self._worker_pending[w]]
-        assert owing, "wedge escalation with no outstanding replies"
-        return min(owing, key=lambda w: self._worker_pending[w][0])
+        seq = self._await(None)
+        return seq, self._collect(seq).results()
 
     @property
     def in_flight(self) -> int:
@@ -1337,8 +1218,6 @@ class ShardedBatchPipeline:
         if not isinstance(batch, PacketBatch):
             batch = PacketBatch.from_dicts(batch, self._codec.field_bits)
         sends = self._encode_shm(seq, batch, groups, bypass)
-        # Registered before dispatch: a send that trips over a corpse
-        # recovers mid-submit, and recovery reads the in-flight record.
         self._inflight[seq] = _InFlight(
             seq=seq,
             batch=batch,
@@ -1354,7 +1233,7 @@ class ShardedBatchPipeline:
             if worker in self._supervisor.disabled:
                 self._classify_inline(seq, worker)
             else:
-                self._dispatch_or_recover(seq, worker)
+                self._dispatch(seq, worker)
         return True
 
     def _encode_shm(
@@ -1365,7 +1244,8 @@ class ShardedBatchPipeline:
         bypass: bool = False,
     ) -> dict[int, ShmRequest]:
         """Encode the batch once into its ring slot; request templates
-        (empty mutation suffix) per live worker."""
+        (empty mutation suffix) per live worker, each naming the
+        response slot its reply goes into."""
         live = [
             worker
             for worker in groups
@@ -1381,153 +1261,194 @@ class ShardedBatchPipeline:
             writer.put(f"members/{worker}", groups[worker])
         request.ensure(writer.nbytes)
         segments = writer.write_to(request.buf)
-        return {
-            worker: ShmRequest(
+        sends: dict[int, ShmRequest] = {}
+        for worker in live:
+            # The slot's last occupant (batch ``seq - depth``) has been
+            # collected, so this is the one moment it may be re-created.
+            response = self._responses[worker][slot]
+            response.ensure(self._reply_bytes)
+            sends[worker] = ShmRequest(
                 "shm",
                 seq,
-                slot,
                 (),
                 request.name,
                 segments,
                 layout,
                 f"members/{worker}",
                 bypass,
+                response.name,
             )
-            for worker in live
-        }
+        return sends
 
-    def _dispatch(self, seq: int, worker: int) -> bool:
+    def _dispatch(self, seq: int, worker: int) -> None:
         """Send batch ``seq``'s template to ``worker`` with the log
-        suffix recomputed from its current cursor; False when the pipe
-        is already broken.  Serves first sends and replays alike — the
-        template is immutable, only the suffix depends on the cursor."""
+        suffix recomputed from its current cursor, and note the reply it
+        now owes.  Serves first sends and replays alike — the template
+        is immutable, only the suffix depends on the cursor.
+
+        A send that trips over a corpse is not recovered here: the
+        reply is owed all the same, and the wait that comes to collect
+        it finds the sentinel fired and replays it with the rest."""
         inflight = self._inflight[seq]
         template = inflight.sends[worker]
         suffix = tuple(self._log[self._cursors[worker] : inflight.log_len])
         self._cursors[worker] = inflight.log_len
+        # A worker owes at most one reply per in-flight batch, so its
+        # pending deque is depth-bounded too.
+        assert len(self._worker_pending[worker]) < self.depth
+        self._worker_pending[worker].append(seq)
         try:
             self._conns[worker].send(template._replace(mutations=suffix))
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            return False
-        return True
+        except OSError:
+            pass
 
-    def _dispatch_or_recover(self, seq: int, worker: int) -> None:
-        """First send of ``seq`` to ``worker``; a corpse discovered at
-        send time is recovered (respawn or degrade) before the batch is
-        queued — possibly onto the in-process fallback."""
-        while worker not in self._supervisor.disabled:
-            if self._dispatch(seq, worker):
-                # A worker owes at most one reply per in-flight batch,
-                # so its pending deque is depth-bounded too.
-                assert len(self._worker_pending[worker]) < self.depth
-                self._worker_pending[worker].append(seq)
-                return
-            self._handle_failure(worker, "crash")
-        self._classify_inline(seq, worker)
+    def _await(self, seq: int | None) -> int:
+        """Block until batch ``seq`` — or, given ``None``, whichever
+        in-flight batch gets there first, oldest preferred — has every
+        shard's reply parked; returns its seq.  Returns without a
+        syscall when the replies are already there.
 
-    def _take_reply(
-        self, seq: int, worker: int
-    ) -> ShmReply | InlineReply:
-        """The reply ``worker`` sent for batch ``seq``.
-
-        A worker's pipe delivers replies in the order its batches were
-        submitted, so anything received while waiting belongs to an
-        earlier-submitted (still in-flight) batch and is parked in the
-        reply buffer for that batch's own collect.  A worker that died
-        is recovered here: after a respawn-and-replay the loop resumes
-        waiting on the replacement, after a degraded fallback the reply
-        is already parked inline.
+        The one place the parent listens.  It waits on the pipes *and*
+        sentinels of the workers owing the awaited replies, hands every
+        delivered frame to :meth:`_take_frame`, and classifies what goes
+        wrong: a worker whose sentinel fired and whose pipe has run dry
+        (everything it managed to send is taken first — a delivered
+        reply must never be replayed) or whose frame was unacceptable
+        is a *crash*; with a deadline configured, once that long has
+        passed since the awaited workers last delivered a reply (or
+        since the wait began), the one owing the oldest reply is a
+        *wedge*.  Either way the worker is killed, a wedged one's
+        last-moment deliveries are salvaged, and
+        :meth:`_handle_failure` respawns and replays or degrades — after
+        which the wait resumes on whoever owes the replies now.
         """
-        reply = self._reply_buffer.pop((seq, worker), None)
-        while reply is None:
-            try:
-                self._recv_reply(worker)
-            except _WorkerDied as died:
-                self._handle_failure(worker, died.kind)
-            reply = self._reply_buffer.pop((seq, worker), None)
-        return reply
-
-    def _recv_reply(self, worker: int) -> None:
-        """Wait (sentinel-aware, deadline-bounded) for one reply from
-        ``worker`` and park it; raises :class:`_WorkerDied` on a crash
-        or deadline expiry."""
+        awaited = self._order if seq is None else (seq,)
+        deadline = self._supervisor.config.deadline
+        progressed: float | None = None
         while True:
-            outcome = await_readable(
-                self._conns[worker],
-                self._procs[worker].sentinel,
-                self._supervisor.config,
-            )
-            if outcome != "ready":
-                raise _WorkerDied(worker, outcome)
-            if self._absorb_one(worker):
-                return
+            missing: set[int] = set()
+            for candidate in awaited:
+                absent = [
+                    worker
+                    for worker in self._inflight[candidate].groups
+                    if (candidate, worker) not in self._reply_buffer
+                ]
+                if not absent:
+                    return candidate
+                missing.update(absent)
+            owing = [w for w in missing if self._worker_pending[w]]
+            if not owing:
+                raise WorkerCrashError(
+                    "in-flight replies were lost with a worker that "
+                    "recovery was configured not to replace; close() "
+                    "the runner"
+                )
+            failed: dict[int, FailureKind] = {}
+            remaining = None
+            if deadline is not None:
+                now = time.monotonic()  # repro-lint: disable=wall-clock-ban
+                if progressed is None:
+                    progressed = now
+                remaining = progressed + deadline - now
+            if remaining is not None and remaining <= 0:
+                # Replies arrive in submission order, so the smallest
+                # pending head is the most overdue reply of all.
+                suspect = min(owing, key=lambda w: self._worker_pending[w][0])
+                failed[suspect] = "wedge"
+            else:
+                waitables: dict[Any, int] = {}
+                for worker in owing:
+                    waitables[self._conns[worker]] = worker
+                    waitables[self._procs[worker].sentinel] = worker
+                ready = mp_connection.wait(list(waitables), remaining)
+                if not ready:
+                    continue  # the deadline lapsed: next pass names the suspect
+                for worker in dict.fromkeys(waitables[obj] for obj in ready):
+                    if not self._take_frame(worker):
+                        failed[worker] = "crash"
+            for worker, kind in failed.items():
+                proc = self._procs[worker]
+                proc.kill()  # wedged or babbling; a corpse ignores it
+                proc.join(timeout=self.CLOSE_TIMEOUT)
+                while kind == "wedge" and self._take_frame(worker):
+                    pass
+                self._handle_failure(worker, kind)
+            progressed = None
 
-    def _absorb_one(self, worker: int) -> bool:
-        """Receive one buffered message from ``worker``; True when it
-        was a reply (now parked), False for a control rider (a block
-        announcement).  The pipe must be readable."""
+    def _take_frame(self, worker: int, closing: bool = False) -> bool:
+        """Take one delivered frame off ``worker``'s pipe and sort it by
+        tag — the only function that knows the reply tags.
+
+        True when the frame is the one the worker owes: an ``"ok"``
+        echoing the seq at the head of its pending queue, now parked
+        under ``(seq, worker)``; or, while ``closing``, the ``"bye"``.
+        False when the pipe is dry or broken, and — failing closed —
+        for anything else: an unknown tag or shape, an ``"ok"`` nobody
+        is waiting for.  Callers treat False as the worker's crash; an
+        unacceptable frame is never parked."""
         conn = self._conns[worker]
-        if not conn.poll(0):
-            return False
         try:
-            message = conn.recv()
-        except (EOFError, ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise _WorkerDied(worker, "crash") from exc
-        if message[0] == "block":
-            self._supervisor.register_block(worker, message[2])
+            if not conn.poll(0):
+                return False
+            frame = conn.recv()
+        except (EOFError, OSError, pickle.UnpicklingError):
             return False
-        if message[0] == "ok":
-            self._supervisor.register_block(worker, message[1])
-        arrived = self._worker_pending[worker].popleft()
-        self._reply_buffer[(arrived, worker)] = message
+        if closing:
+            return isinstance(frame, ByeReply) and frame.kind == "bye"
+        pending = self._worker_pending[worker]
+        if (
+            not isinstance(frame, ShmReply)
+            or frame.kind != "ok"
+            or not pending
+            or frame.seq != pending[0]
+        ):
+            return False
+        self._reply_buffer[(pending.popleft(), worker)] = frame
         return True
 
-    def _collect(self, seq: int | None = None) -> ColumnarOutcomes:
-        """Receive, decode and merge one in-flight batch (oldest by
-        default).
+    def _collect_oldest(self) -> ColumnarOutcomes:
+        return self._collect(self._await(self._order[0]))
+
+    def _collect(self, seq: int) -> ColumnarOutcomes:
+        """Decode and merge one in-flight batch whose replies are all
+        parked (:meth:`_await` saw to that).
 
         Each shard's reply is decoded once per distinct traversal
         against the batch's pinned entry order; runner counters and the
         pinned entries' flow stats are credited per traversal from the
         reply's delta lanes.  What comes back is unmaterialised: no
         per-packet object exists until the caller reads the outcome.
+
+        The batch is forgotten before anything is decoded, so a reply
+        that fails closed (:class:`ReplyDecodeError`) credits nothing
+        and leaves no record :meth:`close` would wait on.
         """
-        if seq is None:
-            seq = self._order[0]
-        inflight = self._inflight[seq]
-        batch, pinned = inflight.batch, inflight.pinned
-        decoded: list[DecodedReply] = []
-        try:
-            for worker, members in inflight.groups.items():
-                reply = self._take_reply(seq, worker)
-                assert reply[0] in ("ok", "inline")
-                if reply[0] == "inline":
-                    block = memoryview(reply.block)
-                else:
-                    block = self._responses.buf(reply.block_name)
-                    self._learned_fields.update(reply.mask_fields)
-                decoded.append(
-                    decode_outcomes(
-                        BlockReader(block, reply.segments),
-                        reply.result_layout,
-                        reply.vocabulary,
-                        pinned,
-                        len(members),
-                    )
-                )
-                self._worker_stats[worker] = reply.stats
-        except ReplyDecodeError:
-            # Fail closed, and stay closable: the batch is unanswerable
-            # and some of its replies are already consumed, so forget it
-            # (nothing of it was credited) rather than leave a record
-            # close() would wait on forever.
-            del self._inflight[seq]
-            self._order.remove(seq)
-            raise
-        # Popped only after every reply landed: recovery during the
-        # waits above re-reads this in-flight record to replay it.
-        del self._inflight[seq]
+        inflight = self._inflight.pop(seq)
         self._order.remove(seq)
+        batch, pinned = inflight.batch, inflight.pinned
+        replies = [
+            self._reply_buffer.pop((seq, worker)) for worker in inflight.groups
+        ]
+        decoded: list[DecodedReply] = []
+        for (worker, members), reply in zip(inflight.groups.items(), replies):
+            if reply.block is None:
+                block = self._responses[worker][seq % self.depth].buf
+            else:
+                # Too big for its slot (or classified in-process): the
+                # slots are re-created this size as they come up for use.
+                block = memoryview(reply.block)
+                self._reply_bytes = max(self._reply_bytes, block.nbytes)
+            decoded.append(
+                decode_outcomes(
+                    BlockReader(block, reply.segments),
+                    reply.result_layout,
+                    reply.vocabulary,
+                    pinned,
+                    len(members),
+                )
+            )
+            self._learned_fields.update(reply.mask_fields)
+            self._worker_stats[worker] = reply.stats
         replays: list[Traversal] = [None] * len(batch)  # type: ignore[list-item]
         for members, shard in zip(inflight.groups.values(), decoded):
             traversals = shard.traversals
@@ -1544,34 +1465,24 @@ class ShardedBatchPipeline:
 
     # -- failure recovery ----------------------------------------------
 
-    def _handle_failure(self, worker: int, kind: str) -> None:
-        """Recover one dead (or wedged) worker.
+    def _handle_failure(self, worker: int, kind: FailureKind) -> None:
+        """Recover one worker :meth:`_await` found dead (or killed) with
+        its pipe drained: whatever is still pending on it is lost.
 
-        In order: escalate a wedge to a kill; drain replies the worker
-        delivered before dying (they are valid — replaying them would
-        double-count flow stats); unlink every shm segment the corpse
-        owned (its own finalize guards died with it); classify the
-        failure against the poison ledger and the restart budget; then
-        either respawn a replacement and deterministically replay every
-        lost seq, or degrade the shard to in-process classification.
+        Classify the failure against the poison ledger and the restart
+        budget; then either respawn a replacement and deterministically
+        replay every lost seq, or degrade the shard to in-process
+        classification.  There is nothing to clean up after the corpse:
+        every segment it wrote to is the parent's.  With
+        ``fallback="raise"`` the worker is retired and its lost replies
+        stay unanswerable until :meth:`close`.
         """
         sup = self._supervisor
-        proc = self._procs[worker]
-        if kind == "wedge":
-            proc.kill()  # deadline lapsed: escalate to termination
-        sup.record_failure(worker, "wedge" if kind == "wedge" else "crash")
-        proc.join(timeout=self.CLOSE_TIMEOUT)
-        self._drain_dead_pipe(worker)
         self._conns[worker].close()
-        # Replies parked before death still point into the dead
-        # worker's blocks: attach them now so the views survive the
-        # unlink below until their batches are decoded.
-        for (_, w), reply in self._reply_buffer.items():
-            if w == worker and reply[0] == "ok":
-                self._responses.buf(reply[1])
-        for name in sup.drain_blocks(worker):
-            unlink_segment(name)
-        lost = list(self._worker_pending[worker])
+        sup.record_failure(worker, kind)
+        pending = self._worker_pending[worker]
+        lost = list(pending)
+        pending.clear()
         poison = (
             lost[0] if lost and sup.record_death_at(lost[0]) else None
         )
@@ -1583,23 +1494,21 @@ class ShardedBatchPipeline:
                 worker, lost[0] if lost else self._seq
             )
         if poison is not None and sup.config.fallback == "raise":
+            sup.disable(worker)
             raise PoisonBatchError(
                 f"batch seq {poison} killed worker {worker} twice"
             )
         if not sup.within_budget(worker):
+            sup.disable(worker)
             if sup.config.fallback == "raise":
                 raise WorkerCrashError(
                     f"worker {worker} exceeded its restart budget "
                     f"({sup.config.restart_budget})"
                 )
-            sup.disable(worker)
-            self._worker_pending[worker].clear()
             for seq in lost:
                 self._classify_inline(seq, worker)
             return
-        conn, proc = self._spawn_worker(worker)
-        self._conns[worker] = conn
-        self._procs[worker] = proc
+        self._conns[worker], self._procs[worker] = self._spawn_worker(worker)
         self._cursors[worker] = 0
         self._worker_stats[worker] = BatchStats()
         sup.stats.restarts += 1
@@ -1608,38 +1517,12 @@ class ShardedBatchPipeline:
         # the batch's pinned log length — bitwise the same classification
         # the dead worker would have produced.  A poison seq skips the
         # pipe and classifies in-process instead.
-        pending = self._worker_pending[worker]
         for seq in lost:
             if seq == poison:
-                pending.remove(seq)
                 self._classify_inline(seq, worker)
-                continue
-            if self._dispatch(seq, worker):
-                sup.stats.replayed_batches += 1
             else:
-                # The replacement died before accepting the replay;
-                # recurse (bounded by the restart budget).
-                self._handle_failure(worker, "crash")
-                return
-
-    def _drain_dead_pipe(self, worker: int) -> None:
-        """Salvage messages a dying worker managed to send: pipes
-        outlive their writer, and a reply that was delivered must not
-        be replayed (double classification, double flow-stats)."""
-        conn = self._conns[worker]
-        while True:
-            try:
-                if not conn.poll(0):
-                    return
-                message = conn.recv()
-            except (EOFError, ConnectionResetError, BrokenPipeError, OSError):
-                return
-            if message[0] == "block":
-                self._supervisor.register_block(worker, message[2])
-            elif message[0] == "ok" and self._worker_pending[worker]:
-                self._supervisor.register_block(worker, message[1])
-                arrived = self._worker_pending[worker].popleft()
-                self._reply_buffer[(arrived, worker)] = message
+                self._dispatch(seq, worker)
+                sup.stats.replayed_batches += 1
 
     def _classify_inline(self, seq: int, worker: int) -> None:
         """Classify ``worker``'s share of batch ``seq`` in-process and
@@ -1686,13 +1569,15 @@ class ShardedBatchPipeline:
         layout, vocabulary = encode_outcomes(
             writer, outcomes, self._inline_index
         )
-        block = bytearray(writer.nbytes)
-        self._reply_buffer[(seq, worker)] = InlineReply(
-            "inline",
+        block, segments = _place_reply(writer, None)
+        self._reply_buffer[(seq, worker)] = ShmReply(
+            "ok",
+            seq,
             block,
-            writer.write_to(memoryview(block)),
+            segments,
             layout,
             vocabulary,
+            (),
             runner.stats_snapshot(),
         )
         self._supervisor.stats.inline_packets += len(members)

@@ -1,18 +1,19 @@
-"""Worker supervision: failure taxonomy, budgets and wait policies.
+"""Worker supervision: failure taxonomy, budgets and the wedge deadline.
 
-The sharded runtime assumed immortal workers until PR 7: a dead shard
-parked every collect path in a bare blocking ``recv()`` forever and
-stranded its shared-memory response ring.  This module holds the
-parent-side policy objects the recovery layer in
-:mod:`repro.runtime.shard` is built on:
+The parent-side policy objects the recovery layer in
+:mod:`repro.runtime.shard` is built on (the one wait that applies them
+is ``ShardedBatchPipeline._await``):
 
 **Failure taxonomy.**  Every worker failure is classified as one of
 
-- *crash* — the process died (its sentinel fired, or the pipe raised
-  ``BrokenPipeError``/``EOFError``/``ConnectionResetError``);
-- *wedge* — the process is alive but no reply arrived within the
-  configured deadline; the supervisor escalates by killing it, after
-  which it is handled like a crash;
+- *crash* — the process died (its sentinel fired with a dry pipe, or
+  the pipe raised ``EOFError``/``OSError``), or it sent a frame the
+  parent cannot accept (unknown tag, wrong arity, a reply nobody is
+  waiting for) and is killed for it;
+- *wedge* — the process is alive but the replies being waited for have
+  made no progress within the configured deadline; the parent kills
+  the worker owing the oldest one, after which it is handled like a
+  crash;
 - *poison batch* — the same batch killed a worker twice.  Replaying it
   a third time would loop forever, so it is classified in-process
   instead (results stay bitwise-identical — see the replay invariant
@@ -31,9 +32,9 @@ replayed batch from a first-try one.
 **Budgets and degradation.**  Each worker may be respawned
 ``restart_budget`` times; past that, ``fallback`` decides: ``"inline"``
 classifies the dead shard's traffic in-process on the parent's own
-replica, ``"redistribute"`` reassigns it to surviving workers, and
-``"raise"`` propagates a :class:`WorkerCrashError`.  Either degraded
-mode preserves bitwise-identical results by the same replay invariant.
+replica and ``"raise"`` propagates a :class:`WorkerCrashError`.  The
+degraded mode preserves bitwise-identical results by the same replay
+invariant.
 
 ``docs/architecture.md`` ("Supervision") situates this layer in the
 runtime stack; with shared sealed rule state
@@ -43,14 +44,11 @@ recovery path stays cheap at 10^5+ rule tables.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
-from multiprocessing import connection as mp_connection
-from typing import Literal
+from typing import Literal, get_args
 
 FailureKind = Literal["crash", "wedge"]
-Fallback = Literal["inline", "redistribute", "raise"]
-WaitOutcome = Literal["ready", "crash", "wedge"]
+Fallback = Literal["inline", "raise"]
 
 
 class WorkerCrashError(RuntimeError):
@@ -68,27 +66,22 @@ class SupervisionConfig:
     """Parent-side failure policy for one sharded runner.
 
     Args:
-        deadline: seconds a collect wait may go without progress before
-            a worker is declared *wedged* and killed.  ``None`` (the
-            default) waits indefinitely — crash detection via the
-            process sentinel stays armed, wedge detection is opt-in.
-        initial_interval / max_interval: the exponential-backoff wait
-            slices used while a deadline is armed; each fruitless wait
-            doubles the slice up to ``max_interval``.
+        deadline: seconds a collect wait may go since the workers owing
+            the awaited replies last delivered one (or since the wait
+            began) before the worker owing the oldest is declared
+            *wedged* and killed — one definition for every collect
+            call.  ``None`` (the default) waits indefinitely — crash
+            detection via the process sentinel stays armed, wedge
+            detection is opt-in.
         restart_budget: respawns allowed per worker before it is
             permanently degraded.  ``0`` disables respawning — every
             failure goes straight to ``fallback``.
         fallback: what to do past the budget — ``"inline"`` classifies
-            the dead shard's traffic in-process, ``"redistribute"``
-            reroutes future batches to surviving workers (in-flight
-            replays still run inline: their request blocks named only
-            the dead worker's member rows), ``"raise"`` propagates
+            the dead shard's traffic in-process, ``"raise"`` propagates
             :class:`WorkerCrashError`.
     """
 
     deadline: float | None = None
-    initial_interval: float = 0.05
-    max_interval: float = 1.0
     restart_budget: int = 2
     fallback: Fallback = "inline"
 
@@ -99,8 +92,11 @@ class SupervisionConfig:
             raise ValueError(
                 f"restart budget must be >= 0, got {self.restart_budget}"
             )
-        if self.initial_interval <= 0 or self.max_interval <= 0:
-            raise ValueError("backoff intervals must be positive")
+        if self.fallback not in get_args(Fallback):
+            raise ValueError(
+                f"fallback must be one of {get_args(Fallback)}, "
+                f"got {self.fallback!r}"
+            )
 
 
 @dataclass
@@ -120,24 +116,14 @@ class SupervisionStats:
 
 @dataclass
 class WorkerSupervisor:
-    """Per-runner supervision state: failure counts, degraded workers,
-    the crash-safe shm block registry and the poison-batch ledger.
-
-    The *block registry* is the parent-side mirror of every shared
-    segment a worker owns (its response ring).  Workers announce each
-    segment name *before* creating it, so even a death mid-create
-    leaves the registry a superset of reality — unlinking a
-    never-created name is a no-op, and recovery can always clean up
-    after a worker whose own finalize guards died with it.
-    """
+    """Per-runner supervision state: failure counts, degraded workers
+    and the poison-batch ledger."""
 
     workers: int
     config: SupervisionConfig = field(default_factory=SupervisionConfig)
     stats: SupervisionStats = field(default_factory=SupervisionStats)
     failures: list[int] = field(default_factory=list)
     disabled: set[int] = field(default_factory=set)
-    #: worker → names of shm segments that worker owns (announced).
-    blocks: list[set[str]] = field(default_factory=list)
     #: seq → how many workers died holding it at the head of their
     #: pending queue; two deaths classify the batch as poison.
     seq_deaths: dict[int, int] = field(default_factory=dict)
@@ -145,21 +131,6 @@ class WorkerSupervisor:
     def __post_init__(self) -> None:
         if not self.failures:
             self.failures = [0] * self.workers
-        if not self.blocks:
-            self.blocks = [set() for _ in range(self.workers)]
-
-    # -- block registry ------------------------------------------------
-
-    def register_block(self, worker: int, name: str) -> None:
-        self.blocks[worker].add(name)
-
-    def drain_blocks(self, worker: int) -> tuple[str, ...]:
-        """All block names registered for ``worker``, clearing them."""
-        names = tuple(sorted(self.blocks[worker]))
-        self.blocks[worker].clear()
-        return names
-
-    # -- failure accounting --------------------------------------------
 
     def record_failure(self, worker: int, kind: FailureKind) -> None:
         if kind == "wedge":
@@ -190,42 +161,3 @@ class WorkerSupervisor:
         self.failures = [0] * self.workers
         self.disabled.clear()
         self.seq_deaths.clear()
-        for names in self.blocks:
-            names.clear()
-
-
-def await_readable(
-    conn: mp_connection.Connection,
-    sentinel: int,
-    config: SupervisionConfig,
-) -> WaitOutcome:
-    """Sentinel-aware bounded wait for one worker's reply pipe.
-
-    Waits on ``[conn, sentinel]`` so a dying worker wakes the parent
-    immediately instead of leaving it parked in a blocking ``recv()``.
-    With a deadline configured the wait runs in exponential-backoff
-    slices and classifies deadline expiry as ``"wedge"``; without one
-    it blocks until the pipe is readable or the sentinel fires.
-
-    A fired sentinel with data still buffered reports ``"ready"`` —
-    replies a worker sent before dying are valid and must be drained
-    before the death is handled.
-    """
-    deadline = config.deadline
-    started = time.monotonic()  # repro-lint: disable=wall-clock-ban
-    interval = config.initial_interval
-    while True:
-        timeout: float | None = None
-        if deadline is not None:
-            elapsed = time.monotonic() - started  # repro-lint: disable=wall-clock-ban
-            remaining = deadline - elapsed
-            if remaining <= 0:
-                return "wedge"
-            timeout = min(interval, remaining)
-            interval = min(interval * 2, config.max_interval)
-        ready = mp_connection.wait([conn, sentinel], timeout)
-        if not ready:
-            continue
-        if conn in ready or conn.poll(0):
-            return "ready"
-        return "crash"

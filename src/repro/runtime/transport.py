@@ -19,9 +19,9 @@ each worker reads only its member rows (its member-index array lives in
 the same block), so fan-out cost no longer scales with worker count.
 
 **Result blocks.**  Workers encode their classification outcomes
-(:func:`encode_outcomes`) columnar into a worker-owned block, **once
-per distinct traversal** of the sub-batch, not once per packet: per
-template, fixed-width lanes for flags/metadata, offset+value lanes for
+(:func:`encode_outcomes`) columnar into the parent-owned response
+slot their request names, **once per distinct traversal** of the
+sub-batch, not once per packet: per template, fixed-width lanes for flags/metadata, offset+value lanes for
 the variable-length lists, rewrite overrides against the input packets
 the parent already holds, applied actions as indices into a tiny
 per-batch action vocabulary (pickled in the control reply — distinct
@@ -47,8 +47,11 @@ exact under sharding instead of marooned in worker replicas.
 **Blocks.**  :class:`SharedBlock` wraps one growable
 ``multiprocessing.shared_memory`` segment owned by its creating process
 (grown by re-creating under a fresh name; peers attach lazily via
-:class:`BlockAttachments`).  Layouts travel in the control messages as
-:class:`Segment` tuples, so readers construct zero-copy numpy views.
+:class:`BlockAttachments`).  The sharded parent creates every block —
+request ring, response ring, sealed rules — and workers only attach, so
+no worker death can strand a segment.  Layouts travel in the control
+messages as :class:`Segment` tuples, so readers construct zero-copy
+numpy views.
 """
 
 from __future__ import annotations
@@ -120,22 +123,14 @@ class SharedBlock:
     of lingering in ``/dev/shm`` until reboot.  :meth:`close` remains
     the explicit (idempotent) path and detaches the finalizer.
 
-    **Announced names.**  Finalize guards die with their process: a
-    SIGKILLed worker unlinks nothing.  A block constructed with
-    ``name_prefix`` therefore creates its segments under deterministic
-    names — ``{prefix}g{generation}`` — and exposes the *next* name via
-    :meth:`plan` before any byte exists, so the owner can announce it
-    to a supervising peer first.  The peer's registry then covers every
-    segment the block will ever create, and :func:`unlink_segment`
-    cleans up after an unclean death (a planned-but-never-created name
-    unlinks as a no-op).
+    Finalize guards die with their process, which is why only the
+    sharded runtime's *parent* constructs blocks: a worker attaches
+    (:class:`BlockAttachments`) and owns nothing a SIGKILL could strand.
     """
 
-    def __init__(self, name_prefix: str | None = None) -> None:
+    def __init__(self) -> None:
         self._shm: shared_memory.SharedMemory | None = None
         self._finalizer = None
-        self._name_prefix = name_prefix
-        self._generation = 0
 
     @property
     def name(self) -> str:
@@ -147,16 +142,6 @@ class SharedBlock:
         assert self._shm is not None, "ensure() before buf"
         return self._shm.buf
 
-    def plan(self, nbytes: int) -> str | None:
-        """The segment name :meth:`ensure` would create for ``nbytes``,
-        or ``None`` when the current segment already fits.  Only blocks
-        constructed with ``name_prefix`` can plan ahead."""
-        if self._name_prefix is None:
-            return None
-        if self._shm is not None and self._shm.size >= nbytes:
-            return None
-        return f"{self._name_prefix}g{self._generation + 1}"
-
     def ensure(self, nbytes: int) -> None:
         if self._shm is not None and self._shm.size >= nbytes:
             return
@@ -164,22 +149,7 @@ class SharedBlock:
         while size < nbytes:
             size *= 2
         self.close()
-        if self._name_prefix is None:
-            self._shm = shared_memory.SharedMemory(create=True, size=size)
-        else:
-            self._generation += 1
-            name = f"{self._name_prefix}g{self._generation}"
-            try:
-                self._shm = shared_memory.SharedMemory(
-                    create=True, size=size, name=name
-                )
-            except FileExistsError:
-                # A stale leftover under the same deterministic name
-                # (pid reuse after an unclean death): reclaim it.
-                unlink_segment(name)
-                self._shm = shared_memory.SharedMemory(
-                    create=True, size=size, name=name
-                )
+        self._shm = shared_memory.SharedMemory(create=True, size=size)
         self._finalizer = weakref.finalize(
             self, _release_segment, self._shm
         )
@@ -211,22 +181,6 @@ def _release_segment(shm: shared_memory.SharedMemory) -> None:
         shm.close()
     except (BufferError, OSError):  # pragma: no cover - defensive
         pass
-
-
-def unlink_segment(name: str) -> None:
-    """Unlink a segment by name on behalf of a dead owner.
-
-    The crash-recovery path: a SIGKILLed worker's finalize guards never
-    ran, so the supervising parent unlinks every name in its block
-    registry.  Attaching first keeps the shared resource tracker's
-    accounting balanced; a name that was announced but never created
-    (or already unlinked) is silently a no-op.
-    """
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        return
-    _release_segment(shm)
 
 
 class BlockAttachments:
@@ -357,27 +311,6 @@ class PacketBlockCodec:
         )
 
     # -- encode --------------------------------------------------------
-
-    def encode(
-        self,
-        writer: BlockWriter,
-        batch: PacketBatch | Sequence[Mapping[str, int]],
-        prefix: str,
-    ) -> PacketBlockLayout:
-        """Append a batch's columns to the writer; returns the layout.
-
-        Packets that are the *same dict object* are encoded once; the
-        ``pick`` column maps batch positions onto distinct rows, and
-        :meth:`decode` rebuilds the aliasing — so duplicate-heavy traces
-        stay duplicate-heavy (and downstream per-batch memoization keeps
-        paying off) without re-serialising every repeat.  A
-        :class:`~repro.packet.batch.PacketBatch` is written as-is (its
-        columns already have this exact layout); a dict sequence is
-        columnarised first.
-        """
-        if not isinstance(batch, PacketBatch):
-            batch = PacketBatch.from_dicts(batch, self.field_bits)
-        return self.encode_batch(writer, batch, prefix)
 
     def encode_batch(
         self, writer: BlockWriter, batch: PacketBatch, prefix: str

@@ -3,14 +3,14 @@
 
 
 class BlockingCollector:
-    def take_reply(self, worker):
+    def _take_frame(self, worker):
         # Bare blocking receive: a crashed worker never writes, so the
         # parent parks here forever.
         return self._conns[worker].recv()
 
-    def gather(self):
+    def _await(self, owing):
         from multiprocessing import connection
 
         # Readiness wait with neither a timeout nor a process sentinel
         # in the wait set: the same indefinite block, one layer up.
-        return connection.wait(self._conns)
+        return connection.wait([self._conns[worker] for worker in owing])

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.analysis.lint import Config, check_source, run_paths
 from repro.filters.synthetic import _coverage_first
+from repro.packet.batch import PacketBatch
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
@@ -50,9 +51,10 @@ class TestDtypeRegressions:
     def test_attach_pick_indirection_is_int64(self):
         codec = PacketBlockCodec()
         writer = BlockWriter()
-        layout = codec.encode(
-            writer, [{"in_port": 1}, {"in_port": 2}, {"in_port": 1}], "pkt"
+        batch = PacketBatch.from_dicts(
+            [{"in_port": 1}, {"in_port": 2}, {"in_port": 1}], codec.field_bits
         )
+        layout = codec.encode_batch(writer, batch, "pkt")
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)

@@ -306,10 +306,13 @@ class TestBatchLookup:
         assert hit.stats.packet_count == 6
 
     def test_field_engine_search_batch_matches_scalar(self, tiny_routing_set):
+        """``search_keys`` — the batch search in use — gives every row
+        the label sets its partition engines' scalar ``search`` gives,
+        resolving duplicate rows once."""
         table = build_lookup_table(tiny_routing_set)
-        engine = table.engines["ipv4_dst"]
-        keys_batch = [
-            table.partitioner.extract(f)
+        names = table.partitioner.partition_names
+        rows = [
+            tuple(table.partitioner.extract(f).get(name) for name in names)
             for f in (
                 {"in_port": 1, "ipv4_dst": 0x0A141E05},
                 {"in_port": 1, "ipv4_dst": 0x0A141E05},  # duplicate
@@ -317,17 +320,13 @@ class TestBatchLookup:
                 {"in_port": 1},
             )
         ]
-        memo: dict = {}
-        batched = engine.search_batch(keys_batch, memo)
-        assert batched == [engine.search(keys) for keys in keys_batch]
-        # every unique (partition, key) was memoized exactly once
-        assert len(memo) == len(
-            {
-                (e.name, keys.get(e.name))
-                for keys in keys_batch
-                for e in engine.engines
-            }
-        )
+        found = table.search_keys(rows)
+        for row, (_, label_sets, _) in zip(rows, found, strict=True):
+            assert label_sets == tuple(
+                engine.search(key)
+                for engine, key in zip(table._flat_engines, row, strict=True)
+            )
+        assert found[0] is found[1]  # one resolution per distinct row
 
     def test_extract_batch_matches_scalar_extract(self, tiny_routing_set):
         table = build_lookup_table(tiny_routing_set)

@@ -20,6 +20,15 @@ from repro.openflow.match import (
 )
 
 
+def search(field_engine, partition_keys):
+    """Per-partition label sets for one packet's partition keys — each
+    partition engine's scalar ``search``, in MSB-first order."""
+    return tuple(
+        engine.search(partition_keys.get(engine.name))
+        for engine in field_engine.engines
+    )
+
+
 class TestHeaderPartitioner:
     def test_partition_names(self):
         partitioner = HeaderPartitioner(("vlan_vid", "eth_dst"))
@@ -84,7 +93,7 @@ class TestInsertAndSearch:
         engine = build_field_engine("ipv4_dst")
         labels = engine.insert_rule(PrefixMatch(0x0A141E00, 24, 32))
         assert labels[0] != NO_LABEL and labels[1] != NO_LABEL
-        sets = engine.search({"ipv4_dst/hi": 0x0A14, "ipv4_dst/lo": 0x1E55})
+        sets = search(engine, {"ipv4_dst/hi": 0x0A14, "ipv4_dst/lo": 0x1E55})
         assert labels[0] in sets[0] and labels[1] in sets[1]
 
     def test_trie_field_wildcard_partition(self):
@@ -101,9 +110,9 @@ class TestInsertAndSearch:
     def test_lut_engine(self):
         engine = build_field_engine("vlan_vid")
         (label,) = engine.insert_rule(ExactMatch(0x1005, 13))
-        assert engine.search({"vlan_vid": 0x1005}) == ((label,),)
-        assert engine.search({"vlan_vid": 0x1006}) == ((),)
-        assert engine.search({}) == ((),)
+        assert search(engine, {"vlan_vid": 0x1005}) == ((label,),)
+        assert search(engine, {"vlan_vid": 0x1006}) == ((),)
+        assert search(engine, {}) == ((),)
 
     def test_lut_rejects_prefix(self):
         engine = build_field_engine("vlan_vid")
@@ -113,8 +122,8 @@ class TestInsertAndSearch:
     def test_range_engine(self):
         engine = build_field_engine("tcp_dst")
         (label,) = engine.insert_rule(RangeMatch(0, 1023, 16))
-        assert label in engine.search({"tcp_dst": 80})[0]
-        assert engine.search({"tcp_dst": 2000}) == ((),)
+        assert label in search(engine, {"tcp_dst": 80})[0]
+        assert search(engine, {"tcp_dst": 2000}) == ((),)
 
     def test_range_engine_full_range_is_wildcard(self):
         engine = build_field_engine("tcp_dst")
@@ -123,7 +132,7 @@ class TestInsertAndSearch:
     def test_range_engine_exact_degenerates(self):
         engine = build_field_engine("tcp_dst")
         (label,) = engine.insert_rule(ExactMatch(80, 16))
-        assert engine.search({"tcp_dst": 80}) == ((label,),)
+        assert search(engine, {"tcp_dst": 80}) == ((label,),)
 
     def test_wildcard_inserts_nothing(self):
         engine = build_field_engine("eth_dst")
@@ -139,12 +148,12 @@ class TestMetadataEngine:
     def test_identity_semantics(self):
         engine = build_field_engine("metadata")
         assert engine.insert_rule(ExactMatch(5, 64)) == (5,)
-        assert engine.search({"metadata": 5}) == ((5,),)
+        assert search(engine, {"metadata": 5}) == ((5,),)
 
     def test_zero_metadata_is_miss(self):
         engine = build_field_engine("metadata")
-        assert engine.search({"metadata": 0}) == ((),)
-        assert engine.search({}) == ((),)
+        assert search(engine, {"metadata": 0}) == ((),)
+        assert search(engine, {}) == ((),)
 
     def test_label_zero_rule_rejected(self):
         engine = build_field_engine("metadata")

@@ -64,7 +64,9 @@ def test_block_round_trip(example):
     trace = _trace(example)
     codec = PacketBlockCodec()
     writer = BlockWriter()
-    layout = codec.encode(writer, trace, "pkt")
+    layout = codec.encode_batch(
+        writer, PacketBatch.from_dicts(trace, codec.field_bits), "pkt"
+    )
     buf = bytearray(writer.nbytes)
     segments = writer.write_to(memoryview(buf))
     reader = BlockReader(memoryview(buf), segments)
@@ -123,7 +125,9 @@ def test_from_columns_materialises_lazily():
     trace = [{"ipv4_src": 7, "tcp_dst": 80}, {"ipv4_src": 7}]
     codec = PacketBlockCodec()
     writer = BlockWriter()
-    layout = codec.encode(writer, trace, "pkt")
+    layout = codec.encode_batch(
+        writer, PacketBatch.from_dicts(trace, codec.field_bits), "pkt"
+    )
     buf = bytearray(writer.nbytes)
     segments = writer.write_to(memoryview(buf))
     attached = codec.attach(BlockReader(memoryview(buf), segments), layout)

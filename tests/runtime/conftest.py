@@ -1,0 +1,51 @@
+"""Shared-memory and process hygiene for every runtime test.
+
+The sharded runtime promises that nothing outlives it: no ``/dev/shm``
+segment and no worker process, whether a runner was closed, abandoned
+to the garbage collector, or had its workers SIGKILLed under it.  The
+autouse guard below holds *every* test in this directory to that, so
+individual tests assert only the behaviour they are about.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+from multiprocessing import shared_memory
+from pathlib import Path
+
+import pytest
+
+_DEV_SHM = Path("/dev/shm")
+
+needs_dev_shm = pytest.mark.skipif(
+    not _DEV_SHM.is_dir(), reason="no /dev/shm on this platform"
+)
+
+
+def shm_segments() -> set[str]:
+    """Names currently in ``/dev/shm`` (empty where there is none)."""
+    if not _DEV_SHM.is_dir():  # pragma: no cover - non-Linux
+        return set()
+    return {path.name for path in _DEV_SHM.iterdir()}
+
+
+def unlink_segments(names: set[str]) -> None:
+    """Unlink segments whose owner was SIGKILLed on purpose — the one
+    death no in-process guard survives."""
+    for name in names:
+        try:
+            segment = shared_memory.SharedMemory(name=name)
+        except FileNotFoundError:
+            continue
+        segment.close()
+        segment.unlink()
+
+
+@pytest.fixture(autouse=True)
+def nothing_outlives_the_test():
+    before = shm_segments()
+    yield
+    leaked = shm_segments() - before
+    assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
+    children = multiprocessing.active_children()
+    assert not children, f"processes left running: {children}"

@@ -19,7 +19,6 @@ and no row dict.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +50,8 @@ from repro.runtime.megaflow import MegaflowCache
 from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 from repro.runtime.scenarios import columnar_workload
 from repro.runtime.walk import ColumnarWalk
+
+from tests.runtime.conftest import needs_dev_shm
 
 
 @pytest.fixture(scope="module")
@@ -711,9 +712,7 @@ class TestBatchedCapture:
             keys.append(tuple(key))
         return keys
 
-    @pytest.mark.skipif(
-        not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
-    )
+    @needs_dev_shm
     def test_capture_equals_scalar_consulted_mask(self):
         live, frozen, state = self.tables()
         try:

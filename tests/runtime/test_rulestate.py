@@ -7,7 +7,6 @@ import os
 import pickle
 import signal
 from multiprocessing import get_context
-from pathlib import Path
 
 import pytest
 
@@ -26,12 +25,9 @@ from repro.runtime import (
 )
 from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 
+from tests.runtime.conftest import needs_dev_shm
 from tests.runtime.test_megaflow import assert_same_result
-from tests.runtime.test_shard import _shm_segments, make_arch
-
-needs_dev_shm = pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
-)
+from tests.runtime.test_shard import make_arch
 
 
 def seal(rule_set):
@@ -160,22 +156,21 @@ def _attach_then_die(spec) -> None:
 
 @needs_dev_shm
 class TestShmLifecycle:
+    """What each of these leaves in /dev/shm — nothing — is asserted by
+    the directory-wide leak guard (``conftest.py``)."""
+
     def test_seal_close_leaves_no_segments(self, small_routing_set):
-        before = _shm_segments()
         _, state = seal(small_routing_set)
         replica = state.spec.build()
         replica.process({"in_port": 1, "ipv4_dst": 1})
         del replica
         gc.collect()
         state.close()
-        leaked = _shm_segments() - before
-        assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
 
     def test_crashed_attacher_leaves_no_segments(self, small_routing_set):
         """A SIGKILLed attacher unlinks nothing itself; the owner's
         close() (or finalizer) must still leave /dev/shm clean — the
         PR-7 crash-recovery path depends on exactly this."""
-        before = _shm_segments()
         _, state = seal(small_routing_set)
         child = get_context("fork").Process(
             target=_attach_then_die, args=(state.spec,)
@@ -184,16 +179,11 @@ class TestShmLifecycle:
         child.join(timeout=30)
         assert child.exitcode == -signal.SIGKILL
         state.close()
-        leaked = _shm_segments() - before
-        assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
 
     def test_abandoned_state_unlinks_via_finalizer(self, small_routing_set):
-        before = _shm_segments()
         _, state = seal(small_routing_set)
         del state
         gc.collect()
-        leaked = _shm_segments() - before
-        assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
 
 
 class TestResealUnderChurn:
@@ -248,7 +238,6 @@ class TestResealUnderChurn:
 
     @needs_dev_shm
     def test_reseal_churn_leaves_no_segments(self, small_routing_set):
-        before = _shm_segments()
         with ShardedBatchPipeline(
             make_arch(small_routing_set), workers=2, shared_rules=True
         ) as sharded:
@@ -256,8 +245,6 @@ class TestResealUnderChurn:
                 small_routing_set, packet_count=120, flow_count=8
             )
             run_workload(sharded, workload, batch_size=20)
-        leaked = _shm_segments() - before
-        assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
 
 
 class TestSharedScenarioDifferential:

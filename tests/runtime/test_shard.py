@@ -1,8 +1,10 @@
 """ShardedBatchPipeline: replica snapshots, bitwise-identical results
 across the scenario catalog, and the mutation-log catch-up protocol."""
 
+import os
 import pickle
-from pathlib import Path
+import signal
+from collections import deque
 
 import pytest
 
@@ -19,7 +21,12 @@ from repro.runtime import (
     ShardedBatchPipeline,
     run_workload,
 )
+from repro.runtime import transport
+from repro.runtime.batch import BatchStats
+from repro.runtime.protocol import ByeReply, ShmReply
+from repro.runtime.transport import ResultBlockLayout, SharedBlock
 
+from tests.runtime.conftest import needs_dev_shm, shm_segments
 from tests.runtime.test_megaflow import assert_same_result
 
 
@@ -214,21 +221,30 @@ class TestMutationCatchUp:
             assert len(results) == len(probe)
 
 
-class _MutatingConn:
-    """Pipe proxy firing a callback before its first send — the
-    deterministic stand-in for a controller thread whose flow-mod lands
-    while the parent is dispatching sub-batches."""
+class ConnProxy:
+    """A worker pipe with one end intercepted: subclasses override
+    ``send`` or ``recv``; everything else — ``fileno`` for the wait
+    included — is the real connection's."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class _MutatingConn(ConnProxy):
+    """Fires a callback before its first send — the deterministic
+    stand-in for a controller thread whose flow-mod lands while the
+    parent is dispatching sub-batches."""
 
     def __init__(self, conn, fire):
-        self._conn = conn
+        super().__init__(conn)
         self._fire = fire
 
     def send(self, message):
         self._fire()
         self._conn.send(message)
-
-    def __getattr__(self, name):
-        return getattr(self._conn, name)
 
 
 class TestMidBatchMutation:
@@ -617,58 +633,246 @@ class TestPipelined:
         assert sharded.in_flight == 0
 
 
-def _shm_segments() -> set[str]:
-    shm = Path("/dev/shm")
-    if not shm.is_dir():  # pragma: no cover - non-Linux
-        return set()
-    return {p.name for p in shm.iterdir()}
-
-
-@pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
-)
 class TestSharedMemoryLifecycle:
     """Sharded runs must not strand segments in /dev/shm — neither on a
     clean close nor when the runner is abandoned mid-flight (the
-    ``SharedBlock`` finalizer guard)."""
+    ``SharedBlock`` finalizer guard).  The directory-wide leak guard
+    (``conftest.py``) does the asserting."""
 
     def run_batches(self, runner, rule_set):
         workload = SCENARIOS["zipf"](rule_set, packet_count=96, flow_count=8)
         run_workload(runner, workload, batch_size=16)
 
     def test_close_leaves_no_segments(self, small_routing_set):
-        before = _shm_segments()
         with ShardedBatchPipeline(
             make_arch(small_routing_set), workers=2, depth=3
         ) as sharded:
             self.run_batches(sharded, small_routing_set)
-        leaked = _shm_segments() - before
-        assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
 
     def test_abandoned_runner_leaves_no_segments(self, small_routing_set):
         """Interrupted-run stand-in: drop the runner without close();
-        the finalizers must unlink every parent-owned segment and the
-        worker teardown (EOF on the pipe) the worker-owned ones."""
+        collecting it must unlink every segment and reap every worker."""
         import gc
-        import time
 
-        before = _shm_segments()
         sharded = ShardedBatchPipeline(
             make_arch(small_routing_set), workers=2, depth=2
         )
         self.run_batches(sharded, small_routing_set)
-        procs = list(sharded._procs)
         del sharded
         gc.collect()
-        for proc in procs:
-            proc.join(timeout=10)
-        # Workers unlink their response rings on EOF; give the kernel a
-        # beat to reap before asserting.
-        deadline = time.monotonic() + 5
-        while _shm_segments() - before and time.monotonic() < deadline:
-            time.sleep(0.05)
-        leaked = _shm_segments() - before
-        assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
+
+
+class _RecordingConn(ConnProxy):
+    """Notes, per received reply, whether it travelled as bytes in the
+    frame (True) or through its response slot (False)."""
+
+    def __init__(self, conn, as_bytes):
+        super().__init__(conn)
+        self._as_bytes = as_bytes
+
+    def recv(self):
+        frame = self._conn.recv()
+        if frame[0] == "ok":
+            self._as_bytes.append(getattr(frame, "block", None) is not None)
+        return frame
+
+
+def entry_counts(entries):
+    """Per-entry flow stats, order-free, for cross-runner equality."""
+    return sorted(
+        (str(e.match), e.priority, e.stats.packet_count, e.stats.byte_count)
+        for e in entries
+    )
+
+
+@needs_dev_shm
+class TestParentOwnsEverySegment:
+    """The response ring is the parent's, like the request ring and the
+    sealed rules: a worker attaches and writes, it never creates."""
+
+    #: Small enough that a 64-packet reply outgrows a fresh slot.
+    TINY_BLOCK = 1 << 10
+
+    def batches(self, rule_set, count, size=64):
+        trace = SCENARIOS["uniform"](
+            rule_set, packet_count=count * size, flow_count=48
+        ).events[0][1]
+        return [trace[i : i + size] for i in range(0, len(trace), size)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_worker_creates_no_segment(
+        self, small_routing_set, monkeypatch, workers
+    ):
+        """Every segment that appears was created by the parent's own
+        ``SharedBlock.ensure`` (the spy cannot see a forked worker's
+        calls) — so SIGKILLing the whole fleet strands nothing, and
+        ``close()`` leaves nothing (the leak guard checks that)."""
+        created = set()
+        ensure = SharedBlock.ensure
+
+        def spy(block, nbytes):
+            ensure(block, nbytes)
+            created.add(block.name)
+
+        monkeypatch.setattr(SharedBlock, "ensure", spy)
+        monkeypatch.setattr(transport, "MIN_BLOCK_BYTES", self.TINY_BLOCK)
+        before = shm_segments()
+        as_bytes = []
+        with ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=workers,
+            depth=2,
+            megaflow_capacity=128,
+            shared_rules=True,
+        ) as sharded:
+            batches = self.batches(small_routing_set, count=5)
+            sharded._ensure_started()
+            sharded._conns = [
+                _RecordingConn(conn, as_bytes) for conn in sharded._conns
+            ]
+            for results in sharded.process_batches(batches):
+                assert len(results) == len(batches[0])
+            appeared = shm_segments() - before
+            assert appeared and appeared <= created
+            assert any(as_bytes), "no reply outgrew its slot"
+            for proc in sharded._procs:
+                os.kill(proc.pid, signal.SIGKILL)
+            for proc in sharded._procs:
+                proc.join(timeout=10)
+            assert shm_segments() - before == appeared
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oversize_reply_is_exact_and_grows_its_slot(
+        self, small_routing_set, monkeypatch, workers
+    ):
+        """A reply too big for its response slot rides in the control
+        frame: results, per-entry stats and runner counters still equal
+        the in-process runner's, and the next reply of that size goes
+        through shared memory again — every slot was grown."""
+        monkeypatch.setattr(transport, "MIN_BLOCK_BYTES", self.TINY_BLOCK)
+        first, other = self.batches(small_routing_set, count=2)
+        batches = [first, first, other]
+        ref_arch = make_arch(small_routing_set)
+        single = BatchPipeline(ref_arch, cache_capacity=64, megaflow_capacity=128)
+        expected = [single.process_batch(batch) for batch in batches]
+        arch = make_arch(small_routing_set)
+        as_bytes = []
+        travelled = []
+        with ShardedBatchPipeline(
+            arch,
+            workers=workers,
+            depth=2,
+            cache_capacity=64,
+            megaflow_capacity=128,
+        ) as sharded:
+            sharded._ensure_started()
+            sharded._conns = [
+                _RecordingConn(conn, as_bytes) for conn in sharded._conns
+            ]
+            for batch, want in zip(batches, expected):
+                seen = len(as_bytes)
+                for a, b in zip(sharded.process_batch(batch), want, strict=True):
+                    assert_same_result(a, b)
+                travelled.append(as_bytes[seen:])
+            stats = sharded.stats_snapshot()
+            assert sharded.supervision_snapshot()["crashes"] == 0
+        assert any(travelled[0]), "the first reply must outgrow its slot"
+        # Same packets, so replies of the same size — on the *other*
+        # ring slot, which was grown before it was used.
+        assert travelled[1] and not any(travelled[1])
+        counts = entry_counts(arch.tables[0])
+        assert counts == entry_counts(ref_arch.tables[0])
+        assert sum(count[2] for count in counts) > 0
+        for counter in (
+            "packets",
+            "matched",
+            "sent_to_controller",
+            "dropped",
+            "flow_packets",
+            "flow_bytes",
+        ):
+            assert getattr(stats, counter) == getattr(single, counter), counter
+
+
+class _StubConn:
+    """A connection that has exactly the given frames delivered."""
+
+    def __init__(self, *frames):
+        self.frames = deque(frames)
+
+    def poll(self, timeout=0):
+        return bool(self.frames)
+
+    def recv(self):
+        frame = self.frames.popleft()
+        if isinstance(frame, Exception):
+            raise frame
+        return frame
+
+
+class TestReplyFramesFailClosed:
+    """``_take_frame`` is the one place that knows the reply tags: it
+    parks the reply a worker owes next and accepts the shutdown bye;
+    every other frame is refused — never parked, never an exception."""
+
+    def reply(self, seq):
+        return ShmReply(
+            "ok", seq, None, (), ResultBlockLayout(0), [], (), BatchStats()
+        )
+
+    def sorter(self, rule_set, *frames, owes=(5,)):
+        sharded = ShardedBatchPipeline(make_arch(rule_set), workers=1)
+        sharded._conns = [_StubConn(*frames)]
+        sharded._worker_pending[0].extend(owes)
+        return sharded
+
+    def test_owed_reply_is_parked_under_its_seq(self, small_routing_set):
+        sharded = self.sorter(small_routing_set, self.reply(5))
+        assert sharded._take_frame(0) is True
+        assert list(sharded._reply_buffer) == [(5, 0)]
+        assert isinstance(sharded._reply_buffer[5, 0], ShmReply)
+        assert not sharded._worker_pending[0]
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            ("block", 0, "psm_stale"),  # the retired announce tag
+            ("inline",),
+            ("ok", 5),  # right tag, wrong arity
+            ("ok", 5, None, (), None, [], (), None, "extra"),
+            ("bye",),  # only acceptable while closing
+            (),
+            None,
+            b"ok",
+            EOFError(),
+            BrokenPipeError(),
+        ],
+        ids=repr,
+    )
+    def test_anything_else_is_refused(self, small_routing_set, frame):
+        sharded = self.sorter(small_routing_set, frame)
+        assert sharded._take_frame(0) is False
+        assert not sharded._reply_buffer
+        assert list(sharded._worker_pending[0]) == [5]
+
+    def test_a_reply_nobody_waits_for_is_refused(self, small_routing_set):
+        idle = self.sorter(small_routing_set, self.reply(5), owes=())
+        assert idle._take_frame(0) is False
+        stale = self.sorter(small_routing_set, self.reply(4), owes=(5, 6))
+        assert stale._take_frame(0) is False
+        assert not idle._reply_buffer and not stale._reply_buffer
+        assert list(stale._worker_pending[0]) == [5, 6]
+
+    def test_dry_pipe_is_refused(self, small_routing_set):
+        assert self.sorter(small_routing_set)._take_frame(0) is False
+
+    def test_bye_is_accepted_only_while_closing(self, small_routing_set):
+        sharded = self.sorter(
+            small_routing_set, ByeReply("bye"), self.reply(5), owes=(5,)
+        )
+        assert sharded._take_frame(0, closing=True) is True
+        assert sharded._take_frame(0, closing=True) is False  # an "ok"
+        assert not sharded._reply_buffer
 
 
 class _RoutedSharded(ShardedBatchPipeline):
@@ -870,29 +1074,6 @@ class TestShardGroups:
             groups = sharded._shard_groups(batch)
             assert list(groups) == [0]
             assert groups[0].tolist() == list(range(len(trace)))
-
-    def test_redistribute_merges_a_disabled_shard_in_order(
-        self, small_routing_set
-    ):
-        from repro.runtime import SupervisionConfig
-
-        trace = self.trace(small_routing_set)
-        sharded = ShardedBatchPipeline(
-            make_arch(small_routing_set),
-            workers=3,
-            supervision=SupervisionConfig(fallback="redistribute"),
-        )
-        healthy = sharded._shard_groups(trace)
-        assert set(healthy) == {0, 1, 2}
-        sharded._supervisor.disable(1)
-        degraded = sharded._shard_groups(trace)
-        self.assert_partition(degraded, len(trace))
-        # Survivors are [0, 2]; shard 1 lands on survivors[1 % 2].
-        assert set(degraded) == {0, 2}
-        assert degraded[2].tolist() == sorted(
-            healthy[2].tolist() + healthy[1].tolist()
-        )
-        assert degraded[0].tolist() == healthy[0].tolist()
 
 
 class TestColumnarSharded:

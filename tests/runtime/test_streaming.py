@@ -10,8 +10,6 @@ equivalence: the single-process and sharded-shm-pipelined paths must
 produce bitwise-identical stream reports.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.runtime import (
@@ -27,11 +25,8 @@ from repro.runtime import (
 )
 from repro.runtime.streaming import _Ladder
 
+from tests.runtime.conftest import needs_dev_shm
 from tests.runtime.test_shard import make_arch
-
-needs_dev_shm = pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
-)
 
 #: A config under which the bursty schedule below genuinely overloads:
 #: the declared service rate is far below the offered load, so the

@@ -32,7 +32,9 @@ from repro.runtime.transport import (
 def roundtrip(batch, positions=None):
     codec = PacketBlockCodec()
     writer = BlockWriter()
-    layout = codec.encode(writer, batch, "pkt")
+    layout = codec.encode_batch(
+        writer, PacketBatch.from_dicts(batch, codec.field_bits), "pkt"
+    )
     block = SharedBlock()
     try:
         block.ensure(writer.nbytes)
@@ -85,7 +87,9 @@ class TestPacketBlockCodec:
         batch = [flow, flow, other, flow]
         codec = PacketBlockCodec()
         writer = BlockWriter()
-        layout = codec.encode(writer, batch, "pkt")
+        layout = codec.encode_batch(
+            writer, PacketBatch.from_dicts(batch, codec.field_bits), "pkt"
+        )
         assert layout.rows == 2  # identity-deduped, not value-deduped
         block = SharedBlock()
         try:
@@ -116,9 +120,10 @@ class TestPacketBlockCodec:
         assert schema.index("eth_dst") < schema.index("in_port")
         codec = PacketBlockCodec()
         writer = BlockWriter()
-        layout = codec.encode(
-            writer, [{"zzz_extra": 1, "eth_dst": 2, "in_port": 3}], "pkt"
+        batch = PacketBatch.from_dicts(
+            [{"zzz_extra": 1, "eth_dst": 2, "in_port": 3}], codec.field_bits
         )
+        layout = codec.encode_batch(writer, batch, "pkt")
         names = [column.name for column in layout.fields]
         assert names == ["eth_dst", "in_port", "zzz_extra"]
 
