@@ -347,8 +347,6 @@ _DICT_FREE_HOT = (
     frozenset(
         {
             "lookup_batch_columnar",
-            "probe_rows",
-            "credit_rows",
             "probe_batch",
             "probe_credit",
         }
@@ -369,7 +367,7 @@ class HotPathPurityRule(Rule):
 
     name = "hot-path-purity"
     description = (
-        "columnar hot-tier functions (lookup_batch_columnar, probe_rows, "
+        "columnar hot-tier functions (lookup_batch_columnar, probe_credit, "
         "classify_columnar, ...) must not bulk-materialise dicts "
         "(.dicts()/.decode()) nor, in the probe/credit tiers, construct "
         "per-row PipelineResults; the classify entry point, the miss-path "

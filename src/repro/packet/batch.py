@@ -4,11 +4,17 @@ A :class:`PacketBatch` holds one batch of extracted-field dicts as dense
 numpy columns: per field, one ``uint64`` lane per 64 bits of value width
 plus an optional presence byte, exactly the layout the shared-memory
 :class:`~repro.runtime.transport.PacketBlockCodec` ships between
-processes.  Identical packet *objects* (traces sample flow pools of
-shared dicts) are stored once as a **row**; a ``pick`` indirection array
-maps batch positions onto rows, so duplicate-heavy traffic keeps its
-aliasing and every vectorized operation runs over distinct rows instead
-of positions.
+processes.  Identical packet *objects* are stored once as a **row**; a
+``pick`` indirection array maps batch positions onto rows, so aliased
+dicts keep their aliasing.  Rows dedupe by dict *identity* only: a
+per-packet frame-length distribution
+(:func:`~repro.runtime.scenarios.stamp_frame_lengths` with ``"imix"`` /
+``"pareto"``) gives every packet its own dict, so on stamped traffic
+every packet is its own row (``packet.batch.distinct_row_frac`` reads
+1.0 on all five workloads of ``BENCH_throughput.json``) and the lookup
+tiers therefore dedupe by *key* — distinct masked keys in the megaflow
+probe, distinct exact keys in the microflow probe and the miss-path
+walk — never by row.
 
 The point of the container is that the hot lookup tiers never leave it:
 
@@ -266,10 +272,11 @@ class PacketBatch:
         column = self._store.columns.get(FRAME_LEN_FIELD)
         if column is None:
             return np.zeros(len(self.pick), dtype=np.int64)
-        lane = column.lanes[0].astype(np.int64)
+        # Gather before the cast: a view costs O(view), not O(store).
+        lane = column.lanes[0][self.pick].astype(np.int64)
         if column.present is not None:
-            lane = lane * column.present
-        return lane[self.pick]
+            lane = lane * column.present[self.pick]
+        return lane
 
     @property
     def byte_total(self) -> int:

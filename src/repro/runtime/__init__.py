@@ -92,14 +92,17 @@ volume, and the benches report bits/sec.
 **Columnar fast path.**  The hot tiers above also run end-to-end on the
 transport's columnar representation, without per-packet dicts.  A
 :class:`~repro.packet.batch.PacketBatch` holds a batch as uint64 lanes
-plus presence bytes over distinct *rows* (duplicate packets share one
-row through a ``pick`` indirection); scenario builders emit it directly
+plus presence bytes over *rows* (aliased packet dicts share one row
+through a ``pick`` indirection; per-packet frame lengths make every
+packet its own dict, so the tiers dedupe by key, not by row); scenario
+builders emit it directly
 (``columnar=True`` /
 :func:`~repro.runtime.scenarios.columnar_workload`), and
 :func:`~repro.runtime.batch.run_workload` slices events into views that
 share each event's vectorized key memos.  The megaflow tier
-(:meth:`~repro.runtime.megaflow.MegaflowCache.probe_rows`) applies each
-cached wildcard mask as vectorized ``lanes & mask`` compares; the
+(:meth:`~repro.runtime.megaflow.MegaflowCache.probe_credit`) applies each
+cached wildcard mask as vectorized ``lanes & mask`` keys and probes,
+validates and credits once per *distinct* masked key; the
 microflow tier has one index and one batch probe
 (:meth:`~repro.runtime.cache.MicroflowCache.lookup_keys`: each distinct
 exact key once, the residual in one table call), whatever shape the

@@ -261,21 +261,12 @@ class BatchPipeline:
         frame = batch.frame_lengths()
         megaflow = None if self.megaflow_bypass else self.megaflow
         replays: list[Traversal | None]
-        missed: Sequence[int] | np.ndarray = ()
         if megaflow is not None:
-            replays, buckets = megaflow.probe_credit(batch)
+            replays, missed, buckets = megaflow.probe_credit(batch, frame)
             # Hit counters aggregated per entry — one pass over the few
             # distinct aggregates instead of every packet.
             for entry, count, byte_count in buckets:
                 credit_traversal(self, entry, count, byte_count)
-            if None in replays:
-                missed = np.flatnonzero(
-                    np.fromiter(
-                        (replay is None for replay in replays),
-                        dtype=np.bool_,
-                        count=len(replays),
-                    )
-                )
         else:
             replays = [None] * len(batch)
             missed = np.arange(len(batch), dtype=np.int64)

@@ -196,8 +196,8 @@ class MegaflowCache:
         self.capacity = capacity
         self._by_mask: dict[MaskSig, dict[tuple, MegaflowEntry]] = {}
         #: Columnar sidecar: per mask, packed-byte key -> entry (the
-        #: same entry objects; :meth:`probe_batch` probes this index
-        #: with vectorized ``lanes & mask`` keys).
+        #: same entry objects; :meth:`probe_credit` probes this index
+        #: with vectorized ``lanes & mask`` keys, once per distinct key).
         self._packed: dict[MaskSig, dict[bytes, MegaflowEntry]] = {}
         #: Probe snapshot of ``_by_mask.items()`` — rebuilt only when the
         #: mask *set* changes, so the per-packet lookup loop allocates
@@ -294,103 +294,6 @@ class MegaflowCache:
         self.misses += misses
         return out
 
-    def probe_rows(
-        self, batch: PacketBatch, rows: Sequence[int] | None = None
-    ) -> dict[int, MegaflowEntry]:
-        """Vectorized tuple-space probe: valid aggregate per hit *row*.
-
-        For each cached mask, the whole store's masked keys are computed
-        in one numpy pass (``lanes & mask`` per distinct row, packed to
-        exact byte keys, memoized across sliced views) and probed
-        against the packed sidecar index — the columnar twin of
-        :meth:`lookup_batch`'s per-packet loop, first hit per row
-        winning in the same mask order.  Stale entries drop on probe
-        exactly like the dict path.  No bookkeeping happens here; pair
-        with :meth:`credit_rows` (or use :meth:`probe_batch`).
-        ``rows``, when given, is the view's distinct row list (saves the
-        caller's ``np.unique`` from running twice).
-        """
-        rows_in_use = (
-            rows if rows is not None else np.unique(batch.pick).tolist()
-        )
-        row_entry: dict[int, MegaflowEntry] = {}
-        valid: dict[int, bool] = {}
-        for mask, _ in self._probe:
-            if len(row_entry) == len(rows_in_use):
-                break
-            packed_entries = self._packed.get(mask)
-            if not packed_entries:
-                continue
-            keys = batch.masked_packed_keys(mask)
-            get_entry = packed_entries.get
-            for row in rows_in_use:
-                if row in row_entry:
-                    continue
-                entry = get_entry(keys[row])
-                if entry is None:
-                    continue
-                fresh = valid.get(id(entry))
-                if fresh is None:
-                    fresh = all(
-                        table.version == version
-                        for table, version in entry.version_checks
-                    )
-                    valid[id(entry)] = fresh
-                    if not fresh:
-                        self._drop(entry.mask, entry.key)
-                        self.invalidated += 1
-                if fresh:
-                    row_entry[row] = entry
-        return row_entry
-
-    def credit_rows(
-        self,
-        entries: Sequence[MegaflowEntry | None],
-        counts: Sequence[int],
-        byte_sums: Sequence[float],
-        recency: Sequence[int],
-    ) -> list[list]:
-        """Fold one batch's hit bookkeeping in, aggregated per entry.
-
-        ``entries`` / ``counts`` / ``byte_sums`` are aligned per
-        distinct row of the view: the aggregate the row hit (``None`` on
-        a miss), its position count and its frame-byte sum.  Updates
-        hit/miss counters, per-entry hit counts and the matched flow
-        entries' packet/byte stats — identical totals to the dict
-        path's per-packet ``_replay`` bumps — and touches LRU recency
-        in the order the dict path would leave it: ``recency`` lists the
-        row indices most recently *positioned* first, so each entry is
-        moved to the end in the order of its last hit packet.  Returns
-        the ``[entry, positions, bytes]`` buckets so callers can
-        aggregate their own counters without another per-packet pass.
-        """
-        hits = 0
-        agg: dict[int, list] = {}
-        for local in recency:
-            entry = entries[local]
-            if entry is None:
-                continue
-            count = counts[local]
-            hits += count
-            bucket = agg.get(id(entry))
-            if bucket is None:
-                agg[id(entry)] = [entry, count, int(byte_sums[local])]
-            else:
-                bucket[1] += count
-                bucket[2] += int(byte_sums[local])
-        self.hits += hits
-        self.misses += sum(counts) - hits
-        lru = self._lru
-        buckets = list(agg.values())
-        # Buckets were opened most-recent-first; touching them in
-        # reverse leaves the most recently hit aggregate last.
-        for entry, count, byte_count in reversed(buckets):
-            entry.hits += count
-            lru.move_to_end((entry.mask, entry.key))
-            for matched in entry.template.matched_entries:
-                matched.stats.add(count, byte_count)
-        return buckets
-
     def probe_batch(self, batch: PacketBatch) -> list[MegaflowEntry | None]:
         """Probe + credit in one call: the valid aggregate per batch
         *position* (``None`` on miss), bookkeeping done.  Replay
@@ -398,34 +301,95 @@ class MegaflowCache:
         :class:`repro.runtime.batch.ColumnarOutcomes`); the decode-free
         sharded worker encodes the templates directly.
         """
-        return self.probe_credit(batch)[0]
+        return self.probe_credit(batch, batch.frame_lengths())[0]
 
     def probe_credit(
-        self, batch: PacketBatch
-    ) -> tuple[list[MegaflowEntry | None], list[list]]:
-        """:meth:`probe_batch` plus the per-entry ``[entry, positions,
-        bytes]`` buckets from :meth:`credit_rows`, so callers (the
-        columnar :class:`~repro.runtime.batch.BatchPipeline`) can fold
-        their own counters without another per-packet pass."""
+        self, batch: PacketBatch, frame: np.ndarray
+    ) -> tuple[
+        list[MegaflowEntry | None],
+        IndexArray,
+        list[tuple[MegaflowEntry, int, int]],
+    ]:
+        """Vectorized tuple-space probe and hit bookkeeping, with the
+        Python work done per *distinct masked key*, never per position.
+
+        The columnar twin of :meth:`lookup_batch`.  Per cached mask, in
+        the same mask order, the still-unresolved positions' packed keys
+        are gathered off the store's memoized
+        :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`; each
+        distinct key is probed against the packed sidecar index and its
+        aggregate version-checked once (a stale one drops on probe
+        exactly like the dict path, and every position sharing it goes
+        on to the later masks), first hit per position winning.  Hits
+        are then credited per distinct aggregate from one code lane —
+        hit/miss counters, per-entry hit counts and the matched flow
+        entries' packet/byte stats (``frame`` is the batch's per-position
+        ``frame_len`` lane), identical totals to the dict path's
+        per-packet ``_replay`` bumps — and LRU recency is touched in
+        ascending order of each aggregate's *last* hit position, which
+        is the order the dict path leaves.
+
+        Returns the aggregate per position (``None`` on miss), the
+        missed positions (ascending), and one ``(entry, positions,
+        bytes)`` bucket per aggregate hit so callers (the columnar
+        :class:`~repro.runtime.batch.BatchPipeline`) fold their own
+        counters without another per-packet pass.
+        """
         pick = batch.pick
-        uniq, inverse = np.unique(pick, return_inverse=True)
-        rows = uniq.tolist()
-        row_entry = self.probe_rows(batch, rows)
-        if not row_entry:
-            self.misses += len(pick)
-            return [None] * len(pick), []
-        counts = np.bincount(inverse, minlength=len(rows)).tolist()
+        #: Aggregates hit, in first-found order; position code ``c > 0``
+        #: means ``found[c - 1]``, code 0 is the miss bucket.
+        found: list[MegaflowEntry] = []
+        codes = np.zeros(len(pick), dtype=np.int64)
+        pending = np.arange(len(pick), dtype=np.int64)
+        for mask, _ in self._probe:
+            packed_entries = self._packed.get(mask)
+            if not packed_entries:
+                continue
+            row_keys = batch.masked_packed_keys(mask)
+            keys = list(map(row_keys.__getitem__, pick[pending].tolist()))
+            code_of = dict.fromkeys(keys, 0)
+            for key in code_of:
+                entry = packed_entries.get(key)
+                if entry is None:
+                    continue
+                for table, version in entry.version_checks:
+                    if table.version != version:
+                        self._drop(entry.mask, entry.key)
+                        self.invalidated += 1
+                        break
+                else:
+                    found.append(entry)
+                    code_of[key] = len(found)
+            resolved = np.fromiter(
+                map(code_of.__getitem__, keys), dtype=np.int64, count=len(keys)
+            )
+            codes[pending] = resolved
+            pending = pending[resolved == 0]
+            if not pending.size:
+                break
+        slots: list[MegaflowEntry | None] = [None, *found]
+        counts = np.bincount(codes, minlength=len(slots)).tolist()
         byte_sums = np.bincount(
-            inverse, weights=batch.frame_lengths(), minlength=len(rows)
+            codes, weights=frame, minlength=len(slots)
         ).tolist()
-        # The last position each row appears at orders the LRU touches.
-        last = np.zeros(len(rows), dtype=np.int64)
-        np.maximum.at(last, inverse, np.arange(len(pick), dtype=np.int64))
-        entry_of = [row_entry.get(row) for row in rows]
-        buckets = self.credit_rows(
-            entry_of, counts, byte_sums, np.argsort(-last).tolist()
-        )
-        return [entry_of[local] for local in inverse.tolist()], buckets
+        self.misses += counts[0]
+        self.hits += len(pick) - counts[0]
+        position_codes = codes.tolist()
+        # Distinct codes walking the batch backwards: most recently hit
+        # first.  Touching them in reverse leaves the LRU in the order
+        # of each aggregate's last hit packet (``filter`` skips code 0).
+        recency = dict.fromkeys(reversed(position_codes))
+        lru = self._lru
+        buckets = []
+        for code in filter(None, reversed(recency)):
+            entry = found[code - 1]
+            count, byte_count = counts[code], int(byte_sums[code])
+            entry.hits += count
+            lru.move_to_end((entry.mask, entry.key))
+            for matched in entry.template.matched_entries:
+                matched.stats.add(count, byte_count)
+            buckets.append((entry, count, byte_count))
+        return list(map(slots.__getitem__, position_codes)), pending, buckets
 
     def install(
         self,

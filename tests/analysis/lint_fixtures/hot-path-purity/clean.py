@@ -7,9 +7,11 @@ def lookup_batch_columnar(self, batch, rows):
     return [self.lookup(batch.row_fields(row)) for row in rows]
 
 
-def probe_rows(self, lanes, present, hits):
-    # Pure lane arithmetic: the whole point of the probe tier.
-    return lanes[hits] & present[hits]
+def probe_credit(self, batch, frame):
+    # Packed keys off the lanes, one probe per distinct key: the whole
+    # point of the probe tier.
+    keys = batch.masked_packed_keys(self.mask)
+    return [self.index.get(key) for key in dict.fromkeys(keys)]
 
 
 def classify_columnar(pipeline, batch, misses):

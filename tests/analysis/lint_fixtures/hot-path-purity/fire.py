@@ -7,10 +7,13 @@ def lookup_batch_columnar(self, batch):
     return self.lookup_batch(rows)
 
 
-def probe_rows(self, batch, rows, results):
-    for row in rows:
-        results[row] = PipelineResult(  # per-row result construction
-            final_fields=batch.fields_at(row)
+def probe_credit(self, batch, frame):
+    results = []
+    for position in range(len(batch)):
+        results.append(
+            PipelineResult(  # per-position result construction
+                final_fields=batch.fields_at(position)
+            )
         )
     return results
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.packet.batch import PacketBatch, packed_masked_key
+from repro.packet.batch import FieldLanes, PacketBatch, packed_masked_key
 from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
 from repro.packet.parser import parse_batch
@@ -169,6 +170,47 @@ def test_frame_lengths_zero_without_column():
     batch = PacketBatch.from_dicts([{"ipv4_src": 1}])
     assert batch.frame_lengths().tolist() == [0]
     assert batch.byte_total == 0
+
+
+class _CastSpy(np.ndarray):
+    """A lane that records the length of every array cast from it."""
+
+    casts: list[int] = []
+
+    def astype(self, *args, **kwargs):
+        self.casts.append(len(self))
+        return np.asarray(self).astype(*args, **kwargs)
+
+
+@pytest.mark.parametrize("some_absent", [False, True])
+def test_frame_lengths_of_a_view_cast_the_view_not_the_store(
+    monkeypatch, some_absent
+):
+    lengths = [
+        None if some_absent and i % 7 == 0 else 64 + i % 1437 for i in range(5000)
+    ]
+    trace = [
+        {"ipv4_src": i} if length is None else {"ipv4_src": i, FRAME_LEN_FIELD: length}
+        for i, length in enumerate(lengths)
+    ]
+    batch = PacketBatch.from_dicts(trace)
+    lanes, present = batch.column(FRAME_LEN_FIELD)
+    assert (present is not None) == some_absent
+    view = batch[1000:1256]
+    expected = [length or 0 for length in lengths[1000:1256]]
+    frame = view.frame_lengths()
+    assert frame.dtype == np.int64 and frame.tolist() == expected
+    assert view.select([5, 0, 5]).frame_lengths().tolist() == [
+        expected[5], expected[0], expected[5]
+    ]
+    assert batch.frame_lengths().tolist() == [length or 0 for length in lengths]
+
+    monkeypatch.setattr(_CastSpy, "casts", [])
+    batch._store.columns[FRAME_LEN_FIELD] = FieldLanes(
+        (lanes[0].view(_CastSpy),), present
+    )
+    assert view.frame_lengths().tolist() == expected
+    assert _CastSpy.casts == [len(view)]
 
 
 def test_empty_batch():

@@ -643,6 +643,94 @@ class TestShardedReplyCostShape:
         assert results == reference.process_batch(views[2])
 
 
+class _CountingIndex(dict):
+    """A packed megaflow index that counts its probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+class _VersionReads:
+    """Stands in for a table in ``version_checks``; counts validations."""
+
+    def __init__(self, table):
+        self._table = table
+        self.reads = 0
+
+    @property
+    def version(self):
+        self.reads += 1
+        return self._table.version
+
+
+class TestMegaflowProbeCostShape:
+    """What the megaflow fast path may do for an all-hit batch: Python
+    work per distinct masked key, never per position — stamped frame
+    lengths make every packet its own row, so the tier cannot lean on
+    row dedup."""
+
+    def test_all_hit_batch_probes_and_credits_per_distinct_aggregate(
+        self, monkeypatch, rule_set
+    ):
+        size = 256
+        event = zipf_workload(
+            rule_set,
+            packet_count=4 * size,
+            flow_count=200,
+            seed=3,
+            frame_len="imix",
+            columnar=True,
+        ).events[0][1]
+        assert event.rows == len(event)
+        views = [event[i : i + size] for i in range(0, len(event), size)]
+        runner = BatchPipeline(
+            MultiTableLookupArchitecture([build_lookup_table(rule_set)]),
+            cache_capacity=64,
+            megaflow_capacity=512,
+        )
+        for view in views:
+            runner.classify_columnar(view)
+        megaflow = runner.megaflow
+        masks = list(megaflow._packed)
+        assert len(masks) == megaflow.mask_count
+        for mask in masks:
+            megaflow._packed[mask] = _CountingIndex(megaflow._packed[mask])
+        touches = _Spy(monkeypatch, megaflow._lru, "move_to_end")
+        (table,) = runner.pipeline.tables
+        watch = _VersionReads(table)
+        for entry in megaflow._lru.values():
+            assert [t for t, _ in entry.version_checks] == [table]
+            entry.version_checks = tuple(
+                (watch, version) for _, version in entry.version_checks
+            )
+
+        def tally():
+            probes = sum(megaflow._packed[mask].probes for mask in masks)
+            return np.array([probes, watch.reads, touches.calls, megaflow.misses])
+
+        counted = []
+        for view in views:
+            before = tally()
+            outcome = runner.classify_columnar(view)
+            probes, reads, moved, misses = (tally() - before).tolist()
+            assert misses == 0
+            distinct_keys = [
+                len({view.masked_packed_keys(mask)[row] for row in view.pick.tolist()})
+                for mask in masks
+            ]
+            aggregates = len({id(entry) for entry in outcome.replays})
+            assert aggregates <= probes <= sum(distinct_keys) < size
+            # One validation and one LRU touch per aggregate hit.
+            assert reads == moved == aggregates
+            counted.append((probes, aggregates))
+        # Counts, not timings: they repeat exactly for the seed.
+        assert len(masks) == 3
+        assert counted == [(112, 69), (112, 65), (104, 69), (122, 77)]
+
+
 def _columns_only(batch: PacketBatch):
     """The batch's raw columns — as the shm attach path builds it, with
     no row-dict cache behind it."""

@@ -3,6 +3,8 @@ incremental invalidation, and stacked-cache differential fuzzing."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.builder import build_lookup_table
@@ -11,8 +13,10 @@ from repro.openflow.actions import OutputAction, SetFieldAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import ApplyActions, GotoTable, WriteActions
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
-from repro.openflow.pipeline import OpenFlowPipeline
+from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.openflow.table import FlowTable
+from repro.packet.batch import PacketBatch
+from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime import (
     BatchPipeline,
     MegaflowCache,
@@ -228,6 +232,196 @@ class TestIncrementalInvalidation:
     def test_positive_capacity_required(self):
         with pytest.raises(ValueError):
             MegaflowCache(OpenFlowPipeline([FlowTable()]), capacity=0)
+
+
+# ----------------------------------------------------------------------
+# columnar probe-and-credit == per-packet dict lookup
+# ----------------------------------------------------------------------
+
+#: Overlapping wildcard masks: a packet carrying all three fields is
+#: covered under each of them, so which aggregate answers is decided by
+#: ``_probe`` order alone.
+_PROBE_MASKS = (
+    (("in_port", 0xFFFFFFFF),),
+    (("in_port", 0xFFFFFFFF), ("ipv4_dst", 0xFF000000)),
+    (("ipv4_dst", 0xFFFF0000), ("tcp_dst", 0xFFFF)),
+)
+
+#: Small domains (0 is a value, absence is a draw of its own), so equal
+#: headers, shared aggregates and missing fields all recur in 24 packets.
+_probe_packet = st.fixed_dictionaries(
+    {},
+    optional={
+        "in_port": st.sampled_from((0, 1, 2)),
+        "ipv4_dst": st.sampled_from((0x0A000001, 0x0A000002, 0x0A010001, 0x0B000001)),
+        "tcp_dst": st.sampled_from((80, 443)),
+        FRAME_LEN_FIELD: st.sampled_from((64, 576, 1500)),
+    },
+)
+
+#: (mask index, representative packet, traversal also visits table 1)
+_probe_aggregate = st.tuples(
+    st.integers(0, len(_PROBE_MASKS) - 1), _probe_packet, st.booleans()
+)
+
+
+class _ProbeWorld:
+    """A two-table pipeline and a megaflow cache holding hand-installed
+    aggregates; built twice per example, once per probe shape."""
+
+    def __init__(self, aggregates):
+        self.tables = [FlowTable(table_id=0), FlowTable(table_id=1)]
+        self.flow_entries = []
+        for table in self.tables:
+            entry = output_entry(Match.exact(in_port=table.table_id), 1, 10)
+            table.add(entry)
+            self.flow_entries.append(entry)
+        self.cache = MegaflowCache(OpenFlowPipeline(self.tables), capacity=64)
+        self.installed = 0
+        for mask_index, fields, deep in aggregates:
+            self.install(_PROBE_MASKS[mask_index], fields, deep)
+
+    def install(self, mask, fields, deep):
+        recorder = MegaflowRecorder()
+        recorder.fields = dict(mask)
+        visited = self.tables[: 2 if deep else 1]
+        for table in visited:
+            recorder.note_table(table.table_id, table.version)
+        self.installed += 1
+        self.cache.install(
+            fields,
+            recorder,
+            PipelineResult(
+                matched_entries=self.flow_entries[: len(visited)],
+                # Names the aggregate in whatever shape a probe answers.
+                metadata=self.installed,
+                tables_visited=[table.table_id for table in visited],
+                final_fields=dict(fields),
+            ),
+        )
+
+    def state(self):
+        cache = self.cache
+        return {
+            "counters": (cache.hits, cache.misses, cache.invalidated, cache.installs),
+            "lru": [(slot, entry.hits) for slot, entry in cache._lru.items()],
+            "probe_order": [mask for mask, _ in cache._probe],
+            "packed": {mask: sorted(index) for mask, index in cache._packed.items()},
+            "flow_stats": [
+                (entry.stats.packet_count, entry.stats.byte_count)
+                for entry in self.flow_entries
+            ],
+        }
+
+
+#: Covered under both of the first two masks.
+_BOTH = {"in_port": 1, "ipv4_dst": 0x0A000001, FRAME_LEN_FIELD: 64}
+
+
+class TestProbeCreditEquivalence:
+    """``probe_credit`` over a columnar batch leaves exactly what
+    per-packet ``lookup_batch`` over the same dicts leaves."""
+
+    @settings(max_examples=200)
+    @given(
+        aggregates=st.lists(_probe_aggregate, min_size=1, max_size=8),
+        pool=st.lists(_probe_packet, min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=24),
+        stale=st.booleans(),
+    )
+    # Equal headers under distinct frame lengths, one of them aliased.
+    @example(
+        aggregates=[(0, {"in_port": 1}, False)],
+        pool=[
+            {"in_port": 1, FRAME_LEN_FIELD: 64},
+            {"in_port": 1, FRAME_LEN_FIELD: 1500},
+            {"in_port": 1},
+        ],
+        picks=[0, 1, 0, 2, 1],
+        stale=False,
+    )
+    # Absent fields: presence bit 0 is a key of its own, not value 0.
+    @example(
+        aggregates=[(0, {}, False), (0, {"in_port": 0}, False)],
+        pool=[{"tcp_dst": 80}, {"in_port": 0}, {"in_port": 2}],
+        picks=[0, 1, 2, 0],
+        stale=False,
+    )
+    # Two masks cover the packet: the first in ``_probe`` order wins,
+    # whichever way round they were installed.
+    @example(
+        aggregates=[(1, _BOTH, False), (0, _BOTH, False)],
+        pool=[_BOTH],
+        picks=[0, 0],
+        stale=False,
+    )
+    @example(
+        aggregates=[(0, _BOTH, False), (1, _BOTH, False)],
+        pool=[_BOTH],
+        picks=[0, 0],
+        stale=False,
+    )
+    # A stale aggregate shared by several positions, shadowing a fresh
+    # one under a later mask: one invalidation, the sharers fall through.
+    @example(
+        aggregates=[(1, _BOTH, True), (0, _BOTH, False)],
+        pool=[_BOTH, {"in_port": 1, "ipv4_dst": 0x0A000002}, {"in_port": 2}],
+        picks=[0, 1, 2, 0, 1],
+        stale=True,
+    )
+    # ... and with nothing behind it: every sharer misses.
+    @example(
+        aggregates=[(2, {"ipv4_dst": 0x0A000001, "tcp_dst": 80}, True)],
+        pool=[{"ipv4_dst": 0x0A000002, "tcp_dst": 80, FRAME_LEN_FIELD: 576}],
+        picks=[0, 0, 0],
+        stale=True,
+    )
+    def test_matches_per_packet_lookup(self, aggregates, pool, picks, stale):
+        packets = [pool[pick % len(pool)] for pick in picks]
+        columnar, scalar = _ProbeWorld(aggregates), _ProbeWorld(aggregates)
+        if stale:
+            for world in (columnar, scalar):
+                world.tables[1].add(output_entry(Match.exact(in_port=9), 2, 30))
+        # Round two re-probes after the misses were re-installed, so a
+        # drop that left either index behind would show.
+        for _ in range(2):
+            batch = PacketBatch.from_dicts(packets)
+            entries, missed, buckets = columnar.cache.probe_credit(
+                batch, batch.frame_lengths()
+            )
+            replayed = scalar.cache.lookup_batch(packets)
+            assert [
+                None if entry is None else entry.template.metadata
+                for entry in entries
+            ] == [None if result is None else result.metadata for result in replayed]
+            assert missed.tolist() == [
+                i for i, result in enumerate(replayed) if result is None
+            ]
+            assert sum(count for _, count, _ in buckets) == len(packets) - len(missed)
+            assert columnar.state() == scalar.state()
+            for position in missed.tolist():
+                fields = packets[position]
+                mask = _PROBE_MASKS[position % len(_PROBE_MASKS)]
+                for world in (columnar, scalar):
+                    world.install(mask, fields, deep=False)
+            assert columnar.state() == scalar.state()
+
+    def test_stale_aggregate_shared_by_positions_drops_once(self):
+        world = _ProbeWorld([(2, {"ipv4_dst": 0x0A000001, "tcp_dst": 80}, True)])
+        world.tables[1].add(output_entry(Match.exact(in_port=9), 2, 30))
+        packets = [
+            {"ipv4_dst": 0x0A000002, "tcp_dst": 80, FRAME_LEN_FIELD: length}
+            for length in (64, 576, 1500)
+        ]
+        batch = PacketBatch.from_dicts(packets)
+        entries, missed, buckets = world.cache.probe_credit(
+            batch, batch.frame_lengths()
+        )
+        assert entries == [None, None, None]
+        assert missed.tolist() == [0, 1, 2] and buckets == []
+        cache = world.cache
+        assert (cache.invalidated, cache.misses, cache.hits) == (1, 3, 0)
+        assert len(cache) == 0 and not cache._packed and not cache._by_mask
 
 
 def _fuzz_rule_pool():
