@@ -774,8 +774,10 @@ class BoundedQueueRule(Rule):
     hint = (
         "pass maxlen= at construction, or guard every append with a "
         "len(<queue>) comparison against the capacity (class-wide for "
-        "self attributes, within the function for locals); see "
-        "repro.runtime.streaming.AdmissionQueue for the idiom"
+        "self attributes, within the function for locals) — or hold no "
+        "growable container at all: preallocate capacity-long lanes and "
+        "index them as a ring, as repro.runtime.streaming.AdmissionQueue "
+        "does"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -218,8 +218,13 @@ observationally invisible), then shed at admission.
 conservation law ``admitted == completed + shed`` (packets and bytes)
 and reports per-packet enqueue→completion latencies in virtual ticks
 with p50/p99/p999 summaries plus the deterministic shed ledger — the
-same report, bit-for-bit, on single-process, sharded and columnar
-paths, with or without worker crashes.
+same report, bit-for-bit, on the single-process and sharded paths, with
+or without worker crashes.  The front-end is columnar end to end: a
+schedule's arrivals are one :class:`~repro.packet.batch.PacketBatch`
+store, the queue is a ring of store row indices, batches are views of
+the store, and ``StreamReport.results`` materialises a
+:class:`~repro.openflow.pipeline.PipelineResult` only for positions a
+caller reads.
 
 **Scenario catalog.**  :mod:`repro.runtime.scenarios` builds replayable
 :class:`~repro.runtime.batch.Workload` objects from a rule set —

@@ -13,14 +13,19 @@ instead of unbounded queue growth.  This module supplies that front-end:
   ``("packet", fields)`` events on the runtime's
   :class:`~repro.runtime.lifecycle.VirtualClock`.  No wall time
   anywhere (the ``wall-clock-ban`` lint rule holds here too), so every
-  overload scenario replays bit-for-bit.
+  overload scenario replays bit-for-bit.  The events are the public,
+  comparable definition; what :func:`run_stream` replays is their
+  memoised columnar form (:class:`ArrivalColumns`): every arrival as
+  one row of a single :class:`~repro.packet.batch.PacketBatch` store
+  plus per-advance lanes, so the front-end works per tick and per
+  batch and never touches a packet dict.
 - :class:`AdmissionQueue` — a hard-capacity queue with explicit drop
   policies: *tail-drop* (arrivals beyond capacity are shed on the spot)
   and *deadline-drop* (per-packet deadlines in virtual ticks; entries
   that age out before forming a batch are shed at the next advance).
-  The ``bounded-queue`` lint rule pins the hard capacity: every queue
-  construction in the runtime must carry a ``maxlen=`` or an explicit
-  ``len()`` bound like the ones in :meth:`AdmissionQueue.offer`.
+  A preallocated ring of store row indices: the capacity is the length
+  of its lanes, so it is hard by construction (the ``bounded-queue``
+  lint rule polices the ``deque`` / list-as-FIFO alternatives).
 - size-or-deadline **batch formation** feeding the pipelined shard
   transport through ``submit_batch`` / ``collect_any`` behind a bounded
   in-flight window — when the window is full the stream *collects*
@@ -54,16 +59,18 @@ report.
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Mapping, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Protocol, cast
+from functools import cached_property
+from itertools import accumulate, chain
+from typing import Any, Protocol, cast, overload
 
 import numpy as np
 
 from repro.filters.rule import RuleSet
 from repro.openflow.pipeline import PipelineResult
-from repro.packet.headers import frame_length
+from repro.packet.batch import IndexArray, PacketBatch
 from repro.runtime.lifecycle import FlowRemoved, VirtualClock
 from repro.runtime.scenarios import (
     DEFAULT_FLOWS,
@@ -86,6 +93,26 @@ SHED_REASONS = ("tail", "deadline", "degrade")
 
 
 @dataclass(frozen=True)
+class ArrivalColumns:
+    """An :class:`ArrivalSchedule` as lanes — what :func:`run_stream`
+    replays.  Arrival ``i`` is position ``i`` of ``store``, so a store
+    row index *is* the arrival index the shed ledger and the latency
+    stamps report."""
+
+    #: Every arrival, in order.  Built by ``from_dicts``, whose row
+    #: cache is the schedule's own dicts: nothing is copied, and a
+    #: result materialised from a view hands the original fields back.
+    store: PacketBatch
+    #: ``frame_len`` per arrival (0 where the trace carries none).
+    frame: IndexArray
+    #: Ticks between the start of the stream and each arrival.
+    offset: IndexArray
+    #: Per advance event: its ``dt`` and how many arrivals precede it.
+    dt: IndexArray
+    before: IndexArray
+
+
+@dataclass(frozen=True)
 class ArrivalSchedule:
     """A replayable open-loop arrival process on the virtual clock.
 
@@ -100,24 +127,47 @@ class ArrivalSchedule:
     description: str
     events: tuple[StreamEvent, ...]
 
+    @cached_property
+    def columns(self) -> ArrivalColumns:
+        """The events as lanes, built on first use and kept: replaying
+        one schedule twice columnarises it once (and the store's key
+        memos carry over too)."""
+        packets: list[Mapping[str, int]] = []
+        dt: list[int] = []
+        before: list[int] = []
+        for kind, value in self.events:
+            if kind == "packet":
+                packets.append(cast(Mapping[str, int], value))
+            elif kind == "advance":
+                dt.append(cast(int, value))
+                before.append(len(packets))
+            else:
+                raise ValueError(f"unknown stream event kind {kind!r}")
+        store = PacketBatch.from_dicts(packets)
+        elapsed = np.concatenate(([0], np.cumsum(dt, dtype=np.int64)))
+        advances_before = np.searchsorted(
+            before, np.arange(len(packets), dtype=np.int64), side="right"
+        )
+        return ArrivalColumns(
+            store=store,
+            frame=store.frame_lengths(),
+            offset=elapsed[advances_before],
+            dt=np.asarray(dt, dtype=np.int64),
+            before=np.asarray(before, dtype=np.int64),
+        )
+
     @property
     def packet_count(self) -> int:
-        return sum(1 for event in self.events if event[0] == "packet")
+        return len(self.columns.store)
 
     @property
     def byte_count(self) -> int:
-        return sum(
-            frame_length(cast(Mapping[str, int], event[1]))
-            for event in self.events
-            if event[0] == "packet"
-        )
+        return int(self.columns.frame.sum())
 
     @property
     def duration(self) -> int:
         """Total virtual ticks the schedule spans."""
-        return sum(
-            cast(int, event[1]) for event in self.events if event[0] == "advance"
-        )
+        return int(self.columns.dt.sum())
 
     @property
     def offered_load(self) -> float:
@@ -280,28 +330,23 @@ class ShedRecord:
     frame_len: int
 
 
-@dataclass(frozen=True)
-class _Queued:
-    """An admitted arrival waiting for batch formation."""
-
-    index: int
-    fields: Mapping[str, int]
-    enqueue_tick: int
-    deadline_tick: int | None
-    frame_len: int
-
-
 class AdmissionQueue:
     """Hard-capacity FIFO between the arrival process and the runners.
 
-    ``policy="tail"`` sheds arrivals that find the queue full;
-    ``policy="deadline"`` additionally stamps every admitted packet
-    with ``enqueue_tick + deadline`` and sheds entries whose deadline
-    passed before they formed a batch (:meth:`expire` — called after
-    every clock advance; deadlines are monotone in FIFO order, so the
-    expired entries are always a contiguous head prefix).  Capacity is
-    *hard* under both policies: occupancy never exceeds it, which is
-    what keeps memory bounded when offered load does not relent.
+    A fixed ring of two ``capacity``-long lanes — the store row of each
+    waiting packet and the tick it was enqueued at — so occupancy
+    cannot exceed the capacity whatever the caller does, which is what
+    keeps memory bounded when offered load does not relent.  Everything
+    else about a waiter is derived: its frame length from the store
+    row, its deadline from the enqueue tick.
+
+    ``policy="tail"`` sheds arrivals that find the queue full
+    (:meth:`admit` takes what fits; the rest is the caller's to shed);
+    ``policy="deadline"`` additionally sheds entries that waited more
+    than ``deadline`` ticks before they formed a batch (:meth:`expire`
+    — called after every clock advance; enqueue ticks are monotone in
+    FIFO order, so the expired entries are always a contiguous head
+    prefix, found by one bisection).
     """
 
     POLICIES = ("tail", "deadline")
@@ -326,56 +371,67 @@ class AdmissionQueue:
         self.capacity = capacity
         self.policy = policy
         self.deadline = deadline if policy == "deadline" else None
-        # Hard capacity: every append below is guarded by a
-        # len(self._queue) check against self.capacity.
-        self._queue: deque[_Queued] = deque()
+        # Plain lists, not arrays: a tick admits two or three packets,
+        # and at that size element stores beat numpy's per-call cost.
+        self._rows = [0] * capacity
+        self._ticks = [0] * capacity
+        self._head = 0
+        self._size = 0
         self.peak_occupancy = 0
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return self._size
 
     @property
     def head_enqueue_tick(self) -> int | None:
         """Enqueue tick of the oldest waiting packet (None when empty)."""
-        return self._queue[0].enqueue_tick if self._queue else None
+        return self._ticks[self._head] if self._size else None
 
-    def offer(
-        self, index: int, fields: Mapping[str, int], tick: int
-    ) -> ShedRecord | None:
-        """Admit one arrival, or return its tail-drop shed record."""
-        frame_len = frame_length(fields)
-        if len(self._queue) >= self.capacity:
-            return ShedRecord(index, tick, "tail", frame_len)
-        deadline_tick = (
-            tick + self.deadline if self.deadline is not None else None
+    def admit(self, first: int, count: int, tick: int) -> int:
+        """Enqueue store rows ``first .. first + count - 1``, all
+        arriving at ``tick``, as far as the capacity allows; returns how
+        many got in (the remainder met a full queue: tail-drop)."""
+        capacity = self.capacity
+        if count > capacity - self._size:
+            count = capacity - self._size
+        tail = (self._head + self._size) % capacity
+        run = count if count <= capacity - tail else capacity - tail
+        self._rows[tail : tail + run] = range(first, first + run)
+        self._ticks[tail : tail + run] = [tick] * run
+        if run < count:  # the rest wraps to the front of the lanes
+            self._rows[: count - run] = range(first + run, first + count)
+            self._ticks[: count - run] = [tick] * (count - run)
+        self._size += count
+        if self._size > self.peak_occupancy:
+            self.peak_occupancy = self._size
+        return count
+
+    def expire(self, tick: int) -> IndexArray:
+        """Shed the head entries whose deadline passed before ``tick``;
+        returns their store rows."""
+        head = self.head_enqueue_tick
+        # tick > enqueue + deadline  <=>  enqueue < tick - deadline
+        if self.deadline is None or head is None or head >= tick - self.deadline:
+            return self.take(0)
+        return self.take(
+            bisect_left(self._span(self._ticks, self._size), tick - self.deadline)
         )
-        self._queue.append(
-            _Queued(index, fields, tick, deadline_tick, frame_len)
-        )
-        self.peak_occupancy = max(self.peak_occupancy, len(self._queue))
-        return None
 
-    def expire(self, tick: int) -> list[ShedRecord]:
-        """Shed the head entries whose deadline passed before ``tick``."""
-        if self.deadline is None:
-            return []
-        shed: list[ShedRecord] = []
-        while self._queue:
-            deadline_tick = self._queue[0].deadline_tick
-            if deadline_tick is None or tick <= deadline_tick:
-                break
-            entry = self._queue.popleft()
-            shed.append(
-                ShedRecord(entry.index, tick, "deadline", entry.frame_len)
-            )
-        return shed
+    def take(self, limit: int) -> IndexArray:
+        """Pop up to ``limit`` entries from the head for batch formation;
+        returns their store rows, oldest first."""
+        count = min(limit, self._size)
+        rows = np.array(self._span(self._rows, count), dtype=np.int64)
+        self._head = (self._head + count) % self.capacity
+        self._size -= count
+        return rows
 
-    def take(self, limit: int) -> list[_Queued]:
-        """Pop up to ``limit`` entries from the head for batch formation."""
-        taken: list[_Queued] = []
-        while self._queue and len(taken) < limit:
-            taken.append(self._queue.popleft())
-        return taken
+    def _span(self, lane: list[int], count: int) -> list[int]:
+        """The first ``count`` waiters' slots of ``lane``, oldest first."""
+        stop = self._head + count
+        if stop <= self.capacity:
+            return lane[self._head : stop]
+        return lane[self._head :] + lane[: stop - self.capacity]
 
 
 # ----------------------------------------------------------------------
@@ -509,52 +565,42 @@ class _Ladder:
 # Transports
 # ----------------------------------------------------------------------
 
-#: Completions returned by a transport call: the queue entries of one
-#: batch paired with that batch's per-packet results.
-_Completion = tuple[list[_Queued], list[PipelineResult]]
-
 
 class StreamableRunner(Protocol):
-    """What :func:`run_stream` needs from a runner: the single-process
-    :class:`~repro.runtime.batch.BatchPipeline` surface.  Runners that
-    also expose ``submit_batch``/``collect_any`` (the sharded pipeline)
-    are driven through the pipelined transport instead."""
+    """What :func:`run_stream` itself needs from a runner: the virtual
+    clock.  Batches go through one of the transports below — the
+    single-process :class:`~repro.runtime.batch.BatchPipeline` through
+    ``classify_columnar``, a runner that exposes
+    ``submit_batch``/``collect_any`` (the sharded pipeline) through
+    those."""
 
     @property
     def clock(self) -> VirtualClock: ...
 
     def advance_clock(self, dt: int) -> list[FlowRemoved]: ...
 
-    def process_batch(self, batch: Any) -> list[PipelineResult]: ...
-
 
 class _InlineTransport:
-    """Synchronous facade: a submitted batch is classified on the spot,
-    but its completion is *buffered* until the next drain point — the
-    identical points where the pipelined transport retires work — so
-    latency stamps are transport-independent by construction."""
+    """Synchronous facade: a submitted batch is classified on the spot.
+    :func:`run_stream` stamps completions only at its drain points —
+    the identical points where the pipelined transport retires work —
+    so latency stamps are transport-independent by construction."""
 
     def __init__(self, runner: Any) -> None:
         self._runner = runner
-        # Flushed at every drain point (each clock advance), so this
-        # holds at most one inter-advance interval's batches.
-        self._done: list[_Completion] = []
+        #: One outcome per submitted batch, in submit order.
+        self.outcomes: list[Sequence[PipelineResult]] = []
         self.stalls = 0
 
-    def submit(self, entries: list[_Queued], bypass: bool) -> None:
+    def submit(self, batch: PacketBatch, bypass: bool) -> None:
         self._runner.megaflow_bypass = bypass
         try:
-            results = self._runner.process_batch(
-                [entry.fields for entry in entries]
-            )
+            self.outcomes.append(self._runner.classify_columnar(batch))
         finally:
             self._runner.megaflow_bypass = False
-        self._done.append((entries, results))
 
-    def drain(self) -> list[_Completion]:
-        completed = self._done
-        self._done = []
-        return completed
+    def drain(self) -> None:
+        """Nothing is ever outstanding."""
 
 
 class _PipelinedTransport:
@@ -563,39 +609,37 @@ class _PipelinedTransport:
     Collections happen only at forced points: a FIFO ``collect_batch``
     when the in-flight window is full (counted in :attr:`stalls` —
     that is the backpressure), and a full ``collect_any`` drain at
-    every clock advance.  Either way the completions are buffered and
-    surfaced only from :meth:`drain`, so completion ticks never depend
-    on transport timing.  ``_pending`` preserves submit order,
-    mirroring the runner's own FIFO, so the forced collect's results
-    always belong to our oldest pending seq.
+    every clock advance.  Either way a batch counts as complete only
+    once :meth:`drain` returned, so completion ticks never depend on
+    transport timing.  ``_pending`` preserves submit order, mirroring
+    the runner's own FIFO, so the forced collect's results always
+    belong to our oldest pending seq.
     """
 
     def __init__(self, runner: Any, window: int) -> None:
         self._runner = runner
         self.window = max(1, min(window, runner.depth))
-        self._pending: dict[int, list[_Queued]] = {}
-        # Bounded by the window: a forced collect frees one slot.
-        self._done: list[_Completion] = []
+        #: seq -> the batch's slot in ``outcomes``; bounded by the window.
+        self._pending: dict[int, int] = {}
+        #: One outcome per submitted batch, in submit order (collects
+        #: land out of order; a slot is empty until its batch has).
+        self.outcomes: list[Sequence[PipelineResult]] = []
         self.stalls = 0
 
-    def submit(self, entries: list[_Queued], bypass: bool) -> None:
+    def submit(self, batch: PacketBatch, bypass: bool) -> None:
         while self._runner.in_flight >= self.window:
             self.stalls += 1
             oldest = next(iter(self._pending))
             results = self._runner.collect_batch()
-            self._done.append((self._pending.pop(oldest), results))
-        seq = self._runner.submit_batch(
-            [entry.fields for entry in entries], megaflow_bypass=bypass
-        )
-        self._pending[int(seq)] = entries
+            self.outcomes[self._pending.pop(oldest)] = results
+        seq = self._runner.submit_batch(batch, megaflow_bypass=bypass)
+        self._pending[int(seq)] = len(self.outcomes)
+        self.outcomes.append(())
 
-    def drain(self) -> list[_Completion]:
+    def drain(self) -> None:
         while self._runner.in_flight:
             seq, results = self._runner.collect_any()
-            self._done.append((self._pending.pop(int(seq)), results))
-        completed = self._done
-        self._done = []
-        return completed
+            self.outcomes[self._pending.pop(int(seq))] = results
 
 
 # ----------------------------------------------------------------------
@@ -603,16 +647,70 @@ class _PipelinedTransport:
 # ----------------------------------------------------------------------
 
 
+class StreamResults(Sequence[PipelineResult]):
+    """The completed arrivals' results, in arrival order, materialised
+    on access.
+
+    A stream's batches leave the FIFO queue in arrival order, so the
+    batch outcomes laid end to end *are* the per-packet results sorted
+    by arrival index.  The in-process runner's outcomes are lazy
+    :class:`~repro.runtime.batch.ColumnarOutcomes`, so a report nobody
+    reads holds one traversal reference per packet and builds no
+    :class:`PipelineResult`; indexing builds exactly one.  Compares
+    element-wise with any sequence of results.
+    """
+
+    def __init__(self, outcomes: Sequence[Sequence[PipelineResult]]) -> None:
+        self._outcomes = outcomes
+        #: Position of each batch's first result, then the total.
+        self._starts = list(accumulate(map(len, outcomes), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self) -> Iterator[PipelineResult]:
+        return chain.from_iterable(self._outcomes)
+
+    @overload
+    def __getitem__(self, index: int) -> PipelineResult: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[PipelineResult, ...]: ...
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> PipelineResult | tuple[PipelineResult, ...]:
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("stream result index out of range")
+        batch = bisect_right(self._starts, index) - 1
+        return self._outcomes[batch][index - self._starts[batch]]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"StreamResults({len(self)} results in {len(self._outcomes)} batches)"
+
+
 @dataclass(frozen=True)
 class StreamReport:
     """Everything one open-loop run produced, replay-comparable.
 
     ``latencies`` holds ``(arrival index, enqueue->completion ticks)``
-    sorted by arrival index; ``results`` is aligned with it.  ``shed``
-    is the ledger in decision order.  Two runs with identical (seed,
-    schedule, config) produce equal reports on every field — that
-    equality *is* the determinism contract the chaos and differential
-    suites assert.
+    sorted by arrival index; ``results`` is aligned with it (a
+    :class:`StreamResults` from :func:`run_stream`: per-packet results
+    exist once somebody reads them).  ``shed`` is the ledger in
+    decision order.  Two runs with identical (seed, schedule, config)
+    produce equal reports on every field — that equality *is* the
+    determinism contract the chaos and differential suites assert.
     """
 
     schedule: str
@@ -623,7 +721,7 @@ class StreamReport:
     completed_bytes: int
     shed: tuple[ShedRecord, ...]
     latencies: tuple[tuple[int, int], ...]
-    results: tuple[PipelineResult, ...]
+    results: Sequence[PipelineResult]
     batches: int
     stalls: int
     peak_occupancy: int
@@ -711,8 +809,20 @@ def run_stream(
     schedule form final batches and complete at the final tick, so the
     conservation law closes exactly; the report is self-checked with
     :meth:`StreamReport.assert_conserved` before returning.
+
+    The loop runs per tick and per batch, never per packet.  Between
+    two advances only the queue's occupancy changes — the tick, the
+    service credit's ceiling, the ladder's rung and the head's age are
+    all fixed — so a tick's arrivals are admitted (or shed) in runs
+    that end exactly where a per-packet loop could next have decided
+    something different: the queue filling up, the rung-3 shed floor,
+    or the arrival that completes a batch.  Batches are views of the
+    schedule's packet store, and per-packet latencies, byte totals and
+    results come out of arrays once the stream is over.
     """
     cfg = config if config is not None else StreamConfig()
+    arrivals = schedule.columns
+    store, frame = arrivals.store, arrivals.frame
     queue = AdmissionQueue(cfg.capacity, policy=cfg.policy, deadline=cfg.deadline)
     transport: _InlineTransport | _PipelinedTransport
     if hasattr(runner, "submit_batch"):
@@ -721,109 +831,142 @@ def run_stream(
         transport = _InlineTransport(runner)
     ladder = _Ladder(cfg)
 
-    tick = runner.clock.now
-    start = tick
-    admitted_packets = admitted_bytes = 0
-    completed_packets = completed_bytes = 0
+    tick = start = runner.clock.now
     shed: list[ShedRecord] = []
-    latencies: dict[int, int] = {}
-    results: dict[int, PipelineResult] = {}
     removed: list[FlowRemoved] = []
-    batches = 0
-    index = 0
+    #: Per formed batch, in formation order: its store rows and (once a
+    #: drain point has passed) the tick it retired at.
+    formed: list[IndexArray] = []
+    retired: list[int] = []
+    capacity, batch_size = cfg.capacity, cfg.batch_size
+    #: Occupancy at which rung 3 sheds at admission (an integer
+    #: occupancy is >= the float target exactly when it is >= its ceil).
+    shed_floor = math.ceil(cfg.shed_target * capacity)
     #: Service-token bucket (see StreamConfig.service_rate); starts
     #: full — an idle pipeline serves the first burst at line rate.
-    credit = cfg.service_burst if cfg.service_rate is not None else math.inf
+    rate, burst = cfg.service_rate, cfg.service_burst
+    credit = burst if rate is not None else math.inf
 
-    def complete(completions: list[_Completion]) -> None:
-        nonlocal completed_packets, completed_bytes
-        for entries, batch_results in completions:
-            for entry, result in zip(entries, batch_results):
-                latencies[entry.index] = tick - entry.enqueue_tick
-                results[entry.index] = result
-                completed_packets += 1
-                completed_bytes += entry.frame_len
+    def drop(rows: IndexArray, reason: str) -> None:
+        shed.extend(
+            ShedRecord(row, tick, reason, length)
+            for row, length in zip(rows.tolist(), frame[rows].tolist())
+        )
 
     def form_and_submit(limit: int) -> None:
-        nonlocal batches
-        entries = queue.take(limit)
-        batches += 1
-        transport.submit(entries, ladder.bypass_megaflow)
+        rows = queue.take(limit)
+        formed.append(rows)
+        transport.submit(store.select(rows), ladder.bypass_megaflow)
+
+    def batch_due(waiting: int) -> int:
+        """Size-or-deadline batch formation: the size of the batch that
+        ``waiting`` queued packets make now — a full one, or a partial
+        flush once the head has aged past the (possibly ladder-shrunk)
+        formation deadline — or 0 when there is none yet."""
+        if waiting >= batch_size:
+            return batch_size
+        head = queue.head_enqueue_tick
+        if head is not None and tick - head >= ladder.form_deadline:
+            return waiting
+        return 0
 
     def form_ready() -> None:
-        """Size-or-deadline batch formation, bounded by service credit:
-        full batches whenever ``batch_size`` waiters have tokens, plus
-        a partial flush once the head has aged past the (possibly
-        ladder-shrunk) formation deadline."""
+        """Put every batch that is due on the wire, bounded by service
+        credit (a backlog: the pipeline is out of service tokens)."""
         nonlocal credit
-        while queue.head_enqueue_tick is not None:
-            waiting = len(queue)
-            due = tick - queue.head_enqueue_tick >= ladder.form_deadline
-            if waiting < cfg.batch_size and not due:
-                break
-            size = min(cfg.batch_size, waiting)
-            if credit < size:
-                break  # backlog: the pipeline is out of service tokens
+        while 0 < (size := batch_due(len(queue))) <= credit:
             credit -= size
             form_and_submit(size)
 
-    for event in schedule.events:
-        kind = event[0]
-        if kind == "packet":
-            fields = cast(Mapping[str, int], event[1])
-            admitted_packets += 1
-            admitted_bytes += frame_length(fields)
-            if ladder.shedding and len(queue) >= cfg.shed_target * cfg.capacity:
-                shed.append(
-                    ShedRecord(index, tick, "degrade", frame_length(fields))
-                )
+    def arrive(first: int, stop: int) -> None:
+        """Offer arrivals ``first .. stop - 1``, all on the current
+        tick, run by run: each run ends where the admission verdict
+        could next change or a batch could next form.  Leaves no batch
+        due."""
+        shedding = ladder.shedding
+        while first < stop:
+            waiting = len(queue)
+            if shedding and waiting >= shed_floor:
+                reason = "degrade"
+            elif waiting >= capacity:
+                reason = "tail"
             else:
-                record = queue.offer(index, fields, tick)
-                if record is not None:
-                    shed.append(record)
-            index += 1
-            form_ready()
-        elif kind == "advance":
-            dt = cast(int, event[1])
-            form_ready()
-            # Forced drain point: everything outstanding retires at this
-            # tick, so the sharded runner is idle for the advance and
-            # latency stamps are transport-independent.
-            complete(transport.drain())
-            removed.extend(runner.advance_clock(dt))
-            tick += dt
-            if cfg.service_rate is not None:
-                credit = min(
-                    cfg.service_burst, credit + dt * cfg.service_rate
-                )
-            shed.extend(queue.expire(tick))
-            # Tokens accrued over dt put freshly serviceable batches on
-            # the wire now; they retire at the *next* drain point.
-            form_ready()
-            ladder.step(len(queue), tick)
+                reason = ""
+            if reason:
+                # A shed leaves the queue as it was: unless a batch can
+                # go out right now (the ladder step that follows an
+                # advance's formation can shorten the deadline), the
+                # rest of the tick meets the same fate.
+                forms = 0 < batch_due(waiting) <= credit
+                count = 1 if forms else stop - first
+                drop(np.arange(first, first + count, dtype=np.int64), reason)
+            else:
+                room = (shed_floor if shedding else capacity) - waiting
+                count = min(stop - first, room)
+                # A batch can newly form only on the arrival that fills
+                # it — or on the very next one when the head is already
+                # due — and only if the credit covers it.
+                fills = 1 if batch_due(waiting) else max(1, batch_size - waiting)
+                forms = count >= fills and credit >= min(batch_size, waiting + fills)
+                if forms:
+                    count = fills
+                queue.admit(first, count, tick)
+            first += count
+            if forms:
+                form_ready()
+
+    def retire() -> None:
+        """A forced drain point: everything outstanding retires at this
+        tick, so the sharded runner is idle for an advance and latency
+        stamps are transport-independent."""
+        transport.drain()
+        retired.extend([tick] * (len(formed) - len(retired)))
+
+    arrived = 0
+    for dt, before in zip(arrivals.dt.tolist(), arrivals.before.tolist()):
+        if before > arrived:
+            arrive(arrived, before)  # leaves no batch due
+            arrived = before
         else:
-            raise ValueError(f"unknown stream event kind {kind!r}")
+            form_ready()
+        if len(formed) > len(retired):
+            retire()
+        removed.extend(runner.advance_clock(dt))
+        tick += dt
+        if rate is not None:
+            credit = min(burst, credit + dt * rate)
+        if queue.deadline is not None:
+            drop(queue.expire(tick), "deadline")
+        # Tokens accrued over dt put freshly serviceable batches on
+        # the wire now; they retire at the *next* drain point.
+        form_ready()
+        ladder.step(len(queue), tick)
+    arrive(arrived, len(store))
 
     # End of schedule: close the books.  The remaining backlog forms
     # final batches regardless of service credit (the conservation law
     # accounts every admitted packet as completed or shed, never
     # "still queued") and everything retires at the final tick.
     while len(queue):
-        form_and_submit(cfg.batch_size)
-    complete(transport.drain())
+        form_and_submit(batch_size)
+    retire()
 
-    order = sorted(latencies)
+    # FIFO admission means the batches' rows, end to end, are the
+    # completed arrivals in ascending order.
+    rows = np.concatenate(formed) if formed else frame[:0]
+    done = np.repeat(np.asarray(retired, dtype=np.int64), [len(b) for b in formed])
+    waited = done - (start + arrivals.offset[rows])
     report = StreamReport(
         schedule=schedule.name,
         config=cfg,
-        admitted_packets=admitted_packets,
-        admitted_bytes=admitted_bytes,
-        completed_packets=completed_packets,
-        completed_bytes=completed_bytes,
+        admitted_packets=len(store),
+        admitted_bytes=schedule.byte_count,
+        completed_packets=len(rows),
+        completed_bytes=int(frame[rows].sum()),
         shed=tuple(shed),
-        latencies=tuple((i, latencies[i]) for i in order),
-        results=tuple(results[i] for i in order),
-        batches=batches,
+        latencies=tuple(zip(rows.tolist(), waited.tolist())),
+        results=StreamResults(transport.outcomes),
+        batches=len(formed),
         stalls=transport.stalls,
         peak_occupancy=queue.peak_occupancy,
         duration=tick - start,

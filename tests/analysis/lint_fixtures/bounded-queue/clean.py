@@ -2,8 +2,31 @@
 from collections import deque
 
 
+class RingAdmission:
+    # The AdmissionQueue idiom: nothing growable to bound — the lanes
+    # are preallocated at the capacity and indexed as a ring, so the
+    # rule has no queue construction to find here.
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._rows = [0] * capacity
+        self._head = self._size = 0
+
+    def admit(self, row):
+        if self._size == self.capacity:
+            return False  # tail-drop
+        self._rows[(self._head + self._size) % self.capacity] = row
+        self._size += 1
+        return True
+
+    def take(self):
+        row = self._rows[self._head]
+        self._head = (self._head + 1) % self.capacity
+        self._size -= 1
+        return row
+
+
 class BoundedAdmission:
-    # The AdmissionQueue idiom: the deque itself is unbounded, but
+    # The guarded-append idiom: the deque itself is unbounded, but
     # every append is guarded by a len() comparison against a declared
     # capacity — the bound lives in the class, findable class-wide.
     def __init__(self, capacity):

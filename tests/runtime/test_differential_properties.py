@@ -54,6 +54,8 @@ out of the pipeline.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -92,6 +94,8 @@ from repro.runtime import (
     run_stream,
 )
 from repro.runtime.streaming import SHED_REASONS
+
+from tests.runtime.stream_reference import run_stream_reference
 
 #: Match schema: one exact, two prefix, one range, one exact field — all
 #: three engine kinds of the decomposition participate in every example.
@@ -1113,21 +1117,7 @@ def test_stream_conservation_and_determinism(example):
     occupancy never exceeds the hard capacity, every shed record names
     a known reason, and an identically-configured rerun reproduces the
     shed ledger, latency stamps and ladder transitions exactly."""
-    schedule = ARRIVALS[example["process"]](
-        _STREAM_RULES,
-        packet_count=example["packet_count"],
-        seed=example["seed"],
-    )
-    config = StreamConfig(
-        capacity=example["capacity"],
-        batch_size=example["batch_size"],
-        form_deadline=example["form_deadline"],
-        window=example["window"],
-        policy="tail" if example["deadline"] is None else "deadline",
-        deadline=example["deadline"],
-        service_rate=example["service_rate"],
-        degrade_after=example["degrade_after"],
-    )
+    schedule, config = _stream_schedule_and_config(example)
 
     def one_run():
         runner = BatchPipeline(
@@ -1157,4 +1147,140 @@ def test_stream_conservation_and_determinism(example):
 def _make_stream_arch():
     return MultiTableLookupArchitecture(
         [build_lookup_table(_STREAM_RULES)]
+    )
+
+
+def _stream_schedule_and_config(example):
+    schedule = ARRIVALS[example["process"]](
+        _STREAM_RULES,
+        packet_count=example["packet_count"],
+        seed=example["seed"],
+    )
+    config = StreamConfig(
+        capacity=example["capacity"],
+        batch_size=example["batch_size"],
+        form_deadline=example["form_deadline"],
+        window=example["window"],
+        policy="tail" if example["deadline"] is None else "deadline",
+        deadline=example["deadline"],
+        service_rate=example["service_rate"],
+        degrade_after=example["degrade_after"],
+    )
+    return schedule, config
+
+
+def _timed_stream_arch():
+    """The stream rule set with idle and hard timeouts sprinkled over
+    it, so entries expire mid-stream (``flow_removed`` is not trivially
+    empty and later packets of an expired flow miss); returns the arch
+    and its entries, dead or alive, for counter comparison."""
+    table = OpenFlowLookupTable(
+        field_names=tuple(_STREAM_RULES.field_names), table_id=0
+    )
+    entries = [
+        FlowEntry(
+            match=entry.match,
+            priority=entry.priority,
+            instructions=entry.instructions,
+            idle_timeout=24 if position % 3 == 0 else 0,
+            hard_timeout=90 if position % 7 == 0 else 0,
+        )
+        for position, entry in enumerate(_STREAM_RULES.to_flow_entries())
+    ]
+    for entry in entries:
+        table.add(entry)
+    return MultiTableLookupArchitecture([table]), entries
+
+
+def _entry_counters(entries):
+    return [(e.stats.packet_count, e.stats.byte_count) for e in entries]
+
+
+def _assert_stream_matches_reference(example, make_runner):
+    """``run_stream`` on a fresh runner from ``make_runner(arch)`` vs the
+    per-packet loop it replaced on a fresh two-tier ``BatchPipeline``:
+    the whole report (shed ledger, latencies, transitions, batches,
+    peak occupancy, results, ``flow_removed``) and every entry's
+    packet/byte counters."""
+    schedule, config = _stream_schedule_and_config(example)
+    arch, entries = _timed_stream_arch()
+    want = run_stream_reference(
+        BatchPipeline(arch, cache_capacity=16, megaflow_capacity=32),
+        schedule,
+        config,
+    )
+    want_counters = _entry_counters(entries)
+
+    arch, entries = _timed_stream_arch()
+    runner = make_runner(arch)
+    try:
+        got = run_stream(runner, schedule, config)
+        assert runner.flow_packets == sum(p for p, _ in want_counters)
+        assert runner.flow_bytes == sum(b for _, b in want_counters)
+    finally:
+        if isinstance(runner, ShardedBatchPipeline):
+            runner.close()
+    assert len(got.results) == len(want.results) == got.completed_packets
+    for index, (a, b) in enumerate(zip(got.results, want.results)):
+        assert_same_result(a, b, f"stream result {index}")
+    # Only the pipelined transport exerts window backpressure.
+    assert dataclasses.replace(got, stalls=0) == want
+    assert _entry_counters(entries) == want_counters
+    return got
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(example=_stream_example)
+def test_stream_matches_per_packet_reference(example):
+    """The columnar front-end (bulk admission up to the next decision
+    point, ring queue, store views, lazy results) decides exactly what
+    the per-packet loop decided, in the same order, for every arrival
+    process, capacity (incl. ``capacity < batch_size``), batch size
+    (incl. 1), service rate and drop policy the strategy draws."""
+    got = _assert_stream_matches_reference(
+        example,
+        lambda arch: BatchPipeline(arch, cache_capacity=16, megaflow_capacity=32),
+    )
+    assert got.stalls == 0
+
+
+#: A fixed handful for the sharded transport (a worker fleet per
+#: example is too slow to draw forty of): underload, overload that
+#: climbs the ladder, deadline policy, batch_size 1, capacity below
+#: the batch size.
+_SHARDED_STREAM_EXAMPLES = [
+    dict(process="poisson", seed=3, packet_count=120, capacity=96,
+         batch_size=8, window=4, form_deadline=6, service_rate=None,
+         deadline=None, degrade_after=4),
+    dict(process="bursty", seed=11, packet_count=120, capacity=24,
+         batch_size=6, window=2, form_deadline=8, service_rate=0.4,
+         deadline=None, degrade_after=1),
+    dict(process="diurnal", seed=5, packet_count=100, capacity=16,
+         batch_size=4, window=3, form_deadline=3, service_rate=0.25,
+         deadline=12, degrade_after=2),
+    dict(process="bursty", seed=23, packet_count=60, capacity=32,
+         batch_size=1, window=1, form_deadline=1, service_rate=2.0,
+         deadline=None, degrade_after=3),
+    dict(process="poisson", seed=8, packet_count=80, capacity=5,
+         batch_size=24, window=4, form_deadline=12, service_rate=1.5,
+         deadline=30, degrade_after=1),
+]
+
+
+@pytest.mark.parametrize(
+    "example", _SHARDED_STREAM_EXAMPLES, ids=lambda e: f"{e['process']}-{e['seed']}"
+)
+def test_sharded_stream_matches_per_packet_reference(example):
+    """The same oracle through the pipelined transport: a W=2 fleet
+    fed store views by ``submit_batch`` answers, sheds, stamps and
+    credits exactly as the per-packet inline loop did."""
+    _assert_stream_matches_reference(
+        example,
+        lambda arch: ShardedBatchPipeline(
+            arch, workers=2, depth=4, cache_capacity=16, megaflow_capacity=32
+        ),
     )

@@ -4,6 +4,7 @@ across the scenario catalog, and the mutation-log catch-up protocol."""
 import os
 import pickle
 import signal
+import sys
 from collections import deque
 
 import pytest
@@ -328,7 +329,14 @@ class TestMidBatchMutation:
         batches flow: every mutation must be atomic against the batch
         prologue's (log length, entry order) snapshot — misalignment
         shows up as ref resolution errors or mis-attributed flow stats
-        (total per-entry counts must still equal total matches)."""
+        (total per-entry counts must still equal total matches).
+
+        The churn is a fixed budget on a seeded schedule: one burst of
+        add/remove pairs per batch, released by a barrier the moment
+        the batch starts, so mutations race the batch's prologue but
+        the mutation log each batch replays to the workers is the same
+        size on every host."""
+        import random
         import threading
 
         probe = [
@@ -336,6 +344,9 @@ class TestMidBatchMutation:
             for port in range(4)
             for destination in (1, 2, 3)
         ]
+        rng = random.Random(7)
+        bursts = [rng.randint(1, 12) for _ in range(40)]
+        switch_interval = sys.getswitchinterval()
         with ShardedBatchPipeline(
             make_arch(small_routing_set),
             workers=2,
@@ -343,28 +354,43 @@ class TestMidBatchMutation:
             megaflow_capacity=128,
         ) as sharded:
             shadow = self.shadow(7)
-            stop = threading.Event()
+            gate = threading.Barrier(2, timeout=60)
+            churned = []
 
             def churn():
-                while not stop.is_set():
-                    sharded.pipeline.table(0).add(shadow)
-                    sharded.pipeline.table(0).remove(
-                        shadow.match, shadow.priority
-                    )
+                try:
+                    for pairs in bursts:
+                        gate.wait()
+                        for _ in range(pairs):
+                            sharded.pipeline.table(0).add(shadow)
+                            sharded.pipeline.table(0).remove(
+                                shadow.match, shadow.priority
+                            )
+                        churned.append(pairs)
+                except threading.BrokenBarrierError:
+                    pass  # the batch loop failed and aborted the gate
 
             mutator = threading.Thread(target=churn, daemon=True)
             mutator.start()
+            # Switch threads every few bytecodes' worth of time, so a
+            # burst interleaves with the prologue instead of following it.
+            sys.setswitchinterval(1e-5)
             try:
                 total_matched = 0
-                for _ in range(20):
+                for _ in bursts:
+                    gate.wait()
                     results = sharded.process_batch(probe)
                     total_matched += sum(
                         len(r.matched_entries) for r in results
                     )
             finally:
-                stop.set()
-                mutator.join(timeout=10)
+                # Past the last gate the mutator never waits again, so
+                # this only ever releases it after a failure above.
+                gate.abort()
+                mutator.join(timeout=60)
+                sys.setswitchinterval(switch_interval)
             assert not mutator.is_alive()
+            assert churned == bursts  # the whole budget was spent
             # Conservation: every match was credited to some parent
             # entry, exactly once.
             counted = shadow.stats.packet_count + sum(

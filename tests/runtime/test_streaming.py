@@ -10,8 +10,11 @@ equivalence: the single-process and sharded-shm-pipelined paths must
 produce bitwise-identical stream reports.
 """
 
+import sys
+
 import pytest
 
+from repro.packet.batch import PacketBatch
 from repro.runtime import (
     ARRIVALS,
     AdmissionQueue,
@@ -23,7 +26,7 @@ from repro.runtime import (
     poisson_arrivals,
     run_stream,
 )
-from repro.runtime.streaming import _Ladder
+from repro.runtime.streaming import ArrivalSchedule, _Ladder
 
 from tests.runtime.conftest import needs_dev_shm
 from tests.runtime.test_shard import make_arch
@@ -115,44 +118,94 @@ class TestArrivalSchedules:
             diurnal_arrivals(small_routing_set, period=1)
 
 
+def hand_schedule(*events):
+    """A hand-written schedule: ints are advances, dicts are arrivals."""
+    return ArrivalSchedule(
+        "hand",
+        "",
+        tuple(
+            ("advance", event) if isinstance(event, int) else ("packet", event)
+            for event in events
+        ),
+    )
+
+
 class TestAdmissionQueue:
-    def test_capacity_is_hard(self):
+    def test_capacity_is_hard(self, small_routing_set):
         queue = AdmissionQueue(capacity=3)
-        records = [
-            queue.offer(i, {"f": i, "frame_len": 100}, tick=0)
-            for i in range(5)
-        ]
-        assert records[:3] == [None, None, None]
-        assert [r.reason for r in records[3:]] == ["tail", "tail"]
-        assert [r.index for r in records[3:]] == [3, 4]
+        assert queue.admit(0, 5, tick=0) == 3  # rows 3 and 4 found it full
+        assert queue.admit(5, 1, tick=0) == 0
         assert len(queue) == 3
         assert queue.peak_occupancy == 3
+        assert queue.take(10).tolist() == [0, 1, 2]
+        # ... and run_stream's ledger says what became of the rest: five
+        # same-tick arrivals, a queue of three, no batch formed before
+        # the end of the schedule.
+        packets = [{"in_port": i, "frame_len": 100} for i in range(5)]
+        report = run_stream(
+            BatchPipeline(make_arch(small_routing_set)),
+            hand_schedule(*packets),
+            StreamConfig(capacity=3, batch_size=4),
+        )
+        assert [r.reason for r in report.shed] == ["tail", "tail"]
+        assert [r.index for r in report.shed] == [3, 4]
+        assert [r.frame_len for r in report.shed] == [100, 100]
+        assert report.peak_occupancy == 3
+        assert [index for index, _ in report.latencies] == [0, 1, 2]
 
     def test_fifo_take(self):
         queue = AdmissionQueue(capacity=8)
         for i in range(5):
-            queue.offer(i, {"f": i}, tick=i)
-        taken = queue.take(3)
-        assert [entry.index for entry in taken] == [0, 1, 2]
+            queue.admit(i, 1, tick=i)
+        assert queue.take(3).tolist() == [0, 1, 2]
         assert queue.head_enqueue_tick == 3
-        assert [entry.index for entry in queue.take(10)] == [3, 4]
+        assert queue.take(10).tolist() == [3, 4]
         assert queue.head_enqueue_tick is None
 
-    def test_deadline_expiry_sheds_aged_head(self):
+    def test_fifo_survives_wrapping(self):
+        """The ring's head and tail travel round the lanes many times;
+        order, ticks and the capacity bound hold across every seam."""
+        queue = AdmissionQueue(capacity=5, policy="deadline", deadline=100)
+        taken, next_row = [], 0
+        for tick in range(40):
+            admitted = queue.admit(next_row, 3, tick)
+            assert admitted == min(3, 5 - (len(queue) - admitted))
+            next_row += admitted
+            assert len(queue) <= 5
+            assert queue.head_enqueue_tick <= tick
+            taken += queue.take(2).tolist()
+        taken += queue.take(5).tolist()
+        assert taken == list(range(next_row))
+        assert queue.peak_occupancy == 5
+
+    def test_deadline_expiry_sheds_aged_head(self, small_routing_set):
         queue = AdmissionQueue(capacity=8, policy="deadline", deadline=4)
-        queue.offer(0, {"f": 0}, tick=0)   # deadline tick 4
-        queue.offer(1, {"f": 1}, tick=3)   # deadline tick 7
-        assert queue.expire(4) == []       # at the deadline: still live
-        shed = queue.expire(5)
-        assert [record.index for record in shed] == [0]
-        assert [record.reason for record in shed] == ["deadline"]
+        queue.admit(0, 1, tick=0)   # deadline tick 4
+        queue.admit(1, 1, tick=3)   # deadline tick 7
+        assert queue.expire(4).tolist() == []   # at the deadline: still live
+        assert queue.expire(5).tolist() == [0]
         assert len(queue) == 1
-        assert queue.expire(20)[0].index == 1
+        assert queue.expire(20).tolist() == [1]
+        # The same two packets through run_stream: the ledger names the
+        # reason and the tick each deadline was found passed.
+        report = run_stream(
+            BatchPipeline(make_arch(small_routing_set)),
+            hand_schedule({"in_port": 0}, 3, {"in_port": 1}, 1, 1, 15),
+            StreamConfig(
+                capacity=8, form_deadline=100, policy="deadline", deadline=4
+            ),
+        )
+        assert [(r.index, r.tick, r.reason) for r in report.shed] == [
+            (0, 5, "deadline"),
+            (1, 20, "deadline"),
+        ]
+        assert report.completed_packets == 0
 
     def test_tail_policy_never_expires(self):
         queue = AdmissionQueue(capacity=4)
-        queue.offer(0, {"f": 0}, tick=0)
-        assert queue.expire(10_000) == []
+        queue.admit(0, 1, tick=0)
+        assert queue.expire(10_000).tolist() == []
+        assert len(queue) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -314,13 +367,125 @@ class TestRunStream:
         assert runner.megaflow_bypass is False
 
     def test_unknown_event_kind_rejected(self, small_routing_set):
-        from repro.runtime.streaming import ArrivalSchedule
-
         bogus = ArrivalSchedule("bogus", "", (("tick", 1),))
         with pytest.raises(ValueError):
             run_stream(
                 BatchPipeline(make_arch(small_routing_set)), bogus
             )
+
+
+class TestStreamResults:
+    """``StreamReport.results`` reads like the tuple it replaced."""
+
+    def test_sequence_surface(self, small_routing_set):
+        schedule = poisson_arrivals(
+            small_routing_set, packet_count=90, mean_gap=2.0, seed=3
+        )
+        config = StreamConfig(capacity=64, batch_size=8)
+        results = run_stream(
+            BatchPipeline(make_arch(small_routing_set)), schedule, config
+        ).results
+        eager = tuple(results)
+        assert len(results) == len(eager) == 90
+        assert [results[i] for i in range(90)] == list(eager)
+        assert results[-1] == eager[-1] and results[-90] == eager[0]
+        assert results[7:31:5] == eager[7:31:5]
+        assert results[85:200] == eager[85:]
+        for index in (90, -91):
+            with pytest.raises(IndexError):
+                results[index]
+        assert results == eager and results == list(eager)
+        assert eager == results  # reflected: a tuple on the left
+        assert results != eager[:-1]
+        assert results != eager[1:] + eager[:1]
+        assert results != 90
+        again = run_stream(
+            BatchPipeline(make_arch(small_routing_set)), schedule, config
+        ).results
+        assert again is not results and again == results
+
+
+class _CallCount:
+    """Count calls to a function wherever ``repro`` imported it by name
+    (``from x import f`` gives every importer its own binding)."""
+
+    def __init__(self, monkeypatch, function):
+        self.calls = 0
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return function(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(module, function.__name__, None) is function
+            ):
+                monkeypatch.setattr(module, function.__name__, counted)
+
+
+class TestStreamCostShape:
+    """What ``run_stream`` may do per packet: nothing.  Counts only —
+    they repeat exactly for a (seed, schedule, config)."""
+
+    @pytest.mark.parametrize("overloaded", [False, True])
+    def test_front_end_works_per_batch_and_results_are_lazy(
+        self, monkeypatch, small_routing_set, overloaded
+    ):
+        from repro.packet.headers import frame_length
+        from repro.runtime.megaflow import replay_template
+
+        if overloaded:
+            schedule, config = overload_schedule(small_routing_set), OVERLOAD
+        else:
+            schedule = poisson_arrivals(
+                small_routing_set, packet_count=300, mean_gap=4.0, seed=7
+            )
+            config = StreamConfig(capacity=256, batch_size=32, window=4)
+        schedule.columns  # built once per schedule, not per replay
+        runner = BatchPipeline(
+            make_arch(small_routing_set), cache_capacity=64, megaflow_capacity=128
+        )
+        classified = []
+        classify = runner.classify_columnar
+        monkeypatch.setattr(
+            runner,
+            "classify_columnar",
+            lambda batch: classified.append(len(batch)) or classify(batch),
+        )
+        monkeypatch.setattr(
+            runner,
+            "process_batch",
+            lambda batch: pytest.fail("run_stream took the dict path"),
+        )
+        lengths = _CallCount(monkeypatch, frame_length)
+        replays = _CallCount(monkeypatch, replay_template)
+        monkeypatch.setattr(
+            PacketBatch,
+            "from_dicts",
+            lambda *_: pytest.fail("the schedule was columnarised again"),
+        )
+
+        report = run_stream(runner, schedule, config)
+
+        assert bool(report.shed) is overloaded
+        assert len(classified) == report.batches > 0
+        assert sum(classified) == report.completed_packets
+        assert max(classified) <= config.batch_size
+        assert lengths.calls == 0
+        assert replays.calls == 0
+        assert len(report.results) == report.completed_packets
+        assert replays.calls == 0  # len() builds nothing
+        middle = report.completed_packets // 2
+        one = report.results[middle]
+        assert replays.calls == 1  # one index, one PipelineResult
+        index, _ = report.latencies[middle]
+        packets = [e[1] for e in schedule.events if e[0] == "packet"]
+        assert {
+            name: one.final_fields[name] for name in packets[index]
+        } == packets[index]
+        assert list(report.results)[middle] == one
+        assert replays.calls == 1 + report.completed_packets
+        assert lengths.calls == 0
 
 
 def result_key(result):
