@@ -258,8 +258,6 @@ _KEY_CALLEES = frozenset(
         "key_hashes",
         "masked_packed_keys",
         "masked_keys",
-        "packed_masked_key",
-        "masked_key",
         "mask_signature",
         "consult",
     }

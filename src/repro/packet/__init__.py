@@ -19,7 +19,7 @@ fields.  This package provides:
   shard workers operate on.
 """
 
-from repro.packet.batch import PacketBatch, packed_masked_key
+from repro.packet.batch import PacketBatch
 from repro.packet.headers import (
     Ethernet,
     Header,
@@ -52,7 +52,6 @@ __all__ = [
     "Udp",
     "Vlan",
     "build_packet",
-    "packed_masked_key",
     "parse_batch",
     "parse_packet",
 ]

@@ -22,12 +22,12 @@ The point of the container is that the hot lookup tiers never leave it:
   into one ``uint64`` hash per row with numpy — the sharded runtime's
   worker assignment keys on it;
 - :meth:`masked_packed_keys` / :meth:`masked_keys` produce the exact
-  ``value & mask`` key per row under a megaflow wildcard mask (packed
-  bytes for the probe, value tuples for install and the microflow
-  tier), so cache keys are compared exactly, never by hash;
+  ``value & mask`` key per row under a mask (packed bytes for the
+  megaflow index, value tuples for the microflow tier), so cache keys
+  are compared exactly, never by hash;
 - :meth:`row_fields` / :meth:`fields_at` materialise plain dicts lazily,
-  one distinct row at a time, only for packets that actually need the
-  dict path (cache misses walking the full pipeline).
+  one distinct row at a time, only for whoever reads a result (and for
+  tables that have no keyed lookup).
 
 Batches slice into cheap views (`batch[a:b]`) that share the underlying
 column store — and therefore share the per-row dict cache *and* the
@@ -328,9 +328,8 @@ class PacketBatch:
 
         The layout is a pure function of the mask (lane counts from each
         field's mask bits, presence bits packed into one trailing
-        column), so :func:`packed_masked_key` produces byte-identical
-        keys for single dicts — the install-time side of the megaflow
-        packed index.
+        column), so keys of different batches compare byte for byte —
+        the megaflow index installs and probes with them.
         """
         mask = tuple(mask)
         memo = self._store.mask_memo.get(mask)
@@ -368,15 +367,13 @@ class PacketBatch:
         stack.append(presence)
         return _pack_rows(stack, rows)
 
-
     def masked_keys(
         self, mask: Sequence[tuple[str, int]], rows: IndexArray
     ) -> list[tuple[int | None, ...]]:
         """The ``value & mask`` tuple key of each given row under a
-        megaflow mask (``None`` where the row lacks the field) — the
-        lanes' twin of :func:`repro.runtime.megaflow.masked_key`, one
-        vectorized pass per mask field instead of a dict per packet.
-        Not memoized: callers ask for the few rows they install.
+        mask (``None`` where the row lacks the field), one vectorized
+        pass per mask field — the microflow tier's exact keys.  Not
+        memoized.
         """
         columns: list[Sequence[int | None]] = []
         for name, bits in mask:
@@ -412,30 +409,6 @@ class PacketBatch:
         if not columns:
             return [()] * len(rows)
         return list(zip(*columns))
-
-
-def packed_masked_key(
-    mask: Sequence[tuple[str, int]], fields: Mapping[str, int]
-) -> bytes:
-    """The single-dict twin of :meth:`PacketBatch.masked_packed_keys`.
-
-    Byte-identical to the vectorized packing for the same packet, so a
-    megaflow entry installed from the dict path is found by the columnar
-    probe (property-tested in ``tests/packet/test_batch.py``).
-    """
-    words: list[int] = []
-    presence = 0
-    for bit, (name, bits) in enumerate(mask):
-        value = fields.get(name)
-        if value is not None:
-            presence |= 1 << bit
-            value &= bits
-        else:
-            value = 0
-        for lane_index in range(_lanes_for(bits.bit_length())):
-            words.append((value >> (64 * lane_index)) & _LANE_MASK)
-    words.append(presence)
-    return np.asarray(words, dtype=np.uint64).tobytes()
 
 
 def _pack_rows(stack: Sequence[np.ndarray], rows: int) -> list[bytes]:

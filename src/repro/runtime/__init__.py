@@ -8,11 +8,15 @@ reproduction can serve traffic-scale workloads.  Four layers compose:
 **Batching model.**  :class:`~repro.runtime.batch.BatchPipeline` drives
 packet batches through the multi-table pipeline in waves: all packets
 currently at the same table are looked up together via the tables'
-``search_batch`` / ``lookup_batch`` APIs (numpy-vectorized header
-partitioning, per-batch memoization so duplicate partition keys and
-duplicate full header keys are each resolved once), while per-packet
-instruction execution reuses the scalar pipeline's machinery unchanged.
-Goto-Table is forward-only, so a batch visits each table at most once.
+keyed ``lookup_keys`` / ``search_keys`` APIs (each distinct key and
+each distinct partition key resolved once per wave), while instruction
+execution reuses the scalar pipeline's machinery unchanged, once per
+distinct entry path.  Goto-Table is forward-only, so a batch visits
+each table at most once.  Both cache tiers are columnar-only: a dict
+batch is converted once, at the runner's door
+(:meth:`~repro.runtime.batch.BatchPipeline.process_batch`); only a
+runner with *no* tier still walks dict batches packet by packet
+through ``lookup_batch`` (the seam the frozen benchmark harness times).
 
 **Two-tier cache hierarchy (microflow → megaflow).**  Mirroring the
 Open vSwitch fast path:
@@ -25,11 +29,13 @@ Open vSwitch fast path:
   a flow-mod no longer evicts the whole working set.
 - *Tier 1 — pipeline-level megaflow.*  A
   :class:`~repro.runtime.megaflow.MegaflowCache` keys one entry per
-  *traffic aggregate*: during a full traversal a
-  :class:`~repro.runtime.megaflow.MegaflowRecorder` accumulates exactly
-  the header bits each visited table consulted (trie walk depth,
-  empty-structure elision, predicate masks) minus rewritten/derived
-  fields; a hit replays the complete
+  *traffic aggregate*: a full traversal captures exactly the header
+  bits each visited table consulted (trie walk depth, empty-structure
+  elision, predicate masks) minus rewritten/derived fields — batched,
+  by :class:`~repro.runtime.walk.ColumnarWalk`, and held by the tests
+  to the scalar specification
+  (:class:`~repro.runtime.megaflow.MegaflowRecorder` as the ``mask``
+  sink of ``OpenFlowPipeline.process``); a hit replays the complete
   :class:`~repro.openflow.pipeline.PipelineResult` and skips every
   table.  Entries are tagged ``(table_id, version)`` per visited table
   and invalidate *incrementally* — a rule change in one table only
@@ -122,12 +128,13 @@ materialisation still happens** for: tables without a keyed lookup
 per member), and any caller that asks for materialised results
 (``keep_results=True`` or ``process_batch``'s return value — built as
 packet fields + the traversal's rewrite overrides, bitwise-identical
-to the dict path, which the differential property harness proves
-across the whole scenario catalog).
+to mapping ``pipeline.process`` over the batch, which the differential
+property harness proves across the whole scenario catalog).
 
 **Decode-free worker protocol.**  Dict and ``PacketBatch`` submissions
-differ only parent-side (a dict sequence is columnarised as it is
-encoded); the worker always *attaches* to the request block's columns
+differ only parent-side (a dict sequence is columnarised at submit;
+workers are then assigned by the one lane hash either way); the worker
+always *attaches* to the request block's columns
 in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and

@@ -13,16 +13,16 @@ one packet at a time, behind a two-tier cache hierarchy:
 
 Megaflow misses advance through the pipeline in waves: all packets
 currently at the same table are looked up together — through the table's
-microflow cache when one is attached, then through the table's batched
+microflow cache when one is attached, then through the table's keyed
 search path.  Because Goto-Table is forward-only, each table is visited
-at most once per batch.  Dict batches run the waves packet by packet
-(:meth:`BatchPipeline._run_waves`): each packet carries a
-:class:`~repro.runtime.megaflow.MegaflowRecorder` accumulating the
-consulted-bits mask, visited-table version tags and header rewrites,
-and its finished traversal installs one megaflow entry covering the
-whole aggregate.  Columnar batches run them over index arrays
-(:class:`~repro.runtime.walk.ColumnarWalk`): one probe per distinct key
-per table, one template per distinct entry path, one bulk install.
+at most once per batch.  Both tiers are columnar-only: the waves run
+over index arrays (:class:`~repro.runtime.walk.ColumnarWalk`: one probe
+per distinct key per table, one template per distinct entry path, the
+consulted-bits mask folded per distinct capture state, one bulk
+install), and a dict batch is converted once at the runner's door
+(:meth:`BatchPipeline.process_batch`).  The one dict loop left,
+:meth:`BatchPipeline._run_waves`, serves only a runner with no cache
+tier at all.
 
 The semantics are exactly those of ``OpenFlowPipeline.process``: the
 per-entry instruction execution, action-set ordering and miss handling
@@ -38,13 +38,7 @@ from typing import Any, Protocol, overload
 
 import numpy as np
 
-from repro.openflow.actions import SetFieldAction
-from repro.openflow.flow import FlowEntry
-from repro.openflow.pipeline import (
-    OpenFlowPipeline,
-    PipelineResult,
-    written_fields,
-)
+from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
 from repro.runtime.cache import DEFAULT_CAPACITY, MicroflowCache
@@ -53,12 +47,7 @@ from repro.runtime.lifecycle import (
     LifecycleSweeper,
     VirtualClock,
 )
-from repro.runtime.megaflow import (
-    MegaflowCache,
-    MegaflowRecorder,
-    Traversal,
-    replay_template,
-)
+from repro.runtime.megaflow import MegaflowCache, Traversal, replay_template
 from repro.runtime.walk import ColumnarWalk
 
 
@@ -183,58 +172,18 @@ class BatchPipeline:
     ) -> list[PipelineResult]:
         """Run a batch of packets through the pipeline.
 
-        ``batch`` is a dict sequence or a columnar
-        :class:`~repro.packet.batch.PacketBatch` (routed through
-        :meth:`classify_columnar`).  Returns one :class:`PipelineResult`
-        per packet, in input order — identical to mapping
-        ``pipeline.process`` over the batch either way.
+        ``batch`` is a columnar :class:`~repro.packet.batch.PacketBatch`
+        or a dict sequence, which a runner with any cache tier converts
+        once, here, and classifies the same way
+        (:meth:`classify_columnar`).  Returns one
+        :class:`PipelineResult` per packet, in input order — identical
+        to mapping ``pipeline.process`` over the batch.
         """
-        if isinstance(batch, PacketBatch):
-            return self.classify_columnar(batch).results()
-        pipeline = self.pipeline
-        self.packets += len(batch)
-        self.batches += 1
-        results: list[PipelineResult] = [None] * len(batch)  # type: ignore[list-item]
-
-        # Tier 1: megaflow probe — a hit replays the whole traversal.
-        megaflow = None if self.megaflow_bypass else self.megaflow
-        if megaflow is not None:
-            missed: list[int] = []
-            for i, replayed in enumerate(megaflow.lookup_batch(batch)):
-                if replayed is None:
-                    missed.append(i)
-                else:
-                    results[i] = replayed
-            recorders: dict[int, MegaflowRecorder] | None = {
-                i: MegaflowRecorder() for i in missed
-            }
-        else:
-            missed = list(range(len(batch)))
-            recorders = None
-        for i in missed:
-            results[i] = PipelineResult(final_fields=dict(batch[i]))
-
-        self._run_waves(results, missed, recorders)
-        if megaflow is not None and recorders is not None:
-            for i in missed:
-                megaflow.install(batch[i], recorders[i], results[i])
-        for result in results:
-            # frame_len is never rewritten, so final_fields carries the
-            # same length every stats.record() saw mid-pipeline.
-            self._credit_result(result, frame_length(result.final_fields))
-        return results
-
-    def _credit_result(self, result: PipelineResult, frame_len: int) -> None:
-        """Fold one packet's outcome into the runner counters (the
-        columnar path runs the same arithmetic aggregated per
-        traversal, :func:`credit_traversal`)."""
-        matched_entries = len(result.matched_entries)
-        self.matched += bool(matched_entries)
-        self.flow_packets += matched_entries
-        if matched_entries:
-            self.flow_bytes += matched_entries * frame_len
-        self.sent_to_controller += result.sent_to_controller
-        self.dropped += result.dropped
+        if not isinstance(batch, PacketBatch):
+            if not self.caches and self.megaflow is None:
+                return self._run_waves(batch)
+            batch = PacketBatch.from_dicts(batch)
+        return self.classify_columnar(batch).results()
 
     def classify_columnar(self, batch: PacketBatch) -> ColumnarOutcomes:
         """Classify a columnar batch without leaving the columns.
@@ -252,7 +201,8 @@ class BatchPipeline:
 
         The returned :class:`ColumnarOutcomes` defers replay
         materialisation: local callers index or iterate it for
-        :class:`PipelineResult` s (bitwise-identical to the dict path),
+        :class:`PipelineResult` s (bitwise-identical to mapping
+        ``pipeline.process`` over the batch),
         the decode-free sharded worker encodes its distinct templates
         directly.
         """
@@ -319,25 +269,26 @@ class BatchPipeline:
             replays[position] = traversal
 
     def _run_waves(
-        self,
-        results: list[PipelineResult | None],
-        missed: Sequence[int],
-        recorders: dict[int, MegaflowRecorder] | None,
-    ) -> None:
-        """The dict path's wave machinery: advance the megaflow-missed
-        packets table by table until every one completes.
+        self, batch: Sequence[Mapping[str, int]]
+    ) -> list[PipelineResult]:
+        """Dict batches on a runner with no cache tier at all: advance
+        the packets table by table, one ``lookup_batch`` per wave.
 
-        ``results`` holds each packet's in-flight
-        :class:`PipelineResult` by position.  Columnar batches take
-        :class:`~repro.runtime.walk.ColumnarWalk` instead, which is
-        differentially tested against this loop.
+        Kept for ``benchmarks/e2e/`` (frozen), whose
+        ``core.lookup_table.walk_ns_per_pkt`` times the span of
+        ``table.lookup_batch`` under exactly this call;
+        :class:`~repro.runtime.walk.ColumnarWalk` reaches the table
+        through ``lookup_keys`` instead.
         """
         pipeline = self.pipeline
-        action_sets: dict[int, list] = {i: [] for i in missed}
+        self.packets += len(batch)
+        self.batches += 1
+        results = [PipelineResult(final_fields=dict(fields)) for fields in batch]
+        action_sets: list[list] = [[] for _ in results]
         #: Packets still in flight, grouped by the table they sit at.
         pending: dict[int, list[int]] = {}
-        if missed:
-            pending[pipeline.tables[0].table_id] = list(missed)
+        if results:
+            pending[pipeline.tables[0].table_id] = list(range(len(results)))
         #: Packets whose processing ended with a match (no Goto-Table);
         #: their accumulated action sets execute after the waves finish.
         completed: list[int] = []
@@ -348,17 +299,12 @@ class BatchPipeline:
             self.waves += 1
             table_id = min(pending)
             members = pending.pop(table_id)
-            table = pipeline.table(table_id)
-            if recorders is not None:
-                for i in members:
-                    recorders[i].note_table(table_id, table.version)
+            table: Any = pipeline.table(table_id)
             fields_batch = [results[i].final_fields for i in members]
-            masks = (
-                [recorders[i] for i in members]
-                if recorders is not None
-                else None
-            )
-            entries = self._lookup_batch(table_id, table, fields_batch, masks)
+            if hasattr(table, "lookup_batch"):
+                entries = table.lookup_batch(fields_batch)
+            else:
+                entries = [table.lookup(fields) for fields in fields_batch]
             for i, entry in zip(members, entries):
                 result = results[i]
                 result.tables_visited.append(table_id)
@@ -372,9 +318,6 @@ class BatchPipeline:
                 next_table = pipeline._execute_instructions(
                     entry, action_sets[i], result
                 )
-                if recorders is not None:
-                    for name in written_fields(entry):
-                        recorders[i].mark_rewritten(name)
                 if next_table is None:
                     completed.append(i)
                 else:
@@ -383,31 +326,21 @@ class BatchPipeline:
         for i in completed:
             result = results[i]
             pipeline._execute_action_set(action_sets[i], result)
-            if recorders is not None:
-                for action in action_sets[i]:
-                    if isinstance(action, SetFieldAction):
-                        recorders[i].mark_rewritten(action.field_name)
             if not result.output_ports and not result.sent_to_controller:
                 result.dropped = True
-
-    def _lookup_batch(
-        self,
-        table_id: int,
-        table: Any,
-        fields_batch: Sequence[Mapping[str, int]],
-        masks: Sequence[MegaflowRecorder] | None = None,
-    ) -> list[FlowEntry | None]:
-        cache = self.caches.get(table_id)
-        if cache is not None:
-            return cache.lookup_batch(fields_batch, masks=masks)
-        if masks is not None:
-            return [
-                table.lookup(fields, mask=mask)
-                for fields, mask in zip(fields_batch, masks)
-            ]
-        if hasattr(table, "lookup_batch"):
-            return table.lookup_batch(fields_batch)
-        return [table.lookup(fields) for fields in fields_batch]
+        for result in results:
+            matched_entries = len(result.matched_entries)
+            if matched_entries:
+                self.matched += 1
+                self.flow_packets += matched_entries
+                # frame_len is never rewritten, so final_fields carries
+                # the length every stats.record() saw mid-pipeline.
+                self.flow_bytes += matched_entries * frame_length(
+                    result.final_fields
+                )
+            self.sent_to_controller += result.sent_to_controller
+            self.dropped += result.dropped
+        return results
 
     def stats_snapshot(self) -> BatchStats:
         stats = BatchStats(
@@ -435,8 +368,7 @@ def credit_traversal(
     runner: Any, traversal: Traversal, count: int, byte_count: int
 ) -> None:
     """Fold ``count`` packets (``byte_count`` frame bytes in all) that
-    took one traversal into ``runner``'s traffic counters — the
-    aggregated twin of :meth:`BatchPipeline._credit_result`, shared by
+    took one traversal into ``runner``'s traffic counters — shared by
     the in-process runner and the sharded parent (which credits from
     its workers' per-traversal delta lanes)."""
     template = traversal.template
@@ -480,11 +412,10 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
         return len(self.replays)
 
     def __iter__(self) -> Iterator[PipelineResult]:
-        """Materialise the per-packet results, in position order —
-        bitwise-identical to the dict path: ``final_fields`` is the
-        packet's fields plus the traversal's rewrite overrides, exactly
-        like :meth:`~repro.runtime.megaflow.MegaflowCache` replay (stats
-        were already credited at classification time)."""
+        """Materialise the per-packet results, in position order:
+        ``final_fields`` is the packet's fields plus the traversal's
+        rewrite overrides (stats were already credited at
+        classification time)."""
         row_fields = self.batch.row_fields
         for row, replay in zip(self.batch.pick.tolist(), self.replays):
             yield _materialise(replay, row_fields(row))

@@ -20,18 +20,25 @@ through any wrapper) stays safe.
 Misses are cached too (negative caching): a miss is just another
 classification outcome, and the stale-stamp rule keeps it correct.
 
-The cache also participates in megaflow capture: pass a consulted-bits
-sink (``mask=``, see :mod:`repro.runtime.megaflow`) and the table's raw
-consulted-bits masks are captured on miss, stored with the record, and
-replayed into the sink on every hit — so a traversal resolved from the
-microflow tier still produces a sound wildcard mask.
+The cache also participates in megaflow capture: a capturing probe
+(:meth:`MicroflowCache.lookup_keys` with ``capture``, or
+:meth:`MicroflowCache.lookup` with a consulted-bits sink, ``mask=`` —
+see :mod:`repro.runtime.megaflow`) captures the table's raw
+consulted-bits masks on miss, stores them with the record and hands
+them back on every hit — so a traversal resolved from the microflow
+tier still produces a sound wildcard mask.
+
+Keys are read off a :class:`~repro.packet.batch.PacketBatch`'s lanes:
+the batch probe is :meth:`MicroflowCache.lookup_keys` over distinct
+keys; the one per-dict entry point left is :meth:`MicroflowCache.lookup`,
+which the miss path's scan fallback (tables without a keyed lookup)
+calls per materialised row.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -156,85 +163,35 @@ class MicroflowCache:
         self._insert(key, outcome, version, captured)
         return outcome
 
-    def lookup_batch(
-        self,
-        batch_fields: Sequence[Mapping[str, int]],
-        masks: Sequence[ConsultSink] | None = None,
-    ) -> list[FlowEntry | None]:
-        """Cached batch lookup over field dicts: :meth:`lookup_keys` on
-        the batch's distinct keys, then one flow-stats record per packet.
-
-        ``masks``, when given, is one consulted-bits sink per packet,
-        aligned with ``batch_fields``; each receives its key's consulted
-        bits.  A table without a keyed lookup is probed packet by packet
-        through :meth:`lookup`.
-        """
-        if not hasattr(self.table, "lookup_keys"):
-            sinks: Iterable[ConsultSink | None] = (
-                masks if masks is not None else repeat(None)
-            )
-            return [
-                self.lookup(fields, sink)
-                for fields, sink in zip(batch_fields, sinks)
-            ]
-        codes, _, outcomes, captured = self._lookup_distinct(
-            [self.key(fields) for fields in batch_fields], masks is not None
-        )
-        results = [outcomes[code] for code in codes]
-        for fields, entry in zip(batch_fields, results):
-            if entry is not None:
-                entry.stats.record(frame_length(fields))
-        if masks is not None:
-            for code, sink in zip(codes, masks):
-                consulted = captured[code]
-                assert consulted is not None
-                _replay_mask(consulted, sink)
-        return results
-
     def lookup_batch_columnar(
         self, batch: PacketBatch
     ) -> list[FlowEntry | None]:
-        """:meth:`lookup_batch` over a columnar
-        :class:`~repro.packet.batch.PacketBatch`: the keys are read off
-        the lanes and each key's packets are credited together from the
+        """Cached lookup of every position of a columnar
+        :class:`~repro.packet.batch.PacketBatch`: :meth:`lookup_keys` on
+        the batch's distinct keys (first-seen order), read off the
+        lanes, with each key's packets credited together from the
         ``frame_len`` lane, so no dict is built.  A table without a
         keyed lookup gets each materialised row through :meth:`lookup`.
         """
         if not hasattr(self.table, "lookup_keys"):
             return [self.lookup(fields) for fields in batch]
-        codes, counts, outcomes, _ = self._lookup_distinct(
-            _lane_keys(batch, self.field_names), False
-        )
+        code_of: dict[tuple[int | None, ...], int] = {}
+        codes = [
+            code_of.setdefault(key, len(code_of))
+            for key in _lane_keys(batch, self.field_names)
+        ]
+        lane = np.asarray(codes, dtype=np.int64)
+        counts = np.bincount(lane, minlength=len(code_of)).tolist()
+        outcomes, _ = self.lookup_keys(list(code_of), counts, False)
         # Frame-byte sums per key; bincount's float64 sums are exact
         # below 2**53 bytes.
         octets = np.bincount(
-            np.asarray(codes, dtype=np.int64),
-            weights=batch.frame_lengths(),
-            minlength=len(counts),
+            lane, weights=batch.frame_lengths(), minlength=len(code_of)
         )
         for entry, count, byte_count in zip(outcomes, counts, octets.tolist()):
             if entry is not None:
                 entry.stats.add(count, int(byte_count))
         return [outcomes[code] for code in codes]
-
-    def _lookup_distinct(
-        self, keys: Sequence[tuple[int | None, ...]], capture: bool
-    ) -> tuple[
-        list[int],
-        list[int],
-        list[FlowEntry | None],
-        list[dict[str, int] | None],
-    ]:
-        """One :meth:`lookup_keys` call over the distinct ``keys`` in
-        first-seen order.  Returns each input key's code, then packet
-        count, matched entry and consulted mask per code."""
-        code_of: dict[tuple[int | None, ...], int] = {}
-        codes = [code_of.setdefault(key, len(code_of)) for key in keys]
-        counts = [0] * len(code_of)
-        for code in codes:
-            counts[code] += 1
-        outcomes, masks = self.lookup_keys(list(code_of), counts, capture)
-        return codes, counts, outcomes, masks
 
     def lookup_keys(
         self,
@@ -243,8 +200,8 @@ class MicroflowCache:
         capture: bool,
     ) -> tuple[list[FlowEntry | None], list[dict[str, int] | None]]:
         """Cached lookup of *distinct* table keys — the one batch probe:
-        the columnar miss path calls it per wave, :meth:`lookup_batch`
-        and :meth:`lookup_batch_columnar` per batch.
+        the columnar miss path calls it per wave,
+        :meth:`lookup_batch_columnar` per batch.
 
         ``keys`` are this cache's own microflow keys (:meth:`key`
         tuples), each standing for ``counts[i]`` packets; every key is

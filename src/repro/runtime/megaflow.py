@@ -8,8 +8,9 @@ single entry covers an entire traffic aggregate — every packet that
 agrees with the original on the consulted bits provably classifies
 identically, whole-pipeline.
 
-Capture works by threading a :class:`MegaflowRecorder` through a full
-multi-table traversal:
+Capture has one scalar specification and one batched implementation.
+The specification is ``OpenFlowPipeline.process(fields, mask=recorder)``
+with a :class:`MegaflowRecorder` as the sink:
 
 - every visited table is tagged ``(table_id, version)`` — the table's
   mutation counter at lookup time;
@@ -23,6 +24,10 @@ multi-table traversal:
   as *derived*: consulting a derived value adds nothing to the mask
   over the original packet, because the rewrite itself is pinned by the
   bits already in the mask.
+
+The runtime never runs it: :class:`~repro.runtime.walk.ColumnarWalk`
+captures the same mask and table route for a whole batch of misses at
+once, per distinct capture state, and the tests hold the two equal.
 
 A hit replays the captured :class:`PipelineResult` against the new
 packet: original fields, plus the recorded final values of every
@@ -38,19 +43,22 @@ visit.)
 
 Lookup is tuple-space search over the distinct masks in the cache
 (typically a handful — one per table-combination a traversal can
-touch); any matching entry is sound, so the first hit wins.
+touch); any matching entry is sound, so the first hit wins.  The cache
+has one index (per mask, the packed ``value & mask`` bytes of
+:meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`), one probe
+(:meth:`MegaflowCache.probe_credit`) and one install
+(:meth:`MegaflowCache.install_batch`), all over columnar batches.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
-from repro.packet.batch import IndexArray, PacketBatch, packed_masked_key
-from repro.packet.headers import frame_length
+from repro.packet.batch import IndexArray, PacketBatch
 
 #: Mask signature: ``((field_name, bitmask), ...)`` sorted by field.
 MaskSig = tuple[tuple[str, int], ...]
@@ -118,22 +126,22 @@ class Traversal:
 class MegaflowEntry(Traversal):
     """One cached aggregate: mask, masked key, and the traversal."""
 
-    __slots__ = ("mask", "key", "packed", "version_checks", "hits")
+    __slots__ = ("mask", "key", "version_checks", "hits")
 
     def __init__(
         self,
         mask: MaskSig,
-        key: tuple,
+        key: bytes,
         template: PipelineResult,
         overrides: dict[str, int],
         table_versions: tuple[tuple[int, int], ...],
         version_checks: tuple,
     ) -> None:
         self.mask = mask
+        #: The aggregate's exact ``value & mask`` key, packed as
+        #: :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`
+        #: packs it (absence of a field is part of the key).
         self.key = key
-        #: The key again, packed as the columnar probe's exact byte
-        #: string (:func:`repro.packet.batch.packed_masked_key`).
-        self.packed = b""
         self.template = template
         self.overrides = overrides
         self.table_versions = table_versions
@@ -144,25 +152,15 @@ class MegaflowEntry(Traversal):
         self.hits = 0
 
 
-def masked_key(mask: MaskSig, packet_fields: Mapping[str, int]) -> tuple:
-    """The packet's key under a mask; ``None`` encodes field absence."""
-    key = []
-    for name, bits in mask:
-        value = packet_fields.get(name)
-        key.append(None if value is None else value & bits)
-    return tuple(key)
-
-
 def replay_template(
     template: PipelineResult, final_fields: dict[str, int]
 ) -> PipelineResult:
     """Clone a cached traversal template onto one packet's final fields.
 
-    The single definition of replay materialisation, shared by the
-    dict-path hit (:meth:`MegaflowCache._replay`) and the deferred
-    columnar outcome (:class:`repro.runtime.batch.ColumnarOutcomes`,
-    in-process and sharded alike) — direct construction (no ``__init__`` dispatch, no default
-    factories): this is the hottest allocation in the runtime.
+    The single definition of replay materialisation
+    (:class:`repro.runtime.batch.ColumnarOutcomes`, in-process and
+    sharded alike) — direct construction (no ``__init__`` dispatch, no
+    default factories): this is the hottest allocation in the runtime.
     """
     result = PipelineResult.__new__(PipelineResult)
     result.matched_entries = list(template.matched_entries)
@@ -194,16 +192,10 @@ class MegaflowCache:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.pipeline = pipeline
         self.capacity = capacity
-        self._by_mask: dict[MaskSig, dict[tuple, MegaflowEntry]] = {}
-        #: Columnar sidecar: per mask, packed-byte key -> entry (the
-        #: same entry objects; :meth:`probe_credit` probes this index
-        #: with vectorized ``lanes & mask`` keys, once per distinct key).
-        self._packed: dict[MaskSig, dict[bytes, MegaflowEntry]] = {}
-        #: Probe snapshot of ``_by_mask.items()`` — rebuilt only when the
-        #: mask *set* changes, so the per-packet lookup loop allocates
-        #: nothing.  (Per-mask entry dicts are mutated in place.)
-        self._probe: tuple[tuple[MaskSig, dict[tuple, MegaflowEntry]], ...] = ()
-        self._lru: OrderedDict[tuple[MaskSig, tuple], MegaflowEntry] = (
+        #: The one index: per mask (in first-install order — the probe
+        #: order), packed ``value & mask`` key -> entry.
+        self._by_mask: dict[MaskSig, dict[bytes, MegaflowEntry]] = {}
+        self._lru: OrderedDict[tuple[MaskSig, bytes], MegaflowEntry] = (
             OrderedDict()
         )
         self.hits = 0
@@ -237,63 +229,6 @@ class MegaflowCache:
             fields.update(name for name, _ in mask)
         return tuple(sorted(fields))
 
-    def lookup(self, packet_fields: Mapping[str, int]) -> PipelineResult | None:
-        """Replayed result for the packet's aggregate, or ``None``.
-
-        Stale entries (a visited table's version moved) are dropped on
-        probe — the incremental-invalidation path.
-        """
-        return self.lookup_batch((packet_fields,))[0]
-
-    def lookup_batch(
-        self, batch: Sequence[Mapping[str, int]]
-    ) -> list[PipelineResult | None]:
-        """Per-packet :meth:`lookup` over a batch, with the probe state
-        hoisted out of the loop (this is the runtime's hot path)."""
-        probe = self._probe
-        lru = self._lru
-        hits = 0
-        misses = 0
-        out: list[PipelineResult | None] = []
-        for packet_fields in batch:
-            get_field = packet_fields.get
-            hit: MegaflowEntry | None = None
-            for mask, entries in probe:
-                key = tuple(
-                    [
-                        None if (value := get_field(name)) is None
-                        else value & bits
-                        for name, bits in mask
-                    ]
-                )
-                entry = entries.get(key)
-                if entry is None:
-                    continue
-                for table, version in entry.version_checks:
-                    if table.version != version:
-                        # Drop immediately: later packets of this batch
-                        # must not resolve (or shadow-install) through a
-                        # stale aggregate.
-                        self._drop(mask, key)
-                        self.invalidated += 1
-                        probe = self._probe
-                        entry = None
-                        break
-                if entry is not None:
-                    hit = entry
-                    break
-            if hit is None:
-                misses += 1
-                out.append(None)
-                continue
-            hits += 1
-            hit.hits += 1
-            lru.move_to_end((hit.mask, hit.key))
-            out.append(self._replay(hit, packet_fields))
-        self.hits += hits
-        self.misses += misses
-        return out
-
     def probe_batch(self, batch: PacketBatch) -> list[MegaflowEntry | None]:
         """Probe + credit in one call: the valid aggregate per batch
         *position* (``None`` on miss), bookkeeping done.  Replay
@@ -310,24 +245,25 @@ class MegaflowCache:
         IndexArray,
         list[tuple[MegaflowEntry, int, int]],
     ]:
-        """Vectorized tuple-space probe and hit bookkeeping, with the
-        Python work done per *distinct masked key*, never per position.
+        """The one probe: vectorized tuple-space search and hit
+        bookkeeping, with the Python work done per *distinct masked
+        key*, never per position.
 
-        The columnar twin of :meth:`lookup_batch`.  Per cached mask, in
-        the same mask order, the still-unresolved positions' packed keys
-        are gathered off the store's memoized
+        Per cached mask, in first-install order, the still-unresolved
+        positions' packed keys are gathered off the store's memoized
         :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`; each
-        distinct key is probed against the packed sidecar index and its
-        aggregate version-checked once (a stale one drops on probe
-        exactly like the dict path, and every position sharing it goes
-        on to the later masks), first hit per position winning.  Hits
-        are then credited per distinct aggregate from one code lane —
-        hit/miss counters, per-entry hit counts and the matched flow
-        entries' packet/byte stats (``frame`` is the batch's per-position
-        ``frame_len`` lane), identical totals to the dict path's
-        per-packet ``_replay`` bumps — and LRU recency is touched in
-        ascending order of each aggregate's *last* hit position, which
-        is the order the dict path leaves.
+        distinct key is probed against the mask's index and its
+        aggregate version-checked once (a stale one — a visited table's
+        version moved — drops on probe, the incremental-invalidation
+        path, and every position sharing it goes on to the later
+        masks), first hit per position winning.  Hits are then credited
+        per distinct aggregate from one code lane — hit/miss counters,
+        per-entry hit counts and the matched flow entries' packet/byte
+        stats (``frame`` is the batch's per-position ``frame_len``
+        lane: every hit packet counts with its *own* length) — and LRU
+        recency is touched in ascending order of each aggregate's
+        *last* hit position, which is the order probing the packets one
+        by one would leave.
 
         Returns the aggregate per position (``None`` on miss), the
         missed positions (ascending), and one ``(entry, positions,
@@ -341,20 +277,18 @@ class MegaflowCache:
         found: list[MegaflowEntry] = []
         codes = np.zeros(len(pick), dtype=np.int64)
         pending = np.arange(len(pick), dtype=np.int64)
-        for mask, _ in self._probe:
-            packed_entries = self._packed.get(mask)
-            if not packed_entries:
-                continue
+        # A snapshot: dropping a mask's last aggregate removes the mask.
+        for mask, entries in tuple(self._by_mask.items()):
             row_keys = batch.masked_packed_keys(mask)
             keys = list(map(row_keys.__getitem__, pick[pending].tolist()))
             code_of = dict.fromkeys(keys, 0)
             for key in code_of:
-                entry = packed_entries.get(key)
+                entry = entries.get(key)
                 if entry is None:
                     continue
                 for table, version in entry.version_checks:
                     if table.version != version:
-                        self._drop(entry.mask, entry.key)
+                        self._drop(mask, key)
                         self.invalidated += 1
                         break
                 else:
@@ -391,49 +325,6 @@ class MegaflowCache:
             buckets.append((entry, count, byte_count))
         return list(map(slots.__getitem__, position_codes)), pending, buckets
 
-    def install(
-        self,
-        packet_fields: Mapping[str, int],
-        recorder: MegaflowRecorder,
-        result: PipelineResult,
-    ) -> MegaflowEntry:
-        """Cache one captured traversal for its whole aggregate.
-
-        ``packet_fields`` must be the *original* packet (pre-rewrite);
-        ``result`` the finished pipeline outcome for it.
-        """
-        mask = recorder.mask_signature()
-        key = masked_key(mask, packet_fields)
-        # The template is a defensive copy: callers own (and may mutate)
-        # the result object they were handed.
-        template = PipelineResult(
-            matched_entries=list(result.matched_entries),
-            applied_actions=list(result.applied_actions),
-            output_ports=list(result.output_ports),
-            sent_to_controller=result.sent_to_controller,
-            dropped=result.dropped,
-            metadata=result.metadata,
-            tables_visited=list(result.tables_visited),
-            final_fields=dict(result.final_fields),
-        )
-        overrides = {
-            name: result.final_fields[name]
-            for name in recorder.rewritten
-            if name in result.final_fields
-        }
-        table_versions = tuple(recorder.tables)
-        entry = MegaflowEntry(
-            mask=mask,
-            key=key,
-            template=template,
-            overrides=overrides,
-            table_versions=table_versions,
-            version_checks=self._version_checks(table_versions),
-        )
-        entry.packed = packed_masked_key(mask, packet_fields)
-        self._store(entry)
-        return entry
-
     def install_batch(
         self,
         batch: PacketBatch,
@@ -443,36 +334,21 @@ class MegaflowCache:
         traversals: Sequence[Traversal],
         traversal_codes: IndexArray,
     ) -> list[MegaflowEntry]:
-        """Cache the captured traversals of one columnar batch's misses.
+        """The one install: cache the captured traversals of one
+        batch's misses, each for its whole aggregate.
 
-        Position ``positions[j]`` of ``batch`` consulted mask
-        ``masks[mask_codes[j]]`` and took ``traversals[traversal_codes[j]]``
-        (both shared across positions — one template per distinct entry
-        path, never one per packet).  Keys come off the lanes: per
-        distinct mask the packed byte keys are the batch's memoized
-        :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`, the
-        tuple keys one vectorized ``lanes & mask`` over the mask's
-        positions.  Entries are then stored one per position, **in
-        position order** — so installs, same-batch overwrites, LRU
-        order and evictions land exactly as per-packet :meth:`install`
-        calls would.  Returns the entries, aligned with ``positions``.
+        Position ``positions[j]`` of ``batch`` — the *original* packet,
+        pre-rewrite — consulted mask ``masks[mask_codes[j]]`` and took
+        ``traversals[traversal_codes[j]]`` (both shared across positions
+        — one template per distinct entry path, never one per packet).
+        Keys come off the lanes: per distinct mask, the batch's memoized
+        :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`.
+        Entries are stored one per position, **in position order**, so
+        installs, same-batch overwrites, LRU order and evictions land
+        as if the packets had been installed one by one.  Returns the
+        entries, aligned with ``positions``.
         """
-        rows = batch.pick[positions]
-        keys: list[tuple] = [()] * len(rows)
-        packed: list[bytes] = [b""] * len(rows)
-        for code, mask in enumerate(masks):
-            members = np.flatnonzero(mask_codes == code)
-            if not members.size:
-                continue
-            member_rows = rows[members]
-            packed_rows = batch.masked_packed_keys(mask)
-            for j, key, row in zip(
-                members.tolist(),
-                batch.masked_keys(mask, member_rows),
-                member_rows.tolist(),
-            ):
-                keys[j] = key
-                packed[j] = packed_rows[row]
+        keys_of = [batch.masked_packed_keys(mask) for mask in masks]
         # Traversals along one table sequence share their version tags.
         checks_of = {
             versions: self._version_checks(versions)
@@ -480,19 +356,20 @@ class MegaflowCache:
         }
         checks = [checks_of[t.table_versions] for t in traversals]
         installed: list[MegaflowEntry] = []
-        for key, packed_key, mask_code, code in zip(
-            keys, packed, mask_codes.tolist(), traversal_codes.tolist()
+        for row, mask_code, code in zip(
+            batch.pick[positions].tolist(),
+            mask_codes.tolist(),
+            traversal_codes.tolist(),
         ):
             traversal = traversals[code]
             entry = MegaflowEntry(
                 masks[mask_code],
-                key,
+                keys_of[mask_code][row],
                 traversal.template,
                 traversal.overrides,
                 traversal.table_versions,
                 checks[code],
             )
-            entry.packed = packed_key
             self._store(entry)
             installed.append(entry)
         return installed
@@ -500,8 +377,6 @@ class MegaflowCache:
     def flush(self) -> None:
         """Drop every cached aggregate (explicit only; never automatic)."""
         self._by_mask.clear()
-        self._packed.clear()
-        self._probe = ()
         self._lru.clear()
 
     # ------------------------------------------------------------------
@@ -519,52 +394,21 @@ class MegaflowCache:
     def _store(self, entry: MegaflowEntry) -> None:
         """Index a built entry (replacing any same-aggregate one), count
         the install and evict least-recently-used entries beyond
-        capacity — the tail every install shares."""
-        mask, key = entry.mask, entry.key
-        entries = self._by_mask.get(mask)
-        if entries is None:
-            entries = self._by_mask[mask] = {}
-            self._probe = tuple(self._by_mask.items())
-        entries[key] = entry
-        self._packed.setdefault(mask, {})[entry.packed] = entry
+        capacity."""
+        slot = (entry.mask, entry.key)
+        self._by_mask.setdefault(entry.mask, {})[entry.key] = entry
         lru = self._lru
-        slot = (mask, key)
         lru[slot] = entry
         lru.move_to_end(slot)
         self.installs += 1
         while len(lru) > self.capacity:
             (old_mask, old_key), _ = lru.popitem(last=False)
-            self._drop(old_mask, old_key, lru=False)
+            self._drop(old_mask, old_key)
             self.evicted += 1
 
-    def _drop(self, mask: MaskSig, key: tuple, lru: bool = True) -> None:
-        entries = self._by_mask.get(mask)
-        if entries is None:
-            return
-        dropped = entries.pop(key, None)
-        if dropped is not None:
-            packed_entries = self._packed.get(mask)
-            if packed_entries is not None:
-                packed_entries.pop(dropped.packed, None)
-                if not packed_entries:
-                    del self._packed[mask]
+    def _drop(self, mask: MaskSig, key: bytes) -> None:
+        entries = self._by_mask[mask]
+        del entries[key]
         if not entries:
             del self._by_mask[mask]
-            self._probe = tuple(self._by_mask.items())
-        if lru:
-            self._lru.pop((mask, key), None)
-
-    def _replay(
-        self, entry: MegaflowEntry, packet_fields: Mapping[str, int]
-    ) -> PipelineResult:
-        template = entry.template
-        final_fields = dict(packet_fields)
-        final_fields.update(entry.overrides)
-        frame_len = frame_length(packet_fields)
-        for matched in template.matched_entries:
-            # Inlined FlowStats.record(frame_len): once per hit packet,
-            # with the *hitting* packet's frame length (aggregates span
-            # packets of many lengths).
-            matched.stats.packet_count += 1
-            matched.stats.byte_count += frame_len
-        return replay_template(template, final_fields)
+        self._lru.pop((mask, key), None)

@@ -89,10 +89,9 @@ its reply straight from the distinct traversal templates
 the tables as index arrays, so no row is materialised as a dict
 worker-side.  Dict
 and :class:`~repro.packet.batch.PacketBatch` submissions differ only
-parent-side: a dict batch is columnarised once at submit (workers are
-assigned by :meth:`ShardedBatchPipeline.shard_of`), a columnar batch
-skips that and assigns workers by hashing the shard fields' lanes in
-one vectorized pass.
+in that a dict batch is columnarised once at submit; either way workers
+are assigned by hashing the shard fields' lanes in one vectorized pass,
+so a flow lands on the same worker whatever shape its packets came in.
 
 **Fault tolerance.**  Workers are supervised
 (:mod:`repro.runtime.supervise`): the one collect-side wait is
@@ -536,15 +535,6 @@ def _worker_main(
         blocks.close()
 
 
-def _stable_hash(items: tuple) -> int:
-    """Process-independent FNV-1a over the key's repr (``hash()`` is
-    salted per interpreter; sharding should be reproducible)."""
-    h = 0xCBF29CE484222325
-    for byte in repr(items).encode():
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 # ----------------------------------------------------------------------
 # the sharded runner
 # ----------------------------------------------------------------------
@@ -875,61 +865,40 @@ class ShardedBatchPipeline:
     # -- sharding ------------------------------------------------------
 
     def shard_of(self, packet_fields: Mapping[str, int]) -> int:
-        """Worker index for a packet, by megaflow-key hash."""
-        if self._learned_fields:
-            key = tuple(
-                (n, packet_fields.get(n))
-                for n in sorted(self._learned_fields)
-            )
-        else:
-            # frame_len is switch metadata: per-packet length
-            # distributions must not scatter a flow across workers.
-            key = tuple(
-                sorted(
-                    item
-                    for item in packet_fields.items()
-                    if item[0] != FRAME_LEN_FIELD
-                )
-            )
-        return _stable_hash(key) % self.workers
+        """Worker index for a packet: the assignment it gets as a
+        one-row batch (:meth:`_shard_groups`)."""
+        row = PacketBatch.from_dicts([packet_fields], self._codec.field_bits)
+        return next(iter(self._shard_groups(row)))
 
-    def _shard_groups(
-        self, batch: Sequence[Mapping[str, int]] | PacketBatch
-    ) -> dict[int, np.ndarray]:
+    def _shard_groups(self, batch: PacketBatch) -> dict[int, np.ndarray]:
         """Member positions per worker for one batch, as ascending
         index arrays.
 
-        Columnar batches assign workers with one vectorized hash pass
+        Workers are assigned by megaflow-key hash: one vectorized pass
         over the shard fields' lanes (per distinct row, fanned out by
-        ``pick``); the hash differs from the dict path's — sharding
-        steers only cache locality, never results — but is equally
-        stable per key, so an aggregate's packets still converge on one
-        worker.  A single-worker fleet has nothing to steer and skips
-        the hash.
+        ``pick``), stable per key, so an aggregate's packets converge
+        on one worker whatever shape they were submitted in — sharding
+        steers only cache locality, never results.  A single-worker
+        fleet has nothing to steer and skips the hash.
         """
         if self.workers == 1:
             return {0: np.arange(len(batch), dtype=np.int64)}
-        if isinstance(batch, PacketBatch):
-            names = tuple(sorted(self._learned_fields))
-            if not names:
-                # Cold-start fallback: all columns except frame_len —
-                # per-packet length distributions (imix/pareto) would
-                # otherwise scatter one flow's packets across workers.
-                names = tuple(
-                    sorted(
-                        name
-                        for name in batch.field_names()
-                        if name != FRAME_LEN_FIELD
-                    )
+        names = tuple(sorted(self._learned_fields))
+        if not names:
+            # Cold-start fallback: all columns except frame_len —
+            # per-packet length distributions (imix/pareto) would
+            # otherwise scatter one flow's packets across workers.
+            names = tuple(
+                sorted(
+                    name
+                    for name in batch.field_names()
+                    if name != FRAME_LEN_FIELD
                 )
-            hashes = batch.key_hashes(names)
-            assigned = (hashes % np.uint64(self.workers)).astype(np.int64)[
-                batch.pick
-            ]
-        else:
-            assigned = np.fromiter(
-                map(self.shard_of, batch), dtype=np.int64, count=len(batch)
             )
+        hashes = batch.key_hashes(names)
+        assigned = (hashes % np.uint64(self.workers)).astype(np.int64)[
+            batch.pick
+        ]
         return {
             worker: np.flatnonzero(assigned == worker)
             for worker in np.unique(assigned).tolist()
@@ -1214,9 +1183,9 @@ class ShardedBatchPipeline:
             log_len = len(self._log)
             pinned = self._entry_index.pin()
         seq = self._seq
-        groups = self._shard_groups(batch)
         if not isinstance(batch, PacketBatch):
             batch = PacketBatch.from_dicts(batch, self._codec.field_bits)
+        groups = self._shard_groups(batch)
         sends = self._encode_shm(seq, batch, groups, bypass)
         self._inflight[seq] = _InFlight(
             seq=seq,

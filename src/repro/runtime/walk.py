@@ -3,9 +3,10 @@
 :class:`~repro.runtime.batch.BatchPipeline.classify_columnar` hands the
 positions of a :class:`~repro.packet.batch.PacketBatch` that missed the
 megaflow tier to a :class:`ColumnarWalk`.  The positions advance through
-the pipeline in the same forward-only waves as the dict path, but they
-stay **index arrays** throughout; what a wave costs is set by how many
-*distinct* things it meets, not by how many packets:
+the pipeline in forward-only waves — everything sitting at one table
+is looked up together — and they stay **index arrays** throughout; what
+a wave costs is set by how many *distinct* things it meets, not by how
+many packets:
 
 - a wave's table key is read off the batch's uint64 lanes, with a
   per-position **override lane** standing in for fields an earlier
@@ -137,7 +138,7 @@ class ColumnarWalk:
     def run(self, missed: IndexArray) -> None:
         """Walk ``missed`` (batch positions, ascending) to completion."""
         #: Positions still in flight, grouped by the table they sit at,
-        #: in arrival order (the dict path's member order).
+        #: in arrival order.
         pending: dict[int, list[IndexArray]] = {self._first_table: [missed]}
         while pending:
             # Goto-Table is forward-only, so the smallest pending table
@@ -235,8 +236,8 @@ class ColumnarWalk:
         self, field_names: Sequence[str], members: IndexArray
     ) -> tuple[list[tuple[int | None, ...]], IndexArray]:
         """The wave's distinct table keys (first-seen order — the order
-        the dict path resolves and caches them in) and each member's
-        index into them."""
+        they are resolved and cached in) and each member's index into
+        them."""
         rows = self.batch.pick[members]
         columns = [self._values(name, members, rows) for name in field_names]
         code_of: dict[tuple[int | None, ...], int] = {}

@@ -107,6 +107,7 @@ from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.table import FlowTable
+from repro.packet.batch import PacketBatch
 from repro.runtime.cache import MicroflowCache
 
 FIELDS = ("in_port", "ipv4_dst")
@@ -182,7 +183,7 @@ def test_churn_differential_fuzz(universe, ops, data):
             want,
             decomposition.lookup(fields),
             cache.lookup(fields),
-            cache.lookup_batch([fields])[0],
+            cache.lookup_batch_columnar(PacketBatch.from_dicts([fields]))[0],
         )
 
     for op, pick in ops:

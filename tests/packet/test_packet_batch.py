@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.packet.batch import FieldLanes, PacketBatch, packed_masked_key
+from repro.packet.batch import FieldLanes, PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
 from repro.packet.parser import parse_batch
@@ -80,11 +80,33 @@ def test_block_round_trip(example):
                 assert decoded[i] is decoded[j]
 
 
+def packed_masked_key(mask, fields):
+    """The packed-key layout, spelled out for one packet: per mask
+    field the ``value & bits`` words (as many uint64 lanes as the mask
+    bits need, low first; zeros where the field is absent), then one
+    word of presence bits in mask order."""
+    words = []
+    presence = 0
+    for bit, (name, bits) in enumerate(mask):
+        value = fields.get(name)
+        if value is not None:
+            presence |= 1 << bit
+            value &= bits
+        else:
+            value = 0
+        for lane in range(max(1, (bits.bit_length() + 63) // 64)):
+            words.append((value >> (64 * lane)) & 0xFFFFFFFFFFFFFFFF)
+    words.append(presence)
+    return np.asarray(words, dtype=np.uint64).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(example=_example)
 def test_masked_key_scalar_vector_parity(example):
-    """The install-time scalar packing and the vectorized batch packing
-    agree byte-for-byte on every row and mask."""
+    """The vectorized batch packing is a pure function of the mask and
+    the packet — byte-for-byte the scalar layout above on every row and
+    mask, whatever else shares the batch — so the megaflow index can
+    compare keys installed from one batch with probes from another."""
     trace = _trace(example)
     batch = PacketBatch.from_dicts(trace)
     masks = (

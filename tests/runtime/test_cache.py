@@ -110,9 +110,10 @@ class TestInvalidation:
 
     def test_remove_where_invalidates(self, table):
         cache = MicroflowCache(table)
-        assert cache.lookup_batch([{"in_port": p} for p in range(4)]) != []
+        warm = PacketBatch.from_dicts([{"in_port": p} for p in range(4)])
+        assert None not in cache.lookup_batch_columnar(warm)
         table.remove_where(lambda e: True)
-        assert cache.lookup_batch([{"in_port": 1}]) == [None]
+        assert cache.lookup_batch_columnar(warm[1:2]) == [None]
 
     def test_negative_entry_invalidated_by_install(self, table):
         cache = MicroflowCache(table)
@@ -125,8 +126,10 @@ class TestBatch:
     def test_batch_mixes_hits_and_misses(self, table):
         cache = MicroflowCache(table)
         cache.lookup({"in_port": 0})
-        results = cache.lookup_batch(
-            [{"in_port": 0}, {"in_port": 1}, {"in_port": 0}, {"in_port": 99}]
+        results = cache.lookup_batch_columnar(
+            PacketBatch.from_dicts(
+                [{"in_port": 0}, {"in_port": 1}, {"in_port": 0}, {"in_port": 99}]
+            )
         )
         assert [r is not None for r in results] == [True, True, True, False]
         assert cache.hits >= 2  # the two {"in_port": 0} repeats
@@ -156,7 +159,9 @@ def _shape_table() -> OpenFlowLookupTable:
 
 def _drive(shape, trace, chunk, capacity, mod_chunk, mod_port, capture):
     """Replay ``trace`` in ``chunk``-sized batches through a fresh cache
-    via one input shape; everything observable afterwards."""
+    via one input shape — or, for ``"table"``, past the cache, one
+    scalar lookup per packet on the table itself; everything observable
+    afterwards."""
     table = _shape_table()
     cache = MicroflowCache(table, capacity=capacity)
     columnar = PacketBatch.from_dicts(trace)
@@ -167,10 +172,13 @@ def _drive(shape, trace, chunk, capacity, mod_chunk, mod_port, capture):
             assert table.remove(victim.match, victim.priority)
             table.add(victim)
         batch = trace[start : start + chunk]
-        if shape == "dicts":
-            sinks = [FieldMaskSink() for _ in batch] if capture else None
-            found = cache.lookup_batch(batch, masks=sinks)
-            if sinks is not None:
+        if shape == "table":
+            sinks = [FieldMaskSink() if capture else None for _ in batch]
+            found = [
+                table.lookup(fields, mask=sink)
+                for fields, sink in zip(batch, sinks)
+            ]
+            if capture:
                 consulted += [sink.fields for sink in sinks]
         elif shape == "columnar":
             found = cache.lookup_batch_columnar(columnar[start : start + chunk])
@@ -214,11 +222,13 @@ def _drive(shape, trace, chunk, capacity, mod_chunk, mod_port, capture):
 def test_three_input_shapes_share_one_probe(
     picks, lengths, chunk, capacity, mod_chunk, mod_port, capture
 ):
-    """``lookup_batch``, ``lookup_batch_columnar`` and ``lookup_keys``
-    (the caller crediting flow stats) are one probe behind three input
-    shapes: over a trace that evicts, revalidates across a flow-mod and
-    carries IMIX frame lengths they leave identical outcomes, per-entry
-    packet/byte stats, hit/miss/revalidation counters and LRU order."""
+    """``lookup_batch_columnar`` and ``lookup_keys`` (the caller
+    crediting flow stats) are one probe behind two input shapes: over a
+    trace that evicts, revalidates across a flow-mod and carries IMIX
+    frame lengths they leave identical hit/miss/revalidation counters
+    and LRU order — and the outcomes, consulted masks and per-entry
+    packet/byte stats of the uncached table looked up packet by
+    packet."""
     packets = {}
     trace = [
         packets.setdefault(
@@ -227,11 +237,13 @@ def test_three_input_shapes_share_one_probe(
         for pick, length in zip(picks, lengths)
     ]
     args = (trace, chunk, capacity, mod_chunk, mod_port, capture)
-    dicts = _drive("dicts", *args)
+    table = _drive("table", *args)
     columnar = _drive("columnar", *args)
     keys = _drive("keys", *args)
-    for name, expected in dicts.items():
-        assert keys[name] == expected, f"lookup_keys {name} diverges"
+    for name in ("outcomes", "consulted", "flow stats"):
+        assert keys[name] == table[name], f"lookup_keys {name} diverges"
         if name != "consulted":  # the columnar shape takes no mask sinks
-            assert columnar[name] == expected, f"columnar {name} diverges"
-    assert sum(dicts["counters"][:2]) == len(trace)
+            assert columnar[name] == table[name], f"columnar {name} diverges"
+    for name in ("counters", "lru order"):
+        assert columnar[name] == keys[name], f"{name} diverges"
+    assert sum(keys["counters"][:2]) == len(trace)

@@ -43,7 +43,12 @@ from tests.runtime.conftest import (
     unlink_segments,
 )
 from tests.runtime.test_megaflow import assert_same_result
-from tests.runtime.test_shard import ConnProxy, entry_counts, make_arch
+from tests.runtime.test_shard import (
+    ConnProxy,
+    RoutedSharded,
+    entry_counts,
+    make_arch,
+)
 
 
 class TestFaultPlan:
@@ -85,11 +90,10 @@ class TestFaultPlan:
         assert not FaultPlan()
 
 
-class _RoutedSharded(ShardedBatchPipeline):
+class _RoutedSharded(RoutedSharded):
     """Packets go to the worker named by their ``shard_key`` field."""
 
-    def shard_of(self, packet_fields):
-        return packet_fields.get("shard_key", 0) % self.workers
+    route_field = "shard_key"
 
 
 def routed_batches(rule_set, sizes, workers=2):

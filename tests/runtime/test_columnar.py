@@ -2,18 +2,21 @@
 
 Covers the satellite guarantees of the columnar PR: presence bytes are
 part of every key hash (value 0 != field absent), ``frame_len`` can
-never enter a key or mask, and both cache tiers stay bitwise-identical
-to their dict paths — plus a small microbenchmark pinning the
-vectorized hash against the per-packet tuple build.
+never enter a key or mask, and both cache tiers agree with the scalar
+lookups they stand in front of — plus a small microbenchmark pinning
+the vectorized hash against the per-packet tuple build.
 
 ``TestMissPathCostShape`` pins what a megaflow *miss* may cost on the
 columnar path with call-counting spies (no timing): no scalar table
-lookups, no row dicts, no per-packet installs, at most one engine probe
-per distinct ``(partition, key)`` pair per wave, and nothing at all for
-a batch the wildcard tier answers whole.  ``TestShardedReplyCostShape``
-does the same for the sharded parent: an unread ``process_batches``
-stream builds one ``PipelineResult`` per distinct traversal per batch
-and no row dict.
+lookups, no row dicts, one bulk install per batch, at most one engine
+probe per distinct ``(partition, key)`` pair per wave, and nothing at
+all for a batch the wildcard tier answers whole.
+``TestShardedReplyCostShape`` does the same for the sharded parent: an
+unread ``process_batches`` stream builds one ``PipelineResult`` per
+distinct traversal per batch and no row dict.  ``TestDictDoorCostShape``
+pins where a dict batch goes: through one conversion into the columnar
+path on a runner with a cache tier, through ``table.lookup_batch`` wave
+by wave on a runner with none.
 """
 
 from __future__ import annotations
@@ -129,27 +132,34 @@ class TestKeyHashes:
 
 
 # ----------------------------------------------------------------------
-# vectorized tiers == dict tiers
+# the vectorized tiers
 # ----------------------------------------------------------------------
 
 
 class TestColumnarMicroflow:
     def test_matches_dict_path_and_stats(self, rule_set):
+        """The columnar probe against the table looked up one dict at a
+        time, past any cache: same outcomes, same per-entry packet/byte
+        stats — and hit/miss counters that move per *position* (every
+        packet of a key first seen in a batch is a miss)."""
         trace = zipf_workload(
             rule_set, packet_count=3000, flow_count=64, frame_len="imix"
         ).events[0][1]
         table_dict = build_lookup_table(rule_set)
         table_col = build_lookup_table(rule_set)
-        cache_dict = MicroflowCache(table_dict, capacity=128)
-        cache_col = MicroflowCache(table_col, capacity=128)
+        cache_col = MicroflowCache(table_col, capacity=128)  # no eviction
         batch = PacketBatch.from_dicts(trace)
-        got_dict: list = []
+        got_dict = [table_dict.lookup(fields) for fields in trace]
         got_col: list = []
+        seen: set = set()
+        misses = 0
         for start in range(0, len(trace), 256):
-            got_dict.extend(cache_dict.lookup_batch(trace[start : start + 256]))
             got_col.extend(
                 cache_col.lookup_batch_columnar(batch[start : start + 256])
             )
+            keys = [cache_col.key(fields) for fields in trace[start : start + 256]]
+            misses += sum(key not in seen for key in keys)
+            seen.update(keys)
         assert len(got_dict) == len(got_col)
         for a, b in zip(got_dict, got_col):
             assert (a is None) == (b is None)
@@ -164,8 +174,9 @@ class TestColumnarMicroflow:
             for e in table_col
         )
         assert stats_dict == stats_col
-        assert cache_dict.hits == cache_col.hits
-        assert cache_dict.misses == cache_col.misses
+        assert len(seen) <= cache_col.capacity
+        assert cache_col.misses == misses
+        assert cache_col.hits == len(trace) - misses
 
     def test_revalidates_after_mutation(self, rule_set):
         table = build_lookup_table(rule_set)
@@ -226,15 +237,16 @@ class TestColumnarMicroflow:
 
 class TestMixedPaths:
     def test_dict_warmed_cache_serves_columnar_without_table(self, rule_set):
-        """A cache warmed by dict batches must serve columnar traffic
-        from the same records, not re-resolve the working set through
-        the table."""
+        """A cache warmed one dict at a time (the scan fallback's
+        scalar probe) must serve columnar traffic from the same records,
+        not re-resolve the working set through the table."""
         table = build_lookup_table(rule_set)
         cache = MicroflowCache(table)
         trace = zipf_workload(
             rule_set, packet_count=256, flow_count=16
         ).events[0][1]
-        cache.lookup_batch(trace)  # dict-path warm-up
+        for fields in trace:  # scalar warm-up
+            cache.lookup(fields)
         lookups_before = table.lookup_count
         batch = PacketBatch.from_dicts(trace)
         outcomes = cache.lookup_batch_columnar(batch)
@@ -428,8 +440,8 @@ class _Spy:
 class TestMissPathCostShape:
     def test_misses_stay_on_the_lanes(self, monkeypatch):
         """A seeded four-table trace through ``classify_columnar``:
-        zero scalar table lookups, zero materialised rows, zero
-        per-packet installs — and every miss is still installed."""
+        zero scalar table lookups, zero materialised rows, one bulk
+        install per batch — and every miss is still installed."""
         arch, trace = _prototype()
         runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=48)
         batch = PacketBatch.from_columns(
@@ -443,15 +455,16 @@ class TestMissPathCostShape:
                 (OpenFlowLookupTable, "lookup_batch"),
                 (PacketBatch, "fields_at"),
                 (PacketBatch, "row_fields"),
-                (MegaflowCache, "install"),
             )
         }
+        installs = _Spy(monkeypatch, MegaflowCache, "install_batch")
         for start in range(0, len(batch), 100):
             runner.classify_columnar(batch[start : start + 100])
         assert {name: spy.calls for name, spy in spies.items()} == dict.fromkeys(
             spies, 0
         )
         stats = runner.stats_snapshot()
+        assert installs.calls == stats.batches
         assert stats.megaflow_misses > 100  # the walk really ran
         assert runner.megaflow.installs == stats.megaflow_misses
         assert stats.waves == 4 * stats.batches
@@ -643,8 +656,74 @@ class TestShardedReplyCostShape:
         assert results == reference.process_batch(views[2])
 
 
+class TestDictDoorCostShape:
+    """Where a dict batch goes.  A runner with any cache tier converts
+    it once, at its door, and classifies it columnar; a runner with no
+    tier at all walks it wave by wave through ``table.lookup_batch`` —
+    the seam ``benchmarks/e2e`` times ``core.lookup_table.walk_ns_per_pkt``
+    through (``layers.py::lookup_walk``), so it may not be folded into
+    the columnar walk before the harness is re-pointed.  Counts only."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        return {
+            name: _Spy(monkeypatch, owner, name)
+            for owner, name in (
+                (PacketBatch, "from_dicts"),
+                (BatchPipeline, "classify_columnar"),
+                (OpenFlowLookupTable, "lookup_batch"),
+            )
+        }
+
+    @pytest.mark.parametrize(
+        "tiers",
+        [
+            {"cache_capacity": 64, "megaflow_capacity": 48},
+            {"cache_capacity": 64},
+            {"cache_capacity": None, "megaflow_capacity": 48},
+        ],
+        ids=["two-tier", "microflow-only", "megaflow-only"],
+    )
+    def test_tiered_runner_converts_once_per_batch(self, monkeypatch, tiers):
+        arch, trace = _prototype()
+        twin, _ = _prototype()
+        expected = [twin.process(fields) for fields in trace]
+        runner = BatchPipeline(arch, **tiers)
+        batches = [trace[start : start + 100] for start in range(0, len(trace), 100)]
+        calls = self.spies(monkeypatch)
+        results = [
+            result for batch in batches for result in runner.process_batch(batch)
+        ]
+        assert {name: spy.calls for name, spy in calls.items()} == {
+            "from_dicts": len(batches),
+            "classify_columnar": len(batches),
+            "lookup_batch": 0,
+        }
+        assert results == expected
+
+    def test_tier_free_runner_walks_lookup_batch_per_wave(self, monkeypatch):
+        arch, trace = _prototype()
+        twin, _ = _prototype()
+        expected = [twin.process(fields) for fields in trace]
+        runner = BatchPipeline(arch, cache_capacity=None)
+        assert not runner.caches and runner.megaflow is None
+        batches = [trace[start : start + 100] for start in range(0, len(trace), 100)]
+        calls = self.spies(monkeypatch)
+        results = [
+            result for batch in batches for result in runner.process_batch(batch)
+        ]
+        waves = runner.stats_snapshot().waves
+        assert waves == 4 * len(batches)
+        assert {name: spy.calls for name, spy in calls.items()} == {
+            "from_dicts": 0,
+            "classify_columnar": 0,
+            "lookup_batch": waves,
+        }
+        assert results == expected
+
+
 class _CountingIndex(dict):
-    """A packed megaflow index that counts its probes."""
+    """One mask's megaflow index, counting its probes."""
 
     probes = 0
 
@@ -694,10 +773,10 @@ class TestMegaflowProbeCostShape:
         for view in views:
             runner.classify_columnar(view)
         megaflow = runner.megaflow
-        masks = list(megaflow._packed)
+        masks = list(megaflow._by_mask)
         assert len(masks) == megaflow.mask_count
         for mask in masks:
-            megaflow._packed[mask] = _CountingIndex(megaflow._packed[mask])
+            megaflow._by_mask[mask] = _CountingIndex(megaflow._by_mask[mask])
         touches = _Spy(monkeypatch, megaflow._lru, "move_to_end")
         (table,) = runner.pipeline.tables
         watch = _VersionReads(table)
@@ -708,7 +787,7 @@ class TestMegaflowProbeCostShape:
             )
 
         def tally():
-            probes = sum(megaflow._packed[mask].probes for mask in masks)
+            probes = sum(megaflow._by_mask[mask].probes for mask in masks)
             return np.array([probes, watch.reads, touches.calls, megaflow.misses])
 
         counted = []

@@ -54,6 +54,7 @@ out of the pipeline.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -88,6 +89,7 @@ from repro.runtime import (
     BatchPipeline,
     FaultPlan,
     LifecycleSweeper,
+    MegaflowRecorder,
     ShardedBatchPipeline,
     StreamConfig,
     SupervisionConfig,
@@ -95,6 +97,7 @@ from repro.runtime import (
 )
 from repro.runtime.streaming import SHED_REASONS
 
+from tests.packet.test_packet_batch import packed_masked_key
 from tests.runtime.stream_reference import run_stream_reference
 
 #: Match schema: one exact, two prefix, one range, one exact field — all
@@ -641,12 +644,14 @@ def test_sharded_lazy_outcomes_equivalent(example, workers, columnar):
 
 
 # ----------------------------------------------------------------------
-# The columnar miss path: multi-table misses, three ways
+# The columnar miss path: multi-table misses against the scalar spec
 # ----------------------------------------------------------------------
 #
-# ``PacketBatch`` input walks megaflow misses as index arrays
-# (``repro.runtime.walk``); dict input walks them packet by packet
-# (``BatchPipeline._run_waves``); the ``FlowTable`` scan is the spec.
+# Megaflow misses walk the tables as index arrays
+# (``repro.runtime.walk``) — ``PacketBatch`` input directly, dict input
+# converted at the runner's door; a runner with no cache tier still
+# walks dict batches packet by packet (``BatchPipeline._run_waves``);
+# the ``FlowTable`` scan is the spec.
 # The rule vocabulary here is the one the single-schema harness above
 # cannot reach: three tables with *different* schemas chained by
 # forward Goto-Table, a ``metadata`` register written by one table and
@@ -816,28 +821,48 @@ def _miss_flow_tables():
     return [FlowTable(table_id=table_id) for table_id in _MISS_SCHEMAS]
 
 
-def _megaflow_state(runner):
-    """Everything observable about the wildcard tier: the aggregates,
-    their recency order, and the counters."""
-    cache = runner.megaflow
-    aggregates = {
-        (
-            entry.mask,
-            entry.key,
-            tuple(sorted(entry.overrides.items())),
-            entry.table_versions,
-        )
-        for entry in cache._lru.values()
-    }
-    assert len(aggregates) == len(cache)
-    counters = {
-        name: getattr(cache, name)
-        for name in ("hits", "misses", "installs", "evicted", "invalidated")
-    }
-    return aggregates, list(cache._lru), counters
+def _hold_capture_to_spec(runner):
+    """Hold the runner's one batched megaflow capture to its scalar
+    specification, install by install.
+
+    Every aggregate :meth:`MegaflowCache.install_batch` stores is
+    checked, as it is stored, against
+    ``pipeline.process(fields, mask=MegaflowRecorder())`` on a replica
+    of the runner's pipeline at the same log position (a deep copy taken
+    at install time: same entries, same engine structures, same version
+    counters — and the spec's own flow-stats bumps land on the copy):
+    mask signature, visited-table route with its version tags, rewrite
+    overrides, and the packed key under that mask.  Returns a
+    one-element list counting the aggregates checked.
+    """
+    megaflow = runner.megaflow
+    install_batch = megaflow.install_batch
+    checked = [0]
+
+    def audited(batch, positions, *codes):
+        entries = install_batch(batch, positions, *codes)
+        replica = copy.deepcopy(runner.pipeline)
+        for position, entry in zip(positions.tolist(), entries):
+            fields = batch.fields_at(position)
+            recorder = MegaflowRecorder()
+            result = replica.process(fields, mask=recorder)
+            context = f"aggregate of {fields}"
+            assert entry.mask == recorder.mask_signature(), context
+            assert entry.table_versions == tuple(recorder.tables), context
+            assert entry.overrides == {
+                name: result.final_fields[name]
+                for name in recorder.rewritten
+                if name in result.final_fields
+            }, context
+            assert entry.key == packed_masked_key(entry.mask, fields), context
+        checked[0] += len(entries)
+        return entries
+
+    megaflow.install_batch = audited
+    return checked
 
 
-def _assert_miss_paths_agree(replayers, trace_len):
+def _assert_miss_paths_agree(replayers, trace_len, captures):
     reference = replayers["scan"]
     assert len(reference.results) == trace_len
     for name, replayer in replayers.items():
@@ -854,33 +879,13 @@ def _assert_miss_paths_agree(replayers, trace_len):
         assert replayer.removed_events() == reference.removed_events(), (
             f"{name}: flow-removed ledger diverges from the scan path"
         )
-    # The dict wave loop is the columnar walk's in-repo reference: the
-    # wildcard tier must end in the *same state*, not merely a sound one.
-    dict_state = _megaflow_state(replayers["dict"].runner)
-    for name in ("columnar", "columnar-scan"):
-        if name not in replayers:
-            continue
-        against = (
-            dict_state
-            if name == "columnar"
-            else _megaflow_state(replayers["dict-scan"].runner)
+    # Every megaflow miss was captured, installed and held to the spec.
+    for name, checked in captures.items():
+        cache = replayers[name].runner.megaflow
+        assert checked[0] == cache.installs == cache.misses, (
+            f"{name}: installs went around the capture oracle"
         )
-        aggregates, recency, counters = _megaflow_state(replayers[name].runner)
-        assert counters == against[2], f"{name}: megaflow counters diverge"
-        assert aggregates == against[0], f"{name}: megaflow contents diverge"
-        assert recency == against[1], f"{name}: megaflow LRU order diverges"
-    # Both wave loops put a wave's distinct keys through the same
-    # microflow probe in the same order, so the exact-match tier ends in
-    # the same state too.
-    for table_id, cache in replayers["dict"].runner.caches.items():
-        twin = replayers["columnar"].runner.caches[table_id]
-        for name in ("hits", "misses", "revalidations"):
-            assert getattr(cache, name) == getattr(twin, name), (
-                f"table {table_id}: microflow {name} diverge"
-            )
-        assert list(cache._entries) == list(twin._entries), (
-            f"table {table_id}: microflow LRU order diverges"
-        )
+        assert len(cache) <= cache.capacity
 
 
 @settings(
@@ -890,12 +895,14 @@ def _assert_miss_paths_agree(replayers, trace_len):
 )
 @given(example=_miss_example)
 def test_columnar_miss_path_equivalent(example):
-    """Hand-built three-table pipelines: the columnar miss path, the
-    dict wave loop and the scan agree on results, per-entry counters
-    and the flow-removed ledger; columnar and dict additionally leave
-    the megaflow tier in the identical state (aggregates, overrides,
-    version tags, counters, LRU order) — on decomposition tables and,
-    through the walk's scalar fallback, on ``FlowTable`` s."""
+    """Hand-built three-table pipelines: the columnar miss path (given
+    columnar batches, or dict batches through the runner's door), the
+    tier-free dict wave loop and the scan agree on results, per-entry
+    counters and the flow-removed ledger; and every aggregate the
+    two-tier columnar runners install — on decomposition tables and,
+    through the walk's scalar fallback, on ``FlowTable`` s — carries
+    the mask, route, version tags, overrides and key the scalar capture
+    specification gives its packet."""
     trace = _build_miss_trace(example)
     capacity = example["megaflow_capacity"]
 
@@ -904,25 +911,28 @@ def test_columnar_miss_path_equivalent(example):
             pipeline, cache_capacity=16, megaflow_capacity=capacity
         )
 
+    def tier_free(pipeline):
+        return BatchPipeline(pipeline, cache_capacity=None)
+
     runners = {
         "scan": (_miss_flow_tables, None, False),
         "dict": (_miss_lookup_tables, two_tier, False),
+        "dict-uncached": (_miss_lookup_tables, tier_free, False),
         "columnar": (_miss_lookup_tables, two_tier, True),
-        "columnar-uncached": (
-            _miss_lookup_tables,
-            lambda pipeline: BatchPipeline(pipeline, cache_capacity=None),
-            True,
-        ),
-        "dict-scan": (_miss_flow_tables, two_tier, False),
+        "columnar-uncached": (_miss_lookup_tables, tier_free, True),
         "columnar-scan": (_miss_flow_tables, two_tier, True),
     }
-    replayers = {}
-    for name, (make_tables, factory, columnar) in runners.items():
-        replayers[name] = MissReplayer(
-            example, make_tables, factory, columnar=columnar
-        )
-        replayers[name].replay(example, trace)
-    _assert_miss_paths_agree(replayers, len(trace))
+    replayers = {
+        name: MissReplayer(example, make_tables, factory, columnar=columnar)
+        for name, (make_tables, factory, columnar) in runners.items()
+    }
+    captures = {
+        name: _hold_capture_to_spec(replayers[name].runner)
+        for name in ("columnar", "columnar-scan")
+    }
+    for replayer in replayers.values():
+        replayer.replay(example, trace)
+    _assert_miss_paths_agree(replayers, len(trace), captures)
 
 
 _prototype_example = st.fixed_dictionaries(
@@ -1054,8 +1064,9 @@ def _prototype_trace(example, arch) -> list[dict[str, int]]:
 def test_columnar_miss_path_prototype(example):
     """The ``cold`` benchmark's shape in miniature: small
     ``build_prototype`` pipelines, duplicate-heavy traces and mid-trace
-    flow-mods — columnar walk, dict wave loop and scan agree, and the
-    two runners end with identical megaflow state."""
+    flow-mods — columnar walk, tier-free dict wave loop and scan agree,
+    and every aggregate the walk installs matches the scalar capture
+    specification."""
     capacity = example["megaflow_capacity"]
 
     def two_tier(pipeline):
@@ -1063,15 +1074,20 @@ def test_columnar_miss_path_prototype(example):
             pipeline, cache_capacity=8, megaflow_capacity=capacity
         )
 
+    def tier_free(pipeline):
+        return BatchPipeline(pipeline, cache_capacity=None)
+
     replayers = {
         "scan": PrototypeReplayer(example, scan=True),
         "dict": PrototypeReplayer(example, False, two_tier),
+        "dict-uncached": PrototypeReplayer(example, False, tier_free),
         "columnar": PrototypeReplayer(example, False, two_tier, columnar=True),
     }
+    captures = {"columnar": _hold_capture_to_spec(replayers["columnar"].runner)}
     trace = _prototype_trace(example, replayers["scan"].arch)
     for replayer in replayers.values():
         replayer.replay(example, trace)
-    _assert_miss_paths_agree(replayers, len(trace))
+    _assert_miss_paths_agree(replayers, len(trace), captures)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Megaflow wildcard-cache behaviour: mask capture, aggregate replay,
 incremental invalidation, and stacked-cache differential fuzzing."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from repro.openflow.match import ExactMatch, Match, PrefixMatch
 from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
-from repro.packet.headers import FRAME_LEN_FIELD
+from repro.packet.headers import FRAME_LEN_FIELD, frame_length
 from repro.runtime import (
     BatchPipeline,
     MegaflowCache,
@@ -25,6 +27,7 @@ from repro.runtime import (
     uniform_wide_workload,
     widen_rule_set,
 )
+from repro.runtime.megaflow import Traversal
 
 
 def assert_same_result(a, b):
@@ -235,12 +238,12 @@ class TestIncrementalInvalidation:
 
 
 # ----------------------------------------------------------------------
-# columnar probe-and-credit == per-packet dict lookup
+# columnar probe-and-credit == a per-packet model of the same cache
 # ----------------------------------------------------------------------
 
 #: Overlapping wildcard masks: a packet carrying all three fields is
 #: covered under each of them, so which aggregate answers is decided by
-#: ``_probe`` order alone.
+#: mask order alone.
 _PROBE_MASKS = (
     (("in_port", 0xFFFFFFFF),),
     (("in_port", 0xFFFFFFFF), ("ipv4_dst", 0xFF000000)),
@@ -265,53 +268,140 @@ _probe_aggregate = st.tuples(
 )
 
 
-class _ProbeWorld:
-    """A two-table pipeline and a megaflow cache holding hand-installed
-    aggregates; built twice per example, once per probe shape."""
+class _PerPacketMegaflow:
+    """What the megaflow tier means, one packet at a time — the model
+    ``probe_credit`` / ``install_batch`` are held to.  Aggregates live
+    in one ``OrderedDict`` (the LRU) keyed ``(mask, value & mask
+    tuple)``, ``None`` standing for an absent field; masks are probed
+    in first-install order (a mask leaves with its last aggregate and
+    re-enters at the back); the first *valid* hit wins and a stale
+    aggregate drops on probe."""
 
-    def __init__(self, aggregates):
+    def __init__(self):
+        self.lru = OrderedDict()
+        self.masks = {}
+        self.hits = self.misses = self.invalidated = self.installs = 0
+
+    @staticmethod
+    def key(mask, fields):
+        return tuple(
+            None if (value := fields.get(name)) is None else value & bits
+            for name, bits in mask
+        )
+
+    def install(self, mask, fields, template, checks):
+        slot = (mask, self.key(mask, fields))
+        self.lru[slot] = {"template": template, "checks": checks, "hits": 0}
+        self.lru.move_to_end(slot)
+        self.masks.setdefault(mask, set()).add(slot)
+        self.installs += 1
+
+    def lookup(self, fields):
+        """The hit aggregate's template, or ``None``."""
+        for mask in list(self.masks):
+            slot = (mask, self.key(mask, fields))
+            aggregate = self.lru.get(slot)
+            if aggregate is None:
+                continue
+            if any(table.version != seen for table, seen in aggregate["checks"]):
+                del self.lru[slot]
+                self.masks[mask].remove(slot)
+                if not self.masks[mask]:
+                    del self.masks[mask]
+                self.invalidated += 1
+                continue
+            self.hits += 1
+            aggregate["hits"] += 1
+            self.lru.move_to_end(slot)
+            for matched in aggregate["template"].matched_entries:
+                matched.stats.record(frame_length(fields))
+            return aggregate["template"]
+        self.misses += 1
+        return None
+
+    def state(self):
+        return {
+            "counters": (self.hits, self.misses, self.invalidated, self.installs),
+            "lru": [
+                (mask, aggregate["template"].metadata, aggregate["hits"])
+                for (mask, _), aggregate in self.lru.items()
+            ],
+            "index": {
+                mask: sorted(self.lru[slot]["template"].metadata for slot in slots)
+                for mask, slots in self.masks.items()
+            },
+            "probe_order": list(self.masks),
+        }
+
+
+def _cache_state(cache):
+    """:meth:`_PerPacketMegaflow.state` of a real :class:`MegaflowCache`
+    (``metadata`` names the install, see :meth:`_ProbeWorld.install`)."""
+    return {
+        "counters": (cache.hits, cache.misses, cache.invalidated, cache.installs),
+        "lru": [
+            (mask, entry.template.metadata, entry.hits)
+            for (mask, _), entry in cache._lru.items()
+        ],
+        "index": {
+            mask: sorted(entry.template.metadata for entry in index.values())
+            for mask, index in cache._by_mask.items()
+        },
+        "probe_order": list(cache._by_mask),
+    }
+
+
+class _ProbeWorld:
+    """A two-table pipeline and a megaflow tier holding hand-installed
+    aggregates; built twice per example — around the real cache and
+    around the per-packet model."""
+
+    def __init__(self, aggregates, model=False):
         self.tables = [FlowTable(table_id=0), FlowTable(table_id=1)]
         self.flow_entries = []
         for table in self.tables:
             entry = output_entry(Match.exact(in_port=table.table_id), 1, 10)
             table.add(entry)
             self.flow_entries.append(entry)
-        self.cache = MegaflowCache(OpenFlowPipeline(self.tables), capacity=64)
+        self.model = model
+        self.cache = (
+            _PerPacketMegaflow()
+            if model
+            else MegaflowCache(OpenFlowPipeline(self.tables), capacity=64)
+        )
         self.installed = 0
         for mask_index, fields, deep in aggregates:
             self.install(_PROBE_MASKS[mask_index], fields, deep)
 
     def install(self, mask, fields, deep):
-        recorder = MegaflowRecorder()
-        recorder.fields = dict(mask)
         visited = self.tables[: 2 if deep else 1]
-        for table in visited:
-            recorder.note_table(table.table_id, table.version)
         self.installed += 1
-        self.cache.install(
-            fields,
-            recorder,
-            PipelineResult(
-                matched_entries=self.flow_entries[: len(visited)],
-                # Names the aggregate in whatever shape a probe answers.
-                metadata=self.installed,
-                tables_visited=[table.table_id for table in visited],
-                final_fields=dict(fields),
-            ),
+        template = PipelineResult(
+            matched_entries=self.flow_entries[: len(visited)],
+            # Names the aggregate in whatever shape a probe answers.
+            metadata=self.installed,
+            tables_visited=[table.table_id for table in visited],
+        )
+        if self.model:
+            self.cache.install(
+                mask, fields, template, [(table, table.version) for table in visited]
+            )
+            return
+        one = np.zeros(1, dtype=np.int64)
+        traversal = Traversal(
+            template, {}, tuple((table.table_id, table.version) for table in visited)
+        )
+        self.cache.install_batch(
+            PacketBatch.from_dicts([fields]), one, [mask], one, [traversal], one
         )
 
     def state(self):
-        cache = self.cache
-        return {
-            "counters": (cache.hits, cache.misses, cache.invalidated, cache.installs),
-            "lru": [(slot, entry.hits) for slot, entry in cache._lru.items()],
-            "probe_order": [mask for mask, _ in cache._probe],
-            "packed": {mask: sorted(index) for mask, index in cache._packed.items()},
-            "flow_stats": [
-                (entry.stats.packet_count, entry.stats.byte_count)
-                for entry in self.flow_entries
-            ],
-        }
+        state = self.cache.state() if self.model else _cache_state(self.cache)
+        state["flow_stats"] = [
+            (entry.stats.packet_count, entry.stats.byte_count)
+            for entry in self.flow_entries
+        ]
+        return state
 
 
 #: Covered under both of the first two masks.
@@ -320,7 +410,8 @@ _BOTH = {"in_port": 1, "ipv4_dst": 0x0A000001, FRAME_LEN_FIELD: 64}
 
 class TestProbeCreditEquivalence:
     """``probe_credit`` over a columnar batch leaves exactly what
-    per-packet ``lookup_batch`` over the same dicts leaves."""
+    probing the same packets one by one leaves
+    (:class:`_PerPacketMegaflow`)."""
 
     @settings(max_examples=200)
     @given(
@@ -347,7 +438,7 @@ class TestProbeCreditEquivalence:
         picks=[0, 1, 2, 0],
         stale=False,
     )
-    # Two masks cover the packet: the first in ``_probe`` order wins,
+    # Two masks cover the packet: the first in probe order wins,
     # whichever way round they were installed.
     @example(
         aggregates=[(1, _BOTH, False), (0, _BOTH, False)],
@@ -378,18 +469,18 @@ class TestProbeCreditEquivalence:
     )
     def test_matches_per_packet_lookup(self, aggregates, pool, picks, stale):
         packets = [pool[pick % len(pool)] for pick in picks]
-        columnar, scalar = _ProbeWorld(aggregates), _ProbeWorld(aggregates)
+        columnar, scalar = _ProbeWorld(aggregates), _ProbeWorld(aggregates, model=True)
         if stale:
             for world in (columnar, scalar):
                 world.tables[1].add(output_entry(Match.exact(in_port=9), 2, 30))
         # Round two re-probes after the misses were re-installed, so a
-        # drop that left either index behind would show.
+        # drop that left the index or the LRU behind would show.
         for _ in range(2):
             batch = PacketBatch.from_dicts(packets)
             entries, missed, buckets = columnar.cache.probe_credit(
                 batch, batch.frame_lengths()
             )
-            replayed = scalar.cache.lookup_batch(packets)
+            replayed = [scalar.cache.lookup(fields) for fields in packets]
             assert [
                 None if entry is None else entry.template.metadata
                 for entry in entries
@@ -421,7 +512,7 @@ class TestProbeCreditEquivalence:
         assert missed.tolist() == [0, 1, 2] and buckets == []
         cache = world.cache
         assert (cache.invalidated, cache.misses, cache.hits) == (1, 3, 0)
-        assert len(cache) == 0 and not cache._packed and not cache._by_mask
+        assert len(cache) == 0 and not cache._by_mask
 
 
 def _fuzz_rule_pool():

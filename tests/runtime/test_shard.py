@@ -7,6 +7,7 @@ import signal
 import sys
 from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.core.architecture import MultiTableLookupArchitecture
@@ -15,6 +16,7 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import WriteActions
 from repro.openflow.match import Match
+from repro.packet.batch import PacketBatch
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
@@ -901,12 +903,20 @@ class TestReplyFramesFailClosed:
         assert not sharded._reply_buffer
 
 
-class _RoutedSharded(ShardedBatchPipeline):
-    """Deterministic routing for the out-of-order tests: packets go to
-    the worker named by their ``in_port`` (mod workers)."""
+class RoutedSharded(ShardedBatchPipeline):
+    """Deterministic routing for the out-of-order and chaos tests:
+    packets go to the worker named by their ``route_field`` value (mod
+    workers), read off the submitted batch's lane."""
 
-    def shard_of(self, packet_fields):
-        return packet_fields.get("in_port", 0) % self.workers
+    route_field = "in_port"
+
+    def _shard_groups(self, batch):
+        lane = batch.column(self.route_field).lanes[0][batch.pick]
+        assigned = lane.astype(np.int64) % self.workers
+        return {
+            worker: np.flatnonzero(assigned == worker)
+            for worker in np.unique(assigned).tolist()
+        }
 
 
 class TestOutOfOrderCollect:
@@ -915,7 +925,7 @@ class TestOutOfOrderCollect:
 
     def routed_batches(self, rule_set, sizes=(6, 4)):
         """One batch per worker: batch i's packets all carry in_port=i,
-        so _RoutedSharded pins batch 0 to worker 0 and batch 1 to
+        so RoutedSharded pins batch 0 to worker 0 and batch 1 to
         worker 1."""
         workload = SCENARIOS["zipf"](
             rule_set, packet_count=max(sizes) * 4, flow_count=8
@@ -936,7 +946,7 @@ class TestOutOfOrderCollect:
         batches = self.routed_batches(small_routing_set)
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
         expected = [single.process_batch(batch) for batch in batches]
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=2, depth=2, cache_capacity=64
         ) as sharded:
             seq0 = sharded.submit_batch(batches[0])
@@ -956,7 +966,7 @@ class TestOutOfOrderCollect:
 
     def test_collect_unknown_seq_rejected(self, small_routing_set):
         batches = self.routed_batches(small_routing_set)
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=2, depth=2
         ) as sharded:
             with pytest.raises(RuntimeError, match="no batch in flight"):
@@ -980,7 +990,7 @@ class TestOutOfOrderCollect:
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=None)
         expected_light = single.process_batch(light)
         expected_heavy = single.process_batch(heavy)
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set),
             workers=2,
             depth=2,
@@ -1013,7 +1023,7 @@ class TestOutOfOrderCollect:
         was collected: an out-of-order collect can leave the oldest
         batch holding the next submission's slot."""
         batches = self.routed_batches(small_routing_set, sizes=(4, 4, 4))
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=3, depth=2
         ) as sharded:
             seq0 = sharded.submit_batch(batches[0])
@@ -1032,7 +1042,7 @@ class TestOutOfOrderCollect:
         batches = self.routed_batches(small_routing_set)
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
         expected = [single.process_batch(batch) for batch in batches]
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=2, depth=2, cache_capacity=64
         ) as sharded:
             sharded.submit_batch(batches[0])
@@ -1044,7 +1054,8 @@ class TestOutOfOrderCollect:
 
 class TestShardGroups:
     """``_shard_groups``: member positions per worker as ascending
-    index arrays, computed in one pass (no worker is spawned here)."""
+    index arrays, computed in one pass over the lanes — one assignment
+    whatever shape the packets were submitted in."""
 
     def trace(self, rule_set, count=96):
         return SCENARIOS["zipf"](
@@ -1053,28 +1064,46 @@ class TestShardGroups:
 
     @staticmethod
     def assert_partition(groups, size):
-        import numpy as np
-
         members = np.concatenate(list(groups.values()))
         assert sorted(members.tolist()) == list(range(size))
         for positions in groups.values():
             assert positions.dtype == np.int64
             assert positions.tolist() == sorted(positions.tolist())
 
+    @staticmethod
+    def submitted_groups(sharded, batch):
+        """The groups ``batch`` is dispatched under (left in flight)."""
+        groups = sharded._inflight[sharded.submit_batch(batch)].groups
+        return {worker: members.tolist() for worker, members in groups.items()}
+
     def test_dict_batch_follows_shard_of(self, small_routing_set):
+        """A dict submission and a columnar submission of one trace
+        land on the same workers, packet for packet — the assignment
+        ``shard_of`` names — both on the cold-start hash (every column
+        but ``frame_len``) and on the learned megaflow fields."""
         trace = self.trace(small_routing_set)
-        sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=3)
-        groups = sharded._shard_groups(trace)
-        self.assert_partition(groups, len(trace))
-        assert len(groups) > 1
-        for worker, positions in groups.items():
-            assert {sharded.shard_of(trace[i]) for i in positions.tolist()} == {
-                worker
-            }
+        with ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=3,
+            cache_capacity=64,
+            megaflow_capacity=128,
+        ) as sharded:
+            for learned in (False, True):
+                assert bool(sharded._learned_fields) == learned
+                by_dicts = self.submitted_groups(sharded, trace)
+                by_lanes = self.submitted_groups(
+                    sharded, PacketBatch.from_dicts(trace)
+                )
+                assert by_dicts == by_lanes
+                assert len(by_dicts) > 1
+                for worker, positions in by_dicts.items():
+                    assert {sharded.shard_of(trace[i]) for i in positions} == {
+                        worker
+                    }
+                sharded.collect_batch()
+                sharded.collect_batch()
 
     def test_columnar_batch_keeps_a_flow_on_one_worker(self, small_routing_set):
-        from repro.packet.batch import PacketBatch
-
         trace = self.trace(small_routing_set)
         batch = PacketBatch.from_dicts(trace)
         sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=3)
@@ -1087,19 +1116,19 @@ class TestShardGroups:
                 assert worker_of_row.setdefault(row, worker) == worker
 
     def test_single_worker_skips_the_hash(self, small_routing_set, monkeypatch):
-        from repro.packet.batch import PacketBatch
-
         def no_hash(*args, **kwargs):
             raise AssertionError("one worker: nothing to hash for")
 
         monkeypatch.setattr(PacketBatch, "key_hashes", no_hash)
-        monkeypatch.setattr(ShardedBatchPipeline, "shard_of", no_hash)
         trace = self.trace(small_routing_set)
-        sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=1)
-        for batch in (trace, PacketBatch.from_dicts(trace)):
-            groups = sharded._shard_groups(batch)
-            assert list(groups) == [0]
-            assert groups[0].tolist() == list(range(len(trace)))
+        with ShardedBatchPipeline(
+            make_arch(small_routing_set), workers=1
+        ) as sharded:
+            for batch in (trace, PacketBatch.from_dicts(trace)):
+                groups = self.submitted_groups(sharded, batch)
+                assert groups == {0: list(range(len(trace)))}
+                sharded.collect_batch()
+            assert sharded.shard_of(trace[0]) == 0
 
 
 class TestColumnarSharded:
@@ -1146,10 +1175,9 @@ class TestColumnarSharded:
         """Dict and PacketBatch submissions differ only parent-side
         (where the dicts are columnarised): the same trace submitted
         either way yields identical results, per-entry counters and
-        worker cache/megaflow/wave counters.  One worker, so the two
-        shard hashes cannot steer cache locality apart."""
-        from repro.packet.batch import PacketBatch
-
+        worker cache/megaflow/wave counters — across two workers,
+        because both shapes are assigned by the one lane hash, so each
+        flow warms the same worker's caches either way."""
         trace = SCENARIOS["zipf"](
             small_routing_set, packet_count=96, flow_count=8, frame_len="imix"
         ).events[0][1]
@@ -1158,7 +1186,7 @@ class TestColumnarSharded:
         def replay(convert):
             arch = make_arch(small_routing_set)
             with ShardedBatchPipeline(
-                arch, workers=1, cache_capacity=64, megaflow_capacity=128
+                arch, workers=2, cache_capacity=64, megaflow_capacity=128
             ) as sharded:
                 results = [
                     result
