@@ -183,8 +183,40 @@ class OpenFlowPipeline:
             for action in action_set:
                 if isinstance(action, SetFieldAction):
                     mask.mark_rewritten(action.field_name)
-        if not result.output_ports and not result.sent_to_controller:
-            result.dropped = True
+        return result
+
+    def replay_path(self, matched: Sequence[FlowEntry]) -> PipelineResult:
+        """The outcome of the entry path ``matched``, with no packet and
+        no lookup: what :meth:`process` returns for any packet matching
+        exactly these entries, in this order, apart from the packet's
+        own fields.
+
+        An outcome is a pure function of (entry path, miss policy), so
+        the batched runtime builds one per *distinct* path — the
+        columnar walk from the entries its waves matched, the sharded
+        parent from the entry refs a worker replied with.  The replay
+        starts from empty fields: ``final_fields`` comes back holding
+        exactly the path's rewrites.  A path that still owes a table
+        when its entries run out ended in a table miss there; entries
+        left over once no Goto-Table remains raise
+        :class:`PipelineError`.
+        """
+        result = PipelineResult(matched_entries=list(matched))
+        action_set: list[Action] = []
+        table_id: int | None = self._order[0]
+        for entry in result.matched_entries:
+            if table_id is None:
+                raise PipelineError(
+                    f"entry path continues past its end: {entry.match} "
+                    f"follows an entry with no Goto-Table"
+                )
+            result.tables_visited.append(table_id)
+            table_id = self._execute_instructions(entry, action_set, result)
+        if table_id is None:
+            self._execute_action_set(action_set, result)
+        else:
+            result.tables_visited.append(table_id)
+            self._handle_miss(result)
         return result
 
     def _execute_instructions(
@@ -220,8 +252,13 @@ class OpenFlowPipeline:
     def _execute_action_set(
         self, action_set: list[Action], result: PipelineResult
     ) -> None:
+        """The end of a path that matched to its last table: run the
+        accumulated action set in the OpenFlow-specified order; a packet
+        nothing then output is dropped."""
         for action in action_set_order(tuple(action_set)):
             self._execute_action(action, result)
+        if not result.output_ports and not result.sent_to_controller:
+            result.dropped = True
 
     def _execute_action(self, action: Action, result: PipelineResult) -> None:
         result.applied_actions.append(action)

@@ -138,16 +138,18 @@ always *attaches* to the request block's columns
 in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and
-encodes its reply straight from the traversal templates
+encodes its reply straight from the traversals
 (:func:`~repro.runtime.transport.encode_outcomes`): each *distinct*
 traversal of the sub-batch — the aggregate a position hit, or the one
-the miss path built for it — is written once (flags, ports,
-matched-entry refs, action ids, its rewrite overrides), every position
-adds one code, and per-traversal packet/byte sums come off the
-``frame_len`` lane — so no row is materialised worker-side at all.
+the miss path built for it — is written once, as its matched-entry
+refs and nothing they already determine, every position adds one code,
+and per-traversal packet/byte sums come off the ``frame_len`` lane — so
+no row is materialised worker-side at all and nothing is pickled.
 The parent's collect path
-(:func:`~repro.runtime.transport.decode_outcomes`) rebuilds one
-template per traversal against its own pinned tables and materialises
+(:func:`~repro.runtime.transport.decode_outcomes`) resolves the refs
+against its own pinned tables, replays each traversal once through
+:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` — the
+function the miss path builds its templates with — and materialises
 nothing per packet.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:

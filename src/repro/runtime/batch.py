@@ -203,7 +203,7 @@ class BatchPipeline:
         materialisation: local callers index or iterate it for
         :class:`PipelineResult` s (bitwise-identical to mapping
         ``pipeline.process`` over the batch),
-        the decode-free sharded worker encodes its distinct templates
+        the decode-free sharded worker encodes its distinct traversals
         directly.
         """
         self.packets += len(batch)
@@ -324,10 +324,7 @@ class BatchPipeline:
                     pending.setdefault(next_table, []).append(i)
 
         for i in completed:
-            result = results[i]
-            pipeline._execute_action_set(action_sets[i], result)
-            if not result.output_ports and not result.sent_to_controller:
-                result.dropped = True
+            pipeline._execute_action_set(action_sets[i], results[i])
         for result in results:
             matched_entries = len(result.matched_entries)
             if matched_entries:
@@ -397,10 +394,10 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     *distinct* path and nothing per packet.
 
     Both runners hand this type back: :meth:`BatchPipeline.classify_columnar`
-    in-process, and the sharded parent from the templates its workers
-    reply with (:func:`~repro.runtime.transport.encode_outcomes` ships
-    each distinct traversal once plus one code per position, see
-    :meth:`distinct`), so no row is materialised as a dict on either
+    in-process, and the sharded parent from the entry paths its workers
+    reply with (:func:`~repro.runtime.transport.encode_outcomes` names
+    each distinct traversal's entries once plus one code per position,
+    see :meth:`distinct`), so no row is materialised as a dict on either
     side until somebody indexes or iterates the outcome.
     """
 

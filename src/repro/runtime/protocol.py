@@ -42,15 +42,9 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from repro.openflow.actions import Action
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
-from repro.runtime.batch import BatchStats
-from repro.runtime.transport import (
-    PacketBlockLayout,
-    ResultBlockLayout,
-    Segment,
-)
+from repro.runtime.transport import PacketBlockLayout, Segment
 
 
 class AddMutation(NamedTuple):
@@ -116,10 +110,13 @@ class CloseRequest(NamedTuple):
 
 
 class ShmReply(NamedTuple):
-    """One sub-batch's reply: its distinct traversals, one code per
-    position and the flow-stats delta lanes, columnar; the parent
-    decodes them against its own pinned tables via the layout + action
-    vocabulary.
+    """One sub-batch's reply, which names entries, not outcomes: the
+    block holds each distinct traversal's matched-entry refs, one code
+    per position, the flow-stats delta lanes and the worker's counters
+    (:func:`~repro.runtime.transport.encode_outcomes`), and the parent
+    replays the refs against its own pinned tables.  The frame itself is
+    a tag, a seq, optional bytes, segment tuples and field-name strings
+    — no class instance crosses the reply pipe.
 
     ``block`` is ``None`` when the lanes sit in the response slot the
     request named — the steady state — and the encoded bytes themselves
@@ -132,10 +129,7 @@ class ShmReply(NamedTuple):
     seq: int
     block: bytearray | None
     segments: tuple[Segment, ...]
-    result_layout: ResultBlockLayout
-    vocabulary: list[Action]
     mask_fields: tuple[str, ...]
-    stats: BatchStats
 
 
 class ByeReply(NamedTuple):

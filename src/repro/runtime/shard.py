@@ -40,13 +40,18 @@ parent owns every segment** — request ring, response ring, sealed
 rules — and a worker only ever attaches, so a SIGKILLed worker strands
 nothing by construction.  A reply that outgrows its slot rides in the
 control reply as bytes instead (nothing is truncated or classified
-twice) and the parent grows the slots before their next use.  A worker
-**replies once per traversal**: each *distinct* traversal of its
-sub-batch is encoded once, every position costs one ``int32`` code, and
-the flow-stats delta rides in the same block as two per-traversal lanes
-(packets, frame bytes).
-The parent decodes the templates against the entry order it pinned at
-submission, credits its counters and its authoritative
+twice) and the parent grows the slots before their next use.  A reply
+**names each traversal's entries once**: each *distinct* traversal of
+the sub-batch ships as the ``(table_id, position)`` refs of the entries
+it matched — nothing those entries already determine — every position
+costs one ``int32`` code, and the flow-stats delta (packets, frame
+bytes per traversal) and the worker's five cache counters ride in the
+same block, so a reply frame pickles no class instance.
+The parent resolves the refs against the entry order it pinned at
+submission, replays its own entries through
+:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` (the
+function the worker's walk built the same template with), credits its
+counters and its authoritative
 :class:`~repro.openflow.flow.FlowEntry` stats per traversal — so flow
 stats match the single-process run exactly instead of being stranded in
 replicas — and hands back the same lazily materialised
@@ -84,7 +89,7 @@ uncollected batch raises.
 **Workers are decode-free** for every submission: the worker attaches
 to the request block's columns in place and classifies through
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, encoding
-its reply straight from the distinct traversal templates
+its reply straight from the distinct traversals' matched entries
 (:func:`~repro.runtime.transport.encode_outcomes`) — cache misses walk
 the tables as index arrays, so no row is materialised as a dict
 worker-side.  Dict
@@ -187,6 +192,7 @@ from repro.runtime.transport import (
     DecodedReply,
     EntryIndex,
     PacketBlockCodec,
+    REPLY_COUNTERS,
     ReplyDecodeError,
     Segment,
     SharedBlock,
@@ -406,6 +412,17 @@ def _apply_mutations(
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
 
 
+def _reply_counters(runner: BatchPipeline) -> list[int]:
+    """A replica's cache, megaflow and wave counters, in the order the
+    reply's ``res/stats`` lane carries them."""
+    stats = runner.stats_snapshot()
+    return [getattr(stats, name) for name in REPLY_COUNTERS]
+
+
+#: What a worker that has not replied yet has counted.
+_NO_COUNTERS: Sequence[int] = (0,) * len(REPLY_COUNTERS)
+
+
 def _place_reply(
     writer: BlockWriter, slot: memoryview | None
 ) -> tuple[bytearray | None, tuple[Segment, ...]]:
@@ -440,11 +457,11 @@ def _serve_shm(
     reader = BlockReader(blocks.buf(block_name), segments)
     writer = BlockWriter()
     # Decode-free: classify straight off the block's columns; hits and
-    # misses alike are encoded from their traversal templates, once per
+    # misses alike are encoded as their matched-entry refs, once per
     # distinct traversal.
     batch = codec.attach(reader, layout, reader.get(members_key))
     outcomes = runner.classify_columnar(batch)
-    result_layout, vocabulary = encode_outcomes(writer, outcomes, index)
+    encode_outcomes(writer, outcomes, index, _reply_counters(runner))
     runner.megaflow_bypass = False
     faults.fire(worker_id, seq, "after-stats")
     block, response_segments = _place_reply(writer, blocks.buf(reply_block))
@@ -453,10 +470,7 @@ def _serve_shm(
         seq,
         block,
         response_segments,
-        result_layout,
-        vocabulary,
         runner.megaflow.mask_fields() if runner.megaflow is not None else (),
-        runner.stats_snapshot(),
     )
     faults.fire(worker_id, seq, "before-reply")
     return reply
@@ -480,10 +494,10 @@ def _worker_main(
     """Worker loop: apply log suffix, classify sub-batch, reply.
 
     A ``("shm", seq, ...)`` request is the only work item, and every
-    request gets exactly one ``"ok"`` reply: templates, codes and
-    flow-stats delta lanes written into the response slot the request
-    names (or riding in the reply when they outgrew it), plus the
-    worker's megaflow mask fields and its stats snapshot.  An unknown
+    request gets exactly one ``"ok"`` reply: entry refs, codes,
+    flow-stats delta lanes and the worker's counters written into the
+    response slot the request names (or riding in the reply when they
+    outgrew it), plus the worker's megaflow mask fields.  An unknown
     tag raises: the worker dies, its sentinel fires and supervision
     classifies a crash — the parent never waits on a reply that will
     not come.
@@ -657,7 +671,7 @@ class ShardedBatchPipeline:
         self._megaflow_capacity = megaflow_capacity
         self._learned_fields: set[str] = set()
         self._cursors = [0] * self.workers
-        self._worker_stats = [BatchStats() for _ in range(self.workers)]
+        self._worker_stats = [_NO_COUNTERS] * self.workers
         self._conns: list = []
         self._procs: list = []
         self._codec = PacketBlockCodec()
@@ -831,7 +845,7 @@ class ShardedBatchPipeline:
         self._conns = []
         self._procs = []
         self._cursors = [0] * self.workers
-        self._worker_stats = [BatchStats() for _ in range(self.workers)]
+        self._worker_stats = [_NO_COUNTERS] * self.workers
         self._worker_pending = [deque() for _ in range(self.workers)]
         self._reply_buffer.clear()
         for block in self._requests + sum(self._responses, []):
@@ -1382,10 +1396,11 @@ class ShardedBatchPipeline:
         """Decode and merge one in-flight batch whose replies are all
         parked (:meth:`_await` saw to that).
 
-        Each shard's reply is decoded once per distinct traversal
-        against the batch's pinned entry order; runner counters and the
-        pinned entries' flow stats are credited per traversal from the
-        reply's delta lanes.  What comes back is unmaterialised: no
+        Each shard's reply is decoded once per distinct traversal —
+        its refs resolved against the batch's pinned entry order and
+        replayed through the authoritative pipeline; runner counters
+        and the pinned entries' flow stats are credited per traversal
+        from the reply's delta lanes.  What comes back is unmaterialised: no
         per-packet object exists until the caller reads the outcome.
 
         The batch is forgotten before anything is decoded, so a reply
@@ -1410,16 +1425,17 @@ class ShardedBatchPipeline:
             decoded.append(
                 decode_outcomes(
                     BlockReader(block, reply.segments),
-                    reply.result_layout,
-                    reply.vocabulary,
+                    self._authoritative,
                     pinned,
                     len(members),
                 )
             )
-            self._learned_fields.update(reply.mask_fields)
-            self._worker_stats[worker] = reply.stats
         replays: list[Traversal] = [None] * len(batch)  # type: ignore[list-item]
-        for members, shard in zip(inflight.groups.values(), decoded):
+        for (worker, members), reply, shard in zip(
+            inflight.groups.items(), replies, decoded
+        ):
+            self._learned_fields.update(reply.mask_fields)
+            self._worker_stats[worker] = shard.counters
             traversals = shard.traversals
             for traversal, packets, byte_count in zip(
                 traversals, shard.packets, shard.byte_sums
@@ -1479,7 +1495,7 @@ class ShardedBatchPipeline:
             return
         self._conns[worker], self._procs[worker] = self._spawn_worker(worker)
         self._cursors[worker] = 0
-        self._worker_stats[worker] = BatchStats()
+        self._worker_stats[worker] = _NO_COUNTERS
         sup.stats.restarts += 1
         # Deterministic replay: each lost seq re-sent in order, the log
         # suffix recomputed against the fresh replica's zero cursor and
@@ -1535,20 +1551,11 @@ class ShardedBatchPipeline:
         # then decodes a degraded shard exactly like a live one.
         assert self._inline_index is not None
         writer = BlockWriter()
-        layout, vocabulary = encode_outcomes(
-            writer, outcomes, self._inline_index
+        encode_outcomes(
+            writer, outcomes, self._inline_index, _reply_counters(runner)
         )
         block, segments = _place_reply(writer, None)
-        self._reply_buffer[(seq, worker)] = ShmReply(
-            "ok",
-            seq,
-            block,
-            segments,
-            layout,
-            vocabulary,
-            (),
-            runner.stats_snapshot(),
-        )
+        self._reply_buffer[(seq, worker)] = ShmReply("ok", seq, block, segments, ())
         self._supervisor.stats.inline_packets += len(members)
 
     def _maybe_prune_log(self, log_len: int) -> None:
@@ -1634,12 +1641,8 @@ class ShardedBatchPipeline:
             advances=self.lifecycle.stats.advances,
             expired=self.lifecycle.stats.expired,
         )
-        for worker_stats in self._worker_stats:
-            stats.cache_hits += worker_stats.cache_hits
-            stats.cache_misses += worker_stats.cache_misses
-            stats.megaflow_hits += worker_stats.megaflow_hits
-            stats.megaflow_misses += worker_stats.megaflow_misses
-            stats.waves += worker_stats.waves
+        for name, values in zip(REPLY_COUNTERS, zip(*self._worker_stats)):
+            setattr(stats, name, sum(values))
         return stats
 
     def supervision_snapshot(self) -> dict[str, int]:

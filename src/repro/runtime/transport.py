@@ -21,14 +21,16 @@ the same block), so fan-out cost no longer scales with worker count.
 **Result blocks.**  Workers encode their classification outcomes
 (:func:`encode_outcomes`) columnar into the parent-owned response
 slot their request names, **once per distinct traversal** of the
-sub-batch, not once per packet: per template, fixed-width lanes for flags/metadata, offset+value lanes for
-the variable-length lists, rewrite overrides against the input packets
-the parent already holds, applied actions as indices into a tiny
-per-batch action vocabulary (pickled in the control reply — distinct
-actions per batch are few), and matched entries as
-``(table_id, position)`` **entry refs** resolved against each side's
-own tables; per position, one ``int32`` code naming its template.
-:func:`decode_outcomes` is the parent's half and fails closed
+sub-batch, not once per packet — and a reply names *entries*, not
+outcomes: a traversal ships as the ``(table_id, position)`` **entry
+refs** of the entries it matched, resolved against each side's own
+tables, and nothing those entries already determine (flags, metadata,
+tables visited, output ports, applied actions, rewrites) crosses the
+pipe; per position, one ``int32`` code naming its traversal.
+:func:`decode_outcomes` is the parent's half: it replays the pinned
+entries through the pipeline's own executor
+(:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`, which
+the worker's walk built the same template with) and fails closed
 (:class:`ReplyDecodeError`) on a block that does not fit its batch.
 
 **Entry refs and the stats return path.**  :class:`EntryIndex` maps
@@ -70,9 +72,9 @@ from typing import (
 
 import numpy as np
 
-from repro.openflow.actions import Action
+from repro.openflow.errors import PipelineError
 from repro.openflow.flow import FlowEntry
-from repro.openflow.pipeline import PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline
 from repro.packet.batch import FieldLanes, PacketBatch
 from repro.packet.headers import transport_schema
 from repro.runtime.megaflow import Traversal
@@ -471,119 +473,79 @@ def _entries_snapshot(table: Any) -> tuple[FlowEntry, ...]:
 
 class ReplyDecodeError(ValueError):
     """A reply block does not describe the sub-batch it answers: a code
-    lane of the wrong length, a code naming no template, a ragged lane
-    that does not cover its templates, or a matched ref or action id
-    outside what the parent pinned for the batch."""
+    lane of the wrong length, a code naming no traversal, a lane that
+    does not cover its traversals, a matched ref outside what the
+    parent pinned for the batch, or refs that do not chain into one
+    path through the pipeline."""
 
 
-@dataclass(frozen=True)
-class ResultBlockLayout:
-    """Decode recipe for one worker's encoded reply.
-
-    ``count`` is the sub-batch's position count (the code lane's
-    length); ``overrides`` holds one rewrite dict per *template*
-    (usually ``None``) — final fields are rebuilt parent-side as input
-    packet + overrides, exactly like megaflow replay.
-    """
-
-    count: int
-    overrides: tuple[dict[str, int] | None, ...] = ()
+#: The worker counters a reply carries, in ``res/stats`` lane order —
+#: the :class:`~repro.runtime.batch.BatchStats` fields only a worker can
+#: count (the parent counts traffic itself, from the delta lanes).
+REPLY_COUNTERS = (
+    "cache_hits",
+    "cache_misses",
+    "megaflow_hits",
+    "megaflow_misses",
+    "waves",
+)
 
 
 class DecodedReply(NamedTuple):
     """One reply, decoded: the sub-batch's distinct traversals (matched
-    entries already the parent's own), the traversal each position
-    took, and per traversal the packets and frame bytes it carried."""
+    entries the parent's own, everything else replayed from them), the
+    traversal each position took, per traversal the packets and frame
+    bytes it carried, and the worker's :data:`REPLY_COUNTERS`."""
 
     traversals: list[Traversal]
     codes: list[int]
     packets: list[int]
     byte_sums: list[int]
-
-
-_RESULT_SENT = 1
-_RESULT_DROPPED = 2
+    counters: list[int]
 
 
 def encode_outcomes(
     writer: BlockWriter,
     outcomes: ColumnarOutcomes,
     index: EntryIndex,
-) -> tuple[ResultBlockLayout, list[Action]]:
+    counters: Sequence[int],
+) -> None:
     """Encode a :class:`~repro.runtime.batch.ColumnarOutcomes` columnar —
     the decode-free worker's reply path.
 
-    Each *distinct* traversal of the sub-batch is encoded once from its
-    template (flags, metadata, tables, ports, matched refs, action ids,
-    plus its rewrite ``overrides`` in the layout); every position then
-    costs one ``int32`` code.  The flow-stats delta rides in the same
-    block as two per-template lanes — packets and frame bytes, summed
-    off the batch's ``frame_len`` lane — so no position ever touches a
-    dict and nothing per packet is pickled.
+    A traversal is named by the entries it matched and nothing else:
+    each *distinct* one of the sub-batch ships once, as its
+    ``(table_id, position)`` refs, and every position then costs one
+    ``int32`` code.  The flow-stats delta rides in the same block as two
+    per-traversal lanes — packets and frame bytes, summed off the
+    batch's ``frame_len`` lane — and the worker's ``counters``
+    (:data:`REPLY_COUNTERS`) as one more, so no position ever touches a
+    dict and nothing is pickled.
     """
     traversals, codes = outcomes.distinct()
-    templates = [traversal.template for traversal in traversals]
-    count = len(templates)
+    count = len(traversals)
     writer.put("res/codes", codes)
-    writer.put(
-        "res/flags",
-        np.fromiter(
-            (
-                template.sent_to_controller * _RESULT_SENT
-                | template.dropped * _RESULT_DROPPED
-                for template in templates
-            ),
-            dtype=np.uint8,
-            count=count,
-        ),
-    )
-    writer.put(
-        "res/metadata",
-        np.fromiter(
-            (template.metadata for template in templates),
-            dtype=np.uint64,
-            count=count,
-        ),
-    )
-    _put_ragged(
-        writer,
-        "res/tables",
-        [template.tables_visited for template in templates],
-        np.int32,
-    )
-    _put_ragged(
-        writer,
-        "res/ports",
-        [template.output_ports for template in templates],
-        np.uint64,
-    )
-    _put_ragged(
-        writer,
-        "res/matched",
+    refs = [
         [
-            [
-                part
-                for table_id, entry in zip(
-                    template.tables_visited, template.matched_entries
-                )
-                for part in index.ref(table_id, entry)
-            ]
-            for template in templates
-        ],
-        np.int32,
-    )
-    vocabulary: dict[Action, int] = {}
-    _put_ragged(
-        writer,
-        "res/actions",
-        [
-            [
-                vocabulary.setdefault(action, len(vocabulary))
-                for action in template.applied_actions
-            ]
-            for template in templates
-        ],
-        np.int32,
+            part
+            for table_id, entry in zip(
+                traversal.template.tables_visited,
+                traversal.template.matched_entries,
+            )
+            for part in index.ref(table_id, entry)
+        ]
+        for traversal in traversals
+    ]
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in refs], out=offsets[1:])
+    writer.put("res/matched/offsets", offsets)
+    writer.put(
+        "res/matched/values",
+        np.fromiter(
+            (part for row in refs for part in row),
+            dtype=np.int32,
+            count=int(offsets[-1]),
+        ),
     )
     writer.put(
         "res/packets",
@@ -596,77 +558,67 @@ def encode_outcomes(
             np.int64
         ),
     )
-    layout = ResultBlockLayout(
-        count=len(codes),
-        overrides=tuple(
-            traversal.overrides or None for traversal in traversals
-        ),
-    )
-    return layout, list(vocabulary)
+    writer.put("res/stats", np.asarray(counters, dtype=np.int64))
 
 
 def decode_outcomes(
     reader: BlockReader,
-    layout: ResultBlockLayout,
-    vocabulary: Sequence[Action],
+    pipeline: OpenFlowPipeline,
     pinned: Mapping[int, tuple[FlowEntry, ...]],
     expected: int,
 ) -> DecodedReply:
-    """Rebuild one reply's traversals against ``pinned`` — the entry
-    order the parent froze when it submitted the batch — so every
-    template references the parent's own authoritative entries.
+    """Rebuild one reply's traversals: resolve each one's refs against
+    ``pinned`` — the entry order the parent froze when it submitted the
+    batch — and replay the parent's own entries through ``pipeline``
+    (:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`, the
+    function the worker's walk built the same template with).
 
     ``expected`` is the member count the parent sent.  Fails closed: a
-    reply that does not fit it, its own templates or the pinned
-    snapshot raises :class:`ReplyDecodeError` here rather than
-    mis-resolving a template (or an ``IndexError``) at first read.
-    Everything returned is copied out of the block, so the response
-    ring slot is free for reuse as soon as this returns.
+    reply that does not fit it, its own lanes, the pinned snapshot or
+    the pipeline's table order raises :class:`ReplyDecodeError` here
+    rather than mis-resolving a template (or an ``IndexError``) at
+    first read.  Everything returned is copied out of the block, so the
+    response ring slot is free for reuse as soon as this returns.
     """
-    count = len(layout.overrides)
+    packets = reader.get("res/packets").tolist()
+    count = len(packets)
     codes = reader.get("res/codes")
-    if not len(codes) == layout.count == expected:
+    if len(codes) != expected:
         raise ReplyDecodeError(
-            f"code lane holds {len(codes)} positions (layout says "
-            f"{layout.count}) for a sub-batch of {expected}"
+            f"code lane holds {len(codes)} positions for a sub-batch "
+            f"of {expected}"
         )
     _require_range(codes, count, "codes")
-    _require_range(
-        reader.get("res/actions/values"), len(vocabulary), "action ids"
-    )
     traversals: list[Traversal] = []
-    for refs, action_ids, ports, flags, metadata, tables, overrides in zip(
-        _get_ragged(reader, "res/matched", count),
-        _get_ragged(reader, "res/actions", count),
-        _get_ragged(reader, "res/ports", count),
-        _get_lane(reader, "res/flags", count),
-        _get_lane(reader, "res/metadata", count),
-        _get_ragged(reader, "res/tables", count),
-        layout.overrides,
-    ):
+    for refs in _get_ragged(reader, "res/matched", count):
         if len(refs) % 2:
             raise ReplyDecodeError(
                 f"matched refs {refs} are not (table_id, position) pairs"
             )
-        traversals.append(
-            _traversal(
+        tables = refs[0::2]
+        try:
+            template = pipeline.replay_path(
                 [
-                    _pinned_entry(pinned, refs[j], refs[j + 1])
-                    for j in range(0, len(refs), 2)
-                ],
-                [vocabulary[action_id] for action_id in action_ids],
-                ports,
-                flags,
-                metadata,
-                tables,
-                overrides,
+                    _pinned_entry(pinned, table_id, position)
+                    for table_id, position in zip(tables, refs[1::2])
+                ]
             )
-        )
+        except PipelineError as error:
+            raise ReplyDecodeError(
+                f"matched refs {refs} run on past the end of their path"
+            ) from error
+        if template.tables_visited[: len(tables)] != tables:
+            raise ReplyDecodeError(
+                f"matched refs {refs} do not chain: the path visits "
+                f"tables {template.tables_visited}"
+            )
+        traversals.append(Traversal(template, template.final_fields, ()))
     return DecodedReply(
         traversals,
         codes.tolist(),
-        _get_lane(reader, "res/packets", count),
+        packets,
         _get_lane(reader, "res/bytes", count),
+        _get_lane(reader, "res/stats", len(REPLY_COUNTERS)),
     )
 
 
@@ -689,53 +641,11 @@ def _pinned_entry(
     return entries[position]
 
 
-def _traversal(
-    entries: list[FlowEntry],
-    applied: list[Action],
-    ports: list[int],
-    flags: int,
-    metadata: int,
-    tables: list[int],
-    overrides: dict[str, int] | None,
-) -> Traversal:
-    """One decoded template — built once per distinct traversal, never
-    per position (positions clone it through ``replay_template``)."""
-    template = PipelineResult(
-        matched_entries=entries,
-        applied_actions=applied,
-        output_ports=ports,
-        sent_to_controller=bool(flags & _RESULT_SENT),
-        dropped=bool(flags & _RESULT_DROPPED),
-        metadata=metadata,
-        tables_visited=tables,
-    )
-    return Traversal(template, overrides or {}, ())
-
-
-def _put_ragged(
-    writer: BlockWriter,
-    key: str,
-    rows: Sequence[Sequence[int]],
-    dtype: type[np.signedinteger] | type[np.unsignedinteger],
-) -> None:
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=offsets[1:])
-    writer.put(f"{key}/offsets", offsets)
-    writer.put(
-        f"{key}/values",
-        np.fromiter(
-            (value for row in rows for value in row),
-            dtype=dtype,
-            count=int(offsets[-1]),
-        ),
-    )
-
-
 def _get_lane(reader: BlockReader, key: str, count: int) -> list[int]:
     lane = reader.get(key)
     if len(lane) != count:
         raise ReplyDecodeError(
-            f"{key} holds {len(lane)} values, its layout needs {count}"
+            f"{key} holds {len(lane)} values, the reply needs {count}"
         )
     return lane.tolist()
 

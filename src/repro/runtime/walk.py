@@ -43,11 +43,11 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.openflow.actions import Action, SetFieldAction
+from repro.openflow.actions import SetFieldAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import CompiledStep
 from repro.openflow.match import FieldMaskSink
-from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline
 from repro.packet.batch import IndexArray, PacketBatch, UIntLane
 from repro.runtime.cache import MicroflowCache
 from repro.runtime.megaflow import MaskSig, Traversal
@@ -444,13 +444,11 @@ class ColumnarWalk:
 
     def _traversal(self, code: int) -> Traversal:
         """Replay one distinct entry path through the pipeline's own
-        executor.  The template starts from *empty* fields, so what the
-        replay leaves in ``final_fields`` is exactly the rewrites —
-        the traversal's overrides."""
-        pipeline = self.pipeline
+        executor (:meth:`OpenFlowPipeline.replay_path`); what the replay
+        leaves in ``final_fields`` is exactly the rewrites — the
+        traversal's overrides."""
         parent, entry = self._paths[code]
-        missed = entry is None
-        if missed:
+        if entry is None:  # a terminal table miss: the path is its parent's
             code = parent
         matched: list[FlowEntry] = []
         while code:
@@ -458,33 +456,8 @@ class ColumnarWalk:
             assert entry is not None
             matched.append(entry)
         matched.reverse()
-        # Direct construction, as in ``replay_template``: one of these
-        # per distinct path is the walk's hottest allocation.
-        template = PipelineResult.__new__(PipelineResult)
-        template.matched_entries = matched
-        template.applied_actions = []
-        template.output_ports = []
-        template.sent_to_controller = False
-        template.dropped = False
-        template.metadata = 0
-        visited: list[int] = []
-        template.tables_visited = visited
-        template.final_fields = {}
-        action_set: list[Action] = []
-        table_id: int | None = self._first_table
-        for entry in matched:
-            assert table_id is not None
-            visited.append(table_id)
-            table_id = pipeline._execute_instructions(entry, action_set, template)
-        if missed:
-            assert table_id is not None
-            visited.append(table_id)
-            pipeline._handle_miss(template)
-        else:
-            pipeline._execute_action_set(action_set, template)
-            if not template.output_ports and not template.sent_to_controller:
-                template.dropped = True
-        route = tuple(visited)
+        template = self.pipeline.replay_path(matched)
+        route = tuple(template.tables_visited)
         versions = self._route_versions.get(route)
         if versions is None:
             versions = self._route_versions[route] = tuple(

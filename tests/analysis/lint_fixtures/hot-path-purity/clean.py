@@ -31,11 +31,12 @@ def _scan_wave(self, table, members):
     return [table.lookup(self.batch.row_fields(row)) for row in members]
 
 
-def decode_outcomes(reader, layout, pinned):
-    # One template per *distinct traversal*, built by a helper; every
-    # position costs one code.
+def decode_outcomes(reader, pipeline, pinned):
+    # One template per *distinct traversal*, replayed from the entries
+    # its refs name; every position costs one code.
     templates = [
-        _template(pinned, refs) for refs in reader.get("res/matched")
+        pipeline.replay_path([pinned[ref] for ref in refs])
+        for refs in reader.get("res/matched")
     ]
     return templates, reader.get("res/codes").tolist()
 
@@ -46,7 +47,7 @@ def _collect(self, inflight, decoded):
     return inflight.batch, replays
 
 
-def _template(pinned, refs):
+def replay_path(self, matched):
     return PipelineResult(final_fields={})
 
 

@@ -37,7 +37,7 @@ def install_batch(self, batch, positions):
     return [self.install(batch.fields_at(i)) for i in positions]
 
 
-def decode_outcomes(reader, layout, inputs):
+def decode_outcomes(reader, pipeline, inputs):
     # The sharded reply is per traversal: a result per position is the
     # per-packet rebuild the codec exists to avoid.
     return [PipelineResult(final_fields=dict(packet)) for packet in inputs]

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.openflow.pipeline import OpenFlowPipeline
+
 _DEV_SHM = Path("/dev/shm")
 
 needs_dev_shm = pytest.mark.skipif(
@@ -39,6 +41,22 @@ def unlink_segments(names: set[str]) -> None:
             continue
         segment.close()
         segment.unlink()
+
+
+_REPLAY_PATH = OpenFlowPipeline.replay_path
+
+
+def replay_path_without_the_action_set(pipeline, matched):
+    """``OpenFlowPipeline.replay_path`` with the action-set execution
+    knocked out of it (``process`` keeps its own).  Monkeypatched in,
+    it gets Write-Actions wrong for whoever builds templates through
+    ``replay_path`` — which is how the tests prove the columnar walk
+    and the sharded decode both do."""
+    pipeline._execute_action_set = lambda action_set, result: None
+    try:
+        return _REPLAY_PATH(pipeline, matched)
+    finally:
+        del pipeline._execute_action_set
 
 
 @pytest.fixture(autouse=True)

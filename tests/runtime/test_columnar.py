@@ -34,7 +34,7 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
-from repro.openflow.pipeline import PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
@@ -54,7 +54,10 @@ from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 from repro.runtime.scenarios import columnar_workload
 from repro.runtime.walk import ColumnarWalk
 
-from tests.runtime.conftest import needs_dev_shm
+from tests.runtime.conftest import (
+    needs_dev_shm,
+    replay_path_without_the_action_set,
+)
 
 
 @pytest.fixture(scope="module")
@@ -592,6 +595,17 @@ class TestMissPathCostShape:
         ]
         assert [result.metadata for result in got] == [3, 0, 0, 3]
         assert got == [arch.process(fields) for fields in packets]
+
+    def test_walk_builds_its_templates_with_replay_path(self, monkeypatch):
+        """The miss-path test above fails once the action-set execution
+        is knocked out of ``OpenFlowPipeline.replay_path``: the walk has
+        no executor of its own (``test_shard.py`` breaks the sharded
+        decode with the same patch)."""
+        monkeypatch.setattr(
+            OpenFlowPipeline, "replay_path", replay_path_without_the_action_set
+        )
+        with pytest.raises(AssertionError):
+            self.test_metadata_register_feeds_later_keys()
 
 
 class TestShardedReplyCostShape:

@@ -79,7 +79,7 @@ from repro.openflow.instructions import (
     WriteMetadata,
 )
 from repro.openflow.match import ExactMatch, Match, PrefixMatch, RangeMatch
-from repro.openflow.pipeline import OpenFlowPipeline
+from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
 from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
@@ -933,6 +933,37 @@ def test_columnar_miss_path_equivalent(example):
     for replayer in replayers.values():
         replayer.replay(example, trace)
     _assert_miss_paths_agree(replayers, len(trace), captures)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(example=_miss_example, miss_policy=st.sampled_from(list(MissPolicy)))
+def test_replay_path_is_process_without_the_packet(example, miss_policy):
+    """An outcome is a pure function of (entry path, miss policy):
+    replaying the entries ``process`` matched — no packet, no lookup —
+    gives the processed result field for field, apart from the packet's
+    own fields; what the replay leaves in ``final_fields`` is exactly
+    what the path rewrote.  Over the scan tables and the decomposition
+    architecture alike: this is the one function the columnar walk and
+    the sharded decode both build their templates with."""
+    trace = _build_miss_trace(example)
+    for make_tables in (_miss_flow_tables, _miss_lookup_tables):
+        pipeline = MissReplayer(example, make_tables).pipeline
+        pipeline.miss_policy = miss_policy
+        for fields in trace:
+            processed = pipeline.process(fields)
+            replayed = pipeline.replay_path(processed.matched_entries)
+            assert {**fields, **replayed.final_fields} == processed.final_fields
+            assert (
+                dataclasses.replace(
+                    replayed, final_fields=processed.final_fields
+                )
+                == processed
+            ), f"{make_tables.__name__}: {fields}"
+            assert replayed.matched_entries is not processed.matched_entries
 
 
 _prototype_example = st.fixed_dictionaries(

@@ -16,6 +16,7 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import WriteActions
 from repro.openflow.match import Match
+from repro.openflow.pipeline import OpenFlowPipeline
 from repro.packet.batch import PacketBatch
 from repro.runtime import (
     SCENARIOS,
@@ -25,11 +26,14 @@ from repro.runtime import (
     run_workload,
 )
 from repro.runtime import transport
-from repro.runtime.batch import BatchStats
 from repro.runtime.protocol import ByeReply, ShmReply
-from repro.runtime.transport import ResultBlockLayout, SharedBlock
+from repro.runtime.transport import SharedBlock
 
-from tests.runtime.conftest import needs_dev_shm, shm_segments
+from tests.runtime.conftest import (
+    needs_dev_shm,
+    replay_path_without_the_action_set,
+    shm_segments,
+)
 from tests.runtime.test_megaflow import assert_same_result
 
 
@@ -691,18 +695,23 @@ class TestSharedMemoryLifecycle:
 
 
 class _RecordingConn(ConnProxy):
-    """Notes, per received reply, whether it travelled as bytes in the
-    frame (True) or through its response slot (False)."""
+    """Keeps every reply frame it receives, in arrival order."""
 
-    def __init__(self, conn, as_bytes):
+    def __init__(self, conn, frames):
         super().__init__(conn)
-        self._as_bytes = as_bytes
+        self._frames = frames
 
     def recv(self):
         frame = self._conn.recv()
         if frame[0] == "ok":
-            self._as_bytes.append(getattr(frame, "block", None) is not None)
+            self._frames.append(frame)
         return frame
+
+
+def as_bytes(frames):
+    """Per reply, whether it travelled as bytes in the frame (True) or
+    through its response slot (False)."""
+    return [frame.block is not None for frame in frames]
 
 
 def entry_counts(entries):
@@ -718,8 +727,10 @@ class TestParentOwnsEverySegment:
     """The response ring is the parent's, like the request ring and the
     sealed rules: a worker attaches and writes, it never creates."""
 
-    #: Small enough that a 64-packet reply outgrows a fresh slot.
-    TINY_BLOCK = 1 << 10
+    #: Small enough that half a 64-packet batch's reply (a 4-byte code
+    #: per position, 16 bytes of refs per distinct traversal and five
+    #: more small lanes) outgrows a fresh slot.
+    TINY_BLOCK = 1 << 8
 
     def batches(self, rule_set, count, size=64):
         trace = SCENARIOS["uniform"](
@@ -745,7 +756,7 @@ class TestParentOwnsEverySegment:
         monkeypatch.setattr(SharedBlock, "ensure", spy)
         monkeypatch.setattr(transport, "MIN_BLOCK_BYTES", self.TINY_BLOCK)
         before = shm_segments()
-        as_bytes = []
+        frames = []
         with ShardedBatchPipeline(
             make_arch(small_routing_set),
             workers=workers,
@@ -756,13 +767,13 @@ class TestParentOwnsEverySegment:
             batches = self.batches(small_routing_set, count=5)
             sharded._ensure_started()
             sharded._conns = [
-                _RecordingConn(conn, as_bytes) for conn in sharded._conns
+                _RecordingConn(conn, frames) for conn in sharded._conns
             ]
             for results in sharded.process_batches(batches):
                 assert len(results) == len(batches[0])
             appeared = shm_segments() - before
             assert appeared and appeared <= created
-            assert any(as_bytes), "no reply outgrew its slot"
+            assert any(as_bytes(frames)), "no reply outgrew its slot"
             for proc in sharded._procs:
                 os.kill(proc.pid, signal.SIGKILL)
             for proc in sharded._procs:
@@ -784,7 +795,7 @@ class TestParentOwnsEverySegment:
         single = BatchPipeline(ref_arch, cache_capacity=64, megaflow_capacity=128)
         expected = [single.process_batch(batch) for batch in batches]
         arch = make_arch(small_routing_set)
-        as_bytes = []
+        frames = []
         travelled = []
         with ShardedBatchPipeline(
             arch,
@@ -795,13 +806,13 @@ class TestParentOwnsEverySegment:
         ) as sharded:
             sharded._ensure_started()
             sharded._conns = [
-                _RecordingConn(conn, as_bytes) for conn in sharded._conns
+                _RecordingConn(conn, frames) for conn in sharded._conns
             ]
             for batch, want in zip(batches, expected):
-                seen = len(as_bytes)
+                seen = len(frames)
                 for a, b in zip(sharded.process_batch(batch), want, strict=True):
                     assert_same_result(a, b)
-                travelled.append(as_bytes[seen:])
+                travelled.append(as_bytes(frames[seen:]))
             stats = sharded.stats_snapshot()
             assert sharded.supervision_snapshot()["crashes"] == 0
         assert any(travelled[0]), "the first reply must outgrow its slot"
@@ -820,6 +831,106 @@ class TestParentOwnsEverySegment:
             "flow_bytes",
         ):
             assert getattr(stats, counter) == getattr(single, counter), counter
+
+
+class TestReplyWireShape:
+    """What crosses the reply pipe, by shape and count: six lanes in
+    the block, and a frame that is a tag, a seq, optional bytes,
+    segment tuples and field-name strings — entries are *named*, and
+    everything they determine is rebuilt from the parent's own."""
+
+    LANES = [
+        "res/codes",
+        "res/matched/offsets",
+        "res/matched/values",
+        "res/packets",
+        "res/bytes",
+        "res/stats",
+    ]
+
+    def batches(self, rule_set, count=4, size=32):
+        trace = SCENARIOS["uniform"](
+            rule_set, packet_count=count * size, flow_count=24
+        ).events[0][1]
+        return [trace[i : i + size] for i in range(0, len(trace), size)]
+
+    def leaves(self, value):
+        """Every object in an unpickled frame, containers included."""
+        yield value
+        if isinstance(value, tuple):
+            for item in value:
+                yield from self.leaves(item)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_reply_names_entries_and_pickles_no_instance(
+        self, small_routing_set, workers
+    ):
+        arch = make_arch(small_routing_set)
+        frames = []
+        with ShardedBatchPipeline(
+            arch, workers=workers, cache_capacity=64, megaflow_capacity=128
+        ) as sharded:
+            sharded._ensure_started()
+            sharded._conns = [
+                _RecordingConn(conn, frames) for conn in sharded._conns
+            ]
+            batches = self.batches(small_routing_set)
+            results = [
+                result
+                for outcome in sharded.process_batches(batches)
+                for result in outcome
+            ]
+        assert len(frames) >= len(batches)
+        for frame in frames:
+            assert [segment.key for segment in frame.segments] == self.LANES
+            kinds = {
+                type(leaf).__name__
+                for leaf in self.leaves(pickle.loads(pickle.dumps(frame)))
+            }
+            assert kinds <= {
+                "ShmReply", "Segment", "tuple", "str", "int", "NoneType",
+                "bytearray",  # an oversize reply's own bytes
+            }, kinds
+        # Every action that came from an entry is that authoritative
+        # entry's own object — not an unpickled equal.
+        own = {
+            id(action)
+            for entry in arch.tables[0]
+            for action in (
+                *entry.instructions.compiled.apply,
+                *entry.instructions.compiled.write,
+            )
+        }
+        matched = [result for result in results if result.matched_entries]
+        assert matched and all(
+            result.applied_actions
+            and all(id(action) in own for action in result.applied_actions)
+            for result in matched
+        )
+
+    def test_decode_builds_its_templates_with_replay_path(
+        self, small_routing_set, monkeypatch
+    ):
+        """Knock the action-set execution out of ``replay_path`` in the
+        parent alone (the workers forked with the real one and reply
+        with the same refs): the decoded templates lose their outputs.
+        ``test_columnar.py`` breaks the walk's templates with the same
+        patch — one definition serves both."""
+        first, second = self.batches(small_routing_set, count=2)
+        reference = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
+        expected = [reference.process_batch(batch) for batch in (first, second)]
+        assert any(result.output_ports for result in expected[1])
+        with ShardedBatchPipeline(
+            make_arch(small_routing_set), workers=2, cache_capacity=64
+        ) as sharded:
+            for a, b in zip(sharded.process_batch(first), expected[0], strict=True):
+                assert_same_result(a, b)
+            monkeypatch.setattr(
+                OpenFlowPipeline, "replay_path", replay_path_without_the_action_set
+            )
+            got = sharded.process_batch(second)
+        assert [r.matched for r in got] == [r.matched for r in expected[1]]
+        assert not any(r.output_ports for r in got if r.matched)
 
 
 class _StubConn:
@@ -844,9 +955,7 @@ class TestReplyFramesFailClosed:
     every other frame is refused — never parked, never an exception."""
 
     def reply(self, seq):
-        return ShmReply(
-            "ok", seq, None, (), ResultBlockLayout(0), [], (), BatchStats()
-        )
+        return ShmReply("ok", seq, None, (), ())
 
     def sorter(self, rule_set, *frames, owes=(5,)):
         sharded = ShardedBatchPipeline(make_arch(rule_set), workers=1)
@@ -867,7 +976,7 @@ class TestReplyFramesFailClosed:
             ("block", 0, "psm_stale"),  # the retired announce tag
             ("inline",),
             ("ok", 5),  # right tag, wrong arity
-            ("ok", 5, None, (), None, [], (), None, "extra"),
+            ("ok", 5, None, (), (), "extra"),
             ("bye",),  # only acceptable while closing
             (),
             None,

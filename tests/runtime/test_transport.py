@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from repro.core.lookup_table import OpenFlowLookupTable
-from repro.openflow.actions import OutputAction, SetFieldAction
+from repro.openflow.actions import CONTROLLER_PORT, OutputAction, SetFieldAction
 from repro.openflow.flow import FlowEntry
-from repro.openflow.instructions import WriteActions, WriteMetadata
+from repro.openflow.instructions import (
+    ApplyActions,
+    ClearActions,
+    GotoTable,
+    WriteActions,
+    WriteMetadata,
+)
 from repro.openflow.match import Match
-from repro.openflow.pipeline import OpenFlowPipeline
+from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
 from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD, transport_schema
@@ -22,7 +28,6 @@ from repro.runtime.transport import (
     MIN_BLOCK_BYTES,
     PacketBlockCodec,
     ReplyDecodeError,
-    ResultBlockLayout,
     SharedBlock,
     decode_outcomes,
     encode_outcomes,
@@ -190,12 +195,20 @@ class TestResultBlocks:
     """The worker reply path in-process: ``classify_columnar`` →
     ``encode_outcomes`` → ``decode_outcomes``, the replica standing in
     for a worker and a second, identically built pipeline for the
-    parent whose pinned entries the refs must resolve to."""
+    parent — whose pinned entries the refs must resolve to, whose
+    executor the decode replays them through, and whose own ``process``
+    is the oracle every decoded result is compared with."""
 
     FRAME = 100
+    POLICIES = [MissPolicy.SEND_TO_CONTROLLER, MissPolicy.DROP]
 
-    def make_pipeline(self):
-        table = FlowTable(table_id=0)
+    def make_pipeline(self, miss_policy=MissPolicy.SEND_TO_CONTROLLER):
+        """Three tables, every way a path can end: a terminal match
+        (with and without rewrites, with and without an output), a
+        goto chain that rewrites a field the next table matches on and
+        clears the action set on the way, a miss *after* a match (the
+        accumulated set is discarded) and a first-table miss."""
+        tables = [FlowTable(table_id=i) for i in range(3)]
         entries = [
             FlowEntry.build(
                 match=Match.exact(in_port=1),
@@ -212,13 +225,43 @@ class TestResultBlocks:
                     WriteMetadata(9),
                 ],
             ),
-            # Matches, executes nothing: an empty action list and no
-            # output port (dropped) must survive the ragged lanes.
+            # Matches, executes nothing: an empty path outcome (no
+            # action, no output port: dropped) must survive the codec.
             FlowEntry.build(match=Match.exact(in_port=3), priority=3),
+            FlowEntry.build(
+                match=Match.exact(in_port=4),
+                priority=4,
+                instructions=[
+                    ApplyActions([SetFieldAction("vlan_vid", 5)]),
+                    WriteActions([OutputAction(104)]),
+                    WriteMetadata(0x30, 0xF0),
+                    GotoTable(1),
+                ],
+            ),
         ]
         for entry in entries:
-            table.add(entry)
-        return OpenFlowPipeline([table]), entries
+            tables[0].add(entry)
+        # Matches the value table 0 *rewrote*; drops table 0's output.
+        tables[1].add(
+            FlowEntry.build(
+                match=Match.exact(vlan_vid=5, tcp_dst=80),
+                priority=1,
+                instructions=[
+                    ClearActions(),
+                    WriteActions([SetFieldAction("ip_dscp", 7)]),
+                    WriteMetadata(0x1, 0xF),
+                    GotoTable(2),
+                ],
+            )
+        )
+        tables[2].add(
+            FlowEntry.build(
+                match=Match.exact(metadata=0x31),
+                priority=1,
+                instructions=[WriteActions([OutputAction(301)])],
+            )
+        )
+        return OpenFlowPipeline(tables, miss_policy=miss_policy), entries
 
     def packets(self):
         return [
@@ -227,24 +270,27 @@ class TestResultBlocks:
             {"in_port": 9, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
             {"in_port": 1, "vlan_vid": 8, FRAME_LEN_FIELD: 3 * self.FRAME},
             {"in_port": 3, "vlan_vid": 7, FRAME_LEN_FIELD: self.FRAME},
+            # 0 -> 1 -> 2, every table matching.
+            {"in_port": 4, "vlan_vid": 7, "tcp_dst": 80, FRAME_LEN_FIELD: 60},
+            # 0 -> 1, missing there after table 0 wrote an output.
+            {"in_port": 4, "vlan_vid": 7, "tcp_dst": 22, FRAME_LEN_FIELD: 60},
         ]
 
-    def reply(self, runner, index, packets, pinned):
+    def reply(self, runner, index, packets, parent, pinned):
         """One worker round: classify, encode into a block, decode
-        against ``pinned``; returns the outcomes the worker encoded
-        from, the layout, the decoded reply, and the outcomes the
-        parent would hand back."""
+        against ``pinned`` through ``parent``; returns the outcomes the
+        worker encoded from, the block's lane keys, the decoded reply,
+        and the outcomes the parent would hand back."""
         batch = PacketBatch.from_dicts(packets)
         outcomes = runner.classify_columnar(batch)
         writer = BlockWriter()
-        layout, vocabulary = encode_outcomes(writer, outcomes, index)
+        encode_outcomes(writer, outcomes, index, range(5))
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)
-            reader = BlockReader(block.buf, writer.write_to(block.buf))
-            decoded = decode_outcomes(
-                reader, layout, vocabulary, pinned, len(packets)
-            )
+            segments = writer.write_to(block.buf)
+            reader = BlockReader(block.buf, segments)
+            decoded = decode_outcomes(reader, parent, pinned, len(packets))
             del reader  # release numpy views before unmapping
         finally:
             block.close()
@@ -253,17 +299,21 @@ class TestResultBlocks:
             [decoded.traversals[code] for code in decoded.codes],
             batch.frame_lengths(),
         )
-        return outcomes, layout, decoded, rebuilt
+        return outcomes, [segment.key for segment in segments], decoded, rebuilt
 
     def test_results_roundtrip_via_entry_refs(self):
+        for miss_policy in self.POLICIES:
+            self.roundtrip_via_entry_refs(miss_policy)
+
+    def roundtrip_via_entry_refs(self, miss_policy):
         """Wave-classified rows (cold caches) and megaflow-hit rows (the
-        same batch again) both round-trip bitwise, refs resolve to the
-        parent's own entries through an order pinned *before* a
-        mutation, positions sharing a traversal decode to one shared
-        object, and each reply's delta lanes are exactly what the
-        replica's entries accrued."""
-        replica, replica_entries = self.make_pipeline()
-        parent, parent_entries = self.make_pipeline()
+        same batch again) both decode to exactly what the parent's own
+        ``process`` returns — the parent's own entries included, through
+        an order pinned *before* a mutation — positions sharing a
+        traversal decode to one shared object, and each reply's delta
+        lanes are exactly what the replica's entries accrued."""
+        replica, replica_entries = self.make_pipeline(miss_policy)
+        parent, parent_entries = self.make_pipeline(miss_policy)
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
         index = EntryIndex(replica)
         pinned = EntryIndex(parent).pin()
@@ -272,46 +322,95 @@ class TestResultBlocks:
             FlowEntry.build(match=Match.exact(in_port=5), priority=99)
         )
         packets = self.packets()
+        oracle = [parent.process(packet) for packet in packets]
         credited = [(0, 0)] * len(replica_entries)
         for expect_hits in (False, True):
             hits_before = runner.megaflow.hits
-            outcomes, layout, decoded, rebuilt = self.reply(
-                runner, index, packets, pinned
+            outcomes, keys, decoded, rebuilt = self.reply(
+                runner, index, packets, parent, pinned
             )
             # Hits and misses share one outcome shape; the tier's own
             # counter says which round this was.
             assert runner.megaflow.hits - hits_before == (
                 len(packets) if expect_hits else 0
             )
-            originals = outcomes.results()
-            assert len(rebuilt) == len(originals) == layout.count
-            for original, got in zip(originals, rebuilt.results()):
-                # Bitwise but for whose entries they are: compare every
-                # field, then the matched entries by rule identity.
+            assert keys == [
+                "res/codes",
+                "res/matched/offsets",
+                "res/matched/values",
+                "res/packets",
+                "res/bytes",
+                "res/stats",
+            ]
+            assert decoded.counters == [0, 1, 2, 3, 4]
+            got_results = rebuilt.results()
+            assert got_results == oracle
+            for original, got, want in zip(
+                outcomes.results(), got_results, oracle, strict=True
+            ):
+                # The worker's own view differs only in whose entries
+                # its results name: the replica's, rule for rule.
                 assert (
-                    [(e.match, e.priority) for e in got.matched_entries]
-                    == [(e.match, e.priority) for e in original.matched_entries]
+                    [(e.match, e.priority) for e in original.matched_entries]
+                    == [(e.match, e.priority) for e in got.matched_entries]
                 )
-                got.matched_entries = original.matched_entries
-                assert got == original
-            # Four distinct traversals over five positions: positions 0
+                # Matched entries resolved to the *pinned* (parent)
+                # objects, and every action an entry contributed is
+                # that entry's own object — nothing was unpickled.
+                assert all(
+                    a is b
+                    for a, b in zip(
+                        got.matched_entries, want.matched_entries, strict=True
+                    )
+                )
+                own = {
+                    id(action)
+                    for entry in got.matched_entries
+                    for action in (
+                        *entry.instructions.compiled.apply,
+                        *entry.instructions.compiled.write,
+                    )
+                }
+                assert all(
+                    id(action) in own
+                    for action in got.applied_actions
+                    if action != OutputAction(CONTROLLER_PORT)  # the policy's
+                )
+            # Six distinct traversals over seven positions: positions 0
             # and 3 took the same path and decode to ONE shared object.
-            assert len(decoded.traversals) == 4
-            assert decoded.codes == [0, 1, 2, 0, 3]
+            assert len(decoded.traversals) == 6
+            assert decoded.codes == [0, 1, 2, 0, 3, 4, 5]
             assert rebuilt.replays[0] is rebuilt.replays[3]
-            # Matched entries resolved to the *pinned* (parent) objects.
             assert rebuilt[0].matched_entries[0] is parent_entries[0]
             assert rebuilt[1].matched_entries[0] is parent_entries[1]
             assert rebuilt[3].matched_entries[0] is parent_entries[0]
             assert rebuilt[4].matched_entries[0] is parent_entries[2]
-            # A table miss: no matched entry (an empty ragged row).
+            # A first-table miss: no matched entry (an empty ragged
+            # row); the miss policy alone decides the outcome.
             assert rebuilt[2].matched_entries == []
-            assert rebuilt[2].sent_to_controller
+            to_controller = miss_policy is MissPolicy.SEND_TO_CONTROLLER
+            assert rebuilt[2].sent_to_controller is to_controller
+            assert rebuilt[2].dropped is not to_controller
             # A match that executes nothing: empty action and port
             # lists, dropped.
             assert rebuilt[4].applied_actions == []
             assert rebuilt[4].output_ports == []
             assert rebuilt[4].dropped
+            # The full chain: table 1 cleared table 0's output, table 2
+            # matched the metadata both earlier tables composed.
+            assert rebuilt[5].tables_visited == [0, 1, 2]
+            assert rebuilt[5].output_ports == [301]
+            assert rebuilt[5].metadata == 0x31
+            assert rebuilt[5].final_fields == dict(
+                packets[5], vlan_vid=5, ip_dscp=7, metadata=0x31
+            )
+            # A miss after a match discards the accumulated action set:
+            # table 0's Output(104) never runs, its applied set-field
+            # did.
+            assert rebuilt[6].tables_visited == [0, 1]
+            assert rebuilt[6].matched_entries == [parent_entries[3]]
+            assert 104 not in rebuilt[6].output_ports
+            assert rebuilt[6].final_fields["vlan_vid"] == 5
             # The delta lanes are the replica entries' packet/byte
             # growth, summed per traversal off the frame_len lane.
             after = [
@@ -326,61 +425,95 @@ class TestResultBlocks:
                 (2, 4 * self.FRAME),
                 (1, self.FRAME),
                 (1, self.FRAME),
+                (2, 120),
             ]
-            assert decoded.packets == [2, 1, 1, 1]
+            assert decoded.packets == [2, 1, 1, 1, 1, 1]
             assert decoded.byte_sums == [
-                4 * self.FRAME, self.FRAME, self.FRAME, self.FRAME
+                4 * self.FRAME, self.FRAME, self.FRAME, self.FRAME, 60, 60
             ]
             credited = after
 
     def test_results_against_inputs_ship_only_overrides(self):
-        """Final fields travel as one rewrite-override dict per
-        *template* (mostly None) and materialisation rebuilds them from
-        the parent's own copies of the packets — from the wave results
-        on a miss, from the megaflow entry's recorded overrides on a
-        hit."""
-        replica, _ = self.make_pipeline()
+        for miss_policy in self.POLICIES:
+            self.rewrites_come_from_the_replay(miss_policy)
+
+    def rewrites_come_from_the_replay(self, miss_policy):
+        """Final fields do not travel at all: a traversal's rewrites
+        are what replaying its entries from empty fields leaves behind,
+        and materialisation rebuilds each packet from the parent's own
+        copy plus those — from the walk's path on a miss, from the
+        megaflow entry's recorded path on a hit."""
+        replica, _ = self.make_pipeline(miss_policy)
+        parent, _ = self.make_pipeline(miss_policy)
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
         index = EntryIndex(replica)
-        pinned = index.pin()
-        packets = self.packets()[:2] * 2
+        pinned = EntryIndex(parent).pin()
+        packets = [self.packets()[i] for i in (0, 1, 5, 6)] * 2
+        oracle = [parent.process(packet) for packet in packets]
         for _ in ("waves", "megaflow hits"):
-            _, layout, _, rebuilt = self.reply(runner, index, packets, pinned)
-            assert layout.count == 4
-            assert layout.overrides == (None, {"vlan_vid": 42, "metadata": 9})
+            _, _, decoded, rebuilt = self.reply(
+                runner, index, packets, parent, pinned
+            )
+            assert len(rebuilt) == 8
+            assert [t.overrides for t in decoded.traversals] == [
+                {},
+                {"vlan_vid": 42, "metadata": 9},
+                {"vlan_vid": 5, "ip_dscp": 7, "metadata": 0x31},
+                {"vlan_vid": 5, "metadata": 0x30},
+            ]
+            assert rebuilt.results() == oracle
             assert rebuilt[0].final_fields == packets[0]
             assert rebuilt[0].final_fields is not packets[0]  # fresh dict
-            assert rebuilt[3].final_fields == dict(
+            assert rebuilt[5].final_fields == dict(
                 packets[1], vlan_vid=42, metadata=9
             )
 
     def test_all_distinct_batch_roundtrips(self):
+        for miss_policy in self.POLICIES:
+            self.all_distinct_batch_roundtrips(miss_policy)
+
+    def all_distinct_batch_roundtrips(self, miss_policy):
         """The codec's worst case — every position its own traversal —
         is just T == n: codes are the identity and nothing is shared."""
-        table = FlowTable(table_id=0)
+        first, second = FlowTable(table_id=0), FlowTable(table_id=1)
         for port in range(1, 9):
-            table.add(
+            first.add(
                 FlowEntry.build(
                     match=Match.exact(in_port=port),
                     priority=port,
-                    instructions=[WriteActions([OutputAction(100 + port)])],
+                    instructions=[
+                        WriteActions([OutputAction(100 + port)]),
+                        WriteMetadata(port),
+                        GotoTable(1),
+                    ],
                 )
             )
-        pipeline = OpenFlowPipeline([table])
+            if port % 2:  # even ports miss in the second table
+                second.add(
+                    FlowEntry.build(
+                        match=Match.exact(metadata=port),
+                        priority=port,
+                        instructions=[
+                            ApplyActions([SetFieldAction("vlan_vid", port)])
+                        ],
+                    )
+                )
+        pipeline = OpenFlowPipeline([first, second], miss_policy=miss_policy)
         runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
         index = EntryIndex(pipeline)
         packets = [
             {"in_port": port, FRAME_LEN_FIELD: 60 + port}
             for port in range(1, 9)
         ]
-        outcomes, layout, decoded, rebuilt = self.reply(
-            runner, index, packets, index.pin()
+        outcomes, _, decoded, rebuilt = self.reply(
+            runner, index, packets, pipeline, index.pin()
         )
         assert decoded.codes == list(range(8))
-        assert len(layout.overrides) == len(decoded.traversals) == 8
+        assert len(decoded.traversals) == 8
         assert decoded.packets == [1] * 8
         assert decoded.byte_sums == [61 + i for i in range(8)]
         assert rebuilt.results() == outcomes.results()
+        assert rebuilt.results() == [pipeline.process(p) for p in packets]
 
 
 class TestReplyFailsClosed:
@@ -389,40 +522,63 @@ class TestReplyFailsClosed:
     silently wrong template."""
 
     def encoded(self):
-        table = FlowTable(table_id=0)
-        table.add(
+        """Two tables.  Port 1 chains 0 -> 1 and ends there; port 7
+        misses table 0; table 0's port-2 entry (which outranks port 1's,
+        so it is position 0) ends its path at once and no packet takes
+        it.  Intact, the matched lane reads ``[0, 1, 1, 0]`` for the
+        chain and nothing for the miss."""
+        first, second = FlowTable(table_id=0), FlowTable(table_id=1)
+        first.add(
             FlowEntry.build(
                 match=Match.exact(in_port=1),
                 priority=1,
-                instructions=[WriteActions([OutputAction(101)])],
+                instructions=[WriteActions([OutputAction(101)]), GotoTable(1)],
             )
         )
-        pipeline = OpenFlowPipeline([table])
+        first.add(
+            FlowEntry.build(
+                match=Match.exact(in_port=2),
+                priority=2,
+                instructions=[WriteActions([OutputAction(102)])],
+            )
+        )
+        second.add(FlowEntry.build(match=Match.exact(in_port=1), priority=1))
+        pipeline = OpenFlowPipeline([first, second])
         runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
         index = EntryIndex(pipeline)
         packets = [{"in_port": 1}, {"in_port": 7}, {"in_port": 1}]
         outcomes = runner.classify_columnar(PacketBatch.from_dicts(packets))
         writer = BlockWriter()
-        layout, vocabulary = encode_outcomes(writer, outcomes, index)
+        encode_outcomes(writer, outcomes, index, range(5))
         block = bytearray(writer.nbytes)
         segments = writer.write_to(memoryview(block))
-        return block, segments, layout, vocabulary, index.pin()
+        return block, segments, pipeline, index.pin()
 
-    def decode(self, block, segments, layout, vocabulary, pinned, expected=3):
+    def decode(self, block, segments, pipeline, pinned, expected=3):
         return decode_outcomes(
-            BlockReader(memoryview(block), segments),
-            layout,
-            vocabulary,
-            pinned,
-            expected,
+            BlockReader(memoryview(block), segments), pipeline, pinned, expected
         )
 
     def lane(self, block, segments, key):
         return BlockReader(memoryview(block), segments).get(key)
 
+    def clipped(self, segments, key):
+        return tuple(
+            segment._replace(count=segment.count - 1)
+            if segment.key == key
+            else segment
+            for segment in segments
+        )
+
     def test_intact_block_decodes(self):
-        decoded = self.decode(*self.encoded())
+        block, segments, *rest = self.encoded()
+        decoded = self.decode(block, segments, *rest)
         assert decoded.codes == [0, 1, 0]
+        assert self.lane(block, segments, "res/matched/values").tolist() == [
+            0, 1, 1, 0
+        ]
+        assert decoded.traversals[0].template.tables_visited == [0, 1]
+        assert decoded.traversals[1].template.tables_visited == [0]
 
     @pytest.mark.parametrize("bad", [-1, 2, 1 << 20])
     def test_code_outside_the_templates(self, bad):
@@ -437,28 +593,40 @@ class TestReplyFailsClosed:
             self.decode(*self.encoded(), expected=expected)
 
     def test_truncated_code_lane(self):
-        """The lane itself shorter than the layout announces (a stale
-        or clipped segment), member count notwithstanding."""
+        """The lane itself shorter than the sub-batch (a stale or
+        clipped segment), member count notwithstanding."""
         block, segments, *rest = self.encoded()
-        clipped = tuple(
-            segment._replace(count=2) if segment.key == "res/codes" else segment
-            for segment in segments
-        )
         with pytest.raises(ReplyDecodeError, match="code lane"):
-            self.decode(block, clipped, *rest)
+            self.decode(block, self.clipped(segments, "res/codes"), *rest)
 
-    @pytest.mark.parametrize("ref", [(0, 1), (0, -1), (3, 0)])
+    @pytest.mark.parametrize("ref", [(0, 2), (0, -1), (3, 0)])
     def test_matched_ref_outside_the_pinned_snapshot(self, ref):
         block, segments, *rest = self.encoded()
         self.lane(block, segments, "res/matched/values")[:2] = ref
         with pytest.raises(ReplyDecodeError, match="pinned snapshot"):
             self.decode(block, segments, *rest)
 
-    @pytest.mark.parametrize("bad", [-1, 5])
-    def test_action_id_outside_the_vocabulary(self, bad):
+    @pytest.mark.parametrize(
+        "values, offsets",
+        [([1, 0, 0, 1], [0, 2, 4]), ([0, 1, 0, 0], [0, 4, 4])],
+        ids=["path-starts-past-the-first-table", "goto-not-followed"],
+    )
+    def test_matched_refs_that_do_not_chain(self, values, offsets):
+        """Ref k must sit in the table the path has reached: the first
+        table, then each entry's own Goto-Table.  Every ref here names
+        a real pinned entry — one of them in the wrong table."""
         block, segments, *rest = self.encoded()
-        self.lane(block, segments, "res/actions/values")[0] = bad
-        with pytest.raises(ReplyDecodeError, match="action ids span"):
+        self.lane(block, segments, "res/matched/values")[:] = values
+        self.lane(block, segments, "res/matched/offsets")[:] = offsets
+        with pytest.raises(ReplyDecodeError, match="do not chain"):
+            self.decode(block, segments, *rest)
+
+    def test_matched_ref_after_the_path_has_ended(self):
+        """Table 0's port-2 entry has no Goto-Table: a ref behind it
+        names an entry no packet on that path could have reached."""
+        block, segments, *rest = self.encoded()
+        self.lane(block, segments, "res/matched/values")[1] = 0
+        with pytest.raises(ReplyDecodeError, match="past the end"):
             self.decode(block, segments, *rest)
 
     def test_matched_refs_that_are_not_pairs(self):
@@ -467,26 +635,32 @@ class TestReplyFailsClosed:
         block, segments, *rest = self.encoded()
         offsets = self.lane(block, segments, "res/matched/offsets")
         offsets[1:] -= 1
-        clipped = tuple(
-            segment._replace(count=segment.count - 1)
-            if segment.key == "res/matched/values"
-            else segment
-            for segment in segments
-        )
         with pytest.raises(ReplyDecodeError, match="pairs"):
-            self.decode(block, clipped, *rest)
+            self.decode(
+                block, self.clipped(segments, "res/matched/values"), *rest
+            )
 
     def test_template_lane_of_the_wrong_length(self):
-        block, segments, layout, *rest = self.encoded()
-        widened = ResultBlockLayout(layout.count, layout.overrides + (None,))
-        with pytest.raises(ReplyDecodeError, match="its layout needs"):
-            self.decode(block, segments, widened, *rest)
+        """The per-traversal lanes must agree on how many traversals
+        there are (and the counter lane on how many counters) — with
+        every code naming traversal 0, so only the lengths are wrong."""
+        for key in (
+            "res/packets",
+            "res/bytes",
+            "res/matched/offsets",
+            "res/stats",
+        ):
+            block, segments, *rest = self.encoded()
+            self.lane(block, segments, "res/codes")[:] = 0
+            with pytest.raises(ReplyDecodeError, match="the reply needs"):
+                self.decode(block, self.clipped(segments, key), *rest)
 
     def test_ragged_offsets_that_do_not_partition(self):
-        block, segments, *rest = self.encoded()
-        self.lane(block, segments, "res/ports/offsets")[1] = 9
-        with pytest.raises(ReplyDecodeError, match="res/ports"):
-            self.decode(block, segments, *rest)
+        for at, bad in ((1, 9), (0, 2), (2, 2)):
+            block, segments, *rest = self.encoded()
+            self.lane(block, segments, "res/matched/offsets")[at] = bad
+            with pytest.raises(ReplyDecodeError, match="res/matched offsets"):
+                self.decode(block, segments, *rest)
 
 
 class TestEntryIndex:
