@@ -178,7 +178,8 @@ current :class:`~repro.runtime.shard.PipelineSpec` *replays* every
 lost seq (a re-send, never a re-encode) and produces bitwise-identical
 results, stats and flow deltas.  Each worker carries a restart budget;
 past it the shard degrades per ``fallback`` — in-process
-classification on a parent-side replica (``"inline"``) or
+classification on a parent-side replica that serves the shard's
+requests through the worker's own serve path (``"inline"``) or
 :class:`~repro.runtime.supervise.WorkerCrashError` (``"raise"``).
 Every shared segment — request ring, response ring, sealed rules — is
 the parent's, so a corpse strands nothing; orphaned workers notice the
@@ -205,8 +206,8 @@ precedence), and a parent-side ledger of
 packet/byte counters.  Expired entries leave through the tables'
 ordinary remove path, so version counters bump and both cache tiers
 revalidate exactly as for explicit uninstalls; in the sharded runtime
-the parent alone decides expiry and logs each one as an
-``ExpireMutation`` — workers never consult a clock, and replay recovery
+the parent alone decides expiry and logs each one as an ordinary
+``RemoveMutation`` — workers never consult a clock, and replay recovery
 applies expiries like any other logged removal.
 
 **Open-loop streaming front-end.**  Every layer above is closed-loop —

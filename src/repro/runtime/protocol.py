@@ -31,8 +31,10 @@ assigned, not on however many messages the replacement has seen.
 
 Mutation-log entries ride inside requests as :data:`Mutation` tuples —
 ``("add", table_id, entry)`` / ``("remove", table_id, match, priority)``
-/ ``("expire", table_id, match, priority)`` — the exact shapes
-:class:`~repro.runtime.shard.ShardedBatchPipeline`'s log records.
+— the exact shapes :class:`~repro.runtime.shard.ShardedBatchPipeline`'s
+log records.  A timeout expiry is logged as a removal: the parent's
+lifecycle sweep decides it, and no receiver needs to tell the two
+apart, so no clock ever crosses the pipe.
 
 ``docs/architecture.md`` ("Sharded shm transport") situates this wire
 protocol in the runtime layer stack.
@@ -56,7 +58,8 @@ class AddMutation(NamedTuple):
 
 
 class RemoveMutation(NamedTuple):
-    """One ``remove_flow`` recorded in the mutation log."""
+    """One ``remove_flow`` — or timeout expiry — recorded in the
+    mutation log."""
 
     kind: Literal["remove"]
     table_id: int
@@ -64,21 +67,7 @@ class RemoveMutation(NamedTuple):
     priority: int
 
 
-class ExpireMutation(NamedTuple):
-    """One timeout expiry recorded in the mutation log.
-
-    Decided *only* by the parent's lifecycle sweep — workers never
-    consult a clock, they just apply it as a removal — so replayed
-    batches and respawned workers reconstruct the identical table state
-    without any notion of time crossing the pipe."""
-
-    kind: Literal["expire"]
-    table_id: int
-    match: Match
-    priority: int
-
-
-Mutation = AddMutation | RemoveMutation | ExpireMutation
+Mutation = AddMutation | RemoveMutation
 
 
 class ShmRequest(NamedTuple):
@@ -119,11 +108,11 @@ class ShmReply(NamedTuple):
     — no class instance crosses the reply pipe.
 
     ``block`` is ``None`` when the lanes sit in the response slot the
-    request named — the steady state — and the encoded bytes themselves
-    when they did not fit it (the parent grows the slot before its next
-    use) or when the parent classified the sub-batch in-process and
-    parked the reply without a pipe.  ``seq`` echoes the request's, so a
-    reply can only ever answer the batch its worker owes next."""
+    request named — the steady state, whether a worker or the parent's
+    in-process replica served it — and the encoded bytes themselves when
+    they did not fit it (the parent grows the slot before its next use).
+    ``seq`` echoes the request's, so a reply can only ever answer the
+    batch its worker owes next."""
 
     kind: Literal["ok"]
     seq: int

@@ -113,10 +113,13 @@ in-flight batches are *replayed* on a respawned replica (the pinned
 log prefix plus the immutable parent-owned request block make the
 replay bitwise-identical, a re-send rather than a re-encode), a batch
 that kills its worker twice is *poison* and classified in-process, and
-once a worker's restart budget runs out its traffic degrades to an
-in-process replica — which replies through the same codec into a
-private buffer, so a live, a replayed and an inline shard merge into
-the same outcomes, results and flow-stats deltas identical.  Each
+once a worker's restart budget runs out its traffic degrades to
+in-process classification.  In-process means the parent's own replica
+serving the shard through the worker's serve path (``_Replica.serve``):
+it reads the members from the request block and writes the reply into
+the worker's response slot, so a live, a replayed and an inline shard
+merge into the same outcomes, results and flow-stats deltas identical.
+No fault fires there — it would kill the parent.  Each
 worker watches its parent's pid so an orphaned fleet exits instead of
 idling forever.  :mod:`repro.runtime.faults` injects deterministic
 crashes/hangs into all of this for chaos tests.
@@ -167,7 +170,6 @@ from repro.runtime.protocol import (
     AddMutation,
     ByeReply,
     CloseRequest,
-    ExpireMutation,
     Mutation,
     RemoveMutation,
     ShmReply,
@@ -324,21 +326,6 @@ class _LoggedTable:
                 )
             return removed
 
-    def expire(self, match: Match, priority: int) -> bool:
-        """Remove an entry the lifecycle sweep timed out, logging it as
-        an :class:`~repro.runtime.protocol.ExpireMutation` so workers
-        (and replay recovery) apply the identical removal without ever
-        consulting a clock."""
-        with self._lock:
-            removed = self._table.remove(match, priority)
-            if removed:
-                self._log.append(
-                    ExpireMutation(
-                        "expire", self._table.table_id, match, priority
-                    )
-                )
-            return removed
-
     def remove_where(self, predicate: Callable[[FlowEntry], bool]) -> int:
         # Predicates don't pickle; expand to the concrete removals so the
         # log stays replayable on the workers.
@@ -402,21 +389,12 @@ def _apply_mutations(
     for mutation in mutations:
         if isinstance(mutation, AddMutation):
             pipeline.table(mutation.table_id).add(mutation.entry)
-        elif isinstance(mutation, (RemoveMutation, ExpireMutation)):
-            # Expiry is just a removal here: the parent's sweep already
-            # decided it, so workers stay clock-free.
+        elif isinstance(mutation, RemoveMutation):
             pipeline.table(mutation.table_id).remove(
                 mutation.match, mutation.priority
             )
-        else:  # pragma: no cover - parent only emits the three kinds
+        else:  # pragma: no cover - parent only emits the two kinds
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
-
-
-def _reply_counters(runner: BatchPipeline) -> list[int]:
-    """A replica's cache, megaflow and wave counters, in the order the
-    reply's ``res/stats`` lane carries them."""
-    stats = runner.stats_snapshot()
-    return [getattr(stats, name) for name in REPLY_COUNTERS]
 
 
 #: What a worker that has not replied yet has counted.
@@ -424,56 +402,80 @@ _NO_COUNTERS: Sequence[int] = (0,) * len(REPLY_COUNTERS)
 
 
 def _place_reply(
-    writer: BlockWriter, slot: memoryview | None
+    writer: BlockWriter, slot: memoryview
 ) -> tuple[bytearray | None, tuple[Segment, ...]]:
     """Lay an encoded reply out in its response slot — or, when it does
-    not fit (or there is no slot: the parent classifying in-process),
-    in bytes of its own that ride in the reply frame."""
-    if slot is not None and writer.nbytes <= slot.nbytes:
+    not fit, in bytes of its own that ride in the reply frame."""
+    if writer.nbytes <= slot.nbytes:
         return None, writer.write_to(slot)
     block = bytearray(writer.nbytes)
     return block, writer.write_to(memoryview(block))
 
 
-def _serve_shm(
-    runner: BatchPipeline,
-    index: EntryIndex,
-    codec: PacketBlockCodec,
-    blocks: BlockAttachments,
-    message: ShmRequest,
-    faults: FaultPlan,
-    worker_id: int,
-) -> ShmReply:
-    # All numpy views over the shared blocks are confined to this frame
-    # (codec.attach gathers copies): they must be garbage before close()
-    # can unmap the segments.
-    _, seq, mutations, block_name, segments, layout, members_key, bypass, (
-        reply_block
-    ) = message
-    faults.fire(worker_id, seq, "after-receive")
-    _apply_mutations(runner.pipeline, mutations)
-    faults.fire(worker_id, seq, "mid-classify")
-    runner.megaflow_bypass = bypass
-    reader = BlockReader(blocks.buf(block_name), segments)
-    writer = BlockWriter()
-    # Decode-free: classify straight off the block's columns; hits and
-    # misses alike are encoded as their matched-entry refs, once per
-    # distinct traversal.
-    batch = codec.attach(reader, layout, reader.get(members_key))
-    outcomes = runner.classify_columnar(batch)
-    encode_outcomes(writer, outcomes, index, _reply_counters(runner))
-    runner.megaflow_bypass = False
-    faults.fire(worker_id, seq, "after-stats")
-    block, response_segments = _place_reply(writer, blocks.buf(reply_block))
-    reply = ShmReply(
-        "ok",
-        seq,
-        block,
-        response_segments,
-        runner.megaflow.mask_fields() if runner.megaflow is not None else (),
-    )
-    faults.fire(worker_id, seq, "before-reply")
-    return reply
+class _Replica:
+    """One pipeline replica at a mutation-log position: a runner built
+    from a :class:`PipelineSpec`, the :class:`EntryIndex` its replies
+    name entries by, a packet codec, and ``cursor`` — how many log
+    entries it has applied on top of the spec.
+
+    A worker serves every request through one, and the parent serves a
+    shard it classifies in-process (a degraded worker, a poison batch)
+    through another: one serve path, so a live, a replayed and an
+    inline shard write the same reply into the same response slot.
+    """
+
+    def __init__(
+        self,
+        spec: PipelineSpec,
+        cache_capacity: int | None,
+        megaflow_capacity: int | None,
+    ) -> None:
+        runner = BatchPipeline(spec.build(), cache_capacity, megaflow_capacity)
+        self.runner = runner
+        self.index = EntryIndex(runner.pipeline)
+        self.codec = PacketBlockCodec()
+        self.cursor = 0
+
+    def serve(
+        self,
+        request: ShmRequest,
+        request_buf: memoryview,
+        reply_buf: memoryview,
+        faults: FaultPlan,
+        worker_id: int,
+    ) -> ShmReply:
+        """Apply the request's log suffix, classify its members straight
+        off the request block's columns, and write the reply into the
+        response slot (bytes of its own when it outgrew the slot).
+
+        Every numpy view over the two buffers is confined to this frame
+        (``codec.attach`` gathers copies): they must be garbage before
+        ``close()`` can unmap the segments."""
+        runner, seq = self.runner, request.seq
+        faults.fire(worker_id, seq, "after-receive")
+        _apply_mutations(runner.pipeline, request.mutations)
+        self.cursor += len(request.mutations)
+        faults.fire(worker_id, seq, "mid-classify")
+        runner.megaflow_bypass = request.bypass
+        reader = BlockReader(request_buf, request.segments)
+        batch = self.codec.attach(
+            reader, request.layout, reader.get(request.members_key)
+        )
+        # Decode-free: hits and misses alike are encoded as their
+        # matched-entry refs, once per distinct traversal.
+        outcomes = runner.classify_columnar(batch)
+        stats = runner.stats_snapshot()
+        counters = [getattr(stats, name) for name in REPLY_COUNTERS]
+        writer = BlockWriter()
+        encode_outcomes(writer, outcomes, self.index, counters)
+        runner.megaflow_bypass = False
+        faults.fire(worker_id, seq, "after-stats")
+        block, segments = _place_reply(writer, reply_buf)
+        megaflow = runner.megaflow
+        fields = megaflow.mask_fields() if megaflow is not None else ()
+        reply = ShmReply("ok", seq, block, segments, fields)
+        faults.fire(worker_id, seq, "before-reply")
+        return reply
 
 
 #: How often an idle worker checks that its parent is still alive.
@@ -516,13 +518,7 @@ def _worker_main(
     whole fleet idling forever.
     """
     faults = fault_plan if fault_plan is not None else FaultPlan()
-    runner = BatchPipeline(
-        spec.build(),
-        cache_capacity=cache_capacity,
-        megaflow_capacity=megaflow_capacity,
-    )
-    index = EntryIndex(runner.pipeline)
-    codec = PacketBlockCodec()
+    replica = _Replica(spec, cache_capacity, megaflow_capacity)
     blocks = BlockAttachments()
     parent_pid = os.getppid()
     try:
@@ -534,8 +530,12 @@ def _worker_main(
             kind = message[0]
             if kind == "shm":
                 conn.send(
-                    _serve_shm(
-                        runner, index, codec, blocks, message, faults, worker_id
+                    replica.serve(
+                        message,
+                        blocks.buf(message.block_name),
+                        blocks.buf(message.reply_block),
+                        faults,
+                        worker_id,
                     )
                 )
             elif kind == "close":
@@ -569,17 +569,14 @@ class _InFlight:
 
     seq: int
     #: Always columnar: a dict submission is columnarised once at
-    #: submit, and that batch feeds the request block, the inline
-    #: fallback and the outcomes' lazy materialisation alike.
+    #: submit, and that batch feeds the request block and the outcomes'
+    #: lazy materialisation alike.
     batch: PacketBatch
     #: Worker -> its member positions, ascending.
     groups: dict[int, np.ndarray]
     pinned: Mapping[int, tuple]
     log_len: int
     sends: dict[int, ShmRequest] = field(default_factory=dict)
-    #: Megaflow-bypass flag the batch was submitted with; the degraded
-    #: inline path reads it here (live workers read it off the wire).
-    bypass: bool = False
 
 
 class ShardedBatchPipeline:
@@ -658,7 +655,6 @@ class ShardedBatchPipeline:
         self.pipeline = _LoggedPipeline(
             pipeline, self._log, self._mutation_lock
         )
-        self._spec = PipelineSpec.snapshot(pipeline)
         #: Shared read-only rule state (see runtime/rulestate.py): the
         #: static lookup structures are sealed into one shared-memory
         #: block and workers attach instead of rebuilding O(rules)
@@ -670,7 +666,6 @@ class ShardedBatchPipeline:
         self._cache_capacity = cache_capacity
         self._megaflow_capacity = megaflow_capacity
         self._learned_fields: set[str] = set()
-        self._cursors = [0] * self.workers
         self._worker_stats = [_NO_COUNTERS] * self.workers
         self._conns: list = []
         self._procs: list = []
@@ -709,12 +704,10 @@ class ShardedBatchPipeline:
         )
         self._fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._mp_ctx: Any = None
-        #: Parent-side replica for degraded (inline) classification:
-        #: built lazily from the current spec and advanced along the
-        #: mutation log exactly like a worker would be.
-        self._inline_runner: BatchPipeline | None = None
-        self._inline_index: EntryIndex | None = None
-        self._inline_cursor = 0
+        #: Parent-side replica for shards classified in-process: built
+        #: lazily from the current spec and advanced along the mutation
+        #: log exactly like a worker's.
+        self._inline: _Replica | None = None
         #: True while a process_batches() stream is live; guards against
         #: a second stream (or lockstep call) interleaving on the shared
         #: in-flight queue and mislabeling results.
@@ -730,8 +723,10 @@ class ShardedBatchPipeline:
         #: Parent-owned lifecycle: the sweep runs over the authoritative
         #: tables only; workers learn of expiries via the mutation log.
         self.lifecycle = LifecycleSweeper()
-        if shared_rules:
-            self._seal_rules()
+        # The replica snapshot (``_spec``, sealed when rules are shared)
+        # and the log cursors come from the one fold.
+        with self._mutation_lock:
+            self._fold_log()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -755,30 +750,34 @@ class ShardedBatchPipeline:
         child_conn.close()
         return parent_conn, proc
 
-    def _seal_rules(self) -> None:
-        """(Re)seal the shared rule snapshot before spawning a fleet.
+    def _fold_log(self) -> None:
+        """Fold the mutation log into a fresh replica snapshot — the one
+        place the log is folded.  The caller holds the mutation lock and
+        guarantees that everything in flight is pinned at the log's end.
 
-        Only legal with no live workers and nothing in flight: folding
-        the mutation log into a fresh spec is then equivalent to every
-        worker having replayed it, so cursors rewind to zero and the
-        sealed block *is* the log-position-zero state the next fleet
-        attaches to.  A still-current seal (no mutations since) is kept.
+        The authoritative tables are snapshotted into ``_spec`` (and,
+        with shared rules, sealed into a new block; the old generation
+        is closed — long-lived workers keep valid mappings of it, only
+        fresh spawns attach to the new one).  The new spec *is* the
+        table state at the log's end, so the log clears, the cursors
+        rewind to zero and every in-flight batch rebases to prefix 0 — a
+        recovery replay then applies no suffix at all.  The inline
+        replica's cursor dies with the log; it is rebuilt on next use.
         """
-        assert not self._procs and not self._inflight
-        with self._mutation_lock:
-            if self._rule_state is not None and not self._log:
-                return
-            if self._rule_state is not None:
-                self._rule_state.close()
-                self._rule_state = None
-            base = PipelineSpec.snapshot(self._authoritative)
-            self._log.clear()
-            self._cursors = [0] * self.workers
-            self._inline_runner = None
-            self._inline_index = None
-            self._inline_cursor = 0
-            self._rule_state = SharedRuleState.seal(self._authoritative, base)
+        self._spec = PipelineSpec.snapshot(self._authoritative)
+        if self._shared_rules:
+            old_state = self._rule_state
+            self._rule_state = SharedRuleState.seal(
+                self._authoritative, self._spec
+            )
             self._spec = self._rule_state.spec
+            if old_state is not None:
+                old_state.close()
+        self._log.clear()
+        self._cursors = [0] * self.workers
+        for inflight in self._inflight.values():
+            inflight.log_len = 0
+        self._inline = None
 
     def _ensure_started(self) -> None:
         if self._procs:
@@ -786,11 +785,12 @@ class ShardedBatchPipeline:
         # One resource tracker shared with the forked workers keeps
         # shared-memory accounting warning-free (see transport module).
         ensure_resource_tracker()
-        if self._shared_rules:
-            # Covers respawn-after-close(): close() released the sealed
-            # block, so the stale spec must be re-sealed (folding any
-            # mutations logged in between) before workers can attach.
-            self._seal_rules()
+        # A fleet starts from a fresh fold, never a replay: respawn after
+        # close() folds whatever was logged in between (and re-seals the
+        # block close() released).
+        with self._mutation_lock:
+            if self._log or (self._shared_rules and self._rule_state is None):
+                self._fold_log()
         if self._mp_ctx is None:
             method = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -825,12 +825,13 @@ class ShardedBatchPipeline:
     def close(self) -> None:
         """Shut every worker down (idempotent).
 
-        The runner stays usable: a later ``process_batch`` respawns
-        workers from the construction-time snapshot, so the log cursors
-        rewind to zero — fresh replicas must replay the *entire*
-        mutation log to catch back up.  Degraded workers are forgiven
-        on close (the respawned fleet is whole again); cumulative
-        supervision stats survive for reporting.
+        The runner stays usable: a later ``process_batch`` respawns the
+        fleet from a fresh fold, on both ``shared_rules`` settings — the
+        authoritative tables are snapshotted (and re-sealed when shared),
+        the log cleared and the cursors rewound, so no replica replays
+        history.  Degraded workers are forgiven on close (the respawned
+        fleet is whole again); cumulative supervision stats survive for
+        reporting.
         """
         while self._inflight:  # drain replies before tearing blocks down
             try:
@@ -844,16 +845,13 @@ class ShardedBatchPipeline:
             self._shutdown_worker(worker)
         self._conns = []
         self._procs = []
-        self._cursors = [0] * self.workers
         self._worker_stats = [_NO_COUNTERS] * self.workers
         self._worker_pending = [deque() for _ in range(self.workers)]
         self._reply_buffer.clear()
         for block in self._requests + sum(self._responses, []):
             block.close()
         self._supervisor.reset()
-        self._inline_runner = None
-        self._inline_index = None
-        self._inline_cursor = 0
+        self._inline = None
         # Release the sealed rule block (zero /dev/shm residue after
         # close).  The spec goes stale with it; the next _ensure_started
         # re-seals from the authoritative tables before spawning.
@@ -935,10 +933,11 @@ class ShardedBatchPipeline:
 
         The sweep reads the *authoritative* tables (whose flow counters
         hold every merged worker delta) and routes each removal through
-        the logged facade as an
-        :class:`~repro.runtime.protocol.ExpireMutation`, so workers,
+        the logged facade as an ordinary
+        :class:`~repro.runtime.protocol.RemoveMutation`, so workers,
         replay recovery and the inline fallback all reconstruct the
-        identical post-expiry state from the log.  Refuses to run with
+        identical post-expiry state from the log without ever consulting
+        a clock.  Refuses to run with
         batches in flight — their un-merged deltas would make the idle
         detection (and flow-removed final counters) racy; workload
         replay always drains each packet event first.
@@ -949,7 +948,7 @@ class ShardedBatchPipeline:
             dt,
             remove=lambda table_id, match, priority: self.pipeline.table(
                 table_id
-            ).expire(match, priority),
+            ).remove(match, priority),
         )
 
     def process(self, packet_fields: Mapping[str, int]) -> PipelineResult:
@@ -1166,10 +1165,9 @@ class ShardedBatchPipeline:
     ) -> bool:
         """Encode, dispatch and register one batch; False when empty.
 
-        ``bypass`` rides in every worker's request template (and the
-        in-flight record for degraded shards), so replays after a crash
-        skip — or keep — the megaflow tier exactly as the original
-        submission asked."""
+        ``bypass`` rides in every worker's request template, so replays
+        after a crash and in-process shards skip — or keep — the
+        megaflow tier exactly as the original submission asked."""
         assert len(self._inflight) < self.depth
         # _order mirrors _inflight one-to-one, so the same depth bound
         # caps it (the bounded-queue invariant for this deque).
@@ -1208,13 +1206,12 @@ class ShardedBatchPipeline:
             pinned=pinned,
             log_len=log_len,
             sends=sends,
-            bypass=bypass,
         )
         self._order.append(seq)
         self._seq += 1
         for worker in groups:
             if worker in self._supervisor.disabled:
-                self._classify_inline(seq, worker)
+                self._serve_inline(seq, worker)
             else:
                 self._dispatch(seq, worker)
         return True
@@ -1226,26 +1223,20 @@ class ShardedBatchPipeline:
         groups: Mapping[int, np.ndarray],
         bypass: bool = False,
     ) -> dict[int, ShmRequest]:
-        """Encode the batch once into its ring slot; request templates
-        (empty mutation suffix) per live worker, each naming the
-        response slot its reply goes into."""
-        live = [
-            worker
-            for worker in groups
-            if worker not in self._supervisor.disabled
-        ]
-        if not live:
-            return {}
+        """Encode the batch once into its ring slot; one request template
+        (empty mutation suffix) per worker in ``groups`` — served by the
+        worker or, degraded, in-process alike — each naming the response
+        slot its reply goes into."""
         slot = seq % self.depth
         request = self._requests[slot]
         writer = BlockWriter()
         layout = self._codec.encode_batch(writer, batch, "pkt")
-        for worker in live:
-            writer.put(f"members/{worker}", groups[worker])
+        for worker, members in groups.items():
+            writer.put(f"members/{worker}", members)
         request.ensure(writer.nbytes)
         segments = writer.write_to(request.buf)
         sends: dict[int, ShmRequest] = {}
-        for worker in live:
+        for worker in groups:
             # The slot's last occupant (batch ``seq - depth``) has been
             # collected, so this is the one moment it may be re-created.
             response = self._responses[worker][slot]
@@ -1418,8 +1409,8 @@ class ShardedBatchPipeline:
             if reply.block is None:
                 block = self._responses[worker][seq % self.depth].buf
             else:
-                # Too big for its slot (or classified in-process): the
-                # slots are re-created this size as they come up for use.
+                # Too big for its slot: the slots are re-created this
+                # size as they come up for use.
                 block = memoryview(reply.block)
                 self._reply_bytes = max(self._reply_bytes, block.nbytes)
             decoded.append(
@@ -1491,7 +1482,7 @@ class ShardedBatchPipeline:
                     f"({sup.config.restart_budget})"
                 )
             for seq in lost:
-                self._classify_inline(seq, worker)
+                self._serve_inline(seq, worker)
             return
         self._conns[worker], self._procs[worker] = self._spawn_worker(worker)
         self._cursors[worker] = 0
@@ -1504,59 +1495,51 @@ class ShardedBatchPipeline:
         # pipe and classifies in-process instead.
         for seq in lost:
             if seq == poison:
-                self._classify_inline(seq, worker)
+                self._serve_inline(seq, worker)
             else:
                 self._dispatch(seq, worker)
                 sup.stats.replayed_batches += 1
 
-    def _classify_inline(self, seq: int, worker: int) -> None:
-        """Classify ``worker``'s share of batch ``seq`` in-process and
-        park the reply.
+    def _serve_inline(self, seq: int, worker: int) -> None:
+        """Serve ``worker``'s share of batch ``seq`` in-process and park
+        the reply, exactly as the worker would have served it.
 
-        The degraded path must stay bitwise-identical to a live worker:
-        the parent keeps its own replica built from the same spec and
-        advanced along the same mutation log to exactly the batch's
-        pinned ``log_len`` — so results, stats and the flow-stats delta
-        match what the dead shard would have sent.  A replay can demand
-        an older log position than the replica has already advanced
-        past; the replica is then rebuilt from the spec (position 0).
+        The parent's replica is built from the same spec and advanced
+        along the same mutation log to the batch's pinned ``log_len``;
+        it reads the members from the request block and writes the reply
+        into the worker's response slot through the worker's own
+        :meth:`_Replica.serve` — so results, stats and the flow-stats
+        delta match what the dead shard would have sent, and the collect
+        path cannot tell the two apart.  A replay can demand an older
+        log position than the replica has already passed; it is then
+        rebuilt from the spec (position 0).  The fault plan stays out:
+        a fault fired here would kill the parent.
         """
         inflight = self._inflight[seq]
-        members = inflight.groups[worker]
-        runner = self._inline_runner
-        if runner is None or self._inline_cursor > inflight.log_len:
-            # Pickle round-trip the spec exactly as a worker spawn
-            # would: the spec (and the log) reference the parent's
+        replica = self._inline
+        if replica is None or replica.cursor > inflight.log_len:
+            # Pickle round-trip the spec (and the suffix below) exactly
+            # as a worker spawn would: both reference the parent's
             # *authoritative* FlowEntry objects, and classifying on
             # those would record flow stats directly into them — which
             # the collect-side credit would then double-count.
-            spec: PipelineSpec = pickle.loads(pickle.dumps(self._spec))
-            runner = BatchPipeline(
-                spec.build(),
-                cache_capacity=self._cache_capacity,
-                megaflow_capacity=self._megaflow_capacity,
+            replica = self._inline = _Replica(
+                pickle.loads(pickle.dumps(self._spec)),
+                self._cache_capacity,
+                self._megaflow_capacity,
             )
-            self._inline_runner = runner
-            self._inline_index = EntryIndex(runner.pipeline)
-            self._inline_cursor = 0
         suffix: tuple[Mutation, ...] = pickle.loads(
-            pickle.dumps(tuple(self._log[self._inline_cursor : inflight.log_len]))
+            pickle.dumps(tuple(self._log[replica.cursor : inflight.log_len]))
         )
-        _apply_mutations(runner.pipeline, suffix)
-        self._inline_cursor = inflight.log_len
-        runner.megaflow_bypass = inflight.bypass
-        outcomes = runner.classify_columnar(inflight.batch.select(members))
-        runner.megaflow_bypass = False
-        # Through the codec, into a private buffer: the collect path
-        # then decodes a degraded shard exactly like a live one.
-        assert self._inline_index is not None
-        writer = BlockWriter()
-        encode_outcomes(
-            writer, outcomes, self._inline_index, _reply_counters(runner)
+        slot = seq % self.depth
+        self._reply_buffer[(seq, worker)] = replica.serve(
+            inflight.sends[worker]._replace(mutations=suffix),
+            self._requests[slot].buf,
+            self._responses[worker][slot].buf,
+            FaultPlan(),
+            worker,
         )
-        block, segments = _place_reply(writer, None)
-        self._reply_buffer[(seq, worker)] = ShmReply("ok", seq, block, segments, ())
-        self._supervisor.stats.inline_packets += len(members)
+        self._supervisor.stats.inline_packets += len(inflight.groups[worker])
 
     def _maybe_prune_log(self, log_len: int) -> None:
         """Bound the mutation log under long churn.
@@ -1591,34 +1574,7 @@ class ShardedBatchPipeline:
         with self._mutation_lock:
             if len(self._log) != log_len:
                 return  # a mutator slipped in; prune on a later batch
-            self._spec = PipelineSpec.snapshot(self._authoritative)
-            if self._shared_rules:
-                # Re-seal at the fold point so future spawns (recovery
-                # respawns included) attach instead of replaying the
-                # authoritative state.  Long-lived workers never attach
-                # to the new block — tables they already thawed stay
-                # private, still-frozen ones keep valid mappings of the
-                # old (now unlinked) generation.
-                old_state = self._rule_state
-                self._rule_state = SharedRuleState.seal(
-                    self._authoritative, self._spec
-                )
-                self._spec = self._rule_state.spec
-                if old_state is not None:
-                    old_state.close()
-            self._log.clear()
-            self._cursors = [0] * self.workers
-            # The fresh spec *is* the table state at the old log's end,
-            # so everything still in flight (all pinned exactly there,
-            # per the guard above) rebases to prefix 0 of the now-empty
-            # log — a recovery replay then applies no suffix at all.
-            for inflight in self._inflight.values():
-                inflight.log_len = 0
-            # The inline replica's cursor died with the log; rebuild
-            # from the new spec on next use.
-            self._inline_runner = None
-            self._inline_index = None
-            self._inline_cursor = 0
+            self._fold_log()
 
     # -- stats ---------------------------------------------------------
 

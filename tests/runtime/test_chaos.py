@@ -17,10 +17,12 @@ coverage cannot silently rot out of the pipeline.
 
 import os
 import signal
+import sys
 import time
 
 import pytest
 
+from repro.runtime import shard
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
@@ -510,6 +512,73 @@ class TestPoisonAndBudgets:
         with pytest.raises(PoisonBatchError):
             sharded.process_batch(batches[0])
         sharded.close()
+
+
+@needs_dev_shm
+class TestInlineShardIsAReplica:
+    """A degraded shard is a replica like any other: the parent serves
+    it through the worker's own serve path, so its reply lands in the
+    worker's response slot and says what a live worker would say."""
+
+    def test_inline_reply_is_the_worker_reply(
+        self, small_routing_set, monkeypatch
+    ):
+        # No budget: the crash on seq 0 retires worker 0 for good, so
+        # seq 0 (lost) and seq 2 (submitted afterwards) run in-process.
+        sizes = (6, 4, 5, 3)
+        plan = FaultPlan(specs=(FaultSpec(0, 0, "after-receive", "crash"),))
+        run = _FaultRun(
+            small_routing_set,
+            sizes,
+            plan,
+            supervision=SupervisionConfig(restart_budget=0),
+        )
+        # What a live worker 0 replies for the same sub-batches.
+        live = {}
+        with _RoutedSharded(
+            make_arch(small_routing_set),
+            workers=2,
+            cache_capacity=64,
+            megaflow_capacity=128,
+        ) as twin:
+            for batch in run.batches:
+                seq = twin.submit_batch(batch)
+                twin._await(seq)
+                if (seq, 0) in twin._reply_buffer:
+                    live[seq] = twin._reply_buffer[seq, 0]
+                twin.collect_batch(seq)
+        assert sorted(live) == [0, 2]
+        assert all(reply.mask_fields for reply in live.values())
+
+        served, encoders = [], []
+        serve, encode = shard._Replica.serve, shard.encode_outcomes
+
+        def spy_serve(replica, *args):
+            reply = serve(replica, *args)
+            served.append(reply)
+            return reply
+
+        def spy_encode(*args):
+            encoders.append(sys._getframe(1).f_code.co_qualname)
+            return encode(*args)
+
+        # Forked workers inherit the spies, but only the parent's own
+        # calls land in these lists.
+        monkeypatch.setattr(shard._Replica, "serve", spy_serve)
+        monkeypatch.setattr(shard, "encode_outcomes", spy_encode)
+        snapshot = run.run_and_compare()
+        assert snapshot["inline_packets"] == sizes[0] + sizes[2]
+        assert snapshot["restarts"] == 0
+        assert [reply.seq for reply in served] == [0, 2]
+        # (a) written into its response slot, not carried as bytes;
+        assert all(reply.block is None for reply in served)
+        # (b) the mask fields a live worker reports for that sub-batch;
+        for reply in served:
+            assert reply.mask_fields == live[reply.seq].mask_fields
+        # (c) so no response slot grows on its account;
+        assert run.sharded._reply_bytes == 1
+        # (d) and the parent encodes through the replica's serve alone.
+        assert encoders and set(encoders) == {"_Replica.serve"}
 
 
 @needs_dev_shm

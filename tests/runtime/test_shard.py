@@ -168,9 +168,9 @@ class TestMutationCatchUp:
         sharded.close()
 
     def test_reuse_after_close_replays_full_log(self, small_routing_set):
-        """Respawned replicas rebuild from the construction-time
-        snapshot, so the cursors must rewind and the whole mutation log
-        must replay — otherwise pre-close flow-mods vanish."""
+        """Respawned replicas must see every pre-close flow-mod: the
+        respawn folds the log into a fresh snapshot, so nothing logged
+        before close() vanishes."""
         sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=2)
         try:
             probe = [{"in_port": 5, "ipv4_dst": 3}]
@@ -205,27 +205,48 @@ class TestMutationCatchUp:
 
     def test_mutation_log_pruned_after_catch_up(self, small_routing_set):
         """Long churn must not grow the log without bound: once every
-        worker has replayed it, the snapshot absorbs it."""
+        worker has replayed it, the snapshot absorbs it.  The log folds
+        in one place on both rule settings, so a respawn after close()
+        starts from a fresh fold too — never a replay of what was logged
+        while the fleet was down.  (Both settings run in one test, so
+        its id stays the one the suite has always reported.)"""
+        for shared_rules in (False, True):
+            self.prune_and_respawn(small_routing_set, shared_rules)
+
+    def prune_and_respawn(self, small_routing_set, shared_rules):
+        single = BatchPipeline(make_arch(small_routing_set))
         with ShardedBatchPipeline(
-            make_arch(small_routing_set), workers=2
+            make_arch(small_routing_set), workers=2, shared_rules=shared_rules
         ) as sharded:
             probe = [
                 {"in_port": p, "ipv4_dst": d}
                 for p in range(4)
                 for d in (1, 2, 3)
             ]
-            entry = self.entry(7, priority=999)
-            for _ in range(550):
-                sharded.pipeline.table(0).add(entry)
-                sharded.pipeline.table(0).remove(entry.match, entry.priority)
+            # A live fleet first, so the prune (not the spawn) folds.
+            sharded.process_batch(probe)
+            for runner in (sharded, single):
+                entry = self.entry(7, priority=999)
+                for _ in range(550):
+                    runner.pipeline.table(0).add(entry)
+                    runner.pipeline.table(0).remove(entry.match, entry.priority)
             assert len(sharded._log) == 1100
             sharded.process_batch(probe)  # both workers catch up
             sharded.process_batch(probe)  # prune runs after catch-up
             assert len(sharded._log) == 0
-            # Respawn-from-snapshot still classifies correctly.
+            # Flow-mods while the fleet is down fold at the respawn.
             sharded.close()
+            for runner in (sharded, single):
+                table = runner.pipeline.table(0)
+                table.add(self.entry(2, priority=999))
+                table.add(self.entry(3, priority=998))
+                table.remove(Match.exact(in_port=3), 998)
             results = sharded.process_batch(probe)
-            assert len(results) == len(probe)
+            assert len(sharded._log) == 0
+        expected = single.process_batch(probe)
+        assert any(r.output_ports == [102] for r in expected)
+        for a, b in zip(results, expected, strict=True):
+            assert_same_result(a, b)
 
 
 class ConnProxy:

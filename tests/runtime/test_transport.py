@@ -694,7 +694,7 @@ class TestEntryIndex:
         fold into the pinned — authoritative — entries the traversals
         matched, and into the parent runner's own flow counters.  The
         shard is degraded, so the reply is the inline one: the same
-        block a worker would write, in a private buffer."""
+        block a worker would write, in the same response slot."""
         from repro.runtime.shard import ShardedBatchPipeline
 
         table = FlowTable(table_id=0)
