@@ -21,7 +21,10 @@ compiling clean until the right property test happens to cover it:
   carries ``maxlen=`` or a ``len()`` bound check in scope, and lists
   are never used as FIFOs without one (an unbounded admission queue is
   exactly the overload failure mode the streaming layer exists to
-  prevent).
+  prevent);
+- ``unused-import`` — a module-scope import the module never reads is
+  dead coupling (``__future__``, package ``__init__.py`` re-exports and
+  names in ``__all__`` are exempt).
 
 Rules are deliberately *syntactic*: they key on the project's naming
 contracts (``SharedMemory(create=True)``, the hot-tier method names,
@@ -895,3 +898,95 @@ class BoundedQueueRule(Rule):
             ):
                 return True
         return False
+
+
+@register
+class UnusedImportRule(Rule):
+    """A module-scope import the module never references."""
+
+    name = "unused-import"
+    description = (
+        "a module-scope import whose bound name the module never reads "
+        "— code that outlived its last use still couples the module to "
+        "the dependency (__future__, package __init__.py re-exports and "
+        "names listed in __all__ are exempt)"
+    )
+    hint = (
+        "delete the import; a deliberate re-export belongs in __all__ or "
+        "a package __init__.py"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.path.replace("\\", "/").rsplit("/", 1)[-1] == "__init__.py":
+            return
+        used = self._referenced(ctx.tree) | self._exported(ctx.tree)
+        for node in self._module_imports(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in used:
+                    yield ctx.finding(
+                        self, alias, f"{bound!r} is imported but never used"
+                    )
+
+    @classmethod
+    def _module_imports(
+        cls, node: ast.AST
+    ) -> Iterator[ast.Import | ast.ImportFrom]:
+        """Imports outside every function and class body (module-level
+        ``if``/``try`` blocks included)."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield child
+            elif not isinstance(child, (*_FuncDef, ast.ClassDef)):
+                yield from cls._module_imports(child)
+
+    @staticmethod
+    def _referenced(tree: ast.Module) -> set[str]:
+        """Every name the module reads, quoted annotations included."""
+        names: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign, *_FuncDef)):
+                annotation = getattr(node, "annotation", None) or getattr(
+                    node, "returns", None
+                )
+                for sub in ast.walk(annotation) if annotation else ():
+                    if isinstance(sub, ast.Constant) and isinstance(
+                        sub.value, str
+                    ):
+                        try:
+                            quoted = ast.parse(sub.value, mode="eval")
+                        except SyntaxError:
+                            continue
+                        names.update(
+                            n.id
+                            for n in ast.walk(quoted)
+                            if isinstance(n, ast.Name)
+                        )
+        return names
+
+    @staticmethod
+    def _exported(tree: ast.Module) -> set[str]:
+        """The string constants a module-level ``__all__`` is assigned
+        (or extended with)."""
+        names: set[str] = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            if value is None or not any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+            ):
+                continue
+            names.update(
+                sub.value
+                for sub in ast.walk(value)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            )
+        return names

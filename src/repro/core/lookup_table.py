@@ -220,10 +220,7 @@ class OpenFlowLookupTable:
 
     @property
     def table_miss_entry(self) -> FlowEntry | None:
-        for installed in self._installed.values():
-            if installed.flow_entry.is_table_miss:
-                return installed.flow_entry
-        return None
+        return next((entry for entry in self if entry.is_table_miss), None)
 
     # ------------------------------------------------------------------
     # architecture-level interface

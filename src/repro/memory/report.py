@@ -258,14 +258,14 @@ class SharedSegmentCost:
     """One structure kind's share of a sealed shared-rule block."""
 
     table_id: int
-    kind: str  # "trie" | "lut" | "range" | "index" | "actions" | "entries"
+    kind: str  # "trie" | "lut" | "range" | "index" | "actions"
     arrays: int
     nbytes: int
 
 
 #: Path component -> structure kind for sealed segment keys, which look
 #: like ``t0/ipv4_dst:p1/trie/len24/values`` or ``t0/index/final``.
-_SEGMENT_KINDS = ("trie", "lut", "range", "index", "actions", "entries")
+_SEGMENT_KINDS = ("trie", "lut", "range", "index", "actions")
 
 
 @dataclass
@@ -276,10 +276,10 @@ class SharedStateMemoryReport:
     segment table alone — no attach needed — and grouped by the same
     structure kinds as :class:`TableMemoryReport`, so the paper's
     bit-cost model (what the hardware would spend) sits next to what
-    the runtime actually mapped into ``/dev/shm``.  The ``entries``
-    kind is the pickled flow-entry blob: pure software-runtime state
-    (rehydration for stats and thaw) with no hardware counterpart.
-    See docs/memory-model.md for how to read the two side by side.
+    the runtime actually mapped into ``/dev/shm``.  The flow entries
+    are not in the block (workers read them from their pipeline spec),
+    so every kind has a line in the model.  See docs/memory-model.md
+    for how to read the two side by side.
     """
 
     costs: list[SharedSegmentCost]

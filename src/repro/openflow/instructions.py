@@ -192,9 +192,9 @@ class InstructionSet:
         return self._by_type.get(kind)
 
     def __getstate__(self) -> tuple[None, dict[str, dict[type, Instruction]]]:
-        # The compiled step is a per-process cache; snapshots, sealed
-        # entry blobs and mutation-log submits ship the instructions
-        # alone, byte-for-byte what they shipped before it existed.
+        # The compiled step is a per-process cache; snapshots and
+        # mutation-log submits ship the instructions alone,
+        # byte-for-byte what they shipped before it existed.
         return (None, {"_by_type": self._by_type})
 
     def __setstate__(

@@ -299,7 +299,7 @@ class Match(Mapping[str, FieldMatch]):
     def __reduce__(self) -> tuple[object, ...]:
         # The default registry is a process-global singleton; pickled by
         # value it copies the whole field schema into every serialised
-        # match (~2.4 KB each), which dominates sealed entry blobs,
+        # match (~2.4 KB each), which dominates pipeline snapshots,
         # mutation-log submits, and transport payloads.  Ship the fields
         # alone and re-attach the global on load; matches built against
         # a custom registry still travel by value.

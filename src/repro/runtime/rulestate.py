@@ -17,9 +17,12 @@ finalize/unlink lifecycle guards apply unchanged):
 - the index calculation's aggregation network, as sorted hash arrays
   per tuple-prefix depth plus exact label columns and best-rule ranks
   at the final depth;
-- the action table, as a slot -> entry-position array;
-- the flow entries themselves, pickled into one packed byte lane with
-  an offset column (entries rehydrate lazily, on first match).
+- the action table, as a slot -> entry-position array.
+
+The block holds structures, not entries: a position indexes the lookup
+table's entry tuple in the ``PipelineSpec`` a worker is started with
+(inherited under ``fork``, pickled once per worker under ``spawn``),
+the same tuple, in the same installation order, the parent sealed from.
 
 Workers *attach*: :class:`FrozenLookupTable` subclasses the eager
 :class:`~repro.core.lookup_table.OpenFlowLookupTable`, builds the cheap
@@ -33,8 +36,8 @@ tables, not the data — O(1) in rules.
 
 Mutations keep flowing through the mutation log.  The first ``add`` /
 ``remove`` / ``remove_where`` against a frozen table *thaws* it: the
-sealed entries are materialised and replayed into a private eager table
-in installation order (entry ``_seq`` values survive pickling, so index
+table spec rebuilds a private eager table from its entries in
+installation order (entry ``_seq`` values survive pickling, so index
 tiebreaks agree with every other path), after which the table behaves
 exactly like the replica it replaced.  Unmutated tables stay frozen for
 the worker's lifetime; a POSIX unlink of a superseded seal generation
@@ -47,7 +50,6 @@ paper's cost model).
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -115,16 +117,10 @@ class FrozenTableLayout:
     """Per-table scalars that do not fit in a numpy lane."""
 
     table_id: int
-    entry_count: int
-    miss_position: int | None
     #: (partition name, default /0 label, stored-entry count) per trie.
     tries: tuple[tuple[str, int, int], ...]
     #: (partition name, stored-range count) per range structure.
     ranges: tuple[tuple[str, int], ...]
-    #: distinct addressable label tuples in the index.
-    index_len: int
-    #: live action entries (allocated slots minus free slots).
-    action_live: int
 
 
 @dataclass(frozen=True)
@@ -379,20 +375,22 @@ class FrozenIndex:
 
 
 class FrozenActions:
-    """Read-only action-table twin: slot index -> sealed entry position.
-
-    Entries rehydrate lazily through the shared :class:`_EntryStore`, so
-    a worker only pays unpickling cost for rules its traffic actually
-    hits.
-    """
+    """Read-only action-table twin: slot index -> sealed entry position,
+    resolved against the entry tuple the table was attached with."""
 
     def __init__(
-        self, reader: BlockReader, key: str, store: _EntryStore, live: int
+        self,
+        reader: BlockReader,
+        key: str,
+        entries: tuple[Any, ...],
+        attachments: BlockAttachments,
     ) -> None:
         self._positions = _readonly(reader, f"{key}/actions/positions")
-        self._store = store
-        self._live = live
+        self._entries = entries
         self._cache: dict[int, Any] = {}
+        # Set after the view on purpose: it keeps the mapping alive for
+        # as long as this twin is, and drops after the view at teardown.
+        self._attachments = attachments
 
     def __getitem__(self, index: int) -> Any:
         entry = self._cache.get(index)
@@ -406,7 +404,7 @@ class FrozenActions:
         from repro.core.action_table import ActionTableEntry
 
         entry = ActionTableEntry(
-            index=index, flow_entry=self._store.entry_at(position)
+            index=index, flow_entry=self._entries[position]
         )
         self._cache[index] = entry
         return entry
@@ -417,55 +415,11 @@ class FrozenActions:
                 yield self[index]
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._entries)
 
     @property
     def allocated_slots(self) -> int:
         return int(self._positions.size)
-
-
-class _EntryStore:
-    """Packed pickled flow entries: one byte lane + an offset column.
-
-    Positions are the sealed installation order — the same coordinate
-    system as ``entries_snapshot()`` on the parent's authoritative table
-    at seal time, which is what lets the stats-return protocol reference
-    frozen entries without rebuilding a snapshot.
-    """
-
-    def __init__(
-        self,
-        reader: BlockReader,
-        key: str,
-        count: int,
-        attachments: BlockAttachments,
-    ) -> None:
-        self._blob = _readonly(reader, f"{key}/entries/blob")
-        self._offsets = _readonly(reader, f"{key}/entries/offsets")
-        self.count = count
-        #: keeps the mapping alive for as long as any entry may rehydrate
-        self._attachments = attachments
-        self._cache: dict[int, Any] = {}
-        self._positions: dict[int, int] = {}
-        self._all: tuple[Any, ...] | None = None
-
-    def entry_at(self, position: int) -> Any:
-        entry = self._cache.get(position)
-        if entry is None:
-            low = int(self._offsets[position])
-            high = int(self._offsets[position + 1])
-            entry = pickle.loads(bytes(self._blob[low:high]))
-            self._cache[position] = entry
-            self._positions[id(entry)] = position
-        return entry
-
-    def position_of(self, entry: Any) -> int | None:
-        return self._positions.get(id(entry))
-
-    def all_entries(self) -> tuple[Any, ...]:
-        if self._all is None:
-            self._all = tuple(self.entry_at(i) for i in range(self.count))
-        return self._all
 
 
 # ----------------------------------------------------------------------
@@ -482,29 +436,32 @@ class FrozenLookupTable(OpenFlowLookupTable):
     action table.  Every inherited lookup path — scalar, batch, masked
     megaflow capture — runs unchanged.
 
-    The first mutation thaws: sealed entries are materialised and
-    replayed into a fresh eager table whose ``__dict__`` replaces this
-    one's, so post-thaw the object *is* the private replica the worker
-    would have built at spawn.  ``version`` stays 0 while frozen and
-    jumps to the replay count on thaw, so microflow/megaflow caches
-    invalidate exactly as they would across real mutations.
+    Entries are the table spec's own tuple (``spec.entries``), which
+    the sealed positions index; ``__len__`` and ``__iter__`` read it, so
+    the inherited ``entries_snapshot()`` and ``table_miss_entry`` do
+    too, and at ``version`` 0 the snapshot *is* the sealed order.
+
+    The first mutation thaws: ``spec.build`` replays the entries into a
+    fresh eager table whose ``__dict__`` replaces this one's, so
+    post-thaw the object *is* the private replica the worker would have
+    built at spawn.  ``version`` stays 0 while frozen and jumps to the
+    replay count on thaw, so microflow/megaflow caches invalidate
+    exactly as they would across real mutations.
     """
 
     def __init__(
         self,
-        field_names: tuple[str, ...],
+        spec: Any,
         layout: FrozenTableLayout,
         reader: BlockReader,
         attachments: BlockAttachments,
         config: Any,
     ) -> None:
         super().__init__(
-            field_names, table_id=layout.table_id, config=config
+            spec.field_names, table_id=layout.table_id, config=config
         )
         prefix = f"t{layout.table_id}"
-        self._store = _EntryStore(
-            reader, prefix, layout.entry_count, attachments
-        )
+        self._spec = spec
         trie_meta = {name: (default, count) for name, default, count in layout.tries}
         range_meta = dict(layout.ranges)
         for engine in self._flat_engines:
@@ -533,9 +490,8 @@ class FrozenLookupTable(OpenFlowLookupTable):
             reader, prefix, depth=len(self.partitioner.partition_names)
         )
         self.actions = FrozenActions(  # type: ignore[assignment]
-            reader, prefix, self._store, live=layout.action_live
+            reader, prefix, spec.entries, attachments
         )
-        self._miss_position = layout.miss_position
         self._frozen = True
         # Inserted last on purpose: attribute dicts drop references in
         # insertion order at teardown, so the views above die before the
@@ -546,38 +502,13 @@ class FrozenLookupTable(OpenFlowLookupTable):
 
     def __len__(self) -> int:
         if self._frozen:
-            return self._store.count
+            return len(self._spec.entries)
         return super().__len__()
 
     def __iter__(self) -> Any:
         if self._frozen:
-            return iter(self._store.all_entries())
+            return iter(self._spec.entries)
         return super().__iter__()
-
-    def entries_snapshot(self) -> tuple[Any, ...]:
-        if self._frozen:
-            return self._store.all_entries()
-        return super().entries_snapshot()
-
-    @property
-    def table_miss_entry(self) -> Any:
-        if self._frozen:
-            if self._miss_position is None:
-                return None
-            return self._store.entry_at(self._miss_position)
-        return OpenFlowLookupTable.table_miss_entry.fget(self)  # type: ignore[attr-defined]
-
-    def entry_position(self, entry: Any) -> int | None:
-        """Sealed position of a rehydrated entry (None once thawed).
-
-        The stats-return fast path: while frozen, the sealed order *is*
-        the parent's pinned ``entries_snapshot()`` order (any mutation
-        would have thawed this table first), so entry refs need no
-        snapshot rebuild.
-        """
-        if self._frozen:
-            return self._store.position_of(entry)
-        return None
 
     # -- mutation paths (thaw first) -----------------------------------
 
@@ -599,19 +530,15 @@ class FrozenLookupTable(OpenFlowLookupTable):
     def _thaw(self) -> None:
         """Replace the frozen state with a private eager replica.
 
-        Replaying the sealed entries in installation order reproduces the
-        exact table a spec-built worker would hold: entry ``_seq`` values
-        survive pickling, so every index tiebreak lands identically.
+        The spec's own ``build`` is the table a spec-built worker would
+        hold: it replays the entries in installation order, and entry
+        ``_seq`` values survive pickling, so every index tiebreak lands
+        identically.
         """
-        entries = self._store.all_entries()
         attachments = self._attachments
         lookup_count = self.lookup_count
         matched_count = self.matched_count
-        rebuilt = OpenFlowLookupTable(
-            self.field_names, table_id=self.table_id, config=self.config
-        )
-        for entry in entries:
-            rebuilt.add(entry)
+        rebuilt = self._spec.build(self.config)
         self.__dict__.clear()
         self.__dict__.update(rebuilt.__dict__)
         self.lookup_count = lookup_count
@@ -634,8 +561,8 @@ class SharedRuleState:
     ``seal`` walks the *live* authoritative tables (always at a
     mutation-log fold point, under the runner's mutation lock) into one
     shared block and returns a state whose :attr:`spec` is the input
-    spec with lookup-table entries stripped (they live in the block) and
-    the attach layout threaded through ``PipelineSpec.shared``.
+    spec with the attach layout threaded through ``PipelineSpec.shared``
+    — its entry tuples are the ones the sealed positions index.
 
     ``close`` unlinks the block through the standard finalize guard —
     attached workers keep valid mappings; nothing survives in
@@ -673,15 +600,7 @@ class SharedRuleState:
             segments=segments,
             tables=tuple(layouts),
         )
-        shared_spec = replace(
-            spec,
-            tables=tuple(
-                replace(t, entries=()) if t.kind == "lookup" else t
-                for t in spec.tables
-            ),
-            shared=layout,
-        )
-        return cls(block=block, layout=layout, spec=shared_spec)
+        return cls(block=block, layout=layout, spec=replace(spec, shared=layout))
 
     def close(self) -> None:
         self._block.close()
@@ -690,23 +609,6 @@ class SharedRuleState:
 def _seal_table(writer: BlockWriter, table: Any, entries: tuple[Any, ...]) -> FrozenTableLayout:
     prefix = f"t{table.table_id}"
     positions = {id(entry): pos for pos, entry in enumerate(entries)}
-
-    blobs = [pickle.dumps(entry) for entry in entries]
-    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-    np.cumsum(
-        np.array([len(blob) for blob in blobs], dtype=np.int64),
-        out=offsets[1:],
-    )
-    writer.put(f"{prefix}/entries/offsets", offsets)
-    writer.put(
-        f"{prefix}/entries/blob",
-        np.frombuffer(b"".join(blobs), dtype=np.uint8),
-    )
-    miss_position = next(
-        (pos for pos, entry in enumerate(entries) if entry.is_table_miss),
-        None,
-    )
-
     trie_meta: list[tuple[str, int, int]] = []
     range_meta: list[tuple[str, int]] = []
     for engine in table._flat_engines:
@@ -728,12 +630,8 @@ def _seal_table(writer: BlockWriter, table: Any, entries: tuple[Any, ...]) -> Fr
 
     return FrozenTableLayout(
         table_id=table.table_id,
-        entry_count=len(entries),
-        miss_position=miss_position,
         tries=tuple(trie_meta),
         ranges=tuple(range_meta),
-        index_len=len(table.index),
-        action_live=len(table.actions),
     )
 
 
@@ -841,10 +739,10 @@ def attach_shared_tables(spec: Any) -> list[Any]:
     """Build the table list for a spec carrying a ``SharedRuleLayout``.
 
     Lookup tables described by the layout attach as
-    :class:`FrozenLookupTable`; everything else (behavioural flow
-    tables, lookup tables sealed empty of a layout — there are none
-    today, but the fallback keeps the contract local) builds eagerly
-    from its spec.
+    :class:`FrozenLookupTable` over their spec's entries; everything
+    else (behavioural flow tables, lookup tables the layout does not
+    describe — there are none today, but the fallback keeps the
+    contract local) builds eagerly from its spec.
     """
     layout: SharedRuleLayout = spec.shared
     attachments = BlockAttachments()
@@ -861,11 +759,7 @@ def attach_shared_tables(spec: Any) -> list[Any]:
         else:
             tables.append(
                 FrozenLookupTable(
-                    table_spec.field_names,
-                    table_layout,
-                    reader,
-                    attachments,
-                    config=spec.config,
+                    table_spec, table_layout, reader, attachments, spec.config
                 )
             )
     return tables

@@ -255,9 +255,9 @@ class PipelineSpec:
     """Picklable snapshot of a whole pipeline, for worker replicas.
 
     With ``shared`` set (a :class:`~repro.runtime.rulestate.SharedRuleLayout`
-    minted by ``SharedRuleState.seal``), the lookup tables' entry tuples
-    are stripped — the entries live in the sealed shared-memory block —
-    and :meth:`build` *attaches* frozen replicas instead of replaying
+    minted by ``SharedRuleState.seal``), :meth:`build` *attaches* frozen
+    replicas — the lookup structures live in the sealed shared-memory
+    block and index the entry tuples kept here — instead of replaying
     O(rules) adds per worker.
     """
 
@@ -317,22 +317,27 @@ class _LoggedTable:
 
     def remove(self, match: Match, priority: int) -> bool:
         with self._lock:
-            removed = self._table.remove(match, priority)
-            if removed:
-                self._log.append(
-                    RemoveMutation(
-                        "remove", self._table.table_id, match, priority
-                    )
-                )
-            return removed
+            return self._remove(match, priority)
 
     def remove_where(self, predicate: Callable[[FlowEntry], bool]) -> int:
         # Predicates don't pickle; expand to the concrete removals so the
-        # log stays replayable on the workers.
-        doomed = [e for e in self._table if predicate(e)]
-        for entry in doomed:
-            self.remove(entry.match, entry.priority)
-        return len(doomed)
+        # log stays replayable on the workers — under one acquisition,
+        # so the scan races no other flow-mod and a batch sees all of
+        # the removals or none.
+        with self._lock:
+            doomed = [e for e in self._table if predicate(e)]
+            for entry in doomed:
+                self._remove(entry.match, entry.priority)
+            return len(doomed)
+
+    def _remove(self, match: Match, priority: int) -> bool:
+        """Apply and log one removal; the caller holds the lock."""
+        removed = self._table.remove(match, priority)
+        if removed:
+            self._log.append(
+                RemoveMutation("remove", self._table.table_id, match, priority)
+            )
+        return removed
 
     def __len__(self) -> int:
         return len(self._table)

@@ -431,18 +431,6 @@ class EntryIndex:
         return self._state(table_id)[1]
 
     def ref(self, table_id: int, entry: FlowEntry) -> tuple[int, int]:
-        # Frozen shared-state tables (runtime/rulestate.py) know each
-        # rehydrated entry's sealed position outright — and the sealed
-        # order *is* the parent's pinned snapshot order, because any
-        # mutation would have thawed the table (entry_position then
-        # returns None and the snapshot path below takes over).
-        position_of = getattr(
-            self.pipeline.table(table_id), "entry_position", None
-        )
-        if position_of is not None:
-            position = position_of(entry)
-            if position is not None:
-                return (table_id, position)
         return (table_id, self._state(table_id)[2][id(entry)])
 
     def pin(self) -> dict[int, tuple[FlowEntry, ...]]:

@@ -185,6 +185,13 @@ class TestRuleDetails:
                     body,
                 )
 
+    def test_unused_import_spares_package_reexports_only(self):
+        source = "from repro.core import build_prototype\n"
+        for path, fires in (("pkg/__init__.py", False), ("pkg/mod.py", True)):
+            findings = check_source(source, path)
+            assert [f.rule for f in findings] == ["unused-import"] * fires
+            assert all(f.line == 1 for f in findings)
+
     def test_every_guarded_name_is_defined_in_src(self):
         """The hot-function and key-callee lists match by bare name, so
         a deleted function would leave its rule guarding nothing."""

@@ -8,24 +8,36 @@ import pickle
 import signal
 from multiprocessing import get_context
 
+import numpy as np
 import pytest
 
-from repro.core.architecture import MultiTableLookupArchitecture
-from repro.core.builder import build_lookup_table
+from repro.core.lookup_table import OpenFlowLookupTable
+from repro.memory.report import shared_state_report
 from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import WriteActions
 from repro.openflow.match import Match
+from repro.packet.batch import PacketBatch
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
+    FaultPlan,
     PipelineSpec,
     ShardedBatchPipeline,
     run_workload,
 )
+from repro.runtime.protocol import ShmRequest
 from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
+from repro.runtime.shard import _Replica
+from repro.runtime.transport import (
+    BlockWriter,
+    EntryIndex,
+    PacketBlockCodec,
+    SharedBlock,
+)
 
 from tests.runtime.conftest import needs_dev_shm
+from tests.runtime.test_columnar import _Spy
 from tests.runtime.test_megaflow import assert_same_result
 from tests.runtime.test_shard import make_arch
 
@@ -58,19 +70,31 @@ class TestSealAttach:
         finally:
             state.close()
 
-    def test_spec_round_trips_without_entries(self, small_routing_set):
-        """The shared spec pickles O(1) in rules: lookup-table entry
-        tuples are stripped (the blob lives in the block), and a
-        pickle round trip — the worker bootstrap path — still builds a
-        working replica."""
+    def test_spec_carries_the_entries_the_block_indexes(
+        self, small_routing_set
+    ):
+        """The block holds structures only: the shared spec's lookup
+        entry tuples *are* the authoritative ones, and a pickle round
+        trip — the spawn bootstrap and the inline replica's path —
+        builds a replica that classifies identically over copies, never
+        the parent's own entry objects."""
         arch, state = seal(small_routing_set)
         try:
-            for table_spec in state.spec.tables:
-                if table_spec.kind == "lookup":
-                    assert table_spec.entries == ()
+            live = arch.tables[0]
+            (table_spec,) = state.spec.tables
+            assert all(
+                a is b for a, b in zip(table_spec.entries, live, strict=True)
+            )
             replica = pickle.loads(pickle.dumps(state.spec)).build()
-            fields = dict(probes(small_routing_set, count=1)[0])
-            assert_same_result(replica.process(fields), arch.process(fields))
+            frozen = replica.tables[0]
+            assert isinstance(frozen, FrozenLookupTable)
+            assert not any(
+                a is b for a, b in zip(frozen, live, strict=True)
+            )
+            for fields in probes(small_routing_set):
+                assert_same_result(
+                    replica.process(dict(fields)), arch.process(dict(fields))
+                )
         finally:
             state.close()
 
@@ -86,8 +110,34 @@ class TestSealAttach:
             assert [e.match for e in frozen.entries_snapshot()] == [
                 e.match for e in table.entries_snapshot()
             ]
+            index = EntryIndex(replica)
             for position, entry in enumerate(frozen.entries_snapshot()):
-                assert frozen.entry_position(entry) == position
+                assert index.ref(frozen.table_id, entry) == (
+                    frozen.table_id,
+                    position,
+                )
+        finally:
+            state.close()
+
+
+class TestSharedStateReport:
+    KINDS = {"trie", "lut", "range", "index", "actions"}
+
+    def test_report_prices_every_segment_as_a_structure(
+        self, small_routing_set
+    ):
+        _, state = seal(small_routing_set)
+        try:
+            segments = state.layout.segments
+            report = shared_state_report(state.layout)
+            assert {cost.kind for cost in report.costs} <= self.KINDS
+            assert report.total_nbytes == sum(
+                segment.count * np.dtype(segment.dtype).itemsize
+                for segment in segments
+            )
+            assert sum(cost.arrays for cost in report.costs) == len(segments)
+            for segment in segments:
+                assert set(segment.key.split("/")) & self.KINDS, segment.key
         finally:
             state.close()
 
@@ -141,6 +191,91 @@ class TestImmutability:
             # The thawed replica diverged exactly by the new entry.
             hit = thawed.process({"in_port": 3})
             assert 42 in hit.output_ports
+        finally:
+            state.close()
+
+
+def _serve_one_batch(replica, dicts):
+    """One request through the worker's serve path, on blocks of its own."""
+    codec = PacketBlockCodec()
+    batch = PacketBatch.from_dicts(dicts, codec.field_bits)
+    writer = BlockWriter()
+    layout = codec.encode_batch(writer, batch, "pkt")
+    writer.put("members/0", np.arange(len(batch), dtype=np.int64))
+    request_block, reply_block = SharedBlock(), SharedBlock()
+    try:
+        request_block.ensure(writer.nbytes)
+        reply_block.ensure(1 << 16)
+        request = ShmRequest(
+            "shm",
+            0,
+            (),
+            request_block.name,
+            writer.write_to(request_block.buf),
+            layout,
+            "members/0",
+            False,
+            reply_block.name,
+        )
+        return replica.serve(
+            request, request_block.buf, reply_block.buf, FaultPlan(), 0
+        )
+    finally:
+        request_block.close()
+        reply_block.close()
+
+
+class TestSealedStateCostShape:
+    """The sealed block carries lookup structures, not entries: sealing,
+    attaching, serving a batch and thawing pickle nothing."""
+
+    def test_seal_attach_serve_thaw_pickle_nothing(
+        self, small_routing_set, monkeypatch
+    ):
+        arch = make_arch(small_routing_set)
+        spec = PipelineSpec.snapshot(arch)
+        dicts = [dict(fields) for fields in probes(small_routing_set, 64)]
+        spies = {
+            name: _Spy(monkeypatch, pickle, name)
+            for name in ("dumps", "loads")
+        }
+        state = SharedRuleState.seal(arch, spec)
+        try:
+            replica = _Replica(state.spec, 64, 128)
+            table = replica.runner.pipeline.tables[0]
+            assert isinstance(table, FrozenLookupTable) and table._frozen
+            reply = _serve_one_batch(replica, dicts)
+            assert reply.kind == "ok" and reply.block is None
+            doomed = next(iter(table))
+            assert table.remove(doomed.match, doomed.priority)
+            assert not table._frozen
+            assert len(table) == len(arch.tables[0]) - 1
+            assert {name: spy.calls for name, spy in spies.items()} == {
+                "dumps": 0,
+                "loads": 0,
+            }
+        finally:
+            state.close()
+
+
+class TestThawCostShape:
+    """ROADMAP item 4: a mutation against sealed state should cost what
+    it changes.  Counts, not clocks."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="thaw rebuilds the whole table — ROADMAP item 4",
+    )
+    def test_one_remove_makes_at_most_one_add(
+        self, small_routing_set, monkeypatch
+    ):
+        _, state = seal(small_routing_set)
+        try:
+            table = state.spec.build().tables[0]
+            doomed = next(iter(table))
+            adds = _Spy(monkeypatch, OpenFlowLookupTable, "add")
+            assert table.remove(doomed.match, doomed.priority)
+            assert adds.calls <= 1
         finally:
             state.close()
 

@@ -25,7 +25,7 @@ from repro.runtime import (
     ShardedBatchPipeline,
     run_workload,
 )
-from repro.runtime import transport
+from repro.runtime import shard, transport
 from repro.runtime.protocol import ByeReply, ShmReply
 from repro.runtime.transport import SharedBlock
 
@@ -160,6 +160,49 @@ class TestMutationCatchUp:
                 [{"in_port": 6, "ipv4_dst": 1}]
             )
         assert results[0].output_ports != [106]
+
+    def test_remove_where_is_one_flow_mod(self, small_routing_set, monkeypatch):
+        """One lock acquisition spans the scan, all k removals and their
+        k log appends, so a batch pinned from another thread sees the
+        whole ``remove_where`` or none of it."""
+        events = []
+
+        class SpyLock:
+            held = False
+
+            def __enter__(self):
+                events.append("acquire")
+                self.held = True
+
+            def __exit__(self, *exc_info):
+                self.held = False
+                events.append("release")
+
+        class SpyLog(list):
+            def append(self, mutation):
+                events.append("log")
+                super().append(mutation)
+
+        lock, log = SpyLock(), SpyLog()
+        table = make_arch(small_routing_set).tables[0]
+        for port in (6, 7, 8):
+            table.add(self.entry(port, priority=999))
+        remove = table.remove
+        monkeypatch.setattr(
+            table, "remove", lambda *args: events.append("remove") or remove(*args)
+        )
+        unlocked_scans = []
+
+        def doomed(entry):
+            if not lock.held:
+                unlocked_scans.append(entry)
+            return entry.priority == 999
+
+        facade = shard._LoggedTable(table, log, lock)
+        assert facade.remove_where(doomed) == 3
+        assert unlocked_scans == []
+        assert events == ["acquire"] + ["remove", "log"] * 3 + ["release"]
+        assert sorted(m.match["in_port"].value for m in log) == [6, 7, 8]
 
     def test_empty_batch_and_close_idempotent(self, small_routing_set):
         sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=2)
