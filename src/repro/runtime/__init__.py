@@ -70,8 +70,12 @@ flow-stats delta rides in the reply block as two per-traversal lanes
 (:class:`~repro.runtime.transport.EntryIndex`) that the parent resolves
 against the order it pinned at submission, folding the delta into its
 authoritative flow entries — flow stats under sharding match the
-single-process run exactly.  A reply that does not fit its batch fails
-closed (:class:`~repro.runtime.transport.ReplyDecodeError`).
+single-process run exactly.  Beside them the reply carries the cache,
+megaflow and wave counts its own request caused, which the parent adds
+once into its one :class:`~repro.runtime.batch.BatchStats` record
+(``runner.stats``, as on the in-process runner) — a lost reply is never
+counted, its replay counted once.  A reply that does not fit its batch
+fails closed (:class:`~repro.runtime.transport.ReplyDecodeError`).
 
 **Pipelined dispatch/collect.**  The transport is double-buffered: each
 direction keeps a ring of ``depth`` shared blocks, so

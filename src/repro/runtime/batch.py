@@ -32,7 +32,7 @@ property of the scalar path carries over to the batched path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from collections.abc import Iterator, Mapping, Sequence
 from typing import Any, Protocol, overload
 
@@ -53,7 +53,19 @@ from repro.runtime.walk import ColumnarWalk
 
 @dataclass
 class BatchStats:
-    """Aggregate counters over everything a runner has processed."""
+    """Aggregate counters over everything a runner has processed.
+
+    Each runner keeps one as its live record (``runner.stats``) and
+    counts every unit of work into it exactly once, where the work
+    lands: ``packets`` / ``batches`` as a batch enters, the traffic
+    fields through :func:`credit_traversal`, ``waves`` per walk — and
+    on the sharded parent the cache, megaflow and wave counters as each
+    collected reply adds what its own request caused.  The tiers and
+    the lifecycle sweeper keep their own counters;
+    ``stats_snapshot()`` adds them.  With a megaflow tier and no
+    bypass, ``megaflow_hits + megaflow_misses == packets`` whenever
+    nothing is in flight.
+    """
 
     packets: int = 0
     batches: int = 0
@@ -89,6 +101,15 @@ class BatchStats:
     @property
     def waves_per_batch(self) -> float:
         return self.waves / self.batches if self.batches else 0.0
+
+    def since(self, before: BatchStats) -> BatchStats:
+        """What every counter grew by from ``before`` to here."""
+        return BatchStats(
+            *(
+                getattr(self, counter.name) - getattr(before, counter.name)
+                for counter in fields(BatchStats)
+            )
+        )
 
 
 class BatchPipeline:
@@ -131,14 +152,7 @@ class BatchPipeline:
         #: traversals it has already seen, so bypassing it changes
         #: per-packet results never, only cache stats and cost.
         self.megaflow_bypass = False
-        self.packets = 0
-        self.batches = 0
-        self.matched = 0
-        self.sent_to_controller = 0
-        self.dropped = 0
-        self.waves = 0
-        self.flow_packets = 0
-        self.flow_bytes = 0
+        self.stats = BatchStats()
         self.lifecycle = LifecycleSweeper()
 
     @property
@@ -206,8 +220,8 @@ class BatchPipeline:
         the decode-free sharded worker encodes its distinct traversals
         directly.
         """
-        self.packets += len(batch)
-        self.batches += 1
+        self.stats.packets += len(batch)
+        self.stats.batches += 1
         frame = batch.frame_lengths()
         megaflow = None if self.megaflow_bypass else self.megaflow
         replays: list[Traversal | None]
@@ -216,7 +230,9 @@ class BatchPipeline:
             # Hit counters aggregated per entry — one pass over the few
             # distinct aggregates instead of every packet.
             for entry, count, byte_count in buckets:
-                credit_traversal(self, entry, count, byte_count)
+                credit_traversal(
+                    self.stats, entry.template, count, byte_count
+                )
         else:
             replays = [None] * len(batch)
             missed = np.arange(len(batch), dtype=np.int64)
@@ -239,7 +255,7 @@ class BatchPipeline:
             self.pipeline, self.caches, batch, frame, capture=megaflow is not None
         )
         walk.run(missed)
-        self.waves += walk.waves
+        self.stats.waves += walk.waves
         # Per-entry flow stats were credited wave by wave; the runner's
         # own totals fold in per distinct traversal (bincount's float64
         # byte sums are exact below 2**53).
@@ -252,7 +268,9 @@ class BatchPipeline:
         for traversal, count, byte_count in zip(
             walk.traversals, counts.tolist(), byte_sums.tolist()
         ):
-            credit_traversal(self, traversal, count, int(byte_count))
+            credit_traversal(
+                self.stats, traversal.template, count, int(byte_count)
+            )
         taken: Sequence[Traversal]
         if megaflow is not None:
             taken = megaflow.install_batch(
@@ -280,9 +298,9 @@ class BatchPipeline:
         :class:`~repro.runtime.walk.ColumnarWalk` reaches the table
         through ``lookup_keys`` instead.
         """
-        pipeline = self.pipeline
-        self.packets += len(batch)
-        self.batches += 1
+        pipeline, stats = self.pipeline, self.stats
+        stats.packets += len(batch)
+        stats.batches += 1
         results = [PipelineResult(final_fields=dict(fields)) for fields in batch]
         action_sets: list[list] = [[] for _ in results]
         #: Packets still in flight, grouped by the table they sit at.
@@ -296,7 +314,7 @@ class BatchPipeline:
         while pending:
             # Goto-Table is forward-only, so the smallest pending table id
             # is never re-entered once drained.
-            self.waves += 1
+            stats.waves += 1
             table_id = min(pending)
             members = pending.pop(table_id)
             table: Any = pipeline.table(table_id)
@@ -326,56 +344,46 @@ class BatchPipeline:
         for i in completed:
             pipeline._execute_action_set(action_sets[i], results[i])
         for result in results:
-            matched_entries = len(result.matched_entries)
-            if matched_entries:
-                self.matched += 1
-                self.flow_packets += matched_entries
-                # frame_len is never rewritten, so final_fields carries
-                # the length every stats.record() saw mid-pipeline.
-                self.flow_bytes += matched_entries * frame_length(
-                    result.final_fields
-                )
-            self.sent_to_controller += result.sent_to_controller
-            self.dropped += result.dropped
+            # A result is its own path's template; frame_len is never
+            # rewritten, so final_fields carries the length every
+            # stats.record() saw mid-pipeline.
+            credit_traversal(
+                stats, result, 1, frame_length(result.final_fields)
+            )
         return results
 
     def stats_snapshot(self) -> BatchStats:
-        stats = BatchStats(
-            packets=self.packets,
-            batches=self.batches,
-            matched=self.matched,
-            sent_to_controller=self.sent_to_controller,
-            dropped=self.dropped,
-            waves=self.waves,
-            flow_packets=self.flow_packets,
-            flow_bytes=self.flow_bytes,
+        """The runner's record (:attr:`stats`) plus the counters its
+        cache tiers and lifecycle sweeper own."""
+        caches, megaflow = self.caches.values(), self.megaflow
+        return replace(
+            self.stats,
+            cache_hits=sum(cache.hits for cache in caches),
+            cache_misses=sum(cache.misses for cache in caches),
+            megaflow_hits=megaflow.hits if megaflow is not None else 0,
+            megaflow_misses=megaflow.misses if megaflow is not None else 0,
             advances=self.lifecycle.stats.advances,
             expired=self.lifecycle.stats.expired,
         )
-        for cache in self.caches.values():
-            stats.cache_hits += cache.hits
-            stats.cache_misses += cache.misses
-        if self.megaflow is not None:
-            stats.megaflow_hits = self.megaflow.hits
-            stats.megaflow_misses = self.megaflow.misses
-        return stats
 
 
 def credit_traversal(
-    runner: Any, traversal: Traversal, count: int, byte_count: int
+    stats: BatchStats, template: PipelineResult, count: int, byte_count: int
 ) -> None:
-    """Fold ``count`` packets (``byte_count`` frame bytes in all) that
-    took one traversal into ``runner``'s traffic counters — shared by
-    the in-process runner and the sharded parent (which credits from
-    its workers' per-traversal delta lanes)."""
-    template = traversal.template
+    """Credit ``count`` packets (``byte_count`` frame bytes in all) that
+    took the path ``template`` records to ``stats``' traffic counters.
+
+    The one traffic credit: the megaflow tier's hit buckets, the walk's
+    distinct traversals, each traversal of a collected sharded reply
+    (from the reply's delta lanes) and the tier-free dict walk (one
+    packet per result) all count through it."""
     matched_entries = len(template.matched_entries)
     if matched_entries:
-        runner.matched += count
-        runner.flow_packets += matched_entries * count
-        runner.flow_bytes += matched_entries * byte_count
-    runner.sent_to_controller += template.sent_to_controller * count
-    runner.dropped += template.dropped * count
+        stats.matched += count
+        stats.flow_packets += matched_entries * count
+        stats.flow_bytes += matched_entries * byte_count
+    stats.sent_to_controller += template.sent_to_controller * count
+    stats.dropped += template.dropped * count
 
 
 @dataclass(eq=False)
@@ -581,10 +589,9 @@ def run_workload(
         if not keep_results and process_batches is None
         else None
     )
-    # All counters come from the runner's stats snapshot as deltas, so a
-    # reused runner reports this replay only — and a sharded runner
-    # (whose cache/wave counters live in its workers' snapshots) reports
-    # truthfully instead of the parent's empty cache dict.
+    # Every counter is the runner's own, as the growth of its stats
+    # snapshot over this replay, so a reused runner reports this replay
+    # only.
     before = runner.stats_snapshot()
     for event in workload.events:
         kind = event[0]
@@ -595,7 +602,6 @@ def run_workload(
             ):
                 for chunk in chunks:
                     classify_columnar(chunk)
-                    stats.batches += 1
                 continue
             chunk_stream = (
                 process_batches(chunks)
@@ -605,7 +611,6 @@ def run_workload(
             for chunk_results in chunk_stream:
                 if keep_results:
                     stats.results.extend(chunk_results)
-                stats.batches += 1
         elif kind == "install":
             _, table_id, entry = event
             runner.pipeline.table(table_id).add(entry)
@@ -624,20 +629,4 @@ def run_workload(
             stats.flow_removed.extend(runner.advance_clock(delta))
         else:
             raise ValueError(f"unknown workload event kind {kind!r}")
-    after = runner.stats_snapshot()
-    stats.packets = after.packets - before.packets
-    stats.matched = after.matched - before.matched
-    stats.sent_to_controller = (
-        after.sent_to_controller - before.sent_to_controller
-    )
-    stats.dropped = after.dropped - before.dropped
-    stats.cache_hits = after.cache_hits - before.cache_hits
-    stats.cache_misses = after.cache_misses - before.cache_misses
-    stats.megaflow_hits = after.megaflow_hits - before.megaflow_hits
-    stats.megaflow_misses = after.megaflow_misses - before.megaflow_misses
-    stats.waves = after.waves - before.waves
-    stats.flow_packets = after.flow_packets - before.flow_packets
-    stats.flow_bytes = after.flow_bytes - before.flow_bytes
-    stats.advances = after.advances - before.advances
-    stats.expired = after.expired - before.expired
-    return stats
+    return replace(stats, **vars(runner.stats_snapshot().since(before)))

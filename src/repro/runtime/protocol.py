@@ -101,8 +101,8 @@ class CloseRequest(NamedTuple):
 class ShmReply(NamedTuple):
     """One sub-batch's reply, which names entries, not outcomes: the
     block holds each distinct traversal's matched-entry refs, one code
-    per position, the flow-stats delta lanes and the worker's counters
-    (:func:`~repro.runtime.transport.encode_outcomes`), and the parent
+    per position, the flow-stats delta lanes and the counts the request
+    caused (:func:`~repro.runtime.transport.encode_outcomes`), and the parent
     replays the refs against its own pinned tables.  The frame itself is
     a tag, a seq, optional bytes, segment tuples and field-name strings
     — no class instance crosses the reply pipe.

@@ -45,8 +45,8 @@ twice) and the parent grows the slots before their next use.  A reply
 the sub-batch ships as the ``(table_id, position)`` refs of the entries
 it matched — nothing those entries already determine — every position
 costs one ``int32`` code, and the flow-stats delta (packets, frame
-bytes per traversal) and the worker's five cache counters ride in the
-same block, so a reply frame pickles no class instance.
+bytes per traversal) and the five cache counts the request caused ride
+in the same block, so a reply frame pickles no class instance.
 The parent resolves the refs against the entry order it pinned at
 submission, replays its own entries through
 :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` (the
@@ -136,7 +136,7 @@ import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
@@ -402,10 +402,6 @@ def _apply_mutations(
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
 
 
-#: What a worker that has not replied yet has counted.
-_NO_COUNTERS: Sequence[int] = (0,) * len(REPLY_COUNTERS)
-
-
 def _place_reply(
     writer: BlockWriter, slot: memoryview
 ) -> tuple[bytearray | None, tuple[Segment, ...]]:
@@ -467,12 +463,19 @@ class _Replica:
             reader, request.layout, reader.get(request.members_key)
         )
         # Decode-free: hits and misses alike are encoded as their
-        # matched-entry refs, once per distinct traversal.
+        # matched-entry refs, once per distinct traversal.  The reply
+        # carries the counts this request caused, not the replica's
+        # totals, so the parent can add each reply in exactly once.
+        before = runner.stats_snapshot()
         outcomes = runner.classify_columnar(batch)
-        stats = runner.stats_snapshot()
-        counters = [getattr(stats, name) for name in REPLY_COUNTERS]
+        caused = runner.stats_snapshot().since(before)
         writer = BlockWriter()
-        encode_outcomes(writer, outcomes, self.index, counters)
+        encode_outcomes(
+            writer,
+            outcomes,
+            self.index,
+            [getattr(caused, name) for name in REPLY_COUNTERS],
+        )
         runner.megaflow_bypass = False
         faults.fire(worker_id, seq, "after-stats")
         block, segments = _place_reply(writer, reply_buf)
@@ -502,9 +505,9 @@ def _worker_main(
 
     A ``("shm", seq, ...)`` request is the only work item, and every
     request gets exactly one ``"ok"`` reply: entry refs, codes,
-    flow-stats delta lanes and the worker's counters written into the
-    response slot the request names (or riding in the reply when they
-    outgrew it), plus the worker's megaflow mask fields.  An unknown
+    flow-stats delta lanes and the counts the request caused, written
+    into the response slot the request names (or riding in the reply
+    when they outgrew it), plus the worker's megaflow mask fields.  An unknown
     tag raises: the worker dies, its sentinel fires and supervision
     classifies a crash — the parent never waits on a reply that will
     not come.
@@ -671,7 +674,6 @@ class ShardedBatchPipeline:
         self._cache_capacity = cache_capacity
         self._megaflow_capacity = megaflow_capacity
         self._learned_fields: set[str] = set()
-        self._worker_stats = [_NO_COUNTERS] * self.workers
         self._conns: list = []
         self._procs: list = []
         self._codec = PacketBlockCodec()
@@ -717,14 +719,9 @@ class ShardedBatchPipeline:
         #: a second stream (or lockstep call) interleaving on the shared
         #: in-flight queue and mislabeling results.
         self._streaming = False
-        self.packets = 0
-        self.batches = 0
-        self.matched = 0
-        self.sent_to_controller = 0
-        self.dropped = 0
-        #: Flow-stats deltas merged back from the workers.
-        self.flow_packets = 0
-        self.flow_bytes = 0
+        #: Packets and batches counted at submission; traffic, cache,
+        #: megaflow and wave counters added once per collected reply.
+        self.stats = BatchStats()
         #: Parent-owned lifecycle: the sweep runs over the authoritative
         #: tables only; workers learn of expiries via the mutation log.
         self.lifecycle = LifecycleSweeper()
@@ -850,7 +847,6 @@ class ShardedBatchPipeline:
             self._shutdown_worker(worker)
         self._conns = []
         self._procs = []
-        self._worker_stats = [_NO_COUNTERS] * self.workers
         self._worker_pending = [deque() for _ in range(self.workers)]
         self._reply_buffer.clear()
         for block in self._requests + sum(self._responses, []):
@@ -1181,8 +1177,8 @@ class ShardedBatchPipeline:
             seq % self.depth != self._seq % self.depth
             for seq in self._inflight
         ), "ring slot still occupied by an uncollected batch"
-        self.packets += len(batch)
-        self.batches += 1
+        self.stats.packets += len(batch)
+        self.stats.batches += 1
         if not len(batch):
             return False
         self._ensure_started()
@@ -1427,16 +1423,20 @@ class ShardedBatchPipeline:
                 )
             )
         replays: list[Traversal] = [None] * len(batch)  # type: ignore[list-item]
-        for (worker, members), reply, shard in zip(
-            inflight.groups.items(), replies, decoded
+        stats = self.stats
+        for members, reply, shard in zip(
+            inflight.groups.values(), replies, decoded
         ):
             self._learned_fields.update(reply.mask_fields)
-            self._worker_stats[worker] = shard.counters
+            for name, count in zip(REPLY_COUNTERS, shard.counters):
+                setattr(stats, name, getattr(stats, name) + count)
             traversals = shard.traversals
             for traversal, packets, byte_count in zip(
                 traversals, shard.packets, shard.byte_sums
             ):
-                credit_traversal(self, traversal, packets, byte_count)
+                credit_traversal(
+                    stats, traversal.template, packets, byte_count
+                )
                 for entry in traversal.template.matched_entries:
                     entry.stats.add(packets, byte_count)
             for position, code in zip(members.tolist(), shard.codes):
@@ -1491,7 +1491,6 @@ class ShardedBatchPipeline:
             return
         self._conns[worker], self._procs[worker] = self._spawn_worker(worker)
         self._cursors[worker] = 0
-        self._worker_stats[worker] = _NO_COUNTERS
         sup.stats.restarts += 1
         # Deterministic replay: each lost seq re-sent in order, the log
         # suffix recomputed against the fresh replica's zero cursor and
@@ -1584,27 +1583,21 @@ class ShardedBatchPipeline:
     # -- stats ---------------------------------------------------------
 
     def stats_snapshot(self) -> BatchStats:
-        """Parent-side traffic counters merged with the workers' cache,
-        megaflow and wave counters (as of each worker's last reply).
+        """The runner's record (:attr:`stats`) plus the counters the
+        parent's lifecycle sweeper owns.
 
-        ``flow_packets`` / ``flow_bytes`` come from the parent's own
-        merged deltas (authoritative), never the worker snapshots — the
-        workers' copies would double-count them.
+        Every collected reply was added into the record once — its
+        traffic from the delta lanes, its cache, megaflow and wave
+        counts as the growth its own request caused — so a lost reply
+        counts nothing, its replay counts once, and a respawn, a
+        ``close()`` or an inline replica shared by degraded shards
+        changes no total.
         """
-        stats = BatchStats(
-            packets=self.packets,
-            batches=self.batches,
-            matched=self.matched,
-            sent_to_controller=self.sent_to_controller,
-            dropped=self.dropped,
-            flow_packets=self.flow_packets,
-            flow_bytes=self.flow_bytes,
+        return replace(
+            self.stats,
             advances=self.lifecycle.stats.advances,
             expired=self.lifecycle.stats.expired,
         )
-        for name, values in zip(REPLY_COUNTERS, zip(*self._worker_stats)):
-            setattr(stats, name, sum(values))
-        return stats
 
     def supervision_snapshot(self) -> dict[str, int]:
         """Cumulative recovery counters: crashes, wedges, restarts,

@@ -467,9 +467,11 @@ class ReplyDecodeError(ValueError):
     path through the pipeline."""
 
 
-#: The worker counters a reply carries, in ``res/stats`` lane order —
-#: the :class:`~repro.runtime.batch.BatchStats` fields only a worker can
-#: count (the parent counts traffic itself, from the delta lanes).
+#: The counters a reply carries, in ``res/stats`` lane order — the
+#: :class:`~repro.runtime.batch.BatchStats` fields only a worker can
+#: count, as the counts its own request caused (never the replica's
+#: totals), so the parent adds each collected reply in exactly once.
+#: The parent counts traffic itself, from the delta lanes.
 REPLY_COUNTERS = (
     "cache_hits",
     "cache_misses",
@@ -483,7 +485,8 @@ class DecodedReply(NamedTuple):
     """One reply, decoded: the sub-batch's distinct traversals (matched
     entries the parent's own, everything else replayed from them), the
     traversal each position took, per traversal the packets and frame
-    bytes it carried, and the worker's :data:`REPLY_COUNTERS`."""
+    bytes it carried, and the :data:`REPLY_COUNTERS` its request
+    caused."""
 
     traversals: list[Traversal]
     codes: list[int]
@@ -506,9 +509,9 @@ def encode_outcomes(
     ``(table_id, position)`` refs, and every position then costs one
     ``int32`` code.  The flow-stats delta rides in the same block as two
     per-traversal lanes — packets and frame bytes, summed off the
-    batch's ``frame_len`` lane — and the worker's ``counters``
-    (:data:`REPLY_COUNTERS`) as one more, so no position ever touches a
-    dict and nothing is pickled.
+    batch's ``frame_len`` lane — and ``counters``, the
+    :data:`REPLY_COUNTERS` this request caused, as one more, so no
+    position ever touches a dict and nothing is pickled.
     """
     traversals, codes = outcomes.distinct()
     count = len(traversals)

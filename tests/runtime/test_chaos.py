@@ -582,6 +582,80 @@ class TestInlineShardIsAReplica:
 
 
 @needs_dev_shm
+class TestCountersAddUp:
+    """Each unit of work is counted once: nothing here bypasses the
+    megaflow tier, so every packet is one megaflow hit or miss — on the
+    runner's snapshot and on ``run_workload``'s result alike — through
+    a ``close()`` and reuse, a crash answered by respawn and replay,
+    and both shards degraded onto the parent's one inline replica."""
+
+    PACKETS = 256
+
+    def replay(self, rule_set, **kwargs):
+        """Two replays of one zipf trace through one two-worker runner,
+        ``close()``-d in between; their results, the runner's snapshot
+        and its supervision counters."""
+        workload = SCENARIOS["zipf"](
+            rule_set, packet_count=self.PACKETS, flow_count=24
+        )
+        with ShardedBatchPipeline(
+            make_arch(rule_set),
+            workers=2,
+            cache_capacity=64,
+            megaflow_capacity=128,
+            **kwargs,
+        ) as sharded:
+            first = run_workload(sharded, workload, batch_size=32)
+            sharded.close()
+            closed = sharded.stats_snapshot()
+            second = run_workload(sharded, workload, batch_size=32)
+            stats = sharded.stats_snapshot()
+            snapshot = sharded.supervision_snapshot()
+        for counts, packets in (
+            (first, self.PACKETS),
+            (second, self.PACKETS),
+            (closed, self.PACKETS),
+            (stats, 2 * self.PACKETS),
+        ):
+            assert counts.packets == packets
+            assert counts.megaflow_hits + counts.megaflow_misses == packets
+        return snapshot
+
+    def test_close_then_reuse(self, small_routing_set):
+        snapshot = self.replay(small_routing_set)
+        assert snapshot["crashes"] == 0
+
+    def test_crash_respawn_and_replay(self, small_routing_set):
+        """Worker 0 dies after classifying seq 3 and before replying:
+        the lost replies count nothing, their replays count once, and
+        the replacement's fresh replica erases none of the dead one's
+        counts."""
+        plan = FaultPlan(specs=(FaultSpec(0, 3, "after-stats", "crash"),))
+        snapshot = self.replay(small_routing_set, fault_plan=plan)
+        assert snapshot["crashes"] == snapshot["restarts"] == 1
+        assert snapshot["replayed_batches"] >= 1
+
+    def test_both_shards_on_the_one_inline_replica(self, small_routing_set):
+        """No restart budget: both workers die on seq 0, and every later
+        request of either shard is served by the same inline replica."""
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(0, 0, "after-receive", "crash"),
+                FaultSpec(1, 0, "after-receive", "crash"),
+            )
+        )
+        snapshot = self.replay(
+            small_routing_set,
+            fault_plan=plan,
+            supervision=SupervisionConfig(restart_budget=0),
+        )
+        assert snapshot["crashes"] == 2
+        assert snapshot["restarts"] == 0
+        # close() forgives degraded workers: the second replay is live.
+        assert snapshot["inline_packets"] == self.PACKETS
+
+
+@needs_dev_shm
 class TestOutOfOrderUnderFaults:
     """A dead or wedged shard must only stall the batches actually
     assigned to it — collect_any keeps completing survivors' batches."""

@@ -526,6 +526,14 @@ def test_sharded_equivalent_under_chaos(example):
             assert chaotic.removed_events() == reference.removed_events(), (
                 f"chaos/{name}: flow-removed ledger diverges from the scan path"
             )
+            # Every packet probed the megaflow tier once (nothing here
+            # bypasses it), so each reply was counted exactly once —
+            # lost ones never, replayed or inline ones once.
+            stats = chaotic.runner.stats_snapshot()
+            assert stats.packets == len(trace)
+            assert stats.megaflow_hits + stats.megaflow_misses == stats.packets, (
+                f"chaos/{name}: megaflow hits + misses != packets"
+            )
             # Crashes (if the schedule hit a live (worker, seq) pair)
             # must all have been absorbed — by respawn + replay, or with
             # no budget by the inline fallback — never a wedge.
@@ -1262,8 +1270,8 @@ def _assert_stream_matches_reference(example, make_runner):
     runner = make_runner(arch)
     try:
         got = run_stream(runner, schedule, config)
-        assert runner.flow_packets == sum(p for p, _ in want_counters)
-        assert runner.flow_bytes == sum(b for _, b in want_counters)
+        assert runner.stats.flow_packets == sum(p for p, _ in want_counters)
+        assert runner.stats.flow_bytes == sum(b for _, b in want_counters)
     finally:
         if isinstance(runner, ShardedBatchPipeline):
             runner.close()

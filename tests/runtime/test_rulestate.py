@@ -411,8 +411,8 @@ class TestSharedScenarioDifferential:
             got = run_workload(
                 sharded, workload, batch_size=50, keep_results=True
             )
-            assert sharded.flow_packets == single.flow_packets
-            assert sharded.flow_bytes == single.flow_bytes
+            assert sharded.stats.flow_packets == single.stats.flow_packets
+            assert sharded.stats.flow_bytes == single.stats.flow_bytes
         assert len(got.results) == len(expected.results)
         for a, b in zip(got.results, expected.results):
             assert_same_result(a, b)

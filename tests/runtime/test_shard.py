@@ -468,7 +468,7 @@ class TestMidBatchMutation:
                 for table in sharded._authoritative.tables
                 for entry in table
             )
-            assert counted == total_matched == sharded.flow_packets
+            assert counted == total_matched == sharded.stats.flow_packets
 
 
 class TestPipelined:
@@ -504,16 +504,16 @@ class TestPipelined:
             assert sharded.depth == depth
             got = list(sharded.process_batches(batches))
             assert sharded.in_flight == 0
-            flow_packets = sharded.flow_packets
-            flow_bytes = sharded.flow_bytes
+            flow_packets = sharded.stats.flow_packets
+            flow_bytes = sharded.stats.flow_bytes
         assert len(got) == len(expected)
         for got_chunk, expected_chunk in zip(got, expected):
             assert len(got_chunk) == len(expected_chunk)
             for a, b in zip(got_chunk, expected_chunk):
                 assert_same_result(a, b)
         # Byte-exact stats merge across the pipelined stream.
-        assert flow_packets == single.flow_packets > 0
-        assert flow_bytes == single.flow_bytes > 0
+        assert flow_packets == single.stats.flow_packets > 0
+        assert flow_bytes == single.stats.flow_bytes > 0
 
     def test_submit_collect_fifo(self, small_routing_set):
         batches = self.batches(small_routing_set, count=4)
@@ -708,7 +708,7 @@ class TestPipelined:
                 sharded.process_batch(batches[0])
             assert len(calls) == 2, "the batch must straddle both workers"
             assert sharded.in_flight == 0
-            assert sharded.flow_packets == sharded.matched == 0
+            assert sharded.stats.flow_packets == sharded.stats.matched == 0
             assert all(entry.stats.packet_count == 0 for entry in arch.tables[0])
             assert len(sharded.process_batch(batches[1])) == len(batches[1])
 
@@ -894,7 +894,9 @@ class TestParentOwnsEverySegment:
             "flow_packets",
             "flow_bytes",
         ):
-            assert getattr(stats, counter) == getattr(single, counter), counter
+            assert getattr(stats, counter) == getattr(single.stats, counter), (
+                counter
+            )
 
 
 class TestReplyWireShape:

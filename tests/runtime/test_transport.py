@@ -712,5 +712,6 @@ class TestEntryIndex:
             assert parent.supervision_snapshot()["inline_packets"] == 3
             assert results[0].matched_entries[0] is entry
             assert (entry.stats.packet_count, entry.stats.byte_count) == (2, 700)
-            assert (parent.flow_packets, parent.flow_bytes) == (2, 700)
-            assert (parent.matched, parent.sent_to_controller) == (2, 1)
+            stats = parent.stats
+            assert (stats.flow_packets, stats.flow_bytes) == (2, 700)
+            assert (stats.matched, stats.sent_to_controller) == (2, 1)
