@@ -30,7 +30,7 @@ from repro.core.field_engine import (
 from repro.core.index import IndexCalculator
 from repro.core.partition import HeaderPartitioner
 from repro.openflow.fields import REGISTRY
-from repro.openflow.flow import FlowEntry
+from repro.openflow.flow import FlowEntry, SweepView
 from repro.openflow.match import Match
 from repro.packet.headers import frame_length
 
@@ -119,6 +119,7 @@ class OpenFlowLookupTable:
         self.version = 0
         self._snapshot: tuple[FlowEntry, ...] = ()
         self._snapshot_version = -1
+        self._sweep_view = SweepView()
 
     # ------------------------------------------------------------------
     # FlowTable-compatible interface
@@ -163,6 +164,7 @@ class OpenFlowLookupTable:
         )
         self._installed[installed.uid] = installed
         self._by_key[(entry.match, entry.priority)] = installed
+        self._sweep_view.installed(installed.uid, entry)
         for part_name, label in zip(self.partitioner.partition_names, key):
             if label != NO_LABEL:
                 self._label_refs[(part_name, label)] += 1
@@ -217,6 +219,13 @@ class OpenFlowLookupTable:
             self._snapshot = tuple(self)
             self._snapshot_version = self.version
         return self._snapshot
+
+    @property
+    def sweep_view(self) -> SweepView:
+        """Timed and unstamped entries, kept by add/remove for the
+        lifecycle sweep (see :class:`~repro.openflow.flow.SweepView`);
+        keyed by install uid, so its order is the snapshot order."""
+        return self._sweep_view
 
     @property
     def table_miss_entry(self) -> FlowEntry | None:
@@ -435,6 +444,7 @@ class OpenFlowLookupTable:
         self._release_engine_entries(installed)
         del self._installed[installed.uid]
         del self._by_key[(installed.flow_entry.match, installed.flow_entry.priority)]
+        self._sweep_view.removed(installed.uid)
         # The slot returns to the action table's free list so churn does
         # not grow the array without bound.
         self.actions.release(installed.action_index)

@@ -161,3 +161,55 @@ class FlowEntry:
     def is_table_miss(self) -> bool:
         """OpenFlow table-miss = priority-0 entry with the empty match."""
         return self.priority == 0 and self.match.is_table_miss
+
+
+class SweepView:
+    """What an expiry sweep reads of one table, kept by the table's own
+    mutations so that a sweep never walks the table.
+
+    ``timed`` holds the entries that can expire — a non-zero idle or
+    hard timeout; entries are frozen, so membership is fixed at install
+    — and ``unstamped`` the entries installed still carrying
+    :data:`UNSTAMPED`, which the next sweep stamps and drains.  Both are
+    keyed by the table's own entry key, so an install or a removal is
+    O(1), an entry installed and removed between two sweeps is never
+    stamped, and neither outgrows the table however long it goes
+    unswept.  ``timed_version`` moves only when the timed membership
+    does: a sweep rebuilds its lanes on that, not on every flow-mod.
+    """
+
+    __slots__ = ("timed", "unstamped", "timed_version", "_by_sort_key")
+
+    def __init__(self, by_sort_key: bool = False) -> None:
+        self.timed: dict[object, FlowEntry] = {}
+        self.unstamped: dict[object, FlowEntry] = {}
+        self.timed_version = 0
+        #: Snapshot order: :attr:`FlowEntry.sort_key` for the scan
+        #: table, insertion order (the ``timed`` dict's own) otherwise.
+        self._by_sort_key = by_sort_key
+
+    @classmethod
+    def of(cls, entries: Iterable[FlowEntry]) -> SweepView:
+        """The view of entries installed in this (snapshot) order."""
+        view = cls()
+        for position, entry in enumerate(entries):
+            view.installed(position, entry)
+        return view
+
+    def installed(self, key: object, entry: FlowEntry) -> None:
+        if entry.idle_timeout > 0 or entry.hard_timeout > 0:
+            self.timed[key] = entry
+            self.timed_version += 1
+        if entry.stats.installed_at == UNSTAMPED:
+            self.unstamped[key] = entry
+
+    def removed(self, key: object) -> None:
+        if self.timed.pop(key, None) is not None:
+            self.timed_version += 1
+        self.unstamped.pop(key, None)
+
+    def timed_entries(self) -> tuple[FlowEntry, ...]:
+        """The timed entries in the table's snapshot order."""
+        if self._by_sort_key:
+            return tuple(sorted(self.timed.values(), key=lambda e: e.sort_key))
+        return tuple(self.timed.values())

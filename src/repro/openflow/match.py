@@ -241,7 +241,7 @@ class Match(Mapping[str, FieldMatch]):
     but matched through the engines).
     """
 
-    __slots__ = ("_fields", "_registry")
+    __slots__ = ("_fields", "_registry", "_hash")
 
     def __init__(
         self,
@@ -261,6 +261,9 @@ class Match(Mapping[str, FieldMatch]):
                 continue  # zero-bit predicate: OXM would omit the field
             validated[name] = predicate
         self._fields = validated
+        #: Computed on first ``__hash__``: flow-mods and expiries hash
+        #: one match several times through the tables' key dicts.
+        self._hash: int | None = None
 
     @classmethod
     def exact(
@@ -308,7 +311,10 @@ class Match(Mapping[str, FieldMatch]):
         return (Match, (self._fields, self._registry))
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._fields.items()))
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash(frozenset(self._fields.items()))
+        return cached
 
     def matches(self, packet_fields: Mapping[str, int]) -> bool:
         """Evaluate against extracted packet fields.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Mapping
 
 from repro.openflow.errors import TableFullError
-from repro.openflow.flow import FlowEntry
+from repro.openflow.flow import FlowEntry, SweepView
 from repro.openflow.match import ConsultSink, Match
 from repro.packet.headers import frame_length
 
@@ -40,6 +40,9 @@ class FlowTable:
         self.version = 0
         self._snapshot: tuple[FlowEntry, ...] = ()
         self._snapshot_version = -1
+        #: Timed and unstamped entries, kept by add/remove for the
+        #: lifecycle sweep (see :class:`~repro.openflow.flow.SweepView`).
+        self.sweep_view = SweepView(by_sort_key=True)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -84,11 +87,14 @@ class FlowTable:
             raise TableFullError(
                 f"table {self.table_id} full ({self.max_entries} entries)"
             )
-        existing = self._find(entry.match, entry.priority)
+        key = (entry.match, entry.priority)
+        existing = self._by_key.get(key)
         if existing is not None:
             self._entries.remove(existing)
+            self.sweep_view.removed(key)
         self._entries.append(entry)
-        self._by_key[(entry.match, entry.priority)] = entry
+        self._by_key[key] = entry
+        self.sweep_view.installed(key, entry)
         self._dirty = True
         self.version += 1
 
@@ -99,19 +105,25 @@ class FlowTable:
             return False
         self._entries.remove(existing)
         del self._by_key[(match, priority)]
+        self.sweep_view.removed((match, priority))
         self.version += 1
         return True
 
     def remove_where(self, predicate: Callable[[FlowEntry], bool]) -> int:
         """Delete all entries satisfying ``predicate``; returns count."""
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if not predicate(e)]
-        self._by_key = {
-            (e.match, e.priority): e for e in self._entries
-        }
-        if before != len(self._entries):
+        kept: list[FlowEntry] = []
+        for entry in self._entries:
+            if predicate(entry):
+                key = (entry.match, entry.priority)
+                del self._by_key[key]
+                self.sweep_view.removed(key)
+            else:
+                kept.append(entry)
+        removed = len(self._entries) - len(kept)
+        self._entries = kept
+        if removed:
             self.version += 1
-        return before - len(self._entries)
+        return removed
 
     def lookup(
         self,

@@ -199,8 +199,10 @@ kill/hang/delay faults at named worker-loop steps for chaos testing.
 every runner path observes the identical tick sequence and lifecycle
 behaviour replays bit-for-bit.  ``advance_clock`` runs an expiry sweep
 (:class:`~repro.runtime.lifecycle.LifecycleSweeper`) whose cost follows
-the entries that *can* expire — O(1) for a table of permanent rules:
-per-table numpy deadline lanes over the timed entries only, idle
+the entries that *can* expire and the flow-mods since the last sweep —
+O(1) for an unchanged table of permanent rules: per-table numpy
+deadline lanes over the timed entries only, read from a view the
+tables' own add/remove keep (a sweep never walks a table), idle
 touches detected from packet-count deltas (no hot-path stamping —
 credit sites are untouched, which is what keeps aggregated and
 per-packet crediting bitwise-identical), POX

@@ -22,23 +22,26 @@ two sweeps was installed at the previous sweep's tick, so the sweep
 stamps :data:`~repro.openflow.flow.UNSTAMPED` entries with exactly that
 tick when it first sees them.
 
-The sweep costs what *can expire*, not what is installed.  Per-table
-numpy lanes hold only the timed entries (a non-zero idle or hard
-timeout — entries are frozen, so membership is fixed at install) and
-are rebuilt only when the table's ``version`` moved: one O(entries)
-pass per version bump that stamps new entries and collects the timed
-subset in snapshot order.  Hard deadlines (``installed + hard``) are
-settled at rebuild with their minimum kept as a scalar, so until
-something is due they cost one integer compare per sweep; the
-packet-count gather, touch detection and idle deadline test run over
-the idle-timed subset only — O(timed) per sweep — with Python-level
-work only for the entries actually expiring (which leave the table
-anyway).  A table with no timed entries and an unmoved version costs
-O(1) per advance: no snapshot call, no numpy.  The narrowing this buys
-is stated, not hidden: ``last_touched`` / ``swept_packets`` are
-maintained only for entries with an idle timeout — the only entries
-any decision reads them for; permanent and hard-only entries keep
-their install stamp.
+The sweep costs what *can expire* and what *changed*, not what is
+installed.  Each table keeps a :class:`~repro.openflow.flow.SweepView`
+that its own ``add`` / ``remove`` update in O(1): the timed entries (a
+non-zero idle or hard timeout — entries are frozen, so membership is
+fixed at install) in snapshot order, and the entries installed since
+the last sweep that still await their lazy stamp.  A sweep drains the
+second — O(installs since the last sweep) — and rebuilds its per-table
+numpy lanes from the first only when the timed membership moved —
+O(timed); a flow-mod on a permanent entry costs the sweep nothing but
+its stamp.  Hard deadlines (``installed + hard``) are settled at
+rebuild with their minimum kept as a scalar, so until something is due
+they cost one integer compare per sweep; the packet-count gather,
+touch detection and idle deadline test run over the idle-timed subset
+only — O(timed) per sweep — with Python-level work only for the
+entries actually expiring (which leave the table anyway).  A table
+with no timed entries and no fresh installs costs O(1) per advance: no
+walk, no numpy.  The narrowing this buys is stated, not hidden:
+``last_touched`` / ``swept_packets`` are maintained only for entries
+with an idle timeout — the only entries any decision reads them for;
+permanent and hard-only entries keep their install stamp.
 
 Expired entries are removed through a caller-supplied callback, so the
 single-process runner removes directly (bumping the table version
@@ -64,7 +67,7 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from repro.openflow.flow import FlowEntry, UNSTAMPED
+from repro.openflow.flow import FlowEntry, SweepView, UNSTAMPED
 from repro.openflow.match import Match
 
 #: int64 stand-in for "no deadline" — ``now`` never exceeds it.
@@ -76,12 +79,14 @@ RemoveCallback = Callable[[int, Match, int], None]
 
 class SweptTable(Protocol):
     """The table surface a sweep reads — ``FlowTable`` and
-    ``OpenFlowLookupTable`` both satisfy it structurally."""
+    ``OpenFlowLookupTable`` both satisfy it structurally.  A sweep
+    never walks the table: everything it needs is in the view the
+    table's own mutations keep."""
 
     table_id: int
-    version: int
 
-    def entries_snapshot(self) -> tuple[FlowEntry, ...]: ...
+    @property
+    def sweep_view(self) -> SweepView: ...
 
 
 class SweptPipeline(Protocol):
@@ -150,19 +155,24 @@ class FlowRemoved:
 
 
 class _TableLanes:
-    """One table's lifecycle lanes, cached against its ``version``.
+    """One table's lifecycle lanes, cached against its view's timed
+    membership.
 
-    Lanes exist only for *timed* entries — a non-zero idle or hard
-    timeout; :class:`~repro.openflow.flow.FlowEntry` is frozen, so
-    membership is fixed at install.  Hard deadlines are settled once per
-    rebuild; the idle lanes buffer ``last_touched`` /
-    packets-at-last-sweep between sweeps and are flushed back to the
-    entries' :class:`~repro.openflow.flow.FlowStats` before every
-    rebuild (and on :meth:`LifecycleSweeper.sync`), so lane rebuilds
-    triggered by unrelated mutations never lose idle-timer state.
+    Lanes exist only for *timed* entries, read from the table's
+    :class:`~repro.openflow.flow.SweepView` in snapshot (= ledger)
+    order and rebuilt — O(timed) — only when that membership moved
+    (``timed_version``, or a different view: a thawed frozen table
+    brings its own).  Hard deadlines are settled once per rebuild; the
+    idle lanes buffer ``last_touched`` / packets-at-last-sweep between
+    sweeps and are flushed back to the entries'
+    :class:`~repro.openflow.flow.FlowStats` before every rebuild (and
+    on :meth:`LifecycleSweeper.sync`), so a rebuild never loses
+    idle-timer state, and mutations of untimed entries do not touch
+    the lanes at all.
     """
 
     def __init__(self) -> None:
+        self.view: SweepView | None = None
         self.version = -1
         #: Entries that can expire, in snapshot (= ledger) order.
         self.timed: tuple[FlowEntry, ...] = ()
@@ -186,47 +196,44 @@ class _TableLanes:
             entry.stats.last_touched = last[i]
             entry.stats.swept_packets = swept[i]
 
-    def _rebuild(self, table: SweptTable, prev: int) -> None:
-        self.flush()
-        self.version = table.version
-        # The one O(entries) pass, paid per version bump.  Lazy
-        # stamping: anything installed since the last sweep was
+    @staticmethod
+    def _stamp(view: SweepView, prev: int) -> None:
+        # Lazy stamping: anything installed since the last sweep was
         # installed while the clock sat at ``prev``, so that tick is the
         # exact install time (and initial touch) for unstamped entries.
-        timed_entries: list[FlowEntry] = []
-        for entry in table.entries_snapshot():
-            stats = entry.stats
+        # Drained one item at a time, so an install racing the sweep is
+        # stamped now or left for the next sweep, never dropped.
+        unstamped = view.unstamped
+        while unstamped:
+            stats = unstamped.popitem()[1].stats
             if stats.installed_at == UNSTAMPED:
                 stats.installed_at = prev
                 stats.last_touched = prev
-            if entry.idle_timeout > 0 or entry.hard_timeout > 0:
-                timed_entries.append(entry)
-        timed = self.timed = tuple(timed_entries)
-        count = len(timed)
-        hard = np.fromiter(
-            (e.hard_timeout for e in timed), dtype=np.int64, count=count
-        )
-        installed = np.fromiter(
-            (e.stats.installed_at for e in timed), dtype=np.int64, count=count
-        )
-        self.hard_deadline = np.where(hard > 0, installed + hard, _NEVER)
-        self.hard_due = int(self.hard_deadline.min()) if count else _NEVER
+
+    def _rebuild(self, view: SweepView) -> None:
+        self.flush()
+        self.view = view
+        self.version = view.timed_version
+        timed = self.timed = view.timed_entries()
+        # One list, then one array, per lane: cheaper than ``fromiter``
+        # over a generator, whose per-call cost dominates small lanes.
+        deadlines = [
+            e.stats.installed_at + e.hard_timeout if e.hard_timeout > 0 else _NEVER
+            for e in timed
+        ]
+        self.hard_deadline = np.array(deadlines, dtype=np.int64)
+        self.hard_due = min(deadlines, default=_NEVER)
         idle_pos = [i for i, e in enumerate(timed) if e.idle_timeout > 0]
         idle_entries = self.idle_entries = tuple(timed[i] for i in idle_pos)
-        count = len(idle_entries)
         self.idle_pos = np.array(idle_pos, dtype=np.intp)
-        self.idle = np.fromiter(
-            (e.idle_timeout for e in idle_entries), dtype=np.int64, count=count
+        self.idle = np.array(
+            [e.idle_timeout for e in idle_entries], dtype=np.int64
         )
-        self.last_touched = np.fromiter(
-            (e.stats.last_touched for e in idle_entries),
-            dtype=np.int64,
-            count=count,
+        self.last_touched = np.array(
+            [e.stats.last_touched for e in idle_entries], dtype=np.int64
         )
-        self.swept = np.fromiter(
-            (e.stats.swept_packets for e in idle_entries),
-            dtype=np.int64,
-            count=count,
+        self.swept = np.array(
+            [e.stats.swept_packets for e in idle_entries], dtype=np.int64
         )
 
     def sweep(
@@ -234,8 +241,11 @@ class _TableLanes:
     ) -> tuple[list[FlowRemoved], int]:
         """Expire what is due at ``now``; returns the events and the
         number of entry lanes the sweep examined."""
-        if table.version != self.version:
-            self._rebuild(table, prev)
+        view = table.sweep_view
+        if view.unstamped:
+            self._stamp(view, prev)
+        if view is not self.view or view.timed_version != self.version:
+            self._rebuild(view)
         timed = self.timed
         if not timed:
             return [], 0
@@ -254,10 +264,8 @@ class _TableLanes:
             # Count-delta touch detection: every credit since the last
             # sweep happened at tick ``prev`` (the clock never moved in
             # between).
-            counts = np.fromiter(
-                (e.stats.packet_count for e in idle_entries),
-                dtype=np.int64,
-                count=len(idle_entries),
+            counts = np.array(
+                [e.stats.packet_count for e in idle_entries], dtype=np.int64
             )
             touched = counts > self.swept
             if touched.any():

@@ -62,6 +62,7 @@ from repro.core.field_engine import (
     TriePartitionEngine,
 )
 from repro.core.lookup_table import OpenFlowLookupTable
+from repro.openflow.flow import SweepView
 from repro.runtime.transport import (
     BlockAttachments,
     BlockReader,
@@ -439,7 +440,9 @@ class FrozenLookupTable(OpenFlowLookupTable):
     Entries are the table spec's own tuple (``spec.entries``), which
     the sealed positions index; ``__len__`` and ``__iter__`` read it, so
     the inherited ``entries_snapshot()`` and ``table_miss_entry`` do
-    too, and at ``version`` 0 the snapshot *is* the sealed order.
+    too, and at ``version`` 0 the snapshot *is* the sealed order.  The
+    lifecycle sweep's view is derived from the same tuple on first read
+    (workers never sweep, so an attach never pays for it).
 
     The first mutation thaws: ``spec.build`` replays the entries into a
     fresh eager table whose ``__dict__`` replaces this one's, so
@@ -493,6 +496,7 @@ class FrozenLookupTable(OpenFlowLookupTable):
             reader, prefix, spec.entries, attachments
         )
         self._frozen = True
+        self._frozen_view: SweepView | None = None
         # Inserted last on purpose: attribute dicts drop references in
         # insertion order at teardown, so the views above die before the
         # attachment cache (and its SharedMemory handles) do.
@@ -509,6 +513,14 @@ class FrozenLookupTable(OpenFlowLookupTable):
         if self._frozen:
             return iter(self._spec.entries)
         return super().__iter__()
+
+    @property
+    def sweep_view(self) -> SweepView:
+        if not self._frozen:
+            return super().sweep_view
+        if self._frozen_view is None:
+            self._frozen_view = SweepView.of(self._spec.entries)
+        return self._frozen_view
 
     # -- mutation paths (thaw first) -----------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for per-field predicates and the multi-field Match."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -151,6 +153,25 @@ class TestMatch:
         default_route = Match({"ipv4_dst": PrefixMatch(0, 0, 32)})
         assert default_route.matches({"eth_type": 0x0806})
         assert default_route.is_table_miss
+
+    def test_cached_hash_survives_canonicalisation_and_pickle(self):
+        """The hash is computed once and cached; a match built with a
+        zero-bit predicate and the same match built without it hash
+        equal, and so do their pickle round trips (the cache is not
+        shipped: ``__reduce__`` rebuilds through ``__init__``)."""
+        noisy = Match(
+            {
+                "in_port": ExactMatch(value=3, bits=32),
+                "ipv4_dst": PrefixMatch(value=0, length=0, bits=32),
+            }
+        )
+        clean = Match.exact(in_port=3)
+        assert hash(noisy) == hash(noisy) == hash(clean)
+        noisy_copy = pickle.loads(pickle.dumps(noisy))
+        clean_copy = pickle.loads(pickle.dumps(clean))
+        assert noisy_copy == clean_copy == noisy
+        assert hash(noisy_copy) == hash(clean_copy) == hash(clean)
+        assert {noisy: 1}[clean_copy] == 1
 
     def test_wrong_width_rejected(self):
         with pytest.raises(OpenFlowError):

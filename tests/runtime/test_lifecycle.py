@@ -28,6 +28,8 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.flow import UNSTAMPED, FlowEntry
 from repro.openflow.instructions import ApplyActions
 from repro.openflow.match import Match
+from repro.openflow.pipeline import OpenFlowPipeline
+from repro.openflow.table import FlowTable
 from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime import (
     BatchPipeline,
@@ -43,11 +45,14 @@ SCHEMA = ("in_port",)
 FRAME = 100
 
 
-def _entry(port: int, priority: int = 1, idle: int = 0, hard: int = 0):
+def _entry(
+    port: int, priority: int = 1, idle: int = 0, hard: int = 0, cookie: int = 0
+):
     return FlowEntry.build(
         match=Match.exact(in_port=port),
         priority=priority,
         instructions=[ApplyActions([OutputAction(1)])],
+        cookie=cookie,
         idle_timeout=idle,
         hard_timeout=hard,
     )
@@ -61,6 +66,15 @@ def _pipeline() -> MultiTableLookupArchitecture:
     return MultiTableLookupArchitecture(
         [OpenFlowLookupTable(SCHEMA, table_id=0)]
     )
+
+
+def _scan_pipeline() -> OpenFlowPipeline:
+    return OpenFlowPipeline([FlowTable(table_id=0)])
+
+
+#: Both swept table kinds: the decomposition table (snapshot order =
+#: install order) and the scan oracle (snapshot order = ``sort_key``).
+_PIPELINES = {"lookup": _pipeline, "scan": _scan_pipeline}
 
 
 class TestVirtualClock:
@@ -269,6 +283,121 @@ class TestTimedLanes:
         assert sweeper.stats.entries_scanned == 3 * 2
 
 
+@pytest.mark.parametrize("kind", sorted(_PIPELINES))
+class TestSweepCostShape:
+    """A flow-mod costs the next sweep what it changed: the table's own
+    add/remove keep the sweep's view, so an advance after a mutation
+    never walks the table.  Call counts only, no clocks."""
+
+    def test_advance_after_a_flow_mod_never_walks_the_table(
+        self, kind, monkeypatch
+    ):
+        pipeline = _PIPELINES[kind]()
+        table = pipeline.table(0)
+        for port in range(4096):
+            table.add(_entry(port))
+        for port in range(4096, 4104):
+            table.add(_entry(port, idle=100 if port % 2 else 0, hard=100))
+        sweeper = LifecycleSweeper()
+        sweeper.advance(pipeline, 1)
+        added = _entry(5000, idle=100)
+        table.add(added)
+        assert table.remove(Match.exact(in_port=7), 1)
+        calls: dict[str, int] = {}
+        cls = type(table)
+        for name in ("entries_snapshot", "__iter__"):
+            original = getattr(cls, name)
+
+            def spy(self, _original=original, _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(self)
+
+            monkeypatch.setattr(cls, name, spy)
+        assert sweeper.advance(pipeline, 1) == []
+        assert calls == {}
+        assert added.installed_at == 1
+        # Only the idle-timed lanes were examined: 4, then 4 + the add.
+        assert sweeper.stats.entries_scanned == 4 + 5
+        assert len(table) == 4096 + 8
+
+
+@pytest.mark.parametrize("kind", sorted(_PIPELINES))
+class TestSweepViewSemantics:
+    """What the sweep's view must not change: lazy stamps, ledger order
+    under a replacing add, and a bounded view on a never-swept table."""
+
+    def test_installed_and_removed_between_sweeps_stays_unstamped(self, kind):
+        pipeline = _PIPELINES[kind]()
+        table = pipeline.table(0)
+        sweeper = LifecycleSweeper()
+        sweeper.advance(pipeline, 2)
+        transient = _entry(1, idle=1, hard=1)
+        table.add(transient)
+        assert table.remove(transient.match, transient.priority)
+        kept = _entry(2, idle=5)
+        table.add(kept)
+        assert sweeper.advance(pipeline, 1) == []
+        assert transient.installed_at == UNSTAMPED
+        assert transient.last_touched == UNSTAMPED
+        assert kept.installed_at == 2
+
+    def test_replacing_add_keeps_snapshot_ledger_order(self, kind):
+        """The twin of a replacing add (same match and priority) is a
+        new entry: last in install order on the decomposition table,
+        where its ``sort_key`` puts it on the scan table."""
+        pipeline = _PIPELINES[kind]()
+        table = pipeline.table(0)
+        table.add(_entry(0, priority=5, idle=1))
+        table.add(_entry(1, priority=1, hard=1))
+        table.add(_entry(2, priority=3, idle=1))
+        sweeper = LifecycleSweeper()
+        assert sweeper.advance(pipeline, 1) == []  # stamped at 0
+        table.add(_entry(0, priority=5, idle=1, cookie=7))
+        removed = sweeper.advance(pipeline, 2)  # now = 3: all are due
+        got = [
+            (e.match["in_port"].value, e.cookie, e.reason, e.installed_at)
+            for e in removed
+        ]
+        twin, hard, idle = (0, 7, "idle", 1), (1, 0, "hard", 0), (2, 0, "idle", 0)
+        assert got == {"lookup": [hard, idle, twin], "scan": [twin, idle, hard]}[
+            kind
+        ]
+        assert len(table) == 0
+
+    def test_unswept_churn_keeps_the_view_bounded(self, kind):
+        pipeline = _PIPELINES[kind]()
+        table = pipeline.table(0)
+        table.add(_entry(0))
+        for i in range(10_000):
+            entry = _entry(1 + i % 7, idle=i % 2, hard=i % 3)
+            table.add(entry)
+            assert table.remove(entry.match, entry.priority)
+        view = table.sweep_view
+        assert len(view.unstamped) <= len(table) == 1
+        assert len(view.timed) == 0
+
+
+@pytest.mark.parametrize("name", ["batched", "megaflow", "sharded-shm"])
+def test_runner_that_never_advances_keeps_the_view_bounded(name):
+    """``hot``, ``cold`` and ``sharded`` never advance the clock: their
+    flow-mods must not pile up pending stamps."""
+    runner = _runners()[name]()
+    try:
+        table = runner.pipeline.table(0)
+        table.add(_entry(0))
+        for i in range(500):
+            entry = _entry(1 + i % 3, idle=1)
+            table.add(entry)
+            runner.process_batch([_pkt(0), _pkt(1 + i % 3)])
+            assert table.remove(entry.match, entry.priority)
+        view = table.sweep_view
+        assert len(view.unstamped) <= len(table) == 1
+        assert len(view.timed) == 0
+    finally:
+        if isinstance(runner, ShardedBatchPipeline):
+            runner.close()
+
+
 _timeouts = st.integers(min_value=0, max_value=3)
 _ports = st.integers(min_value=0, max_value=4)
 _lifecycle_ops = st.lists(
@@ -282,16 +411,24 @@ _lifecycle_ops = st.lists(
 )
 
 
+def _priority_of(port: int) -> int:
+    """A fixed priority per port that puts the scan table's ``sort_key``
+    order out of step with install order."""
+    return 1 + (port * 3) % 5
+
+
+@pytest.mark.parametrize("kind", sorted(_PIPELINES))
 @settings(max_examples=200)
 @given(ops=_lifecycle_ops)
-def test_sweeper_matches_scalar_reference_model(ops):
+def test_sweeper_matches_scalar_reference_model(kind, ops):
     """Random mixes of permanent / idle / hard / both entries under
     random credits, installs, uninstalls and advances (``dt == 0``
     included): the sweeper's ledger and survivors must equal a model
     that stamps eagerly, touches through ``FlowEntry.touch_packet`` and
     expires through ``FlowEntry.is_expired`` — none of the lanes, lazy
-    stamps or count deltas."""
-    pipeline = _pipeline()
+    stamps or count deltas — on both table kinds, each in its own
+    snapshot order."""
+    pipeline = _PIPELINES[kind]()
     table = pipeline.table(0)
     sweeper = LifecycleSweeper()
     live: dict[int, FlowEntry] = {}  # port -> entry in the real table
@@ -301,9 +438,10 @@ def test_sweeper_matches_scalar_reference_model(ops):
     for op in ops:
         if op[0] == "install":
             _, port, idle, hard = op
-            live[port] = _entry(port, idle=idle, hard=hard)
+            priority = _priority_of(port)
+            live[port] = _entry(port, priority, idle=idle, hard=hard)
             table.add(live[port])
-            model[port] = _entry(port, idle=idle, hard=hard)
+            model[port] = _entry(port, priority, idle=idle, hard=hard)
             model[port].stats.installed_at = now
             model[port].stats.last_touched = now
         elif op[0] == "uninstall":

@@ -11,6 +11,7 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
+from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.memory.report import shared_state_report
 from repro.openflow.actions import OutputAction
@@ -22,6 +23,7 @@ from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
     FaultPlan,
+    LifecycleSweeper,
     PipelineSpec,
     ShardedBatchPipeline,
     run_workload,
@@ -116,6 +118,53 @@ class TestSealAttach:
                     frozen.table_id,
                     position,
                 )
+        finally:
+            state.close()
+
+
+    def test_frozen_table_sweeps_like_its_eager_twin(self):
+        """A frozen table derives its lifecycle view from the spec's
+        entries; it sweeps like the eager table it was sealed from,
+        before and after the first flow-mod thaws it."""
+
+        def entry(port, idle=0, hard=0):
+            return FlowEntry.build(
+                match=Match.exact(in_port=port),
+                priority=1,
+                instructions=[WriteActions([OutputAction(1)])],
+                idle_timeout=idle,
+                hard_timeout=hard,
+            )
+
+        arch = MultiTableLookupArchitecture(
+            [OpenFlowLookupTable(("in_port",), table_id=0)]
+        )
+        for port, idle, hard in [(0, 0, 0), (1, 2, 0), (2, 0, 3), (3, 1, 1)]:
+            arch.table(0).add(entry(port, idle, hard))
+        state = SharedRuleState.seal(arch, PipelineSpec.snapshot(arch))
+        try:
+            replica = pickle.loads(pickle.dumps(state.spec)).build()
+            assert isinstance(replica.tables[0], FrozenLookupTable)
+            ledgers = []
+            for pipeline in (arch, replica):
+                sweeper = LifecycleSweeper()
+                assert sweeper.advance(pipeline, 1) == []  # stamped at 0
+                pipeline.table(0).add(entry(5, idle=1))  # thaws the replica
+                sweeper.advance(pipeline, 2)
+                sweeper.advance(pipeline, 2)
+                ledgers.append(
+                    [
+                        (e.match["in_port"].value, e.reason, e.installed_at)
+                        for e in sweeper.ledger
+                    ]
+                )
+            assert not replica.tables[0]._frozen
+            assert ledgers[0] == ledgers[1] == [
+                (1, "idle", 0),
+                (3, "hard", 0),
+                (5, "idle", 1),
+                (2, "hard", 0),
+            ]
         finally:
             state.close()
 
