@@ -66,6 +66,7 @@ from repro.openflow.match import (
 from repro.openflow.pipeline import (
     MissPolicy,
     OpenFlowPipeline,
+    PathOutcome,
     PipelineResult,
 )
 from repro.openflow.table import FlowTable
@@ -95,6 +96,7 @@ __all__ = [
     "OpenFlowPipeline",
     "OutputAction",
     "OXM_FIELDS",
+    "PathOutcome",
     "PipelineError",
     "PipelineResult",
     "PopVlanAction",

@@ -92,6 +92,33 @@ class PipelineResult:
         return bool(self.matched_entries)
 
 
+@dataclass(frozen=True, slots=True)
+class PathOutcome:
+    """What one entry path does to any packet that takes it: a
+    :class:`PipelineResult` without the packet, as an immutable value.
+
+    :meth:`OpenFlowPipeline.replay_path` builds it; the batched runtime
+    builds one per *distinct* path and shares it — across the positions
+    that took the path, the megaflow aggregates that cache it and the
+    sharded parent's decode.  Every sequence is a tuple and
+    ``overrides`` holds the final value of each field the path rewrote
+    as ``(name, value)`` pairs in first-write order, so ``final_fields``
+    for a packet of the path is ``packet fields + overrides``.  An
+    outcome holds no list and no dict: nothing done to a materialised
+    result reaches it, and a cached one gives the cyclic collector no
+    container to keep tracking.
+    """
+
+    matched_entries: tuple[FlowEntry, ...]
+    applied_actions: tuple[Action, ...]
+    output_ports: tuple[int, ...]
+    sent_to_controller: bool
+    dropped: bool
+    metadata: int
+    tables_visited: tuple[int, ...]
+    overrides: tuple[tuple[str, int], ...]
+
+
 class OpenFlowPipeline:
     """An ordered sequence of flow tables with OpenFlow v1.3 semantics."""
 
@@ -185,7 +212,7 @@ class OpenFlowPipeline:
                     mask.mark_rewritten(action.field_name)
         return result
 
-    def replay_path(self, matched: Sequence[FlowEntry]) -> PipelineResult:
+    def replay_path(self, matched: Sequence[FlowEntry]) -> PathOutcome:
         """The outcome of the entry path ``matched``, with no packet and
         no lookup: what :meth:`process` returns for any packet matching
         exactly these entries, in this order, apart from the packet's
@@ -194,30 +221,61 @@ class OpenFlowPipeline:
         An outcome is a pure function of (entry path, miss policy), so
         the batched runtime builds one per *distinct* path — the
         columnar walk from the entries its waves matched, the sharded
-        parent from the entry refs a worker replied with.  The replay
-        starts from empty fields: ``final_fields`` comes back holding
-        exactly the path's rewrites.  A path that still owes a table
-        when its entries run out ended in a table miss there; entries
-        left over once no Goto-Table remains raise
-        :class:`PipelineError`.
+        parent from the entry refs a worker replied with — straight
+        from the entries' compiled steps, in §5.9 order, into an
+        immutable :class:`PathOutcome` (``process`` keeps its own
+        executor: it is the oracle the replay is tested against).  A
+        path that still owes a table when its entries run out ended in
+        a table miss there; entries left over once no Goto-Table
+        remains raise :class:`PipelineError`.
         """
-        result = PipelineResult(matched_entries=list(matched))
-        action_set: list[Action] = []
+        entries = tuple(matched)
+        visited: tuple[int, ...] = ()
+        applied: tuple[Action, ...] = ()
+        action_set: tuple[Action, ...] = ()
+        metadata = 0
+        rewrites: dict[str, int] = {}
         table_id: int | None = self._order[0]
-        for entry in result.matched_entries:
+        for entry in entries:
             if table_id is None:
                 raise PipelineError(
                     f"entry path continues past its end: {entry.match} "
                     f"follows an entry with no Goto-Table"
                 )
-            result.tables_visited.append(table_id)
-            table_id = self._execute_instructions(entry, action_set, result)
+            visited += (table_id,)
+            apply, clear, write, write_metadata, table_id, _ = (
+                entry.instructions.compiled
+            )
+            applied += apply
+            _rewrite(apply, rewrites)
+            action_set = write if clear else action_set + write
+            if write_metadata is not None:
+                keep, value = write_metadata
+                metadata = (metadata & keep) | value
+                rewrites["metadata"] = metadata
         if table_id is None:
-            self._execute_action_set(action_set, result)
+            final = action_set_order(action_set)
+            applied += final
+            _rewrite(final, rewrites)
         else:
-            result.tables_visited.append(table_id)
-            self._handle_miss(result)
-        return result
+            visited += (table_id,)
+            if self.miss_policy is MissPolicy.SEND_TO_CONTROLLER:
+                applied += (OutputAction(CONTROLLER_PORT),)
+        ports = tuple(
+            action.port for action in applied if isinstance(action, OutputAction)
+        )
+        return PathOutcome(
+            entries,
+            applied,
+            ports,
+            CONTROLLER_PORT in ports,
+            # A finished path that output nothing is dropped; a missed
+            # one only by the miss policy.
+            not ports if table_id is None else self.miss_policy is MissPolicy.DROP,
+            metadata,
+            visited,
+            tuple(rewrites.items()),
+        )
 
     def _execute_instructions(
         self,
@@ -277,3 +335,10 @@ class OpenFlowPipeline:
             result.sent_to_controller = True
         else:
             result.dropped = True
+
+
+def _rewrite(actions: tuple[Action, ...], fields: dict[str, int]) -> None:
+    """Apply the set-field rewrites among ``actions`` to ``fields``."""
+    for action in actions:
+        if isinstance(action, SetFieldAction):
+            action.apply(fields)

@@ -125,13 +125,17 @@ tier stay columnar too: :class:`~repro.runtime.walk.ColumnarWalk`
 carries them through the waves as index arrays — table keys read off
 the lanes (plus an override lane for rewritten fields), one microflow
 probe and one decomposition search per *distinct* key per table, one
-result template per distinct entry path, one bulk
+immutable :class:`~repro.openflow.pipeline.PathOutcome` per distinct
+entry path (tuples and scalars only, shared by the positions and the
+megaflow aggregates that took the path), one bulk
 :meth:`~repro.runtime.megaflow.MegaflowCache.install_batch`.  **Dict
 materialisation still happens** for: tables without a keyed lookup
 (the behavioural ``FlowTable`` scan falls back to one scalar lookup
 per member), and any caller that asks for materialised results
-(``keep_results=True`` or ``process_batch``'s return value — built as
-packet fields + the traversal's rewrite overrides, bitwise-identical
+(``keep_results=True`` or ``process_batch``'s return value — built by
+:func:`~repro.runtime.megaflow.replay_template` as a fresh, list-typed
+:class:`~repro.openflow.pipeline.PipelineResult` per read position:
+packet fields + the outcome's rewrite overrides, bitwise-identical
 to mapping ``pipeline.process`` over the batch, which the differential
 property harness proves across the whole scenario catalog).
 
@@ -153,8 +157,9 @@ The parent's collect path
 (:func:`~repro.runtime.transport.decode_outcomes`) resolves the refs
 against its own pinned tables, replays each traversal once through
 :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` — the
-function the miss path builds its templates with — and materialises
-nothing per packet.
+function the miss path builds its outcomes with, returning the same
+immutable :class:`~repro.openflow.pipeline.PathOutcome` — and
+materialises nothing per packet.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch` takes

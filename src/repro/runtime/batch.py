@@ -17,7 +17,7 @@ microflow cache when one is attached, then through the table's keyed
 search path.  Because Goto-Table is forward-only, each table is visited
 at most once per batch.  Both tiers are columnar-only: the waves run
 over index arrays (:class:`~repro.runtime.walk.ColumnarWalk`: one probe
-per distinct key per table, one template per distinct entry path, the
+per distinct key per table, one outcome per distinct entry path, the
 consulted-bits mask folded per distinct capture state, one bulk
 install), and a dict batch is converted once at the runner's door
 (:meth:`BatchPipeline.process_batch`).  The one dict loop left,
@@ -38,7 +38,7 @@ from typing import Any, Protocol, overload
 
 import numpy as np
 
-from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
 from repro.runtime.cache import DEFAULT_CAPACITY, MicroflowCache
@@ -207,7 +207,7 @@ class BatchPipeline:
         all-hit batch is done right there.  Residual misses go through
         the columnar miss path (:class:`~repro.runtime.walk.ColumnarWalk`:
         index arrays through every wave, one probe per distinct key per
-        table, one template per distinct entry path) and are installed
+        table, one outcome per distinct entry path) and are installed
         in bulk, in position order — probe first, install after, so a
         miss never sees an aggregate an earlier position of the same
         batch installed.  With the megaflow tier off or bypassed the
@@ -230,9 +230,7 @@ class BatchPipeline:
             # Hit counters aggregated per entry — one pass over the few
             # distinct aggregates instead of every packet.
             for entry, count, byte_count in buckets:
-                credit_traversal(
-                    self.stats, entry.template, count, byte_count
-                )
+                credit_traversal(self.stats, entry.outcome, count, byte_count)
         else:
             replays = [None] * len(batch)
             missed = np.arange(len(batch), dtype=np.int64)
@@ -269,7 +267,7 @@ class BatchPipeline:
             walk.traversals, counts.tolist(), byte_sums.tolist()
         ):
             credit_traversal(
-                self.stats, traversal.template, count, int(byte_count)
+                self.stats, traversal.outcome, count, int(byte_count)
             )
         taken: Sequence[Traversal]
         if megaflow is not None:
@@ -344,9 +342,9 @@ class BatchPipeline:
         for i in completed:
             pipeline._execute_action_set(action_sets[i], results[i])
         for result in results:
-            # A result is its own path's template; frame_len is never
-            # rewritten, so final_fields carries the length every
-            # stats.record() saw mid-pipeline.
+            # A result records its own path as an outcome does;
+            # frame_len is never rewritten, so final_fields carries the
+            # length every stats.record() saw mid-pipeline.
             credit_traversal(
                 stats, result, 1, frame_length(result.final_fields)
             )
@@ -368,22 +366,25 @@ class BatchPipeline:
 
 
 def credit_traversal(
-    stats: BatchStats, template: PipelineResult, count: int, byte_count: int
+    stats: BatchStats,
+    outcome: PathOutcome | PipelineResult,
+    count: int,
+    byte_count: int,
 ) -> None:
     """Credit ``count`` packets (``byte_count`` frame bytes in all) that
-    took the path ``template`` records to ``stats``' traffic counters.
+    took the path ``outcome`` records to ``stats``' traffic counters.
 
     The one traffic credit: the megaflow tier's hit buckets, the walk's
     distinct traversals, each traversal of a collected sharded reply
     (from the reply's delta lanes) and the tier-free dict walk (one
     packet per result) all count through it."""
-    matched_entries = len(template.matched_entries)
+    matched_entries = len(outcome.matched_entries)
     if matched_entries:
         stats.matched += count
         stats.flow_packets += matched_entries * count
         stats.flow_bytes += matched_entries * byte_count
-    stats.sent_to_controller += template.sent_to_controller * count
-    stats.dropped += template.dropped * count
+    stats.sent_to_controller += outcome.sent_to_controller * count
+    stats.dropped += outcome.dropped * count
 
 
 @dataclass(eq=False)
@@ -394,12 +395,13 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     ``replays[i]`` is the :class:`~repro.runtime.megaflow.Traversal`
     position ``i`` took — the megaflow aggregate it hit, or the one the
     miss path built (and, with the megaflow tier on, installed) for it.
-    Either way it is a ``(template, overrides)`` pair carrying
-    everything but the packet's own fields, so hits and misses
-    materialise the same way; ``frame`` is the per-position
-    ``frame_len`` lane.  Positions that took the same path share one
-    traversal object, so an outcome nobody reads costs one template per
-    *distinct* path and nothing per packet.
+    Either way its ``outcome`` is an immutable
+    :class:`~repro.openflow.pipeline.PathOutcome` carrying everything
+    but the packet's own fields, so hits and misses materialise the same
+    way (:func:`~repro.runtime.megaflow.replay_template`); ``frame`` is
+    the per-position ``frame_len`` lane.  Positions that took the same
+    path share one outcome, so a batch nobody reads costs one outcome
+    per *distinct* path and nothing per packet.
 
     Both runners hand this type back: :meth:`BatchPipeline.classify_columnar`
     in-process, and the sharded parent from the entry paths its workers
@@ -423,7 +425,7 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
         classification time)."""
         row_fields = self.batch.row_fields
         for row, replay in zip(self.batch.pick.tolist(), self.replays):
-            yield _materialise(replay, row_fields(row))
+            yield replay_template(replay.outcome, row_fields(row))
 
     @overload
     def __getitem__(self, index: int) -> PipelineResult: ...
@@ -440,7 +442,9 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
                     self.batch[index], self.replays[index], self.frame[index]
                 )
             )
-        return _materialise(self.replays[index], self.batch.fields_at(index))
+        return replay_template(
+            self.replays[index].outcome, self.batch.fields_at(index)
+        )
 
     def results(self) -> list[PipelineResult]:
         """Every position materialised, as a plain list."""
@@ -449,25 +453,16 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     def distinct(self) -> tuple[list[Traversal], np.ndarray]:
         """The batch's distinct traversals, in first-seen order, and one
         ``int32`` code per position indexing them — the shape the
-        sharded reply ships.  Distinct means *one template object*: the
-        miss path shares a template across the positions that took its
+        sharded reply ships.  Distinct means *one outcome object*: the
+        miss path shares an outcome across the positions that took its
         path even where each position installed its own aggregate."""
-        keys = [id(replay.template) for replay in self.replays]
+        keys = [id(replay.outcome) for replay in self.replays]
         first = dict(zip(keys, self.replays))
         code_of = dict(zip(first, range(len(first))))
         codes = np.fromiter(
             map(code_of.__getitem__, keys), dtype=np.int32, count=len(keys)
         )
         return list(first.values()), codes
-
-
-def _materialise(
-    replay: Traversal, packet_fields: Mapping[str, int]
-) -> PipelineResult:
-    final_fields = dict(packet_fields)
-    if replay.overrides:
-        final_fields.update(replay.overrides)
-    return replay_template(replay.template, final_fields)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,12 @@ The runtime never runs it: :class:`~repro.runtime.walk.ColumnarWalk`
 captures the same mask and table route for a whole batch of misses at
 once, per distinct capture state, and the tests hold the two equal.
 
-A hit replays the captured :class:`PipelineResult` against the new
-packet: original fields, plus the recorded final values of every
+What is cached per aggregate is its path's
+:class:`~repro.openflow.pipeline.PathOutcome` — an immutable value built
+once per distinct entry path of the installing batch and shared by the
+aggregates that batch installed along the path.  A hit replays it
+against the new packet (:func:`replay_template`): original fields, plus
+the outcome's ``overrides``, the recorded final values of every
 rewritten field.
 
 **Invalidation is incremental.**  Each entry carries its visited-table
@@ -53,11 +57,11 @@ has one index (per mask, the packed ``value & mask`` bytes of
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
 from repro.packet.batch import IndexArray, PacketBatch
 
 #: Mask signature: ``((field_name, bitmask), ...)`` sorted by field.
@@ -98,28 +102,26 @@ class MegaflowRecorder:
 
 
 class Traversal:
-    """One entry path's complete outcome, detached from any packet.
+    """One entry path's outcome and the table versions it was built at.
 
-    ``template`` carries everything a :class:`PipelineResult` holds but
-    the packet's own fields; ``overrides`` are the final values of the
-    fields the traversal rewrote, so ``final_fields`` for any packet of
-    the path is ``packet fields + overrides`` (:func:`replay_template`).
-    ``table_versions`` tags each visited table with its mutation
-    counter at lookup time.  The columnar miss path builds one per
-    *distinct* path and shares it across the positions that took it;
-    a :class:`MegaflowEntry` is a traversal plus its wildcard key.
+    ``outcome`` is the path's immutable
+    :class:`~repro.openflow.pipeline.PathOutcome` — everything a
+    :class:`PipelineResult` holds but the packet's own fields, rewrites
+    included as its ``overrides``.  ``table_versions`` tags each visited
+    table with its mutation counter at lookup time.  The columnar miss
+    path builds one per *distinct* path and shares it across the
+    positions that took it; a :class:`MegaflowEntry` is a traversal plus
+    its wildcard key.
     """
 
-    __slots__ = ("template", "overrides", "table_versions")
+    __slots__ = ("outcome", "table_versions")
 
     def __init__(
         self,
-        template: PipelineResult,
-        overrides: dict[str, int],
+        outcome: PathOutcome,
         table_versions: tuple[tuple[int, int], ...],
     ) -> None:
-        self.template = template
-        self.overrides = overrides
+        self.outcome = outcome
         self.table_versions = table_versions
 
 
@@ -132,8 +134,7 @@ class MegaflowEntry(Traversal):
         self,
         mask: MaskSig,
         key: bytes,
-        template: PipelineResult,
-        overrides: dict[str, int],
+        outcome: PathOutcome,
         table_versions: tuple[tuple[int, int], ...],
         version_checks: tuple,
     ) -> None:
@@ -142,8 +143,7 @@ class MegaflowEntry(Traversal):
         #: :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`
         #: packs it (absence of a field is part of the key).
         self.key = key
-        self.template = template
-        self.overrides = overrides
+        self.outcome = outcome
         self.table_versions = table_versions
         #: ``(table_object, version)`` pairs — the hot-path validity
         #: check dereferences the table directly instead of resolving
@@ -153,23 +153,31 @@ class MegaflowEntry(Traversal):
 
 
 def replay_template(
-    template: PipelineResult, final_fields: dict[str, int]
+    outcome: PathOutcome, packet_fields: Mapping[str, int]
 ) -> PipelineResult:
-    """Clone a cached traversal template onto one packet's final fields.
+    """Materialise a path's outcome onto one packet: a fresh, mutable
+    :class:`PipelineResult` whose ``final_fields`` are the packet's
+    fields plus the outcome's rewrite ``overrides``.
 
-    The single definition of replay materialisation
+    The one place the batched runtime builds a per-packet result
     (:class:`repro.runtime.batch.ColumnarOutcomes`, in-process and
-    sharded alike) — direct construction (no ``__init__`` dispatch, no
-    default factories): this is the hottest allocation in the runtime.
+    sharded alike), and only for a position somebody reads — direct
+    construction (no ``__init__`` dispatch, no default factories): this
+    is the hottest allocation in the runtime.  Every list is the
+    result's own, so a reader mutating it never reaches the shared
+    outcome.
     """
+    final_fields = dict(packet_fields)
+    if outcome.overrides:
+        final_fields.update(outcome.overrides)
     result = PipelineResult.__new__(PipelineResult)
-    result.matched_entries = list(template.matched_entries)
-    result.applied_actions = list(template.applied_actions)
-    result.output_ports = list(template.output_ports)
-    result.sent_to_controller = template.sent_to_controller
-    result.dropped = template.dropped
-    result.metadata = template.metadata
-    result.tables_visited = list(template.tables_visited)
+    result.matched_entries = list(outcome.matched_entries)
+    result.applied_actions = list(outcome.applied_actions)
+    result.output_ports = list(outcome.output_ports)
+    result.sent_to_controller = outcome.sent_to_controller
+    result.dropped = outcome.dropped
+    result.metadata = outcome.metadata
+    result.tables_visited = list(outcome.tables_visited)
     result.final_fields = final_fields
     return result
 
@@ -234,7 +242,7 @@ class MegaflowCache:
         *position* (``None`` on miss), bookkeeping done.  Replay
         materialisation is deferred to the caller (see
         :class:`repro.runtime.batch.ColumnarOutcomes`); the decode-free
-        sharded worker encodes the templates directly.
+        sharded worker encodes the outcomes directly.
         """
         return self.probe_credit(batch, batch.frame_lengths())[0]
 
@@ -320,7 +328,7 @@ class MegaflowCache:
             count, byte_count = counts[code], int(byte_sums[code])
             entry.hits += count
             lru.move_to_end((entry.mask, entry.key))
-            for matched in entry.template.matched_entries:
+            for matched in entry.outcome.matched_entries:
                 matched.stats.add(count, byte_count)
             buckets.append((entry, count, byte_count))
         return list(map(slots.__getitem__, position_codes)), pending, buckets
@@ -340,7 +348,7 @@ class MegaflowCache:
         Position ``positions[j]`` of ``batch`` — the *original* packet,
         pre-rewrite — consulted mask ``masks[mask_codes[j]]`` and took
         ``traversals[traversal_codes[j]]`` (both shared across positions
-        — one template per distinct entry path, never one per packet).
+        — one outcome per distinct entry path, never one per packet).
         Keys come off the lanes: per distinct mask, the batch's memoized
         :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`.
         Entries are stored one per position, **in position order**, so
@@ -365,8 +373,7 @@ class MegaflowCache:
             entry = MegaflowEntry(
                 masks[mask_code],
                 keys_of[mask_code][row],
-                traversal.template,
-                traversal.overrides,
+                traversal.outcome,
                 traversal.table_versions,
                 checks[code],
             )

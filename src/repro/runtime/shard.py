@@ -50,7 +50,7 @@ in the same block, so a reply frame pickles no class instance.
 The parent resolves the refs against the entry order it pinned at
 submission, replays its own entries through
 :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` (the
-function the worker's walk built the same template with), credits its
+function the worker's walk built the same outcome with), credits its
 counters and its authoritative
 :class:`~repro.openflow.flow.FlowEntry` stats per traversal — so flow
 stats match the single-process run exactly instead of being stranded in
@@ -1002,7 +1002,7 @@ class ShardedBatchPipeline:
         so a per-packet :class:`PipelineResult` exists only once a
         caller indexes or iterates one: counters and flow stats are
         already merged when it is yielded, a stream nobody reads builds
-        one template per distinct traversal per batch, and memory stays
+        one outcome per distinct traversal per batch, and memory stays
         O(depth x batch), never O(stream).  An outcome stays readable
         after any number of later batches (nothing in it aliases a ring
         slot) and is resolved against the entry order pinned when its
@@ -1434,10 +1434,8 @@ class ShardedBatchPipeline:
             for traversal, packets, byte_count in zip(
                 traversals, shard.packets, shard.byte_sums
             ):
-                credit_traversal(
-                    stats, traversal.template, packets, byte_count
-                )
-                for entry in traversal.template.matched_entries:
+                credit_traversal(stats, traversal.outcome, packets, byte_count)
+                for entry in traversal.outcome.matched_entries:
                     entry.stats.add(packets, byte_count)
             for position, code in zip(members.tolist(), shard.codes):
                 replays[position] = traversals[code]

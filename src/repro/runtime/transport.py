@@ -30,7 +30,7 @@ pipe; per position, one ``int32`` code naming its traversal.
 :func:`decode_outcomes` is the parent's half: it replays the pinned
 entries through the pipeline's own executor
 (:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`, which
-the worker's walk built the same template with) and fails closed
+the worker's walk built the same outcome with) and fails closed
 (:class:`ReplyDecodeError`) on a block that does not fit its batch.
 
 **Entry refs and the stats return path.**  :class:`EntryIndex` maps
@@ -39,9 +39,9 @@ entries to positions in a table's deterministic
 position as the parent agrees on that order (snapshots pickle entries
 with their sort keys and replay mutations in program order), so a ref is
 a process-independent name for a flow entry.  That makes two things
-cheap: the parent rebuilds templates whose ``matched_entries`` are its
+cheap: the parent rebuilds outcomes whose ``matched_entries`` are its
 *own* authoritative :class:`~repro.openflow.flow.FlowEntry` objects, and
-each reply block carries the flow-stats delta as two more per-template
+each reply block carries the flow-stats delta as two more per-traversal
 lanes — packets and frame bytes — which the parent folds into those
 entries' counters, so flow stats (the substrate for monitoring) are
 exact under sharding instead of marooned in worker replicas.
@@ -520,8 +520,8 @@ def encode_outcomes(
         [
             part
             for table_id, entry in zip(
-                traversal.template.tables_visited,
-                traversal.template.matched_entries,
+                traversal.outcome.tables_visited,
+                traversal.outcome.matched_entries,
             )
             for part in index.ref(table_id, entry)
         ]
@@ -562,12 +562,12 @@ def decode_outcomes(
     ``pinned`` — the entry order the parent froze when it submitted the
     batch — and replay the parent's own entries through ``pipeline``
     (:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`, the
-    function the worker's walk built the same template with).
+    function the worker's walk built the same outcome with).
 
     ``expected`` is the member count the parent sent.  Fails closed: a
     reply that does not fit it, its own lanes, the pinned snapshot or
     the pipeline's table order raises :class:`ReplyDecodeError` here
-    rather than mis-resolving a template (or an ``IndexError``) at
+    rather than mis-resolving an outcome (or an ``IndexError``) at
     first read.  Everything returned is copied out of the block, so the
     response ring slot is free for reuse as soon as this returns.
     """
@@ -586,9 +586,9 @@ def decode_outcomes(
             raise ReplyDecodeError(
                 f"matched refs {refs} are not (table_id, position) pairs"
             )
-        tables = refs[0::2]
+        tables = tuple(refs[0::2])
         try:
-            template = pipeline.replay_path(
+            outcome = pipeline.replay_path(
                 [
                     _pinned_entry(pinned, table_id, position)
                     for table_id, position in zip(tables, refs[1::2])
@@ -598,12 +598,12 @@ def decode_outcomes(
             raise ReplyDecodeError(
                 f"matched refs {refs} run on past the end of their path"
             ) from error
-        if template.tables_visited[: len(tables)] != tables:
+        if outcome.tables_visited[: len(tables)] != tables:
             raise ReplyDecodeError(
                 f"matched refs {refs} do not chain: the path visits "
-                f"tables {template.tables_visited}"
+                f"tables {outcome.tables_visited}"
             )
-        traversals.append(Traversal(template, template.final_fields, ()))
+        traversals.append(Traversal(outcome, ()))
     return DecodedReply(
         traversals,
         codes.tolist(),

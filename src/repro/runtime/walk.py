@@ -23,9 +23,11 @@ many packets:
   — extended per wave over the distinct ``(code, outcome)`` pairs.
 
 When the waves drain, each distinct entry path is replayed **once**
-through the pipeline's own instruction executor into a
-:class:`~repro.runtime.megaflow.Traversal` (so the OpenFlow §5.9
-semantics have a single definition), each distinct capture state
+through :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`
+into an immutable :class:`~repro.openflow.pipeline.PathOutcome` (so the
+OpenFlow §5.9 semantics of a path have a single definition), tagged
+with its table versions as a
+:class:`~repro.runtime.megaflow.Traversal`; each distinct capture state
 becomes a mask signature, and the caller installs / materialises from
 the per-position codes.
 
@@ -443,10 +445,9 @@ class ColumnarWalk:
     # ------------------------------------------------------------------
 
     def _traversal(self, code: int) -> Traversal:
-        """Replay one distinct entry path through the pipeline's own
-        executor (:meth:`OpenFlowPipeline.replay_path`); what the replay
-        leaves in ``final_fields`` is exactly the rewrites — the
-        traversal's overrides."""
+        """Replay one distinct entry path through
+        :meth:`OpenFlowPipeline.replay_path` and tag its outcome with
+        the versions of the tables it visited."""
         parent, entry = self._paths[code]
         if entry is None:  # a terminal table miss: the path is its parent's
             code = parent
@@ -456,11 +457,11 @@ class ColumnarWalk:
             assert entry is not None
             matched.append(entry)
         matched.reverse()
-        template = self.pipeline.replay_path(matched)
-        route = tuple(template.tables_visited)
+        outcome = self.pipeline.replay_path(matched)
+        route = outcome.tables_visited
         versions = self._route_versions.get(route)
         if versions is None:
             versions = self._route_versions[route] = tuple(
                 (stop, self._versions[stop]) for stop in route
             )
-        return Traversal(template, template.final_fields, versions)
+        return Traversal(outcome, versions)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.openflow import pipeline as pipeline_module
 from repro.openflow.pipeline import OpenFlowPipeline
 
 _DEV_SHM = Path("/dev/shm")
@@ -48,15 +49,16 @@ _REPLAY_PATH = OpenFlowPipeline.replay_path
 
 def replay_path_without_the_action_set(pipeline, matched):
     """``OpenFlowPipeline.replay_path`` with the action-set execution
-    knocked out of it (``process`` keeps its own).  Monkeypatched in,
-    it gets Write-Actions wrong for whoever builds templates through
-    ``replay_path`` — which is how the tests prove the columnar walk
-    and the sharded decode both do."""
-    pipeline._execute_action_set = lambda action_set, result: None
+    knocked out of it (``process`` keeps its own executor).
+    Monkeypatched in, it gets Write-Actions wrong for whoever builds
+    outcomes through ``replay_path`` — which is how the tests prove the
+    columnar walk and the sharded decode both do."""
+    ordered = pipeline_module.action_set_order
+    pipeline_module.action_set_order = lambda action_set: ()
     try:
         return _REPLAY_PATH(pipeline, matched)
     finally:
-        del pipeline._execute_action_set
+        pipeline_module.action_set_order = ordered
 
 
 @pytest.fixture(autouse=True)

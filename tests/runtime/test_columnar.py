@@ -12,8 +12,12 @@ lookups, no row dicts, one bulk install per batch, at most one engine
 probe per distinct ``(partition, key)`` pair per wave, and nothing at
 all for a batch the wildcard tier answers whole.
 ``TestShardedReplyCostShape`` does the same for the sharded parent: an
-unread ``process_batches`` stream builds one ``PipelineResult`` per
-distinct traversal per batch and no row dict.  ``TestDictDoorCostShape``
+unread ``process_batches`` stream builds one ``PathOutcome`` per
+distinct traversal per batch, no ``PipelineResult`` and no row dict.
+``TestMissPathAllocationShape`` pins what a miss leaves cached: one
+immutable outcome per distinct entry path, with no list or dict in it;
+``TestMaterialisedResultsAreTheReaders`` that mutating a materialised
+result reaches nothing shared.  ``TestDictDoorCostShape``
 pins where a dict batch goes: through one conversion into the columnar
 path on a runner with a cache tier, through ``table.lookup_batch`` wave
 by wave on a runner with none.
@@ -21,7 +25,9 @@ by wave on a runner with none.
 
 from __future__ import annotations
 
+import gc
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,11 +36,11 @@ from repro.core.builder import build_lookup_table, build_prototype
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.field_engine import PartitionEngine, TriePartitionEngine
 from repro.core.lookup_table import OpenFlowLookupTable
-from repro.openflow.actions import OutputAction
+from repro.openflow.actions import Action, OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
-from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
@@ -289,7 +295,7 @@ class TestColumnarMegaflow:
         assert megaflow.hits == hits_before + hit_count
         for entry in entries:
             if entry is not None:
-                assert entry.template.matched_entries
+                assert entry.outcome.matched_entries
     def test_uniform_wide_equivalence(self, rule_set):
         wide = widen_rule_set(rule_set)
         workload = uniform_wide_workload(wide, packet_count=1500, flow_count=40)
@@ -610,7 +616,7 @@ class TestMissPathCostShape:
 
 class TestShardedReplyCostShape:
     """What the sharded parent may build for a stream nobody reads:
-    one template per distinct traversal per batch — the reply is
+    one outcome per distinct traversal per batch — the reply is
     per-traversal and the yielded outcomes materialise lazily — and
     never a row dict."""
 
@@ -642,12 +648,13 @@ class TestShardedReplyCostShape:
             megaflow_capacity=512,
             depth=3,
         ) as sharded:
-            # Every PipelineResult is born one of two ways: constructed
-            # (a template) or cloned from one by ``replay_template`` (a
-            # per-packet result).  Patched before the fork, so the
-            # worker counts too — in its own copy; these are the
-            # parent's alone.
-            templates = _Spy(monkeypatch, PipelineResult, "__init__")
+            # A path's outcome is built by one constructor, once per
+            # distinct traversal; a per-packet result is cloned from one
+            # by ``replay_template`` and never constructed.  Patched
+            # before the fork, so the worker counts too — in its own
+            # copy; these are the parent's alone.
+            built = _Spy(monkeypatch, PathOutcome, "__init__")
+            constructed = _Spy(monkeypatch, PipelineResult, "__init__")
             replayed = _Spy(monkeypatch, batch_module, "replay_template")
             rows = [
                 _Spy(monkeypatch, PacketBatch, name)
@@ -656,7 +663,7 @@ class TestShardedReplyCostShape:
             per_batch = []
             outcomes = []
             for outcome in sharded.process_batches(views):
-                per_batch.append(templates.calls - sum(per_batch))
+                per_batch.append(built.calls - sum(per_batch))
                 outcomes.append(outcome)
             assert per_batch == distinct
             assert replayed.calls == 0
@@ -665,9 +672,200 @@ class TestShardedReplyCostShape:
             # Reading one outcome costs exactly its packets.
             results = list(outcomes[2])
             assert replayed.calls == len(results) == len(views[2])
-            assert templates.calls == sum(distinct)
+            assert built.calls == sum(distinct)
+            assert constructed.calls == 0
         reference = BatchPipeline(make_arch(), cache_capacity=None)
         assert results == reference.process_batch(views[2])
+
+
+def _distinct_path_misses(count, seed=11):
+    """The paper's four-table prototype and ``count`` packets, each
+    taking an entry path no other one takes (the scan of ``process``
+    decides; its flow-stats credit is on a twin, so the returned
+    architecture is untouched)."""
+    from repro.filters.paper_data import MacFilterStats, RoutingFilterStats
+    from repro.filters.synthetic import generate_mac_set, generate_routing_set
+
+    macs = generate_mac_set(MacFilterStats("shape", 40, 3, 4, 20, 40), seed=seed)
+    routes = generate_routing_set(
+        RoutingFilterStats("shape", 120, 8, 24, 60), seed=seed
+    )
+    twin = build_prototype(macs, routes)
+    generator = PacketGenerator(TraceConfig(seed=seed))
+    mac_pool = generator.flow_pool(
+        [rule.to_match() for rule in macs.rules], macs.field_names
+    )
+    route_pool = generator.flow_pool(
+        [rule.to_match() for rule in routes.rules], routes.field_names
+    )
+    rng = np.random.default_rng(seed)
+    paths, packets = set(), []
+    for pick in rng.permutation(len(mac_pool) * len(route_pool)).tolist():
+        m, r = divmod(pick, len(route_pool))
+        fields = {**mac_pool[m], **route_pool[r], FRAME_LEN_FIELD: 64 + m}
+        path = tuple(map(id, twin.process(fields).matched_entries))
+        if path not in paths:
+            paths.add(path)
+            packets.append(fields)
+            if len(packets) == count:
+                return build_prototype(macs, routes), packets
+    raise AssertionError(f"the prototype has fewer than {count} paths")
+
+
+def _owned(outcome):
+    """Every object reachable from ``outcome`` through
+    ``gc.get_referents``, stopping at the flow entries and actions it
+    names (the rule set's own objects, built at install, not per miss)
+    and at classes."""
+    seen, stack = {}, [outcome]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (type, FlowEntry, Action)):
+            continue
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+class TestMissPathAllocationShape:
+    """What a megaflow miss leaves behind: one immutable
+    :class:`PathOutcome` per distinct entry path, shared by the walk and
+    every aggregate the batch installed along it, holding no list and
+    no non-empty dict — so the objects a cold miss keeps alive give the
+    cyclic collector no container to keep tracking.  Counts and types
+    only, no clocks."""
+
+    SIZE = 256
+
+    def classify(self, monkeypatch):
+        arch, packets = _distinct_path_misses(self.SIZE)
+        runner = BatchPipeline(
+            arch, cache_capacity=64, megaflow_capacity=4 * self.SIZE
+        )
+        walks = []
+        run = ColumnarWalk.run
+
+        def recorded(walk, missed):
+            walks.append(walk)
+            return run(walk, missed)
+
+        monkeypatch.setattr(ColumnarWalk, "run", recorded)
+        runner.classify_columnar(PacketBatch.from_dicts(packets))
+        (walk,) = walks
+        cached = list(runner.megaflow._lru.values())
+        assert runner.megaflow.misses == len(walk.traversals) == self.SIZE
+        # A masked key pins its path, so no two installs collided.
+        assert len(cached) == self.SIZE
+        return walk, cached
+
+    def test_cached_outcomes_hold_no_list_or_dict(self, monkeypatch):
+        walk, cached = self.classify(monkeypatch)
+        outcomes = [t.outcome for t in walk.traversals]
+        assert {id(entry.outcome) for entry in cached} == set(map(id, outcomes))
+        kinds = Counter()
+        for outcome in outcomes:
+            for obj in _owned(outcome):
+                kinds[type(obj)] += 1
+                if type(obj) is dict:
+                    assert not obj, f"a non-empty dict under {outcome}"
+        assert kinds[list] == 0
+        assert kinds[PathOutcome] == self.SIZE
+        # Past the rules it names, an outcome is tuples of scalars.
+        assert {
+            kind
+            for kind in kinds
+            if not issubclass(kind, (type, FlowEntry, Action))
+        } <= {PathOutcome, tuple, int, bool, str}, kinds
+
+    def test_outcomes_refuse_writes(self, monkeypatch):
+        walk, cached = self.classify(monkeypatch)
+        for outcome in {id(e.outcome): e.outcome for e in cached}.values():
+            for name in PathOutcome.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(outcome, name, getattr(outcome, name))
+                with pytest.raises(AttributeError):
+                    delattr(outcome, name)
+            for name in (
+                "matched_entries",
+                "applied_actions",
+                "output_ports",
+                "tables_visited",
+                "overrides",
+            ):
+                with pytest.raises(AttributeError):
+                    getattr(outcome, name).append(None)
+
+
+class TestMaterialisedResultsAreTheReaders:
+    """A materialised result is its reader's own: appending to its
+    lists or rewriting its fields reaches neither the other positions of
+    its batch, nor the outcome they share, nor a later megaflow hit on
+    the same aggregate — in-process and sharded alike."""
+
+    @staticmethod
+    def traffic():
+        """The four-table prototype, two flows of it on six positions
+        (repeats are the same packet object: one batch row each), and
+        the scan oracle's results for them off a twin."""
+        arch, trace = _prototype()
+        first = trace[0]
+        second = next(fields for fields in trace if fields != first)
+        packets = [first, second, first, first, second, first]
+        twin = _prototype()[0]
+        return arch, packets, [twin.process(fields) for fields in packets]
+
+    @staticmethod
+    def check(arch, classify, packets, oracle):
+        """Classify twice; vandalise position 0's result in between."""
+        first = classify(packets)
+        shared = first.replays[0].outcome
+        vandalised = first[0]
+        vandalised.output_ports.append(9)
+        vandalised.matched_entries.append(vandalised.matched_entries[0])
+        vandalised.applied_actions.append(OutputAction(9))
+        name = next(iter(vandalised.final_fields))
+        vandalised.final_fields[name] += 1
+        assert shared == arch.replay_path(shared.matched_entries)
+        assert [first[i] for i in range(1, len(packets))] == oracle[1:]
+        assert first.results()[1:] == oracle[1:]
+        # The same flows again, every position a megaflow hit.
+        second = classify(packets)
+        assert second.results() == oracle
+        assert second.replays[0].outcome == shared
+        return shared, second
+
+    def test_in_process(self):
+        arch, packets, oracle = self.traffic()
+        runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=48)
+        shared, second = self.check(
+            arch,
+            lambda packets: runner.classify_columnar(
+                PacketBatch.from_dicts(packets)
+            ),
+            packets,
+            oracle,
+        )
+        assert runner.megaflow.hits == len(packets)
+        # The hit served the very outcome the vandalised result came from.
+        assert second.replays[0].outcome is shared
+
+    @needs_dev_shm
+    def test_sharded(self):
+        arch, packets, oracle = self.traffic()
+        with ShardedBatchPipeline(
+            arch, workers=1, cache_capacity=64, megaflow_capacity=48
+        ) as sharded:
+
+            def classify(packets):
+                (outcome,) = sharded.process_batches(
+                    [PacketBatch.from_dicts(packets)]
+                )
+                return outcome
+
+            self.check(arch, classify, packets, oracle)
+            assert sharded.stats_snapshot().megaflow_hits == len(packets)
 
 
 class TestDictDoorCostShape:

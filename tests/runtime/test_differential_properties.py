@@ -95,6 +95,7 @@ from repro.runtime import (
     SupervisionConfig,
     run_stream,
 )
+from repro.runtime.megaflow import replay_template
 from repro.runtime.streaming import SHED_REASONS
 
 from tests.packet.test_packet_batch import packed_masked_key
@@ -857,7 +858,7 @@ def _hold_capture_to_spec(runner):
             context = f"aggregate of {fields}"
             assert entry.mask == recorder.mask_signature(), context
             assert entry.table_versions == tuple(recorder.tables), context
-            assert entry.overrides == {
+            assert dict(entry.outcome.overrides) == {
                 name: result.final_fields[name]
                 for name in recorder.rewritten
                 if name in result.final_fields
@@ -952,11 +953,12 @@ def test_columnar_miss_path_equivalent(example):
 def test_replay_path_is_process_without_the_packet(example, miss_policy):
     """An outcome is a pure function of (entry path, miss policy):
     replaying the entries ``process`` matched — no packet, no lookup —
-    gives the processed result field for field, apart from the packet's
-    own fields; what the replay leaves in ``final_fields`` is exactly
-    what the path rewrote.  Over the scan tables and the decomposition
-    architecture alike: this is the one function the columnar walk and
-    the sharded decode both build their templates with."""
+    gives the processed result field for field once materialised onto
+    the packet's own fields; what the replay carries as ``overrides`` is
+    exactly what the path rewrote.  Over the scan tables and the
+    decomposition architecture alike: this is the one function the
+    columnar walk and the sharded decode both build their outcomes
+    with."""
     trace = _build_miss_trace(example)
     for make_tables in (_miss_flow_tables, _miss_lookup_tables):
         pipeline = MissReplayer(example, make_tables).pipeline
@@ -964,12 +966,9 @@ def test_replay_path_is_process_without_the_packet(example, miss_policy):
         for fields in trace:
             processed = pipeline.process(fields)
             replayed = pipeline.replay_path(processed.matched_entries)
-            assert {**fields, **replayed.final_fields} == processed.final_fields
+            assert {**fields, **dict(replayed.overrides)} == processed.final_fields
             assert (
-                dataclasses.replace(
-                    replayed, final_fields=processed.final_fields
-                )
-                == processed
+                replay_template(replayed, fields) == processed
             ), f"{make_tables.__name__}: {fields}"
             assert replayed.matched_entries is not processed.matched_entries
 

@@ -15,7 +15,7 @@ from repro.openflow.actions import OutputAction, SetFieldAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import ApplyActions, GotoTable, WriteActions
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
-from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome
 from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD, frame_length
@@ -289,15 +289,15 @@ class _PerPacketMegaflow:
             for name, bits in mask
         )
 
-    def install(self, mask, fields, template, checks):
+    def install(self, mask, fields, outcome, checks):
         slot = (mask, self.key(mask, fields))
-        self.lru[slot] = {"template": template, "checks": checks, "hits": 0}
+        self.lru[slot] = {"outcome": outcome, "checks": checks, "hits": 0}
         self.lru.move_to_end(slot)
         self.masks.setdefault(mask, set()).add(slot)
         self.installs += 1
 
     def lookup(self, fields):
-        """The hit aggregate's template, or ``None``."""
+        """The hit aggregate's outcome, or ``None``."""
         for mask in list(self.masks):
             slot = (mask, self.key(mask, fields))
             aggregate = self.lru.get(slot)
@@ -313,9 +313,9 @@ class _PerPacketMegaflow:
             self.hits += 1
             aggregate["hits"] += 1
             self.lru.move_to_end(slot)
-            for matched in aggregate["template"].matched_entries:
+            for matched in aggregate["outcome"].matched_entries:
                 matched.stats.record(frame_length(fields))
-            return aggregate["template"]
+            return aggregate["outcome"]
         self.misses += 1
         return None
 
@@ -323,11 +323,11 @@ class _PerPacketMegaflow:
         return {
             "counters": (self.hits, self.misses, self.invalidated, self.installs),
             "lru": [
-                (mask, aggregate["template"].metadata, aggregate["hits"])
+                (mask, aggregate["outcome"].metadata, aggregate["hits"])
                 for (mask, _), aggregate in self.lru.items()
             ],
             "index": {
-                mask: sorted(self.lru[slot]["template"].metadata for slot in slots)
+                mask: sorted(self.lru[slot]["outcome"].metadata for slot in slots)
                 for mask, slots in self.masks.items()
             },
             "probe_order": list(self.masks),
@@ -340,11 +340,11 @@ def _cache_state(cache):
     return {
         "counters": (cache.hits, cache.misses, cache.invalidated, cache.installs),
         "lru": [
-            (mask, entry.template.metadata, entry.hits)
+            (mask, entry.outcome.metadata, entry.hits)
             for (mask, _), entry in cache._lru.items()
         ],
         "index": {
-            mask: sorted(entry.template.metadata for entry in index.values())
+            mask: sorted(entry.outcome.metadata for entry in index.values())
             for mask, index in cache._by_mask.items()
         },
         "probe_order": list(cache._by_mask),
@@ -376,20 +376,25 @@ class _ProbeWorld:
     def install(self, mask, fields, deep):
         visited = self.tables[: 2 if deep else 1]
         self.installed += 1
-        template = PipelineResult(
-            matched_entries=self.flow_entries[: len(visited)],
+        outcome = PathOutcome(
+            matched_entries=tuple(self.flow_entries[: len(visited)]),
+            applied_actions=(),
+            output_ports=(),
+            sent_to_controller=False,
+            dropped=False,
             # Names the aggregate in whatever shape a probe answers.
             metadata=self.installed,
-            tables_visited=[table.table_id for table in visited],
+            tables_visited=tuple(table.table_id for table in visited),
+            overrides=(),
         )
         if self.model:
             self.cache.install(
-                mask, fields, template, [(table, table.version) for table in visited]
+                mask, fields, outcome, [(table, table.version) for table in visited]
             )
             return
         one = np.zeros(1, dtype=np.int64)
         traversal = Traversal(
-            template, {}, tuple((table.table_id, table.version) for table in visited)
+            outcome, tuple((table.table_id, table.version) for table in visited)
         )
         self.cache.install_batch(
             PacketBatch.from_dicts([fields]), one, [mask], one, [traversal], one
@@ -482,7 +487,7 @@ class TestProbeCreditEquivalence:
             )
             replayed = [scalar.cache.lookup(fields) for fields in packets]
             assert [
-                None if entry is None else entry.template.metadata
+                None if entry is None else entry.outcome.metadata
                 for entry in entries
             ] == [None if result is None else result.metadata for result in replayed]
             assert missed.tolist() == [

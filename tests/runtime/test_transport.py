@@ -455,11 +455,13 @@ class TestResultBlocks:
                 runner, index, packets, parent, pinned
             )
             assert len(rebuilt) == 8
-            assert [t.overrides for t in decoded.traversals] == [
-                {},
-                {"vlan_vid": 42, "metadata": 9},
-                {"vlan_vid": 5, "ip_dscp": 7, "metadata": 0x31},
-                {"vlan_vid": 5, "metadata": 0x30},
+            # First-write order: Write-Metadata runs at its entry, a
+            # Write-Actions set-field only once the path ends.
+            assert [t.outcome.overrides for t in decoded.traversals] == [
+                (),
+                (("metadata", 9), ("vlan_vid", 42)),
+                (("vlan_vid", 5), ("metadata", 0x31), ("ip_dscp", 7)),
+                (("vlan_vid", 5), ("metadata", 0x30)),
             ]
             assert rebuilt.results() == oracle
             assert rebuilt[0].final_fields == packets[0]
@@ -577,8 +579,8 @@ class TestReplyFailsClosed:
         assert self.lane(block, segments, "res/matched/values").tolist() == [
             0, 1, 1, 0
         ]
-        assert decoded.traversals[0].template.tables_visited == [0, 1]
-        assert decoded.traversals[1].template.tables_visited == [0]
+        assert decoded.traversals[0].outcome.tables_visited == (0, 1)
+        assert decoded.traversals[1].outcome.tables_visited == (0,)
 
     @pytest.mark.parametrize("bad", [-1, 2, 1 << 20])
     def test_code_outside_the_templates(self, bad):
