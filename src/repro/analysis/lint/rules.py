@@ -259,7 +259,7 @@ class FinalizeNoSelfRule(Rule):
 _KEY_CALLEES = frozenset(
     {
         "key_hashes",
-        "masked_packed_keys",
+        "masked_key_codes",
         "masked_keys",
         "mask_signature",
         "consult",

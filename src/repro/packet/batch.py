@@ -21,10 +21,11 @@ The point of the container is that the hot lookup tiers never leave it:
 - :meth:`key_hashes` folds a field subset's lanes (and presence bytes)
   into one ``uint64`` hash per row with numpy — the sharded runtime's
   worker assignment keys on it;
-- :meth:`masked_packed_keys` / :meth:`masked_keys` produce the exact
-  ``value & mask`` key per row under a mask (packed bytes for the
-  megaflow index, value tuples for the microflow tier), so cache keys
-  are compared exactly, never by hash;
+- :meth:`masked_key_codes` / :meth:`masked_keys` produce the exact
+  ``value & mask`` key per row under a mask (for the megaflow index: the
+  store's distinct packed keys once, plus one dense ``int`` code per
+  row; for the microflow tier: value tuples), so cache keys are
+  compared exactly, never by hash;
 - :meth:`row_fields` / :meth:`fields_at` materialise plain dicts lazily,
   one distinct row at a time, only for whoever reads a result (and for
   tables that have no keyed lookup).
@@ -79,6 +80,15 @@ class FieldLanes(NamedTuple):
     present: PresenceLane | None  # 0/1 per row; None = all present
 
 
+class MaskedKeyCodes(NamedTuple):
+    """A store's packed ``value & mask`` keys under one mask, keyed once:
+    each distinct key once, and per row the code of its key
+    (``keys[codes[row]]`` is the row's key)."""
+
+    keys: list[bytes]
+    codes: IndexArray
+
+
 def _lanes_for(bits: int) -> int:
     return max(1, (bits + 63) // 64)
 
@@ -87,8 +97,8 @@ class _ColumnStore:
     """Shared row storage behind one or more :class:`PacketBatch` views.
 
     Holds the distinct rows' columns plus every lazy per-row memo (dict
-    materialisation, key hashes, masked keys), so sliced views of one
-    batch amortise each computation across all of them.
+    materialisation, key hashes, masked key codes), so sliced views of
+    one batch amortise each computation across all of them.
     """
 
     __slots__ = (
@@ -106,8 +116,8 @@ class _ColumnStore:
         self.row_cache: dict[int, dict[str, int]] = {}
         #: field-name tuple -> uint64 key hash per row.
         self.key_memo: dict[tuple[str, ...], NDArray[np.uint64]] = {}
-        #: mask signature -> packed masked byte keys per row.
-        self.mask_memo: dict[tuple, list[bytes]] = {}
+        #: mask signature -> distinct packed masked keys + code per row.
+        self.mask_memo: dict[tuple, MaskedKeyCodes] = {}
 
 
 class PacketBatch:
@@ -323,21 +333,28 @@ class PacketBatch:
             hashes = (hashes ^ (present + _HASH_MISSING)) * _HASH_PRIME
         return hashes
 
-    def masked_packed_keys(self, mask: Sequence[tuple[str, int]]) -> list[bytes]:
-        """Packed ``value & mask`` key per row under a megaflow mask.
+    def masked_key_codes(self, mask: Sequence[tuple[str, int]]) -> MaskedKeyCodes:
+        """Packed ``value & mask`` keys under a megaflow mask, as the
+        store's distinct keys plus one dense code per *row*.
 
         The layout is a pure function of the mask (lane counts from each
         field's mask bits, presence bits packed into one trailing
         column), so keys of different batches compare byte for byte —
-        the megaflow index installs and probes with them.
+        the megaflow index installs and probes with them.  Keyed once
+        per store and mask, so the probe of every view gathers integer
+        codes and touches a ``bytes`` key only per distinct code.
         """
         mask = tuple(mask)
         memo = self._store.mask_memo.get(mask)
         if memo is None:
-            memo = self._store.mask_memo[mask] = self._compute_masked(mask)
+            memo = self._store.mask_memo[mask] = _key_codes(
+                self._masked_lanes(mask), self._store.rows
+            )
         return memo
 
-    def _compute_masked(self, mask: tuple[tuple[str, int], ...]) -> list[bytes]:
+    def _masked_lanes(
+        self, mask: tuple[tuple[str, int], ...]
+    ) -> list[np.ndarray]:
         assert len(mask) <= 64, "mask wider than the presence word"
         rows = self._store.rows
         stack: list[np.ndarray] = []
@@ -365,7 +382,7 @@ class PacketBatch:
                         zeros = np.zeros(rows, dtype=np.uint64)
                     stack.append(zeros)
         stack.append(presence)
-        return _pack_rows(stack, rows)
+        return stack
 
     def masked_keys(
         self, mask: Sequence[tuple[str, int]], rows: IndexArray
@@ -411,14 +428,24 @@ class PacketBatch:
         return list(zip(*columns))
 
 
-def _pack_rows(stack: Sequence[np.ndarray], rows: int) -> list[bytes]:
-    """Pack per-row uint64 columns into one bytes key per row."""
-    if not stack:
-        return [b""] * rows
-    packed = np.empty((rows, len(stack)), dtype=np.uint64)
+def _key_codes(stack: Sequence[np.ndarray], rows: int) -> MaskedKeyCodes:
+    """Key per-row uint64 columns: sort the rows by them, start a code
+    wherever a row differs from its predecessor in any column, and pack
+    each code's first row into one bytes key."""
+    order = np.lexsort(stack)
+    fresh = np.zeros(rows, dtype=bool)
+    fresh[:1] = True
+    for column in stack:
+        ordered = column[order]
+        fresh[1:] |= ordered[1:] != ordered[:-1]
+    codes = np.empty(rows, dtype=np.int64)
+    codes[order] = np.cumsum(fresh) - 1
+    firsts = order[fresh]
+    packed = np.empty((len(firsts), len(stack)), dtype=np.uint64)
     for i, column in enumerate(stack):
-        packed[:, i] = column
-    return packed.view(np.dtype((np.void, packed.dtype.itemsize * len(stack)))).ravel().tolist()
+        packed[:, i] = column[firsts]
+    keys = packed.view(np.dtype((np.void, 8 * len(stack)))).ravel().tolist()
+    return MaskedKeyCodes(keys, codes)
 
 
 def _encode_column(

@@ -111,8 +111,12 @@ builders emit it directly
 :func:`~repro.runtime.batch.run_workload` slices events into views that
 share each event's vectorized key memos.  The megaflow tier
 (:meth:`~repro.runtime.megaflow.MegaflowCache.probe_credit`) applies each
-cached wildcard mask as vectorized ``lanes & mask`` keys and probes,
-validates and credits once per *distinct* masked key; the
+cached wildcard mask as ``lanes & mask`` keys coded once per column
+store (:meth:`~repro.packet.batch.PacketBatch.masked_key_codes`: the
+distinct packed keys plus one integer code per row), so a probe
+gathers integer codes, probes and validates once per *distinct* code,
+and does a hit's bookkeeping — hit count, LRU touch, flow stats, the
+runner's counters — in one pass over the aggregates hit; the
 microflow tier has one index and one batch probe
 (:meth:`~repro.runtime.cache.MicroflowCache.lookup_keys`: each distinct
 exact key once, the residual in one table call), whatever shape the
@@ -128,7 +132,12 @@ probe and one decomposition search per *distinct* key per table, one
 immutable :class:`~repro.openflow.pipeline.PathOutcome` per distinct
 entry path (tuples and scalars only, shared by the positions and the
 megaflow aggregates that took the path), one bulk
-:meth:`~repro.runtime.megaflow.MegaflowCache.install_batch`.  **Dict
+:meth:`~repro.runtime.megaflow.MegaflowCache.install_batch`.  Hits and
+misses come back as one code lane
+(:class:`~repro.runtime.batch.ColumnarOutcomes`: the aggregates hit
+and the paths walked, plus one integer code per position; the sharded
+collect fills it the same way from its replies), so nothing exists per
+packet until somebody reads a position.  **Dict
 materialisation still happens** for: tables without a keyed lookup
 (the behavioural ``FlowTable`` scan falls back to one scalar lookup
 per member), and any caller that asks for materialised results

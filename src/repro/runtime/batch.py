@@ -213,7 +213,8 @@ class BatchPipeline:
         batch installed.  With the megaflow tier off or bypassed the
         same walk runs without capture and without install.
 
-        The returned :class:`ColumnarOutcomes` defers replay
+        The returned :class:`ColumnarOutcomes` is a code lane over the
+        aggregates hit and the paths walked, and defers replay
         materialisation: local callers index or iterate it for
         :class:`PipelineResult` s (bitwise-identical to mapping
         ``pipeline.process`` over the batch),
@@ -224,19 +225,19 @@ class BatchPipeline:
         self.stats.batches += 1
         frame = batch.frame_lengths()
         megaflow = None if self.megaflow_bypass else self.megaflow
-        replays: list[Traversal | None]
+        traversals: list[Traversal]
         if megaflow is not None:
-            replays, missed, buckets = megaflow.probe_credit(batch, frame)
-            # Hit counters aggregated per entry — one pass over the few
-            # distinct aggregates instead of every packet.
-            for entry, count, byte_count in buckets:
-                credit_traversal(self.stats, entry.outcome, count, byte_count)
+            # Hits are credited inside the probe, once per aggregate.
+            traversals, codes, missed = megaflow.probe_credit(
+                batch, frame, self.stats
+            )
         else:
-            replays = [None] * len(batch)
+            traversals = []
+            codes = np.empty(len(batch), dtype=np.int64)
             missed = np.arange(len(batch), dtype=np.int64)
         if len(missed):
-            self._walk_misses(batch, frame, missed, megaflow, replays)
-        return ColumnarOutcomes(batch=batch, replays=replays, frame=frame)
+            self._walk_misses(batch, frame, missed, megaflow, traversals, codes)
+        return ColumnarOutcomes(batch, traversals, codes, frame)
 
     def _walk_misses(
         self,
@@ -244,11 +245,14 @@ class BatchPipeline:
         frame: np.ndarray,
         missed: np.ndarray,
         megaflow: MegaflowCache | None,
-        replays: list[Traversal | None],
+        traversals: list[Traversal],
+        codes: np.ndarray,
     ) -> None:
         """Walk the ``missed`` positions through the tables, credit the
         runner counters, install the traversals (when a megaflow tier is
-        capturing) and fill their slots of ``replays``."""
+        capturing), append the walk's distinct traversals to
+        ``traversals`` and point the missed positions' ``codes`` at
+        them."""
         walk = ColumnarWalk(
             self.pipeline, self.caches, batch, frame, capture=megaflow is not None
         )
@@ -269,9 +273,8 @@ class BatchPipeline:
             credit_traversal(
                 self.stats, traversal.outcome, count, int(byte_count)
             )
-        taken: Sequence[Traversal]
         if megaflow is not None:
-            taken = megaflow.install_batch(
+            megaflow.install_batch(
                 batch,
                 missed,
                 walk.masks,
@@ -279,10 +282,8 @@ class BatchPipeline:
                 walk.traversals,
                 walk.traversal_codes,
             )
-        else:
-            taken = [walk.traversals[code] for code in walk.traversal_codes.tolist()]
-        for position, traversal in zip(missed.tolist(), taken):
-            replays[position] = traversal
+        codes[missed] = walk.traversal_codes + len(traversals)
+        traversals.extend(walk.traversals)
 
     def _run_waves(
         self, batch: Sequence[Mapping[str, int]]
@@ -374,10 +375,12 @@ def credit_traversal(
     """Credit ``count`` packets (``byte_count`` frame bytes in all) that
     took the path ``outcome`` records to ``stats``' traffic counters.
 
-    The one traffic credit: the megaflow tier's hit buckets, the walk's
-    distinct traversals, each traversal of a collected sharded reply
-    (from the reply's delta lanes) and the tier-free dict walk (one
-    packet per result) all count through it."""
+    The one traffic credit of the miss paths: the walk's distinct
+    traversals, each traversal of a collected sharded reply (from the
+    reply's delta lanes) and the tier-free dict walk (one packet per
+    result) all count through it.  The megaflow probe adds the same
+    sums for its hits inside its one bookkeeping pass
+    (:meth:`~repro.runtime.megaflow.MegaflowCache.probe_credit`)."""
     matched_entries = len(outcome.matched_entries)
     if matched_entries:
         stats.matched += count
@@ -392,16 +395,17 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     """One columnar batch's classification: a sequence of per-packet
     results that materialises on access.
 
-    ``replays[i]`` is the :class:`~repro.runtime.megaflow.Traversal`
-    position ``i`` took — the megaflow aggregate it hit, or the one the
-    miss path built (and, with the megaflow tier on, installed) for it.
-    Either way its ``outcome`` is an immutable
+    Held as a code lane: ``traversals[codes[i]]`` is the
+    :class:`~repro.runtime.megaflow.Traversal` position ``i`` took — the
+    megaflow aggregate it hit, or the distinct path the miss path walked
+    (and, with the megaflow tier on, installed) for it.  Either way its
+    ``outcome`` is an immutable
     :class:`~repro.openflow.pipeline.PathOutcome` carrying everything
     but the packet's own fields, so hits and misses materialise the same
     way (:func:`~repro.runtime.megaflow.replay_template`); ``frame`` is
-    the per-position ``frame_len`` lane.  Positions that took the same
-    path share one outcome, so a batch nobody reads costs one outcome
-    per *distinct* path and nothing per packet.
+    the per-position ``frame_len`` lane.  A batch nobody reads costs one
+    traversal per aggregate hit or path walked and nothing per packet;
+    a per-position list exists only while somebody iterates.
 
     Both runners hand this type back: :meth:`BatchPipeline.classify_columnar`
     in-process, and the sharded parent from the entry paths its workers
@@ -412,20 +416,21 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     """
 
     batch: PacketBatch
-    replays: list[Traversal]
+    traversals: list[Traversal]
+    codes: np.ndarray
     frame: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.replays)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[PipelineResult]:
         """Materialise the per-packet results, in position order:
         ``final_fields`` is the packet's fields plus the traversal's
         rewrite overrides (stats were already credited at
         classification time)."""
-        row_fields = self.batch.row_fields
-        for row, replay in zip(self.batch.pick.tolist(), self.replays):
-            yield replay_template(replay.outcome, row_fields(row))
+        row_fields, traversals = self.batch.row_fields, self.traversals
+        for row, code in zip(self.batch.pick.tolist(), self.codes.tolist()):
+            yield replay_template(traversals[code].outcome, row_fields(row))
 
     @overload
     def __getitem__(self, index: int) -> PipelineResult: ...
@@ -439,11 +444,15 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
         if isinstance(index, slice):
             return list(
                 ColumnarOutcomes(
-                    self.batch[index], self.replays[index], self.frame[index]
+                    self.batch[index],
+                    self.traversals,
+                    self.codes[index],
+                    self.frame[index],
                 )
             )
         return replay_template(
-            self.replays[index].outcome, self.batch.fields_at(index)
+            self.traversals[self.codes[index]].outcome,
+            self.batch.fields_at(index),
         )
 
     def results(self) -> list[PipelineResult]:
@@ -453,16 +462,26 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     def distinct(self) -> tuple[list[Traversal], np.ndarray]:
         """The batch's distinct traversals, in first-seen order, and one
         ``int32`` code per position indexing them — the shape the
-        sharded reply ships.  Distinct means *one outcome object*: the
-        miss path shares an outcome across the positions that took its
-        path even where each position installed its own aggregate."""
-        keys = [id(replay.outcome) for replay in self.replays]
-        first = dict(zip(keys, self.replays))
-        code_of = dict(zip(first, range(len(first))))
-        codes = np.fromiter(
-            map(code_of.__getitem__, keys), dtype=np.int32, count=len(keys)
-        )
-        return list(first.values()), codes
+        sharded reply ships.  Distinct means *one outcome object*:
+        aggregates installed along one path share its outcome, so they
+        collapse into one traversal here.  Only the traversals are
+        deduplicated in Python; positions move as codes."""
+        size = len(self.codes)
+        first = np.full(len(self.traversals), size, dtype=np.int64)
+        np.minimum.at(first, self.codes, np.arange(size, dtype=np.int64))
+        # A traversal no position took sorts last and is left out.
+        used = np.count_nonzero(first < size)
+        code_of: dict[int, int] = {}
+        distinct: list[Traversal] = []
+        remap = [0] * len(self.traversals)
+        for code in np.argsort(first)[:used].tolist():
+            traversal = self.traversals[code]
+            key = id(traversal.outcome)
+            if key not in code_of:
+                code_of[key] = len(distinct)
+                distinct.append(traversal)
+            remap[code] = code_of[key]
+        return distinct, np.asarray(remap, dtype=np.int32)[self.codes]
 
 
 @dataclass(frozen=True)

@@ -49,20 +49,33 @@ Lookup is tuple-space search over the distinct masks in the cache
 (typically a handful — one per table-combination a traversal can
 touch); any matching entry is sound, so the first hit wins.  The cache
 has one index (per mask, the packed ``value & mask`` bytes of
-:meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`), one probe
+:meth:`~repro.packet.batch.PacketBatch.masked_key_codes`), one probe
 (:meth:`MegaflowCache.probe_credit`) and one install
 (:meth:`MegaflowCache.install_batch`), all over columnar batches.
+
+**A hit is an integer gather.**  A batch's column store keys each mask
+once — its distinct packed keys plus one dense code per row — so the
+probe moves positions around as integer codes with numpy, touches a
+``bytes`` key once per distinct code, and does all of a hit's
+bookkeeping (hit count, LRU touch, flow stats, runner counters) in one
+pass over the aggregates hit.  What it hands back is a code lane over
+those aggregates, the shape
+:class:`~repro.runtime.batch.ColumnarOutcomes` holds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
 from repro.packet.batch import IndexArray, PacketBatch
+
+if TYPE_CHECKING:
+    from repro.runtime.batch import BatchStats
 
 #: Mask signature: ``((field_name, bitmask), ...)`` sorted by field.
 MaskSig = tuple[tuple[str, int], ...]
@@ -128,7 +141,7 @@ class Traversal:
 class MegaflowEntry(Traversal):
     """One cached aggregate: mask, masked key, and the traversal."""
 
-    __slots__ = ("mask", "key", "version_checks", "hits")
+    __slots__ = ("mask", "key", "slot", "version_checks", "hits")
 
     def __init__(
         self,
@@ -140,9 +153,11 @@ class MegaflowEntry(Traversal):
     ) -> None:
         self.mask = mask
         #: The aggregate's exact ``value & mask`` key, packed as
-        #: :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`
+        #: :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`
         #: packs it (absence of a field is part of the key).
         self.key = key
+        #: Its LRU key, built once.
+        self.slot = (mask, key)
         self.outcome = outcome
         self.table_versions = table_versions
         #: ``(table_object, version)`` pairs — the hot-path validity
@@ -244,94 +259,120 @@ class MegaflowCache:
         :class:`repro.runtime.batch.ColumnarOutcomes`); the decode-free
         sharded worker encodes the outcomes directly.
         """
-        return self.probe_credit(batch, batch.frame_lengths())[0]
+        found, lane, _ = self.probe_credit(batch, batch.frame_lengths())
+        # Code -1 (a miss) reads the trailing ``None``.
+        return list(map([*found, None].__getitem__, lane.tolist()))
 
     def probe_credit(
-        self, batch: PacketBatch, frame: np.ndarray
-    ) -> tuple[
-        list[MegaflowEntry | None],
-        IndexArray,
-        list[tuple[MegaflowEntry, int, int]],
-    ]:
+        self,
+        batch: PacketBatch,
+        frame: np.ndarray,
+        stats: BatchStats | None = None,
+    ) -> tuple[list[MegaflowEntry], IndexArray, IndexArray]:
         """The one probe: vectorized tuple-space search and hit
-        bookkeeping, with the Python work done per *distinct masked
-        key*, never per position.
+        bookkeeping, with integer gathers per *position* and Python work
+        per *distinct masked key* and per *aggregate hit* only.
 
         Per cached mask, in first-install order, the still-unresolved
-        positions' packed keys are gathered off the store's memoized
-        :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`; each
-        distinct key is probed against the mask's index and its
+        positions gather their key codes off the store's memoized
+        :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`; each
+        distinct code is probed against the mask's index and its
         aggregate version-checked once (a stale one — a visited table's
         version moved — drops on probe, the incremental-invalidation
         path, and every position sharing it goes on to the later
-        masks), first hit per position winning.  Hits are then credited
-        per distinct aggregate from one code lane — hit/miss counters,
-        per-entry hit counts and the matched flow entries' packet/byte
-        stats (``frame`` is the batch's per-position ``frame_len``
-        lane: every hit packet counts with its *own* length) — and LRU
-        recency is touched in ascending order of each aggregate's
-        *last* hit position, which is the order probing the packets one
-        by one would leave.
+        masks), and the answers scatter back to the positions through
+        the code lane, first hit per position winning.
 
-        Returns the aggregate per position (``None`` on miss), the
-        missed positions (ascending), and one ``(entry, positions,
-        bytes)`` bucket per aggregate hit so callers (the columnar
-        :class:`~repro.runtime.batch.BatchPipeline`) fold their own
-        counters without another per-packet pass.
+        Then one pass over the aggregates hit, in ascending order of
+        each one's *last* hit position (the LRU order probing the
+        packets one by one would leave), does all the bookkeeping: its
+        hit count, its LRU touch, the matched flow entries' packet/byte
+        stats and — when ``stats`` is given, the runner's record — the
+        traffic counters :func:`~repro.runtime.batch.credit_traversal`
+        keeps.  ``frame`` is the batch's per-position ``frame_len``
+        lane: every hit packet counts with its *own* length.
+
+        Returns the aggregates hit (in first-found order), one code per
+        position indexing them (``-1`` on a miss), and the missed
+        positions (ascending).
         """
         pick = batch.pick
+        size = len(pick)
         #: Aggregates hit, in first-found order; position code ``c > 0``
         #: means ``found[c - 1]``, code 0 is the miss bucket.
         found: list[MegaflowEntry] = []
-        codes = np.zeros(len(pick), dtype=np.int64)
-        pending = np.arange(len(pick), dtype=np.int64)
+        codes = np.zeros(size, dtype=np.int64)
+        pending = positions = np.arange(size, dtype=np.int64)
+        rows = pick
         # A snapshot: dropping a mask's last aggregate removes the mask.
         for mask, entries in tuple(self._by_mask.items()):
-            row_keys = batch.masked_packed_keys(mask)
-            keys = list(map(row_keys.__getitem__, pick[pending].tolist()))
-            code_of = dict.fromkeys(keys, 0)
-            for key in code_of:
-                entry = entries.get(key)
-                if entry is None:
-                    continue
-                for table, version in entry.version_checks:
-                    if table.version != version:
-                        self._drop(mask, key)
-                        self.invalidated += 1
-                        break
-                else:
-                    found.append(entry)
-                    code_of[key] = len(found)
-            resolved = np.fromiter(
-                map(code_of.__getitem__, keys), dtype=np.int64, count=len(keys)
-            )
-            codes[pending] = resolved
-            pending = pending[resolved == 0]
-            if not pending.size:
+            keys, row_codes = batch.masked_key_codes(mask)
+            key_codes = row_codes[rows]
+            # Positions are unique, so exactly one of each key code's
+            # positions reads itself back: one representative per code.
+            answer = np.empty(len(keys), dtype=np.int64)
+            answer[key_codes] = pending
+            distinct = key_codes[answer[key_codes] == pending]
+            resolved = []
+            before = len(found)
+            for code in distinct.tolist():
+                entry = entries.get(keys[code])
+                if entry is not None:
+                    for table, version in entry.version_checks:
+                        if table.version != version:
+                            self._drop(mask, entry.key)
+                            self.invalidated += 1
+                            break
+                    else:
+                        found.append(entry)
+                        resolved.append(len(found))
+                        continue
+                resolved.append(0)
+            if len(found) == before:
+                continue  # nothing hit: every position stays pending
+            answer[distinct] = resolved
+            hit = answer[key_codes]
+            codes[pending] = hit
+            if len(found) - before == len(resolved):
+                pending = pending[:0]  # every key hit: nothing pending
                 break
-        slots: list[MegaflowEntry | None] = [None, *found]
-        counts = np.bincount(codes, minlength=len(slots)).tolist()
+            missed = hit == 0
+            pending, rows = pending[missed], rows[missed]
+        counts = np.bincount(codes, minlength=len(found) + 1).tolist()
         byte_sums = np.bincount(
-            codes, weights=frame, minlength=len(slots)
+            codes, weights=frame, minlength=len(found) + 1
         ).tolist()
         self.misses += counts[0]
-        self.hits += len(pick) - counts[0]
-        position_codes = codes.tolist()
-        # Distinct codes walking the batch backwards: most recently hit
-        # first.  Touching them in reverse leaves the LRU in the order
-        # of each aggregate's last hit packet (``filter`` skips code 0).
-        recency = dict.fromkeys(reversed(position_codes))
+        self.hits += size - counts[0]
+        last = np.zeros(len(found) + 1, dtype=np.int64)
+        np.maximum.at(last, codes, positions)
         lru = self._lru
-        buckets = []
-        for code in filter(None, reversed(recency)):
+        matched = flow_packets = flow_bytes = to_controller = dropped = 0
+        for code in np.argsort(last).tolist():
+            if not code:
+                continue  # the miss bucket
             entry = found[code - 1]
             count, byte_count = counts[code], int(byte_sums[code])
             entry.hits += count
-            lru.move_to_end((entry.mask, entry.key))
-            for matched in entry.outcome.matched_entries:
-                matched.stats.add(count, byte_count)
-            buckets.append((entry, count, byte_count))
-        return list(map(slots.__getitem__, position_codes)), pending, buckets
+            lru.move_to_end(entry.slot)
+            outcome = entry.outcome
+            flows = outcome.matched_entries
+            for flow_entry in flows:
+                flow_entry.stats.add(count, byte_count)
+            if flows:
+                matched += count
+                flow_packets += len(flows) * count
+                flow_bytes += len(flows) * byte_count
+            to_controller += outcome.sent_to_controller * count
+            dropped += outcome.dropped * count
+        if stats is not None:
+            stats.matched += matched
+            stats.flow_packets += flow_packets
+            stats.flow_bytes += flow_bytes
+            stats.sent_to_controller += to_controller
+            stats.dropped += dropped
+        codes -= 1
+        return found, codes, pending
 
     def install_batch(
         self,
@@ -350,13 +391,21 @@ class MegaflowCache:
         ``traversals[traversal_codes[j]]`` (both shared across positions
         — one outcome per distinct entry path, never one per packet).
         Keys come off the lanes: per distinct mask, the batch's memoized
-        :meth:`~repro.packet.batch.PacketBatch.masked_packed_keys`.
-        Entries are stored one per position, **in position order**, so
-        installs, same-batch overwrites, LRU order and evictions land
-        as if the packets had been installed one by one.  Returns the
-        entries, aligned with ``positions``.
+        :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`,
+        gathered per position by code.  Entries are stored one per
+        position, **in position order**, so installs, same-batch
+        overwrites, LRU order and evictions land as if the packets had
+        been installed one by one.  Returns the entries, aligned with
+        ``positions``.
         """
-        keys_of = [batch.masked_packed_keys(mask) for mask in masks]
+        rows = batch.pick[positions]
+        keys_of = []
+        key_codes = np.empty(len(positions), dtype=np.int64)
+        for mask_code, mask in enumerate(masks):
+            keys, row_codes = batch.masked_key_codes(mask)
+            keys_of.append(keys)
+            chosen = mask_codes == mask_code
+            key_codes[chosen] = row_codes[rows[chosen]]
         # Traversals along one table sequence share their version tags.
         checks_of = {
             versions: self._version_checks(versions)
@@ -364,15 +413,13 @@ class MegaflowCache:
         }
         checks = [checks_of[t.table_versions] for t in traversals]
         installed: list[MegaflowEntry] = []
-        for row, mask_code, code in zip(
-            batch.pick[positions].tolist(),
-            mask_codes.tolist(),
-            traversal_codes.tolist(),
+        for mask_code, key_code, code in zip(
+            mask_codes.tolist(), key_codes.tolist(), traversal_codes.tolist()
         ):
             traversal = traversals[code]
             entry = MegaflowEntry(
                 masks[mask_code],
-                keys_of[mask_code][row],
+                keys_of[mask_code][key_code],
                 traversal.outcome,
                 traversal.table_versions,
                 checks[code],
@@ -402,11 +449,10 @@ class MegaflowCache:
         """Index a built entry (replacing any same-aggregate one), count
         the install and evict least-recently-used entries beyond
         capacity."""
-        slot = (entry.mask, entry.key)
         self._by_mask.setdefault(entry.mask, {})[entry.key] = entry
         lru = self._lru
-        lru[slot] = entry
-        lru.move_to_end(slot)
+        lru[entry.slot] = entry
+        lru.move_to_end(entry.slot)
         self.installs += 1
         while len(lru) > self.capacity:
             (old_mask, old_key), _ = lru.popitem(last=False)

@@ -1422,7 +1422,8 @@ class ShardedBatchPipeline:
                     len(members),
                 )
             )
-        replays: list[Traversal] = [None] * len(batch)  # type: ignore[list-item]
+        traversals: list[Traversal] = []
+        codes = np.empty(len(batch), dtype=np.int64)
         stats = self.stats
         for members, reply, shard in zip(
             inflight.groups.values(), replies, decoded
@@ -1430,17 +1431,16 @@ class ShardedBatchPipeline:
             self._learned_fields.update(reply.mask_fields)
             for name, count in zip(REPLY_COUNTERS, shard.counters):
                 setattr(stats, name, getattr(stats, name) + count)
-            traversals = shard.traversals
             for traversal, packets, byte_count in zip(
-                traversals, shard.packets, shard.byte_sums
+                shard.traversals, shard.packets, shard.byte_sums
             ):
                 credit_traversal(stats, traversal.outcome, packets, byte_count)
                 for entry in traversal.outcome.matched_entries:
                     entry.stats.add(packets, byte_count)
-            for position, code in zip(members.tolist(), shard.codes):
-                replays[position] = traversals[code]
+            codes[members] = shard.codes + len(traversals)
+            traversals.extend(shard.traversals)
         self._maybe_prune_log(inflight.log_len)
-        return ColumnarOutcomes(batch, replays, batch.frame_lengths())
+        return ColumnarOutcomes(batch, traversals, codes, batch.frame_lengths())
 
     # -- failure recovery ----------------------------------------------
 

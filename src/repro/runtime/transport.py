@@ -489,7 +489,7 @@ class DecodedReply(NamedTuple):
     caused."""
 
     traversals: list[Traversal]
-    codes: list[int]
+    codes: np.ndarray
     packets: list[int]
     byte_sums: list[int]
     counters: list[int]
@@ -606,7 +606,7 @@ def decode_outcomes(
         traversals.append(Traversal(outcome, ()))
     return DecodedReply(
         traversals,
-        codes.tolist(),
+        codes.astype(np.int64),
         packets,
         _get_lane(reader, "res/bytes", count),
         _get_lane(reader, "res/stats", len(REPLY_COUNTERS)),

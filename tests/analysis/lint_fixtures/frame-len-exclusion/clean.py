@@ -15,6 +15,10 @@ def filtered_inline(batch, fields, rows):
     )
 
 
+def key_codes_without_length(batch, mask):
+    return batch.masked_key_codes(tuple(p for p in mask if p[0] != FRAME_LEN_FIELD))
+
+
 def length_as_metadata(stats, entry, fields):
     # frame_len feeding byte accounting is the whole point.
     stats.record(entry, fields.get(FRAME_LEN_FIELD, 0))

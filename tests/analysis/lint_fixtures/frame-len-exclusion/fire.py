@@ -13,5 +13,9 @@ def literal_in_key(batch, rows):
     return batch.masked_keys((("eth_dst", 0xFF), ("frame_len", 0xFF)), rows)
 
 
+def length_in_key_codes(batch):
+    return batch.masked_key_codes(((FRAME_LEN_FIELD, 0xFFFF),))
+
+
 def schema_with_length(cache_cls, table):
     return cache_cls(table, field_names=("eth_src", FRAME_LEN_FIELD))

@@ -8,10 +8,10 @@ def lookup_batch_columnar(self, batch, rows):
 
 
 def probe_credit(self, batch, frame):
-    # Packed keys off the lanes, one probe per distinct key: the whole
+    # Key codes off the lanes, one probe per distinct code: the whole
     # point of the probe tier.
-    keys = batch.masked_packed_keys(self.mask)
-    return [self.index.get(key) for key in dict.fromkeys(keys)]
+    keys, codes = batch.masked_key_codes(self.mask)
+    return [self.index.get(keys[code]) for code in set(codes[batch.pick].tolist())]
 
 
 def classify_columnar(pipeline, batch, misses):
@@ -21,8 +21,8 @@ def classify_columnar(pipeline, batch, misses):
 
 
 def install_batch(self, batch, positions, mask):
-    packed = batch.masked_packed_keys(mask)
-    return [packed[row] for row in batch.pick[positions].tolist()]
+    keys, codes = batch.masked_key_codes(mask)
+    return [keys[code] for code in codes[batch.pick[positions]].tolist()]
 
 
 def _scan_wave(self, table, members):
@@ -43,8 +43,8 @@ def decode_outcomes(reader, pipeline, pinned):
 
 def _collect(self, inflight, decoded):
     # Merging stays on the codes: nothing per packet is materialised.
-    replays = [decoded.traversals[code] for code in decoded.codes]
-    return inflight.batch, replays
+    codes = decoded.codes + len(inflight.traversals)
+    return inflight.batch, inflight.traversals + decoded.traversals, codes
 
 
 def replay_path(self, matched):

@@ -115,10 +115,12 @@ def test_masked_key_scalar_vector_parity(example):
         (("odd_field", 0x3), ("ipv4_src", 0)),
     )
     for mask in masks:
-        keys = batch.masked_packed_keys(mask)
+        keys, codes = batch.masked_key_codes(mask)
+        assert len(codes) == batch.rows
+        assert len(set(keys)) == len(keys), "a key holds two codes"
         for position in range(len(batch)):
             row = int(batch.pick[position])
-            assert keys[row] == packed_masked_key(mask, trace[position])
+            assert keys[codes[row]] == packed_masked_key(mask, trace[position])
 
 
 def test_slice_views_share_rows():

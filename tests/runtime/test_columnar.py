@@ -14,6 +14,10 @@ all for a batch the wildcard tier answers whole.
 ``TestShardedReplyCostShape`` does the same for the sharded parent: an
 unread ``process_batches`` stream builds one ``PathOutcome`` per
 distinct traversal per batch, no ``PipelineResult`` and no row dict.
+``TestHitPathCostShape`` pins what an all-hit batch costs around its
+probes: each mask keyed once per column store, the hit bookkeeping in
+the probe's one pass (no ``credit_traversal`` call, one flow-stats fold
+per aggregate and matched entry) and no ``PipelineResult``.
 ``TestMissPathAllocationShape`` pins what a miss leaves cached: one
 immutable outcome per distinct entry path, with no list or dict in it;
 ``TestMaterialisedResultsAreTheReaders`` that mutating a materialised
@@ -37,10 +41,11 @@ from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.field_engine import PartitionEngine, TriePartitionEngine
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import Action, OutputAction
-from repro.openflow.flow import FlowEntry
+from repro.openflow.flow import FlowEntry, FlowStats
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
+from repro.packet import batch as packet_batch_module
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
@@ -820,7 +825,7 @@ class TestMaterialisedResultsAreTheReaders:
     def check(arch, classify, packets, oracle):
         """Classify twice; vandalise position 0's result in between."""
         first = classify(packets)
-        shared = first.replays[0].outcome
+        shared = first.traversals[first.codes[0]].outcome
         vandalised = first[0]
         vandalised.output_ports.append(9)
         vandalised.matched_entries.append(vandalised.matched_entries[0])
@@ -833,7 +838,7 @@ class TestMaterialisedResultsAreTheReaders:
         # The same flows again, every position a megaflow hit.
         second = classify(packets)
         assert second.results() == oracle
-        assert second.replays[0].outcome == shared
+        assert second.traversals[second.codes[0]].outcome == shared
         return shared, second
 
     def test_in_process(self):
@@ -849,7 +854,7 @@ class TestMaterialisedResultsAreTheReaders:
         )
         assert runner.megaflow.hits == len(packets)
         # The hit served the very outcome the vandalised result came from.
-        assert second.replays[0].outcome is shared
+        assert second.traversals[second.codes[0]].outcome is shared
 
     @needs_dev_shm
     def test_sharded(self):
@@ -957,6 +962,30 @@ class _VersionReads:
         return self._table.version
 
 
+def _all_hit_views(rule_set, size=256):
+    """Four ``size``-packet views of one stamped zipf store (every packet
+    its own row) and a runner that has seen each once, so a second pass
+    over any of them is all megaflow hits."""
+    event = zipf_workload(
+        rule_set,
+        packet_count=4 * size,
+        flow_count=200,
+        seed=3,
+        frame_len="imix",
+        columnar=True,
+    ).events[0][1]
+    assert event.rows == len(event)
+    views = [event[i : i + size] for i in range(0, len(event), size)]
+    runner = BatchPipeline(
+        MultiTableLookupArchitecture([build_lookup_table(rule_set)]),
+        cache_capacity=64,
+        megaflow_capacity=512,
+    )
+    for view in views:
+        runner.classify_columnar(view)
+    return runner, views
+
+
 class TestMegaflowProbeCostShape:
     """What the megaflow fast path may do for an all-hit batch: Python
     work per distinct masked key, never per position — stamped frame
@@ -967,23 +996,7 @@ class TestMegaflowProbeCostShape:
         self, monkeypatch, rule_set
     ):
         size = 256
-        event = zipf_workload(
-            rule_set,
-            packet_count=4 * size,
-            flow_count=200,
-            seed=3,
-            frame_len="imix",
-            columnar=True,
-        ).events[0][1]
-        assert event.rows == len(event)
-        views = [event[i : i + size] for i in range(0, len(event), size)]
-        runner = BatchPipeline(
-            MultiTableLookupArchitecture([build_lookup_table(rule_set)]),
-            cache_capacity=64,
-            megaflow_capacity=512,
-        )
-        for view in views:
-            runner.classify_columnar(view)
+        runner, views = _all_hit_views(rule_set, size)
         megaflow = runner.megaflow
         masks = list(megaflow._by_mask)
         assert len(masks) == megaflow.mask_count
@@ -1009,10 +1022,11 @@ class TestMegaflowProbeCostShape:
             probes, reads, moved, misses = (tally() - before).tolist()
             assert misses == 0
             distinct_keys = [
-                len({view.masked_packed_keys(mask)[row] for row in view.pick.tolist()})
+                len(set(view.masked_key_codes(mask).codes[view.pick].tolist()))
                 for mask in masks
             ]
-            aggregates = len({id(entry) for entry in outcome.replays})
+            aggregates = len({id(entry) for entry in outcome.traversals})
+            assert aggregates == len(outcome.traversals)
             assert aggregates <= probes <= sum(distinct_keys) < size
             # One validation and one LRU touch per aggregate hit.
             assert reads == moved == aggregates
@@ -1020,6 +1034,83 @@ class TestMegaflowProbeCostShape:
         # Counts, not timings: they repeat exactly for the seed.
         assert len(masks) == 3
         assert counted == [(112, 69), (112, 65), (104, 69), (122, 77)]
+
+
+class TestHitPathCostShape:
+    """What an all-hit batch may cost around the probes: a mask's keys
+    are coded once per column store (never once per view), and the hit
+    bookkeeping is one pass over the aggregates hit — no second credit
+    loop in ``classify_columnar``, one flow-stats fold per (aggregate,
+    matched entry), and no per-packet result for a batch nobody reads."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        return {
+            "keyed": _Spy(monkeypatch, packet_batch_module, "_key_codes"),
+            "credited": _Spy(monkeypatch, batch_module, "credit_traversal"),
+            "folded": _Spy(monkeypatch, FlowStats, "add"),
+            "constructed": _Spy(monkeypatch, PipelineResult, "__init__"),
+            "replayed": _Spy(monkeypatch, batch_module, "replay_template"),
+        }
+
+    @staticmethod
+    def classify(runner, spies, batch):
+        """Classify an all-hit batch; the spies' growth and the
+        (aggregate, matched entry) pairs it hit."""
+        before = {name: spy.calls for name, spy in spies.items()}
+        misses = runner.megaflow.misses
+        outcome = runner.classify_columnar(batch)
+        assert runner.megaflow.misses == misses
+        grown = {name: spy.calls - before[name] for name, spy in spies.items()}
+        pairs = sum(
+            len(traversal.outcome.matched_entries)
+            for traversal in outcome.traversals
+        )
+        return grown, pairs, outcome
+
+    def test_views_of_one_store_key_each_mask_once(self, monkeypatch, rule_set):
+        spies = self.spies(monkeypatch)
+        runner, views = _all_hit_views(rule_set)
+        masks = runner.megaflow.mask_count
+        # The warm-up (misses and installs included) coded each mask of
+        # the shared store once.
+        assert spies["keyed"].calls == masks == 3
+        for view in views:
+            grown, pairs, outcome = self.classify(runner, spies, view)
+            assert 1 < len(outcome.traversals) < len(view)
+            assert pairs > 0
+            assert grown == {
+                "keyed": 0,
+                "credited": 0,
+                "folded": pairs,
+                "constructed": 0,
+                "replayed": 0,
+            }
+        assert spies["keyed"].calls == masks
+
+    def test_one_packet_batch(self, monkeypatch, rule_set):
+        runner, views = _all_hit_views(rule_set)
+        spies = self.spies(monkeypatch)
+        # A one-packet view of the warm store costs no keying at all...
+        grown, pairs, outcome = self.classify(runner, spies, views[1][7:8])
+        assert len(outcome) == len(outcome.traversals) == 1
+        assert grown == {
+            "keyed": 0,
+            "credited": 0,
+            "folded": pairs,
+            "constructed": 0,
+            "replayed": 0,
+        }
+        # ...and a store of its own keys each mask it probes once.
+        single = PacketBatch.from_dicts([views[1].fields_at(7)])
+        first, pairs, _ = self.classify(runner, spies, single)
+        assert 1 <= first["keyed"] <= runner.megaflow.mask_count
+        again, _, _ = self.classify(runner, spies, single)
+        assert first["folded"] == again["folded"] == pairs > 0
+        assert again["keyed"] == 0
+        assert first["credited"] == again["credited"] == 0
+        assert first["constructed"] == again["constructed"] == 0
+        assert first["replayed"] == again["replayed"] == 0
 
 
 def _columns_only(batch: PacketBatch):

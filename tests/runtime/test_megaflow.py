@@ -27,6 +27,7 @@ from repro.runtime import (
     uniform_wide_workload,
     widen_rule_set,
 )
+from repro.runtime.batch import BatchStats
 from repro.runtime.megaflow import Traversal
 
 
@@ -281,6 +282,9 @@ class _PerPacketMegaflow:
         self.lru = OrderedDict()
         self.masks = {}
         self.hits = self.misses = self.invalidated = self.installs = 0
+        #: The runner's traffic counters, as one packet at a time
+        #: credits them.
+        self.stats = BatchStats()
 
     @staticmethod
     def key(mask, fields):
@@ -313,9 +317,18 @@ class _PerPacketMegaflow:
             self.hits += 1
             aggregate["hits"] += 1
             self.lru.move_to_end(slot)
-            for matched in aggregate["outcome"].matched_entries:
+            outcome = aggregate["outcome"]
+            for matched in outcome.matched_entries:
                 matched.stats.record(frame_length(fields))
-            return aggregate["outcome"]
+            if outcome.matched_entries:
+                self.stats.matched += 1
+            self.stats.flow_packets += len(outcome.matched_entries)
+            self.stats.flow_bytes += len(outcome.matched_entries) * frame_length(
+                fields
+            )
+            self.stats.sent_to_controller += outcome.sent_to_controller
+            self.stats.dropped += outcome.dropped
+            return outcome
         self.misses += 1
         return None
 
@@ -380,8 +393,10 @@ class _ProbeWorld:
             matched_entries=tuple(self.flow_entries[: len(visited)]),
             applied_actions=(),
             output_ports=(),
-            sent_to_controller=False,
-            dropped=False,
+            # Either flag set on one path shape, so the probe's traffic
+            # credit is held to both.
+            sent_to_controller=not deep,
+            dropped=deep,
             # Names the aggregate in whatever shape a probe answers.
             metadata=self.installed,
             tables_visited=tuple(table.table_id for table in visited),
@@ -480,20 +495,24 @@ class TestProbeCreditEquivalence:
                 world.tables[1].add(output_entry(Match.exact(in_port=9), 2, 30))
         # Round two re-probes after the misses were re-installed, so a
         # drop that left the index or the LRU behind would show.
+        stats = BatchStats()
         for _ in range(2):
             batch = PacketBatch.from_dicts(packets)
-            entries, missed, buckets = columnar.cache.probe_credit(
-                batch, batch.frame_lengths()
+            found, codes, missed = columnar.cache.probe_credit(
+                batch, batch.frame_lengths(), stats
             )
             replayed = [scalar.cache.lookup(fields) for fields in packets]
             assert [
-                None if entry is None else entry.outcome.metadata
-                for entry in entries
+                None if code < 0 else found[code].outcome.metadata
+                for code in codes.tolist()
             ] == [None if result is None else result.metadata for result in replayed]
             assert missed.tolist() == [
                 i for i, result in enumerate(replayed) if result is None
             ]
-            assert sum(count for _, count, _ in buckets) == len(packets) - len(missed)
+            # Every aggregate found is hit, once in the list.
+            assert sorted(set(codes[codes >= 0].tolist())) == list(range(len(found)))
+            assert len({id(entry) for entry in found}) == len(found)
+            assert stats == scalar.cache.stats
             assert columnar.state() == scalar.state()
             for position in missed.tolist():
                 fields = packets[position]
@@ -510,11 +529,12 @@ class TestProbeCreditEquivalence:
             for length in (64, 576, 1500)
         ]
         batch = PacketBatch.from_dicts(packets)
-        entries, missed, buckets = world.cache.probe_credit(
-            batch, batch.frame_lengths()
+        stats = BatchStats()
+        found, codes, missed = world.cache.probe_credit(
+            batch, batch.frame_lengths(), stats
         )
-        assert entries == [None, None, None]
-        assert missed.tolist() == [0, 1, 2] and buckets == []
+        assert found == [] and codes.tolist() == [-1, -1, -1]
+        assert missed.tolist() == [0, 1, 2] and stats == BatchStats()
         cache = world.cache
         assert (cache.invalidated, cache.misses, cache.hits) == (1, 3, 0)
         assert len(cache) == 0 and not cache._by_mask

@@ -9,15 +9,19 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.builder import build_lookup_table, build_per_field_pipeline
+from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import WriteActions
 from repro.openflow.match import Match
 from repro.openflow.pipeline import OpenFlowPipeline
 from repro.packet.batch import PacketBatch
+from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
@@ -997,6 +1001,149 @@ class TestReplyWireShape:
             got = sharded.process_batch(second)
         assert [r.matched for r in got] == [r.matched for r in expected[1]]
         assert not any(r.output_ports for r in got if r.matched)
+
+
+def _per_position_distinct(outcomes):
+    """The reference deduplication: one traversal per position,
+    deduplicated by outcome identity in first-seen order, one ``int32``
+    code built per position."""
+    per_position = [outcomes.traversals[code] for code in outcomes.codes.tolist()]
+    keys = [id(traversal.outcome) for traversal in per_position]
+    first = dict(zip(keys, per_position))
+    code_of = dict(zip(first, range(len(first))))
+    codes = np.fromiter(
+        map(code_of.__getitem__, keys), dtype=np.int32, count=len(keys)
+    )
+    return list(first.values()), codes
+
+
+class _PerPositionEncoded:
+    """An outcome as the reply encoder sees it, deduplicated the way
+    :func:`_per_position_distinct` does."""
+
+    def __init__(self, outcomes):
+        self.frame = outcomes.frame
+        self._outcomes = outcomes
+
+    def distinct(self):
+        return _per_position_distinct(self._outcomes)
+
+
+def _shared_path_arch():
+    """One table where several megaflow aggregates take one entry path:
+    the ``in_port=1, tcp_dst=80`` rule makes every lookup consult
+    ``tcp_dst``, so ``in_port=1`` packets on other ports (and every
+    ``in_port=2`` packet) key apart but share an outcome."""
+    table = OpenFlowLookupTable(("in_port", "tcp_dst"), table_id=0)
+    for port, (match, priority) in enumerate(
+        [
+            (Match.exact(in_port=1, tcp_dst=80), 10),
+            (Match.exact(in_port=1), 1),
+            (Match.exact(in_port=2), 1),
+        ]
+    ):
+        table.add(
+            FlowEntry.build(
+                match=match,
+                priority=priority,
+                instructions=[WriteActions([OutputAction(port)])],
+            )
+        )
+    return MultiTableLookupArchitecture([table])
+
+
+_shared_path_packet = st.tuples(
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from((22, 23, 80)),
+    st.sampled_from((64, 1500)),
+)
+
+
+class TestDistinctIsPerPositionDedup:
+    """``ColumnarOutcomes.distinct()`` over the code lane answers what
+    deduplicating one traversal per position by outcome identity
+    answered — first-seen order, ``int32`` codes — on mixed hit/miss
+    batches, in-process and on a one-worker sharded runner, and the
+    sharded reply block is laid out as that deduplication lays it."""
+
+    @needs_dev_shm
+    @settings(max_examples=20)
+    @given(
+        batches=st.lists(
+            st.lists(_shared_path_packet, min_size=1, max_size=12),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # Two aggregates installed along one path in one batch, then both
+    # hit in one batch beside a miss.
+    @example(
+        batches=[
+            [(1, 22, 64), (1, 23, 1500)],
+            [(1, 22, 1500), (3, 22, 64), (1, 23, 64), (1, 22, 64)],
+        ]
+    )
+    def test_in_process_and_sharded(self, batches):
+        batches = [
+            PacketBatch.from_dicts(
+                [
+                    {"in_port": port, "tcp_dst": dst, FRAME_LEN_FIELD: length}
+                    for port, dst, length in packets
+                ]
+            )
+            for packets in batches
+        ]
+        arch = _shared_path_arch()
+        # Capacity 4 of at most 9 aggregates: later batches mix hits,
+        # misses and evictions.
+        runner = BatchPipeline(arch, cache_capacity=8, megaflow_capacity=4)
+        index = transport.EntryIndex(arch)
+        counters = range(len(transport.REPLY_COUNTERS))
+        local, blocks = [], []
+        for batch in batches:
+            outcomes = runner.classify_columnar(batch)
+            self.check(outcomes)
+            local.append(outcomes.results())
+            reference = transport.BlockWriter()
+            transport.encode_outcomes(
+                reference, _PerPositionEncoded(outcomes), index, counters
+            )
+            blocks.append(
+                reference.write_to(memoryview(bytearray(reference.nbytes)))
+            )
+            ours = transport.BlockWriter()
+            transport.encode_outcomes(ours, outcomes, index, counters)
+            assert ours.nbytes == reference.nbytes
+        frames = []
+        with ShardedBatchPipeline(
+            _shared_path_arch(), workers=1, cache_capacity=8, megaflow_capacity=4
+        ) as sharded:
+            sharded._ensure_started()
+            sharded._conns = [
+                _RecordingConn(conn, frames) for conn in sharded._conns
+            ]
+            for outcomes, results in zip(
+                sharded.process_batches(batches), local, strict=True
+            ):
+                self.check(outcomes)
+                assert outcomes.results() == results
+        # The one worker saw the in-process runner's batches in order:
+        # its replies hold the same lanes at the same sizes.
+        assert [
+            [(s.key, s.dtype, s.count, s.offset) for s in frame.segments]
+            for frame in frames
+        ] == [
+            [(s.key, s.dtype, s.count, s.offset) for s in block]
+            for block in blocks
+        ]
+
+    @staticmethod
+    def check(outcomes):
+        got, codes = outcomes.distinct()
+        want, want_codes = _per_position_distinct(outcomes)
+        assert [id(t.outcome) for t in got] == [id(t.outcome) for t in want]
+        assert codes.dtype == want_codes.dtype == np.int32
+        assert codes.tolist() == want_codes.tolist()
 
 
 class _StubConn:

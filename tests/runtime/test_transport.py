@@ -296,7 +296,8 @@ class TestResultBlocks:
             block.close()
         rebuilt = ColumnarOutcomes(
             batch,
-            [decoded.traversals[code] for code in decoded.codes],
+            decoded.traversals,
+            decoded.codes,
             batch.frame_lengths(),
         )
         return outcomes, [segment.key for segment in segments], decoded, rebuilt
@@ -379,8 +380,10 @@ class TestResultBlocks:
             # Six distinct traversals over seven positions: positions 0
             # and 3 took the same path and decode to ONE shared object.
             assert len(decoded.traversals) == 6
-            assert decoded.codes == [0, 1, 2, 0, 3, 4, 5]
-            assert rebuilt.replays[0] is rebuilt.replays[3]
+            assert decoded.codes.tolist() == [0, 1, 2, 0, 3, 4, 5]
+            assert rebuilt.traversals[rebuilt.codes[0]] is rebuilt.traversals[
+                rebuilt.codes[3]
+            ]
             assert rebuilt[0].matched_entries[0] is parent_entries[0]
             assert rebuilt[1].matched_entries[0] is parent_entries[1]
             assert rebuilt[3].matched_entries[0] is parent_entries[0]
@@ -510,7 +513,7 @@ class TestResultBlocks:
         outcomes, _, decoded, rebuilt = self.reply(
             runner, index, packets, pipeline, index.pin()
         )
-        assert decoded.codes == list(range(8))
+        assert decoded.codes.tolist() == list(range(8))
         assert len(decoded.traversals) == 8
         assert decoded.packets == [1] * 8
         assert decoded.byte_sums == [61 + i for i in range(8)]
@@ -575,7 +578,7 @@ class TestReplyFailsClosed:
     def test_intact_block_decodes(self):
         block, segments, *rest = self.encoded()
         decoded = self.decode(block, segments, *rest)
-        assert decoded.codes == [0, 1, 0]
+        assert decoded.codes.tolist() == [0, 1, 0]
         assert self.lane(block, segments, "res/matched/values").tolist() == [
             0, 1, 1, 0
         ]
