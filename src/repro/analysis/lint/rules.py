@@ -313,7 +313,8 @@ class FrameLenExclusionRule(Rule):
 
 
 #: Hot functions that never leave the lanes at all: the columnar
-#: classify entry point, the miss-path walk's wave functions, the keyed
+#: classify entry point and its non-crediting half, the one credit of a
+#: classified batch, the miss-path walk's wave functions, the keyed
 #: table/cache lookups under it, the bulk megaflow install, and the
 #: sharded reply path — the worker's per-traversal encode, the parent's
 #: decode and the collect that merges it.  A megaflow miss costs per
@@ -323,6 +324,8 @@ class FrameLenExclusionRule(Rule):
 _LANE_ONLY_HOT = frozenset(
     {
         "classify_columnar",
+        "classify",
+        "credit_outcomes",
         "encode_outcomes",
         "decode_outcomes",
         "_collect",
@@ -349,7 +352,7 @@ _DICT_FREE_HOT = (
         {
             "lookup_batch_columnar",
             "probe_batch",
-            "probe_credit",
+            "probe",
         }
     )
     | _LANE_ONLY_HOT
@@ -368,13 +371,14 @@ class HotPathPurityRule(Rule):
 
     name = "hot-path-purity"
     description = (
-        "columnar hot-tier functions (lookup_batch_columnar, probe_credit, "
+        "columnar hot-tier functions (lookup_batch_columnar, probe, "
         "classify_columnar, ...) must not bulk-materialise dicts "
         "(.dicts()/.decode()) nor, in the probe/credit tiers, construct "
-        "per-row PipelineResults; the classify entry point, the miss-path "
-        "wave functions, install_batch and the sharded reply path "
-        "(encode_outcomes, decode_outcomes, _collect) must not materialise "
-        "even a single row (.fields_at()/.row_fields())"
+        "per-row PipelineResults; the classify entry point, the batch "
+        "credit (credit_outcomes), the miss-path wave functions, "
+        "install_batch and the sharded reply path (encode_outcomes, "
+        "decode_outcomes, _collect) must not materialise even a single "
+        "row (.fields_at()/.row_fields())"
     )
     hint = (
         "stay on the uint64 lanes: aggregate stats from the frame_len "

@@ -130,7 +130,21 @@ class FlowTable:
         packet_fields: Mapping[str, int],
         mask: ConsultSink | None = None,
     ) -> FlowEntry | None:
-        """Return the highest-priority entry matching the packet, if any.
+        """Return the highest-priority entry matching the packet, if any,
+        and credit the packet to its flow stats: :meth:`scan` plus
+        ``stats.record``."""
+        entry = self.scan(packet_fields, mask)
+        if entry is not None:
+            entry.stats.record(frame_length(packet_fields))
+        return entry
+
+    def scan(
+        self,
+        packet_fields: Mapping[str, int],
+        mask: ConsultSink | None = None,
+    ) -> FlowEntry | None:
+        """The highest-priority entry matching the packet, if any,
+        crediting no flow stats (the lookup counters still move).
 
         ``mask``, when given, is a consulted-bits sink (an object with a
         ``consult(field_name, bitmask)`` method): every entry the scan
@@ -147,7 +161,6 @@ class FlowTable:
                     mask.consult(name, predicate.consulted_mask())
             if entry.matches(packet_fields):
                 self.matched_count += 1
-                entry.stats.record(frame_length(packet_fields))
                 return entry
         return None
 

@@ -110,19 +110,21 @@ builders emit it directly
 :func:`~repro.runtime.scenarios.columnar_workload`), and
 :func:`~repro.runtime.batch.run_workload` slices events into views that
 share each event's vectorized key memos.  The megaflow tier
-(:meth:`~repro.runtime.megaflow.MegaflowCache.probe_credit`) applies each
+(:meth:`~repro.runtime.megaflow.MegaflowCache.probe`) applies each
 cached wildcard mask as ``lanes & mask`` keys coded once per column
 store (:meth:`~repro.packet.batch.PacketBatch.masked_key_codes`: the
 distinct packed keys plus one integer code per row), so a probe
 gathers integer codes, probes and validates once per *distinct* code,
-and does a hit's bookkeeping — hit count, LRU touch, flow stats, the
-runner's counters — in one pass over the aggregates hit; the
+and does the cache's own bookkeeping — hit count, LRU touch — in one
+pass over the aggregates hit; the
 microflow tier has one index and one batch probe
 (:meth:`~repro.runtime.cache.MicroflowCache.lookup_keys`: each distinct
 exact key once, the residual in one table call), whatever shape the
 batch arrived in.  Hits replay without dict materialisation —
-matched-entry stats are credited
-in aggregate from the ``frame_len`` lane, and a replaying
+classification only computes, and
+:func:`~repro.runtime.batch.credit_outcomes` credits a classified
+batch once, per traversal, from sums off the ``frame_len`` lane, on the
+runner that owns the entries (never on a replica) — and a replaying
 ``run_workload`` with ``keep_results=False`` never builds
 ``PipelineResult`` objects at all.  Packets that miss the megaflow
 tier stay columnar too: :class:`~repro.runtime.walk.ColumnarWalk`
@@ -218,7 +220,7 @@ O(1) for an unchanged table of permanent rules: per-table numpy
 deadline lanes over the timed entries only, read from a view the
 tables' own add/remove keep (a sweep never walks a table), idle
 touches detected from packet-count deltas (no hot-path stamping —
-credit sites are untouched, which is what keeps aggregated and
+the credit is untouched, which is what keeps aggregated and
 per-packet crediting bitwise-identical), POX
 ``flow_table.py`` expiry semantics (strict ``>``, hard-before-idle
 precedence), and a parent-side ledger of

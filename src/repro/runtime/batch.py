@@ -38,7 +38,7 @@ from typing import Any, Protocol, overload
 
 import numpy as np
 
-from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
+from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
 from repro.runtime.cache import DEFAULT_CAPACITY, MicroflowCache
@@ -57,9 +57,10 @@ class BatchStats:
 
     Each runner keeps one as its live record (``runner.stats``) and
     counts every unit of work into it exactly once, where the work
-    lands: ``packets`` / ``batches`` as a batch enters, the traffic
-    fields through :func:`credit_traversal`, ``waves`` per walk — and
-    on the sharded parent the cache, megaflow and wave counters as each
+    lands: ``packets`` / ``batches`` as a batch enters, ``waves`` per
+    walk, the traffic fields as the runner that owns the entries
+    credits a classified batch (:func:`credit_outcomes`) — and on the
+    sharded parent the cache, megaflow and wave counters as each
     collected reply adds what its own request caused.  The tiers and
     the lifecycle sweeper keep their own counters;
     ``stats_snapshot()`` adds them.  With a megaflow tier and no
@@ -119,9 +120,9 @@ class BatchPipeline:
         pipeline: the pipeline to drive; its tables may be behavioural
             ``FlowTable``s or decomposition ``OpenFlowLookupTable``s.
         cache_capacity: per-table microflow-cache size; ``0`` / ``None``
-            disables caching.  Caches are only attached to tables that
-            expose a match schema (``field_names``); others fall back to
-            their plain (batched, if available) lookup path.
+            disables caching.  Caches are only attached to tables with a
+            keyed lookup (``lookup_keys``); the others are scanned one
+            row at a time.
         megaflow_capacity: pipeline-level wildcard-cache size; ``0`` /
             ``None`` (the default) disables the megaflow tier.
     """
@@ -136,7 +137,7 @@ class BatchPipeline:
         self.caches: dict[int, MicroflowCache] = {}
         if cache_capacity:
             for table in pipeline.tables:
-                if getattr(table, "field_names", None) is not None:
+                if hasattr(table, "lookup_keys"):
                     self.caches[table.table_id] = MicroflowCache(
                         table, capacity=cache_capacity
                     )
@@ -200,10 +201,28 @@ class BatchPipeline:
         return self.classify_columnar(batch).results()
 
     def classify_columnar(self, batch: PacketBatch) -> ColumnarOutcomes:
-        """Classify a columnar batch without leaving the columns.
+        """Classify a columnar batch without leaving the columns
+        (:meth:`classify`), then credit its traversals to the entries
+        they matched and to :attr:`stats` (:func:`credit_outcomes`) —
+        the one place an in-process batch is credited.
+
+        The returned :class:`ColumnarOutcomes` is a code lane over the
+        aggregates hit and the paths walked, and defers replay
+        materialisation: local callers index or iterate it for
+        :class:`PipelineResult` s (bitwise-identical to mapping
+        ``pipeline.process`` over the batch).
+        """
+        outcomes = self.classify(batch)
+        credit_outcomes(self.stats, outcomes)
+        return outcomes
+
+    def classify(self, batch: PacketBatch) -> ColumnarOutcomes:
+        """Classify a columnar batch and credit nothing: a replica
+        classifies this way, because the parent owns the entries and
+        credits the sums its reply carries.
 
         The megaflow tier is probed with vectorized masked-key compares
-        (:meth:`~repro.runtime.megaflow.MegaflowCache.probe_credit`); an
+        (:meth:`~repro.runtime.megaflow.MegaflowCache.probe`); an
         all-hit batch is done right there.  Residual misses go through
         the columnar miss path (:class:`~repro.runtime.walk.ColumnarWalk`:
         index arrays through every wave, one probe per distinct key per
@@ -212,14 +231,6 @@ class BatchPipeline:
         miss never sees an aggregate an earlier position of the same
         batch installed.  With the megaflow tier off or bypassed the
         same walk runs without capture and without install.
-
-        The returned :class:`ColumnarOutcomes` is a code lane over the
-        aggregates hit and the paths walked, and defers replay
-        materialisation: local callers index or iterate it for
-        :class:`PipelineResult` s (bitwise-identical to mapping
-        ``pipeline.process`` over the batch),
-        the decode-free sharded worker encodes its distinct traversals
-        directly.
         """
         self.stats.packets += len(batch)
         self.stats.batches += 1
@@ -227,63 +238,49 @@ class BatchPipeline:
         megaflow = None if self.megaflow_bypass else self.megaflow
         traversals: list[Traversal]
         if megaflow is not None:
-            # Hits are credited inside the probe, once per aggregate.
-            traversals, codes, missed = megaflow.probe_credit(
-                batch, frame, self.stats
+            traversals, codes, missed, packets, byte_sums = megaflow.probe(
+                batch, frame
             )
         else:
-            traversals = []
+            traversals, packets, byte_sums = [], [], []
             codes = np.empty(len(batch), dtype=np.int64)
             missed = np.arange(len(batch), dtype=np.int64)
+        outcomes = ColumnarOutcomes(
+            batch, traversals, codes, frame, packets, byte_sums
+        )
         if len(missed):
-            self._walk_misses(batch, frame, missed, megaflow, traversals, codes)
-        return ColumnarOutcomes(batch, traversals, codes, frame)
+            self._walk_misses(outcomes, missed, megaflow)
+        return outcomes
 
     def _walk_misses(
         self,
-        batch: PacketBatch,
-        frame: np.ndarray,
+        outcomes: ColumnarOutcomes,
         missed: np.ndarray,
         megaflow: MegaflowCache | None,
-        traversals: list[Traversal],
-        codes: np.ndarray,
     ) -> None:
-        """Walk the ``missed`` positions through the tables, credit the
-        runner counters, install the traversals (when a megaflow tier is
-        capturing), append the walk's distinct traversals to
-        ``traversals`` and point the missed positions' ``codes`` at
+        """Walk the ``missed`` positions through the tables, install the
+        traversals (when a megaflow tier is capturing), append the
+        walk's distinct traversals and their packet and frame-byte sums
+        to ``outcomes`` and point the missed positions' codes at
         them."""
+        batch = outcomes.batch
         walk = ColumnarWalk(
-            self.pipeline, self.caches, batch, frame, capture=megaflow is not None
+            self.pipeline, self.caches, batch, capture=megaflow is not None
         )
         walk.run(missed)
         self.stats.waves += walk.waves
-        # Per-entry flow stats were credited wave by wave; the runner's
-        # own totals fold in per distinct traversal (bincount's float64
-        # byte sums are exact below 2**53).
-        counts = np.bincount(walk.traversal_codes, minlength=len(walk.traversals))
-        byte_sums = np.bincount(
-            walk.traversal_codes,
-            weights=frame[missed],
-            minlength=len(walk.traversals),
-        )
-        for traversal, count, byte_count in zip(
-            walk.traversals, counts.tolist(), byte_sums.tolist()
-        ):
-            credit_traversal(
-                self.stats, traversal.outcome, count, int(byte_count)
-            )
+        codes, count = walk.traversal_codes, len(walk.traversals)
+        outcomes.packets += np.bincount(codes, minlength=count).tolist()
+        # bincount sums in float64: exact below 2**53 frame bytes.
+        weights = outcomes.frame[missed]
+        byte_sums = np.bincount(codes, weights=weights, minlength=count)
+        outcomes.byte_sums += byte_sums.astype(np.int64).tolist()
         if megaflow is not None:
             megaflow.install_batch(
-                batch,
-                missed,
-                walk.masks,
-                walk.mask_codes,
-                walk.traversals,
-                walk.traversal_codes,
+                batch, missed, walk.masks, walk.mask_codes, walk.traversals, codes
             )
-        codes[missed] = walk.traversal_codes + len(traversals)
-        traversals.extend(walk.traversals)
+        outcomes.codes[missed] = codes + len(outcomes.traversals)
+        outcomes.traversals += walk.traversals
 
     def _run_waves(
         self, batch: Sequence[Mapping[str, int]]
@@ -343,7 +340,6 @@ class BatchPipeline:
         for i in completed:
             pipeline._execute_action_set(action_sets[i], results[i])
         for result in results:
-            # A result records its own path as an outcome does;
             # frame_len is never rewritten, so final_fields carries the
             # length every stats.record() saw mid-pipeline.
             credit_traversal(
@@ -366,28 +362,56 @@ class BatchPipeline:
         )
 
 
+def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:
+    """Credit one classified batch: each traversal's packets and frame
+    bytes to the flow stats of every entry it matched, and the batch's
+    traffic to ``stats``.
+
+    The one credit of the columnar runtime.  Only the runner that owns
+    the entries calls it — :meth:`BatchPipeline.classify_columnar` after
+    it classifies, the sharded parent after it decodes its replies —
+    and a replica never does.  One loop with local accumulators: per
+    traversal no Python call but ``FlowStats.add`` per matched entry."""
+    matched = flow_packets = flow_bytes = to_controller = dropped = 0
+    for traversal, count, byte_count in zip(
+        outcomes.traversals, outcomes.packets, outcomes.byte_sums
+    ):
+        outcome = traversal.outcome
+        entries = outcome.matched_entries
+        if entries:
+            matched += count
+            for entry in entries:
+                entry.stats.add(count, byte_count)
+                flow_packets += count
+                flow_bytes += byte_count
+        if outcome.sent_to_controller:
+            to_controller += count
+        if outcome.dropped:
+            dropped += count
+    stats.matched += matched
+    stats.flow_packets += flow_packets
+    stats.flow_bytes += flow_bytes
+    stats.sent_to_controller += to_controller
+    stats.dropped += dropped
+
+
 def credit_traversal(
     stats: BatchStats,
-    outcome: PathOutcome | PipelineResult,
+    result: PipelineResult,
     count: int,
     byte_count: int,
 ) -> None:
     """Credit ``count`` packets (``byte_count`` frame bytes in all) that
-    took the path ``outcome`` records to ``stats``' traffic counters.
-
-    The one traffic credit of the miss paths: the walk's distinct
-    traversals, each traversal of a collected sharded reply (from the
-    reply's delta lanes) and the tier-free dict walk (one packet per
-    result) all count through it.  The megaflow probe adds the same
-    sums for its hits inside its one bookkeeping pass
-    (:meth:`~repro.runtime.megaflow.MegaflowCache.probe_credit`)."""
-    matched_entries = len(outcome.matched_entries)
+    took the path ``result`` records to ``stats``' traffic counters —
+    the tier-free dict walk's credit (:meth:`BatchPipeline._run_waves`),
+    whose tables credit their entries in ``lookup_batch``."""
+    matched_entries = len(result.matched_entries)
     if matched_entries:
         stats.matched += count
         stats.flow_packets += matched_entries * count
         stats.flow_bytes += matched_entries * byte_count
-    stats.sent_to_controller += outcome.sent_to_controller * count
-    stats.dropped += outcome.dropped * count
+    stats.sent_to_controller += result.sent_to_controller * count
+    stats.dropped += result.dropped * count
 
 
 @dataclass(eq=False)
@@ -403,9 +427,12 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     :class:`~repro.openflow.pipeline.PathOutcome` carrying everything
     but the packet's own fields, so hits and misses materialise the same
     way (:func:`~repro.runtime.megaflow.replay_template`); ``frame`` is
-    the per-position ``frame_len`` lane.  A batch nobody reads costs one
-    traversal per aggregate hit or path walked and nothing per packet;
-    a per-position list exists only while somebody iterates.
+    the per-position ``frame_len`` lane, and ``packets[k]`` /
+    ``byte_sums[k]`` are the packets and frame bytes that took
+    ``traversals[k]`` — what :func:`credit_outcomes` credits.  A batch
+    nobody reads costs one traversal per aggregate hit or path walked
+    and nothing per packet; a per-position list exists only while
+    somebody iterates.
 
     Both runners hand this type back: :meth:`BatchPipeline.classify_columnar`
     in-process, and the sharded parent from the entry paths its workers
@@ -419,6 +446,8 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     traversals: list[Traversal]
     codes: np.ndarray
     frame: np.ndarray
+    packets: list[int]
+    byte_sums: list[int]
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -426,8 +455,7 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     def __iter__(self) -> Iterator[PipelineResult]:
         """Materialise the per-packet results, in position order:
         ``final_fields`` is the packet's fields plus the traversal's
-        rewrite overrides (stats were already credited at
-        classification time)."""
+        rewrite overrides (materialising credits nothing)."""
         row_fields, traversals = self.batch.row_fields, self.traversals
         for row, code in zip(self.batch.pick.tolist(), self.codes.tolist()):
             yield replay_template(traversals[code].outcome, row_fields(row))
@@ -442,14 +470,13 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
         self, index: int | slice
     ) -> PipelineResult | list[PipelineResult]:
         if isinstance(index, slice):
-            return list(
-                ColumnarOutcomes(
-                    self.batch[index],
-                    self.traversals,
-                    self.codes[index],
-                    self.frame[index],
-                )
+            view = replace(
+                self,
+                batch=self.batch[index],
+                codes=self.codes[index],
+                frame=self.frame[index],
             )
+            return list(view)
         return replay_template(
             self.traversals[self.codes[index]].outcome,
             self.batch.fields_at(index),

@@ -30,9 +30,10 @@ tier still produces a sound wildcard mask.
 
 Keys are read off a :class:`~repro.packet.batch.PacketBatch`'s lanes:
 the batch probe is :meth:`MicroflowCache.lookup_keys` over distinct
-keys; the one per-dict entry point left is :meth:`MicroflowCache.lookup`,
-which the miss path's scan fallback (tables without a keyed lookup)
-calls per materialised row.
+keys; the one per-dict entry point left is the scalar
+:meth:`MicroflowCache.lookup`.  The batch runtime attaches a cache only
+to a table with a keyed lookup; the miss path scans any other table
+itself.
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ invariant: every packet credited between two sweeps was credited at one
 single virtual time — the tick the previous sweep ended on.  The
 sweeper exploits that to detect idle-timer touches from *packet-count
 deltas* instead of stamping ``last_touched`` on the hot path: no credit
-site (scalar ``stats.record``, columnar ``stats.add``, worker-side
-delta merges) changes at all, which is what keeps aggregated and
-per-packet crediting bitwise-identical.  For the same reason
+site (the scalar lookups' ``stats.record``, and the runtime's one
+batch credit, :func:`~repro.runtime.batch.credit_outcomes`, which folds
+each traversal's sums in with ``stats.add`` in-process and on the
+sharded parent alike) changes at all, which is what keeps aggregated
+and per-packet crediting bitwise-identical.  For the same reason
 ``installed_at`` is stamped lazily: an entry installed anywhere between
 two sweeps was installed at the previous sweep's tick, so the sweep
 stamps :data:`~repro.openflow.flow.UNSTAMPED` entries with exactly that

@@ -50,32 +50,30 @@ Lookup is tuple-space search over the distinct masks in the cache
 touch); any matching entry is sound, so the first hit wins.  The cache
 has one index (per mask, the packed ``value & mask`` bytes of
 :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`), one probe
-(:meth:`MegaflowCache.probe_credit`) and one install
+(:meth:`MegaflowCache.probe`) and one install
 (:meth:`MegaflowCache.install_batch`), all over columnar batches.
 
 **A hit is an integer gather.**  A batch's column store keys each mask
 once — its distinct packed keys plus one dense code per row — so the
 probe moves positions around as integer codes with numpy, touches a
-``bytes`` key once per distinct code, and does all of a hit's
-bookkeeping (hit count, LRU touch, flow stats, runner counters) in one
-pass over the aggregates hit.  What it hands back is a code lane over
-those aggregates, the shape
-:class:`~repro.runtime.batch.ColumnarOutcomes` holds.
+``bytes`` key once per distinct code, and does the cache's own
+bookkeeping (hit count, LRU touch) in one pass over the aggregates hit.
+What it hands back is a code lane over those aggregates plus each one's
+packet and frame-byte sums, the shape
+:class:`~repro.runtime.batch.ColumnarOutcomes` holds.  The probe
+credits no flow stats: only the runner that owns the entries does,
+once per batch (:func:`~repro.runtime.batch.credit_outcomes`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
 from repro.packet.batch import IndexArray, PacketBatch
-
-if TYPE_CHECKING:
-    from repro.runtime.batch import BatchStats
 
 #: Mask signature: ``((field_name, bitmask), ...)`` sorted by field.
 MaskSig = tuple[tuple[str, int], ...]
@@ -253,25 +251,24 @@ class MegaflowCache:
         return tuple(sorted(fields))
 
     def probe_batch(self, batch: PacketBatch) -> list[MegaflowEntry | None]:
-        """Probe + credit in one call: the valid aggregate per batch
-        *position* (``None`` on miss), bookkeeping done.  Replay
-        materialisation is deferred to the caller (see
-        :class:`repro.runtime.batch.ColumnarOutcomes`); the decode-free
-        sharded worker encodes the outcomes directly.
+        """:meth:`probe` per batch *position*: the valid aggregate
+        (``None`` on miss), the cache's own bookkeeping done.  It
+        credits no flow stats — whoever owns the entries credits the
+        sums :meth:`probe` returns — and replay materialisation is
+        deferred to the caller (see
+        :class:`repro.runtime.batch.ColumnarOutcomes`).
         """
-        found, lane, _ = self.probe_credit(batch, batch.frame_lengths())
+        found, lane, *_ = self.probe(batch, batch.frame_lengths())
         # Code -1 (a miss) reads the trailing ``None``.
         return list(map([*found, None].__getitem__, lane.tolist()))
 
-    def probe_credit(
-        self,
-        batch: PacketBatch,
-        frame: np.ndarray,
-        stats: BatchStats | None = None,
-    ) -> tuple[list[MegaflowEntry], IndexArray, IndexArray]:
-        """The one probe: vectorized tuple-space search and hit
-        bookkeeping, with integer gathers per *position* and Python work
-        per *distinct masked key* and per *aggregate hit* only.
+    def probe(
+        self, batch: PacketBatch, frame: np.ndarray
+    ) -> tuple[list[MegaflowEntry], IndexArray, IndexArray, list[int], list[int]]:
+        """The one probe: vectorized tuple-space search and the cache's
+        own hit bookkeeping, with integer gathers per *position* and
+        Python work per *distinct masked key* and per *aggregate hit*
+        only.
 
         Per cached mask, in first-install order, the still-unresolved
         positions gather their key codes off the store's memoized
@@ -285,16 +282,16 @@ class MegaflowCache:
 
         Then one pass over the aggregates hit, in ascending order of
         each one's *last* hit position (the LRU order probing the
-        packets one by one would leave), does all the bookkeeping: its
-        hit count, its LRU touch, the matched flow entries' packet/byte
-        stats and — when ``stats`` is given, the runner's record — the
-        traffic counters :func:`~repro.runtime.batch.credit_traversal`
-        keeps.  ``frame`` is the batch's per-position ``frame_len``
-        lane: every hit packet counts with its *own* length.
+        packets one by one would leave), counts its hits and touches
+        its LRU slot.  Flow stats are not credited here: ``frame`` is
+        the batch's per-position ``frame_len`` lane, and each hit
+        aggregate's packet and frame-byte sums come back for the
+        entries' owner to credit
+        (:func:`~repro.runtime.batch.credit_outcomes`).
 
         Returns the aggregates hit (in first-found order), one code per
-        position indexing them (``-1`` on a miss), and the missed
-        positions (ascending).
+        position indexing them (``-1`` on a miss), the missed positions
+        (ascending), and per aggregate hit its packets and frame bytes.
         """
         pick = batch.pick
         size = len(pick)
@@ -339,40 +336,24 @@ class MegaflowCache:
             missed = hit == 0
             pending, rows = pending[missed], rows[missed]
         counts = np.bincount(codes, minlength=len(found) + 1).tolist()
-        byte_sums = np.bincount(
-            codes, weights=frame, minlength=len(found) + 1
-        ).tolist()
+        # bincount sums in float64: exact below 2**53 frame bytes.
+        byte_sums = (
+            np.bincount(codes, weights=frame, minlength=len(found) + 1)
+            .astype(np.int64)
+            .tolist()
+        )
         self.misses += counts[0]
         self.hits += size - counts[0]
         last = np.zeros(len(found) + 1, dtype=np.int64)
         np.maximum.at(last, codes, positions)
         lru = self._lru
-        matched = flow_packets = flow_bytes = to_controller = dropped = 0
         for code in np.argsort(last).tolist():
-            if not code:
-                continue  # the miss bucket
-            entry = found[code - 1]
-            count, byte_count = counts[code], int(byte_sums[code])
-            entry.hits += count
-            lru.move_to_end(entry.slot)
-            outcome = entry.outcome
-            flows = outcome.matched_entries
-            for flow_entry in flows:
-                flow_entry.stats.add(count, byte_count)
-            if flows:
-                matched += count
-                flow_packets += len(flows) * count
-                flow_bytes += len(flows) * byte_count
-            to_controller += outcome.sent_to_controller * count
-            dropped += outcome.dropped * count
-        if stats is not None:
-            stats.matched += matched
-            stats.flow_packets += flow_packets
-            stats.flow_bytes += flow_bytes
-            stats.sent_to_controller += to_controller
-            stats.dropped += dropped
+            if code:  # not the miss bucket
+                entry = found[code - 1]
+                entry.hits += counts[code]
+                lru.move_to_end(entry.slot)
         codes -= 1
-        return found, codes, pending
+        return found, codes, pending, counts[1:], byte_sums[1:]
 
     def install_batch(
         self,

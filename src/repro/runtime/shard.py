@@ -52,9 +52,9 @@ submission, replays its own entries through
 :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` (the
 function the worker's walk built the same outcome with), credits its
 counters and its authoritative
-:class:`~repro.openflow.flow.FlowEntry` stats per traversal — so flow
-stats match the single-process run exactly instead of being stranded in
-replicas — and hands back the same lazily materialised
+:class:`~repro.openflow.flow.FlowEntry` stats from the reply's lanes,
+once per batch — a replica credits nothing, so flow stats match the
+single-process run exactly — and hands back the same lazily materialised
 :class:`~repro.runtime.batch.ColumnarOutcomes` the in-process runner
 returns: :meth:`ShardedBatchPipeline.process_batches` yields it as is
 (a stream nobody reads builds no per-packet object),
@@ -88,7 +88,8 @@ uncollected batch raises.
 
 **Workers are decode-free** for every submission: the worker attaches
 to the request block's columns in place and classifies through
-:meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, encoding
+:meth:`~repro.runtime.batch.BatchPipeline.classify` (which credits
+nothing), encoding
 its reply straight from the distinct traversals' matched entries
 (:func:`~repro.runtime.transport.encode_outcomes`) — cache misses walk
 the tables as index arrays, so no row is materialised as a dict
@@ -156,7 +157,7 @@ from repro.runtime.batch import (
     BatchPipeline,
     BatchStats,
     ColumnarOutcomes,
-    credit_traversal,
+    credit_outcomes,
 )
 from repro.runtime.cache import DEFAULT_CAPACITY
 from repro.runtime.faults import FaultPlan
@@ -165,7 +166,6 @@ from repro.runtime.lifecycle import (
     LifecycleSweeper,
     VirtualClock,
 )
-from repro.runtime.megaflow import Traversal
 from repro.runtime.protocol import (
     AddMutation,
     ByeReply,
@@ -423,6 +423,10 @@ class _Replica:
     shard it classifies in-process (a degraded worker, a poison batch)
     through another: one serve path, so a live, a replayed and an
     inline shard write the same reply into the same response slot.
+    No replica path writes to a ``FlowEntry`` — it classifies through
+    :meth:`~repro.runtime.batch.BatchPipeline.classify`, which credits
+    nothing, and no lifecycle sweeper runs on it — so the parent's
+    replica may hold the parent's own entries.
     """
 
     def __init__(
@@ -463,11 +467,13 @@ class _Replica:
             reader, request.layout, reader.get(request.members_key)
         )
         # Decode-free: hits and misses alike are encoded as their
-        # matched-entry refs, once per distinct traversal.  The reply
-        # carries the counts this request caused, not the replica's
-        # totals, so the parent can add each reply in exactly once.
+        # matched-entry refs, once per distinct traversal.  The replica
+        # credits nothing — the parent owns the entries and credits the
+        # reply's sums — and the reply carries the counts this request
+        # caused, not the replica's totals, so the parent can add each
+        # reply in exactly once.
         before = runner.stats_snapshot()
-        outcomes = runner.classify_columnar(batch)
+        outcomes = runner.classify(batch)
         caused = runner.stats_snapshot().since(before)
         writer = BlockWriter()
         encode_outcomes(
@@ -1390,10 +1396,11 @@ class ShardedBatchPipeline:
 
         Each shard's reply is decoded once per distinct traversal —
         its refs resolved against the batch's pinned entry order and
-        replayed through the authoritative pipeline; runner counters
-        and the pinned entries' flow stats are credited per traversal
-        from the reply's delta lanes.  What comes back is unmaterialised: no
-        per-packet object exists until the caller reads the outcome.
+        replayed through the authoritative pipeline; the merged batch
+        is then credited once (:func:`~repro.runtime.batch.credit_outcomes`)
+        from the replies' delta lanes, to the runner's counters and the
+        pinned entries' flow stats.  What comes back is unmaterialised:
+        no per-packet object exists until the caller reads the outcome.
 
         The batch is forgotten before anything is decoded, so a reply
         that fails closed (:class:`ReplyDecodeError`) credits nothing
@@ -1422,8 +1429,8 @@ class ShardedBatchPipeline:
                     len(members),
                 )
             )
-        traversals: list[Traversal] = []
         codes = np.empty(len(batch), dtype=np.int64)
+        outcomes = ColumnarOutcomes(batch, [], codes, batch.frame_lengths(), [], [])
         stats = self.stats
         for members, reply, shard in zip(
             inflight.groups.values(), replies, decoded
@@ -1431,16 +1438,13 @@ class ShardedBatchPipeline:
             self._learned_fields.update(reply.mask_fields)
             for name, count in zip(REPLY_COUNTERS, shard.counters):
                 setattr(stats, name, getattr(stats, name) + count)
-            for traversal, packets, byte_count in zip(
-                shard.traversals, shard.packets, shard.byte_sums
-            ):
-                credit_traversal(stats, traversal.outcome, packets, byte_count)
-                for entry in traversal.outcome.matched_entries:
-                    entry.stats.add(packets, byte_count)
-            codes[members] = shard.codes + len(traversals)
-            traversals.extend(shard.traversals)
+            codes[members] = shard.codes + len(outcomes.traversals)
+            outcomes.traversals += shard.traversals
+            outcomes.packets += shard.packets
+            outcomes.byte_sums += shard.byte_sums
+        credit_outcomes(stats, outcomes)
         self._maybe_prune_log(inflight.log_len)
-        return ColumnarOutcomes(batch, traversals, codes, batch.frame_lengths())
+        return outcomes
 
     # -- failure recovery ----------------------------------------------
 
@@ -1506,36 +1510,32 @@ class ShardedBatchPipeline:
         """Serve ``worker``'s share of batch ``seq`` in-process and park
         the reply, exactly as the worker would have served it.
 
-        The parent's replica is built from the same spec and advanced
-        along the same mutation log to the batch's pinned ``log_len``;
-        it reads the members from the request block and writes the reply
-        into the worker's response slot through the worker's own
-        :meth:`_Replica.serve` — so results, stats and the flow-stats
-        delta match what the dead shard would have sent, and the collect
-        path cannot tell the two apart.  A replay can demand an older
-        log position than the replica has already passed; it is then
-        rebuilt from the spec (position 0).  The fault plan stays out:
-        a fault fired here would kill the parent.
+        The parent's replica is built from the parent's own spec and
+        advanced along the same mutation log to the batch's pinned
+        ``log_len``; it reads the members from the request block and
+        writes the reply into the worker's response slot through the
+        worker's own :meth:`_Replica.serve` — so results, stats and the
+        flow-stats delta match what the dead shard would have sent, and
+        the collect path cannot tell the two apart.  Its tables hold the
+        parent's authoritative entries, which is safe because no replica
+        path writes to a ``FlowEntry``: a replica classifies without
+        crediting, and the lifecycle sweeper runs on the parent's
+        tables only.  A replay can demand an older log position than the
+        replica has already passed; it is then rebuilt from the spec
+        (position 0).  The fault plan stays out: a fault fired here
+        would kill the parent.
         """
         inflight = self._inflight[seq]
         replica = self._inline
         if replica is None or replica.cursor > inflight.log_len:
-            # Pickle round-trip the spec (and the suffix below) exactly
-            # as a worker spawn would: both reference the parent's
-            # *authoritative* FlowEntry objects, and classifying on
-            # those would record flow stats directly into them — which
-            # the collect-side credit would then double-count.
             replica = self._inline = _Replica(
-                pickle.loads(pickle.dumps(self._spec)),
-                self._cache_capacity,
-                self._megaflow_capacity,
+                self._spec, self._cache_capacity, self._megaflow_capacity
             )
-        suffix: tuple[Mutation, ...] = pickle.loads(
-            pickle.dumps(tuple(self._log[replica.cursor : inflight.log_len]))
-        )
         slot = seq % self.depth
         self._reply_buffer[(seq, worker)] = replica.serve(
-            inflight.sends[worker]._replace(mutations=suffix),
+            inflight.sends[worker]._replace(
+                mutations=tuple(self._log[replica.cursor : inflight.log_len])
+            ),
             self._requests[slot].buf,
             self._responses[worker][slot].buf,
             FaultPlan(),

@@ -14,8 +14,7 @@ many packets:
 - each distinct key is probed once — in the table's
   :class:`~repro.runtime.cache.MicroflowCache` when it has one, the
   residual in one mask-capturing ``lookup_keys`` call on the table;
-- members are grouped by matched entry: flow stats are credited per
-  group from the ``frame_len`` lane, and the entry's
+- members are grouped by matched entry, and the entry's
   :class:`~repro.openflow.instructions.CompiledStep` moves the group
   (metadata register, override lanes, next table);
 - every position carries two small integer codes — its *entry path* and
@@ -29,12 +28,15 @@ OpenFlow §5.9 semantics of a path have a single definition), tagged
 with its table versions as a
 :class:`~repro.runtime.megaflow.Traversal`; each distinct capture state
 becomes a mask signature, and the caller installs / materialises from
-the per-position codes.
+the per-position codes.  The walk credits nothing: the runner that
+owns the entries credits each traversal's packets and frame bytes
+after the batch is classified
+(:func:`~repro.runtime.batch.credit_outcomes`).
 
 Tables that expose no keyed lookup (the behavioural
-:class:`~repro.openflow.table.FlowTable` scan, schema-only stand-ins)
-fall back to one scalar ``lookup`` per member on a materialised row —
-they are the oracle, not the fast path.
+:class:`~repro.openflow.table.FlowTable`) fall back to one scalar,
+non-crediting ``scan`` per member on a materialised row — they are the
+oracle, not the fast path.
 """
 
 from __future__ import annotations
@@ -98,13 +100,11 @@ class ColumnarWalk:
         pipeline: OpenFlowPipeline,
         caches: Mapping[int, MicroflowCache],
         batch: PacketBatch,
-        frame: NDArray[np.int64],
         capture: bool,
     ) -> None:
         self.pipeline = pipeline
         self.caches = caches
         self.batch = batch
-        self.frame = frame
         self.capture = capture
         size = len(batch)
         #: Entry-path code per position: an index into ``_paths``, whose
@@ -182,19 +182,18 @@ class ColumnarWalk:
         self.waves += 1
         table: Any = self.pipeline.table(table_id)
         self._versions[table_id] = table.version
-        cache = self.caches.get(table_id)
-        keyed = hasattr(table, "lookup_keys")
         outcomes: Sequence[FlowEntry | None]
         masks: Sequence[Mapping[str, int] | None]
-        if keyed:
+        if hasattr(table, "lookup_keys"):
             keys, key_codes = self._keys(table.field_names, members)
+            cache = self.caches.get(table_id)
             if cache is not None:
                 counts = np.bincount(key_codes, minlength=len(keys)).tolist()
                 outcomes, masks = cache.lookup_keys(keys, counts, self.capture)
             else:
                 outcomes, masks = table.lookup_keys(keys, self.capture)
         else:
-            outcomes, masks = self._scan_wave(table, cache, members)
+            outcomes, masks = self._scan_wave(table, members)
             key_codes = np.arange(len(members), dtype=np.int64)
 
         # Group the distinct keys — and through them the members — by
@@ -215,18 +214,6 @@ class ColumnarWalk:
         entry_codes: IndexArray = np.asarray(codes_by_key, dtype=np.int64)
         entry_codes[entry_codes < 0] = miss_code
         entry_codes = entry_codes[key_codes]
-
-        if keyed:  # the fallback's scalar lookups credit their entries
-            packets = np.bincount(entry_codes, minlength=miss_code + 1)
-            # Frame-byte sums per entry; bincount's float64 sums are
-            # exact below 2**53 bytes.
-            octets = np.bincount(
-                entry_codes, weights=self.frame[members], minlength=miss_code + 1
-            )
-            for entry, count, byte_count in zip(
-                entries, packets.tolist(), octets.tolist()
-            ):
-                entry.stats.add(count, int(byte_count))
 
         steps = [entry.instructions.compiled for entry in entries]
         self._extend_paths(members, entry_codes, entries, miss_code)
@@ -290,12 +277,12 @@ class ColumnarWalk:
         ]
 
     def _scan_wave(
-        self, table: Any, cache: MicroflowCache | None, members: IndexArray
+        self, table: Any, members: IndexArray
     ) -> tuple[list[FlowEntry | None], list[Mapping[str, int] | None]]:
-        """The fallback for tables without a keyed lookup: one scalar
-        ``lookup`` per member on its materialised row (plus overrides).
-        The lookup credits the matched entry's flow stats itself."""
-        lookup = table.lookup if cache is None else cache.lookup
+        """The fallback for tables without a keyed lookup: one scalar,
+        non-crediting ``scan`` per member on its materialised row (plus
+        overrides)."""
+        scan = table.scan
         batch = self.batch
         outcomes: list[FlowEntry | None] = []
         masks: list[Mapping[str, int] | None] = []
@@ -311,13 +298,9 @@ class ColumnarWalk:
             }
             if rewritten:
                 fields = {**fields, **rewritten}
-            if self.capture:
-                sink = FieldMaskSink()
-                outcomes.append(lookup(fields, mask=sink))
-                masks.append(sink.fields)
-            else:
-                outcomes.append(lookup(fields))
-                masks.append(None)
+            sink = FieldMaskSink() if self.capture else None
+            outcomes.append(scan(fields, sink))
+            masks.append(None if sink is None else sink.fields)
         return outcomes, masks
 
     def _extend_paths(

@@ -7,7 +7,7 @@ def lookup_batch_columnar(self, batch, rows):
     return [self.lookup(batch.row_fields(row)) for row in rows]
 
 
-def probe_credit(self, batch, frame):
+def probe(self, batch, frame):
     # Key codes off the lanes, one probe per distinct code: the whole
     # point of the probe tier.
     keys, codes = batch.masked_key_codes(self.mask)
@@ -18,6 +18,12 @@ def classify_columnar(pipeline, batch, misses):
     # Megaflow misses stay index arrays: keys come off the lanes.
     lanes, _ = batch.column("in_port")
     return pipeline.walk(lanes[0][batch.pick[misses]])
+
+
+def credit_outcomes(stats, outcomes):
+    # One fold per traversal, from its sums: no row is ever read.
+    for traversal, count in zip(outcomes.traversals, outcomes.packets):
+        stats.add(traversal.outcome, count)
 
 
 def install_batch(self, batch, positions, mask):

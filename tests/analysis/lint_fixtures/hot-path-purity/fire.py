@@ -7,7 +7,7 @@ def lookup_batch_columnar(self, batch):
     return self.lookup_batch(rows)
 
 
-def probe_credit(self, batch, frame):
+def probe(self, batch, frame):
     results = []
     for position in range(len(batch)):
         results.append(
@@ -31,6 +31,11 @@ def _wave(self, table, members):
         PipelineResult(final_fields=self.batch.row_fields(row))
         for row in members
     ]
+
+
+def credit_outcomes(stats, outcomes):
+    # The credit is per traversal: a row dict per packet is off the lanes.
+    return [stats.add(outcomes.batch.fields_at(i)) for i in range(len(outcomes))]
 
 
 def install_batch(self, batch, positions):

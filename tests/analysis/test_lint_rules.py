@@ -155,6 +155,8 @@ class TestRuleDetails:
             ("_scan_wave", False),
             ("results", False),
             ("classify_columnar", True),
+            ("classify", True),
+            ("credit_outcomes", True),
             ("_wave", True),
             ("_advance", True),
             ("install_batch", True),

@@ -13,10 +13,14 @@ import multiprocessing
 from multiprocessing import shared_memory
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.openflow import pipeline as pipeline_module
 from repro.openflow.pipeline import OpenFlowPipeline
+from repro.runtime.faults import FaultPlan
+from repro.runtime.protocol import ShmRequest
+from repro.runtime.transport import BlockWriter
 
 _DEV_SHM = Path("/dev/shm")
 
@@ -59,6 +63,22 @@ def replay_path_without_the_action_set(pipeline, matched):
         return _REPLAY_PATH(pipeline, matched)
     finally:
         pipeline_module.action_set_order = ordered
+
+
+def serve_one_batch(replica, batch):
+    """``batch`` through a replica's serve path (``_Replica.serve``, the
+    worker's), on request and reply buffers of its own."""
+    writer = BlockWriter()
+    layout = replica.codec.encode_batch(writer, batch, "pkt")
+    writer.put("members/0", np.arange(len(batch), dtype=np.int64))
+    request_buf = memoryview(bytearray(writer.nbytes))
+    segments = writer.write_to(request_buf)
+    request = ShmRequest(
+        "shm", 0, (), "", segments, layout, "members/0", False, ""
+    )
+    return replica.serve(
+        request, request_buf, memoryview(bytearray(1 << 16)), FaultPlan(), 0
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -44,6 +44,7 @@ from tests.runtime.conftest import (
     shm_segments,
     unlink_segments,
 )
+from tests.runtime.test_columnar import _Spy
 from tests.runtime.test_megaflow import assert_same_result
 from tests.runtime.test_shard import (
     ConnProxy,
@@ -579,6 +580,52 @@ class TestInlineShardIsAReplica:
         assert run.sharded._reply_bytes == 1
         # (d) and the parent encodes through the replica's serve alone.
         assert encoders and set(encoders) == {"_Replica.serve"}
+
+    @pytest.mark.parametrize("shared_rules", [False, True], ids=["built", "sealed"])
+    def test_inline_replica_is_built_from_the_parents_spec(
+        self, small_routing_set, monkeypatch, shared_rules
+    ):
+        """No replica path writes to a ``FlowEntry``, so the parent's
+        replica is built from the parent's own spec — no pickle round
+        trip — and the authoritative entries still count exactly what
+        a single-process run counts."""
+        sizes = (6, 4, 5, 3)
+        plan = FaultPlan(specs=(FaultSpec(0, 0, "after-receive", "crash"),))
+        run = _FaultRun(
+            small_routing_set,
+            sizes,
+            plan,
+            supervision=SupervisionConfig(restart_budget=0),
+            shared_rules=shared_rules,
+        )
+        pickles = [_Spy(monkeypatch, shard.pickle, name) for name in ("dumps", "loads")]
+        built, inline = [], []
+        init, serve_inline = shard._Replica.__init__, run.sharded._serve_inline
+
+        def spy_init(replica, spec, *args):
+            built.append(spec)
+            init(replica, spec, *args)
+
+        def spy_serve_inline(seq, worker):
+            before = sum(spy.calls for spy in pickles)
+            serve_inline(seq, worker)
+            pickled = sum(spy.calls for spy in pickles) - before
+            inline.append((run.sharded._spec, pickled))
+
+        # Forked workers inherit the spies, but only the parent's own
+        # calls land in these lists.
+        monkeypatch.setattr(shard._Replica, "__init__", spy_init)
+        monkeypatch.setattr(run.sharded, "_serve_inline", spy_serve_inline)
+        snapshot = run.run_and_compare()
+        assert snapshot["inline_packets"] == sizes[0] + sizes[2]
+        assert len(inline) == 2 and len(built) == 1
+        # Building the replica and serving the shard pickled nothing...
+        assert all(pickled == 0 for _, pickled in inline)
+        # ...because the replica was built from the parent's own spec.
+        assert all(built[0] is spec for spec, _ in inline)
+        # run_and_compare held every authoritative entry's flow stats to
+        # the single-process run's; say so once more, here.
+        assert entry_counts(run.entries) == entry_counts(run.ref_entries)
 
 
 @needs_dev_shm

@@ -16,8 +16,12 @@ unread ``process_batches`` stream builds one ``PathOutcome`` per
 distinct traversal per batch, no ``PipelineResult`` and no row dict.
 ``TestHitPathCostShape`` pins what an all-hit batch costs around its
 probes: each mask keyed once per column store, the hit bookkeeping in
-the probe's one pass (no ``credit_traversal`` call, one flow-stats fold
-per aggregate and matched entry) and no ``PipelineResult``.
+the probe's one pass, one flow-stats fold per aggregate and matched
+entry (no ``credit_traversal`` call) and no ``PipelineResult``.
+``TestCreditOnceCostShape`` pins that classifying only computes: one
+``FlowStats.add`` per (traversal, matched entry) and no
+``FlowStats.record`` per ``classify_columnar``, nothing at all from a
+replica's serve.
 ``TestMissPathAllocationShape`` pins what a miss leaves cached: one
 immutable outcome per distinct entry path, with no list or dict in it;
 ``TestMaterialisedResultsAreTheReaders`` that mutating a materialised
@@ -45,6 +49,7 @@ from repro.openflow.flow import FlowEntry, FlowStats
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
+from repro.openflow.table import FlowTable
 from repro.packet import batch as packet_batch_module
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
@@ -63,11 +68,13 @@ from repro.runtime import batch as batch_module
 from repro.runtime.megaflow import MegaflowCache
 from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 from repro.runtime.scenarios import columnar_workload
+from repro.runtime.shard import _Replica
 from repro.runtime.walk import ColumnarWalk
 
 from tests.runtime.conftest import (
     needs_dev_shm,
     replay_path_without_the_action_set,
+    serve_one_batch,
 )
 
 
@@ -1111,6 +1118,77 @@ class TestHitPathCostShape:
         assert first["credited"] == again["credited"] == 0
         assert first["constructed"] == again["constructed"] == 0
         assert first["replayed"] == again["replayed"] == 0
+
+
+def _as_flow_tables(arch):
+    """The same entries behind behavioural ``FlowTable`` scans."""
+    tables = []
+    for table in arch.tables:
+        scan = FlowTable(table_id=table.table_id)
+        for entry in table:
+            scan.add(entry)
+        tables.append(scan)
+    return OpenFlowPipeline(tables)
+
+
+class TestCreditOnceCostShape:
+    """Classifying only computes; one function credits.  Around one
+    ``classify_columnar`` call, ``FlowStats.add`` runs once per
+    (traversal, matched entry) pair of the outcome it returns and
+    ``FlowStats.record`` never — on an all-hit batch, a mixed hit/miss
+    batch and a ``FlowTable`` pipeline alike — and a replica serving
+    the same batch (its misses, then its hits) calls neither.  Counts
+    only."""
+
+    @staticmethod
+    def check(monkeypatch, pipeline, warm, batch):
+        """Warm a runner on ``warm``, classify ``batch`` under the
+        spies, then serve ``batch`` twice through a fresh replica of
+        ``pipeline``; returns the runner's megaflow hits and misses on
+        ``batch``."""
+        runner = BatchPipeline(pipeline, cache_capacity=64, megaflow_capacity=512)
+        for dicts in warm:
+            runner.classify_columnar(PacketBatch.from_dicts(dicts))
+        replica = _Replica(PipelineSpec.snapshot(pipeline), 64, 512)
+        spies = {name: _Spy(monkeypatch, FlowStats, name) for name in ("add", "record")}
+        hits, misses = runner.megaflow.hits, runner.megaflow.misses
+        outcome = runner.classify_columnar(batch)
+        pairs = sum(
+            len(traversal.outcome.matched_entries)
+            for traversal in outcome.traversals
+        )
+        assert pairs > 0
+        assert {name: spy.calls for name, spy in spies.items()} == {
+            "add": pairs,
+            "record": 0,
+        }
+        for _ in range(2):
+            reply = serve_one_batch(replica, batch)
+            assert reply.kind == "ok"
+        assert {name: spy.calls for name, spy in spies.items()} == {
+            "add": pairs,
+            "record": 0,
+        }
+        return runner.megaflow.hits - hits, runner.megaflow.misses - misses
+
+    def test_all_hit_batch(self, monkeypatch):
+        arch, trace = _prototype()
+        batch = PacketBatch.from_dicts(trace)
+        hits, misses = self.check(monkeypatch, arch, [trace], batch)
+        assert (hits, misses) == (len(batch), 0)
+
+    def test_mixed_hit_miss_batch(self, monkeypatch):
+        arch, trace = _prototype()
+        batch = PacketBatch.from_dicts(trace[300:])
+        hits, misses = self.check(monkeypatch, arch, [trace[:300]], batch)
+        assert hits > 0 and misses > 0
+
+    def test_flow_table_pipeline(self, monkeypatch):
+        arch, trace = _prototype()
+        pipeline = _as_flow_tables(arch)
+        batch = PacketBatch.from_dicts(trace[300:])
+        hits, misses = self.check(monkeypatch, pipeline, [trace[:300]], batch)
+        assert hits > 0 and misses > 0
 
 
 def _columns_only(batch: PacketBatch):

@@ -27,7 +27,7 @@ from repro.runtime import (
     uniform_wide_workload,
     widen_rule_set,
 )
-from repro.runtime.batch import BatchStats
+from repro.runtime.batch import BatchStats, ColumnarOutcomes, credit_outcomes
 from repro.runtime.megaflow import Traversal
 
 
@@ -271,12 +271,12 @@ _probe_aggregate = st.tuples(
 
 class _PerPacketMegaflow:
     """What the megaflow tier means, one packet at a time — the model
-    ``probe_credit`` / ``install_batch`` are held to.  Aggregates live
-    in one ``OrderedDict`` (the LRU) keyed ``(mask, value & mask
-    tuple)``, ``None`` standing for an absent field; masks are probed
-    in first-install order (a mask leaves with its last aggregate and
-    re-enters at the back); the first *valid* hit wins and a stale
-    aggregate drops on probe."""
+    ``probe`` (with its outcome credited) / ``install_batch`` are held
+    to.  Aggregates live in one ``OrderedDict`` (the LRU) keyed
+    ``(mask, value & mask tuple)``, ``None`` standing for an absent
+    field; masks are probed in first-install order (a mask leaves with
+    its last aggregate and re-enters at the back); the first *valid*
+    hit wins and a stale aggregate drops on probe."""
 
     def __init__(self):
         self.lru = OrderedDict()
@@ -429,9 +429,11 @@ _BOTH = {"in_port": 1, "ipv4_dst": 0x0A000001, FRAME_LEN_FIELD: 64}
 
 
 class TestProbeCreditEquivalence:
-    """``probe_credit`` over a columnar batch leaves exactly what
-    probing the same packets one by one leaves
-    (:class:`_PerPacketMegaflow`)."""
+    """``probe`` over a columnar batch, with the outcome it returns
+    credited, leaves exactly what probing the same packets one by one
+    leaves (:class:`_PerPacketMegaflow`); the probe's own sums are each
+    aggregate's packets and frame bytes, and the probe alone credits
+    no flow stats."""
 
     @settings(max_examples=200)
     @given(
@@ -498,9 +500,12 @@ class TestProbeCreditEquivalence:
         stats = BatchStats()
         for _ in range(2):
             batch = PacketBatch.from_dicts(packets)
-            found, codes, missed = columnar.cache.probe_credit(
-                batch, batch.frame_lengths(), stats
+            frame = batch.frame_lengths()
+            flow_stats = columnar.state()["flow_stats"]
+            found, codes, missed, hit_packets, hit_bytes = columnar.cache.probe(
+                batch, frame
             )
+            assert columnar.state()["flow_stats"] == flow_stats
             replayed = [scalar.cache.lookup(fields) for fields in packets]
             assert [
                 None if code < 0 else found[code].outcome.metadata
@@ -512,6 +517,22 @@ class TestProbeCreditEquivalence:
             # Every aggregate found is hit, once in the list.
             assert sorted(set(codes[codes >= 0].tolist())) == list(range(len(found)))
             assert len({id(entry) for entry in found}) == len(found)
+            # Per aggregate, the packets that hit it and their frame
+            # bytes, one packet at a time, as plain ints.
+            took = [
+                [i for i, code in enumerate(codes.tolist()) if code == k]
+                for k in range(len(found))
+            ]
+            assert hit_packets == [len(positions) for positions in took]
+            assert hit_bytes == [
+                sum(frame_length(packets[i]) for i in positions)
+                for positions in took
+            ]
+            assert {type(total) for total in hit_packets + hit_bytes} <= {int}
+            credit_outcomes(
+                stats,
+                ColumnarOutcomes(batch, found, codes, frame, hit_packets, hit_bytes),
+            )
             assert stats == scalar.cache.stats
             assert columnar.state() == scalar.state()
             for position in missed.tolist():
@@ -529,12 +550,19 @@ class TestProbeCreditEquivalence:
             for length in (64, 576, 1500)
         ]
         batch = PacketBatch.from_dicts(packets)
-        stats = BatchStats()
-        found, codes, missed = world.cache.probe_credit(
-            batch, batch.frame_lengths(), stats
+        frame = batch.frame_lengths()
+        found, codes, missed, hit_packets, hit_bytes = world.cache.probe(
+            batch, frame
         )
         assert found == [] and codes.tolist() == [-1, -1, -1]
-        assert missed.tolist() == [0, 1, 2] and stats == BatchStats()
+        assert missed.tolist() == [0, 1, 2]
+        assert hit_packets == hit_bytes == []
+        stats = BatchStats()
+        credit_outcomes(
+            stats, ColumnarOutcomes(batch, found, codes, frame, hit_packets, hit_bytes)
+        )
+        assert stats == BatchStats()
+        assert world.state()["flow_stats"] == [(0, 0), (0, 0)]
         cache = world.cache
         assert (cache.invalidated, cache.misses, cache.hits) == (1, 3, 0)
         assert len(cache) == 0 and not cache._by_mask

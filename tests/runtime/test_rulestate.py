@@ -22,23 +22,16 @@ from repro.packet.batch import PacketBatch
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
-    FaultPlan,
     LifecycleSweeper,
     PipelineSpec,
     ShardedBatchPipeline,
     run_workload,
 )
-from repro.runtime.protocol import ShmRequest
 from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 from repro.runtime.shard import _Replica
-from repro.runtime.transport import (
-    BlockWriter,
-    EntryIndex,
-    PacketBlockCodec,
-    SharedBlock,
-)
+from repro.runtime.transport import EntryIndex
 
-from tests.runtime.conftest import needs_dev_shm
+from tests.runtime.conftest import needs_dev_shm, serve_one_batch
 from tests.runtime.test_columnar import _Spy
 from tests.runtime.test_megaflow import assert_same_result
 from tests.runtime.test_shard import make_arch
@@ -244,36 +237,6 @@ class TestImmutability:
             state.close()
 
 
-def _serve_one_batch(replica, dicts):
-    """One request through the worker's serve path, on blocks of its own."""
-    codec = PacketBlockCodec()
-    batch = PacketBatch.from_dicts(dicts, codec.field_bits)
-    writer = BlockWriter()
-    layout = codec.encode_batch(writer, batch, "pkt")
-    writer.put("members/0", np.arange(len(batch), dtype=np.int64))
-    request_block, reply_block = SharedBlock(), SharedBlock()
-    try:
-        request_block.ensure(writer.nbytes)
-        reply_block.ensure(1 << 16)
-        request = ShmRequest(
-            "shm",
-            0,
-            (),
-            request_block.name,
-            writer.write_to(request_block.buf),
-            layout,
-            "members/0",
-            False,
-            reply_block.name,
-        )
-        return replica.serve(
-            request, request_block.buf, reply_block.buf, FaultPlan(), 0
-        )
-    finally:
-        request_block.close()
-        reply_block.close()
-
-
 class TestSealedStateCostShape:
     """The sealed block carries lookup structures, not entries: sealing,
     attaching, serving a batch and thawing pickle nothing."""
@@ -293,7 +256,7 @@ class TestSealedStateCostShape:
             replica = _Replica(state.spec, 64, 128)
             table = replica.runner.pipeline.tables[0]
             assert isinstance(table, FrozenLookupTable) and table._frozen
-            reply = _serve_one_batch(replica, dicts)
+            reply = serve_one_batch(replica, PacketBatch.from_dicts(dicts))
             assert reply.kind == "ok" and reply.block is None
             doomed = next(iter(table))
             assert table.remove(doomed.match, doomed.priority)

@@ -299,6 +299,8 @@ class TestResultBlocks:
             decoded.traversals,
             decoded.codes,
             batch.frame_lengths(),
+            decoded.packets,
+            decoded.byte_sums,
         )
         return outcomes, [segment.key for segment in segments], decoded, rebuilt
 
