@@ -315,7 +315,8 @@ class FrameLenExclusionRule(Rule):
 #: Hot functions that never leave the lanes at all: the columnar
 #: classify entry point and its non-crediting half, the one credit of a
 #: classified batch, the miss-path walk's wave functions, the keyed
-#: table/cache lookups under it, the bulk megaflow install, and the
+#: table/cache lookups under it, the microflow tier's batch lookup,
+#: the bulk megaflow install, and the
 #: sharded reply path — the worker's per-traversal encode, the parent's
 #: decode and the collect that merges it.  A megaflow miss costs per
 #: *distinct key* and a sharded reply per *distinct traversal*, so here
@@ -337,6 +338,7 @@ _LANE_ONLY_HOT = frozenset(
         "_extend_captures",
         "_advance",
         "lookup_keys",
+        "lookup_batch_columnar",
         "search_keys",
         "install_batch",
         "masked_keys",
@@ -344,19 +346,10 @@ _LANE_ONLY_HOT = frozenset(
 )
 
 #: Hot functions that must never bulk-materialise row dicts *or*
-#: construct per-row PipelineResults: the probe/credit tiers, whose
-#: whole point is replaying without touching a dict, plus everything
+#: construct per-row PipelineResults: the probe tier, whose whole
+#: point is replaying without touching a dict, plus everything
 #: lane-only.
-_DICT_FREE_HOT = (
-    frozenset(
-        {
-            "lookup_batch_columnar",
-            "probe_batch",
-            "probe",
-        }
-    )
-    | _LANE_ONLY_HOT
-)
+_DICT_FREE_HOT = frozenset({"probe_batch", "probe"}) | _LANE_ONLY_HOT
 
 #: Attribute calls that materialise every row of a batch as dicts.
 _BULK_MATERIALISERS = frozenset({"dicts", "decode"})
@@ -375,7 +368,8 @@ class HotPathPurityRule(Rule):
         "classify_columnar, ...) must not bulk-materialise dicts "
         "(.dicts()/.decode()) nor, in the probe/credit tiers, construct "
         "per-row PipelineResults; the classify entry point, the batch "
-        "credit (credit_outcomes), the miss-path wave functions, "
+        "credit (credit_outcomes), the miss-path wave functions, the "
+        "microflow batch lookup (lookup_batch_columnar), "
         "install_batch and the sharded reply path (encode_outcomes, "
         "decode_outcomes, _collect) must not materialise even a single "
         "row (.fields_at()/.row_fields())"
@@ -384,8 +378,7 @@ class HotPathPurityRule(Rule):
         "stay on the uint64 lanes: aggregate stats from the frame_len "
         "lane, replay megaflow templates, key waves off the lanes plus "
         "override lanes, reply once per distinct traversal; row dicts and "
-        "per-packet results belong to whoever reads a ColumnarOutcomes, "
-        "and to the scalar fallback for schema-less tables"
+        "per-packet results belong to whoever reads a ColumnarOutcomes"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -212,8 +212,10 @@ class OpenFlowLookupTable:
     def entries_snapshot(self) -> tuple[FlowEntry, ...]:
         """The entries in deterministic (installation) order, cached per
         :attr:`version` — the ``entry_ref`` coordinate system of the
-        sharded stats-return protocol (see
-        :meth:`repro.openflow.table.FlowTable.entries_snapshot`).
+        sharded stats-return protocol
+        (:class:`~repro.runtime.transport.EntryIndex`): a parent table
+        and a worker replica at the same mutation-log position agree on
+        it, because both install the same entries in the same order.
         """
         if self._snapshot_version != self.version:
             self._snapshot = tuple(self)

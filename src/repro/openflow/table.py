@@ -34,33 +34,16 @@ class FlowTable:
         self._dirty = False  # entries appended but not yet re-sorted
         self.lookup_count = 0
         self.matched_count = 0
-        #: Mutation counter; bumped on every add/remove so lookup caches
-        #: (e.g. :class:`repro.runtime.cache.MicroflowCache`) can detect
-        #: staleness without wrapping the mutation interface.
+        #: Mutation counter; bumped on every add/remove so a capturing
+        #: ``OpenFlowPipeline.process`` (the megaflow capture
+        #: specification) tags each visited table with the state it saw.
         self.version = 0
-        self._snapshot: tuple[FlowEntry, ...] = ()
-        self._snapshot_version = -1
         #: Timed and unstamped entries, kept by add/remove for the
         #: lifecycle sweep (see :class:`~repro.openflow.flow.SweepView`).
         self.sweep_view = SweepView(by_sort_key=True)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def entries_snapshot(self) -> tuple[FlowEntry, ...]:
-        """The entries in deterministic iteration order, cached per
-        :attr:`version`.
-
-        Positions in this tuple are the ``entry_ref`` coordinates the
-        sharded runtime's stats-return protocol uses
-        (:class:`~repro.runtime.transport.EntryIndex`): a parent table
-        and a worker replica at the same mutation-log position agree on
-        it, because entries sort on pickle-preserved keys.
-        """
-        if self._snapshot_version != self.version:
-            self._snapshot = tuple(self)
-            self._snapshot_version = self.version
-        return self._snapshot
 
     def __iter__(self) -> Iterator[FlowEntry]:
         self._ensure_sorted()
@@ -131,20 +114,7 @@ class FlowTable:
         mask: ConsultSink | None = None,
     ) -> FlowEntry | None:
         """Return the highest-priority entry matching the packet, if any,
-        and credit the packet to its flow stats: :meth:`scan` plus
-        ``stats.record``."""
-        entry = self.scan(packet_fields, mask)
-        if entry is not None:
-            entry.stats.record(frame_length(packet_fields))
-        return entry
-
-    def scan(
-        self,
-        packet_fields: Mapping[str, int],
-        mask: ConsultSink | None = None,
-    ) -> FlowEntry | None:
-        """The highest-priority entry matching the packet, if any,
-        crediting no flow stats (the lookup counters still move).
+        and credit the packet to its flow stats.
 
         ``mask``, when given, is a consulted-bits sink (an object with a
         ``consult(field_name, bitmask)`` method): every entry the scan
@@ -161,25 +131,9 @@ class FlowTable:
                     mask.consult(name, predicate.consulted_mask())
             if entry.matches(packet_fields):
                 self.matched_count += 1
+                entry.stats.record(frame_length(packet_fields))
                 return entry
         return None
-
-    def consulted_mask(self, packet_fields: Mapping[str, int]) -> dict[str, int]:
-        """The consulted-bits masks a :meth:`lookup` of this packet would
-        report, without the lookup's side effects (no counters, no flow
-        stats).  Used by caches to backfill masks for entries resolved
-        before any mask sink was attached.
-        """
-        self._ensure_sorted()
-        fields: dict[str, int] = {}
-        for entry in self._entries:
-            for name, predicate in entry.match.items():
-                bits = predicate.consulted_mask()
-                if bits:
-                    fields[name] = fields.get(name, 0) | bits
-            if entry.matches(packet_fields):
-                break
-        return fields
 
     def _find(self, match: Match, priority: int) -> FlowEntry | None:
         return self._by_key.get((match, priority))

@@ -139,10 +139,13 @@ misses come back as one code lane
 (:class:`~repro.runtime.batch.ColumnarOutcomes`: the aggregates hit
 and the paths walked, plus one integer code per position; the sharded
 collect fills it the same way from its replies), so nothing exists per
-packet until somebody reads a position.  **Dict
-materialisation still happens** for: tables without a keyed lookup
-(the behavioural ``FlowTable`` scan falls back to one scalar lookup
-per member), and any caller that asks for materialised results
+packet until somebody reads a position.  The runtime runs only
+tables with a keyed lookup: :class:`BatchPipeline`,
+:class:`ShardedBatchPipeline` and :class:`MicroflowCache` refuse any
+other table (``TypeError``, :func:`~repro.runtime.cache.require_keyed_table`),
+so the behavioural ``FlowTable`` scan stays what the runtime is tested
+against.  **Dict materialisation still happens** only for a caller
+that asks for materialised results
 (``keep_results=True`` or ``process_batch``'s return value — built by
 :func:`~repro.runtime.megaflow.replay_template` as a fresh, list-typed
 :class:`~repro.openflow.pipeline.PipelineResult` per read position:

@@ -41,7 +41,11 @@ import numpy as np
 from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
-from repro.runtime.cache import DEFAULT_CAPACITY, MicroflowCache
+from repro.runtime.cache import (
+    DEFAULT_CAPACITY,
+    MicroflowCache,
+    require_keyed_table,
+)
 from repro.runtime.lifecycle import (
     FlowRemoved,
     LifecycleSweeper,
@@ -117,12 +121,14 @@ class BatchPipeline:
     """Batch-oriented runtime over an OpenFlow pipeline.
 
     Args:
-        pipeline: the pipeline to drive; its tables may be behavioural
-            ``FlowTable``s or decomposition ``OpenFlowLookupTable``s.
+        pipeline: the pipeline to drive; every table must have a keyed
+            lookup — a decomposition ``OpenFlowLookupTable`` or a proxy
+            for one (:func:`~repro.runtime.cache.require_keyed_table`
+            raises ``TypeError`` otherwise).  The behavioural
+            ``FlowTable`` is the oracle this runtime is tested against,
+            not a table it runs.
         cache_capacity: per-table microflow-cache size; ``0`` / ``None``
-            disables caching.  Caches are only attached to tables with a
-            keyed lookup (``lookup_keys``); the others are scanned one
-            row at a time.
+            disables caching.
         megaflow_capacity: pipeline-level wildcard-cache size; ``0`` /
             ``None`` (the default) disables the megaflow tier.
     """
@@ -135,12 +141,12 @@ class BatchPipeline:
     ) -> None:
         self.pipeline = pipeline
         self.caches: dict[int, MicroflowCache] = {}
-        if cache_capacity:
-            for table in pipeline.tables:
-                if hasattr(table, "lookup_keys"):
-                    self.caches[table.table_id] = MicroflowCache(
-                        table, capacity=cache_capacity
-                    )
+        for table in pipeline.tables:
+            require_keyed_table(table)
+            if cache_capacity:
+                self.caches[table.table_id] = MicroflowCache(
+                    table, capacity=cache_capacity
+                )
         self.megaflow: MegaflowCache | None = (
             MegaflowCache(pipeline, capacity=megaflow_capacity)
             if megaflow_capacity
@@ -314,11 +320,9 @@ class BatchPipeline:
             table_id = min(pending)
             members = pending.pop(table_id)
             table: Any = pipeline.table(table_id)
-            fields_batch = [results[i].final_fields for i in members]
-            if hasattr(table, "lookup_batch"):
-                entries = table.lookup_batch(fields_batch)
-            else:
-                entries = [table.lookup(fields) for fields in fields_batch]
+            entries = table.lookup_batch(
+                [results[i].final_fields for i in members]
+            )
             for i, entry in zip(members, entries):
                 result = results[i]
                 result.tables_visited.append(table_id)

@@ -4,12 +4,11 @@ A :class:`MicroflowCache` sits in front of one flow table and memoizes
 full lookups keyed on the *exact* tuple of the table's match-field values
 — the definition of a microflow.  Two packets with identical header
 fields necessarily classify identically, so a cache hit skips the whole
-decomposition (or scan) path.
+decomposition path.
 
 Invalidation is per-entry **revalidation**, not a wholesale flush: every
 cached record is stamped with the table's ``version`` mutation counter —
-bumped by ``add`` / ``remove`` / ``remove_where`` on both
-:class:`~repro.openflow.table.FlowTable` and
+bumped by every ``add`` / ``remove`` / ``remove_where`` on the
 :class:`~repro.core.lookup_table.OpenFlowLookupTable` — at resolution
 time.  A later access finding the stamp stale re-resolves just that key
 against the table and refreshes the record in place, so a flow-mod costs
@@ -31,9 +30,10 @@ tier still produces a sound wildcard mask.
 Keys are read off a :class:`~repro.packet.batch.PacketBatch`'s lanes:
 the batch probe is :meth:`MicroflowCache.lookup_keys` over distinct
 keys; the one per-dict entry point left is the scalar
-:meth:`MicroflowCache.lookup`.  The batch runtime attaches a cache only
-to a table with a keyed lookup; the miss path scans any other table
-itself.
+:meth:`MicroflowCache.lookup`.  The cache, like the whole batch runtime,
+takes only a table with a keyed lookup (:func:`require_keyed_table`);
+the behavioural :class:`~repro.openflow.table.FlowTable` scan is the
+oracle the runtime is tested against, not a table it runs.
 """
 
 from __future__ import annotations
@@ -53,6 +53,33 @@ from repro.packet.headers import frame_length
 _MISS = object()
 
 DEFAULT_CAPACITY = 4096
+
+
+def require_keyed_table(table: Any) -> None:
+    """Refuse, with a ``TypeError``, a table the batch runtime cannot
+    run: one without a keyed lookup (``lookup_keys`` over its
+    ``field_names``) or without the ``version`` counter the caches
+    revalidate against.
+
+    The runtime's one table check — :class:`MicroflowCache`,
+    :class:`~repro.runtime.batch.BatchPipeline` and
+    :class:`~repro.runtime.shard.ShardedBatchPipeline` call it at
+    construction.  Duck-typed, so a proxy forwarding attributes to a
+    lookup table passes.
+    """
+    missing = [
+        name
+        for name in ("lookup_keys", "field_names", "version")
+        if not hasattr(table, name)
+    ]
+    if missing:
+        raise TypeError(
+            f"table {getattr(table, 'table_id', None)} "
+            f"({type(table).__name__}) has no {', '.join(missing)}: the "
+            "batch runtime runs only tables with a keyed lookup and a "
+            "version counter (without one its caches would serve stale "
+            "results)"
+        )
 
 
 class _Record:
@@ -75,38 +102,21 @@ class MicroflowCache:
     """LRU exact-match cache in front of one flow table.
 
     Args:
-        table: the backing table; must expose ``lookup`` and a
-            ``version`` mutation counter.  With a keyed ``lookup_keys``
-            the batch probes resolve all their misses in one call.
+        table: the backing table, keyed on its own ``field_names``; its
+            ``lookup_keys`` resolves a batch probe's misses in one call
+            and its ``version`` counter stamps the records
+            (:func:`require_keyed_table`).
         capacity: maximum cached microflows; least recently used entries
             are evicted beyond it.
-        field_names: the match schema the cache keys on; defaults to the
-            table's own ``field_names``.
     """
 
-    def __init__(
-        self,
-        table: Any,
-        capacity: int = DEFAULT_CAPACITY,
-        field_names: tuple[str, ...] | None = None,
-    ) -> None:
+    def __init__(self, table: Any, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
-        names = field_names if field_names is not None else getattr(
-            table, "field_names", None
-        )
-        if names is None:
-            raise ValueError(
-                "table has no field_names; pass field_names= explicitly"
-            )
-        if not hasattr(table, "version"):
-            raise ValueError(
-                "table exposes no version counter; the cache cannot "
-                "detect mutations and would serve stale results"
-            )
+        require_keyed_table(table)
         self.table = table
         self.capacity = capacity
-        self.field_names = tuple(names)
+        self.field_names = tuple(table.field_names)
         self._entries: OrderedDict[tuple, _Record] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -171,11 +181,8 @@ class MicroflowCache:
         :class:`~repro.packet.batch.PacketBatch`: :meth:`lookup_keys` on
         the batch's distinct keys (first-seen order), read off the
         lanes, with each key's packets credited together from the
-        ``frame_len`` lane, so no dict is built.  A table without a
-        keyed lookup gets each materialised row through :meth:`lookup`.
+        ``frame_len`` lane, so no dict is built.
         """
-        if not hasattr(self.table, "lookup_keys"):
-            return [self.lookup(fields) for fields in batch]
         code_of: dict[tuple[int | None, ...], int] = {}
         codes = [
             code_of.setdefault(key, len(code_of))
@@ -284,18 +291,11 @@ class MicroflowCache:
     def _capture_mask(self, packet_fields: Mapping[str, int]) -> dict[str, int]:
         """Backfill the consulted-bits mask for a record cached without
         one (the cache was used mask-less first); the mask is a pure
-        function of the key and the table's current structures.
-
-        Prefers the table's side-effect-free ``consulted_mask`` so a
-        cache *hit* never double-counts lookup counters or flow stats;
-        the lookup fallback covers schema-only table stand-ins.
+        function of the key and the table's current structures.  The
+        table's ``consulted_mask`` is side-effect-free, so a cache *hit*
+        never double-counts lookup counters or flow stats.
         """
-        consulted = getattr(self.table, "consulted_mask", None)
-        if consulted is not None:
-            return consulted(packet_fields)
-        sink = FieldMaskSink()
-        self.table.lookup(packet_fields, mask=sink)
-        return sink.fields
+        return self.table.consulted_mask(packet_fields)
 
     def _insert(
         self,

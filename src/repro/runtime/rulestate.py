@@ -132,12 +132,6 @@ class SharedRuleLayout:
     segments: tuple[Segment, ...]
     tables: tuple[FrozenTableLayout, ...]
 
-    def table_layout(self, table_id: int) -> FrozenTableLayout | None:
-        for layout in self.tables:
-            if layout.table_id == table_id:
-                return layout
-        return None
-
 
 # ----------------------------------------------------------------------
 # frozen structure twins
@@ -600,8 +594,6 @@ class SharedRuleState:
         writer = BlockWriter()
         layouts = []
         for table_spec in spec.tables:
-            if table_spec.kind != "lookup":
-                continue
             table = pipeline.table(table_spec.table_id)
             layouts.append(_seal_table(writer, table, table_spec.entries))
         block = SharedBlock()
@@ -748,30 +740,19 @@ def _seal_index(writer: BlockWriter, prefix: str, index: Any) -> None:
 
 
 def attach_shared_tables(spec: Any) -> list[Any]:
-    """Build the table list for a spec carrying a ``SharedRuleLayout``.
-
-    Lookup tables described by the layout attach as
-    :class:`FrozenLookupTable` over their spec's entries; everything
-    else (behavioural flow tables, lookup tables the layout does not
-    describe — there are none today, but the fallback keeps the
-    contract local) builds eagerly from its spec.
+    """Build the table list for a spec carrying a ``SharedRuleLayout``:
+    every table attaches as a :class:`FrozenLookupTable` over its spec's
+    entries and the layout ``SharedRuleState.seal`` wrote for it (one
+    per spec table, in spec order).
     """
     layout: SharedRuleLayout = spec.shared
     attachments = BlockAttachments()
     reader = BlockReader(attachments.buf(layout.block_name), layout.segments)
-    tables: list[Any] = []
-    for table_spec in spec.tables:
-        table_layout = (
-            layout.table_layout(table_spec.table_id)
-            if table_spec.kind == "lookup"
-            else None
+    return [
+        FrozenLookupTable(
+            table_spec, table_layout, reader, attachments, spec.config
         )
-        if table_layout is None:
-            tables.append(table_spec.build(spec.config))
-        else:
-            tables.append(
-                FrozenLookupTable(
-                    table_spec, table_layout, reader, attachments, spec.config
-                )
-            )
-    return tables
+        for table_spec, table_layout in zip(
+            spec.tables, layout.tables, strict=True
+        )
+    ]

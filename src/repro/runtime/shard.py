@@ -150,7 +150,6 @@ from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline, PipelineResult
-from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime.batch import (
@@ -159,7 +158,7 @@ from repro.runtime.batch import (
     ColumnarOutcomes,
     credit_outcomes,
 )
-from repro.runtime.cache import DEFAULT_CAPACITY
+from repro.runtime.cache import DEFAULT_CAPACITY, require_keyed_table
 from repro.runtime.faults import FaultPlan
 from repro.runtime.lifecycle import (
     FlowRemoved,
@@ -210,41 +209,26 @@ from repro.runtime.transport import (
 
 @dataclass(frozen=True)
 class TableSpec:
-    """Picklable snapshot of one flow table (schema + entries)."""
+    """Picklable snapshot of one keyed lookup table (schema + entries),
+    rebuilt as an :class:`~repro.core.lookup_table.OpenFlowLookupTable`
+    — the only table kind the runtime runs."""
 
-    kind: str  # "lookup" | "flow"
     table_id: int
-    field_names: tuple[str, ...] | None
+    field_names: tuple[str, ...]
     entries: tuple[FlowEntry, ...]
-    max_entries: int | None = None
 
     @classmethod
     def snapshot(cls, table: Any) -> TableSpec:
-        if isinstance(table, OpenFlowLookupTable):
-            return cls(
-                kind="lookup",
-                table_id=table.table_id,
-                field_names=tuple(table.field_names),
-                entries=tuple(table),
-            )
         return cls(
-            kind="flow",
             table_id=table.table_id,
-            field_names=None,
+            field_names=tuple(table.field_names),
             entries=tuple(table),
-            max_entries=getattr(table, "max_entries", None),
         )
 
-    def build(self, config: ArchitectureConfig) -> Any:
-        if self.kind == "lookup":
-            assert self.field_names is not None
-            table = OpenFlowLookupTable(
-                self.field_names, table_id=self.table_id, config=config
-            )
-        else:
-            table = FlowTable(
-                table_id=self.table_id, max_entries=self.max_entries
-            )
+    def build(self, config: ArchitectureConfig) -> OpenFlowLookupTable:
+        table = OpenFlowLookupTable(
+            self.field_names, table_id=self.table_id, config=config
+        )
         for entry in self.entries:
             table.add(entry)
         return table
@@ -597,7 +581,10 @@ class ShardedBatchPipeline:
     """Drop-in ``process_batch`` runner fanning batches across workers.
 
     Args:
-        pipeline: the authoritative pipeline.  Snapshot once at
+        pipeline: the authoritative pipeline, of keyed lookup tables
+            only (checked, as in
+            :class:`~repro.runtime.batch.BatchPipeline`, before any
+            worker or segment exists).  Snapshot once at
             construction; afterwards mutate **only** through
             :attr:`pipeline` (the logging facade) so replicas catch up.
         workers: process count (default: ``os.cpu_count()``).
@@ -661,6 +648,8 @@ class ShardedBatchPipeline:
             )
         if depth < 1:
             raise ValueError(f"pipeline depth must be positive, got {depth}")
+        for table in pipeline.tables:
+            require_keyed_table(table)
         self.workers = workers or max(1, os.cpu_count() or 1)
         self.depth = depth
         self._authoritative = pipeline

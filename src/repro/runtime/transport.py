@@ -418,7 +418,7 @@ class EntryIndex:
         table = self.pipeline.table(table_id)
         cached = self._cache.get(table_id)
         if cached is None or cached[0] != table.version:
-            entries = _entries_snapshot(table)
+            entries = table.entries_snapshot()
             cached = (
                 table.version,
                 entries,
@@ -445,13 +445,6 @@ class EntryIndex:
             table.table_id: self.entries(table.table_id)
             for table in self.pipeline.tables
         }
-
-
-def _entries_snapshot(table: Any) -> tuple[FlowEntry, ...]:
-    snapshot = getattr(table, "entries_snapshot", None)
-    if snapshot is not None:
-        return snapshot()
-    return tuple(table)
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,6 @@ the per-position codes.  The walk credits nothing: the runner that
 owns the entries credits each traversal's packets and frame bytes
 after the batch is classified
 (:func:`~repro.runtime.batch.credit_outcomes`).
-
-Tables that expose no keyed lookup (the behavioural
-:class:`~repro.openflow.table.FlowTable`) fall back to one scalar,
-non-crediting ``scan`` per member on a materialised row — they are the
-oracle, not the fast path.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from numpy.typing import NDArray
 from repro.openflow.actions import SetFieldAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import CompiledStep
-from repro.openflow.match import FieldMaskSink
 from repro.openflow.pipeline import OpenFlowPipeline
 from repro.packet.batch import IndexArray, PacketBatch, UIntLane
 from repro.runtime.cache import MicroflowCache
@@ -184,17 +178,13 @@ class ColumnarWalk:
         self._versions[table_id] = table.version
         outcomes: Sequence[FlowEntry | None]
         masks: Sequence[Mapping[str, int] | None]
-        if hasattr(table, "lookup_keys"):
-            keys, key_codes = self._keys(table.field_names, members)
-            cache = self.caches.get(table_id)
-            if cache is not None:
-                counts = np.bincount(key_codes, minlength=len(keys)).tolist()
-                outcomes, masks = cache.lookup_keys(keys, counts, self.capture)
-            else:
-                outcomes, masks = table.lookup_keys(keys, self.capture)
+        keys, key_codes = self._keys(table.field_names, members)
+        cache = self.caches.get(table_id)
+        if cache is not None:
+            counts = np.bincount(key_codes, minlength=len(keys)).tolist()
+            outcomes, masks = cache.lookup_keys(keys, counts, self.capture)
         else:
-            outcomes, masks = self._scan_wave(table, members)
-            key_codes = np.arange(len(members), dtype=np.int64)
+            outcomes, masks = table.lookup_keys(keys, self.capture)
 
         # Group the distinct keys — and through them the members — by
         # matched entry; a table miss takes the code one past the last.
@@ -275,33 +265,6 @@ class ColumnarWalk:
             value if there else None
             for value, there in zip(values, present.tolist())
         ]
-
-    def _scan_wave(
-        self, table: Any, members: IndexArray
-    ) -> tuple[list[FlowEntry | None], list[Mapping[str, int] | None]]:
-        """The fallback for tables without a keyed lookup: one scalar,
-        non-crediting ``scan`` per member on its materialised row (plus
-        overrides)."""
-        scan = table.scan
-        batch = self.batch
-        outcomes: list[FlowEntry | None] = []
-        masks: list[Mapping[str, int] | None] = []
-        for position, row in zip(members.tolist(), batch.pick[members].tolist()):
-            fields = batch.row_fields(row)
-            rewritten = {
-                name: sum(
-                    int(lane[position]) << (64 * k)
-                    for k, lane in enumerate(override.lanes)
-                )
-                for name, override in self._overrides.items()
-                if override.written[position]
-            }
-            if rewritten:
-                fields = {**fields, **rewritten}
-            sink = FieldMaskSink() if self.capture else None
-            outcomes.append(scan(fields, sink))
-            masks.append(None if sink is None else sink.fields)
-        return outcomes, masks
 
     def _extend_paths(
         self,

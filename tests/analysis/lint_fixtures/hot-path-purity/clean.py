@@ -1,10 +1,10 @@
 # repro-lint fixture: should NOT fire hot-path-purity.
 
 
-def lookup_batch_columnar(self, batch, rows):
-    # The fallback for tables without a keyed lookup may materialise
-    # rows one at a time (lazy, aliased across duplicates).
-    return [self.lookup(batch.row_fields(row)) for row in rows]
+def lookup_batch_columnar(self, batch):
+    # One keyed probe per distinct microflow key, read off the lanes.
+    keys = batch.masked_keys(self.mask, batch.pick)
+    return self.lookup_keys(list(dict.fromkeys(keys)), False)
 
 
 def probe(self, batch, frame):
@@ -29,12 +29,6 @@ def credit_outcomes(stats, outcomes):
 def install_batch(self, batch, positions, mask):
     keys, codes = batch.masked_key_codes(mask)
     return [keys[code] for code in codes[batch.pick[positions]].tolist()]
-
-
-def _scan_wave(self, table, members):
-    # The scalar fallback for schema-less tables is not a hot tier: it
-    # may materialise the rows it hands to ``table.lookup``.
-    return [table.lookup(self.batch.row_fields(row)) for row in members]
 
 
 def decode_outcomes(reader, pipeline, pinned):

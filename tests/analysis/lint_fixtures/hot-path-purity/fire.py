@@ -4,7 +4,8 @@
 
 def lookup_batch_columnar(self, batch):
     rows = batch.dicts()  # bulk-materialises every row to key it
-    return self.lookup_batch(rows)
+    first = batch.row_fields(batch.pick[0])  # even one row is off the lanes
+    return self.lookup_batch(rows), first
 
 
 def probe(self, batch, frame):

@@ -144,16 +144,17 @@ class TestRuleDetails:
     def test_single_rows_fire_only_in_the_lane_only_tier(self):
         """``fields_at`` / ``row_fields`` are what the probe tier's miss
         branch may still use, and what the columnar classify entry
-        point, the wave functions, ``install_batch`` and the sharded
-        reply path (encode, decode, collect) may not."""
+        point, the wave functions, the microflow batch lookup,
+        ``install_batch`` and the sharded reply path (encode, decode,
+        collect) may not."""
         template = (
             "def {name}(self, batch, rows):\n"
             "    return [batch.row_fields(row) for row in rows]\n"
         )
         for name, fires in (
-            ("lookup_batch_columnar", False),
-            ("_scan_wave", False),
+            ("probe", False),
             ("results", False),
+            ("lookup_batch_columnar", True),
             ("classify_columnar", True),
             ("classify", True),
             ("credit_outcomes", True),

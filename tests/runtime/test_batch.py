@@ -1,21 +1,28 @@
 """BatchPipeline differential tests: the batched (and cached) runtime
 must reproduce the scalar pipeline's results packet for packet."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.builder import build_lookup_table, build_per_field_pipeline
+from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
 from repro.openflow.table import FlowTable
+from repro.packet.batch import PacketBatch
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
+    MicroflowCache,
+    ShardedBatchPipeline,
     Workload,
     churn_workload,
     run_workload,
 )
+from tests.runtime.conftest import shm_segments
 
 
 def assert_results_equal(batched, scalar):
@@ -59,21 +66,6 @@ class TestDifferential:
         scalar = [reference.process(f) for f in split_trace]
         assert_results_equal(batched, scalar)
 
-    def test_flow_table_pipeline_supported(self, small_routing_set, split_trace):
-        # Behavioural FlowTables have no batch path or schema; the runner
-        # must fall back to per-packet lookup and still agree.
-        def build():
-            table = FlowTable()
-            for entry in small_routing_set.to_flow_entries():
-                table.add(entry)
-            return OpenFlowPipeline([table], miss_policy=MissPolicy.DROP)
-
-        runner = BatchPipeline(build(), cache_capacity=None)
-        assert runner.caches == {}
-        batched = runner.process_batch(split_trace)
-        scalar = [build().process(f) for f in split_trace]
-        assert_results_equal(batched, scalar)
-
     def test_single_packet_process(self, small_routing_set, split_trace):
         arch = MultiTableLookupArchitecture(
             build_per_field_pipeline(small_routing_set)
@@ -101,6 +93,93 @@ class TestDifferential:
             build_per_field_pipeline(small_routing_set)
         )
         assert BatchPipeline(arch).process_batch([]) == []
+
+
+class _Forwarding:
+    """A proxy that forwards every attribute to the table it wraps."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+
+class TestKeyedTablesOnly:
+    """The runtime runs tables with a keyed lookup only: each door
+    refuses any other table — the behavioural ``FlowTable`` scan is the
+    oracle the runtime is tested against — before it builds anything.
+    The check is duck-typed, so a forwarding proxy passes."""
+
+    REFUSED = r"table 1 \(FlowTable\)"
+
+    def pipeline_with_a_scan_table(self, small_routing_set):
+        return OpenFlowPipeline(
+            [build_lookup_table(small_routing_set), FlowTable(table_id=1)],
+            miss_policy=MissPolicy.DROP,
+        )
+
+    @pytest.mark.parametrize("cache_capacity", [None, 64])
+    def test_batch_pipeline_refuses_a_flow_table(
+        self, small_routing_set, cache_capacity
+    ):
+        pipeline = self.pipeline_with_a_scan_table(small_routing_set)
+        with pytest.raises(TypeError, match=self.REFUSED):
+            BatchPipeline(
+                pipeline, cache_capacity=cache_capacity, megaflow_capacity=64
+            )
+
+    def test_microflow_cache_refuses_a_flow_table(self):
+        with pytest.raises(TypeError, match=self.REFUSED):
+            MicroflowCache(FlowTable(table_id=1))
+
+    def test_sharded_runner_refuses_before_it_builds_anything(
+        self, small_routing_set
+    ):
+        pipeline = self.pipeline_with_a_scan_table(small_routing_set)
+        before = shm_segments()
+        for shared_rules in (False, True):
+            with pytest.raises(TypeError, match=self.REFUSED):
+                ShardedBatchPipeline(
+                    pipeline, workers=2, shared_rules=shared_rules
+                )
+        assert shm_segments() == before
+        assert multiprocessing.active_children() == []
+
+    def test_a_table_without_a_version_counter_is_refused(self):
+        """A keyed table whose mutations cannot be detected would have
+        its caches serve stale results."""
+        unversioned = OpenFlowLookupTable(("in_port",), table_id=0)
+        del unversioned.version
+        for door in (
+            MicroflowCache,
+            lambda table: BatchPipeline(OpenFlowPipeline([table])),
+        ):
+            with pytest.raises(
+                TypeError, match=r"table 0 \(OpenFlowLookupTable\) has no version"
+            ):
+                door(unversioned)
+
+    def test_a_forwarding_proxy_is_accepted(self, small_routing_set, split_trace):
+        table = build_lookup_table(small_routing_set)
+        bare, proxied = (
+            BatchPipeline(
+                OpenFlowPipeline([wrapped], miss_policy=MissPolicy.DROP),
+                cache_capacity=64,
+                megaflow_capacity=64,
+            )
+            for wrapped in (table, _Forwarding(table))
+        )
+        assert isinstance(proxied.caches[0].table, _Forwarding)
+        for _ in range(2):  # cold, then from the caches
+            for start in range(0, len(split_trace), 100):
+                chunk = PacketBatch.from_dicts(split_trace[start : start + 100])
+                assert (
+                    proxied.classify_columnar(chunk).results()
+                    == bare.classify_columnar(chunk).results()
+                )
+        assert proxied.stats_snapshot() == bare.stats_snapshot()
+        assert bare.stats_snapshot().megaflow_hits > 0
 
 
 class TestCacheWiring:

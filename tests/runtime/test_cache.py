@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import ExactMatch, FieldMaskSink, Match, PrefixMatch
-from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import IMIX_FRAME_LENGTHS
 from repro.packet.headers import FRAME_LEN_FIELD, frame_length
@@ -55,26 +54,14 @@ class TestBasics:
         cache.lookup({"in_port": 4})
         assert cache.hits == 1
 
-    def test_flow_table_backend(self):
-        backing = FlowTable()
-        backing.add(entry(1))
-        cache = MicroflowCache(backing, field_names=("in_port",))
-        assert cache.lookup({"in_port": 1}) is not None
-        assert cache.lookup({"in_port": 1}) is not None
-        assert cache.hits == 1
-
-    def test_schema_required(self):
-        with pytest.raises(ValueError):
-            MicroflowCache(FlowTable())
-
     def test_version_counter_required(self):
         class VersionlessTable:
             field_names = ("in_port",)
 
-            def lookup(self, fields):
-                return None
+            def lookup_keys(self, keys, capture):
+                return [None] * len(keys), [None] * len(keys)
 
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(TypeError, match="has no version"):
             MicroflowCache(VersionlessTable())
 
     def test_positive_capacity_required(self, table):

@@ -49,7 +49,6 @@ from repro.openflow.flow import FlowEntry, FlowStats
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
-from repro.openflow.table import FlowTable
 from repro.packet import batch as packet_batch_module
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
@@ -1120,23 +1119,12 @@ class TestHitPathCostShape:
         assert first["replayed"] == again["replayed"] == 0
 
 
-def _as_flow_tables(arch):
-    """The same entries behind behavioural ``FlowTable`` scans."""
-    tables = []
-    for table in arch.tables:
-        scan = FlowTable(table_id=table.table_id)
-        for entry in table:
-            scan.add(entry)
-        tables.append(scan)
-    return OpenFlowPipeline(tables)
-
-
 class TestCreditOnceCostShape:
     """Classifying only computes; one function credits.  Around one
     ``classify_columnar`` call, ``FlowStats.add`` runs once per
     (traversal, matched entry) pair of the outcome it returns and
-    ``FlowStats.record`` never — on an all-hit batch, a mixed hit/miss
-    batch and a ``FlowTable`` pipeline alike — and a replica serving
+    ``FlowStats.record`` never — on an all-hit batch and a mixed
+    hit/miss batch alike — and a replica serving
     the same batch (its misses, then its hits) calls neither.  Counts
     only."""
 
@@ -1181,13 +1169,6 @@ class TestCreditOnceCostShape:
         arch, trace = _prototype()
         batch = PacketBatch.from_dicts(trace[300:])
         hits, misses = self.check(monkeypatch, arch, [trace[:300]], batch)
-        assert hits > 0 and misses > 0
-
-    def test_flow_table_pipeline(self, monkeypatch):
-        arch, trace = _prototype()
-        pipeline = _as_flow_tables(arch)
-        batch = PacketBatch.from_dicts(trace[300:])
-        hits, misses = self.check(monkeypatch, pipeline, [trace[:300]], batch)
         assert hits > 0 and misses > 0
 
 

@@ -908,10 +908,9 @@ def test_columnar_miss_path_equivalent(example):
     columnar batches, or dict batches through the runner's door), the
     tier-free dict wave loop and the scan agree on results, per-entry
     counters and the flow-removed ledger; and every aggregate the
-    two-tier columnar runners install — on decomposition tables and,
-    through the walk's scalar fallback, on ``FlowTable`` s — carries
-    the mask, route, version tags, overrides and key the scalar capture
-    specification gives its packet."""
+    two-tier columnar runner installs carries the mask, route, version
+    tags, overrides and key the scalar capture specification gives its
+    packet."""
     trace = _build_miss_trace(example)
     capacity = example["megaflow_capacity"]
 
@@ -929,16 +928,12 @@ def test_columnar_miss_path_equivalent(example):
         "dict-uncached": (_miss_lookup_tables, tier_free, False),
         "columnar": (_miss_lookup_tables, two_tier, True),
         "columnar-uncached": (_miss_lookup_tables, tier_free, True),
-        "columnar-scan": (_miss_flow_tables, two_tier, True),
     }
     replayers = {
         name: MissReplayer(example, make_tables, factory, columnar=columnar)
         for name, (make_tables, factory, columnar) in runners.items()
     }
-    captures = {
-        name: _hold_capture_to_spec(replayers[name].runner)
-        for name in ("columnar", "columnar-scan")
-    }
+    captures = {"columnar": _hold_capture_to_spec(replayers["columnar"].runner)}
     for replayer in replayers.values():
         replayer.replay(example, trace)
     _assert_miss_paths_agree(replayers, len(trace), captures)

@@ -139,7 +139,7 @@ class TestReplay:
     def test_setfield_override_applied_to_new_packet(self):
         """A replayed rewrite must overwrite the new packet's own value,
         even when the capture packet already carried the target value."""
-        t0 = FlowTable(table_id=0)
+        t0 = OpenFlowLookupTable(("in_port",), table_id=0)
         t0.add(
             FlowEntry.build(
                 match=Match.exact(in_port=1),
@@ -161,7 +161,7 @@ class TestReplay:
         assert replayed.final_fields["vlan_vid"] == 42
 
     def test_replay_records_flow_stats(self):
-        table = FlowTable(table_id=0)
+        table = OpenFlowLookupTable(("in_port",), table_id=0)
         entry = output_entry(Match.exact(in_port=1), 1, 10)
         table.add(entry)
         runner = BatchPipeline(
@@ -174,7 +174,7 @@ class TestReplay:
 
 class TestIncrementalInvalidation:
     def build_runner(self):
-        t0 = FlowTable(table_id=0)
+        t0 = OpenFlowLookupTable(("in_port",), table_id=0)
         t0.add(output_entry(Match.exact(in_port=1), 1, 10))
         t0.add(
             FlowEntry.build(
@@ -183,7 +183,7 @@ class TestIncrementalInvalidation:
                 instructions=[GotoTable(1)],
             )
         )
-        t1 = FlowTable(table_id=1)
+        t1 = OpenFlowLookupTable(("eth_type",), table_id=1)
         t1.add(output_entry(Match.exact(eth_type=0x0800), 1, 20))
         pipeline = OpenFlowPipeline([t0, t1])
         return BatchPipeline(pipeline, cache_capacity=None, megaflow_capacity=64)
@@ -222,7 +222,7 @@ class TestIncrementalInvalidation:
         assert runner.megaflow.hits == 0
 
     def test_lru_capacity_bounds_entries(self):
-        table = FlowTable(table_id=0)
+        table = OpenFlowLookupTable(("in_port",), table_id=0)
         for port in range(8):
             table.add(output_entry(Match.exact(in_port=port), 1, port))
         cache = MegaflowCache(OpenFlowPipeline([table]), capacity=4)

@@ -17,7 +17,6 @@ from repro.openflow.instructions import (
 )
 from repro.openflow.match import Match
 from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
-from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD, transport_schema
 from repro.runtime.batch import BatchPipeline, ColumnarOutcomes
@@ -208,7 +207,12 @@ class TestResultBlocks:
         goto chain that rewrites a field the next table matches on and
         clears the action set on the way, a miss *after* a match (the
         accumulated set is discarded) and a first-table miss."""
-        tables = [FlowTable(table_id=i) for i in range(3)]
+        tables = [
+            OpenFlowLookupTable(schema, table_id=i)
+            for i, schema in enumerate(
+                [("in_port",), ("vlan_vid", "tcp_dst"), ("metadata",)]
+            )
+        ]
         entries = [
             FlowEntry.build(
                 match=Match.exact(in_port=1),
@@ -320,10 +324,10 @@ class TestResultBlocks:
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
         index = EntryIndex(replica)
         pinned = EntryIndex(parent).pin()
-        # Re-sorts the parent's table; the pinned order must not care.
-        parent.table(0).add(
-            FlowEntry.build(match=Match.exact(in_port=5), priority=99)
-        )
+        # Moves in_port=1's entry from position 0 to the end of the
+        # parent's table; the pinned order must not care.
+        parent.table(0).remove(parent_entries[0].match, 1)
+        parent.table(0).add(parent_entries[0])
         packets = self.packets()
         oracle = [parent.process(packet) for packet in packets]
         credited = [(0, 0)] * len(replica_entries)
@@ -482,7 +486,8 @@ class TestResultBlocks:
     def all_distinct_batch_roundtrips(self, miss_policy):
         """The codec's worst case — every position its own traversal —
         is just T == n: codes are the identity and nothing is shared."""
-        first, second = FlowTable(table_id=0), FlowTable(table_id=1)
+        first = OpenFlowLookupTable(("in_port",), table_id=0)
+        second = OpenFlowLookupTable(("metadata",), table_id=1)
         for port in range(1, 9):
             first.add(
                 FlowEntry.build(
@@ -534,19 +539,20 @@ class TestReplyFailsClosed:
         so it is position 0) ends its path at once and no packet takes
         it.  Intact, the matched lane reads ``[0, 1, 1, 0]`` for the
         chain and nothing for the miss."""
-        first, second = FlowTable(table_id=0), FlowTable(table_id=1)
-        first.add(
-            FlowEntry.build(
-                match=Match.exact(in_port=1),
-                priority=1,
-                instructions=[WriteActions([OutputAction(101)]), GotoTable(1)],
-            )
-        )
+        first = OpenFlowLookupTable(("in_port",), table_id=0)
+        second = OpenFlowLookupTable(("in_port",), table_id=1)
         first.add(
             FlowEntry.build(
                 match=Match.exact(in_port=2),
                 priority=2,
                 instructions=[WriteActions([OutputAction(102)])],
+            )
+        )
+        first.add(
+            FlowEntry.build(
+                match=Match.exact(in_port=1),
+                priority=1,
+                instructions=[WriteActions([OutputAction(101)]), GotoTable(1)],
             )
         )
         second.add(FlowEntry.build(match=Match.exact(in_port=1), priority=1))
@@ -684,15 +690,18 @@ class TestEntryIndex:
         assert index.ref(0, second) == (0, 0)  # cache refreshed on version
 
     def test_pin_freezes_order_across_mutation(self):
-        table = FlowTable(table_id=0)
+        table = OpenFlowLookupTable(("in_port",), table_id=0)
         pipeline = OpenFlowPipeline([table])
         index = EntryIndex(pipeline)
         entry = FlowEntry.build(match=Match.exact(in_port=1), priority=1)
         table.add(entry)
         pinned = index.pin()
-        # A high-priority entry added *after* the pin re-sorts the
-        # table, but ref resolution against the pin is unaffected.
+        # Removing the entry and installing another *after* the pin
+        # moves position 0, but ref resolution against the pin is
+        # unaffected.
+        table.remove(entry.match, entry.priority)
         table.add(FlowEntry.build(match=Match.exact(in_port=2), priority=99))
+        assert index.entries(0)[0] is not entry
         assert pinned[0][0] is entry
 
 
@@ -704,7 +713,7 @@ class TestEntryIndex:
         block a worker would write, in the same response slot."""
         from repro.runtime.shard import ShardedBatchPipeline
 
-        table = FlowTable(table_id=0)
+        table = OpenFlowLookupTable(("in_port",), table_id=0)
         pipeline = OpenFlowPipeline([table])
         entry = FlowEntry.build(match=Match.exact(in_port=1), priority=1)
         table.add(entry)
