@@ -175,15 +175,13 @@ function the miss path builds its outcomes with, returning the same
 immutable :class:`~repro.openflow.pipeline.PathOutcome` — and
 materialises nothing per packet.
 
-**Out-of-order collection.**  The in-flight window is keyed by ``seq``:
-:meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch` takes
-``seq=`` to complete any submitted batch (one wait listens for every
-owed reply and parks each until its batch is collected; per-worker
-pipes deliver in submission order), and
-:meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_any` completes
-whichever batch lands first — a stalled shard delays only the batches
-actually assigned to it.  Ring slots still guard reuse: a submission
-whose slot is held by an uncollected batch raises.
+**FIFO collection.**  Batches complete in submission order:
+:meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch`
+completes the oldest in-flight batch (one wait listens for the replies
+it still lacks and parks each under its batch; per-worker pipes
+deliver in submission order), so the in-flight seqs stay one
+contiguous run and a free ring slot is guaranteed by the depth bound
+alone.  A live ``process_batches`` stream owns its collects.
 
 **Fault tolerance.**  Workers are mortal; results are not.  The one
 collect-side wait is process-sentinel-aware and (optionally)
@@ -200,10 +198,9 @@ and immutable in flight, so a replacement worker rebuilt from the
 current :class:`~repro.runtime.shard.PipelineSpec` *replays* every
 lost seq (a re-send, never a re-encode) and produces bitwise-identical
 results, stats and flow deltas.  Each worker carries a restart budget;
-past it the shard degrades per ``fallback`` — in-process
-classification on a parent-side replica that serves the shard's
-requests through the worker's own serve path (``"inline"``) or
-:class:`~repro.runtime.supervise.WorkerCrashError` (``"raise"``).
+past it the shard is always served in-process, by a parent-side
+replica that serves the shard's requests through the worker's own
+serve path.
 Every shared segment — request ring, response ring, sealed rules — is
 the parent's, so a corpse strands nothing; orphaned workers notice the
 parent's death themselves and exit.
@@ -327,7 +324,6 @@ from repro.runtime.shard import (
     TableSpec,
 )
 from repro.runtime.supervise import (
-    PoisonBatchError,
     SupervisionConfig,
     SupervisionStats,
     WorkerCrashError,
@@ -358,7 +354,6 @@ __all__ = [
     "PacketBatch",
     "PacketBlockCodec",
     "PipelineSpec",
-    "PoisonBatchError",
     "SCENARIOS",
     "ShardedBatchPipeline",
     "ShedRecord",

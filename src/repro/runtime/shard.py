@@ -59,8 +59,7 @@ single-process run exactly — and hands back the same lazily materialised
 returns: :meth:`ShardedBatchPipeline.process_batches` yields it as is
 (a stream nobody reads builds no per-packet object),
 :meth:`~ShardedBatchPipeline.process_batch` /
-:meth:`~ShardedBatchPipeline.collect_batch` /
-:meth:`~ShardedBatchPipeline.collect_any` return it as a plain list.
+:meth:`~ShardedBatchPipeline.collect_batch` return it as a plain list.
 
 **Pipelining** removes the lockstep round-trip: each direction keeps a
 ring of ``depth`` shared blocks (request slot ``seq % depth``, and per
@@ -76,15 +75,15 @@ decoded (decoding copies everything out, so a collected outcome never
 aliases a slot), which bounds the response ring at ``depth`` blocks
 per worker and keeps in-flight columns immutable.
 
-**Out-of-order collection.**  The in-flight window is keyed by ``seq``:
-:meth:`collect_batch` accepts ``seq=`` and :meth:`collect_any` completes
-whichever batch's replies land first, so a stalled shard delays only
-the batches actually assigned to it.  Every worker message is exactly
-one reply, delivered in submission order; one wait
-(``ShardedBatchPipeline._await``) listens for all of them and parks
-each in a ``(seq, worker)`` buffer until its own batch is collected.
-Ring-slot safety is preserved: submitting onto a slot still held by an
-uncollected batch raises.
+**Collection is FIFO.**  Batches complete in submission order:
+:meth:`collect_batch` always completes the oldest in-flight batch, so
+the in-flight seqs are one contiguous run shorter than ``depth`` and
+ring slot ``seq % depth`` is free whenever a submit is allowed.  Every
+worker message is exactly one reply, delivered in submission order;
+one wait (``ShardedBatchPipeline._await``) listens for the replies the
+oldest batch still lacks and parks each in a ``(seq, worker)`` buffer
+until its batch is collected — a wedged worker's salvaged frames can
+belong to later batches.
 
 **Workers are decode-free** for every submission: the worker attaches
 to the request block's columns in place and classifies through
@@ -104,25 +103,24 @@ so a flow lands on the same worker whatever shape its packets came in.
 process-sentinel-aware and deadline-bounded, so a dead worker raises a
 *crash* immediately and a silent one becomes a *wedge* when the
 configured deadline lapses (the parent kills it) — never an indefinite
-block.  The deadline has one definition, whichever collect call is
-waiting: time since the workers owing the awaited replies last
-delivered one; the suspect is the worker owing the oldest.  Reply
-frames fail closed — anything but the reply a worker owes next is that
-worker's crash, never parked.  Recovery leans on the
-snapshot-at-submission protocol: lost
-in-flight batches are *replayed* on a respawned replica (the pinned
-log prefix plus the immutable parent-owned request block make the
-replay bitwise-identical, a re-send rather than a re-encode), a batch
-that kills its worker twice is *poison* and classified in-process, and
-once a worker's restart budget runs out its traffic degrades to
-in-process classification.  In-process means the parent's own replica
-serving the shard through the worker's serve path (``_Replica.serve``):
-it reads the members from the request block and writes the reply into
-the worker's response slot, so a live, a replayed and an inline shard
-merge into the same outcomes, results and flow-stats deltas identical.
-No fault fires there — it would kill the parent.  Each
-worker watches its parent's pid so an orphaned fleet exits instead of
-idling forever.  :mod:`repro.runtime.faults` injects deterministic
+block.  The deadline has one definition: time since the workers owing
+the awaited replies last delivered one; the suspect is the worker
+owing the oldest.  Reply frames fail closed — anything but the reply a
+worker owes next is that worker's crash, never parked.  Recovery leans
+on the snapshot-at-submission protocol: lost in-flight batches are
+*replayed* on a respawned replica (the pinned log prefix plus the
+immutable parent-owned request block make the replay
+bitwise-identical, a re-send rather than a re-encode), a batch that
+kills its worker twice is *poison* and classified in-process, and once
+a worker's restart budget runs out its traffic always degrades to
+in-process classification — the one degraded mode.  In-process means
+the parent's own replica serving the shard through the worker's serve
+path (``_Replica.serve``): it reads the members from the request block
+and writes the reply into the worker's response slot, so a live, a
+replayed and an inline shard merge into the same outcomes, results and
+flow-stats deltas identical.  No fault fires there — it would kill the
+parent.  Each worker watches its parent's pid so an orphaned fleet
+exits instead of idling forever.  :mod:`repro.runtime.faults` injects deterministic
 crashes/hangs into all of this for chaos tests.
 
 Workers are spawned lazily on the first batch (``fork`` start method
@@ -181,7 +179,6 @@ from repro.runtime.rulestate import (
 )
 from repro.runtime.supervise import (
     FailureKind,
-    PoisonBatchError,
     SupervisionConfig,
     WorkerCrashError,
     WorkerSupervisor,
@@ -616,11 +613,10 @@ class ShardedBatchPipeline:
             never to block behind it.)
         supervision: failure policy (see
             :class:`~repro.runtime.supervise.SupervisionConfig`): wedge
-            deadline, restart budget per worker, and the degraded mode
-            (``inline`` / ``raise``) once the budget is spent.  The
-            default supervises crashes with two respawns per worker and
-            inline fallback; wedge detection arms when a ``deadline``
-            is set.
+            deadline and restart budget per worker; past the budget a
+            worker's shard is always served in-process.  The default
+            supervises crashes with two respawns per worker; wedge
+            detection arms when a ``deadline`` is set.
         fault_plan: deterministic fault injection for chaos tests (see
             :mod:`repro.runtime.faults`); threaded through worker spawn
             and pruned on respawn so a non-sticky fault fires exactly
@@ -686,11 +682,10 @@ class ShardedBatchPipeline:
         #: Bytes a response slot is grown to before its next use: the
         #: largest reply that has had to travel as bytes so far.
         self._reply_bytes = 1
-        #: In-flight batches by seq, plus their submission order (the
-        #: default FIFO collect cadence) — a dict, not a queue, so
-        #: :meth:`collect_batch` can complete any seq out of order.
+        #: In-flight batches by seq, in submission order (a dict keeps
+        #: insertion order): the first key is the oldest, the one
+        #: :meth:`collect_batch` completes next.
         self._inflight: dict[int, _InFlight] = {}
-        self._order: deque[int] = deque()
         #: Per worker, the seqs whose replies will arrive on its pipe,
         #: in arrival order; a received (or in-process) reply parks in
         #: ``_reply_buffer`` keyed ``(seq, worker)`` until its batch is
@@ -711,8 +706,9 @@ class ShardedBatchPipeline:
         #: log exactly like a worker's.
         self._inline: _Replica | None = None
         #: True while a process_batches() stream is live; guards against
-        #: a second stream (or lockstep call) interleaving on the shared
-        #: in-flight queue and mislabeling results.
+        #: a second stream, a lockstep call or an explicit submit/collect
+        #: interleaving on the shared in-flight queue and mislabeling
+        #: results.
         self._streaming = False
         #: Packets and batches counted at submission; traffic, cache,
         #: megaflow and wave counters added once per collected reply.
@@ -836,8 +832,7 @@ class ShardedBatchPipeline:
             except ReplyDecodeError:
                 pass  # that batch is already forgotten; drain the rest
             except (OSError, WorkerCrashError):
-                self._inflight.clear()  # unanswerable: recovery is off
-                self._order.clear()
+                self._inflight.clear()  # unanswerable: give up on them
         for worker in range(len(self._procs)):
             self._shutdown_worker(worker)
         self._conns = []
@@ -966,12 +961,15 @@ class ShardedBatchPipeline:
             return []
         return self._collect_oldest().results()
 
-    def _guard_idle(self, caller: str) -> None:
+    def _guard_stream(self, caller: str) -> None:
         if self._streaming:
             raise RuntimeError(
                 f"a process_batches() stream is live; exhaust or close "
                 f"it before {caller}()"
             )
+
+    def _guard_idle(self, caller: str) -> None:
+        self._guard_stream(caller)
         if self._inflight:
             raise RuntimeError(
                 f"{len(self._inflight)} submitted batches in flight; "
@@ -1068,39 +1066,26 @@ class ShardedBatchPipeline:
         megaflow_bypass: bool = False,
     ) -> int:
         """Dispatch one non-empty batch without waiting for its results;
-        returns its ``seq`` (collect with :meth:`collect_batch` — FIFO
-        by default, or by ``seq`` in any order — or :meth:`collect_any`).
-        Never blocks or collects internally: submitting beyond
-        :attr:`depth` raises, so callers own the collect cadence
-        explicitly — and an empty batch raises rather than silently
-        occupying no slot and skewing the submit/collect pairing.  Also
-        raises when an out-of-order collect left the new batch's ring
-        slot occupied (slot ``seq % depth`` is reused only after its
-        previous occupant was collected), or when the mutation backlog
-        has outgrown what can safely share the pipe with in-flight
-        replies (see :data:`MAX_PIPELINED_MUTATION_BACKLOG`): collect
-        first, then resubmit."""
+        returns its ``seq`` (:meth:`collect_batch` completes batches in
+        submission order).  Never blocks or collects internally:
+        submitting beyond :attr:`depth` raises, so callers own the
+        collect cadence explicitly — and an empty batch raises rather
+        than silently occupying no slot and skewing the submit/collect
+        pairing.  Also raises while a :meth:`process_batches` stream is
+        live, or when the mutation backlog has outgrown what can safely
+        share the pipe with in-flight replies (see
+        :data:`MAX_PIPELINED_MUTATION_BACKLOG`): collect first, then
+        resubmit."""
         if not batch:
             raise ValueError(
                 "cannot submit an empty batch (it would occupy no ring "
                 "slot and break the submit/collect pairing)"
             )
-        if self._streaming:
-            raise RuntimeError(
-                "a process_batches() stream is live; exhaust or close "
-                "it before submit_batch()"
-            )
+        self._guard_stream("submit_batch")
         if len(self._inflight) >= self.depth:
             raise RuntimeError(
                 f"{len(self._inflight)} batches already in flight "
                 f"(depth={self.depth}); collect_batch() first"
-            )
-        slot = self._seq % self.depth
-        stuck = [s for s in self._inflight if s % self.depth == slot]
-        if stuck:
-            raise RuntimeError(
-                f"batch seq {stuck[0]} still occupies ring slot {slot}; "
-                "collect it before submitting another batch on that slot"
             )
         if self._inflight and (
             self._mutation_backlog() > self.MAX_PIPELINED_MUTATION_BACKLOG
@@ -1114,38 +1099,16 @@ class ShardedBatchPipeline:
         self._submit(batch, bypass=megaflow_bypass)
         return seq
 
-    def collect_batch(self, seq: int | None = None) -> list[PipelineResult]:
-        """Results of one in-flight batch — the oldest by default, or
-        the given ``seq`` in any order; raises when it is not in flight.
-
-        Collection by ``seq`` never blocks on workers that batch did not
-        touch: replies from other in-flight batches arriving first are
-        parked (per-worker pipes deliver in submission order) and handed
-        out when their own batch is collected — so a slow shard stalls
-        only the batches actually assigned to it.
-        """
-        if seq is None:
-            if not self._order:
-                raise RuntimeError("no batch in flight")
-            seq = self._order[0]
-        elif seq not in self._inflight:
-            raise RuntimeError(f"batch seq {seq} is not in flight")
-        return self._collect(self._await(seq)).results()
-
-    def collect_any(self) -> tuple[int, list[PipelineResult]]:
-        """``(seq, results)`` of the first in-flight batch able to
-        complete, regardless of submission order.
-
-        Waits on every worker owing a reply at once, parking each
-        arrival until some batch has all of its shards' replies — so a
-        stalled shard delays only its own batches while faster shards'
-        batches keep completing.  Crash recovery and the wedge deadline
-        are :meth:`collect_batch`'s: both calls share one wait.
-        """
+    def collect_batch(self) -> list[PipelineResult]:
+        """Results of the oldest in-flight batch: batches complete in
+        submission order.  Raises on an idle runner, and while a
+        :meth:`process_batches` stream is live — the stream owns its
+        in-flight batches, and collecting one would shift every later
+        result onto the wrong batch."""
+        self._guard_stream("collect_batch")
         if not self._inflight:
             raise RuntimeError("no batch in flight")
-        seq = self._await(None)
-        return seq, self._collect(seq).results()
+        return self._collect_oldest().results()
 
     @property
     def in_flight(self) -> int:
@@ -1165,13 +1128,6 @@ class ShardedBatchPipeline:
         after a crash and in-process shards skip — or keep — the
         megaflow tier exactly as the original submission asked."""
         assert len(self._inflight) < self.depth
-        # _order mirrors _inflight one-to-one, so the same depth bound
-        # caps it (the bounded-queue invariant for this deque).
-        assert len(self._order) < self.depth
-        assert all(
-            seq % self.depth != self._seq % self.depth
-            for seq in self._inflight
-        ), "ring slot still occupied by an uncollected batch"
         self.stats.packets += len(batch)
         self.stats.batches += 1
         if not len(batch):
@@ -1203,7 +1159,6 @@ class ShardedBatchPipeline:
             log_len=log_len,
             sends=sends,
         )
-        self._order.append(seq)
         self._seq += 1
         for worker in groups:
             if worker in self._supervisor.disabled:
@@ -1272,11 +1227,9 @@ class ShardedBatchPipeline:
         except OSError:
             pass
 
-    def _await(self, seq: int | None) -> int:
-        """Block until batch ``seq`` — or, given ``None``, whichever
-        in-flight batch gets there first, oldest preferred — has every
-        shard's reply parked; returns its seq.  Returns without a
-        syscall when the replies are already there.
+    def _await(self, seq: int) -> None:
+        """Block until batch ``seq`` has every shard's reply parked.
+        Returns without a syscall when the replies are already there.
 
         The one place the parent listens.  It waits on the pipes *and*
         sentinels of the workers owing the awaited replies, hands every
@@ -1292,25 +1245,23 @@ class ShardedBatchPipeline:
         :meth:`_handle_failure` respawns and replays or degrades — after
         which the wait resumes on whoever owes the replies now.
         """
-        awaited = self._order if seq is None else (seq,)
         deadline = self._supervisor.config.deadline
         progressed: float | None = None
         while True:
-            missing: set[int] = set()
-            for candidate in awaited:
-                absent = [
-                    worker
-                    for worker in self._inflight[candidate].groups
-                    if (candidate, worker) not in self._reply_buffer
-                ]
-                if not absent:
-                    return candidate
-                missing.update(absent)
+            missing = [
+                worker
+                for worker in self._inflight[seq].groups
+                if (seq, worker) not in self._reply_buffer
+            ]
+            if not missing:
+                return
             owing = [w for w in missing if self._worker_pending[w]]
             if not owing:
+                # Recovery replays or serves inline every lost reply, so
+                # this cannot happen; fail closed rather than wait on
+                # nothing forever.
                 raise WorkerCrashError(
-                    "in-flight replies were lost with a worker that "
-                    "recovery was configured not to replace; close() "
+                    "in-flight replies are owed by no worker; close() "
                     "the runner"
                 )
             failed: dict[int, FailureKind] = {}
@@ -1321,10 +1272,10 @@ class ShardedBatchPipeline:
                     progressed = now
                 remaining = progressed + deadline - now
             if remaining is not None and remaining <= 0:
-                # Replies arrive in submission order, so the smallest
-                # pending head is the most overdue reply of all.
-                suspect = min(owing, key=lambda w: self._worker_pending[w][0])
-                failed[suspect] = "wedge"
+                # ``seq`` is the oldest batch in flight and replies
+                # arrive in submission order, so it heads every owing
+                # worker's queue: the first one is as overdue as any.
+                failed[owing[0]] = "wedge"
             else:
                 waitables: dict[Any, int] = {}
                 for worker in owing:
@@ -1377,7 +1328,9 @@ class ShardedBatchPipeline:
         return True
 
     def _collect_oldest(self) -> ColumnarOutcomes:
-        return self._collect(self._await(self._order[0]))
+        seq = next(iter(self._inflight))
+        self._await(seq)
+        return self._collect(seq)
 
     def _collect(self, seq: int) -> ColumnarOutcomes:
         """Decode and merge one in-flight batch whose replies are all
@@ -1396,7 +1349,6 @@ class ShardedBatchPipeline:
         and leaves no record :meth:`close` would wait on.
         """
         inflight = self._inflight.pop(seq)
-        self._order.remove(seq)
         batch, pinned = inflight.batch, inflight.pinned
         replies = [
             self._reply_buffer.pop((seq, worker)) for worker in inflight.groups
@@ -1443,11 +1395,10 @@ class ShardedBatchPipeline:
 
         Classify the failure against the poison ledger and the restart
         budget; then either respawn a replacement and deterministically
-        replay every lost seq, or degrade the shard to in-process
-        classification.  There is nothing to clean up after the corpse:
-        every segment it wrote to is the parent's.  With
-        ``fallback="raise"`` the worker is retired and its lost replies
-        stay unanswerable until :meth:`close`.
+        replay every lost seq, or — past the budget — disable the worker
+        and serve its shard in-process from then on.  A poison seq is
+        served in-process either way.  There is nothing to clean up
+        after the corpse: every segment it wrote to is the parent's.
         """
         sup = self._supervisor
         self._conns[worker].close()
@@ -1465,18 +1416,8 @@ class ShardedBatchPipeline:
             self._fault_plan = self._fault_plan.pruned(
                 worker, lost[0] if lost else self._seq
             )
-        if poison is not None and sup.config.fallback == "raise":
-            sup.disable(worker)
-            raise PoisonBatchError(
-                f"batch seq {poison} killed worker {worker} twice"
-            )
         if not sup.within_budget(worker):
             sup.disable(worker)
-            if sup.config.fallback == "raise":
-                raise WorkerCrashError(
-                    f"worker {worker} exceeded its restart budget "
-                    f"({sup.config.restart_budget})"
-                )
             for seq in lost:
                 self._serve_inline(seq, worker)
             return

@@ -27,7 +27,7 @@ instead of unbounded queue growth.  This module supplies that front-end:
   of its lanes, so it is hard by construction (the ``bounded-queue``
   lint rule polices the ``deque`` / list-as-FIFO alternatives).
 - size-or-deadline **batch formation** feeding the pipelined shard
-  transport through ``submit_batch`` / ``collect_any`` behind a bounded
+  transport through ``submit_batch`` / ``collect_batch`` behind a bounded
   in-flight window — when the window is full the stream *collects*
   (backpressure) instead of queueing unboundedly.
 - a graduated **degradation ladder** under sustained overload: shrink
@@ -46,10 +46,11 @@ front-end, *completed* counts packets that finished classification, and
 :class:`ShedRecord` in the ledger.
 
 Determinism under faults: the stream never collects opportunistically.
-Completions are taken only at *forced* points — a FIFO
-``collect_batch`` when the in-flight window is full, and full
-``collect_any`` drains before every clock advance (and at end of
-stream) where everything outstanding retires at the same virtual tick.
+Completions are taken only at *forced* points — a ``collect_batch``
+when the in-flight window is full, and full drains before every clock
+advance (and at end of stream) where everything outstanding retires at
+the same virtual tick; the runner completes batches in submission
+order either way.
 Shed decisions, ladder transitions and latency stamps are therefore
 pure functions of (seed, schedule, config): a worker crash mid-stream
 replays through the PR-7 supervisor and changes *nothing* in the
@@ -85,6 +86,14 @@ StreamEvent = tuple[str, object]
 
 #: Shed reasons, in the order the ladder reaches for them.
 SHED_REASONS = ("tail", "deadline", "degrade")
+
+#: Degradation-ladder thresholds, as fractions of the admission queue's
+#: capacity: an advance ending at or above the high watermark extends
+#: the overload streak, one ending below the low watermark resets it,
+#: and rung 3 sheds at admission above the shed target.
+HIGH_WATERMARK = 0.75
+LOW_WATERMARK = 0.25
+SHED_TARGET = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -459,12 +468,13 @@ class StreamConfig:
     capacity — is declared here; ``None`` means unlimited drain, under
     which the queue can only back up through same-tick bursts.
 
-    The ladder fields set where sustained overload (occupancy >=
-    ``high_watermark * capacity`` for ``degrade_after`` consecutive
-    advances per rung) starts shrinking the formation deadline
-    (rung 1), bypassing megaflow capture (rung 2) and shedding at
-    admission above ``shed_target * capacity`` (rung 3); occupancy
-    below ``low_watermark * capacity`` resets the ladder.
+    ``degrade_after`` sets how fast sustained overload (occupancy >=
+    :data:`HIGH_WATERMARK` ``* capacity`` for ``degrade_after``
+    consecutive advances per rung) climbs the ladder: shrinking the
+    formation deadline (rung 1), bypassing megaflow capture (rung 2)
+    and shedding at admission above :data:`SHED_TARGET` ``* capacity``
+    (rung 3); occupancy below :data:`LOW_WATERMARK` ``* capacity``
+    resets it.
     """
 
     capacity: int = 512
@@ -475,9 +485,6 @@ class StreamConfig:
     deadline: int | None = None
     service_rate: float | None = None
     degrade_after: int = 4
-    high_watermark: float = 0.75
-    low_watermark: float = 0.25
-    shed_target: float = 0.5
 
     @property
     def service_burst(self) -> float:
@@ -502,15 +509,6 @@ class StreamConfig:
             raise ValueError(
                 f"degrade_after must be >= 1, got {self.degrade_after}"
             )
-        if not 0 < self.low_watermark < self.high_watermark <= 1:
-            raise ValueError(
-                "need 0 < low_watermark < high_watermark <= 1, got "
-                f"{self.low_watermark} / {self.high_watermark}"
-            )
-        if not 0 < self.shed_target <= 1:
-            raise ValueError(
-                f"shed_target must be in (0, 1], got {self.shed_target}"
-            )
 
 
 @dataclass
@@ -532,9 +530,9 @@ class _Ladder:
 
     def step(self, occupancy: int, tick: int) -> None:
         cfg = self.config
-        if occupancy >= cfg.high_watermark * cfg.capacity:
+        if occupancy >= HIGH_WATERMARK * cfg.capacity:
             self.streak += 1
-        elif occupancy < cfg.low_watermark * cfg.capacity:
+        elif occupancy < LOW_WATERMARK * cfg.capacity:
             self.streak = 0
         level = min(3, self.streak // cfg.degrade_after)
         if level != self.level:
@@ -571,7 +569,7 @@ class StreamableRunner(Protocol):
     clock.  Batches go through one of the transports below — the
     single-process :class:`~repro.runtime.batch.BatchPipeline` through
     ``classify_columnar``, a runner that exposes
-    ``submit_batch``/``collect_any`` (the sharded pipeline) through
+    ``submit_batch``/``collect_batch`` (the sharded pipeline) through
     those."""
 
     @property
@@ -604,42 +602,33 @@ class _InlineTransport:
 
 
 class _PipelinedTransport:
-    """Bounded-window facade over ``submit_batch``/``collect_any``.
+    """Bounded-window facade over ``submit_batch``/``collect_batch``.
 
-    Collections happen only at forced points: a FIFO ``collect_batch``
-    when the in-flight window is full (counted in :attr:`stalls` —
-    that is the backpressure), and a full ``collect_any`` drain at
-    every clock advance.  Either way a batch counts as complete only
-    once :meth:`drain` returned, so completion ticks never depend on
-    transport timing.  ``_pending`` preserves submit order, mirroring
-    the runner's own FIFO, so the forced collect's results always
-    belong to our oldest pending seq.
+    Collections happen only at forced points: one when the in-flight
+    window is full (counted in :attr:`stalls` — that is the
+    backpressure), and a full drain at every clock advance.  Either way
+    a batch counts as complete only once :meth:`drain` returned, so
+    completion ticks never depend on transport timing.  The runner
+    completes batches in submission order, so each collect's results
+    append straight onto :attr:`outcomes`.
     """
 
     def __init__(self, runner: Any, window: int) -> None:
         self._runner = runner
         self.window = max(1, min(window, runner.depth))
-        #: seq -> the batch's slot in ``outcomes``; bounded by the window.
-        self._pending: dict[int, int] = {}
-        #: One outcome per submitted batch, in submit order (collects
-        #: land out of order; a slot is empty until its batch has).
+        #: One outcome per collected batch, in submit order.
         self.outcomes: list[Sequence[PipelineResult]] = []
         self.stalls = 0
 
     def submit(self, batch: PacketBatch, bypass: bool) -> None:
         while self._runner.in_flight >= self.window:
             self.stalls += 1
-            oldest = next(iter(self._pending))
-            results = self._runner.collect_batch()
-            self.outcomes[self._pending.pop(oldest)] = results
-        seq = self._runner.submit_batch(batch, megaflow_bypass=bypass)
-        self._pending[int(seq)] = len(self.outcomes)
-        self.outcomes.append(())
+            self.outcomes.append(self._runner.collect_batch())
+        self._runner.submit_batch(batch, megaflow_bypass=bypass)
 
     def drain(self) -> None:
         while self._runner.in_flight:
-            seq, results = self._runner.collect_any()
-            self.outcomes[self._pending.pop(int(seq))] = results
+            self.outcomes.append(self._runner.collect_batch())
 
 
 # ----------------------------------------------------------------------
@@ -804,7 +793,7 @@ def run_stream(
     ``runner`` is a single-process
     :class:`~repro.runtime.batch.BatchPipeline` or a
     :class:`~repro.runtime.shard.ShardedBatchPipeline`, whose pipelined
-    ``submit_batch``/``collect_any`` transport is used with the
+    ``submit_batch``/``collect_batch`` transport is used with the
     bounded in-flight window.  Packets left in the queue at end of
     schedule form final batches and complete at the final tick, so the
     conservation law closes exactly; the report is self-checked with
@@ -841,7 +830,7 @@ def run_stream(
     capacity, batch_size = cfg.capacity, cfg.batch_size
     #: Occupancy at which rung 3 sheds at admission (an integer
     #: occupancy is >= the float target exactly when it is >= its ceil).
-    shed_floor = math.ceil(cfg.shed_target * capacity)
+    shed_floor = math.ceil(SHED_TARGET * capacity)
     #: Service-token bucket (see StreamConfig.service_rate); starts
     #: full — an idle pipeline serves the first burst at line rate.
     rate, burst = cfg.service_rate, cfg.service_burst

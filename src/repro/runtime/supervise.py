@@ -30,11 +30,10 @@ the parent's merged results and flow-stats deltas cannot tell a
 replayed batch from a first-try one.
 
 **Budgets and degradation.**  Each worker may be respawned
-``restart_budget`` times; past that, ``fallback`` decides: ``"inline"``
-classifies the dead shard's traffic in-process on the parent's own
-replica and ``"raise"`` propagates a :class:`WorkerCrashError`.  The
-degraded mode preserves bitwise-identical results by the same replay
-invariant.
+``restart_budget`` times; past that it is disabled and its shard's
+traffic is classified in-process on the parent's own replica — the one
+degraded mode, which preserves bitwise-identical results by the same
+replay invariant.
 
 ``docs/architecture.md`` ("Supervision") situates this layer in the
 runtime stack; with shared sealed rule state
@@ -45,20 +44,15 @@ recovery path stays cheap at 10^5+ rule tables.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Literal, get_args
+from typing import Literal
 
 FailureKind = Literal["crash", "wedge"]
-Fallback = Literal["inline", "raise"]
 
 
 class WorkerCrashError(RuntimeError):
-    """A shard worker died and recovery was configured off
-    (``fallback="raise"``) or impossible."""
-
-
-class PoisonBatchError(WorkerCrashError):
-    """The same batch killed a worker twice; with ``fallback="raise"``
-    the parent refuses to replay it a third time."""
+    """An in-flight reply is owed by no worker — a broken invariant
+    (recovery replays or serves in-process every lost reply), raised
+    rather than waiting on nothing forever."""
 
 
 @dataclass(frozen=True)
@@ -73,17 +67,13 @@ class SupervisionConfig:
             call.  ``None`` (the default) waits indefinitely — crash
             detection via the process sentinel stays armed, wedge
             detection is opt-in.
-        restart_budget: respawns allowed per worker before it is
-            permanently degraded.  ``0`` disables respawning — every
-            failure goes straight to ``fallback``.
-        fallback: what to do past the budget — ``"inline"`` classifies
-            the dead shard's traffic in-process, ``"raise"`` propagates
-            :class:`WorkerCrashError`.
+        restart_budget: respawns allowed per worker before its shard
+            is permanently served in-process.  ``0`` disables
+            respawning — the first failure degrades the shard.
     """
 
     deadline: float | None = None
     restart_budget: int = 2
-    fallback: Fallback = "inline"
 
     def __post_init__(self) -> None:
         if self.deadline is not None and self.deadline <= 0:
@@ -91,11 +81,6 @@ class SupervisionConfig:
         if self.restart_budget < 0:
             raise ValueError(
                 f"restart budget must be >= 0, got {self.restart_budget}"
-            )
-        if self.fallback not in get_args(Fallback):
-            raise ValueError(
-                f"fallback must be one of {get_args(Fallback)}, "
-                f"got {self.fallback!r}"
             )
 
 

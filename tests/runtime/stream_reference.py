@@ -24,6 +24,7 @@ from repro.openflow.pipeline import PipelineResult
 from repro.packet.headers import frame_length
 from repro.runtime.lifecycle import FlowRemoved
 from repro.runtime.streaming import (
+    SHED_TARGET,
     ArrivalSchedule,
     ShedRecord,
     StreamConfig,
@@ -230,7 +231,7 @@ def run_stream_reference(
             fields = cast(Mapping[str, int], event[1])
             admitted_packets += 1
             admitted_bytes += frame_length(fields)
-            if ladder.shedding and len(queue) >= cfg.shed_target * cfg.capacity:
+            if ladder.shedding and len(queue) >= SHED_TARGET * cfg.capacity:
                 shed.append(
                     ShedRecord(index, tick, "degrade", frame_length(fields))
                 )

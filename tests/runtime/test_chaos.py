@@ -28,7 +28,6 @@ from repro.runtime import (
     BatchPipeline,
     FaultPlan,
     FaultSpec,
-    PoisonBatchError,
     ShardedBatchPipeline,
     StreamConfig,
     SupervisionConfig,
@@ -309,6 +308,24 @@ class TestCrashRecovery:
         sharded.close()
         assert sharded.in_flight == 0
 
+    def test_reply_owed_by_no_worker_fails_closed(self, small_routing_set):
+        """Recovery leaves no lost reply unowed, so a collect missing a
+        reply that no worker owes is a broken invariant: it raises at
+        once instead of waiting on nothing forever."""
+        batches = routed_batches(small_routing_set, (16,))
+        sharded = _RoutedSharded(
+            make_arch(small_routing_set), workers=2, cache_capacity=64
+        )
+        sharded.submit_batch(batches[0])
+        for pending in sharded._worker_pending:
+            pending.clear()
+        started = time.monotonic()
+        with pytest.raises(WorkerCrashError, match="owed by no worker"):
+            sharded.collect_batch()
+        assert time.monotonic() - started < 1.0
+        sharded.close()
+        assert sharded.in_flight == 0
+
     def test_healthy_run_counts_nothing(self, small_routing_set):
         workload = SCENARIOS["uniform"](
             small_routing_set, packet_count=60, flow_count=6
@@ -365,30 +382,13 @@ class TestWedgeDetection:
         assert snapshot["crashes"] == 0
 
 
-def _collect_fifo(sharded, count):
-    return [sharded.collect_batch() for _ in range(count)]
-
-
-def _collect_newest_first(sharded, count):
-    landed = {seq: sharded.collect_batch(seq) for seq in reversed(range(count))}
-    return [landed[seq] for seq in range(count)]
-
-
-def _collect_any(sharded, count):
-    landed = dict(sharded.collect_any() for _ in range(count))
-    return [landed[seq] for seq in range(count)]
-
-
 @needs_dev_shm
-@pytest.mark.parametrize(
-    "collect", [_collect_fifo, _collect_newest_first, _collect_any]
-)
 class TestOneDeadline:
-    """The wedge deadline means one thing whichever call is waiting:
-    time since the workers owing the awaited replies last delivered
-    one; the suspect is the worker owing the oldest."""
+    """The wedge deadline has one definition: time since the workers
+    owing the awaited replies last delivered one; the suspect is the
+    worker owing the oldest."""
 
-    def run(self, rule_set, sizes, key_workers, plan, deadline, collect):
+    def run(self, rule_set, sizes, key_workers, plan, deadline):
         batches = routed_batches(rule_set, sizes, workers=key_workers)
         single = BatchPipeline(
             make_arch(rule_set), cache_capacity=64, megaflow_capacity=128
@@ -405,7 +405,7 @@ class TestOneDeadline:
         ) as sharded:
             for batch in batches:
                 sharded.submit_batch(batch)
-            got = collect(sharded, len(batches))
+            got = [sharded.collect_batch() for _ in batches]
             failures = list(sharded._supervisor.failures)
             snapshot = sharded.supervision_snapshot()
         for got_chunk, expected_chunk in zip(got, expected, strict=True):
@@ -414,7 +414,7 @@ class TestOneDeadline:
         return snapshot, failures
 
     def test_slow_replies_each_inside_the_deadline_trip_nothing(
-        self, small_routing_set, collect
+        self, small_routing_set
     ):
         """Four replies from one worker, each 0.5 s late: together they
         outlast the 1.5 s deadline, but none of them does — the clock
@@ -426,18 +426,16 @@ class TestOneDeadline:
             )
         )
         snapshot, failures = self.run(
-            small_routing_set, (6, 4, 5, 3), 1, plan, 1.5, collect
+            small_routing_set, (6, 4, 5, 3), 1, plan, 1.5
         )
         assert snapshot["wedges"] == snapshot["crashes"] == 0
         assert failures == [0, 0]
 
-    def test_a_hang_is_one_wedge_on_the_hung_worker(
-        self, small_routing_set, collect
-    ):
+    def test_a_hang_is_one_wedge_on_the_hung_worker(self, small_routing_set):
         plan = FaultPlan(specs=(FaultSpec(0, 0, "mid-classify", "hang"),))
         started = time.monotonic()
         snapshot, failures = self.run(
-            small_routing_set, (6, 4), 2, plan, 1.0, collect
+            small_routing_set, (6, 4), 2, plan, 1.0
         )
         assert time.monotonic() - started < HANG_SECONDS / 10
         assert snapshot["wedges"] == 1
@@ -486,33 +484,6 @@ class TestPoisonAndBudgets:
         # retired shard afterwards: both classified in-process.
         assert snapshot["inline_packets"] == 5 + 7
 
-    def test_fallback_raise_propagates(self, small_routing_set):
-        plan = FaultPlan(specs=(FaultSpec(0, 0, "after-receive", "crash"),))
-        batches = routed_batches(small_routing_set, (16,))
-        sharded = _RoutedSharded(
-            make_arch(small_routing_set),
-            workers=2,
-            fault_plan=plan,
-            supervision=SupervisionConfig(restart_budget=0, fallback="raise"),
-        )
-        with pytest.raises(WorkerCrashError):
-            sharded.process_batch(batches[0])
-        sharded.close()
-
-    def test_poison_with_raise_fallback(self, small_routing_set):
-        plan = FaultPlan(
-            specs=(FaultSpec(0, 0, "after-receive", "crash", sticky=True),)
-        )
-        batches = routed_batches(small_routing_set, (16,))
-        sharded = _RoutedSharded(
-            make_arch(small_routing_set),
-            workers=2,
-            fault_plan=plan,
-            supervision=SupervisionConfig(fallback="raise"),
-        )
-        with pytest.raises(PoisonBatchError):
-            sharded.process_batch(batches[0])
-        sharded.close()
 
 
 @needs_dev_shm
@@ -547,7 +518,7 @@ class TestInlineShardIsAReplica:
                 twin._await(seq)
                 if (seq, 0) in twin._reply_buffer:
                     live[seq] = twin._reply_buffer[seq, 0]
-                twin.collect_batch(seq)
+                twin.collect_batch()
         assert sorted(live) == [0, 2]
         assert all(reply.mask_fields for reply in live.values())
 
@@ -704,36 +675,8 @@ class TestCountersAddUp:
 
 @needs_dev_shm
 class TestOutOfOrderUnderFaults:
-    """A dead or wedged shard must only stall the batches actually
-    assigned to it — collect_any keeps completing survivors' batches."""
-
-    def test_collect_any_returns_survivors_first(self, small_routing_set):
-        batches = routed_batches(small_routing_set, (6, 4))
-        single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
-        expected = [single.process_batch(batch) for batch in batches]
-        plan = FaultPlan(specs=(FaultSpec(0, 0, "mid-classify", "hang"),))
-        with _RoutedSharded(
-            make_arch(small_routing_set),
-            workers=2,
-            depth=2,
-            cache_capacity=64,
-            fault_plan=plan,
-            supervision=SupervisionConfig(deadline=1.5),
-        ) as sharded:
-            seq0 = sharded.submit_batch(batches[0])  # pinned to the hung shard
-            seq1 = sharded.submit_batch(batches[1])
-            first_seq, first = sharded.collect_any()
-            second_seq, second = sharded.collect_any()
-            snapshot = sharded.supervision_snapshot()
-        # Batch 1's shard is healthy: it must complete first, long
-        # before the wedge deadline frees batch 0.
-        assert (first_seq, second_seq) == (seq1, seq0)
-        for got, want in zip(first, expected[1]):
-            assert_same_result(got, want)
-        for got, want in zip(second, expected[0]):
-            assert_same_result(got, want)
-        assert snapshot["wedges"] == 1
-        assert snapshot["restarts"] == 1
+    """Recovery replays a lost batch without disturbing the collect
+    order: batches still complete in submission order."""
 
     def test_fifo_collect_preserved_after_recovery(self, small_routing_set):
         batches = routed_batches(small_routing_set, (6, 4))

@@ -505,7 +505,7 @@ def test_sharded_equivalent_under_chaos(example):
             supervision=supervision,
         )
 
-    inline = SupervisionConfig(restart_budget=0, fallback="inline")
+    inline = SupervisionConfig(restart_budget=0)
     for name, chaotic in (
         ("eager", Replayer(example, _lookup_tables, sharded())),
         ("late", LazyReplayer(example, _lookup_tables, sharded())),
@@ -537,7 +537,7 @@ def test_sharded_equivalent_under_chaos(example):
             )
             # Crashes (if the schedule hit a live (worker, seq) pair)
             # must all have been absorbed — by respawn + replay, or with
-            # no budget by the inline fallback — never a wedge.
+            # no budget by serving the shard in-process — never a wedge.
             assert snapshot["wedges"] == 0
             if name == "inline":
                 assert snapshot["restarts"] == 0

@@ -567,20 +567,34 @@ class TestPipelined:
     def test_concurrent_streams_rejected(self, small_routing_set):
         """Two live process_batches() generators would interleave on the
         shared FIFO and swap results between streams; the second must
-        raise, and a finished stream frees the slot."""
-        batches = self.batches(small_routing_set, count=4)
+        raise, and a finished stream frees the slot.  A live stream owns
+        its collects too: an explicit collect_batch() between two yields
+        would take the stream's oldest batch and shift every later
+        result onto the wrong batch."""
+        batches = self.batches(small_routing_set, count=5)
+        single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
+        expected = [single.process_batch(batch) for batch in batches[:3]]
         with ShardedBatchPipeline(
             make_arch(small_routing_set), workers=2, depth=2
         ) as sharded:
-            stream = sharded.process_batches(batches[:2])
+            stream = sharded.process_batches(batches[:3])
             with pytest.raises(RuntimeError, match="stream is live"):
-                sharded.process_batches(batches[2:])
+                sharded.process_batches(batches[3:])
             with pytest.raises(RuntimeError, match="stream is live"):
-                sharded.process_batch(batches[2])
+                sharded.process_batch(batches[3])
             with pytest.raises(RuntimeError, match="stream is live"):
-                sharded.submit_batch(batches[2])
-            assert len(list(stream)) == 2  # exhausting frees the slot
-            assert len(list(sharded.process_batches(batches[2:]))) == 2
+                sharded.submit_batch(batches[3])
+            got = [next(stream)]
+            assert sharded.in_flight > 0
+            with pytest.raises(RuntimeError, match="stream is live"):
+                sharded.collect_batch()
+            got += list(stream)  # exhausting frees the slot
+            assert len(list(sharded.process_batches(batches[3:]))) == 2
+        assert len(got) == len(expected)
+        for got_chunk, expected_chunk in zip(got, expected):
+            assert len(got_chunk) == len(expected_chunk)
+            for a, b in zip(got_chunk, expected_chunk):
+                assert_same_result(a, b)
 
     def test_large_mutation_backlog_is_not_pipelined(self, small_routing_set):
         """An unbounded mutation suffix inside the 'small' control
@@ -1241,9 +1255,9 @@ class RoutedSharded(ShardedBatchPipeline):
         }
 
 
-class TestOutOfOrderCollect:
-    """collect_batch(seq=...) / collect_any(): a slow shard must only
-    stall the batches actually assigned to it."""
+class TestFifoCollect:
+    """collect_batch() completes batches in submission order, whichever
+    shard they landed on, and refuses on an idle runner."""
 
     def routed_batches(self, rule_set, sizes=(6, 4)):
         """One batch per worker: batch i's packets all carry in_port=i,
@@ -1264,28 +1278,6 @@ class TestOutOfOrderCollect:
             cursor += size
         return batches
 
-    def test_collect_by_seq_out_of_order(self, small_routing_set):
-        batches = self.routed_batches(small_routing_set)
-        single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
-        expected = [single.process_batch(batch) for batch in batches]
-        with RoutedSharded(
-            make_arch(small_routing_set), workers=2, depth=2, cache_capacity=64
-        ) as sharded:
-            seq0 = sharded.submit_batch(batches[0])
-            seq1 = sharded.submit_batch(batches[1])
-            assert (seq0, seq1) == (0, 1)
-            # Batch 1 lives entirely on worker 1: collecting it touches
-            # only worker 1's pipe, so batch 0's worker being busy (or
-            # stalled forever) cannot block it.
-            got1 = sharded.collect_batch(seq=seq1)
-            assert sharded.in_flight == 1
-            for a, b in zip(got1, expected[1]):
-                assert_same_result(a, b)
-            got0 = sharded.collect_batch(seq=seq0)
-            assert sharded.in_flight == 0
-            for a, b in zip(got0, expected[0]):
-                assert_same_result(a, b)
-
     def test_collect_unknown_seq_rejected(self, small_routing_set):
         batches = self.routed_batches(small_routing_set)
         with RoutedSharded(
@@ -1294,73 +1286,12 @@ class TestOutOfOrderCollect:
             with pytest.raises(RuntimeError, match="no batch in flight"):
                 sharded.collect_batch()
             sharded.submit_batch(batches[0])
-            with pytest.raises(RuntimeError, match="not in flight"):
-                sharded.collect_batch(seq=7)
             sharded.collect_batch()
-
-    def test_collect_any_completes_fast_shard_first(self, small_routing_set):
-        """The acceptance scenario: batch N+1 (tiny, fast worker)
-        completes while batch N's worker is still grinding a batch three
-        orders of magnitude larger."""
-        workload = SCENARIOS["zipf"](
-            rule_set=small_routing_set, packet_count=30_000, flow_count=8
-        )
-        heavy = [
-            dict(fields, in_port=0) for fields in workload.events[0][1]
-        ]
-        light = [dict(fields, in_port=1) for fields in workload.events[0][1][:4]]
-        single = BatchPipeline(make_arch(small_routing_set), cache_capacity=None)
-        expected_light = single.process_batch(light)
-        expected_heavy = single.process_batch(heavy)
-        with RoutedSharded(
-            make_arch(small_routing_set),
-            workers=2,
-            depth=2,
-            cache_capacity=None,
-        ) as sharded:
-            # Warm both workers up so fork/attach cost is out of the race.
-            sharded.process_batch(
-                [dict(heavy[0], in_port=0), dict(heavy[0], in_port=1)]
-            )
-            heavy_seq = sharded.submit_batch(heavy)
-            light_seq = sharded.submit_batch(light)
-            seq, results = sharded.collect_any()
-            assert seq == light_seq, (
-                "collect_any returned the heavy batch first — the fast "
-                "shard was blocked behind the slow one"
-            )
-            for a, b in zip(results, expected_light):
-                assert_same_result(a, b)
-            seq, results = sharded.collect_any()
-            assert seq == heavy_seq
-            for a, b in zip(results, expected_heavy):
-                assert_same_result(a, b)
             with pytest.raises(RuntimeError, match="no batch in flight"):
-                sharded.collect_any()
-
-    def test_ring_slot_guard_after_out_of_order_collect(
-        self, small_routing_set
-    ):
-        """Slot seq % depth is reused only after its previous occupant
-        was collected: an out-of-order collect can leave the oldest
-        batch holding the next submission's slot."""
-        batches = self.routed_batches(small_routing_set, sizes=(4, 4, 4))
-        with RoutedSharded(
-            make_arch(small_routing_set), workers=3, depth=2
-        ) as sharded:
-            seq0 = sharded.submit_batch(batches[0])
-            seq1 = sharded.submit_batch(batches[1])
-            sharded.collect_batch(seq=seq1)
-            # seq 2 would reuse slot 0, still held by uncollected seq 0.
-            with pytest.raises(RuntimeError, match="ring slot"):
-                sharded.submit_batch(batches[2])
-            sharded.collect_batch(seq=seq0)
-            seq2 = sharded.submit_batch(batches[2])
-            assert seq2 == 2
-            sharded.collect_batch()
+                sharded.collect_batch()
 
     def test_fifo_default_unchanged(self, small_routing_set):
-        """collect_batch() with no seq keeps the strict FIFO contract."""
+        """collect_batch() keeps the strict FIFO contract."""
         batches = self.routed_batches(small_routing_set)
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
         expected = [single.process_batch(batch) for batch in batches]

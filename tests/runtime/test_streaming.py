@@ -229,10 +229,6 @@ class TestStreamConfig:
             {"service_rate": 0},
             {"service_rate": -1.0},
             {"degrade_after": 0},
-            {"low_watermark": 0.8, "high_watermark": 0.5},
-            {"low_watermark": 0.0},
-            {"high_watermark": 1.5},
-            {"shed_target": 0.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -538,7 +534,17 @@ class TestPathEquivalence:
         with ShardedBatchPipeline(
             make_arch(small_routing_set), workers=2, depth=4
         ) as sharded_runner:
+            # Every batch, forced collect or drain alike, completes
+            # through the one FIFO collect.
+            collect, collects = sharded_runner.collect_batch, []
+
+            def counting_collect():
+                collects.append(None)
+                return collect()
+
+            sharded_runner.collect_batch = counting_collect
             sharded = run_stream(sharded_runner, schedule, OVERLOAD)
+        assert len(collects) == sharded.batches
         for report in (inline, sharded):
             report.assert_conserved()
         assert report_fingerprint(inline) == report_fingerprint(sharded), (
