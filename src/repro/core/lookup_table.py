@@ -119,6 +119,7 @@ class OpenFlowLookupTable:
         self.version = 0
         self._snapshot: tuple[FlowEntry, ...] = ()
         self._snapshot_version = -1
+        self._positions: dict[int, int] | None = None
         self._sweep_view = SweepView()
 
     # ------------------------------------------------------------------
@@ -211,16 +212,27 @@ class OpenFlowLookupTable:
 
     def entries_snapshot(self) -> tuple[FlowEntry, ...]:
         """The entries in deterministic (installation) order, cached per
-        :attr:`version` — the ``entry_ref`` coordinate system of the
-        sharded stats-return protocol
-        (:class:`~repro.runtime.transport.EntryIndex`): a parent table
-        and a worker replica at the same mutation-log position agree on
-        it, because both install the same entries in the same order.
+        :attr:`version` — the ``(table_id, position)`` entry-ref
+        coordinate system of the sharded stats-return protocol: a
+        parent table and a worker replica at the same mutation-log
+        position agree on it, because both install the same entries in
+        the same order.
         """
         if self._snapshot_version != self.version:
             self._snapshot = tuple(self)
+            self._positions = None
             self._snapshot_version = self.version
         return self._snapshot
+
+    def entry_positions(self) -> dict[int, int]:
+        """``id(entry)`` -> its position in :meth:`entries_snapshot`,
+        built lazily, once per :attr:`version`, beside the snapshot it
+        indexes: the one map a reply encoder resolves entry refs with
+        and a seal lays the action table out by."""
+        snapshot = self.entries_snapshot()
+        if self._positions is None:
+            self._positions = {id(e): i for i, e in enumerate(snapshot)}
+        return self._positions
 
     @property
     def sweep_view(self) -> SweepView:

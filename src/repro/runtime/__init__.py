@@ -61,14 +61,14 @@ path: the parent encodes each batch *once* into a columnar
 packet dicts encoded once), workers read their member rows in place
 and write their reply into the parent-owned response slot the request
 names — **once per distinct traversal** of the sub-batch, plus one
-``int32`` code per position; only mutation suffixes, block names and
-layouts cross the pipes (and a reply too big for its slot, once: the
-parent then grows the slots).  The
+``int32`` code per position; the parent sizes that slot for the
+sub-batch before naming it, so only mutation suffixes, block names and
+layouts cross the pipes.  The
 flow-stats delta rides in the reply block as two per-traversal lanes
 (packets, frame bytes); matched entries travel as
-``(table_id, position)`` entry refs
-(:class:`~repro.runtime.transport.EntryIndex`) that the parent resolves
-against the order it pinned at submission, folding the delta into its
+``(table_id, position)`` entry refs (positions in each table's
+``entries_snapshot()``, read off its ``entry_positions()``) that the
+parent resolves against the order it pinned at submission, folding the delta into its
 authoritative flow entries — flow stats under sharding match the
 single-process run exactly.  Beside them the reply carries the cache,
 megaflow and wave counts its own request caused, which the parent adds
@@ -329,10 +329,7 @@ from repro.runtime.supervise import (
     WorkerCrashError,
     WorkerSupervisor,
 )
-from repro.runtime.transport import (
-    EntryIndex,
-    PacketBlockCodec,
-)
+from repro.runtime.transport import PacketBlockCodec
 
 __all__ = [
     "ARRIVALS",
@@ -343,7 +340,6 @@ __all__ = [
     "ColumnarOutcomes",
     "DEFAULT_CAPACITY",
     "DEFAULT_MEGAFLOW_CAPACITY",
-    "EntryIndex",
     "FaultPlan",
     "FaultSpec",
     "FlowRemoved",

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -79,6 +80,10 @@ from repro.packet.batch import IndexArray, PacketBatch
 MaskSig = tuple[tuple[str, int], ...]
 
 DEFAULT_MEGAFLOW_CAPACITY = 4096
+
+#: ``(table, version)`` per visited table: the table object and its
+#: mutation counter when the traversal was looked up.
+VersionChecks = tuple[tuple[Any, int], ...]
 
 
 class MegaflowRecorder:
@@ -118,36 +123,38 @@ class Traversal:
     ``outcome`` is the path's immutable
     :class:`~repro.openflow.pipeline.PathOutcome` — everything a
     :class:`PipelineResult` holds but the packet's own fields, rewrites
-    included as its ``overrides``.  ``table_versions`` tags each visited
-    table with its mutation counter at lookup time.  The columnar miss
-    path builds one per *distinct* path and shares it across the
-    positions that took it; a :class:`MegaflowEntry` is a traversal plus
-    its wildcard key.
+    included as its ``overrides``.  ``version_checks`` pairs each
+    visited table *object* with its mutation counter at lookup time, so
+    a hit revalidates by dereferencing the table directly; the walk
+    builds one tuple per route, shared by every traversal along it, and
+    a decoded sharded traversal (never cached) carries ``()``.  The
+    columnar miss path builds one traversal per *distinct* path and
+    shares it across the positions that took it; a
+    :class:`MegaflowEntry` is a traversal plus its wildcard key.
     """
 
-    __slots__ = ("outcome", "table_versions")
+    __slots__ = ("outcome", "version_checks")
 
     def __init__(
         self,
         outcome: PathOutcome,
-        table_versions: tuple[tuple[int, int], ...],
+        version_checks: VersionChecks,
     ) -> None:
         self.outcome = outcome
-        self.table_versions = table_versions
+        self.version_checks = version_checks
 
 
 class MegaflowEntry(Traversal):
     """One cached aggregate: mask, masked key, and the traversal."""
 
-    __slots__ = ("mask", "key", "slot", "version_checks", "hits")
+    __slots__ = ("mask", "key", "slot", "hits")
 
     def __init__(
         self,
         mask: MaskSig,
         key: bytes,
         outcome: PathOutcome,
-        table_versions: tuple[tuple[int, int], ...],
-        version_checks: tuple,
+        version_checks: VersionChecks,
     ) -> None:
         self.mask = mask
         #: The aggregate's exact ``value & mask`` key, packed as
@@ -157,10 +164,6 @@ class MegaflowEntry(Traversal):
         #: Its LRU key, built once.
         self.slot = (mask, key)
         self.outcome = outcome
-        self.table_versions = table_versions
-        #: ``(table_object, version)`` pairs — the hot-path validity
-        #: check dereferences the table directly instead of resolving
-        #: ids through the pipeline on every hit.
         self.version_checks = version_checks
         self.hits = 0
 
@@ -387,12 +390,6 @@ class MegaflowCache:
             keys_of.append(keys)
             chosen = mask_codes == mask_code
             key_codes[chosen] = row_codes[rows[chosen]]
-        # Traversals along one table sequence share their version tags.
-        checks_of = {
-            versions: self._version_checks(versions)
-            for versions in {t.table_versions for t in traversals}
-        }
-        checks = [checks_of[t.table_versions] for t in traversals]
         installed: list[MegaflowEntry] = []
         for mask_code, key_code, code in zip(
             mask_codes.tolist(), key_codes.tolist(), traversal_codes.tolist()
@@ -402,8 +399,7 @@ class MegaflowCache:
                 masks[mask_code],
                 keys_of[mask_code][key_code],
                 traversal.outcome,
-                traversal.table_versions,
-                checks[code],
+                traversal.version_checks,
             )
             self._store(entry)
             installed.append(entry)
@@ -417,14 +413,6 @@ class MegaflowCache:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _version_checks(
-        self, table_versions: tuple[tuple[int, int], ...]
-    ) -> tuple:
-        return tuple(
-            (self.pipeline.table(table_id), version)
-            for table_id, version in table_versions
-        )
 
     def _store(self, entry: MegaflowEntry) -> None:
         """Index a built entry (replacing any same-aggregate one), count

@@ -20,9 +20,9 @@ Tag conventions:
   on any other tag, so a stale frame surfaces as a crash instead of a
   reply that never comes;
 - replies (worker → parent): ``"ok"`` — exactly one per request, the
-  results written to the response slot the request named (or riding
-  in the frame when they outgrew it) — and ``"bye"`` acknowledging
-  close; the parent treats any other frame as that worker's crash.
+  results written to the response slot the request named — and
+  ``"bye"`` acknowledging close; the parent treats any other frame as
+  that worker's crash.
 
 Work requests carry their batch ``seq`` explicitly: a respawned worker
 replays lost batches from the same request messages (re-sent, not
@@ -103,20 +103,19 @@ class ShmReply(NamedTuple):
     block holds each distinct traversal's matched-entry refs, one code
     per position, the flow-stats delta lanes and the counts the request
     caused (:func:`~repro.runtime.transport.encode_outcomes`), and the parent
-    replays the refs against its own pinned tables.  The frame itself is
-    a tag, a seq, optional bytes, segment tuples and field-name strings
-    — no class instance crosses the reply pipe.
+    replays the refs against its own pinned tables.
 
-    ``block`` is ``None`` when the lanes sit in the response slot the
-    request named — the steady state, whether a worker or the parent's
-    in-process replica served it — and the encoded bytes themselves when
-    they did not fit it (the parent grows the slot before its next use).
-    ``seq`` echoes the request's, so a reply can only ever answer the
-    batch its worker owes next."""
+    The lanes always sit in the response slot the request named —
+    whether a worker or the parent's in-process replica served it — which
+    the parent sized for the sub-batch before sending
+    (:func:`~repro.runtime.transport.reply_nbytes`), so the frame itself
+    is a tag, a seq, segment tuples and field-name strings: no bytes
+    and no class instance cross the reply pipe.  ``seq`` echoes the
+    request's, so a reply can only ever answer the batch its worker
+    owes next."""
 
     kind: Literal["ok"]
     seq: int
-    block: bytearray | None
     segments: tuple[Segment, ...]
     mask_fields: tuple[str, ...]
 

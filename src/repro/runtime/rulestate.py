@@ -206,10 +206,6 @@ class FrozenTrie:
             labels.append(self._default_label)
         return tuple(labels)
 
-    def lookup(self, value: int) -> int:
-        labels = self.lookup_all(value)
-        return labels[0] if labels else NO_LABEL
-
     def consulted_bits(self, value: int) -> int:
         self._check_key(value)
         consulted = 0
@@ -279,10 +275,6 @@ class FrozenRange:
         low = int(self._offsets[index])
         high = int(self._offsets[index + 1])
         return tuple(int(label) for label in self._labels[low:high])
-
-    def lookup(self, value: int) -> int:
-        labels = self.lookup_all(value)
-        return labels[0] if labels else NO_LABEL
 
     def __len__(self) -> int:
         return self._range_count
@@ -433,8 +425,9 @@ class FrozenLookupTable(OpenFlowLookupTable):
 
     Entries are the table spec's own tuple (``spec.entries``), which
     the sealed positions index; ``__len__`` and ``__iter__`` read it, so
-    the inherited ``entries_snapshot()`` and ``table_miss_entry`` do
-    too, and at ``version`` 0 the snapshot *is* the sealed order.  The
+    the inherited ``entries_snapshot()``, ``entry_positions()`` and
+    ``table_miss_entry`` do too, and at ``version`` 0 the snapshot *is*
+    the sealed order.  The
     lifecycle sweep's view is derived from the same tuple on first read
     (workers never sweep, so an attach never pays for it).
 
@@ -587,15 +580,15 @@ class SharedRuleState:
         """Freeze ``pipeline``'s lookup tables as described by ``spec``.
 
         ``spec`` must be a ``PipelineSpec`` snapshot of ``pipeline`` taken
-        at the current instant: its per-table entry tuples are the same
-        objects, in the same installation order, as the live tables
-        iterate — sealed entry positions are defined by that order.
+        at the current instant: its per-table entry tuples are the live
+        tables' ``entries_snapshot()``, and sealed entry positions are
+        those tables' ``entry_positions()`` into them.
         """
         writer = BlockWriter()
         layouts = []
         for table_spec in spec.tables:
             table = pipeline.table(table_spec.table_id)
-            layouts.append(_seal_table(writer, table, table_spec.entries))
+            layouts.append(_seal_table(writer, table))
         block = SharedBlock()
         block.ensure(writer.nbytes)
         segments = writer.write_to(block.buf)
@@ -610,9 +603,9 @@ class SharedRuleState:
         self._block.close()
 
 
-def _seal_table(writer: BlockWriter, table: Any, entries: tuple[Any, ...]) -> FrozenTableLayout:
+def _seal_table(writer: BlockWriter, table: Any) -> FrozenTableLayout:
     prefix = f"t{table.table_id}"
-    positions = {id(entry): pos for pos, entry in enumerate(entries)}
+    positions = table.entry_positions()
     trie_meta: list[tuple[str, int, int]] = []
     range_meta: list[tuple[str, int]] = []
     for engine in table._flat_engines:

@@ -38,15 +38,17 @@ response slot the request names, and only tiny control messages
 (mutation suffixes, block names, layouts) cross the pipes.  **The
 parent owns every segment** — request ring, response ring, sealed
 rules — and a worker only ever attaches, so a SIGKILLed worker strands
-nothing by construction.  A reply that outgrows its slot rides in the
-control reply as bytes instead (nothing is truncated or classified
-twice) and the parent grows the slots before their next use.  A reply
-**names each traversal's entries once**: each *distinct* traversal of
-the sub-batch ships as the ``(table_id, position)`` refs of the entries
-it matched — nothing those entries already determine — every position
-costs one ``int32`` code, and the flow-stats delta (packets, frame
-bytes per traversal) and the five cache counts the request caused ride
-in the same block, so a reply frame pickles no class instance.
+nothing by construction.  A reply has one home, its response slot:
+the parent sizes each slot for the largest reply its sub-batch could
+produce (:func:`~repro.runtime.transport.reply_nbytes`) before the
+request names it, so only small control frames cross the pipes in
+either direction.  A reply **names each traversal's entries once**:
+each *distinct* traversal of the sub-batch ships as the
+``(table_id, position)`` refs of the entries it matched — nothing
+those entries already determine — every position costs one ``int32``
+code, and the flow-stats delta (packets, frame bytes per traversal)
+and the five cache counts the request caused ride in the same block,
+so a reply frame pickles no class instance.
 The parent resolves the refs against the entry order it pinned at
 submission, replays its own entries through
 :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` (the
@@ -188,15 +190,14 @@ from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
     DecodedReply,
-    EntryIndex,
     PacketBlockCodec,
     REPLY_COUNTERS,
     ReplyDecodeError,
-    Segment,
     SharedBlock,
     decode_outcomes,
     encode_outcomes,
     ensure_resource_tracker,
+    reply_nbytes,
 )
 
 # ----------------------------------------------------------------------
@@ -219,7 +220,7 @@ class TableSpec:
         return cls(
             table_id=table.table_id,
             field_names=tuple(table.field_names),
-            entries=tuple(table),
+            entries=table.entries_snapshot(),
         )
 
     def build(self, config: ArchitectureConfig) -> OpenFlowLookupTable:
@@ -383,22 +384,11 @@ def _apply_mutations(
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
 
 
-def _place_reply(
-    writer: BlockWriter, slot: memoryview
-) -> tuple[bytearray | None, tuple[Segment, ...]]:
-    """Lay an encoded reply out in its response slot — or, when it does
-    not fit, in bytes of its own that ride in the reply frame."""
-    if writer.nbytes <= slot.nbytes:
-        return None, writer.write_to(slot)
-    block = bytearray(writer.nbytes)
-    return block, writer.write_to(memoryview(block))
-
-
 class _Replica:
     """One pipeline replica at a mutation-log position: a runner built
-    from a :class:`PipelineSpec`, the :class:`EntryIndex` its replies
-    name entries by, a packet codec, and ``cursor`` — how many log
-    entries it has applied on top of the spec.
+    from a :class:`PipelineSpec` (whose tables' ``entry_positions()``
+    its replies name entries by), a packet codec, and ``cursor`` — how
+    many log entries it has applied on top of the spec.
 
     A worker serves every request through one, and the parent serves a
     shard it classifies in-process (a degraded worker, a poison batch)
@@ -418,7 +408,6 @@ class _Replica:
     ) -> None:
         runner = BatchPipeline(spec.build(), cache_capacity, megaflow_capacity)
         self.runner = runner
-        self.index = EntryIndex(runner.pipeline)
         self.codec = PacketBlockCodec()
         self.cursor = 0
 
@@ -432,7 +421,7 @@ class _Replica:
     ) -> ShmReply:
         """Apply the request's log suffix, classify its members straight
         off the request block's columns, and write the reply into the
-        response slot (bytes of its own when it outgrew the slot).
+        response slot, which the parent sized for it.
 
         Every numpy view over the two buffers is confined to this frame
         (``codec.attach`` gathers copies): they must be garbage before
@@ -460,15 +449,15 @@ class _Replica:
         encode_outcomes(
             writer,
             outcomes,
-            self.index,
+            runner.pipeline,
             [getattr(caused, name) for name in REPLY_COUNTERS],
         )
         runner.megaflow_bypass = False
         faults.fire(worker_id, seq, "after-stats")
-        block, segments = _place_reply(writer, reply_buf)
+        segments = writer.write_to(reply_buf)
         megaflow = runner.megaflow
         fields = megaflow.mask_fields() if megaflow is not None else ()
-        reply = ShmReply("ok", seq, block, segments, fields)
+        reply = ShmReply("ok", seq, segments, fields)
         faults.fire(worker_id, seq, "before-reply")
         return reply
 
@@ -493,9 +482,9 @@ def _worker_main(
     A ``("shm", seq, ...)`` request is the only work item, and every
     request gets exactly one ``"ok"`` reply: entry refs, codes,
     flow-stats delta lanes and the counts the request caused, written
-    into the response slot the request names (or riding in the reply
-    when they outgrew it), plus the worker's megaflow mask fields.  An unknown
-    tag raises: the worker dies, its sentinel fires and supervision
+    into the response slot the request names (sized for it by the
+    parent), plus the worker's megaflow mask fields.  An unknown tag
+    raises: the worker dies, its sentinel fires and supervision
     classifies a crash — the parent never waits on a reply that will
     not come.
 
@@ -607,10 +596,8 @@ class ShardedBatchPipeline:
             drains in flight before submitting (and
             :meth:`submit_batch` raises), so a big suffix is only ever
             written into empty pipes with the workers parked in recv.
-            (The other direction may carry a big frame — an oversize
-            reply — but a worker blocked sending one is released by the
-            next collect, and the parent's own sends stay small enough
-            never to block behind it.)
+            Replies are always small frames: their lanes go into a
+            response slot the parent sized for them.
         supervision: failure policy (see
             :class:`~repro.runtime.supervise.SupervisionConfig`): wedge
             deadline and restart budget per worker; past the budget a
@@ -668,7 +655,6 @@ class ShardedBatchPipeline:
         self._conns: list = []
         self._procs: list = []
         self._codec = PacketBlockCodec()
-        self._entry_index = EntryIndex(pipeline)
         #: Request-block ring: slot ``seq % depth`` carries batch
         #: ``seq``'s columns, reused only after that batch is collected.
         self._requests = [SharedBlock() for _ in range(depth)]
@@ -679,9 +665,6 @@ class ShardedBatchPipeline:
             [SharedBlock() for _ in range(depth)]
             for _ in range(self.workers)
         ]
-        #: Bytes a response slot is grown to before its next use: the
-        #: largest reply that has had to travel as bytes so far.
-        self._reply_bytes = 1
         #: In-flight batches by seq, in submission order (a dict keeps
         #: insertion order): the first key is the oldest, the one
         #: :meth:`collect_batch` completes next.
@@ -1145,7 +1128,8 @@ class ShardedBatchPipeline:
         # uniformly to the next submission.
         with self._mutation_lock:
             log_len = len(self._log)
-            pinned = self._entry_index.pin()
+            tables = self._authoritative.tables
+            pinned = {t.table_id: t.entries_snapshot() for t in tables}
         seq = self._seq
         if not isinstance(batch, PacketBatch):
             batch = PacketBatch.from_dicts(batch, self._codec.field_bits)
@@ -1186,12 +1170,14 @@ class ShardedBatchPipeline:
             writer.put(f"members/{worker}", members)
         request.ensure(writer.nbytes)
         segments = writer.write_to(request.buf)
+        tables = len(self._authoritative.tables)
         sends: dict[int, ShmRequest] = {}
-        for worker in groups:
+        for worker, members in groups.items():
             # The slot's last occupant (batch ``seq - depth``) has been
-            # collected, so this is the one moment it may be re-created.
+            # collected, so this is the one moment it may be re-created
+            # — to the largest reply this sub-batch could produce.
             response = self._responses[worker][slot]
-            response.ensure(self._reply_bytes)
+            response.ensure(reply_nbytes(len(members), tables))
             sends[worker] = ShmRequest(
                 "shm",
                 seq,
@@ -1355,16 +1341,12 @@ class ShardedBatchPipeline:
         ]
         decoded: list[DecodedReply] = []
         for (worker, members), reply in zip(inflight.groups.items(), replies):
-            if reply.block is None:
-                block = self._responses[worker][seq % self.depth].buf
-            else:
-                # Too big for its slot: the slots are re-created this
-                # size as they come up for use.
-                block = memoryview(reply.block)
-                self._reply_bytes = max(self._reply_bytes, block.nbytes)
             decoded.append(
                 decode_outcomes(
-                    BlockReader(block, reply.segments),
+                    BlockReader(
+                        self._responses[worker][seq % self.depth].buf,
+                        reply.segments,
+                    ),
                     self._authoritative,
                     pinned,
                     len(members),

@@ -33,18 +33,26 @@ entries through the pipeline's own executor
 the worker's walk built the same outcome with) and fails closed
 (:class:`ReplyDecodeError`) on a block that does not fit its batch.
 
-**Entry refs and the stats return path.**  :class:`EntryIndex` maps
-entries to positions in a table's deterministic
-``entries_snapshot()`` order.  A worker replica at the same mutation-log
-position as the parent agrees on that order (snapshots pickle entries
-with their sort keys and replay mutations in program order), so a ref is
-a process-independent name for a flow entry.  That makes two things
-cheap: the parent rebuilds outcomes whose ``matched_entries`` are its
-*own* authoritative :class:`~repro.openflow.flow.FlowEntry` objects, and
-each reply block carries the flow-stats delta as two more per-traversal
-lanes — packets and frame bytes — which the parent folds into those
-entries' counters, so flow stats (the substrate for monitoring) are
-exact under sharding instead of marooned in worker replicas.
+**Entry refs and the stats return path.**  A ref's position indexes
+the table's deterministic ``entries_snapshot()`` order, through the
+one ``id(entry) -> position`` map the table keeps beside it
+(:meth:`~repro.core.lookup_table.OpenFlowLookupTable.entry_positions`).
+A worker replica at the same mutation-log position as the parent agrees
+on that order (snapshots pickle entries with their sort keys and replay
+mutations in program order), so a ref is a process-independent name for
+a flow entry.  That makes two things cheap: the parent rebuilds outcomes
+whose ``matched_entries`` are its *own* authoritative
+:class:`~repro.openflow.flow.FlowEntry` objects, and each reply block
+carries the flow-stats delta as two more per-traversal lanes — packets
+and frame bytes — which the parent folds into those entries' counters,
+so flow stats (the substrate for monitoring) are exact under sharding
+instead of marooned in worker replicas.
+
+**One home per reply.**  A reply lives in its response slot and
+nowhere else: :func:`reply_nbytes` bounds the block
+:func:`encode_outcomes` writes for a sub-batch, and the parent sizes
+every slot to that bound before naming it in a request, so only small
+control frames cross the pipes in either direction.
 
 **Blocks.**  :class:`SharedBlock` wraps one growable
 ``multiprocessing.shared_memory`` segment owned by its creating process
@@ -63,7 +71,6 @@ from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import (
     TYPE_CHECKING,
-    Any,
     Iterable,
     Mapping,
     NamedTuple,
@@ -258,13 +265,13 @@ class BlockReader:
     def __init__(
         self, buf: memoryview, segments: Iterable[Segment]
     ) -> None:
-        self._buf = buf
-        self._segments = {segment.key: segment for segment in segments}
+        self.buf = buf
+        self.segments = {segment.key: segment for segment in segments}
 
     def get(self, key: str) -> np.ndarray:
-        segment = self._segments[key]
+        segment = self.segments[key]
         return np.frombuffer(
-            self._buf,
+            self.buf,
             dtype=np.dtype(segment.dtype),
             count=segment.count,
             offset=segment.offset,
@@ -395,67 +402,15 @@ class PacketBlockCodec:
 
 
 # ----------------------------------------------------------------------
-# entry refs
-# ----------------------------------------------------------------------
-
-
-class EntryIndex:
-    """Bidirectional ``FlowEntry <-> (table_id, position)`` resolver.
-
-    Positions index the table's ``entries_snapshot()`` order, cached per
-    table version so per-batch resolution costs O(1) after the first
-    touch following a mutation.
-    """
-
-    def __init__(self, pipeline: Any) -> None:
-        self.pipeline = pipeline
-        #: table_id -> (version, entries, id(entry) -> position)
-        self._cache: dict[int, tuple[int, tuple[FlowEntry, ...], dict[int, int]]] = {}
-
-    def _state(
-        self, table_id: int
-    ) -> tuple[int, tuple[FlowEntry, ...], dict[int, int]]:
-        table = self.pipeline.table(table_id)
-        cached = self._cache.get(table_id)
-        if cached is None or cached[0] != table.version:
-            entries = table.entries_snapshot()
-            cached = (
-                table.version,
-                entries,
-                {id(entry): i for i, entry in enumerate(entries)},
-            )
-            self._cache[table_id] = cached
-        return cached
-
-    def entries(self, table_id: int) -> tuple[FlowEntry, ...]:
-        return self._state(table_id)[1]
-
-    def ref(self, table_id: int, entry: FlowEntry) -> tuple[int, int]:
-        return (table_id, self._state(table_id)[2][id(entry)])
-
-    def pin(self) -> dict[int, tuple[FlowEntry, ...]]:
-        """Freeze every table's current entry order.
-
-        The parent pins once per batch *before* dispatching it, then
-        resolves worker refs against the pinned tuples — a mutation
-        landing while replies are in flight cannot skew resolution onto
-        a younger table state than the one the workers classified under.
-        """
-        return {
-            table.table_id: self.entries(table.table_id)
-            for table in self.pipeline.tables
-        }
-
-
-# ----------------------------------------------------------------------
 # result blocks
 # ----------------------------------------------------------------------
 
 
 class ReplyDecodeError(ValueError):
-    """A reply block does not describe the sub-batch it answers: a code
-    lane of the wrong length, a code naming no traversal, a lane that
-    does not cover its traversals, a matched ref outside what the
+    """A reply block does not describe the sub-batch it answers: a lane
+    its segment table leaves out, mistypes or places outside the block,
+    a code lane of the wrong length, a code naming no traversal, a lane
+    that does not cover its traversals, a matched ref outside what the
     parent pinned for the batch, or refs that do not chain into one
     path through the pipeline."""
 
@@ -473,6 +428,18 @@ REPLY_COUNTERS = (
     "waves",
 )
 
+#: Every lane of a reply block, in write order, with the dtype
+#: :func:`encode_outcomes` writes it in: the one thing a decoder
+#: believes about a worker's segment table.
+_REPLY_LANES = {
+    "res/codes": "<i4",
+    "res/matched/offsets": "<i8",
+    "res/matched/values": "<i4",
+    "res/packets": "<i8",
+    "res/bytes": "<i8",
+    "res/stats": "<i8",
+}
+
 
 class DecodedReply(NamedTuple):
     """One reply, decoded: the sub-batch's distinct traversals (matched
@@ -488,10 +455,28 @@ class DecodedReply(NamedTuple):
     counters: list[int]
 
 
+def reply_nbytes(members: int, tables: int) -> int:
+    """An upper bound on the block :func:`encode_outcomes` writes for a
+    sub-batch of ``members`` positions through ``tables`` tables — what
+    the parent sizes a response slot to before naming it.
+
+    It holds because a sub-batch has at most one distinct traversal per
+    position, a traversal matched at most one entry per table (Goto is
+    forward-only), so at most one ``int32`` ``(table_id, position)``
+    pair per table, and each lane adds at most one alignment pad.
+    """
+    # Per position its code and, at worst, a traversal of its own: an
+    # offset, a ref pair per table, packets and bytes.  Then the closing
+    # offset, the counters and one pad per lane.
+    per_position = 4 + 8 + 8 * tables + 8 + 8
+    fixed = 8 + 8 * len(REPLY_COUNTERS) + _ALIGN * len(_REPLY_LANES)
+    return per_position * members + fixed
+
+
 def encode_outcomes(
     writer: BlockWriter,
     outcomes: ColumnarOutcomes,
-    index: EntryIndex,
+    pipeline: OpenFlowPipeline,
     counters: Sequence[int],
 ) -> None:
     """Encode a :class:`~repro.runtime.batch.ColumnarOutcomes` columnar —
@@ -499,15 +484,18 @@ def encode_outcomes(
 
     A traversal is named by the entries it matched and nothing else:
     each *distinct* one of the sub-batch ships once, as its
-    ``(table_id, position)`` refs, and every position then costs one
-    ``int32`` code.  The flow-stats delta rides in the same block as two
-    per-traversal lanes — packets and frame bytes, summed off the
-    batch's ``frame_len`` lane — and ``counters``, the
-    :data:`REPLY_COUNTERS` this request caused, as one more, so no
-    position ever touches a dict and nothing is pickled.
+    ``(table_id, position)`` refs — positions read off each table's
+    :meth:`~repro.core.lookup_table.OpenFlowLookupTable.entry_positions`
+    — and every position then costs one ``int32`` code.  The flow-stats
+    delta rides in the same block as two per-traversal lanes — packets
+    and frame bytes, summed off the batch's ``frame_len`` lane — and
+    ``counters``, the :data:`REPLY_COUNTERS` this request caused, as one
+    more, so no position ever touches a dict and nothing is pickled.
+    Every lane is written in its ``_REPLY_LANES`` dtype.
     """
     traversals, codes = outcomes.distinct()
     count = len(traversals)
+    positions = {t.table_id: t.entry_positions() for t in pipeline.tables}
     writer.put("res/codes", codes)
     refs = [
         [
@@ -516,7 +504,7 @@ def encode_outcomes(
                 traversal.outcome.tables_visited,
                 traversal.outcome.matched_entries,
             )
-            for part in index.ref(table_id, entry)
+            for part in (table_id, positions[table_id][id(entry)])
         ]
         for traversal in traversals
     ]
@@ -558,15 +546,17 @@ def decode_outcomes(
     function the worker's walk built the same outcome with).
 
     ``expected`` is the member count the parent sent.  Fails closed: a
-    reply that does not fit it, its own lanes, the pinned snapshot or
-    the pipeline's table order raises :class:`ReplyDecodeError` here
-    rather than mis-resolving an outcome (or an ``IndexError``) at
-    first read.  Everything returned is copied out of the block, so the
-    response ring slot is free for reuse as soon as this returns.
+    reply whose segment table does not describe its lanes
+    (:func:`_reply_lane`), or that does not fit ``expected``, its own
+    lanes, the pinned snapshot or the pipeline's table order raises
+    :class:`ReplyDecodeError` here rather than mis-resolving an outcome
+    (or an ``IndexError``) at first read.  Everything returned is
+    copied out of the block, so the response ring slot is free for
+    reuse as soon as this returns.
     """
-    packets = reader.get("res/packets").tolist()
+    packets = _reply_lane(reader, "res/packets").tolist()
     count = len(packets)
-    codes = reader.get("res/codes")
+    codes = _reply_lane(reader, "res/codes")
     if len(codes) != expected:
         raise ReplyDecodeError(
             f"code lane holds {len(codes)} positions for a sub-batch "
@@ -601,9 +591,32 @@ def decode_outcomes(
         traversals,
         codes.astype(np.int64),
         packets,
-        _get_lane(reader, "res/bytes", count),
-        _get_lane(reader, "res/stats", len(REPLY_COUNTERS)),
+        _reply_lane(reader, "res/bytes", count).tolist(),
+        _reply_lane(reader, "res/stats", len(REPLY_COUNTERS)).tolist(),
     )
+
+
+def _reply_lane(
+    reader: BlockReader, key: str, count: int | None = None
+) -> np.ndarray:
+    """Reply lane ``key`` as a view, once its worker-supplied segment
+    checks out: present, in its ``_REPLY_LANES`` dtype, wholly inside
+    the block, and ``count`` values long when ``count`` is given.  The
+    one validation of a segment table; anything else raises
+    :class:`ReplyDecodeError`."""
+    segment, dtype = reader.segments.get(key), _REPLY_LANES[key]
+    if segment is None or segment.dtype != dtype:
+        raise ReplyDecodeError(f"the reply has no {dtype} {key} lane")
+    offset, length, size = segment.offset, segment.count, reader.buf.nbytes
+    if not isinstance(offset, int) or not isinstance(length, int) or not (
+        0 <= offset <= offset + length * np.dtype(dtype).itemsize <= size
+    ):
+        raise ReplyDecodeError(f"{key} lies outside the {size}-byte block")
+    if count is not None and length != count:
+        raise ReplyDecodeError(
+            f"{key} holds {length} values, the reply needs {count}"
+        )
+    return reader.get(key)
 
 
 def _require_range(lane: np.ndarray, bound: int, what: str) -> None:
@@ -625,18 +638,9 @@ def _pinned_entry(
     return entries[position]
 
 
-def _get_lane(reader: BlockReader, key: str, count: int) -> list[int]:
-    lane = reader.get(key)
-    if len(lane) != count:
-        raise ReplyDecodeError(
-            f"{key} holds {len(lane)} values, the reply needs {count}"
-        )
-    return lane.tolist()
-
-
 def _get_ragged(reader: BlockReader, key: str, count: int) -> list[list[int]]:
-    offsets = _get_lane(reader, f"{key}/offsets", count + 1)
-    values = reader.get(f"{key}/values").tolist()
+    offsets = _reply_lane(reader, f"{key}/offsets", count + 1).tolist()
+    values = _reply_lane(reader, f"{key}/values").tolist()
     if offsets != sorted(offsets) or offsets[0] != 0 or offsets[-1] != len(values):
         raise ReplyDecodeError(
             f"{key} offsets do not partition its {len(values)} values"

@@ -48,7 +48,7 @@ from repro.openflow.instructions import CompiledStep
 from repro.openflow.pipeline import OpenFlowPipeline
 from repro.packet.batch import IndexArray, PacketBatch, UIntLane
 from repro.runtime.cache import MicroflowCache
-from repro.runtime.megaflow import MaskSig, Traversal
+from repro.runtime.megaflow import MaskSig, Traversal, VersionChecks
 
 _LANE_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -118,13 +118,11 @@ class ColumnarWalk:
         self._register: UIntLane = np.zeros(size, dtype=np.uint64)
         self._overrides: dict[str, _OverrideLane] = {}
         self._first_table = pipeline.tables[0].table_id
-        #: Mutation counter of each visited table, read at its wave, and
-        #: the ``table_versions`` tuple of each distinct table sequence
-        #: (shared by every traversal along it).
-        self._versions: dict[int, int] = {}
-        self._route_versions: dict[
-            tuple[int, ...], tuple[tuple[int, int], ...]
-        ] = {}
+        #: ``(table, version)`` of each visited table, read at its wave,
+        #: and the ``version_checks`` tuple of each distinct table
+        #: sequence (shared by every traversal along it).
+        self._versions: dict[int, tuple[Any, int]] = {}
+        self._route_versions: dict[tuple[int, ...], VersionChecks] = {}
         self.waves = 0
         self.traversals: list[Traversal] = []
         self.traversal_codes: IndexArray = self._path[:0]
@@ -175,7 +173,7 @@ class ColumnarWalk:
     ) -> None:
         self.waves += 1
         table: Any = self.pipeline.table(table_id)
-        self._versions[table_id] = table.version
+        self._versions[table_id] = (table, table.version)
         outcomes: Sequence[FlowEntry | None]
         masks: Sequence[Mapping[str, int] | None]
         keys, key_codes = self._keys(table.field_names, members)
@@ -408,6 +406,6 @@ class ColumnarWalk:
         versions = self._route_versions.get(route)
         if versions is None:
             versions = self._route_versions[route] = tuple(
-                (stop, self._versions[stop]) for stop in route
+                self._versions[stop] for stop in route
             )
         return Traversal(outcome, versions)

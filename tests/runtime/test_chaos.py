@@ -37,6 +37,7 @@ from repro.runtime import (
     run_workload,
 )
 from repro.runtime.faults import HANG_SECONDS, STEPS
+from repro.runtime.transport import SharedBlock
 
 from tests.runtime.conftest import (
     needs_dev_shm,
@@ -49,6 +50,7 @@ from tests.runtime.test_shard import (
     ConnProxy,
     RoutedSharded,
     entry_counts,
+    lanes_end,
     make_arch,
 )
 
@@ -522,13 +524,25 @@ class TestInlineShardIsAReplica:
         assert sorted(live) == [0, 2]
         assert all(reply.mask_fields for reply in live.values())
 
-        served, encoders = [], []
+        served, encoders, recreated = [], [], []
         serve, encode = shard._Replica.serve, shard.encode_outcomes
+        ensure = SharedBlock.ensure
+        parent = os.getpid()
 
-        def spy_serve(replica, *args):
-            reply = serve(replica, *args)
-            served.append(reply)
+        def spy_serve(replica, request, request_buf, reply_buf, *rest):
+            reply = serve(replica, request, request_buf, reply_buf, *rest)
+            if os.getpid() == parent:  # the forked workers' copies differ
+                sharded = run.sharded
+                slot = sharded._responses[0][request.seq % sharded.depth]
+                served.append(
+                    (reply, request.reply_block == slot.name, reply_buf.nbytes)
+                )
             return reply
+
+        def spy_ensure(block, nbytes):
+            if block._shm is not None and block._shm.size < nbytes:
+                recreated.append(block.name)
+            ensure(block, nbytes)
 
         def spy_encode(*args):
             encoders.append(sys._getframe(1).f_code.co_qualname)
@@ -538,17 +552,20 @@ class TestInlineShardIsAReplica:
         # calls land in these lists.
         monkeypatch.setattr(shard._Replica, "serve", spy_serve)
         monkeypatch.setattr(shard, "encode_outcomes", spy_encode)
+        monkeypatch.setattr(SharedBlock, "ensure", spy_ensure)
         snapshot = run.run_and_compare()
         assert snapshot["inline_packets"] == sizes[0] + sizes[2]
         assert snapshot["restarts"] == 0
-        assert [reply.seq for reply in served] == [0, 2]
-        # (a) written into its response slot, not carried as bytes;
-        assert all(reply.block is None for reply in served)
+        assert [reply.seq for reply, _, _ in served] == [0, 2]
+        # (a) written inside the worker's own response slot;
+        for reply, worker_slot, slot_bytes in served:
+            assert worker_slot
+            assert lanes_end(reply) <= slot_bytes
         # (b) the mask fields a live worker reports for that sub-batch;
-        for reply in served:
+        for reply, _, _ in served:
             assert reply.mask_fields == live[reply.seq].mask_fields
-        # (c) so no response slot grows on its account;
-        assert run.sharded._reply_bytes == 1
+        # (c) so no response slot is re-created on its account;
+        assert recreated == []
         # (d) and the parent encodes through the replica's serve alone.
         assert encoders and set(encoders) == {"_Replica.serve"}
 

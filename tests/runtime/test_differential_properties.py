@@ -96,6 +96,12 @@ from repro.runtime import (
     run_stream,
 )
 from repro.runtime.megaflow import replay_template
+from repro.runtime.transport import (
+    REPLY_COUNTERS,
+    BlockWriter,
+    encode_outcomes,
+    reply_nbytes,
+)
 from repro.runtime.streaming import SHED_REASONS
 
 from tests.packet.test_packet_batch import packed_masked_key
@@ -857,7 +863,10 @@ def _hold_capture_to_spec(runner):
             result = replica.process(fields, mask=recorder)
             context = f"aggregate of {fields}"
             assert entry.mask == recorder.mask_signature(), context
-            assert entry.table_versions == tuple(recorder.tables), context
+            assert [
+                (table.table_id, version)
+                for table, version in entry.version_checks
+            ] == recorder.tables, context
             assert dict(entry.outcome.overrides) == {
                 name: result.final_fields[name]
                 for name in recorder.rewritten
@@ -1121,6 +1130,114 @@ def test_columnar_miss_path_prototype(example):
     for replayer in replayers.values():
         replayer.replay(example, trace)
     _assert_miss_paths_agree(replayers, len(trace), captures)
+
+
+# ----------------------------------------------------------------------
+# A reply fits the slot the parent sized for it
+# ----------------------------------------------------------------------
+
+
+def _chain_pipeline(tables, ports):
+    """``tables`` lookup tables chained by Goto-Table, each with one
+    entry per port: ``ports`` distinct packets are a reply's worst case
+    — every position its own traversal, one ref per table each."""
+    chain = [
+        OpenFlowLookupTable(("in_port",), table_id=table_id)
+        for table_id in range(tables)
+    ]
+    for table in chain:
+        last = table.table_id == tables - 1
+        for port in range(ports):
+            table.add(
+                FlowEntry.build(
+                    match=Match.exact(in_port=port),
+                    priority=1,
+                    instructions=[
+                        WriteActions([OutputAction(port)])
+                        if last
+                        else GotoTable(table.table_id + 1)
+                    ],
+                )
+            )
+    return OpenFlowPipeline(chain)
+
+
+def _encoded_reply(runner, packets):
+    """One sub-batch as a worker answers it: classified without credit,
+    then encoded; returns the outcomes and the encoded block's size."""
+    outcomes = runner.classify(PacketBatch.from_dicts(packets))
+    writer = BlockWriter()
+    encode_outcomes(
+        writer, outcomes, runner.pipeline, range(len(REPLY_COUNTERS))
+    )
+    return outcomes, writer.nbytes
+
+
+class TestReplyNbytesBoundsEveryReply:
+    """A response slot is sized to ``reply_nbytes`` before any worker
+    writes into it, and nothing else may carry the reply, so the bound
+    must hold for every block ``encode_outcomes`` can write: over the
+    harness's random pipelines and traces — sliced one packet, a
+    runner's batch and the whole trace at a time, caches cold then
+    warm — and over chains where every position is its own traversal
+    through every table."""
+
+    @staticmethod
+    def assert_bounded(runner, trace):
+        tables = len(runner.pipeline.tables)
+        for size in (1, BATCH_SIZE, len(trace)):
+            for start in range(0, len(trace), size):
+                members = trace[start : start + size]
+                _, nbytes = _encoded_reply(runner, members)
+                assert nbytes <= reply_nbytes(len(members), tables)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(example=_example)
+    def test_random_single_table_pipelines(self, example):
+        pipeline = Replayer(example, _lookup_tables).pipeline
+        runner = BatchPipeline(pipeline, cache_capacity=8, megaflow_capacity=8)
+        self.assert_bounded(runner, _build_trace(example))
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(example=_miss_example)
+    def test_random_multi_table_chains(self, example):
+        pipeline = MissReplayer(example, _miss_lookup_tables).pipeline
+        runner = BatchPipeline(
+            pipeline,
+            cache_capacity=16,
+            megaflow_capacity=example["megaflow_capacity"],
+        )
+        self.assert_bounded(runner, _build_miss_trace(example))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables=st.integers(1, 4), ports=st.integers(1, 48))
+    def test_every_position_its_own_traversal(self, tables, ports):
+        runner = BatchPipeline(
+            _chain_pipeline(tables, ports),
+            cache_capacity=16,
+            megaflow_capacity=64,
+        )
+        packets = [
+            {"in_port": port, FRAME_LEN_FIELD: 64 + port}
+            for port in range(ports)
+        ]
+        for _ in ("walked", "megaflow hits"):
+            outcomes, nbytes = _encoded_reply(runner, packets)
+            traversals, _ = outcomes.distinct()
+            assert len(traversals) == ports
+            assert all(
+                len(traversal.outcome.matched_entries) == tables
+                for traversal in traversals
+            )
+            assert nbytes <= reply_nbytes(ports, tables)
 
 
 # ----------------------------------------------------------------------

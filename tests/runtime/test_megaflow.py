@@ -409,7 +409,7 @@ class _ProbeWorld:
             return
         one = np.zeros(1, dtype=np.int64)
         traversal = Traversal(
-            outcome, tuple((table.table_id, table.version) for table in visited)
+            outcome, tuple((table, table.version) for table in visited)
         )
         self.cache.install_batch(
             PacketBatch.from_dicts([fields]), one, [mask], one, [traversal], one

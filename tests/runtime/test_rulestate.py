@@ -29,7 +29,6 @@ from repro.runtime import (
 )
 from repro.runtime.rulestate import FrozenLookupTable, SharedRuleState
 from repro.runtime.shard import _Replica
-from repro.runtime.transport import EntryIndex
 
 from tests.runtime.conftest import needs_dev_shm, serve_one_batch
 from tests.runtime.test_columnar import _Spy
@@ -105,12 +104,9 @@ class TestSealAttach:
             assert [e.match for e in frozen.entries_snapshot()] == [
                 e.match for e in table.entries_snapshot()
             ]
-            index = EntryIndex(replica)
+            positions = frozen.entry_positions()
             for position, entry in enumerate(frozen.entries_snapshot()):
-                assert index.ref(frozen.table_id, entry) == (
-                    frozen.table_id,
-                    position,
-                )
+                assert positions[id(entry)] == position
         finally:
             state.close()
 
@@ -257,7 +253,7 @@ class TestSealedStateCostShape:
             table = replica.runner.pipeline.tables[0]
             assert isinstance(table, FrozenLookupTable) and table._frozen
             reply = serve_one_batch(replica, PacketBatch.from_dicts(dicts))
-            assert reply.kind == "ok" and reply.block is None
+            assert reply.kind == "ok" and reply.segments
             doomed = next(iter(table))
             assert table.remove(doomed.match, doomed.priority)
             assert not table._frozen

@@ -790,10 +790,57 @@ class _RecordingConn(ConnProxy):
         return frame
 
 
-def as_bytes(frames):
-    """Per reply, whether it travelled as bytes in the frame (True) or
-    through its response slot (False)."""
-    return [frame.block is not None for frame in frames]
+class _SlotAuditConn(_RecordingConn):
+    """Also records, per request sent, its seq, its member count and the
+    size the response slot it names has at that moment — before the
+    worker can write a byte there."""
+
+    def __init__(self, conn, frames, sent, sharded, worker):
+        super().__init__(conn, frames)
+        self._sent = sent
+        self._sharded = sharded
+        self._worker = worker
+
+    def send(self, message):
+        if message[0] == "shm":
+            depth = self._sharded.depth
+            slot = self._sharded._responses[self._worker][message.seq % depth]
+            assert slot.name == message.reply_block
+            members = next(
+                segment.count
+                for segment in message.segments
+                if segment.key == message.members_key
+            )
+            self._sent.append((message.seq, members, slot.buf.nbytes))
+        self._conn.send(message)
+
+
+def leaves(value):
+    """Every object in a frame, containers included."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+
+
+def carries_bytes(frames):
+    """Per reply, whether any part of its frame is raw bytes — a reply
+    whose lanes travelled in the pipe instead of its response slot."""
+    return [
+        any(
+            isinstance(leaf, (bytes, bytearray, memoryview))
+            for leaf in leaves(frame)
+        )
+        for frame in frames
+    ]
+
+
+def lanes_end(frame):
+    """One past the last byte a reply's lanes occupy in its slot."""
+    return max(
+        segment.offset + segment.count * np.dtype(segment.dtype).itemsize
+        for segment in frame.segments
+    )
 
 
 def entry_counts(entries):
@@ -809,9 +856,10 @@ class TestParentOwnsEverySegment:
     """The response ring is the parent's, like the request ring and the
     sealed rules: a worker attaches and writes, it never creates."""
 
-    #: Small enough that half a 64-packet batch's reply (a 4-byte code
-    #: per position, 16 bytes of refs per distinct traversal and five
-    #: more small lanes) outgrows a fresh slot.
+    #: Small enough that the reply bound of half a 64-packet batch (a
+    #: 4-byte code per position; per possible traversal an offset, a
+    #: ref pair, packets and bytes; the counters and the pads) outgrows
+    #: a fresh slot, so every response slot is sized at submit.
     TINY_BLOCK = 1 << 8
 
     def batches(self, rule_set, count, size=64):
@@ -855,7 +903,7 @@ class TestParentOwnsEverySegment:
                 assert len(results) == len(batches[0])
             appeared = shm_segments() - before
             assert appeared and appeared <= created
-            assert any(as_bytes(frames)), "no reply outgrew its slot"
+            assert frames and not any(carries_bytes(frames))
             for proc in sharded._procs:
                 os.kill(proc.pid, signal.SIGKILL)
             for proc in sharded._procs:
@@ -866,10 +914,11 @@ class TestParentOwnsEverySegment:
     def test_oversize_reply_is_exact_and_grows_its_slot(
         self, small_routing_set, monkeypatch, workers
     ):
-        """A reply too big for its response slot rides in the control
-        frame: results, per-entry stats and runner counters still equal
-        the in-process runner's, and the next reply of that size goes
-        through shared memory again — every slot was grown."""
+        """With a fresh slot far smaller than any reply, every response
+        slot is sized for its sub-batch (``transport.reply_nbytes``)
+        before the request naming it is sent, every reply lands inside
+        it and no reply frame carries bytes — and results, per-entry
+        stats and runner counters still equal the in-process runner's."""
         monkeypatch.setattr(transport, "MIN_BLOCK_BYTES", self.TINY_BLOCK)
         first, other = self.batches(small_routing_set, count=2)
         batches = [first, first, other]
@@ -877,8 +926,8 @@ class TestParentOwnsEverySegment:
         single = BatchPipeline(ref_arch, cache_capacity=64, megaflow_capacity=128)
         expected = [single.process_batch(batch) for batch in batches]
         arch = make_arch(small_routing_set)
-        frames = []
-        travelled = []
+        frames = {}
+        sent = {}
         with ShardedBatchPipeline(
             arch,
             workers=workers,
@@ -888,19 +937,34 @@ class TestParentOwnsEverySegment:
         ) as sharded:
             sharded._ensure_started()
             sharded._conns = [
-                _RecordingConn(conn, frames) for conn in sharded._conns
+                _SlotAuditConn(
+                    conn,
+                    frames.setdefault(worker, []),
+                    sent.setdefault(worker, []),
+                    sharded,
+                    worker,
+                )
+                for worker, conn in enumerate(sharded._conns)
             ]
             for batch, want in zip(batches, expected):
-                seen = len(frames)
                 for a, b in zip(sharded.process_batch(batch), want, strict=True):
                     assert_same_result(a, b)
-                travelled.append(as_bytes(frames[seen:]))
             stats = sharded.stats_snapshot()
             assert sharded.supervision_snapshot()["crashes"] == 0
-        assert any(travelled[0]), "the first reply must outgrow its slot"
-        # Same packets, so replies of the same size — on the *other*
-        # ring slot, which was grown before it was used.
-        assert travelled[1] and not any(travelled[1])
+        replies = [frame for worker in frames for frame in frames[worker]]
+        assert len(replies) >= len(batches)
+        assert not any(carries_bytes(replies))
+        tables = len(arch.tables)
+        for worker, requests in sent.items():
+            assert [seq for seq, _, _ in requests] == [
+                frame.seq for frame in frames[worker]
+            ]
+            for (seq, members, size), frame in zip(requests, frames[worker]):
+                # Sized before first use: grown past the tiny fresh
+                # block to the bound, then written inside it.
+                assert size > self.TINY_BLOCK
+                assert size >= transport.reply_nbytes(members, tables)
+                assert lanes_end(frame) <= size, seq
         counts = entry_counts(arch.tables[0])
         assert counts == entry_counts(ref_arch.tables[0])
         assert sum(count[2] for count in counts) > 0
@@ -919,8 +983,8 @@ class TestParentOwnsEverySegment:
 
 class TestReplyWireShape:
     """What crosses the reply pipe, by shape and count: six lanes in
-    the block, and a frame that is a tag, a seq, optional bytes,
-    segment tuples and field-name strings — entries are *named*, and
+    the block, and a frame that is a tag, a seq, segment tuples and
+    field-name strings — entries are *named*, and
     everything they determine is rebuilt from the parent's own."""
 
     LANES = [
@@ -937,13 +1001,6 @@ class TestReplyWireShape:
             rule_set, packet_count=count * size, flow_count=24
         ).events[0][1]
         return [trace[i : i + size] for i in range(0, len(trace), size)]
-
-    def leaves(self, value):
-        """Every object in an unpickled frame, containers included."""
-        yield value
-        if isinstance(value, tuple):
-            for item in value:
-                yield from self.leaves(item)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_reply_names_entries_and_pickles_no_instance(
@@ -969,11 +1026,10 @@ class TestReplyWireShape:
             assert [segment.key for segment in frame.segments] == self.LANES
             kinds = {
                 type(leaf).__name__
-                for leaf in self.leaves(pickle.loads(pickle.dumps(frame)))
+                for leaf in leaves(pickle.loads(pickle.dumps(frame)))
             }
             assert kinds <= {
-                "ShmReply", "Segment", "tuple", "str", "int", "NoneType",
-                "bytearray",  # an oversize reply's own bytes
+                "ShmReply", "Segment", "tuple", "str", "int",
             }, kinds
         # Every action that came from an entry is that authoritative
         # entry's own object — not an unpickled equal.
@@ -1111,7 +1167,6 @@ class TestDistinctIsPerPositionDedup:
         # Capacity 4 of at most 9 aggregates: later batches mix hits,
         # misses and evictions.
         runner = BatchPipeline(arch, cache_capacity=8, megaflow_capacity=4)
-        index = transport.EntryIndex(arch)
         counters = range(len(transport.REPLY_COUNTERS))
         local, blocks = [], []
         for batch in batches:
@@ -1120,13 +1175,13 @@ class TestDistinctIsPerPositionDedup:
             local.append(outcomes.results())
             reference = transport.BlockWriter()
             transport.encode_outcomes(
-                reference, _PerPositionEncoded(outcomes), index, counters
+                reference, _PerPositionEncoded(outcomes), arch, counters
             )
             blocks.append(
                 reference.write_to(memoryview(bytearray(reference.nbytes)))
             )
             ours = transport.BlockWriter()
-            transport.encode_outcomes(ours, outcomes, index, counters)
+            transport.encode_outcomes(ours, outcomes, arch, counters)
             assert ours.nbytes == reference.nbytes
         frames = []
         with ShardedBatchPipeline(
@@ -1182,7 +1237,7 @@ class TestReplyFramesFailClosed:
     every other frame is refused — never parked, never an exception."""
 
     def reply(self, seq):
-        return ShmReply("ok", seq, None, (), ())
+        return ShmReply("ok", seq, (), ())
 
     def sorter(self, rule_set, *frames, owes=(5,)):
         sharded = ShardedBatchPipeline(make_arch(rule_set), workers=1)
@@ -1204,6 +1259,7 @@ class TestReplyFramesFailClosed:
             ("inline",),
             ("ok", 5),  # right tag, wrong arity
             ("ok", 5, None, (), (), "extra"),
+            ("ok", 5, (), (), "extra"),
             ("bye",),  # only acceptable while closing
             (),
             None,
@@ -1237,6 +1293,72 @@ class TestReplyFramesFailClosed:
         assert sharded._take_frame(0, closing=True) is True
         assert sharded._take_frame(0, closing=True) is False  # an "ok"
         assert not sharded._reply_buffer
+
+
+class _LaneDroppingConn(ConnProxy):
+    """Delivers the first reply it receives with one lane cut out of
+    its segment table; every later frame as sent."""
+
+    def __init__(self, conn, key, dropped):
+        super().__init__(conn)
+        self._key = key
+        self._dropped = dropped
+
+    def recv(self):
+        frame = self._conn.recv()
+        if frame[0] == "ok" and not self._dropped:
+            self._dropped.append(frame.seq)
+            frame = frame._replace(
+                segments=tuple(
+                    segment
+                    for segment in frame.segments
+                    if segment.key != self._key
+                )
+            )
+        return frame
+
+
+@needs_dev_shm
+class TestReplySegmentsFailClosed:
+    """A worker-supplied segment table is checked before anything is
+    read through it: a reply missing a lane is a ``ReplyDecodeError``
+    at collect — never a ``KeyError`` — so ``close()`` drains past it
+    and tears everything down."""
+
+    def start(self, rule_set):
+        sharded = ShardedBatchPipeline(make_arch(rule_set), workers=2, depth=2)
+        sharded._ensure_started()
+        dropped = []
+        sharded._conns = [
+            _LaneDroppingConn(conn, "res/bytes", dropped)
+            for conn in sharded._conns
+        ]
+        trace = SCENARIOS["uniform"](
+            rule_set, packet_count=64, flow_count=24
+        ).events[0][1]
+        return sharded, dropped, [trace[:32], trace[32:]]
+
+    def test_collect_raises_the_classified_error(self, small_routing_set):
+        sharded, dropped, batches = self.start(small_routing_set)
+        with sharded:
+            with pytest.raises(transport.ReplyDecodeError, match="res/bytes"):
+                sharded.process_batch(batches[0])
+            assert dropped == [0] and sharded.in_flight == 0
+            assert len(sharded.process_batch(batches[1])) == len(batches[1])
+
+    def test_close_with_the_bad_reply_in_flight(self, small_routing_set):
+        import multiprocessing
+
+        before = shm_segments()
+        sharded, dropped, batches = self.start(small_routing_set)
+        procs = list(sharded._procs)
+        for batch in batches:
+            sharded.submit_batch(batch)
+        sharded.close()
+        assert dropped == [0] and sharded.in_flight == 0
+        assert not any(proc.is_alive() for proc in procs)
+        assert not multiprocessing.active_children()
+        assert not shm_segments() - before
 
 
 class RoutedSharded(ShardedBatchPipeline):

@@ -23,7 +23,6 @@ from repro.runtime.batch import BatchPipeline, ColumnarOutcomes
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
-    EntryIndex,
     MIN_BLOCK_BYTES,
     PacketBlockCodec,
     ReplyDecodeError,
@@ -31,6 +30,12 @@ from repro.runtime.transport import (
     decode_outcomes,
     encode_outcomes,
 )
+
+
+def pin(pipeline):
+    """Every table's entry order, frozen as the sharded runner pins it
+    at submission."""
+    return {table.table_id: table.entries_snapshot() for table in pipeline.tables}
 
 
 def roundtrip(batch, positions=None):
@@ -280,7 +285,7 @@ class TestResultBlocks:
             {"in_port": 4, "vlan_vid": 7, "tcp_dst": 22, FRAME_LEN_FIELD: 60},
         ]
 
-    def reply(self, runner, index, packets, parent, pinned):
+    def reply(self, runner, packets, parent, pinned):
         """One worker round: classify, encode into a block, decode
         against ``pinned`` through ``parent``; returns the outcomes the
         worker encoded from, the block's lane keys, the decoded reply,
@@ -288,7 +293,7 @@ class TestResultBlocks:
         batch = PacketBatch.from_dicts(packets)
         outcomes = runner.classify_columnar(batch)
         writer = BlockWriter()
-        encode_outcomes(writer, outcomes, index, range(5))
+        encode_outcomes(writer, outcomes, runner.pipeline, range(5))
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)
@@ -322,8 +327,7 @@ class TestResultBlocks:
         replica, replica_entries = self.make_pipeline(miss_policy)
         parent, parent_entries = self.make_pipeline(miss_policy)
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
-        index = EntryIndex(replica)
-        pinned = EntryIndex(parent).pin()
+        pinned = pin(parent)
         # Moves in_port=1's entry from position 0 to the end of the
         # parent's table; the pinned order must not care.
         parent.table(0).remove(parent_entries[0].match, 1)
@@ -334,7 +338,7 @@ class TestResultBlocks:
         for expect_hits in (False, True):
             hits_before = runner.megaflow.hits
             outcomes, keys, decoded, rebuilt = self.reply(
-                runner, index, packets, parent, pinned
+                runner, packets, parent, pinned
             )
             # Hits and misses share one outcome shape; the tier's own
             # counter says which round this was.
@@ -455,13 +459,12 @@ class TestResultBlocks:
         replica, _ = self.make_pipeline(miss_policy)
         parent, _ = self.make_pipeline(miss_policy)
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
-        index = EntryIndex(replica)
-        pinned = EntryIndex(parent).pin()
+        pinned = pin(parent)
         packets = [self.packets()[i] for i in (0, 1, 5, 6)] * 2
         oracle = [parent.process(packet) for packet in packets]
         for _ in ("waves", "megaflow hits"):
             _, _, decoded, rebuilt = self.reply(
-                runner, index, packets, parent, pinned
+                runner, packets, parent, pinned
             )
             assert len(rebuilt) == 8
             # First-write order: Write-Metadata runs at its entry, a
@@ -512,13 +515,12 @@ class TestResultBlocks:
                 )
         pipeline = OpenFlowPipeline([first, second], miss_policy=miss_policy)
         runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
-        index = EntryIndex(pipeline)
         packets = [
             {"in_port": port, FRAME_LEN_FIELD: 60 + port}
             for port in range(1, 9)
         ]
         outcomes, _, decoded, rebuilt = self.reply(
-            runner, index, packets, pipeline, index.pin()
+            runner, packets, pipeline, pin(pipeline)
         )
         assert decoded.codes.tolist() == list(range(8))
         assert len(decoded.traversals) == 8
@@ -558,14 +560,13 @@ class TestReplyFailsClosed:
         second.add(FlowEntry.build(match=Match.exact(in_port=1), priority=1))
         pipeline = OpenFlowPipeline([first, second])
         runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
-        index = EntryIndex(pipeline)
         packets = [{"in_port": 1}, {"in_port": 7}, {"in_port": 1}]
         outcomes = runner.classify_columnar(PacketBatch.from_dicts(packets))
         writer = BlockWriter()
-        encode_outcomes(writer, outcomes, index, range(5))
+        encode_outcomes(writer, outcomes, pipeline, range(5))
         block = bytearray(writer.nbytes)
         segments = writer.write_to(memoryview(block))
-        return block, segments, pipeline, index.pin()
+        return block, segments, pipeline, pin(pipeline)
 
     def decode(self, block, segments, pipeline, pinned, expected=3):
         return decode_outcomes(
@@ -668,6 +669,60 @@ class TestReplyFailsClosed:
             with pytest.raises(ReplyDecodeError, match="the reply needs"):
                 self.decode(block, self.clipped(segments, key), *rest)
 
+    LANES = (
+        "res/codes",
+        "res/matched/offsets",
+        "res/matched/values",
+        "res/packets",
+        "res/bytes",
+        "res/stats",
+    )
+
+    def patched(self, segments, key, **fields):
+        return tuple(
+            segment._replace(**fields) if segment.key == key else segment
+            for segment in segments
+        )
+
+    @pytest.mark.parametrize("key", LANES)
+    def test_missing_lane(self, key):
+        """A segment table that leaves a lane out names no view to read."""
+        block, segments, *rest = self.encoded()
+        kept = tuple(segment for segment in segments if segment.key != key)
+        with pytest.raises(ReplyDecodeError, match=f"no .* {key} lane"):
+            self.decode(block, kept, *rest)
+
+    @pytest.mark.parametrize("key", LANES)
+    def test_offset_past_the_block(self, key):
+        block, segments, *rest = self.encoded()
+        with pytest.raises(ReplyDecodeError, match=f"{key} lies outside"):
+            self.decode(
+                block, self.patched(segments, key, offset=len(block)), *rest
+            )
+
+    @pytest.mark.parametrize("key", LANES)
+    def test_count_past_the_block(self, key):
+        block, segments, *rest = self.encoded()
+        with pytest.raises(ReplyDecodeError, match=f"{key} lies outside"):
+            self.decode(
+                block, self.patched(segments, key, count=len(block)), *rest
+            )
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<u4", "<i8", ">i4", "|u1"])
+    @pytest.mark.parametrize("key", LANES)
+    def test_wrong_dtype(self, key, dtype):
+        """A retyped lane would read the same bytes as other numbers —
+        a float code lane over ``[0, 1, 0]`` reads ``[0, 0, 0]`` — so a
+        lane in any dtype but its own is refused, never reinterpreted."""
+        block, segments, *rest = self.encoded()
+        original = next(s.dtype for s in segments if s.key == key)
+        if dtype == original:
+            dtype = "<f8"
+        with pytest.raises(ReplyDecodeError, match=f"no .* {key} lane"):
+            self.decode(
+                block, self.patched(segments, key, dtype=dtype), *rest
+            )
+
     def test_ragged_offsets_that_do_not_partition(self):
         for at, bad in ((1, 9), (0, 2), (2, 2)):
             block, segments, *rest = self.encoded()
@@ -677,33 +732,37 @@ class TestReplyFailsClosed:
 
 
 class TestEntryIndex:
+    """Entry refs resolve through the table's one ``id(entry) ->
+    position`` map (``entry_positions()``), kept beside the
+    ``entries_snapshot()`` it indexes and rebuilt once per version."""
+
     def test_refs_track_mutations(self):
         table = OpenFlowLookupTable(("in_port",), table_id=0)
-        pipeline = OpenFlowPipeline([table])
-        index = EntryIndex(pipeline)
         first = FlowEntry.build(match=Match.exact(in_port=1), priority=1)
         second = FlowEntry.build(match=Match.exact(in_port=2), priority=2)
         table.add(first)
         table.add(second)
-        assert index.ref(0, second) == (0, 1)
+        positions = table.entry_positions()
+        assert positions == {id(first): 0, id(second): 1}
+        assert table.entry_positions() is positions  # one map per version
         table.remove(first.match, first.priority)
-        assert index.ref(0, second) == (0, 0)  # cache refreshed on version
+        # Refreshed on version: the map follows the new snapshot.
+        assert table.entry_positions() == {id(second): 0}
+        assert table.entries_snapshot()[0] is second
 
     def test_pin_freezes_order_across_mutation(self):
         table = OpenFlowLookupTable(("in_port",), table_id=0)
         pipeline = OpenFlowPipeline([table])
-        index = EntryIndex(pipeline)
         entry = FlowEntry.build(match=Match.exact(in_port=1), priority=1)
         table.add(entry)
-        pinned = index.pin()
+        pinned = pin(pipeline)
         # Removing the entry and installing another *after* the pin
         # moves position 0, but ref resolution against the pin is
         # unaffected.
         table.remove(entry.match, entry.priority)
         table.add(FlowEntry.build(match=Match.exact(in_port=2), priority=99))
-        assert index.entries(0)[0] is not entry
+        assert table.entries_snapshot()[0] is not entry
         assert pinned[0][0] is entry
-
 
     def test_delta_apply_updates_pinned_entries(self):
         """A reply's delta lanes (packets, frame bytes per traversal)
