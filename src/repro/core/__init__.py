@@ -40,7 +40,7 @@ from repro.core.field_engine import (
     build_field_engine,
 )
 from repro.core.index import IndexCalculator
-from repro.core.lookup_table import LookupResult, OpenFlowLookupTable
+from repro.core.lookup_table import OpenFlowLookupTable
 from repro.core.partition import HeaderPartitioner
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "FieldEngine",
     "HeaderPartitioner",
     "IndexCalculator",
-    "LookupResult",
     "MetadataEngine",
     "MultiTableLookupArchitecture",
     "OpenFlowLookupTable",

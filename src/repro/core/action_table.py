@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from collections.abc import Iterator
 
 from repro.openflow.flow import FlowEntry
-from repro.openflow.instructions import GotoTable
 from repro.util.bits import bits_needed
 
 #: Encoded width of one action-table entry, following the prototype's
@@ -73,10 +72,6 @@ class ActionTable:
             entry = ActionTableEntry(index=len(self._slots), flow_entry=flow_entry)
             self._slots.append(entry)
         return entry
-
-    def append(self, flow_entry: FlowEntry) -> ActionTableEntry:
-        """Backwards-compatible alias of :meth:`allocate`."""
-        return self.allocate(flow_entry)
 
     def release(self, index: int) -> None:
         """Free one slot for reuse by a later allocation."""
@@ -139,13 +134,3 @@ class ActionTable:
     def live_bits(self) -> int:
         """Memory attributable to live entries only."""
         return len(self) * self.entry_bits
-
-    def goto_targets(self) -> set[int]:
-        """All next-table ids referenced by entries (pipeline validation)."""
-        targets = set()
-        for entry in self:
-            goto = entry.flow_entry.instructions.get(GotoTable)
-            if goto is not None:
-                assert isinstance(goto, GotoTable)
-                targets.add(goto.table_id)
-        return targets

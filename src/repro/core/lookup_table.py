@@ -35,18 +35,6 @@ from repro.openflow.match import Match
 from repro.packet.headers import frame_length
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of one table lookup, with the labels that produced it."""
-
-    entry: ActionTableEntry | None
-    label_sets: tuple[tuple[int, ...], ...]
-
-    @property
-    def matched(self) -> bool:
-        return self.entry is not None
-
-
 @dataclass
 class _InstalledEntry:
     """Bookkeeping for one installed flow entry (for exact removal)."""
@@ -83,8 +71,8 @@ class OpenFlowLookupTable:
         self._by_key: dict[tuple[Match, int], _InstalledEntry] = {}
         self._label_refs: Counter[tuple[str, int]] = Counter()
         #: Flattened partition engines, aligned with
-        #: ``partitioner.partition_names`` (the batch path indexes them
-        #: positionally instead of by name).
+        #: ``partitioner.partition_names`` (:meth:`search_keys` indexes
+        #: them positionally instead of by name).
         self._flat_engines = tuple(
             engine
             for name in field_names
@@ -111,8 +99,6 @@ class OpenFlowLookupTable:
         #: — one shared dict per distinct combination (a handful: each
         #: partition consults nothing, a trie depth, or everything).
         self._consulted_masks: dict[tuple[int, ...], dict[str, int]] = {}
-        self.lookup_count = 0
-        self.matched_count = 0
         #: Mutation counter; bumped on every add/remove so lookup caches
         #: (e.g. :class:`repro.runtime.cache.MicroflowCache`) can detect
         #: staleness cheaply.
@@ -190,19 +176,27 @@ class OpenFlowLookupTable:
     def lookup(
         self, packet_fields: Mapping[str, int], mask=None
     ) -> FlowEntry | None:
-        """Highest-priority matching entry, via the decomposition path.
+        """Highest-priority matching entry: :meth:`search_keys` over the
+        packet's table key, crediting the entry's flow stats.
 
         ``mask``, when given, is a consulted-bits sink (an object with a
         ``consult(field_name, bitmask)`` method, e.g. a
-        :class:`~repro.runtime.megaflow.MegaflowRecorder`): every
-        partition engine reports which bits of its field the search
-        outcome actually depended on, enabling wildcard-cache capture.
+        :class:`~repro.runtime.megaflow.MegaflowRecorder`): it is told,
+        once per field, which bits of that field the search outcome
+        depended on — the OR of the field's partition engines' consulted
+        bits — enabling wildcard-cache capture.
         """
-        result = self.search(packet_fields, mask=mask)
-        if result.entry is None:
+        key = tuple(packet_fields.get(name) for name in self.field_names)
+        ((entry, _, consulted),) = self.search_keys(
+            self.partitioner.split_keys([key]), mask is not None
+        )
+        if consulted:
+            for field_name, bits in consulted.items():
+                mask.consult(field_name, bits)
+        if entry is None:
             return None
-        result.entry.flow_entry.stats.record(frame_length(packet_fields))
-        return result.entry.flow_entry
+        entry.flow_entry.stats.record(frame_length(packet_fields))
+        return entry.flow_entry
 
     def __len__(self) -> int:
         return len(self._installed)
@@ -249,55 +243,6 @@ class OpenFlowLookupTable:
     # architecture-level interface
     # ------------------------------------------------------------------
 
-    def search(
-        self, packet_fields: Mapping[str, int], mask=None
-    ) -> LookupResult:
-        """Full decomposition lookup, exposing the per-partition labels.
-
-        With a ``mask`` sink the per-partition consulted bits are folded
-        into it (see :meth:`lookup`); each engine then answers labels
-        and consulted bits from one :meth:`PartitionEngine.probe`.
-        """
-        self.lookup_count += 1
-        keys = self.partitioner.extract(packet_fields)
-        if mask is None:
-            label_sets = tuple(
-                engine.search(keys.get(engine.name))
-                for engine in self._flat_engines
-            )
-        else:
-            found = []
-            for engine, (field_name, shift) in zip(
-                self._flat_engines, self._mask_shifts
-            ):
-                labels, bits = engine.probe(keys.get(engine.name))
-                found.append(labels)
-                if bits:
-                    mask.consult(field_name, bits << shift)
-            label_sets = tuple(found)
-        index = self.index.lookup(label_sets)
-        if index is None:
-            return LookupResult(entry=None, label_sets=label_sets)
-        self.matched_count += 1
-        return LookupResult(entry=self.actions[index], label_sets=label_sets)
-
-    def consulted_mask(self, packet_fields: Mapping[str, int]) -> dict[str, int]:
-        """The consulted-bits masks a :meth:`search` of this packet would
-        report, without running the search (no counters, no flow stats).
-
-        Used by caches to backfill masks for entries resolved before any
-        mask sink was attached.
-        """
-        keys = self.partitioner.extract(packet_fields)
-        return dict(
-            self._field_mask(
-                tuple(
-                    engine.consulted_mask(keys.get(engine.name))
-                    for engine in self._flat_engines
-                )
-            )
-        )
-
     def _field_mask(self, consulted: tuple[int, ...]) -> dict[str, int]:
         """The field-aligned mask for per-partition consulted bits
         (flat-engine order), interned: equal bits share one dict."""
@@ -314,20 +259,23 @@ class OpenFlowLookupTable:
         key_rows: Sequence[tuple[int | None, ...]],
         capture: bool = False,
     ) -> list[tuple[ActionTableEntry | None, tuple[tuple[int, ...], ...], dict[str, int] | None]]:
-        """Decomposition lookup over partition-key rows.
+        """Decomposition lookup over partition-key rows — the table's
+        one search: :meth:`lookup`, :meth:`lookup_batch` and
+        :meth:`lookup_keys` all go through it, each with
+        :meth:`HeaderPartitioner.split_keys` rows.
 
         One ``(action entry, label sets, consulted mask)`` triple per
         row, keys in :attr:`HeaderPartitioner.partition_names` order.
-        Every engine is probed once per *distinct* key of its partition
-        across the whole call (with ``capture``, labels and consulted
-        bits come from the same :meth:`PartitionEngine.probe`), and
-        rows sharing a full key tuple share one index calculation and
-        one triple.  The consulted mask is ``None`` without ``capture``;
-        keys that consulted the same bits share one mask dict (interned
-        on the table, so callers comparing masks mostly compare
-        identities).
+        It has no side effect (no counter, no flow stats), so a cache
+        may call it just to read a mask.  Every engine is probed once
+        per *distinct* key of its partition across the whole call (with
+        ``capture``, labels and consulted bits come from the same
+        :meth:`PartitionEngine.probe`), and rows sharing a full key
+        tuple share one index calculation and one triple.  The
+        consulted mask is ``None`` without ``capture``; keys that
+        consulted the same bits share one mask dict (interned on the
+        table, so callers comparing masks mostly compare identities).
         """
-        self.lookup_count += len(key_rows)
         probes: list[dict[int | None, tuple[tuple[int, ...], int]]] = []
         for engine, column in zip(self._flat_engines, zip(*key_rows)):
             if capture:
@@ -355,45 +303,27 @@ class OpenFlowLookupTable:
                     if capture
                     else None,
                 )
-            if cached[0] is not None:
-                self.matched_count += 1
             found.append(cached)
         return found
-
-    def search_batch(
-        self, batch_fields: Sequence[Mapping[str, int]]
-    ) -> list[LookupResult]:
-        """Decomposition lookup for a batch of packets.
-
-        Field/partition extraction is vectorized
-        (:meth:`HeaderPartitioner.extract_batch`); the label searches
-        and index calculations are shared across duplicate keys by
-        :meth:`search_keys`.
-        """
-        results: dict[int, LookupResult] = {}
-        out: list[LookupResult] = []
-        for found in self.search_keys(
-            self.partitioner.extract_batch(batch_fields)
-        ):
-            result = results.get(id(found))
-            if result is None:
-                result = results[id(found)] = LookupResult(
-                    entry=found[0], label_sets=found[1]
-                )
-            out.append(result)
-        return out
 
     def lookup_batch(
         self, batch_fields: Sequence[Mapping[str, int]]
     ) -> list[FlowEntry | None]:
-        """Batched :meth:`lookup`: one matched entry (or None) per packet."""
+        """Batched :meth:`lookup`: one matched entry (or None) per
+        packet, the whole batch through one :meth:`search_keys` call."""
+        names = self.field_names
+        found = self.search_keys(
+            self.partitioner.split_keys(
+                [tuple(f.get(name) for name in names) for f in batch_fields]
+            )
+        )
         hits: list[FlowEntry | None] = []
-        for fields, result in zip(batch_fields, self.search_batch(batch_fields)):
-            if result.entry is None:
+        for fields, (entry, _, _) in zip(batch_fields, found):
+            if entry is None:
                 hits.append(None)
             else:
-                result.entry.flow_entry.stats.record(frame_length(fields))
-                hits.append(result.entry.flow_entry)
+                entry.flow_entry.stats.record(frame_length(fields))
+                hits.append(entry.flow_entry)
         return hits
 
     def lookup_keys(

@@ -4,23 +4,24 @@
 fields used for the first table lookup.  Each field partition is sent to
 the corresponding single-field algorithm." — paper Section IV.A.
 
-Given a table's field schema, the partitioner extracts each field from a
-packet's field dictionary and slices LPM fields into their 16-bit
-partition values, producing the per-partition keys the engines search.
+Given a table's field schema, the partitioner slices a table key — the
+tuple of the packet's field values in schema order — into per-partition
+keys: LPM fields into their 16-bit partition values, every other field
+whole.  :meth:`HeaderPartitioner.split_keys` is the one extractor; every
+search of a decomposition table runs on its rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
-import numpy as np
+from collections.abc import Sequence
 
 from repro.filters.partitions import FieldPartition, partition_scheme
 from repro.openflow.fields import REGISTRY, MatchMethod
 
 
 class HeaderPartitioner:
-    """Extracts per-partition key values for a fixed field schema."""
+    """Slices table keys into per-partition key values for a fixed
+    field schema."""
 
     def __init__(self, field_names: tuple[str, ...], part_bits: int = 16):
         self.field_names = field_names
@@ -57,30 +58,14 @@ class HeaderPartitioner:
     def scheme(self, field_name: str) -> tuple[FieldPartition, ...]:
         return self._schemes[field_name]
 
-    def extract(self, packet_fields: Mapping[str, int]) -> dict[str, int | None]:
-        """Slice a packet's fields into partition keys.
-
-        Returns a mapping from partition name to the partition's key
-        value, or ``None`` when the packet lacks the field entirely (e.g.
-        ``ipv4_dst`` on a non-IP packet) — engines treat that as "no
-        match".
-        """
-        keys: dict[str, int | None] = {}
-        for name, slices in zip(self.field_names, self._slices):
-            value = packet_fields.get(name)
-            for part, (shift, mask) in zip(self._schemes[name], slices):
-                keys[part.name] = (
-                    None if value is None else (value >> shift) & mask
-                )
-        return keys
-
     def split_keys(
         self, field_keys: Sequence[tuple[int | None, ...]]
     ) -> list[tuple[int | None, ...]]:
         """Slice field-value tuples (schema order, ``None`` = the packet
-        lacks the field) into partition-key tuples in
-        :attr:`partition_names` order — :meth:`extract` for callers that
-        already hold the table key instead of a field dict."""
+        lacks the field, which engines treat as "no match") into
+        partition-key tuples in :attr:`partition_names` order.  Plain
+        Python integers, so fields wider than 64 bits (IPv6) slice like
+        any other."""
         rows: list[tuple[int | None, ...]] = []
         slices = self._slices
         for key in field_keys:
@@ -94,51 +79,3 @@ class HeaderPartitioner:
                     )
             rows.append(tuple(row))
         return rows
-
-    def extract_batch(
-        self, batch: Sequence[Mapping[str, int]]
-    ) -> list[tuple[int | None, ...]]:
-        """Slice a batch of packets into partition-key tuples.
-
-        Returns one tuple per packet, with keys in
-        :attr:`partition_names` order (``None`` where the packet lacks
-        the field).  The per-partition shift/mask arithmetic runs
-        vectorized over the whole batch with numpy for fields up to 64
-        bits; wider fields (IPv6) fall back to Python integers, which
-        have no width limit.
-        """
-        if not batch:
-            return []
-        columns: list[list[int | None]] = []
-        for name in self.field_names:
-            field_bits = REGISTRY[name].bits
-            raw = [fields.get(name) for fields in batch]
-            values: np.ndarray | None = None
-            if field_bits <= 64:
-                try:
-                    values = np.array(
-                        [0 if v is None else v for v in raw], dtype=np.uint64
-                    )
-                except (OverflowError, TypeError):
-                    values = None  # out-of-range value; take the slow path
-            for part in self._schemes[name]:
-                shift = field_bits - part.offset - part.bits
-                mask = (1 << part.bits) - 1
-                if values is not None:
-                    keys = (
-                        (values >> np.uint64(shift)) & np.uint64(mask)
-                    ).tolist()
-                    columns.append(
-                        [
-                            None if v is None else key
-                            for v, key in zip(raw, keys)
-                        ]
-                    )
-                else:
-                    columns.append(
-                        [
-                            None if v is None else (v >> shift) & mask
-                            for v in raw
-                        ]
-                    )
-        return list(zip(*columns))

@@ -203,11 +203,11 @@ class MaskedMatch(FieldMatch):
 class FieldMaskSink:
     """Minimal consulted-bits accumulator (field name -> OR'd bitmask).
 
-    The common sink passed as ``mask=`` to the lookup paths when only
-    the raw per-field masks are wanted — e.g. microflow-cache capture
-    and :meth:`OpenFlowLookupTable.consulted_mask` backfill.  The
-    megaflow recorder layers rewrite filtering and table tagging on top
-    of the same ``consult`` protocol.
+    The common sink passed as ``mask=`` to a table's scalar ``lookup``
+    when only the raw per-field masks are wanted — e.g. comparing a
+    table's capture with what its partition engines or predicates
+    consulted.  The megaflow recorder layers rewrite filtering and
+    table tagging on top of the same ``consult`` protocol.
     """
 
     __slots__ = ("fields",)

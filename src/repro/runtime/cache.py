@@ -20,18 +20,20 @@ Misses are cached too (negative caching): a miss is just another
 classification outcome, and the stale-stamp rule keeps it correct.
 
 The cache also participates in megaflow capture: a capturing probe
-(:meth:`MicroflowCache.lookup_keys` with ``capture``, or
-:meth:`MicroflowCache.lookup` with a consulted-bits sink, ``mask=`` —
-see :mod:`repro.runtime.megaflow`) captures the table's raw
-consulted-bits masks on miss, stores them with the record and hands
-them back on every hit — so a traversal resolved from the microflow
-tier still produces a sound wildcard mask.
+(:meth:`MicroflowCache.lookup_keys` with ``capture`` — see
+:mod:`repro.runtime.megaflow`) captures the table's raw consulted-bits
+masks on miss, stores them with the record and hands them back on every
+hit — so a traversal resolved from the microflow tier still produces a
+sound wildcard mask.
 
-Keys are read off a :class:`~repro.packet.batch.PacketBatch`'s lanes:
-the batch probe is :meth:`MicroflowCache.lookup_keys` over distinct
-keys; the one per-dict entry point left is the scalar
-:meth:`MicroflowCache.lookup`.  The cache, like the whole batch runtime,
-takes only a table with a keyed lookup (:func:`require_keyed_table`);
+Keys are table keys — the tuple of a packet's field values in the
+table's ``field_names`` order — read off a
+:class:`~repro.packet.batch.PacketBatch`'s lanes.  The one probe is
+:meth:`MicroflowCache.lookup_keys` over distinct keys;
+:meth:`MicroflowCache.lookup_batch_columnar` is that probe over a whole
+batch, with the flow stats credited.  No probe takes a field dict.  The
+cache, like the whole batch runtime, takes only a table with a keyed
+lookup (:func:`require_keyed_table`);
 the behavioural :class:`~repro.openflow.table.FlowTable` scan is the
 oracle the runtime is tested against, not a table it runs.
 """
@@ -39,15 +41,13 @@ oracle the runtime is tested against, not a table it runs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.openflow.flow import FlowEntry
-from repro.openflow.match import ConsultSink, FieldMaskSink
 from repro.packet.batch import PacketBatch
-from repro.packet.headers import frame_length
 
 #: Sentinel distinguishing a cached miss from an absent key.
 _MISS = object()
@@ -132,47 +132,12 @@ class MicroflowCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def key(self, packet_fields: Mapping[str, int]) -> tuple:
-        """The microflow key: the exact tuple of schema-field values."""
-        return tuple(packet_fields.get(name) for name in self.field_names)
-
     def flush(self) -> None:
         """Drop every cached microflow (explicit only; mutations do not
         flush — they stale-stamp, and records revalidate on access)."""
         if self._entries:
             self.flushes += 1
         self._entries.clear()
-
-    def lookup(
-        self,
-        packet_fields: Mapping[str, int],
-        mask: ConsultSink | None = None,
-    ) -> FlowEntry | None:
-        """Cached highest-priority match for one packet.
-
-        ``mask``, when given, receives the table's consulted bits for
-        this key (captured on miss, replayed from the record on hit).
-        """
-        version = self.table.version
-        key = self.key(packet_fields)
-        record = self._entries.get(key)
-        if record is not None and record.version == version:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            if mask is not None:
-                if record.mask is None:
-                    record.mask = self._capture_mask(packet_fields)
-                _replay_mask(record.mask, mask)
-            return self._outcome(record, packet_fields)
-        if record is not None:
-            self.revalidations += 1
-        self.misses += 1
-        outcome, captured = self._resolve(packet_fields, mask is not None)
-        if mask is not None:
-            assert captured is not None
-            _replay_mask(captured, mask)
-        self._insert(key, outcome, version, captured)
-        return outcome
 
     def lookup_batch_columnar(
         self, batch: PacketBatch
@@ -211,13 +176,13 @@ class MicroflowCache:
         the columnar miss path calls it per wave,
         :meth:`lookup_batch_columnar` per batch.
 
-        ``keys`` are this cache's own microflow keys (:meth:`key`
-        tuples), each standing for ``counts[i]`` packets; every key is
-        probed once and the residual goes to the table's
-        ``lookup_keys`` in **one** call.  Returns two aligned lists:
-        the matched entry per key and, with ``capture``, its consulted
-        mask (captured at resolution, replayed from the record on a
-        hit).  Hit, miss and revalidation counters move per packet;
+        ``keys`` are distinct table keys (value tuples in the table's
+        ``field_names`` order), each standing for ``counts[i]``
+        packets; every key is probed once and the residual goes to the
+        table's ``lookup_keys`` in **one** call.  Returns two aligned
+        lists: the matched entry per key and, with ``capture``, its
+        consulted mask (captured at resolution, replayed from the
+        record on a hit).  Hit, miss and revalidation counters move per packet;
         recency moves per key, hits before residual, each in ``keys``
         order.  Flow stats are **not** credited here — the caller knows
         each packet's frame length and credits the matched entries.
@@ -235,13 +200,7 @@ class MicroflowCache:
                 hits += counts[i]
                 move_to_end(key)
                 if capture and record.mask is None:
-                    record.mask = self._capture_mask(
-                        {
-                            name: value
-                            for name, value in zip(self.field_names, key)
-                            if value is not None
-                        }
-                    )
+                    record.mask = self._capture_mask(key)
                 outcome = record.outcome
                 outcomes.append(outcome if isinstance(outcome, FlowEntry) else None)
                 masks.append(record.mask)
@@ -267,35 +226,15 @@ class MicroflowCache:
     # internals
     # ------------------------------------------------------------------
 
-    def _outcome(
-        self, record: _Record, packet_fields: Mapping[str, int]
-    ) -> FlowEntry | None:
-        """Resolve a cache hit, recording the *hitting* packet's frame
-        length (records are shared across every packet of the microflow,
-        but byte counters are per packet)."""
-        if record.outcome is _MISS:
-            return None
-        entry = record.outcome
-        assert isinstance(entry, FlowEntry)
-        entry.stats.record(frame_length(packet_fields))
-        return entry
-
-    def _resolve(
-        self, packet_fields: Mapping[str, int], want_mask: bool
-    ) -> tuple[FlowEntry | None, dict[str, int] | None]:
-        if want_mask:
-            sink = FieldMaskSink()
-            return self.table.lookup(packet_fields, mask=sink), sink.fields
-        return self.table.lookup(packet_fields), None
-
-    def _capture_mask(self, packet_fields: Mapping[str, int]) -> dict[str, int]:
+    def _capture_mask(self, key: tuple) -> dict[str, int] | None:
         """Backfill the consulted-bits mask for a record cached without
-        one (the cache was used mask-less first); the mask is a pure
-        function of the key and the table's current structures.  The
-        table's ``consulted_mask`` is side-effect-free, so a cache *hit*
-        never double-counts lookup counters or flow stats.
+        one (the cache was used mask-less first): the table's capturing
+        ``lookup_keys`` of the record's own key, a pure function of the
+        key and the table's current structures.  ``lookup_keys``
+        credits no flow stats and the search moves no counter, so a
+        cache *hit* never double-counts.
         """
-        return self.table.consulted_mask(packet_fields)
+        return self.table.lookup_keys([key], True)[1][0]
 
     def _insert(
         self,
@@ -310,11 +249,6 @@ class MicroflowCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-
-def _replay_mask(captured: dict[str, int], mask: ConsultSink) -> None:
-    for name, bits in captured.items():
-        mask.consult(name, bits)
 
 
 def _lane_keys(

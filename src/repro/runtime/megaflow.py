@@ -15,11 +15,12 @@ with a :class:`MegaflowRecorder` as the sink:
 - every visited table is tagged ``(table_id, version)`` — the table's
   mutation counter at lookup time;
 - every table lookup folds in a per-field bitmask of the bits the
-  search outcome depended on.  The decomposition path reports per
-  *partition engine* (an empty LUT/range structure consults nothing, a
-  trie consults down to the level its walk terminates at — see
-  ``PartitionEngine.consulted_mask``); the behavioural scan reports each
-  evaluated entry's predicate masks;
+  search outcome depended on.  The decomposition path reports once
+  per field, the OR of its *partition engines'* consulted bits from
+  the table's one search, ``search_keys`` (an empty LUT/range structure
+  consults nothing, a trie consults down to the level its walk
+  terminates at — see ``PartitionEngine.probe``); the behavioural scan
+  reports each evaluated entry's predicate masks;
 - header rewrites (Apply-Actions set-field, Write-Metadata) are marked
   as *derived*: consulting a derived value adds nothing to the mask
   over the original packet, because the rewrite itself is pinned by the

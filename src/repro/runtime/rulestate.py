@@ -27,11 +27,11 @@ the same tuple, in the same installation order, the parent sealed from.
 Workers *attach*: :class:`FrozenLookupTable` subclasses the eager
 :class:`~repro.core.lookup_table.OpenFlowLookupTable`, builds the cheap
 empty shell, then grafts frozen twins over the partition engines' search
-structures, the index, and the action table.  All inherited search paths
-(``search``, ``search_batch``, ``consulted_mask`` capture, microflow and
-megaflow caching) run unchanged over the grafted structures, which is
-what keeps sharded results bitwise-identical to the single-process
-paths.  Per-worker incremental memory for the static state is the page
+structures, the index, and the action table.  The table's one inherited
+search (``search_keys``, behind ``lookup``, ``lookup_batch`` and
+``lookup_keys``, mask capture included), and so microflow and megaflow
+caching, run unchanged over the grafted structures, which is what keeps
+sharded results bitwise-identical to the single-process paths.  Per-worker incremental memory for the static state is the page
 tables, not the data — O(1) in rules.
 
 Mutations keep flowing through the mutation log.  The first ``add`` /
@@ -420,8 +420,9 @@ class FrozenLookupTable(OpenFlowLookupTable):
     Construction builds the normal *empty* table (partition engines,
     partitioner, caches — all O(fields), not O(rules)), then grafts the
     frozen twins over each engine's search structure, the index, and the
-    action table.  Every inherited lookup path — scalar, batch, masked
-    megaflow capture — runs unchanged.
+    action table.  The inherited search, ``search_keys`` — behind the
+    scalar, batch and keyed lookups and masked megaflow capture alike —
+    runs unchanged.
 
     Entries are the table spec's own tuple (``spec.entries``), which
     the sealed positions index; ``__len__`` and ``__iter__`` read it, so
@@ -535,13 +536,9 @@ class FrozenLookupTable(OpenFlowLookupTable):
         identically.
         """
         attachments = self._attachments
-        lookup_count = self.lookup_count
-        matched_count = self.matched_count
         rebuilt = self._spec.build(self.config)
         self.__dict__.clear()
         self.__dict__.update(rebuilt.__dict__)
-        self.lookup_count = lookup_count
-        self.matched_count = matched_count
         self._frozen = False
         # Keep the mapping alive: sibling tables of this pipeline may
         # still be frozen on the same block, and an early unmap of a

@@ -19,10 +19,11 @@ instead of unbounded queue growth.  This module supplies that front-end:
   one row of a single :class:`~repro.packet.batch.PacketBatch` store
   plus per-advance lanes, so the front-end works per tick and per
   batch and never touches a packet dict.
-- :class:`AdmissionQueue` — a hard-capacity queue with explicit drop
-  policies: *tail-drop* (arrivals beyond capacity are shed on the spot)
-  and *deadline-drop* (per-packet deadlines in virtual ticks; entries
-  that age out before forming a batch are shed at the next advance).
+- :class:`AdmissionQueue` — a hard-capacity queue with two drop rules:
+  *tail-drop* (arrivals beyond capacity are shed on the spot) and, when
+  a ``deadline`` is set, *deadline-drop* (per-packet deadlines in
+  virtual ticks; entries that age out before forming a batch are shed
+  at the next advance).
   A preallocated ring of store row indices: the capacity is the length
   of its lanes, so it is hard by construction (the ``bounded-queue``
   lint rule polices the ``deque`` / list-as-FIFO alternatives).
@@ -349,37 +350,24 @@ class AdmissionQueue:
     else about a waiter is derived: its frame length from the store
     row, its deadline from the enqueue tick.
 
-    ``policy="tail"`` sheds arrivals that find the queue full
-    (:meth:`admit` takes what fits; the rest is the caller's to shed);
-    ``policy="deadline"`` additionally sheds entries that waited more
-    than ``deadline`` ticks before they formed a batch (:meth:`expire`
-    — called after every clock advance; enqueue ticks are monotone in
-    FIFO order, so the expired entries are always a contiguous head
-    prefix, found by one bisection).
+    Arrivals that find the queue full are shed (:meth:`admit` takes
+    what fits; the rest is the caller's to shed).  With a ``deadline``
+    (``None`` means tail-drop only), entries that waited more than
+    ``deadline`` ticks before they formed a batch are shed too
+    (:meth:`expire` — called after every clock advance; enqueue ticks
+    are monotone in FIFO order, so the expired entries are always a
+    contiguous head prefix, found by one bisection).
     """
 
-    POLICIES = ("tail", "deadline")
-
-    def __init__(
-        self,
-        capacity: int,
-        policy: str = "tail",
-        deadline: int | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, deadline: int | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in self.POLICIES:
+        if deadline is not None and deadline < 1:
             raise ValueError(
-                f"unknown policy {policy!r}; expected one of {self.POLICIES}"
-            )
-        if policy == "deadline" and (deadline is None or deadline < 1):
-            raise ValueError(
-                "deadline policy needs a positive per-packet deadline, "
-                f"got {deadline!r}"
+                f"deadline must be None or >= 1 tick, got {deadline!r}"
             )
         self.capacity = capacity
-        self.policy = policy
-        self.deadline = deadline if policy == "deadline" else None
+        self.deadline = deadline
         # Plain lists, not arrays: a tick admits two or three packets,
         # and at that size element stores beat numpy's per-call cost.
         self._rows = [0] * capacity
@@ -452,8 +440,10 @@ class AdmissionQueue:
 class StreamConfig:
     """Knobs for one open-loop run.
 
-    ``capacity``/``policy``/``deadline`` parameterize the
-    :class:`AdmissionQueue`.  ``batch_size`` and ``form_deadline``
+    ``capacity`` and ``deadline`` parameterize the
+    :class:`AdmissionQueue`: a full queue tail-drops, and a packet that
+    waited more than ``deadline`` ticks is shed (``None``, the default,
+    means tail-drop only).  ``batch_size`` and ``form_deadline``
     drive size-or-deadline batch formation: a batch goes out when
     ``batch_size`` packets are waiting, or when the oldest waiter has
     aged ``form_deadline`` ticks.  ``window`` bounds the pipelined
@@ -481,7 +471,6 @@ class StreamConfig:
     batch_size: int = 64
     form_deadline: int = 8
     window: int = 4
-    policy: str = "tail"
     deadline: int | None = None
     service_rate: float | None = None
     degrade_after: int = 4
@@ -812,7 +801,7 @@ def run_stream(
     cfg = config if config is not None else StreamConfig()
     arrivals = schedule.columns
     store, frame = arrivals.store, arrivals.frame
-    queue = AdmissionQueue(cfg.capacity, policy=cfg.policy, deadline=cfg.deadline)
+    queue = AdmissionQueue(cfg.capacity, deadline=cfg.deadline)
     transport: _InlineTransport | _PipelinedTransport
     if hasattr(runner, "submit_batch"):
         transport = _PipelinedTransport(runner, cfg.window)

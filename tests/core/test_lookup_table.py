@@ -15,7 +15,14 @@ from repro.core.builder import build_lookup_table
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.filters.rule import Application, Rule, RuleSet
 from repro.openflow.flow import FlowEntry
-from repro.openflow.match import ExactMatch, Match, PrefixMatch, RangeMatch
+from repro.openflow.fields import REGISTRY, MatchMethod
+from repro.openflow.match import (
+    ExactMatch,
+    FieldMaskSink,
+    Match,
+    PrefixMatch,
+    RangeMatch,
+)
 from repro.openflow.table import FlowTable
 from repro.util.bits import canonical_prefix, mask_of
 
@@ -182,20 +189,16 @@ class TestManagement:
         assert table.table_miss_entry is miss
         assert len(list(iter(table))) == 2
 
-    def test_counters(self, tiny_routing_set):
-        table = build_lookup_table(tiny_routing_set)
-        table.lookup({"in_port": 1, "ipv4_dst": 0x0A141E05})
-        table.lookup({"in_port": 9, "ipv4_dst": 0})
-        assert table.lookup_count == 2 and table.matched_count == 1
-
     def test_search_exposes_labels(self, tiny_routing_set):
         table = build_lookup_table(tiny_routing_set)
-        result = table.search({"in_port": 1, "ipv4_dst": 0x0A141E05})
-        assert result.matched
-        assert len(result.label_sets) == 3  # in_port, ip/hi, ip/lo
+        ((entry, label_sets, _),) = table.search_keys(
+            table.partitioner.split_keys([(1, 0x0A141E05)])
+        )
+        assert entry is not None
+        assert len(label_sets) == 3  # in_port, ip/hi, ip/lo
         # hi labels: the /8 entry plus (0x0A14, 16) — shared by the /16
         # and /24 rules, stored (and labelled) once by the label method.
-        assert len(result.label_sets[1]) == 2
+        assert len(label_sets[1]) == 2
 
     def test_range_engines_accessor(self, small_acl_set):
         table = build_lookup_table(small_acl_set)
@@ -300,8 +303,6 @@ class TestBatchLookup:
         table = build_lookup_table(tiny_routing_set)
         fields = {"in_port": 1, "ipv4_dst": 0x0A141E05}
         table.lookup_batch([fields] * 5)
-        assert table.lookup_count == 5
-        assert table.matched_count == 5
         hit = table.lookup(fields)
         assert hit.stats.packet_count == 6
 
@@ -310,16 +311,14 @@ class TestBatchLookup:
         the label sets its partition engines' scalar ``search`` gives,
         resolving duplicate rows once."""
         table = build_lookup_table(tiny_routing_set)
-        names = table.partitioner.partition_names
-        rows = [
-            tuple(table.partitioner.extract(f).get(name) for name in names)
-            for f in (
-                {"in_port": 1, "ipv4_dst": 0x0A141E05},
-                {"in_port": 1, "ipv4_dst": 0x0A141E05},  # duplicate
-                {"in_port": 2, "ipv4_dst": 0xC0000001},
-                {"in_port": 1},
-            )
-        ]
+        rows = table.partitioner.split_keys(
+            [
+                (1, 0x0A141E05),
+                (1, 0x0A141E05),  # duplicate
+                (2, 0xC0000001),
+                (1, None),
+            ]
+        )
         found = table.search_keys(rows)
         for row, (_, label_sets, _) in zip(rows, found, strict=True):
             assert label_sets == tuple(
@@ -328,18 +327,90 @@ class TestBatchLookup:
             )
         assert found[0] is found[1]  # one resolution per distinct row
 
-    def test_extract_batch_matches_scalar_extract(self, tiny_routing_set):
-        table = build_lookup_table(tiny_routing_set)
-        partitioner = table.partitioner
-        trace = [
-            {"in_port": 3, "ipv4_dst": 0xDEADBEEF},
-            {"in_port": 0},
-            {},
-        ]
-        rows = partitioner.extract_batch(trace)
-        assert len(rows) == len(trace)
-        for fields, row in zip(trace, rows):
-            scalar = partitioner.extract(fields)
-            assert row == tuple(
-                scalar[name] for name in partitioner.partition_names
+
+# ----------------------------------------------------------------------
+# one search: the scalar lookup's mask is its partitions' probes
+# ----------------------------------------------------------------------
+
+#: An exact LUT, a partitioned LPM trie and a range structure side by
+#: side, and an IPv6 table (eight 16-bit partitions, keys past 64 bits).
+_SEARCH_SCHEMAS = (("in_port", "ipv4_dst", "tcp_dst"), ("in_port", "ipv6_dst"))
+
+
+@st.composite
+def _search_cases(draw):
+    """A schema, flow entries over it (unique match and priority) and
+    packets near the entries' values, some lacking a field."""
+    names = draw(st.sampled_from(_SEARCH_SCHEMAS))
+    width = {name: REGISTRY[name].bits for name in names}
+    pools = {
+        name: draw(
+            st.lists(st.integers(0, mask_of(width[name])), min_size=1, max_size=4)
+        )
+        for name in names
+    }
+
+    def predicate(name):
+        value = draw(st.sampled_from(pools[name]))
+        method = REGISTRY[name].method
+        if method is MatchMethod.EXACT:
+            return ExactMatch(value, width[name])
+        if method is MatchMethod.PREFIX:
+            length = draw(st.integers(0, width[name]))
+            return PrefixMatch(
+                canonical_prefix(value, length, width[name])[0],
+                length,
+                width[name],
             )
+        other = draw(st.integers(0, mask_of(width[name])))
+        return RangeMatch(min(value, other), max(value, other), width[name])
+
+    entries = {}
+    for _ in range(draw(st.integers(1, 10))):
+        match = Match(
+            {name: predicate(name) for name in names if draw(st.booleans())}
+        )
+        priority = draw(st.integers(0, 4))
+        entries[(match, priority)] = FlowEntry.build(match=match, priority=priority)
+    packets = []
+    for _ in range(draw(st.integers(1, 12))):
+        fields = {}
+        for name in names:
+            if draw(st.integers(0, 5)) == 0:
+                continue  # the packet lacks the field
+            noise = mask_of(draw(st.integers(0, width[name])))
+            fields[name] = draw(st.sampled_from(pools[name])) ^ draw(
+                st.integers(0, noise)
+            )
+        packets.append(fields)
+    return names, list(entries.values()), packets
+
+
+class TestOneSearchMask:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_search_cases())
+    def test_lookup_mask_is_the_or_of_partition_probes(self, case):
+        """``lookup(fields, mask=sink)`` reports, per field, exactly the
+        OR over the field's partitions of ``engine.probe(key)[1]``
+        shifted to the partition's place in the field — partition keys
+        sliced here from the field values, not by the table — and
+        returns the entry the ``FlowTable`` scan returns."""
+        names, entries, packets = case
+        table = OpenFlowLookupTable(names)
+        oracle = FlowTable()
+        for entry in entries:
+            table.add(entry)
+            oracle.add(entry)
+        for fields in packets:
+            want: dict[str, int] = {}
+            for engine in table._flat_engines:
+                part = engine.partition
+                shift = REGISTRY[part.field_name].bits - part.offset - part.bits
+                value = fields.get(part.field_name)
+                key = None if value is None else (value >> shift) & mask_of(part.bits)
+                bits = engine.probe(key)[1] << shift
+                if bits:
+                    want[part.field_name] = want.get(part.field_name, 0) | bits
+            sink = FieldMaskSink()
+            assert table.lookup(fields, mask=sink) is oracle.lookup(fields)
+            assert sink.fields == want, fields

@@ -41,8 +41,8 @@ class TestHeaderPartitioner:
 
     def test_extract_slices_prefix_fields(self):
         partitioner = HeaderPartitioner(("in_port", "ipv4_dst"))
-        keys = partitioner.extract({"in_port": 3, "ipv4_dst": 0x0A141E28})
-        assert keys == {
+        (row,) = partitioner.split_keys([(3, 0x0A141E28)])
+        assert dict(zip(partitioner.partition_names, row)) == {
             "in_port": 3,
             "ipv4_dst/hi": 0x0A14,
             "ipv4_dst/lo": 0x1E28,
@@ -50,7 +50,8 @@ class TestHeaderPartitioner:
 
     def test_missing_field_yields_none(self):
         partitioner = HeaderPartitioner(("in_port", "ipv4_dst"))
-        keys = partitioner.extract({"in_port": 3})
+        (row,) = partitioner.split_keys([(3, None)])
+        keys = dict(zip(partitioner.partition_names, row))
         assert keys["ipv4_dst/hi"] is None and keys["ipv4_dst/lo"] is None
 
     def test_exact_field_not_partitioned(self):
@@ -58,9 +59,7 @@ class TestHeaderPartitioner:
         to a LUT, not to tries."""
         partitioner = HeaderPartitioner(("in_port",))
         assert partitioner.partition_names == ("in_port",)
-        assert partitioner.extract({"in_port": 0xABCD1234}) == {
-            "in_port": 0xABCD1234
-        }
+        assert partitioner.split_keys([(0xABCD1234,)]) == [(0xABCD1234,)]
 
 
 class TestEngineConstruction:

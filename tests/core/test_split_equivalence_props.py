@@ -182,7 +182,9 @@ def test_churn_differential_fuzz(universe, ops, data):
             fields,
             want,
             decomposition.lookup(fields),
-            cache.lookup(fields),
+            cache.lookup_keys(
+                [tuple(fields.get(name) for name in FIELDS)], [1], False
+            )[0][0],
             cache.lookup_batch_columnar(PacketBatch.from_dicts([fields]))[0],
         )
 

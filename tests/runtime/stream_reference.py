@@ -47,38 +47,25 @@ class _Queued:
 class ReferenceQueue:
     """Hard-capacity FIFO between the arrival process and the runners.
 
-    ``policy="tail"`` sheds arrivals that find the queue full;
-    ``policy="deadline"`` additionally stamps every admitted packet
-    with ``enqueue_tick + deadline`` and sheds entries whose deadline
-    passed before they formed a batch (:meth:`expire` — called after
+    Arrivals that find the queue full are shed.  With a ``deadline``
+    (``None`` means tail-drop only) every admitted packet is stamped
+    with ``enqueue_tick + deadline``, and entries whose deadline passed
+    before they formed a batch are shed (:meth:`expire` — called after
     every clock advance; deadlines are monotone in FIFO order, so the
     expired entries are always a contiguous head prefix).  Capacity is
-    *hard* under both policies: occupancy never exceeds it, which is
-    what keeps memory bounded when offered load does not relent.
+    *hard* either way: occupancy never exceeds it, which is what keeps
+    memory bounded when offered load does not relent.
     """
 
-    POLICIES = ("tail", "deadline")
-
-    def __init__(
-        self,
-        capacity: int,
-        policy: str = "tail",
-        deadline: int | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, deadline: int | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in self.POLICIES:
+        if deadline is not None and deadline < 1:
             raise ValueError(
-                f"unknown policy {policy!r}; expected one of {self.POLICIES}"
-            )
-        if policy == "deadline" and (deadline is None or deadline < 1):
-            raise ValueError(
-                "deadline policy needs a positive per-packet deadline, "
-                f"got {deadline!r}"
+                f"deadline must be None or >= 1 tick, got {deadline!r}"
             )
         self.capacity = capacity
-        self.policy = policy
-        self.deadline = deadline if policy == "deadline" else None
+        self.deadline = deadline
         # Hard capacity: every append below is guarded by a
         # len(self._queue) check against self.capacity.
         self._queue: deque[_Queued] = deque()
@@ -175,7 +162,7 @@ def run_stream_reference(
     """Drive an in-process ``runner`` (dict ``process_batch``) with
     ``schedule``, one packet event at a time."""
     cfg = config if config is not None else StreamConfig()
-    queue = ReferenceQueue(cfg.capacity, policy=cfg.policy, deadline=cfg.deadline)
+    queue = ReferenceQueue(cfg.capacity, deadline=cfg.deadline)
     transport = _InlineTransport(runner)
     ladder = _Ladder(cfg)
 

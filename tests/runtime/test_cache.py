@@ -17,6 +17,12 @@ def entry(port: int, priority: int = 1) -> FlowEntry:
     return FlowEntry.build(match=Match.exact(in_port=port), priority=priority)
 
 
+def probe(cache: MicroflowCache, port: int) -> FlowEntry | None:
+    """One ``in_port`` packet through the cache's one probe."""
+    (found,), _ = cache.lookup_keys([(port,)], [1], False)
+    return found
+
+
 @pytest.fixture()
 def table() -> OpenFlowLookupTable:
     table = OpenFlowLookupTable(("in_port",))
@@ -28,30 +34,32 @@ def table() -> OpenFlowLookupTable:
 class TestBasics:
     def test_hit_after_miss(self, table):
         cache = MicroflowCache(table)
-        first = cache.lookup({"in_port": 3})
-        second = cache.lookup({"in_port": 3})
+        first = probe(cache, 3)
+        second = probe(cache, 3)
         assert first is second is not None
         assert cache.misses == 1 and cache.hits == 1
 
     def test_negative_caching(self, table):
         cache = MicroflowCache(table)
-        assert cache.lookup({"in_port": 99}) is None
-        assert cache.lookup({"in_port": 99}) is None
+        assert probe(cache, 99) is None
+        assert probe(cache, 99) is None
         assert cache.hits == 1
 
     def test_hit_records_flow_stats(self, table):
         cache = MicroflowCache(table)
-        hit = cache.lookup({"in_port": 2})
-        cache.lookup({"in_port": 2})
+        packet = PacketBatch.from_dicts([{"in_port": 2}])
+        (hit,) = cache.lookup_batch_columnar(packet)
+        cache.lookup_batch_columnar(packet)
+        assert cache.hits == 1
         assert hit.stats.packet_count == 2
 
     def test_capacity_bounds_lru(self, table):
         cache = MicroflowCache(table, capacity=2)
         for port in range(5):
-            cache.lookup({"in_port": port})
+            probe(cache, port)
         assert len(cache) == 2
         # Least-recently-used keys were evicted; the last two remain.
-        cache.lookup({"in_port": 4})
+        probe(cache, 4)
         assert cache.hits == 1
 
     def test_version_counter_required(self):
@@ -72,9 +80,9 @@ class TestBasics:
 class TestInvalidation:
     def test_add_revalidates_stale_entry(self, table):
         cache = MicroflowCache(table)
-        assert cache.lookup({"in_port": 1}).priority == 1
+        assert probe(cache, 1).priority == 1
         table.add(entry(1, priority=9))
-        assert cache.lookup({"in_port": 1}).priority == 9
+        assert probe(cache, 1).priority == 9
         # The stale record was refreshed in place, not flushed away.
         assert cache.flushes == 0
         assert cache.revalidations == 1
@@ -82,18 +90,18 @@ class TestInvalidation:
     def test_mutation_keeps_working_set(self, table):
         cache = MicroflowCache(table)
         for port in range(4):
-            cache.lookup({"in_port": port})
+            probe(cache, port)
         table.add(entry(99))
         # The keys survive the version bump; each revalidates on touch.
         assert len(cache) == 4
-        assert cache.lookup({"in_port": 2}) is not None
+        assert probe(cache, 2) is not None
         assert cache.revalidations == 1
 
     def test_remove_invalidates(self, table):
         cache = MicroflowCache(table)
-        assert cache.lookup({"in_port": 1}) is not None
+        assert probe(cache, 1) is not None
         table.remove(Match.exact(in_port=1), 1)
-        assert cache.lookup({"in_port": 1}) is None
+        assert probe(cache, 1) is None
 
     def test_remove_where_invalidates(self, table):
         cache = MicroflowCache(table)
@@ -104,15 +112,15 @@ class TestInvalidation:
 
     def test_negative_entry_invalidated_by_install(self, table):
         cache = MicroflowCache(table)
-        assert cache.lookup({"in_port": 50}) is None
+        assert probe(cache, 50) is None
         table.add(entry(50))
-        assert cache.lookup({"in_port": 50}) is not None
+        assert probe(cache, 50) is not None
 
 
 class TestBatch:
     def test_batch_mixes_hits_and_misses(self, table):
         cache = MicroflowCache(table)
-        cache.lookup({"in_port": 0})
+        probe(cache, 0)
         results = cache.lookup_batch_columnar(
             PacketBatch.from_dicts(
                 [{"in_port": 0}, {"in_port": 1}, {"in_port": 0}, {"in_port": 99}]
@@ -172,7 +180,10 @@ def _drive(shape, trace, chunk, capacity, mod_chunk, mod_port, capture):
         else:
             code_of = {}
             codes = [
-                code_of.setdefault(cache.key(fields), len(code_of))
+                code_of.setdefault(
+                    tuple(fields.get(name) for name in cache.field_names),
+                    len(code_of),
+                )
                 for fields in batch
             ]
             by_key, masks = cache.lookup_keys(
@@ -234,3 +245,34 @@ def test_three_input_shapes_share_one_probe(
     for name in ("counters", "lru order"):
         assert columnar[name] == keys[name], f"{name} diverges"
     assert sum(keys["counters"][:2]) == len(trace)
+
+
+def test_capture_hit_backfills_the_tables_mask():
+    """A record cached by a non-capturing probe, then hit by a
+    capturing one, gets the mask the table's capturing ``lookup_keys``
+    returns for its key — and the backfill moves no flow stats and no
+    cache counter beyond the hit itself."""
+    table = _shape_table()
+    cache = MicroflowCache(table)
+    keys = [(3, 0x0A000001), (7, None), (9, 0x0B000000), (None, 0x0A0000FF)]
+    _, masks = cache.lookup_keys(keys, [1] * len(keys), False)
+    assert masks == [None] * len(keys)
+    counters = (cache.hits, cache.misses, cache.revalidations)
+    flow_stats = sorted(
+        (e.priority, e.stats.packet_count, e.stats.byte_count) for e in table
+    )
+    found, masks = cache.lookup_keys(keys, [2] * len(keys), True)
+    want_found, want_masks = table.lookup_keys(keys, True)
+    assert found == want_found
+    assert masks == want_masks
+    assert all(mask is not None for mask in masks)
+    assert (cache.hits, cache.misses, cache.revalidations) == (
+        counters[0] + 2 * len(keys),
+        counters[1],
+        counters[2],
+    )
+    assert flow_stats == sorted(
+        (e.priority, e.stats.packet_count, e.stats.byte_count) for e in table
+    )
+    # The record keeps what it was given: the next capture replays it.
+    assert cache.lookup_keys(keys, [1] * len(keys), True)[1] == masks

@@ -47,7 +47,7 @@ from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import Action, OutputAction
 from repro.openflow.flow import FlowEntry, FlowStats
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
-from repro.openflow.match import ExactMatch, Match, PrefixMatch
+from repro.openflow.match import ExactMatch, FieldMaskSink, Match, PrefixMatch
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
 from repro.packet import batch as packet_batch_module
 from repro.packet.batch import PacketBatch
@@ -177,7 +177,10 @@ class TestColumnarMicroflow:
             got_col.extend(
                 cache_col.lookup_batch_columnar(batch[start : start + 256])
             )
-            keys = [cache_col.key(fields) for fields in trace[start : start + 256]]
+            keys = [
+                tuple(fields.get(name) for name in cache_col.field_names)
+                for fields in trace[start : start + 256]
+            ]
             misses += sum(key not in seen for key in keys)
             seen.update(keys)
         assert len(got_dict) == len(got_col)
@@ -257,21 +260,29 @@ class TestColumnarMicroflow:
 
 class TestMixedPaths:
     def test_dict_warmed_cache_serves_columnar_without_table(self, rule_set):
-        """A cache warmed one dict at a time (the scan fallback's
-        scalar probe) must serve columnar traffic from the same records,
-        not re-resolve the working set through the table."""
+        """A cache warmed one key at a time (a wave's keyed probe, one
+        packet per call) must serve columnar traffic from the same
+        records, not re-resolve the working set through the table."""
         table = build_lookup_table(rule_set)
         cache = MicroflowCache(table)
         trace = zipf_workload(
             rule_set, packet_count=256, flow_count=16
         ).events[0][1]
-        for fields in trace:  # scalar warm-up
-            cache.lookup(fields)
-        lookups_before = table.lookup_count
+        for fields in trace:  # one-key warm-up
+            key = tuple(fields.get(name) for name in cache.field_names)
+            cache.lookup_keys([key], [1], False)
+        resolved = []
+        table_lookup_keys = table.lookup_keys
+
+        def spy(keys, capture=False):
+            resolved.extend(keys)
+            return table_lookup_keys(keys, capture)
+
+        table.lookup_keys = spy
         batch = PacketBatch.from_dicts(trace)
         outcomes = cache.lookup_batch_columnar(batch)
-        assert table.lookup_count == lookups_before, (
-            "columnar probe re-resolved dict-warmed keys through the table"
+        assert resolved == [], (
+            "columnar probe re-resolved warmed keys through the table"
         )
         expected = [build_lookup_table(rule_set).lookup(f) for f in trace]
         for a, b in zip(outcomes, expected):
@@ -471,7 +482,6 @@ class TestMissPathCostShape:
             name: _Spy(monkeypatch, owner, name)
             for owner, name in (
                 (OpenFlowLookupTable, "lookup"),
-                (OpenFlowLookupTable, "search"),
                 (OpenFlowLookupTable, "lookup_batch"),
                 (PacketBatch, "fields_at"),
                 (PacketBatch, "row_fields"),
@@ -1256,9 +1266,9 @@ class TestBatchedCapture:
                         for name, value in zip(self.SCHEMA, key)
                         if value is not None
                     }
-                    assert mask == table.consulted_mask(fields), key
-                    found = table.search(fields).entry
-                    assert entry is (None if found is None else found.flow_entry)
+                    sink = FieldMaskSink()
+                    assert entry is table.lookup(fields, mask=sink)
+                    assert mask == sink.fields, key
             # and the twin agrees with the table it was sealed from
             live_entries, live_masks = live.lookup_keys(keys, capture=True)
             frozen_entries, frozen_masks = frozen.lookup_keys(keys, capture=True)
@@ -1300,7 +1310,7 @@ def test_key_hash_microbench(rule_set):
     names = cache.field_names
 
     start = time.perf_counter()
-    tuple_keys = [cache.key(fields) for fields in trace]
+    tuple_keys = [tuple(fields.get(name) for name in names) for fields in trace]
     tuple_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()

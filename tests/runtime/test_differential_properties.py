@@ -1327,7 +1327,6 @@ def _stream_schedule_and_config(example):
         batch_size=example["batch_size"],
         form_deadline=example["form_deadline"],
         window=example["window"],
-        policy="tail" if example["deadline"] is None else "deadline",
         deadline=example["deadline"],
         service_rate=example["service_rate"],
         degrade_after=example["degrade_after"],

@@ -107,12 +107,12 @@ class TestMaskCapture:
         table = OpenFlowLookupTable(("in_port", "tcp_src"))
         table.add(output_entry(Match.exact(in_port=3), 1, 10))
         cache = MicroflowCache(table)
-        first = MegaflowRecorder()
-        cache.lookup({"in_port": 3, "tcp_src": 5}, mask=first)
-        second = MegaflowRecorder()
-        cache.lookup({"in_port": 3, "tcp_src": 5}, mask=second)
+        walk = MegaflowRecorder()
+        table.lookup({"in_port": 3, "tcp_src": 5}, mask=walk)
+        _, (first,) = cache.lookup_keys([(3, 5)], [1], True)
+        _, (second,) = cache.lookup_keys([(3, 5)], [1], True)
         assert cache.hits == 1
-        assert first.fields == second.fields
+        assert first == second == walk.fields
 
 
 class TestReplay:

@@ -165,7 +165,7 @@ class TestAdmissionQueue:
     def test_fifo_survives_wrapping(self):
         """The ring's head and tail travel round the lanes many times;
         order, ticks and the capacity bound hold across every seam."""
-        queue = AdmissionQueue(capacity=5, policy="deadline", deadline=100)
+        queue = AdmissionQueue(capacity=5, deadline=100)
         taken, next_row = [], 0
         for tick in range(40):
             admitted = queue.admit(next_row, 3, tick)
@@ -179,7 +179,7 @@ class TestAdmissionQueue:
         assert queue.peak_occupancy == 5
 
     def test_deadline_expiry_sheds_aged_head(self, small_routing_set):
-        queue = AdmissionQueue(capacity=8, policy="deadline", deadline=4)
+        queue = AdmissionQueue(capacity=8, deadline=4)
         queue.admit(0, 1, tick=0)   # deadline tick 4
         queue.admit(1, 1, tick=3)   # deadline tick 7
         assert queue.expire(4).tolist() == []   # at the deadline: still live
@@ -191,15 +191,22 @@ class TestAdmissionQueue:
         report = run_stream(
             BatchPipeline(make_arch(small_routing_set)),
             hand_schedule({"in_port": 0}, 3, {"in_port": 1}, 1, 1, 15),
-            StreamConfig(
-                capacity=8, form_deadline=100, policy="deadline", deadline=4
-            ),
+            StreamConfig(capacity=8, form_deadline=100, deadline=4),
         )
         assert [(r.index, r.tick, r.reason) for r in report.shed] == [
             (0, 5, "deadline"),
             (1, 20, "deadline"),
         ]
         assert report.completed_packets == 0
+
+    def test_a_deadline_alone_turns_deadline_drop_on(self):
+        """``deadline`` is the one knob: set, it is the queue's deadline
+        and aged heads expire; no second switch has to agree."""
+        queue = AdmissionQueue(capacity=8, deadline=4)
+        assert queue.deadline == 4
+        queue.admit(0, 2, tick=0)
+        assert queue.expire(20).tolist() == [0, 1]
+        assert len(queue) == 0
 
     def test_tail_policy_never_expires(self):
         queue = AdmissionQueue(capacity=4)
@@ -211,9 +218,7 @@ class TestAdmissionQueue:
         with pytest.raises(ValueError):
             AdmissionQueue(capacity=0)
         with pytest.raises(ValueError):
-            AdmissionQueue(capacity=4, policy="random-early")
-        with pytest.raises(ValueError):
-            AdmissionQueue(capacity=4, policy="deadline")
+            AdmissionQueue(capacity=4, deadline=0)
 
 
 class TestStreamConfig:
@@ -325,7 +330,6 @@ class TestRunStream:
             batch_size=16,
             form_deadline=8,
             window=2,
-            policy="deadline",
             deadline=24,
             service_rate=0.5,
         )
