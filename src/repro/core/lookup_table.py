@@ -12,7 +12,6 @@ of the decomposition.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Mapping, Sequence
@@ -39,7 +38,6 @@ from repro.packet.headers import frame_length
 class _InstalledEntry:
     """Bookkeeping for one installed flow entry (for exact removal)."""
 
-    uid: int
     flow_entry: FlowEntry
     labels: tuple[int, ...]
     action_index: int
@@ -63,11 +61,10 @@ class OpenFlowLookupTable:
         }
         self.index = IndexCalculator(self.partitioner.partition_names)
         self.actions = ActionTable()
-        #: Installed entries keyed by a monotonic uid; dicts preserve
-        #: insertion order for iteration and give O(1) exact removal
-        #: (a list's ``remove`` made bulk deletion quadratic).
-        self._installed: dict[int, _InstalledEntry] = {}
-        self._uids = itertools.count()
+        #: The one index of installed entries, keyed by ``(match,
+        #: priority)`` (``Match`` caches its hash): the dict's insertion
+        #: order is install order — a replacement re-inserts at the end
+        #: — and it gives O(1) exact removal.
         self._by_key: dict[tuple[Match, int], _InstalledEntry] = {}
         self._label_refs: Counter[tuple[str, int]] = Counter()
         #: Flattened partition engines, aligned with
@@ -144,14 +141,13 @@ class OpenFlowLookupTable:
             sequence=entry._seq,
         )
         installed = _InstalledEntry(
-            uid=next(self._uids),
             flow_entry=entry,
             labels=key,
             action_index=action_entry.index,
         )
-        self._installed[installed.uid] = installed
-        self._by_key[(entry.match, entry.priority)] = installed
-        self._sweep_view.installed(installed.uid, entry)
+        entry_key = (entry.match, entry.priority)
+        self._by_key[entry_key] = installed
+        self._sweep_view.installed(entry_key, entry)
         for part_name, label in zip(self.partitioner.partition_names, key):
             if label != NO_LABEL:
                 self._label_refs[(part_name, label)] += 1
@@ -167,7 +163,7 @@ class OpenFlowLookupTable:
 
     def remove_where(self, predicate: Callable[[FlowEntry], bool]) -> int:
         doomed = [
-            e for e in self._installed.values() if predicate(e.flow_entry)
+            e for e in self._by_key.values() if predicate(e.flow_entry)
         ]
         for installed in doomed:
             self._remove_installed(installed)
@@ -199,10 +195,10 @@ class OpenFlowLookupTable:
         return entry.flow_entry
 
     def __len__(self) -> int:
-        return len(self._installed)
+        return len(self._by_key)
 
     def __iter__(self) -> Iterator[FlowEntry]:
-        return iter(e.flow_entry for e in self._installed.values())
+        return iter(e.flow_entry for e in self._by_key.values())
 
     def entries_snapshot(self) -> tuple[FlowEntry, ...]:
         """The entries in deterministic (installation) order, cached per
@@ -232,7 +228,8 @@ class OpenFlowLookupTable:
     def sweep_view(self) -> SweepView:
         """Timed and unstamped entries, kept by add/remove for the
         lifecycle sweep (see :class:`~repro.openflow.flow.SweepView`);
-        keyed by install uid, so its order is the snapshot order."""
+        keyed by ``(match, priority)`` like the table's own index and
+        filled in install order, so its order is the snapshot order."""
         return self._sweep_view
 
     @property
@@ -386,9 +383,10 @@ class OpenFlowLookupTable:
     def _remove_installed(self, installed: _InstalledEntry) -> None:
         self.index.remove_rule(installed.labels, installed.action_index)
         self._release_engine_entries(installed)
-        del self._installed[installed.uid]
-        del self._by_key[(installed.flow_entry.match, installed.flow_entry.priority)]
-        self._sweep_view.removed(installed.uid)
+        entry = installed.flow_entry
+        entry_key = (entry.match, entry.priority)
+        del self._by_key[entry_key]
+        self._sweep_view.removed(entry_key)
         # The slot returns to the action table's free list so churn does
         # not grow the array without bound.
         self.actions.release(installed.action_index)

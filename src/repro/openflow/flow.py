@@ -52,8 +52,9 @@ class FlowStats:
         self.byte_count += byte_count
 
     def add(self, packets: int, byte_count: int = 0) -> None:
-        """Fold an aggregated delta in (e.g. the per-traversal
-        packet/byte lanes of a sharded worker's reply)."""
+        """Fold an aggregated delta in (e.g. one traversal's packets and
+        frame bytes, as :func:`~repro.runtime.batch.credit_outcomes`
+        counts them)."""
         self.packet_count += packets
         self.byte_count += byte_count
 

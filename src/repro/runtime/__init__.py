@@ -63,13 +63,14 @@ and write their reply into the parent-owned response slot the request
 names — **once per distinct traversal** of the sub-batch, plus one
 ``int32`` code per position; the parent sizes that slot for the
 sub-batch before naming it, so only mutation suffixes, block names and
-layouts cross the pipes.  The
-flow-stats delta rides in the reply block as two per-traversal lanes
-(packets, frame bytes); matched entries travel as
-``(table_id, position)`` entry refs (positions in each table's
-``entries_snapshot()``, read off its ``entry_positions()``) that the
-parent resolves against the order it pinned at submission, folding the delta into its
-authoritative flow entries — flow stats under sharding match the
+layouts cross the pipes.  Matched
+entries travel as ``(table_id, position)`` entry refs (positions in
+each table's ``entries_snapshot()``, read off its
+``entry_positions()``) that the parent resolves against the order it
+pinned at submission; it then credits its authoritative flow entries
+itself, counting each traversal's packets and frame bytes from the
+codes and the batch's own ``frame_len`` lane — no per-traversal sum
+crosses the pipe, and flow stats under sharding match the
 single-process run exactly.  Beside them the reply carries the cache,
 megaflow and wave counts its own request caused, which the parent adds
 once into its one :class:`~repro.runtime.batch.BatchStats` record
@@ -94,8 +95,8 @@ arrival while per-packet results exist only for callers that read them.
 **Frame lengths and byte accounting.**  Packets carry an on-wire
 ``frame_len`` (:data:`repro.packet.headers.FRAME_LEN_FIELD`): switch
 metadata outside every match, cache key and megaflow mask, threaded
-through every lookup path's ``FlowStats.record`` and the transport's
-stats deltas — per-entry byte counters and
+through every lookup path's ``FlowStats.record`` and the runtime's one
+batch credit — per-entry byte counters and
 :attr:`~repro.runtime.batch.BatchStats.flow_bytes` count real traffic
 volume, and the benches report bits/sec.
 
@@ -123,8 +124,9 @@ exact key once, the residual in one table call), whatever shape the
 batch arrived in.  Hits replay without dict materialisation —
 classification only computes, and
 :func:`~repro.runtime.batch.credit_outcomes` credits a classified
-batch once, per traversal, from sums off the ``frame_len`` lane, on the
-runner that owns the entries (never on a replica) — and a replaying
+batch once, per traversal, from sums it counts off the code and
+``frame_len`` lanes, on the runner that owns the entries (never on a
+replica) — and a replaying
 ``run_workload`` with ``keep_results=False`` never builds
 ``PipelineResult`` objects at all.  Packets that miss the megaflow
 tier stay columnar too: :class:`~repro.runtime.walk.ColumnarWalk`
@@ -159,14 +161,15 @@ workers are then assigned by the one lane hash either way); the worker
 always *attaches* to the request block's columns
 in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
-:meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and
+:meth:`~repro.runtime.batch.BatchPipeline.classify` (which credits
+nothing), and
 encodes its reply straight from the traversals
 (:func:`~repro.runtime.transport.encode_outcomes`): each *distinct*
 traversal of the sub-batch — the aggregate a position hit, or the one
 the miss path built for it — is written once, as its matched-entry
-refs and nothing they already determine, every position adds one code,
-and per-traversal packet/byte sums come off the ``frame_len`` lane — so
-no row is materialised worker-side at all and nothing is pickled.
+refs and nothing they already determine, and every position adds one
+code — so no row is materialised worker-side at all, nothing is
+pickled, and the worker never reads the ``frame_len`` lane.
 The parent's collect path
 (:func:`~repro.runtime.transport.decode_outcomes`) resolves the refs
 against its own pinned tables, replays each traversal once through
@@ -197,7 +200,7 @@ pinned its mutation-log prefix and its request block is parent-owned
 and immutable in flight, so a replacement worker rebuilt from the
 current :class:`~repro.runtime.shard.PipelineSpec` *replays* every
 lost seq (a re-send, never a re-encode) and produces bitwise-identical
-results, stats and flow deltas.  Each worker carries a restart budget;
+results and stats.  Each worker carries a restart budget;
 past it the shard is always served in-process, by a parent-side
 replica that serves the shard's requests through the worker's own
 serve path.

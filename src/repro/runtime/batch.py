@@ -83,9 +83,9 @@ class BatchStats:
     megaflow_misses: int = 0
     waves: int = 0
     #: Per-entry flow-stats increments attributable to this runner's
-    #: traffic: one per (packet, matched table entry) pair.  For the
-    #: sharded runner these are the worker deltas merged back into the
-    #: parent's :class:`~repro.openflow.flow.FlowStats` counters.
+    #: traffic: one per (packet, matched table entry) pair, counted
+    #: where the entries' :class:`~repro.openflow.flow.FlowStats` are
+    #: credited — on the sharded parent too, from its replies' codes.
     flow_packets: int = 0
     flow_bytes: int = 0
     #: Lifecycle counters: virtual-clock advances observed and entries
@@ -225,7 +225,7 @@ class BatchPipeline:
     def classify(self, batch: PacketBatch) -> ColumnarOutcomes:
         """Classify a columnar batch and credit nothing: a replica
         classifies this way, because the parent owns the entries and
-        credits the sums its reply carries.
+        credits them from the codes its reply carries.
 
         The megaflow tier is probed with vectorized masked-key compares
         (:meth:`~repro.runtime.megaflow.MegaflowCache.probe`); an
@@ -236,24 +236,20 @@ class BatchPipeline:
         in bulk, in position order — probe first, install after, so a
         miss never sees an aggregate an earlier position of the same
         batch installed.  With the megaflow tier off or bypassed the
-        same walk runs without capture and without install.
+        same walk runs without probe, capture or install.  Nothing here
+        reads the ``frame_len`` lane: only the credit counts bytes.
         """
         self.stats.packets += len(batch)
         self.stats.batches += 1
-        frame = batch.frame_lengths()
         megaflow = None if self.megaflow_bypass else self.megaflow
         traversals: list[Traversal]
         if megaflow is not None:
-            traversals, codes, missed, packets, byte_sums = megaflow.probe(
-                batch, frame
-            )
+            traversals, codes, missed = megaflow.probe(batch)
         else:
-            traversals, packets, byte_sums = [], [], []
+            traversals = []
             codes = np.empty(len(batch), dtype=np.int64)
             missed = np.arange(len(batch), dtype=np.int64)
-        outcomes = ColumnarOutcomes(
-            batch, traversals, codes, frame, packets, byte_sums
-        )
+        outcomes = ColumnarOutcomes(batch, traversals, codes)
         if len(missed):
             self._walk_misses(outcomes, missed, megaflow)
         return outcomes
@@ -266,21 +262,15 @@ class BatchPipeline:
     ) -> None:
         """Walk the ``missed`` positions through the tables, install the
         traversals (when a megaflow tier is capturing), append the
-        walk's distinct traversals and their packet and frame-byte sums
-        to ``outcomes`` and point the missed positions' codes at
-        them."""
+        walk's distinct traversals to ``outcomes`` and point the missed
+        positions' codes at them."""
         batch = outcomes.batch
         walk = ColumnarWalk(
             self.pipeline, self.caches, batch, capture=megaflow is not None
         )
         walk.run(missed)
         self.stats.waves += walk.waves
-        codes, count = walk.traversal_codes, len(walk.traversals)
-        outcomes.packets += np.bincount(codes, minlength=count).tolist()
-        # bincount sums in float64: exact below 2**53 frame bytes.
-        weights = outcomes.frame[missed]
-        byte_sums = np.bincount(codes, weights=weights, minlength=count)
-        outcomes.byte_sums += byte_sums.astype(np.int64).tolist()
+        codes = walk.traversal_codes
         if megaflow is not None:
             megaflow.install_batch(
                 batch, missed, walk.masks, walk.mask_codes, walk.traversals, codes
@@ -371,14 +361,23 @@ def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:
     bytes to the flow stats of every entry it matched, and the batch's
     traffic to ``stats``.
 
-    The one credit of the columnar runtime.  Only the runner that owns
-    the entries calls it — :meth:`BatchPipeline.classify_columnar` after
-    it classifies, the sharded parent after it decodes its replies —
-    and a replica never does.  One loop with local accumulators: per
-    traversal no Python call but ``FlowStats.add`` per matched entry."""
+    The one credit of the columnar runtime, and the one place a
+    traversal's packets and frame bytes are counted: per batch, one
+    ``bincount`` of the code lane and one more weighted by the batch's
+    own ``frame_len`` lane.  Only the runner that owns the entries calls
+    it — :meth:`BatchPipeline.classify_columnar` after it classifies,
+    the sharded parent after it decodes its replies — and a replica
+    never does.  One loop with local accumulators: per traversal no
+    Python call but ``FlowStats.add`` per matched entry."""
+    traversals, codes = outcomes.traversals, outcomes.codes
+    size = len(traversals)
+    packets = np.bincount(codes, minlength=size).tolist()
+    # bincount sums in float64: exact below 2**53 frame bytes a batch.
+    frame = outcomes.batch.frame_lengths()
+    octets = np.bincount(codes, weights=frame, minlength=size)
     matched = flow_packets = flow_bytes = to_controller = dropped = 0
     for traversal, count, byte_count in zip(
-        outcomes.traversals, outcomes.packets, outcomes.byte_sums
+        traversals, packets, octets.astype(np.int64).tolist()
     ):
         outcome = traversal.outcome
         entries = outcome.matched_entries
@@ -430,13 +429,13 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     ``outcome`` is an immutable
     :class:`~repro.openflow.pipeline.PathOutcome` carrying everything
     but the packet's own fields, so hits and misses materialise the same
-    way (:func:`~repro.runtime.megaflow.replay_template`); ``frame`` is
-    the per-position ``frame_len`` lane, and ``packets[k]`` /
-    ``byte_sums[k]`` are the packets and frame bytes that took
-    ``traversals[k]`` — what :func:`credit_outcomes` credits.  A batch
-    nobody reads costs one traversal per aggregate hit or path walked
-    and nothing per packet; a per-position list exists only while
-    somebody iterates.
+    way (:func:`~repro.runtime.megaflow.replay_template`).  It holds no
+    sums: the packets and frame bytes that took each traversal are
+    counted from ``codes`` and the batch's ``frame_len`` lane where they
+    are credited (:func:`credit_outcomes`), so a slice can never carry
+    another batch's totals.  A batch nobody reads costs one traversal
+    per aggregate hit or path walked and nothing per packet; a
+    per-position list exists only while somebody iterates.
 
     Both runners hand this type back: :meth:`BatchPipeline.classify_columnar`
     in-process, and the sharded parent from the entry paths its workers
@@ -449,9 +448,6 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     batch: PacketBatch
     traversals: list[Traversal]
     codes: np.ndarray
-    frame: np.ndarray
-    packets: list[int]
-    byte_sums: list[int]
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -475,10 +471,7 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     ) -> PipelineResult | list[PipelineResult]:
         if isinstance(index, slice):
             view = replace(
-                self,
-                batch=self.batch[index],
-                codes=self.codes[index],
-                frame=self.frame[index],
+                self, batch=self.batch[index], codes=self.codes[index]
             )
             return list(view)
         return replay_template(

@@ -13,8 +13,8 @@ The instrumented steps mirror the worker serve loop
   pipe but nothing has been applied yet;
 - ``"mid-classify"`` — the mutation suffix is applied, classification
   has not produced results;
-- ``"after-stats"`` — results and the flow-stats delta exist worker-side
-  but the reply block has not been written;
+- ``"after-stats"`` — results and the request's counts exist
+  worker-side but the reply block has not been written;
 - ``"before-reply"`` — everything including the response block is
   written; only the control reply has not been sent.
 

@@ -58,12 +58,12 @@ has one index (per mask, the packed ``value & mask`` bytes of
 once — its distinct packed keys plus one dense code per row — so the
 probe moves positions around as integer codes with numpy, touches a
 ``bytes`` key once per distinct code, and does the cache's own
-bookkeeping (hit count, LRU touch) in one pass over the aggregates hit.
-What it hands back is a code lane over those aggregates plus each one's
-packet and frame-byte sums, the shape
-:class:`~repro.runtime.batch.ColumnarOutcomes` holds.  The probe
-credits no flow stats: only the runner that owns the entries does,
-once per batch (:func:`~repro.runtime.batch.credit_outcomes`).
+bookkeeping (hit and miss counts, LRU touch) in one pass over the
+aggregates hit.  What it hands back is a code lane over those
+aggregates, the shape :class:`~repro.runtime.batch.ColumnarOutcomes`
+holds.  The probe counts no packets or bytes per aggregate and credits
+no flow stats: only the runner that owns the entries does, once per
+batch (:func:`~repro.runtime.batch.credit_outcomes`).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class MegaflowRecorder:
     """Accumulates one traversal's consulted bits, rewrites and tables.
 
     Duck-typed as the ``mask`` sink accepted by ``FlowTable.lookup``,
-    ``OpenFlowLookupTable.search`` and ``OpenFlowPipeline.process``.
+    ``OpenFlowLookupTable.lookup`` and ``OpenFlowPipeline.process``.
     """
 
     __slots__ = ("fields", "rewritten", "tables")
@@ -148,7 +148,7 @@ class Traversal:
 class MegaflowEntry(Traversal):
     """One cached aggregate: mask, masked key, and the traversal."""
 
-    __slots__ = ("mask", "key", "slot", "hits")
+    __slots__ = ("mask", "key", "slot")
 
     def __init__(
         self,
@@ -166,7 +166,6 @@ class MegaflowEntry(Traversal):
         self.slot = (mask, key)
         self.outcome = outcome
         self.version_checks = version_checks
-        self.hits = 0
 
 
 def replay_template(
@@ -257,18 +256,18 @@ class MegaflowCache:
     def probe_batch(self, batch: PacketBatch) -> list[MegaflowEntry | None]:
         """:meth:`probe` per batch *position*: the valid aggregate
         (``None`` on miss), the cache's own bookkeeping done.  It
-        credits no flow stats — whoever owns the entries credits the
-        sums :meth:`probe` returns — and replay materialisation is
-        deferred to the caller (see
+        credits no flow stats — whoever owns the entries credits them
+        from the code lane :meth:`probe` returns — and replay
+        materialisation is deferred to the caller (see
         :class:`repro.runtime.batch.ColumnarOutcomes`).
         """
-        found, lane, *_ = self.probe(batch, batch.frame_lengths())
+        found, lane, _ = self.probe(batch)
         # Code -1 (a miss) reads the trailing ``None``.
         return list(map([*found, None].__getitem__, lane.tolist()))
 
     def probe(
-        self, batch: PacketBatch, frame: np.ndarray
-    ) -> tuple[list[MegaflowEntry], IndexArray, IndexArray, list[int], list[int]]:
+        self, batch: PacketBatch
+    ) -> tuple[list[MegaflowEntry], IndexArray, IndexArray]:
         """The one probe: vectorized tuple-space search and the cache's
         own hit bookkeeping, with integer gathers per *position* and
         Python work per *distinct masked key* and per *aggregate hit*
@@ -284,18 +283,17 @@ class MegaflowCache:
         masks), and the answers scatter back to the positions through
         the code lane, first hit per position winning.
 
-        Then one pass over the aggregates hit, in ascending order of
-        each one's *last* hit position (the LRU order probing the
-        packets one by one would leave), counts its hits and touches
-        its LRU slot.  Flow stats are not credited here: ``frame`` is
-        the batch's per-position ``frame_len`` lane, and each hit
-        aggregate's packet and frame-byte sums come back for the
-        entries' owner to credit
-        (:func:`~repro.runtime.batch.credit_outcomes`).
+        Then the cache counts its misses (the positions left pending)
+        and hits (the rest), and one pass over the aggregates hit, in
+        ascending order of each one's *last* hit position (the LRU order
+        probing the packets one by one would leave), touches each LRU
+        slot.  Nothing is counted per aggregate and no flow stats are
+        credited here: the entries' owner counts and credits them from
+        the code lane (:func:`~repro.runtime.batch.credit_outcomes`).
 
         Returns the aggregates hit (in first-found order), one code per
-        position indexing them (``-1`` on a miss), the missed positions
-        (ascending), and per aggregate hit its packets and frame bytes.
+        position indexing them (``-1`` on a miss) and the missed
+        positions (ascending).
         """
         pick = batch.pick
         size = len(pick)
@@ -339,25 +337,16 @@ class MegaflowCache:
                 break
             missed = hit == 0
             pending, rows = pending[missed], rows[missed]
-        counts = np.bincount(codes, minlength=len(found) + 1).tolist()
-        # bincount sums in float64: exact below 2**53 frame bytes.
-        byte_sums = (
-            np.bincount(codes, weights=frame, minlength=len(found) + 1)
-            .astype(np.int64)
-            .tolist()
-        )
-        self.misses += counts[0]
-        self.hits += size - counts[0]
+        self.misses += len(pending)
+        self.hits += size - len(pending)
         last = np.zeros(len(found) + 1, dtype=np.int64)
         np.maximum.at(last, codes, positions)
         lru = self._lru
         for code in np.argsort(last).tolist():
             if code:  # not the miss bucket
-                entry = found[code - 1]
-                entry.hits += counts[code]
-                lru.move_to_end(entry.slot)
+                lru.move_to_end(found[code - 1].slot)
         codes -= 1
-        return found, codes, pending, counts[1:], byte_sums[1:]
+        return found, codes, pending
 
     def install_batch(
         self,

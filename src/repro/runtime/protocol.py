@@ -101,9 +101,10 @@ class CloseRequest(NamedTuple):
 class ShmReply(NamedTuple):
     """One sub-batch's reply, which names entries, not outcomes: the
     block holds each distinct traversal's matched-entry refs, one code
-    per position, the flow-stats delta lanes and the counts the request
-    caused (:func:`~repro.runtime.transport.encode_outcomes`), and the parent
-    replays the refs against its own pinned tables.
+    per position and the counts the request caused
+    (:func:`~repro.runtime.transport.encode_outcomes`), and the parent
+    replays the refs against its own pinned tables and counts each
+    traversal's packets and bytes from the codes itself.
 
     The lanes always sit in the response slot the request named —
     whether a worker or the parent's in-process replica served it — which

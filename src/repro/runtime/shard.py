@@ -46,17 +46,18 @@ either direction.  A reply **names each traversal's entries once**:
 each *distinct* traversal of the sub-batch ships as the
 ``(table_id, position)`` refs of the entries it matched — nothing
 those entries already determine — every position costs one ``int32``
-code, and the flow-stats delta (packets, frame bytes per traversal)
-and the five cache counts the request caused ride in the same block,
-so a reply frame pickles no class instance.
+code, and the five cache counts the request caused ride in the same
+block, so a reply frame pickles no class instance.
 The parent resolves the refs against the entry order it pinned at
 submission, replays its own entries through
 :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` (the
 function the worker's walk built the same outcome with), credits its
 counters and its authoritative
-:class:`~repro.openflow.flow.FlowEntry` stats from the reply's lanes,
-once per batch — a replica credits nothing, so flow stats match the
-single-process run exactly — and hands back the same lazily materialised
+:class:`~repro.openflow.flow.FlowEntry` stats once per batch, counting
+each traversal's packets and frame bytes itself from the codes and the
+batch's own ``frame_len`` lane — a replica credits nothing and the
+parent trusts no worker sum, so flow stats match the single-process
+run exactly — and hands back the same lazily materialised
 :class:`~repro.runtime.batch.ColumnarOutcomes` the in-process runner
 returns: :meth:`ShardedBatchPipeline.process_batches` yields it as is
 (a stream nobody reads builds no per-packet object),
@@ -120,7 +121,7 @@ the parent's own replica serving the shard through the worker's serve
 path (``_Replica.serve``): it reads the members from the request block
 and writes the reply into the worker's response slot, so a live, a
 replayed and an inline shard merge into the same outcomes, results and
-flow-stats deltas identical.  No fault fires there — it would kill the
+flow stats identical.  No fault fires there — it would kill the
 parent.  Each worker watches its parent's pid so an orphaned fleet
 exits instead of idling forever.  :mod:`repro.runtime.faults` injects deterministic
 crashes/hangs into all of this for chaos tests.
@@ -438,10 +439,10 @@ class _Replica:
         )
         # Decode-free: hits and misses alike are encoded as their
         # matched-entry refs, once per distinct traversal.  The replica
-        # credits nothing — the parent owns the entries and credits the
-        # reply's sums — and the reply carries the counts this request
-        # caused, not the replica's totals, so the parent can add each
-        # reply in exactly once.
+        # credits nothing — the parent owns the entries and credits them
+        # from the reply's codes — and the reply carries the counts this
+        # request caused, not the replica's totals, so the parent can
+        # add each reply in exactly once.
         before = runner.stats_snapshot()
         outcomes = runner.classify(batch)
         caused = runner.stats_snapshot().since(before)
@@ -480,8 +481,8 @@ def _worker_main(
     """Worker loop: apply log suffix, classify sub-batch, reply.
 
     A ``("shm", seq, ...)`` request is the only work item, and every
-    request gets exactly one ``"ok"`` reply: entry refs, codes,
-    flow-stats delta lanes and the counts the request caused, written
+    request gets exactly one ``"ok"`` reply: entry refs, codes and the
+    counts the request caused, written
     into the response slot the request names (sized for it by the
     parent), plus the worker's megaflow mask fields.  An unknown tag
     raises: the worker dies, its sentinel fires and supervision
@@ -906,13 +907,13 @@ class ShardedBatchPipeline:
         """Advance virtual time and expire timed-out entries.
 
         The sweep reads the *authoritative* tables (whose flow counters
-        hold every merged worker delta) and routes each removal through
-        the logged facade as an ordinary
+        hold every collected batch's credit) and routes each removal
+        through the logged facade as an ordinary
         :class:`~repro.runtime.protocol.RemoveMutation`, so workers,
         replay recovery and the inline fallback all reconstruct the
         identical post-expiry state from the log without ever consulting
         a clock.  Refuses to run with
-        batches in flight — their un-merged deltas would make the idle
+        batches in flight — their uncredited traffic would make the idle
         detection (and flow-removed final counters) racy; workload
         replay always drains each packet event first.
         """
@@ -1325,10 +1326,13 @@ class ShardedBatchPipeline:
         Each shard's reply is decoded once per distinct traversal —
         its refs resolved against the batch's pinned entry order and
         replayed through the authoritative pipeline; the merged batch
-        is then credited once (:func:`~repro.runtime.batch.credit_outcomes`)
-        from the replies' delta lanes, to the runner's counters and the
-        pinned entries' flow stats.  What comes back is unmaterialised:
-        no per-packet object exists until the caller reads the outcome.
+        is then credited once (:func:`~repro.runtime.batch.credit_outcomes`,
+        which counts from the merged codes and the batch's own
+        ``frame_len`` lane), to the runner's counters and the pinned
+        entries' flow stats.  Of a reply the parent takes only the
+        codes, the refs and the counts only a worker sees.  What comes
+        back is unmaterialised: no per-packet object exists until the
+        caller reads the outcome.
 
         The batch is forgotten before anything is decoded, so a reply
         that fails closed (:class:`ReplyDecodeError`) credits nothing
@@ -1353,7 +1357,7 @@ class ShardedBatchPipeline:
                 )
             )
         codes = np.empty(len(batch), dtype=np.int64)
-        outcomes = ColumnarOutcomes(batch, [], codes, batch.frame_lengths(), [], [])
+        outcomes = ColumnarOutcomes(batch, [], codes)
         stats = self.stats
         for members, reply, shard in zip(
             inflight.groups.values(), replies, decoded
@@ -1363,8 +1367,6 @@ class ShardedBatchPipeline:
                 setattr(stats, name, getattr(stats, name) + count)
             codes[members] = shard.codes + len(outcomes.traversals)
             outcomes.traversals += shard.traversals
-            outcomes.packets += shard.packets
-            outcomes.byte_sums += shard.byte_sums
         credit_outcomes(stats, outcomes)
         self._maybe_prune_log(inflight.log_len)
         return outcomes
@@ -1426,8 +1428,8 @@ class ShardedBatchPipeline:
         advanced along the same mutation log to the batch's pinned
         ``log_len``; it reads the members from the request block and
         writes the reply into the worker's response slot through the
-        worker's own :meth:`_Replica.serve` — so results, stats and the
-        flow-stats delta match what the dead shard would have sent, and
+        worker's own :meth:`_Replica.serve` — so results and stats match
+        what the dead shard would have sent, and
         the collect path cannot tell the two apart.  Its tables hold the
         parent's authoritative entries, which is safe because no replica
         path writes to a ``FlowEntry``: a replica classifies without
@@ -1497,7 +1499,7 @@ class ShardedBatchPipeline:
         parent's lifecycle sweeper owns.
 
         Every collected reply was added into the record once — its
-        traffic from the delta lanes, its cache, megaflow and wave
+        traffic counted from its codes, its cache, megaflow and wave
         counts as the growth its own request caused — so a lost reply
         counts nothing, its replay counts once, and a respawn, a
         ``close()`` or an inline replica shared by degraded shards

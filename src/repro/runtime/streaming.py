@@ -32,8 +32,9 @@ instead of unbounded queue growth.  This module supplies that front-end:
   in-flight window — when the window is full the stream *collects*
   (backpressure) instead of queueing unboundedly.
 - a graduated **degradation ladder** under sustained overload: shrink
-  the formation deadline, then bypass megaflow capture, then shed at
-  admission — each rung deterministic in (seed, schedule, config).
+  the formation deadline, then bypass the megaflow tier (no probe, no
+  capture, no install), then shed at admission — each rung
+  deterministic in (seed, schedule, config).
 
 Conservation law (checked by :meth:`StreamReport.assert_conserved`
 before :func:`run_stream` returns): every arrival the generator offered
@@ -461,8 +462,9 @@ class StreamConfig:
     ``degrade_after`` sets how fast sustained overload (occupancy >=
     :data:`HIGH_WATERMARK` ``* capacity`` for ``degrade_after``
     consecutive advances per rung) climbs the ladder: shrinking the
-    formation deadline (rung 1), bypassing megaflow capture (rung 2)
-    and shedding at admission above :data:`SHED_TARGET` ``* capacity``
+    formation deadline (rung 1), bypassing the megaflow tier — probe,
+    capture and install alike (rung 2) — and shedding at admission
+    above :data:`SHED_TARGET` ``* capacity``
     (rung 3); occupancy below :data:`LOW_WATERMARK` ``* capacity``
     resets it.
     """
@@ -491,6 +493,10 @@ class StreamConfig:
         if self.form_deadline < 1:
             raise ValueError(
                 f"form_deadline must be >= 1, got {self.form_deadline}"
+            )
+        if self.deadline is not None and self.deadline < 1:
+            raise ValueError(
+                f"deadline must be None or >= 1 tick, got {self.deadline!r}"
             )
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
@@ -538,8 +544,9 @@ class _Ladder:
 
     @property
     def bypass_megaflow(self) -> bool:
-        """Rung 2: stop paying megaflow capture/install on the miss
-        path (observationally invisible — results never change)."""
+        """Rung 2: skip the megaflow tier entirely — no probe, no
+        capture on the miss path, no install (observationally invisible
+        — results never change)."""
         return self.level >= 2
 
     @property

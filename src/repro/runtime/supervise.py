@@ -26,7 +26,7 @@ built from the current :class:`~repro.runtime.shard.PipelineSpec`
 therefore reproduces the lost worker's replies *bitwise-identically*
 by replaying each lost seq in order with the log suffix recomputed
 from its fresh cursor — recovery is a re-send, never a re-encode, and
-the parent's merged results and flow-stats deltas cannot tell a
+the parent's merged results and flow stats cannot tell a
 replayed batch from a first-try one.
 
 **Budgets and degradation.**  Each worker may be respawned

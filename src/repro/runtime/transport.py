@@ -40,13 +40,13 @@ one ``id(entry) -> position`` map the table keeps beside it
 A worker replica at the same mutation-log position as the parent agrees
 on that order (snapshots pickle entries with their sort keys and replay
 mutations in program order), so a ref is a process-independent name for
-a flow entry.  That makes two things cheap: the parent rebuilds outcomes
-whose ``matched_entries`` are its *own* authoritative
-:class:`~repro.openflow.flow.FlowEntry` objects, and each reply block
-carries the flow-stats delta as two more per-traversal lanes — packets
-and frame bytes — which the parent folds into those entries' counters,
-so flow stats (the substrate for monitoring) are exact under sharding
-instead of marooned in worker replicas.
+a flow entry.  The parent therefore rebuilds outcomes whose
+``matched_entries`` are its *own* authoritative
+:class:`~repro.openflow.flow.FlowEntry` objects and credits them itself
+— packets and frame bytes counted from the code lane and the batch's
+own ``frame_len`` lane — so flow stats (the substrate for monitoring)
+are exact under sharding, and no per-traversal sum crosses the pipe
+for the parent to trust.
 
 **One home per reply.**  A reply lives in its response slot and
 nowhere else: :func:`reply_nbytes` bounds the block
@@ -409,17 +409,17 @@ class PacketBlockCodec:
 class ReplyDecodeError(ValueError):
     """A reply block does not describe the sub-batch it answers: a lane
     its segment table leaves out, mistypes or places outside the block,
-    a code lane of the wrong length, a code naming no traversal, a lane
-    that does not cover its traversals, a matched ref outside what the
-    parent pinned for the batch, or refs that do not chain into one
-    path through the pipeline."""
+    a code lane of the wrong length, a code naming no traversal, ref
+    offsets that do not partition the refs, a counter lane of the wrong
+    length, a matched ref outside what the parent pinned for the batch,
+    or refs that do not chain into one path through the pipeline."""
 
 
 #: The counters a reply carries, in ``res/stats`` lane order — the
 #: :class:`~repro.runtime.batch.BatchStats` fields only a worker can
 #: count, as the counts its own request caused (never the replica's
 #: totals), so the parent adds each collected reply in exactly once.
-#: The parent counts traffic itself, from the delta lanes.
+#: The parent counts traffic itself, from the code lane.
 REPLY_COUNTERS = (
     "cache_hits",
     "cache_misses",
@@ -435,8 +435,6 @@ _REPLY_LANES = {
     "res/codes": "<i4",
     "res/matched/offsets": "<i8",
     "res/matched/values": "<i4",
-    "res/packets": "<i8",
-    "res/bytes": "<i8",
     "res/stats": "<i8",
 }
 
@@ -444,14 +442,11 @@ _REPLY_LANES = {
 class DecodedReply(NamedTuple):
     """One reply, decoded: the sub-batch's distinct traversals (matched
     entries the parent's own, everything else replayed from them), the
-    traversal each position took, per traversal the packets and frame
-    bytes it carried, and the :data:`REPLY_COUNTERS` its request
-    caused."""
+    traversal each position took, and the :data:`REPLY_COUNTERS` its
+    request caused."""
 
     traversals: list[Traversal]
     codes: np.ndarray
-    packets: list[int]
-    byte_sums: list[int]
     counters: list[int]
 
 
@@ -466,9 +461,9 @@ def reply_nbytes(members: int, tables: int) -> int:
     pair per table, and each lane adds at most one alignment pad.
     """
     # Per position its code and, at worst, a traversal of its own: an
-    # offset, a ref pair per table, packets and bytes.  Then the closing
-    # offset, the counters and one pad per lane.
-    per_position = 4 + 8 + 8 * tables + 8 + 8
+    # offset and a ref pair per table.  Then the closing offset, the
+    # counters and one pad per lane.
+    per_position = 4 + 8 + 8 * tables
     fixed = 8 + 8 * len(REPLY_COUNTERS) + _ALIGN * len(_REPLY_LANES)
     return per_position * members + fixed
 
@@ -486,12 +481,12 @@ def encode_outcomes(
     each *distinct* one of the sub-batch ships once, as its
     ``(table_id, position)`` refs — positions read off each table's
     :meth:`~repro.core.lookup_table.OpenFlowLookupTable.entry_positions`
-    — and every position then costs one ``int32`` code.  The flow-stats
-    delta rides in the same block as two per-traversal lanes — packets
-    and frame bytes, summed off the batch's ``frame_len`` lane — and
-    ``counters``, the :data:`REPLY_COUNTERS` this request caused, as one
-    more, so no position ever touches a dict and nothing is pickled.
-    Every lane is written in its ``_REPLY_LANES`` dtype.
+    — and every position then costs one ``int32`` code.  ``counters``,
+    the :data:`REPLY_COUNTERS` this request caused, ride in the same
+    block as one more lane, so no position ever touches a dict and
+    nothing is pickled.  No per-traversal sum is written: the parent
+    counts packets and frame bytes from the codes itself.  Every lane
+    is written in its ``_REPLY_LANES`` dtype.
     """
     traversals, codes = outcomes.distinct()
     count = len(traversals)
@@ -519,17 +514,6 @@ def encode_outcomes(
             count=int(offsets[-1]),
         ),
     )
-    writer.put(
-        "res/packets",
-        np.bincount(codes, minlength=count).astype(np.int64, copy=False),
-    )
-    # bincount sums in float64: exact below 2**53 frame bytes a batch.
-    writer.put(
-        "res/bytes",
-        np.bincount(codes, weights=outcomes.frame, minlength=count).astype(
-            np.int64
-        ),
-    )
     writer.put("res/stats", np.asarray(counters, dtype=np.int64))
 
 
@@ -545,17 +529,20 @@ def decode_outcomes(
     (:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`, the
     function the worker's walk built the same outcome with).
 
-    ``expected`` is the member count the parent sent.  Fails closed: a
-    reply whose segment table does not describe its lanes
+    ``expected`` is the member count the parent sent; the traversal
+    count is what the ``res/matched/offsets`` lane partitions.  Fails
+    closed: a reply whose segment table does not describe its lanes
     (:func:`_reply_lane`), or that does not fit ``expected``, its own
     lanes, the pinned snapshot or the pipeline's table order raises
     :class:`ReplyDecodeError` here rather than mis-resolving an outcome
-    (or an ``IndexError``) at first read.  Everything returned is
-    copied out of the block, so the response ring slot is free for
-    reuse as soon as this returns.
+    (or an ``IndexError``) at first read.  Only the codes (range-checked),
+    the refs (resolved and chained) and the counters are read; any other
+    lane a reply carries is ignored.  Everything returned is copied out
+    of the block, so the response ring slot is free for reuse as soon as
+    this returns.
     """
-    packets = _reply_lane(reader, "res/packets").tolist()
-    count = len(packets)
+    matched = _get_ragged(reader, "res/matched")
+    count = len(matched)
     codes = _reply_lane(reader, "res/codes")
     if len(codes) != expected:
         raise ReplyDecodeError(
@@ -564,7 +551,7 @@ def decode_outcomes(
         )
     _require_range(codes, count, "codes")
     traversals: list[Traversal] = []
-    for refs in _get_ragged(reader, "res/matched", count):
+    for refs in matched:
         if len(refs) % 2:
             raise ReplyDecodeError(
                 f"matched refs {refs} are not (table_id, position) pairs"
@@ -590,8 +577,6 @@ def decode_outcomes(
     return DecodedReply(
         traversals,
         codes.astype(np.int64),
-        packets,
-        _reply_lane(reader, "res/bytes", count).tolist(),
         _reply_lane(reader, "res/stats", len(REPLY_COUNTERS)).tolist(),
     )
 
@@ -638,11 +623,19 @@ def _pinned_entry(
     return entries[position]
 
 
-def _get_ragged(reader: BlockReader, key: str, count: int) -> list[list[int]]:
-    offsets = _reply_lane(reader, f"{key}/offsets", count + 1).tolist()
+def _get_ragged(reader: BlockReader, key: str) -> list[list[int]]:
+    """Ragged lane ``key``, one row per pair of adjacent offsets: the
+    offsets must run from 0 up to the value count, so an empty offsets
+    lane (not even the closing offset) is refused."""
+    offsets = _reply_lane(reader, f"{key}/offsets").tolist()
     values = _reply_lane(reader, f"{key}/values").tolist()
-    if offsets != sorted(offsets) or offsets[0] != 0 or offsets[-1] != len(values):
+    if (
+        not offsets
+        or offsets != sorted(offsets)
+        or offsets[0] != 0
+        or offsets[-1] != len(values)
+    ):
         raise ReplyDecodeError(
             f"{key} offsets do not partition its {len(values)} values"
         )
-    return [values[offsets[i] : offsets[i + 1]] for i in range(count)]
+    return [values[start:stop] for start, stop in zip(offsets, offsets[1:])]

@@ -1130,13 +1130,13 @@ class TestHitPathCostShape:
 
 
 class TestCreditOnceCostShape:
-    """Classifying only computes; one function credits.  Around one
-    ``classify_columnar`` call, ``FlowStats.add`` runs once per
-    (traversal, matched entry) pair of the outcome it returns and
-    ``FlowStats.record`` never — on an all-hit batch and a mixed
-    hit/miss batch alike — and a replica serving
-    the same batch (its misses, then its hits) calls neither.  Counts
-    only."""
+    """Classifying only computes; one function credits and counts.
+    Around one ``classify_columnar`` call, ``FlowStats.add`` runs once
+    per (traversal, matched entry) pair of the outcome it returns,
+    ``FlowStats.record`` never, and ``PacketBatch.frame_lengths`` once —
+    the credit reading the batch's byte lane — on an all-hit batch and
+    a mixed hit/miss batch alike; a replica serving the same batch (its
+    misses, then its hits) calls none of them.  Counts only."""
 
     @staticmethod
     def check(monkeypatch, pipeline, warm, batch):
@@ -1149,6 +1149,7 @@ class TestCreditOnceCostShape:
             runner.classify_columnar(PacketBatch.from_dicts(dicts))
         replica = _Replica(PipelineSpec.snapshot(pipeline), 64, 512)
         spies = {name: _Spy(monkeypatch, FlowStats, name) for name in ("add", "record")}
+        spies["frame_lengths"] = _Spy(monkeypatch, PacketBatch, "frame_lengths")
         hits, misses = runner.megaflow.hits, runner.megaflow.misses
         outcome = runner.classify_columnar(batch)
         pairs = sum(
@@ -1156,17 +1157,12 @@ class TestCreditOnceCostShape:
             for traversal in outcome.traversals
         )
         assert pairs > 0
-        assert {name: spy.calls for name, spy in spies.items()} == {
-            "add": pairs,
-            "record": 0,
-        }
+        expected = {"add": pairs, "record": 0, "frame_lengths": 1}
+        assert {name: spy.calls for name, spy in spies.items()} == expected
         for _ in range(2):
             reply = serve_one_batch(replica, batch)
             assert reply.kind == "ok"
-        assert {name: spy.calls for name, spy in spies.items()} == {
-            "add": pairs,
-            "record": 0,
-        }
+        assert {name: spy.calls for name, spy in spies.items()} == expected
         return runner.megaflow.hits - hits, runner.megaflow.misses - misses
 
     def test_all_hit_batch(self, monkeypatch):

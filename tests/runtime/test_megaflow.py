@@ -295,7 +295,7 @@ class _PerPacketMegaflow:
 
     def install(self, mask, fields, outcome, checks):
         slot = (mask, self.key(mask, fields))
-        self.lru[slot] = {"outcome": outcome, "checks": checks, "hits": 0}
+        self.lru[slot] = {"outcome": outcome, "checks": checks}
         self.lru.move_to_end(slot)
         self.masks.setdefault(mask, set()).add(slot)
         self.installs += 1
@@ -315,7 +315,6 @@ class _PerPacketMegaflow:
                 self.invalidated += 1
                 continue
             self.hits += 1
-            aggregate["hits"] += 1
             self.lru.move_to_end(slot)
             outcome = aggregate["outcome"]
             for matched in outcome.matched_entries:
@@ -336,7 +335,7 @@ class _PerPacketMegaflow:
         return {
             "counters": (self.hits, self.misses, self.invalidated, self.installs),
             "lru": [
-                (mask, aggregate["outcome"].metadata, aggregate["hits"])
+                (mask, aggregate["outcome"].metadata)
                 for (mask, _), aggregate in self.lru.items()
             ],
             "index": {
@@ -353,7 +352,7 @@ def _cache_state(cache):
     return {
         "counters": (cache.hits, cache.misses, cache.invalidated, cache.installs),
         "lru": [
-            (mask, entry.outcome.metadata, entry.hits)
+            (mask, entry.outcome.metadata)
             for (mask, _), entry in cache._lru.items()
         ],
         "index": {
@@ -500,11 +499,8 @@ class TestProbeCreditEquivalence:
         stats = BatchStats()
         for _ in range(2):
             batch = PacketBatch.from_dicts(packets)
-            frame = batch.frame_lengths()
             flow_stats = columnar.state()["flow_stats"]
-            found, codes, missed, hit_packets, hit_bytes = columnar.cache.probe(
-                batch, frame
-            )
+            found, codes, missed = columnar.cache.probe(batch)
             assert columnar.state()["flow_stats"] == flow_stats
             replayed = [scalar.cache.lookup(fields) for fields in packets]
             assert [
@@ -517,21 +513,11 @@ class TestProbeCreditEquivalence:
             # Every aggregate found is hit, once in the list.
             assert sorted(set(codes[codes >= 0].tolist())) == list(range(len(found)))
             assert len({id(entry) for entry in found}) == len(found)
-            # Per aggregate, the packets that hit it and their frame
-            # bytes, one packet at a time, as plain ints.
-            took = [
-                [i for i, code in enumerate(codes.tolist()) if code == k]
-                for k in range(len(found))
-            ]
-            assert hit_packets == [len(positions) for positions in took]
-            assert hit_bytes == [
-                sum(frame_length(packets[i]) for i in positions)
-                for positions in took
-            ]
-            assert {type(total) for total in hit_packets + hit_bytes} <= {int}
+            # The hit positions credited as the runner credits them:
+            # per aggregate, from the code lane and the frame_len lane.
+            hit = np.flatnonzero(codes >= 0)
             credit_outcomes(
-                stats,
-                ColumnarOutcomes(batch, found, codes, frame, hit_packets, hit_bytes),
+                stats, ColumnarOutcomes(batch.select(hit), found, codes[hit])
             )
             assert stats == scalar.cache.stats
             assert columnar.state() == scalar.state()
@@ -550,18 +536,9 @@ class TestProbeCreditEquivalence:
             for length in (64, 576, 1500)
         ]
         batch = PacketBatch.from_dicts(packets)
-        frame = batch.frame_lengths()
-        found, codes, missed, hit_packets, hit_bytes = world.cache.probe(
-            batch, frame
-        )
+        found, codes, missed = world.cache.probe(batch)
         assert found == [] and codes.tolist() == [-1, -1, -1]
         assert missed.tolist() == [0, 1, 2]
-        assert hit_packets == hit_bytes == []
-        stats = BatchStats()
-        credit_outcomes(
-            stats, ColumnarOutcomes(batch, found, codes, frame, hit_packets, hit_bytes)
-        )
-        assert stats == BatchStats()
         assert world.state()["flow_stats"] == [(0, 0), (0, 0)]
         cache = world.cache
         assert (cache.invalidated, cache.misses, cache.hits) == (1, 3, 0)

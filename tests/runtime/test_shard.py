@@ -982,17 +982,16 @@ class TestParentOwnsEverySegment:
 
 
 class TestReplyWireShape:
-    """What crosses the reply pipe, by shape and count: six lanes in
-    the block, and a frame that is a tag, a seq, segment tuples and
-    field-name strings — entries are *named*, and
-    everything they determine is rebuilt from the parent's own."""
+    """What crosses the reply pipe, by shape and count: four lanes in
+    the block — codes, entry refs and counters, no per-traversal sum —
+    and a frame that is a tag, a seq, segment tuples and field-name
+    strings — entries are *named*, and everything they determine is
+    rebuilt from the parent's own."""
 
     LANES = [
         "res/codes",
         "res/matched/offsets",
         "res/matched/values",
-        "res/packets",
-        "res/bytes",
         "res/stats",
     ]
 
@@ -1092,7 +1091,6 @@ class _PerPositionEncoded:
     :func:`_per_position_distinct` does."""
 
     def __init__(self, outcomes):
-        self.frame = outcomes.frame
         self._outcomes = outcomes
 
     def distinct(self):
@@ -1330,7 +1328,7 @@ class TestReplySegmentsFailClosed:
         sharded._ensure_started()
         dropped = []
         sharded._conns = [
-            _LaneDroppingConn(conn, "res/bytes", dropped)
+            _LaneDroppingConn(conn, "res/stats", dropped)
             for conn in sharded._conns
         ]
         trace = SCENARIOS["uniform"](
@@ -1341,7 +1339,7 @@ class TestReplySegmentsFailClosed:
     def test_collect_raises_the_classified_error(self, small_routing_set):
         sharded, dropped, batches = self.start(small_routing_set)
         with sharded:
-            with pytest.raises(transport.ReplyDecodeError, match="res/bytes"):
+            with pytest.raises(transport.ReplyDecodeError, match="res/stats"):
                 sharded.process_batch(batches[0])
             assert dropped == [0] and sharded.in_flight == 0
             assert len(sharded.process_batch(batches[1])) == len(batches[1])
@@ -1359,6 +1357,88 @@ class TestReplySegmentsFailClosed:
         assert not any(proc.is_alive() for proc in procs)
         assert not multiprocessing.active_children()
         assert not shm_segments() - before
+
+
+class _SumInflatingConn(ConnProxy):
+    """Delivers every reply carrying per-traversal packet and frame-byte
+    lanes that disagree with its codes: 1,000 packets and 10**6 bytes
+    per traversal, written into the response slot behind the reply's
+    last lane and named last in its segment table (so they shadow any
+    lanes of those names the worker wrote).  ``inflated`` collects the
+    seq of every reply so treated."""
+
+    def __init__(self, conn, sharded, worker, inflated):
+        super().__init__(conn)
+        self._sharded = sharded
+        self._worker = worker
+        self._inflated = inflated
+
+    def recv(self):
+        frame = self._conn.recv()
+        if frame[0] != "ok":
+            return frame
+        sharded = self._sharded
+        buf = sharded._responses[self._worker][frame.seq % sharded.depth].buf
+        traversals = next(
+            s.count - 1 for s in frame.segments if s.key == "res/matched/offsets"
+        )
+        offset = -(-lanes_end(frame) // 16) * 16
+        segments = list(frame.segments)
+        for key, value in (("res/packets", 1000), ("res/bytes", 10**6)):
+            lane = np.full(traversals, value, dtype="<i8").tobytes()
+            assert offset + len(lane) <= buf.nbytes
+            buf[offset : offset + len(lane)] = lane
+            segments.append(transport.Segment(key, "<i8", traversals, offset))
+            offset += -(-len(lane) // 16) * 16
+        self._inflated.append(frame.seq)
+        return frame._replace(segments=tuple(segments))
+
+
+@needs_dev_shm
+class TestWorkerSumsCannotMoveTheParent:
+    """The parent counts each traversal's packets and frame bytes itself,
+    from the reply's codes and its own ``frame_len`` lane: a reply whose
+    packet and byte lanes disagree with its codes moves no counter, so
+    per-entry flow stats and runner totals equal the in-process
+    runner's."""
+
+    def test_inflated_sum_lanes_credit_nothing(self, small_routing_set):
+        trace = SCENARIOS["uniform"](
+            small_routing_set, packet_count=128, flow_count=24
+        ).events[0][1]
+        batches = [trace[i : i + 32] for i in range(0, len(trace), 32)]
+        ref_arch = make_arch(small_routing_set)
+        single = BatchPipeline(ref_arch, cache_capacity=64, megaflow_capacity=128)
+        expected = [single.process_batch(batch) for batch in batches]
+        arch = make_arch(small_routing_set)
+        inflated = []
+        with ShardedBatchPipeline(
+            arch, workers=2, cache_capacity=64, megaflow_capacity=128
+        ) as sharded:
+            sharded._ensure_started()
+            sharded._conns = [
+                _SumInflatingConn(conn, sharded, worker, inflated)
+                for worker, conn in enumerate(sharded._conns)
+            ]
+            for batch, want in zip(batches, expected):
+                for a, b in zip(sharded.process_batch(batch), want, strict=True):
+                    assert_same_result(a, b)
+            stats = sharded.stats_snapshot()
+        assert len(inflated) >= len(batches)
+        counts = entry_counts(arch.tables[0])
+        assert counts == entry_counts(ref_arch.tables[0])
+        assert sum(count[3] for count in counts) > 0
+        for counter in (
+            "packets",
+            "matched",
+            "sent_to_controller",
+            "dropped",
+            "flow_packets",
+            "flow_bytes",
+        ):
+            assert getattr(stats, counter) == getattr(single.stats, counter), (
+                counter
+            )
 
 
 class RoutedSharded(ShardedBatchPipeline):

@@ -234,6 +234,8 @@ class TestStreamConfig:
             {"service_rate": 0},
             {"service_rate": -1.0},
             {"degrade_after": 0},
+            {"deadline": 0},
+            {"deadline": -3},
         ],
     )
     def test_validation(self, kwargs):

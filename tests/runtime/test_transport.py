@@ -19,7 +19,12 @@ from repro.openflow.match import Match
 from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD, transport_schema
-from repro.runtime.batch import BatchPipeline, ColumnarOutcomes
+from repro.runtime.batch import (
+    BatchPipeline,
+    BatchStats,
+    ColumnarOutcomes,
+    credit_outcomes,
+)
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
@@ -303,14 +308,7 @@ class TestResultBlocks:
             del reader  # release numpy views before unmapping
         finally:
             block.close()
-        rebuilt = ColumnarOutcomes(
-            batch,
-            decoded.traversals,
-            decoded.codes,
-            batch.frame_lengths(),
-            decoded.packets,
-            decoded.byte_sums,
-        )
+        rebuilt = ColumnarOutcomes(batch, decoded.traversals, decoded.codes)
         return outcomes, [segment.key for segment in segments], decoded, rebuilt
 
     def test_results_roundtrip_via_entry_refs(self):
@@ -322,8 +320,9 @@ class TestResultBlocks:
         same batch again) both decode to exactly what the parent's own
         ``process`` returns — the parent's own entries included, through
         an order pinned *before* a mutation — positions sharing a
-        traversal decode to one shared object, and each reply's delta
-        lanes are exactly what the replica's entries accrued."""
+        traversal decode to one shared object, and crediting the decoded
+        outcome grows the parent's entries exactly as classifying grew
+        the replica's."""
         replica, replica_entries = self.make_pipeline(miss_policy)
         parent, parent_entries = self.make_pipeline(miss_policy)
         runner = BatchPipeline(replica, cache_capacity=16, megaflow_capacity=32)
@@ -334,8 +333,17 @@ class TestResultBlocks:
         parent.table(0).add(parent_entries[0])
         packets = self.packets()
         oracle = [parent.process(packet) for packet in packets]
-        credited = [(0, 0)] * len(replica_entries)
+        def counts(entries):
+            return [(e.stats.packet_count, e.stats.byte_count) for e in entries]
+
+        def growth(was, entries):
+            return [
+                (now[0] - then[0], now[1] - then[1])
+                for then, now in zip(was, counts(entries))
+            ]
+
         for expect_hits in (False, True):
+            replica_was = counts(replica_entries)
             hits_before = runner.megaflow.hits
             outcomes, keys, decoded, rebuilt = self.reply(
                 runner, packets, parent, pinned
@@ -349,8 +357,6 @@ class TestResultBlocks:
                 "res/codes",
                 "res/matched/offsets",
                 "res/matched/values",
-                "res/packets",
-                "res/bytes",
                 "res/stats",
             ]
             assert decoded.counters == [0, 1, 2, 3, 4]
@@ -424,27 +430,21 @@ class TestResultBlocks:
             assert rebuilt[6].matched_entries == [parent_entries[3]]
             assert 104 not in rebuilt[6].output_ports
             assert rebuilt[6].final_fields["vlan_vid"] == 5
-            # The delta lanes are the replica entries' packet/byte
-            # growth, summed per traversal off the frame_len lane.
-            after = [
-                (e.stats.packet_count, e.stats.byte_count)
-                for e in replica_entries
-            ]
-            growth = [
-                (now[0] - was[0], now[1] - was[1])
-                for was, now in zip(credited, after)
-            ]
-            assert growth == [
-                (2, 4 * self.FRAME),
-                (1, self.FRAME),
-                (1, self.FRAME),
-                (2, 120),
-            ]
-            assert decoded.packets == [2, 1, 1, 1, 1, 1]
-            assert decoded.byte_sums == [
-                4 * self.FRAME, self.FRAME, self.FRAME, self.FRAME, 60, 60
-            ]
-            credited = after
+            # The parent counts packets and frame bytes itself, from the
+            # codes and its own frame_len lane: its entries grow exactly
+            # as the replica's did.
+            parent_was = counts(parent_entries)
+            credit_outcomes(BatchStats(), rebuilt)
+            assert (
+                growth(parent_was, parent_entries)
+                == growth(replica_was, replica_entries)
+                == [
+                    (2, 4 * self.FRAME),
+                    (1, self.FRAME),
+                    (1, self.FRAME),
+                    (2, 120),
+                ]
+            )
 
     def test_results_against_inputs_ship_only_overrides(self):
         for miss_policy in self.POLICIES:
@@ -524,8 +524,12 @@ class TestResultBlocks:
         )
         assert decoded.codes.tolist() == list(range(8))
         assert len(decoded.traversals) == 8
-        assert decoded.packets == [1] * 8
-        assert decoded.byte_sums == [61 + i for i in range(8)]
+        was = [(e.stats.packet_count, e.stats.byte_count) for e in first]
+        credit_outcomes(BatchStats(), rebuilt)
+        assert [
+            (e.stats.packet_count - packets, e.stats.byte_count - octets)
+            for e, (packets, octets) in zip(first, was)
+        ] == [(1, 61 + i) for i in range(8)]
         assert rebuilt.results() == outcomes.results()
         assert rebuilt.results() == [pipeline.process(p) for p in packets]
 
@@ -655,26 +659,30 @@ class TestReplyFailsClosed:
             )
 
     def test_template_lane_of_the_wrong_length(self):
-        """The per-traversal lanes must agree on how many traversals
-        there are (and the counter lane on how many counters) — with
-        every code naming traversal 0, so only the lengths are wrong."""
-        for key in (
-            "res/packets",
-            "res/bytes",
-            "res/matched/offsets",
-            "res/stats",
-        ):
-            block, segments, *rest = self.encoded()
-            self.lane(block, segments, "res/codes")[:] = 0
-            with pytest.raises(ReplyDecodeError, match="the reply needs"):
-                self.decode(block, self.clipped(segments, key), *rest)
+        """The counter lane must hold one value per counter — with every
+        code naming traversal 0, so only its length is wrong.  The
+        traversal count is what the offsets lane partitions, so no other
+        lane can disagree with it."""
+        block, segments, *rest = self.encoded()
+        self.lane(block, segments, "res/codes")[:] = 0
+        with pytest.raises(ReplyDecodeError, match="the reply needs"):
+            self.decode(block, self.clipped(segments, "res/stats"), *rest)
+
+    def test_empty_offsets_lane(self):
+        """An offsets lane holds at least its closing offset: an empty
+        one is refused, never read as a reply with no traversals."""
+        block, segments, *rest = self.encoded()
+        with pytest.raises(ReplyDecodeError, match="res/matched offsets"):
+            self.decode(
+                block,
+                self.patched(segments, "res/matched/offsets", count=0),
+                *rest,
+            )
 
     LANES = (
         "res/codes",
         "res/matched/offsets",
         "res/matched/values",
-        "res/packets",
-        "res/bytes",
         "res/stats",
     )
 
