@@ -110,7 +110,10 @@ class OpenFlowLookupTable:
     # ------------------------------------------------------------------
 
     def add(self, entry: FlowEntry) -> None:
-        """Install a flow entry (replacing any same-match same-priority one)."""
+        """Install a flow entry (replacing any same-match same-priority
+        one); an entry whose Goto-Table does not point to a later table
+        raises ``PipelineError``."""
+        entry.require_forward_goto(self.table_id)
         stray = set(entry.match) - set(self.field_names)
         if stray:
             raise ValueError(

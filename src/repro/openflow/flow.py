@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
+from repro.openflow.errors import PipelineError
 from repro.openflow.instructions import Instruction, InstructionSet
 from repro.openflow.match import Match
 
@@ -112,6 +113,18 @@ class FlowEntry:
 
     def matches(self, packet_fields: Mapping[str, int]) -> bool:
         return self.match.matches(packet_fields)
+
+    def require_forward_goto(self, table_id: int) -> None:
+        """Refuse installing this entry into table ``table_id`` unless
+        its Goto-Table, if any, points to a later table: pipelines are
+        forward-only, so every table's ``add`` calls this, and a
+        backward Goto can never make a walk loop."""
+        goto = self.instructions.goto_table
+        if goto is not None and goto.table_id <= table_id:
+            raise PipelineError(
+                f"goto_table:{goto.table_id} from table {table_id} "
+                "must point to a later table"
+            )
 
     @property
     def installed_at(self) -> int:

@@ -152,18 +152,14 @@ class OpenFlowPipeline:
             raise PipelineError(f"pipeline has no table {table_id}") from None
 
     def install(self, table_id: int, entry: FlowEntry) -> None:
-        """Install a flow entry, validating any Goto-Table is forward-only."""
+        """Install a flow entry whose Goto-Table, if any, targets a
+        table this pipeline has; the table's ``add`` refuses a Goto that
+        is not forward."""
         goto = entry.instructions.goto_table
-        if goto is not None:
-            if goto.table_id not in self._tables:
-                raise PipelineError(
-                    f"goto_table:{goto.table_id} targets a missing table"
-                )
-            if goto.table_id <= table_id:
-                raise PipelineError(
-                    f"goto_table:{goto.table_id} from table {table_id} "
-                    "must point to a later table"
-                )
+        if goto is not None and goto.table_id not in self._tables:
+            raise PipelineError(
+                f"goto_table:{goto.table_id} targets a missing table"
+            )
         self.table(table_id).add(entry)
 
     def process(

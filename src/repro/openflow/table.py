@@ -60,8 +60,10 @@ class FlowTable:
         """Insert an entry, replacing an identical-match same-priority one.
 
         OpenFlow flow-mod ADD semantics: an entry with the same match and
-        priority overwrites the existing entry.
+        priority overwrites the existing entry.  An entry whose Goto-Table
+        does not point to a later table raises ``PipelineError``.
         """
+        entry.require_forward_goto(self.table_id)
         if (
             self.max_entries is not None
             and len(self._entries) >= self.max_entries

@@ -43,11 +43,13 @@ Open vSwitch fast path:
 
 **Sharded parallel execution.**
 :class:`~repro.runtime.shard.ShardedBatchPipeline` partitions batches by
-a stable hash of the megaflow key across ``multiprocessing`` workers,
+a stable hash of the tables' match fields (fixed at construction, so a
+flow never changes worker) across ``multiprocessing`` workers,
 each owning a pipeline replica rebuilt from a picklable
 :class:`~repro.runtime.shard.PipelineSpec` snapshot plus its own cache
 stack.  Consistency uses a mutation-log catch-up protocol: flow-mods go
-through the runner's logging ``pipeline`` facade; the parent snapshots
+through the runner's logging ``pipeline`` facade (a table mutated
+behind it fails the next submission closed); the parent snapshots
 the log length once per batch and every worker replays the suffix up to
 that snapshot before classifying its sub-batch, so the whole batch sees
 one table state and results are bitwise-identical to the single-process
@@ -231,8 +233,9 @@ precedence), and a parent-side ledger of
 packet/byte counters.  Expired entries leave through the tables'
 ordinary remove path, so version counters bump and both cache tiers
 revalidate exactly as for explicit uninstalls; in the sharded runtime
-the parent alone decides expiry and logs each one as an ordinary
-``RemoveMutation`` — workers never consult a clock, and replay recovery
+the parent alone decides expiry, sweeping through its logging facade so
+each expiry is an ordinary logged ``RemoveMutation`` — workers never
+consult a clock, and replay recovery
 applies expiries like any other logged removal.
 
 **Open-loop streaming front-end.**  Every layer above is closed-loop —
@@ -247,7 +250,8 @@ capacity-bounded — the ``bounded-queue`` lint rule enforces it),
 size-or-deadline batch formation feeding the pipelined shard transport
 behind a bounded in-flight window (backpressure instead of queueing),
 and a graduated degradation ladder under sustained overload: shrink the
-formation deadline, bypass megaflow capture (``megaflow_bypass`` —
+formation deadline, bypass megaflow capture (the ``bypass`` argument
+of ``classify_columnar`` / ``submit_batch(megaflow_bypass=)`` —
 observationally invisible), then shed at admission.
 :func:`~repro.runtime.streaming.run_stream` self-checks the
 conservation law ``admitted == completed + shed`` (packets and bytes)

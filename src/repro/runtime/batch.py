@@ -152,13 +152,6 @@ class BatchPipeline:
             if megaflow_capacity
             else None
         )
-        #: When True, batches skip the megaflow tier entirely — no
-        #: probe, no recorder capture, no install (rung 2 of the
-        #: streaming degradation ladder sets this under sustained
-        #: overload).  Observationally invisible: the megaflow replays
-        #: traversals it has already seen, so bypassing it changes
-        #: per-packet results never, only cache stats and cost.
-        self.megaflow_bypass = False
         self.stats = BatchStats()
         self.lifecycle = LifecycleSweeper()
 
@@ -206,11 +199,14 @@ class BatchPipeline:
             batch = PacketBatch.from_dicts(batch)
         return self.classify_columnar(batch).results()
 
-    def classify_columnar(self, batch: PacketBatch) -> ColumnarOutcomes:
+    def classify_columnar(
+        self, batch: PacketBatch, bypass: bool = False
+    ) -> ColumnarOutcomes:
         """Classify a columnar batch without leaving the columns
-        (:meth:`classify`), then credit its traversals to the entries
-        they matched and to :attr:`stats` (:func:`credit_outcomes`) —
-        the one place an in-process batch is credited.
+        (:meth:`classify`, ``bypass`` passed on), then credit its
+        traversals to the entries they matched and to :attr:`stats`
+        (:func:`credit_outcomes`) — the one place an in-process batch is
+        credited.
 
         The returned :class:`ColumnarOutcomes` is a code lane over the
         aggregates hit and the paths walked, and defers replay
@@ -218,11 +214,13 @@ class BatchPipeline:
         :class:`PipelineResult` s (bitwise-identical to mapping
         ``pipeline.process`` over the batch).
         """
-        outcomes = self.classify(batch)
+        outcomes = self.classify(batch, bypass)
         credit_outcomes(self.stats, outcomes)
         return outcomes
 
-    def classify(self, batch: PacketBatch) -> ColumnarOutcomes:
+    def classify(
+        self, batch: PacketBatch, bypass: bool = False
+    ) -> ColumnarOutcomes:
         """Classify a columnar batch and credit nothing: a replica
         classifies this way, because the parent owns the entries and
         credits them from the codes its reply carries.
@@ -235,13 +233,17 @@ class BatchPipeline:
         table, one outcome per distinct entry path) and are installed
         in bulk, in position order — probe first, install after, so a
         miss never sees an aggregate an earlier position of the same
-        batch installed.  With the megaflow tier off or bypassed the
-        same walk runs without probe, capture or install.  Nothing here
-        reads the ``frame_len`` lane: only the credit counts bytes.
+        batch installed.  With the megaflow tier off or ``bypass`` set
+        the same walk runs without probe, capture or install: rung 2 of
+        the streaming degradation ladder bypasses it under sustained
+        overload, which changes per-packet results never (the megaflow
+        replays traversals it has already seen), only cache stats and
+        cost.  Nothing here reads the ``frame_len`` lane: only the
+        credit counts bytes.
         """
         self.stats.packets += len(batch)
         self.stats.batches += 1
-        megaflow = None if self.megaflow_bypass else self.megaflow
+        megaflow = None if bypass else self.megaflow
         traversals: list[Traversal]
         if megaflow is not None:
             traversals, codes, missed = megaflow.probe(batch)

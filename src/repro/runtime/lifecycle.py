@@ -45,12 +45,14 @@ walk, no numpy.  The narrowing this buys is stated, not hidden:
 with an idle timeout — the only entries any decision reads them for;
 permanent and hard-only entries keep their install stamp.
 
-Expired entries are removed through a caller-supplied callback, so the
-single-process runner removes directly (bumping the table version
-exactly like an explicit uninstall — microflow/megaflow tiers
-revalidate through the machinery they already have) while the sharded
-runner routes removals through its mutation log; workers never consult
-a clock.
+Expired entries are removed through the tables the sweep iterates
+(``table.remove(match, priority)``), so the pipeline a runner hands the
+sweep decides what a removal is: the single-process runner hands its
+own pipeline and removes directly (bumping the table version exactly
+like an explicit uninstall — microflow/megaflow tiers revalidate
+through the machinery they already have), while the sharded runner
+hands its logging facade, so every expiry is a logged removal; workers
+never consult a clock.
 
 Expiry semantics are POX ``flow_table.py`` parity: strict ``>``
 deadline comparisons, hard timeout measured from install, idle from the
@@ -64,8 +66,8 @@ consumes) into the sweeper's ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
-from typing import Any, Protocol
+from collections.abc import Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -75,20 +77,20 @@ from repro.openflow.match import Match
 #: int64 stand-in for "no deadline" — ``now`` never exceeds it.
 _NEVER = np.iinfo(np.int64).max
 
-#: ``remove(table_id, match, priority)`` callback expiring one entry.
-RemoveCallback = Callable[[int, Match, int], None]
-
 
 class SweptTable(Protocol):
-    """The table surface a sweep reads — ``FlowTable`` and
-    ``OpenFlowLookupTable`` both satisfy it structurally.  A sweep
-    never walks the table: everything it needs is in the view the
-    table's own mutations keep."""
+    """The table surface a sweep reads and removes through —
+    ``FlowTable``, ``OpenFlowLookupTable`` and the sharded runner's
+    logging facade all satisfy it structurally.  A sweep never walks
+    the table: everything it needs is in the view the table's own
+    mutations keep."""
 
     table_id: int
 
     @property
     def sweep_view(self) -> SweepView: ...
+
+    def remove(self, match: Match, priority: int) -> bool: ...
 
 
 class SweptPipeline(Protocol):
@@ -96,8 +98,6 @@ class SweptPipeline(Protocol):
 
     @property
     def tables(self) -> Sequence[SweptTable]: ...
-
-    def table(self, table_id: int) -> Any: ...
 
 
 class VirtualClock:
@@ -239,10 +239,11 @@ class _TableLanes:
         )
 
     def sweep(
-        self, table: SweptTable, prev: int, now: int, remove: RemoveCallback
+        self, table: SweptTable, prev: int, now: int
     ) -> tuple[list[FlowRemoved], int]:
-        """Expire what is due at ``now``; returns the events and the
-        number of entry lanes the sweep examined."""
+        """Expire what is due at ``now``, removing each entry through
+        ``table``; returns the events and the number of entry lanes the
+        sweep examined."""
         view = table.sweep_view
         if view.unstamped:
             self._stamp(view, prev)
@@ -294,7 +295,7 @@ class _TableLanes:
                     byte_count=entry.stats.byte_count,
                 )
             )
-            remove(table.table_id, entry.match, entry.priority)
+            table.remove(entry.match, entry.priority)
         return events, examined
 
 
@@ -320,8 +321,9 @@ class LifecycleSweeper:
     lanes and the flow-removed ledger.
 
     ``advance`` walks the pipeline's tables in id order and sweeps each
-    against the new tick; removals go through the supplied callback so
-    the sharded parent can log them as mutations.  The ledger preserves
+    against the new tick, removing through those tables — so the
+    sharded parent, which hands its logging facade, logs every expiry
+    as a mutation.  The ledger preserves
     (table order, snapshot order) — deterministic, hence comparable
     across runner paths.
     """
@@ -332,21 +334,9 @@ class LifecycleSweeper:
         self.stats = LifecycleStats()
         self._lanes: dict[int, _TableLanes] = {}
 
-    def advance(
-        self, pipeline: SweptPipeline, dt: int, remove: RemoveCallback | None = None
-    ) -> list[FlowRemoved]:
+    def advance(self, pipeline: SweptPipeline, dt: int) -> list[FlowRemoved]:
         """Advance the clock by ``dt`` and sweep every table; returns
         (and appends to the ledger) the expiries this advance caused."""
-        expire: RemoveCallback
-        if remove is not None:
-            expire = remove
-        else:
-            def _remove_from_pipeline(
-                table_id: int, match: Match, priority: int
-            ) -> None:
-                pipeline.table(table_id).remove(match, priority)
-
-            expire = _remove_from_pipeline
         prev, now = self.clock.advance(dt)
         self.stats.advances += 1
         removed: list[FlowRemoved] = []
@@ -355,7 +345,7 @@ class LifecycleSweeper:
             if lanes is None:
                 lanes = self._lanes[table.table_id] = _TableLanes()
             self.stats.sweeps += 1
-            events, examined = lanes.sweep(table, prev, now, expire)
+            events, examined = lanes.sweep(table, prev, now)
             self.stats.entries_scanned += examined
             removed.extend(events)
         for event in removed:

@@ -241,18 +241,6 @@ class MegaflowCache:
         """Distinct masks probed per lookup (the tuple-space width)."""
         return len(self._by_mask)
 
-    def mask_fields(self) -> tuple[str, ...]:
-        """Union of fields any cached mask constrains (sorted).
-
-        This is the sharding hint :class:`~repro.runtime.shard.ShardedBatchPipeline`
-        uses: hashing on exactly these fields sends every packet of an
-        aggregate to the same worker.
-        """
-        fields: set[str] = set()
-        for mask in self._by_mask:
-            fields.update(name for name, _ in mask)
-        return tuple(sorted(fields))
-
     def probe_batch(self, batch: PacketBatch) -> list[MegaflowEntry | None]:
         """:meth:`probe` per batch *position*: the valid aggregate
         (``None`` on miss), the cache's own bookkeeping done.  It

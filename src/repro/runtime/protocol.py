@@ -110,15 +110,13 @@ class ShmReply(NamedTuple):
     whether a worker or the parent's in-process replica served it — which
     the parent sized for the sub-batch before sending
     (:func:`~repro.runtime.transport.reply_nbytes`), so the frame itself
-    is a tag, a seq, segment tuples and field-name strings: no bytes
-    and no class instance cross the reply pipe.  ``seq`` echoes the
-    request's, so a reply can only ever answer the batch its worker
-    owes next."""
+    is a tag, a seq and segment tuples: no bytes and no class instance
+    cross the reply pipe.  ``seq`` echoes the request's, so a reply can
+    only ever answer the batch its worker owes next."""
 
     kind: Literal["ok"]
     seq: int
     segments: tuple[Segment, ...]
-    mask_fields: tuple[str, ...]
 
 
 class ByeReply(NamedTuple):

@@ -7,13 +7,13 @@ not — so :class:`ShardedBatchPipeline` splits each batch across
 (rebuilt from a picklable :class:`PipelineSpec` snapshot) with its own
 microflow/megaflow cache stack.
 
-**Sharding** hashes each packet onto a worker by its megaflow-relevant
-key: initially the full sorted field tuple, then — as workers report the
-fields their megaflow masks actually constrain — only that consulted
-union, so every packet of one traffic aggregate lands on the worker that
-already caches its megaflow entry.  Sharding choices never affect
-results (any worker classifies any packet identically); they only steer
-cache locality.
+**Sharding** hashes each packet onto a worker by its flow key: the
+sorted union of the tables' match fields, fixed at construction.  The
+decomposition reads nothing else, so every packet of one flow — and of
+one megaflow aggregate — lands on the same worker for the runner's whole
+life, and a packet-length field (never a match field) cannot scatter a
+flow.  Sharding choices never affect results (any worker classifies any
+packet identically); they only steer cache locality.
 
 **Consistency** uses a mutation log: the parent applies every flow-mod
 to its authoritative pipeline *and* appends it to an ordered log
@@ -152,7 +152,6 @@ from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline, PipelineResult
 from repro.packet.batch import PacketBatch
-from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime.batch import (
     BatchPipeline,
     BatchStats,
@@ -283,20 +282,27 @@ class _LoggedTable:
     the log append, and the batch prologue takes the same lock around
     its log-length + entry-order snapshot — so a flow-mod from another
     thread is either entirely before a batch (in its log prefix and its
-    pinned order) or entirely after it, never half-visible.
+    pinned order) or entirely after it, never half-visible.  Each logged
+    mutation also records the table's ``version`` in ``versions``, which
+    is how the runner tells a flow-mod made behind the facade.
     """
 
     def __init__(
-        self, table: Any, log: list[Mutation], lock: threading.Lock
+        self,
+        table: Any,
+        log: list[Mutation],
+        lock: threading.Lock,
+        versions: dict[int, int],
     ) -> None:
         self._table = table
         self._log = log
         self._lock = lock
+        self._versions = versions
 
     def add(self, entry: FlowEntry) -> None:
         with self._lock:
             self._table.add(entry)
-            self._log.append(AddMutation("add", self._table.table_id, entry))
+            self._logged(AddMutation("add", self._table.table_id, entry))
 
     def remove(self, match: Match, priority: int) -> bool:
         with self._lock:
@@ -317,10 +323,15 @@ class _LoggedTable:
         """Apply and log one removal; the caller holds the lock."""
         removed = self._table.remove(match, priority)
         if removed:
-            self._log.append(
+            self._logged(
                 RemoveMutation("remove", self._table.table_id, match, priority)
             )
         return removed
+
+    def _logged(self, mutation: Mutation) -> None:
+        """Log one applied mutation; the caller holds the lock."""
+        self._log.append(mutation)
+        self._versions[mutation.table_id] = self._table.version
 
     def __len__(self) -> int:
         return len(self._table)
@@ -340,14 +351,16 @@ class _LoggedPipeline:
         pipeline: OpenFlowPipeline,
         log: list[Mutation],
         lock: threading.Lock,
+        versions: dict[int, int],
     ) -> None:
         self._pipeline = pipeline
         self._log = log
         self._lock = lock
+        self._versions = versions
 
     def table(self, table_id: int) -> _LoggedTable:
         return _LoggedTable(
-            self._pipeline.table(table_id), self._log, self._lock
+            self._pipeline.table(table_id), self._log, self._lock, self._versions
         )
 
     @property
@@ -357,7 +370,7 @@ class _LoggedPipeline:
     def install(self, table_id: int, entry: FlowEntry) -> None:
         with self._lock:
             self._pipeline.install(table_id, entry)
-            self._log.append(AddMutation("add", table_id, entry))
+            self.table(table_id)._logged(AddMutation("add", table_id, entry))
 
     def __len__(self) -> int:
         return len(self._pipeline)
@@ -432,7 +445,6 @@ class _Replica:
         _apply_mutations(runner.pipeline, request.mutations)
         self.cursor += len(request.mutations)
         faults.fire(worker_id, seq, "mid-classify")
-        runner.megaflow_bypass = request.bypass
         reader = BlockReader(request_buf, request.segments)
         batch = self.codec.attach(
             reader, request.layout, reader.get(request.members_key)
@@ -444,7 +456,7 @@ class _Replica:
         # request caused, not the replica's totals, so the parent can
         # add each reply in exactly once.
         before = runner.stats_snapshot()
-        outcomes = runner.classify(batch)
+        outcomes = runner.classify(batch, bypass=request.bypass)
         caused = runner.stats_snapshot().since(before)
         writer = BlockWriter()
         encode_outcomes(
@@ -453,12 +465,8 @@ class _Replica:
             runner.pipeline,
             [getattr(caused, name) for name in REPLY_COUNTERS],
         )
-        runner.megaflow_bypass = False
         faults.fire(worker_id, seq, "after-stats")
-        segments = writer.write_to(reply_buf)
-        megaflow = runner.megaflow
-        fields = megaflow.mask_fields() if megaflow is not None else ()
-        reply = ShmReply("ok", seq, segments, fields)
+        reply = ShmReply("ok", seq, writer.write_to(reply_buf))
         faults.fire(worker_id, seq, "before-reply")
         return reply
 
@@ -484,7 +492,7 @@ def _worker_main(
     request gets exactly one ``"ok"`` reply: entry refs, codes and the
     counts the request caused, written
     into the response slot the request names (sized for it by the
-    parent), plus the worker's megaflow mask fields.  An unknown tag
+    parent).  An unknown tag
     raises: the worker dies, its sentinel fires and supervision
     classifies a crash — the parent never waits on a reply that will
     not come.
@@ -573,7 +581,8 @@ class ShardedBatchPipeline:
             :class:`~repro.runtime.batch.BatchPipeline`, before any
             worker or segment exists).  Snapshot once at
             construction; afterwards mutate **only** through
-            :attr:`pipeline` (the logging facade) so replicas catch up.
+            :attr:`pipeline` (the logging facade) so replicas catch up
+            — a table mutated behind it fails the next submission.
         workers: process count (default: ``os.cpu_count()``).
         cache_capacity / megaflow_capacity: per-worker cache stack, as
             in :class:`BatchPipeline`.
@@ -639,8 +648,12 @@ class ShardedBatchPipeline:
         self._authoritative = pipeline
         self._log: list[Mutation] = []
         self._mutation_lock = threading.Lock()
+        #: Each table's ``version`` as of the last logged mutation or
+        #: fold: a table whose version differs was mutated behind the
+        #: facade, and its replicas cannot know.
+        self._versions: dict[int, int] = {}
         self.pipeline = _LoggedPipeline(
-            pipeline, self._log, self._mutation_lock
+            pipeline, self._log, self._mutation_lock, self._versions
         )
         #: Shared read-only rule state (see runtime/rulestate.py): the
         #: static lookup structures are sealed into one shared-memory
@@ -652,7 +665,11 @@ class ShardedBatchPipeline:
         self._rule_state: SharedRuleState | None = None
         self._cache_capacity = cache_capacity
         self._megaflow_capacity = megaflow_capacity
-        self._learned_fields: set[str] = set()
+        #: The shard key: every field any table matches on, so a flow's
+        #: worker is fixed for the runner's life.
+        self._shard_fields = tuple(
+            sorted({name for t in pipeline.tables for name in t.field_names})
+        )
         self._conns: list = []
         self._procs: list = []
         self._codec = PacketBlockCodec()
@@ -736,7 +753,8 @@ class ShardedBatchPipeline:
         with shared rules, sealed into a new block; the old generation
         is closed — long-lived workers keep valid mappings of it, only
         fresh spawns attach to the new one).  The new spec *is* the
-        table state at the log's end, so the log clears, the cursors
+        table state at the log's end, so the tables' versions become the
+        facade's baseline, the log clears, the cursors
         rewind to zero and every in-flight batch rebases to prefix 0 — a
         recovery replay then applies no suffix at all.  The inline
         replica's cursor dies with the log; it is rebuilt on next use.
@@ -750,6 +768,9 @@ class ShardedBatchPipeline:
             self._spec = self._rule_state.spec
             if old_state is not None:
                 old_state.close()
+        self._versions.update(
+            (table.table_id, table.version) for table in self._authoritative.tables
+        )
         self._log.clear()
         self._cursors = [0] * self.workers
         for inflight in self._inflight.values():
@@ -861,28 +882,17 @@ class ShardedBatchPipeline:
         """Member positions per worker for one batch, as ascending
         index arrays.
 
-        Workers are assigned by megaflow-key hash: one vectorized pass
-        over the shard fields' lanes (per distinct row, fanned out by
-        ``pick``), stable per key, so an aggregate's packets converge
-        on one worker whatever shape they were submitted in — sharding
-        steers only cache locality, never results.  A single-worker
-        fleet has nothing to steer and skips the hash.
+        Workers are assigned by a hash of the shard key — the tables'
+        match fields, fixed at construction: one vectorized pass over
+        those lanes (per distinct row, fanned out by ``pick``).  The key
+        never changes, so a flow's packets land on one worker for the
+        runner's whole life, whatever shape they were submitted in —
+        sharding steers only cache locality, never results.  A
+        single-worker fleet has nothing to steer and skips the hash.
         """
         if self.workers == 1:
             return {0: np.arange(len(batch), dtype=np.int64)}
-        names = tuple(sorted(self._learned_fields))
-        if not names:
-            # Cold-start fallback: all columns except frame_len —
-            # per-packet length distributions (imix/pareto) would
-            # otherwise scatter one flow's packets across workers.
-            names = tuple(
-                sorted(
-                    name
-                    for name in batch.field_names()
-                    if name != FRAME_LEN_FIELD
-                )
-            )
-        hashes = batch.key_hashes(names)
+        hashes = batch.key_hashes(self._shard_fields)
         assigned = (hashes % np.uint64(self.workers)).astype(np.int64)[
             batch.pick
         ]
@@ -906,10 +916,11 @@ class ShardedBatchPipeline:
     def advance_clock(self, dt: int) -> list[FlowRemoved]:
         """Advance virtual time and expire timed-out entries.
 
-        The sweep reads the *authoritative* tables (whose flow counters
-        hold every collected batch's credit) and routes each removal
-        through the logged facade as an ordinary
-        :class:`~repro.runtime.protocol.RemoveMutation`, so workers,
+        The sweep runs over the logging facade :attr:`pipeline`: it
+        reads the authoritative tables through it (their flow counters
+        hold every collected batch's credit) and removes through it, so
+        each expiry is logged as an ordinary
+        :class:`~repro.runtime.protocol.RemoveMutation` and workers,
         replay recovery and the inline fallback all reconstruct the
         identical post-expiry state from the log without ever consulting
         a clock.  Refuses to run with
@@ -918,13 +929,7 @@ class ShardedBatchPipeline:
         replay always drains each packet event first.
         """
         self._guard_idle("advance_clock")
-        return self.lifecycle.advance(
-            self._authoritative,
-            dt,
-            remove=lambda table_id, match, priority: self.pipeline.table(
-                table_id
-            ).remove(match, priority),
-        )
+        return self.lifecycle.advance(self.pipeline, dt)
 
     def process(self, packet_fields: Mapping[str, int]) -> PipelineResult:
         return self.process_batch([packet_fields])[0]
@@ -1110,11 +1115,13 @@ class ShardedBatchPipeline:
 
         ``bypass`` rides in every worker's request template, so replays
         after a crash and in-process shards skip — or keep — the
-        megaflow tier exactly as the original submission asked."""
+        megaflow tier exactly as the original submission asked.  Raises
+        ``RuntimeError``, counting nothing, when a table was mutated
+        behind the logging facade: the replicas never saw that flow-mod,
+        so their answers would be wrong."""
         assert len(self._inflight) < self.depth
-        self.stats.packets += len(batch)
-        self.stats.batches += 1
         if not len(batch):
+            self.stats.batches += 1
             return False
         self._ensure_started()
         # One atomic snapshot per *submitted* batch, under the mutation
@@ -1128,9 +1135,18 @@ class ShardedBatchPipeline:
         # mutation landing while sub-batches are in flight defers
         # uniformly to the next submission.
         with self._mutation_lock:
-            log_len = len(self._log)
             tables = self._authoritative.tables
+            for table in tables:
+                if table.version != self._versions[table.table_id]:
+                    raise RuntimeError(
+                        f"table {table.table_id} was mutated behind the "
+                        "logging facade; mutate through runner.pipeline so "
+                        "the workers see every flow-mod"
+                    )
+            log_len = len(self._log)
             pinned = {t.table_id: t.entries_snapshot() for t in tables}
+        self.stats.packets += len(batch)
+        self.stats.batches += 1
         seq = self._seq
         if not isinstance(batch, PacketBatch):
             batch = PacketBatch.from_dicts(batch, self._codec.field_bits)
@@ -1359,10 +1375,7 @@ class ShardedBatchPipeline:
         codes = np.empty(len(batch), dtype=np.int64)
         outcomes = ColumnarOutcomes(batch, [], codes)
         stats = self.stats
-        for members, reply, shard in zip(
-            inflight.groups.values(), replies, decoded
-        ):
-            self._learned_fields.update(reply.mask_fields)
+        for members, shard in zip(inflight.groups.values(), decoded):
             for name, count in zip(REPLY_COUNTERS, shard.counters):
                 setattr(stats, name, getattr(stats, name) + count)
             codes[members] = shard.codes + len(outcomes.traversals)

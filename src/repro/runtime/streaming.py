@@ -587,11 +587,7 @@ class _InlineTransport:
         self.stalls = 0
 
     def submit(self, batch: PacketBatch, bypass: bool) -> None:
-        self._runner.megaflow_bypass = bypass
-        try:
-            self.outcomes.append(self._runner.classify_columnar(batch))
-        finally:
-            self._runner.megaflow_bypass = False
+        self.outcomes.append(self._runner.classify_columnar(batch, bypass))
 
     def drain(self) -> None:
         """Nothing is ever outstanding."""

@@ -411,8 +411,10 @@ class ReplyDecodeError(ValueError):
     its segment table leaves out, mistypes or places outside the block,
     a code lane of the wrong length, a code naming no traversal, ref
     offsets that do not partition the refs, a counter lane of the wrong
-    length, a matched ref outside what the parent pinned for the batch,
-    or refs that do not chain into one path through the pipeline."""
+    length or with a count the sub-batch could not have caused
+    (:func:`_check_counters`), a matched ref outside what the parent
+    pinned for the batch, or refs that do not chain into one path
+    through the pipeline."""
 
 
 #: The counters a reply carries, in ``res/stats`` lane order — the
@@ -535,9 +537,9 @@ def decode_outcomes(
     (:func:`_reply_lane`), or that does not fit ``expected``, its own
     lanes, the pinned snapshot or the pipeline's table order raises
     :class:`ReplyDecodeError` here rather than mis-resolving an outcome
-    (or an ``IndexError``) at first read.  Only the codes (range-checked),
-    the refs (resolved and chained) and the counters are read; any other
-    lane a reply carries is ignored.  Everything returned is copied out
+    (or an ``IndexError``) at first read.  Only the codes and the
+    counters (both range-checked) and the refs (resolved and chained)
+    are read; any other lane a reply carries is ignored.  Everything returned is copied out
     of the block, so the response ring slot is free for reuse as soon as
     this returns.
     """
@@ -574,11 +576,28 @@ def decode_outcomes(
                 f"tables {outcome.tables_visited}"
             )
         traversals.append(Traversal(outcome, ()))
-    return DecodedReply(
-        traversals,
-        codes.astype(np.int64),
-        _reply_lane(reader, "res/stats", len(REPLY_COUNTERS)).tolist(),
-    )
+    counters = _reply_lane(reader, "res/stats", len(REPLY_COUNTERS)).tolist()
+    _check_counters(counters, expected, len(pipeline.tables))
+    return DecodedReply(traversals, codes.astype(np.int64), counters)
+
+
+def _check_counters(counters: list[int], members: int, tables: int) -> None:
+    """Refuse :data:`REPLY_COUNTERS` that ``members`` positions through
+    ``tables`` forward-only tables could not have caused: every count is
+    non-negative, the megaflow tier probed every position once or was
+    off, the microflow caches saw each position at most once per table,
+    and the walk ran at most one wave per table."""
+    count = dict(zip(REPLY_COUNTERS, counters))
+    if (
+        min(counters) < 0
+        or count["megaflow_hits"] + count["megaflow_misses"] not in (0, members)
+        or count["cache_hits"] + count["cache_misses"] > members * tables
+        or count["waves"] > tables
+    ):
+        raise ReplyDecodeError(
+            f"reply counters {count} cannot come from {members} positions "
+            f"through {tables} tables"
+        )
 
 
 def _reply_lane(

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from repro.core.builder import build_lookup_table
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.filters.rule import Application, Rule, RuleSet
+from repro.openflow.errors import PipelineError
 from repro.openflow.flow import FlowEntry
 from repro.openflow.fields import REGISTRY, MatchMethod
+from repro.openflow.instructions import GotoTable
 from repro.openflow.match import (
     ExactMatch,
     FieldMaskSink,
@@ -414,3 +416,31 @@ class TestOneSearchMask:
             sink = FieldMaskSink()
             assert table.lookup(fields, mask=sink) is oracle.lookup(fields)
             assert sink.fields == want, fields
+
+
+class TestForwardOnlyGoto:
+    """The decomposition table refuses a Goto-Table that does not point
+    to a later table at ``add`` — the door a workload's ``install``
+    event and the sharded runner's replicas both use."""
+
+    @staticmethod
+    def goto(target):
+        return FlowEntry.build(
+            match=Match.exact(in_port=1),
+            priority=1,
+            instructions=[GotoTable(target)],
+        )
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_backward_or_self_goto_refused(self, target):
+        table = OpenFlowLookupTable(("in_port",), table_id=1)
+        with pytest.raises(PipelineError, match="must point to a later table"):
+            table.add(self.goto(target))
+        assert len(table) == 0 and table.version == 0
+        assert table.lookup({"in_port": 1}) is None
+
+    def test_forward_goto_accepted(self):
+        table = OpenFlowLookupTable(("in_port",), table_id=1)
+        entry = self.goto(2)
+        table.add(entry)
+        assert table.lookup({"in_port": 1}) is entry

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.openflow.errors import TableFullError
+from repro.openflow.errors import PipelineError, TableFullError
 from repro.openflow.flow import FlowEntry, FlowStats
+from repro.openflow.instructions import GotoTable
 from repro.openflow.match import Match, PrefixMatch
 from repro.openflow.table import FlowTable
 
@@ -145,3 +146,30 @@ class TestFlowTable:
         hit = table.lookup({"in_port": 1, "eth_type": 1})
         # Both match; the more specific one wins the specificity tiebreak.
         assert hit is not None and hit.match != first.match
+
+
+class TestForwardOnlyGoto:
+    """A table refuses an entry whose Goto-Table does not point to a
+    later table, whichever door the entry comes through — so no walk
+    can loop back to a table it has already left."""
+
+    @staticmethod
+    def goto(target):
+        return FlowEntry.build(
+            match=Match.exact(in_port=1),
+            priority=1,
+            instructions=[GotoTable(target)],
+        )
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_backward_or_self_goto_refused(self, target):
+        table = FlowTable(table_id=1)
+        with pytest.raises(PipelineError, match="must point to a later table"):
+            table.add(self.goto(target))
+        assert len(table) == 0 and table.version == 0
+
+    def test_forward_goto_accepted(self):
+        table = FlowTable(table_id=1)
+        table.add(self.goto(2))
+        table.add(entry(3, in_port=2))
+        assert len(table) == 2

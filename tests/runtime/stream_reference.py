@@ -3,9 +3,10 @@ as the oracle for the columnar rewrite.
 
 This is ``repro.runtime.streaming`` as it stood before the admission
 ring: one ``_Queued`` object per admitted arrival in a ``deque``,
-``frame_length()`` per packet, ``form_ready`` after every arrival, dict
-``process_batch`` per formed batch and a fully materialised result
-tuple.  It is slow and allocation-heavy on purpose — nothing here is
+``frame_length()`` per packet, ``form_ready`` after every arrival, one
+dict conversion per formed batch (what dict ``process_batch`` does on a
+cached runner, but through ``classify_columnar`` so the ladder's
+megaflow bypass is an argument) and a fully materialised result tuple.  It is slow and allocation-heavy on purpose — nothing here is
 shared with the code under test except the value types the two reports
 are compared through (:class:`StreamReport`, :class:`ShedRecord`,
 :class:`StreamConfig`, the ladder).  Only the inline transport is kept:
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, cast
 
 from repro.openflow.pipeline import PipelineResult
+from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
 from repro.runtime.lifecycle import FlowRemoved
 from repro.runtime.streaming import (
@@ -139,13 +141,8 @@ class _InlineTransport:
         self.stalls = 0
 
     def submit(self, entries: list[_Queued], bypass: bool) -> None:
-        self._runner.megaflow_bypass = bypass
-        try:
-            results = self._runner.process_batch(
-                [entry.fields for entry in entries]
-            )
-        finally:
-            self._runner.megaflow_bypass = False
+        batch = PacketBatch.from_dicts([entry.fields for entry in entries])
+        results = self._runner.classify_columnar(batch, bypass).results()
         self._done.append((entries, results))
 
     def drain(self) -> list[_Completion]:
@@ -159,7 +156,7 @@ def run_stream_reference(
     schedule: ArrivalSchedule,
     config: StreamConfig | None = None,
 ) -> StreamReport:
-    """Drive an in-process ``runner`` (dict ``process_batch``) with
+    """Drive an in-process ``runner`` (``classify_columnar``) with
     ``schedule``, one packet event at a time."""
     cfg = config if config is not None else StreamConfig()
     queue = ReferenceQueue(cfg.capacity, deadline=cfg.deadline)

@@ -1,14 +1,18 @@
 """BatchPipeline differential tests: the batched (and cached) runtime
 must reproduce the scalar pipeline's results packet for packet."""
 
+import contextlib
 import multiprocessing
+import signal
 
 import pytest
 
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.builder import build_lookup_table, build_per_field_pipeline
 from repro.core.lookup_table import OpenFlowLookupTable
+from repro.openflow.errors import PipelineError
 from repro.openflow.flow import FlowEntry
+from repro.openflow.instructions import GotoTable
 from repro.openflow.match import Match
 from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
 from repro.openflow.table import FlowTable
@@ -18,11 +22,12 @@ from repro.runtime import (
     BatchPipeline,
     MicroflowCache,
     ShardedBatchPipeline,
+    SupervisionConfig,
     Workload,
     churn_workload,
     run_workload,
 )
-from tests.runtime.conftest import shm_segments
+from tests.runtime.conftest import needs_dev_shm, shm_segments
 
 
 def assert_results_equal(batched, scalar):
@@ -103,6 +108,79 @@ class _Forwarding:
 
     def __getattr__(self, name):
         return getattr(self._table, name)
+
+
+@contextlib.contextmanager
+def bounded(seconds):
+    """Fail the block with ``TimeoutError`` once ``seconds`` pass: a
+    walk that loops must fail its test, never hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForwardOnlyGoto:
+    """A backward Goto-Table sent as a workload ``install`` event is
+    refused at the table's ``add`` — on the in-process runner and
+    behind the sharded runner's logging facade alike — so no later
+    batch can loop on it."""
+
+    @staticmethod
+    def pipeline():
+        tables = [
+            OpenFlowLookupTable(("in_port",), table_id=table_id)
+            for table_id in (0, 1)
+        ]
+        tables[0].add(
+            FlowEntry.build(
+                match=Match.exact(in_port=1),
+                priority=1,
+                instructions=[GotoTable(1)],
+            )
+        )
+        return OpenFlowPipeline(tables)
+
+    @pytest.mark.parametrize(
+        "sharded", [False, pytest.param(True, marks=needs_dev_shm)]
+    )
+    def test_backward_goto_install_event_is_refused(self, sharded):
+        backward = FlowEntry.build(
+            match=Match.exact(in_port=1),
+            priority=1,
+            instructions=[GotoTable(0)],
+        )
+        workload = Workload(
+            "loop",
+            "a backward Goto installed mid-trace",
+            (("install", 1, backward), ("packets", [{"in_port": 1}] * 4)),
+        )
+        # A looping worker is a wedge the deadline retires, so its
+        # shard then runs in-process, where the alarm can stop it.
+        runner = (
+            ShardedBatchPipeline(
+                self.pipeline(),
+                workers=1,
+                supervision=SupervisionConfig(deadline=5.0, restart_budget=0),
+            )
+            if sharded
+            else BatchPipeline(self.pipeline())
+        )
+        with contextlib.closing(runner) if sharded else contextlib.nullcontext():
+            with bounded(10):
+                with pytest.raises(PipelineError, match="later table"):
+                    run_workload(runner, workload)
+                assert len(runner.pipeline.table(1)) == 0
+                (result,) = runner.process_batch([{"in_port": 1}])
+            assert result.tables_visited == [0, 1]
+            assert result.sent_to_controller
 
 
 class TestKeyedTablesOnly:

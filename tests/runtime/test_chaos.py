@@ -522,7 +522,6 @@ class TestInlineShardIsAReplica:
                     live[seq] = twin._reply_buffer[seq, 0]
                 twin.collect_batch()
         assert sorted(live) == [0, 2]
-        assert all(reply.mask_fields for reply in live.values())
 
         served, encoders, recreated = [], [], []
         serve, encode = shard._Replica.serve, shard.encode_outcomes
@@ -561,9 +560,10 @@ class TestInlineShardIsAReplica:
         for reply, worker_slot, slot_bytes in served:
             assert worker_slot
             assert lanes_end(reply) <= slot_bytes
-        # (b) the mask fields a live worker reports for that sub-batch;
+        # (b) with the segment table a live worker writes for that
+        # sub-batch;
         for reply, _, _ in served:
-            assert reply.mask_fields == live[reply.seq].mask_fields
+            assert reply.segments == live[reply.seq].segments
         # (c) so no response slot is re-created on its account;
         assert recreated == []
         # (d) and the parent encodes through the replica's serve alone.

@@ -566,9 +566,10 @@ class TestMissPathCostShape:
             runner = BatchPipeline(
                 arch, cache_capacity=64, megaflow_capacity=megaflow_capacity
             )
-            runner.megaflow_bypass = True
             captures.clear()
-            got = runner.process_batch(PacketBatch.from_dicts(trace))
+            got = runner.classify_columnar(
+                PacketBatch.from_dicts(trace), bypass=True
+            ).results()
             assert got == expected
             assert captures == [False]
             if runner.megaflow is not None:

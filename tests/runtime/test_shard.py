@@ -115,23 +115,6 @@ class TestDifferential:
         # the parent's counters, matching the single-process totals.
         assert got.flow_packets == expected.flow_packets > 0
 
-    def test_megaflow_key_sharding_learns_fields(self, small_routing_set):
-        """Workers report their megaflow mask fields; the parent's shard
-        key converges onto the consulted union."""
-        workload = SCENARIOS["uniform"](
-            small_routing_set, packet_count=120, flow_count=8
-        )
-        with ShardedBatchPipeline(
-            make_arch(small_routing_set),
-            workers=2,
-            megaflow_capacity=256,
-        ) as sharded:
-            run_workload(sharded, workload, batch_size=40)
-            assert sharded._learned_fields <= set(
-                small_routing_set.field_names
-            )
-            assert sharded._learned_fields, "mask fields must be learned"
-
 
 class TestMutationCatchUp:
     def entry(self, port: int, priority: int) -> FlowEntry:
@@ -202,11 +185,13 @@ class TestMutationCatchUp:
                 unlocked_scans.append(entry)
             return entry.priority == 999
 
-        facade = shard._LoggedTable(table, log, lock)
+        versions = {}
+        facade = shard._LoggedTable(table, log, lock, versions)
         assert facade.remove_where(doomed) == 3
         assert unlocked_scans == []
         assert events == ["acquire"] + ["remove", "log"] * 3 + ["release"]
         assert sorted(m.match["in_port"].value for m in log) == [6, 7, 8]
+        assert versions == {table.table_id: table.version}
 
     def test_empty_batch_and_close_idempotent(self, small_routing_set):
         sharded = ShardedBatchPipeline(make_arch(small_routing_set), workers=2)
@@ -984,9 +969,9 @@ class TestParentOwnsEverySegment:
 class TestReplyWireShape:
     """What crosses the reply pipe, by shape and count: four lanes in
     the block — codes, entry refs and counters, no per-traversal sum —
-    and a frame that is a tag, a seq, segment tuples and field-name
-    strings — entries are *named*, and everything they determine is
-    rebuilt from the parent's own."""
+    and a frame that is a tag, a seq and segment tuples — entries are
+    *named*, and everything they determine is rebuilt from the parent's
+    own."""
 
     LANES = [
         "res/codes",
@@ -1022,6 +1007,7 @@ class TestReplyWireShape:
             ]
         assert len(frames) >= len(batches)
         for frame in frames:
+            assert frame._fields == ("kind", "seq", "segments")
             assert [segment.key for segment in frame.segments] == self.LANES
             kinds = {
                 type(leaf).__name__
@@ -1235,7 +1221,7 @@ class TestReplyFramesFailClosed:
     every other frame is refused — never parked, never an exception."""
 
     def reply(self, seq):
-        return ShmReply("ok", seq, (), ())
+        return ShmReply("ok", seq, ())
 
     def sorter(self, rule_set, *frames, owes=(5,)):
         sharded = ShardedBatchPipeline(make_arch(rule_set), workers=1)
@@ -1441,6 +1427,130 @@ class TestWorkerSumsCannotMoveTheParent:
             )
 
 
+class _StatsRewritingConn(ConnProxy):
+    """Delivers every reply with ``delta`` added to one of its
+    ``res/stats`` counters, in place in the response slot.  ``rewritten``
+    collects the seq of every reply so treated."""
+
+    def __init__(self, conn, sharded, worker, counter, delta, rewritten):
+        super().__init__(conn)
+        self._sharded = sharded
+        self._worker = worker
+        self._counter = counter
+        self._delta = delta
+        self._rewritten = rewritten
+
+    def recv(self):
+        frame = self._conn.recv()
+        if frame[0] != "ok":
+            return frame
+        sharded = self._sharded
+        buf = sharded._responses[self._worker][frame.seq % sharded.depth].buf
+        stats = next(s for s in frame.segments if s.key == "res/stats")
+        lane = np.frombuffer(
+            buf, dtype=stats.dtype, count=stats.count, offset=stats.offset
+        )
+        lane[transport.REPLY_COUNTERS.index(self._counter)] += self._delta
+        del lane  # no view may outlive the slot's unmap
+        self._rewritten.append(frame.seq)
+        return frame
+
+
+@needs_dev_shm
+class TestReplyStatsAreRangeChecked:
+    """``res/stats`` is checked like every other reply lane: counts a
+    sub-batch could not have caused fail closed at collect, so they
+    never reach the runner's record (where an inflated
+    ``megaflow_hits`` would break ``hits + misses == packets``)."""
+
+    @pytest.mark.parametrize(
+        "counter, delta",
+        [
+            ("megaflow_hits", 1000),
+            ("megaflow_misses", -(10**6)),
+            ("cache_misses", 10**6),
+            ("waves", 50),
+        ],
+    )
+    def test_impossible_counts_fail_closed(
+        self, small_routing_set, counter, delta
+    ):
+        trace = SCENARIOS["uniform"](
+            small_routing_set, packet_count=64, flow_count=24
+        ).events[0][1]
+        arch = make_arch(small_routing_set)
+        rewritten = []
+        with ShardedBatchPipeline(
+            arch, workers=2, cache_capacity=64, megaflow_capacity=128
+        ) as sharded:
+            sharded._ensure_started()
+            sharded._conns = [
+                _StatsRewritingConn(conn, sharded, worker, counter, delta, rewritten)
+                for worker, conn in enumerate(sharded._conns)
+            ]
+            with pytest.raises(transport.ReplyDecodeError, match="cannot come"):
+                sharded.process_batch(trace)
+            assert rewritten and sharded.in_flight == 0
+            stats = sharded.stats_snapshot()
+        assert stats.megaflow_hits == stats.megaflow_misses == 0
+        assert stats.cache_hits == stats.cache_misses == stats.waves == 0
+        assert all(count[2] == 0 for count in entry_counts(arch.tables[0]))
+
+
+@needs_dev_shm
+class TestFacadeBypassFailsClosed:
+    """A flow-mod made on the authoritative tables behind the logging
+    facade never reaches the replicas: the next submission refuses to
+    run, naming the table, rather than answer from stale tables."""
+
+    @pytest.mark.parametrize(
+        "shared_rules", [False, True], ids=["built", "sealed"]
+    )
+    def test_direct_removal_raises_at_the_next_submit(
+        self, small_routing_set, shared_rules
+    ):
+        trace = SCENARIOS["uniform"](
+            small_routing_set, packet_count=64, flow_count=24
+        ).events[0][1]
+        arch = make_arch(small_routing_set)
+        with ShardedBatchPipeline(
+            arch, workers=2, shared_rules=shared_rules
+        ) as sharded:
+            sharded.process_batch(trace)
+            before = sharded.stats_snapshot()
+            victim = next(iter(arch.tables[0]))
+            assert arch.tables[0].remove(victim.match, victim.priority)
+            with pytest.raises(RuntimeError, match=r"table 0 .*runner\.pipeline"):
+                sharded.process_batch(trace)
+            with pytest.raises(RuntimeError, match="table 0"):
+                sharded.submit_batch(trace)
+            assert sharded.in_flight == 0
+            assert sharded.stats_snapshot() == before
+
+    def test_flow_mods_through_the_facade_pass(self, small_routing_set):
+        """Installs, removals and expiries made through the facade keep
+        the runner serving, bitwise what the in-process runner says."""
+        trace = SCENARIOS["uniform"](
+            small_routing_set, packet_count=64, flow_count=24
+        ).events[0][1]
+        single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
+        with ShardedBatchPipeline(
+            make_arch(small_routing_set), workers=2, cache_capacity=64
+        ) as sharded:
+            for runner in (single, sharded):
+                runner.process_batch(trace)
+                victim = next(iter(runner.pipeline.table(0)))
+                runner.pipeline.table(0).remove(victim.match, victim.priority)
+                runner.pipeline.install(
+                    0, FlowEntry.build(match=victim.match, priority=victim.priority)
+                )
+                runner.advance_clock(1)
+            for a, b in zip(
+                sharded.process_batch(trace), single.process_batch(trace), strict=True
+            ):
+                assert_same_result(a, b)
+
+
 class RoutedSharded(ShardedBatchPipeline):
     """Deterministic routing for the out-of-order and chaos tests:
     packets go to the worker named by their ``route_field`` value (mod
@@ -1534,8 +1644,7 @@ class TestShardGroups:
     def test_dict_batch_follows_shard_of(self, small_routing_set):
         """A dict submission and a columnar submission of one trace
         land on the same workers, packet for packet — the assignment
-        ``shard_of`` names — both on the cold-start hash (every column
-        but ``frame_len``) and on the learned megaflow fields."""
+        ``shard_of`` names — before traffic and after it."""
         trace = self.trace(small_routing_set)
         with ShardedBatchPipeline(
             make_arch(small_routing_set),
@@ -1543,8 +1652,7 @@ class TestShardGroups:
             cache_capacity=64,
             megaflow_capacity=128,
         ) as sharded:
-            for learned in (False, True):
-                assert bool(sharded._learned_fields) == learned
+            for _ in range(2):
                 by_dicts = self.submitted_groups(sharded, trace)
                 by_lanes = self.submitted_groups(
                     sharded, PacketBatch.from_dicts(trace)
@@ -1584,6 +1692,38 @@ class TestShardGroups:
                 assert groups == {0: list(range(len(trace)))}
                 sharded.collect_batch()
             assert sharded.shard_of(trace[0]) == 0
+
+
+@needs_dev_shm
+class TestShardKeyStability:
+    """The shard key is the tables' match fields, fixed at construction:
+    a flow's worker never moves over the runner's life, however much
+    traffic — and megaflow state — the workers build up."""
+
+    def test_a_flows_worker_never_moves(self, small_routing_set):
+        trace = SCENARIOS["uniform"](
+            small_routing_set, packet_count=120, flow_count=24
+        ).events[0][1]
+        submitted = TestShardGroups.submitted_groups
+        with ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=3,
+            cache_capacity=64,
+            megaflow_capacity=128,
+        ) as sharded:
+            workers = [sharded.shard_of(packet) for packet in trace]
+            groups = submitted(sharded, trace)
+            assert len(groups) == 3
+            sharded.collect_batch()
+            for _ in range(3):
+                sharded.process_batch(trace)
+                assert [sharded.shard_of(packet) for packet in trace] == workers
+                assert submitted(sharded, trace) == groups
+                sharded.collect_batch()
+            assert sharded._shard_fields == tuple(
+                sorted(small_routing_set.field_names)
+            )
+            assert FRAME_LEN_FIELD not in sharded._shard_fields
 
 
 class TestColumnarSharded:

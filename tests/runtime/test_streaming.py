@@ -364,9 +364,20 @@ class TestRunStream:
             assert result_key(result) == result_key(full[index])
 
     def test_bypass_flag_always_restored(self, small_routing_set):
-        runner = BatchPipeline(make_arch(small_routing_set))
-        run_stream(runner, overload_schedule(small_routing_set), OVERLOAD)
-        assert runner.megaflow_bypass is False
+        """The ladder's bypass is an argument, not runner state: after a
+        stream that reached rung 2, the next batch probes the megaflow
+        tier again."""
+        runner = BatchPipeline(
+            make_arch(small_routing_set), megaflow_capacity=128
+        )
+        schedule = overload_schedule(small_routing_set)
+        assert run_stream(runner, schedule, OVERLOAD).max_level >= 2
+        probed = runner.megaflow.hits + runner.megaflow.misses
+        batch = PacketBatch.from_dicts(
+            [event[1] for event in schedule.events if event[0] == "packet"][:16]
+        )
+        runner.classify_columnar(batch)
+        assert runner.megaflow.hits + runner.megaflow.misses == probed + 16
 
     def test_unknown_event_kind_rejected(self, small_routing_set):
         bogus = ArrivalSchedule("bogus", "", (("tick", 1),))
@@ -452,7 +463,8 @@ class TestStreamCostShape:
         monkeypatch.setattr(
             runner,
             "classify_columnar",
-            lambda batch: classified.append(len(batch)) or classify(batch),
+            lambda batch, bypass=False: classified.append(len(batch))
+            or classify(batch, bypass),
         )
         monkeypatch.setattr(
             runner,

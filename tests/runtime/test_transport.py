@@ -30,6 +30,7 @@ from repro.runtime.transport import (
     BlockWriter,
     MIN_BLOCK_BYTES,
     PacketBlockCodec,
+    REPLY_COUNTERS,
     ReplyDecodeError,
     SharedBlock,
     decode_outcomes,
@@ -296,9 +297,16 @@ class TestResultBlocks:
         worker encoded from, the block's lane keys, the decoded reply,
         and the outcomes the parent would hand back."""
         batch = PacketBatch.from_dicts(packets)
+        before = runner.stats_snapshot()
         outcomes = runner.classify_columnar(batch)
+        caused = runner.stats_snapshot().since(before)
         writer = BlockWriter()
-        encode_outcomes(writer, outcomes, runner.pipeline, range(5))
+        encode_outcomes(
+            writer,
+            outcomes,
+            runner.pipeline,
+            [getattr(caused, name) for name in REPLY_COUNTERS],
+        )
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)
@@ -359,7 +367,12 @@ class TestResultBlocks:
                 "res/matched/values",
                 "res/stats",
             ]
-            assert decoded.counters == [0, 1, 2, 3, 4]
+            # The counts the request caused, in REPLY_COUNTERS order:
+            # every position a megaflow hit or miss, by round.
+            hits, misses = decoded.counters[2:4]
+            assert (hits, misses) == (
+                (len(packets), 0) if expect_hits else (0, len(packets))
+            )
             got_results = rebuilt.results()
             assert got_results == oracle
             for original, got, want in zip(
@@ -566,8 +579,14 @@ class TestReplyFailsClosed:
         runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
         packets = [{"in_port": 1}, {"in_port": 7}, {"in_port": 1}]
         outcomes = runner.classify_columnar(PacketBatch.from_dicts(packets))
+        stats = runner.stats_snapshot()
         writer = BlockWriter()
-        encode_outcomes(writer, outcomes, pipeline, range(5))
+        encode_outcomes(
+            writer,
+            outcomes,
+            pipeline,
+            [getattr(stats, name) for name in REPLY_COUNTERS],
+        )
         block = bytearray(writer.nbytes)
         segments = writer.write_to(memoryview(block))
         return block, segments, pipeline, pin(pipeline)
@@ -597,6 +616,31 @@ class TestReplyFailsClosed:
         ]
         assert decoded.traversals[0].outcome.tables_visited == (0, 1)
         assert decoded.traversals[1].outcome.tables_visited == (0,)
+        # Cold caches: five microflow misses (three positions at table
+        # 0, two at table 1), three megaflow misses, two waves.
+        assert decoded.counters == [0, 5, 0, 3, 2]
+
+    @pytest.mark.parametrize(
+        "counter, value",
+        [
+            ("cache_hits", -1),
+            ("megaflow_hits", 1),
+            ("megaflow_misses", 2),
+            ("cache_misses", 7),
+            ("waves", 3),
+        ],
+    )
+    def test_counters_the_sub_batch_could_not_cause(self, counter, value):
+        """Three positions through two tables: the megaflow tier probed
+        all three or none, the microflow caches saw at most six
+        lookups, the walk ran at most two waves, and nothing counts
+        below zero."""
+        block, segments, *rest = self.encoded()
+        self.lane(block, segments, "res/stats")[
+            REPLY_COUNTERS.index(counter)
+        ] = value
+        with pytest.raises(ReplyDecodeError, match="cannot come from 3 positions"):
+            self.decode(block, segments, *rest)
 
     @pytest.mark.parametrize("bad", [-1, 2, 1 << 20])
     def test_code_outside_the_templates(self, bad):
