@@ -61,11 +61,13 @@ path: the parent encodes each batch *once* into a columnar
 :class:`~repro.runtime.transport.PacketBlockCodec` shared-memory block
 (one ``uint64`` lane per 64 field bits, presence bytes, identical
 packet dicts encoded once), workers read their member rows in place
-and write their reply into the parent-owned response slot the request
-names — **once per distinct traversal** of the sub-batch, plus one
-``int32`` code per position; the parent sizes that slot for the
-sub-batch before naming it, so only mutation suffixes, block names and
-layouts cross the pipes.  Matched
+and write their reply into the reply region of the same block that the
+request names — **once per distinct traversal** of the sub-batch, plus
+one ``int32`` code per position; the parent sizes each worker's region
+for its sub-batch before naming it as ``(offset, nbytes)``, and a
+worker dies rather than write a region that is not its own, so one
+block holds a batch in flight and only mutation suffixes, block names,
+layouts and regions cross the pipes.  Matched
 entries travel as ``(table_id, position)`` entry refs (positions in
 each table's ``entries_snapshot()``, read off its
 ``entry_positions()``) that the parent resolves against the order it
@@ -77,11 +79,13 @@ single-process run exactly.  Beside them the reply carries the cache,
 megaflow and wave counts its own request caused, which the parent adds
 once into its one :class:`~repro.runtime.batch.BatchStats` record
 (``runner.stats``, as on the in-process runner) — a lost reply is never
-counted, its replay counted once.  A reply that does not fit its batch
+counted, its replay counted once, and a batch's packets count with its
+traffic when it is collected, so a refused reply counts nothing.  A reply that does not fit its batch
 fails closed (:class:`~repro.runtime.transport.ReplyDecodeError`).
 
-**Pipelined dispatch/collect.**  The transport is double-buffered: each
-direction keeps a ring of ``depth`` shared blocks, so
+**Pipelined dispatch/collect.**  The transport is double-buffered: the
+runner keeps a ring of ``depth`` shared blocks, one per batch in
+flight with its replies, so
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.process_batches` (and
 :func:`~repro.runtime.batch.run_workload`, which uses it) encodes and
 dispatches batch N+1 while the workers still classify batch N.  Every
@@ -183,10 +187,13 @@ materialises nothing per packet.
 **FIFO collection.**  Batches complete in submission order:
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch`
 completes the oldest in-flight batch (one wait listens for the replies
-it still lacks and parks each under its batch; per-worker pipes
+it still lacks and parks each on its batch's in-flight record, which
+is also where what a worker still owes is read; per-worker pipes
 deliver in submission order), so the in-flight seqs stay one
 contiguous run and a free ring slot is guaranteed by the depth bound
-alone.  A live ``process_batches`` stream owns its collects.
+alone.  A live ``process_batches`` stream owns its collects, and
+``close()`` forgets what it never collected — nothing of it was
+counted — so its one wait is each worker's bounded shutdown.
 
 **Fault tolerance.**  Workers are mortal; results are not.  The one
 collect-side wait is process-sentinel-aware and (optionally)
@@ -206,8 +213,8 @@ results and stats.  Each worker carries a restart budget;
 past it the shard is always served in-process, by a parent-side
 replica that serves the shard's requests through the worker's own
 serve path.
-Every shared segment — request ring, response ring, sealed rules — is
-the parent's, so a corpse strands nothing; orphaned workers notice the
+Every shared segment — the block ring and the sealed rules — is the
+parent's, so a corpse strands nothing; orphaned workers notice the
 parent's death themselves and exit.
 :mod:`repro.runtime.faults` injects deterministic, seeded
 kill/hang/delay faults at named worker-loop steps for chaos testing.
@@ -333,7 +340,6 @@ from repro.runtime.shard import (
 from repro.runtime.supervise import (
     SupervisionConfig,
     SupervisionStats,
-    WorkerCrashError,
     WorkerSupervisor,
 )
 from repro.runtime.transport import PacketBlockCodec
@@ -366,7 +372,6 @@ __all__ = [
     "SupervisionStats",
     "TableSpec",
     "VirtualClock",
-    "WorkerCrashError",
     "WorkerSupervisor",
     "Workload",
     "WorkloadStats",

@@ -61,15 +61,15 @@ class BatchStats:
 
     Each runner keeps one as its live record (``runner.stats``) and
     counts every unit of work into it exactly once, where the work
-    lands: ``packets`` / ``batches`` as a batch enters, ``waves`` per
-    walk, the traffic fields as the runner that owns the entries
-    credits a classified batch (:func:`credit_outcomes`) — and on the
-    sharded parent the cache, megaflow and wave counters as each
-    collected reply adds what its own request caused.  The tiers and
-    the lifecycle sweeper keep their own counters;
-    ``stats_snapshot()`` adds them.  With a megaflow tier and no
-    bypass, ``megaflow_hits + megaflow_misses == packets`` whenever
-    nothing is in flight.
+    lands: ``waves`` per walk, ``packets`` / ``batches`` and the
+    traffic fields as the runner that owns the entries credits a
+    classified batch (:func:`credit_outcomes`) — and on the sharded
+    parent the cache, megaflow and wave counters as each collected
+    reply adds what its own request caused.  The tiers and the
+    lifecycle sweeper keep their own counters; ``stats_snapshot()``
+    adds them.  With a megaflow tier and no bypass,
+    ``megaflow_hits + megaflow_misses == packets`` on the sharded
+    parent always, and in process after every credit.
     """
 
     packets: int = 0
@@ -221,9 +221,9 @@ class BatchPipeline:
     def classify(
         self, batch: PacketBatch, bypass: bool = False
     ) -> ColumnarOutcomes:
-        """Classify a columnar batch and credit nothing: a replica
-        classifies this way, because the parent owns the entries and
-        credits them from the codes its reply carries.
+        """Classify a columnar batch and credit nothing — not even its
+        packets: a replica classifies this way, because the parent owns
+        the entries and credits them from the codes its reply carries.
 
         The megaflow tier is probed with vectorized masked-key compares
         (:meth:`~repro.runtime.megaflow.MegaflowCache.probe`); an
@@ -241,8 +241,6 @@ class BatchPipeline:
         cost.  Nothing here reads the ``frame_len`` lane: only the
         credit counts bytes.
         """
-        self.stats.packets += len(batch)
-        self.stats.batches += 1
         megaflow = None if bypass else self.megaflow
         traversals: list[Traversal]
         if megaflow is not None:
@@ -360,8 +358,8 @@ class BatchPipeline:
 
 def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:
     """Credit one classified batch: each traversal's packets and frame
-    bytes to the flow stats of every entry it matched, and the batch's
-    traffic to ``stats``.
+    bytes to the flow stats of every entry it matched, and the batch —
+    one batch, its packets and its traffic — to ``stats``.
 
     The one credit of the columnar runtime, and the one place a
     traversal's packets and frame bytes are counted: per batch, one
@@ -393,6 +391,8 @@ def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:
             to_controller += count
         if outcome.dropped:
             dropped += count
+    stats.packets += len(codes)
+    stats.batches += 1
     stats.matched += matched
     stats.flow_packets += flow_packets
     stats.flow_bytes += flow_bytes

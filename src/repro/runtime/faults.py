@@ -15,8 +15,8 @@ The instrumented steps mirror the worker serve loop
   has not produced results;
 - ``"after-stats"`` — results and the request's counts exist
   worker-side but the reply block has not been written;
-- ``"before-reply"`` — everything including the response block is
-  written; only the control reply has not been sent.
+- ``"before-reply"`` — everything including the reply region of the
+  batch's block is written; only the control reply has not been sent.
 
 Together the four boundaries cover every distinct partial-progress
 state a crash can leave behind, which is exactly what the parent's

@@ -20,9 +20,9 @@ Tag conventions:
   on any other tag, so a stale frame surfaces as a crash instead of a
   reply that never comes;
 - replies (worker → parent): ``"ok"`` — exactly one per request, the
-  results written to the response slot the request named — and
-  ``"bye"`` acknowledging close; the parent treats any other frame as
-  that worker's crash.
+  results written into the reply region the request named inside its
+  own block — and ``"bye"`` acknowledging close; the parent treats any
+  other frame as that worker's crash.
 
 Work requests carry their batch ``seq`` explicitly: a respawned worker
 replays lost batches from the same request messages (re-sent, not
@@ -73,8 +73,9 @@ Mutation = AddMutation | RemoveMutation
 class ShmRequest(NamedTuple):
     """Shared-memory work item: the batch travels as a block the worker
     attaches to; ``members_key`` names this worker's position array
-    inside it, ``reply_block`` the parent-owned response slot to write
-    the reply into.
+    inside it, and ``reply_region`` the ``(offset, nbytes)`` of the same
+    block to write the reply into — after every request lane, sized for
+    the members, or the worker refuses it by dying.
 
     ``bypass`` asks the worker to skip its megaflow tier for this batch
     (the streaming ladder's rung 2); it rides in the request template,
@@ -88,7 +89,7 @@ class ShmRequest(NamedTuple):
     layout: PacketBlockLayout
     members_key: str
     bypass: bool
-    reply_block: str
+    reply_region: tuple[int, int]
 
 
 class CloseRequest(NamedTuple):
@@ -106,12 +107,13 @@ class ShmReply(NamedTuple):
     replays the refs against its own pinned tables and counts each
     traversal's packets and bytes from the codes itself.
 
-    The lanes always sit in the response slot the request named —
-    whether a worker or the parent's in-process replica served it — which
-    the parent sized for the sub-batch before sending
-    (:func:`~repro.runtime.transport.reply_nbytes`), so the frame itself
-    is a tag, a seq and segment tuples: no bytes and no class instance
-    cross the reply pipe.  ``seq`` echoes the request's, so a reply can
+    The lanes always sit in the reply region the request named — whether
+    a worker or the parent's in-process replica served it — which the
+    parent sized for the sub-batch before sending
+    (:func:`~repro.runtime.transport.reply_nbytes`), and segment offsets
+    count from the region's start, so the frame itself is a tag, a seq
+    and segment tuples: no bytes and no class instance cross the reply
+    pipe.  ``seq`` echoes the request's, so a reply can
     only ever answer the batch its worker owes next."""
 
     kind: Literal["ok"]

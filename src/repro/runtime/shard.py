@@ -33,16 +33,20 @@ encodes each batch once into a columnar
 :class:`~repro.runtime.transport.PacketBlockCodec` block (a dict
 sequence is columnarised first; a
 :class:`~repro.packet.batch.PacketBatch` is written as-is), workers
-read their member rows in place and write their reply into the
-response slot the request names, and only tiny control messages
-(mutation suffixes, block names, layouts) cross the pipes.  **The
-parent owns every segment** — request ring, response ring, sealed
-rules — and a worker only ever attaches, so a SIGKILLed worker strands
-nothing by construction.  A reply has one home, its response slot:
-the parent sizes each slot for the largest reply its sub-batch could
-produce (:func:`~repro.runtime.transport.reply_nbytes`) before the
-request names it, so only small control frames cross the pipes in
-either direction.  A reply **names each traversal's entries once**:
+read their member rows in place and write their reply into the reply
+region of the same block that the request names, and only tiny control
+messages (mutation suffixes, block names, layouts, regions) cross the
+pipes.  **The parent owns every segment** — the ring of ``depth``
+blocks and the sealed rules — and a worker only ever attaches, so a
+SIGKILLed worker strands nothing by construction.  A batch in flight
+has one block: its request lanes, then one aligned reply region per
+worker in the batch, each sized for the largest reply that worker's
+sub-batch could produce (:func:`~repro.runtime.transport.reply_nbytes`)
+before the request names it as ``(offset, nbytes)``, so only small
+control frames cross the pipes in either direction.  A worker refuses
+a region that is not its own — outside the block, over the request
+lanes or too small — by dying before it writes, which the parent
+classifies as a crash.  A reply **names each traversal's entries once**:
 each *distinct* traversal of the sub-batch ships as the
 ``(table_id, position)`` refs of the entries it matched — nothing
 those entries already determine — every position costs one ``int32``
@@ -64,29 +68,34 @@ returns: :meth:`ShardedBatchPipeline.process_batches` yields it as is
 :meth:`~ShardedBatchPipeline.process_batch` /
 :meth:`~ShardedBatchPipeline.collect_batch` return it as a plain list.
 
-**Pipelining** removes the lockstep round-trip: each direction keeps a
-ring of ``depth`` shared blocks (request slot ``seq % depth``, and per
-worker one response slot per ring index), so the parent
-encodes and dispatches batch N+1 while the workers are still
-classifying batch N.  :meth:`ShardedBatchPipeline.process_batches` (or
-the explicit :meth:`submit_batch` / :meth:`collect_batch` pair) drives
-the overlap; every submitted batch snapshots the mutation-log length
-and the pinned entry order *at submission*, so pipelined batches see
-exactly the serial sequence of table states a lockstep runner would
-have produced.  A slot is reused only after its batch's replies are
-decoded (decoding copies everything out, so a collected outcome never
-aliases a slot), which bounds the response ring at ``depth`` blocks
-per worker and keeps in-flight columns immutable.
+**Pipelining** removes the lockstep round-trip: the runner keeps a
+ring of ``depth`` shared blocks (batch ``seq`` in slot ``seq % depth``,
+its replies included), so the parent encodes and dispatches batch N+1
+while the workers are still classifying batch N.
+:meth:`ShardedBatchPipeline.process_batches` (or the explicit
+:meth:`submit_batch` / :meth:`collect_batch` pair) drives the overlap;
+every submitted batch snapshots the mutation-log length and the pinned
+entry order *at submission*, so pipelined batches see exactly the
+serial sequence of table states a lockstep runner would have produced.
+A slot is reused only after its batch's replies are decoded (decoding
+copies everything out, so a collected outcome never aliases a slot),
+which bounds the runner at ``depth`` blocks and keeps in-flight columns
+immutable.
 
 **Collection is FIFO.**  Batches complete in submission order:
 :meth:`collect_batch` always completes the oldest in-flight batch, so
 the in-flight seqs are one contiguous run shorter than ``depth`` and
-ring slot ``seq % depth`` is free whenever a submit is allowed.  Every
-worker message is exactly one reply, delivered in submission order;
-one wait (``ShardedBatchPipeline._await``) listens for the replies the
-oldest batch still lacks and parks each in a ``(seq, worker)`` buffer
-until its batch is collected — a wedged worker's salvaged frames can
-belong to later batches.
+ring slot ``seq % depth`` is free whenever a submit is allowed.  Each
+batch in flight has one record (``_InFlight``), and every fact about
+it is read there: its request, its pinned entries and log position,
+and the replies that have arrived, parked on the record by worker.  A
+worker owes the reply of every record whose groups name it and whose
+replies lack it, in seq order — the order its pipe delivers them —
+so one wait (``ShardedBatchPipeline._await``) listens for the replies
+the oldest batch still lacks and parks whatever arrives on its own
+record: a wedged worker's salvaged frames can belong to later batches.
+:meth:`close` forgets the records it never collected: nothing a batch
+holds is counted before it is collected.
 
 **Workers are decode-free** for every submission: the worker attaches
 to the request block's columns in place and classifies through
@@ -118,8 +127,8 @@ kills its worker twice is *poison* and classified in-process, and once
 a worker's restart budget runs out its traffic always degrades to
 in-process classification — the one degraded mode.  In-process means
 the parent's own replica serving the shard through the worker's serve
-path (``_Replica.serve``): it reads the members from the request block
-and writes the reply into the worker's response slot, so a live, a
+path (``_Replica.serve``): it reads the members from the batch's block
+and writes the reply into the worker's reply region, so a live, a
 replayed and an inline shard merge into the same outcomes, results and
 flow stats identical.  No fault fires there — it would kill the
 parent.  Each worker watches its parent's pid so an orphaned fleet
@@ -137,7 +146,6 @@ import os
 import pickle
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -182,7 +190,6 @@ from repro.runtime.rulestate import (
 from repro.runtime.supervise import (
     FailureKind,
     SupervisionConfig,
-    WorkerCrashError,
     WorkerSupervisor,
 )
 from repro.runtime.transport import (
@@ -192,8 +199,8 @@ from repro.runtime.transport import (
     DecodedReply,
     PacketBlockCodec,
     REPLY_COUNTERS,
-    ReplyDecodeError,
     SharedBlock,
+    aligned,
     decode_outcomes,
     encode_outcomes,
     ensure_resource_tracker,
@@ -398,6 +405,31 @@ def _apply_mutations(
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
 
 
+def _reply_region(
+    request: ShmRequest, buf: memoryview, tables: int
+) -> memoryview:
+    """The reply region ``request`` names in ``buf``, once it is this
+    request's own: inside the block, at or after the end of the last
+    request lane, and at least
+    :func:`~repro.runtime.transport.reply_nbytes` for its member count.
+    Anything else raises before a byte is written, so the worker dies
+    and the parent classifies a crash."""
+    offset, nbytes = request.reply_region
+    lanes = {segment.key: segment for segment in request.segments}
+    lanes_end = max(
+        lane.offset + lane.count * np.dtype(lane.dtype).itemsize
+        for lane in lanes.values()
+    )
+    need = reply_nbytes(lanes[request.members_key].count, tables)
+    if offset < lanes_end or offset + nbytes > buf.nbytes or nbytes < need:
+        raise ValueError(
+            f"reply region {request.reply_region} is not batch "
+            f"{request.seq}'s: its lanes end at {lanes_end}, its block "
+            f"holds {buf.nbytes} bytes and its members need {need}"
+        )
+    return buf[offset : offset + nbytes]
+
+
 class _Replica:
     """One pipeline replica at a mutation-log position: a runner built
     from a :class:`PipelineSpec` (whose tables' ``entry_positions()``
@@ -407,7 +439,7 @@ class _Replica:
     A worker serves every request through one, and the parent serves a
     shard it classifies in-process (a degraded worker, a poison batch)
     through another: one serve path, so a live, a replayed and an
-    inline shard write the same reply into the same response slot.
+    inline shard write the same reply into the same reply region.
     No replica path writes to a ``FlowEntry`` — it classifies through
     :meth:`~repro.runtime.batch.BatchPipeline.classify`, which credits
     nothing, and no lifecycle sweeper runs on it — so the parent's
@@ -428,24 +460,25 @@ class _Replica:
     def serve(
         self,
         request: ShmRequest,
-        request_buf: memoryview,
-        reply_buf: memoryview,
+        buf: memoryview,
         faults: FaultPlan,
         worker_id: int,
     ) -> ShmReply:
-        """Apply the request's log suffix, classify its members straight
-        off the request block's columns, and write the reply into the
-        response slot, which the parent sized for it.
+        """Check the reply region the request names (:func:`_reply_region`),
+        apply the request's log suffix, classify its members straight
+        off the block's request lanes, and write the reply into that
+        region, which the parent sized for it.
 
-        Every numpy view over the two buffers is confined to this frame
+        Every view over the block is confined to this frame
         (``codec.attach`` gathers copies): they must be garbage before
-        ``close()`` can unmap the segments."""
+        ``close()`` can unmap the segment."""
         runner, seq = self.runner, request.seq
+        reply_buf = _reply_region(request, buf, len(runner.pipeline.tables))
         faults.fire(worker_id, seq, "after-receive")
         _apply_mutations(runner.pipeline, request.mutations)
         self.cursor += len(request.mutations)
         faults.fire(worker_id, seq, "mid-classify")
-        reader = BlockReader(request_buf, request.segments)
+        reader = BlockReader(buf, request.segments)
         batch = self.codec.attach(
             reader, request.layout, reader.get(request.members_key)
         )
@@ -490,19 +523,20 @@ def _worker_main(
 
     A ``("shm", seq, ...)`` request is the only work item, and every
     request gets exactly one ``"ok"`` reply: entry refs, codes and the
-    counts the request caused, written
-    into the response slot the request names (sized for it by the
-    parent).  An unknown tag
-    raises: the worker dies, its sentinel fires and supervision
-    classifies a crash — the parent never waits on a reply that will
-    not come.
+    counts the request caused, written into the reply region the
+    request names inside its own block (sized for it by the parent).  A
+    region that is not the request's own — outside the block, over the
+    request lanes, too small for the members — raises before anything
+    is written, and so does an unknown tag: the worker dies, its
+    sentinel fires and supervision classifies a crash — the parent
+    never waits on a reply that will not come.
 
-    The worker owns no shared segment.  It attaches to the request block
-    and the response slot each message names (a cached dict hit after
-    the first use), so there is nothing for a SIGKILL to strand.  The
-    parent never keeps more than ``depth`` batches in flight and decodes
-    a reply before reusing its slot, so writing the named slot cannot
-    race a parent-side read of the reply that last used it.
+    The worker owns no shared segment.  It attaches to the one block
+    each message names (a cached dict hit after the first use), so
+    there is nothing for a SIGKILL to strand.  The parent never keeps
+    more than ``depth`` batches in flight and decodes a batch's replies
+    before reusing its block, so writing the named region cannot race a
+    parent-side read of the reply that last used it.
 
     The receive loop polls rather than blocks so it can watch the
     parent's pid between messages: under ``fork``, sibling workers keep
@@ -524,11 +558,7 @@ def _worker_main(
             if kind == "shm":
                 conn.send(
                     replica.serve(
-                        message,
-                        blocks.buf(message.block_name),
-                        blocks.buf(message.reply_block),
-                        faults,
-                        worker_id,
+                        message, blocks.buf(message.block_name), faults, worker_id
                     )
                 )
             elif kind == "close":
@@ -549,15 +579,17 @@ def _worker_main(
 
 @dataclass
 class _InFlight:
-    """One submitted-but-not-collected batch: everything :meth:`collect`
-    needs to resolve its replies against the table state it was
-    classified under.
+    """One submitted-but-not-collected batch, and the one home of every
+    fact about it: what :meth:`collect` needs to resolve its replies
+    against the table state it was classified under, and which replies
+    are still owed — a worker in :attr:`groups` missing from
+    :attr:`replies`.
 
     ``sends`` keeps each worker's request message as a template (with
-    an empty mutation suffix): request blocks are parent-owned and
-    immutable in flight, so recovering a dead worker re-*sends* the
-    template — with the suffix recomputed from the replacement's fresh
-    log cursor — instead of re-encoding anything.
+    an empty mutation suffix): the batch's block is parent-owned and
+    its request lanes immutable in flight, so recovering a dead worker
+    re-*sends* the template — with the suffix recomputed from the
+    replacement's fresh log cursor — instead of re-encoding anything.
     """
 
     seq: int
@@ -570,6 +602,8 @@ class _InFlight:
     pinned: Mapping[int, tuple]
     log_len: int
     sends: dict[int, ShmRequest] = field(default_factory=dict)
+    #: Worker -> its reply, parked as it arrives or is served in-process.
+    replies: dict[int, ShmReply] = field(default_factory=dict)
 
 
 class ShardedBatchPipeline:
@@ -591,9 +625,9 @@ class ShardedBatchPipeline:
         depth: maximum batches in flight (submitted, not yet collected).
             ``depth >= 2`` double-buffers the transport: the parent
             encodes and dispatches batch N+1 while the workers are still
-            classifying batch N (each direction keeps a ring of
-            ``depth`` shared blocks, so an in-flight batch's columns are
-            never overwritten).  :meth:`process_batch` is lockstep at
+            classifying batch N (the runner keeps a ring of ``depth``
+            shared blocks, one per batch in flight with its replies, so
+            an in-flight batch's columns are never overwritten).  :meth:`process_batch` is lockstep at
             any depth;
             :meth:`process_batches` (and
             :func:`~repro.runtime.batch.run_workload`, which calls it)
@@ -607,7 +641,7 @@ class ShardedBatchPipeline:
             :meth:`submit_batch` raises), so a big suffix is only ever
             written into empty pipes with the workers parked in recv.
             Replies are always small frames: their lanes go into a
-            response slot the parent sized for them.
+            reply region of the batch's block, sized by the parent.
         supervision: failure policy (see
             :class:`~repro.runtime.supervise.SupervisionConfig`): wedge
             deadline and restart budget per worker; past the budget a
@@ -673,28 +707,14 @@ class ShardedBatchPipeline:
         self._conns: list = []
         self._procs: list = []
         self._codec = PacketBlockCodec()
-        #: Request-block ring: slot ``seq % depth`` carries batch
-        #: ``seq``'s columns, reused only after that batch is collected.
+        #: The block ring: slot ``seq % depth`` carries batch ``seq``'s
+        #: request lanes and, after them, one reply region per worker in
+        #: the batch; reused only after that batch is collected.
         self._requests = [SharedBlock() for _ in range(depth)]
-        #: Response ring, parent-owned like everything shared: worker
-        #: ``w`` writes batch ``seq``'s reply into slot
-        #: ``_responses[w][seq % depth]``, which its request names.
-        self._responses = [
-            [SharedBlock() for _ in range(depth)]
-            for _ in range(self.workers)
-        ]
         #: In-flight batches by seq, in submission order (a dict keeps
         #: insertion order): the first key is the oldest, the one
         #: :meth:`collect_batch` completes next.
         self._inflight: dict[int, _InFlight] = {}
-        #: Per worker, the seqs whose replies will arrive on its pipe,
-        #: in arrival order; a received (or in-process) reply parks in
-        #: ``_reply_buffer`` keyed ``(seq, worker)`` until its batch is
-        #: collected.
-        self._worker_pending: list[deque[int]] = [
-            deque() for _ in range(self.workers)
-        ]
-        self._reply_buffer: dict[tuple[int, int], ShmReply] = {}
         self._seq = 0
         self._supervisor = WorkerSupervisor(
             workers=self.workers,
@@ -711,8 +731,9 @@ class ShardedBatchPipeline:
         #: interleaving on the shared in-flight queue and mislabeling
         #: results.
         self._streaming = False
-        #: Packets and batches counted at submission; traffic, cache,
-        #: megaflow and wave counters added once per collected reply.
+        #: Counted once per collected batch: packets, batches and
+        #: traffic at the credit, the cache, megaflow and wave counters
+        #: its replies carry.
         self.stats = BatchStats()
         #: Parent-owned lifecycle: the sweep runs over the authoritative
         #: tables only; workers learn of expiries via the mutation log.
@@ -805,8 +826,9 @@ class ShardedBatchPipeline:
 
     def _shutdown_worker(self, worker: int) -> None:
         """Orderly close of one worker: one bounded, sentinel-aware
-        wait for its Bye, then a kill if it did not come.  A kill is
-        always safe — the worker owns nothing."""
+        wait for its Bye, then a kill if it did not come — or if an
+        owed reply came first.  A kill is always safe — the worker owns
+        nothing."""
         conn, proc = self._conns[worker], self._procs[worker]
         acknowledged = False
         try:
@@ -830,21 +852,18 @@ class ShardedBatchPipeline:
         history.  Degraded workers are forgiven on close (the respawned
         fleet is whole again); cumulative supervision stats survive for
         reporting.
+
+        Batches still in flight are forgotten, not collected: nothing
+        they hold was counted (a batch counts at its credit), so
+        dropping their records is the whole of it, and the one wait
+        left is each worker's bounded shutdown.
         """
-        while self._inflight:  # drain replies before tearing blocks down
-            try:
-                self._collect_oldest()
-            except ReplyDecodeError:
-                pass  # that batch is already forgotten; drain the rest
-            except (OSError, WorkerCrashError):
-                self._inflight.clear()  # unanswerable: give up on them
+        self._inflight.clear()
         for worker in range(len(self._procs)):
             self._shutdown_worker(worker)
         self._conns = []
         self._procs = []
-        self._worker_pending = [deque() for _ in range(self.workers)]
-        self._reply_buffer.clear()
-        for block in self._requests + sum(self._responses, []):
+        for block in self._requests:
             block.close()
         self._supervisor.reset()
         self._inline = None
@@ -1116,9 +1135,12 @@ class ShardedBatchPipeline:
         ``bypass`` rides in every worker's request template, so replays
         after a crash and in-process shards skip — or keep — the
         megaflow tier exactly as the original submission asked.  Raises
-        ``RuntimeError``, counting nothing, when a table was mutated
-        behind the logging facade: the replicas never saw that flow-mod,
-        so their answers would be wrong."""
+        ``RuntimeError`` when a table was mutated behind the logging
+        facade: the replicas never saw that flow-mod, so their answers
+        would be wrong.  Nothing is counted here: a batch counts when
+        it is collected and credited — an empty one, which has nothing
+        to collect, counts its batch at once, as the in-process credit
+        of an empty batch does."""
         assert len(self._inflight) < self.depth
         if not len(batch):
             self.stats.batches += 1
@@ -1145,8 +1167,6 @@ class ShardedBatchPipeline:
                     )
             log_len = len(self._log)
             pinned = {t.table_id: t.entries_snapshot() for t in tables}
-        self.stats.packets += len(batch)
-        self.stats.batches += 1
         seq = self._seq
         if not isinstance(batch, PacketBatch):
             batch = PacketBatch.from_dicts(batch, self._codec.field_bits)
@@ -1175,44 +1195,50 @@ class ShardedBatchPipeline:
         groups: Mapping[int, np.ndarray],
         bypass: bool = False,
     ) -> dict[int, ShmRequest]:
-        """Encode the batch once into its ring slot; one request template
-        (empty mutation suffix) per worker in ``groups`` — served by the
-        worker or, degraded, in-process alike — each naming the response
-        slot its reply goes into."""
-        slot = seq % self.depth
-        request = self._requests[slot]
+        """Encode the batch once into its ring slot: the request lanes,
+        then one aligned reply region per worker in ``groups``, sized
+        for the largest reply its sub-batch could produce
+        (:func:`~repro.runtime.transport.reply_nbytes`).  One request
+        template (empty mutation suffix) per worker — served by the
+        worker or, degraded, in-process alike — names the block and the
+        worker's region as ``(offset, nbytes)``.  The slot's last
+        occupant (batch ``seq - depth``) has been collected, so this is
+        the one moment the block may be re-created to fit."""
+        block = self._requests[seq % self.depth]
         writer = BlockWriter()
         layout = self._codec.encode_batch(writer, batch, "pkt")
         for worker, members in groups.items():
             writer.put(f"members/{worker}", members)
-        request.ensure(writer.nbytes)
-        segments = writer.write_to(request.buf)
         tables = len(self._authoritative.tables)
-        sends: dict[int, ShmRequest] = {}
+        regions: dict[int, tuple[int, int]] = {}
+        end = writer.nbytes
         for worker, members in groups.items():
-            # The slot's last occupant (batch ``seq - depth``) has been
-            # collected, so this is the one moment it may be re-created
-            # — to the largest reply this sub-batch could produce.
-            response = self._responses[worker][slot]
-            response.ensure(reply_nbytes(len(members), tables))
-            sends[worker] = ShmRequest(
+            offset = aligned(end)
+            end = offset + reply_nbytes(len(members), tables)
+            regions[worker] = (offset, end - offset)
+        block.ensure(end)
+        segments = writer.write_to(block.buf)
+        return {
+            worker: ShmRequest(
                 "shm",
                 seq,
                 (),
-                request.name,
+                block.name,
                 segments,
                 layout,
                 f"members/{worker}",
                 bypass,
-                response.name,
+                region,
             )
-        return sends
+            for worker, region in regions.items()
+        }
 
     def _dispatch(self, seq: int, worker: int) -> None:
         """Send batch ``seq``'s template to ``worker`` with the log
-        suffix recomputed from its current cursor, and note the reply it
-        now owes.  Serves first sends and replays alike — the template
-        is immutable, only the suffix depends on the cursor.
+        suffix recomputed from its current cursor.  Serves first sends
+        and replays alike — the template is immutable, only the suffix
+        depends on the cursor.  The reply it owes is read off the
+        record (:meth:`_owed`), not noted here.
 
         A send that trips over a corpse is not recovered here: the
         reply is owed all the same, and the wait that comes to collect
@@ -1221,10 +1247,6 @@ class ShardedBatchPipeline:
         template = inflight.sends[worker]
         suffix = tuple(self._log[self._cursors[worker] : inflight.log_len])
         self._cursors[worker] = inflight.log_len
-        # A worker owes at most one reply per in-flight batch, so its
-        # pending deque is depth-bounded too.
-        assert len(self._worker_pending[worker]) < self.depth
-        self._worker_pending[worker].append(seq)
         try:
             self._conns[worker].send(template._replace(mutations=suffix))
         except OSError:
@@ -1248,25 +1270,13 @@ class ShardedBatchPipeline:
         :meth:`_handle_failure` respawns and replays or degrades — after
         which the wait resumes on whoever owes the replies now.
         """
+        inflight = self._inflight[seq]
         deadline = self._supervisor.config.deadline
         progressed: float | None = None
         while True:
-            missing = [
-                worker
-                for worker in self._inflight[seq].groups
-                if (seq, worker) not in self._reply_buffer
-            ]
-            if not missing:
-                return
-            owing = [w for w in missing if self._worker_pending[w]]
+            owing = [w for w in inflight.groups if w not in inflight.replies]
             if not owing:
-                # Recovery replays or serves inline every lost reply, so
-                # this cannot happen; fail closed rather than wait on
-                # nothing forever.
-                raise WorkerCrashError(
-                    "in-flight replies are owed by no worker; close() "
-                    "the runner"
-                )
+                return
             failed: dict[int, FailureKind] = {}
             remaining = None
             if deadline is not None:
@@ -1276,8 +1286,8 @@ class ShardedBatchPipeline:
                 remaining = progressed + deadline - now
             if remaining is not None and remaining <= 0:
                 # ``seq`` is the oldest batch in flight and replies
-                # arrive in submission order, so it heads every owing
-                # worker's queue: the first one is as overdue as any.
+                # arrive in submission order, so it heads what every
+                # owing worker owes: the first one is as overdue as any.
                 failed[owing[0]] = "wedge"
             else:
                 waitables: dict[Any, int] = {}
@@ -1303,9 +1313,9 @@ class ShardedBatchPipeline:
         """Take one delivered frame off ``worker``'s pipe and sort it by
         tag — the only function that knows the reply tags.
 
-        True when the frame is the one the worker owes: an ``"ok"``
-        echoing the seq at the head of its pending queue, now parked
-        under ``(seq, worker)``; or, while ``closing``, the ``"bye"``.
+        True when the frame is the one the worker owes next
+        (:meth:`_owed`): an ``"ok"`` echoing that seq, now parked on the
+        batch's record; or, while ``closing``, the ``"bye"``.
         False when the pipe is dry or broken, and — failing closed —
         for anything else: an unknown tag or shape, an ``"ok"`` nobody
         is waiting for.  Callers treat False as the worker's crash; an
@@ -1319,16 +1329,28 @@ class ShardedBatchPipeline:
             return False
         if closing:
             return isinstance(frame, ByeReply) and frame.kind == "bye"
-        pending = self._worker_pending[worker]
+        owed = self._owed(worker)
         if (
             not isinstance(frame, ShmReply)
             or frame.kind != "ok"
-            or not pending
-            or frame.seq != pending[0]
+            or not owed
+            or frame.seq != owed[0]
         ):
             return False
-        self._reply_buffer[(pending.popleft(), worker)] = frame
+        self._inflight[owed[0]].replies[worker] = frame
         return True
+
+    def _owed(self, worker: int) -> list[int]:
+        """The seqs whose reply ``worker`` still owes, in seq order —
+        the order its pipe delivers them: every in-flight record whose
+        groups include it and whose replies lack it.  A disabled
+        worker's shares are served in-process as they are submitted or
+        lost, so it never owes one."""
+        return [
+            seq
+            for seq, inflight in self._inflight.items()
+            if worker in inflight.groups and worker not in inflight.replies
+        ]
 
     def _collect_oldest(self) -> ColumnarOutcomes:
         seq = next(iter(self._inflight))
@@ -1337,7 +1359,7 @@ class ShardedBatchPipeline:
 
     def _collect(self, seq: int) -> ColumnarOutcomes:
         """Decode and merge one in-flight batch whose replies are all
-        parked (:meth:`_await` saw to that).
+        parked on its record (:meth:`_await` saw to that).
 
         Each shard's reply is decoded once per distinct traversal —
         its refs resolved against the batch's pinned entry order and
@@ -1346,26 +1368,28 @@ class ShardedBatchPipeline:
         which counts from the merged codes and the batch's own
         ``frame_len`` lane), to the runner's counters and the pinned
         entries' flow stats.  Of a reply the parent takes only the
-        codes, the refs and the counts only a worker sees.  What comes
-        back is unmaterialised: no per-packet object exists until the
-        caller reads the outcome.
+        codes, the refs and the counts only a worker sees, each read
+        through a reader over that worker's reply region alone, so every
+        segment it names is bounds-checked against that region.  What
+        comes back is unmaterialised: no per-packet object exists until
+        the caller reads the outcome.
 
         The batch is forgotten before anything is decoded, so a reply
-        that fails closed (:class:`ReplyDecodeError`) credits nothing
-        and leaves no record :meth:`close` would wait on.
+        that fails closed
+        (:class:`~repro.runtime.transport.ReplyDecodeError`) counts nothing —
+        not even its packets — and leaves no record behind.
         """
         inflight = self._inflight.pop(seq)
         batch, pinned = inflight.batch, inflight.pinned
-        replies = [
-            self._reply_buffer.pop((seq, worker)) for worker in inflight.groups
-        ]
+        buf = self._requests[seq % self.depth].buf
         decoded: list[DecodedReply] = []
-        for (worker, members), reply in zip(inflight.groups.items(), replies):
+        for worker, members in inflight.groups.items():
             decoded.append(
                 decode_outcomes(
                     BlockReader(
-                        self._responses[worker][seq % self.depth].buf,
-                        reply.segments,
+                        buf,
+                        inflight.replies[worker].segments,
+                        inflight.sends[worker].reply_region,
                     ),
                     self._authoritative,
                     pinned,
@@ -1388,7 +1412,8 @@ class ShardedBatchPipeline:
 
     def _handle_failure(self, worker: int, kind: FailureKind) -> None:
         """Recover one worker :meth:`_await` found dead (or killed) with
-        its pipe drained: whatever is still pending on it is lost.
+        its pipe drained: every reply it still owes (:meth:`_owed`) is
+        lost.
 
         Classify the failure against the poison ledger and the restart
         budget; then either respawn a replacement and deterministically
@@ -1400,15 +1425,13 @@ class ShardedBatchPipeline:
         sup = self._supervisor
         self._conns[worker].close()
         sup.record_failure(worker, kind)
-        pending = self._worker_pending[worker]
-        lost = list(pending)
-        pending.clear()
+        lost = self._owed(worker)
         poison = (
             lost[0] if lost and sup.record_death_at(lost[0]) else None
         )
         # The replacement (if any) must not re-run non-sticky faults
         # that already fired: workers serve their pipe in order, so
-        # everything at or below the pending head has been reached.
+        # everything at or below the oldest lost seq has been reached.
         if self._fault_plan:
             self._fault_plan = self._fault_plan.pruned(
                 worker, lost[0] if lost else self._seq
@@ -1435,12 +1458,13 @@ class ShardedBatchPipeline:
 
     def _serve_inline(self, seq: int, worker: int) -> None:
         """Serve ``worker``'s share of batch ``seq`` in-process and park
-        the reply, exactly as the worker would have served it.
+        the reply on the batch's record, exactly as the worker would
+        have served it.
 
         The parent's replica is built from the parent's own spec and
         advanced along the same mutation log to the batch's pinned
-        ``log_len``; it reads the members from the request block and
-        writes the reply into the worker's response slot through the
+        ``log_len``; it reads the members from the batch's block and
+        writes the reply into the worker's reply region through the
         worker's own :meth:`_Replica.serve` — so results and stats match
         what the dead shard would have sent, and
         the collect path cannot tell the two apart.  Its tables hold the
@@ -1458,13 +1482,11 @@ class ShardedBatchPipeline:
             replica = self._inline = _Replica(
                 self._spec, self._cache_capacity, self._megaflow_capacity
             )
-        slot = seq % self.depth
-        self._reply_buffer[(seq, worker)] = replica.serve(
+        inflight.replies[worker] = replica.serve(
             inflight.sends[worker]._replace(
                 mutations=tuple(self._log[replica.cursor : inflight.log_len])
             ),
-            self._requests[slot].buf,
-            self._responses[worker][slot].buf,
+            self._requests[seq % self.depth].buf,
             FaultPlan(),
             worker,
         )

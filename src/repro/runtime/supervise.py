@@ -49,12 +49,6 @@ from typing import Literal
 FailureKind = Literal["crash", "wedge"]
 
 
-class WorkerCrashError(RuntimeError):
-    """An in-flight reply is owed by no worker — a broken invariant
-    (recovery replays or serves in-process every lost reply), raised
-    rather than waiting on nothing forever."""
-
-
 @dataclass(frozen=True)
 class SupervisionConfig:
     """Parent-side failure policy for one sharded runner.

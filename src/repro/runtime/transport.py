@@ -19,8 +19,8 @@ each worker reads only its member rows (its member-index array lives in
 the same block), so fan-out cost no longer scales with worker count.
 
 **Result blocks.**  Workers encode their classification outcomes
-(:func:`encode_outcomes`) columnar into the parent-owned response
-slot their request names, **once per distinct traversal** of the
+(:func:`encode_outcomes`) columnar into the reply region their request
+names inside the batch's own block, **once per distinct traversal** of the
 sub-batch, not once per packet — and a reply names *entries*, not
 outcomes: a traversal ships as the ``(table_id, position)`` **entry
 refs** of the entries it matched, resolved against each side's own
@@ -48,17 +48,19 @@ own ``frame_len`` lane — so flow stats (the substrate for monitoring)
 are exact under sharding, and no per-traversal sum crosses the pipe
 for the parent to trust.
 
-**One home per reply.**  A reply lives in its response slot and
-nowhere else: :func:`reply_nbytes` bounds the block
-:func:`encode_outcomes` writes for a sub-batch, and the parent sizes
-every slot to that bound before naming it in a request, so only small
-control frames cross the pipes in either direction.
+**One home per batch in flight.**  A reply lives in its reply region
+and nowhere else: :func:`reply_nbytes` bounds the lanes
+:func:`encode_outcomes` writes for a sub-batch, and the parent lays one
+region of that size per worker after the batch's request lanes, in the
+same block, before naming it in a request — so a batch in flight is one
+segment, and only small control frames cross the pipes in either
+direction.
 
 **Blocks.**  :class:`SharedBlock` wraps one growable
 ``multiprocessing.shared_memory`` segment owned by its creating process
 (grown by re-creating under a fresh name; peers attach lazily via
 :class:`BlockAttachments`).  The sharded parent creates every block —
-request ring, response ring, sealed rules — and workers only attach, so
+the block ring and the sealed rules — and workers only attach, so
 no worker death can strand a segment.  Layouts travel in the control
 messages as :class:`Segment` tuples, so readers construct zero-copy
 numpy views.
@@ -236,7 +238,7 @@ class BlockWriter:
 
     def put(self, key: str, array: np.ndarray) -> None:
         self._arrays.append((key, array))
-        self._nbytes = _aligned(self._nbytes) + array.nbytes
+        self._nbytes = aligned(self._nbytes) + array.nbytes
 
     @property
     def nbytes(self) -> int:
@@ -246,7 +248,7 @@ class BlockWriter:
         segments: list[Segment] = []
         offset = 0
         for key, array in self._arrays:
-            offset = _aligned(offset)
+            offset = aligned(offset)
             if array.size:
                 view = np.frombuffer(
                     buf, dtype=array.dtype, count=array.size, offset=offset
@@ -260,12 +262,20 @@ class BlockWriter:
 
 
 class BlockReader:
-    """Zero-copy views over a written block."""
+    """Zero-copy views over a written block — or over one region of it,
+    when ``region`` names its ``(offset, nbytes)``: segment offsets then
+    count from the region's start, and :attr:`nbytes` is the region's
+    size.  A reader holds the block's own buffer, never a slice of it,
+    so a reader kept alive does not keep the segment mapped."""
 
     def __init__(
-        self, buf: memoryview, segments: Iterable[Segment]
+        self,
+        buf: memoryview,
+        segments: Iterable[Segment],
+        region: tuple[int, int] | None = None,
     ) -> None:
         self.buf = buf
+        self.base, self.nbytes = region if region is not None else (0, buf.nbytes)
         self.segments = {segment.key: segment for segment in segments}
 
     def get(self, key: str) -> np.ndarray:
@@ -274,11 +284,12 @@ class BlockReader:
             self.buf,
             dtype=np.dtype(segment.dtype),
             count=segment.count,
-            offset=segment.offset,
+            offset=self.base + segment.offset,
         )
 
 
-def _aligned(offset: int) -> int:
+def aligned(offset: int) -> int:
+    """``offset`` rounded up to the next lane boundary."""
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
@@ -408,7 +419,7 @@ class PacketBlockCodec:
 
 class ReplyDecodeError(ValueError):
     """A reply block does not describe the sub-batch it answers: a lane
-    its segment table leaves out, mistypes or places outside the block,
+    its segment table leaves out, mistypes or places outside its region,
     a code lane of the wrong length, a code naming no traversal, ref
     offsets that do not partition the refs, a counter lane of the wrong
     length or with a count the sub-batch could not have caused
@@ -455,7 +466,7 @@ class DecodedReply(NamedTuple):
 def reply_nbytes(members: int, tables: int) -> int:
     """An upper bound on the block :func:`encode_outcomes` writes for a
     sub-batch of ``members`` positions through ``tables`` tables — what
-    the parent sizes a response slot to before naming it.
+    the parent sizes a reply region to before naming it.
 
     It holds because a sub-batch has at most one distinct traversal per
     position, a traversal matched at most one entry per table (Goto is
@@ -540,7 +551,7 @@ def decode_outcomes(
     (or an ``IndexError``) at first read.  Only the codes and the
     counters (both range-checked) and the refs (resolved and chained)
     are read; any other lane a reply carries is ignored.  Everything returned is copied out
-    of the block, so the response ring slot is free for reuse as soon as
+    of the block, so the ring slot is free for reuse as soon as
     this returns.
     """
     matched = _get_ragged(reader, "res/matched")
@@ -605,17 +616,17 @@ def _reply_lane(
 ) -> np.ndarray:
     """Reply lane ``key`` as a view, once its worker-supplied segment
     checks out: present, in its ``_REPLY_LANES`` dtype, wholly inside
-    the block, and ``count`` values long when ``count`` is given.  The
-    one validation of a segment table; anything else raises
-    :class:`ReplyDecodeError`."""
+    the reader's block or region, and ``count`` values long when
+    ``count`` is given.  The one validation of a segment table; anything
+    else raises :class:`ReplyDecodeError`."""
     segment, dtype = reader.segments.get(key), _REPLY_LANES[key]
     if segment is None or segment.dtype != dtype:
         raise ReplyDecodeError(f"the reply has no {dtype} {key} lane")
-    offset, length, size = segment.offset, segment.count, reader.buf.nbytes
+    offset, length, size = segment.offset, segment.count, reader.nbytes
     if not isinstance(offset, int) or not isinstance(length, int) or not (
         0 <= offset <= offset + length * np.dtype(dtype).itemsize <= size
     ):
-        raise ReplyDecodeError(f"{key} lies outside the {size}-byte block")
+        raise ReplyDecodeError(f"{key} lies outside its {size}-byte region")
     if count is not None and length != count:
         raise ReplyDecodeError(
             f"{key} holds {length} values, the reply needs {count}"

@@ -1,14 +1,18 @@
 """Shared-memory and process hygiene for every runtime test.
 
 The sharded runtime promises that nothing outlives it: no ``/dev/shm``
-segment and no worker process, whether a runner was closed, abandoned
-to the garbage collector, or had its workers SIGKILLed under it.  The
-autouse guard below holds *every* test in this directory to that, so
-individual tests assert only the behaviour they are about.
+segment, no mapping of one and no worker process, whether a runner was
+closed, abandoned to the garbage collector, or had its workers
+SIGKILLed under it.  The autouse guard below holds *every* test in this
+directory to that, so individual tests assert only the behaviour they
+are about.  The mapping check reads this process's own
+``/proc/self/maps``, which sees a block that was unlinked but is still
+mapped — a ``/dev/shm`` listing cannot.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -20,7 +24,7 @@ from repro.openflow import pipeline as pipeline_module
 from repro.openflow.pipeline import OpenFlowPipeline
 from repro.runtime.faults import FaultPlan
 from repro.runtime.protocol import ShmRequest
-from repro.runtime.transport import BlockWriter
+from repro.runtime.transport import BlockWriter, aligned, reply_nbytes
 
 _DEV_SHM = Path("/dev/shm")
 
@@ -34,6 +38,19 @@ def shm_segments() -> set[str]:
     if not _DEV_SHM.is_dir():  # pragma: no cover - non-Linux
         return set()
     return {path.name for path in _DEV_SHM.iterdir()}
+
+
+def shm_mappings(pid: int | str = "self") -> set[str]:
+    """Names of the ``/dev/shm`` segments process ``pid`` maps, unlinked
+    ones included (empty where there is no ``/proc/<pid>/maps``)."""
+    maps = Path("/proc") / str(pid) / "maps"
+    if not maps.is_file():  # pragma: no cover - non-Linux
+        return set()
+    return {
+        Path(line.split(maxsplit=5)[5].removesuffix(" (deleted)")).name
+        for line in maps.read_text().splitlines()
+        if " /dev/shm/" in line
+    }
 
 
 def unlink_segments(names: set[str]) -> None:
@@ -67,25 +84,42 @@ def replay_path_without_the_action_set(pipeline, matched):
 
 def serve_one_batch(replica, batch):
     """``batch`` through a replica's serve path (``_Replica.serve``, the
-    worker's), on request and reply buffers of its own."""
+    worker's), on a block of its own: the request lanes, then the reply
+    region the request names."""
     writer = BlockWriter()
     layout = replica.codec.encode_batch(writer, batch, "pkt")
     writer.put("members/0", np.arange(len(batch), dtype=np.int64))
-    request_buf = memoryview(bytearray(writer.nbytes))
-    segments = writer.write_to(request_buf)
+    tables = len(replica.runner.pipeline.tables)
+    region = (aligned(writer.nbytes), reply_nbytes(len(batch), tables))
+    buf = memoryview(bytearray(sum(region)))
+    segments = writer.write_to(buf)
     request = ShmRequest(
-        "shm", 0, (), "", segments, layout, "members/0", False, ""
+        "shm", 0, (), "", segments, layout, "members/0", False, region
     )
-    return replica.serve(
-        request, request_buf, memoryview(bytearray(1 << 16)), FaultPlan(), 0
-    )
+    return replica.serve(request, buf, FaultPlan(), 0)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Note on the test item whether its body raised: the traceback
+    pytest keeps for the report holds that body's views alive."""
+    report = (yield).get_result()
+    if report.when == "call":
+        item.body_raised = call.excinfo is not None
 
 
 @pytest.fixture(autouse=True)
-def nothing_outlives_the_test():
-    before = shm_segments()
+def nothing_outlives_the_test(request):
+    before, mapped = shm_segments(), shm_mappings()
     yield
     leaked = shm_segments() - before
     assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
     children = multiprocessing.active_children()
     assert not children, f"processes left running: {children}"
+    if getattr(request.node, "body_raised", False):
+        return  # its kept traceback maps what its frames viewed
+    still = shm_mappings() - mapped
+    if still:  # a view in a reference cycle holds its map until collected
+        gc.collect()
+        still = shm_mappings() - mapped
+    assert not still, f"segments still mapped: {sorted(still)}"

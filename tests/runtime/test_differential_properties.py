@@ -359,7 +359,7 @@ class LazyReplayer(Replayer):
     """A sharded replayer that collects every ``process_batches``
     outcome *unread*: nothing is materialised while the script runs.
     :meth:`read` materialises them all afterwards — after every later
-    burst has reused the response ring and every later mutation has
+    burst has reused the block ring and every later mutation has
     landed — or is never called at all."""
 
     def __init__(self, *args, **kwargs):
@@ -1174,7 +1174,7 @@ def _encoded_reply(runner, packets):
 
 
 class TestReplyNbytesBoundsEveryReply:
-    """A response slot is sized to ``reply_nbytes`` before any worker
+    """A reply region is sized to ``reply_nbytes`` before any worker
     writes into it, and nothing else may carry the reply, so the bound
     must hold for every block ``encode_outcomes`` can write: over the
     harness's random pipelines and traces — sliced one packet, a

@@ -2,6 +2,7 @@
 incremental invalidation, and stacked-cache differential fuzzing."""
 
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,7 @@ class _PerPacketMegaflow:
             outcome = aggregate["outcome"]
             for matched in outcome.matched_entries:
                 matched.stats.record(frame_length(fields))
+            self.stats.packets += 1
             if outcome.matched_entries:
                 self.stats.matched += 1
             self.stats.flow_packets += len(outcome.matched_entries)
@@ -497,7 +499,7 @@ class TestProbeCreditEquivalence:
         # Round two re-probes after the misses were re-installed, so a
         # drop that left the index or the LRU behind would show.
         stats = BatchStats()
-        for _ in range(2):
+        for credits in (1, 2):
             batch = PacketBatch.from_dicts(packets)
             flow_stats = columnar.state()["flow_stats"]
             found, codes, missed = columnar.cache.probe(batch)
@@ -519,7 +521,9 @@ class TestProbeCreditEquivalence:
             credit_outcomes(
                 stats, ColumnarOutcomes(batch.select(hit), found, codes[hit])
             )
-            assert stats == scalar.cache.stats
+            # The model credits one packet at a time, so it counts no
+            # batch; each credit counts one.
+            assert stats == replace(scalar.cache.stats, batches=credits)
             assert columnar.state() == scalar.state()
             for position in missed.tolist():
                 fields = packets[position]

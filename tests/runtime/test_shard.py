@@ -6,6 +6,7 @@ import pickle
 import signal
 import sys
 from collections import deque
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from repro.runtime.transport import SharedBlock
 from tests.runtime.conftest import (
     needs_dev_shm,
     replay_path_without_the_action_set,
+    shm_mappings,
     shm_segments,
 )
+from tests.runtime.test_batch import bounded
 from tests.runtime.test_megaflow import assert_same_result
 
 
@@ -661,7 +664,7 @@ class TestPipelined:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_outcome_outlives_its_ring_slot(self, small_routing_set, workers):
-        """A yielded outcome aliases no response ring slot: held unread
+        """A yielded outcome aliases no ring slot: held unread
         while ``depth`` and more further batches reuse every slot, then
         read after the runner — and with it every shared block — is
         closed, it still materialises its own batch's results."""
@@ -776,27 +779,28 @@ class _RecordingConn(ConnProxy):
 
 
 class _SlotAuditConn(_RecordingConn):
-    """Also records, per request sent, its seq, its member count and the
-    size the response slot it names has at that moment — before the
-    worker can write a byte there."""
+    """Also records, per request sent, its seq, its member count, the
+    size of the reply region it names and the size its ring slot's block
+    has at that moment — before the worker can write a byte there."""
 
-    def __init__(self, conn, frames, sent, sharded, worker):
+    def __init__(self, conn, frames, sent, sharded):
         super().__init__(conn, frames)
         self._sent = sent
         self._sharded = sharded
-        self._worker = worker
 
     def send(self, message):
         if message[0] == "shm":
-            depth = self._sharded.depth
-            slot = self._sharded._responses[self._worker][message.seq % depth]
-            assert slot.name == message.reply_block
+            block = self._sharded._requests[message.seq % self._sharded.depth]
+            assert block.name == message.block_name
+            offset, nbytes = message.reply_region
+            assert lanes_end(message) <= offset
+            assert offset + nbytes <= block.buf.nbytes
             members = next(
                 segment.count
                 for segment in message.segments
                 if segment.key == message.members_key
             )
-            self._sent.append((message.seq, members, slot.buf.nbytes))
+            self._sent.append((message.seq, members, nbytes, block.buf.nbytes))
         self._conn.send(message)
 
 
@@ -810,7 +814,7 @@ def leaves(value):
 
 def carries_bytes(frames):
     """Per reply, whether any part of its frame is raw bytes — a reply
-    whose lanes travelled in the pipe instead of its response slot."""
+    whose lanes travelled in the pipe instead of its reply region."""
     return [
         any(
             isinstance(leaf, (bytes, bytearray, memoryview))
@@ -821,11 +825,19 @@ def carries_bytes(frames):
 
 
 def lanes_end(frame):
-    """One past the last byte a reply's lanes occupy in its slot."""
+    """One past the last byte a frame's lanes occupy: for a reply,
+    counted from the start of its reply region."""
     return max(
         segment.offset + segment.count * np.dtype(segment.dtype).itemsize
         for segment in frame.segments
     )
+
+
+def reply_buf(sharded, worker, seq):
+    """Worker ``worker``'s reply region of in-flight batch ``seq``: the
+    bytes its reply's segment offsets count from."""
+    offset, nbytes = sharded._inflight[seq].sends[worker].reply_region
+    return sharded._requests[seq % sharded.depth].buf[offset : offset + nbytes]
 
 
 def entry_counts(entries):
@@ -838,13 +850,14 @@ def entry_counts(entries):
 
 @needs_dev_shm
 class TestParentOwnsEverySegment:
-    """The response ring is the parent's, like the request ring and the
-    sealed rules: a worker attaches and writes, it never creates."""
+    """The block ring is the parent's, like the sealed rules: a worker
+    attaches, reads its request lanes and writes its reply region; it
+    never creates."""
 
-    #: Small enough that the reply bound of half a 64-packet batch (a
-    #: 4-byte code per position; per possible traversal an offset, a
-    #: ref pair, packets and bytes; the counters and the pads) outgrows
-    #: a fresh slot, so every response slot is sized at submit.
+    #: Small enough that the request lanes plus the reply regions of a
+    #: 64-packet batch (per region a 4-byte code per position; per
+    #: possible traversal an offset and a ref pair; the counters and the
+    #: pads) outgrow a fresh block, so every block is sized at submit.
     TINY_BLOCK = 1 << 8
 
     def batches(self, rule_set, count, size=64):
@@ -899,11 +912,12 @@ class TestParentOwnsEverySegment:
     def test_oversize_reply_is_exact_and_grows_its_slot(
         self, small_routing_set, monkeypatch, workers
     ):
-        """With a fresh slot far smaller than any reply, every response
-        slot is sized for its sub-batch (``transport.reply_nbytes``)
-        before the request naming it is sent, every reply lands inside
-        it and no reply frame carries bytes — and results, per-entry
-        stats and runner counters still equal the in-process runner's."""
+        """With a fresh block far smaller than any batch, every reply
+        region is sized for its sub-batch (``transport.reply_nbytes``),
+        after the request lanes and inside its grown block, before the
+        request naming it is sent; every reply lands inside its region
+        and no reply frame carries bytes — and results, per-entry stats
+        and runner counters still equal the in-process runner's."""
         monkeypatch.setattr(transport, "MIN_BLOCK_BYTES", self.TINY_BLOCK)
         first, other = self.batches(small_routing_set, count=2)
         batches = [first, first, other]
@@ -927,7 +941,6 @@ class TestParentOwnsEverySegment:
                     frames.setdefault(worker, []),
                     sent.setdefault(worker, []),
                     sharded,
-                    worker,
                 )
                 for worker, conn in enumerate(sharded._conns)
             ]
@@ -941,14 +954,17 @@ class TestParentOwnsEverySegment:
         assert not any(carries_bytes(replies))
         tables = len(arch.tables)
         for worker, requests in sent.items():
-            assert [seq for seq, _, _ in requests] == [
+            assert [seq for seq, *_ in requests] == [
                 frame.seq for frame in frames[worker]
             ]
-            for (seq, members, size), frame in zip(requests, frames[worker]):
-                # Sized before first use: grown past the tiny fresh
-                # block to the bound, then written inside it.
-                assert size > self.TINY_BLOCK
-                assert size >= transport.reply_nbytes(members, tables)
+            for (seq, members, size, block), frame in zip(
+                requests, frames[worker]
+            ):
+                # Sized before first use: the block grown past the tiny
+                # fresh one, the region to the bound, then written
+                # inside the region.
+                assert block > self.TINY_BLOCK
+                assert size == transport.reply_nbytes(members, tables)
                 assert lanes_end(frame) <= size, seq
         counts = entry_counts(arch.tables[0])
         assert counts == entry_counts(ref_arch.tables[0])
@@ -1217,24 +1233,42 @@ class _StubConn:
 
 class TestReplyFramesFailClosed:
     """``_take_frame`` is the one place that knows the reply tags: it
-    parks the reply a worker owes next and accepts the shutdown bye;
-    every other frame is refused — never parked, never an exception."""
+    parks the reply a worker owes next on its batch's in-flight record
+    and accepts the shutdown bye; every other frame is refused — never
+    parked, never an exception."""
 
     def reply(self, seq):
         return ShmReply("ok", seq, ())
 
     def sorter(self, rule_set, *frames, owes=(5,)):
+        """A one-worker runner whose worker owes the replies of the
+        in-flight records ``owes`` and has ``frames`` delivered."""
         sharded = ShardedBatchPipeline(make_arch(rule_set), workers=1)
         sharded._conns = [_StubConn(*frames)]
-        sharded._worker_pending[0].extend(owes)
+        for seq in owes:
+            sharded._inflight[seq] = shard._InFlight(
+                seq=seq,
+                batch=PacketBatch.from_dicts([{}]),
+                groups={0: np.zeros(1, dtype=np.int64)},
+                pinned={},
+                log_len=0,
+            )
         return sharded
+
+    @staticmethod
+    def parked(sharded):
+        return [
+            (seq, worker)
+            for seq, inflight in sharded._inflight.items()
+            for worker in inflight.replies
+        ]
 
     def test_owed_reply_is_parked_under_its_seq(self, small_routing_set):
         sharded = self.sorter(small_routing_set, self.reply(5))
         assert sharded._take_frame(0) is True
-        assert list(sharded._reply_buffer) == [(5, 0)]
-        assert isinstance(sharded._reply_buffer[5, 0], ShmReply)
-        assert not sharded._worker_pending[0]
+        assert self.parked(sharded) == [(5, 0)]
+        assert isinstance(sharded._inflight[5].replies[0], ShmReply)
+        assert sharded._owed(0) == []
 
     @pytest.mark.parametrize(
         "frame",
@@ -1256,16 +1290,16 @@ class TestReplyFramesFailClosed:
     def test_anything_else_is_refused(self, small_routing_set, frame):
         sharded = self.sorter(small_routing_set, frame)
         assert sharded._take_frame(0) is False
-        assert not sharded._reply_buffer
-        assert list(sharded._worker_pending[0]) == [5]
+        assert not self.parked(sharded)
+        assert sharded._owed(0) == [5]
 
     def test_a_reply_nobody_waits_for_is_refused(self, small_routing_set):
         idle = self.sorter(small_routing_set, self.reply(5), owes=())
         assert idle._take_frame(0) is False
         stale = self.sorter(small_routing_set, self.reply(4), owes=(5, 6))
         assert stale._take_frame(0) is False
-        assert not idle._reply_buffer and not stale._reply_buffer
-        assert list(stale._worker_pending[0]) == [5, 6]
+        assert not self.parked(idle) and not self.parked(stale)
+        assert stale._owed(0) == [5, 6]
 
     def test_dry_pipe_is_refused(self, small_routing_set):
         assert self.sorter(small_routing_set)._take_frame(0) is False
@@ -1276,7 +1310,7 @@ class TestReplyFramesFailClosed:
         )
         assert sharded._take_frame(0, closing=True) is True
         assert sharded._take_frame(0, closing=True) is False  # an "ok"
-        assert not sharded._reply_buffer
+        assert not self.parked(sharded)
 
 
 class _LaneDroppingConn(ConnProxy):
@@ -1306,8 +1340,8 @@ class _LaneDroppingConn(ConnProxy):
 class TestReplySegmentsFailClosed:
     """A worker-supplied segment table is checked before anything is
     read through it: a reply missing a lane is a ``ReplyDecodeError``
-    at collect — never a ``KeyError`` — so ``close()`` drains past it
-    and tears everything down."""
+    at collect — never a ``KeyError`` — and ``close()``, which decodes
+    nothing, tears everything down with the bad reply still in flight."""
 
     def start(self, rule_set):
         sharded = ShardedBatchPipeline(make_arch(rule_set), workers=2, depth=2)
@@ -1339,7 +1373,7 @@ class TestReplySegmentsFailClosed:
         for batch in batches:
             sharded.submit_batch(batch)
         sharded.close()
-        assert dropped == [0] and sharded.in_flight == 0
+        assert sharded.in_flight == 0
         assert not any(proc.is_alive() for proc in procs)
         assert not multiprocessing.active_children()
         assert not shm_segments() - before
@@ -1348,9 +1382,10 @@ class TestReplySegmentsFailClosed:
 class _SumInflatingConn(ConnProxy):
     """Delivers every reply carrying per-traversal packet and frame-byte
     lanes that disagree with its codes: 1,000 packets and 10**6 bytes
-    per traversal, written into the response slot behind the reply's
-    last lane and named last in its segment table (so they shadow any
-    lanes of those names the worker wrote).  ``inflated`` collects the
+    per traversal, written into the reply region behind the reply's
+    last lane (the test widens the regions to make room) and named last
+    in its segment table (so they shadow any lanes of those names the
+    worker wrote).  ``inflated`` collects the
     seq of every reply so treated."""
 
     def __init__(self, conn, sharded, worker, inflated):
@@ -1363,8 +1398,7 @@ class _SumInflatingConn(ConnProxy):
         frame = self._conn.recv()
         if frame[0] != "ok":
             return frame
-        sharded = self._sharded
-        buf = sharded._responses[self._worker][frame.seq % sharded.depth].buf
+        buf = reply_buf(self._sharded, self._worker, frame.seq)
         traversals = next(
             s.count - 1 for s in frame.segments if s.key == "res/matched/offsets"
         )
@@ -1388,7 +1422,17 @@ class TestWorkerSumsCannotMoveTheParent:
     per-entry flow stats and runner totals equal the in-process
     runner's."""
 
-    def test_inflated_sum_lanes_credit_nothing(self, small_routing_set):
+    def test_inflated_sum_lanes_credit_nothing(
+        self, small_routing_set, monkeypatch
+    ):
+        # Regions with room behind the reply for the two planted lanes:
+        # at most one int64 per position each, plus a pad.
+        bound = transport.reply_nbytes
+        monkeypatch.setattr(
+            shard,
+            "reply_nbytes",
+            lambda members, tables: bound(members, tables) + 16 * members + 32,
+        )
         trace = SCENARIOS["uniform"](
             small_routing_set, packet_count=128, flow_count=24
         ).events[0][1]
@@ -1429,7 +1473,7 @@ class TestWorkerSumsCannotMoveTheParent:
 
 class _StatsRewritingConn(ConnProxy):
     """Delivers every reply with ``delta`` added to one of its
-    ``res/stats`` counters, in place in the response slot.  ``rewritten``
+    ``res/stats`` counters, in place in its reply region.  ``rewritten``
     collects the seq of every reply so treated."""
 
     def __init__(self, conn, sharded, worker, counter, delta, rewritten):
@@ -1444,8 +1488,7 @@ class _StatsRewritingConn(ConnProxy):
         frame = self._conn.recv()
         if frame[0] != "ok":
             return frame
-        sharded = self._sharded
-        buf = sharded._responses[self._worker][frame.seq % sharded.depth].buf
+        buf = reply_buf(self._sharded, self._worker, frame.seq)
         stats = next(s for s in frame.segments if s.key == "res/stats")
         lane = np.frombuffer(
             buf, dtype=stats.dtype, count=stats.count, offset=stats.offset
@@ -1808,3 +1851,200 @@ class TestColumnarSharded:
         # the worker's cache/megaflow hits and misses and waves.
         assert col_stats == dict_stats
         assert dict_stats.megaflow_hits > 0 and dict_stats.waves > 0
+
+
+def uniform_batches(rule_set, count, size=32):
+    trace = SCENARIOS["uniform"](
+        rule_set, packet_count=count * size, flow_count=24
+    ).events[0][1]
+    return [trace[i : i + size] for i in range(0, len(trace), size)]
+
+
+class _RegionRewritingConn(ConnProxy):
+    """Sends batch ``seq``'s request with its reply region replaced by
+    ``rewrite(block_bytes, region)``, after recording in ``sent`` the
+    request lanes' bytes as they stand; every other message as given."""
+
+    def __init__(self, conn, sharded, seq, rewrite, sent):
+        super().__init__(conn)
+        self._sharded = sharded
+        self._seq = seq
+        self._rewrite = rewrite
+        self._sent = sent
+
+    def send(self, message):
+        if message[0] == "shm" and message.seq == self._seq:
+            block = self._sharded._requests[message.seq % self._sharded.depth]
+            self._sent.append(bytes(block.buf[: lanes_end(message)]))
+            message = message._replace(
+                reply_region=self._rewrite(block.buf.nbytes, message.reply_region)
+            )
+        self._conn.send(message)
+
+
+REGION_REWRITES = {
+    "outside-the-block": lambda size, region: (size, region[1]),
+    "over-the-request-lanes": lambda size, region: (0, region[1]),
+}
+
+
+@needs_dev_shm
+class TestWorkerRefusesForeignRegion:
+    """A worker writes its reply only into a region that is its own:
+    inside the block, after every request lane, sized for its members.
+    Any other region kills it before it writes a byte, supervision
+    replays the batch — or, when the replay is refused too, serves it
+    in-process as poison — and results and per-entry counters equal the
+    in-process runner's."""
+
+    @pytest.mark.parametrize("rewrite", REGION_REWRITES.values(), ids=REGION_REWRITES)
+    @pytest.mark.parametrize("sticky", [False, True], ids=["replayed", "poison"])
+    def test_a_foreign_region_is_refused_unwritten(
+        self, small_routing_set, rewrite, sticky
+    ):
+        batches = uniform_batches(small_routing_set, 3)
+        ref_arch = make_arch(small_routing_set)
+        single = BatchPipeline(ref_arch, cache_capacity=64, megaflow_capacity=128)
+        expected = [single.process_batch(batch) for batch in batches]
+        arch = make_arch(small_routing_set)
+        sent = []
+        with bounded(10), ShardedBatchPipeline(
+            arch, workers=2, cache_capacity=64, megaflow_capacity=128
+        ) as sharded:
+            sharded._ensure_started()
+            spawn = sharded._spawn_worker
+
+            def respawn(worker):  # a sticky rewrite greets the replay too
+                conn, proc = spawn(worker)
+                if sticky:
+                    conn = _RegionRewritingConn(conn, sharded, 1, rewrite, sent)
+                return conn, proc
+
+            sharded._spawn_worker = respawn
+            sharded._conns[0] = _RegionRewritingConn(
+                sharded._conns[0], sharded, 1, rewrite, sent
+            )
+            for seq, (batch, want) in enumerate(zip(batches, expected)):
+                for a, b in zip(sharded.process_batch(batch), want, strict=True):
+                    assert_same_result(a, b)
+                if seq == 1:  # no worker wrote over the request lanes
+                    block = sharded._requests[1 % sharded.depth]
+                    assert sent and all(
+                        bytes(block.buf[: len(lanes)]) == lanes for lanes in sent
+                    )
+            snapshot = sharded.supervision_snapshot()
+        assert len(sent) == 1 + sticky
+        assert snapshot["crashes"] == 1 + sticky
+        assert snapshot["poison_batches"] == sticky
+        assert snapshot["replayed_batches"] == 1
+        counts = entry_counts(arch.tables[0])
+        assert counts == entry_counts(ref_arch.tables[0])
+        assert sum(count[2] for count in counts) > 0
+
+
+class _NamingConn(ConnProxy):
+    """Records the block every request it sends names."""
+
+    def __init__(self, conn, named):
+        super().__init__(conn)
+        self._named = named
+
+    def send(self, message):
+        if message[0] == "shm":
+            self._named.add(message.block_name)
+        self._conn.send(message)
+
+
+@needs_dev_shm
+class TestSegmentBudget:
+    """One shared block per ring slot: a batch's request lanes and its
+    reply regions share it.  At W=2, depth=3 the parent owns exactly
+    ``depth`` segments during a run (``depth + 1`` with shared rules),
+    and no worker maps a block that no request named — bar the sealed
+    rules it attaches at spawn."""
+
+    @pytest.mark.parametrize("shared_rules", [False, True], ids=["built", "sealed"])
+    def test_one_block_per_ring_slot(self, small_routing_set, shared_rules):
+        depth = 3
+        batches = uniform_batches(small_routing_set, 4 * depth)
+        named = set()
+        before = shm_segments()
+        owned = []
+        with bounded(10), ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=2,
+            depth=depth,
+            megaflow_capacity=128,
+            shared_rules=shared_rules,
+        ) as sharded:
+            sharded._ensure_started()
+            sharded._conns = [_NamingConn(conn, named) for conn in sharded._conns]
+            for outcomes in sharded.process_batches(batches):
+                assert len(outcomes) == len(batches[0])
+                owned.append(len(shm_segments() - before))
+            rules = (
+                {sharded._rule_state.layout.block_name} if shared_rules else set()
+            )
+            mapped = [
+                {name for name in shm_mappings(proc.pid) if name.startswith("psm_")}
+                for proc in sharded._procs
+            ]
+        assert max(owned) == owned[-1] == depth + shared_rules
+        assert len(named) == depth
+        for blocks in mapped:
+            assert blocks and blocks <= named | rules
+
+
+@needs_dev_shm
+class TestCountAtCollect:
+    """A batch counts when it is collected and credited — packets and
+    batches beside its traffic — so a reply refused at collect counts
+    nothing and ``megaflow_hits + megaflow_misses == packets`` holds
+    after it; an empty batch counts one batch on both runners."""
+
+    def test_a_refused_reply_counts_nothing(self, small_routing_set):
+        first, second = uniform_batches(small_routing_set, 2)
+        dropped = []
+        with bounded(10), ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=2,
+            cache_capacity=64,
+            megaflow_capacity=128,
+        ) as sharded:
+            sharded.process_batch(first)
+            before = sharded.stats_snapshot()
+            sharded._conns = [
+                _LaneDroppingConn(conn, "res/stats", dropped)
+                for conn in sharded._conns
+            ]
+            with pytest.raises(transport.ReplyDecodeError, match="res/stats"):
+                sharded.process_batch(second)
+            after = sharded.stats_snapshot()
+        assert dropped
+        assert asdict(after) == asdict(before)
+        assert after.packets == len(first)
+        assert after.megaflow_hits + after.megaflow_misses == after.packets
+
+    def test_an_empty_batch_counts_one_batch_on_both_runners(
+        self, small_routing_set
+    ):
+        first, second = uniform_batches(small_routing_set, 2)
+        batches = [first, [], second]
+        single = BatchPipeline(
+            make_arch(small_routing_set), cache_capacity=64, megaflow_capacity=128
+        )
+        for batch in [*batches, []]:
+            single.process_batch(batch)
+        with bounded(10), ShardedBatchPipeline(
+            make_arch(small_routing_set),
+            workers=1,
+            cache_capacity=64,
+            megaflow_capacity=128,
+        ) as sharded:
+            assert [len(got) for got in sharded.process_batches(batches)] == [
+                len(batch) for batch in batches
+            ]
+            assert sharded.process_batch([]) == []
+            got = sharded.stats_snapshot()
+        assert asdict(got) == asdict(single.stats_snapshot())
+        assert got.batches == 4 and got.packets == len(first) + len(second)

@@ -821,7 +821,7 @@ class TestEntryIndex:
         fold into the pinned — authoritative — entries the traversals
         matched, and into the parent runner's own flow counters.  The
         shard is degraded, so the reply is the inline one: the same
-        block a worker would write, in the same response slot."""
+        block a worker would write, in the same reply region."""
         from repro.runtime.shard import ShardedBatchPipeline
 
         table = OpenFlowLookupTable(("in_port",), table_id=0)
