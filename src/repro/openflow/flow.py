@@ -10,8 +10,11 @@ overlapping entries, which the OpenFlow spec leaves undefined.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
+
+import numpy as np
 
 from repro.openflow.errors import PipelineError
 from repro.openflow.instructions import Instruction, InstructionSet
@@ -27,9 +30,72 @@ _sequence = itertools.count()
 UNSTAMPED = -1
 
 
-@dataclass
+#: The counter row no :class:`FlowStats` holds (see :class:`CounterColumns`).
+SINK = 0
+
+
+class CounterColumns:
+    """The traffic counters of every live :class:`FlowStats` in the
+    process, as one int64 ``packets`` / ``bytes`` column pair with one
+    row per stats object.
+
+    A row is handed out when a ``FlowStats`` is built, zeroed as it is
+    handed out, and goes back on the free list when the object is
+    collected, so a counter lives exactly as long as its entry — in
+    every table that holds the entry, never per table.  The batched
+    runtime credits a whole batch with one scatter per column
+    (:meth:`credit`) and the expiry sweep reads its idle entries' counts
+    with one gather.  The columns double when they run out of rows, so
+    callers index them through this object, never through a kept
+    reference to an array.  Row :data:`SINK` belongs to
+    no stats object: a scatter pads ragged row lists with it, and
+    nothing reads it.
+    """
+
+    __slots__ = ("packets", "bytes", "free", "used", "lock")
+
+    def __init__(self, rows: int = 1024) -> None:
+        self.packets = np.zeros(rows, dtype=np.int64)
+        self.bytes = np.zeros(rows, dtype=np.int64)
+        #: Rows of collected stats, zeroed again when handed out.
+        self.free: list[int] = []
+        #: Rows ever handed out (the columns' high-water mark), the
+        #: sink included.
+        self.used = SINK + 1
+        #: Held to hand out a row or to write one, so that an entry
+        #: built on another thread cannot regrow the columns under a
+        #: credit (reentrant: a collection may run inside it).  A
+        #: collected row goes back on ``free`` without it.
+        self.lock = threading.RLock()
+
+    def allocate(self) -> int:
+        with self.lock:
+            if self.free:
+                row = self.free.pop()
+                self.packets[row] = self.bytes[row] = 0
+                return row
+            row = self.used
+            if row == len(self.packets):
+                self.packets = np.concatenate([self.packets, np.zeros_like(self.packets)])
+                self.bytes = np.concatenate([self.bytes, np.zeros_like(self.bytes)])
+            self.used = row + 1
+            return row
+
+    def credit(self, rows: np.ndarray, packets: np.ndarray, octets: np.ndarray) -> None:
+        """Add ``packets`` / ``octets`` to ``rows``, element by element
+        as numpy broadcasts them; repeated rows accumulate."""
+        with self.lock:
+            np.add.at(self.packets, rows, packets)
+            np.add.at(self.bytes, rows, octets)
+
+
+#: The process's one counter column pair.
+COUNTERS = CounterColumns()
+
+
 class FlowStats:
-    """Per-entry counters maintained by the switch.
+    """Per-entry counters maintained by the switch: a view over the
+    entry's row of :data:`COUNTERS` plus its lifecycle timestamps.
 
     Mirrors the POX ``TableEntry.counters`` dict: traffic counters plus
     the two lifecycle timestamps (``installed_at`` ~ POX ``created``,
@@ -40,24 +106,62 @@ class FlowStats:
     maintains ``last_touched`` / ``swept_packets`` only for entries
     with an idle timeout; on any other entry ``last_touched`` stays at
     the install stamp.
+
+    ``packet_count`` / ``byte_count`` read the row as Python ints.  A
+    copy — pickle or deepcopy, e.g. a snapshot shipped to a worker —
+    gets a row of its own carrying the same counts.
     """
 
-    packet_count: int = 0
-    byte_count: int = 0
-    installed_at: int = UNSTAMPED
-    last_touched: int = UNSTAMPED
-    swept_packets: int = 0
+    __slots__ = ("row", "installed_at", "last_touched", "swept_packets")
+
+    def __init__(
+        self,
+        packet_count: int = 0,
+        byte_count: int = 0,
+        installed_at: int = UNSTAMPED,
+        last_touched: int = UNSTAMPED,
+        swept_packets: int = 0,
+    ) -> None:
+        #: This entry's row of :data:`COUNTERS`.
+        self.row = COUNTERS.allocate()
+        if packet_count or byte_count:
+            self.add(packet_count, byte_count)
+        self.installed_at = installed_at
+        self.last_touched = last_touched
+        self.swept_packets = swept_packets
+
+    def __del__(self, _release=COUNTERS.free.append) -> None:
+        _release(self.row)
+
+    def __reduce__(self) -> tuple:
+        return (
+            FlowStats,
+            (
+                self.packet_count,
+                self.byte_count,
+                self.installed_at,
+                self.last_touched,
+                self.swept_packets,
+            ),
+        )
+
+    @property
+    def packet_count(self) -> int:
+        return int(COUNTERS.packets[self.row])
+
+    @property
+    def byte_count(self) -> int:
+        return int(COUNTERS.bytes[self.row])
 
     def record(self, byte_count: int = 0) -> None:
-        self.packet_count += 1
-        self.byte_count += byte_count
+        self.add(1, byte_count)
 
     def add(self, packets: int, byte_count: int = 0) -> None:
-        """Fold an aggregated delta in (e.g. one traversal's packets and
-        frame bytes, as :func:`~repro.runtime.batch.credit_outcomes`
-        counts them)."""
-        self.packet_count += packets
-        self.byte_count += byte_count
+        """Fold an aggregated delta in (one traversal's packets and
+        frame bytes, as a cache tier counts them)."""
+        with COUNTERS.lock:
+            COUNTERS.packets[self.row] += packets
+            COUNTERS.bytes[self.row] += byte_count
 
 
 @dataclass(frozen=True)
@@ -149,8 +253,9 @@ class FlowEntry:
         ``TableEntry.touch_packet`` semantics (bytes += byte_count,
         packets += 1, last_touched = now) for scalar callers that manage
         time themselves.  The batched runners never call this: they
-        credit through :meth:`FlowStats.record` / ``add`` and leave the
-        idle timer to the sweep's count-delta detection."""
+        credit the counter columns a batch at a time
+        (:meth:`CounterColumns.credit`) and leave the idle timer to the
+        sweep's count-delta detection."""
         self.stats.record(byte_count)
         self.stats.last_touched = now
 

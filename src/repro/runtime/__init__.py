@@ -122,8 +122,8 @@ cached wildcard mask as ``lanes & mask`` keys coded once per column
 store (:meth:`~repro.packet.batch.PacketBatch.masked_key_codes`: the
 distinct packed keys plus one integer code per row), so a probe
 gathers integer codes, probes and validates once per *distinct* code,
-and does the cache's own bookkeeping — hit count, LRU touch — in one
-pass over the aggregates hit; the
+and does the cache's own bookkeeping — hit count, LRU stamps — with
+one write to its stamp lane; the
 microflow tier has one index and one batch probe
 (:meth:`~repro.runtime.cache.MicroflowCache.lookup_keys`: each distinct
 exact key once, the residual in one table call), whatever shape the

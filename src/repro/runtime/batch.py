@@ -38,6 +38,7 @@ from typing import Any, Protocol, overload
 
 import numpy as np
 
+from repro.openflow.flow import COUNTERS
 from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
@@ -51,7 +52,12 @@ from repro.runtime.lifecycle import (
     LifecycleSweeper,
     VirtualClock,
 )
-from repro.runtime.megaflow import MegaflowCache, Traversal, replay_template
+from repro.runtime.megaflow import (
+    MegaflowCache,
+    Traversal,
+    credit_lanes,
+    replay_template,
+)
 from repro.runtime.walk import ColumnarWalk
 
 
@@ -244,12 +250,13 @@ class BatchPipeline:
         megaflow = None if bypass else self.megaflow
         traversals: list[Traversal]
         if megaflow is not None:
-            traversals, codes, missed = megaflow.probe(batch)
+            traversals, credits, codes, missed = megaflow.probe(batch)
         else:
             traversals = []
+            credits = credit_lanes(traversals, len(self.pipeline.tables))
             codes = np.empty(len(batch), dtype=np.int64)
             missed = np.arange(len(batch), dtype=np.int64)
-        outcomes = ColumnarOutcomes(batch, traversals, codes)
+        outcomes = ColumnarOutcomes(batch, traversals, codes, credits)
         if len(missed):
             self._walk_misses(outcomes, missed, megaflow)
         return outcomes
@@ -271,12 +278,20 @@ class BatchPipeline:
         walk.run(missed)
         self.stats.waves += walk.waves
         codes = walk.traversal_codes
+        credits = credit_lanes(walk.traversals, len(self.pipeline.tables))
         if megaflow is not None:
             megaflow.install_batch(
-                batch, missed, walk.masks, walk.mask_codes, walk.traversals, codes
+                batch,
+                missed,
+                walk.masks,
+                walk.mask_codes,
+                walk.traversals,
+                codes,
+                credits,
             )
         outcomes.codes[missed] = codes + len(outcomes.traversals)
         outcomes.traversals += walk.traversals
+        outcomes.credits = np.concatenate((outcomes.credits, credits))
 
     def _run_waves(
         self, batch: Sequence[Mapping[str, int]]
@@ -358,7 +373,7 @@ class BatchPipeline:
 
 def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:
     """Credit one classified batch: each traversal's packets and frame
-    bytes to the flow stats of every entry it matched, and the batch —
+    bytes to the counters of every entry it matched, and the batch —
     one batch, its packets and its traffic — to ``stats``.
 
     The one credit of the columnar runtime, and the one place a
@@ -367,37 +382,33 @@ def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:
     own ``frame_len`` lane.  Only the runner that owns the entries calls
     it — :meth:`BatchPipeline.classify_columnar` after it classifies,
     the sharded parent after it decodes its replies — and a replica
-    never does.  One loop with local accumulators: per traversal no
-    Python call but ``FlowStats.add`` per matched entry."""
-    traversals, codes = outcomes.traversals, outcomes.codes
-    size = len(traversals)
-    packets = np.bincount(codes, minlength=size).tolist()
+    never does.  The rest is integer work over the outcome's credit
+    lanes (:func:`~repro.runtime.megaflow.credit_lanes`): one scatter
+    of each traversal's counts over its counter rows into the counter
+    columns (:meth:`~repro.openflow.flow.CounterColumns.credit`), and
+    the totals from two ``bincount`` s of the kind lane.  No traversal
+    is touched and no ``FlowStats`` method is called."""
+    codes, credits = outcomes.codes, outcomes.credits
+    rows, kinds = credits[:, :-1], credits[:, -1]
+    size = len(kinds)
+    packets = np.bincount(codes, minlength=size)
     # bincount sums in float64: exact below 2**53 frame bytes a batch.
-    frame = outcomes.batch.frame_lengths()
-    octets = np.bincount(codes, weights=frame, minlength=size)
-    matched = flow_packets = flow_bytes = to_controller = dropped = 0
-    for traversal, count, byte_count in zip(
-        traversals, packets, octets.astype(np.int64).tolist()
-    ):
-        outcome = traversal.outcome
-        entries = outcome.matched_entries
-        if entries:
-            matched += count
-            for entry in entries:
-                entry.stats.add(count, byte_count)
-                flow_packets += count
-                flow_bytes += byte_count
-        if outcome.sent_to_controller:
-            to_controller += count
-        if outcome.dropped:
-            dropped += count
+    octets = np.bincount(codes, weights=outcomes.batch.frame_lengths(), minlength=size)
+    COUNTERS.credit(rows, packets[:, None], octets.astype(np.int64)[:, None])
     stats.packets += len(codes)
     stats.batches += 1
-    stats.matched += matched
-    stats.flow_packets += flow_packets
-    stats.flow_bytes += flow_bytes
-    stats.sent_to_controller += to_controller
-    stats.dropped += dropped
+    by_kind = zip(
+        np.bincount(kinds, weights=packets).tolist(),
+        np.bincount(kinds, weights=octets).tolist(),
+    )
+    for kind, (count, byte_count) in enumerate(by_kind):
+        if count:
+            count, matched = int(count), kind >> 2
+            stats.matched += count if matched else 0
+            stats.flow_packets += matched * count
+            stats.flow_bytes += matched * int(byte_count)
+            stats.sent_to_controller += count if kind & 2 else 0
+            stats.dropped += count if kind & 1 else 0
 
 
 def credit_traversal(
@@ -435,7 +446,9 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     sums: the packets and frame bytes that took each traversal are
     counted from ``codes`` and the batch's ``frame_len`` lane where they
     are credited (:func:`credit_outcomes`), so a slice can never carry
-    another batch's totals.  A batch nobody reads costs one traversal
+    another batch's totals; what each traversal credits rides beside it
+    as a row of ``credits`` (:func:`~repro.runtime.megaflow.credit_lanes`),
+    gathered by the megaflow probe for its hits.  A batch nobody reads costs one traversal
     per aggregate hit or path walked and nothing per packet; a
     per-position list exists only while somebody iterates.
 
@@ -450,6 +463,8 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     batch: PacketBatch
     traversals: list[Traversal]
     codes: np.ndarray
+    #: What ``traversals`` credit, row for row.
+    credits: np.ndarray
 
     def __len__(self) -> int:
         return len(self.codes)

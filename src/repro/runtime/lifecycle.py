@@ -71,7 +71,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.openflow.flow import FlowEntry, SweepView, UNSTAMPED
+from repro.openflow.flow import COUNTERS, FlowEntry, SweepView, UNSTAMPED
 from repro.openflow.match import Match
 
 #: int64 stand-in for "no deadline" — ``now`` never exceeds it.
@@ -186,6 +186,8 @@ class _TableLanes:
         #: The idle-timed subset and its positions within ``timed``.
         self.idle_entries: tuple[FlowEntry, ...] = ()
         self.idle_pos = np.zeros(0, dtype=np.intp)
+        #: Their rows of the counter columns (:data:`COUNTERS`).
+        self.idle_rows = np.zeros(0, dtype=np.intp)
         self.idle = np.zeros(0, dtype=np.int64)
         self.last_touched = np.zeros(0, dtype=np.int64)
         self.swept = np.zeros(0, dtype=np.int64)
@@ -228,6 +230,9 @@ class _TableLanes:
         idle_pos = [i for i, e in enumerate(timed) if e.idle_timeout > 0]
         idle_entries = self.idle_entries = tuple(timed[i] for i in idle_pos)
         self.idle_pos = np.array(idle_pos, dtype=np.intp)
+        self.idle_rows = np.array(
+            [e.stats.row for e in idle_entries], dtype=np.intp
+        )
         self.idle = np.array(
             [e.idle_timeout for e in idle_entries], dtype=np.int64
         )
@@ -266,10 +271,8 @@ class _TableLanes:
             examined += len(idle_entries)
             # Count-delta touch detection: every credit since the last
             # sweep happened at tick ``prev`` (the clock never moved in
-            # between).
-            counts = np.array(
-                [e.stats.packet_count for e in idle_entries], dtype=np.int64
-            )
+            # between).  The entries' counts are one gather.
+            counts = COUNTERS.packets[self.idle_rows]
             touched = counts > self.swept
             if touched.any():
                 self.last_touched[touched] = prev

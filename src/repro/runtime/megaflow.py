@@ -58,22 +58,24 @@ has one index (per mask, the packed ``value & mask`` bytes of
 once — its distinct packed keys plus one dense code per row — so the
 probe moves positions around as integer codes with numpy, touches a
 ``bytes`` key once per distinct code, and does the cache's own
-bookkeeping (hit and miss counts, LRU touch) in one pass over the
-aggregates hit.  What it hands back is a code lane over those
-aggregates, the shape :class:`~repro.runtime.batch.ColumnarOutcomes`
-holds.  The probe counts no packets or bytes per aggregate and credits
+bookkeeping (hit and miss counts, LRU stamps) with integer work and no
+call per aggregate: aggregates are rows, the LRU is a stamp lane over
+them, and what each one credits is a row of lanes the probe gathers.
+What it hands back is a code lane over those aggregates, the shape
+:class:`~repro.runtime.batch.ColumnarOutcomes` holds.  The probe counts no packets or bytes per aggregate and credits
 no flow stats: only the runner that owns the entries does, once per
 batch (:func:`~repro.runtime.batch.credit_outcomes`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
 
+from repro.openflow.flow import SINK
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
 from repro.packet.batch import IndexArray, PacketBatch
 
@@ -81,6 +83,11 @@ from repro.packet.batch import IndexArray, PacketBatch
 MaskSig = tuple[tuple[str, int], ...]
 
 DEFAULT_MEGAFLOW_CAPACITY = 4096
+
+#: The stamp of a free aggregate row: above every live one.
+_FREE = np.iinfo(np.int64).max
+
+_ROW = attrgetter("row")
 
 #: ``(table, version)`` per visited table: the table object and its
 #: mutation counter when the traversal was looked up.
@@ -145,10 +152,37 @@ class Traversal:
         self.version_checks = version_checks
 
 
-class MegaflowEntry(Traversal):
-    """One cached aggregate: mask, masked key, and the traversal."""
+def credit_lanes(traversals: Sequence[Traversal], width: int) -> np.ndarray:
+    """What ``traversals`` credit, as one int64 row each — the shape
+    :func:`~repro.runtime.batch.credit_outcomes` scatters from without
+    touching a traversal: the counter rows
+    (:attr:`~repro.openflow.flow.FlowStats.row`) of the entries the
+    outcome matched, padded to ``width`` (the pipeline's table count)
+    with :data:`~repro.openflow.flow.SINK`, then its *kind*, ``4 *
+    entries matched + 2 * sent to controller + dropped``.  The entries
+    an outcome holds keep their rows for as long as it lives.  Built
+    once per distinct path walked, and once per aggregate installed:
+    the megaflow tier keeps these rows per aggregate row, so a hit
+    gathers them instead (:meth:`MegaflowCache.probe`)."""
+    pad = (SINK,) * width
+    cells: list[int] = []
+    for traversal in traversals:
+        outcome = traversal.outcome
+        rows = [entry.stats.row for entry in outcome.matched_entries]
+        cells += rows
+        cells += pad[len(rows) :]
+        cells.append(
+            len(rows) << 2 | outcome.sent_to_controller << 1 | outcome.dropped
+        )
+    return np.array(cells, dtype=np.int64).reshape(len(traversals), width + 1)
 
-    __slots__ = ("mask", "key", "slot")
+
+class MegaflowEntry(Traversal):
+    """One cached aggregate: mask, masked key, and the traversal, held
+    in one row of its cache (``row``: its place in the LRU stamp
+    lane)."""
+
+    __slots__ = ("mask", "key", "row")
 
     def __init__(
         self,
@@ -162,8 +196,7 @@ class MegaflowEntry(Traversal):
         #: :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`
         #: packs it (absence of a field is part of the key).
         self.key = key
-        #: Its LRU key, built once.
-        self.slot = (mask, key)
+        self.row = -1
         self.outcome = outcome
         self.version_checks = version_checks
 
@@ -219,9 +252,23 @@ class MegaflowCache:
         #: The one index: per mask (in first-install order — the probe
         #: order), packed ``value & mask`` key -> entry.
         self._by_mask: dict[MaskSig, dict[bytes, MegaflowEntry]] = {}
-        self._lru: OrderedDict[tuple[MaskSig, bytes], MegaflowEntry] = (
-            OrderedDict()
+        #: The aggregate rows: the entry each row holds (``None`` on a
+        #: free row), and the LRU as a stamp lane beside them — a row's
+        #: stamp is the clock at its last hit or install, a free row's
+        #: :data:`_FREE`, so the least recently used aggregate is the
+        #: live row with the lowest stamp.
+        self._rows: list[MegaflowEntry | None] = []
+        self._free: list[int] = []
+        self._stamp = np.full(16, _FREE, dtype=np.int64)
+        self._clock = 0
+        #: Each row's :func:`credit_lanes` row, which a hit gathers.
+        self._credits = np.full(
+            (16, len(pipeline.tables) + 1), SINK, dtype=np.int64
         )
+        #: Eviction candidates: the lowest-stamped rows, lowest last,
+        #: and the clock when they were chosen (see :meth:`_evict`).
+        self._victims: list[int] = []
+        self._chosen_at = 0
         self.hits = 0
         self.misses = 0
         self.installs = 0
@@ -229,7 +276,7 @@ class MegaflowCache:
         self.evicted = 0
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._rows) - len(self._free)
 
     @property
     def hit_rate(self) -> float:
@@ -249,13 +296,13 @@ class MegaflowCache:
         materialisation is deferred to the caller (see
         :class:`repro.runtime.batch.ColumnarOutcomes`).
         """
-        found, lane, _ = self.probe(batch)
+        found, _, lane, _ = self.probe(batch)
         # Code -1 (a miss) reads the trailing ``None``.
         return list(map([*found, None].__getitem__, lane.tolist()))
 
     def probe(
         self, batch: PacketBatch
-    ) -> tuple[list[MegaflowEntry], IndexArray, IndexArray]:
+    ) -> tuple[list[MegaflowEntry], np.ndarray, IndexArray, IndexArray]:
         """The one probe: vectorized tuple-space search and the cache's
         own hit bookkeeping, with integer gathers per *position* and
         Python work per *distinct masked key* and per *aggregate hit*
@@ -272,14 +319,16 @@ class MegaflowCache:
         the code lane, first hit per position winning.
 
         Then the cache counts its misses (the positions left pending)
-        and hits (the rest), and one pass over the aggregates hit, in
-        ascending order of each one's *last* hit position (the LRU order
-        probing the packets one by one would leave), touches each LRU
-        slot.  Nothing is counted per aggregate and no flow stats are
-        credited here: the entries' owner counts and credits them from
-        the code lane (:func:`~repro.runtime.batch.credit_outcomes`).
+        and hits (the rest), and stamps every aggregate hit with the
+        clock plus its *last* hit position — one ``np.maximum.at`` and
+        one assignment to the stamp lane, leaving the LRU order probing
+        the packets one by one would leave.  Nothing is counted per
+        aggregate and no flow stats are credited here: the entries'
+        owner counts and credits them from the code lane
+        (:func:`~repro.runtime.batch.credit_outcomes`).
 
-        Returns the aggregates hit (in first-found order), one code per
+        Returns the aggregates hit (in first-found order), their
+        :func:`credit_lanes` (gathered off their rows), one code per
         position indexing them (``-1`` on a miss) and the missed
         positions (ascending).
         """
@@ -307,7 +356,7 @@ class MegaflowCache:
                 if entry is not None:
                     for table, version in entry.version_checks:
                         if table.version != version:
-                            self._drop(mask, entry.key)
+                            self._drop(entry)
                             self.invalidated += 1
                             break
                     else:
@@ -327,14 +376,14 @@ class MegaflowCache:
             pending, rows = pending[missed], rows[missed]
         self.misses += len(pending)
         self.hits += size - len(pending)
-        last = np.zeros(len(found) + 1, dtype=np.int64)
-        np.maximum.at(last, codes, positions)
-        lru = self._lru
-        for code in np.argsort(last).tolist():
-            if code:  # not the miss bucket
-                lru.move_to_end(found[code - 1].slot)
+        rows = np.fromiter(map(_ROW, found), np.int64, len(found))
+        if found:
+            last = np.zeros(len(found) + 1, dtype=np.int64)
+            np.maximum.at(last, codes, positions)
+            self._stamp[rows] = self._clock + last[1:]
+        self._clock += size
         codes -= 1
-        return found, codes, pending
+        return found, self._credits[rows], codes, pending
 
     def install_batch(
         self,
@@ -344,6 +393,7 @@ class MegaflowCache:
         mask_codes: IndexArray,
         traversals: Sequence[Traversal],
         traversal_codes: IndexArray,
+        credits: np.ndarray,
     ) -> list[MegaflowEntry]:
         """The one install: cache the captured traversals of one
         batch's misses, each for its whole aggregate.
@@ -351,7 +401,8 @@ class MegaflowCache:
         Position ``positions[j]`` of ``batch`` — the *original* packet,
         pre-rewrite — consulted mask ``masks[mask_codes[j]]`` and took
         ``traversals[traversal_codes[j]]`` (both shared across positions
-        — one outcome per distinct entry path, never one per packet).
+        — one outcome per distinct entry path, never one per packet),
+        whose credit lanes are ``credits`` (:func:`credit_lanes`).
         Keys come off the lanes: per distinct mask, the batch's memoized
         :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`,
         gathered per position by code.  Entries are stored one per
@@ -369,8 +420,10 @@ class MegaflowCache:
             chosen = mask_codes == mask_code
             key_codes[chosen] = row_codes[rows[chosen]]
         installed: list[MegaflowEntry] = []
+        rows: list[int] = []
+        codes = traversal_codes.tolist()
         for mask_code, key_code, code in zip(
-            mask_codes.tolist(), key_codes.tolist(), traversal_codes.tolist()
+            mask_codes.tolist(), key_codes.tolist(), codes
         ):
             traversal = traversals[code]
             entry = MegaflowEntry(
@@ -379,36 +432,93 @@ class MegaflowCache:
                 traversal.outcome,
                 traversal.version_checks,
             )
-            self._store(entry)
+            rows.append(self._store(entry, len(codes)))
             installed.append(entry)
+        self._victims.clear()
+        if rows:
+            # A row installed twice holds its later install: each row
+            # takes the credit lanes of the last position it took.
+            last = dict(zip(rows, codes))
+            self._credits[list(last)] = credits[list(last.values())]
         return installed
 
     def flush(self) -> None:
         """Drop every cached aggregate (explicit only; never automatic)."""
         self._by_mask.clear()
-        self._lru.clear()
+        self._rows.clear()
+        self._free.clear()
+        self._stamp[:] = _FREE
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _store(self, entry: MegaflowEntry) -> None:
-        """Index a built entry (replacing any same-aggregate one), count
-        the install and evict least-recently-used entries beyond
-        capacity."""
-        self._by_mask.setdefault(entry.mask, {})[entry.key] = entry
-        lru = self._lru
-        lru[entry.slot] = entry
-        lru.move_to_end(entry.slot)
+    def _store(self, entry: MegaflowEntry, batch: int) -> int:
+        """Index a built entry in a row of its own (an entry replacing
+        a same-aggregate one takes over its row), stamp it most
+        recently used, count the install and evict the least recently
+        used beyond capacity; returns the row.  ``batch`` is the size
+        of the install's batch: no more can evict in it."""
+        index = self._by_mask.setdefault(entry.mask, {})
+        old = index.get(entry.key)
+        if old is not None:
+            row = old.row
+        elif self._free:
+            row = self._free.pop()
+        else:
+            row = len(self._rows)
+            self._rows.append(None)
+            if row == len(self._stamp):
+                self._grow()
+        entry.row = row
+        index[entry.key] = self._rows[row] = entry
+        self._stamp[row] = self._clock
+        self._clock += 1
         self.installs += 1
-        while len(lru) > self.capacity:
-            (old_mask, old_key), _ = lru.popitem(last=False)
-            self._drop(old_mask, old_key)
+        # Only a new row can take the cache past its capacity.
+        if old is None and len(self._rows) - len(self._free) > self.capacity:
+            self._evict(batch)
             self.evicted += 1
+        return row
 
-    def _drop(self, mask: MaskSig, key: bytes) -> None:
-        entries = self._by_mask[mask]
-        del entries[key]
+    def _grow(self) -> None:
+        """Double the row lanes."""
+        self._stamp = np.concatenate([self._stamp, np.full_like(self._stamp, _FREE)])
+        self._credits = np.concatenate(
+            [self._credits, np.full_like(self._credits, SINK)]
+        )
+
+    def _evict(self, batch: int) -> None:
+        """Drop the live row with the lowest stamp.
+
+        Candidates come from one partial sort of the stamp lane: the
+        ``batch`` lowest-stamped rows — at least as many as the batch
+        can still evict — taken lowest first.  A candidate freed, or stamped since
+        it was chosen (at or above the clock then), is skipped; every
+        row left out, or stamped since, has a higher stamp than any
+        candidate, so the first candidate left is the least recently
+        used row.  The sort is redone only when the candidates run
+        out."""
+        stamp, victims = self._stamp, self._victims
+        while True:
+            if not victims:
+                live = len(self._rows)
+                take = min(batch, live - 1)
+                chosen = np.argpartition(stamp[:live], take)[: take + 1]
+                victims.extend(chosen[np.argsort(stamp[chosen])[::-1]].tolist())
+                self._chosen_at = self._clock
+            row = victims.pop()
+            entry = self._rows[row]
+            # Skipped if freed, or stamped since it was chosen.
+            if entry is not None and stamp[row] < self._chosen_at:
+                self._drop(entry)
+                return
+
+    def _drop(self, entry: MegaflowEntry) -> None:
+        entries = self._by_mask[entry.mask]
+        del entries[entry.key]
         if not entries:
-            del self._by_mask[mask]
-        self._lru.pop((mask, key), None)
+            del self._by_mask[entry.mask]
+        self._rows[entry.row] = None
+        self._free.append(entry.row)
+        self._stamp[entry.row] = _FREE

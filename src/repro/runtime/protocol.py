@@ -79,7 +79,9 @@ class ShmRequest(NamedTuple):
 
     ``bypass`` asks the worker to skip its megaflow tier for this batch
     (the streaming ladder's rung 2); it rides in the request template,
-    so a replayed batch degrades exactly as the original did."""
+    so a replayed batch degrades exactly as the original did.  ``slot``
+    is the parent's ring slot the block lives in: a block re-created in
+    a slot replaces the worker's attachment to the old one."""
 
     kind: Literal["shm"]
     seq: int
@@ -90,6 +92,7 @@ class ShmRequest(NamedTuple):
     members_key: str
     bypass: bool
     reply_region: tuple[int, int]
+    slot: int
 
 
 class CloseRequest(NamedTuple):

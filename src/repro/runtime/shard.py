@@ -173,6 +173,7 @@ from repro.runtime.lifecycle import (
     LifecycleSweeper,
     VirtualClock,
 )
+from repro.runtime.megaflow import Traversal, credit_lanes
 from repro.runtime.protocol import (
     AddMutation,
     ByeReply,
@@ -532,8 +533,11 @@ def _worker_main(
     never waits on a reply that will not come.
 
     The worker owns no shared segment.  It attaches to the one block
-    each message names (a cached dict hit after the first use), so
-    there is nothing for a SIGKILL to strand.  The parent never keeps
+    each message names (a cached dict hit after the first use), one
+    attachment per ring slot — a block the parent re-created in a slot
+    replaces the old attachment, which is closed — so it maps at most
+    ``depth`` request blocks and there is nothing for a SIGKILL to
+    strand.  The parent never keeps
     more than ``depth`` batches in flight and decodes a batch's replies
     before reusing its block, so writing the named region cannot race a
     parent-side read of the reply that last used it.
@@ -558,7 +562,10 @@ def _worker_main(
             if kind == "shm":
                 conn.send(
                     replica.serve(
-                        message, blocks.buf(message.block_name), faults, worker_id
+                        message,
+                        blocks.buf(message.block_name, message.slot),
+                        faults,
+                        worker_id,
                     )
                 )
             elif kind == "close":
@@ -820,27 +827,48 @@ class ShardedBatchPipeline:
             self._conns.append(conn)
             self._procs.append(proc)
 
-    #: Longest close() waits for one worker's orderly Bye before
-    #: escalating to SIGKILL.
+    #: Longest close() waits for the workers' orderly Byes — all of
+    #: them, against one deadline — before escalating to SIGKILL.
     CLOSE_TIMEOUT = 5.0
 
-    def _shutdown_worker(self, worker: int) -> None:
-        """Orderly close of one worker: one bounded, sentinel-aware
-        wait for its Bye, then a kill if it did not come — or if an
-        owed reply came first.  A kill is always safe — the worker owns
-        nothing."""
-        conn, proc = self._conns[worker], self._procs[worker]
-        acknowledged = False
-        try:
-            conn.send(CloseRequest("close"))
-            mp_connection.wait([conn, proc.sentinel], self.CLOSE_TIMEOUT)
-            acknowledged = self._take_frame(worker, closing=True)
-        except OSError:  # already dead, or retired with its pipe closed
-            pass
-        conn.close()
-        if not acknowledged:
-            proc.kill()
-        proc.join(timeout=self.CLOSE_TIMEOUT)
+    def _shutdown_workers(self) -> None:
+        """Orderly close of the fleet: every worker is asked to close
+        first, then their Byes are awaited together against one
+        deadline, sentinel-aware, so close() waits at most
+        ``CLOSE_TIMEOUT`` however many workers hang.  A worker that did
+        not say Bye by then — or said anything else first, such as a
+        reply it still owed — is killed.  A kill is always safe — the
+        worker owns nothing."""
+        waiting: dict[Any, int] = {}
+        for worker, (conn, proc) in enumerate(zip(self._conns, self._procs)):
+            try:
+                conn.send(CloseRequest("close"))
+            except OSError:  # already dead, or retired with its pipe closed
+                continue
+            waiting[conn] = waiting[proc.sentinel] = worker
+        acknowledged = set()
+        # A supervision deadline on worker processes, not simulation time.
+        deadline = time.monotonic() + self.CLOSE_TIMEOUT  # repro-lint: disable=wall-clock-ban
+
+        def remaining() -> float:
+            return max(deadline - time.monotonic(), 0.0)  # repro-lint: disable=wall-clock-ban
+
+        while waiting and (left := remaining()):
+            ready = mp_connection.wait(list(waiting), left)
+            for worker in {waiting[obj] for obj in ready}:
+                if self._take_frame(worker, closing=True):
+                    acknowledged.add(worker)
+                conn, proc = self._conns[worker], self._procs[worker]
+                del waiting[conn], waiting[proc.sentinel]
+        for worker, (conn, proc) in enumerate(zip(self._conns, self._procs)):
+            conn.close()
+            if worker not in acknowledged:
+                proc.kill()
+        for proc in self._procs:
+            proc.join(remaining())
+            if proc.is_alive():  # acknowledged, yet not gone by the deadline
+                proc.kill()
+                proc.join()
 
     def close(self) -> None:
         """Shut every worker down (idempotent).
@@ -856,11 +884,10 @@ class ShardedBatchPipeline:
         Batches still in flight are forgotten, not collected: nothing
         they hold was counted (a batch counts at its credit), so
         dropping their records is the whole of it, and the one wait
-        left is each worker's bounded shutdown.
+        left is the fleet's shutdown, bounded by one deadline.
         """
         self._inflight.clear()
-        for worker in range(len(self._procs)):
-            self._shutdown_worker(worker)
+        self._shutdown_workers()
         self._conns = []
         self._procs = []
         for block in self._requests:
@@ -1229,6 +1256,7 @@ class ShardedBatchPipeline:
                 f"members/{worker}",
                 bypass,
                 region,
+                seq % self.depth,
             )
             for worker, region in regions.items()
         }
@@ -1397,13 +1425,15 @@ class ShardedBatchPipeline:
                 )
             )
         codes = np.empty(len(batch), dtype=np.int64)
-        outcomes = ColumnarOutcomes(batch, [], codes)
+        traversals: list[Traversal] = []
         stats = self.stats
         for members, shard in zip(inflight.groups.values(), decoded):
             for name, count in zip(REPLY_COUNTERS, shard.counters):
                 setattr(stats, name, getattr(stats, name) + count)
-            codes[members] = shard.codes + len(outcomes.traversals)
-            outcomes.traversals += shard.traversals
+            codes[members] = shard.codes + len(traversals)
+            traversals += shard.traversals
+        credits = credit_lanes(traversals, len(self._authoritative.tables))
+        outcomes = ColumnarOutcomes(batch, traversals, codes, credits)
         credit_outcomes(stats, outcomes)
         self._maybe_prune_log(inflight.log_len)
         return outcomes

@@ -195,25 +195,38 @@ def _release_segment(shm: shared_memory.SharedMemory) -> None:
 
 
 class BlockAttachments:
-    """Cache of attached (peer-owned) segments, keyed by name."""
+    """Attached (peer-owned) segments, at most one per slot.
+
+    A slot is whatever the owner re-creates a block in — a ring slot
+    of the sharded parent, or the segment's own name when ``buf`` is
+    given none.  Attaching a new name in a slot closes the segment it
+    replaces: the owner unlinked that one when it re-created the block,
+    so keeping it mapped would only pin memory nobody can name again.
+    """
 
     def __init__(self) -> None:
-        self._attached: dict[str, shared_memory.SharedMemory] = {}
+        self._attached: dict[object, shared_memory.SharedMemory] = {}
 
-    def buf(self, name: str) -> memoryview:
-        shm = self._attached.get(name)
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=name)
-            self._attached[name] = shm
+    def buf(self, name: str, slot: object = None) -> memoryview:
+        key = name if slot is None else slot
+        shm = self._attached.get(key)
+        if shm is None or shm.name != name:
+            if shm is not None:
+                _close_attachment(shm)
+            shm = self._attached[key] = shared_memory.SharedMemory(name=name)
         return shm.buf
 
     def close(self) -> None:
         for shm in self._attached.values():
-            try:
-                shm.close()
-            except (BufferError, OSError):  # pragma: no cover - defensive
-                pass
+            _close_attachment(shm)
         self._attached.clear()
+
+
+def _close_attachment(shm: shared_memory.SharedMemory) -> None:
+    try:
+        shm.close()
+    except (BufferError, OSError):  # pragma: no cover - defensive
+        pass
 
 
 class Segment(NamedTuple):

@@ -94,7 +94,7 @@ def serve_one_batch(replica, batch):
     buf = memoryview(bytearray(sum(region)))
     segments = writer.write_to(buf)
     request = ShmRequest(
-        "shm", 0, (), "", segments, layout, "members/0", False, region
+        "shm", 0, (), "", segments, layout, "members/0", False, region, 0
     )
     return replica.serve(request, buf, FaultPlan(), 0)
 

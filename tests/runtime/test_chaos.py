@@ -434,7 +434,7 @@ class TestCloseIsBounded:
     on a batch in flight and no deadline set, it still returns within
     ``CLOSE_TIMEOUT`` plus a margin — by ``close()``, by a ``with``
     exit and by the garbage collector alike — and the hung worker is
-    killed."""
+    killed.  Hung workers share that one deadline."""
 
     #: Shortened so the suite does not wait out the default per worker.
     CLOSE_TIMEOUT = 1.0
@@ -473,6 +473,45 @@ class TestCloseIsBounded:
                 pass
         self.check(started, procs)
         assert sharded.in_flight == 0
+
+    def test_hung_workers_share_one_deadline(self, small_routing_set, monkeypatch):
+        """Both workers hung on a batch in flight: close() asks every
+        worker to close before it waits on any, so all its waits —
+        for Byes and for exits alike — ask for one ``CLOSE_TIMEOUT``
+        between them, not one per worker.  Read off the timeouts
+        passed to ``multiprocessing.connection.wait``, never a clock."""
+        monkeypatch.setattr(
+            ShardedBatchPipeline, "CLOSE_TIMEOUT", self.CLOSE_TIMEOUT
+        )
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(0, 0, "after-receive", "hang"),
+                FaultSpec(1, 1, "after-receive", "hang"),
+            )
+        )
+        sharded = _RoutedSharded(
+            make_arch(small_routing_set),
+            workers=2,
+            depth=2,
+            cache_capacity=64,
+            fault_plan=plan,
+        )
+        for batch in routed_batches(small_routing_set, (16, 16)):
+            sharded.submit_batch(batch)
+        procs = list(sharded._procs)
+        asked = []
+        wait = shard.mp_connection.wait
+
+        def spied(objects, timeout=None):
+            asked.append(timeout)
+            return wait(objects, timeout)
+
+        monkeypatch.setattr(shard.mp_connection, "wait", spied)
+        with bounded(10):
+            sharded.close()
+        assert asked and None not in asked
+        assert sum(asked) <= self.CLOSE_TIMEOUT
+        assert not any(proc.is_alive() for proc in procs)
 
     def test_collected_runner_returns(self, small_routing_set, monkeypatch):
         import gc

@@ -15,13 +15,12 @@ all for a batch the wildcard tier answers whole.
 unread ``process_batches`` stream builds one ``PathOutcome`` per
 distinct traversal per batch, no ``PipelineResult`` and no row dict.
 ``TestHitPathCostShape`` pins what an all-hit batch costs around its
-probes: each mask keyed once per column store, the hit bookkeeping in
-the probe's one pass, one flow-stats fold per aggregate and matched
-entry (no ``credit_traversal`` call) and no ``PipelineResult``.
+probes: each mask keyed once per column store, one write to the LRU
+stamp lane, one scatter into the counter columns and no ``FlowStats``
+call (no ``credit_traversal`` call either) and no ``PipelineResult``.
 ``TestCreditOnceCostShape`` pins that classifying only computes: one
-``FlowStats.add`` per (traversal, matched entry) and no
-``FlowStats.record`` per ``classify_columnar``, nothing at all from a
-replica's serve.
+counter-column scatter and no ``FlowStats.add`` or ``record`` per
+``classify_columnar``, nothing at all from a replica's serve.
 ``TestMissPathAllocationShape`` pins what a miss leaves cached: one
 immutable outcome per distinct entry path, with no list or dict in it;
 ``TestMaterialisedResultsAreTheReaders`` that mutating a materialised
@@ -45,7 +44,7 @@ from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.field_engine import PartitionEngine, TriePartitionEngine
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import Action, OutputAction
-from repro.openflow.flow import FlowEntry, FlowStats
+from repro.openflow.flow import CounterColumns, FlowEntry, FlowStats
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, FieldMaskSink, Match, PrefixMatch
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
@@ -776,7 +775,7 @@ class TestMissPathAllocationShape:
         monkeypatch.setattr(ColumnarWalk, "run", recorded)
         runner.classify_columnar(PacketBatch.from_dicts(packets))
         (walk,) = walks
-        cached = list(runner.megaflow._lru.values())
+        cached = [entry for entry in runner.megaflow._rows if entry is not None]
         assert runner.megaflow.misses == len(walk.traversals) == self.SIZE
         # A masked key pins its path, so no two installs collided.
         assert len(cached) == self.SIZE
@@ -966,6 +965,24 @@ class _CountingIndex(dict):
         return super().get(key, default)
 
 
+class _CountingLane(np.ndarray):
+    """A megaflow stamp lane that counts the writes made to it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        type(self).writes += 1
+        super().__setitem__(key, value)
+
+
+def _count_stamps(monkeypatch, megaflow):
+    """Swap ``megaflow``'s stamp lane for a counting view of itself;
+    returns the view's class, whose ``writes`` counts the writes."""
+    lane = type("_Lane", (_CountingLane,), {})
+    monkeypatch.setattr(megaflow, "_stamp", megaflow._stamp.view(lane))
+    return lane
+
+
 class _VersionReads:
     """Stands in for a table in ``version_checks``; counts validations."""
 
@@ -1007,7 +1024,8 @@ class TestMegaflowProbeCostShape:
     """What the megaflow fast path may do for an all-hit batch: Python
     work per distinct masked key, never per position — stamped frame
     lengths make every packet its own row, so the tier cannot lean on
-    row dedup."""
+    row dedup — and its LRU stamped with one vectorised write, never a
+    call per aggregate."""
 
     def test_all_hit_batch_probes_and_credits_per_distinct_aggregate(
         self, monkeypatch, rule_set
@@ -1019,10 +1037,10 @@ class TestMegaflowProbeCostShape:
         assert len(masks) == megaflow.mask_count
         for mask in masks:
             megaflow._by_mask[mask] = _CountingIndex(megaflow._by_mask[mask])
-        touches = _Spy(monkeypatch, megaflow._lru, "move_to_end")
+        stamps = _count_stamps(monkeypatch, megaflow)
         (table,) = runner.pipeline.tables
         watch = _VersionReads(table)
-        for entry in megaflow._lru.values():
+        for entry in filter(None, megaflow._rows):
             assert [t for t, _ in entry.version_checks] == [table]
             entry.version_checks = tuple(
                 (watch, version) for _, version in entry.version_checks
@@ -1030,13 +1048,13 @@ class TestMegaflowProbeCostShape:
 
         def tally():
             probes = sum(megaflow._by_mask[mask].probes for mask in masks)
-            return np.array([probes, watch.reads, touches.calls, megaflow.misses])
+            return np.array([probes, watch.reads, stamps.writes, megaflow.misses])
 
         counted = []
         for view in views:
             before = tally()
             outcome = runner.classify_columnar(view)
-            probes, reads, moved, misses = (tally() - before).tolist()
+            probes, reads, stamped, misses = (tally() - before).tolist()
             assert misses == 0
             distinct_keys = [
                 len(set(view.masked_key_codes(mask).codes[view.pick].tolist()))
@@ -1045,8 +1063,9 @@ class TestMegaflowProbeCostShape:
             aggregates = len({id(entry) for entry in outcome.traversals})
             assert aggregates == len(outcome.traversals)
             assert aggregates <= probes <= sum(distinct_keys) < size
-            # One validation and one LRU touch per aggregate hit.
-            assert reads == moved == aggregates
+            # One validation per aggregate hit, one LRU write per batch.
+            assert reads == aggregates
+            assert stamped == 1
             counted.append((probes, aggregates))
         # Counts, not timings: they repeat exactly for the seed.
         assert len(masks) == 3
@@ -1055,88 +1074,91 @@ class TestMegaflowProbeCostShape:
 
 class TestHitPathCostShape:
     """What an all-hit batch may cost around the probes: a mask's keys
-    are coded once per column store (never once per view), and the hit
-    bookkeeping is one pass over the aggregates hit — no second credit
-    loop in ``classify_columnar``, one flow-stats fold per (aggregate,
-    matched entry), and no per-packet result for a batch nobody reads."""
+    are coded once per column store (never once per view), the LRU is
+    stamped with one write, and the credit is one scatter into the
+    counter columns — no ``FlowStats.add`` or ``record`` call, no
+    ``credit_traversal`` call — and no per-packet result for a batch
+    nobody reads."""
+
+    #: What one all-hit ``classify_columnar`` calls, whatever its size.
+    ALL_HIT = {
+        "keyed": 0,
+        "credited": 0,
+        "folded": 0,
+        "recorded": 0,
+        "scattered": 1,
+        "stamped": 1,
+        "constructed": 0,
+        "replayed": 0,
+    }
 
     @staticmethod
-    def spies(monkeypatch):
+    def spies(monkeypatch, runner):
         return {
             "keyed": _Spy(monkeypatch, packet_batch_module, "_key_codes"),
             "credited": _Spy(monkeypatch, batch_module, "credit_traversal"),
             "folded": _Spy(monkeypatch, FlowStats, "add"),
+            "recorded": _Spy(monkeypatch, FlowStats, "record"),
+            "scattered": _Spy(monkeypatch, CounterColumns, "credit"),
+            "stamped": _count_stamps(monkeypatch, runner.megaflow),
             "constructed": _Spy(monkeypatch, PipelineResult, "__init__"),
             "replayed": _Spy(monkeypatch, batch_module, "replay_template"),
         }
 
     @staticmethod
-    def classify(runner, spies, batch):
+    def calls(spies):
+        return {
+            name: spy.writes if name == "stamped" else spy.calls
+            for name, spy in spies.items()
+        }
+
+    def classify(self, runner, spies, batch):
         """Classify an all-hit batch; the spies' growth and the
-        (aggregate, matched entry) pairs it hit."""
-        before = {name: spy.calls for name, spy in spies.items()}
+        outcome."""
+        before = self.calls(spies)
         misses = runner.megaflow.misses
         outcome = runner.classify_columnar(batch)
         assert runner.megaflow.misses == misses
-        grown = {name: spy.calls - before[name] for name, spy in spies.items()}
-        pairs = sum(
-            len(traversal.outcome.matched_entries)
-            for traversal in outcome.traversals
-        )
-        return grown, pairs, outcome
+        grown = {name: calls - before[name] for name, calls in self.calls(spies).items()}
+        return grown, outcome
 
     def test_views_of_one_store_key_each_mask_once(self, monkeypatch, rule_set):
-        spies = self.spies(monkeypatch)
+        keyed = _Spy(monkeypatch, packet_batch_module, "_key_codes")
         runner, views = _all_hit_views(rule_set)
         masks = runner.megaflow.mask_count
         # The warm-up (misses and installs included) coded each mask of
         # the shared store once.
-        assert spies["keyed"].calls == masks == 3
+        assert keyed.calls == masks == 3
+        spies = self.spies(monkeypatch, runner)
         for view in views:
-            grown, pairs, outcome = self.classify(runner, spies, view)
+            grown, outcome = self.classify(runner, spies, view)
             assert 1 < len(outcome.traversals) < len(view)
-            assert pairs > 0
-            assert grown == {
-                "keyed": 0,
-                "credited": 0,
-                "folded": pairs,
-                "constructed": 0,
-                "replayed": 0,
-            }
-        assert spies["keyed"].calls == masks
+            assert grown == self.ALL_HIT
+        assert spies["keyed"].calls == 0
 
     def test_one_packet_batch(self, monkeypatch, rule_set):
         runner, views = _all_hit_views(rule_set)
-        spies = self.spies(monkeypatch)
+        spies = self.spies(monkeypatch, runner)
         # A one-packet view of the warm store costs no keying at all...
-        grown, pairs, outcome = self.classify(runner, spies, views[1][7:8])
+        grown, outcome = self.classify(runner, spies, views[1][7:8])
         assert len(outcome) == len(outcome.traversals) == 1
-        assert grown == {
-            "keyed": 0,
-            "credited": 0,
-            "folded": pairs,
-            "constructed": 0,
-            "replayed": 0,
-        }
+        assert grown == self.ALL_HIT
         # ...and a store of its own keys each mask it probes once.
         single = PacketBatch.from_dicts([views[1].fields_at(7)])
-        first, pairs, _ = self.classify(runner, spies, single)
+        first, _ = self.classify(runner, spies, single)
         assert 1 <= first["keyed"] <= runner.megaflow.mask_count
-        again, _, _ = self.classify(runner, spies, single)
-        assert first["folded"] == again["folded"] == pairs > 0
-        assert again["keyed"] == 0
-        assert first["credited"] == again["credited"] == 0
-        assert first["constructed"] == again["constructed"] == 0
-        assert first["replayed"] == again["replayed"] == 0
+        again, _ = self.classify(runner, spies, single)
+        assert again == self.ALL_HIT
+        assert {**first, "keyed": 0} == self.ALL_HIT
 
 
 class TestCreditOnceCostShape:
     """Classifying only computes; one function credits and counts.
-    Around one ``classify_columnar`` call, ``FlowStats.add`` runs once
-    per (traversal, matched entry) pair of the outcome it returns,
-    ``FlowStats.record`` never, and ``PacketBatch.frame_lengths`` once —
-    the credit reading the batch's byte lane — on an all-hit batch and
-    a mixed hit/miss batch alike; a replica serving the same batch (its
+    Around one ``classify_columnar`` call, the counter columns take one
+    scatter (``CounterColumns.credit``), ``FlowStats.add`` and
+    ``record`` run never, and ``PacketBatch.frame_lengths`` once — the
+    credit reading the batch's byte lane — on an all-hit batch and a
+    mixed hit/miss batch alike; a replica serving the same batch (its
     misses, then its hits) calls none of them.  Counts only."""
 
     @staticmethod
@@ -1150,15 +1172,14 @@ class TestCreditOnceCostShape:
             runner.classify_columnar(PacketBatch.from_dicts(dicts))
         replica = _Replica(PipelineSpec.snapshot(pipeline), 64, 512)
         spies = {name: _Spy(monkeypatch, FlowStats, name) for name in ("add", "record")}
+        spies["credit"] = _Spy(monkeypatch, CounterColumns, "credit")
         spies["frame_lengths"] = _Spy(monkeypatch, PacketBatch, "frame_lengths")
         hits, misses = runner.megaflow.hits, runner.megaflow.misses
         outcome = runner.classify_columnar(batch)
-        pairs = sum(
-            len(traversal.outcome.matched_entries)
-            for traversal in outcome.traversals
+        assert any(
+            traversal.outcome.matched_entries for traversal in outcome.traversals
         )
-        assert pairs > 0
-        expected = {"add": pairs, "record": 0, "frame_lengths": 1}
+        expected = {"add": 0, "record": 0, "credit": 1, "frame_lengths": 1}
         assert {name: spy.calls for name, spy in spies.items()} == expected
         for _ in range(2):
             reply = serve_one_batch(replica, batch)

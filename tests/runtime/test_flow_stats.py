@@ -17,11 +17,24 @@ counts were wired end-to-end but always zero, because packets carried
 no frame lengths).
 """
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.lookup_table import OpenFlowLookupTable
-from repro.packet.headers import frame_length
+from repro.openflow.actions import OutputAction
+from repro.openflow.flow import COUNTERS, FlowEntry, FlowStats
+from repro.openflow.instructions import WriteActions
+from repro.openflow.match import Match
+from repro.openflow.pipeline import OpenFlowPipeline
+from repro.openflow.table import FlowTable
+from repro.packet.batch import PacketBatch
+from repro.packet.headers import FRAME_LEN_FIELD, frame_length
 from repro.runtime import (
     BatchPipeline,
     ShardedBatchPipeline,
@@ -176,3 +189,122 @@ def test_scalar_paths_conserve(small_routing_set):
 
     total_bytes = sum(entry.stats.byte_count for entry in entries)
     assert total_bytes == matched * DEFAULT_FRAME_LEN > 0
+
+
+class TestCounterColumns:
+    """An entry's counters are its row of the process's counter columns
+    (``COUNTERS``): the row goes wherever the entry goes — out of a
+    table and back, into a second table — a copy gets a row of its own,
+    and a collected entry's row comes back zeroed."""
+
+    @staticmethod
+    def entry(port):
+        return FlowEntry.build(
+            match=Match.exact(in_port=port),
+            priority=1,
+            instructions=[WriteActions([OutputAction(port)])],
+        )
+
+    @staticmethod
+    def classify(runner, port, frames):
+        batch = PacketBatch.from_dicts(
+            [{"in_port": port, FRAME_LEN_FIELD: frame} for frame in frames]
+        )
+        return runner.classify_columnar(batch)
+
+    def test_counts_survive_remove_and_reinstall(self):
+        entry = self.entry(1)
+        table = OpenFlowLookupTable(("in_port",), table_id=0)
+        table.add(entry)
+        runner = BatchPipeline(
+            MultiTableLookupArchitecture([table]), megaflow_capacity=16
+        )
+        self.classify(runner, 1, (64, 128))
+        row = entry.stats.row
+        table.remove(entry.match, entry.priority)
+        self.classify(runner, 1, (1500,))  # a miss now: credits nothing
+        assert (entry.stats.packet_count, entry.stats.byte_count) == (2, 192)
+        table.add(entry)
+        self.classify(runner, 1, (100,))
+        assert entry.stats.row == row
+        assert (entry.stats.packet_count, entry.stats.byte_count) == (3, 292)
+        assert (COUNTERS.packets[row], COUNTERS.bytes[row]) == (3, 292)
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))]
+    )
+    def test_a_copy_counts_in_a_row_of_its_own(self, duplicate):
+        entry = self.entry(2)
+        entry.touch_packet(byte_count=70, now=5)
+        entry.stats.add(2, 30)
+        twin = duplicate(entry)
+        assert twin.stats.row != entry.stats.row
+        assert (twin.stats.packet_count, twin.stats.byte_count) == (3, 100)
+        assert twin.last_touched == entry.last_touched == 5
+        twin.stats.record(1)
+        assert (entry.stats.packet_count, entry.stats.byte_count) == (3, 100)
+        assert (twin.stats.packet_count, twin.stats.byte_count) == (4, 101)
+
+    def test_a_collected_entrys_row_is_reused_zeroed(self):
+        entry = self.entry(3)
+        entry.stats.add(7, 700)
+        row = entry.stats.row
+        del entry
+        gc.collect()
+        assert row in COUNTERS.free
+        # Every free row handed out again, the collected one among them.
+        reused = {stats.row: stats for stats in [FlowStats() for _ in COUNTERS.free[:]]}
+        assert (reused[row].packet_count, reused[row].byte_count) == (0, 0)
+
+    def test_an_entry_shared_by_two_tables_counts_in_one_row(self):
+        """The oracle scan and a decomposition table holding the same
+        entry object credit the same counters, as they always have."""
+        entry = self.entry(4)
+        oracle = FlowTable(table_id=0)
+        oracle.add(entry)
+        table = OpenFlowLookupTable(("in_port",), table_id=0)
+        table.add(entry)
+        OpenFlowPipeline([oracle]).process({"in_port": 4, FRAME_LEN_FIELD: 60})
+        runner = BatchPipeline(
+            MultiTableLookupArchitecture([table]), megaflow_capacity=16
+        )
+        self.classify(runner, 4, (100, 200))
+        assert (entry.stats.packet_count, entry.stats.byte_count) == (3, 360)
+
+    def test_concurrent_allocation_and_credit_lose_nothing(self):
+        """Threads building entries — enough to regrow the columns —
+        while others credit fixed entries: every credit lands and every
+        live entry holds a row of its own."""
+        credited = [self.entry(port) for port in range(2)]
+        grow = len(COUNTERS.packets) - COUNTERS.used + 64
+        built = [[], []]
+        rounds = 2000
+
+        def build(out):
+            for _ in range(grow // 2 + 1):
+                out.append(FlowStats())
+
+        def credit(entry):
+            for _ in range(rounds):
+                entry.stats.add(1, 3)
+
+        workers = [threading.Thread(target=build, args=(out,)) for out in built]
+        workers += [threading.Thread(target=credit, args=(e,)) for e in credited]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for entry in credited:
+            assert (entry.stats.packet_count, entry.stats.byte_count) == (
+                rounds,
+                3 * rounds,
+            )
+        live = [stats.row for out in built for stats in out]
+        live += [entry.stats.row for entry in credited]
+        assert len(set(live)) == len(live)

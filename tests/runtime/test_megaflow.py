@@ -29,7 +29,7 @@ from repro.runtime import (
     widen_rule_set,
 )
 from repro.runtime.batch import BatchStats, ColumnarOutcomes, credit_outcomes
-from repro.runtime.megaflow import Traversal
+from repro.runtime.megaflow import Traversal, credit_lanes
 
 
 def assert_same_result(a, b):
@@ -277,12 +277,15 @@ class _PerPacketMegaflow:
     ``(mask, value & mask tuple)``, ``None`` standing for an absent
     field; masks are probed in first-install order (a mask leaves with
     its last aggregate and re-enters at the back); the first *valid*
-    hit wins and a stale aggregate drops on probe."""
+    hit wins and a stale aggregate drops on probe; an install beyond
+    ``capacity`` evicts the least recently used aggregate."""
 
-    def __init__(self):
+    def __init__(self, capacity):
+        self.capacity = capacity
         self.lru = OrderedDict()
         self.masks = {}
         self.hits = self.misses = self.invalidated = self.installs = 0
+        self.evicted = 0
         #: The runner's traffic counters, as one packet at a time
         #: credits them.
         self.stats = BatchStats()
@@ -300,6 +303,16 @@ class _PerPacketMegaflow:
         self.lru.move_to_end(slot)
         self.masks.setdefault(mask, set()).add(slot)
         self.installs += 1
+        if len(self.lru) > self.capacity:
+            old, _ = self.lru.popitem(last=False)
+            self.forget(old)
+            self.evicted += 1
+
+    def forget(self, slot):
+        mask = slot[0]
+        self.masks[mask].remove(slot)
+        if not self.masks[mask]:
+            del self.masks[mask]
 
     def lookup(self, fields):
         """The hit aggregate's outcome, or ``None``."""
@@ -310,9 +323,7 @@ class _PerPacketMegaflow:
                 continue
             if any(table.version != seen for table, seen in aggregate["checks"]):
                 del self.lru[slot]
-                self.masks[mask].remove(slot)
-                if not self.masks[mask]:
-                    del self.masks[mask]
+                self.forget(slot)
                 self.invalidated += 1
                 continue
             self.hits += 1
@@ -335,7 +346,13 @@ class _PerPacketMegaflow:
 
     def state(self):
         return {
-            "counters": (self.hits, self.misses, self.invalidated, self.installs),
+            "counters": (
+                self.hits,
+                self.misses,
+                self.invalidated,
+                self.installs,
+                self.evicted,
+            ),
             "lru": [
                 (mask, aggregate["outcome"].metadata)
                 for (mask, _), aggregate in self.lru.items()
@@ -348,15 +365,26 @@ class _PerPacketMegaflow:
         }
 
 
+def _lru(cache):
+    """A real cache's aggregates, least recently used first: its live
+    rows in stamp order."""
+    live = [entry for entry in cache._rows if entry is not None]
+    assert len(live) == len(cache) <= cache.capacity
+    return sorted(live, key=lambda entry: cache._stamp[entry.row])
+
+
 def _cache_state(cache):
     """:meth:`_PerPacketMegaflow.state` of a real :class:`MegaflowCache`
     (``metadata`` names the install, see :meth:`_ProbeWorld.install`)."""
     return {
-        "counters": (cache.hits, cache.misses, cache.invalidated, cache.installs),
-        "lru": [
-            (mask, entry.outcome.metadata)
-            for (mask, _), entry in cache._lru.items()
-        ],
+        "counters": (
+            cache.hits,
+            cache.misses,
+            cache.invalidated,
+            cache.installs,
+            cache.evicted,
+        ),
+        "lru": [(entry.mask, entry.outcome.metadata) for entry in _lru(cache)],
         "index": {
             mask: sorted(entry.outcome.metadata for entry in index.values())
             for mask, index in cache._by_mask.items()
@@ -370,7 +398,7 @@ class _ProbeWorld:
     aggregates; built twice per example — around the real cache and
     around the per-packet model."""
 
-    def __init__(self, aggregates, model=False):
+    def __init__(self, aggregates, model=False, capacity=64):
         self.tables = [FlowTable(table_id=0), FlowTable(table_id=1)]
         self.flow_entries = []
         for table in self.tables:
@@ -379,18 +407,47 @@ class _ProbeWorld:
             self.flow_entries.append(entry)
         self.model = model
         self.cache = (
-            _PerPacketMegaflow()
+            _PerPacketMegaflow(capacity)
             if model
-            else MegaflowCache(OpenFlowPipeline(self.tables), capacity=64)
+            else MegaflowCache(OpenFlowPipeline(self.tables), capacity=capacity)
         )
         self.installed = 0
         for mask_index, fields, deep in aggregates:
-            self.install(_PROBE_MASKS[mask_index], fields, deep)
+            self.install([(_PROBE_MASKS[mask_index], fields, deep)])
 
-    def install(self, mask, fields, deep):
-        visited = self.tables[: 2 if deep else 1]
+    def install(self, aggregates):
+        """Install ``(mask, fields, deep)`` aggregates: one by one into
+        the model, as one ``install_batch`` into the real cache."""
+        visited, masks, outcomes = [], {}, []
+        for mask, fields, deep in aggregates:
+            visited.append(self.tables[: 2 if deep else 1])
+            masks.setdefault(mask, len(masks))
+            outcomes.append(self.outcome(visited[-1]))
+        if self.model:
+            for (mask, fields, _), path, outcome in zip(aggregates, visited, outcomes):
+                self.cache.install(
+                    mask, fields, outcome, [(table, table.version) for table in path]
+                )
+            return
+        positions = np.arange(len(aggregates))
+        traversals = [
+            Traversal(outcome, tuple((table, table.version) for table in path))
+            for path, outcome in zip(visited, outcomes)
+        ]
+        self.cache.install_batch(
+            PacketBatch.from_dicts([fields for _, fields, _ in aggregates]),
+            positions,
+            list(masks),
+            np.array([masks[mask] for mask, _, _ in aggregates], dtype=np.int64),
+            traversals,
+            positions,
+            credit_lanes(traversals, len(self.tables)),
+        )
+
+    def outcome(self, visited):
+        deep = len(visited) == 2
         self.installed += 1
-        outcome = PathOutcome(
+        return PathOutcome(
             matched_entries=tuple(self.flow_entries[: len(visited)]),
             applied_actions=(),
             output_ports=(),
@@ -402,18 +459,6 @@ class _ProbeWorld:
             metadata=self.installed,
             tables_visited=tuple(table.table_id for table in visited),
             overrides=(),
-        )
-        if self.model:
-            self.cache.install(
-                mask, fields, outcome, [(table, table.version) for table in visited]
-            )
-            return
-        one = np.zeros(1, dtype=np.int64)
-        traversal = Traversal(
-            outcome, tuple((table, table.version) for table in visited)
-        )
-        self.cache.install_batch(
-            PacketBatch.from_dicts([fields]), one, [mask], one, [traversal], one
         )
 
     def state(self):
@@ -434,14 +479,18 @@ class TestProbeCreditEquivalence:
     credited, leaves exactly what probing the same packets one by one
     leaves (:class:`_PerPacketMegaflow`); the probe's own sums are each
     aggregate's packets and frame bytes, and the probe alone credits
-    no flow stats."""
+    no flow stats.  The misses then install as one batch, which leaves
+    what installing them one by one leaves — LRU order, index, probe
+    order and every counter, evictions included — at capacities below
+    one batch's installs too."""
 
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(
         aggregates=st.lists(_probe_aggregate, min_size=1, max_size=8),
         pool=st.lists(_probe_packet, min_size=1, max_size=8),
         picks=st.lists(st.integers(0, 7), min_size=1, max_size=24),
         stale=st.booleans(),
+        capacity=st.sampled_from((1, 2, 3, 5, 64)),
     )
     # Equal headers under distinct frame lengths, one of them aliased.
     @example(
@@ -453,6 +502,7 @@ class TestProbeCreditEquivalence:
         ],
         picks=[0, 1, 0, 2, 1],
         stale=False,
+        capacity=64,
     )
     # Absent fields: presence bit 0 is a key of its own, not value 0.
     @example(
@@ -460,6 +510,7 @@ class TestProbeCreditEquivalence:
         pool=[{"tcp_dst": 80}, {"in_port": 0}, {"in_port": 2}],
         picks=[0, 1, 2, 0],
         stale=False,
+        capacity=64,
     )
     # Two masks cover the packet: the first in probe order wins,
     # whichever way round they were installed.
@@ -468,12 +519,14 @@ class TestProbeCreditEquivalence:
         pool=[_BOTH],
         picks=[0, 0],
         stale=False,
+        capacity=64,
     )
     @example(
         aggregates=[(0, _BOTH, False), (1, _BOTH, False)],
         pool=[_BOTH],
         picks=[0, 0],
         stale=False,
+        capacity=64,
     )
     # A stale aggregate shared by several positions, shadowing a fresh
     # one under a later mask: one invalidation, the sharers fall through.
@@ -482,6 +535,7 @@ class TestProbeCreditEquivalence:
         pool=[_BOTH, {"in_port": 1, "ipv4_dst": 0x0A000002}, {"in_port": 2}],
         picks=[0, 1, 2, 0, 1],
         stale=True,
+        capacity=64,
     )
     # ... and with nothing behind it: every sharer misses.
     @example(
@@ -489,10 +543,33 @@ class TestProbeCreditEquivalence:
         pool=[{"ipv4_dst": 0x0A000002, "tcp_dst": 80, FRAME_LEN_FIELD: 576}],
         picks=[0, 0, 0],
         stale=True,
+        capacity=64,
     )
-    def test_matches_per_packet_lookup(self, aggregates, pool, picks, stale):
+    # One batch installs more than the capacity, and an aggregate
+    # evicted earlier in the batch is installed again later in it: a
+    # fresh install (one more eviction), not a replacement.
+    @example(
+        aggregates=[(0, {"in_port": 2}, False)],
+        pool=[{"in_port": 0}, {"in_port": 1}, {"in_port": 0}],
+        picks=[0, 1, 2, 0, 1, 2],
+        stale=False,
+        capacity=1,
+    )
+    # A mask loses its last aggregate to an eviction mid-batch and
+    # re-enters at the back of the probe order.
+    @example(
+        aggregates=[(0, {"in_port": 2}, False), (2, {"tcp_dst": 80}, False)],
+        pool=[{"ipv4_dst": 0x0B000001}, {"in_port": 1}, {"tcp_dst": 443}],
+        picks=[0, 1, 2],
+        stale=False,
+        capacity=2,
+    )
+    def test_matches_per_packet_lookup(
+        self, aggregates, pool, picks, stale, capacity
+    ):
         packets = [pool[pick % len(pool)] for pick in picks]
-        columnar, scalar = _ProbeWorld(aggregates), _ProbeWorld(aggregates, model=True)
+        columnar = _ProbeWorld(aggregates, capacity=capacity)
+        scalar = _ProbeWorld(aggregates, model=True, capacity=capacity)
         if stale:
             for world in (columnar, scalar):
                 world.tables[1].add(output_entry(Match.exact(in_port=9), 2, 30))
@@ -502,7 +579,7 @@ class TestProbeCreditEquivalence:
         for credits in (1, 2):
             batch = PacketBatch.from_dicts(packets)
             flow_stats = columnar.state()["flow_stats"]
-            found, codes, missed = columnar.cache.probe(batch)
+            found, gathered, codes, missed = columnar.cache.probe(batch)
             assert columnar.state()["flow_stats"] == flow_stats
             replayed = [scalar.cache.lookup(fields) for fields in packets]
             assert [
@@ -518,18 +595,22 @@ class TestProbeCreditEquivalence:
             # The hit positions credited as the runner credits them:
             # per aggregate, from the code lane and the frame_len lane.
             hit = np.flatnonzero(codes >= 0)
+            # A hit's credit lanes come off its row: what the outcome says.
+            assert np.array_equal(gathered, credit_lanes(found, 2))
             credit_outcomes(
-                stats, ColumnarOutcomes(batch.select(hit), found, codes[hit])
+                stats, ColumnarOutcomes(batch.select(hit), found, codes[hit], gathered)
             )
             # The model credits one packet at a time, so it counts no
             # batch; each credit counts one.
             assert stats == replace(scalar.cache.stats, batches=credits)
             assert columnar.state() == scalar.state()
-            for position in missed.tolist():
-                fields = packets[position]
-                mask = _PROBE_MASKS[position % len(_PROBE_MASKS)]
+            misses = [
+                (_PROBE_MASKS[position % len(_PROBE_MASKS)], packets[position], False)
+                for position in missed.tolist()
+            ]
+            if misses:
                 for world in (columnar, scalar):
-                    world.install(mask, fields, deep=False)
+                    world.install(misses)
             assert columnar.state() == scalar.state()
 
     def test_stale_aggregate_shared_by_positions_drops_once(self):
@@ -540,7 +621,7 @@ class TestProbeCreditEquivalence:
             for length in (64, 576, 1500)
         ]
         batch = PacketBatch.from_dicts(packets)
-        found, codes, missed = world.cache.probe(batch)
+        found, _, codes, missed = world.cache.probe(batch)
         assert found == [] and codes.tolist() == [-1, -1, -1]
         assert missed.tolist() == [0, 1, 2]
         assert world.state()["flow_stats"] == [(0, 0), (0, 0)]

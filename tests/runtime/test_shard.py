@@ -1961,7 +1961,8 @@ class TestSegmentBudget:
     reply regions share it.  At W=2, depth=3 the parent owns exactly
     ``depth`` segments during a run (``depth + 1`` with shared rules),
     and no worker maps a block that no request named — bar the sealed
-    rules it attaches at spawn."""
+    rules it attaches at spawn — nor, as batches grow, more than
+    ``depth`` request blocks."""
 
     @pytest.mark.parametrize("shared_rules", [False, True], ids=["built", "sealed"])
     def test_one_block_per_ring_slot(self, small_routing_set, shared_rules):
@@ -1993,6 +1994,38 @@ class TestSegmentBudget:
         assert len(named) == depth
         for blocks in mapped:
             assert blocks and blocks <= named | rules
+
+    def test_a_regrown_block_replaces_the_workers_attachment(
+        self, small_routing_set
+    ):
+        """Lockstep batches of 32 … 8,192 packets re-create each ring
+        block under a fresh name as it outgrows itself; the worker
+        closes the attachment a new name replaces, so it never maps
+        more than ``depth`` request blocks, and none the parent has
+        unlinked."""
+        depth = 2
+        sizes = [32 << i for i in range(9)]
+        trace = SCENARIOS["uniform"](
+            small_routing_set, packet_count=sum(sizes), flow_count=24
+        ).events[0][1]
+        named = set()
+        with bounded(60), ShardedBatchPipeline(
+            make_arch(small_routing_set), workers=1, depth=depth, cache_capacity=64
+        ) as sharded:
+            sharded._ensure_started()
+            sharded._conns = [_NamingConn(conn, named) for conn in sharded._conns]
+            (proc,) = sharded._procs
+            start = 0
+            for size in sizes:
+                assert len(sharded.process_batch(trace[start : start + size])) == size
+                start += size
+                mapped = {
+                    name for name in shm_mappings(proc.pid) if name.startswith("psm_")
+                }
+                assert len(mapped) <= depth
+                assert mapped <= shm_segments()
+        # The blocks did regrow: far more names than slots went out.
+        assert len(named) > 2 * depth
 
 
 @needs_dev_shm

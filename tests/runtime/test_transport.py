@@ -25,6 +25,7 @@ from repro.runtime.batch import (
     ColumnarOutcomes,
     credit_outcomes,
 )
+from repro.runtime.megaflow import credit_lanes
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
@@ -316,7 +317,12 @@ class TestResultBlocks:
             del reader  # release numpy views before unmapping
         finally:
             block.close()
-        rebuilt = ColumnarOutcomes(batch, decoded.traversals, decoded.codes)
+        rebuilt = ColumnarOutcomes(
+            batch,
+            decoded.traversals,
+            decoded.codes,
+            credit_lanes(decoded.traversals, len(parent.tables)),
+        )
         return outcomes, [segment.key for segment in segments], decoded, rebuilt
 
     def test_results_roundtrip_via_entry_refs(self):
