@@ -33,52 +33,65 @@ UNSTAMPED = -1
 #: The counter row no :class:`FlowStats` holds (see :class:`CounterColumns`).
 SINK = 0
 
+#: What a row holds when it is handed out — ``packets``, ``bytes``,
+#: ``installed_at``, ``last_touched``, ``swept``: no traffic, no stamps.
+_FRESH = (0, 0, UNSTAMPED, UNSTAMPED, 0)
+
 
 class CounterColumns:
-    """The traffic counters of every live :class:`FlowStats` in the
-    process, as one int64 ``packets`` / ``bytes`` column pair with one
-    row per stats object.
+    """The counters and lifecycle stamps of every live
+    :class:`FlowStats` in the process, as int64 columns with one row
+    per stats object: ``packets`` / ``bytes`` (traffic),
+    ``installed_at`` / ``last_touched`` (virtual-clock ticks,
+    :data:`UNSTAMPED` until the first sweep) and ``swept`` (the packet
+    count as of the entry's last expiry sweep).
 
-    A row is handed out when a ``FlowStats`` is built, zeroed as it is
+    A row is handed out when a ``FlowStats`` is built, reset as it is
     handed out, and goes back on the free list when the object is
     collected, so a counter lives exactly as long as its entry — in
     every table that holds the entry, never per table.  The batched
     runtime credits a whole batch with one scatter per column
-    (:meth:`credit`) and the expiry sweep reads its idle entries' counts
-    with one gather.  The columns double when they run out of rows, so
-    callers index them through this object, never through a kept
-    reference to an array.  Row :data:`SINK` belongs to
-    no stats object: a scatter pads ragged row lists with it, and
-    nothing reads it.
+    (:meth:`credit`) and the expiry sweep reads and writes its timed
+    entries' rows with one gather or scatter per column.  The columns
+    double when they run out of rows, so callers index them through
+    this object, never through a kept reference to an array.  Row
+    :data:`SINK` belongs to no stats object: a scatter pads ragged row
+    lists with it, and nothing reads it.
     """
 
-    __slots__ = ("packets", "bytes", "free", "used", "lock")
+    __slots__ = ("table", "packets", "bytes", "installed_at", "last_touched", "swept",
+                 "free", "used", "lock")
 
     def __init__(self, rows: int = 1024) -> None:
-        self.packets = np.zeros(rows, dtype=np.int64)
-        self.bytes = np.zeros(rows, dtype=np.int64)
-        #: Rows of collected stats, zeroed again when handed out.
+        self._adopt(np.zeros((len(_FRESH), rows), dtype=np.int64))
+        #: Rows of collected stats, reset again when handed out.
         self.free: list[int] = []
         #: Rows ever handed out (the columns' high-water mark), the
         #: sink included.
         self.used = SINK + 1
         #: Held to hand out a row or to write one, so that an entry
         #: built on another thread cannot regrow the columns under a
-        #: credit (reentrant: a collection may run inside it).  A
+        #: write (reentrant: a collection may run inside it).  A
         #: collected row goes back on ``free`` without it.
         self.lock = threading.RLock()
 
-    def allocate(self) -> int:
+    def _adopt(self, table: np.ndarray) -> None:
+        # One array holds every column, a row each (in ``_FRESH``
+        # order); the named columns are views of its rows.
+        self.table = table
+        self.packets, self.bytes, self.installed_at, self.last_touched, self.swept = table
+
+    def allocate(self, values: tuple[int, ...] = _FRESH) -> int:
+        """Hand out a row holding ``values``, one per column."""
         with self.lock:
             if self.free:
                 row = self.free.pop()
-                self.packets[row] = self.bytes[row] = 0
-                return row
-            row = self.used
-            if row == len(self.packets):
-                self.packets = np.concatenate([self.packets, np.zeros_like(self.packets)])
-                self.bytes = np.concatenate([self.bytes, np.zeros_like(self.bytes)])
-            self.used = row + 1
+            else:
+                row = self.used
+                if row == self.table.shape[1]:
+                    self._adopt(np.concatenate([self.table, np.zeros_like(self.table)], axis=1))
+                self.used = row + 1
+            self.table[:, row] = values
             return row
 
     def credit(self, rows: np.ndarray, packets: np.ndarray, octets: np.ndarray) -> None:
@@ -89,30 +102,43 @@ class CounterColumns:
             np.add.at(self.bytes, rows, octets)
 
 
-#: The process's one counter column pair.
+#: The process's one set of counter columns.
 COUNTERS = CounterColumns()
+
+
+def _column_property(column: str) -> property:
+    """A :class:`FlowStats` property that reads and writes the stats
+    object's row of the ``column`` column of :data:`COUNTERS`."""
+
+    def read(stats: FlowStats) -> int:
+        return int(getattr(COUNTERS, column)[stats.row])
+
+    def write(stats: FlowStats, value: int) -> None:
+        with COUNTERS.lock:
+            getattr(COUNTERS, column)[stats.row] = value
+
+    return property(read, write)
 
 
 class FlowStats:
     """Per-entry counters maintained by the switch: a view over the
-    entry's row of :data:`COUNTERS` plus its lifecycle timestamps.
+    entry's row of :data:`COUNTERS`, and nothing else.
 
     Mirrors the POX ``TableEntry.counters`` dict: traffic counters plus
     the two lifecycle timestamps (``installed_at`` ~ POX ``created``,
     ``last_touched``).  Timestamps are virtual-clock ticks, never wall
     time.  ``swept_packets`` is lifecycle-sweeper bookkeeping — the
-    packet count as of the entry's last expiry sweep — kept here so it
-    survives the sweeper's per-table lane rebuilds.  The sweeper
-    maintains ``last_touched`` / ``swept_packets`` only for entries
-    with an idle timeout; on any other entry ``last_touched`` stays at
-    the install stamp.
+    packet count as of the entry's last expiry sweep.  The sweeper
+    writes ``last_touched`` / ``swept_packets`` at every sweep, straight
+    into the row, only for entries with an idle timeout; on any other
+    entry ``last_touched`` stays at the install stamp.
 
-    ``packet_count`` / ``byte_count`` read the row as Python ints.  A
-    copy — pickle or deepcopy, e.g. a snapshot shipped to a worker —
-    gets a row of its own carrying the same counts.
+    Every property reads the row as a Python int.  A copy — pickle or
+    deepcopy, e.g. a snapshot shipped to a worker — gets a row of its
+    own carrying the same counts and stamps.
     """
 
-    __slots__ = ("row", "installed_at", "last_touched", "swept_packets")
+    __slots__ = ("row",)
 
     def __init__(
         self,
@@ -123,27 +149,15 @@ class FlowStats:
         swept_packets: int = 0,
     ) -> None:
         #: This entry's row of :data:`COUNTERS`.
-        self.row = COUNTERS.allocate()
-        if packet_count or byte_count:
-            self.add(packet_count, byte_count)
-        self.installed_at = installed_at
-        self.last_touched = last_touched
-        self.swept_packets = swept_packets
+        self.row = COUNTERS.allocate(
+            (packet_count, byte_count, installed_at, last_touched, swept_packets)
+        )
 
     def __del__(self, _release=COUNTERS.free.append) -> None:
         _release(self.row)
 
     def __reduce__(self) -> tuple:
-        return (
-            FlowStats,
-            (
-                self.packet_count,
-                self.byte_count,
-                self.installed_at,
-                self.last_touched,
-                self.swept_packets,
-            ),
-        )
+        return (FlowStats, tuple(COUNTERS.table[:, self.row].tolist()))
 
     @property
     def packet_count(self) -> int:
@@ -152,6 +166,10 @@ class FlowStats:
     @property
     def byte_count(self) -> int:
         return int(COUNTERS.bytes[self.row])
+
+    installed_at = _column_property("installed_at")
+    last_touched = _column_property("last_touched")
+    swept_packets = _column_property("swept")
 
     def record(self, byte_count: int = 0) -> None:
         self.add(1, byte_count)
@@ -240,7 +258,8 @@ class FlowEntry:
     def last_touched(self) -> int:
         """Virtual-clock tick of the entry's last credited packet, as of
         the most recent lifecycle sweep (the sweeper detects touches
-        from packet-count deltas, so this lags live traffic by at most
+        from packet-count deltas and writes this stamp into the entry's
+        counter row at every sweep, so it lags live traffic by at most
         one sweep; :data:`UNSTAMPED` before the first sweep).
 
         The sweeper maintains it only for entries with an

@@ -15,14 +15,22 @@ single virtual time — the tick the previous sweep ended on.  The
 sweeper exploits that to detect idle-timer touches from *packet-count
 deltas* instead of stamping ``last_touched`` on the hot path: no credit
 site (the scalar lookups' ``stats.record``, and the runtime's one
-batch credit, :func:`~repro.runtime.batch.credit_outcomes`, which folds
-each traversal's sums in with ``stats.add`` in-process and on the
-sharded parent alike) changes at all, which is what keeps aggregated
-and per-packet crediting bitwise-identical.  For the same reason
-``installed_at`` is stamped lazily: an entry installed anywhere between
-two sweeps was installed at the previous sweep's tick, so the sweep
-stamps :data:`~repro.openflow.flow.UNSTAMPED` entries with exactly that
-tick when it first sees them.
+batch credit, :func:`~repro.runtime.batch.credit_outcomes`, which is
+one :meth:`~repro.openflow.flow.CounterColumns.credit` scatter per
+batch in-process and on the sharded parent alike) changes at all,
+which is what keeps aggregated and per-packet crediting
+bitwise-identical.  For the same reason ``installed_at`` is stamped
+lazily: an entry installed anywhere between two sweeps was installed at
+the previous sweep's tick, so the sweep stamps
+:data:`~repro.openflow.flow.UNSTAMPED` entries with exactly that tick
+when it first sees them.
+
+The stamps are columns of :data:`~repro.openflow.flow.COUNTERS` beside
+the traffic counts (``installed_at``, ``last_touched``, ``swept``), so
+the sweep reads and writes them by counter row — one gather or scatter
+per column — and keeps no copy of its own: after every sweep an
+entry's :class:`~repro.openflow.flow.FlowStats` reads exactly what the
+sweep decided on.
 
 The sweep costs what *can expire* and what *changed*, not what is
 installed.  Each table keeps a :class:`~repro.openflow.flow.SweepView`
@@ -33,17 +41,18 @@ the last sweep that still await their lazy stamp.  A sweep drains the
 second — O(installs since the last sweep) — and rebuilds its per-table
 numpy lanes from the first only when the timed membership moved —
 O(timed); a flow-mod on a permanent entry costs the sweep nothing but
-its stamp.  Hard deadlines (``installed + hard``) are settled at
-rebuild with their minimum kept as a scalar, so until something is due
-they cost one integer compare per sweep; the packet-count gather,
-touch detection and idle deadline test run over the idle-timed subset
-only — O(timed) per sweep — with Python-level work only for the
-entries actually expiring (which leave the table anyway).  A table
-with no timed entries and no fresh installs costs O(1) per advance: no
-walk, no numpy.  The narrowing this buys is stated, not hidden:
-``last_touched`` / ``swept_packets`` are maintained only for entries
-with an idle timeout — the only entries any decision reads them for;
-permanent and hard-only entries keep their install stamp.
+its stamp.  Hard deadlines (``installed + hard``, read from the
+``installed_at`` column) are settled at rebuild with their minimum kept
+as a scalar, so until something is due they cost one integer compare
+per sweep; the packet-count gather, touch detection and idle deadline
+test run over the idle-timed subset only — O(timed) per sweep — with
+Python-level work only for the entries actually expiring (which leave
+the table anyway).  A table with no timed entries and no fresh installs
+costs O(1) per advance: no walk, no numpy.  The narrowing this buys is
+stated, not hidden: ``last_touched`` and the ``swept`` column are
+maintained only for entries with an idle timeout — the only entries any
+decision reads them for; permanent and hard-only entries keep their
+install stamp.
 
 Expired entries are removed through the tables the sweep iterates
 (``table.remove(match, priority)``), so the pipeline a runner hands the
@@ -164,41 +173,30 @@ class _TableLanes:
     :class:`~repro.openflow.flow.SweepView` in snapshot (= ledger)
     order and rebuilt — O(timed) — only when that membership moved
     (``timed_version``, or a different view: a thawed frozen table
-    brings its own).  Hard deadlines are settled once per rebuild; the
-    idle lanes buffer ``last_touched`` / packets-at-last-sweep between
-    sweeps and are flushed back to the entries'
-    :class:`~repro.openflow.flow.FlowStats` before every rebuild (and
-    on :meth:`LifecycleSweeper.sync`), so a rebuild never loses
-    idle-timer state, and mutations of untimed entries do not touch
-    the lanes at all.
+    brings its own).  They hold the entries, their counter rows and
+    their timeouts, nothing that changes between rebuilds: hard
+    deadlines are settled once per rebuild, and the idle timers live in
+    the counter columns, so mutations of untimed entries do not touch
+    the lanes at all and a rebuild has nothing to write back.
     """
 
     def __init__(self) -> None:
         self.view: SweepView | None = None
         self.version = -1
-        #: Entries that can expire, in snapshot (= ledger) order.
+        #: Entries that can expire, in snapshot (= ledger) order, and
+        #: their rows of the counter columns (:data:`COUNTERS`).
         self.timed: tuple[FlowEntry, ...] = ()
+        self.rows = np.zeros(0, dtype=np.intp)
         #: ``installed + hard`` per timed entry (``_NEVER`` without a
         #: hard timeout) and its minimum: no hard expiry is possible
         #: until ``now`` passes ``hard_due``.
         self.hard_deadline = np.zeros(0, dtype=np.int64)
         self.hard_due = _NEVER
-        #: The idle-timed subset and its positions within ``timed``.
-        self.idle_entries: tuple[FlowEntry, ...] = ()
+        #: The idle-timed subset: positions within ``timed``, counter
+        #: rows and idle timeouts.
         self.idle_pos = np.zeros(0, dtype=np.intp)
-        #: Their rows of the counter columns (:data:`COUNTERS`).
         self.idle_rows = np.zeros(0, dtype=np.intp)
         self.idle = np.zeros(0, dtype=np.int64)
-        self.last_touched = np.zeros(0, dtype=np.int64)
-        self.swept = np.zeros(0, dtype=np.int64)
-
-    def flush(self) -> None:
-        """Write buffered idle-timer state back to the entry objects."""
-        last = self.last_touched.tolist()
-        swept = self.swept.tolist()
-        for i, entry in enumerate(self.idle_entries):
-            entry.stats.last_touched = last[i]
-            entry.stats.swept_packets = swept[i]
 
     @staticmethod
     def _stamp(view: SweepView, prev: int) -> None:
@@ -208,40 +206,31 @@ class _TableLanes:
         # Drained one item at a time, so an install racing the sweep is
         # stamped now or left for the next sweep, never dropped.
         unstamped = view.unstamped
+        drained: list[int] = []
         while unstamped:
-            stats = unstamped.popitem()[1].stats
-            if stats.installed_at == UNSTAMPED:
-                stats.installed_at = prev
-                stats.last_touched = prev
+            drained.append(unstamped.popitem()[1].stats.row)
+        rows = np.array(drained, dtype=np.intp)
+        with COUNTERS.lock:
+            rows = rows[COUNTERS.installed_at[rows] == UNSTAMPED]
+            COUNTERS.installed_at[rows] = prev
+            COUNTERS.last_touched[rows] = prev
 
     def _rebuild(self, view: SweepView) -> None:
-        self.flush()
         self.view = view
         self.version = view.timed_version
         timed = self.timed = view.timed_entries()
         # One list, then one array, per lane: cheaper than ``fromiter``
         # over a generator, whose per-call cost dominates small lanes.
-        deadlines = [
-            e.stats.installed_at + e.hard_timeout if e.hard_timeout > 0 else _NEVER
-            for e in timed
-        ]
-        self.hard_deadline = np.array(deadlines, dtype=np.int64)
-        self.hard_due = min(deadlines, default=_NEVER)
-        idle_pos = [i for i, e in enumerate(timed) if e.idle_timeout > 0]
-        idle_entries = self.idle_entries = tuple(timed[i] for i in idle_pos)
-        self.idle_pos = np.array(idle_pos, dtype=np.intp)
-        self.idle_rows = np.array(
-            [e.stats.row for e in idle_entries], dtype=np.intp
+        rows = self.rows = np.array([e.stats.row for e in timed], dtype=np.intp)
+        hard = np.array([e.hard_timeout for e in timed], dtype=np.int64)
+        idle = np.array([e.idle_timeout for e in timed], dtype=np.int64)
+        self.hard_deadline = np.where(
+            hard > 0, COUNTERS.installed_at[rows] + hard, _NEVER
         )
-        self.idle = np.array(
-            [e.idle_timeout for e in idle_entries], dtype=np.int64
-        )
-        self.last_touched = np.array(
-            [e.stats.last_touched for e in idle_entries], dtype=np.int64
-        )
-        self.swept = np.array(
-            [e.stats.swept_packets for e in idle_entries], dtype=np.int64
-        )
+        self.hard_due = int(self.hard_deadline.min(initial=_NEVER))
+        idle_pos = self.idle_pos = np.flatnonzero(idle > 0)
+        self.idle_rows = rows[idle_pos]
+        self.idle = idle[idle_pos]
 
     def sweep(
         self, table: SweptTable, prev: int, now: int
@@ -266,22 +255,35 @@ class _TableLanes:
             due = dict.fromkeys(
                 np.nonzero(now > self.hard_deadline)[0].tolist(), "hard"
             )
-        idle_entries = self.idle_entries
-        if idle_entries:
-            examined += len(idle_entries)
+        rows = self.idle_rows
+        if len(rows):
+            examined += len(rows)
             # Count-delta touch detection: every credit since the last
             # sweep happened at tick ``prev`` (the clock never moved in
-            # between).  The entries' counts are one gather.
-            counts = COUNTERS.packets[self.idle_rows]
-            touched = counts > self.swept
-            if touched.any():
-                self.last_touched[touched] = prev
-            self.swept = counts
-            idle_hit = now > self.last_touched + self.idle
+            # between).  Counts only grow, so an entry was touched iff
+            # its count passed the one this sweep last saw.
+            with COUNTERS.lock:
+                counts = COUNTERS.packets[rows]
+                touched = counts > COUNTERS.swept[rows]
+                if touched.any():
+                    COUNTERS.swept[rows[touched]] = counts[touched]
+                    COUNTERS.last_touched[rows[touched]] = prev
+                idle_hit = now > COUNTERS.last_touched[rows] + self.idle
             for i in self.idle_pos[idle_hit].tolist():
                 due.setdefault(i, "idle")
+        if not due:
+            return [], examined
+        order = sorted(due)
+        # The final counters and install stamps of what expires: one
+        # gather per column (a removal credits nothing).
+        due_rows = self.rows[order]
+        finals = zip(
+            COUNTERS.installed_at[due_rows].tolist(),
+            COUNTERS.packets[due_rows].tolist(),
+            COUNTERS.bytes[due_rows].tolist(),
+        )
         events: list[FlowRemoved] = []
-        for i in sorted(due):
+        for i, (installed_at, packets, octets) in zip(order, finals):
             entry = timed[i]
             events.append(
                 FlowRemoved(
@@ -292,10 +294,10 @@ class _TableLanes:
                     reason=due[i],
                     idle_timeout=entry.idle_timeout,
                     hard_timeout=entry.hard_timeout,
-                    installed_at=entry.stats.installed_at,
+                    installed_at=installed_at,
                     removed_at=now,
-                    packet_count=entry.stats.packet_count,
-                    byte_count=entry.stats.byte_count,
+                    packet_count=packets,
+                    byte_count=octets,
                 )
             )
             table.remove(entry.match, entry.priority)
@@ -358,11 +360,3 @@ class LifecycleSweeper:
                 self.stats.expired_idle += 1
         self.ledger.extend(removed)
         return removed
-
-    def sync(self) -> None:
-        """Flush the idle-timed entries' buffered ``last_touched`` /
-        swept counters back to the entry objects (tests read
-        :attr:`FlowEntry.last_touched` through this; the hot path never
-        needs it)."""
-        for lanes in self._lanes.values():
-            lanes.flush()

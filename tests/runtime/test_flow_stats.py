@@ -28,7 +28,7 @@ import pytest
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import OutputAction
-from repro.openflow.flow import COUNTERS, FlowEntry, FlowStats
+from repro.openflow.flow import COUNTERS, UNSTAMPED, FlowEntry, FlowStats
 from repro.openflow.instructions import WriteActions
 from repro.openflow.match import Match
 from repro.openflow.pipeline import OpenFlowPipeline
@@ -37,6 +37,7 @@ from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD, frame_length
 from repro.runtime import (
     BatchPipeline,
+    LifecycleSweeper,
     ShardedBatchPipeline,
     churn_workload,
     run_workload,
@@ -192,10 +193,11 @@ def test_scalar_paths_conserve(small_routing_set):
 
 
 class TestCounterColumns:
-    """An entry's counters are its row of the process's counter columns
-    (``COUNTERS``): the row goes wherever the entry goes — out of a
-    table and back, into a second table — a copy gets a row of its own,
-    and a collected entry's row comes back zeroed."""
+    """An entry's counters and lifecycle stamps are its row of the
+    process's counter columns (``COUNTERS``): the row goes wherever the
+    entry goes — out of a table and back, into a second table — a copy
+    gets a row of its own, and a collected entry's row comes back
+    reset."""
 
     @staticmethod
     def entry(port):
@@ -230,31 +232,50 @@ class TestCounterColumns:
         assert (entry.stats.packet_count, entry.stats.byte_count) == (3, 292)
         assert (COUNTERS.packets[row], COUNTERS.bytes[row]) == (3, 292)
 
+    @staticmethod
+    def row_of(stats):
+        return (
+            stats.packet_count,
+            stats.byte_count,
+            stats.installed_at,
+            stats.last_touched,
+            stats.swept_packets,
+        )
+
     @pytest.mark.parametrize(
         "duplicate", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))]
     )
     def test_a_copy_counts_in_a_row_of_its_own(self, duplicate):
         entry = self.entry(2)
+        entry.stats.installed_at = 2
         entry.touch_packet(byte_count=70, now=5)
         entry.stats.add(2, 30)
+        entry.stats.swept_packets = 1  # as a sweep would leave it
         twin = duplicate(entry)
         assert twin.stats.row != entry.stats.row
-        assert (twin.stats.packet_count, twin.stats.byte_count) == (3, 100)
-        assert twin.last_touched == entry.last_touched == 5
+        assert self.row_of(twin.stats) == self.row_of(entry.stats) == (3, 100, 2, 5, 1)
         twin.stats.record(1)
-        assert (entry.stats.packet_count, entry.stats.byte_count) == (3, 100)
-        assert (twin.stats.packet_count, twin.stats.byte_count) == (4, 101)
+        twin.stats.installed_at = 8
+        twin.stats.last_touched = 9
+        assert self.row_of(entry.stats) == (3, 100, 2, 5, 1)
+        assert self.row_of(twin.stats) == (4, 101, 8, 9, 1)
 
     def test_a_collected_entrys_row_is_reused_zeroed(self):
         entry = self.entry(3)
         entry.stats.add(7, 700)
+        entry.stats.installed_at = 2
+        entry.touch_packet(now=5)
+        entry.stats.swept_packets = 8
         row = entry.stats.row
         del entry
         gc.collect()
         assert row in COUNTERS.free
         # Every free row handed out again, the collected one among them.
         reused = {stats.row: stats for stats in [FlowStats() for _ in COUNTERS.free[:]]}
-        assert (reused[row].packet_count, reused[row].byte_count) == (0, 0)
+        assert self.row_of(reused[row]) == (0, 0, UNSTAMPED, UNSTAMPED, 0)
+
+    def test_stats_hold_only_their_row(self):
+        assert FlowStats.__slots__ == ("row",)
 
     def test_an_entry_shared_by_two_tables_counts_in_one_row(self):
         """The oracle scan and a decomposition table holding the same
@@ -273,12 +294,23 @@ class TestCounterColumns:
 
     def test_concurrent_allocation_and_credit_lose_nothing(self):
         """Threads building entries — enough to regrow the columns —
-        while others credit fixed entries: every credit lands and every
-        live entry holds a row of its own."""
+        while others credit fixed entries and a sweeper stamps idle-timed
+        ones: every credit and every stamp lands, and every live entry
+        holds a row of its own."""
         credited = [self.entry(port) for port in range(2)]
+        swept = [
+            FlowEntry.build(match=Match.exact(in_port=port), priority=1, idle_timeout=10**9)
+            for port in range(8)
+        ]
+        table = OpenFlowLookupTable(("in_port",), table_id=0)
+        for entry in swept:
+            table.add(entry)
+        arch = MultiTableLookupArchitecture([table])
+        sweeper = LifecycleSweeper()
         grow = len(COUNTERS.packets) - COUNTERS.used + 64
         built = [[], []]
         rounds = 2000
+        sweeps = 200
 
         def build(out):
             for _ in range(grow // 2 + 1):
@@ -288,8 +320,15 @@ class TestCounterColumns:
             for _ in range(rounds):
                 entry.stats.add(1, 3)
 
+        def sweep():
+            for _ in range(sweeps):
+                for entry in swept:
+                    entry.stats.record(3)
+                sweeper.advance(arch, 1)
+
         workers = [threading.Thread(target=build, args=(out,)) for out in built]
         workers += [threading.Thread(target=credit, args=(e,)) for e in credited]
+        workers.append(threading.Thread(target=sweep))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -305,6 +344,9 @@ class TestCounterColumns:
                 rounds,
                 3 * rounds,
             )
+        # The last sweep ran at tick ``sweeps - 1`` and saw every credit.
+        for entry in swept:
+            assert self.row_of(entry.stats) == (sweeps, 3 * sweeps, 0, sweeps - 1, sweeps)
         live = [stats.row for out in built for stats in out]
-        live += [entry.stats.row for entry in credited]
+        live += [entry.stats.row for entry in credited + swept]
         assert len(set(live)) == len(live)

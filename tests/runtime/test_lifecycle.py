@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import OutputAction
-from repro.openflow.flow import UNSTAMPED, FlowEntry
+from repro.openflow.flow import UNSTAMPED, FlowEntry, FlowStats
 from repro.openflow.instructions import ApplyActions
 from repro.openflow.match import Match
 from repro.openflow.pipeline import OpenFlowPipeline
@@ -190,11 +190,80 @@ class TestSweeper:
         entry.stats.record(FRAME)  # hot-path credit, no touch call
         entry.stats.record(FRAME)
         assert sweeper.advance(pipeline, 1) == []  # touched at 1, alive
-        sweeper.sync()  # lanes buffer last_touched between sweeps
         assert entry.last_touched == 1
         removed = sweeper.advance(pipeline, 1)  # now=3 > 1 + 1
         assert [(e.reason, e.packet_count, e.byte_count) for e in removed] == [
             ("idle", 2, 2 * FRAME)
+        ]
+
+
+def _stamp_path(path: str, entry: FlowEntry):
+    """Install ``entry`` on one of the four ways a clock is advanced;
+    returns ``(advance one tick, send one packet to the entry, clock,
+    runner or None)``."""
+    pipeline = _PIPELINES["scan" if path == "scan" else "lookup"]()
+    pipeline.table(0).add(entry)
+    if path in _PIPELINES:
+        sweeper = LifecycleSweeper()
+
+        def advance():
+            return sweeper.advance(pipeline, 1)
+
+        def send():
+            entry.stats.record(FRAME)
+
+        return advance, send, sweeper.clock, None
+    if path == "batched":
+        runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
+    else:
+        runner = ShardedBatchPipeline(
+            pipeline, workers=1, cache_capacity=16, megaflow_capacity=32
+        )
+
+    def advance_runner():
+        return runner.advance_clock(1)
+
+    def send_runner():
+        runner.process_batch([_pkt(0)])
+
+    return advance_runner, send_runner, runner.lifecycle.clock, runner
+
+
+@pytest.mark.parametrize("path", ["lookup", "scan", "batched", "sharded"])
+class TestStampsAreCurrent:
+    """An entry's lifecycle stamps are its counter row's, and every
+    sweep writes them: with traffic between sweeps and the timed set
+    fixed (so no lane rebuild runs), ``last_touched`` reads the sweep's
+    previous tick right after the sweep, and POX's ``is_expired``
+    predicts the sweeper's next removal — on both swept table kinds
+    and through both runners' ``advance_clock``."""
+
+    def test_stamps_track_every_sweep(self, path):
+        entry = _entry(0, idle=3)
+        advance, send, clock, runner = _stamp_path(path, entry)
+        busy = [True] * 4 + [False] * 3
+        expect_removal = None
+        try:
+            for step, traffic in enumerate(busy):
+                if traffic:
+                    send()
+                prev = clock.now
+                removed = advance()
+                if not traffic:
+                    assert bool(removed) == expect_removal, step
+                if removed:
+                    break
+                if traffic:
+                    touched_at = prev
+                assert entry.installed_at == 0, step
+                assert entry.last_touched == touched_at, step
+                assert entry.stats.swept_packets == entry.stats.packet_count
+                expect_removal = entry.is_expired(clock.now + 1)
+        finally:
+            if isinstance(runner, ShardedBatchPipeline):
+                runner.close()
+        assert [(e.reason, e.removed_at, e.packet_count) for e in removed] == [
+            ("idle", touched_at + 3 + 1, 4)
         ]
 
 
@@ -321,6 +390,40 @@ class TestSweepCostShape:
         # Only the idle-timed lanes were examined: 4, then 4 + the add.
         assert sweeper.stats.entries_scanned == 4 + 5
         assert len(table) == 4096 + 8
+
+
+    def test_rebuild_and_sweep_read_no_stats_property(self, kind, monkeypatch):
+        """Stamping, a lane rebuild, touch detection and an expiry read
+        and write the counter columns by row: not one ``FlowStats``
+        property is read per entry."""
+        pipeline = _PIPELINES[kind]()
+        table = pipeline.table(0)
+        for port in range(64):
+            table.add(_entry(port, idle=2 if port % 2 else 0, hard=9 * (port % 3)))
+        sweeper = LifecycleSweeper()
+        sweeper.advance(pipeline, 1)
+        table.add(_entry(100, idle=2))  # moves the timed membership
+        reads: dict[str, int] = {}
+        for name in (
+            "packet_count",
+            "byte_count",
+            "installed_at",
+            "last_touched",
+            "swept_packets",
+        ):
+            original = getattr(FlowStats, name)
+
+            def spy(self, _original=original, _name=name):
+                reads[_name] = reads.get(_name, 0) + 1
+                return _original.fget(self)
+
+            monkeypatch.setattr(FlowStats, name, property(spy, original.fset))
+        for entry in tuple(table)[:16]:
+            entry.stats.record(FRAME)
+        assert sweeper.advance(pipeline, 1) == []  # stamp, rebuild, touches
+        removed = sweeper.advance(pipeline, 1)  # the untouched idle entries
+        assert len(removed) == 32 - 8
+        assert reads == {}
 
 
 @pytest.mark.parametrize("kind", sorted(_PIPELINES))
@@ -495,7 +598,6 @@ def test_sweeper_matches_scalar_reference_model(kind, ops):
         map(id, live.values())
     )
     sweeper.advance(pipeline, 0)  # stamp anything installed since
-    sweeper.sync()
     for port, entry in live.items():
         twin = model[port]
         assert not twin.is_expired(now)
