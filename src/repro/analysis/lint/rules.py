@@ -351,6 +351,24 @@ _LANE_ONLY_HOT = frozenset(
 #: lane-only.
 _DICT_FREE_HOT = frozenset({"probe_batch", "probe"}) | _LANE_ONLY_HOT
 
+#: Hot functions that never replay a path: the miss-path walk and its
+#: waves, the megaflow probe and bulk install, the one credit, and the
+#: sharded parent's decode and collect.  They carry path references and
+#: credit lanes; ``replay_path`` runs only for a result somebody reads
+#: (``ColumnarOutcomes.outcome``).
+_REPLAY_FREE_HOT = frozenset(
+    {
+        "_walk_misses",
+        "_wave",
+        "run",
+        "install_batch",
+        "probe",
+        "credit_outcomes",
+        "decode_outcomes",
+        "_collect",
+    }
+)
+
 #: Attribute calls that materialise every row of a batch as dicts.
 _BULK_MATERIALISERS = frozenset({"dicts", "decode"})
 
@@ -372,18 +390,40 @@ class HotPathPurityRule(Rule):
         "microflow batch lookup (lookup_batch_columnar), "
         "install_batch and the sharded reply path (encode_outcomes, "
         "decode_outcomes, _collect) must not materialise even a single "
-        "row (.fields_at()/.row_fields())"
+        "row (.fields_at()/.row_fields()); the walk, the megaflow probe "
+        "and install, the credit and the sharded decode and collect must "
+        "not replay a path (replay_path)"
     )
     hint = (
         "stay on the uint64 lanes: aggregate stats from the frame_len "
         "lane, replay megaflow templates, key waves off the lanes plus "
-        "override lanes, reply once per distinct traversal; row dicts and "
+        "override lanes, reply once per distinct traversal, carry path "
+        "references and credit lanes; row dicts, replayed paths and "
         "per-packet results belong to whoever reads a ColumnarOutcomes"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node, funcs, _classes in _walk_scoped(ctx.tree):
             if not isinstance(node, ast.Call):
+                continue
+            callee = _callee_name(node)
+            if callee == "replay_path":
+                replaying = next(
+                    (
+                        f.name
+                        for f in reversed(funcs)
+                        if isinstance(f, _FuncDef) and f.name in _REPLAY_FREE_HOT
+                    ),
+                    None,
+                )
+                if replaying is not None:
+                    yield ctx.finding(
+                        self,
+                        node,
+                        f"{replaying}() replays a path via replay_path() — "
+                        f"the miss path carries path references and credit "
+                        f"lanes, and only a read result is replayed",
+                    )
                 continue
             hot = next(
                 (
@@ -396,7 +436,6 @@ class HotPathPurityRule(Rule):
             )
             if hot is None:
                 continue
-            callee = _callee_name(node)
             if callee in _BULK_MATERIALISERS and isinstance(
                 node.func, ast.Attribute
             ):

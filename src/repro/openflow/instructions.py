@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from repro.openflow.actions import Action, SetFieldAction
+from repro.openflow.actions import Action, OutputAction, SetFieldAction
 from repro.openflow.errors import PipelineError
 from repro.util.bits import mask_of
 
@@ -136,6 +136,42 @@ class CompiledStep(NamedTuple):
     #: them early would make megaflow masks unsound by suppressing
     #: consults of still-original values.
     written: tuple[str, ...]
+    #: This step in the fold of a path's counted facts
+    #: (:func:`~repro.openflow.pipeline.fold_step`), as ``put << 4 |
+    #: keep``: a path's fold state after the step is ``state & keep |
+    #: put``.  One int, so a wave gathers a lane of them in one pass.
+    counted: int
+
+
+#: Fold-state bits of a path's counted facts: an Apply-Actions output
+#: ran, and one went to the controller; the action set holds an output,
+#: and it goes to the controller.  The action set keeps one output, the
+#: latest written (``action_set_order``), so two bits describe it; they
+#: are the Apply-Actions bits shifted up by two, which
+#: :func:`~repro.openflow.pipeline.counted_kind` relies on.
+APPLIED_OUTPUT, APPLIED_TO_CONTROLLER = 1, 2
+SET_OUTPUT, SET_TO_CONTROLLER = 4, 8
+_APPLIED_BITS = APPLIED_OUTPUT | APPLIED_TO_CONTROLLER
+
+
+def _counted(
+    apply: tuple[Action, ...], clear: bool, write: tuple[Action, ...]
+) -> int:
+    """One step in the counted-facts fold, as ``put << 4 | keep``: its
+    Apply-Actions outputs add bits; Clear-Actions empties the action
+    set, then each Write-Actions output replaces the set's one."""
+    keep, put = _APPLIED_BITS | SET_OUTPUT | SET_TO_CONTROLLER, 0
+    for action in apply:
+        if isinstance(action, OutputAction):
+            put |= APPLIED_OUTPUT | APPLIED_TO_CONTROLLER * action.to_controller
+    if clear:
+        keep = _APPLIED_BITS
+    for action in write:
+        if isinstance(action, OutputAction):
+            keep = _APPLIED_BITS
+            put = put & _APPLIED_BITS | SET_OUTPUT
+            put |= SET_TO_CONTROLLER * action.to_controller
+    return put << 4 | keep
 
 
 class InstructionSet:
@@ -227,10 +263,12 @@ class InstructionSet:
             ]
             if metadata is not None:
                 written.append("metadata")
+            clear = ClearActions in by_type
+            writes = write.actions if write is not None else ()
             step = self._compiled = CompiledStep(
                 apply=applied,
-                clear=ClearActions in by_type,
-                write=write.actions if write is not None else (),
+                clear=clear,
+                write=writes,
                 metadata=(
                     None
                     if metadata is None
@@ -241,6 +279,7 @@ class InstructionSet:
                 ),
                 goto=goto.table_id if goto is not None else None,
                 written=tuple(written),
+                counted=_counted(applied, clear, writes),
             )
         return step
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
-from typing import Protocol
+from typing import Any, Protocol, TypeAlias
 
 from repro.openflow.actions import (
     Action,
@@ -98,9 +98,8 @@ class PathOutcome:
     :class:`PipelineResult` without the packet, as an immutable value.
 
     :meth:`OpenFlowPipeline.replay_path` builds it; the batched runtime
-    builds one per *distinct* path and shares it — across the positions
-    that took the path, the megaflow aggregates that cache it and the
-    sharded parent's decode.  Every sequence is a tuple and
+    builds one per *distinct* path somebody reads and shares it across
+    the positions of the batch that took the path.  Every sequence is a tuple and
     ``overrides`` holds the final value of each field the path rewrote
     as ``(name, value)`` pairs in first-write order, so ``final_fields``
     for a packet of the path is ``packet fields + overrides``.  An
@@ -117,6 +116,56 @@ class PathOutcome:
     metadata: int
     tables_visited: tuple[int, ...]
     overrides: tuple[tuple[str, int], ...]
+
+
+#: An entry path as a reference: its last matched entry linked back to
+#: the start, one ``(parent, table_id, entry)`` triple per entry, and
+#: ``()`` for the empty path (a miss at the first table).  Paths that
+#: share a prefix share its triples, and a reference keeps its entries
+#: — and so their counter rows — alive.
+PathRef: TypeAlias = tuple[Any, ...]
+
+
+def path_steps(path: PathRef) -> list[tuple[int, FlowEntry]]:
+    """``(table_id, entry)`` per entry of ``path``, in visit order."""
+    steps: list[tuple[int, FlowEntry]] = []
+    while path:
+        path, table_id, entry = path
+        steps.append((table_id, entry))
+    steps.reverse()
+    return steps
+
+
+def path_entries(path: PathRef) -> list[FlowEntry]:
+    """The entries ``path`` matched, in visit order."""
+    return [entry for _, entry in path_steps(path)]
+
+
+def fold_step(state: Any, counted: Any) -> Any:
+    """One entry's step (its compiled ``counted``, ``put << 4 | keep``)
+    in the fold of a path's counted facts; ints and ``int64`` lanes
+    alike."""
+    return state & counted & 15 | counted >> 4
+
+
+def counted_kind(matched: Any, state: Any, missed: Any, policy: MissPolicy) -> Any:
+    """A path's *kind*, ``4 * entries matched + 2 * sent to controller
+    + dropped``: the counted facts of a path that matched ``matched``
+    entries into fold ``state`` (:func:`fold_step`), then ended in a
+    table miss (``missed`` 1) or ran its action set (``missed`` 0).
+    The one definition of the two flags, §5.9 and the miss policy
+    together: :meth:`OpenFlowPipeline.replay_path` reads its flags off
+    it, and the columnar walk applies it to whole ``int64`` lanes
+    (hence the arithmetic).  A finished path runs its action set, whose
+    one output adds to the Apply-Actions ones, and is dropped when
+    nothing output; a missed path keeps its Apply-Actions outputs and
+    takes the miss policy."""
+    finished = 1 - missed
+    # A finished path's action-set bits land on the Apply-Actions ones.
+    ends = state | (state >> 2) * finished
+    sent = ends >> 1 & 1 | missed * (policy is MissPolicy.SEND_TO_CONTROLLER)
+    dropped = finished * (1 - (ends & 1)) | missed * (policy is MissPolicy.DROP)
+    return 4 * matched + 2 * sent + dropped
 
 
 class OpenFlowPipeline:
@@ -215,12 +264,12 @@ class OpenFlowPipeline:
         own fields.
 
         An outcome is a pure function of (entry path, miss policy), so
-        the batched runtime builds one per *distinct* path — the
-        columnar walk from the entries its waves matched, the sharded
-        parent from the entry refs a worker replied with — straight
-        from the entries' compiled steps, in §5.9 order, into an
-        immutable :class:`PathOutcome` (``process`` keeps its own
-        executor: it is the oracle the replay is tested against).  A
+        the batched runtime builds one per *distinct* path a reader
+        asks for — in-process and sharded alike, from a path reference
+        — straight from the entries' compiled steps, in §5.9 order,
+        into an immutable :class:`PathOutcome`, its two flags read off
+        :func:`counted_kind` (``process`` keeps its own executor: it is
+        the oracle the replay is tested against).  A
         path that still owes a table when its entries run out ended in
         a table miss there; entries left over once no Goto-Table
         remains raise :class:`PipelineError`.
@@ -230,6 +279,7 @@ class OpenFlowPipeline:
         applied: tuple[Action, ...] = ()
         action_set: tuple[Action, ...] = ()
         metadata = 0
+        state = 0
         rewrites: dict[str, int] = {}
         table_id: int | None = self._order[0]
         for entry in entries:
@@ -239,9 +289,10 @@ class OpenFlowPipeline:
                     f"follows an entry with no Goto-Table"
                 )
             visited += (table_id,)
-            apply, clear, write, write_metadata, table_id, _ = (
+            apply, clear, write, write_metadata, table_id, _, counted = (
                 entry.instructions.compiled
             )
+            state = fold_step(state, counted)
             applied += apply
             _rewrite(apply, rewrites)
             action_set = write if clear else action_set + write
@@ -260,14 +311,15 @@ class OpenFlowPipeline:
         ports = tuple(
             action.port for action in applied if isinstance(action, OutputAction)
         )
+        kind = counted_kind(
+            len(entries), state, table_id is not None, self.miss_policy
+        )
         return PathOutcome(
             entries,
             applied,
             ports,
-            CONTROLLER_PORT in ports,
-            # A finished path that output nothing is dropped; a missed
-            # one only by the miss policy.
-            not ports if table_id is None else self.miss_policy is MissPolicy.DROP,
+            bool(kind & 2),
+            bool(kind & 1),
             metadata,
             visited,
             tuple(rewrites.items()),
@@ -290,7 +342,7 @@ class OpenFlowPipeline:
         """
         # FlowEntry.__post_init__ guarantees a validated InstructionSet;
         # its compiled step lists the parts in §5.9 order.
-        apply, clear, write, metadata, goto, _ = entry.instructions.compiled
+        apply, clear, write, metadata, goto, _, _ = entry.instructions.compiled
         for action in apply:
             self._execute_action(action, result)
         if clear:

@@ -139,15 +139,17 @@ tier stay columnar too: :class:`~repro.runtime.walk.ColumnarWalk`
 carries them through the waves as index arrays — table keys read off
 the lanes (plus an override lane for rewritten fields), one microflow
 probe and one decomposition search per *distinct* key per table, one
-immutable :class:`~repro.openflow.pipeline.PathOutcome` per distinct
-entry path (tuples and scalars only, shared by the positions and the
-megaflow aggregates that took the path), one bulk
-:meth:`~repro.runtime.megaflow.MegaflowCache.install_batch`.  Hits and
-misses come back as one code lane
-(:class:`~repro.runtime.batch.ColumnarOutcomes`: the aggregates hit
-and the paths walked, plus one integer code per position; the sharded
-collect fills it the same way from its replies), so nothing exists per
-packet until somebody reads a position.  The runtime runs only
+path reference per distinct entry path (linked tuples of the entries
+matched, shared by the positions and the megaflow aggregates that took
+the path) beside its credit lanes, one bulk
+:meth:`~repro.runtime.megaflow.MegaflowCache.install_batch` into rows
+of lanes.  Hits and misses come back as one code lane
+(:class:`~repro.runtime.batch.ColumnarOutcomes`: the paths of the
+aggregates hit and of the misses walked, their credit lanes, plus one
+integer code per position; the sharded collect fills it the same way
+from its replies), so nothing exists per packet — and no path is
+replayed into a :class:`~repro.openflow.pipeline.PathOutcome` — until
+somebody reads a position.  The runtime runs only
 tables with a keyed lookup: :class:`BatchPipeline`,
 :class:`ShardedBatchPipeline` and :class:`MicroflowCache` refuse any
 other table (``TypeError``, :func:`~repro.runtime.cache.require_keyed_table`),
@@ -169,19 +171,18 @@ in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify` (which credits
 nothing), and
-encodes its reply straight from the traversals
+encodes its reply straight from the path references
 (:func:`~repro.runtime.transport.encode_outcomes`): each *distinct*
-traversal of the sub-batch — the aggregate a position hit, or the one
-the miss path built for it — is written once, as its matched-entry
+path of the sub-batch — the aggregate a position hit, or the one
+the miss path walked for it — is written once, as its matched-entry
 refs and nothing they already determine, and every position adds one
 code — so no row is materialised worker-side at all, nothing is
 pickled, and the worker never reads the ``frame_len`` lane.
 The parent's collect path
 (:func:`~repro.runtime.transport.decode_outcomes`) resolves the refs
-against its own pinned tables, replays each traversal once through
-:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` — the
-function the miss path builds its outcomes with, returning the same
-immutable :class:`~repro.openflow.pipeline.PathOutcome` — and
+against its own pinned tables into the same path references and
+credit lanes the miss path builds (the Goto chain checked, the counted
+facts folded from the entries' compiled steps), replays nothing, and
 materialises nothing per packet.
 
 **FIFO collection.**  Batches complete in submission order:

@@ -17,7 +17,7 @@ microflow cache when one is attached, then through the table's keyed
 search path.  Because Goto-Table is forward-only, each table is visited
 at most once per batch.  Both tiers are columnar-only: the waves run
 over index arrays (:class:`~repro.runtime.walk.ColumnarWalk`: one probe
-per distinct key per table, one outcome per distinct entry path, the
+per distinct key per table, one path reference per distinct entry path, the
 consulted-bits mask folded per distinct capture state, one bulk
 install), and a dict batch is converted once at the runner's door
 (:meth:`BatchPipeline.process_batch`).  The one dict loop left,
@@ -39,7 +39,13 @@ from typing import Any, Protocol, overload
 import numpy as np
 
 from repro.openflow.flow import COUNTERS
-from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import (
+    OpenFlowPipeline,
+    PathOutcome,
+    PathRef,
+    PipelineResult,
+    path_entries,
+)
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import frame_length
 from repro.runtime.cache import (
@@ -52,12 +58,7 @@ from repro.runtime.lifecycle import (
     LifecycleSweeper,
     VirtualClock,
 )
-from repro.runtime.megaflow import (
-    MegaflowCache,
-    Traversal,
-    credit_lanes,
-    replay_template,
-)
+from repro.runtime.megaflow import MegaflowCache, replay_template
 from repro.runtime.walk import ColumnarWalk
 
 
@@ -210,7 +211,7 @@ class BatchPipeline:
     ) -> ColumnarOutcomes:
         """Classify a columnar batch without leaving the columns
         (:meth:`classify`, ``bypass`` passed on), then credit its
-        traversals to the entries they matched and to :attr:`stats`
+        paths to the entries they matched and to :attr:`stats`
         (:func:`credit_outcomes`) — the one place an in-process batch is
         credited.
 
@@ -236,27 +237,27 @@ class BatchPipeline:
         all-hit batch is done right there.  Residual misses go through
         the columnar miss path (:class:`~repro.runtime.walk.ColumnarWalk`:
         index arrays through every wave, one probe per distinct key per
-        table, one outcome per distinct entry path) and are installed
+        table, one path reference per distinct entry path) and are installed
         in bulk, in position order — probe first, install after, so a
         miss never sees an aggregate an earlier position of the same
         batch installed.  With the megaflow tier off or ``bypass`` set
         the same walk runs without probe, capture or install: rung 2 of
         the streaming degradation ladder bypasses it under sustained
         overload, which changes per-packet results never (the megaflow
-        replays traversals it has already seen), only cache stats and
+        serves paths it has already walked), only cache stats and
         cost.  Nothing here reads the ``frame_len`` lane: only the
         credit counts bytes.
         """
         megaflow = None if bypass else self.megaflow
-        traversals: list[Traversal]
+        paths: list[PathRef]
         if megaflow is not None:
-            traversals, credits, codes, missed = megaflow.probe(batch)
+            paths, credits, codes, missed = megaflow.probe(batch)
         else:
-            traversals = []
-            credits = credit_lanes(traversals, len(self.pipeline.tables))
+            paths = []
+            credits = np.empty((0, len(self.pipeline.tables) + 1), dtype=np.int64)
             codes = np.empty(len(batch), dtype=np.int64)
             missed = np.arange(len(batch), dtype=np.int64)
-        outcomes = ColumnarOutcomes(batch, traversals, codes, credits)
+        outcomes = ColumnarOutcomes(batch, self.pipeline, paths, codes, credits)
         if len(missed):
             self._walk_misses(outcomes, missed, megaflow)
         return outcomes
@@ -268,30 +269,29 @@ class BatchPipeline:
         megaflow: MegaflowCache | None,
     ) -> None:
         """Walk the ``missed`` positions through the tables, install the
-        traversals (when a megaflow tier is capturing), append the
-        walk's distinct traversals to ``outcomes`` and point the missed
-        positions' codes at them."""
+        paths (when a megaflow tier is capturing), append the walk's
+        distinct paths and their credit lanes to ``outcomes`` and point
+        the missed positions' codes at them.  Nothing is replayed."""
         batch = outcomes.batch
         walk = ColumnarWalk(
             self.pipeline, self.caches, batch, capture=megaflow is not None
         )
         walk.run(missed)
         self.stats.waves += walk.waves
-        codes = walk.traversal_codes
-        credits = credit_lanes(walk.traversals, len(self.pipeline.tables))
         if megaflow is not None:
             megaflow.install_batch(
                 batch,
                 missed,
                 walk.masks,
                 walk.mask_codes,
-                walk.traversals,
-                codes,
-                credits,
+                walk.paths,
+                walk.path_codes,
+                walk.credits,
+                walk.versions,
             )
-        outcomes.codes[missed] = codes + len(outcomes.traversals)
-        outcomes.traversals += walk.traversals
-        outcomes.credits = np.concatenate((outcomes.credits, credits))
+        outcomes.codes[missed] = walk.path_codes + len(outcomes.paths)
+        outcomes.paths += walk.paths
+        outcomes.credits = np.concatenate((outcomes.credits, walk.credits))
 
     def _run_waves(
         self, batch: Sequence[Mapping[str, int]]
@@ -372,22 +372,22 @@ class BatchPipeline:
 
 
 def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:
-    """Credit one classified batch: each traversal's packets and frame
+    """Credit one classified batch: each path's packets and frame
     bytes to the counters of every entry it matched, and the batch —
     one batch, its packets and its traffic — to ``stats``.
 
     The one credit of the columnar runtime, and the one place a
-    traversal's packets and frame bytes are counted: per batch, one
+    path's packets and frame bytes are counted: per batch, one
     ``bincount`` of the code lane and one more weighted by the batch's
     own ``frame_len`` lane.  Only the runner that owns the entries calls
     it — :meth:`BatchPipeline.classify_columnar` after it classifies,
     the sharded parent after it decodes its replies — and a replica
     never does.  The rest is integer work over the outcome's credit
-    lanes (:func:`~repro.runtime.megaflow.credit_lanes`): one scatter
-    of each traversal's counts over its counter rows into the counter
-    columns (:meth:`~repro.openflow.flow.CounterColumns.credit`), and
-    the totals from two ``bincount`` s of the kind lane.  No traversal
-    is touched and no ``FlowStats`` method is called."""
+    lanes (:attr:`ColumnarOutcomes.credits`): one scatter of each
+    path's counts over its counter rows into the counter columns
+    (:meth:`~repro.openflow.flow.CounterColumns.credit`), and the
+    totals from two ``bincount`` s of the kind lane.  No path is
+    touched or replayed and no ``FlowStats`` method is called."""
     codes, credits = outcomes.codes, outcomes.credits
     rows, kinds = credits[:, :-1], credits[:, -1]
     size = len(kinds)
@@ -435,47 +435,65 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
     """One columnar batch's classification: a sequence of per-packet
     results that materialises on access.
 
-    Held as a code lane: ``traversals[codes[i]]`` is the
-    :class:`~repro.runtime.megaflow.Traversal` position ``i`` took — the
-    megaflow aggregate it hit, or the distinct path the miss path walked
-    (and, with the megaflow tier on, installed) for it.  Either way its
-    ``outcome`` is an immutable
-    :class:`~repro.openflow.pipeline.PathOutcome` carrying everything
-    but the packet's own fields, so hits and misses materialise the same
-    way (:func:`~repro.runtime.megaflow.replay_template`).  It holds no
-    sums: the packets and frame bytes that took each traversal are
-    counted from ``codes`` and the batch's ``frame_len`` lane where they
-    are credited (:func:`credit_outcomes`), so a slice can never carry
-    another batch's totals; what each traversal credits rides beside it
-    as a row of ``credits`` (:func:`~repro.runtime.megaflow.credit_lanes`),
-    gathered by the megaflow probe for its hits.  A batch nobody reads costs one traversal
-    per aggregate hit or path walked and nothing per packet; a
-    per-position list exists only while somebody iterates.
+    Held as a code lane: ``paths[codes[i]]`` is the entry path
+    (:data:`~repro.openflow.pipeline.PathRef`) position ``i`` took — the
+    path of the megaflow aggregate it hit, or the distinct path the miss
+    path walked (and, with the megaflow tier on, installed) for it —
+    and ``credits[codes[i]]`` what that path credits: the counter rows
+    it matched, then its kind
+    (:func:`~repro.openflow.pipeline.counted_kind`).  It holds no sums:
+    the packets and frame bytes that took each path are counted from
+    ``codes`` and the batch's ``frame_len`` lane where they are credited
+    (:func:`credit_outcomes`), so a slice can never carry another
+    batch's totals.
+
+    Nothing is replayed until somebody reads: :meth:`outcome` runs
+    :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` at
+    most once per distinct path read and keeps the immutable
+    :class:`~repro.openflow.pipeline.PathOutcome` here, and a position
+    materialises from it (:func:`~repro.runtime.megaflow.replay_template`),
+    hits and misses alike.  A batch nobody reads costs one reference
+    and one credit row per aggregate hit or path walked, and nothing
+    per packet.
 
     Both runners hand this type back: :meth:`BatchPipeline.classify_columnar`
-    in-process, and the sharded parent from the entry paths its workers
+    in-process, and the sharded parent from the entry refs its workers
     reply with (:func:`~repro.runtime.transport.encode_outcomes` names
-    each distinct traversal's entries once plus one code per position,
-    see :meth:`distinct`), so no row is materialised as a dict on either
+    each distinct path's entries once plus one code per position, see
+    :meth:`distinct`), so no row is materialised as a dict on either
     side until somebody indexes or iterates the outcome.
     """
 
     batch: PacketBatch
-    traversals: list[Traversal]
+    #: The pipeline a read path is replayed through.
+    pipeline: OpenFlowPipeline
+    paths: list[PathRef]
     codes: np.ndarray
-    #: What ``traversals`` credit, row for row.
+    #: What ``paths`` credit, row for row.
     credits: np.ndarray
+    #: The outcomes of the paths read so far, by path identity.
+    replayed: dict[int, PathOutcome] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.codes)
 
+    def outcome(self, code: int) -> PathOutcome:
+        """The outcome of path ``code``, replayed on its first read."""
+        path = self.paths[code]
+        outcome = self.replayed.get(id(path))
+        if outcome is None:
+            outcome = self.replayed[id(path)] = self.pipeline.replay_path(
+                path_entries(path)
+            )
+        return outcome
+
     def __iter__(self) -> Iterator[PipelineResult]:
         """Materialise the per-packet results, in position order:
-        ``final_fields`` is the packet's fields plus the traversal's
-        rewrite overrides (materialising credits nothing)."""
-        row_fields, traversals = self.batch.row_fields, self.traversals
+        ``final_fields`` is the packet's fields plus the path's rewrite
+        overrides (materialising credits nothing)."""
+        row_fields, outcome = self.batch.row_fields, self.outcome
         for row, code in zip(self.batch.pick.tolist(), self.codes.tolist()):
-            yield replay_template(traversals[code].outcome, row_fields(row))
+            yield replay_template(outcome(code), row_fields(row))
 
     @overload
     def __getitem__(self, index: int) -> PipelineResult: ...
@@ -492,35 +510,34 @@ class ColumnarOutcomes(Sequence[PipelineResult]):
             )
             return list(view)
         return replay_template(
-            self.traversals[self.codes[index]].outcome,
-            self.batch.fields_at(index),
+            self.outcome(self.codes[index]), self.batch.fields_at(index)
         )
 
     def results(self) -> list[PipelineResult]:
         """Every position materialised, as a plain list."""
         return list(self)
 
-    def distinct(self) -> tuple[list[Traversal], np.ndarray]:
-        """The batch's distinct traversals, in first-seen order, and one
+    def distinct(self) -> tuple[list[PathRef], np.ndarray]:
+        """The batch's distinct paths, in first-seen order, and one
         ``int32`` code per position indexing them — the shape the
-        sharded reply ships.  Distinct means *one outcome object*:
-        aggregates installed along one path share its outcome, so they
-        collapse into one traversal here.  Only the traversals are
-        deduplicated in Python; positions move as codes."""
+        sharded reply ships.  Distinct means *one reference*: aggregates
+        installed along one path share its reference, so they collapse
+        into one path here.  Only the paths are deduplicated in Python;
+        positions move as codes."""
         size = len(self.codes)
-        first = np.full(len(self.traversals), size, dtype=np.int64)
+        first = np.full(len(self.paths), size, dtype=np.int64)
         np.minimum.at(first, self.codes, np.arange(size, dtype=np.int64))
-        # A traversal no position took sorts last and is left out.
+        # A path no position took sorts last and is left out.
         used = np.count_nonzero(first < size)
         code_of: dict[int, int] = {}
-        distinct: list[Traversal] = []
-        remap = [0] * len(self.traversals)
+        distinct: list[PathRef] = []
+        remap = [0] * len(self.paths)
         for code in np.argsort(first)[:used].tolist():
-            traversal = self.traversals[code]
-            key = id(traversal.outcome)
+            path = self.paths[code]
+            key = id(path)
             if key not in code_of:
                 code_of[key] = len(distinct)
-                distinct.append(traversal)
+                distinct.append(path)
             remap[code] = code_of[key]
         return distinct, np.asarray(remap, dtype=np.int32)[self.codes]
 

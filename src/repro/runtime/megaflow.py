@@ -30,25 +30,26 @@ The runtime never runs it: :class:`~repro.runtime.walk.ColumnarWalk`
 captures the same mask and table route for a whole batch of misses at
 once, per distinct capture state, and the tests hold the two equal.
 
-What is cached per aggregate is its path's
-:class:`~repro.openflow.pipeline.PathOutcome` — an immutable value built
-once per distinct entry path of the installing batch and shared by the
-aggregates that batch installed along the path.  A hit replays it
-against the new packet (:func:`replay_template`): original fields, plus
-the outcome's ``overrides``, the recorded final values of every
-rewritten field.
+What is cached per aggregate is a row: its path's reference
+(:data:`~repro.openflow.pipeline.PathRef`, shared by the aggregates the
+installing batch put along the path), the route's version tags and the
+path's credit lanes — no object per aggregate.  Whoever reads a hit
+replays the path once (:class:`~repro.runtime.batch.ColumnarOutcomes`)
+and materialises it onto the packet (:func:`replay_template`): original
+fields, plus the outcome's ``overrides``, the recorded final values of
+every rewritten field.
 
-**Invalidation is incremental.**  Each entry carries its visited-table
-version tags and is revalidated lazily on hit: a flow-mod on table *t*
-bumps only ``t.version``, so entries whose traversal never consulted
-*t* keep hitting — no whole-cache flush, unlike the PR-1 microflow
-rule.  (An entry that never *reached* a mutated table is unaffected by
-it: its aggregate's traversal is fully determined by the tables it did
+**Invalidation is incremental.**  Each aggregate carries its
+visited-table version tags and is revalidated lazily on hit: a flow-mod
+on table *t* bumps only ``t.version``, so aggregates whose path never
+consulted *t* keep hitting — no whole-cache flush, unlike the PR-1
+microflow rule.  (An aggregate that never *reached* a mutated table is
+unaffected by it: its path is fully determined by the tables it did
 visit.)
 
 Lookup is tuple-space search over the distinct masks in the cache
 (typically a handful — one per table-combination a traversal can
-touch); any matching entry is sound, so the first hit wins.  The cache
+touch); any matching aggregate is sound, so the first hit wins.  The cache
 has one index (per mask, the packed ``value & mask`` bytes of
 :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`), one probe
 (:meth:`MegaflowCache.probe`) and one install
@@ -70,13 +71,17 @@ batch (:func:`~repro.runtime.batch.credit_outcomes`).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from operator import attrgetter
 from typing import Any
 
 import numpy as np
 
 from repro.openflow.flow import SINK
-from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
+from repro.openflow.pipeline import (
+    OpenFlowPipeline,
+    PathOutcome,
+    PathRef,
+    PipelineResult,
+)
 from repro.packet.batch import IndexArray, PacketBatch
 
 #: Mask signature: ``((field_name, bitmask), ...)`` sorted by field.
@@ -86,8 +91,6 @@ DEFAULT_MEGAFLOW_CAPACITY = 4096
 
 #: The stamp of a free aggregate row: above every live one.
 _FREE = np.iinfo(np.int64).max
-
-_ROW = attrgetter("row")
 
 #: ``(table, version)`` per visited table: the table object and its
 #: mutation counter when the traversal was looked up.
@@ -123,82 +126,6 @@ class MegaflowRecorder:
 
     def mask_signature(self) -> MaskSig:
         return tuple(sorted(self.fields.items()))
-
-
-class Traversal:
-    """One entry path's outcome and the table versions it was built at.
-
-    ``outcome`` is the path's immutable
-    :class:`~repro.openflow.pipeline.PathOutcome` — everything a
-    :class:`PipelineResult` holds but the packet's own fields, rewrites
-    included as its ``overrides``.  ``version_checks`` pairs each
-    visited table *object* with its mutation counter at lookup time, so
-    a hit revalidates by dereferencing the table directly; the walk
-    builds one tuple per route, shared by every traversal along it, and
-    a decoded sharded traversal (never cached) carries ``()``.  The
-    columnar miss path builds one traversal per *distinct* path and
-    shares it across the positions that took it; a
-    :class:`MegaflowEntry` is a traversal plus its wildcard key.
-    """
-
-    __slots__ = ("outcome", "version_checks")
-
-    def __init__(
-        self,
-        outcome: PathOutcome,
-        version_checks: VersionChecks,
-    ) -> None:
-        self.outcome = outcome
-        self.version_checks = version_checks
-
-
-def credit_lanes(traversals: Sequence[Traversal], width: int) -> np.ndarray:
-    """What ``traversals`` credit, as one int64 row each — the shape
-    :func:`~repro.runtime.batch.credit_outcomes` scatters from without
-    touching a traversal: the counter rows
-    (:attr:`~repro.openflow.flow.FlowStats.row`) of the entries the
-    outcome matched, padded to ``width`` (the pipeline's table count)
-    with :data:`~repro.openflow.flow.SINK`, then its *kind*, ``4 *
-    entries matched + 2 * sent to controller + dropped``.  The entries
-    an outcome holds keep their rows for as long as it lives.  Built
-    once per distinct path walked, and once per aggregate installed:
-    the megaflow tier keeps these rows per aggregate row, so a hit
-    gathers them instead (:meth:`MegaflowCache.probe`)."""
-    pad = (SINK,) * width
-    cells: list[int] = []
-    for traversal in traversals:
-        outcome = traversal.outcome
-        rows = [entry.stats.row for entry in outcome.matched_entries]
-        cells += rows
-        cells += pad[len(rows) :]
-        cells.append(
-            len(rows) << 2 | outcome.sent_to_controller << 1 | outcome.dropped
-        )
-    return np.array(cells, dtype=np.int64).reshape(len(traversals), width + 1)
-
-
-class MegaflowEntry(Traversal):
-    """One cached aggregate: mask, masked key, and the traversal, held
-    in one row of its cache (``row``: its place in the LRU stamp
-    lane)."""
-
-    __slots__ = ("mask", "key", "row")
-
-    def __init__(
-        self,
-        mask: MaskSig,
-        key: bytes,
-        outcome: PathOutcome,
-        version_checks: VersionChecks,
-    ) -> None:
-        self.mask = mask
-        #: The aggregate's exact ``value & mask`` key, packed as
-        #: :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`
-        #: packs it (absence of a field is part of the key).
-        self.key = key
-        self.row = -1
-        self.outcome = outcome
-        self.version_checks = version_checks
 
 
 def replay_template(
@@ -250,18 +177,25 @@ class MegaflowCache:
         self.pipeline = pipeline
         self.capacity = capacity
         #: The one index: per mask (in first-install order — the probe
-        #: order), packed ``value & mask`` key -> entry.
-        self._by_mask: dict[MaskSig, dict[bytes, MegaflowEntry]] = {}
-        #: The aggregate rows: the entry each row holds (``None`` on a
-        #: free row), and the LRU as a stamp lane beside them — a row's
+        #: order), packed ``value & mask`` key -> aggregate row.
+        self._by_mask: dict[MaskSig, dict[bytes, int]] = {}
+        #: The aggregate rows, one lane each: the mask and key that
+        #: index the row (``None`` on a free row), its entry path's
+        #: reference, its route's ``(table, version)`` tags (one tuple
+        #: per route, shared; ``()`` on a free row), and the LRU as a
+        #: stamp lane — a row's
         #: stamp is the clock at its last hit or install, a free row's
         #: :data:`_FREE`, so the least recently used aggregate is the
         #: live row with the lowest stamp.
-        self._rows: list[MegaflowEntry | None] = []
+        self._masks: list[MaskSig | None] = []
+        self._keys: list[bytes | None] = []
+        self._paths: list[PathRef | None] = []
+        self._versions: list[VersionChecks] = []
         self._free: list[int] = []
         self._stamp = np.full(16, _FREE, dtype=np.int64)
         self._clock = 0
-        #: Each row's :func:`credit_lanes` row, which a hit gathers.
+        #: Each row's credit lanes (the counter rows its path matched,
+        #: then its kind), which a hit gathers.
         self._credits = np.full(
             (16, len(pipeline.tables) + 1), SINK, dtype=np.int64
         )
@@ -276,7 +210,7 @@ class MegaflowCache:
         self.evicted = 0
 
     def __len__(self) -> int:
-        return len(self._rows) - len(self._free)
+        return len(self._keys) - len(self._free)
 
     @property
     def hit_rate(self) -> float:
@@ -288,13 +222,12 @@ class MegaflowCache:
         """Distinct masks probed per lookup (the tuple-space width)."""
         return len(self._by_mask)
 
-    def probe_batch(self, batch: PacketBatch) -> list[MegaflowEntry | None]:
-        """:meth:`probe` per batch *position*: the valid aggregate
-        (``None`` on miss), the cache's own bookkeeping done.  It
-        credits no flow stats — whoever owns the entries credits them
-        from the code lane :meth:`probe` returns — and replay
-        materialisation is deferred to the caller (see
-        :class:`repro.runtime.batch.ColumnarOutcomes`).
+    def probe_batch(self, batch: PacketBatch) -> list[PathRef | None]:
+        """:meth:`probe` per batch *position*: the entry path of the
+        valid aggregate (``None`` on miss), the cache's own bookkeeping
+        done.  It credits no flow stats — whoever owns the entries
+        credits them from the code lane :meth:`probe` returns — and
+        replays nothing (see :class:`repro.runtime.batch.ColumnarOutcomes`).
         """
         found, _, lane, _ = self.probe(batch)
         # Code -1 (a miss) reads the trailing ``None``.
@@ -302,7 +235,7 @@ class MegaflowCache:
 
     def probe(
         self, batch: PacketBatch
-    ) -> tuple[list[MegaflowEntry], np.ndarray, IndexArray, IndexArray]:
+    ) -> tuple[list[PathRef], np.ndarray, IndexArray, IndexArray]:
         """The one probe: vectorized tuple-space search and the cache's
         own hit bookkeeping, with integer gathers per *position* and
         Python work per *distinct masked key* and per *aggregate hit*
@@ -327,21 +260,22 @@ class MegaflowCache:
         owner counts and credits them from the code lane
         (:func:`~repro.runtime.batch.credit_outcomes`).
 
-        Returns the aggregates hit (in first-found order), their
-        :func:`credit_lanes` (gathered off their rows), one code per
-        position indexing them (``-1`` on a miss) and the missed
+        Returns the entry paths of the aggregates hit (in first-found
+        order), their credit lanes (gathered off their rows), one code
+        per position indexing them (``-1`` on a miss) and the missed
         positions (ascending).
         """
         pick = batch.pick
         size = len(pick)
-        #: Aggregates hit, in first-found order; position code ``c > 0``
-        #: means ``found[c - 1]``, code 0 is the miss bucket.
-        found: list[MegaflowEntry] = []
+        versions = self._versions
+        #: Aggregate rows hit, in first-found order; position code
+        #: ``c > 0`` means ``found[c - 1]``, code 0 is the miss bucket.
+        found: list[int] = []
         codes = np.zeros(size, dtype=np.int64)
         pending = positions = np.arange(size, dtype=np.int64)
         rows = pick
         # A snapshot: dropping a mask's last aggregate removes the mask.
-        for mask, entries in tuple(self._by_mask.items()):
+        for mask, index in tuple(self._by_mask.items()):
             keys, row_codes = batch.masked_key_codes(mask)
             key_codes = row_codes[rows]
             # Positions are unique, so exactly one of each key code's
@@ -352,15 +286,15 @@ class MegaflowCache:
             resolved = []
             before = len(found)
             for code in distinct.tolist():
-                entry = entries.get(keys[code])
-                if entry is not None:
-                    for table, version in entry.version_checks:
+                row = index.get(keys[code])
+                if row is not None:
+                    for table, version in versions[row]:
                         if table.version != version:
-                            self._drop(entry)
+                            self._drop(row)
                             self.invalidated += 1
                             break
                     else:
-                        found.append(entry)
+                        found.append(row)
                         resolved.append(len(found))
                         continue
                 resolved.append(0)
@@ -376,14 +310,15 @@ class MegaflowCache:
             pending, rows = pending[missed], rows[missed]
         self.misses += len(pending)
         self.hits += size - len(pending)
-        rows = np.fromiter(map(_ROW, found), np.int64, len(found))
+        rows = np.fromiter(found, np.int64, len(found))
         if found:
             last = np.zeros(len(found) + 1, dtype=np.int64)
             np.maximum.at(last, codes, positions)
             self._stamp[rows] = self._clock + last[1:]
         self._clock += size
         codes -= 1
-        return found, self._credits[rows], codes, pending
+        paths: list[Any] = list(map(self._paths.__getitem__, found))
+        return paths, self._credits[rows], codes, pending
 
     def install_batch(
         self,
@@ -391,25 +326,27 @@ class MegaflowCache:
         positions: IndexArray,
         masks: Sequence[MaskSig],
         mask_codes: IndexArray,
-        traversals: Sequence[Traversal],
-        traversal_codes: IndexArray,
+        paths: Sequence[PathRef],
+        path_codes: IndexArray,
         credits: np.ndarray,
-    ) -> list[MegaflowEntry]:
-        """The one install: cache the captured traversals of one
-        batch's misses, each for its whole aggregate.
+        versions: Sequence[VersionChecks],
+    ) -> None:
+        """The one install: cache the captured paths of one batch's
+        misses, each for its whole aggregate.
 
         Position ``positions[j]`` of ``batch`` — the *original* packet,
         pre-rewrite — consulted mask ``masks[mask_codes[j]]`` and took
-        ``traversals[traversal_codes[j]]`` (both shared across positions
-        — one outcome per distinct entry path, never one per packet),
-        whose credit lanes are ``credits`` (:func:`credit_lanes`).
-        Keys come off the lanes: per distinct mask, the batch's memoized
+        path ``paths[path_codes[j]]``, whose credit lanes are
+        ``credits[path_codes[j]]`` and whose route's version tags are
+        ``versions[path_codes[j]]`` (all shared across positions — one
+        per distinct entry path, never one per packet).  Keys come off
+        the lanes: per distinct mask, the batch's memoized
         :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`,
-        gathered per position by code.  Entries are stored one per
-        position, **in position order**, so installs, same-batch
-        overwrites, LRU order and evictions land as if the packets had
-        been installed one by one.  Returns the entries, aligned with
-        ``positions``.
+        gathered per position by code.  Aggregates are stored one per
+        position, **in position order**, into rows of lanes — no object
+        per aggregate — so installs, same-batch overwrites, LRU order
+        and evictions land as if the packets had been installed one by
+        one.
         """
         rows = batch.pick[positions]
         keys_of = []
@@ -419,33 +356,28 @@ class MegaflowCache:
             keys_of.append(keys)
             chosen = mask_codes == mask_code
             key_codes[chosen] = row_codes[rows[chosen]]
-        installed: list[MegaflowEntry] = []
-        rows: list[int] = []
-        codes = traversal_codes.tolist()
-        for mask_code, key_code, code in zip(
-            mask_codes.tolist(), key_codes.tolist(), codes
-        ):
-            traversal = traversals[code]
-            entry = MegaflowEntry(
-                masks[mask_code],
-                keys_of[mask_code][key_code],
-                traversal.outcome,
-                traversal.version_checks,
+        store, size = self._store, len(positions)
+        codes = path_codes.tolist()
+        stored = [
+            store(masks[mask_code], keys_of[mask_code][key_code], paths[code], versions[code], size)
+            for mask_code, key_code, code in zip(
+                mask_codes.tolist(), key_codes.tolist(), codes
             )
-            rows.append(self._store(entry, len(codes)))
-            installed.append(entry)
+        ]
         self._victims.clear()
-        if rows:
+        if stored:
             # A row installed twice holds its later install: each row
             # takes the credit lanes of the last position it took.
-            last = dict(zip(rows, codes))
+            last = dict(zip(stored, codes))
             self._credits[list(last)] = credits[list(last.values())]
-        return installed
 
     def flush(self) -> None:
         """Drop every cached aggregate (explicit only; never automatic)."""
         self._by_mask.clear()
-        self._rows.clear()
+        self._masks.clear()
+        self._keys.clear()
+        self._paths.clear()
+        self._versions.clear()
         self._free.clear()
         self._stamp[:] = _FREE
 
@@ -453,30 +385,43 @@ class MegaflowCache:
     # internals
     # ------------------------------------------------------------------
 
-    def _store(self, entry: MegaflowEntry, batch: int) -> int:
-        """Index a built entry in a row of its own (an entry replacing
-        a same-aggregate one takes over its row), stamp it most
-        recently used, count the install and evict the least recently
-        used beyond capacity; returns the row.  ``batch`` is the size
-        of the install's batch: no more can evict in it."""
-        index = self._by_mask.setdefault(entry.mask, {})
-        old = index.get(entry.key)
-        if old is not None:
-            row = old.row
-        elif self._free:
-            row = self._free.pop()
-        else:
-            row = len(self._rows)
-            self._rows.append(None)
-            if row == len(self._stamp):
-                self._grow()
-        entry.row = row
-        index[entry.key] = self._rows[row] = entry
+    def _store(
+        self,
+        mask: MaskSig,
+        key: bytes,
+        path: PathRef,
+        versions: VersionChecks,
+        batch: int,
+    ) -> int:
+        """Put one aggregate in a row of its own (an aggregate replacing
+        a same-key one takes over its row), stamp it most recently
+        used, count the install and evict the least recently used beyond
+        capacity; returns the row.  ``batch`` is the size of the
+        install's batch: no more can evict in it."""
+        index = self._by_mask.get(mask)
+        if index is None:
+            index = self._by_mask[mask] = {}
+        row = index.get(key)
+        new = row is None
+        if row is None:
+            if self._free:
+                row = self._free.pop()
+                self._masks[row], self._keys[row] = mask, key
+            else:
+                row = len(self._keys)
+                self._masks.append(mask)
+                self._keys.append(key)
+                self._paths.append(None)
+                self._versions.append(())
+                if row == len(self._stamp):
+                    self._grow()
+            index[key] = row
+        self._paths[row], self._versions[row] = path, versions
         self._stamp[row] = self._clock
         self._clock += 1
         self.installs += 1
         # Only a new row can take the cache past its capacity.
-        if old is None and len(self._rows) - len(self._free) > self.capacity:
+        if new and len(self._keys) - len(self._free) > self.capacity:
             self._evict(batch)
             self.evicted += 1
         return row
@@ -502,23 +447,27 @@ class MegaflowCache:
         stamp, victims = self._stamp, self._victims
         while True:
             if not victims:
-                live = len(self._rows)
+                live = len(self._keys)
                 take = min(batch, live - 1)
                 chosen = np.argpartition(stamp[:live], take)[: take + 1]
                 victims.extend(chosen[np.argsort(stamp[chosen])[::-1]].tolist())
                 self._chosen_at = self._clock
             row = victims.pop()
-            entry = self._rows[row]
             # Skipped if freed, or stamped since it was chosen.
-            if entry is not None and stamp[row] < self._chosen_at:
-                self._drop(entry)
+            if self._keys[row] is not None and stamp[row] < self._chosen_at:
+                self._drop(row)
                 return
 
-    def _drop(self, entry: MegaflowEntry) -> None:
-        entries = self._by_mask[entry.mask]
-        del entries[entry.key]
-        if not entries:
-            del self._by_mask[entry.mask]
-        self._rows[entry.row] = None
-        self._free.append(entry.row)
-        self._stamp[entry.row] = _FREE
+    def _drop(self, row: int) -> None:
+        """Free one aggregate row: out of its mask's index, its path
+        reference let go (so its entries can be collected)."""
+        mask, key = self._masks[row], self._keys[row]
+        assert mask is not None and key is not None
+        index = self._by_mask[mask]
+        del index[key]
+        if not index:
+            del self._by_mask[mask]
+        self._masks[row] = self._keys[row] = self._paths[row] = None
+        self._versions[row] = ()
+        self._free.append(row)
+        self._stamp[row] = _FREE

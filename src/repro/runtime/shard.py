@@ -53,12 +53,11 @@ those entries already determine — every position costs one ``int32``
 code, and the five cache counts the request caused ride in the same
 block, so a reply frame pickles no class instance.
 The parent resolves the refs against the entry order it pinned at
-submission, replays its own entries through
-:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path` (the
-function the worker's walk built the same outcome with), credits its
+submission into path references over its own entries and folds their
+credit lanes (no path is replayed until somebody reads it), credits its
 counters and its authoritative
 :class:`~repro.openflow.flow.FlowEntry` stats once per batch, counting
-each traversal's packets and frame bytes itself from the codes and the
+each path's packets and frame bytes itself from the codes and the
 batch's own ``frame_len`` lane — a replica credits nothing and the
 parent trusts no worker sum, so flow stats match the single-process
 run exactly — and hands back the same lazily materialised
@@ -101,7 +100,7 @@ holds is counted before it is collected.
 to the request block's columns in place and classifies through
 :meth:`~repro.runtime.batch.BatchPipeline.classify` (which credits
 nothing), encoding
-its reply straight from the distinct traversals' matched entries
+its reply straight from the distinct paths' matched entries
 (:func:`~repro.runtime.transport.encode_outcomes`) — cache misses walk
 the tables as index arrays, so no row is materialised as a dict
 worker-side.  Dict
@@ -158,7 +157,12 @@ from repro.core.config import ArchitectureConfig, DEFAULT_CONFIG
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import Match
-from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline, PipelineResult
+from repro.openflow.pipeline import (
+    MissPolicy,
+    OpenFlowPipeline,
+    PathRef,
+    PipelineResult,
+)
 from repro.packet.batch import PacketBatch
 from repro.runtime.batch import (
     BatchPipeline,
@@ -173,7 +177,6 @@ from repro.runtime.lifecycle import (
     LifecycleSweeper,
     VirtualClock,
 )
-from repro.runtime.megaflow import Traversal, credit_lanes
 from repro.runtime.protocol import (
     AddMutation,
     ByeReply,
@@ -1029,8 +1032,8 @@ class ShardedBatchPipeline:
         <repro.runtime.batch.BatchPipeline.classify_columnar>` returns —
         so a per-packet :class:`PipelineResult` exists only once a
         caller indexes or iterates one: counters and flow stats are
-        already merged when it is yielded, a stream nobody reads builds
-        one outcome per distinct traversal per batch, and memory stays
+        already merged when it is yielded, a stream nobody reads replays
+        no path at all, and memory stays
         O(depth x batch), never O(stream).  An outcome stays readable
         after any number of later batches (nothing in it aliases a ring
         slot) and is resolved against the entry order pinned when its
@@ -1425,15 +1428,17 @@ class ShardedBatchPipeline:
                 )
             )
         codes = np.empty(len(batch), dtype=np.int64)
-        traversals: list[Traversal] = []
+        paths: list[PathRef] = []
         stats = self.stats
         for members, shard in zip(inflight.groups.values(), decoded):
             for name, count in zip(REPLY_COUNTERS, shard.counters):
                 setattr(stats, name, getattr(stats, name) + count)
-            codes[members] = shard.codes + len(traversals)
-            traversals += shard.traversals
-        credits = credit_lanes(traversals, len(self._authoritative.tables))
-        outcomes = ColumnarOutcomes(batch, traversals, codes, credits)
+            codes[members] = shard.codes + len(paths)
+            paths += shard.paths
+        credits = np.concatenate([shard.credits for shard in decoded])
+        outcomes = ColumnarOutcomes(
+            batch, self._authoritative, paths, codes, credits
+        )
         credit_outcomes(stats, outcomes)
         self._maybe_prune_log(inflight.log_len)
         return outcomes

@@ -27,10 +27,9 @@ refs** of the entries it matched, resolved against each side's own
 tables, and nothing those entries already determine (flags, metadata,
 tables visited, output ports, applied actions, rewrites) crosses the
 pipe; per position, one ``int32`` code naming its traversal.
-:func:`decode_outcomes` is the parent's half: it replays the pinned
-entries through the pipeline's own executor
-(:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`, which
-the worker's walk built the same outcome with) and fails closed
+:func:`decode_outcomes` is the parent's half: it links the pinned
+entries into path references and folds their credit lanes, as the
+worker's walk did — replaying nothing — and fails closed
 (:class:`ReplyDecodeError`) on a block that does not fit its batch.
 
 **Entry refs and the stats return path.**  A ref's position indexes
@@ -81,12 +80,16 @@ from typing import (
 
 import numpy as np
 
-from repro.openflow.errors import PipelineError
-from repro.openflow.flow import FlowEntry
-from repro.openflow.pipeline import OpenFlowPipeline
+from repro.openflow.flow import SINK, FlowEntry
+from repro.openflow.pipeline import (
+    OpenFlowPipeline,
+    PathRef,
+    counted_kind,
+    fold_step,
+    path_steps,
+)
 from repro.packet.batch import FieldLanes, PacketBatch
 from repro.packet.headers import transport_schema
-from repro.runtime.megaflow import Traversal
 
 if TYPE_CHECKING:  # runtime.batch imports nothing from here, but the
     # hint stays lazy so module import order never matters
@@ -466,12 +469,13 @@ _REPLY_LANES = {
 
 
 class DecodedReply(NamedTuple):
-    """One reply, decoded: the sub-batch's distinct traversals (matched
-    entries the parent's own, everything else replayed from them), the
-    traversal each position took, and the :data:`REPLY_COUNTERS` its
-    request caused."""
+    """One reply, decoded: the sub-batch's distinct entry paths (as
+    references to the parent's own entries), their credit lanes (the
+    counter rows each matched, then its kind), the path each position
+    took, and the :data:`REPLY_COUNTERS` its request caused."""
 
-    traversals: list[Traversal]
+    paths: list[PathRef]
+    credits: np.ndarray
     codes: np.ndarray
     counters: list[int]
 
@@ -514,20 +518,17 @@ def encode_outcomes(
     counts packets and frame bytes from the codes itself.  Every lane
     is written in its ``_REPLY_LANES`` dtype.
     """
-    traversals, codes = outcomes.distinct()
-    count = len(traversals)
+    paths, codes = outcomes.distinct()
+    count = len(paths)
     positions = {t.table_id: t.entry_positions() for t in pipeline.tables}
     writer.put("res/codes", codes)
     refs = [
         [
             part
-            for table_id, entry in zip(
-                traversal.outcome.tables_visited,
-                traversal.outcome.matched_entries,
-            )
+            for table_id, entry in path_steps(path)
             for part in (table_id, positions[table_id][id(entry)])
         ]
-        for traversal in traversals
+        for path in paths
     ]
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum([len(row) for row in refs], out=offsets[1:])
@@ -549,23 +550,27 @@ def decode_outcomes(
     pinned: Mapping[int, tuple[FlowEntry, ...]],
     expected: int,
 ) -> DecodedReply:
-    """Rebuild one reply's traversals: resolve each one's refs against
+    """Rebuild one reply's entry paths: resolve each one's refs against
     ``pinned`` — the entry order the parent froze when it submitted the
-    batch — and replay the parent's own entries through ``pipeline``
-    (:meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`, the
-    function the worker's walk built the same outcome with).
+    batch — into a reference to the parent's own entries, checking that
+    the refs chain (the first in the pipeline's first table, each next
+    in the table its predecessor's Goto-Table names), and fold its
+    credit lanes from the entries' compiled steps
+    (:func:`~repro.openflow.pipeline.counted_kind`, the walk's own
+    fold).  Nothing is replayed: a path's outcome is built only if
+    somebody reads it.
 
-    ``expected`` is the member count the parent sent; the traversal
-    count is what the ``res/matched/offsets`` lane partitions.  Fails
-    closed: a reply whose segment table does not describe its lanes
+    ``expected`` is the member count the parent sent; the path count is
+    what the ``res/matched/offsets`` lane partitions.  Fails closed: a
+    reply whose segment table does not describe its lanes
     (:func:`_reply_lane`), or that does not fit ``expected``, its own
     lanes, the pinned snapshot or the pipeline's table order raises
     :class:`ReplyDecodeError` here rather than mis-resolving an outcome
     (or an ``IndexError``) at first read.  Only the codes and the
     counters (both range-checked) and the refs (resolved and chained)
-    are read; any other lane a reply carries is ignored.  Everything returned is copied out
-    of the block, so the ring slot is free for reuse as soon as
-    this returns.
+    are read; any other lane a reply carries is ignored.  Everything
+    returned is copied out of the block, so the ring slot is free for
+    reuse as soon as this returns.
     """
     matched = _get_ragged(reader, "res/matched")
     count = len(matched)
@@ -576,33 +581,37 @@ def decode_outcomes(
             f"of {expected}"
         )
     _require_range(codes, count, "codes")
-    traversals: list[Traversal] = []
-    for refs in matched:
+    first, policy = pipeline.tables[0].table_id, pipeline.miss_policy
+    paths: list[PathRef] = []
+    credits = np.full((count, len(pipeline.tables) + 1), SINK, dtype=np.int64)
+    for row, refs in zip(credits, matched):
         if len(refs) % 2:
             raise ReplyDecodeError(
                 f"matched refs {refs} are not (table_id, position) pairs"
             )
-        tables = tuple(refs[0::2])
-        try:
-            outcome = pipeline.replay_path(
-                [
-                    _pinned_entry(pinned, table_id, position)
-                    for table_id, position in zip(tables, refs[1::2])
-                ]
-            )
-        except PipelineError as error:
-            raise ReplyDecodeError(
-                f"matched refs {refs} run on past the end of their path"
-            ) from error
-        if outcome.tables_visited[: len(tables)] != tables:
-            raise ReplyDecodeError(
-                f"matched refs {refs} do not chain: the path visits "
-                f"tables {outcome.tables_visited}"
-            )
-        traversals.append(Traversal(outcome, ()))
+        path: PathRef = ()
+        reached: int | None = first
+        state = 0
+        for depth, (table_id, position) in enumerate(zip(refs[0::2], refs[1::2])):
+            entry = _pinned_entry(pinned, table_id, position)
+            if reached is None:
+                raise ReplyDecodeError(
+                    f"matched refs {refs} run on past the end of their path"
+                )
+            if table_id != reached:
+                raise ReplyDecodeError(
+                    f"matched refs {refs} do not chain: ref {depth} sits in "
+                    f"table {table_id}, the path has reached table {reached}"
+                )
+            path = (path, table_id, entry)
+            step = entry.instructions.compiled
+            reached, state = step.goto, fold_step(state, step.counted)
+            row[depth] = entry.stats.row
+        row[-1] = counted_kind(len(refs) // 2, state, reached is not None, policy)
+        paths.append(path)
     counters = _reply_lane(reader, "res/stats", len(REPLY_COUNTERS)).tolist()
     _check_counters(counters, expected, len(pipeline.tables))
-    return DecodedReply(traversals, codes.astype(np.int64), counters)
+    return DecodedReply(paths, credits, codes.astype(np.int64), counters)
 
 
 def _check_counters(counters: list[int], members: int, tables: int) -> None:

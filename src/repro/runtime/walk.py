@@ -17,19 +17,26 @@ many packets:
 - members are grouped by matched entry, and the entry's
   :class:`~repro.openflow.instructions.CompiledStep` moves the group
   (metadata register, override lanes, next table);
-- every position carries two small integer codes — its *entry path* and
-  its *capture state* (consulted bits so far, fields rewritten so far)
-  — extended per wave over the distinct ``(code, outcome)`` pairs.
+- every position carries three small integer codes — its *entry path*,
+  its *route* (the tables visited, with their versions) and its
+  *capture state* (consulted bits so far, fields rewritten so far) —
+  extended per wave over the distinct ``(code, outcome)`` pairs, and
+  its *credit lanes*: each wave writes the matched entry's counter row
+  (:attr:`~repro.openflow.flow.FlowStats.row`) at the position's depth
+  and folds the entry's compiled step into the position's counted
+  facts (:func:`~repro.openflow.pipeline.fold_step`).
 
-When the waves drain, each distinct entry path is replayed **once**
-through :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`
-into an immutable :class:`~repro.openflow.pipeline.PathOutcome` (so the
-OpenFlow §5.9 semantics of a path have a single definition), tagged
-with its table versions as a
-:class:`~repro.runtime.megaflow.Traversal`; each distinct capture state
-becomes a mask signature, and the caller installs / materialises from
-the per-position codes.  The walk credits nothing: the runner that
-owns the entries credits each traversal's packets and frame bytes
+An entry path is a reference, a linked
+:data:`~repro.openflow.pipeline.PathRef` that paths sharing a prefix
+share.  When the waves drain, each distinct path is named by its
+reference, its credit lanes (the counter rows it matched, then its kind,
+:func:`~repro.openflow.pipeline.counted_kind`) and the version tags of
+its route; each distinct capture state becomes a mask signature, and
+the caller installs from the per-position codes.  No path is replayed
+here: :meth:`~repro.openflow.pipeline.OpenFlowPipeline.replay_path`
+runs only for a path somebody reads
+(:class:`~repro.runtime.batch.ColumnarOutcomes`).  The walk credits
+nothing: the runner that owns the entries credits the credit lanes
 after the batch is classified
 (:func:`~repro.runtime.batch.credit_outcomes`).
 """
@@ -37,20 +44,32 @@ after the batch is classified
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import repeat
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.openflow.actions import SetFieldAction
-from repro.openflow.flow import FlowEntry
+from repro.openflow.flow import SINK, FlowEntry
 from repro.openflow.instructions import CompiledStep
-from repro.openflow.pipeline import OpenFlowPipeline
+from repro.openflow.pipeline import (
+    OpenFlowPipeline,
+    PathRef,
+    counted_kind,
+    fold_step,
+)
 from repro.packet.batch import IndexArray, PacketBatch, UIntLane
 from repro.runtime.cache import MicroflowCache
-from repro.runtime.megaflow import MaskSig, Traversal, VersionChecks
+from repro.runtime.megaflow import MaskSig, VersionChecks
 
 _LANE_MASK = 0xFFFFFFFFFFFFFFFF
+
+#: An entry's counter row (:attr:`~repro.openflow.flow.FlowStats.row`)
+#: and a compiled step's place in the counted-facts fold.
+_STATS_ROW = attrgetter("stats.row")
+_COUNTED = attrgetter("counted")
 
 class _OverrideLane:
     """The rewritten values of one header field, per batch position."""
@@ -83,10 +102,12 @@ class _OverrideLane:
 class ColumnarWalk:
     """One batch's megaflow misses, walked table by table as arrays.
 
-    After :meth:`run`, position ``missed[j]`` took
-    ``traversals[traversal_codes[j]]`` and — with ``capture`` —
-    consulted ``masks[mask_codes[j]]``; :attr:`waves` counts the
-    table visits the walk made.
+    After :meth:`run`, position ``missed[j]`` took ``paths[path_codes[j]]``,
+    whose credit lanes are ``credits[path_codes[j]]`` and — with
+    ``capture`` — whose route's version tags are
+    ``versions[path_codes[j]]``, and it consulted
+    ``masks[mask_codes[j]]``; :attr:`waves` counts the table visits the
+    walk made.
     """
 
     def __init__(
@@ -101,11 +122,27 @@ class ColumnarWalk:
         self.batch = batch
         self.capture = capture
         size = len(batch)
-        #: Entry-path code per position: an index into ``_paths``, whose
-        #: items are ``(parent code, matched entry)`` — ``None`` marks
-        #: the root (code 0) and a terminal table miss.
+        #: Entry-path code per position: an index into ``_nodes``, the
+        #: path references, whose code 0 is the empty path.
         self._path: IndexArray = np.zeros(size, dtype=np.int64)
-        self._paths: list[tuple[int, FlowEntry | None]] = [(-1, None)]
+        self._nodes: list[PathRef] = [()]
+        #: Credit lanes per position: the counter row matched at each
+        #: depth (:data:`~repro.openflow.flow.SINK` past the path's
+        #: end), then a kind column :meth:`run` fills from the entries
+        #: matched (``_depth``), the counted-facts fold (``_state``)
+        #: and whether the path ended in a table miss (``_missed``).
+        self._credits = np.full(
+            (size, len(pipeline.tables) + 1), SINK, dtype=np.int64
+        )
+        self._depth: IndexArray = np.zeros(size, dtype=np.int64)
+        self._state: IndexArray = np.zeros(size, dtype=np.int64)
+        self._missed: IndexArray = np.zeros(size, dtype=np.int64)
+        #: Route code per position: an index into ``_routes``, the
+        #: ``(table, version)`` tags of the tables visited so far, each
+        #: read at its wave — one tuple per distinct route, shared by
+        #: every path along it.
+        self._route: IndexArray = np.zeros(size, dtype=np.int64)
+        self._routes: list[VersionChecks] = [()]
         #: Capture-state code per position: an index into ``_captures``,
         #: whose items are ``(consulted bits per original field, fields
         #: rewritten so far)``.
@@ -118,14 +155,11 @@ class ColumnarWalk:
         self._register: UIntLane = np.zeros(size, dtype=np.uint64)
         self._overrides: dict[str, _OverrideLane] = {}
         self._first_table = pipeline.tables[0].table_id
-        #: ``(table, version)`` of each visited table, read at its wave,
-        #: and the ``version_checks`` tuple of each distinct table
-        #: sequence (shared by every traversal along it).
-        self._versions: dict[int, tuple[Any, int]] = {}
-        self._route_versions: dict[tuple[int, ...], VersionChecks] = {}
         self.waves = 0
-        self.traversals: list[Traversal] = []
-        self.traversal_codes: IndexArray = self._path[:0]
+        self.paths: list[PathRef] = []
+        self.path_codes: IndexArray = self._path[:0]
+        self.credits: np.ndarray = self._credits[:0]
+        self.versions: list[VersionChecks] = []
         self.masks: list[MaskSig] = []
         self.mask_codes: IndexArray = self._path[:0]
 
@@ -144,11 +178,23 @@ class ColumnarWalk:
                 parts[0] if len(parts) == 1 else np.concatenate(parts),
                 pending,
             )
-        finished, self.traversal_codes = np.unique(
-            self._path[missed], return_inverse=True
+        finished, first, self.path_codes = np.unique(
+            self._path[missed], return_index=True, return_inverse=True
         )
-        self.traversals = [self._traversal(code) for code in finished.tolist()]
+        # One position per distinct path speaks for all that took it.
+        ends = missed[first]
+        self.paths = list(map(self._nodes.__getitem__, finished.tolist()))
+        self.credits = self._credits[ends]
+        self.credits[:, -1] = counted_kind(
+            self._depth[ends],
+            self._state[ends],
+            self._missed[ends],
+            self.pipeline.miss_policy,
+        )
         if self.capture:
+            self.versions = list(
+                map(self._routes.__getitem__, self._route[ends].tolist())
+            )
             states, codes = np.unique(self._capture[missed], return_inverse=True)
             signature_code: dict[MaskSig, int] = {}
             remap = [
@@ -173,7 +219,6 @@ class ColumnarWalk:
     ) -> None:
         self.waves += 1
         table: Any = self.pipeline.table(table_id)
-        self._versions[table_id] = (table, table.version)
         outcomes: Sequence[FlowEntry | None]
         masks: Sequence[Mapping[str, int] | None]
         keys, key_codes = self._keys(table.field_names, members)
@@ -204,8 +249,17 @@ class ColumnarWalk:
         entry_codes = entry_codes[key_codes]
 
         steps = [entry.instructions.compiled for entry in entries]
-        self._extend_paths(members, entry_codes, entries, miss_code)
+        if -1 not in codes_by_key:  # every key matched: no table miss here
+            self._extend_paths(table_id, members, entry_codes, entries, steps)
+        else:
+            matched = entry_codes < miss_code
+            self._missed[members[~matched]] = 1
+            if entries:
+                self._extend_paths(
+                    table_id, members[matched], entry_codes[matched], entries, steps
+                )
         if self.capture:
+            self._extend_routes(members, table)
             self._extend_captures(members, masks, key_codes, steps, entry_codes)
         self._advance(members, entry_codes, steps, pending)
 
@@ -266,24 +320,45 @@ class ColumnarWalk:
 
     def _extend_paths(
         self,
-        members: IndexArray,
+        table_id: int,
+        hit: IndexArray,
         entry_codes: IndexArray,
         entries: Sequence[FlowEntry],
-        miss_code: int,
+        steps: Sequence[CompiledStep],
     ) -> None:
-        """Give every distinct ``(path so far, outcome)`` pair of the
-        wave a new path code and move the members onto it."""
-        width = miss_code + 1
+        """Give every distinct ``(path so far, matched entry)`` pair of
+        the wave a path reference of its own and move the ``hit``
+        members onto it; write each member's matched counter row at its
+        depth and fold the entry's step into its counted facts."""
+        width = len(entries)
         pairs, inverse = np.unique(
-            self._path[members] * width + entry_codes, return_inverse=True
+            self._path[hit] * width + entry_codes, return_inverse=True
         )
-        base = len(self._paths)
-        for pair in pairs.tolist():
-            parent, code = divmod(pair, width)
-            self._paths.append(
-                (parent, entries[code] if code < miss_code else None)
-            )
-        self._path[members] = base + inverse
+        nodes = self._nodes
+        base = len(nodes)
+        parents, codes = np.divmod(pairs, width)
+        nodes += zip(
+            [nodes[parent] for parent in parents.tolist()],
+            repeat(table_id),
+            map(entries.__getitem__, codes.tolist()),
+        )
+        self._path[hit] = base + inverse
+        rows = np.fromiter(map(_STATS_ROW, entries), dtype=np.int64, count=width)
+        depth = self._depth[hit]
+        self._credits[hit, depth] = rows[entry_codes]
+        self._depth[hit] = depth + 1
+        counted = np.fromiter(map(_COUNTED, steps), dtype=np.int64, count=width)
+        self._state[hit] = fold_step(self._state[hit], counted[entry_codes])
+
+    def _extend_routes(self, members: IndexArray, table: Any) -> None:
+        """Tag every distinct route of the wave's members with the
+        table's ``(table, version)``, read now, and move the members
+        onto the extended routes."""
+        routes, inverse = np.unique(self._route[members], return_inverse=True)
+        tag = ((table, table.version),)
+        base = len(self._routes)
+        self._routes += [self._routes[route] + tag for route in routes.tolist()]
+        self._route[members] = base + inverse
 
     def _extend_captures(
         self,
@@ -383,29 +458,3 @@ class ColumnarWalk:
         if lane is None:
             lane = self._overrides[name] = _OverrideLane(len(self.batch))
         return lane
-
-    # ------------------------------------------------------------------
-    # after the waves
-    # ------------------------------------------------------------------
-
-    def _traversal(self, code: int) -> Traversal:
-        """Replay one distinct entry path through
-        :meth:`OpenFlowPipeline.replay_path` and tag its outcome with
-        the versions of the tables it visited."""
-        parent, entry = self._paths[code]
-        if entry is None:  # a terminal table miss: the path is its parent's
-            code = parent
-        matched: list[FlowEntry] = []
-        while code:
-            code, entry = self._paths[code]
-            assert entry is not None
-            matched.append(entry)
-        matched.reverse()
-        outcome = self.pipeline.replay_path(matched)
-        route = outcome.tables_visited
-        versions = self._route_versions.get(route)
-        if versions is None:
-            versions = self._route_versions[route] = tuple(
-                self._versions[stop] for stop in route
-            )
-        return Traversal(outcome, versions)

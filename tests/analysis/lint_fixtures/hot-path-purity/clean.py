@@ -32,13 +32,16 @@ def install_batch(self, batch, positions, mask):
 
 
 def decode_outcomes(reader, pipeline, pinned):
-    # One template per *distinct traversal*, replayed from the entries
-    # its refs name; every position costs one code.
-    templates = [
-        pipeline.replay_path([pinned[ref] for ref in refs])
-        for refs in reader.get("res/matched")
-    ]
-    return templates, reader.get("res/codes").tolist()
+    # One path reference per *distinct traversal*, linked from the
+    # entries its refs name; every position costs one code.  Nothing is
+    # replayed until somebody reads.
+    paths = []
+    for refs in reader.get("res/matched"):
+        path = ()
+        for table_id, position in refs:
+            path = (path, table_id, pinned[table_id][position])
+        paths.append(path)
+    return paths, reader.get("res/codes").tolist()
 
 
 def _collect(self, inflight, decoded):
@@ -49,6 +52,16 @@ def _collect(self, inflight, decoded):
 
 def replay_path(self, matched):
     return PipelineResult(final_fields={})
+
+
+def outcome(self, code):
+    # A path is replayed only for a result somebody reads.
+    return self.pipeline.replay_path(self.entries(code))
+
+
+def run(self, missed):
+    # The walk names each distinct path by its reference.
+    return [self.nodes[code] for code in self.codes[missed].tolist()]
 
 
 def results(self):

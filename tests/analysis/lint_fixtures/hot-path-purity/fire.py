@@ -57,6 +57,17 @@ def _collect(self, inflight, decoded):
     return results
 
 
+def run(self, missed):
+    # The walk replays every distinct path, read or not.
+    return [self.pipeline.replay_path(path) for path in self.paths]
+
+
+def _walk_misses(self, outcomes, missed):
+    # The misses' paths are installed and credited as references;
+    # replaying them is the reader's business.
+    return [self.pipeline.replay_path(path) for path in outcomes.paths]
+
+
 class PipelineResult:
     def __init__(self, final_fields):
         self.final_fields = final_fields

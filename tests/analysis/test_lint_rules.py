@@ -188,6 +188,21 @@ class TestRuleDetails:
                     body,
                 )
 
+    def test_miss_path_may_not_replay_a_path(self):
+        """A path is replayed only for a result somebody reads: the
+        walk, the megaflow probe and install, the credit and the
+        sharded decode and collect carry references and credit lanes."""
+        template = (
+            "def {name}(self, paths):\n"
+            "    return [self.pipeline.replay_path(p) for p in paths]\n"
+        )
+        for name in sorted(rules._REPLAY_FREE_HOT):
+            findings = check_source(template.format(name=name), f"{name}.py")
+            assert [f.rule for f in findings] == ["hot-path-purity"], name
+            assert "replay_path" in findings[0].message
+        for name in ("outcome", "results", "__iter__", "__getitem__"):
+            assert not check_source(template.format(name=name), f"{name}.py")
+
     def test_unused_import_spares_package_reexports_only(self):
         source = "from repro.core import build_prototype\n"
         for path, fires in (("pkg/__init__.py", False), ("pkg/mod.py", True)):
@@ -201,6 +216,7 @@ class TestRuleDetails:
         guarded = (
             rules._LANE_ONLY_HOT
             | rules._DICT_FREE_HOT
+            | rules._REPLAY_FREE_HOT
             | rules._KEY_CALLEES
         )
         src = Path(rules.__file__).resolve().parents[2]

@@ -5,9 +5,13 @@ segment, no mapping of one and no worker process, whether a runner was
 closed, abandoned to the garbage collector, or had its workers
 SIGKILLed under it.  The autouse guard below holds *every* test in this
 directory to that, so individual tests assert only the behaviour they
-are about.  The mapping check reads this process's own
-``/proc/self/maps``, which sees a block that was unlinked but is still
-mapped — a ``/dev/shm`` listing cannot.
+are about.  It judges only what this test process did: a segment it
+created (every segment is the sharded parent's — a worker creates none)
+that is still in ``/dev/shm``, and a mapping it still holds, read off
+its own ``/proc/self/maps``, which sees a block that was unlinked but is
+still mapped — a ``/dev/shm`` listing cannot.  A segment another
+process makes meanwhile — a second suite or a benchmark on the same
+host — is none of its business.
 """
 
 from __future__ import annotations
@@ -51,6 +55,32 @@ def shm_mappings(pid: int | str = "self") -> set[str]:
         for line in maps.read_text().splitlines()
         if " /dev/shm/" in line
     }
+
+
+#: Names of the segments this process created since the running test
+#: started (the guard empties it per test).
+_CREATED: set[str] = set()
+
+_SHARED_MEMORY_INIT = shared_memory.SharedMemory.__init__
+
+
+def _recording_init(
+    self: shared_memory.SharedMemory,
+    name: str | None = None,
+    create: bool = False,
+    size: int = 0,
+) -> None:
+    """``SharedMemory.__init__``, noting the name of a segment it
+    creates."""
+    _SHARED_MEMORY_INIT(self, name, create, size)
+    if create:
+        _CREATED.add(self.name)
+
+
+def _leaked() -> set[str]:
+    """Segments this process created during the running test that are
+    still in ``/dev/shm``."""
+    return _CREATED & shm_segments()
 
 
 def unlink_segments(names: set[str]) -> None:
@@ -108,11 +138,23 @@ def pytest_runtest_makereport(item, call):
         item.body_raised = call.excinfo is not None
 
 
+@pytest.fixture(autouse=True, scope="session")
+def leaked_segments():
+    """Note every segment this process creates; yields the guard's own
+    check, which names those of the running test's that are still in
+    ``/dev/shm`` (a test module imports this file as a module of its
+    own, so it reaches the check through here)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shared_memory.SharedMemory, "__init__", _recording_init)
+        yield _leaked
+
+
 @pytest.fixture(autouse=True)
-def nothing_outlives_the_test(request):
-    before, mapped = shm_segments(), shm_mappings()
+def nothing_outlives_the_test(request, leaked_segments):
+    _CREATED.clear()
+    mapped = shm_mappings()
     yield
-    leaked = shm_segments() - before
+    leaked = leaked_segments()
     assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
     children = multiprocessing.active_children()
     assert not children, f"processes left running: {children}"

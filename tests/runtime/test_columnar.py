@@ -47,7 +47,12 @@ from repro.openflow.actions import Action, OutputAction
 from repro.openflow.flow import CounterColumns, FlowEntry, FlowStats
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, FieldMaskSink, Match, PrefixMatch
-from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome, PipelineResult
+from repro.openflow.pipeline import (
+    OpenFlowPipeline,
+    PathOutcome,
+    PipelineResult,
+    path_entries,
+)
 from repro.packet import batch as packet_batch_module
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
@@ -294,8 +299,8 @@ class TestMixedPaths:
 
 class TestColumnarMegaflow:
     def test_probe_batch_standalone(self, rule_set):
-        """The public probe surface: entries per position, bookkeeping
-        done, no replay materialisation."""
+        """The public probe surface: entry paths per position,
+        bookkeeping done, no replay materialisation."""
         wide = widen_rule_set(rule_set)
         runner = BatchPipeline(
             MultiTableLookupArchitecture([build_lookup_table(wide)]),
@@ -316,7 +321,7 @@ class TestColumnarMegaflow:
         assert megaflow.hits == hits_before + hit_count
         for entry in entries:
             if entry is not None:
-                assert entry.outcome.matched_entries
+                assert path_entries(entry)
     def test_uniform_wide_equivalence(self, rule_set):
         wide = widen_rule_set(rule_set)
         workload = uniform_wide_workload(wide, packet_count=1500, flow_count=40)
@@ -636,10 +641,10 @@ class TestMissPathCostShape:
 
 
 class TestShardedReplyCostShape:
-    """What the sharded parent may build for a stream nobody reads:
-    one outcome per distinct traversal per batch — the reply is
-    per-traversal and the yielded outcomes materialise lazily — and
-    never a row dict."""
+    """What the sharded parent may build for a stream nobody reads: no
+    outcome at all — the reply names each distinct path's entries and
+    the yielded outcomes replay a path only when it is read, once per
+    distinct path — and never a row dict."""
 
     def test_unread_stream_builds_one_result_per_distinct_traversal(
         self, monkeypatch, rule_set
@@ -686,14 +691,16 @@ class TestShardedReplyCostShape:
             for outcome in sharded.process_batches(views):
                 per_batch.append(built.calls - sum(per_batch))
                 outcomes.append(outcome)
-            assert per_batch == distinct
+            # An unread batch replays no path at all.
+            assert per_batch == [0] * len(views)
             assert replayed.calls == 0
             assert [spy.calls for spy in rows] == [0, 0, 0]
             assert sharded.stats_snapshot().packets == len(event)
-            # Reading one outcome costs exactly its packets.
+            # Reading one outcome costs exactly its packets, and one
+            # outcome per distinct path of that batch.
             results = list(outcomes[2])
             assert replayed.calls == len(results) == len(views[2])
-            assert built.calls == sum(distinct)
+            assert built.calls == distinct[2]
             assert constructed.calls == 0
         reference = BatchPipeline(make_arch(), cache_capacity=None)
         assert results == reference.process_batch(views[2])
@@ -751,12 +758,12 @@ def _owned(outcome):
 
 
 class TestMissPathAllocationShape:
-    """What a megaflow miss leaves behind: one immutable
-    :class:`PathOutcome` per distinct entry path, shared by the walk and
-    every aggregate the batch installed along it, holding no list and
-    no non-empty dict — so the objects a cold miss keeps alive give the
-    cyclic collector no container to keep tracking.  Counts and types
-    only, no clocks."""
+    """What a megaflow miss leaves behind: one path reference per
+    distinct entry path, shared by the walk and every aggregate the
+    batch installed along it — linked tuples of table ids and the
+    entries themselves, no list, no dict and no outcome — and the
+    outcome replayed from one for whoever reads it is immutable.
+    Counts and types only, no clocks."""
 
     SIZE = 256
 
@@ -775,34 +782,36 @@ class TestMissPathAllocationShape:
         monkeypatch.setattr(ColumnarWalk, "run", recorded)
         runner.classify_columnar(PacketBatch.from_dicts(packets))
         (walk,) = walks
-        cached = [entry for entry in runner.megaflow._rows if entry is not None]
-        assert runner.megaflow.misses == len(walk.traversals) == self.SIZE
+        megaflow = runner.megaflow
+        cached = [
+            megaflow._paths[row]
+            for row, key in enumerate(megaflow._keys)
+            if key is not None
+        ]
+        assert runner.megaflow.misses == len(walk.paths) == self.SIZE
         # A masked key pins its path, so no two installs collided.
         assert len(cached) == self.SIZE
-        return walk, cached
+        return runner, walk, cached
 
     def test_cached_outcomes_hold_no_list_or_dict(self, monkeypatch):
-        walk, cached = self.classify(monkeypatch)
-        outcomes = [t.outcome for t in walk.traversals]
-        assert {id(entry.outcome) for entry in cached} == set(map(id, outcomes))
+        _, walk, cached = self.classify(monkeypatch)
+        assert {id(path) for path in cached} == set(map(id, walk.paths))
         kinds = Counter()
-        for outcome in outcomes:
-            for obj in _owned(outcome):
+        for path in walk.paths:
+            for obj in _owned(path):
                 kinds[type(obj)] += 1
-                if type(obj) is dict:
-                    assert not obj, f"a non-empty dict under {outcome}"
-        assert kinds[list] == 0
-        assert kinds[PathOutcome] == self.SIZE
-        # Past the rules it names, an outcome is tuples of scalars.
+        assert kinds[list] == kinds[dict] == kinds[PathOutcome] == 0
+        # Past the rules it names, a path is tuples of scalars.
         assert {
             kind
             for kind in kinds
             if not issubclass(kind, (type, FlowEntry, Action))
-        } <= {PathOutcome, tuple, int, bool, str}, kinds
+        } <= {tuple, int}, kinds
 
     def test_outcomes_refuse_writes(self, monkeypatch):
-        walk, cached = self.classify(monkeypatch)
-        for outcome in {id(e.outcome): e.outcome for e in cached}.values():
+        runner, _, cached = self.classify(monkeypatch)
+        for path in cached:
+            outcome = runner.pipeline.replay_path(path_entries(path))
             for name in PathOutcome.__slots__:
                 with pytest.raises(AttributeError):
                     setattr(outcome, name, getattr(outcome, name))
@@ -817,6 +826,77 @@ class TestMissPathAllocationShape:
             ):
                 with pytest.raises(AttributeError):
                     getattr(outcome, name).append(None)
+
+
+class TestUnreadMissCostShape:
+    """What a ``cold``-shaped batch — the paper's four tables, every
+    position a megaflow miss on a path of its own — costs when nobody
+    reads its outcome: no ``replay_path`` call, no
+    :class:`PathOutcome`, no per-packet result, and no runtime object
+    per aggregate or per path — only the linked path references, at
+    most one tuple per table a path matched in.  Reading every position
+    then replays each distinct path once, however often it is read.
+    Counts and types only, no clocks."""
+
+    SIZE = 256
+
+    @staticmethod
+    def spies(monkeypatch):
+        return {
+            "replayed": _Spy(monkeypatch, OpenFlowPipeline, "replay_path"),
+            "built": _Spy(monkeypatch, PathOutcome, "__init__"),
+            "constructed": _Spy(monkeypatch, PipelineResult, "__init__"),
+        }
+
+    def classify(self, monkeypatch):
+        arch, packets = _distinct_path_misses(self.SIZE)
+        runner = BatchPipeline(
+            arch, cache_capacity=64, megaflow_capacity=4 * self.SIZE
+        )
+        batch = PacketBatch.from_dicts(packets)
+        spies = self.spies(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            before = {id(obj) for obj in gc.get_objects()}
+            outcome = runner.classify_columnar(batch)
+            grown = Counter(
+                type(obj)
+                for obj in gc.get_objects()
+                if id(obj) not in before
+            )
+        finally:
+            gc.enable()
+        assert runner.megaflow.misses == len(outcome.paths) == self.SIZE
+        return runner, outcome, spies, grown
+
+    def test_unread_outcome_replays_nothing(self, monkeypatch):
+        runner, _, spies, grown = self.classify(monkeypatch)
+        assert {name: spy.calls for name, spy in spies.items()} == {
+            "replayed": 0,
+            "built": 0,
+            "constructed": 0,
+        }
+        tables = len(runner.pipeline.tables)
+        assert grown[tuple] <= (tables + 1) * self.SIZE
+        assert grown[dict] + grown[list] + grown[set] < 16
+        # No megaflow, walk or outcome object per aggregate or path:
+        # the one outcome object is the batch's.
+        runtime = {
+            kind.__name__: count
+            for kind, count in grown.items()
+            if kind.__module__
+            in ("repro.runtime.megaflow", "repro.runtime.walk", "repro.runtime.batch")
+        }
+        assert runtime == {"ColumnarOutcomes": 1}
+
+    def test_reading_replays_each_distinct_path_once(self, monkeypatch):
+        _, outcome, spies, _ = self.classify(monkeypatch)
+        distinct = len({id(path) for path in outcome.paths})
+        assert outcome.results() == outcome.results()
+        assert [outcome[i] for i in range(len(outcome))] == outcome.results()
+        assert spies["replayed"].calls == spies["built"].calls == distinct
+        assert spies["constructed"].calls == 0
 
 
 class TestMaterialisedResultsAreTheReaders:
@@ -841,7 +921,7 @@ class TestMaterialisedResultsAreTheReaders:
     def check(arch, classify, packets, oracle):
         """Classify twice; vandalise position 0's result in between."""
         first = classify(packets)
-        shared = first.traversals[first.codes[0]].outcome
+        shared = first.outcome(first.codes[0])
         vandalised = first[0]
         vandalised.output_ports.append(9)
         vandalised.matched_entries.append(vandalised.matched_entries[0])
@@ -854,13 +934,13 @@ class TestMaterialisedResultsAreTheReaders:
         # The same flows again, every position a megaflow hit.
         second = classify(packets)
         assert second.results() == oracle
-        assert second.traversals[second.codes[0]].outcome == shared
-        return shared, second
+        assert second.outcome(second.codes[0]) == shared
+        return first, second
 
     def test_in_process(self):
         arch, packets, oracle = self.traffic()
         runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=48)
-        shared, second = self.check(
+        first, second = self.check(
             arch,
             lambda packets: runner.classify_columnar(
                 PacketBatch.from_dicts(packets)
@@ -869,8 +949,8 @@ class TestMaterialisedResultsAreTheReaders:
             oracle,
         )
         assert runner.megaflow.hits == len(packets)
-        # The hit served the very outcome the vandalised result came from.
-        assert second.traversals[second.codes[0]].outcome is shared
+        # The hit served the very path the vandalised result came from.
+        assert second.paths[second.codes[0]] is first.paths[first.codes[0]]
 
     @needs_dev_shm
     def test_sharded(self):
@@ -1040,11 +1120,13 @@ class TestMegaflowProbeCostShape:
         stamps = _count_stamps(monkeypatch, megaflow)
         (table,) = runner.pipeline.tables
         watch = _VersionReads(table)
-        for entry in filter(None, megaflow._rows):
-            assert [t for t, _ in entry.version_checks] == [table]
-            entry.version_checks = tuple(
-                (watch, version) for _, version in entry.version_checks
-            )
+        for row, key in enumerate(megaflow._keys):
+            if key is not None:
+                versions = megaflow._versions[row]
+                assert [t for t, _ in versions] == [table]
+                megaflow._versions[row] = tuple(
+                    (watch, version) for _, version in versions
+                )
 
         def tally():
             probes = sum(megaflow._by_mask[mask].probes for mask in masks)
@@ -1060,8 +1142,7 @@ class TestMegaflowProbeCostShape:
                 len(set(view.masked_key_codes(mask).codes[view.pick].tolist()))
                 for mask in masks
             ]
-            aggregates = len({id(entry) for entry in outcome.traversals})
-            assert aggregates == len(outcome.traversals)
+            aggregates = len(outcome.paths)
             assert aggregates <= probes <= sum(distinct_keys) < size
             # One validation per aggregate hit, one LRU write per batch.
             assert reads == aggregates
@@ -1132,7 +1213,7 @@ class TestHitPathCostShape:
         spies = self.spies(monkeypatch, runner)
         for view in views:
             grown, outcome = self.classify(runner, spies, view)
-            assert 1 < len(outcome.traversals) < len(view)
+            assert 1 < len(outcome.paths) < len(view)
             assert grown == self.ALL_HIT
         assert spies["keyed"].calls == 0
 
@@ -1141,7 +1222,7 @@ class TestHitPathCostShape:
         spies = self.spies(monkeypatch, runner)
         # A one-packet view of the warm store costs no keying at all...
         grown, outcome = self.classify(runner, spies, views[1][7:8])
-        assert len(outcome) == len(outcome.traversals) == 1
+        assert len(outcome) == len(outcome.paths) == 1
         assert grown == self.ALL_HIT
         # ...and a store of its own keys each mask it probes once.
         single = PacketBatch.from_dicts([views[1].fields_at(7)])
@@ -1176,9 +1257,7 @@ class TestCreditOnceCostShape:
         spies["frame_lengths"] = _Spy(monkeypatch, PacketBatch, "frame_lengths")
         hits, misses = runner.megaflow.hits, runner.megaflow.misses
         outcome = runner.classify_columnar(batch)
-        assert any(
-            traversal.outcome.matched_entries for traversal in outcome.traversals
-        )
+        assert any(map(path_entries, outcome.paths))
         expected = {"add": 0, "record": 0, "credit": 1, "frame_lengths": 1}
         assert {name: spy.calls for name, spy in spies.items()} == expected
         for _ in range(2):

@@ -79,7 +79,7 @@ from repro.openflow.instructions import (
     WriteMetadata,
 )
 from repro.openflow.match import ExactMatch, Match, PrefixMatch, RangeMatch
-from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
+from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline, path_entries
 from repro.openflow.table import FlowTable
 from repro.packet.batch import PacketBatch
 from repro.packet.generator import PacketGenerator, TraceConfig
@@ -854,27 +854,35 @@ def _hold_capture_to_spec(runner):
     install_batch = megaflow.install_batch
     checked = [0]
 
-    def audited(batch, positions, *codes):
-        entries = install_batch(batch, positions, *codes)
+    def audited(
+        batch, positions, masks, mask_codes, paths, path_codes, credits, versions
+    ):
+        install_batch(
+            batch, positions, masks, mask_codes, paths, path_codes, credits, versions
+        )
         replica = copy.deepcopy(runner.pipeline)
-        for position, entry in zip(positions.tolist(), entries):
+        for position, mask_code, code in zip(
+            positions.tolist(), mask_codes.tolist(), path_codes.tolist()
+        ):
+            mask = masks[mask_code]
+            keys, row_codes = batch.masked_key_codes(mask)
+            key = keys[row_codes[batch.pick[position]]]
             fields = batch.fields_at(position)
             recorder = MegaflowRecorder()
             result = replica.process(fields, mask=recorder)
             context = f"aggregate of {fields}"
-            assert entry.mask == recorder.mask_signature(), context
+            assert mask == recorder.mask_signature(), context
             assert [
-                (table.table_id, version)
-                for table, version in entry.version_checks
+                (table.table_id, version) for table, version in versions[code]
             ] == recorder.tables, context
-            assert dict(entry.outcome.overrides) == {
+            outcome = runner.pipeline.replay_path(path_entries(paths[code]))
+            assert dict(outcome.overrides) == {
                 name: result.final_fields[name]
                 for name in recorder.rewritten
                 if name in result.final_fields
             }, context
-            assert entry.key == packed_masked_key(entry.mask, fields), context
-        checked[0] += len(entries)
-        return entries
+            assert key == packed_masked_key(mask, fields), context
+        checked[0] += len(positions)
 
     megaflow.install_batch = audited
     return checked
@@ -1231,12 +1239,9 @@ class TestReplyNbytesBoundsEveryReply:
         ]
         for _ in ("walked", "megaflow hits"):
             outcomes, nbytes = _encoded_reply(runner, packets)
-            traversals, _ = outcomes.distinct()
-            assert len(traversals) == ports
-            assert all(
-                len(traversal.outcome.matched_entries) == tables
-                for traversal in traversals
-            )
+            paths, _ = outcomes.distinct()
+            assert len(paths) == ports
+            assert all(len(path_entries(path)) == tables for path in paths)
             assert nbytes <= reply_nbytes(ports, tables)
 
 

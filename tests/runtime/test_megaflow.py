@@ -13,7 +13,7 @@ from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.builder import build_lookup_table
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import OutputAction, SetFieldAction
-from repro.openflow.flow import FlowEntry
+from repro.openflow.flow import SINK, FlowEntry
 from repro.openflow.instructions import ApplyActions, GotoTable, WriteActions
 from repro.openflow.match import ExactMatch, Match, PrefixMatch
 from repro.openflow.pipeline import OpenFlowPipeline, PathOutcome
@@ -29,7 +29,6 @@ from repro.runtime import (
     widen_rule_set,
 )
 from repro.runtime.batch import BatchStats, ColumnarOutcomes, credit_outcomes
-from repro.runtime.megaflow import Traversal, credit_lanes
 
 
 def assert_same_result(a, b):
@@ -366,16 +365,42 @@ class _PerPacketMegaflow:
 
 
 def _lru(cache):
-    """A real cache's aggregates, least recently used first: its live
-    rows in stamp order."""
-    live = [entry for entry in cache._rows if entry is not None]
+    """A real cache's aggregate rows, least recently used first: its
+    live rows in stamp order."""
+    live = [row for row, key in enumerate(cache._keys) if key is not None]
     assert len(live) == len(cache) <= cache.capacity
-    return sorted(live, key=lambda entry: cache._stamp[entry.row])
+    return sorted(live, key=lambda row: cache._stamp[row])
 
 
-def _cache_state(cache):
+def _credit_lanes(outcomes, width):
+    """What each path outcome credits, as the cache keeps it per row:
+    the counter rows of the entries it matched, padded to ``width``
+    with ``SINK``, then its kind, ``4 * entries matched + 2 * sent to
+    controller + dropped``."""
+    return np.array(
+        [
+            [entry.stats.row for entry in outcome.matched_entries]
+            + [SINK] * (width - len(outcome.matched_entries))
+            + [
+                len(outcome.matched_entries) << 2
+                | outcome.sent_to_controller << 1
+                | outcome.dropped
+            ]
+            for outcome in outcomes
+        ],
+        dtype=np.int64,
+    ).reshape(len(outcomes), width + 1)
+
+
+def _cache_state(cache, outcomes):
     """:meth:`_PerPacketMegaflow.state` of a real :class:`MegaflowCache`
-    (``metadata`` names the install, see :meth:`_ProbeWorld.install`)."""
+    (``metadata`` names the install, see :meth:`_ProbeWorld.install`;
+    ``outcomes`` maps each installed path reference's ``id`` to the
+    outcome it stands for)."""
+
+    def name(row):
+        return outcomes[id(cache._paths[row])].metadata
+
     return {
         "counters": (
             cache.hits,
@@ -384,9 +409,9 @@ def _cache_state(cache):
             cache.installs,
             cache.evicted,
         ),
-        "lru": [(entry.mask, entry.outcome.metadata) for entry in _lru(cache)],
+        "lru": [(cache._masks[row], name(row)) for row in _lru(cache)],
         "index": {
-            mask: sorted(entry.outcome.metadata for entry in index.values())
+            mask: sorted(map(name, index.values()))
             for mask, index in cache._by_mask.items()
         },
         "probe_order": list(cache._by_mask),
@@ -412,6 +437,9 @@ class _ProbeWorld:
             else MegaflowCache(OpenFlowPipeline(self.tables), capacity=capacity)
         )
         self.installed = 0
+        #: The outcome each path reference handed to the real cache
+        #: stands for, by ``id`` (``paths`` keeps the ids unique).
+        self.outcomes, self.paths = {}, []
         for mask_index, fields, deep in aggregates:
             self.install([(_PROBE_MASKS[mask_index], fields, deep)])
 
@@ -430,18 +458,25 @@ class _ProbeWorld:
                 )
             return
         positions = np.arange(len(aggregates))
-        traversals = [
-            Traversal(outcome, tuple((table, table.version) for table in path))
-            for path, outcome in zip(visited, outcomes)
-        ]
+        paths = []
+        for outcome in outcomes:
+            path = ()
+            for table_id, entry in zip(
+                outcome.tables_visited, outcome.matched_entries
+            ):
+                path = (path, table_id, entry)
+            self.outcomes[id(path)] = outcome
+            paths.append(path)
+        self.paths += paths
         self.cache.install_batch(
             PacketBatch.from_dicts([fields for _, fields, _ in aggregates]),
             positions,
             list(masks),
             np.array([masks[mask] for mask, _, _ in aggregates], dtype=np.int64),
-            traversals,
+            paths,
             positions,
-            credit_lanes(traversals, len(self.tables)),
+            _credit_lanes(outcomes, len(self.tables)),
+            [tuple((table, table.version) for table in path) for path in visited],
         )
 
     def outcome(self, visited):
@@ -462,7 +497,11 @@ class _ProbeWorld:
         )
 
     def state(self):
-        state = self.cache.state() if self.model else _cache_state(self.cache)
+        state = (
+            self.cache.state()
+            if self.model
+            else _cache_state(self.cache, self.outcomes)
+        )
         state["flow_stats"] = [
             (entry.stats.packet_count, entry.stats.byte_count)
             for entry in self.flow_entries
@@ -582,8 +621,9 @@ class TestProbeCreditEquivalence:
             found, gathered, codes, missed = columnar.cache.probe(batch)
             assert columnar.state()["flow_stats"] == flow_stats
             replayed = [scalar.cache.lookup(fields) for fields in packets]
+            outcomes = [columnar.outcomes[id(path)] for path in found]
             assert [
-                None if code < 0 else found[code].outcome.metadata
+                None if code < 0 else outcomes[code].metadata
                 for code in codes.tolist()
             ] == [None if result is None else result.metadata for result in replayed]
             assert missed.tolist() == [
@@ -596,9 +636,16 @@ class TestProbeCreditEquivalence:
             # per aggregate, from the code lane and the frame_len lane.
             hit = np.flatnonzero(codes >= 0)
             # A hit's credit lanes come off its row: what the outcome says.
-            assert np.array_equal(gathered, credit_lanes(found, 2))
+            assert np.array_equal(gathered, _credit_lanes(outcomes, 2))
             credit_outcomes(
-                stats, ColumnarOutcomes(batch.select(hit), found, codes[hit], gathered)
+                stats,
+                ColumnarOutcomes(
+                    batch.select(hit),
+                    columnar.cache.pipeline,
+                    found,
+                    codes[hit],
+                    gathered,
+                ),
             )
             # The model credits one packet at a time, so it counts no
             # batch; each credit counts one.

@@ -1075,11 +1075,11 @@ class TestReplyWireShape:
 
 
 def _per_position_distinct(outcomes):
-    """The reference deduplication: one traversal per position,
-    deduplicated by outcome identity in first-seen order, one ``int32``
-    code built per position."""
-    per_position = [outcomes.traversals[code] for code in outcomes.codes.tolist()]
-    keys = [id(traversal.outcome) for traversal in per_position]
+    """The reference deduplication: one path per position,
+    deduplicated by reference identity in first-seen order, one
+    ``int32`` code built per position."""
+    per_position = [outcomes.paths[code] for code in outcomes.codes.tolist()]
+    keys = [id(path) for path in per_position]
     first = dict(zip(keys, per_position))
     code_of = dict(zip(first, range(len(first))))
     codes = np.fromiter(
@@ -1131,7 +1131,7 @@ _shared_path_packet = st.tuples(
 
 class TestDistinctIsPerPositionDedup:
     """``ColumnarOutcomes.distinct()`` over the code lane answers what
-    deduplicating one traversal per position by outcome identity
+    deduplicating one path per position by reference identity
     answered — first-seen order, ``int32`` codes — on mixed hit/miss
     batches, in-process and on a one-worker sharded runner, and the
     sharded reply block is laid out as that deduplication lays it."""
@@ -1210,7 +1210,7 @@ class TestDistinctIsPerPositionDedup:
     def check(outcomes):
         got, codes = outcomes.distinct()
         want, want_codes = _per_position_distinct(outcomes)
-        assert [id(t.outcome) for t in got] == [id(t.outcome) for t in want]
+        assert [id(path) for path in got] == [id(path) for path in want]
         assert codes.dtype == want_codes.dtype == np.int32
         assert codes.tolist() == want_codes.tolist()
 

@@ -16,7 +16,7 @@ from repro.openflow.instructions import (
     WriteMetadata,
 )
 from repro.openflow.match import Match
-from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline
+from repro.openflow.pipeline import MissPolicy, OpenFlowPipeline, path_entries
 from repro.packet.batch import PacketBatch
 from repro.packet.headers import FRAME_LEN_FIELD, transport_schema
 from repro.runtime.batch import (
@@ -25,7 +25,6 @@ from repro.runtime.batch import (
     ColumnarOutcomes,
     credit_outcomes,
 )
-from repro.runtime.megaflow import credit_lanes
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
@@ -318,10 +317,7 @@ class TestResultBlocks:
         finally:
             block.close()
         rebuilt = ColumnarOutcomes(
-            batch,
-            decoded.traversals,
-            decoded.codes,
-            credit_lanes(decoded.traversals, len(parent.tables)),
+            batch, parent, decoded.paths, decoded.codes, decoded.credits
         )
         return outcomes, [segment.key for segment in segments], decoded, rebuilt
 
@@ -414,9 +410,9 @@ class TestResultBlocks:
                 )
             # Six distinct traversals over seven positions: positions 0
             # and 3 took the same path and decode to ONE shared object.
-            assert len(decoded.traversals) == 6
+            assert len(decoded.paths) == 6
             assert decoded.codes.tolist() == [0, 1, 2, 0, 3, 4, 5]
-            assert rebuilt.traversals[rebuilt.codes[0]] is rebuilt.traversals[
+            assert rebuilt.paths[rebuilt.codes[0]] is rebuilt.paths[
                 rebuilt.codes[3]
             ]
             assert rebuilt[0].matched_entries[0] is parent_entries[0]
@@ -488,7 +484,9 @@ class TestResultBlocks:
             assert len(rebuilt) == 8
             # First-write order: Write-Metadata runs at its entry, a
             # Write-Actions set-field only once the path ends.
-            assert [t.outcome.overrides for t in decoded.traversals] == [
+            assert [
+                rebuilt.outcome(code).overrides for code in range(len(decoded.paths))
+            ] == [
                 (),
                 (("metadata", 9), ("vlan_vid", 42)),
                 (("vlan_vid", 5), ("metadata", 0x31), ("ip_dscp", 7)),
@@ -542,7 +540,7 @@ class TestResultBlocks:
             runner, packets, pipeline, pin(pipeline)
         )
         assert decoded.codes.tolist() == list(range(8))
-        assert len(decoded.traversals) == 8
+        assert len(decoded.paths) == 8
         was = [(e.stats.packet_count, e.stats.byte_count) for e in first]
         credit_outcomes(BatchStats(), rebuilt)
         assert [
@@ -620,8 +618,11 @@ class TestReplyFailsClosed:
         assert self.lane(block, segments, "res/matched/values").tolist() == [
             0, 1, 1, 0
         ]
-        assert decoded.traversals[0].outcome.tables_visited == (0, 1)
-        assert decoded.traversals[1].outcome.tables_visited == (0,)
+        pipeline = rest[0]
+        assert [
+            pipeline.replay_path(path_entries(path)).tables_visited
+            for path in decoded.paths
+        ] == [(0, 1), (0,)]
         # Cold caches: five microflow misses (three positions at table
         # 0, two at table 1), three megaflow misses, two waves.
         assert decoded.counters == [0, 5, 0, 3, 2]
