@@ -369,6 +369,15 @@ _REPLAY_FREE_HOT = frozenset(
     }
 )
 
+#: Hot functions that address a matched entry only by its action slot:
+#: the walk's wave and path extension, the megaflow probe and bulk
+#: install, and the one credit.  What they need of an entry — its
+#: counter row, its counted facts — is a lane gathered by slot or a
+#: credit lane, never a ``FlowStats`` reached through the entry.
+_ADDRESS_ONLY_HOT = frozenset(
+    {"_wave", "_extend_paths", "install_batch", "probe", "credit_outcomes"}
+)
+
 #: Attribute calls that materialise every row of a batch as dicts.
 _BULK_MATERIALISERS = frozenset({"dicts", "decode"})
 
@@ -392,18 +401,39 @@ class HotPathPurityRule(Rule):
         "decode_outcomes, _collect) must not materialise even a single "
         "row (.fields_at()/.row_fields()); the walk, the megaflow probe "
         "and install, the credit and the sharded decode and collect must "
-        "not replay a path (replay_path)"
+        "not replay a path (replay_path); the wave, the path extension, "
+        "the megaflow probe and install and the credit must not read an "
+        "entry's .stats (nor attrgetter(\"stats...\"))"
     )
     hint = (
         "stay on the uint64 lanes: aggregate stats from the frame_len "
         "lane, replay megaflow templates, key waves off the lanes plus "
         "override lanes, reply once per distinct traversal, carry path "
-        "references and credit lanes; row dicts, replayed paths and "
-        "per-packet results belong to whoever reads a ColumnarOutcomes"
+        "references and credit lanes, gather an entry's counter row and "
+        "counted facts off the action table's slot lanes; row dicts, "
+        "replayed paths and per-packet results belong to whoever reads "
+        "a ColumnarOutcomes"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node, funcs, _classes in _walk_scoped(ctx.tree):
+            if _reads_stats(node):
+                addressing = next(
+                    (
+                        f.name
+                        for f in reversed(funcs)
+                        if isinstance(f, _FuncDef) and f.name in _ADDRESS_ONLY_HOT
+                    ),
+                    None,
+                )
+                if addressing is not None:
+                    yield ctx.finding(
+                        self,
+                        node,
+                        f"{addressing}() reads an entry's .stats — the "
+                        f"miss path addresses an entry by its action slot "
+                        f"and gathers its counter row off the slot lanes",
+                    )
             if not isinstance(node, ast.Call):
                 continue
             callee = _callee_name(node)
@@ -467,6 +497,22 @@ class HotPathPurityRule(Rule):
                     f"{hot}() constructs a PipelineResult per row — the "
                     f"probe/credit tiers replay templates instead",
                 )
+
+
+def _reads_stats(node: ast.AST) -> bool:
+    """``x.stats`` (read, not assigned), or ``attrgetter("stats...")``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "stats" and isinstance(node.ctx, ast.Load)
+    return (
+        isinstance(node, ast.Call)
+        and _callee_name(node) == "attrgetter"
+        and any(
+            isinstance(arg, ast.Constant)
+            and isinstance(arg.value, str)
+            and arg.value.split(".")[0] == "stats"
+            for arg in node.args
+        )
+    )
 
 
 _COLLECT_SIDE = re.compile(r"collect|drain|reply|decode", re.IGNORECASE)

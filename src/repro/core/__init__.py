@@ -22,7 +22,7 @@ Fig. 1 of the paper, end to end:
    per-field table split with metadata chaining.
 """
 
-from repro.core.action_table import ActionTable, ActionTableEntry
+from repro.core.action_table import ActionTable
 from repro.core.architecture import (
     ArchitectureResult,
     MultiTableLookupArchitecture,
@@ -45,7 +45,6 @@ from repro.core.partition import HeaderPartitioner
 
 __all__ = [
     "ActionTable",
-    "ActionTableEntry",
     "ArchitectureConfig",
     "ArchitectureResult",
     "FieldEngine",

@@ -5,14 +5,32 @@ whose entries carry the matched flow entry's OpenFlow instructions — in
 the paper's prototype, a Write-Actions (e.g. output port) and optionally
 a Goto-Table; a miss yields "send to controller" at the architecture
 level instead.
+
+That address — the slot — is the one coordinate of a matched entry on
+the batched miss path: a table's keyed search hands back slots, and
+what the walk needs of an entry it gathers off ``int64`` lanes indexed
+by slot, one gather per wave: its counter row
+(:attr:`~repro.openflow.flow.FlowStats.row`, lane
+:attr:`ActionTable.rows`), its step's place in the counted-facts fold
+(:attr:`~repro.openflow.instructions.CompiledStep.counted`, lane
+:attr:`ActionTable.counted`) and its *walk step* (lane
+:attr:`ActionTable.walk`): which of the table's distinct
+:class:`~repro.openflow.instructions.CompiledStep` s, as far as the
+walk reads one — set-fields, Write-Metadata, Goto-Table, the fields
+rewritten — it has, so a wave acts once per distinct walk step rather
+than once per entry.  A step is compiled on first use, so the step
+lanes of a slot are filled the first time a walk matches it
+(:meth:`ActionTable.compile`).  The lanes are runtime state, 24 bytes
+per allocated slot; the memory model prices the encoded entry
+(:attr:`ActionTable.entry_bits`), not them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Iterator
+import numpy as np
 
-from repro.openflow.flow import FlowEntry
+from repro.openflow.flow import SINK, FlowEntry
+from repro.openflow.instructions import CompiledStep
 from repro.util.bits import bits_needed
 
 #: Encoded width of one action-table entry, following the prototype's
@@ -23,82 +41,92 @@ NEXT_TABLE_BITS = 8
 FLAG_BITS = 2
 
 
-@dataclass(frozen=True)
-class ActionTableEntry:
-    """One addressable action entry.
-
-    Wraps the source :class:`FlowEntry` so executing the entry reuses the
-    OpenFlow instruction machinery unchanged.
-    """
-
-    index: int
-    flow_entry: FlowEntry
-
-    @property
-    def priority(self) -> int:
-        return self.flow_entry.priority
-
-    @property
-    def goto_table(self) -> int | None:
-        goto = self.flow_entry.instructions.goto_table
-        return goto.table_id if goto is not None else None
-
-    def describe(self) -> str:
-        return f"[{self.index}] {self.flow_entry.instructions.describe()}"
+#: The walk lane of a slot whose step lanes are not filled yet.
+UNCOMPILED = -1
 
 
 class ActionTable:
-    """An array of action entries addressed by index, with slot reuse.
+    """An array of action entries addressed by slot, with slot reuse.
 
     The array only ever grows when no freed slot is available: releasing
-    an entry (rule removal / flow-mod replacement) pushes its index onto a
+    an entry (rule removal / flow-mod replacement) pushes its slot onto a
     free list, and the next allocation reuses it.  Without this, every
     same-match replacement would strand a slot forever and the table would
     grow without bound under churn, skewing the memory cost model.
+
+    Beside the entries, three ``int64`` lanes indexed by slot:
+    :attr:`rows`, each entry's counter row
+    (:data:`~repro.openflow.flow.SINK` on a free slot), written by
+    :meth:`allocate` and :meth:`release`; and the step lanes,
+    :attr:`counted`, its compiled step's counted facts, and
+    :attr:`walk`, the index of its walk step in :attr:`walks`
+    (:data:`UNCOMPILED` until :meth:`compile` fills them, and on a
+    free slot).  The lanes double when they run out of slots, so
+    readers index them through this object.
     """
 
     def __init__(self) -> None:
-        self._slots: list[ActionTableEntry | None] = []
+        #: The flow entry at each slot, ``None`` on a free one.
+        self.entries: list[FlowEntry | None] = []
         self._free: list[int] = []
         self._free_high_water = 0
+        self.rows = np.full(16, SINK, dtype=np.int64)
+        self.counted = np.zeros(16, dtype=np.int64)
+        self.walk = np.full(16, UNCOMPILED, dtype=np.int64)
+        #: The distinct walk steps, each the first compiled step
+        #: :meth:`compile` met with its Apply-Actions, Write-Metadata,
+        #: Goto-Table and rewritten fields — all the columnar walk
+        #: reads of a step (Clear/Write-Actions and the counted facts
+        #: are a replay's).
+        self.walks: list[CompiledStep] = []
+        self._walk_ids: dict[tuple, int] = {}
 
-    def allocate(self, flow_entry: FlowEntry) -> ActionTableEntry:
-        """Place an entry in a freed slot, growing the array only if full."""
+    def allocate(self, flow_entry: FlowEntry) -> int:
+        """Place an entry in a freed slot, growing the array only if
+        full; returns the slot."""
         if self._free:
-            index = self._free.pop()
-            entry = ActionTableEntry(index=index, flow_entry=flow_entry)
-            self._slots[index] = entry
+            slot = self._free.pop()
+            self.entries[slot] = flow_entry
         else:
-            entry = ActionTableEntry(index=len(self._slots), flow_entry=flow_entry)
-            self._slots.append(entry)
-        return entry
+            slot = len(self.entries)
+            self.entries.append(flow_entry)
+            if slot == len(self.rows):
+                self.rows = np.concatenate([self.rows, np.full_like(self.rows, SINK)])
+                self.counted = np.concatenate([self.counted, np.zeros_like(self.counted)])
+                self.walk = np.concatenate([self.walk, np.full_like(self.walk, UNCOMPILED)])
+        self.rows[slot] = flow_entry.stats.row
+        return slot
 
     def release(self, index: int) -> None:
         """Free one slot for reuse by a later allocation."""
-        if self._slots[index] is None:
+        if self.entries[index] is None:
             raise IndexError(f"action slot {index} is already free")
-        self._slots[index] = None
+        self.entries[index] = None
+        self.rows[index] = SINK
+        self.walk[index] = UNCOMPILED
         self._free.append(index)
         if len(self._free) > self._free_high_water:
             self._free_high_water = len(self._free)
 
-    def __getitem__(self, index: int) -> ActionTableEntry:
-        entry = self._slots[index]
-        if entry is None:
-            raise IndexError(f"action slot {index} is free")
-        return entry
+    def compile(self, slots: np.ndarray) -> None:
+        """Fill the step lanes of those of ``slots`` (live slots) not
+        filled yet, from their entries' compiled steps."""
+        for slot in slots[self.walk[slots] == UNCOMPILED].tolist():
+            step = self.entries[slot].instructions.compiled  # type: ignore[union-attr]
+            key = (step.apply, step.metadata, step.goto, step.written)
+            walk = self._walk_ids.setdefault(key, len(self._walk_ids))
+            if walk == len(self.walks):
+                self.walks.append(step)
+            self.counted[slot], self.walk[slot] = step.counted, walk
 
     def __len__(self) -> int:
         """Number of live entries (allocated slots minus free slots)."""
-        return len(self._slots) - len(self._free)
-
-    def __iter__(self) -> Iterator[ActionTableEntry]:
-        return iter(e for e in self._slots if e is not None)
+        return len(self.entries) - len(self._free)
 
     @property
     def allocated_slots(self) -> int:
         """High-water slot count — the memory the hardware array occupies."""
-        return len(self._slots)
+        return len(self.entries)
 
     @property
     def free_slots(self) -> int:
@@ -118,7 +146,7 @@ class ActionTable:
     @property
     def index_bits(self) -> int:
         """Bits needed to address any allocated slot."""
-        return bits_needed(len(self._slots))
+        return bits_needed(len(self.entries))
 
     @property
     def entry_bits(self) -> int:
@@ -128,7 +156,7 @@ class ActionTable:
     @property
     def total_bits(self) -> int:
         """Memory of the whole array, free slots included."""
-        return len(self._slots) * self.entry_bits
+        return len(self.entries) * self.entry_bits
 
     @property
     def live_bits(self) -> int:

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 
 from repro.algorithms.base import NO_LABEL
 from repro.core.config import ArchitectureConfig, DEFAULT_CONFIG
-from repro.core.action_table import ActionTable, ActionTableEntry
+from repro.core.action_table import ActionTable
 from repro.core.field_engine import (
     FieldEngine,
     LutPartitionEngine,
@@ -131,11 +131,11 @@ class OpenFlowLookupTable:
                 labels.extend(NO_LABEL for _ in engine.partition_names)
             else:
                 labels.extend(engine.insert_rule(predicate))
-        action_entry = self.actions.allocate(entry)
+        slot = self.actions.allocate(entry)
         key = tuple(labels)
         self.index.add_rule(
             key,
-            action_entry.index,
+            slot,
             entry.priority,
             specificity=entry.match.specificity(),
             # Full ties (priority and specificity) must fall the same way
@@ -146,7 +146,7 @@ class OpenFlowLookupTable:
         installed = _InstalledEntry(
             flow_entry=entry,
             labels=key,
-            action_index=action_entry.index,
+            action_index=slot,
         )
         entry_key = (entry.match, entry.priority)
         self._by_key[entry_key] = installed
@@ -186,16 +186,17 @@ class OpenFlowLookupTable:
         bits — enabling wildcard-cache capture.
         """
         key = tuple(packet_fields.get(name) for name in self.field_names)
-        ((entry, _, consulted),) = self.search_keys(
+        ((slot, _, consulted),) = self.search_keys(
             self.partitioner.split_keys([key]), mask is not None
         )
         if consulted:
             for field_name, bits in consulted.items():
                 mask.consult(field_name, bits)
-        if entry is None:
+        if slot < 0:
             return None
-        entry.flow_entry.stats.record(frame_length(packet_fields))
-        return entry.flow_entry
+        entry = self.actions.entries[slot]
+        entry.stats.record(frame_length(packet_fields))
+        return entry
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -258,14 +259,16 @@ class OpenFlowLookupTable:
         self,
         key_rows: Sequence[tuple[int | None, ...]],
         capture: bool = False,
-    ) -> list[tuple[ActionTableEntry | None, tuple[tuple[int, ...], ...], dict[str, int] | None]]:
+    ) -> list[tuple[int, tuple[tuple[int, ...], ...], dict[str, int] | None]]:
         """Decomposition lookup over partition-key rows — the table's
         one search: :meth:`lookup`, :meth:`lookup_batch` and
         :meth:`lookup_keys` all go through it, each with
         :meth:`HeaderPartitioner.split_keys` rows.
 
-        One ``(action entry, label sets, consulted mask)`` triple per
-        row, keys in :attr:`HeaderPartitioner.partition_names` order.
+        One ``(action slot, label sets, consulted mask)`` triple per
+        row, keys in :attr:`HeaderPartitioner.partition_names` order;
+        the slot is the index calculation's answer, an address into
+        :attr:`actions`, or ``-1`` for a miss.
         It has no side effect (no counter, no flow stats), so a cache
         may call it just to read a mask.  Every engine is probed once
         per *distinct* key of its partition across the whole call (with
@@ -287,7 +290,6 @@ class OpenFlowLookupTable:
                     {key: (search(key), 0) for key in dict.fromkeys(column)}
                 )
         lookup = self.index.lookup
-        actions = self.actions
         row_memo: dict[tuple[int | None, ...], tuple] = {}
         found = []
         for row in key_rows:
@@ -297,7 +299,7 @@ class OpenFlowLookupTable:
                 label_sets = tuple([labels for labels, _ in hits])
                 index = lookup(label_sets)
                 cached = row_memo[row] = (
-                    None if index is None else actions[index],
+                    -1 if index is None else index,
                     label_sets,
                     self._field_mask(tuple([bits for _, bits in hits]))
                     if capture
@@ -317,35 +319,39 @@ class OpenFlowLookupTable:
                 [tuple(f.get(name) for name in names) for f in batch_fields]
             )
         )
+        entries = self.actions.entries
         hits: list[FlowEntry | None] = []
-        for fields, (entry, _, _) in zip(batch_fields, found):
-            if entry is None:
+        for fields, (slot, _, _) in zip(batch_fields, found):
+            if slot < 0:
                 hits.append(None)
             else:
-                entry.flow_entry.stats.record(frame_length(fields))
-                hits.append(entry.flow_entry)
+                entry = entries[slot]
+                entry.stats.record(frame_length(fields))
+                hits.append(entry)
         return hits
 
     def lookup_keys(
         self,
         field_keys: Sequence[tuple[int | None, ...]],
         capture: bool = False,
-    ) -> tuple[list[FlowEntry | None], list[dict[str, int] | None]]:
-        """The matched entry and the consulted mask per table key, as
-        two aligned lists.
+    ) -> tuple[list[int], list[dict[str, int] | None]]:
+        """The matched entry's action slot (``-1`` for a miss) and the
+        consulted mask per table key, as two aligned lists.
 
         ``field_keys`` are value tuples in :attr:`field_names` order
         (``None`` = the packet lacks the field) — the microflow key —
         so the columnar miss path resolves a wave's residual keys in
         one call without a field dict per packet.  Unlike
         :meth:`lookup` this credits **no** flow stats: the caller knows
-        how many packets share each key and credits them per entry.
+        how many packets share each key and credits them per entry,
+        reading what it needs of an entry off the action table's slot
+        lanes (:attr:`actions`).
         """
         found = self.search_keys(
             self.partitioner.split_keys(field_keys), capture
         )
         return (
-            [None if entry is None else entry.flow_entry for entry, _, _ in found],
+            [slot for slot, _, _ in found],
             [mask for _, _, mask in found],
         )
 

@@ -428,6 +428,22 @@ class PacketBatch:
         return list(zip(*columns))
 
 
+def unique_codes(values: IndexArray) -> tuple[IndexArray, IndexArray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D integer
+    array, in a few whole-array calls: the distinct values, ascending,
+    and each value's index among them.  The batched runtime groups
+    small arrays many times a batch, where ``np.unique``'s general
+    machinery costs more than the sort itself."""
+    order = values.argsort()
+    ordered = values[order]
+    fresh = np.empty(len(values), dtype=np.bool_)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    inverse = np.empty(len(values), dtype=np.int64)
+    inverse[order] = fresh.cumsum() - 1
+    return ordered[fresh], inverse
+
+
 def _key_codes(stack: Sequence[np.ndarray], rows: int) -> MaskedKeyCodes:
     """Key per-row uint64 columns: sort the rows by them, start a code
     wherever a row differs from its predecessor in any column, and pack

@@ -16,8 +16,13 @@ one table lookup per *re-touched* key instead of evicting the whole
 working set (the PR-1 behaviour).  Mutating the table directly (not
 through any wrapper) stays safe.
 
-Misses are cached too (negative caching): a miss is just another
-classification outcome, and the stale-stamp rule keeps it correct.
+A record holds the matched entry's **action slot** — the table's
+answer, an address into its :class:`~repro.core.action_table.ActionTable`
+— or ``-1`` for a miss: misses are cached too (negative caching), a
+miss is just another classification outcome.  A slot is only ever read
+at the version it was stamped with, so the stale-stamp rule also keeps
+a slot freed and reallocated by a flow-mod from being served: the
+flow-mod bumped the version, and the record re-resolves.
 
 The cache also participates in megaflow capture: a capturing probe
 (:meth:`MicroflowCache.lookup_keys` with ``capture`` — see
@@ -46,11 +51,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.openflow.flow import FlowEntry
+from repro.openflow.flow import COUNTERS, FlowEntry
 from repro.packet.batch import PacketBatch
-
-#: Sentinel distinguishing a cached miss from an absent key.
-_MISS = object()
 
 DEFAULT_CAPACITY = 4096
 
@@ -58,8 +60,8 @@ DEFAULT_CAPACITY = 4096
 def require_keyed_table(table: Any) -> None:
     """Refuse, with a ``TypeError``, a table the batch runtime cannot
     run: one without a keyed lookup (``lookup_keys`` over its
-    ``field_names``) or without the ``version`` counter the caches
-    revalidate against.
+    ``field_names``, answering slots of its ``actions``) or without
+    the ``version`` counter the caches revalidate against.
 
     The runtime's one table check — :class:`MicroflowCache`,
     :class:`~repro.runtime.batch.BatchPipeline` and
@@ -69,7 +71,7 @@ def require_keyed_table(table: Any) -> None:
     """
     missing = [
         name
-        for name in ("lookup_keys", "field_names", "version")
+        for name in ("lookup_keys", "field_names", "version", "actions")
         if not hasattr(table, name)
     ]
     if missing:
@@ -83,17 +85,15 @@ def require_keyed_table(table: Any) -> None:
 
 
 class _Record:
-    """One cached microflow: outcome, version stamp, consulted bits."""
+    """One cached microflow: action slot (``-1``: a miss), version
+    stamp, consulted bits."""
 
-    __slots__ = ("outcome", "version", "mask")
+    __slots__ = ("slot", "version", "mask")
 
     def __init__(
-        self,
-        outcome: FlowEntry | object,  # a FlowEntry or the _MISS sentinel
-        version: int,
-        mask: dict[str, int] | None,
+        self, slot: int, version: int, mask: dict[str, int] | None
     ) -> None:
-        self.outcome = outcome
+        self.slot = slot
         self.version = version
         self.mask = mask
 
@@ -146,7 +146,9 @@ class MicroflowCache:
         :class:`~repro.packet.batch.PacketBatch`: :meth:`lookup_keys` on
         the batch's distinct keys (first-seen order), read off the
         lanes, with each key's packets credited together from the
-        ``frame_len`` lane, so no dict is built.
+        ``frame_len`` lane — one scatter into the counter rows the
+        action table's ``rows`` lane names — so no dict is built.
+        Returns the matched entry (or ``None``) per position.
         """
         code_of: dict[tuple[int | None, ...], int] = {}
         codes = [
@@ -154,24 +156,30 @@ class MicroflowCache:
             for key in _lane_keys(batch, self.field_names)
         ]
         lane = np.asarray(codes, dtype=np.int64)
-        counts = np.bincount(lane, minlength=len(code_of)).tolist()
-        outcomes, _ = self.lookup_keys(list(code_of), counts, False)
+        counts = np.bincount(lane, minlength=len(code_of))
+        slots, _ = self.lookup_keys(list(code_of), counts.tolist(), False)
+        found = np.asarray(slots, dtype=np.int64)
+        hit = found >= 0
         # Frame-byte sums per key; bincount's float64 sums are exact
         # below 2**53 bytes.
         octets = np.bincount(
             lane, weights=batch.frame_lengths(), minlength=len(code_of)
         )
-        for entry, count, byte_count in zip(outcomes, counts, octets.tolist()):
-            if entry is not None:
-                entry.stats.add(count, int(byte_count))
-        return [outcomes[code] for code in codes]
+        actions = self.table.actions
+        COUNTERS.credit(
+            actions.rows[found[hit]], counts[hit], octets[hit].astype(np.int64)
+        )
+        entries: list[FlowEntry | None] = [
+            None if slot < 0 else actions.entries[slot] for slot in slots
+        ]
+        return [entries[code] for code in codes]
 
     def lookup_keys(
         self,
         keys: Sequence[tuple[int | None, ...]],
         counts: Sequence[int],
         capture: bool,
-    ) -> tuple[list[FlowEntry | None], list[dict[str, int] | None]]:
+    ) -> tuple[list[int], list[dict[str, int] | None]]:
         """Cached lookup of *distinct* table keys — the one batch probe:
         the columnar miss path calls it per wave,
         :meth:`lookup_batch_columnar` per batch.
@@ -180,9 +188,10 @@ class MicroflowCache:
         ``field_names`` order), each standing for ``counts[i]``
         packets; every key is probed once and the residual goes to the
         table's ``lookup_keys`` in **one** call.  Returns two aligned
-        lists: the matched entry per key and, with ``capture``, its
-        consulted mask (captured at resolution, replayed from the
-        record on a hit).  Hit, miss and revalidation counters move per packet;
+        lists: the matched entry's action slot per key (``-1`` for a
+        miss; the table's ``actions`` lanes say what it credits) and,
+        with ``capture``, its consulted mask (captured at resolution,
+        replayed from the record on a hit).  Hit, miss and revalidation counters move per packet;
         recency moves per key, hits before residual, each in ``keys``
         order.  Flow stats are **not** credited here — the caller knows
         each packet's frame length and credits the matched entries.
@@ -190,7 +199,7 @@ class MicroflowCache:
         version = self.table.version
         entries = self._entries
         move_to_end = entries.move_to_end
-        outcomes: list[FlowEntry | None] = []
+        slots: list[int] = []
         masks: list[dict[str, int] | None] = []
         residual: list[int] = []
         hits = 0
@@ -201,14 +210,13 @@ class MicroflowCache:
                 move_to_end(key)
                 if capture and record.mask is None:
                     record.mask = self._capture_mask(key)
-                outcome = record.outcome
-                outcomes.append(outcome if isinstance(outcome, FlowEntry) else None)
+                slots.append(record.slot)
                 masks.append(record.mask)
             else:
                 if record is not None:
                     self.revalidations += counts[i]
                 residual.append(i)
-                outcomes.append(None)
+                slots.append(-1)
                 masks.append(None)
         self.hits += hits
         if residual:
@@ -216,11 +224,11 @@ class MicroflowCache:
             resolved, captured = self.table.lookup_keys(
                 [keys[i] for i in residual], capture
             )
-            for i, entry, mask in zip(residual, resolved, captured):
-                self._insert(keys[i], entry, version, mask)
-                outcomes[i] = entry
+            for i, slot, mask in zip(residual, resolved, captured):
+                self._insert(keys[i], slot, version, mask)
+                slots[i] = slot
                 masks[i] = mask
-        return outcomes, masks
+        return slots, masks
 
     # ------------------------------------------------------------------
     # internals
@@ -239,13 +247,11 @@ class MicroflowCache:
     def _insert(
         self,
         key: tuple,
-        entry: FlowEntry | None,
+        slot: int,
         version: int,
         mask: dict[str, int] | None,
     ) -> None:
-        self._entries[key] = _Record(
-            _MISS if entry is None else entry, version, mask
-        )
+        self._entries[key] = _Record(slot, version, mask)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -55,6 +55,16 @@ has one index (per mask, the packed ``value & mask`` bytes of
 (:meth:`MegaflowCache.probe`) and one install
 (:meth:`MegaflowCache.install_batch`), all over columnar batches.
 
+**An install is one batch's misses, in bulk.**  It leaves the cache
+exactly as installing the positions one by one would — LRU order,
+probe order, counters, evictions at any capacity — but works out the
+batch's distinct aggregates as arrays: which positions create a row
+and which rows they evict (an LRU holds the ``capacity`` most recently
+used keys, and every row cached before the batch is older than every
+install it makes, so the victims are the lowest stamps, one partial
+sort), then scatters each row lane once and touches the index once per
+aggregate new to it and once per aggregate evicted from it.
+
 **A hit is an integer gather.**  A batch's column store keys each mask
 once — its distinct packed keys plus one dense code per row — so the
 probe moves positions around as integer codes with numpy, touches a
@@ -70,6 +80,7 @@ batch (:func:`~repro.runtime.batch.credit_outcomes`).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -191,6 +202,13 @@ class MegaflowCache:
         self._keys: list[bytes | None] = []
         self._paths: list[PathRef | None] = []
         self._versions: list[VersionChecks] = []
+        #: The mask's id per row (-1 on a free row), in the registry of
+        #: every mask signature installed since the last flush: its
+        #: ``_mask_ids`` and, by id, its one signature object (the key
+        #: ``_by_mask`` and ``_masks`` hold).
+        self._mask_of = np.full(16, -1, dtype=np.int64)
+        self._mask_ids: dict[MaskSig, int] = {}
+        self._mask_sigs: list[MaskSig] = []
         self._free: list[int] = []
         self._stamp = np.full(16, _FREE, dtype=np.int64)
         self._clock = 0
@@ -199,10 +217,6 @@ class MegaflowCache:
         self._credits = np.full(
             (16, len(pipeline.tables) + 1), SINK, dtype=np.int64
         )
-        #: Eviction candidates: the lowest-stamped rows, lowest last,
-        #: and the clock when they were chosen (see :meth:`_evict`).
-        self._victims: list[int] = []
-        self._chosen_at = 0
         self.hits = 0
         self.misses = 0
         self.installs = 0
@@ -332,7 +346,7 @@ class MegaflowCache:
         versions: Sequence[VersionChecks],
     ) -> None:
         """The one install: cache the captured paths of one batch's
-        misses, each for its whole aggregate.
+        misses, each for its whole aggregate, in bulk.
 
         Position ``positions[j]`` of ``batch`` — the *original* packet,
         pre-rewrite — consulted mask ``masks[mask_codes[j]]`` and took
@@ -342,42 +356,172 @@ class MegaflowCache:
         per distinct entry path, never one per packet).  Keys come off
         the lanes: per distinct mask, the batch's memoized
         :meth:`~repro.packet.batch.PacketBatch.masked_key_codes`,
-        gathered per position by code.  Aggregates are stored one per
-        position, **in position order**, into rows of lanes — no object
-        per aggregate — so installs, same-batch overwrites, LRU order
-        and evictions land as if the packets had been installed one by
-        one.
+        gathered per position by code.
+
+        The cache ends exactly as installing the positions one by one,
+        in position order, would leave it — LRU order, index, probe
+        order, ``installs`` and ``evicted`` — but the one-by-one
+        installs are played over integers only: each aggregate is a
+        ``(mask, key)`` code, and every row cached before the call is
+        older than every install the call makes (the clock only moves
+        forward), so the rows it can evict are its lowest-stamped ones,
+        taken from one partial sort of the stamp lane.  Then the
+        outcome is applied once: the index changes once per aggregate
+        new to it and once per aggregate evicted from it, and each row
+        lane is scattered once.
         """
+        size = len(positions)
         rows = batch.pick[positions]
-        keys_of = []
-        key_codes = np.empty(len(positions), dtype=np.int64)
+        keys_of: list[list[bytes]] = []
+        key_codes = np.empty(size, dtype=np.int64)
         for mask_code, mask in enumerate(masks):
             keys, row_codes = batch.masked_key_codes(mask)
             keys_of.append(keys)
             chosen = mask_codes == mask_code
             key_codes[chosen] = row_codes[rows[chosen]]
-        store, size = self._store, len(positions)
-        codes = path_codes.tolist()
-        stored = [
-            store(masks[mask_code], keys_of[mask_code][key_code], paths[code], versions[code], size)
-            for mask_code, key_code, code in zip(
-                mask_codes.tolist(), key_codes.tolist(), codes
+        # The masks as ids in the registry, and each id's rows now.
+        sigs = self._mask_sigs
+        ids = [self._mask_ids.setdefault(mask, len(self._mask_ids)) for mask in masks]
+        sigs += [mask for mask, i in zip(masks, ids) if i >= len(sigs)]
+        counts = [0] * len(sigs)
+        indexes: dict[int, dict[bytes, int]] = {}
+        for sig, index in self._by_mask.items():
+            i = self._mask_ids[sig]
+            counts[i], indexes[i] = len(index), index
+        # The rows cached now that the batch could evict, least recently
+        # used first: it creates at most ``size`` rows and reinstalls at
+        # most ``size``, so no more than twice that many are reached —
+        # and none unless its creations can outgrow the capacity.
+        live = len(self)
+        reach = min(live, 2 * size) if live + size > self.capacity else 0
+        victims: list[int] = []
+        oldest_ids: list[int] = []
+        if reach:
+            stamps = self._stamp[: len(self._keys)]
+            oldest = np.argpartition(stamps, reach - 1)[:reach]
+            oldest = oldest[np.argsort(stamps[oldest])]
+            victims, oldest_ids = oldest.tolist(), self._mask_of[oldest].tolist()
+
+        # The installs one by one.  ``lru`` holds the aggregates the
+        # batch touched, least recently used first, each with its last
+        # position; every row cached before the batch and untouched by
+        # it is older than all of them.
+        width = max(map(len, keys_of))
+        lru: OrderedDict[int, int] = OrderedDict()
+        held: dict[int, int] = {}  # aggregate -> its row from before (-1: none)
+        touched: set[int] = set()  # rows from before the batch reinstalled
+        gone: set[int] = set()  # rows from before the batch evicted
+        entered: dict[int, int] = {}  # mask id -> its last entry position
+        emptied: set[int] = set()
+        next_old = evicted = 0
+        cached = [indexes.get(i, {}) for i in ids]
+        for position, (aggregate, mask_code, key_code) in enumerate(
+            zip(
+                (mask_codes * width + key_codes).tolist(),
+                mask_codes.tolist(),
+                key_codes.tolist(),
             )
-        ]
-        self._victims.clear()
-        if stored:
-            # A row installed twice holds its later install: each row
-            # takes the credit lanes of the last position it took.
-            last = dict(zip(stored, codes))
-            self._credits[list(last)] = credits[list(last.values())]
+        ):
+            if aggregate in lru:
+                lru.move_to_end(aggregate)
+                lru[aggregate] = position
+                continue
+            lru[aggregate] = position
+            row = held.get(aggregate, -2)
+            if row == -2:
+                row = cached[mask_code].get(keys_of[mask_code][key_code], -1)
+            if row >= 0 and row not in gone:
+                held[aggregate] = row
+                touched.add(row)
+                continue
+            # A new row: its mask may enter the probe order, and past
+            # the capacity the least recently used row goes.
+            held[aggregate] = -1
+            i = ids[mask_code]
+            if not counts[i]:
+                entered[i] = position
+            counts[i] += 1
+            live += 1
+            if live > self.capacity:
+                while next_old < reach and victims[next_old] in touched:
+                    next_old += 1
+                if next_old < reach:
+                    gone.add(victims[next_old])
+                    i = oldest_ids[next_old]
+                    next_old += 1
+                else:
+                    victim, _ = lru.popitem(last=False)
+                    i = ids[victim // width]
+                    if held[victim] >= 0:
+                        gone.add(held[victim])
+                        held[victim] = -1
+                counts[i] -= 1
+                if not counts[i]:
+                    emptied.add(i)
+                live -= 1
+                evicted += 1
+
+        # Apply: drop the evicted rows, rebuild the probe order, place
+        # the new aggregates, scatter each lane once.
+        mask_lane, key_lane = self._masks, self._keys
+        path_lane, version_lane = self._paths, self._versions
+        if gone:
+            freed = np.fromiter(gone, dtype=np.int64, count=len(gone))
+            for row, i in zip(freed.tolist(), self._mask_of[freed].tolist()):
+                del indexes[i][key_lane[row]]
+                mask_lane[row] = key_lane[row] = path_lane[row] = None
+                version_lane[row] = ()
+            self._mask_of[freed] = -1
+            self._stamp[freed] = _FREE
+            self._free += freed.tolist()
+        kept = {i: self._by_mask.pop(sigs[i], None) for i in entered.keys() | emptied}
+        for i in sorted(entered, key=entered.__getitem__):
+            if counts[i]:
+                self._by_mask[sigs[i]] = indexes[i] = kept[i] or {}
+
+        at = [held[aggregate] for aggregate in lru]
+        fresh = [n for n, row in enumerate(at) if row < 0]
+        reused = min(len(fresh), len(self._free))
+        new_rows = self._free[len(self._free) - reused :][::-1]
+        del self._free[len(self._free) - reused :]
+        grown = len(fresh) - reused
+        new_rows += range(len(key_lane), len(key_lane) + grown)
+        mask_lane += [None] * grown
+        key_lane += [None] * grown
+        path_lane += [None] * grown
+        version_lane += [()] * grown
+        if len(key_lane) > len(self._stamp):
+            self._grow(len(key_lane))
+        aggregates = list(lru)
+        fresh_ids = []
+        for n, row in zip(fresh, new_rows):
+            mask_code, key_code = divmod(aggregates[n], width)
+            i, key = ids[mask_code], keys_of[mask_code][key_code]
+            indexes[i][key] = at[n] = row
+            mask_lane[row], key_lane[row] = sigs[i], key
+            fresh_ids.append(i)
+        self._mask_of[np.asarray(new_rows, dtype=np.int64)] = fresh_ids
+        rows_at = np.asarray(at, dtype=np.int64)
+        installed = np.fromiter(lru.values(), dtype=np.int64, count=len(lru))
+        code = path_codes[installed]
+        self._stamp[rows_at] = self._clock + installed
+        self._credits[rows_at] = credits[code]
+        for row, path_code in zip(at, code.tolist()):
+            path_lane[row], version_lane[row] = paths[path_code], versions[path_code]
+        self._clock += size
+        self.installs += size
+        self.evicted += evicted
 
     def flush(self) -> None:
         """Drop every cached aggregate (explicit only; never automatic)."""
         self._by_mask.clear()
+        self._mask_ids.clear()
+        self._mask_sigs.clear()
         self._masks.clear()
         self._keys.clear()
         self._paths.clear()
         self._versions.clear()
+        self._mask_of[:] = -1
         self._free.clear()
         self._stamp[:] = _FREE
 
@@ -385,78 +529,19 @@ class MegaflowCache:
     # internals
     # ------------------------------------------------------------------
 
-    def _store(
-        self,
-        mask: MaskSig,
-        key: bytes,
-        path: PathRef,
-        versions: VersionChecks,
-        batch: int,
-    ) -> int:
-        """Put one aggregate in a row of its own (an aggregate replacing
-        a same-key one takes over its row), stamp it most recently
-        used, count the install and evict the least recently used beyond
-        capacity; returns the row.  ``batch`` is the size of the
-        install's batch: no more can evict in it."""
-        index = self._by_mask.get(mask)
-        if index is None:
-            index = self._by_mask[mask] = {}
-        row = index.get(key)
-        new = row is None
-        if row is None:
-            if self._free:
-                row = self._free.pop()
-                self._masks[row], self._keys[row] = mask, key
-            else:
-                row = len(self._keys)
-                self._masks.append(mask)
-                self._keys.append(key)
-                self._paths.append(None)
-                self._versions.append(())
-                if row == len(self._stamp):
-                    self._grow()
-            index[key] = row
-        self._paths[row], self._versions[row] = path, versions
-        self._stamp[row] = self._clock
-        self._clock += 1
-        self.installs += 1
-        # Only a new row can take the cache past its capacity.
-        if new and len(self._keys) - len(self._free) > self.capacity:
-            self._evict(batch)
-            self.evicted += 1
-        return row
-
-    def _grow(self) -> None:
-        """Double the row lanes."""
-        self._stamp = np.concatenate([self._stamp, np.full_like(self._stamp, _FREE)])
+    def _grow(self, rows: int) -> None:
+        """Double the row lanes until they hold ``rows`` rows."""
+        size = len(self._stamp)
+        while size < rows:
+            size *= 2
+        pad = size - len(self._stamp)
+        self._stamp = np.concatenate([self._stamp, np.full(pad, _FREE, dtype=np.int64)])
         self._credits = np.concatenate(
-            [self._credits, np.full_like(self._credits, SINK)]
+            [self._credits, np.full((pad, self._credits.shape[1]), SINK, dtype=np.int64)]
         )
-
-    def _evict(self, batch: int) -> None:
-        """Drop the live row with the lowest stamp.
-
-        Candidates come from one partial sort of the stamp lane: the
-        ``batch`` lowest-stamped rows — at least as many as the batch
-        can still evict — taken lowest first.  A candidate freed, or stamped since
-        it was chosen (at or above the clock then), is skipped; every
-        row left out, or stamped since, has a higher stamp than any
-        candidate, so the first candidate left is the least recently
-        used row.  The sort is redone only when the candidates run
-        out."""
-        stamp, victims = self._stamp, self._victims
-        while True:
-            if not victims:
-                live = len(self._keys)
-                take = min(batch, live - 1)
-                chosen = np.argpartition(stamp[:live], take)[: take + 1]
-                victims.extend(chosen[np.argsort(stamp[chosen])[::-1]].tolist())
-                self._chosen_at = self._clock
-            row = victims.pop()
-            # Skipped if freed, or stamped since it was chosen.
-            if self._keys[row] is not None and stamp[row] < self._chosen_at:
-                self._drop(row)
-                return
+        self._mask_of = np.concatenate(
+            [self._mask_of, np.full(pad, -1, dtype=np.int64)]
+        )
 
     def _drop(self, row: int) -> None:
         """Free one aggregate row: out of its mask's index, its path
@@ -469,5 +554,7 @@ class MegaflowCache:
             del self._by_mask[mask]
         self._masks[row] = self._keys[row] = self._paths[row] = None
         self._versions[row] = ()
+        self._mask_of[row] = -1
         self._free.append(row)
         self._stamp[row] = _FREE
+

@@ -17,7 +17,9 @@ finalize/unlink lifecycle guards apply unchanged):
 - the index calculation's aggregation network, as sorted hash arrays
   per tuple-prefix depth plus exact label columns and best-rule ranks
   at the final depth;
-- the action table, as a slot -> entry-position array.
+- the action table, as a slot -> entry-position array (resolved at
+  attach into the slot lanes the miss path reads, see
+  :class:`FrozenActions`).
 
 The block holds structures, not entries: a position indexes the lookup
 table's entry tuple in the ``PipelineSpec`` a worker is started with
@@ -61,8 +63,9 @@ from repro.core.field_engine import (
     RangePartitionEngine,
     TriePartitionEngine,
 )
+from repro.core.action_table import UNCOMPILED, ActionTable
 from repro.core.lookup_table import OpenFlowLookupTable
-from repro.openflow.flow import SweepView
+from repro.openflow.flow import SINK, SweepView
 from repro.runtime.transport import (
     BlockAttachments,
     BlockReader,
@@ -361,9 +364,15 @@ class FrozenIndex:
         return int(self._final.size)
 
 
-class FrozenActions:
-    """Read-only action-table twin: slot index -> sealed entry position,
-    resolved against the entry tuple the table was attached with."""
+class FrozenActions(ActionTable):
+    """Action-table twin: the sealed slot -> entry-position lane,
+    resolved once, at attach, against the entry tuple the table was
+    attached with into what a live
+    :class:`~repro.core.action_table.ActionTable` keeps — the entry at
+    each slot, the free slots and the ``rows`` lane (the step lanes
+    fill as the walk meets each slot) — so a frozen table's search
+    answers slots the miss path reads exactly as it reads a live
+    table's."""
 
     def __init__(
         self,
@@ -372,41 +381,24 @@ class FrozenActions:
         entries: tuple[Any, ...],
         attachments: BlockAttachments,
     ) -> None:
+        super().__init__()
         self._positions = _readonly(reader, f"{key}/actions/positions")
-        self._entries = entries
-        self._cache: dict[int, Any] = {}
+        self.entries = [
+            None if position < 0 else entries[position]
+            for position in self._positions.tolist()
+        ]
+        self._free = [slot for slot, e in enumerate(self.entries) if e is None]
+        size = len(self.entries)
+        self.rows = np.fromiter(
+            (SINK if e is None else e.stats.row for e in self.entries),
+            dtype=np.int64,
+            count=size,
+        )
+        self.counted = np.zeros(size, dtype=np.int64)
+        self.walk = np.full(size, UNCOMPILED, dtype=np.int64)
         # Set after the view on purpose: it keeps the mapping alive for
         # as long as this twin is, and drops after the view at teardown.
         self._attachments = attachments
-
-    def __getitem__(self, index: int) -> Any:
-        entry = self._cache.get(index)
-        if entry is not None:
-            return entry
-        if not 0 <= index < self._positions.size:
-            raise IndexError(f"action slot {index} out of range")
-        position = int(self._positions[index])
-        if position < 0:
-            raise IndexError(f"action slot {index} is free")
-        from repro.core.action_table import ActionTableEntry
-
-        entry = ActionTableEntry(
-            index=index, flow_entry=self._entries[position]
-        )
-        self._cache[index] = entry
-        return entry
-
-    def __iter__(self) -> Any:
-        for index in range(self._positions.size):
-            if int(self._positions[index]) >= 0:
-                yield self[index]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def allocated_slots(self) -> int:
-        return int(self._positions.size)
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +472,7 @@ class FrozenLookupTable(OpenFlowLookupTable):
         self.index = FrozenIndex(  # type: ignore[assignment]
             reader, prefix, depth=len(self.partitioner.partition_names)
         )
-        self.actions = FrozenActions(  # type: ignore[assignment]
+        self.actions = FrozenActions(
             reader, prefix, spec.entries, attachments
         )
         self._frozen = True
@@ -617,9 +609,10 @@ def _seal_table(writer: BlockWriter, table: Any) -> FrozenTableLayout:
 
     _seal_index(writer, prefix, table.index)
 
-    slots = np.full(table.actions.allocated_slots, -1, dtype=np.int64)
-    for action_entry in table.actions:
-        slots[action_entry.index] = positions[id(action_entry.flow_entry)]
+    slots = np.array(
+        [-1 if entry is None else positions[id(entry)] for entry in table.actions.entries],
+        dtype=np.int64,
+    )
     writer.put(f"{prefix}/actions/positions", slots)
 
     return FrozenTableLayout(

@@ -13,18 +13,27 @@ many packets:
   entry rewrote (``metadata``, Apply-Actions set-fields);
 - each distinct key is probed once — in the table's
   :class:`~repro.runtime.cache.MicroflowCache` when it has one, the
-  residual in one mask-capturing ``lookup_keys`` call on the table;
-- members are grouped by matched entry, and the entry's
-  :class:`~repro.openflow.instructions.CompiledStep` moves the group
-  (metadata register, override lanes, next table);
+  residual in one mask-capturing ``lookup_keys`` call on the table —
+  and answers with an **action slot**, the matched entry's address in
+  the table's :class:`~repro.core.action_table.ActionTable` (``-1``
+  for a miss);
+- members are grouped by slot, with one sort of the keys' slots
+  (:func:`~repro.packet.batch.unique_codes`), and moved once per
+  distinct *walk step* — which of the table's distinct
+  :class:`~repro.openflow.instructions.CompiledStep` s an entry has, as
+  far as the walk reads one, gathered off the action table's ``walk``
+  lane by slot — not once per entry (metadata register, override
+  lanes, next table);
 - every position carries three small integer codes — its *entry path*,
   its *route* (the tables visited, with their versions) and its
   *capture state* (consulted bits so far, fields rewritten so far) —
   extended per wave over the distinct ``(code, outcome)`` pairs, and
-  its *credit lanes*: each wave writes the matched entry's counter row
-  (:attr:`~repro.openflow.flow.FlowStats.row`) at the position's depth
-  and folds the entry's compiled step into the position's counted
-  facts (:func:`~repro.openflow.pipeline.fold_step`).
+  its *credit lanes*: each wave gathers, by slot, the matched entry's
+  counter row off the action table's ``rows`` lane and writes it at
+  the position's depth, and gathers the entry's counted facts off its
+  ``counted`` lane and folds them into the position's
+  (:func:`~repro.openflow.pipeline.fold_step`) — no entry object is
+  read for either.
 
 An entry path is a reference, a linked
 :data:`~repro.openflow.pipeline.PathRef` that paths sharing a prefix
@@ -45,14 +54,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from itertools import repeat
-from operator import attrgetter
 from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.core.action_table import ActionTable
 from repro.openflow.actions import SetFieldAction
-from repro.openflow.flow import SINK, FlowEntry
+from repro.openflow.flow import SINK
 from repro.openflow.instructions import CompiledStep
 from repro.openflow.pipeline import (
     OpenFlowPipeline,
@@ -60,16 +69,12 @@ from repro.openflow.pipeline import (
     counted_kind,
     fold_step,
 )
-from repro.packet.batch import IndexArray, PacketBatch, UIntLane
+from repro.packet.batch import IndexArray, PacketBatch, UIntLane, unique_codes
 from repro.runtime.cache import MicroflowCache
 from repro.runtime.megaflow import MaskSig, VersionChecks
 
 _LANE_MASK = 0xFFFFFFFFFFFFFFFF
 
-#: An entry's counter row (:attr:`~repro.openflow.flow.FlowStats.row`)
-#: and a compiled step's place in the counted-facts fold.
-_STATS_ROW = attrgetter("stats.row")
-_COUNTED = attrgetter("counted")
 
 class _OverrideLane:
     """The rewritten values of one header field, per batch position."""
@@ -195,7 +200,7 @@ class ColumnarWalk:
             self.versions = list(
                 map(self._routes.__getitem__, self._route[ends].tolist())
             )
-            states, codes = np.unique(self._capture[missed], return_inverse=True)
+            states, codes = unique_codes(self._capture[missed])
             signature_code: dict[MaskSig, int] = {}
             remap = [
                 signature_code.setdefault(
@@ -219,49 +224,50 @@ class ColumnarWalk:
     ) -> None:
         self.waves += 1
         table: Any = self.pipeline.table(table_id)
-        outcomes: Sequence[FlowEntry | None]
+        slots: Sequence[int]
         masks: Sequence[Mapping[str, int] | None]
         keys, key_codes = self._keys(table.field_names, members)
         cache = self.caches.get(table_id)
         if cache is not None:
             counts = np.bincount(key_codes, minlength=len(keys)).tolist()
-            outcomes, masks = cache.lookup_keys(keys, counts, self.capture)
+            slots, masks = cache.lookup_keys(keys, counts, self.capture)
         else:
-            outcomes, masks = table.lookup_keys(keys, self.capture)
+            slots, masks = table.lookup_keys(keys, self.capture)
 
         # Group the distinct keys — and through them the members — by
-        # matched entry; a table miss takes the code one past the last.
-        entry_code: dict[int, int] = {}
-        entries: list[FlowEntry] = []
-        codes_by_key: list[int] = []
-        for entry in outcomes:
-            if entry is None:
-                codes_by_key.append(-1)
-                continue
-            code = entry_code.get(id(entry))
-            if code is None:
-                code = entry_code[id(entry)] = len(entries)
-                entries.append(entry)
-            codes_by_key.append(code)
-        miss_code = len(entries)
-        entry_codes: IndexArray = np.asarray(codes_by_key, dtype=np.int64)
-        entry_codes[entry_codes < 0] = miss_code
-        entry_codes = entry_codes[key_codes]
+        # matched slot; a table miss (slot -1, which sorts first) takes
+        # the code one past the last.
+        matched, codes_by_key = unique_codes(
+            np.fromiter(slots, dtype=np.int64, count=len(slots))
+        )
+        missing = bool(matched[0] < 0)
+        if missing:
+            matched = matched[1:]
+            codes_by_key -= 1
+            codes_by_key[codes_by_key < 0] = len(matched)
+        entry_codes: IndexArray = codes_by_key[key_codes]
 
-        steps = [entry.instructions.compiled for entry in entries]
-        if -1 not in codes_by_key:  # every key matched: no table miss here
-            self._extend_paths(table_id, members, entry_codes, entries, steps)
+        # The wave acts once per distinct walk step (what an entry's
+        # compiled step does to a packet's walk), not once per entry:
+        # table-miss members take the trailing code, which does nothing.
+        actions = table.actions
+        actions.compile(matched)
+        walk_ids, walk_codes = unique_codes(actions.walk[matched])
+        steps = list(map(actions.walks.__getitem__, walk_ids.tolist()))
+        step_codes = np.concatenate((walk_codes, [len(steps)]))[entry_codes]
+        if not missing:
+            self._extend_paths(table_id, members, entry_codes, actions, matched)
         else:
-            matched = entry_codes < miss_code
-            self._missed[members[~matched]] = 1
-            if entries:
+            hit = entry_codes < len(matched)
+            self._missed[members[~hit]] = 1
+            if len(matched):
                 self._extend_paths(
-                    table_id, members[matched], entry_codes[matched], entries, steps
+                    table_id, members[hit], entry_codes[hit], actions, matched
                 )
         if self.capture:
             self._extend_routes(members, table)
-            self._extend_captures(members, masks, key_codes, steps, entry_codes)
-        self._advance(members, entry_codes, steps, pending)
+            self._extend_captures(members, masks, key_codes, steps, step_codes)
+        self._advance(members, step_codes, steps, pending)
 
     def _keys(
         self, field_names: Sequence[str], members: IndexArray
@@ -323,38 +329,37 @@ class ColumnarWalk:
         table_id: int,
         hit: IndexArray,
         entry_codes: IndexArray,
-        entries: Sequence[FlowEntry],
-        steps: Sequence[CompiledStep],
+        actions: ActionTable,
+        matched: IndexArray,
     ) -> None:
         """Give every distinct ``(path so far, matched entry)`` pair of
         the wave a path reference of its own and move the ``hit``
-        members onto it; write each member's matched counter row at its
-        depth and fold the entry's step into its counted facts."""
-        width = len(entries)
-        pairs, inverse = np.unique(
-            self._path[hit] * width + entry_codes, return_inverse=True
-        )
+        members onto it; gather each member's matched counter row and
+        counted facts off the action table's lanes by slot (``matched``
+        holds the slot of each entry code), write the row at the
+        member's depth and fold the facts into its own."""
+        width = len(matched)
+        pairs, inverse = unique_codes(self._path[hit] * width + entry_codes)
         nodes = self._nodes
         base = len(nodes)
         parents, codes = np.divmod(pairs, width)
         nodes += zip(
             [nodes[parent] for parent in parents.tolist()],
             repeat(table_id),
-            map(entries.__getitem__, codes.tolist()),
+            map(actions.entries.__getitem__, matched[codes].tolist()),
         )
         self._path[hit] = base + inverse
-        rows = np.fromiter(map(_STATS_ROW, entries), dtype=np.int64, count=width)
+        slots = matched[entry_codes]
         depth = self._depth[hit]
-        self._credits[hit, depth] = rows[entry_codes]
+        self._credits[hit, depth] = actions.rows[slots]
         self._depth[hit] = depth + 1
-        counted = np.fromiter(map(_COUNTED, steps), dtype=np.int64, count=width)
-        self._state[hit] = fold_step(self._state[hit], counted[entry_codes])
+        self._state[hit] = fold_step(self._state[hit], actions.counted[slots])
 
     def _extend_routes(self, members: IndexArray, table: Any) -> None:
         """Tag every distinct route of the wave's members with the
         table's ``(table, version)``, read now, and move the members
         onto the extended routes."""
-        routes, inverse = np.unique(self._route[members], return_inverse=True)
+        routes, inverse = unique_codes(self._route[members])
         tag = ((table, table.version),)
         base = len(self._routes)
         self._routes += [self._routes[route] + tag for route in routes.tolist()]
@@ -366,12 +371,13 @@ class ColumnarWalk:
         key_masks: Sequence[Mapping[str, int] | None],
         key_codes: IndexArray,
         steps: Sequence[CompiledStep],
-        entry_codes: IndexArray,
+        step_codes: IndexArray,
     ) -> None:
         """Fold the wave's consulted masks into the members' capture
         states: bits of fields rewritten *before* this lookup describe
         derived values and add nothing over the original packet; the
-        matched entry's own rewrites count from the next table on."""
+        matched entry's own rewrites (its walk step's, ``step_codes``
+        indexing ``steps``) count from the next table on."""
         # Intern the masks by content; keys resolved together share mask
         # objects, so most are recognised by identity first.
         mask_code: dict[tuple[tuple[str, int], ...], int] = {}
@@ -385,7 +391,7 @@ class ColumnarWalk:
                 )
             mask_codes.append(code)
         masks = list(mask_code)
-        # Likewise the rewrite sets, one per matched entry; table-miss
+        # Likewise the rewrite sets, one per walk step; table-miss
         # members (the trailing code) rewrite nothing.
         written_code: dict[tuple[str, ...], int] = {}
         written_codes = [
@@ -394,14 +400,13 @@ class ColumnarWalk:
         ]
         written_codes.append(written_code.setdefault((), len(written_code)))
         rewrites = list(written_code)
-        triples, inverse = np.unique(
+        triples, inverse = unique_codes(
             (
                 self._capture[members] * len(masks)
                 + np.asarray(mask_codes, dtype=np.int64)[key_codes]
             )
             * len(rewrites)
-            + np.asarray(written_codes, dtype=np.int64)[entry_codes],
-            return_inverse=True,
+            + np.asarray(written_codes, dtype=np.int64)[step_codes]
         )
         base = len(self._captures)
         for triple in triples.tolist():
@@ -418,13 +423,14 @@ class ColumnarWalk:
     def _advance(
         self,
         members: IndexArray,
-        entry_codes: IndexArray,
+        step_codes: IndexArray,
         steps: Sequence[CompiledStep],
         pending: dict[int, list[IndexArray]],
     ) -> None:
-        """Apply each matched entry's compiled step to its members, in
-        §5.9 order: Apply-Actions set-fields, Write-Metadata, Goto."""
-        # One row per matched entry plus a trailing identity row that
+        """Apply each walk step (``step_codes`` indexing ``steps``) to
+        its members, in §5.9 order: Apply-Actions set-fields,
+        Write-Metadata, Goto."""
+        # One row per walk step plus a trailing identity row that
         # table-miss members index: nothing written, no next table.
         goto = [-1] * (len(steps) + 1)
         writers: list[tuple[int, tuple[int, int]]] = []
@@ -432,7 +438,7 @@ class ColumnarWalk:
             for action in step.apply:
                 if isinstance(action, SetFieldAction):
                     self._override(action.field_name).assign(
-                        members[entry_codes == code], action.value
+                        members[step_codes == code], action.value
                     )
             if step.metadata is not None:
                 writers.append((code, step.metadata))
@@ -444,12 +450,12 @@ class ColumnarWalk:
             writes = np.zeros(len(steps) + 1, dtype=np.bool_)
             for code, (kept, written) in writers:
                 keep[code], value[code], writes[code] = kept, written, True
-            writing = writes[entry_codes]
-            positions, codes = members[writing], entry_codes[writing]
+            writing = writes[step_codes]
+            positions, codes = members[writing], step_codes[writing]
             register = (self._register[positions] & keep[codes]) | value[codes]
             self._register[positions] = register
             self._override("metadata").assign(positions, register)
-        onward = np.asarray(goto, dtype=np.int64)[entry_codes]
+        onward = np.asarray(goto, dtype=np.int64)[step_codes]
         for table_id in sorted(set(goto) - {-1}):
             pending.setdefault(table_id, []).append(members[onward == table_id])
 

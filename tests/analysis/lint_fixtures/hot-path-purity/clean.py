@@ -72,6 +72,17 @@ def results(self):
     ]
 
 
+def _extend_paths(self, hit, actions, matched):
+    # Counter rows and counted facts are slot lanes, gathered once.
+    slots = matched[self.codes[hit]]
+    return actions.rows[slots], actions.counted[slots]
+
+
+def entry_counters(entry):
+    # Outside the address-only tier an entry's stats are fair game.
+    return entry.stats.packet_count
+
+
 def cold_path_report(codec, payload, batch):
     # ...and outside the hot tiers, decode/dicts are fair game.
     decoded = codec.decode(payload)

@@ -1,6 +1,8 @@
 # repro-lint fixture: should FIRE hot-path-purity.
 # Hot-tier functions falling off the lanes into per-row dicts.
 
+from operator import attrgetter
+
 
 def lookup_batch_columnar(self, batch):
     rows = batch.dicts()  # bulk-materialises every row to key it
@@ -66,6 +68,13 @@ def _walk_misses(self, outcomes, missed):
     # The misses' paths are installed and credited as references;
     # replaying them is the reader's business.
     return [self.pipeline.replay_path(path) for path in outcomes.paths]
+
+
+def _extend_paths(self, hit, entries):
+    # The counter row is a lane gathered by action slot, not two
+    # attribute hops per matched entry.
+    rows = [entry.stats.row for entry in entries]
+    return rows, list(map(attrgetter("stats.row"), entries))
 
 
 class PipelineResult:

@@ -203,6 +203,28 @@ class TestRuleDetails:
         for name in ("outcome", "results", "__iter__", "__getitem__"):
             assert not check_source(template.format(name=name), f"{name}.py")
 
+    def test_address_only_tier_reads_no_entry_stats(self):
+        """The miss path addresses a matched entry by its action slot:
+        an entry's ``.stats`` read, or an ``attrgetter("stats...")``,
+        in the wave, the path extension, the megaflow probe or install
+        or the credit is a finding, and elsewhere it is not."""
+        template = "{header}def {name}(self, entries):\n    return {body}\n"
+        for header, body in (
+            ("", "[entry.stats.row for entry in entries]"),
+            (
+                "from operator import attrgetter\n",
+                'list(map(attrgetter("stats.row"), entries))',
+            ),
+        ):
+            for name in sorted(rules._ADDRESS_ONLY_HOT):
+                source = template.format(header=header, name=name, body=body)
+                findings = check_source(source, f"{name}.py")
+                assert [f.rule for f in findings] == ["hot-path-purity"], name
+                assert ".stats" in findings[0].message
+            for name in ("lookup", "entry_counters"):
+                source = template.format(header=header, name=name, body=body)
+                assert not check_source(source, f"{name}.py"), name
+
     def test_unused_import_spares_package_reexports_only(self):
         source = "from repro.core import build_prototype\n"
         for path, fires in (("pkg/__init__.py", False), ("pkg/mod.py", True)):
@@ -217,6 +239,7 @@ class TestRuleDetails:
             rules._LANE_ONLY_HOT
             | rules._DICT_FREE_HOT
             | rules._REPLAY_FREE_HOT
+            | rules._ADDRESS_ONLY_HOT
             | rules._KEY_CALLEES
         )
         src = Path(rules.__file__).resolve().parents[2]

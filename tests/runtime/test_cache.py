@@ -18,9 +18,10 @@ def entry(port: int, priority: int = 1) -> FlowEntry:
 
 
 def probe(cache: MicroflowCache, port: int) -> FlowEntry | None:
-    """One ``in_port`` packet through the cache's one probe."""
-    (found,), _ = cache.lookup_keys([(port,)], [1], False)
-    return found
+    """One ``in_port`` packet through the cache's one probe: the entry
+    at the action slot it answers."""
+    (slot,), _ = cache.lookup_keys([(port,)], [1], False)
+    return None if slot < 0 else cache.table.actions.entries[slot]
 
 
 @pytest.fixture()
@@ -189,7 +190,8 @@ def _drive(shape, trace, chunk, capacity, mod_chunk, mod_port, capture):
             by_key, masks = cache.lookup_keys(
                 list(code_of), [codes.count(c) for c in range(len(code_of))], capture
             )
-            found = [by_key[code] for code in codes]
+            slots = cache.table.actions.entries
+            found = [None if by_key[code] < 0 else slots[by_key[code]] for code in codes]
             for fields, entry in zip(batch, found):
                 if entry is not None:
                     entry.stats.record(frame_length(fields))

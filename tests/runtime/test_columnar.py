@@ -33,6 +33,7 @@ by wave on a runner with none.
 from __future__ import annotations
 
 import gc
+import sys
 import time
 from collections import Counter
 
@@ -40,6 +41,7 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_lookup_table, build_prototype
+from repro.core.action_table import ActionTable
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.field_engine import PartitionEngine, TriePartitionEngine
 from repro.core.lookup_table import OpenFlowLookupTable
@@ -47,6 +49,7 @@ from repro.openflow.actions import Action, OutputAction
 from repro.openflow.flow import CounterColumns, FlowEntry, FlowStats
 from repro.openflow.instructions import GotoTable, WriteActions, WriteMetadata
 from repro.openflow.match import ExactMatch, FieldMaskSink, Match, PrefixMatch
+from repro.openflow.table import FlowTable
 from repro.openflow.pipeline import (
     OpenFlowPipeline,
     PathOutcome,
@@ -243,9 +246,10 @@ class TestColumnarMicroflow:
         class _CountingTable:
             field_names = ("a",)
             version = 0
+            actions = ActionTable()
 
             def lookup_keys(self, keys, capture):
-                return [None] * len(keys), [None] * len(keys)
+                return [-1] * len(keys), [None] * len(keys)
 
         cache = MicroflowCache(_CountingTable())
         original = cache._insert
@@ -828,6 +832,181 @@ class TestMissPathAllocationShape:
                     getattr(outcome, name).append(None)
 
 
+class TestMissPathByAddress:
+    """A matched entry is addressed by its action slot on the miss
+    path: what the walk credits comes off the action table's slot
+    lanes, so classifying a ``cold``-shaped batch — the paper's four
+    tables, every position a miss on a path of its own — reads no
+    ``FlowStats.row`` at all; and the megaflow tier installs a batch's
+    misses in bulk, so the calls an install makes into the cache do not
+    grow with the misses it installs.  Counts only, no clocks."""
+
+    def test_classify_reads_no_counter_row(self, monkeypatch):
+        arch, packets = _distinct_path_misses(256)
+        runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=1024)
+        batch = PacketBatch.from_dicts(packets)
+        member = FlowStats.__dict__["row"]
+        reads = []
+
+        class CountedRow:
+            """The ``FlowStats.row`` slot, counting its reads."""
+
+            def __get__(self, stats, owner=None):
+                if stats is None:
+                    return self
+                reads.append(1)
+                return member.__get__(stats, owner)
+
+            def __set__(self, stats, value):
+                member.__set__(stats, value)
+
+        monkeypatch.setattr(FlowStats, "row", CountedRow())
+        outcome = runner.classify(batch)
+        assert len(reads) == 0
+        assert runner.megaflow.misses == len(outcome.paths) == 256
+        assert len(reads) == 0
+
+    def test_install_calls_do_not_grow_with_misses(self, monkeypatch):
+        """The calls into :class:`MegaflowCache` methods one
+        ``install_batch`` makes, by name, are the same at 64 and at 256
+        distinct-path misses, at a capacity below both (so it evicts)."""
+        methods = {
+            value.__code__
+            for value in vars(MegaflowCache).values()
+            if hasattr(value, "__code__")
+        }
+        calls = Counter()
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code in methods:
+                calls[frame.f_code.co_name] += 1
+
+        install = MegaflowCache.install_batch
+
+        def profiled(self, *args):
+            sys.setprofile(profiler)
+            try:
+                return install(self, *args)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(MegaflowCache, "install_batch", profiled)
+        made = {}
+        for size in (64, 256):
+            arch, packets = _distinct_path_misses(size)
+            runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=48)
+            calls.clear()
+            runner.classify_columnar(PacketBatch.from_dicts(packets))
+            megaflow = runner.megaflow
+            assert megaflow.installs == size
+            assert megaflow.evicted == size - megaflow.capacity
+            made[size] = dict(calls)
+        assert made[64]["install_batch"] == 1
+        assert made[64] == made[256]
+
+
+class TestFreedSlotReuse:
+    """Records hold action slots, and slots are reused: between two
+    batches an entry is removed and another installed into the slot it
+    freed (the free list is LIFO) — on a live table, and on a sealed
+    one, whose first mutation thaws it.  The microflow record stamped
+    with the old slot revalidates instead of serving the new entry, the
+    megaflow aggregates over the removed entry drop, and the results
+    and both entries' counters are the ``FlowTable`` oracle's."""
+
+    @staticmethod
+    def entries():
+        """Fresh entries: ``(table, entry)`` installed up front, then
+        the removed one's replacement."""
+
+        def entry(match, *instructions):
+            return FlowEntry.build(
+                match=Match.exact(**match), priority=5, instructions=instructions
+            )
+
+        removed = entry({"in_port": 1}, GotoTable(1))
+        installed = [
+            (0, removed),
+            (0, entry({"in_port": 2}, WriteActions([OutputAction(20)]))),
+            (1, entry({"tcp_dst": 80}, WriteActions([OutputAction(80)]))),
+        ]
+        return installed, entry({"in_port": 3}, WriteActions([OutputAction(30)]))
+
+    @pytest.mark.parametrize(
+        "sealed", [False, pytest.param(True, marks=needs_dev_shm)]
+    )
+    def test_reused_slot_revalidates(self, sealed):
+        installed, replacement = self.entries()
+        tables = [
+            OpenFlowLookupTable(("in_port",), table_id=0),
+            OpenFlowLookupTable(("tcp_dst",), table_id=1),
+        ]
+        for table_id, entry in installed:
+            tables[table_id].add(entry)
+        arch = MultiTableLookupArchitecture(tables)
+        state = None
+        if sealed:
+            state = SharedRuleState.seal(arch, PipelineSpec.snapshot(arch))
+            arch = state.spec.build()
+            assert isinstance(arch.table(0), FrozenLookupTable)
+        oracle_installed, oracle_replacement = self.entries()
+        oracle = OpenFlowPipeline([FlowTable(table_id=0), FlowTable(table_id=1)])
+        for table_id, entry in oracle_installed:
+            oracle.table(table_id).add(entry)
+        runner = BatchPipeline(arch, cache_capacity=64, megaflow_capacity=64)
+        packets = [
+            {"in_port": port, "tcp_dst": 80, FRAME_LEN_FIELD: 64 + port}
+            for port in (1, 2, 3, 1)
+        ]
+        removed = installed[0][1]
+        try:
+            table = arch.table(0)
+            got = runner.process_batch(PacketBatch.from_dicts(packets))
+            assert got == [oracle.process(dict(p)) for p in packets]
+            record = runner.caches[0]._entries[(1,)]
+            assert table.actions.entries[record.slot] is removed
+            megaflow = runner.megaflow
+            over_removed = [
+                row
+                for row, path in enumerate(megaflow._paths)
+                if path is not None and removed in path_entries(path)
+            ]
+            assert over_removed
+
+            assert table.remove(removed.match, removed.priority)
+            freed = table.actions._free[-1]
+            table.add(replacement)
+            assert table.actions.entries[freed] is replacement
+            if not sealed:
+                assert freed == record.slot
+            oracle.table(0).remove(removed.match, removed.priority)
+            oracle.table(0).add(oracle_replacement)
+            revalidations = runner.caches[0].revalidations
+            invalidated = megaflow.invalidated
+
+            got = runner.process_batch(PacketBatch.from_dicts(packets))
+            assert got == [oracle.process(dict(p)) for p in packets]
+            assert runner.caches[0].revalidations > revalidations
+            assert megaflow.invalidated >= invalidated + len(over_removed)
+            assert not [
+                path
+                for path in megaflow._paths
+                if path is not None and removed in path_entries(path)
+            ]
+            for entry, twin in (
+                (removed, oracle_installed[0][1]),
+                (replacement, oracle_replacement),
+            ):
+                assert (entry.stats.packet_count, entry.stats.byte_count) == (
+                    twin.stats.packet_count,
+                    twin.stats.byte_count,
+                )
+        finally:
+            del runner, arch
+            if state is not None:
+                state.close()
+
+
 class TestUnreadMissCostShape:
     """What a ``cold``-shaped batch — the paper's four tables, every
     position a megaflow miss on a path of its own — costs when nobody
@@ -1279,6 +1458,11 @@ class TestCreditOnceCostShape:
         assert hits > 0 and misses > 0
 
 
+def _entry_at(table, slot):
+    """The flow entry at an action slot a keyed lookup answered."""
+    return None if slot < 0 else table.actions.entries[slot]
+
+
 def _columns_only(batch: PacketBatch):
     """The batch's raw columns — as the shm attach path builds it, with
     no row-dict cache behind it."""
@@ -1354,9 +1538,10 @@ class TestBatchedCapture:
         try:
             keys = self.keys() * 2  # duplicates share one resolution
             for table in (live, frozen):
-                entries, masks = table.lookup_keys(keys, capture=True)
+                slots, masks = table.lookup_keys(keys, capture=True)
                 bare, no_masks = table.lookup_keys(keys)
-                assert bare == entries and no_masks == [None] * len(keys)
+                assert bare == slots and no_masks == [None] * len(keys)
+                entries = [_entry_at(table, slot) for slot in slots]
                 for key, entry, mask in zip(keys, entries, masks):
                     fields = {
                         name: value
@@ -1367,8 +1552,10 @@ class TestBatchedCapture:
                     assert entry is table.lookup(fields, mask=sink)
                     assert mask == sink.fields, key
             # and the twin agrees with the table it was sealed from
-            live_entries, live_masks = live.lookup_keys(keys, capture=True)
-            frozen_entries, frozen_masks = frozen.lookup_keys(keys, capture=True)
+            live_slots, live_masks = live.lookup_keys(keys, capture=True)
+            frozen_slots, frozen_masks = frozen.lookup_keys(keys, capture=True)
+            live_entries = [_entry_at(live, slot) for slot in live_slots]
+            frozen_entries = [_entry_at(frozen, slot) for slot in frozen_slots]
             assert live_masks == frozen_masks
             assert [e and (e.match, e.priority) for e in live_entries] == [
                 e and (e.match, e.priority) for e in frozen_entries
