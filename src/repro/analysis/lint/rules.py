@@ -371,11 +371,21 @@ _REPLAY_FREE_HOT = frozenset(
 
 #: Hot functions that address a matched entry only by its action slot:
 #: the walk's wave and path extension, the megaflow probe and bulk
-#: install, and the one credit.  What they need of an entry — its
-#: counter row, its counted facts — is a lane gathered by slot or a
-#: credit lane, never a ``FlowStats`` reached through the entry.
+#: install, the one credit, and the sharded reply's encode, decode and
+#: collect.  What they need of an entry — its counter row, its counted
+#: facts — is a lane gathered by slot (live, or pinned at submission)
+#: or a credit lane, never a ``FlowStats`` reached through the entry.
 _ADDRESS_ONLY_HOT = frozenset(
-    {"_wave", "_extend_paths", "install_batch", "probe", "credit_outcomes"}
+    {
+        "_wave",
+        "_extend_paths",
+        "install_batch",
+        "probe",
+        "credit_outcomes",
+        "encode_outcomes",
+        "decode_outcomes",
+        "_collect",
+    }
 )
 
 #: Attribute calls that materialise every row of a batch as dicts.
@@ -402,8 +412,9 @@ class HotPathPurityRule(Rule):
         "row (.fields_at()/.row_fields()); the walk, the megaflow probe "
         "and install, the credit and the sharded decode and collect must "
         "not replay a path (replay_path); the wave, the path extension, "
-        "the megaflow probe and install and the credit must not read an "
-        "entry's .stats (nor attrgetter(\"stats...\"))"
+        "the megaflow probe and install, the credit and the sharded "
+        "encode, decode and collect must not read an entry's .stats "
+        "(nor attrgetter(\"stats...\"))"
     )
     hint = (
         "stay on the uint64 lanes: aggregate stats from the frame_len "
@@ -500,9 +511,15 @@ class HotPathPurityRule(Rule):
 
 
 def _reads_stats(node: ast.AST) -> bool:
-    """``x.stats`` (read, not assigned), or ``attrgetter("stats...")``."""
+    """``x.stats`` (read, not assigned) of anything but ``self`` — a
+    runner's own record is not an entry's — or
+    ``attrgetter("stats...")``."""
     if isinstance(node, ast.Attribute):
-        return node.attr == "stats" and isinstance(node.ctx, ast.Load)
+        return (
+            node.attr == "stats"
+            and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        )
     return (
         isinstance(node, ast.Call)
         and _callee_name(node) == "attrgetter"

@@ -23,9 +23,19 @@ lanes of a slot are filled the first time a walk matches it
 (:meth:`ActionTable.compile`).  The lanes are runtime state, 24 bytes
 per allocated slot; the memory model prices the encoded entry
 (:attr:`ActionTable.entry_bits`), not them.
+
+The slot is also a matched entry's one name across processes: a table
+laid out from another's slot tuple (:meth:`ActionTable.lay_out`) holds
+every entry at the same slot and, taking the lowest free slot, allocates
+alike under the same adds, so a sharded reply names entries by slot and
+the parent resolves them against the :class:`ActionSnapshot` it pinned.
 """
 
 from __future__ import annotations
+
+import heapq
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +55,28 @@ FLAG_BITS = 2
 UNCOMPILED = -1
 
 
+class ActionSnapshot(NamedTuple):
+    """An action table as of one mutation: the entry at each slot
+    (``None`` on a free one) and a copy of the ``rows`` lane over those
+    slots — what a reply naming slots is resolved and credited against
+    after the live table has moved on."""
+
+    entries: tuple[FlowEntry | None, ...]
+    rows: np.ndarray
+
+
 class ActionTable:
     """An array of action entries addressed by slot, with slot reuse.
 
     The array only ever grows when no freed slot is available: releasing
-    an entry (rule removal / flow-mod replacement) pushes its slot onto a
-    free list, and the next allocation reuses it.  Without this, every
-    same-match replacement would strand a slot forever and the table would
-    grow without bound under churn, skewing the memory cost model.
+    an entry (rule removal / flow-mod replacement) frees its slot, and
+    the next allocation takes the lowest free one (a heap).  Without
+    reuse, every same-match replacement would strand a slot forever and
+    the table would grow without bound under churn, skewing the memory
+    cost model; taking the lowest makes the slot an add receives depend
+    only on which slots are occupied, so two tables holding the same
+    entries at the same slots allocate alike whatever their release
+    histories.
 
     Beside the entries, three ``int64`` lanes indexed by slot:
     :attr:`rows`, each entry's counter row
@@ -80,12 +104,38 @@ class ActionTable:
         #: are a replay's).
         self.walks: list[CompiledStep] = []
         self._walk_ids: dict[tuple, int] = {}
+        self._snapshot: ActionSnapshot | None = None
+
+    def lay_out(self, entries: Sequence[FlowEntry | None]) -> None:
+        """Hold ``entries`` — another table's slot tuple
+        (:attr:`ActionSnapshot.entries`) — each at its own slot, its
+        ``None`` slots free; the step lanes start uncompiled."""
+        self.entries = list(entries)
+        self._free = [slot for slot, e in enumerate(self.entries) if e is None]
+        self._free_high_water = len(self._free)
+        size = max(len(self.entries), 16)
+        self.rows = np.full(size, SINK, dtype=np.int64)
+        self.rows[: len(self.entries)] = [
+            SINK if e is None else e.stats.row for e in self.entries
+        ]
+        self.counted = np.zeros(size, dtype=np.int64)
+        self.walk = np.full(size, UNCOMPILED, dtype=np.int64)
+        self._snapshot = None
+
+    def snapshot(self) -> ActionSnapshot:
+        """The table as it stands, built once per mutation and shared
+        until the next :meth:`allocate` or :meth:`release`."""
+        if self._snapshot is None:
+            self._snapshot = ActionSnapshot(
+                tuple(self.entries), self.rows[: len(self.entries)].copy()
+            )
+        return self._snapshot
 
     def allocate(self, flow_entry: FlowEntry) -> int:
-        """Place an entry in a freed slot, growing the array only if
-        full; returns the slot."""
+        """Place an entry in the lowest free slot, growing the array
+        only if full; returns the slot."""
         if self._free:
-            slot = self._free.pop()
+            slot = heapq.heappop(self._free)
             self.entries[slot] = flow_entry
         else:
             slot = len(self.entries)
@@ -95,6 +145,7 @@ class ActionTable:
                 self.counted = np.concatenate([self.counted, np.zeros_like(self.counted)])
                 self.walk = np.concatenate([self.walk, np.full_like(self.walk, UNCOMPILED)])
         self.rows[slot] = flow_entry.stats.row
+        self._snapshot = None
         return slot
 
     def release(self, index: int) -> None:
@@ -104,9 +155,10 @@ class ActionTable:
         self.entries[index] = None
         self.rows[index] = SINK
         self.walk[index] = UNCOMPILED
-        self._free.append(index)
+        heapq.heappush(self._free, index)
         if len(self._free) > self._free_high_water:
             self._free_high_water = len(self._free)
+        self._snapshot = None
 
     def compile(self, slots: np.ndarray) -> None:
         """Fill the step lanes of those of ``slots`` (live slots) not

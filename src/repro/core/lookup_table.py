@@ -100,9 +100,6 @@ class OpenFlowLookupTable:
         #: (e.g. :class:`repro.runtime.cache.MicroflowCache`) can detect
         #: staleness cheaply.
         self.version = 0
-        self._snapshot: tuple[FlowEntry, ...] = ()
-        self._snapshot_version = -1
-        self._positions: dict[int, int] | None = None
         self._sweep_view = SweepView()
 
     # ------------------------------------------------------------------
@@ -123,6 +120,22 @@ class OpenFlowLookupTable:
         existing = self._find(entry.match, entry.priority)
         if existing is not None:
             self._remove_installed(existing)
+        self._install(entry)
+
+    def load(self, entries: Sequence[FlowEntry | None]) -> None:
+        """Fill an empty table from an action table's slot tuple
+        (:attr:`~repro.core.action_table.ActionSnapshot.entries`,
+        ``None`` on a free slot), each entry at its own slot — so the
+        slots later adds take are the ones the source table's take."""
+        self.actions.lay_out(entries)
+        for slot, entry in enumerate(entries):
+            if entry is not None:
+                self._install(entry, slot)
+
+    def _install(self, entry: FlowEntry, slot: int | None = None) -> None:
+        """Index ``entry`` — its partition labels, its index rule and
+        its entry key — at action ``slot``, which it already holds, or
+        at the slot it is allocated once its labels are in."""
         labels: list[int] = []
         for name in self.field_names:
             engine = self.engines[name]
@@ -131,7 +144,8 @@ class OpenFlowLookupTable:
                 labels.extend(NO_LABEL for _ in engine.partition_names)
             else:
                 labels.extend(engine.insert_rule(predicate))
-        slot = self.actions.allocate(entry)
+        if slot is None:
+            slot = self.actions.allocate(entry)
         key = tuple(labels)
         self.index.add_rule(
             key,
@@ -143,13 +157,10 @@ class OpenFlowLookupTable:
             # the rules happened to be installed in.
             sequence=entry._seq,
         )
-        installed = _InstalledEntry(
-            flow_entry=entry,
-            labels=key,
-            action_index=slot,
-        )
         entry_key = (entry.match, entry.priority)
-        self._by_key[entry_key] = installed
+        self._by_key[entry_key] = _InstalledEntry(
+            flow_entry=entry, labels=key, action_index=slot
+        )
         self._sweep_view.installed(entry_key, entry)
         for part_name, label in zip(self.partitioner.partition_names, key):
             if label != NO_LABEL:
@@ -199,41 +210,17 @@ class OpenFlowLookupTable:
         return entry
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self.actions)
 
     def __iter__(self) -> Iterator[FlowEntry]:
         return iter(e.flow_entry for e in self._by_key.values())
-
-    def entries_snapshot(self) -> tuple[FlowEntry, ...]:
-        """The entries in deterministic (installation) order, cached per
-        :attr:`version` — the ``(table_id, position)`` entry-ref
-        coordinate system of the sharded stats-return protocol: a
-        parent table and a worker replica at the same mutation-log
-        position agree on it, because both install the same entries in
-        the same order.
-        """
-        if self._snapshot_version != self.version:
-            self._snapshot = tuple(self)
-            self._positions = None
-            self._snapshot_version = self.version
-        return self._snapshot
-
-    def entry_positions(self) -> dict[int, int]:
-        """``id(entry)`` -> its position in :meth:`entries_snapshot`,
-        built lazily, once per :attr:`version`, beside the snapshot it
-        indexes: the one map a reply encoder resolves entry refs with
-        and a seal lays the action table out by."""
-        snapshot = self.entries_snapshot()
-        if self._positions is None:
-            self._positions = {id(e): i for i, e in enumerate(snapshot)}
-        return self._positions
 
     @property
     def sweep_view(self) -> SweepView:
         """Timed and unstamped entries, kept by add/remove for the
         lifecycle sweep (see :class:`~repro.openflow.flow.SweepView`);
         keyed by ``(match, priority)`` like the table's own index and
-        filled in install order, so its order is the snapshot order."""
+        filled in install order."""
         return self._sweep_view
 
     @property

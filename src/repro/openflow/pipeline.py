@@ -119,26 +119,28 @@ class PathOutcome:
 
 
 #: An entry path as a reference: its last matched entry linked back to
-#: the start, one ``(parent, table_id, entry)`` triple per entry, and
-#: ``()`` for the empty path (a miss at the first table).  Paths that
-#: share a prefix share its triples, and a reference keeps its entries
-#: — and so their counter rows — alive.
+#: the start, one ``(parent, table_id, slot, entry)`` node per entry —
+#: ``slot`` the entry's action-table address in its table — and ``()``
+#: for the empty path (a miss at the first table).  Paths that share a
+#: prefix share its nodes, and a reference keeps its entries — and so
+#: their counter rows — alive.
 PathRef: TypeAlias = tuple[Any, ...]
 
 
-def path_steps(path: PathRef) -> list[tuple[int, FlowEntry]]:
-    """``(table_id, entry)`` per entry of ``path``, in visit order."""
-    steps: list[tuple[int, FlowEntry]] = []
+def path_steps(path: PathRef) -> list[tuple[int, int, FlowEntry]]:
+    """``(table_id, slot, entry)`` per entry of ``path``, in visit
+    order."""
+    steps: list[tuple[int, int, FlowEntry]] = []
     while path:
-        path, table_id, entry = path
-        steps.append((table_id, entry))
+        path, table_id, slot, entry = path
+        steps.append((table_id, slot, entry))
     steps.reverse()
     return steps
 
 
 def path_entries(path: PathRef) -> list[FlowEntry]:
     """The entries ``path`` matched, in visit order."""
-    return [entry for _, entry in path_steps(path)]
+    return [entry for _, _, entry in path_steps(path)]
 
 
 def fold_step(state: Any, counted: Any) -> Any:

@@ -68,10 +68,10 @@ for its sub-batch before naming it as ``(offset, nbytes)``, and a
 worker dies rather than write a region that is not its own, so one
 block holds a batch in flight and only mutation suffixes, block names,
 layouts and regions cross the pipes.  Matched
-entries travel as ``(table_id, position)`` entry refs (positions in
-each table's ``entries_snapshot()``, read off its
-``entry_positions()``) that the parent resolves against the order it
-pinned at submission; it then credits its authoritative flow entries
+entries travel as ``(table_id, slot)`` entry refs — each entry's
+action-table address, which a replica built from the parent's spec
+shares with the parent — that the parent resolves against the action
+tables it pinned at submission; it then credits its authoritative flow entries
 itself, counting each traversal's packets and frame bytes from the
 codes and the batch's own ``frame_len`` lane — no per-traversal sum
 crosses the pipe, and flow stats under sharding match the

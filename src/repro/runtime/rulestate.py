@@ -16,20 +16,20 @@ finalize/unlink lifecycle guards apply unchanged):
   occupancy maps, exact-match LUT slots, elementary range intervals;
 - the index calculation's aggregation network, as sorted hash arrays
   per tuple-prefix depth plus exact label columns and best-rule ranks
-  at the final depth;
-- the action table, as a slot -> entry-position array (resolved at
-  attach into the slot lanes the miss path reads, see
-  :class:`FrozenActions`).
+  at the final depth, whose rule column holds action slots.
 
-The block holds structures, not entries: a position indexes the lookup
-table's entry tuple in the ``PipelineSpec`` a worker is started with
-(inherited under ``fork``, pickled once per worker under ``spawn``),
-the same tuple, in the same installation order, the parent sealed from.
+The block holds structures, not entries: a sealed action slot indexes
+the table's slot tuple in the ``PipelineSpec`` a worker is started with
+(inherited under ``fork``, pickled once per worker under ``spawn``) —
+the parent's action table, ``None`` on a free slot, taken at the same
+instant as the seal — which an attached table lays its action table out
+from, each entry at its own slot.
 
 Workers *attach*: :class:`FrozenLookupTable` subclasses the eager
 :class:`~repro.core.lookup_table.OpenFlowLookupTable`, builds the cheap
 empty shell, then grafts frozen twins over the partition engines' search
-structures, the index, and the action table.  The table's one inherited
+structures and the index, and lays its action table out from the
+spec's slot tuple.  The table's one inherited
 search (``search_keys``, behind ``lookup``, ``lookup_batch`` and
 ``lookup_keys``, mask capture included), and so microflow and megaflow
 caching, run unchanged over the grafted structures, which is what keeps
@@ -38,9 +38,9 @@ tables, not the data — O(1) in rules.
 
 Mutations keep flowing through the mutation log.  The first ``add`` /
 ``remove`` / ``remove_where`` against a frozen table *thaws* it: the
-table spec rebuilds a private eager table from its entries in
-installation order (entry ``_seq`` values survive pickling, so index
-tiebreaks agree with every other path), after which the table behaves
+table spec rebuilds a private eager table with each entry at its own
+slot (entry ``_seq`` values survive pickling, so index tiebreaks agree
+with every other path), after which the table behaves
 exactly like the replica it replaced.  Unmutated tables stay frozen for
 the worker's lifetime; a POSIX unlink of a superseded seal generation
 leaves their mappings valid.
@@ -63,9 +63,8 @@ from repro.core.field_engine import (
     RangePartitionEngine,
     TriePartitionEngine,
 )
-from repro.core.action_table import UNCOMPILED, ActionTable
 from repro.core.lookup_table import OpenFlowLookupTable
-from repro.openflow.flow import SINK, SweepView
+from repro.openflow.flow import SweepView
 from repro.runtime.transport import (
     BlockAttachments,
     BlockReader,
@@ -364,43 +363,6 @@ class FrozenIndex:
         return int(self._final.size)
 
 
-class FrozenActions(ActionTable):
-    """Action-table twin: the sealed slot -> entry-position lane,
-    resolved once, at attach, against the entry tuple the table was
-    attached with into what a live
-    :class:`~repro.core.action_table.ActionTable` keeps — the entry at
-    each slot, the free slots and the ``rows`` lane (the step lanes
-    fill as the walk meets each slot) — so a frozen table's search
-    answers slots the miss path reads exactly as it reads a live
-    table's."""
-
-    def __init__(
-        self,
-        reader: BlockReader,
-        key: str,
-        entries: tuple[Any, ...],
-        attachments: BlockAttachments,
-    ) -> None:
-        super().__init__()
-        self._positions = _readonly(reader, f"{key}/actions/positions")
-        self.entries = [
-            None if position < 0 else entries[position]
-            for position in self._positions.tolist()
-        ]
-        self._free = [slot for slot, e in enumerate(self.entries) if e is None]
-        size = len(self.entries)
-        self.rows = np.fromiter(
-            (SINK if e is None else e.stats.row for e in self.entries),
-            dtype=np.int64,
-            count=size,
-        )
-        self.counted = np.zeros(size, dtype=np.int64)
-        self.walk = np.full(size, UNCOMPILED, dtype=np.int64)
-        # Set after the view on purpose: it keeps the mapping alive for
-        # as long as this twin is, and drops after the view at teardown.
-        self._attachments = attachments
-
-
 # ----------------------------------------------------------------------
 # frozen lookup table
 # ----------------------------------------------------------------------
@@ -411,21 +373,20 @@ class FrozenLookupTable(OpenFlowLookupTable):
 
     Construction builds the normal *empty* table (partition engines,
     partitioner, caches — all O(fields), not O(rules)), then grafts the
-    frozen twins over each engine's search structure, the index, and the
-    action table.  The inherited search, ``search_keys`` — behind the
-    scalar, batch and keyed lookups and masked megaflow capture alike —
-    runs unchanged.
+    frozen twins over each engine's search structure and the index, and
+    lays the action table out from the table spec's slot tuple
+    (``spec.entries``), which the sealed index's slots address.  The
+    inherited search, ``search_keys`` — behind the scalar, batch and
+    keyed lookups and masked megaflow capture alike — runs unchanged.
 
-    Entries are the table spec's own tuple (``spec.entries``), which
-    the sealed positions index; ``__len__`` and ``__iter__`` read it, so
-    the inherited ``entries_snapshot()``, ``entry_positions()`` and
-    ``table_miss_entry`` do too, and at ``version`` 0 the snapshot *is*
-    the sealed order.  The
-    lifecycle sweep's view is derived from the same tuple on first read
-    (workers never sweep, so an attach never pays for it).
+    ``__len__`` counts the laid-out action table, and ``__iter__``
+    walks the slot tuple's entries, so the inherited
+    ``table_miss_entry`` does too.  The lifecycle sweep's view is
+    derived from the same entries on first read (workers never sweep,
+    so an attach never pays for it).
 
-    The first mutation thaws: ``spec.build`` replays the entries into a
-    fresh eager table whose ``__dict__`` replaces this one's, so
+    The first mutation thaws: ``spec.build`` loads the entries into a
+    fresh eager table, each at its own slot, whose ``__dict__`` replaces this one's, so
     post-thaw the object *is* the private replica the worker would have
     built at spawn.  ``version`` stays 0 while frozen and jumps to the
     replay count on thaw, so microflow/megaflow caches invalidate
@@ -472,9 +433,7 @@ class FrozenLookupTable(OpenFlowLookupTable):
         self.index = FrozenIndex(  # type: ignore[assignment]
             reader, prefix, depth=len(self.partitioner.partition_names)
         )
-        self.actions = FrozenActions(
-            reader, prefix, spec.entries, attachments
-        )
+        self.actions.lay_out(spec.entries)
         self._frozen = True
         self._frozen_view: SweepView | None = None
         # Inserted last on purpose: attribute dicts drop references in
@@ -484,14 +443,9 @@ class FrozenLookupTable(OpenFlowLookupTable):
 
     # -- read paths ----------------------------------------------------
 
-    def __len__(self) -> int:
-        if self._frozen:
-            return len(self._spec.entries)
-        return super().__len__()
-
     def __iter__(self) -> Any:
         if self._frozen:
-            return iter(self._spec.entries)
+            return (e for e in self._spec.entries if e is not None)
         return super().__iter__()
 
     @property
@@ -499,7 +453,7 @@ class FrozenLookupTable(OpenFlowLookupTable):
         if not self._frozen:
             return super().sweep_view
         if self._frozen_view is None:
-            self._frozen_view = SweepView.of(self._spec.entries)
+            self._frozen_view = SweepView.of(self)
         return self._frozen_view
 
     # -- mutation paths (thaw first) -----------------------------------
@@ -523,9 +477,9 @@ class FrozenLookupTable(OpenFlowLookupTable):
         """Replace the frozen state with a private eager replica.
 
         The spec's own ``build`` is the table a spec-built worker would
-        hold: it replays the entries in installation order, and entry
-        ``_seq`` values survive pickling, so every index tiebreak lands
-        identically.
+        hold: every entry at its own slot, so later adds allocate the
+        parent's slots, and entry ``_seq`` values survive pickling, so
+        every index tiebreak lands identically.
         """
         attachments = self._attachments
         rebuilt = self._spec.build(self.config)
@@ -550,7 +504,7 @@ class SharedRuleState:
     mutation-log fold point, under the runner's mutation lock) into one
     shared block and returns a state whose :attr:`spec` is the input
     spec with the attach layout threaded through ``PipelineSpec.shared``
-    — its entry tuples are the ones the sealed positions index.
+    — its slot tuples are the ones the sealed index's slots address.
 
     ``close`` unlinks the block through the standard finalize guard —
     attached workers keep valid mappings; nothing survives in
@@ -569,9 +523,8 @@ class SharedRuleState:
         """Freeze ``pipeline``'s lookup tables as described by ``spec``.
 
         ``spec`` must be a ``PipelineSpec`` snapshot of ``pipeline`` taken
-        at the current instant: its per-table entry tuples are the live
-        tables' ``entries_snapshot()``, and sealed entry positions are
-        those tables' ``entry_positions()`` into them.
+        at the current instant: its per-table slot tuples are the live
+        action tables, whose slots the sealed index stores.
         """
         writer = BlockWriter()
         layouts = []
@@ -594,7 +547,6 @@ class SharedRuleState:
 
 def _seal_table(writer: BlockWriter, table: Any) -> FrozenTableLayout:
     prefix = f"t{table.table_id}"
-    positions = table.entry_positions()
     trie_meta: list[tuple[str, int, int]] = []
     range_meta: list[tuple[str, int]] = []
     for engine in table._flat_engines:
@@ -608,13 +560,6 @@ def _seal_table(writer: BlockWriter, table: Any) -> FrozenTableLayout:
             range_meta.append((engine.name, _seal_range(writer, key, engine.ranges)))
 
     _seal_index(writer, prefix, table.index)
-
-    slots = np.array(
-        [-1 if entry is None else positions[id(entry)] for entry in table.actions.entries],
-        dtype=np.int64,
-    )
-    writer.put(f"{prefix}/actions/positions", slots)
-
     return FrozenTableLayout(
         table_id=table.table_id,
         tries=tuple(trie_meta),

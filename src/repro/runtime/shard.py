@@ -48,13 +48,17 @@ a region that is not its own — outside the block, over the request
 lanes or too small — by dying before it writes, which the parent
 classifies as a crash.  A reply **names each traversal's entries once**:
 each *distinct* traversal of the sub-batch ships as the
-``(table_id, position)`` refs of the entries it matched — nothing
-those entries already determine — every position costs one ``int32``
-code, and the five cache counts the request caused ride in the same
-block, so a reply frame pickles no class instance.
-The parent resolves the refs against the entry order it pinned at
-submission into path references over its own entries and folds their
-credit lanes (no path is replayed until somebody reads it), credits its
+``(table_id, slot)`` refs of the entries it matched — each entry's
+action-table address, the one name an entry has in every process,
+because a replica built from the spec holds each entry at the parent's
+slot and allocates as the parent did — nothing those entries already
+determine; every position costs one ``int32`` code, and the five cache
+counts the request caused ride in the same block, so a reply frame
+pickles no class instance.
+The parent resolves the refs against the action tables it pinned at
+submission into path references over its own entries, gathers their
+counter rows off the pinned ``rows`` copies and folds their credit
+lanes (no path is replayed until somebody reads it), credits its
 counters and its authoritative
 :class:`~repro.openflow.flow.FlowEntry` stats once per batch, counting
 each path's packets and frame bytes itself from the codes and the
@@ -73,8 +77,8 @@ its replies included), so the parent encodes and dispatches batch N+1
 while the workers are still classifying batch N.
 :meth:`ShardedBatchPipeline.process_batches` (or the explicit
 :meth:`submit_batch` / :meth:`collect_batch` pair) drives the overlap;
-every submitted batch snapshots the mutation-log length and the pinned
-entry order *at submission*, so pipelined batches see exactly the
+every submitted batch snapshots the mutation-log length and pins the
+action tables *at submission*, so pipelined batches see exactly the
 serial sequence of table states a lockstep runner would have produced.
 A slot is reused only after its batch's replies are decoded (decoding
 copies everything out, so a collected outcome never aliases a slot),
@@ -152,6 +156,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.action_table import ActionSnapshot
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.config import ArchitectureConfig, DEFAULT_CONFIG
 from repro.core.lookup_table import OpenFlowLookupTable
@@ -218,28 +223,30 @@ from repro.runtime.transport import (
 
 @dataclass(frozen=True)
 class TableSpec:
-    """Picklable snapshot of one keyed lookup table (schema + entries),
-    rebuilt as an :class:`~repro.core.lookup_table.OpenFlowLookupTable`
-    — the only table kind the runtime runs."""
+    """Picklable snapshot of one keyed lookup table — its schema and
+    its action table's slot tuple (``None`` on a free slot) — rebuilt
+    as an :class:`~repro.core.lookup_table.OpenFlowLookupTable`, the
+    only table kind the runtime runs, with every entry back at its own
+    slot, so a replica replaying the mutation log allocates exactly the
+    slots the parent did."""
 
     table_id: int
     field_names: tuple[str, ...]
-    entries: tuple[FlowEntry, ...]
+    entries: tuple[FlowEntry | None, ...]
 
     @classmethod
     def snapshot(cls, table: Any) -> TableSpec:
         return cls(
             table_id=table.table_id,
             field_names=tuple(table.field_names),
-            entries=table.entries_snapshot(),
+            entries=table.actions.snapshot().entries,
         )
 
     def build(self, config: ArchitectureConfig) -> OpenFlowLookupTable:
         table = OpenFlowLookupTable(
             self.field_names, table_id=self.table_id, config=config
         )
-        for entry in self.entries:
-            table.add(entry)
+        table.load(self.entries)
         return table
 
 
@@ -291,9 +298,9 @@ class _LoggedTable:
 
     Each mutation holds the runner's lock across the table apply *and*
     the log append, and the batch prologue takes the same lock around
-    its log-length + entry-order snapshot — so a flow-mod from another
+    its log-length + action-table pin — so a flow-mod from another
     thread is either entirely before a batch (in its log prefix and its
-    pinned order) or entirely after it, never half-visible.  Each logged
+    pinned slots) or entirely after it, never half-visible.  Each logged
     mutation also records the table's ``version`` in ``versions``, which
     is how the runner tells a flow-mod made behind the facade.
     """
@@ -436,9 +443,9 @@ def _reply_region(
 
 class _Replica:
     """One pipeline replica at a mutation-log position: a runner built
-    from a :class:`PipelineSpec` (whose tables' ``entry_positions()``
-    its replies name entries by), a packet codec, and ``cursor`` — how
-    many log entries it has applied on top of the spec.
+    from a :class:`PipelineSpec` (each entry at the parent's action
+    slot, the name its replies give it), a packet codec, and ``cursor``
+    — how many log entries it has applied on top of the spec.
 
     A worker serves every request through one, and the parent serves a
     shard it classifies in-process (a degraded worker, a poison batch)
@@ -609,7 +616,7 @@ class _InFlight:
     batch: PacketBatch
     #: Worker -> its member positions, ascending.
     groups: dict[int, np.ndarray]
-    pinned: Mapping[int, tuple]
+    pinned: Mapping[int, ActionSnapshot]
     log_len: int
     sends: dict[int, ShmRequest] = field(default_factory=dict)
     #: Worker -> its reply, parked as it arrives or is served in-process.
@@ -1036,7 +1043,7 @@ class ShardedBatchPipeline:
         no path at all, and memory stays
         O(depth x batch), never O(stream).  An outcome stays readable
         after any number of later batches (nothing in it aliases a ring
-        slot) and is resolved against the entry order pinned when its
+        slot) and is resolved against the action tables pinned when its
         batch was submitted, whatever has mutated since.
 
         Like :meth:`process_batch`, refuses to start while
@@ -1178,9 +1185,9 @@ class ShardedBatchPipeline:
         self._ensure_started()
         # One atomic snapshot per *submitted* batch, under the mutation
         # lock: the log length (every worker catches up to the same
-        # point) and the authoritative entry order (worker entry refs
-        # resolve against this, not whatever the tables look like by
-        # reply time).  Each in-flight batch carries its own snapshot
+        # point) and the authoritative action tables (worker slot refs
+        # resolve against this, not whatever sits at a slot by reply
+        # time).  Each in-flight batch carries its own snapshot
         # pair, so a mutation landing between two pipelined submissions
         # is visible to the second batch and not the first — exactly the
         # serial order a lockstep runner would have produced — and a
@@ -1196,7 +1203,7 @@ class ShardedBatchPipeline:
                         "the workers see every flow-mod"
                     )
             log_len = len(self._log)
-            pinned = {t.table_id: t.entries_snapshot() for t in tables}
+            pinned = {t.table_id: t.actions.snapshot() for t in tables}
         seq = self._seq
         if not isinstance(batch, PacketBatch):
             batch = PacketBatch.from_dicts(batch, self._codec.field_bits)
@@ -1393,8 +1400,9 @@ class ShardedBatchPipeline:
         parked on its record (:meth:`_await` saw to that).
 
         Each shard's reply is decoded once per distinct traversal —
-        its refs resolved against the batch's pinned entry order and
-        replayed through the authoritative pipeline; the merged batch
+        its slot refs resolved against the batch's pinned action tables
+        into path references, their counter rows gathered off the pinned
+        ``rows`` copies, no ``FlowStats`` read; the merged batch
         is then credited once (:func:`~repro.runtime.batch.credit_outcomes`,
         which counts from the merged codes and the batch's own
         ``frame_len`` lane), to the runner's counters and the pinned

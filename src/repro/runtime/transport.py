@@ -22,30 +22,32 @@ the same block), so fan-out cost no longer scales with worker count.
 (:func:`encode_outcomes`) columnar into the reply region their request
 names inside the batch's own block, **once per distinct traversal** of the
 sub-batch, not once per packet — and a reply names *entries*, not
-outcomes: a traversal ships as the ``(table_id, position)`` **entry
-refs** of the entries it matched, resolved against each side's own
-tables, and nothing those entries already determine (flags, metadata,
-tables visited, output ports, applied actions, rewrites) crosses the
-pipe; per position, one ``int32`` code naming its traversal.
+outcomes: a traversal ships as the ``(table_id, slot)`` **entry refs**
+of the entries it matched, each read off its path-reference node, and
+nothing those entries already determine (flags, metadata, tables
+visited, output ports, applied actions, rewrites) crosses the pipe;
+per position, one ``int32`` code naming its traversal.
 :func:`decode_outcomes` is the parent's half: it links the pinned
 entries into path references and folds their credit lanes, as the
 worker's walk did — replaying nothing — and fails closed
 (:class:`ReplyDecodeError`) on a block that does not fit its batch.
 
-**Entry refs and the stats return path.**  A ref's position indexes
-the table's deterministic ``entries_snapshot()`` order, through the
-one ``id(entry) -> position`` map the table keeps beside it
-(:meth:`~repro.core.lookup_table.OpenFlowLookupTable.entry_positions`).
-A worker replica at the same mutation-log position as the parent agrees
-on that order (snapshots pickle entries with their sort keys and replay
-mutations in program order), so a ref is a process-independent name for
-a flow entry.  The parent therefore rebuilds outcomes whose
-``matched_entries`` are its *own* authoritative
-:class:`~repro.openflow.flow.FlowEntry` objects and credits them itself
-— packets and frame bytes counted from the code lane and the batch's
-own ``frame_len`` lane — so flow stats (the substrate for monitoring)
-are exact under sharding, and no per-traversal sum crosses the pipe
-for the parent to trust.
+**Entry refs and the stats return path.**  A ref's slot is the matched
+entry's action-table address (:mod:`repro.core.action_table`), the
+integer the paper's index stage returns.  A worker replica built from
+the parent's spec holds each entry at the parent's slot, and an action
+table allocates the lowest free slot, so at the same mutation-log
+position replica and parent hold every entry at the same slot: a ref is
+a process-independent name for a flow entry.  The parent resolves it
+against the action tables it pinned at submission
+(:class:`~repro.core.action_table.ActionSnapshot`) and so rebuilds
+outcomes whose ``matched_entries`` are its *own* authoritative
+:class:`~repro.openflow.flow.FlowEntry` objects, gathers their counter
+rows off the pinned ``rows`` copy and credits them itself — packets and
+frame bytes counted from the code lane and the batch's own
+``frame_len`` lane — so flow stats (the substrate for monitoring) are
+exact under sharding, and no per-traversal sum crosses the pipe for the
+parent to trust.
 
 **One home per batch in flight.**  A reply lives in its reply region
 and nowhere else: :func:`reply_nbytes` bounds the lanes
@@ -80,7 +82,8 @@ from typing import (
 
 import numpy as np
 
-from repro.openflow.flow import SINK, FlowEntry
+from repro.core.action_table import ActionSnapshot
+from repro.openflow.flow import SINK
 from repro.openflow.pipeline import (
     OpenFlowPipeline,
     PathRef,
@@ -439,9 +442,9 @@ class ReplyDecodeError(ValueError):
     a code lane of the wrong length, a code naming no traversal, ref
     offsets that do not partition the refs, a counter lane of the wrong
     length or with a count the sub-batch could not have caused
-    (:func:`_check_counters`), a matched ref outside what the parent
-    pinned for the batch, or refs that do not chain into one path
-    through the pipeline."""
+    (:func:`_check_counters`), a matched ref past the slots the parent
+    pinned for the batch or on a free one, or refs that do not chain
+    into one path through the pipeline."""
 
 
 #: The counters a reply carries, in ``res/stats`` lane order — the
@@ -487,7 +490,7 @@ def reply_nbytes(members: int, tables: int) -> int:
 
     It holds because a sub-batch has at most one distinct traversal per
     position, a traversal matched at most one entry per table (Goto is
-    forward-only), so at most one ``int32`` ``(table_id, position)``
+    forward-only), so at most one ``int32`` ``(table_id, slot)``
     pair per table, and each lane adds at most one alignment pad.
     """
     # Per position its code and, at worst, a traversal of its own: an
@@ -508,29 +511,24 @@ def encode_outcomes(
     the decode-free worker's reply path.
 
     A traversal is named by the entries it matched and nothing else:
-    each *distinct* one of the sub-batch ships once, as its
-    ``(table_id, position)`` refs — positions read off each table's
-    :meth:`~repro.core.lookup_table.OpenFlowLookupTable.entry_positions`
-    — and every position then costs one ``int32`` code.  ``counters``,
-    the :data:`REPLY_COUNTERS` this request caused, ride in the same
-    block as one more lane, so no position ever touches a dict and
-    nothing is pickled.  No per-traversal sum is written: the parent
-    counts packets and frame bytes from the codes itself.  Every lane
-    is written in its ``_REPLY_LANES`` dtype.
+    each *distinct* one of the sub-batch ships once, as the
+    ``(table_id, slot)`` refs its path reference's nodes carry — each
+    entry's action-table address — and every position then costs one
+    ``int32`` code.  ``counters``, the :data:`REPLY_COUNTERS` this
+    request caused, ride in the same block as one more lane, so no
+    position ever touches a dict and nothing is pickled.  No
+    per-traversal sum is written: the parent counts packets and frame
+    bytes from the codes itself.  Every lane is written in its
+    ``_REPLY_LANES`` dtype.  ``pipeline``, the replica that classified
+    the outcomes, is not consulted: a node already carries its slot.
     """
     paths, codes = outcomes.distinct()
-    count = len(paths)
-    positions = {t.table_id: t.entry_positions() for t in pipeline.tables}
     writer.put("res/codes", codes)
     refs = [
-        [
-            part
-            for table_id, entry in path_steps(path)
-            for part in (table_id, positions[table_id][id(entry)])
-        ]
+        [part for table_id, slot, _ in path_steps(path) for part in (table_id, slot)]
         for path in paths
     ]
-    offsets = np.zeros(count + 1, dtype=np.int64)
+    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in refs], out=offsets[1:])
     writer.put("res/matched/offsets", offsets)
     writer.put(
@@ -547,15 +545,17 @@ def encode_outcomes(
 def decode_outcomes(
     reader: BlockReader,
     pipeline: OpenFlowPipeline,
-    pinned: Mapping[int, tuple[FlowEntry, ...]],
+    pinned: Mapping[int, ActionSnapshot],
     expected: int,
 ) -> DecodedReply:
-    """Rebuild one reply's entry paths: resolve each one's refs against
-    ``pinned`` — the entry order the parent froze when it submitted the
-    batch — into a reference to the parent's own entries, checking that
-    the refs chain (the first in the pipeline's first table, each next
-    in the table its predecessor's Goto-Table names), and fold its
-    credit lanes from the entries' compiled steps
+    """Rebuild one reply's entry paths: resolve each one's
+    ``(table_id, slot)`` refs against ``pinned`` — each table's action
+    table as the parent froze it when it submitted the batch — into a
+    reference to the parent's own entries, checking that the refs
+    chain (the first in the pipeline's first table, each next in the
+    table its predecessor's Goto-Table names), gather each matched
+    entry's counter row off the pinned ``rows`` copy, and fold the
+    path's counted facts from the entries' compiled steps
     (:func:`~repro.openflow.pipeline.counted_kind`, the walk's own
     fold).  Nothing is replayed: a path's outcome is built only if
     somebody reads it.
@@ -564,13 +564,13 @@ def decode_outcomes(
     what the ``res/matched/offsets`` lane partitions.  Fails closed: a
     reply whose segment table does not describe its lanes
     (:func:`_reply_lane`), or that does not fit ``expected``, its own
-    lanes, the pinned snapshot or the pipeline's table order raises
-    :class:`ReplyDecodeError` here rather than mis-resolving an outcome
-    (or an ``IndexError``) at first read.  Only the codes and the
-    counters (both range-checked) and the refs (resolved and chained)
-    are read; any other lane a reply carries is ignored.  Everything
-    returned is copied out of the block, so the ring slot is free for
-    reuse as soon as this returns.
+    lanes, the pinned slots (a ref past them or on a free one) or the
+    pipeline's table order raises :class:`ReplyDecodeError` here
+    rather than mis-resolving an outcome (or an ``IndexError``) at
+    first read.  Only the codes and the counters (both range-checked)
+    and the refs (resolved and chained) are read; any other lane a
+    reply carries is ignored.  Everything returned is copied out of the
+    block, so the ring slot is free for reuse as soon as this returns.
     """
     matched = _get_ragged(reader, "res/matched")
     count = len(matched)
@@ -587,13 +587,23 @@ def decode_outcomes(
     for row, refs in zip(credits, matched):
         if len(refs) % 2:
             raise ReplyDecodeError(
-                f"matched refs {refs} are not (table_id, position) pairs"
+                f"matched refs {refs} are not (table_id, slot) pairs"
             )
         path: PathRef = ()
         reached: int | None = first
         state = 0
-        for depth, (table_id, position) in enumerate(zip(refs[0::2], refs[1::2])):
-            entry = _pinned_entry(pinned, table_id, position)
+        for depth, (table_id, slot) in enumerate(zip(refs[0::2], refs[1::2])):
+            pin = pinned.get(table_id)
+            entry = (
+                pin.entries[slot]
+                if pin is not None and 0 <= slot < len(pin.entries)
+                else None
+            )
+            if pin is None or entry is None:
+                raise ReplyDecodeError(
+                    f"matched ref ({table_id}, {slot}) names no entry of "
+                    f"the pinned snapshot"
+                )
             if reached is None:
                 raise ReplyDecodeError(
                     f"matched refs {refs} run on past the end of their path"
@@ -603,10 +613,10 @@ def decode_outcomes(
                     f"matched refs {refs} do not chain: ref {depth} sits in "
                     f"table {table_id}, the path has reached table {reached}"
                 )
-            path = (path, table_id, entry)
+            path = (path, table_id, slot, entry)
             step = entry.instructions.compiled
             reached, state = step.goto, fold_step(state, step.counted)
-            row[depth] = entry.stats.row
+            row[depth] = pin.rows[slot]
         row[-1] = counted_kind(len(refs) // 2, state, reached is not None, policy)
         paths.append(path)
     counters = _reply_lane(reader, "res/stats", len(REPLY_COUNTERS)).tolist()
@@ -661,18 +671,6 @@ def _require_range(lane: np.ndarray, bound: int, what: str) -> None:
         raise ReplyDecodeError(
             f"{what} span [{lane.min()}, {lane.max()}], outside [0, {bound})"
         )
-
-
-def _pinned_entry(
-    pinned: Mapping[int, tuple[FlowEntry, ...]], table_id: int, position: int
-) -> FlowEntry:
-    entries = pinned.get(table_id)
-    if entries is None or not 0 <= position < len(entries):
-        raise ReplyDecodeError(
-            f"matched ref ({table_id}, {position}) is outside the "
-            f"pinned snapshot"
-        )
-    return entries[position]
 
 
 def _get_ragged(reader: BlockReader, key: str) -> list[list[int]]:

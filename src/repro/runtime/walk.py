@@ -37,7 +37,8 @@ many packets:
 
 An entry path is a reference, a linked
 :data:`~repro.openflow.pipeline.PathRef` that paths sharing a prefix
-share.  When the waves drain, each distinct path is named by its
+share; each node carries its entry's slot, the name a sharded reply
+ships it by.  When the waves drain, each distinct path is named by its
 reference, its credit lanes (the counter rows it matched, then its kind,
 :func:`~repro.openflow.pipeline.counted_kind`) and the version tags of
 its route; each distinct capture state becomes a mask signature, and
@@ -343,10 +344,12 @@ class ColumnarWalk:
         nodes = self._nodes
         base = len(nodes)
         parents, codes = np.divmod(pairs, width)
+        node_slots = matched[codes].tolist()
         nodes += zip(
             [nodes[parent] for parent in parents.tolist()],
             repeat(table_id),
-            map(actions.entries.__getitem__, matched[codes].tolist()),
+            node_slots,
+            map(actions.entries.__getitem__, node_slots),
         )
         self._path[hit] = base + inverse
         slots = matched[entry_codes]

@@ -38,14 +38,27 @@ def decode_outcomes(reader, pipeline, pinned):
     paths = []
     for refs in reader.get("res/matched"):
         path = ()
-        for table_id, position in refs:
-            path = (path, table_id, pinned[table_id][position])
+        for table_id, slot in refs:
+            path = (path, table_id, slot, pinned[table_id].entries[slot])
         paths.append(path)
     return paths, reader.get("res/codes").tolist()
 
 
+def encode_outcomes(writer, outcomes, pipeline, counters):
+    # Refs are the (table_id, slot) pairs the path nodes carry.
+    refs = [[(table_id, slot) for _, table_id, slot, _ in outcomes.nodes]]
+    writer.put("res/matched/values", refs)
+
+
+def gather_rows(pinned, table_id, slots):
+    # Counter rows come off the pinned rows lane, by slot.
+    return pinned[table_id].rows[slots]
+
+
 def _collect(self, inflight, decoded):
-    # Merging stays on the codes: nothing per packet is materialised.
+    # Merging stays on the codes: nothing per packet is materialised,
+    # and the runner's own record is no entry's stats.
+    self.stats.batches += 1
     codes = decoded.codes + len(inflight.traversals)
     return inflight.batch, inflight.traversals + decoded.traversals, codes
 

@@ -77,6 +77,26 @@ def _extend_paths(self, hit, entries):
     return rows, list(map(attrgetter("stats.row"), entries))
 
 
+def encode_outcomes(writer, outcomes, pipeline, counters):
+    # A ref is the slot on the path node, not a row read off the entry.
+    writer.put("res/rows", [entry.stats.row for entry in outcomes.entries])
+
+
+def _decode_rows(pinned, refs):
+    return [pinned[table_id].entries[slot] for table_id, slot in refs]
+
+
+def decode_outcomes(reader, pipeline, pinned, expected):
+    # The pinned snapshot carries the rows lane: gather by slot.
+    refs = reader.get("res/matched")
+    return [entry.stats.row for entry in _decode_rows(pinned, refs)]
+
+
+def _collect(self, seq):
+    # Collecting merges credit lanes; it reads no entry's stats.
+    return list(map(attrgetter("stats.row"), self._inflight[seq].entries))
+
+
 class PipelineResult:
     def __init__(self, final_fields):
         self.final_fields = final_fields

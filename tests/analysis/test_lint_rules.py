@@ -225,6 +225,13 @@ class TestRuleDetails:
                 source = template.format(header=header, name=name, body=body)
                 assert not check_source(source, f"{name}.py"), name
 
+    def test_address_only_tier_may_read_its_own_record(self):
+        """``self.stats`` is the runner's own counter record, not an
+        entry's: the sharded collect credits into it."""
+        template = "def {name}(self, shard):\n    self.stats.waves += shard\n"
+        for name in sorted(rules._ADDRESS_ONLY_HOT):
+            assert not check_source(template.format(name=name), f"{name}.py")
+
     def test_unused_import_spares_package_reexports_only(self):
         source = "from repro.core import build_prototype\n"
         for path, fires in (("pkg/__init__.py", False), ("pkg/mod.py", True)):

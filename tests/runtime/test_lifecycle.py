@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.action_table import ActionTable
 from repro.core.architecture import MultiTableLookupArchitecture
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import OutputAction
@@ -280,10 +281,10 @@ class TestTimedLanes:
         sweeper = LifecycleSweeper()
         sweeper.advance(pipeline, 1)  # the one pass for this version
         calls = []
-        snapshot = table.entries_snapshot
+        snapshot = table.actions.snapshot
         monkeypatch.setattr(
-            table,
-            "entries_snapshot",
+            table.actions,
+            "snapshot",
             lambda: calls.append(None) or snapshot(),
         )
         for _ in range(50):
@@ -374,16 +375,18 @@ class TestSweepCostShape:
         assert table.remove(Match.exact(in_port=7), 1)
         calls: dict[str, int] = {}
         cls = type(table)
-        # The scan oracle keeps no entries snapshot: walking it iterates.
-        walks = ("__iter__",) if kind == "scan" else ("entries_snapshot", "__iter__")
-        for name in walks:
-            original = getattr(cls, name)
+        # The scan oracle has no action table: walking it iterates.
+        walks = [(cls, "__iter__")]
+        if kind != "scan":
+            walks.append((ActionTable, "snapshot"))
+        for owner, name in walks:
+            original = getattr(owner, name)
 
             def spy(self, _original=original, _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(self)
 
-            monkeypatch.setattr(cls, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         assert sweeper.advance(pipeline, 1) == []
         assert calls == {}
         assert added.installed_at == 1
@@ -689,7 +692,7 @@ class TestConservation:
             assert stats.sent_to_controller == 4
             assert stats.packets == stats.matched + stats.sent_to_controller
             assert stats.flow_bytes == stats.flow_packets * FRAME
-            live_entries = live.table(0).entries_snapshot()
+            live_entries = list(live.table(0))
             assert len(live_entries) == 1  # only the permanent flow
             live_packets = sum(e.stats.packet_count for e in live_entries)
             live_bytes = sum(e.stats.byte_count for e in live_entries)

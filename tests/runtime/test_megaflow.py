@@ -464,7 +464,7 @@ class _ProbeWorld:
             for table_id, entry in zip(
                 outcome.tables_visited, outcome.matched_entries
             ):
-                path = (path, table_id, entry)
+                path = (path, table_id, 0, entry)  # each table's one slot
             self.outcomes[id(path)] = outcome
             paths.append(path)
         self.paths += paths

@@ -95,18 +95,19 @@ class TestSealAttach:
     def test_entries_snapshot_preserves_install_order(
         self, small_routing_set
     ):
-        """Sealed positions are the authoritative iteration order — the
-        contract the parent's pinned flow-stats snapshots rely on."""
+        """An attached table holds every entry at its authoritative
+        action slot, free slots included — the contract the parent's
+        pinned snapshots resolve a reply's slot refs by."""
         arch, state = seal(small_routing_set)
         try:
             replica = state.spec.build()
             table, frozen = arch.tables[0], replica.tables[0]
-            assert [e.match for e in frozen.entries_snapshot()] == [
-                e.match for e in table.entries_snapshot()
-            ]
-            positions = frozen.entry_positions()
-            for position, entry in enumerate(frozen.entries_snapshot()):
-                assert positions[id(entry)] == position
+            assert [
+                e if e is None else e.match for e in frozen.actions.entries
+            ] == [e if e is None else e.match for e in table.actions.entries]
+            assert frozen.actions.rows[: len(table.actions.entries)].tolist() == (
+                table.actions.snapshot().rows.tolist()
+            )
         finally:
             state.close()
 
@@ -186,7 +187,6 @@ class TestImmutability:
         try:
             table = state.spec.build().tables[0]
             for owner, name in (
-                (table.actions, "_positions"),
                 (table.index, "_final"),
                 (table.index, "_priority"),
             ):
@@ -281,7 +281,9 @@ class TestThawCostShape:
         try:
             table = state.spec.build().tables[0]
             doomed = next(iter(table))
-            adds = _Spy(monkeypatch, OpenFlowLookupTable, "add")
+            # Every entry a table indexes, by add or by a thaw's load,
+            # goes through _install.
+            adds = _Spy(monkeypatch, OpenFlowLookupTable, "_install")
             assert table.remove(doomed.match, doomed.priority)
             assert adds.calls <= 1
         finally:

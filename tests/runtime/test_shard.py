@@ -18,7 +18,7 @@ from repro.core.builder import build_lookup_table, build_per_field_pipeline
 from repro.core.lookup_table import OpenFlowLookupTable
 from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
-from repro.openflow.instructions import WriteActions
+from repro.openflow.instructions import GotoTable, WriteActions
 from repro.openflow.match import Match
 from repro.openflow.pipeline import OpenFlowPipeline
 from repro.packet.batch import PacketBatch
@@ -26,6 +26,9 @@ from repro.packet.headers import FRAME_LEN_FIELD
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
+    FaultPlan,
+    FaultSpec,
+    LifecycleSweeper,
     PipelineSpec,
     ShardedBatchPipeline,
     run_workload,
@@ -2081,3 +2084,252 @@ class TestCountAtCollect:
             got = sharded.stats_snapshot()
         assert asdict(got) == asdict(single.stats_snapshot())
         assert got.batches == 4 and got.packets == len(first) + len(second)
+
+
+def _slot_entry(table_id, port, idle=0):
+    """Table 0 matches ``in_port`` (odd ports go on to table 1), table 1
+    matches ``tcp_dst``; one builder for every runner, so each runner's
+    entries are value-equal twins."""
+    if table_id == 0:
+        match = Match.exact(in_port=port)
+        instructions = [WriteActions([OutputAction(100 + port)])]
+        if port % 2:
+            instructions.append(GotoTable(1))
+    else:
+        match = Match.exact(tcp_dst=port)
+        instructions = [WriteActions([OutputAction(200 + port)])]
+    return FlowEntry.build(
+        match=match,
+        priority=1 + port,
+        instructions=instructions,
+        idle_timeout=idle,
+    )
+
+
+#: Traffic over every live port but 8, whose idle entry so expires.
+_SLOT_PACKETS = [
+    {
+        "in_port": (0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14)[i % 13],
+        "tcp_dst": (i * 5) % 8,
+        FRAME_LEN_FIELD: 60 + i,
+    }
+    for i in range(40)
+]
+
+
+class _SlotScript:
+    """One runner's run of the slot-agreement script: the tables, then
+    churn that leaves holes and a trailing free slot, then batches and
+    flow-mods that reuse freed slots — the last pair between a batch's
+    submission and its collection.  ``made`` lists every entry in
+    creation order, so two scripts' entries pair up by index."""
+
+    def __init__(self, tables):
+        self.made = []
+        self.removed = {}
+        for port in range(10):
+            self.add(tables[0], 0, port, idle=2 if port in (4, 8) else 0)
+        for port in range(6):
+            self.add(tables[1], 1, port)
+        # Out of slot order, so the free slots' release history is not
+        # their order.
+        for table_id, port in ((0, 9), (0, 2), (0, 5), (1, 5), (1, 1)):
+            self.remove(tables[table_id], table_id, port)
+
+    def add(self, table, table_id, port, idle=0):
+        entry = _slot_entry(table_id, port, idle)
+        self.made.append(entry)
+        table.add(entry)
+
+    def remove(self, table, table_id, port):
+        entry = next(e for e in table if e.match == _slot_entry(table_id, port).match)
+        assert table.remove(entry.match, entry.priority)
+        self.removed[(table_id, port)] = entry
+
+    def run(self, pipeline, submit, collect, tick):
+        """The script after construction; ``submit`` classifies a batch
+        under the tables as they stand, ``collect`` returns the results
+        of the oldest batch submitted."""
+        submit(_SLOT_PACKETS)
+        results = [collect()]
+        # The first flow-mods: each takes its table's lowest hole.
+        self.add(pipeline.table(0), 0, 10)
+        self.add(pipeline.table(1), 1, 7)
+        submit(_SLOT_PACKETS)
+        results.append(collect())
+        ledger = tick(3)
+        self.remove(pipeline.table(0), 0, 3)
+        self.add(pipeline.table(0), 0, 12)  # port 3's freed slot
+        submit(_SLOT_PACKETS)
+        results.append(collect())
+        # Between submission and collection, port 1's slot changes hands.
+        submit(_SLOT_PACKETS)
+        self.remove(pipeline.table(0), 0, 1)
+        self.add(pipeline.table(0), 0, 14)
+        submit(_SLOT_PACKETS)
+        results += [collect(), collect()]
+        return results, ledger + tick(3)
+
+    def counters(self):
+        return [(e.stats.packet_count, e.stats.byte_count) for e in self.made]
+
+
+def _slot_tables():
+    return [
+        OpenFlowLookupTable(("in_port",), table_id=0),
+        OpenFlowLookupTable(("tcp_dst",), table_id=1),
+    ]
+
+
+class TestShardedSlotAgreement:
+    """An entry's action slot is its one name in every process: a reply
+    names matched entries by slot, and every replica — spec-built,
+    sealed and thawed by the first flow-mod, respawned after a crash,
+    or the parent's inline one — holds each entry at the parent's slot
+    and allocates the parent's slots as it replays the log, holes and
+    a trailing free slot included.  Results, per-entry counters and
+    the ``FlowRemoved`` ledger equal the in-process runner's and the
+    scan oracle's, and a batch collected after its matched entry's
+    slot changed hands credits the entry pinned at submission."""
+
+    def oracle(self):
+        from repro.openflow.table import FlowTable
+
+        pipeline = OpenFlowPipeline([FlowTable(table_id=0), FlowTable(table_id=1)])
+        script = _SlotScript(pipeline.tables)
+        sweeper = LifecycleSweeper()
+        pending = deque()
+        results, ledger = script.run(
+            pipeline,
+            lambda packets: pending.append(
+                [pipeline.process(dict(p)) for p in packets]
+            ),
+            pending.popleft,
+            lambda dt: sweeper.advance(pipeline, dt),
+        )
+        return results, script.counters(), ledger
+
+    def in_process(self):
+        pipeline = OpenFlowPipeline(_slot_tables())
+        script = _SlotScript(pipeline.tables)
+        runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
+        pending = deque()
+        results, ledger = script.run(
+            pipeline,
+            lambda packets: pending.append(runner.process_batch(packets)),
+            pending.popleft,
+            runner.advance_clock,
+        )
+        return results, script.counters(), ledger
+
+    def sharded(self, variant):
+        pipeline = OpenFlowPipeline(_slot_tables())
+        script = _SlotScript(pipeline.tables)
+        holes = [list(t.actions.entries) for t in pipeline.tables]
+        assert [[e is None for e in slots] for slots in holes] == [
+            [False, False, True, False, False, True, False, False, False, True],
+            [False, True, False, False, False, True],
+        ]
+        faults = None
+        if variant == "respawn":
+            # Worker 0 dies classifying the batch after the first flow-mods.
+            faults = FaultPlan(specs=(FaultSpec(0, 1, "mid-classify", "crash"),))
+        with bounded(30), ShardedBatchPipeline(
+            pipeline,
+            workers=2,
+            cache_capacity=16,
+            megaflow_capacity=32,
+            depth=2,
+            shared_rules=variant in ("sealed", "respawn"),
+            fault_plan=faults,
+        ) as runner:
+            if variant == "inline":
+                runner._supervisor.disable(0)
+            results, ledger = script.run(
+                runner.pipeline,
+                runner.submit_batch,
+                runner.collect_batch,
+                runner.advance_clock,
+            )
+            supervision = runner.supervision_snapshot()
+        if variant == "respawn":
+            assert supervision["crashes"] == supervision["restarts"] == 1
+        if variant == "inline":
+            assert supervision["inline_packets"] > 0
+        # Port 1's entry lost its slot to port 14's between the last
+        # two submissions: the first of them, collected after, credited
+        # port 1's entry (its fourth batch), the second port 14's.
+        port1 = script.removed[(0, 1)]
+        port14 = script.made[-1]
+        assert pipeline.table(0).actions.entries.index(port14) == (
+            holes[0].index(port1)
+        )
+        assert port1.stats.packet_count == 4 * sum(
+            p["in_port"] == 1 for p in _SLOT_PACKETS
+        )
+        assert port14.stats.packet_count == sum(
+            p["in_port"] == 14 for p in _SLOT_PACKETS
+        )
+        return results, script.counters(), ledger
+
+    @pytest.mark.parametrize("variant", ["spec", "sealed", "respawn", "inline"])
+    def test_every_replica_names_entries_by_the_parents_slots(self, variant):
+        results, counters, ledger = self.oracle()
+        local = self.in_process()
+        assert local[:2] == (results, counters)
+        # The scan table sweeps in priority order, a keyed one in
+        # install order: the oracle's ledger is compared as a multiset.
+        assert sorted(local[2], key=repr) == sorted(ledger, key=repr)
+        assert [e.match["in_port"].value for e in local[2]] == [4, 8]
+        assert self.sharded(variant) == local
+
+
+class TestCollectByAddress:
+    """The sharded parent names a decoded entry by its slot: what it
+    credits comes off the pinned action table's ``rows`` copy, never
+    through a ``FlowStats``.  Counts only, no clocks."""
+
+    def test_collect_reads_no_counter_row(self, monkeypatch):
+        """``_collect`` reads ``FlowStats.row`` zero times, over 64
+        distinct four-table paths."""
+        from repro.openflow.flow import FlowStats
+
+        from tests.runtime.test_columnar import _distinct_path_misses
+
+        arch, packets = _distinct_path_misses(64)
+        member = FlowStats.__dict__["row"]
+        reads = []
+        collecting = []
+
+        class CountedRow:
+            """The ``FlowStats.row`` slot, counting its reads while the
+            parent collects."""
+
+            def __get__(self, stats, owner=None):
+                if stats is None:
+                    return self
+                reads.extend(collecting)
+                return member.__get__(stats, owner)
+
+            def __set__(self, stats, value):
+                member.__set__(stats, value)
+
+        collect = ShardedBatchPipeline._collect
+
+        def counted(self, seq):
+            collecting.append(1)
+            try:
+                return collect(self, seq)
+            finally:
+                collecting.clear()
+
+        monkeypatch.setattr(ShardedBatchPipeline, "_collect", counted)
+        with bounded(30), ShardedBatchPipeline(
+            arch, workers=1, cache_capacity=64, megaflow_capacity=1024
+        ) as runner:
+            runner.process_batch(packets[:1])  # the fleet is up
+            monkeypatch.setattr(FlowStats, "row", CountedRow())
+            outcomes = next(iter(runner.process_batches([packets])))
+            assert len(outcomes.paths) == 64
+            assert reads == []
+            assert outcomes.results() == [arch.process(dict(p)) for p in packets]

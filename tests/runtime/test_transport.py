@@ -39,9 +39,9 @@ from repro.runtime.transport import (
 
 
 def pin(pipeline):
-    """Every table's entry order, frozen as the sharded runner pins it
+    """Every table's action table, frozen as the sharded runner pins it
     at submission."""
-    return {table.table_id: table.entries_snapshot() for table in pipeline.tables}
+    return {table.table_id: table.actions.snapshot() for table in pipeline.tables}
 
 
 def roundtrip(batch, positions=None):
@@ -560,8 +560,8 @@ class TestReplyFailsClosed:
         """Two tables.  Port 1 chains 0 -> 1 and ends there; port 7
         misses table 0; table 0's port-2 entry (which outranks port 1's,
         so it is position 0) ends its path at once and no packet takes
-        it.  Intact, the matched lane reads ``[0, 1, 1, 0]`` for the
-        chain and nothing for the miss."""
+        it.  Table 1 ends on a free slot.  Intact, the matched lane
+        reads ``[0, 1, 1, 0]`` for the chain and nothing for the miss."""
         first = OpenFlowLookupTable(("in_port",), table_id=0)
         second = OpenFlowLookupTable(("in_port",), table_id=1)
         first.add(
@@ -579,6 +579,9 @@ class TestReplyFailsClosed:
             )
         )
         second.add(FlowEntry.build(match=Match.exact(in_port=1), priority=1))
+        freed = FlowEntry.build(match=Match.exact(in_port=9), priority=1)
+        second.add(freed)
+        second.remove(freed.match, freed.priority)
         pipeline = OpenFlowPipeline([first, second])
         runner = BatchPipeline(pipeline, cache_capacity=16, megaflow_capacity=32)
         packets = [{"in_port": 1}, {"in_port": 7}, {"in_port": 1}]
@@ -668,8 +671,10 @@ class TestReplyFailsClosed:
         with pytest.raises(ReplyDecodeError, match="code lane"):
             self.decode(block, self.clipped(segments, "res/codes"), *rest)
 
-    @pytest.mark.parametrize("ref", [(0, 2), (0, -1), (3, 0)])
+    @pytest.mark.parametrize("ref", [(0, 2), (0, -1), (3, 0), (1, 1)])
     def test_matched_ref_outside_the_pinned_snapshot(self, ref):
+        """Past the pinned slots, below them, in no pinned table, or on
+        a free slot (table 1's second)."""
         block, segments, *rest = self.encoded()
         self.lane(block, segments, "res/matched/values")[:2] = ref
         with pytest.raises(ReplyDecodeError, match="pinned snapshot"):
@@ -791,23 +796,9 @@ class TestReplyFailsClosed:
 
 
 class TestEntryIndex:
-    """Entry refs resolve through the table's one ``id(entry) ->
-    position`` map (``entry_positions()``), kept beside the
-    ``entries_snapshot()`` it indexes and rebuilt once per version."""
-
-    def test_refs_track_mutations(self):
-        table = OpenFlowLookupTable(("in_port",), table_id=0)
-        first = FlowEntry.build(match=Match.exact(in_port=1), priority=1)
-        second = FlowEntry.build(match=Match.exact(in_port=2), priority=2)
-        table.add(first)
-        table.add(second)
-        positions = table.entry_positions()
-        assert positions == {id(first): 0, id(second): 1}
-        assert table.entry_positions() is positions  # one map per version
-        table.remove(first.match, first.priority)
-        # Refreshed on version: the map follows the new snapshot.
-        assert table.entry_positions() == {id(second): 0}
-        assert table.entries_snapshot()[0] is second
+    """Entry refs name action slots, resolved against the action table
+    pinned at submission (``ActionTable.snapshot()``, built once per
+    mutation)."""
 
     def test_pin_freezes_order_across_mutation(self):
         table = OpenFlowLookupTable(("in_port",), table_id=0)
@@ -815,13 +806,18 @@ class TestEntryIndex:
         entry = FlowEntry.build(match=Match.exact(in_port=1), priority=1)
         table.add(entry)
         pinned = pin(pipeline)
+        assert pin(pipeline)[0] is pinned[0]  # one snapshot per mutation
         # Removing the entry and installing another *after* the pin
-        # moves position 0, but ref resolution against the pin is
-        # unaffected.
+        # reuses slot 0, but resolution and crediting against the pin
+        # are unaffected: the pinned slot still holds the removed entry
+        # and its counter row.
         table.remove(entry.match, entry.priority)
-        table.add(FlowEntry.build(match=Match.exact(in_port=2), priority=99))
-        assert table.entries_snapshot()[0] is not entry
-        assert pinned[0][0] is entry
+        other = FlowEntry.build(match=Match.exact(in_port=2), priority=99)
+        table.add(other)
+        assert table.actions.entries[0] is other
+        assert pinned[0].entries == (entry,)
+        assert pinned[0].rows.tolist() == [entry.stats.row]
+        assert table.actions.rows[0] == other.stats.row
 
     def test_delta_apply_updates_pinned_entries(self):
         """A reply's delta lanes (packets, frame bytes per traversal)
