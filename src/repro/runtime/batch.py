@@ -66,15 +66,18 @@ from repro.runtime.walk import ColumnarWalk
 class BatchStats:
     """Aggregate counters over everything a runner has processed.
 
-    Each runner keeps one as its live record (``runner.stats``) and
-    counts every unit of work into it exactly once, where the work
-    lands: ``waves`` per walk, ``packets`` / ``batches`` and the
-    traffic fields as the runner that owns the entries credits a
-    classified batch (:func:`credit_outcomes`) — and on the sharded
-    parent the cache, megaflow and wave counters as each collected
-    reply adds what its own request caused.  The tiers and the
-    lifecycle sweeper keep their own counters; ``stats_snapshot()``
-    adds them.  With a megaflow tier and no bypass,
+    Each runner keeps one as its live record (``runner.stats``), the
+    one place every count it reports is taken, each exactly once, where
+    the work lands: ``megaflow_hits`` / ``megaflow_misses`` off the
+    missed lane of each megaflow probe, ``cache_hits`` /
+    ``cache_misses`` and ``waves`` per walk, ``advances`` / ``expired``
+    per clock advance, ``packets`` / ``batches`` and the traffic fields
+    as the runner that owns the entries credits a classified batch
+    (:func:`credit_outcomes`) — and on the sharded parent the cache,
+    megaflow and wave counters as each collected reply adds what its
+    own request caused.  The cache tiers count no hit or miss and the
+    lifecycle sweeper no advance, so ``stats_snapshot()`` is a copy of
+    this record.  With a megaflow tier and no bypass,
     ``megaflow_hits + megaflow_misses == packets`` on the sharded
     parent always, and in process after every credit.
     """
@@ -182,7 +185,10 @@ class BatchPipeline:
         the flow-removed events this advance caused (also appended to
         :attr:`flow_removed`).
         """
-        return self.lifecycle.advance(self.pipeline, dt)
+        removed = self.lifecycle.advance(self.pipeline, dt)
+        self.stats.advances += 1
+        self.stats.expired += len(removed)
+        return removed
 
     def process(self, packet_fields: Mapping[str, int]) -> PipelineResult:
         """Single-packet convenience wrapper over :meth:`process_batch`."""
@@ -246,12 +252,17 @@ class BatchPipeline:
         overload, which changes per-packet results never (the megaflow
         serves paths it has already walked), only cache stats and
         cost.  Nothing here reads the ``frame_len`` lane: only the
-        credit counts bytes.
+        credit counts bytes.  The tiers' work is counted into
+        :attr:`stats` here — megaflow hits and misses off the probe's
+        missed lane, the walk's waves and microflow hits and misses —
+        so a replica's record holds what its requests caused.
         """
         megaflow = None if bypass else self.megaflow
         paths: list[PathRef]
         if megaflow is not None:
             paths, credits, codes, missed = megaflow.probe(batch)
+            self.stats.megaflow_hits += len(batch) - len(missed)
+            self.stats.megaflow_misses += len(missed)
         else:
             paths = []
             credits = np.empty((0, len(self.pipeline.tables) + 1), dtype=np.int64)
@@ -277,7 +288,10 @@ class BatchPipeline:
             self.pipeline, self.caches, batch, capture=megaflow is not None
         )
         walk.run(missed)
-        self.stats.waves += walk.waves
+        stats = self.stats
+        stats.waves += walk.waves
+        stats.cache_hits += walk.cache_hits
+        stats.cache_misses += walk.cache_misses
         if megaflow is not None:
             megaflow.install_batch(
                 batch,
@@ -357,18 +371,8 @@ class BatchPipeline:
         return results
 
     def stats_snapshot(self) -> BatchStats:
-        """The runner's record (:attr:`stats`) plus the counters its
-        cache tiers and lifecycle sweeper own."""
-        caches, megaflow = self.caches.values(), self.megaflow
-        return replace(
-            self.stats,
-            cache_hits=sum(cache.hits for cache in caches),
-            cache_misses=sum(cache.misses for cache in caches),
-            megaflow_hits=megaflow.hits if megaflow is not None else 0,
-            megaflow_misses=megaflow.misses if megaflow is not None else 0,
-            advances=self.lifecycle.stats.advances,
-            expired=self.lifecycle.stats.expired,
-        )
+        """A copy of the runner's record (:attr:`stats`)."""
+        return replace(self.stats)
 
 
 def credit_outcomes(stats: BatchStats, outcomes: ColumnarOutcomes) -> None:

@@ -118,26 +118,11 @@ class MicroflowCache:
         self.capacity = capacity
         self.field_names = tuple(table.field_names)
         self._entries: OrderedDict[tuple, _Record] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0
         #: Stale-stamp accesses that re-resolved an existing key in place.
         self.revalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def flush(self) -> None:
-        """Drop every cached microflow (explicit only; mutations do not
-        flush — they stale-stamp, and records revalidate on access)."""
-        if self._entries:
-            self.flushes += 1
-        self._entries.clear()
 
     def lookup_batch_columnar(
         self, batch: PacketBatch
@@ -157,7 +142,7 @@ class MicroflowCache:
         ]
         lane = np.asarray(codes, dtype=np.int64)
         counts = np.bincount(lane, minlength=len(code_of))
-        slots, _ = self.lookup_keys(list(code_of), counts.tolist(), False)
+        slots, _, _ = self.lookup_keys(list(code_of), counts.tolist(), False)
         found = np.asarray(slots, dtype=np.int64)
         hit = found >= 0
         # Frame-byte sums per key; bincount's float64 sums are exact
@@ -179,7 +164,7 @@ class MicroflowCache:
         keys: Sequence[tuple[int | None, ...]],
         counts: Sequence[int],
         capture: bool,
-    ) -> tuple[list[int], list[dict[str, int] | None]]:
+    ) -> tuple[list[int], list[dict[str, int] | None], int]:
         """Cached lookup of *distinct* table keys — the one batch probe:
         the columnar miss path calls it per wave,
         :meth:`lookup_batch_columnar` per batch.
@@ -188,13 +173,16 @@ class MicroflowCache:
         ``field_names`` order), each standing for ``counts[i]``
         packets; every key is probed once and the residual goes to the
         table's ``lookup_keys`` in **one** call.  Returns two aligned
-        lists: the matched entry's action slot per key (``-1`` for a
+        lists — the matched entry's action slot per key (``-1`` for a
         miss; the table's ``actions`` lanes say what it credits) and,
         with ``capture``, its consulted mask (captured at resolution,
-        replayed from the record on a hit).  Hit, miss and revalidation counters move per packet;
-        recency moves per key, hits before residual, each in ``keys``
-        order.  Flow stats are **not** credited here — the caller knows
-        each packet's frame length and credits the matched entries.
+        replayed from the record on a hit) — and how many of the
+        packets the residual stands for: the cache's misses, which the
+        caller counts (the rest of ``counts`` hit).  The revalidation
+        counter moves per packet; recency moves per key, hits before
+        residual, each in ``keys`` order.  Flow stats are **not**
+        credited here — the caller knows each packet's frame length and
+        credits the matched entries.
         """
         version = self.table.version
         entries = self._entries
@@ -202,11 +190,9 @@ class MicroflowCache:
         slots: list[int] = []
         masks: list[dict[str, int] | None] = []
         residual: list[int] = []
-        hits = 0
         for i, key in enumerate(keys):
             record = entries.get(key)
             if record is not None and record.version == version:
-                hits += counts[i]
                 move_to_end(key)
                 if capture and record.mask is None:
                     record.mask = self._capture_mask(key)
@@ -218,17 +204,16 @@ class MicroflowCache:
                 residual.append(i)
                 slots.append(-1)
                 masks.append(None)
-        self.hits += hits
-        if residual:
-            self.misses += sum(counts[i] for i in residual)
-            resolved, captured = self.table.lookup_keys(
-                [keys[i] for i in residual], capture
-            )
-            for i, slot, mask in zip(residual, resolved, captured):
-                self._insert(keys[i], slot, version, mask)
-                slots[i] = slot
-                masks[i] = mask
-        return slots, masks
+        if not residual:
+            return slots, masks, 0
+        resolved, captured = self.table.lookup_keys(
+            [keys[i] for i in residual], capture
+        )
+        for i, slot, mask in zip(residual, resolved, captured):
+            self._insert(keys[i], slot, version, mask)
+            slots[i] = slot
+            masks[i] = mask
+        return slots, masks, sum(counts[i] for i in residual)
 
     # ------------------------------------------------------------------
     # internals

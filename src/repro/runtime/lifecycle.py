@@ -306,19 +306,17 @@ class _TableLanes:
 
 @dataclass
 class LifecycleStats:
-    """Sweeper-side counters (the runner stats report them)."""
+    """What only the sweeper knows: the sweeps it made, the entry lanes
+    it examined and how its expiries split between idle and hard.  The
+    runner counts its advances and the entries they expired in its own
+    record (``runner.stats``), from the events each advance returns."""
 
-    advances: int = 0
     sweeps: int = 0
     #: Total entry lanes examined across all sweeps — the work measure
     #: the throughput experiment reports as sweep cost.
     entries_scanned: int = 0
     expired_idle: int = 0
     expired_hard: int = 0
-
-    @property
-    def expired(self) -> int:
-        return self.expired_idle + self.expired_hard
 
 
 class LifecycleSweeper:
@@ -343,7 +341,6 @@ class LifecycleSweeper:
         """Advance the clock by ``dt`` and sweep every table; returns
         (and appends to the ledger) the expiries this advance caused."""
         prev, now = self.clock.advance(dt)
-        self.stats.advances += 1
         removed: list[FlowRemoved] = []
         for table in pipeline.tables:
             lanes = self._lanes.get(table.table_id)

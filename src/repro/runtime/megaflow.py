@@ -69,13 +69,16 @@ aggregate new to it and once per aggregate evicted from it.
 once — its distinct packed keys plus one dense code per row — so the
 probe moves positions around as integer codes with numpy, touches a
 ``bytes`` key once per distinct code, and does the cache's own
-bookkeeping (hit and miss counts, LRU stamps) with integer work and no
-call per aggregate: aggregates are rows, the LRU is a stamp lane over
-them, and what each one credits is a row of lanes the probe gathers.
-What it hands back is a code lane over those aggregates, the shape
-:class:`~repro.runtime.batch.ColumnarOutcomes` holds.  The probe counts no packets or bytes per aggregate and credits
-no flow stats: only the runner that owns the entries does, once per
-batch (:func:`~repro.runtime.batch.credit_outcomes`).
+bookkeeping (LRU stamps) with integer work and no call per aggregate:
+aggregates are rows, the LRU is a stamp lane over them, and what each
+one credits is a row of lanes the probe gathers.  What it hands back is
+a code lane over those aggregates, the shape
+:class:`~repro.runtime.batch.ColumnarOutcomes` holds, and the missed
+positions.  The probe counts no hit or miss — the runner counts both
+off the missed lane (:meth:`~repro.runtime.batch.BatchPipeline.classify`)
+— and no packets or bytes per aggregate, and credits no flow stats:
+only the runner that owns the entries does, once per batch
+(:func:`~repro.runtime.batch.credit_outcomes`).
 """
 
 from __future__ import annotations
@@ -190,22 +193,19 @@ class MegaflowCache:
         #: The one index: per mask (in first-install order — the probe
         #: order), packed ``value & mask`` key -> aggregate row.
         self._by_mask: dict[MaskSig, dict[bytes, int]] = {}
-        #: The aggregate rows, one lane each: the mask and key that
-        #: index the row (``None`` on a free row), its entry path's
-        #: reference, its route's ``(table, version)`` tags (one tuple
-        #: per route, shared; ``()`` on a free row), and the LRU as a
-        #: stamp lane — a row's
-        #: stamp is the clock at its last hit or install, a free row's
-        #: :data:`_FREE`, so the least recently used aggregate is the
-        #: live row with the lowest stamp.
-        self._masks: list[MaskSig | None] = []
+        #: The aggregate rows, one lane each: the key that indexes the
+        #: row under its mask (``None`` on a free row), its entry
+        #: path's reference, its route's ``(table, version)`` tags (one
+        #: tuple per route, shared; ``()`` on a free row), and the LRU
+        #: as a stamp lane — a row's stamp is the clock at its last hit
+        #: or install, a free row's :data:`_FREE`, so the least recently
+        #: used aggregate is the live row with the lowest stamp.
         self._keys: list[bytes | None] = []
         self._paths: list[PathRef | None] = []
         self._versions: list[VersionChecks] = []
         #: The mask's id per row (-1 on a free row), in the registry of
-        #: every mask signature installed since the last flush: its
-        #: ``_mask_ids`` and, by id, its one signature object (the key
-        #: ``_by_mask`` and ``_masks`` hold).
+        #: every mask signature ever installed: its ``_mask_ids`` and,
+        #: by id, its one signature object (the key ``_by_mask`` holds).
         self._mask_of = np.full(16, -1, dtype=np.int64)
         self._mask_ids: dict[MaskSig, int] = {}
         self._mask_sigs: list[MaskSig] = []
@@ -217,8 +217,6 @@ class MegaflowCache:
         self._credits = np.full(
             (16, len(pipeline.tables) + 1), SINK, dtype=np.int64
         )
-        self.hits = 0
-        self.misses = 0
         self.installs = 0
         self.invalidated = 0
         self.evicted = 0
@@ -227,21 +225,17 @@ class MegaflowCache:
         return len(self._keys) - len(self._free)
 
     @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
     def mask_count(self) -> int:
         """Distinct masks probed per lookup (the tuple-space width)."""
         return len(self._by_mask)
 
     def probe_batch(self, batch: PacketBatch) -> list[PathRef | None]:
         """:meth:`probe` per batch *position*: the entry path of the
-        valid aggregate (``None`` on miss), the cache's own bookkeeping
-        done.  It credits no flow stats — whoever owns the entries
-        credits them from the code lane :meth:`probe` returns — and
-        replays nothing (see :class:`repro.runtime.batch.ColumnarOutcomes`).
+        valid aggregate (``None`` on miss), the LRU stamped.  It counts
+        no hit or miss and credits no flow stats — whoever owns the
+        entries credits them from the code lane :meth:`probe` returns —
+        and replays nothing (see
+        :class:`repro.runtime.batch.ColumnarOutcomes`).
         """
         found, _, lane, _ = self.probe(batch)
         # Code -1 (a miss) reads the trailing ``None``.
@@ -251,7 +245,7 @@ class MegaflowCache:
         self, batch: PacketBatch
     ) -> tuple[list[PathRef], np.ndarray, IndexArray, IndexArray]:
         """The one probe: vectorized tuple-space search and the cache's
-        own hit bookkeeping, with integer gathers per *position* and
+        own LRU bookkeeping, with integer gathers per *position* and
         Python work per *distinct masked key* and per *aggregate hit*
         only.
 
@@ -265,14 +259,13 @@ class MegaflowCache:
         masks), and the answers scatter back to the positions through
         the code lane, first hit per position winning.
 
-        Then the cache counts its misses (the positions left pending)
-        and hits (the rest), and stamps every aggregate hit with the
-        clock plus its *last* hit position — one ``np.maximum.at`` and
-        one assignment to the stamp lane, leaving the LRU order probing
-        the packets one by one would leave.  Nothing is counted per
-        aggregate and no flow stats are credited here: the entries'
-        owner counts and credits them from the code lane
-        (:func:`~repro.runtime.batch.credit_outcomes`).
+        Then the cache stamps every aggregate hit with the clock plus
+        its *last* hit position — one ``np.maximum.at`` and one
+        assignment to the stamp lane, leaving the LRU order probing the
+        packets one by one would leave.  No hit or miss is counted and
+        no flow stats are credited here: the runner counts the hits and
+        misses off the missed lane, and the entries' owner credits them
+        from the code lane (:func:`~repro.runtime.batch.credit_outcomes`).
 
         Returns the entry paths of the aggregates hit (in first-found
         order), their credit lanes (gathered off their rows), one code
@@ -322,8 +315,6 @@ class MegaflowCache:
                 break
             missed = hit == 0
             pending, rows = pending[missed], rows[missed]
-        self.misses += len(pending)
-        self.hits += size - len(pending)
         rows = np.fromiter(found, np.int64, len(found))
         if found:
             last = np.zeros(len(found) + 1, dtype=np.int64)
@@ -463,13 +454,12 @@ class MegaflowCache:
 
         # Apply: drop the evicted rows, rebuild the probe order, place
         # the new aggregates, scatter each lane once.
-        mask_lane, key_lane = self._masks, self._keys
-        path_lane, version_lane = self._paths, self._versions
+        key_lane, path_lane, version_lane = self._keys, self._paths, self._versions
         if gone:
             freed = np.fromiter(gone, dtype=np.int64, count=len(gone))
             for row, i in zip(freed.tolist(), self._mask_of[freed].tolist()):
                 del indexes[i][key_lane[row]]
-                mask_lane[row] = key_lane[row] = path_lane[row] = None
+                key_lane[row] = path_lane[row] = None
                 version_lane[row] = ()
             self._mask_of[freed] = -1
             self._stamp[freed] = _FREE
@@ -486,7 +476,6 @@ class MegaflowCache:
         del self._free[len(self._free) - reused :]
         grown = len(fresh) - reused
         new_rows += range(len(key_lane), len(key_lane) + grown)
-        mask_lane += [None] * grown
         key_lane += [None] * grown
         path_lane += [None] * grown
         version_lane += [()] * grown
@@ -498,7 +487,7 @@ class MegaflowCache:
             mask_code, key_code = divmod(aggregates[n], width)
             i, key = ids[mask_code], keys_of[mask_code][key_code]
             indexes[i][key] = at[n] = row
-            mask_lane[row], key_lane[row] = sigs[i], key
+            key_lane[row] = key
             fresh_ids.append(i)
         self._mask_of[np.asarray(new_rows, dtype=np.int64)] = fresh_ids
         rows_at = np.asarray(at, dtype=np.int64)
@@ -511,19 +500,6 @@ class MegaflowCache:
         self._clock += size
         self.installs += size
         self.evicted += evicted
-
-    def flush(self) -> None:
-        """Drop every cached aggregate (explicit only; never automatic)."""
-        self._by_mask.clear()
-        self._mask_ids.clear()
-        self._mask_sigs.clear()
-        self._masks.clear()
-        self._keys.clear()
-        self._paths.clear()
-        self._versions.clear()
-        self._mask_of[:] = -1
-        self._free.clear()
-        self._stamp[:] = _FREE
 
     # ------------------------------------------------------------------
     # internals
@@ -546,13 +522,13 @@ class MegaflowCache:
     def _drop(self, row: int) -> None:
         """Free one aggregate row: out of its mask's index, its path
         reference let go (so its entries can be collected)."""
-        mask, key = self._masks[row], self._keys[row]
-        assert mask is not None and key is not None
+        mask, key = self._mask_sigs[self._mask_of[row]], self._keys[row]
+        assert key is not None
         index = self._by_mask[mask]
         del index[key]
         if not index:
             del self._by_mask[mask]
-        self._masks[row] = self._keys[row] = self._paths[row] = None
+        self._keys[row] = self._paths[row] = None
         self._versions[row] = ()
         self._mask_of[row] = -1
         self._free.append(row)

@@ -497,17 +497,17 @@ class _Replica:
         # matched-entry refs, once per distinct traversal.  The replica
         # credits nothing — the parent owns the entries and credits them
         # from the reply's codes — and the reply carries the counts this
-        # request caused, not the replica's totals, so the parent can
-        # add each reply in exactly once.
-        before = runner.stats_snapshot()
+        # request caused, read off the replica's record around its
+        # classify, not the replica's totals, so the parent can add each
+        # reply in exactly once, under the same names.
+        stats = runner.stats
+        before = [getattr(stats, name) for name in REPLY_COUNTERS]
         outcomes = runner.classify(batch, bypass=request.bypass)
-        caused = runner.stats_snapshot().since(before)
         writer = BlockWriter()
         encode_outcomes(
             writer,
             outcomes,
-            runner.pipeline,
-            [getattr(caused, name) for name in REPLY_COUNTERS],
+            [getattr(stats, name) - n for name, n in zip(REPLY_COUNTERS, before)],
         )
         faults.fire(worker_id, seq, "after-stats")
         reply = ShmReply("ok", seq, writer.write_to(reply_buf))
@@ -985,7 +985,10 @@ class ShardedBatchPipeline:
         replay always drains each packet event first.
         """
         self._guard_idle("advance_clock")
-        return self.lifecycle.advance(self.pipeline, dt)
+        removed = self.lifecycle.advance(self.pipeline, dt)
+        self.stats.advances += 1
+        self.stats.expired += len(removed)
+        return removed
 
     def process(self, packet_fields: Mapping[str, int]) -> PipelineResult:
         return self.process_batch([packet_fields])[0]
@@ -1573,21 +1576,17 @@ class ShardedBatchPipeline:
     # -- stats ---------------------------------------------------------
 
     def stats_snapshot(self) -> BatchStats:
-        """The runner's record (:attr:`stats`) plus the counters the
-        parent's lifecycle sweeper owns.
+        """A copy of the runner's record (:attr:`stats`).
 
         Every collected reply was added into the record once — its
         traffic counted from its codes, its cache, megaflow and wave
         counts as the growth its own request caused — so a lost reply
         counts nothing, its replay counts once, and a respawn, a
         ``close()`` or an inline replica shared by degraded shards
-        changes no total.
+        changes no total.  Advances and expiries are counted at
+        :meth:`advance_clock`.
         """
-        return replace(
-            self.stats,
-            advances=self.lifecycle.stats.advances,
-            expired=self.lifecycle.stats.expired,
-        )
+        return replace(self.stats)
 
     def supervision_snapshot(self) -> dict[str, int]:
         """Cumulative recovery counters: crashes, wedges, restarts,

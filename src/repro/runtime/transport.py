@@ -504,7 +504,6 @@ def reply_nbytes(members: int, tables: int) -> int:
 def encode_outcomes(
     writer: BlockWriter,
     outcomes: ColumnarOutcomes,
-    pipeline: OpenFlowPipeline,
     counters: Sequence[int],
 ) -> None:
     """Encode a :class:`~repro.runtime.batch.ColumnarOutcomes` columnar —
@@ -519,8 +518,7 @@ def encode_outcomes(
     position ever touches a dict and nothing is pickled.  No
     per-traversal sum is written: the parent counts packets and frame
     bytes from the codes itself.  Every lane is written in its
-    ``_REPLY_LANES`` dtype.  ``pipeline``, the replica that classified
-    the outcomes, is not consulted: a node already carries its slot.
+    ``_REPLY_LANES`` dtype.
     """
     paths, codes = outcomes.distinct()
     writer.put("res/codes", codes)

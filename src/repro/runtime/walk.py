@@ -113,7 +113,8 @@ class ColumnarWalk:
     ``capture`` — whose route's version tags are
     ``versions[path_codes[j]]``, and it consulted
     ``masks[mask_codes[j]]``; :attr:`waves` counts the table visits the
-    walk made.
+    walk made, and :attr:`cache_hits` / :attr:`cache_misses` the packets
+    the tables' microflow caches answered and passed on.
     """
 
     def __init__(
@@ -162,6 +163,8 @@ class ColumnarWalk:
         self._overrides: dict[str, _OverrideLane] = {}
         self._first_table = pipeline.tables[0].table_id
         self.waves = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
         self.paths: list[PathRef] = []
         self.path_codes: IndexArray = self._path[:0]
         self.credits: np.ndarray = self._credits[:0]
@@ -231,7 +234,9 @@ class ColumnarWalk:
         cache = self.caches.get(table_id)
         if cache is not None:
             counts = np.bincount(key_codes, minlength=len(keys)).tolist()
-            slots, masks = cache.lookup_keys(keys, counts, self.capture)
+            slots, masks, missed = cache.lookup_keys(keys, counts, self.capture)
+            self.cache_hits += len(members) - missed
+            self.cache_misses += missed
         else:
             slots, masks = table.lookup_keys(keys, self.capture)
 

@@ -4,6 +4,7 @@ must reproduce the scalar pipeline's results packet for packet."""
 import contextlib
 import multiprocessing
 import signal
+from dataclasses import asdict
 
 import pytest
 
@@ -360,3 +361,61 @@ class TestWorkloads:
         workload = Workload(name="w", description="", events=())
         with pytest.raises(ValueError):
             run_workload(BatchPipeline(arch), workload, batch_size=0)
+
+
+def _one_record_workload():
+    """``cold`` in small: the four-table prototype's 95 distinct flows,
+    three times its runner's megaflow capacity, with a timed rule
+    installed mid-trace and one clock advance that expires it.  Built
+    fresh per runner: the install event carries a mutable entry."""
+    from tests.runtime.test_columnar import _prototype
+
+    arch, trace = _prototype()
+    timed = FlowEntry.build(
+        match=Match.exact(in_port=4000), priority=9, hard_timeout=1
+    )
+    workload = Workload(
+        name="one-record",
+        description="cold-like replay, one expiry",
+        events=(
+            ("packets", trace[:300]),
+            ("install", 2, timed),
+            ("packets", trace[300:]),
+            ("advance", 5),
+        ),
+    )
+    return arch, workload
+
+
+class TestOneRecord:
+    """A runner counts every figure it reports once, in ``runner.stats``:
+    ``stats_snapshot()`` is a copy of that record, on both runners, and
+    a one-worker sharded runner's record equals the in-process one's."""
+
+    RUNNER = {"cache_capacity": 16, "megaflow_capacity": 32}
+
+    def single(self):
+        arch, workload = _one_record_workload()
+        runner = BatchPipeline(arch, **self.RUNNER)
+        run_workload(runner, workload, batch_size=64)
+        return runner
+
+    def test_in_process_record_is_the_snapshot(self):
+        runner = self.single()
+        stats = runner.stats
+        snapshot = runner.stats_snapshot()
+        assert snapshot == stats and snapshot is not stats
+        assert stats.packets == 600
+        assert stats.megaflow_hits + stats.megaflow_misses == stats.packets
+        assert stats.megaflow_hits > 0
+        assert stats.cache_hits > 0
+        assert (stats.advances, stats.expired) == (1, 1)
+
+    @needs_dev_shm
+    def test_sharded_record_equals_in_process(self):
+        single = self.single()
+        arch, workload = _one_record_workload()
+        with ShardedBatchPipeline(arch, workers=1, **self.RUNNER) as sharded:
+            run_workload(sharded, workload, batch_size=64)
+            assert asdict(sharded.stats) == asdict(single.stats)
+            assert sharded.stats_snapshot() == sharded.stats

@@ -82,6 +82,7 @@ from tests.runtime.conftest import (
     replay_path_without_the_action_set,
     serve_one_batch,
 )
+from tests.runtime.test_cache import count_probes
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,7 @@ class TestColumnarMicroflow:
         table_dict = build_lookup_table(rule_set)
         table_col = build_lookup_table(rule_set)
         cache_col = MicroflowCache(table_col, capacity=128)  # no eviction
+        seen_col = count_probes(cache_col)
         batch = PacketBatch.from_dicts(trace)
         got_dict = [table_dict.lookup(fields) for fields in trace]
         got_col: list = []
@@ -205,8 +207,8 @@ class TestColumnarMicroflow:
         )
         assert stats_dict == stats_col
         assert len(seen) <= cache_col.capacity
-        assert cache_col.misses == misses
-        assert cache_col.hits == len(trace) - misses
+        assert seen_col["misses"] == misses
+        assert seen_col["hits"] == len(trace) - misses
 
     def test_revalidates_after_mutation(self, rule_set):
         table = build_lookup_table(rule_set)
@@ -252,6 +254,7 @@ class TestColumnarMicroflow:
                 return [-1] * len(keys), [None] * len(keys)
 
         cache = MicroflowCache(_CountingTable())
+        seen = count_probes(cache)
         original = cache._insert
 
         def counting_insert(key, *args, **kwargs):
@@ -262,7 +265,7 @@ class TestColumnarMicroflow:
         flow = {"a": 7}
         batch = PacketBatch.from_dicts([flow] * 32 + [{"a": 9}])
         cache.lookup_batch_columnar(batch)
-        assert cache.misses == 33  # per-position, dict-path parity
+        assert seen["misses"] == 33  # per-position, dict-path parity
         assert sorted(inserts) == [(7,), (9,)]  # per distinct row
 
 
@@ -296,9 +299,9 @@ class TestMixedPaths:
         for a, b in zip(outcomes, expected):
             assert (a is None) == (b is None)
         # A second columnar pass hits too.
-        misses_before = cache.misses
+        seen = count_probes(cache)
         cache.lookup_batch_columnar(batch)
-        assert cache.misses == misses_before
+        assert seen["misses"] == 0
 
 
 class TestColumnarMegaflow:
@@ -317,12 +320,12 @@ class TestColumnarMegaflow:
         batch = PacketBatch.from_dicts(trace)
         runner.process_batch(batch)  # populate aggregates
         megaflow = runner.megaflow
-        hits_before = megaflow.hits
         entries = megaflow.probe_batch(batch)
         assert len(entries) == len(batch)
         hit_count = sum(entry is not None for entry in entries)
         assert hit_count > 0
-        assert megaflow.hits == hits_before + hit_count
+        _, _, _, missed = megaflow.probe(batch)
+        assert len(batch) - len(missed) == hit_count
         for entry in entries:
             if entry is not None:
                 assert path_entries(entry)
@@ -554,7 +557,7 @@ class TestMissPathCostShape:
         outcomes = runner.classify_columnar(batch)
         assert built.calls == 0
         assert runner.megaflow.installs == installs
-        assert runner.megaflow.misses == installs  # only the first pass missed
+        assert runner.stats.megaflow_misses == installs  # only the first pass missed
         assert len(outcomes.results()) == len(batch)
 
     def test_bypass_runs_the_same_walk_without_capture(self, monkeypatch):
@@ -582,7 +585,7 @@ class TestMissPathCostShape:
             assert captures == [False]
             if runner.megaflow is not None:
                 assert runner.megaflow.installs == 0
-                assert runner.megaflow.hits + runner.megaflow.misses == 0
+                assert runner.stats.megaflow_hits + runner.stats.megaflow_misses == 0
 
     def test_metadata_register_feeds_later_keys(self):
         """The override lane carries the *register* — partial-mask
@@ -792,7 +795,7 @@ class TestMissPathAllocationShape:
             for row, key in enumerate(megaflow._keys)
             if key is not None
         ]
-        assert runner.megaflow.misses == len(walk.paths) == self.SIZE
+        assert runner.stats.megaflow_misses == len(walk.paths) == self.SIZE
         # A masked key pins its path, so no two installs collided.
         assert len(cached) == self.SIZE
         return runner, walk, cached
@@ -863,7 +866,7 @@ class TestMissPathByAddress:
         monkeypatch.setattr(FlowStats, "row", CountedRow())
         outcome = runner.classify(batch)
         assert len(reads) == 0
-        assert runner.megaflow.misses == len(outcome.paths) == 256
+        assert runner.stats.megaflow_misses == len(outcome.paths) == 256
         assert len(reads) == 0
 
     def test_install_calls_do_not_grow_with_misses(self, monkeypatch):
@@ -1046,7 +1049,7 @@ class TestUnreadMissCostShape:
             )
         finally:
             gc.enable()
-        assert runner.megaflow.misses == len(outcome.paths) == self.SIZE
+        assert runner.stats.megaflow_misses == len(outcome.paths) == self.SIZE
         return runner, outcome, spies, grown
 
     def test_unread_outcome_replays_nothing(self, monkeypatch):
@@ -1127,7 +1130,7 @@ class TestMaterialisedResultsAreTheReaders:
             packets,
             oracle,
         )
-        assert runner.megaflow.hits == len(packets)
+        assert runner.stats.megaflow_hits == len(packets)
         # The hit served the very path the vandalised result came from.
         assert second.paths[second.codes[0]] is first.paths[first.codes[0]]
 
@@ -1309,7 +1312,9 @@ class TestMegaflowProbeCostShape:
 
         def tally():
             probes = sum(megaflow._by_mask[mask].probes for mask in masks)
-            return np.array([probes, watch.reads, stamps.writes, megaflow.misses])
+            return np.array(
+                [probes, watch.reads, stamps.writes, runner.stats.megaflow_misses]
+            )
 
         counted = []
         for view in views:
@@ -1376,9 +1381,9 @@ class TestHitPathCostShape:
         """Classify an all-hit batch; the spies' growth and the
         outcome."""
         before = self.calls(spies)
-        misses = runner.megaflow.misses
+        misses = runner.stats.megaflow_misses
         outcome = runner.classify_columnar(batch)
-        assert runner.megaflow.misses == misses
+        assert runner.stats.megaflow_misses == misses
         grown = {name: calls - before[name] for name, calls in self.calls(spies).items()}
         return grown, outcome
 
@@ -1434,7 +1439,7 @@ class TestCreditOnceCostShape:
         spies = {name: _Spy(monkeypatch, FlowStats, name) for name in ("add", "record")}
         spies["credit"] = _Spy(monkeypatch, CounterColumns, "credit")
         spies["frame_lengths"] = _Spy(monkeypatch, PacketBatch, "frame_lengths")
-        hits, misses = runner.megaflow.hits, runner.megaflow.misses
+        hits, misses = runner.stats.megaflow_hits, runner.stats.megaflow_misses
         outcome = runner.classify_columnar(batch)
         assert any(map(path_entries, outcome.paths))
         expected = {"add": 0, "record": 0, "credit": 1, "frame_lengths": 1}
@@ -1443,7 +1448,10 @@ class TestCreditOnceCostShape:
             reply = serve_one_batch(replica, batch)
             assert reply.kind == "ok"
         assert {name: spy.calls for name, spy in spies.items()} == expected
-        return runner.megaflow.hits - hits, runner.megaflow.misses - misses
+        return (
+            runner.stats.megaflow_hits - hits,
+            runner.stats.megaflow_misses - misses,
+        )
 
     def test_all_hit_batch(self, monkeypatch):
         arch, trace = _prototype()

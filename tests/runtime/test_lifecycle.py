@@ -278,8 +278,9 @@ class TestTimedLanes:
         table = pipeline.table(0)
         for port in range(8):
             table.add(_entry(port))
-        sweeper = LifecycleSweeper()
-        sweeper.advance(pipeline, 1)  # the one pass for this version
+        runner = BatchPipeline(pipeline, cache_capacity=None)
+        sweeper = runner.lifecycle
+        runner.advance_clock(1)  # the one pass for this version
         calls = []
         snapshot = table.actions.snapshot
         monkeypatch.setattr(
@@ -288,9 +289,9 @@ class TestTimedLanes:
             lambda: calls.append(None) or snapshot(),
         )
         for _ in range(50):
-            assert sweeper.advance(pipeline, 1) == []
+            assert runner.advance_clock(1) == []
         assert calls == []
-        assert sweeper.stats.advances == sweeper.stats.sweeps == 51
+        assert runner.stats.advances == sweeper.stats.sweeps == 51
         assert sweeper.stats.entries_scanned == 0
         assert len(table) == 8
 
@@ -596,7 +597,7 @@ def test_sweeper_matches_scalar_reference_model(kind, ops):
         )
         for e in sweeper.ledger
     ] == expected
-    assert sweeper.stats.expired == len(expected)
+    assert sweeper.stats.expired_idle + sweeper.stats.expired_hard == len(expected)
     assert sorted(map(id, tuple(table))) == sorted(
         map(id, live.values())
     )

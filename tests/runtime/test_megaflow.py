@@ -109,9 +109,9 @@ class TestMaskCapture:
         cache = MicroflowCache(table)
         walk = MegaflowRecorder()
         table.lookup({"in_port": 3, "tcp_src": 5}, mask=walk)
-        _, (first,) = cache.lookup_keys([(3, 5)], [1], True)
-        _, (second,) = cache.lookup_keys([(3, 5)], [1], True)
-        assert cache.hits == 1
+        _, (first,), _ = cache.lookup_keys([(3, 5)], [1], True)
+        _, (second,), missed = cache.lookup_keys([(3, 5)], [1], True)
+        assert missed == 0
         assert first == second == walk.fields
 
 
@@ -131,7 +131,7 @@ class TestReplay:
             for got, fields in zip(runner.process_batch(chunk), chunk):
                 assert_same_result(got, reference.process(fields))
         megaflow = runner.megaflow
-        assert megaflow.hits > 0, "wide traffic must hit the megaflow tier"
+        assert runner.stats.megaflow_hits > 0, "wide traffic must hit the megaflow tier"
         # Exact-match would need ~one entry per packet; aggregates need
         # roughly one per flow.
         assert len(megaflow) < len(trace) / 4
@@ -157,7 +157,7 @@ class TestReplay:
         # diff would record no rewrite.
         runner.process({"in_port": 1, "vlan_vid": 42})
         replayed = runner.process({"in_port": 1, "vlan_vid": 7})
-        assert runner.megaflow.hits == 1
+        assert runner.stats.megaflow_hits == 1
         assert replayed.final_fields["vlan_vid"] == 42
 
     def test_replay_records_flow_stats(self):
@@ -202,12 +202,12 @@ class TestIncrementalInvalidation:
         # Mutate table 1: the short aggregate must survive untouched.
         runner.pipeline.table(1).add(output_entry(Match.exact(eth_type=0x86DD), 2, 30))
         assert runner.process(short).output_ports == [10]
-        assert megaflow.hits == 1 and megaflow.invalidated == 0
+        assert runner.stats.megaflow_hits == 1 and megaflow.invalidated == 0
 
         # The deep aggregate was invalidated and re-captured.
         runner.process(deep)
         assert megaflow.invalidated == 1
-        assert megaflow.hits == 1
+        assert runner.stats.megaflow_hits == 1
 
     def test_mutating_first_table_invalidates_all(self):
         runner = self.build_runner()
@@ -219,7 +219,7 @@ class TestIncrementalInvalidation:
         runner.process(short)
         runner.process(deep)
         assert runner.megaflow.invalidated == 2
-        assert runner.megaflow.hits == 0
+        assert runner.stats.megaflow_hits == 0
 
     def test_lru_capacity_bounds_entries(self):
         table = OpenFlowLookupTable(("in_port",), table_id=0)
@@ -283,7 +283,7 @@ class _PerPacketMegaflow:
         self.capacity = capacity
         self.lru = OrderedDict()
         self.masks = {}
-        self.hits = self.misses = self.invalidated = self.installs = 0
+        self.invalidated = self.installs = 0
         self.evicted = 0
         #: The runner's traffic counters, as one packet at a time
         #: credits them.
@@ -325,7 +325,6 @@ class _PerPacketMegaflow:
                 self.forget(slot)
                 self.invalidated += 1
                 continue
-            self.hits += 1
             self.lru.move_to_end(slot)
             outcome = aggregate["outcome"]
             for matched in outcome.matched_entries:
@@ -340,18 +339,11 @@ class _PerPacketMegaflow:
             self.stats.sent_to_controller += outcome.sent_to_controller
             self.stats.dropped += outcome.dropped
             return outcome
-        self.misses += 1
         return None
 
     def state(self):
         return {
-            "counters": (
-                self.hits,
-                self.misses,
-                self.invalidated,
-                self.installs,
-                self.evicted,
-            ),
+            "counters": (self.invalidated, self.installs, self.evicted),
             "lru": [
                 (mask, aggregate["outcome"].metadata)
                 for (mask, _), aggregate in self.lru.items()
@@ -402,14 +394,10 @@ def _cache_state(cache, outcomes):
         return outcomes[id(cache._paths[row])].metadata
 
     return {
-        "counters": (
-            cache.hits,
-            cache.misses,
-            cache.invalidated,
-            cache.installs,
-            cache.evicted,
-        ),
-        "lru": [(cache._masks[row], name(row)) for row in _lru(cache)],
+        "counters": (cache.invalidated, cache.installs, cache.evicted),
+        "lru": [
+            (cache._mask_sigs[cache._mask_of[row]], name(row)) for row in _lru(cache)
+        ],
         "index": {
             mask: sorted(map(name, index.values()))
             for mask, index in cache._by_mask.items()
@@ -673,7 +661,7 @@ class TestProbeCreditEquivalence:
         assert missed.tolist() == [0, 1, 2]
         assert world.state()["flow_stats"] == [(0, 0), (0, 0)]
         cache = world.cache
-        assert (cache.invalidated, cache.misses, cache.hits) == (1, 3, 0)
+        assert (cache.invalidated, len(missed), len(batch) - len(missed)) == (1, 3, 0)
         assert len(cache) == 0 and not cache._by_mask
 
 

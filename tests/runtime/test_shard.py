@@ -1178,13 +1178,13 @@ class TestDistinctIsPerPositionDedup:
             local.append(outcomes.results())
             reference = transport.BlockWriter()
             transport.encode_outcomes(
-                reference, _PerPositionEncoded(outcomes), arch, counters
+                reference, _PerPositionEncoded(outcomes), counters
             )
             blocks.append(
                 reference.write_to(memoryview(bytearray(reference.nbytes)))
             )
             ours = transport.BlockWriter()
-            transport.encode_outcomes(ours, outcomes, arch, counters)
+            transport.encode_outcomes(ours, outcomes, counters)
             assert ours.nbytes == reference.nbytes
         frames = []
         with ShardedBatchPipeline(

@@ -372,12 +372,12 @@ class TestRunStream:
         )
         schedule = overload_schedule(small_routing_set)
         assert run_stream(runner, schedule, OVERLOAD).max_level >= 2
-        probed = runner.megaflow.hits + runner.megaflow.misses
+        probed = runner.stats.megaflow_hits + runner.stats.megaflow_misses
         batch = PacketBatch.from_dicts(
             [event[1] for event in schedule.events if event[0] == "packet"][:16]
         )
         runner.classify_columnar(batch)
-        assert runner.megaflow.hits + runner.megaflow.misses == probed + 16
+        assert runner.stats.megaflow_hits + runner.stats.megaflow_misses == probed + 16
 
     def test_unknown_event_kind_rejected(self, small_routing_set):
         bogus = ArrivalSchedule("bogus", "", (("tick", 1),))

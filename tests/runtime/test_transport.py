@@ -304,7 +304,6 @@ class TestResultBlocks:
         encode_outcomes(
             writer,
             outcomes,
-            runner.pipeline,
             [getattr(caused, name) for name in REPLY_COUNTERS],
         )
         block = SharedBlock()
@@ -354,13 +353,13 @@ class TestResultBlocks:
 
         for expect_hits in (False, True):
             replica_was = counts(replica_entries)
-            hits_before = runner.megaflow.hits
+            hits_before = runner.stats.megaflow_hits
             outcomes, keys, decoded, rebuilt = self.reply(
                 runner, packets, parent, pinned
             )
             # Hits and misses share one outcome shape; the tier's own
             # counter says which round this was.
-            assert runner.megaflow.hits - hits_before == (
+            assert runner.stats.megaflow_hits - hits_before == (
                 len(packets) if expect_hits else 0
             )
             assert keys == [
@@ -591,7 +590,6 @@ class TestReplyFailsClosed:
         encode_outcomes(
             writer,
             outcomes,
-            pipeline,
             [getattr(stats, name) for name in REPLY_COUNTERS],
         )
         block = bytearray(writer.nbytes)
